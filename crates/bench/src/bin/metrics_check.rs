@@ -117,9 +117,9 @@ fn main() {
 
     // CN accounting: every candidate network a monotone top-k run generates
     // is either evaluated or pruned — nothing may fall through the counters.
-    // Only the monotone executors do CN-level accounting (SPARK's
+    // Only the monotone executor does CN-level accounting (SPARK's
     // skyline-sweep reports 0/0), so the generated total is filtered to
-    // their algorithm labels; the CN counters themselves are zero everywhere
+    // its algorithm label; the CN counters themselves are zero everywhere
     // else and can be summed whole.
     let cn_accounted = snapshot.counter_total(families::CN_EVALUATED)
         + snapshot.counter_total(families::CN_PRUNED);
@@ -134,19 +134,19 @@ fn main() {
         .filter(|(id, _)| {
             id.name == families::CANDIDATES
                 && has(id, "kind", &["generated"])
-                && has(id, "algorithm", &["global_pipeline", "parallel_cn"])
+                && has(id, "algorithm", &["parallel_cn"])
         })
         .map(|(_, v)| *v)
         .sum();
     if cn_generated == 0 {
         eprintln!(
-            "{path}: no CNs generated by the monotone executors — the CN accounting check is vacuous"
+            "{path}: no CNs generated by the monotone executor — the CN accounting check is vacuous"
         );
         std::process::exit(1);
     }
     if cn_accounted != cn_generated {
         eprintln!(
-            "{path}: CN accounting broken: {} + {} = {cn_accounted} but {} (kind=generated, monotone algorithms) = {cn_generated}",
+            "{path}: CN accounting broken: {} + {} = {cn_accounted} but {} (kind=generated, algorithm=parallel_cn) = {cn_generated}",
             families::CN_EVALUATED,
             families::CN_PRUNED,
             families::CANDIDATES,

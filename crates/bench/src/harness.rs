@@ -32,12 +32,6 @@ impl BenchmarkId {
             label: format!("{}/{}", function_name.into(), parameter),
         }
     }
-
-    pub fn from_parameter<P: fmt::Display>(parameter: P) -> Self {
-        BenchmarkId {
-            label: parameter.to_string(),
-        }
-    }
 }
 
 /// Top-level harness state: holds the CLI filter and prints results.
@@ -246,7 +240,6 @@ mod tests {
     fn benchmark_id_renders_function_slash_parameter() {
         let id = BenchmarkId::new("dpbf", 40);
         assert_eq!(id.label, "dpbf/40");
-        assert_eq!(BenchmarkId::from_parameter("x").label, "x");
     }
 
     #[test]

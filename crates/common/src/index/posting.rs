@@ -305,20 +305,6 @@ impl<P: Posting> PostingList<P> {
         }
     }
 
-    /// Raw slice escape hatch, for plain-layout lists only.
-    ///
-    /// # Panics
-    /// On a block-encoded list. Use [`iter`](Self::iter) /
-    /// [`cursor`](Self::cursor) / [`to_vec`](Self::to_vec) instead.
-    #[doc(hidden)]
-    #[deprecated(note = "layout-locked escape hatch: use iter()/cursor()/to_vec() instead")]
-    pub fn as_slice(&self) -> &[P] {
-        match &self.repr {
-            Repr::Plain(v) => v,
-            Repr::Blocks(_) => panic!("as_slice() on a block-encoded posting list"),
-        }
-    }
-
     /// By-value iteration in sort order, on either layout.
     pub fn iter(&self) -> PostingIter<'_, P> {
         PostingIter {

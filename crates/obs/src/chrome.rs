@@ -103,7 +103,7 @@ mod tests {
 
     #[test]
     fn export_parses_and_nests_phases_inside_the_root() {
-        let mut tb = TraceBuilder::new(TraceLevel::Full, "relational/global_pipeline \"q\"");
+        let mut tb = TraceBuilder::new(TraceLevel::Full, "relational/parallel_cn \"q\"");
         tb.phase("parse");
         tb.phase("evaluate");
         tb.event("budget verdict", || vec![("truncated".into(), "no".into())]);

@@ -271,7 +271,7 @@ mod tests {
         let reg = MetricsRegistry::new();
         reg.counter(
             "kwdb_queries_total",
-            &[("engine", "relational"), ("algorithm", "global_pipeline")],
+            &[("engine", "relational"), ("algorithm", "parallel_cn")],
         )
         .add(17);
         reg.counter(
@@ -306,9 +306,9 @@ mod tests {
         ));
         assert!(text.contains("# HELP kwdb_query_latency_ns "));
         assert!(text.contains("# TYPE kwdb_queries_total counter"));
-        assert!(text.contains(
-            "kwdb_queries_total{algorithm=\"global_pipeline\",engine=\"relational\"} 17"
-        ));
+        assert!(
+            text.contains("kwdb_queries_total{algorithm=\"parallel_cn\",engine=\"relational\"} 17")
+        );
         assert!(text.contains("# TYPE kwdb_dispatch_inflight gauge"));
         assert!(text.contains("kwdb_dispatch_inflight 2"));
         assert!(text.contains("# TYPE kwdb_query_latency_ns histogram"));

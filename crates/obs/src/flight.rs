@@ -553,7 +553,7 @@ mod tests {
         stats.cache_hits = 1;
         QueryRecord::new(
             engine,
-            "global_pipeline",
+            "parallel_cn",
             "data query",
             3,
             1,

@@ -36,7 +36,7 @@
 //! use kwdb_common::QueryStats;
 //!
 //! let reg = MetricsRegistry::new();
-//! record_query(&reg, "relational", "global_pipeline", &QueryStats::new(), None);
+//! record_query(&reg, "relational", "parallel_cn", &QueryStats::new(), None);
 //! let prom = kwdb_obs::export::to_prometheus(&reg.snapshot());
 //! assert!(prom.contains("kwdb_queries_total"));
 //! ```

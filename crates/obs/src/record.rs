@@ -344,22 +344,22 @@ mod tests {
     #[test]
     fn record_query_populates_every_family() {
         let reg = MetricsRegistry::new();
-        record_query(&reg, "relational", "global_pipeline", &stats(), None);
+        record_query(&reg, "relational", "parallel_cn", &stats(), None);
         record_query(
             &reg,
             "relational",
-            "global_pipeline",
+            "parallel_cn",
             &stats(),
             Some(TruncationReason::DeadlineExceeded),
         );
-        let ea = [("engine", "relational"), ("algorithm", "global_pipeline")];
+        let ea = [("engine", "relational"), ("algorithm", "parallel_cn")];
         assert_eq!(reg.counter_value(families::QUERIES, &ea), 2);
         assert_eq!(
             reg.counter_value(
                 families::OPERATORS,
                 &[
                     ("engine", "relational"),
-                    ("algorithm", "global_pipeline"),
+                    ("algorithm", "parallel_cn"),
                     ("op", "tuples_scanned")
                 ]
             ),
@@ -370,7 +370,7 @@ mod tests {
                 families::TRUNCATED,
                 &[
                     ("engine", "relational"),
-                    ("algorithm", "global_pipeline"),
+                    ("algorithm", "parallel_cn"),
                     ("reason", "deadline")
                 ]
             ),

@@ -3,7 +3,7 @@
 //!
 //! A [`MetricsRegistry`] is a process-wide (or deployment-unit-wide) table
 //! of metric instruments keyed by family name plus a sorted label set —
-//! `kwdb_queries_total{engine="relational", algorithm="global_pipeline"}`.
+//! `kwdb_queries_total{engine="relational", algorithm="parallel_cn"}`.
 //! Lookup uses the same double-checked read-mostly locking as the CN plan
 //! cache: the hot path takes a read lock and clones an `Arc` handle;
 //! creation upgrades to the write lock exactly once per instrument.
@@ -461,7 +461,7 @@ mod tests {
         reg.set_sample_policy(SamplePolicy::every(3));
         let picks: Vec<bool> = (0..9)
             .map(|_| {
-                reg.sample_trace_level("relational", "global_pipeline", TraceLevel::Off)
+                reg.sample_trace_level("relational", "parallel_cn", TraceLevel::Off)
                     .1
             })
             .collect();
@@ -471,10 +471,10 @@ mod tests {
         );
         // an already-traced request passes through and consumes no tick
         let (level, sampled) =
-            reg.sample_trace_level("relational", "global_pipeline", TraceLevel::Full);
+            reg.sample_trace_level("relational", "parallel_cn", TraceLevel::Full);
         assert_eq!(level, TraceLevel::Full);
         assert!(!sampled);
-        let (_, next) = reg.sample_trace_level("relational", "global_pipeline", TraceLevel::Off);
+        let (_, next) = reg.sample_trace_level("relational", "parallel_cn", TraceLevel::Off);
         assert!(!next, "tick 10 of every(3) must not fire");
     }
 
@@ -486,7 +486,7 @@ mod tests {
         for i in 0..5 {
             let rec = QueryRecord::new(
                 "relational",
-                "global_pipeline",
+                "parallel_cn",
                 "data query",
                 3,
                 1,

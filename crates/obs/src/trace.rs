@@ -440,7 +440,7 @@ mod tests {
         // encoding rounded. The schema must survive a round-trip exactly.
         let big = Duration::from_nanos(u64::MAX / 2);
         let trace = QueryTrace {
-            label: "relational/global_pipeline \"data\"".into(),
+            label: "relational/parallel_cn \"data\"".into(),
             total: big + Duration::from_nanos(7),
             phases: vec![PhaseSpan {
                 name: "evaluate".into(),

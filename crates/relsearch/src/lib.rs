@@ -12,8 +12,11 @@
 //!    breadth-first with canonical-form duplicate elimination
 //!    (Hristidis & Papakonstantinou VLDB 02; Markowetz et al. SIGMOD 07);
 //! 3. [`eval`] — evaluate a CN bottom-up with hash joins;
-//! 4. [`topk`] — top-k executors over many CNs: Naive, Sparse, and the
-//!    bound-driven Global Pipeline (DISCOVER2, VLDB 03);
+//! 4. [`topk`] — the tutorial's reference top-k strategies over many CNs:
+//!    Naive, Sparse, Single and Global Pipeline (DISCOVER2, VLDB 03) —
+//!    compared by the experiments and used as the serial oracle in tests;
+//!    [`pexec`] — the engine's executor: pooled hash-join CN evaluation
+//!    under one shared top-k bound, on one worker or many;
 //! 5. [`spark`] — SPARK's non-monotonic virtual-document scoring with the
 //!    Skyline-Sweep and Block-Pipeline algorithms (Luo et al., SIGMOD 07);
 //! 6. [`mesh`] — shared execution across CNs with common subtrees

@@ -11,11 +11,13 @@
 //!   shared subtrees) minimizes the resulting load (slide 132);
 //! * [`operator_level_makespan`] — schedule distinct subtree *operators* level by
 //!   level across cores (slide 133), the finest granularity;
-//! * [`execute_parallel`] — actually run an assignment on real threads
-//!   (std scoped threads), for wall-clock measurements.
+//! * [`execute_data_parallel`] — split one dominant CN's largest tuple set
+//!   across real threads (slide 133's data-level parallelism).
+//!
+//! The engine's executor, [`crate::pexec`], seeds its worker queues with
+//! [`partition_sharing_aware`] over [`estimate_cost`].
 
 use crate::cn::CandidateNetwork;
-use crate::eval::evaluate_cn;
 use crate::tupleset::TupleSets;
 use kwdb_relational::{Database, ExecStats};
 use std::collections::{HashMap, HashSet};
@@ -175,39 +177,6 @@ pub fn operator_level_makespan(cns: &[CandidateNetwork], cores: usize) -> f64 {
     total
 }
 
-/// Execute an assignment for real on `cores` scoped threads. Returns per-CN
-/// result counts (results themselves are discarded — this entry point exists
-/// for wall-clock benchmarking).
-pub fn execute_parallel(
-    db: &Database,
-    ts: &TupleSets,
-    cns: &[CandidateNetwork],
-    assignment: &Assignment,
-    cores: usize,
-    stats: &ExecStats,
-) -> Vec<usize> {
-    let cores = cores.max(1);
-    let mut per_core: Vec<Vec<usize>> = vec![Vec::new(); cores];
-    for (j, &c) in assignment.core_of.iter().enumerate() {
-        per_core[c % cores].push(j);
-    }
-    let counts: Vec<std::sync::atomic::AtomicUsize> = (0..cns.len())
-        .map(|_| std::sync::atomic::AtomicUsize::new(0))
-        .collect();
-    let counts_ref = &counts;
-    std::thread::scope(|s| {
-        for jobs in &per_core {
-            s.spawn(move || {
-                for &j in jobs {
-                    let n = evaluate_cn(db, &cns[j], ts, stats).len();
-                    counts_ref[j].store(n, std::sync::atomic::Ordering::Relaxed);
-                }
-            });
-        }
-    });
-    counts.into_iter().map(|c| c.into_inner()).collect()
-}
-
 /// Data-level parallelism for extremely skewed workloads (slide 133's last
 /// bullet): when one CN dominates everything, CN-level partitioning cannot
 /// balance it. Split the CN's *largest keyword tuple set* into `cores`
@@ -265,6 +234,7 @@ pub fn execute_data_parallel(
 mod tests {
     use super::*;
     use crate::cn::{CnGenConfig, CnGenerator, MaskOracle};
+    use crate::eval::evaluate_cn;
     use kwdb_relational::database::dblp_schema;
 
     fn db() -> Database {
@@ -338,21 +308,6 @@ mod tests {
         let m4 = operator_level_makespan(&cns, 4);
         assert!(m4 <= m1);
         assert!(m4 > 0.0);
-    }
-
-    #[test]
-    fn parallel_execution_matches_serial_counts() {
-        let db = db();
-        let (ts, cns) = jobs(&db);
-        let costs: Vec<f64> = cns.iter().map(|cn| estimate_cost(&db, &ts, cn)).collect();
-        let assign = partition_lpt(&costs, 3);
-        let stats = ExecStats::new();
-        let counts = execute_parallel(&db, &ts, &cns, &assign, 3, &stats);
-        let serial_stats = ExecStats::new();
-        for (j, cn) in cns.iter().enumerate() {
-            let serial = evaluate_cn(&db, cn, &ts, &serial_stats).len();
-            assert_eq!(counts[j], serial, "CN {j} count mismatch");
-        }
     }
 
     #[test]

@@ -1,11 +1,14 @@
-//! Intra-query parallel CN execution.
+//! The engine's CN executor — the one top-k path `RelationalEngine` runs
+//! for the monotone score model, at every worker count.
 //!
-//! This is the production counterpart of the offline scheduling demos in
-//! [`crate::parallel`]: one keyword query's candidate networks are spread
-//! over worker threads that all prune against a single global top-k bound
-//! ([`kwdb_common::SharedTopK`]), with per-worker queues seeded by the
-//! sharing-aware partitioner and drained through atomic cursors so idle
-//! workers steal from loaded ones.
+//! One keyword query's candidate networks are spread over workers that all
+//! prune against a single global top-k bound ([`kwdb_common::SharedTopK`]),
+//! with per-worker queues seeded by the sharing-aware partitioner of
+//! [`crate::parallel`] and drained through atomic cursors so idle workers
+//! steal from loaded ones. With one worker the same loop runs inline on the
+//! calling thread, no spawn. The tutorial's slide-116 strategies in
+//! [`crate::topk`] are the serial references this executor is checked
+//! against, not alternatives the engine chooses between.
 //!
 //! Each worker evaluates whole CNs with [`evaluate_cn_pooled`], a hash-join
 //! evaluator that caches build-side hash tables per `(table, mask, column)`
@@ -383,6 +386,9 @@ where
             shared.push(w, score, (j, r));
         },
     );
+    // Every emitted key was read off the posting cursors: that is this
+    // path's scan, so a query answered by WAND alone never reports zero.
+    stats.add_scanned(ws.emitted);
     stats.add_output(ws.emitted);
     stats.add_blocks_skipped(ws.blocks_skipped);
     true

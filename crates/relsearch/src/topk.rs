@@ -1,6 +1,10 @@
 //! Top-k execution strategies over many candidate networks — DISCOVER2
 //! (Hristidis et al., VLDB 03), tutorial slide 116.
 //!
+//! These are the tutorial's *reference* strategies: experiments E06/E07
+//! compare them, and the parity suites use them as the serial oracle for
+//! the engine's executor, [`crate::pexec`]. No serving path runs them.
+//!
 //! All four executors return the same top-k (the scoring function is the
 //! monotone DISCOVER2 model from [`crate::score`]); they differ in how much
 //! work they do, which is exactly what experiment E06 measures:
@@ -20,7 +24,6 @@
 
 use crate::cn::CandidateNetwork;
 use crate::eval::{default_rows, evaluate_cn, evaluate_cn_with, JoinedResult};
-use crate::facets::{FacetAccum, FacetRequest};
 use crate::score::ResultScorer;
 use crate::tupleset::TupleSets;
 use kwdb_common::topk::TopK;
@@ -120,21 +123,10 @@ fn cn_bound<S: AsRef<str>, D: Deref<Target = Database>>(
     sum / cn.size() as f64
 }
 
-/// Evaluate CNs in bound order; stop when the next bound cannot improve.
-pub fn sparse<S: AsRef<str>, D: Deref<Target = Database>>(
+/// CN indices paired with their [`cn_bound`], best bound first.
+fn bound_order<S: AsRef<str>, D: Deref<Target = Database>>(
     q: &TopKQuery<'_, S, D>,
-    k: usize,
-    stats: &ExecStats,
-) -> Vec<RankedResult> {
-    sparse_counted(q, k, stats).results
-}
-
-/// [`sparse`] with CN accounting: CNs behind the stopping bound are pruned.
-pub fn sparse_counted<S: AsRef<str>, D: Deref<Target = Database>>(
-    q: &TopKQuery<'_, S, D>,
-    k: usize,
-    stats: &ExecStats,
-) -> CnExecOutcome {
+) -> Vec<(f64, usize)> {
     let mut order: Vec<(f64, usize)> = q
         .cns
         .iter()
@@ -142,29 +134,29 @@ pub fn sparse_counted<S: AsRef<str>, D: Deref<Target = Database>>(
         .map(|(i, cn)| (cn_bound(q, cn), i))
         .collect();
     order.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+    order
+}
+
+/// Evaluate CNs in bound order; stop when the next bound cannot improve.
+pub fn sparse<S: AsRef<str>, D: Deref<Target = Database>>(
+    q: &TopKQuery<'_, S, D>,
+    k: usize,
+    stats: &ExecStats,
+) -> Vec<RankedResult> {
     let mut topk = TopK::new(k);
-    let mut evaluated: u64 = 0;
-    for (bound, ci) in order {
-        if let Some(th) = topk.threshold() {
-            if bound <= th {
-                break; // no remaining CN can beat the k-th best
-            }
+    for (bound, ci) in bound_order(q) {
+        if topk.threshold().is_some_and(|th| bound <= th) {
+            break; // no remaining CN can beat the k-th best
         }
-        evaluated += 1;
         for r in evaluate_cn(q.db, &q.cns[ci], q.ts, stats) {
             let score = q.scorer.monotone_score(&r, q.keywords);
             topk.push(score, (ci, r));
         }
     }
-    CnExecOutcome {
-        results: finish(topk),
-        truncation: None,
-        cns_evaluated: evaluated,
-        cns_pruned: q.cns.len() as u64 - evaluated,
-    }
+    finish(topk)
 }
 
-/// Per-CN pipeline state for the global pipeline.
+/// Per-CN slice-pipeline state, shared by the single and global pipelines.
 struct CnState {
     cn_idx: usize,
     /// Indices of keyword nodes within the CN.
@@ -177,6 +169,38 @@ struct CnState {
 }
 
 impl CnState {
+    fn new<S: AsRef<str>, D: Deref<Target = Database>>(q: &TopKQuery<'_, S, D>, ci: usize) -> Self {
+        let cn = &q.cns[ci];
+        let nonfree = cn.keyword_nodes();
+        let sorted: Vec<Vec<(RowId, f64)>> = nonfree
+            .iter()
+            .map(|&ni| {
+                let node = cn.nodes[ni];
+                let mut rows: Vec<(RowId, f64)> =
+                    q.ts.get(node.table, node.mask)
+                        .map(|s| {
+                            s.rows
+                                .iter()
+                                .map(|&r| {
+                                    let t = kwdb_relational::TupleId::new(node.table, r);
+                                    (r, q.scorer.tuple_score(t, q.keywords))
+                                })
+                                .collect()
+                        })
+                        .unwrap_or_default();
+                rows.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+                rows
+            })
+            .collect();
+        CnState {
+            cn_idx: ci,
+            p: vec![0; nonfree.len()],
+            size: cn.size() as f64,
+            nonfree,
+            sorted,
+        }
+    }
+
     /// Upper bound of all unseen combinations, and the node to advance.
     fn bound(&self) -> Option<(f64, usize)> {
         let mut best: Option<(f64, usize)> = None;
@@ -198,6 +222,46 @@ impl CnState {
         }
         best
     }
+
+    /// Advance keyword node `adv` by one tuple: join that tuple against the
+    /// consumed prefixes of the other keyword nodes (free nodes take their
+    /// default rows) and push every joined result into `topk`. A prefix of
+    /// size 0 anywhere other than `adv` means no combinations exist yet.
+    fn advance<S: AsRef<str>, D: Deref<Target = Database>>(
+        &mut self,
+        q: &TopKQuery<'_, S, D>,
+        adv: usize,
+        topk: &mut TopK<(usize, JoinedResult)>,
+        stats: &ExecStats,
+    ) {
+        let cn = &q.cns[self.cn_idx];
+        let fixed_row = self.sorted[adv][self.p[adv]].0;
+        let viable = self.p.iter().enumerate().all(|(i, &pi)| i == adv || pi > 0);
+        if viable {
+            let results = evaluate_cn_with(
+                q.db,
+                cn,
+                &|node| {
+                    if node == self.nonfree[adv] {
+                        vec![fixed_row]
+                    } else if let Some(i) = self.nonfree.iter().position(|&nf| nf == node) {
+                        self.sorted[i][..self.p[i]]
+                            .iter()
+                            .map(|&(r, _)| r)
+                            .collect()
+                    } else {
+                        default_rows(q.db, cn, q.ts, node)
+                    }
+                },
+                stats,
+            );
+            for r in results {
+                let score = q.scorer.monotone_score(&r, q.keywords);
+                topk.push(score, (self.cn_idx, r));
+            }
+        }
+        self.p[adv] += 1;
+    }
 }
 
 /// The single pipeline (slide 116's third strategy): process CNs one at a
@@ -210,112 +274,20 @@ pub fn single_pipeline<S: AsRef<str>, D: Deref<Target = Database>>(
     k: usize,
     stats: &ExecStats,
 ) -> Vec<RankedResult> {
-    single_pipeline_counted(q, k, stats).results
-}
-
-/// [`single_pipeline`] with CN accounting.
-pub fn single_pipeline_counted<S: AsRef<str>, D: Deref<Target = Database>>(
-    q: &TopKQuery<'_, S, D>,
-    k: usize,
-    stats: &ExecStats,
-) -> CnExecOutcome {
-    let mut order: Vec<(f64, usize)> = q
-        .cns
-        .iter()
-        .enumerate()
-        .map(|(i, cn)| (cn_bound(q, cn), i))
-        .collect();
-    order.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
     let mut topk = TopK::new(k);
-    let mut evaluated: u64 = 0;
-    for (bound, ci) in order {
-        if let Some(th) = topk.threshold() {
-            if bound <= th {
+    for (bound, ci) in bound_order(q) {
+        if topk.threshold().is_some_and(|th| bound <= th) {
+            break;
+        }
+        let mut st = CnState::new(q, ci);
+        while let Some((bound, adv)) = st.bound() {
+            if topk.threshold().is_some_and(|th| bound <= th) {
                 break;
             }
+            st.advance(q, adv, &mut topk, stats);
         }
-        evaluated += 1;
-        pipeline_one_cn(q, ci, &mut topk, stats);
     }
-    CnExecOutcome {
-        results: finish(topk),
-        truncation: None,
-        cns_evaluated: evaluated,
-        cns_pruned: q.cns.len() as u64 - evaluated,
-    }
-}
-
-/// Drive one CN's slice pipeline until exhausted or dominated.
-fn pipeline_one_cn<S: AsRef<str>, D: Deref<Target = Database>>(
-    q: &TopKQuery<'_, S, D>,
-    ci: usize,
-    topk: &mut TopK<(usize, JoinedResult)>,
-    stats: &ExecStats,
-) {
-    let cn = &q.cns[ci];
-    let nonfree = cn.keyword_nodes();
-    let sorted: Vec<Vec<(RowId, f64)>> = nonfree
-        .iter()
-        .map(|&ni| {
-            let node = cn.nodes[ni];
-            let mut rows: Vec<(RowId, f64)> =
-                q.ts.get(node.table, node.mask)
-                    .map(|s| {
-                        s.rows
-                            .iter()
-                            .map(|&r| {
-                                (
-                                    r,
-                                    q.scorer.tuple_score(
-                                        kwdb_relational::TupleId::new(node.table, r),
-                                        q.keywords,
-                                    ),
-                                )
-                            })
-                            .collect()
-                    })
-                    .unwrap_or_default();
-            rows.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-            rows
-        })
-        .collect();
-    let mut st = CnState {
-        cn_idx: ci,
-        p: vec![0; nonfree.len()],
-        size: cn.size() as f64,
-        nonfree,
-        sorted,
-    };
-    while let Some((bound, adv)) = st.bound() {
-        if let Some(th) = topk.threshold() {
-            if bound <= th {
-                break;
-            }
-        }
-        let fixed_row = st.sorted[adv][st.p[adv]].0;
-        let viable = st.p.iter().enumerate().all(|(i, &pi)| i == adv || pi > 0);
-        if viable {
-            let results = evaluate_cn_with(
-                q.db,
-                cn,
-                &|node| {
-                    if node == st.nonfree[adv] {
-                        vec![fixed_row]
-                    } else if let Some(i) = st.nonfree.iter().position(|&nf| nf == node) {
-                        st.sorted[i][..st.p[i]].iter().map(|&(r, _)| r).collect()
-                    } else {
-                        default_rows(q.db, cn, q.ts, node)
-                    }
-                },
-                stats,
-            );
-            for r in results {
-                let score = q.scorer.monotone_score(&r, q.keywords);
-                topk.push(score, (st.cn_idx, r));
-            }
-        }
-        st.p[adv] += 1;
-    }
+    finish(topk)
 }
 
 /// The global pipeline: advance the best-bounded CN slice by slice.
@@ -324,25 +296,13 @@ pub fn global_pipeline<S: AsRef<str>, D: Deref<Target = Database>>(
     k: usize,
     stats: &ExecStats,
 ) -> Vec<RankedResult> {
-    global_pipeline_budgeted(q, k, stats, &Budget::unlimited()).0
+    global_pipeline_counted(q, k, stats, &Budget::unlimited()).results
 }
 
-/// [`global_pipeline`] under an execution [`Budget`]: every slice advanced
-/// counts as one candidate; when the budget is exhausted the best results
-/// found so far are returned along with the [`TruncationReason`] that cut
-/// the search short. The result list is always score-sorted, truncated or
-/// not.
-pub fn global_pipeline_budgeted<S: AsRef<str>, D: Deref<Target = Database>>(
-    q: &TopKQuery<'_, S, D>,
-    k: usize,
-    stats: &ExecStats,
-    budget: &Budget,
-) -> (Vec<RankedResult>, Option<TruncationReason>) {
-    let o = global_pipeline_counted(q, k, stats, budget);
-    (o.results, o.truncation)
-}
-
-/// [`global_pipeline_budgeted`] with CN accounting: a CN counts as evaluated
+/// [`global_pipeline`] under an execution [`Budget`], with CN accounting.
+/// Every slice advanced counts as one candidate; when the budget is
+/// exhausted the best results found so far are returned along with the
+/// [`TruncationReason`] that cut the search short. A CN counts as evaluated
 /// once it advances its first slice; CNs that never advance (dominated by
 /// the global bound from the start, or cut by the budget) count as pruned.
 pub fn global_pipeline_counted<S: AsRef<str>, D: Deref<Target = Database>>(
@@ -351,82 +311,7 @@ pub fn global_pipeline_counted<S: AsRef<str>, D: Deref<Target = Database>>(
     stats: &ExecStats,
     budget: &Budget,
 ) -> CnExecOutcome {
-    global_pipeline_faceted(
-        q,
-        k,
-        stats,
-        budget,
-        &FacetRequest::none(),
-        &mut FacetAccum::new(0),
-    )
-}
-
-/// [`global_pipeline_counted`] extended with facet accumulation and
-/// drill-down refinement.
-///
-/// With facets requested the pipeline runs *exhaustively*: the
-/// bound-vs-threshold early stop is disabled and every CN advances until its
-/// slices are spent, because facet counts cover the full result multiset,
-/// not just the top k. Each keyword-node combination is still evaluated
-/// exactly once (a combination is joined at the advance step that consumes
-/// its last element; all other prefixes were consumed strictly earlier), so
-/// the counts are exact. Budget tickets are still drawn per slice, and a
-/// truncated run leaves the counts partial — the caller reports that via
-/// `facets_exact = truncation.is_none()`.
-///
-/// Refinements filter each joined result before it is ranked *or* counted,
-/// so a drill-down query returns both hits and counts for the narrowed
-/// result set while reusing the unrefined CN plan.
-pub fn global_pipeline_faceted<S: AsRef<str>, D: Deref<Target = Database>>(
-    q: &TopKQuery<'_, S, D>,
-    k: usize,
-    stats: &ExecStats,
-    budget: &Budget,
-    freq: &FacetRequest<'_>,
-    accum: &mut FacetAccum,
-) -> CnExecOutcome {
-    let exhaustive = freq.exhaustive();
-    let mut states: Vec<CnState> = q
-        .cns
-        .iter()
-        .enumerate()
-        .map(|(ci, cn)| {
-            let nonfree = cn.keyword_nodes();
-            let sorted: Vec<Vec<(RowId, f64)>> = nonfree
-                .iter()
-                .map(|&ni| {
-                    let node = cn.nodes[ni];
-                    let mut rows: Vec<(RowId, f64)> =
-                        q.ts.get(node.table, node.mask)
-                            .map(|s| {
-                                s.rows
-                                    .iter()
-                                    .map(|&r| {
-                                        (
-                                            r,
-                                            q.scorer.tuple_score(
-                                                kwdb_relational::TupleId::new(node.table, r),
-                                                q.keywords,
-                                            ),
-                                        )
-                                    })
-                                    .collect()
-                            })
-                            .unwrap_or_default();
-                    rows.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-                    rows
-                })
-                .collect();
-            CnState {
-                cn_idx: ci,
-                p: vec![0; nonfree.len()],
-                size: cn.size() as f64,
-                nonfree,
-                sorted,
-            }
-        })
-        .collect();
-
+    let mut states: Vec<CnState> = (0..q.cns.len()).map(|ci| CnState::new(q, ci)).collect();
     let mut topk = TopK::new(k);
     let mut slices: u64 = 0;
     let mut truncation = None;
@@ -444,48 +329,11 @@ pub fn global_pipeline_faceted<S: AsRef<str>, D: Deref<Target = Database>>(
             .filter_map(|(si, s)| s.bound().map(|(b, node)| (b, si, node)))
             .max_by(|a, b| a.0.total_cmp(&b.0));
         let Some((bound, si, adv)) = pick else { break };
-        if !exhaustive {
-            if let Some(th) = topk.threshold() {
-                if bound <= th {
-                    break;
-                }
-            }
+        if topk.threshold().is_some_and(|th| bound <= th) {
+            break;
         }
-        let st = &states[si];
-        let cn = &q.cns[st.cn_idx];
-        let fixed_row = st.sorted[adv][st.p[adv]].0;
-        // Evaluate the slice: `adv` fixed to its next tuple, other keyword
-        // nodes restricted to their consumed prefixes, free nodes default.
-        // Prefix of size 0 anywhere (other than adv) means no combinations yet.
-        let viable = st.p.iter().enumerate().all(|(i, &pi)| i == adv || pi > 0);
-        if viable {
-            let results = evaluate_cn_with(
-                q.db,
-                cn,
-                &|node| {
-                    if node == st.nonfree[adv] {
-                        vec![fixed_row]
-                    } else if let Some(i) = st.nonfree.iter().position(|&nf| nf == node) {
-                        st.sorted[i][..st.p[i]].iter().map(|&(r, _)| r).collect()
-                    } else {
-                        default_rows(q.db, cn, q.ts, node)
-                    }
-                },
-                stats,
-            );
-            for r in results {
-                if !freq.passes(q.db, &r) {
-                    continue;
-                }
-                if exhaustive {
-                    accum.observe(q.db, freq.facets, &r);
-                }
-                let score = q.scorer.monotone_score(&r, q.keywords);
-                topk.push(score, (st.cn_idx, r));
-            }
-        }
+        states[si].advance(q, adv, &mut topk, stats);
         touched[si] = true;
-        states[si].p[adv] += 1;
     }
     let evaluated = touched.iter().filter(|&&t| t).count() as u64;
     CnExecOutcome {

@@ -75,13 +75,13 @@ use kwdb_relsearch::cn::{CandidateNetwork, CnGenConfig, CnGenerator, MaskOracle}
 use kwdb_relsearch::facets::{resolve_facets, resolve_refinements, FacetAccum, FacetRequest};
 use kwdb_relsearch::pexec::{parallel_topk_faceted, EvalScratch};
 use kwdb_relsearch::spark::skyline_sweep_budgeted;
-use kwdb_relsearch::topk::{global_pipeline_faceted, CnExecOutcome, TopKQuery};
+use kwdb_relsearch::topk::{CnExecOutcome, TopKQuery};
 use kwdb_relsearch::tupleset::TermCache;
 use kwdb_relsearch::{corpus_stats, Refinement, ResultScorer, TupleSets};
 use kwdb_xml::{XmlIndex, XmlTree};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, RwLock};
 
 /// A uniform search request accepted by all three engines.
 ///
@@ -303,53 +303,192 @@ impl<H> SearchResponse<H> {
     }
 }
 
-/// Seal a response: fold the stats into the registry (when the engine
-/// carries one), append the query's flight record, and close the trace.
-/// Every execute path — early return or full pipeline — goes through here,
-/// so registry totals always equal the sum of the per-query `QueryStats`
-/// handed back to callers, and the flight recorder sees every query.
-#[allow(clippy::too_many_arguments)]
-fn finish_response<H>(
-    registry: Option<&MetricsRegistry>,
+/// Everything the query frame ([`run_query`]) needs to know about one
+/// arriving query that is not in the [`SearchRequest`]: which engine and
+/// algorithm label it runs under, the data generation and segment census it
+/// sees, and the engine's result cache with its sizing hooks.
+struct QueryFrame<'a, H> {
+    registry: Option<&'a MetricsRegistry>,
+    cache: &'a ResultCache<H>,
     engine: &'static str,
     algorithm: &'static str,
-    req: &SearchRequest,
     workers: usize,
     generation: u64,
     segments: SegmentCounts,
-    sampled: bool,
+    /// Posting layout slot of the cache key. Graph and XML index layouts are
+    /// fixed at engine construction and the cache is per-engine, so theirs is
+    /// the constant [`Layout::Plain`].
+    layout: Layout,
+    /// Zero counts for every requested facet (relational), nothing
+    /// (graph/XML) — see [`Answer::empty`].
+    empty_facets: &'a dyn Fn() -> Vec<FacetCounts>,
+    /// Per-hit heap estimate for the cache's byte budget.
+    hit_bytes: fn(&H) -> usize,
+}
+
+/// The data-dependent part of a response — what the result cache stores
+/// and an engine's evaluate body produces. Stats, truncation, and trace are
+/// *per-execution* observations and are never cached: a hit re-stamps fresh
+/// [`QueryStats`] (near-zero phase timings, `result_cache_hits = 1`).
+#[derive(Clone)]
+struct Answer<H> {
     hits: Vec<H>,
+    facets: Vec<FacetCounts>,
+    facets_exact: bool,
+}
+
+/// What an engine's evaluate body hands back to the frame: the answer and
+/// this execution's truncation verdict.
+type Evaluated<H> = (Answer<H>, Option<TruncationReason>);
+
+impl<H> Answer<H> {
+    /// Hits from an engine without facet support.
+    fn unfaceted(hits: Vec<H>) -> Self {
+        Answer {
+            hits,
+            facets: Vec::new(),
+            facets_exact: true,
+        }
+    }
+
+    /// No hits. `zero_counts` is what an empty result set faceted over
+    /// looks like — exact when the query ran out of matches, not when a
+    /// budget cut it short before anything could be counted.
+    fn empty(zero_counts: Vec<FacetCounts>, truncation: Option<TruncationReason>) -> Evaluated<H> {
+        let none = Answer {
+            hits: Vec::new(),
+            facets_exact: truncation.is_none() || zero_counts.is_empty(),
+            facets: zero_counts,
+        };
+        (none, truncation)
+    }
+}
+
+/// The one query pipeline all three engines share. It owns trace sampling,
+/// the parse phase, the empty-query and exhausted-budget early returns, the
+/// result-cache consult (admit → key → singleflight compute → store, or hit
+/// re-stamp) and the seal; the engine supplies `clean` (a hook over the
+/// parsed keywords — identity except for relational query cleaning) and
+/// `run`, its evaluate body, which fills in `stats` and `trace` and is the
+/// cacheable unit: called directly when the cache does not admit the
+/// request, as the singleflight leader's compute when it does.
+fn run_query<H: Clone>(
+    frame: &QueryFrame<'_, H>,
+    req: &SearchRequest,
+    clean: impl FnOnce(Vec<String>, &mut TraceBuilder) -> Result<Vec<String>>,
+    run: impl FnOnce(
+        &[String],
+        &mut QueryStats,
+        &mut Stopwatch,
+        &mut TraceBuilder,
+    ) -> Result<Evaluated<H>>,
+) -> Result<SearchResponse<H>> {
+    let &QueryFrame {
+        registry,
+        cache,
+        engine,
+        algorithm,
+        ..
+    } = frame;
+    let mut stats = QueryStats::new();
+    let mut sw = Stopwatch::start();
+    let (level, sampled) = effective_trace(registry, engine, algorithm, req.trace);
+    let mut tb = TraceBuilder::new(level, format!("{engine}/{algorithm} {:?}", req.query));
+
+    tb.phase("parse");
+    let keywords = clean(parse_query(&req.query), &mut tb)?;
+    stats.phases.parse = sw.lap();
+
+    let (answer, truncation) = if keywords.is_empty() {
+        Answer::empty((frame.empty_facets)(), None)
+    } else if let Some(reason) = req.budget.truncation() {
+        tb.event("budget verdict", || {
+            vec![("truncated".into(), reason.to_string())]
+        });
+        Answer::empty((frame.empty_facets)(), Some(reason))
+    } else if !cache.admits(req, level) {
+        run(&keywords, &mut stats, &mut sw, &mut tb)?
+    } else {
+        let key = ResultKey::new(frame.generation, &keywords, algorithm, frame.layout, req);
+        let looked = cache.cache.get_or_compute(key, || {
+            stats.result_cache_misses = 1;
+            let result = run(&keywords, &mut stats, &mut sw, &mut tb);
+            let store = match &result {
+                // Only complete answers enter the cache; `admits` already
+                // keeps constrained budgets out, so truncation here is
+                // impossible — this is a belt-and-braces guard.
+                Ok((answer, None)) => Some((
+                    Arc::new(answer.clone()),
+                    cached_bytes(&answer.hits, frame.hit_bytes, &answer.facets),
+                )),
+                _ => None,
+            };
+            (result, store)
+        });
+        cache.publish(registry, engine);
+        match looked {
+            Looked::Computed(result) => result?,
+            Looked::Cached(answer) => {
+                stats.result_cache_hits = 1;
+                ((*answer).clone(), None)
+            }
+        }
+    };
+    Ok(finish_response(
+        frame, req, sampled, answer, stats, truncation, tb,
+    ))
+}
+
+/// Seal a response: fold the stats into the registry (when the engine
+/// carries one), append the query's flight record, and close the trace.
+/// Every path through [`run_query`] — early return, hit, or full pipeline —
+/// ends here, so registry totals always equal the sum of the per-query
+/// `QueryStats` handed back to callers, and the flight recorder sees every
+/// query.
+fn finish_response<H>(
+    frame: &QueryFrame<'_, H>,
+    req: &SearchRequest,
+    sampled: bool,
+    answer: Answer<H>,
     stats: QueryStats,
     truncation: Option<TruncationReason>,
     trace: TraceBuilder,
 ) -> SearchResponse<H> {
     let trace = trace.finish();
-    if let Some(reg) = registry {
+    if let Some(reg) = frame.registry {
         // Flight record first: an AutoP99 slow threshold then compares this
         // query against the traffic recorded *before* it.
         reg.record_flight(
             QueryRecord::new(
-                engine,
-                algorithm,
+                frame.engine,
+                frame.algorithm,
                 &req.query,
                 req.k,
-                workers,
+                frame.workers,
                 &stats,
                 truncation,
                 sampled,
                 trace.clone(),
             )
-            .with_generation(generation, segments.realtime, segments.sealed),
+            .with_generation(
+                frame.generation,
+                frame.segments.realtime,
+                frame.segments.sealed,
+            ),
         );
-        record_query(reg, engine, algorithm, &stats, truncation);
+        record_query(reg, frame.engine, frame.algorithm, &stats, truncation);
+        if !answer.facets.is_empty() {
+            let values = answer.facets.iter().map(|f| f.values.len() as u64).sum();
+            record_facets(reg, frame.engine, values, answer.facets_exact);
+        }
     }
     SearchResponse {
-        hits,
+        hits: answer.hits,
         stats,
         truncation,
         trace,
-        facets: Vec::new(),
-        facets_exact: true,
+        facets: answer.facets,
+        facets_exact: answer.facets_exact,
     }
 }
 
@@ -413,22 +552,11 @@ impl ResultKey {
     }
 }
 
-/// The cached portion of a sealed [`SearchResponse`]: the ranked hits and
-/// the facet verdict. Stats, truncation, and trace are *per-execution*
-/// observations and are never cached — a hit re-stamps fresh
-/// [`QueryStats`] (near-zero phase timings, `result_cache_hits = 1`).
-/// Only untruncated responses are stored, so `truncation` needs no slot.
-struct CachedSearch<H> {
-    hits: Vec<H>,
-    facets: Vec<FacetCounts>,
-    facets_exact: bool,
-}
-
 /// One engine's result cache: the sharded singleflight LRU plus the
 /// eviction high-water already published to the registry (so the eviction
 /// counter advances by exact deltas under concurrent queries).
 struct ResultCache<H> {
-    cache: ShardedCache<ResultKey, Arc<CachedSearch<H>>>,
+    cache: ShardedCache<ResultKey, Arc<Answer<H>>>,
     evictions_seen: AtomicU64,
 }
 
@@ -623,7 +751,8 @@ pub struct RelationalHit {
 /// Which scoring model the relational engine ranks with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scoring {
-    /// DISCOVER2's monotone tf·idf-per-tuple model (Global Pipeline).
+    /// DISCOVER2's monotone tf·idf-per-tuple model, evaluated by the
+    /// bound-pruned CN executor ([`kwdb_relsearch::pexec`]).
     #[default]
     Monotone,
     /// SPARK's non-monotonic virtual-document model (Skyline-Sweep).
@@ -641,10 +770,13 @@ pub struct RelationalConfig {
     /// Cap on cached CN plans; inserting past it evicts an arbitrary entry
     /// (0 = unbounded cache).
     pub max_cache_entries: usize,
-    /// Worker threads evaluating one query's candidate networks.
-    /// `0` = available parallelism (capped at 8); `1` = the serial global
-    /// pipeline. Either way the returned top-k is identical — the score
-    /// model is monotone and the parallel merge is content-ordered.
+    /// Workers evaluating one query's candidate networks, all on the same
+    /// executor ([`kwdb_relsearch::pexec`]). `0` = available parallelism
+    /// (capped at 8); `1` = inline on the calling thread, no spawn. The
+    /// returned top-k, facet counts, and `algorithm` label are identical
+    /// for every value — the score model is monotone and the merge is
+    /// content-ordered — and a [`Budget`] candidate cap counts CNs
+    /// considered on every host.
     pub intra_query_workers: usize,
     /// Physical layout of the full-text posting lists:
     /// [`Layout::Plain`] (sorted arrays) or [`Layout::Blocks`]
@@ -659,9 +791,9 @@ pub struct RelationalConfig {
     /// keyword has no entry in the text index, run the noisy-channel
     /// spell/segmentation pass ([`kwdb_qclean`]) over the whole query and
     /// search the cleaned keywords instead. The corrector and phrase model
-    /// are built once per engine, lazily, from the index vocabulary and the
-    /// full-text column values. Default `false`: unknown keywords simply
-    /// match nothing, as before.
+    /// are built lazily from the index vocabulary and the full-text column
+    /// values, once per data generation that sees a cleaning query.
+    /// Default `false`: unknown keywords simply match nothing.
     pub clean_queries: bool,
     /// The engine's generation-keyed query caches: one [`CacheConfig`]
     /// sizes both the **result cache** (whole sealed responses, keyed by
@@ -694,6 +826,10 @@ impl Default for RelationalConfig {
 /// matching and age out through the bounded cache's eviction.
 type CnCacheKey = (u64, u64, Vec<String>, usize, usize);
 
+/// The query-cleaning model: a spelling corrector over the index
+/// vocabulary plus a phrase model over the full-text column values.
+type CleanModel = (SpellCorrector, ValuePhraseModel);
+
 /// The relational engine's mutable core: the database handle plus the
 /// corpus statistics its scorer derives tf·idf weights from, kept in
 /// lockstep by the mutation path (`add_doc` on ingest, `remove_doc` on
@@ -719,10 +855,10 @@ pub struct RelationalEngine {
     /// Worker evaluation scratch (hash-table and buffer reuse), shared
     /// across queries — workers check out one `EvalScratch` each.
     scratch: ScratchPool<EvalScratch>,
-    /// Lazily built query-cleaning model ([`RelationalConfig::clean_queries`]):
-    /// a spelling corrector over the index vocabulary plus a phrase model
-    /// over the full-text column values. Built at most once per engine.
-    clean: OnceLock<(SpellCorrector, ValuePhraseModel)>,
+    /// Lazily built query-cleaning model ([`RelationalConfig::clean_queries`])
+    /// tagged with the generation it was built at; a cleaning query of a
+    /// newer generation rebuilds it.
+    clean: RwLock<Option<(u64, Arc<CleanModel>)>>,
     /// Cumulative segment merges already published to the registry, so the
     /// merge counter advances by exact deltas.
     merges_seen: AtomicU64,
@@ -762,7 +898,7 @@ impl RelationalEngine {
             cn_cache: RwLock::new(HashMap::new()),
             registry: None,
             scratch: ScratchPool::new(),
-            clean: OnceLock::new(),
+            clean: RwLock::new(None),
             merges_seen: AtomicU64::new(merges_seen),
             result_cache: ResultCache::new(cfg.result_cache),
             tupleset_cache: TermCache::new(cfg.result_cache),
@@ -934,40 +1070,9 @@ impl RelationalEngine {
         // take it exclusively.
         let state = self.state.read().expect("engine state poisoned");
         let st = &*state;
-        let generation = st.db.generation();
-        let segments = st
-            .db
-            .text_index()
-            .map_or(SegmentCounts::default(), |ix| ix.segment_counts());
-        let mut stats = QueryStats::new();
-        let mut sw = Stopwatch::start();
         let budget = &req.budget;
         let scoring = req.scoring.unwrap_or(self.cfg.scoring);
         let workers = self.resolved_workers();
-        let algorithm = match scoring {
-            Scoring::Monotone if workers > 1 => "parallel_cn",
-            Scoring::Monotone => "global_pipeline",
-            Scoring::Spark => "spark",
-        };
-        let reg = self.registry.as_deref();
-        let (level, sampled) = effective_trace(reg, "relational", algorithm, req.trace);
-        let mut tb = TraceBuilder::new(level, format!("relational/{algorithm} {:?}", req.query));
-        let done = |hits, stats, truncation, tb| {
-            Ok(finish_response(
-                reg,
-                "relational",
-                algorithm,
-                req,
-                workers,
-                generation,
-                segments,
-                sampled,
-                hits,
-                stats,
-                truncation,
-                tb,
-            ))
-        };
 
         // Facet and refinement attributes are schema references, not query
         // keywords: resolve them up front so an unknown `table.column`
@@ -980,75 +1085,65 @@ impl RelationalEngine {
             facets: &facets,
             refinements: &refinements,
         };
-        let seal =
-            |mut resp: SearchResponse<RelationalHit>, counts: Vec<FacetCounts>, exact: bool| {
-                if let Some(reg) = reg {
-                    if !facets.is_empty() {
-                        let values = counts.iter().map(|f| f.values.len() as u64).sum();
-                        record_facets(reg, "relational", values, exact);
-                    }
-                }
-                resp.facets = counts;
-                resp.facets_exact = exact;
-                resp
-            };
         // Zero counts for every requested facet — what an empty result set
-        // faceted over looks like; the early returns below hand these back.
+        // faceted over looks like; the early returns hand these back.
         let zero_counts = || FacetAccum::new(facets.len()).finish(&facets);
 
-        tb.phase("parse");
-        let mut keywords = parse_query(&req.query);
-        if self.cfg.clean_queries && !keywords.is_empty() {
-            let ix = st.db.text_index()?;
-            if keywords.iter().any(|kw| ix.sym(kw).is_none()) {
-                // At least one keyword misses the term dictionary: run the
-                // noisy-channel spell + segmentation pass once, over the
-                // whole query, and search the cleaned tokens instead.
-                let (corrector, model) = self.clean_model(&st.db);
-                if let Some(cleaned) = clean_query(corrector, model, &keywords, 2) {
-                    tb.event("query cleaned", || {
-                        vec![
-                            ("from".into(), keywords.join(" ")),
-                            ("to".into(), cleaned.display()),
-                        ]
-                    });
-                    keywords = cleaned.tokens().iter().map(|s| s.to_string()).collect();
+        let frame = QueryFrame {
+            registry: self.registry.as_deref(),
+            cache: &self.result_cache,
+            engine: "relational",
+            algorithm: match scoring {
+                Scoring::Monotone => "parallel_cn",
+                Scoring::Spark => "spark",
+            },
+            workers,
+            generation: st.db.generation(),
+            segments: st
+                .db
+                .text_index()
+                .map_or(SegmentCounts::default(), |ix| ix.segment_counts()),
+            layout: self.cfg.posting_layout,
+            empty_facets: &zero_counts,
+            hit_bytes: relational_hit_bytes,
+        };
+
+        let clean = |mut keywords: Vec<String>, tb: &mut TraceBuilder| -> Result<Vec<String>> {
+            if self.cfg.clean_queries && !keywords.is_empty() {
+                let ix = st.db.text_index()?;
+                if keywords.iter().any(|kw| ix.sym(kw).is_none()) {
+                    // At least one keyword misses the term dictionary: run the
+                    // noisy-channel spell + segmentation pass once, over the
+                    // whole query, and search the cleaned tokens instead.
+                    let model = self.clean_model(&st.db);
+                    if let Some(cleaned) = clean_query(&model.0, &model.1, &keywords, 2) {
+                        tb.event("query cleaned", || {
+                            vec![
+                                ("from".into(), keywords.join(" ")),
+                                ("to".into(), cleaned.display()),
+                            ]
+                        });
+                        keywords = cleaned.tokens().iter().map(|s| s.to_string()).collect();
+                    }
                 }
             }
-        }
-        stats.phases.parse = sw.lap();
-        tb.event("keywords", || {
-            vec![("count".into(), keywords.len().to_string())]
-        });
-        if keywords.is_empty() {
-            return Ok(seal(
-                done(Vec::new(), stats, None, tb)?,
-                zero_counts(),
-                true,
-            ));
-        }
-        if let Some(reason) = budget.truncation() {
-            tb.event("budget verdict", || {
-                vec![("truncated".into(), reason.to_string())]
+            tb.event("keywords", || {
+                vec![("count".into(), keywords.len().to_string())]
             });
-            let exact = facets.is_empty();
-            return Ok(seal(
-                done(Vec::new(), stats, Some(reason), tb)?,
-                zero_counts(),
-                exact,
-            ));
-        }
-        // Everything below — tuple sets, planning, evaluation, facet
-        // finalization — is the cacheable unit: `run` computes one full
-        // sealed response from the query context it is handed. The
-        // non-caching path calls it directly; the caching path runs it as
-        // the singleflight leader's compute.
-        let run = |mut stats: QueryStats, mut sw: Stopwatch, mut tb: TraceBuilder| {
+            Ok(keywords)
+        };
+
+        // Tuple sets, planning, evaluation, facet finalization.
+        let run = |keywords: &[String],
+                   stats: &mut QueryStats,
+                   sw: &mut Stopwatch,
+                   tb: &mut TraceBuilder|
+         -> Result<Evaluated<RelationalHit>> {
             tb.phase("build");
             let ts = if self.cfg.result_cache.enabled {
                 let (ts, ts_hits, ts_misses) =
-                    TupleSets::build_cached(&st.db, &keywords, &self.tupleset_cache)?;
-                if let Some(reg) = reg {
+                    TupleSets::build_cached(&st.db, keywords, &self.tupleset_cache)?;
+                if let Some(reg) = frame.registry {
                     let labels = [("engine", "relational")];
                     reg.counter(families::TUPLESET_CACHE_HITS, &labels)
                         .add(ts_hits);
@@ -1057,29 +1152,20 @@ impl RelationalEngine {
                 }
                 ts
             } else {
-                TupleSets::build(&st.db, &keywords)?
+                TupleSets::build(&st.db, keywords)?
             };
             stats.phases.build = sw.lap();
             if !ts.covers_all_keywords() {
                 tb.event("tuple sets", || {
                     vec![("covers_all_keywords".into(), "false".into())]
                 });
-                return Ok(seal(
-                    done(Vec::new(), stats, None, tb)?,
-                    zero_counts(),
-                    true,
-                ));
+                return Ok(Answer::empty(zero_counts(), None));
             }
             if let Some(reason) = budget.truncation() {
-                let exact = facets.is_empty();
-                return Ok(seal(
-                    done(Vec::new(), stats, Some(reason), tb)?,
-                    zero_counts(),
-                    exact,
-                ));
+                return Ok(Answer::empty(zero_counts(), Some(reason)));
             }
             tb.phase("plan");
-            let cns = self.plan(&st.db, &keywords, &ts, &mut stats, &mut tb);
+            let cns = self.plan(&st.db, keywords, &ts, stats, tb);
             stats.phases.plan = sw.lap();
             stats.candidates_generated = cns.len() as u64;
 
@@ -1092,31 +1178,14 @@ impl RelationalEngine {
                 ts: &ts,
                 cns: &cns,
                 scorer: &scorer,
-                keywords: &keywords,
+                keywords,
             };
             let exec = ExecStats::new();
-            let mut accum = FacetAccum::new(facets.len());
-            let CnExecOutcome {
-                results: ranked,
-                truncation,
-                cns_evaluated,
-                cns_pruned,
-            } = match scoring {
-                Scoring::Monotone if workers > 1 => {
-                    let (outcome, worker_accum) = parallel_topk_faceted(
-                        &q,
-                        req.k,
-                        &exec,
-                        budget,
-                        workers,
-                        &self.scratch,
-                        &freq,
-                    );
-                    accum = worker_accum;
-                    outcome
-                }
+            let (outcome, accum) = match scoring {
+                // One executor at every worker count: a single worker runs
+                // inline on the calling thread, no spawn.
                 Scoring::Monotone => {
-                    global_pipeline_faceted(&q, req.k, &exec, budget, &freq, &mut accum)
+                    parallel_topk_faceted(&q, req.k, &exec, budget, workers, &self.scratch, &freq)
                 }
                 Scoring::Spark => {
                     // Skyline-Sweep has no CN-level accounting (0/0) and no
@@ -1128,17 +1197,25 @@ impl RelationalEngine {
                         .into_iter()
                         .filter(|r| freq.passes(&st.db, &r.result))
                         .collect();
+                    let mut accum = FacetAccum::new(facets.len());
                     for r in &results {
                         accum.observe(&st.db, &facets, &r.result);
                     }
-                    CnExecOutcome {
+                    let outcome = CnExecOutcome {
                         results,
                         truncation,
                         cns_evaluated: 0,
                         cns_pruned: 0,
-                    }
+                    };
+                    (outcome, accum)
                 }
             };
+            let CnExecOutcome {
+                results: ranked,
+                truncation,
+                cns_evaluated,
+                cns_pruned,
+            } = outcome;
             stats.phases.evaluate = sw.lap();
             let snap = exec.snapshot();
             stats.operators.tuples_scanned = snap.tuples_scanned;
@@ -1217,58 +1294,15 @@ impl RelationalEngine {
                 });
             }
             stats.phases.facets = sw.lap();
-            Ok(seal(
-                done(hits, stats, truncation, tb)?,
-                facet_counts,
+            let answer = Answer {
+                hits,
+                facets: facet_counts,
                 facets_exact,
-            ))
+            };
+            Ok((answer, truncation))
         };
 
-        if !self.result_cache.admits(req, level) {
-            return run(stats, sw, tb);
-        }
-        let key = ResultKey::new(
-            generation,
-            &keywords,
-            algorithm,
-            self.cfg.posting_layout,
-            req,
-        );
-        // The pre-consult context (parse timing already folded in) travels
-        // into whichever arm actually seals the response: the singleflight
-        // leader's compute, or the hit path below.
-        let mut ctx = Some((stats, sw, tb));
-        let outcome = self.result_cache.cache.get_or_compute(key, || {
-            let (mut stats, sw, tb) = ctx.take().expect("leader owns the query context");
-            stats.result_cache_misses = 1;
-            let result = run(stats, sw, tb);
-            let store = match &result {
-                // Only complete answers enter the cache; `admits` already
-                // keeps constrained budgets out, so truncation here is
-                // impossible — this is a belt-and-braces guard.
-                Ok(resp) if resp.truncation.is_none() => Some((
-                    Arc::new(CachedSearch {
-                        hits: resp.hits.clone(),
-                        facets: resp.facets.clone(),
-                        facets_exact: resp.facets_exact,
-                    }),
-                    cached_bytes(&resp.hits, relational_hit_bytes, &resp.facets),
-                )),
-                _ => None,
-            };
-            (result, store)
-        });
-        let resp = match outcome {
-            Looked::Computed(result) => result,
-            Looked::Cached(v) => {
-                let (mut stats, _sw, tb) = ctx.take().expect("a hit leaves the context untouched");
-                stats.result_cache_hits = 1;
-                done(v.hits.clone(), stats, None, tb)
-                    .map(|r| seal(r, v.facets.clone(), v.facets_exact))
-            }
-        };
-        self.result_cache.publish(reg, "relational");
-        resp
+        run_query(&frame, req, clean, run)
     }
 
     /// Generate (or fetch from the plan cache) the candidate networks for
@@ -1359,42 +1393,57 @@ impl RelationalEngine {
         cns
     }
 
-    /// The lazily built query-cleaning model: a noisy-channel
+    /// The query-cleaning model for `db`'s generation: a noisy-channel
     /// [`SpellCorrector`] whose vocabulary is the text index's term
     /// dictionary (document frequency as the language-model prior) and a
     /// [`ValuePhraseModel`] over the full-text column values (so
-    /// segmentation recovers multi-token values). Built at most once per
-    /// engine, on the first query that needs cleaning.
-    fn clean_model(&self, db: &Database) -> &(SpellCorrector, ValuePhraseModel) {
-        self.clean.get_or_init(|| {
-            let ix = db.text_index().expect("caller verified a fresh text index");
-            let vocab: Vec<(String, u64)> = ix
-                .terms()
-                .map(|t| {
-                    let df = ix.sym(t).map_or(1, |s| ix.term_stats(s).df);
-                    (t.to_string(), df.max(1))
-                })
-                .collect();
-            let mut values: Vec<String> = Vec::new();
-            for table in db.tables() {
-                let text_cols: Vec<usize> = table.schema.text_columns().collect();
-                if text_cols.is_empty() {
-                    continue;
-                }
-                for (_, row) in table.iter() {
-                    for &c in &text_cols {
-                        let v = &row[c];
-                        if !matches!(v, kwdb_common::Value::Null) {
-                            values.push(v.to_string());
-                        }
+    /// segmentation recovers multi-token values). Built on the first query
+    /// that needs cleaning and rebuilt on the first such query of a newer
+    /// generation (double-checked under the write lock, so racing queries
+    /// build once) — vocabulary ingested after the build is corrected to.
+    fn clean_model(&self, db: &Database) -> Arc<CleanModel> {
+        let generation = db.generation();
+        let fresh = |slot: &Option<(u64, Arc<CleanModel>)>| {
+            slot.as_ref()
+                .filter(|(built, _)| *built == generation)
+                .map(|(_, model)| Arc::clone(model))
+        };
+        if let Some(model) = fresh(&self.clean.read().expect("clean model poisoned")) {
+            return model;
+        }
+        let mut slot = self.clean.write().expect("clean model poisoned");
+        if let Some(model) = fresh(&slot) {
+            return model;
+        }
+        let ix = db.text_index().expect("caller verified a fresh text index");
+        let vocab: Vec<(String, u64)> = ix
+            .terms()
+            .map(|t| {
+                let df = ix.sym(t).map_or(1, |s| ix.term_stats(s).df);
+                (t.to_string(), df.max(1))
+            })
+            .collect();
+        let mut values: Vec<String> = Vec::new();
+        for table in db.tables() {
+            let text_cols: Vec<usize> = table.schema.text_columns().collect();
+            if text_cols.is_empty() {
+                continue;
+            }
+            for (_, row) in table.iter() {
+                for &c in &text_cols {
+                    let v = &row[c];
+                    if !matches!(v, kwdb_common::Value::Null) {
+                        values.push(v.to_string());
                     }
                 }
             }
-            (
-                SpellCorrector::from_vocab(vocab),
-                ValuePhraseModel::from_values(&values),
-            )
-        })
+        }
+        let model = Arc::new((
+            SpellCorrector::from_vocab(vocab),
+            ValuePhraseModel::from_values(&values),
+        ));
+        *slot = Some((generation, Arc::clone(&model)));
+        model
     }
 }
 
@@ -1623,13 +1672,95 @@ impl GraphEngine {
         // Snapshot the graph handle; the query runs against one generation
         // even if a mutation lands mid-flight (copy-on-write).
         let g = self.graph();
-        execute_graph(
-            &g,
-            |blinks| self.blinks_index(&g, blinks),
-            req,
-            self.registry.as_deref(),
-            &self.result_cache,
-        )
+        let g = &*g;
+        let budget = &req.budget;
+        let semantics = req.semantics.unwrap_or(GraphSemantics::Banks);
+        let frame = QueryFrame {
+            registry: self.registry.as_deref(),
+            cache: &self.result_cache,
+            engine: "graph",
+            algorithm: match semantics {
+                GraphSemantics::SteinerExact => "dpbf",
+                GraphSemantics::Banks => "banks",
+                GraphSemantics::DistinctRoot => "blinks",
+            },
+            workers: 1,
+            generation: g.generation(),
+            segments: g.keyword_segment_counts(),
+            layout: Layout::Plain,
+            empty_facets: &Vec::new,
+            hit_bytes: graph_hit_bytes,
+        };
+        let run = |keywords: &[String],
+                   stats: &mut QueryStats,
+                   sw: &mut Stopwatch,
+                   tb: &mut TraceBuilder|
+         -> Result<Evaluated<AnswerTree>> {
+            let (hits, truncation) = match semantics {
+                GraphSemantics::SteinerExact => {
+                    tb.phase("evaluate");
+                    let dpbf = Dpbf::new(g);
+                    let (r, truncation, work) = dpbf.search_budgeted(keywords, req.k, budget);
+                    stats.operators.tuples_scanned = work.states_popped as u64;
+                    tb.event("expansion", || {
+                        vec![("states_popped".into(), work.states_popped.to_string())]
+                    });
+                    (r, truncation)
+                }
+                GraphSemantics::Banks => {
+                    tb.phase("evaluate");
+                    let banks = BanksI::new(g);
+                    let (r, truncation, work) = banks.search_budgeted(keywords, req.k, budget);
+                    stats.operators.tuples_scanned = work.nodes_expanded as u64;
+                    tb.event("expansion", || {
+                        vec![("nodes_expanded".into(), work.nodes_expanded.to_string())]
+                    });
+                    (r, truncation)
+                }
+                GraphSemantics::DistinctRoot => {
+                    tb.phase("build");
+                    let blinks = Blinks::new(g);
+                    let (ix, prebuilt) = self.blinks_index(g, &blinks);
+                    if prebuilt {
+                        stats.cache_hits = 1;
+                    } else {
+                        stats.cache_misses = 1;
+                        if let Some(reg) = frame.registry {
+                            record_index_stats(reg, "graph_node2kw", &ix.index_stats());
+                        }
+                    }
+                    tb.event("node-keyword index", || {
+                        vec![(
+                            "outcome".into(),
+                            if prebuilt { "hit" } else { "miss" }.into(),
+                        )]
+                    });
+                    stats.phases.build = sw.lap();
+                    tb.phase("evaluate");
+                    let (r, truncation, work) =
+                        blinks.search_budgeted(&ix, keywords, req.k, budget);
+                    stats.operators.sorted_accesses = work.sorted_accesses as u64;
+                    stats.operators.random_accesses = work.random_accesses as u64;
+                    tb.event("threshold algorithm", || {
+                        vec![
+                            ("sorted_accesses".into(), work.sorted_accesses.to_string()),
+                            ("random_accesses".into(), work.random_accesses.to_string()),
+                        ]
+                    });
+                    (r, truncation)
+                }
+            };
+            stats.phases.evaluate = sw.lap();
+            stats.candidates_generated = hits.len() as u64;
+            tb.event("budget verdict", || {
+                vec![(
+                    "truncated".into(),
+                    truncation.map_or("no".into(), |r| r.to_string()),
+                )]
+            });
+            Ok((Answer::unfaceted(hits), truncation))
+        };
+        run_query(&frame, req, |keywords, _| Ok(keywords), run)
     }
 }
 
@@ -1637,150 +1768,6 @@ impl Engine for GraphEngine {
     fn execute(&self, req: &SearchRequest) -> Result<SearchResponse<Hit>> {
         Ok(GraphEngine::execute(self, req)?.map(Hit::Graph))
     }
-}
-
-/// The graph execution pipeline on borrowed data. `blinks_index` resolves
-/// the node→keyword index for DistinctRoot queries (the engine's
-/// generation-aware cache) and reports whether it was a cache hit;
-/// `result_cache` is the engine's generation-keyed response cache.
-fn execute_graph(
-    g: &DataGraph,
-    blinks_index: impl Fn(&Blinks<'_>) -> (Arc<kwdb_graph::NodeKeywordIndex>, bool),
-    req: &SearchRequest,
-    registry: Option<&MetricsRegistry>,
-    result_cache: &ResultCache<AnswerTree>,
-) -> Result<SearchResponse<AnswerTree>> {
-    let mut stats = QueryStats::new();
-    let mut sw = Stopwatch::start();
-    let budget = &req.budget;
-    let semantics = req.semantics.unwrap_or(GraphSemantics::Banks);
-    let algorithm = match semantics {
-        GraphSemantics::SteinerExact => "dpbf",
-        GraphSemantics::Banks => "banks",
-        GraphSemantics::DistinctRoot => "blinks",
-    };
-    let generation = g.generation();
-    let segments = g.keyword_segment_counts();
-    let (level, sampled) = effective_trace(registry, "graph", algorithm, req.trace);
-    let mut tb = TraceBuilder::new(level, format!("graph/{algorithm} {:?}", req.query));
-    let done = |hits, stats, truncation, tb| {
-        Ok(finish_response(
-            registry, "graph", algorithm, req, 1, generation, segments, sampled, hits, stats,
-            truncation, tb,
-        ))
-    };
-
-    tb.phase("parse");
-    let keywords = parse_query(&req.query);
-    stats.phases.parse = sw.lap();
-    if keywords.is_empty() {
-        return done(Vec::new(), stats, None, tb);
-    }
-    if let Some(reason) = budget.truncation() {
-        tb.event("budget verdict", || {
-            vec![("truncated".into(), reason.to_string())]
-        });
-        return done(Vec::new(), stats, Some(reason), tb);
-    }
-    let run = |mut stats: QueryStats, mut sw: Stopwatch, mut tb: TraceBuilder| {
-        let (hits, truncation) = match semantics {
-            GraphSemantics::SteinerExact => {
-                tb.phase("evaluate");
-                let dpbf = Dpbf::new(g);
-                let (r, truncation, work) = dpbf.search_budgeted(&keywords, req.k, budget);
-                stats.operators.tuples_scanned = work.states_popped as u64;
-                tb.event("expansion", || {
-                    vec![("states_popped".into(), work.states_popped.to_string())]
-                });
-                (r, truncation)
-            }
-            GraphSemantics::Banks => {
-                tb.phase("evaluate");
-                let banks = BanksI::new(g);
-                let (r, truncation, work) = banks.search_budgeted(&keywords, req.k, budget);
-                stats.operators.tuples_scanned = work.nodes_expanded as u64;
-                tb.event("expansion", || {
-                    vec![("nodes_expanded".into(), work.nodes_expanded.to_string())]
-                });
-                (r, truncation)
-            }
-            GraphSemantics::DistinctRoot => {
-                tb.phase("build");
-                let blinks = Blinks::new(g);
-                let (ix, prebuilt) = blinks_index(&blinks);
-                if prebuilt {
-                    stats.cache_hits = 1;
-                } else {
-                    stats.cache_misses = 1;
-                    if let Some(reg) = registry {
-                        record_index_stats(reg, "graph_node2kw", &ix.index_stats());
-                    }
-                }
-                tb.event("node-keyword index", || {
-                    vec![(
-                        "outcome".into(),
-                        if prebuilt { "hit" } else { "miss" }.into(),
-                    )]
-                });
-                stats.phases.build = sw.lap();
-                tb.phase("evaluate");
-                let (r, truncation, work) = blinks.search_budgeted(&ix, &keywords, req.k, budget);
-                stats.operators.sorted_accesses = work.sorted_accesses as u64;
-                stats.operators.random_accesses = work.random_accesses as u64;
-                tb.event("threshold algorithm", || {
-                    vec![
-                        ("sorted_accesses".into(), work.sorted_accesses.to_string()),
-                        ("random_accesses".into(), work.random_accesses.to_string()),
-                    ]
-                });
-                (r, truncation)
-            }
-        };
-        stats.phases.evaluate = sw.lap();
-        stats.candidates_generated = hits.len() as u64;
-        tb.event("budget verdict", || {
-            vec![(
-                "truncated".into(),
-                truncation.map_or("no".into(), |r| r.to_string()),
-            )]
-        });
-        done(hits, stats, truncation, tb)
-    };
-
-    if !result_cache.admits(req, level) {
-        return run(stats, sw, tb);
-    }
-    // The graph keyword index's layout is fixed at engine construction and
-    // the cache is per-engine, so the key's layout slot is a constant here.
-    let key = ResultKey::new(generation, &keywords, algorithm, Layout::Plain, req);
-    let mut ctx = Some((stats, sw, tb));
-    let outcome = result_cache.cache.get_or_compute(key, || {
-        let (mut stats, sw, tb) = ctx.take().expect("leader owns the query context");
-        stats.result_cache_misses = 1;
-        let result = run(stats, sw, tb);
-        let store = match &result {
-            Ok(resp) if resp.truncation.is_none() => Some((
-                Arc::new(CachedSearch {
-                    hits: resp.hits.clone(),
-                    facets: Vec::new(),
-                    facets_exact: true,
-                }),
-                cached_bytes(&resp.hits, graph_hit_bytes, &[]),
-            )),
-            _ => None,
-        };
-        (result, store)
-    });
-    let resp = match outcome {
-        Looked::Computed(result) => result,
-        Looked::Cached(v) => {
-            let (mut stats, _sw, tb) = ctx.take().expect("a hit leaves the context untouched");
-            stats.result_cache_hits = 1;
-            done(v.hits.clone(), stats, None, tb)
-        }
-    };
-    result_cache.publish(registry, "graph");
-    resp
 }
 
 /// A ranked XML hit: a result subtree root.
@@ -1857,13 +1844,96 @@ impl XmlEngine {
 
     /// Execute a [`SearchRequest`]: budgeted SLCA + proximity ranking.
     pub fn execute(&self, req: &SearchRequest) -> Result<SearchResponse<XmlHit>> {
-        execute_xml(
-            &self.data.0,
-            &self.data.1,
-            req,
-            self.registry.as_deref(),
-            &self.result_cache,
-        )
+        let (tree, index) = &*self.data;
+        let budget = &req.budget;
+        let frame = QueryFrame {
+            registry: self.registry.as_deref(),
+            cache: &self.result_cache,
+            engine: "xml",
+            algorithm: "slca",
+            workers: 1,
+            // XML trees are immutable here: generation 0, but the segment
+            // census is real (the keyword index is segment-backed like the
+            // others).
+            generation: 0,
+            segments: index.segment_counts(),
+            layout: Layout::Plain,
+            empty_facets: &Vec::new,
+            hit_bytes: xml_hit_bytes,
+        };
+        let run = |keywords: &[String],
+                   stats: &mut QueryStats,
+                   sw: &mut Stopwatch,
+                   tb: &mut TraceBuilder|
+         -> Result<Evaluated<XmlHit>> {
+            tb.phase("build");
+            let (roots, slca_stats, mut truncation) =
+                kwdb_xmlsearch::slca_indexed_budgeted(tree, index, keywords, budget)?;
+            stats.phases.build = sw.lap();
+            stats.operators.sorted_accesses = slca_stats.anchors as u64;
+            stats.operators.random_accesses = slca_stats.probes as u64;
+            stats.candidates_generated = roots.len() as u64;
+            tb.event("slca", || {
+                vec![
+                    ("roots".into(), roots.len().to_string()),
+                    ("anchors".into(), slca_stats.anchors.to_string()),
+                    ("probes".into(), slca_stats.probes.to_string()),
+                ]
+            });
+
+            tb.phase("evaluate");
+            let sizes = tree.subtree_sizes();
+            let avg_depth = tree.avg_leaf_depth();
+            // one dictionary lookup per keyword; scoring below probes these views
+            let kw_lists: Vec<_> = keywords.iter().map(|kw| index.nodes(kw)).collect();
+            let mut hits: Vec<XmlHit> = Vec::with_capacity(roots.len());
+            for r in roots {
+                if !hits.is_empty() {
+                    if let Some(reason) = budget.truncation_at(hits.len() as u64) {
+                        truncation = Some(reason);
+                        break;
+                    }
+                }
+                // root→match path (node ids) for each keyword's first match
+                // inside the result subtree
+                let end = kwdb_xml::NodeId(r.0 + sizes[r.0 as usize]);
+                let paths: Vec<Vec<u64>> = kw_lists
+                    .iter()
+                    .filter_map(|list| {
+                        let m = list.right_match(r).filter(|&m| m < end)?;
+                        let mut path = vec![m.0 as u64];
+                        let mut cur = m;
+                        while cur != r {
+                            cur = tree.parent(cur).expect("r is an ancestor");
+                            path.push(cur.0 as u64);
+                        }
+                        path.reverse();
+                        Some(path)
+                    })
+                    .collect();
+                hits.push(XmlHit {
+                    score: kwdb_rank::proximity::proximity_score(&paths, avg_depth),
+                    label_path: tree.label_path(r),
+                    root: r,
+                });
+            }
+            // total_cmp: a NaN proximity score must sort deterministically (last),
+            // not panic the engine.
+            hits.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.root.cmp(&b.root)));
+            stats.candidates_pruned = stats
+                .candidates_generated
+                .saturating_sub(hits.len().min(req.k) as u64);
+            hits.truncate(req.k);
+            stats.phases.evaluate = sw.lap();
+            tb.event("budget verdict", || {
+                vec![(
+                    "truncated".into(),
+                    truncation.map_or("no".into(), |r| r.to_string()),
+                )]
+            });
+            Ok((Answer::unfaceted(hits), truncation))
+        };
+        run_query(&frame, req, |keywords, _| Ok(keywords), run)
     }
 }
 
@@ -1871,144 +1941,6 @@ impl Engine for XmlEngine {
     fn execute(&self, req: &SearchRequest) -> Result<SearchResponse<Hit>> {
         Ok(XmlEngine::execute(self, req)?.map(Hit::Xml))
     }
-}
-
-/// The XML execution pipeline on borrowed data.
-fn execute_xml(
-    tree: &XmlTree,
-    index: &XmlIndex,
-    req: &SearchRequest,
-    registry: Option<&MetricsRegistry>,
-    result_cache: &ResultCache<XmlHit>,
-) -> Result<SearchResponse<XmlHit>> {
-    let mut stats = QueryStats::new();
-    let mut sw = Stopwatch::start();
-    let budget = &req.budget;
-    // XML trees are immutable here: generation 0, but the segment census
-    // is real (the keyword index is segment-backed like the others).
-    let segments = index.segment_counts();
-    let (level, sampled) = effective_trace(registry, "xml", "slca", req.trace);
-    let mut tb = TraceBuilder::new(level, format!("xml/slca {:?}", req.query));
-    let done = |hits, stats, truncation, tb| {
-        Ok(finish_response(
-            registry, "xml", "slca", req, 1, 0, segments, sampled, hits, stats, truncation, tb,
-        ))
-    };
-
-    tb.phase("parse");
-    let keywords = parse_query(&req.query);
-    stats.phases.parse = sw.lap();
-    if keywords.is_empty() {
-        return done(Vec::new(), stats, None, tb);
-    }
-    if let Some(reason) = budget.truncation() {
-        tb.event("budget verdict", || {
-            vec![("truncated".into(), reason.to_string())]
-        });
-        return done(Vec::new(), stats, Some(reason), tb);
-    }
-    let run = |mut stats: QueryStats, mut sw: Stopwatch, mut tb: TraceBuilder| {
-        tb.phase("build");
-        let (roots, slca_stats, mut truncation) =
-            kwdb_xmlsearch::slca_indexed_budgeted(tree, index, &keywords, budget)?;
-        stats.phases.build = sw.lap();
-        stats.operators.sorted_accesses = slca_stats.anchors as u64;
-        stats.operators.random_accesses = slca_stats.probes as u64;
-        stats.candidates_generated = roots.len() as u64;
-        tb.event("slca", || {
-            vec![
-                ("roots".into(), roots.len().to_string()),
-                ("anchors".into(), slca_stats.anchors.to_string()),
-                ("probes".into(), slca_stats.probes.to_string()),
-            ]
-        });
-
-        tb.phase("evaluate");
-        let sizes = tree.subtree_sizes();
-        let avg_depth = tree.avg_leaf_depth();
-        // one dictionary lookup per keyword; scoring below probes these views
-        let kw_lists: Vec<_> = keywords.iter().map(|kw| index.nodes(kw)).collect();
-        let mut hits: Vec<XmlHit> = Vec::with_capacity(roots.len());
-        for r in roots {
-            if !hits.is_empty() {
-                if let Some(reason) = budget.truncation_at(hits.len() as u64) {
-                    truncation = Some(reason);
-                    break;
-                }
-            }
-            // root→match path (node ids) for each keyword's first match
-            // inside the result subtree
-            let end = kwdb_xml::NodeId(r.0 + sizes[r.0 as usize]);
-            let paths: Vec<Vec<u64>> = kw_lists
-                .iter()
-                .filter_map(|list| {
-                    let m = list.right_match(r).filter(|&m| m < end)?;
-                    let mut path = vec![m.0 as u64];
-                    let mut cur = m;
-                    while cur != r {
-                        cur = tree.parent(cur).expect("r is an ancestor");
-                        path.push(cur.0 as u64);
-                    }
-                    path.reverse();
-                    Some(path)
-                })
-                .collect();
-            hits.push(XmlHit {
-                score: kwdb_rank::proximity::proximity_score(&paths, avg_depth),
-                label_path: tree.label_path(r),
-                root: r,
-            });
-        }
-        // total_cmp: a NaN proximity score must sort deterministically (last),
-        // not panic the engine.
-        hits.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.root.cmp(&b.root)));
-        stats.candidates_pruned = stats
-            .candidates_generated
-            .saturating_sub(hits.len().min(req.k) as u64);
-        hits.truncate(req.k);
-        stats.phases.evaluate = sw.lap();
-        tb.event("budget verdict", || {
-            vec![(
-                "truncated".into(),
-                truncation.map_or("no".into(), |r| r.to_string()),
-            )]
-        });
-        done(hits, stats, truncation, tb)
-    };
-
-    if !result_cache.admits(req, level) {
-        return run(stats, sw, tb);
-    }
-    // Immutable tree → generation 0; the index layout is fixed per engine.
-    let key = ResultKey::new(0, &keywords, "slca", Layout::Plain, req);
-    let mut ctx = Some((stats, sw, tb));
-    let outcome = result_cache.cache.get_or_compute(key, || {
-        let (mut stats, sw, tb) = ctx.take().expect("leader owns the query context");
-        stats.result_cache_misses = 1;
-        let result = run(stats, sw, tb);
-        let store = match &result {
-            Ok(resp) if resp.truncation.is_none() => Some((
-                Arc::new(CachedSearch {
-                    hits: resp.hits.clone(),
-                    facets: Vec::new(),
-                    facets_exact: true,
-                }),
-                cached_bytes(&resp.hits, xml_hit_bytes, &[]),
-            )),
-            _ => None,
-        };
-        (result, store)
-    });
-    let resp = match outcome {
-        Looked::Computed(result) => result,
-        Looked::Cached(v) => {
-            let (mut stats, _sw, tb) = ctx.take().expect("a hit leaves the context untouched");
-            stats.result_cache_hits = 1;
-            done(v.hits.clone(), stats, None, tb)
-        }
-    };
-    result_cache.publish(registry, "xml");
-    resp
 }
 
 #[cfg(test)]

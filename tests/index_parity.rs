@@ -208,10 +208,10 @@ fn relational_layouts_store_identical_postings_in_less_space() {
     let (ps, bs) = (plain.index_stats(), blocks.index_stats());
     assert_eq!(ps.postings, bs.postings);
     // The per-list fallback keeps short lists plain, so blocks can never
-    // cost more — and on a corpus this size they must cost strictly less.
+    // cost more — and on a corpus this size they must cost at most half.
     assert!(
-        bs.posting_bytes < ps.posting_bytes,
-        "blocks {} >= plain {}",
+        bs.posting_bytes * 2 <= ps.posting_bytes,
+        "blocks {} > 0.5x plain {}",
         bs.posting_bytes,
         ps.posting_bytes
     );

@@ -390,7 +390,8 @@ fn relational_and_graph_traces_render_phases_and_events() {
 #[test]
 fn candidate_cap_truncation_reports_reason_and_counts_in_registry() {
     let reg = Arc::new(MetricsRegistry::new());
-    // one worker → the "global_pipeline" algorithm label, machine-independent
+    // one worker, one CN considered per budget ticket: the cap verdict is
+    // machine-independent
     let engine = RelationalEngine::with_config(
         dblp(),
         RelationalConfig {
@@ -413,7 +414,7 @@ fn candidate_cap_truncation_reports_reason_and_counts_in_registry() {
             families::TRUNCATED,
             &[
                 ("engine", "relational"),
-                ("algorithm", "global_pipeline"),
+                ("algorithm", "parallel_cn"),
                 ("reason", "candidate_cap"),
             ]
         ),

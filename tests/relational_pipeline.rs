@@ -2,12 +2,13 @@
 //! DBLP data — tuple sets → CNs → executors → sharing → parallelism agree
 //! with each other.
 
+use kwdb::common::{Budget, ScratchPool};
 use kwdb::datasets::{dblp::sample_queries, generate_dblp, DblpConfig};
 use kwdb::relational::ExecStats;
 use kwdb::relsearch::cn::{CnGenConfig, CnGenerator, MaskOracle};
 use kwdb::relsearch::eval::evaluate_cn;
 use kwdb::relsearch::mesh::evaluate_shared;
-use kwdb::relsearch::parallel::{estimate_cost, execute_parallel, partition_lpt};
+use kwdb::relsearch::pexec::parallel_topk_budgeted;
 use kwdb::relsearch::spark::{naive_spark, skyline_sweep};
 use kwdb::relsearch::topk::{global_pipeline, naive, sparse, TopKQuery};
 use kwdb::relsearch::{CandidateNetwork, ResultScorer, TupleSets};
@@ -108,10 +109,29 @@ fn mesh_and_parallel_match_independent_evaluation() {
     let mesh_counts: Vec<usize> = shared.iter().map(|r| r.len()).collect();
     assert_eq!(independent, mesh_counts);
     assert!(mesh_stats.cache_hits > 0, "CNs overlap, the cache must hit");
-    // parallel
-    let costs: Vec<f64> = cns.iter().map(|cn| estimate_cost(&db, &ts, cn)).collect();
-    let assignment = partition_lpt(&costs, 4);
-    let par_counts = execute_parallel(&db, &ts, &cns, &assignment, 4, &s);
+    // parallel: with k past the full result count nothing is pruned, so
+    // the executor's results grouped by CN are the independent counts
+    let scorer = ResultScorer::new(&db);
+    let q = TopKQuery {
+        db: &db,
+        ts: &ts,
+        cns: &cns,
+        scorer: &scorer,
+        keywords: &query,
+    };
+    let total: usize = independent.iter().sum();
+    let out = parallel_topk_budgeted(
+        &q,
+        total + 1,
+        &s,
+        &Budget::unlimited(),
+        4,
+        &ScratchPool::new(),
+    );
+    let mut par_counts = vec![0usize; cns.len()];
+    for r in &out.results {
+        par_counts[r.cn_index] += 1;
+    }
     assert_eq!(independent, par_counts);
 }
 

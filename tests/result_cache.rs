@@ -11,10 +11,10 @@
 use kwdb::common::{Budget, CacheConfig, FacetSpec};
 use kwdb::datasets::{self, generate_dblp, DblpConfig};
 use kwdb::engine::{
-    GraphEngine, IngestRecord, MutableEngine, RelationalConfig, RelationalEngine, SearchRequest,
-    XmlEngine,
+    Engine, GraphEngine, IngestRecord, MutableEngine, RelationalConfig, RelationalEngine,
+    SearchRequest, XmlEngine,
 };
-use kwdb::obs::TraceLevel;
+use kwdb::obs::{families, MetricsRegistry, TraceLevel};
 use kwdb_common::index::Layout;
 use std::sync::Arc;
 
@@ -344,6 +344,137 @@ fn per_request_opt_out_skips_the_cache() {
         (0, 0)
     );
     assert_eq!(engine.execute(&req).unwrap().stats.result_cache_hits, 1);
+}
+
+/// The query frame is shared by all three engines, so its accounting must
+/// be identical behind `Arc<dyn Engine>`: every request — early return,
+/// bypass, miss, or hit — seals exactly one flight record, stamps the
+/// consult outcome on its own stats, and the registry totals are the sum of
+/// those stamps.
+#[test]
+fn every_engine_seals_once_and_stamps_the_consult_outcome() {
+    let regs: Vec<_> = (0..3).map(|_| Arc::new(MetricsRegistry::new())).collect();
+    let graph = datasets::graphs::generate_graph(&Default::default());
+    let tree = datasets::generate_bib_xml(&Default::default());
+    let engines: Vec<(&str, &str, Arc<dyn Engine>)> = vec![
+        (
+            "relational",
+            "data query",
+            Arc::new(RelationalEngine::new(dblp()).with_registry(Arc::clone(&regs[0]))),
+        ),
+        (
+            "graph",
+            "kw0 kw1",
+            Arc::new(GraphEngine::new(graph).with_registry(Arc::clone(&regs[1]))),
+        ),
+        (
+            "xml",
+            "data query",
+            Arc::new(XmlEngine::from_tree(tree).with_registry(Arc::clone(&regs[2]))),
+        ),
+    ];
+    for ((name, query, engine), reg) in engines.into_iter().zip(&regs) {
+        let req = SearchRequest::new(query).k(5);
+        let zero_deadline = Budget::unlimited().with_timeout(std::time::Duration::ZERO);
+        let sequence = [
+            ("empty query", SearchRequest::new("").k(5), (0, 0)),
+            ("zero deadline", req.clone().budget(zero_deadline), (0, 0)),
+            ("traced", req.clone().trace(TraceLevel::Full), (0, 0)),
+            ("caching off", req.clone().caching(false), (0, 0)),
+            ("cold", req.clone(), (0, 1)),
+            ("repeat", req.clone(), (1, 0)),
+        ];
+        let mut responses = Vec::new();
+        for (i, (label, request, want)) in sequence.iter().enumerate() {
+            let resp = engine.execute(request).unwrap();
+            assert_eq!(
+                (resp.stats.result_cache_hits, resp.stats.result_cache_misses),
+                *want,
+                "{name}: {label}"
+            );
+            assert_eq!(
+                reg.flight().appended(),
+                i as u64 + 1,
+                "{name}: {label} seals exactly one flight record"
+            );
+            responses.push(resp);
+        }
+        assert!(responses[0].hits.is_empty() && !responses[0].truncated());
+        assert!(responses[1].hits.is_empty() && responses[1].truncated());
+        assert!(responses[2].trace.is_some() && responses[5].trace.is_none());
+        assert_eq!(
+            (
+                reg.counter_family_total(families::RESULT_CACHE_HITS),
+                reg.counter_family_total(families::RESULT_CACHE_MISSES)
+            ),
+            (1, 1),
+            "{name}: registry totals are the sum of the per-query stamps"
+        );
+        let (cold, repeat) = (&responses[4], &responses[5]);
+        assert!(!cold.hits.is_empty(), "{name}: {query:?} must match");
+        assert_eq!(
+            format!("{:?}", repeat.hits),
+            format!("{:?}", cold.hits),
+            "{name}: a hit serves the computed hits"
+        );
+        assert_eq!(repeat.facets, cold.facets);
+        assert_eq!(repeat.facets_exact, cold.facets_exact);
+        assert!(repeat.truncation.is_none());
+    }
+}
+
+// ---- query cleaning ------------------------------------------------------
+
+/// A misspelled query is searched — and cached — as its clean form, and the
+/// cleaning model follows the data: a term ingested after the model was
+/// first built is corrected to from the next generation on.
+#[test]
+fn cleaned_queries_share_the_clean_entry_and_track_ingested_vocabulary() {
+    let mut db = kwdb::relational::Database::new();
+    kwdb::relational::database::dblp_schema(&mut db).unwrap();
+    db.insert("author", vec![1.into(), "Jennifer Widom".into()])
+        .unwrap();
+    db.insert("author", vec![2.into(), "Serge Abiteboul".into()])
+        .unwrap();
+    db.build_text_index();
+    let engine = RelationalEngine::with_config(
+        db,
+        RelationalConfig {
+            clean_queries: true,
+            ..Default::default()
+        },
+    );
+
+    let clean = engine.execute(&SearchRequest::new("widom").k(5)).unwrap();
+    assert_eq!(clean.hits.len(), 1);
+    assert_eq!(clean.stats.result_cache_misses, 1);
+    let dirty = engine.execute(&SearchRequest::new("widmo").k(5)).unwrap();
+    assert_eq!(fingerprint(&dirty), fingerprint(&clean));
+    assert_eq!(
+        dirty.stats.result_cache_hits, 1,
+        "the misspelling keys the clean form's entry"
+    );
+
+    // "stonebraker" enters the vocabulary after the model was built.
+    engine
+        .ingest(IngestRecord::Tuple {
+            table: "author".into(),
+            values: vec![3.into(), "Michael Stonebraker".into()],
+        })
+        .unwrap();
+    let ingested = engine
+        .execute(&SearchRequest::new("stonebraker").k(5))
+        .unwrap();
+    assert_eq!(ingested.hits.len(), 1);
+    let dirty = engine
+        .execute(&SearchRequest::new("stonebrakr").k(5))
+        .unwrap();
+    assert_eq!(
+        fingerprint(&dirty),
+        fingerprint(&ingested),
+        "the cleaning model must see vocabulary ingested after it was built"
+    );
+    assert_eq!(dirty.stats.result_cache_hits, 1);
 }
 
 // ---- budgets bound the cache itself --------------------------------------
