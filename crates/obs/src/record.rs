@@ -60,9 +60,10 @@ pub mod families {
     /// Counter: candidate networks skipped (bound-pruned or budget-cut);
     /// together with [`CN_EVALUATED`] this accounts for every CN generated.
     pub const CN_PRUNED: &str = "kwdb_cn_pruned_total";
-    /// Counter: rows matched by hash-join probes (probe hit volume).
+    /// Counter: rows matched by hash- and index-join probes (probe hit volume).
     pub const JOIN_PROBE_ROWS: &str = "kwdb_join_probe_rows_total";
-    /// Gauge: intra-query worker threads the relational engine runs with.
+    /// Gauge: the most intra-query worker threads one relational query may
+    /// use (the auto policy picks per query; flight records carry what ran).
     pub const INTRA_WORKERS: &str = "kwdb_intra_query_workers";
     /// Counter: faceted queries executed (queries whose request carried at
     /// least one facet spec), by engine.
@@ -144,7 +145,9 @@ pub mod families {
             CN_EVALUATED => "Candidate networks joined during top-k evaluation.",
             CN_PRUNED => "Candidate networks skipped by bounds or budget.",
             JOIN_PROBE_ROWS => "Rows matched by hash-join probes.",
-            INTRA_WORKERS => "Intra-query worker threads the relational engine runs with.",
+            INTRA_WORKERS => {
+                "Most intra-query worker threads one relational query may use (auto picks per query)."
+            }
             FACET_QUERIES => "Queries that requested at least one facet.",
             FACET_VALUES => "Facet values emitted across faceted responses.",
             FACET_INEXACT => "Faceted queries whose counts were inexact.",

@@ -1,5 +1,6 @@
 //! The database: tables, schema graph, and the full-text index.
 
+use crate::fkindex::FkIndex;
 use crate::index::{InvertedIndex, Posting};
 use crate::schema::{SchemaEdge, SchemaGraph, TableBuilder, TableId};
 use crate::table::{Row, RowId, Table, TupleId};
@@ -25,12 +26,18 @@ use std::collections::HashMap;
 /// [`build_text_index`](Self::build_text_index) — queries in between get a
 /// typed
 /// [`KwdbError::IndexStale`] instead of silently missing rows.
+///
+/// The reverse foreign-key index behind
+/// [`referencing_rows`](Self::referencing_rows) lives by the same rule: built
+/// with the text index, maintained by `ingest`, left behind by raw `insert`.
 #[derive(Debug, Default, Clone)]
 pub struct Database {
     tables: Vec<Table>,
     by_name: HashMap<String, TableId>,
     schema_graph: SchemaGraph,
     text_index: InvertedIndex,
+    /// One reverse index per schema-graph edge, in edge order.
+    fk_index: Vec<FkIndex>,
     /// Bumped by every data mutation (`insert`/`ingest`/`delete`).
     generation: u64,
     /// Generation the text index reflects; `None` until the first build.
@@ -53,6 +60,9 @@ impl Database {
             )));
         }
         let id = TableId(self.tables.len() as u32);
+        // Resolve every FK before touching any state: a table that fails
+        // to resolve leaves no edge behind.
+        let mut edges = Vec::with_capacity(schema.foreign_keys.len());
         for fk in &schema.foreign_keys {
             let ref_id = self
                 .by_name
@@ -65,12 +75,19 @@ impl Database {
                 .ok_or_else(|| {
                     KwdbError::Schema(format!("FK target {} has no primary key", fk.ref_table))
                 })?;
-            self.schema_graph.add_edge(SchemaEdge {
+            edges.push(SchemaEdge {
                 from: id,
                 to: ref_id,
                 fk_column: fk.column,
                 pk_column,
             });
+        }
+        for edge in edges {
+            // The new table is empty; the referenced one may already have
+            // rows (and a built index that `ingest` goes on maintaining).
+            let referenced_len = self.tables[edge.to.0 as usize].len();
+            self.fk_index.push(FkIndex::for_new_table(referenced_len));
+            self.schema_graph.add_edge(edge);
         }
         self.by_name.insert(schema.name.clone(), id);
         self.tables.push(Table::new(id, schema));
@@ -121,9 +138,33 @@ impl Database {
                 )));
             }
         }
+        // A primary key that a tombstoned row held before: the new row
+        // takes over that row's referencing rows (joins are by value).
+        let table = &self.tables[id.0 as usize];
+        let replaces = table
+            .schema
+            .primary_key
+            .and_then(|pk| table.pk_slot(row.get(pk)?));
         let rid = self.tables[id.0 as usize].insert(row)?;
         self.generation += 1;
         self.indexed_generation = Some(self.generation);
+        for (edge, fx) in self.schema_graph.edges().iter().zip(&mut self.fk_index) {
+            if edge.to == id {
+                fx.push_referenced();
+                match replaces {
+                    Some(old) => fx.inherit(old, rid),
+                    None => fx.adopt_orphans(
+                        &self.tables[edge.from.0 as usize],
+                        edge.fk_column,
+                        self.tables[id.0 as usize].get(rid, edge.pk_column),
+                        rid,
+                    ),
+                }
+            }
+            if edge.from == id {
+                fx.push_referencing(edge, &self.tables, rid);
+            }
+        }
         let tid = TupleId::new(id, rid);
         let t = &self.tables[id.0 as usize];
         let text_cols: Vec<usize> = t.schema.text_columns().collect();
@@ -177,9 +218,9 @@ impl Database {
     ///
     /// Sealing restructures the physical index, so on a fresh index it
     /// counts as a generation event like any other mutation: anything
-    /// keyed on the generation (plan cache, result cache, tuple-set
-    /// cache) recomputes over the sealed layout rather than serving a
-    /// response built against the pre-seal segments.
+    /// keyed on the generation (result cache, tuple-set cache) recomputes
+    /// over the sealed layout rather than serving a response built against
+    /// the pre-seal segments.
     pub fn commit_index(&mut self) -> SegmentCounts {
         self.bump_sealed_generation();
         self.text_index.commit()
@@ -289,6 +330,12 @@ impl Database {
             }
         }
         ix.finalize();
+        self.fk_index = self
+            .schema_graph
+            .edges()
+            .iter()
+            .map(|edge| FkIndex::build(edge, &self.tables))
+            .collect();
         ix.set_build_time(start.elapsed());
         self.text_index = ix;
         self.indexed_generation = Some(self.generation);
@@ -372,8 +419,33 @@ impl Database {
         out
     }
 
+    /// Live rows of schema edge `edge`'s referencing (`from`) table whose FK
+    /// column equals the primary key of `referenced`, a live row of its
+    /// `to` table — the reverse direction of
+    /// [`fk_neighbors`](Self::fk_neighbors), read off the reverse-FK index
+    /// without touching any other row. By value, like a hash join over the
+    /// same rows: a NULL FK is chained nowhere, and a row that re-uses a
+    /// deleted row's primary key has that row's referencing rows.
+    ///
+    /// Reflects the data as of the last
+    /// [`build_text_index`](Self::build_text_index) or
+    /// [`ingest`](Self::ingest), exactly like the text index; callers hold
+    /// a fresh one (tuple sets cannot be built otherwise).
+    pub fn referencing_rows(
+        &self,
+        edge: usize,
+        referenced: RowId,
+    ) -> impl Iterator<Item = RowId> + '_ {
+        let from = self.table(self.schema_graph.edges()[edge].from);
+        self.fk_index[edge]
+            .chain(referenced)
+            .filter(|&r| !from.is_deleted(r))
+    }
+
     /// Rows of `table` whose column `col` equals `value` (sequential scan;
-    /// FK joins go through [`crate::join`] with a hash table instead).
+    /// FK joins go through [`crate::join`] with a hash table, or through
+    /// the indexes: [`Table::lookup_pk`] and
+    /// [`referencing_rows`](Self::referencing_rows)).
     pub fn scan_eq(&self, table: TableId, col: usize, value: &Value) -> Vec<RowId> {
         self.table(table)
             .iter()
@@ -636,6 +708,120 @@ mod tests {
         assert_eq!(n.len(), 2); // author 1 and paper 10
         let author = db.table_id("author").unwrap();
         assert!(db.fk_neighbors(TupleId::new(author, RowId(0))).is_empty());
+    }
+
+    /// `referencing_rows` of every live referenced row, against the
+    /// by-value definition: a scan of the referencing table for its key.
+    fn assert_reverse_index_matches_scan(db: &Database) {
+        for (ei, e) in db.schema_graph().edges().iter().enumerate() {
+            for (rid, row) in db.table(e.to).iter() {
+                let mut indexed: Vec<RowId> = db.referencing_rows(ei, rid).collect();
+                indexed.sort();
+                let scanned = db.scan_eq(e.from, e.fk_column, &row[e.pk_column]);
+                assert_eq!(indexed, scanned, "edge {ei}, referenced row {rid:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn reverse_fk_index_joins_by_value_through_every_mutation() {
+        let mut db = small_db();
+        db.insert("write", vec![101.into(), Value::Null, 10.into()])
+            .unwrap(); // NULL FK: chained nowhere
+        db.insert("write", vec![102.into(), 1.into(), 77.into()])
+            .unwrap(); // dangling FK: paper 77 does not exist yet
+        db.build_text_index();
+        assert_reverse_index_matches_scan(&db);
+        let (write, paper) = (db.table_id("write").unwrap(), db.table_id("paper").unwrap());
+        let wp = db
+            .schema_graph()
+            .edges()
+            .iter()
+            .position(|e| e.from == write && e.to == paper)
+            .unwrap();
+
+        // the paper the dangling write was waiting for arrives
+        let p77 = db
+            .ingest("paper", vec![77.into(), "Late".into(), 1.into()])
+            .unwrap();
+        assert_eq!(db.referencing_rows(wp, p77.row).count(), 1);
+        assert_reverse_index_matches_scan(&db);
+
+        // delete a referenced row, then re-ingest its primary key: the
+        // referencing rows lose their partner and get it back
+        db.ingest("write", vec![103.into(), 2.into(), 10.into()])
+            .unwrap();
+        db.delete("paper", &10.into()).unwrap();
+        assert_reverse_index_matches_scan(&db);
+        let p10 = db
+            .ingest("paper", vec![10.into(), "Again".into(), 1.into()])
+            .unwrap();
+        assert_eq!(db.referencing_rows(wp, p10.row).count(), 3);
+        assert_reverse_index_matches_scan(&db);
+
+        // a deleted referencing row drops out of its chain
+        db.delete("write", &103.into()).unwrap();
+        assert_eq!(db.referencing_rows(wp, p10.row).count(), 2);
+        assert_reverse_index_matches_scan(&db);
+
+        // and a rebuild from scratch agrees with the maintained index
+        let mut rebuilt = db.clone();
+        rebuilt.build_text_index();
+        assert_reverse_index_matches_scan(&rebuilt);
+    }
+
+    #[test]
+    fn table_created_after_the_build_joins_through_the_reverse_index() {
+        // The index over `author` is built and fresh; a table referencing
+        // it arrives afterwards (no generation bump) and is ingested into.
+        let mut db = small_db();
+        let note = db
+            .create_table(
+                TableBuilder::new("note")
+                    .column("nid", ColumnType::Int)
+                    .column("aid", ColumnType::Int)
+                    .column("body", ColumnType::Text)
+                    .primary_key("nid")
+                    .foreign_key("aid", "author"),
+            )
+            .unwrap();
+        assert!(db.is_index_fresh());
+        let edge = db
+            .schema_graph()
+            .edges()
+            .iter()
+            .position(|e| e.from == note)
+            .unwrap();
+        assert_eq!(db.referencing_rows(edge, RowId(0)).count(), 0);
+        db.ingest("note", vec![1.into(), 1.into(), "first".into()])
+            .unwrap();
+        db.ingest("author", vec![3.into(), "Late Author".into()])
+            .unwrap();
+        db.ingest("note", vec![2.into(), 3.into(), "second".into()])
+            .unwrap();
+        db.ingest("note", vec![3.into(), 1.into(), "third".into()])
+            .unwrap();
+        let widom: Vec<RowId> = db.referencing_rows(edge, RowId(0)).collect();
+        assert_eq!(widom, vec![RowId(2), RowId(0)]);
+        assert_reverse_index_matches_scan(&db);
+        let mut rebuilt = db.clone();
+        rebuilt.build_text_index();
+        assert_reverse_index_matches_scan(&rebuilt);
+
+        // A table whose second FK does not resolve leaves no edge behind.
+        let edges = db.schema_graph().edges().len();
+        assert!(db
+            .create_table(
+                TableBuilder::new("bad")
+                    .column("aid", ColumnType::Int)
+                    .column("xid", ColumnType::Int)
+                    .foreign_key("aid", "author")
+                    .foreign_key("xid", "missing"),
+            )
+            .is_err());
+        assert_eq!(db.schema_graph().edges().len(), edges);
+        db.build_text_index();
+        assert_reverse_index_matches_scan(&db);
     }
 
     #[test]

@@ -51,6 +51,7 @@
 //! ```
 
 pub mod database;
+mod fkindex;
 pub mod index;
 pub mod join;
 pub mod schema;

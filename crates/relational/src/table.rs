@@ -2,6 +2,7 @@
 
 use crate::schema::{TableId, TableSchema};
 use kwdb_common::{KwdbError, Result, Value};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// Dense row identifier within one table.
@@ -31,7 +32,10 @@ pub struct Table {
     pub id: TableId,
     pub schema: TableSchema,
     rows: Vec<Row>,
-    /// PK value → row, maintained when a primary key is declared.
+    /// PK value → the row slot that last held it, maintained when a primary
+    /// key is declared. A tombstoned row keeps its entry (lookups filter it
+    /// out) so a later insert of the same key can find the slot it replaces
+    /// — the reverse-FK index re-homes that slot's referencing rows.
     pk_index: HashMap<Value, RowId>,
     /// Tombstone bitmap, one bit per row slot. Row ids are never reused:
     /// deleted slots stay allocated so `RowId`s held by postings and FK
@@ -90,13 +94,16 @@ impl Table {
                 )));
             }
             match self.pk_index.entry(key) {
-                std::collections::hash_map::Entry::Occupied(_) => {
+                Entry::Occupied(e) if !bit_set(&self.deleted, e.get().0 as usize) => {
                     return Err(KwdbError::Schema(format!(
                         "table {}: duplicate primary key {}",
                         self.schema.name, row[pk]
                     )));
                 }
-                std::collections::hash_map::Entry::Vacant(e) => {
+                Entry::Occupied(mut e) => {
+                    e.insert(rid);
+                }
+                Entry::Vacant(e) => {
                     e.insert(rid);
                 }
             }
@@ -105,9 +112,9 @@ impl Table {
         Ok(rid)
     }
 
-    /// Tombstone a row: mark the slot dead and drop its PK entry. The slot
-    /// itself (and its `RowId`) stays allocated forever. Returns `false` if
-    /// the row was already dead.
+    /// Tombstone a row: mark the slot dead, which hides it from
+    /// [`lookup_pk`](Self::lookup_pk). The slot itself (and its `RowId`)
+    /// stays allocated forever. Returns `false` if the row was already dead.
     pub fn delete(&mut self, id: RowId) -> bool {
         let i = id.0 as usize;
         assert!(i < self.rows.len(), "delete: row {i} out of bounds");
@@ -120,18 +127,12 @@ impl Table {
         }
         self.deleted[word] |= bit;
         self.dead += 1;
-        if let Some(pk) = self.schema.primary_key {
-            self.pk_index.remove(&self.rows[i][pk]);
-        }
         true
     }
 
     /// Whether this row slot has been tombstoned by [`Table::delete`].
     pub fn is_deleted(&self, id: RowId) -> bool {
-        let i = id.0 as usize;
-        self.deleted
-            .get(i / 64)
-            .is_some_and(|w| w & (1u64 << (i % 64)) != 0)
+        bit_set(&self.deleted, id.0 as usize)
     }
 
     pub fn row(&self, id: RowId) -> &Row {
@@ -142,8 +143,13 @@ impl Table {
         &self.rows[id.0 as usize][col]
     }
 
-    /// Look up a row by primary-key value.
+    /// Look up a live row by primary-key value.
     pub fn lookup_pk(&self, key: &Value) -> Option<RowId> {
+        self.pk_slot(key).filter(|&r| !self.is_deleted(r))
+    }
+
+    /// The row slot that last held primary key `key`, live or tombstoned.
+    pub fn pk_slot(&self, key: &Value) -> Option<RowId> {
         self.pk_index.get(key).copied()
     }
 
@@ -170,6 +176,12 @@ impl Table {
             .map(|(i, r)| (RowId(i as u32), r))
             .filter(|(id, _)| !self.is_deleted(*id))
     }
+}
+
+fn bit_set(bitmap: &[u64], i: usize) -> bool {
+    bitmap
+        .get(i / 64)
+        .is_some_and(|w| w & (1u64 << (i % 64)) != 0)
 }
 
 #[cfg(test)]
@@ -234,13 +246,15 @@ mod tests {
         assert!(!t.is_deleted(r1));
         assert_eq!(t.len(), 2, "slots stay allocated");
         assert_eq!(t.live_len(), 1);
-        assert_eq!(t.lookup_pk(&1.into()), None, "PK entry dropped");
+        assert_eq!(t.lookup_pk(&1.into()), None, "dead rows are not found");
+        assert_eq!(t.pk_slot(&1.into()), Some(r0), "the slot is remembered");
         assert_eq!(t.lookup_pk(&2.into()), Some(r1));
         let live: Vec<RowId> = t.iter().map(|(id, _)| id).collect();
         assert_eq!(live, vec![r1], "iteration skips tombstones");
         // The PK value of a deleted row may be inserted again (new slot).
         let r2 = t.insert(vec![1.into(), "a2".into()]).unwrap();
         assert_eq!(r2, RowId(2));
+        assert_eq!(t.lookup_pk(&1.into()), Some(r2));
     }
 
     #[test]

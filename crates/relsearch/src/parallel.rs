@@ -14,23 +14,146 @@
 //! * [`execute_data_parallel`] — split one dominant CN's largest tuple set
 //!   across real threads (slide 133's data-level parallelism).
 //!
-//! The engine's executor, [`crate::pexec`], seeds its worker queues with
-//! [`partition_sharing_aware`] over [`estimate_cost`].
+//! The engine's executor, [`crate::pexec`], derives one [`JoinPlan`] per CN
+//! per query: its cost seeds the worker queues through
+//! [`partition_sharing_aware`], the summed costs tell [`choose_workers`] how
+//! many workers the query is worth, and the evaluator follows its order.
 
 use crate::cn::CandidateNetwork;
 use crate::tupleset::TupleSets;
 use kwdb_relational::{Database, ExecStats};
 use std::collections::{HashMap, HashSet};
 
-/// Estimated cost of evaluating a CN: total rows scanned across its nodes
-/// (free nodes scan the free set) plus one unit per join. Pure counting —
-/// no row vectors are materialized.
-pub fn estimate_cost(db: &Database, ts: &TupleSets, cn: &CandidateNetwork) -> f64 {
-    let mut cost = cn.edges.len() as f64;
-    for i in 0..cn.nodes.len() {
-        cost += crate::eval::default_row_count(db, cn, ts, i) as f64;
+/// How [`crate::pexec`] joins one CN: the node placement order (`order[0]`
+/// is the root, a keyword node) and, per node, the CN edge that attaches it
+/// to an already placed node (`None` for the root).
+#[derive(Debug)]
+pub struct JoinPlan {
+    pub order: Vec<usize>,
+    pub join_via: Vec<Option<usize>>,
+    /// Estimated rows touched — see [`estimate_cost`].
+    pub cost: f64,
+}
+
+/// The cheapest [`JoinPlan`] over the CN's keyword nodes as roots (first on
+/// ties). From a root the order is greedy: of the nodes adjacent to the
+/// joined prefix, the one expected to leave the fewest partners per
+/// intermediate tuple goes next — a keyword node behind a primary key
+/// (a filter) before a free node behind one (one partner) before a fan-out
+/// through the reverse-FK index. Which end a join starts from, and which
+/// branch it takes first, decide how far the intermediate swells
+/// (`paper`→`conference`: one row; `conference`→`paper`: hundreds). Free
+/// nodes are never the root — they are joined into through the key indexes,
+/// not scanned.
+pub fn join_plan(db: &Database, ts: &TupleSets, cn: &CandidateNetwork) -> JoinPlan {
+    if cn.nodes.is_empty() {
+        return JoinPlan {
+            order: Vec::new(),
+            join_via: Vec::new(),
+            cost: 0.0,
+        };
     }
-    cost
+    cn.keyword_nodes()
+        .into_iter()
+        .map(|root| plan_from(db, ts, cn, root))
+        .min_by(|a, b| a.cost.total_cmp(&b.cost))
+        .unwrap_or_else(|| plan_from(db, ts, cn, 0))
+}
+
+/// Estimated cost of evaluating a CN by its [`join_plan`], in rows touched:
+/// the root tuple set, then per join step the intermediate's probes, what
+/// the step reads — a referencing keyword node's tuple set (hash join), or
+/// a free node's expected fan-out per probe (index join: one row through
+/// the primary key, the referencing table's average chain length through
+/// the reverse-FK index) — and the rows it emits, plus one unit per join.
+/// The expected intermediate size carries forward under uniform-key
+/// assumptions. Pure counting, and never proportional to a table a free
+/// node stands for.
+pub fn estimate_cost(db: &Database, ts: &TupleSets, cn: &CandidateNetwork) -> f64 {
+    join_plan(db, ts, cn).cost
+}
+
+fn plan_from(db: &Database, ts: &TupleSets, cn: &CandidateNetwork, root: usize) -> JoinPlan {
+    let n = cn.nodes.len();
+    let live = |t| db.table(t).live_len().max(1) as f64;
+    let rows = |v| crate::eval::default_row_count(db, cn, ts, v) as f64;
+    // Expected partners of one intermediate tuple in `v`'s row set, joined
+    // in over edge `e`.
+    let fanout = |e: &crate::cn::CnEdge, v: usize| {
+        let se = &db.schema_graph().edges()[e.schema_edge];
+        let partners = if e.from_side_is(v) {
+            live(se.from) / live(se.to)
+        } else {
+            1.0
+        };
+        if cn.nodes[v].mask == 0 {
+            partners
+        } else {
+            partners * rows(v) / live(cn.nodes[v].table)
+        }
+    };
+    let mut order = vec![root];
+    let mut join_via = vec![None; n];
+    let mut placed = vec![false; n];
+    placed[root] = true;
+    let mut card = rows(root);
+    let mut cost = card + cn.edges.len() as f64;
+    while let Some((ei, v, f)) = cn
+        .edges
+        .iter()
+        .enumerate()
+        .filter(|(_, e)| placed[e.a] != placed[e.b])
+        .map(|(ei, e)| {
+            let v = if placed[e.a] { e.b } else { e.a };
+            (ei, v, fanout(e, v))
+        })
+        .min_by(|a, b| a.2.total_cmp(&b.2))
+    {
+        let e = &cn.edges[ei];
+        cost += if cn.nodes[v].mask == 0 {
+            card * f.max(1.0)
+        } else if e.from_side_is(v) {
+            card + rows(v) // the set is hashed or probed
+        } else {
+            card
+        };
+        card *= f;
+        cost += card; // rows the step emits
+        placed[v] = true;
+        join_via[v] = Some(ei);
+        order.push(v);
+    }
+    debug_assert_eq!(order.len(), n, "CN must be connected");
+    JoinPlan {
+        order,
+        join_via,
+        cost,
+    }
+}
+
+/// [`estimate_cost`] units one worker must be handed before a second
+/// thread pays for itself.
+///
+/// Measured on the 100k-tuple DBLP of `benchmark/` (2 cores). The spawn
+/// alone would allow far less: one unit is 10–25 ns of inline evaluation and
+/// a two-thread `std::thread::scope` spawn + join costs 28 µs at the median,
+/// 144 µs at p99, 1.5–3 ms when the host deschedules a thread. But the
+/// estimate cannot see the bound prune: on the benchmark's high-estimate
+/// queries (13 CNs, three common keywords) one worker fills the top-k from
+/// the best-bound CNs and then skips the rest, evaluating 0–0.3 CNs by
+/// joins, where two workers start 0.6–1 more speculatively. With every
+/// other such query forced inline inside one run, two workers were
+/// 1.2–2.3× slower than one for every total below 4 M units and level with
+/// it (1.06–1.09× at the median) above. So a second worker needs 2 × 2²¹ units: it runs
+/// where it has stopped losing, not yet where it was seen to win.
+pub const COST_PER_WORKER: f64 = 2_097_152.0;
+
+/// The worker policy behind `intra_query_workers = 0`: as many workers as
+/// the plan's total [`estimate_cost`] fills with [`COST_PER_WORKER`] each —
+/// so a small plan runs inline on the calling thread — never more than
+/// `cap`, never fewer than one.
+pub fn choose_workers(total_cost: f64, cap: usize) -> usize {
+    ((total_cost / COST_PER_WORKER) as usize).clamp(1, cap.max(1))
 }
 
 /// All distinct subtree codes of a CN (every node, rooted away from each
@@ -363,6 +486,79 @@ mod tests {
             let b = execute_data_parallel(&db, &ts, cn, 8, &stats);
             assert_eq!(a.len(), b.len());
         }
+    }
+
+    #[test]
+    fn auto_runs_a_small_plan_inline_and_spreads_a_large_one() {
+        use crate::pexec::{parallel_topk_budgeted, EvalScratch};
+        use crate::score::ResultScorer;
+        use crate::topk::TopKQuery;
+        use kwdb_common::{Budget, ScratchPool};
+
+        assert_eq!(choose_workers(0.0, 8), 1);
+        assert_eq!(choose_workers(COST_PER_WORKER * 1.9, 8), 1);
+        assert_eq!(choose_workers(COST_PER_WORKER * 2.0, 8), 2);
+        assert_eq!(choose_workers(COST_PER_WORKER * 100.0, 4), 4, "capped");
+        assert_eq!(choose_workers(COST_PER_WORKER * 100.0, 1), 1);
+
+        // The fixture's plan is a handful of rows: one worker.
+        let small = db();
+        let (ts, cns) = jobs(&small);
+        let total = |db: &Database, ts: &TupleSets, cns: &[CandidateNetwork]| -> f64 {
+            cns.iter().map(|cn| estimate_cost(db, ts, cn)).sum()
+        };
+        assert_eq!(choose_workers(total(&small, &ts, &cns), 4), 1);
+
+        // A synthetic plan worth spreading: every author wrote every paper
+        // of one conference and all match, so author–write–paper emits
+        // N × N rows and the network through the conference N times that.
+        const N: i64 = 176;
+        let mut big = Database::new();
+        dblp_schema(&mut big).unwrap();
+        big.insert("conference", vec![1.into(), "SIGMOD".into(), 2007.into()])
+            .unwrap();
+        for i in 0..N {
+            big.insert("author", vec![i.into(), "widom".into()])
+                .unwrap();
+            big.insert("paper", vec![i.into(), "xml".into(), 1.into()])
+                .unwrap();
+        }
+        for w in 0..N * N {
+            big.insert("write", vec![w.into(), (w / N).into(), (w % N).into()])
+                .unwrap();
+        }
+        big.build_text_index();
+        let (ts, cns) = jobs(&big);
+        let cost = total(&big, &ts, &cns);
+        let workers = choose_workers(cost, 4);
+        assert!(workers > 1, "chose {workers} for {cost}");
+
+        // Either way the answer is the same.
+        let scorer = ResultScorer::new(&big);
+        let keywords = ["widom", "xml"];
+        let q = TopKQuery {
+            db: &big,
+            ts: &ts,
+            cns: &cns,
+            scorer: &scorer,
+            keywords: &keywords,
+        };
+        let pool: ScratchPool<EvalScratch> = ScratchPool::new();
+        let run = |workers| {
+            let out = parallel_topk_budgeted(
+                &q,
+                5,
+                &ExecStats::new(),
+                &Budget::unlimited(),
+                workers,
+                &pool,
+            );
+            out.results
+                .iter()
+                .map(|r| (r.score.to_bits(), r.result.clone()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(run(1), run(workers));
     }
 
     #[test]

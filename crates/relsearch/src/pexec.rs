@@ -31,7 +31,7 @@
 use crate::cn::CandidateNetwork;
 use crate::eval::JoinedResult;
 use crate::facets::{FacetAccum, FacetRequest};
-use crate::parallel::{estimate_cost, partition_sharing_aware};
+use crate::parallel::{join_plan, partition_sharing_aware, JoinPlan};
 use crate::topk::{CnExecOutcome, RankedResult, TopKQuery};
 use crate::tupleset::TupleSets;
 use kwdb_common::index::kernels;
@@ -50,13 +50,10 @@ use std::sync::Mutex;
 /// resets query-scoped caches while keeping allocated capacity.
 #[derive(Default)]
 pub struct EvalScratch {
-    /// Build-side hash tables keyed by `(table, mask, join column)`:
-    /// join key value → rows of that node's default row set. Valid for one
+    /// Build-side hash tables of keyword nodes, keyed by `(table, mask, join
+    /// column)`: join key value → rows of that tuple set. Valid for one
     /// query (row sets depend on the tuple sets).
     builds: HashMap<(TableId, u32, usize), HashMap<Value, Vec<RowId>>>,
-    /// Materialized free sets `R^∅`, one per table, shared by every free
-    /// node of the query's CNs.
-    free_rows: HashMap<TableId, Vec<RowId>>,
     /// Flat ping-pong intermediates: `cur` holds the joined prefix as
     /// `stride`-sized chunks of `RowId`s, `next` receives the join output.
     cur: Vec<RowId>,
@@ -72,7 +69,6 @@ impl EvalScratch {
     /// capacity for reuse across queries.
     pub fn begin_query(&mut self) {
         self.builds.clear();
-        self.free_rows.clear();
         self.cur.clear();
         self.next.clear();
     }
@@ -89,7 +85,8 @@ pub fn evaluate_cn_pooled(
     scratch: &mut EvalScratch,
     stats: &ExecStats,
 ) -> Vec<JoinedResult> {
-    evaluate_cn_pooled_until(db, cn, ts, scratch, stats, &|| false)
+    let plan = join_plan(db, ts, cn);
+    evaluate_cn_pooled_until(db, cn, &plan, ts, scratch, stats, &|| false)
 }
 
 /// [`evaluate_cn_pooled`] with a cancellation probe, polled between join
@@ -98,9 +95,26 @@ pub fn evaluate_cn_pooled(
 /// this to abandon a CN the moment the shared top-k bound strictly exceeds
 /// the CN's upper bound (every result it could still produce would be
 /// rejected, so dropping them cannot change the final top-k).
+///
+/// The join follows `plan`, the CN's [`join_plan`]: from the keyword node
+/// estimated cheapest to start at, most selective neighbour first. A free node
+/// `R^∅` is never scanned or materialized: each intermediate tuple looks
+/// its partners up — through the primary-key index when the free node is
+/// the referenced side of the edge, through the reverse-FK index
+/// ([`Database::referencing_rows`]) when it is the referencing side — and
+/// keeps those that match no query keyword. A keyword node on the
+/// referenced side is joined the same way, keeping the partner that is in
+/// its tuple set; on the referencing side it is hash-joined against its
+/// tuple set. Both indexes resolve by key *value*, so the result set is the
+/// hash join's.
+///
+/// [`ExecStats`] for an index join: one `join_probes` per lookup, one
+/// `tuples_scanned` per chain row a reverse lookup visits, one `probe_rows`
+/// per match emitted.
 pub fn evaluate_cn_pooled_until(
     db: &Database,
     cn: &CandidateNetwork,
+    plan: &JoinPlan,
     ts: &TupleSets,
     scratch: &mut EvalScratch,
     stats: &ExecStats,
@@ -110,57 +124,15 @@ pub fn evaluate_cn_pooled_until(
     if n == 0 {
         return Vec::new();
     }
-    // Materialize any free sets this CN needs before joining, so the join
-    // loop can borrow `scratch.free_rows` immutably while it mutates
-    // `scratch.builds` (disjoint fields).
-    for node in &cn.nodes {
-        if node.mask == 0 {
-            if let Entry::Vacant(v) = scratch.free_rows.entry(node.table) {
-                v.insert(ts.free_rows(db, node.table));
-            }
-        }
-    }
-    fn rows_of<'a>(
-        cn: &CandidateNetwork,
-        ts: &'a TupleSets,
-        free: &'a HashMap<TableId, Vec<RowId>>,
-        ni: usize,
-    ) -> &'a [RowId] {
+    // Rows of a keyword node. (A free root has none: a network without a
+    // keyword node covers no keyword and is not a CN.)
+    let rows_of = |ni: usize| -> &[RowId] {
         let node = cn.nodes[ni];
-        if node.mask == 0 {
-            free.get(&node.table).map(|v| v.as_slice()).unwrap_or(&[])
-        } else {
-            ts.get(node.table, node.mask)
-                .map(|s| s.rows.as_slice())
-                .unwrap_or(&[])
-        }
-    }
-
-    // BFS placement order from node 0 (same shape as evaluate_cn_with).
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (ei, e) in cn.edges.iter().enumerate() {
-        adj[e.a].push(ei);
-        adj[e.b].push(ei);
-    }
-    let mut order = vec![0usize];
-    let mut join_via: Vec<Option<usize>> = vec![None; n];
-    let mut placed = vec![false; n];
-    placed[0] = true;
-    let mut qi = 0;
-    while qi < order.len() {
-        let u = order[qi];
-        qi += 1;
-        for &ei in &adj[u] {
-            let e = &cn.edges[ei];
-            let v = if e.a == u { e.b } else { e.a };
-            if !placed[v] {
-                placed[v] = true;
-                join_via[v] = Some(ei);
-                order.push(v);
-            }
-        }
-    }
-    debug_assert_eq!(order.len(), n, "CN must be connected");
+        ts.get(node.table, node.mask).map_or(&[], |s| &s.rows)
+    };
+    let JoinPlan {
+        order, join_via, ..
+    } = plan;
     let mut slot = vec![0usize; n];
     for (s, &node) in order.iter().enumerate() {
         slot[node] = s;
@@ -169,7 +141,7 @@ pub fn evaluate_cn_pooled_until(
     let mut cur = std::mem::take(&mut scratch.cur);
     let mut next = std::mem::take(&mut scratch.next);
     cur.clear();
-    let first_rows = rows_of(cn, ts, &scratch.free_rows, order[0]);
+    let first_rows = rows_of(order[0]);
     stats.add_scanned(first_rows.len() as u64);
     cur.extend_from_slice(first_rows);
     let mut stride = 1usize;
@@ -194,30 +166,19 @@ pub fn evaluate_cn_pooled_until(
         let parent_table = db.table(cn.nodes[parent].table);
         let node_table = db.table(cn.nodes[node].table);
         let pslot = slot[parent];
-        let node_rows = rows_of(cn, ts, &scratch.free_rows, node);
         let ntuples = cur.len() / stride;
         stats.add_join();
         next.clear();
 
-        let cached_key = (cn.nodes[node].table, cn.nodes[node].mask, node_col);
-        let cached = scratch.builds.contains_key(&cached_key);
-        if cached || node_rows.len() <= ntuples {
-            // Build (or reuse) the hash table on the node side, probe with
-            // the intermediate. Cached builds are free after first use.
-            let build = match scratch.builds.entry(cached_key) {
-                Entry::Occupied(o) => o.into_mut(),
-                Entry::Vacant(v) => {
-                    let mut ht: HashMap<Value, Vec<RowId>> =
-                        HashMap::with_capacity(node_rows.len());
-                    for &r in node_rows {
-                        stats.add_scanned(1);
-                        let key = node_table.get(r, node_col);
-                        if !key.is_null() {
-                            ht.entry(key.clone()).or_default().push(r);
-                        }
-                    }
-                    v.insert(ht)
-                }
+        let free = cn.nodes[node].mask == 0;
+        if free || e.from_side_is(parent) {
+            // Index nested loop: each intermediate tuple looks its partners
+            // up and keeps those in the node's row set — for a free node
+            // the rows *not* among the table's keyword matches.
+            let (set, in_set) = if free {
+                (ts.matched_rows(cn.nodes[node].table), false)
+            } else {
+                (rows_of(node), true)
             };
             for t in 0..ntuples {
                 if t % 1024 == 1023 && cancel() {
@@ -225,45 +186,95 @@ pub fn evaluate_cn_pooled_until(
                     break;
                 }
                 stats.add_probes(1);
-                let key = parent_table.get(cur[t * stride + pslot], parent_col);
-                if key.is_null() {
-                    continue;
-                }
-                if let Some(matches) = build.get(key) {
-                    stats.add_probe_rows(matches.len() as u64);
-                    for &r in matches {
-                        next.extend_from_slice(&cur[t * stride..(t + 1) * stride]);
+                let tuple = &cur[t * stride..(t + 1) * stride];
+                let mut emit = |r: RowId| {
+                    if set.binary_search(&r).is_ok() == in_set {
+                        stats.add_probe_rows(1);
+                        next.extend_from_slice(tuple);
                         next.push(r);
+                    }
+                };
+                if e.from_side_is(parent) {
+                    // (a NULL foreign key finds no primary key)
+                    let key = parent_table.get(tuple[pslot], parent_col);
+                    node_table.lookup_pk(key).into_iter().for_each(emit);
+                } else {
+                    for r in db.referencing_rows(e.schema_edge, tuple[pslot]) {
+                        stats.add_scanned(1);
+                        emit(r);
                     }
                 }
             }
         } else {
-            // The intermediate is the smaller side: hash its parent keys
-            // (transient — depends on this CN's prefix) and probe with the
-            // node rows.
-            let mut ht: HashMap<&Value, Vec<usize>> = HashMap::with_capacity(ntuples);
-            for t in 0..ntuples {
-                stats.add_scanned(1);
-                let key = parent_table.get(cur[t * stride + pslot], parent_col);
-                if !key.is_null() {
-                    ht.entry(key).or_default().push(t);
+            // A keyword node on the referencing side: hash join against
+            // its tuple set.
+            let node_rows = rows_of(node);
+            let cached_key = (cn.nodes[node].table, cn.nodes[node].mask, node_col);
+            let cached = scratch.builds.contains_key(&cached_key);
+            if cached || node_rows.len() <= ntuples {
+                // Build (or reuse) the hash table on the node side, probe with
+                // the intermediate. Cached builds are free after first use.
+                let build = match scratch.builds.entry(cached_key) {
+                    Entry::Occupied(o) => o.into_mut(),
+                    Entry::Vacant(v) => {
+                        let mut ht: HashMap<Value, Vec<RowId>> =
+                            HashMap::with_capacity(node_rows.len());
+                        for &r in node_rows {
+                            stats.add_scanned(1);
+                            let key = node_table.get(r, node_col);
+                            if !key.is_null() {
+                                ht.entry(key.clone()).or_default().push(r);
+                            }
+                        }
+                        v.insert(ht)
+                    }
+                };
+                for t in 0..ntuples {
+                    if t % 1024 == 1023 && cancel() {
+                        cancelled = true;
+                        break;
+                    }
+                    stats.add_probes(1);
+                    let key = parent_table.get(cur[t * stride + pslot], parent_col);
+                    if key.is_null() {
+                        continue;
+                    }
+                    if let Some(matches) = build.get(key) {
+                        stats.add_probe_rows(matches.len() as u64);
+                        for &r in matches {
+                            next.extend_from_slice(&cur[t * stride..(t + 1) * stride]);
+                            next.push(r);
+                        }
+                    }
                 }
-            }
-            for (ri, &r) in node_rows.iter().enumerate() {
-                if ri % 1024 == 1023 && cancel() {
-                    cancelled = true;
-                    break;
+            } else {
+                // The intermediate is the smaller side: hash its parent keys
+                // (transient — depends on this CN's prefix) and probe with the
+                // node rows.
+                let mut ht: HashMap<&Value, Vec<usize>> = HashMap::with_capacity(ntuples);
+                for t in 0..ntuples {
+                    stats.add_scanned(1);
+                    let key = parent_table.get(cur[t * stride + pslot], parent_col);
+                    if !key.is_null() {
+                        ht.entry(key).or_default().push(t);
+                    }
                 }
-                stats.add_probes(1);
-                let key = node_table.get(r, node_col);
-                if key.is_null() {
-                    continue;
-                }
-                if let Some(tuples) = ht.get(key) {
-                    stats.add_probe_rows(tuples.len() as u64);
-                    for &t in tuples {
-                        next.extend_from_slice(&cur[t * stride..(t + 1) * stride]);
-                        next.push(r);
+                for (ri, &r) in node_rows.iter().enumerate() {
+                    if ri % 1024 == 1023 && cancel() {
+                        cancelled = true;
+                        break;
+                    }
+                    stats.add_probes(1);
+                    let key = node_table.get(r, node_col);
+                    if key.is_null() {
+                        continue;
+                    }
+                    if let Some(tuples) = ht.get(key) {
+                        stats.add_probe_rows(tuples.len() as u64);
+                        for &t in tuples {
+                            next.extend_from_slice(&cur[t * stride..(t + 1) * stride]);
+                            next.push(r);
+                        }
                     }
                 }
             }
@@ -276,7 +287,7 @@ pub fn evaluate_cn_pooled_until(
         stride += 1;
     }
 
-    let results = if !cancelled && stride == n {
+    let results = if !cancelled && stride == n && !cancel() {
         cur.chunks(stride)
             .map(|chunk| {
                 let mut tuples = vec![TupleId::new(cn.nodes[0].table, RowId(0)); n];
@@ -447,8 +458,31 @@ where
     S: AsRef<str> + Sync,
     D: Deref<Target = Database> + Sync,
 {
+    parallel_topk_planned(q, k, stats, budget, |_| workers, pool, freq)
+}
+
+/// [`parallel_topk_faceted`] with the worker count left to the caller's
+/// policy: every CN's [`JoinPlan`] is derived once, `workers_for` is handed
+/// their summed estimated cost and answers with the number of workers to
+/// run, and the same plans then seed the partitioner and drive the
+/// evaluator.
+pub fn parallel_topk_planned<S, D>(
+    q: &TopKQuery<'_, S, D>,
+    k: usize,
+    stats: &ExecStats,
+    budget: &Budget,
+    workers_for: impl FnOnce(f64) -> usize,
+    pool: &ScratchPool<EvalScratch>,
+    freq: &FacetRequest<'_>,
+) -> (CnExecOutcome, FacetAccum)
+where
+    S: AsRef<str> + Sync,
+    D: Deref<Target = Database> + Sync,
+{
     let exhaustive = freq.exhaustive();
     let n = q.cns.len();
+    let plans: Vec<JoinPlan> = q.cns.iter().map(|cn| join_plan(q.db, q.ts, cn)).collect();
+    let workers = workers_for(plans.iter().map(|p| p.cost).sum()).max(1);
     if n == 0 {
         return (
             CnExecOutcome {
@@ -460,7 +494,6 @@ where
             FacetAccum::new(freq.facets.len()),
         );
     }
-    let workers = workers.max(1);
 
     // Upper bound per CN from per-(table, mask) best tuple scores — computed
     // once, not per CN, unlike the serial executors' cn_bound.
@@ -494,17 +527,18 @@ where
         })
         .collect();
 
-    // Seed per-worker queues sharing-aware; order each queue best-bound
-    // first so the global threshold rises as early as possible.
-    let costs: Vec<f64> = q
-        .cns
-        .iter()
-        .map(|cn| estimate_cost(q.db, q.ts, cn))
-        .collect();
-    let assign = partition_sharing_aware(q.cns, &costs, workers);
+    // Seed per-worker queues sharing-aware (one worker takes everything);
+    // order each queue best-bound first so the global threshold rises as
+    // early as possible.
     let mut queues: Vec<Vec<usize>> = vec![Vec::new(); workers];
-    for (j, &c) in assign.core_of.iter().enumerate() {
-        queues[c % workers].push(j);
+    if workers == 1 {
+        queues[0].extend(0..n);
+    } else {
+        let costs: Vec<f64> = plans.iter().map(|p| p.cost).collect();
+        let assign = partition_sharing_aware(q.cns, &costs, workers);
+        for (j, &c) in assign.core_of.iter().enumerate() {
+            queues[c % workers].push(j);
+        }
     }
     for jobs in &mut queues {
         jobs.sort_by(|&a, &b| bounds[b].total_cmp(&bounds[a]).then(a.cmp(&b)));
@@ -553,16 +587,26 @@ where
                     evaluated.fetch_add(1, Ordering::Relaxed);
                     continue;
                 }
-                // Abandon mid-evaluation once another worker raises the
-                // threshold past this CN's bound: everything it could still
-                // produce would be rejected. Faceted runs never abandon —
-                // every result still counts even when it can't be ranked.
-                let results =
-                    evaluate_cn_pooled_until(q.db, &q.cns[j], q.ts, &mut scratch, stats, &|| {
-                        !exhaustive && !shared.would_accept(bounds[j])
-                    });
+                // Abandon — mid-evaluation, or mid-way through scoring what
+                // it produced — once another worker raises the threshold
+                // past this CN's bound: everything it could still offer
+                // would be rejected. Faceted runs never abandon — every
+                // result still counts even when it can't be ranked.
+                let outbid = || !exhaustive && !shared.would_accept(bounds[j]);
+                let results = evaluate_cn_pooled_until(
+                    q.db,
+                    &q.cns[j],
+                    &plans[j],
+                    q.ts,
+                    &mut scratch,
+                    stats,
+                    &outbid,
+                );
                 evaluated.fetch_add(1, Ordering::Relaxed);
-                for r in results {
+                for (i, r) in results.into_iter().enumerate() {
+                    if i % 256 == 255 && outbid() {
+                        break;
+                    }
                     if !freq.passes(q.db, &r) {
                         continue;
                     }

@@ -221,11 +221,7 @@ impl TupleSets {
     /// CNs — every tree's node masks are its tuples' exact keyword sets.
     pub fn free_rows(&self, db: &Database, table: TableId) -> Vec<RowId> {
         let t = db.table(table);
-        let matched = self
-            .matched
-            .get(&table)
-            .map(|v| v.as_slice())
-            .unwrap_or(&[]);
+        let matched = self.matched_rows(table);
         let mut mi = 0;
         let mut out = Vec::with_capacity(t.live_len() - matched.len());
         // Live rows only: the table iterator skips tombstoned slots, and
@@ -240,11 +236,16 @@ impl TupleSets {
         out
     }
 
+    /// Rows of `table` matching any query keyword, ascending: a live row is
+    /// in the free set `R^∅` exactly when a binary search here misses it.
+    pub fn matched_rows(&self, table: TableId) -> &[RowId] {
+        self.matched.get(&table).map_or(&[], |v| v.as_slice())
+    }
+
     /// Size of the free set `R^∅` without materializing it — for cost
     /// estimation and scheduling, which only need counts.
     pub fn free_row_count(&self, db: &Database, table: TableId) -> usize {
-        let matched = self.matched.get(&table).map_or(0, |v| v.len());
-        db.table(table).live_len() - matched
+        db.table(table).live_len() - self.matched_rows(table).len()
     }
 
     /// Every keyword must match somewhere for AND semantics to be satisfiable.

@@ -15,7 +15,8 @@
 //!
 //! * [`RelationalEngine::execute`] — DISCOVER/SPARK candidate-network
 //!   search, with a per-engine CN plan cache keyed by schema fingerprint,
-//!   keyword term set, and generator configuration.
+//!   the query's mask signature (which tuple sets are non-empty), and
+//!   generator configuration.
 //! * [`GraphEngine::execute`] — DPBF / BANKS / BLINKS on a data graph; the
 //!   BLINKS node→keyword index is built once per engine and reused.
 //! * [`XmlEngine::execute`] — SLCA with XBridge-style proximity ranking.
@@ -38,9 +39,11 @@
 //! change *and* maintain the index incrementally (realtime segment,
 //! tombstones, corpus statistics), `commit` seals the realtime segment into
 //! a compressed sealed segment. Every successful mutation bumps a
-//! monotonic **generation counter** which keys the CN plan cache and the
-//! flight-recorder records, so cached plans and diagnostics can never
-//! silently describe an older database. A query holds the engine state's
+//! monotonic **generation counter** which keys the result and tuple-set
+//! caches and stamps the flight-recorder records, so cached answers and
+//! diagnostics can never silently describe an older database. (The CN plan
+//! cache needs no generation: a plan depends on the data only through which
+//! tuple sets are non-empty, and that is its key.) A query holds the engine state's
 //! read lock end to end and therefore always sees one consistent
 //! generation; mutations copy-on-write when the data is shared
 //! ([`Arc::make_mut`]), so handles returned earlier keep their snapshot.
@@ -70,15 +73,17 @@ use kwdb_obs::{
 use kwdb_qclean::segment::{clean_query, ValuePhraseModel};
 use kwdb_qclean::SpellCorrector;
 use kwdb_rank::CorpusStats;
-use kwdb_relational::{Database, ExecStats, Row, TupleId};
+use kwdb_relational::{Database, ExecStats, Row, TableId, TupleId};
 use kwdb_relsearch::cn::{CandidateNetwork, CnGenConfig, CnGenerator, MaskOracle};
 use kwdb_relsearch::facets::{resolve_facets, resolve_refinements, FacetAccum, FacetRequest};
-use kwdb_relsearch::pexec::{parallel_topk_faceted, EvalScratch};
+use kwdb_relsearch::parallel::choose_workers;
+use kwdb_relsearch::pexec::{parallel_topk_planned, EvalScratch};
 use kwdb_relsearch::spark::skyline_sweep_budgeted;
 use kwdb_relsearch::topk::{CnExecOutcome, TopKQuery};
 use kwdb_relsearch::tupleset::TermCache;
 use kwdb_relsearch::{corpus_stats, Refinement, ResultScorer, TupleSets};
 use kwdb_xml::{XmlIndex, XmlTree};
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -312,7 +317,9 @@ struct QueryFrame<'a, H> {
     cache: &'a ResultCache<H>,
     engine: &'static str,
     algorithm: &'static str,
-    workers: usize,
+    /// Threads evaluating this query, as the flight record reports it. The
+    /// relational engine's worker policy decides it mid-run, after planning.
+    workers: Cell<usize>,
     generation: u64,
     segments: SegmentCounts,
     /// Posting layout slot of the cache key. Graph and XML index layouts are
@@ -464,7 +471,7 @@ fn finish_response<H>(
                 frame.algorithm,
                 &req.query,
                 req.k,
-                frame.workers,
+                frame.workers.get(),
                 &stats,
                 truncation,
                 sampled,
@@ -771,11 +778,14 @@ pub struct RelationalConfig {
     /// (0 = unbounded cache).
     pub max_cache_entries: usize,
     /// Workers evaluating one query's candidate networks, all on the same
-    /// executor ([`kwdb_relsearch::pexec`]). `0` = available parallelism
-    /// (capped at 8); `1` = inline on the calling thread, no spawn. The
-    /// returned top-k, facet counts, and `algorithm` label are identical
-    /// for every value — the score model is monotone and the merge is
-    /// content-ordered — and a [`Budget`] candidate cap counts CNs
+    /// executor ([`kwdb_relsearch::pexec`]). `0` = auto: each query gets
+    /// the workers its plan's estimated cost is worth
+    /// ([`kwdb_relsearch::parallel::choose_workers`]) — a small plan runs
+    /// inline on the calling thread — up to available parallelism (capped
+    /// at 8). A non-zero value is honoured exactly; `1` = always inline, no
+    /// spawn. The returned top-k, facet counts, and `algorithm` label are
+    /// identical for every value — the score model is monotone and the
+    /// merge is content-ordered — and a [`Budget`] candidate cap counts CNs
     /// considered on every host.
     pub intra_query_workers: usize,
     /// Physical layout of the full-text posting lists:
@@ -819,12 +829,15 @@ impl Default for RelationalConfig {
     }
 }
 
-/// Key of one CN plan-cache entry: schema fingerprint, **data
-/// generation**, the sorted keyword term set, and the generator
-/// configuration. The generation component means a mutation can never
-/// serve a plan computed over older data — stale entries simply stop
-/// matching and age out through the bounded cache's eviction.
-type CnCacheKey = (u64, u64, Vec<String>, usize, usize);
+/// Key of one CN plan-cache entry — everything CN generation reads and
+/// nothing else: the schema fingerprint, the query's **mask signature**
+/// (the sorted non-empty `(table, mask)` tuple-set keys — masks are
+/// positional, so keyword order is part of it), the keyword count, and the
+/// generator configuration. Neither the keyword strings nor the data
+/// generation appear: queries over different words share a plan when the
+/// same tuple sets are non-empty, and a mutation replans only when it
+/// changes which ones are.
+type CnCacheKey = (u64, Vec<(TableId, u32)>, usize, usize, usize);
 
 /// The query-cleaning model: a spelling corrector over the index
 /// vocabulary plus a phrase model over the full-text column values.
@@ -905,9 +918,11 @@ impl RelationalEngine {
         }
     }
 
-    /// The worker count [`RelationalConfig::intra_query_workers`] resolves
-    /// to: itself when non-zero, else available parallelism capped at 8
-    /// (matching the dispatcher's sizing).
+    /// The most workers one query may use: an explicit
+    /// [`RelationalConfig::intra_query_workers`] itself (every query then
+    /// runs on exactly that many), else available parallelism capped at 8
+    /// (matching the dispatcher's sizing) — the cap under which the auto
+    /// policy ([`choose_workers`]) picks per query.
     pub fn resolved_workers(&self) -> usize {
         if self.cfg.intra_query_workers > 0 {
             self.cfg.intra_query_workers
@@ -1072,7 +1087,11 @@ impl RelationalEngine {
         let st = &*state;
         let budget = &req.budget;
         let scoring = req.scoring.unwrap_or(self.cfg.scoring);
-        let workers = self.resolved_workers();
+        // An explicit worker count is honoured exactly; auto lets the cost
+        // of the plan decide, up to this cap, and starts from the calling
+        // thread alone.
+        let worker_cap = self.resolved_workers();
+        let auto_workers = self.cfg.intra_query_workers == 0;
 
         // Facet and refinement attributes are schema references, not query
         // keywords: resolve them up front so an unknown `table.column`
@@ -1097,7 +1116,7 @@ impl RelationalEngine {
                 Scoring::Monotone => "parallel_cn",
                 Scoring::Spark => "spark",
             },
-            workers,
+            workers: Cell::new(if auto_workers { 1 } else { worker_cap }),
             generation: st.db.generation(),
             segments: st
                 .db
@@ -1165,7 +1184,7 @@ impl RelationalEngine {
                 return Ok(Answer::empty(zero_counts(), Some(reason)));
             }
             tb.phase("plan");
-            let cns = self.plan(&st.db, keywords, &ts, stats, tb);
+            let cns = self.plan(&st.db, &ts, stats, tb);
             stats.phases.plan = sw.lap();
             stats.candidates_generated = cns.len() as u64;
 
@@ -1185,7 +1204,23 @@ impl RelationalEngine {
                 // One executor at every worker count: a single worker runs
                 // inline on the calling thread, no spawn.
                 Scoring::Monotone => {
-                    parallel_topk_faceted(&q, req.k, &exec, budget, workers, &self.scratch, &freq)
+                    let policy = |cost: f64| {
+                        let workers = if auto_workers {
+                            choose_workers(cost, worker_cap)
+                        } else {
+                            worker_cap
+                        };
+                        frame.workers.set(workers);
+                        tb.event("worker policy", || {
+                            vec![
+                                ("cap".into(), worker_cap.to_string()),
+                                ("chosen".into(), workers.to_string()),
+                                ("estimated_cost".into(), format!("{cost:.0}")),
+                            ]
+                        });
+                        workers
+                    };
+                    parallel_topk_planned(&q, req.k, &exec, budget, policy, &self.scratch, &freq)
                 }
                 Scoring::Spark => {
                     // Skyline-Sweep has no CN-level accounting (0/0) and no
@@ -1226,13 +1261,12 @@ impl RelationalEngine {
             stats.operators.blocks_skipped = snap.blocks_skipped;
             stats.cns_evaluated = cns_evaluated;
             stats.cns_pruned = cns_pruned;
-            stats.candidates_pruned = stats.candidates_generated.saturating_sub(
-                ranked
-                    .iter()
-                    .map(|r| r.cn_index)
-                    .collect::<std::collections::HashSet<_>>()
-                    .len() as u64,
-            );
+            let mut contributing: Vec<usize> = ranked.iter().map(|r| r.cn_index).collect();
+            contributing.sort_unstable();
+            contributing.dedup();
+            stats.candidates_pruned = stats
+                .candidates_generated
+                .saturating_sub(contributing.len() as u64);
             tb.event("operators", || {
                 vec![
                     ("tuples_scanned".into(), snap.tuples_scanned.to_string()),
@@ -1306,7 +1340,7 @@ impl RelationalEngine {
     }
 
     /// Generate (or fetch from the plan cache) the candidate networks for
-    /// this keyword term set.
+    /// this query's mask signature.
     ///
     /// Read-mostly locking: the hot path takes the read lock only, so
     /// concurrent repeat queries never serialize. A miss upgrades to the
@@ -1318,18 +1352,14 @@ impl RelationalEngine {
     fn plan(
         &self,
         db: &Database,
-        keywords: &[String],
         ts: &TupleSets,
         stats: &mut QueryStats,
         tb: &mut TraceBuilder,
     ) -> Arc<Vec<CandidateNetwork>> {
-        let mut terms: Vec<String> = keywords.to_vec();
-        terms.sort();
-        terms.dedup();
         let key: CnCacheKey = (
             db.schema_fingerprint(),
-            db.generation(),
-            terms,
+            ts.keys(),
+            ts.n_keywords(),
             self.cfg.max_cn_size,
             self.cfg.max_cns,
         );
@@ -1684,7 +1714,7 @@ impl GraphEngine {
                 GraphSemantics::Banks => "banks",
                 GraphSemantics::DistinctRoot => "blinks",
             },
-            workers: 1,
+            workers: Cell::new(1),
             generation: g.generation(),
             segments: g.keyword_segment_counts(),
             layout: Layout::Plain,
@@ -1851,7 +1881,7 @@ impl XmlEngine {
             cache: &self.result_cache,
             engine: "xml",
             algorithm: "slca",
-            workers: 1,
+            workers: Cell::new(1),
             // XML trees are immutable here: generation 0, but the segment
             // census is real (the keyword index is segment-backed like the
             // others).

@@ -128,6 +128,42 @@ fn repeated_query_hits_cn_cache_and_is_faster_to_plan() {
 }
 
 #[test]
+fn swapped_keywords_do_not_reuse_a_plan_with_swapped_masks() {
+    // CN masks are positional: bit i is keyword i. "rakesh" matches only
+    // author names and "crowdsourcing" only paper titles, so the two
+    // orders have different mask signatures and need different plans.
+    let db = std::sync::Arc::new(generate_dblp(&DblpConfig {
+        n_papers: 200,
+        n_authors: 60,
+        ..Default::default()
+    }));
+    let engine_for = |db: &std::sync::Arc<kwdb::relational::Database>| {
+        RelationalEngine::with_config(
+            std::sync::Arc::clone(db),
+            kwdb::engine::RelationalConfig {
+                result_cache: kwdb::common::CacheConfig::disabled(),
+                ..Default::default()
+            },
+        )
+    };
+    let scores = |engine: &RelationalEngine, query: &str, k: usize| -> Vec<f64> {
+        let resp = engine.execute(&SearchRequest::new(query).k(k)).unwrap();
+        resp.hits.iter().map(|h| h.score).collect()
+    };
+    let engine = engine_for(&db);
+    let forward = scores(&engine, "rakesh crowdsourcing", 5);
+    assert!(!forward.is_empty(), "the fixture must answer the query");
+    for k in [5, 3] {
+        assert_eq!(
+            scores(&engine, "crowdsourcing rakesh", k),
+            scores(&engine_for(&db), "crowdsourcing rakesh", k),
+            "k={k}: a warm engine must answer like a fresh one"
+        );
+    }
+    assert_eq!(scores(&engine, "crowdsourcing rakesh", 5), forward);
+}
+
+#[test]
 fn empty_and_unmatched_queries_are_empty_through_new_api() {
     let engine = RelationalEngine::new(dblp());
     for q in ["", "   ", "zzzzqqqxw"] {

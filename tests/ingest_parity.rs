@@ -8,7 +8,7 @@
 //! results, facet distributions, and per-term statistics, across posting
 //! layouts × intra-query worker counts — plus the seal/merge round-trip
 //! on `SegmentedIndex` alone, tombstone visibility, generation counters,
-//! plan-cache keying, and the typed stale-index errors.
+//! plan-cache keying by mask signature, and the typed stale-index errors.
 
 use kwdb::engine::{
     DeleteKey, IngestRecord, MutableEngine, RelationalConfig, RelationalEngine, SearchRequest,
@@ -321,38 +321,57 @@ fn segmented_index_seal_merge_round_trip() {
 }
 
 #[test]
-fn generation_keys_the_plan_cache() {
-    let rows = workload(3, 8, 20, 0x9E4);
-    // Result cache off: the repeat query below must reach the planner to
-    // observe the plan cache's generation keying.
-    let engine = build_incremental(
-        &rows,
-        rows.len() - 2,
-        RelationalConfig {
-            result_cache: kwdb_common::CacheConfig::disabled(),
-            ..Default::default()
-        },
-    );
+fn mask_signature_keys_the_plan_cache() {
+    let mut rows = workload(3, 8, 20, 0x9E4);
+    // Result cache off: every query below must reach the planner.
+    let cfg = RelationalConfig {
+        result_cache: kwdb_common::CacheConfig::disabled(),
+        ..Default::default()
+    };
+    let engine = build_incremental(&rows, rows.len() - 2, cfg);
     let req = SearchRequest::new("keyword search").k(5);
-    let g0 = MutableEngine::generation(&engine);
+    let ingest = |table: &'static str, values: Row| {
+        engine
+            .ingest(IngestRecord::Tuple {
+                table: table.into(),
+                values,
+            })
+            .unwrap();
+    };
+    let rebuilt = |rows: &[(&'static str, Row)]| {
+        RelationalEngine::with_config(build_once(rows), cfg)
+            .execute(&req)
+            .unwrap()
+    };
+
     let first = engine.execute(&req).unwrap();
     assert_eq!(first.stats.cache_misses, 1);
-    let repeat = engine.execute(&req).unwrap();
-    assert_eq!(
-        repeat.stats.cache_hits, 1,
-        "same generation reuses the plan"
-    );
-    // A mutation bumps the generation; the cached plan stops matching.
-    engine
-        .ingest(IngestRecord::Tuple {
-            table: "author".into(),
-            values: vec![(1000_i64).into(), "fresh keyword author".into()],
-        })
-        .unwrap();
+    assert_eq!(engine.execute(&req).unwrap().stats.cache_hits, 1);
+
+    // A mutation that leaves the non-empty (table, mask) sets as they were
+    // — a tuple matching neither keyword — reuses the plan, on new data.
+    let g0 = MutableEngine::generation(&engine);
+    rows.push(("author", vec![1000.into(), "nobody in particular".into()]));
+    ingest("author", rows.last().unwrap().1.clone());
     assert!(MutableEngine::generation(&engine) > g0);
-    let after = engine.execute(&req).unwrap();
-    assert_eq!(after.stats.cache_misses, 1, "new generation replans");
-    assert_eq!(after.stats.cache_hits, 0);
+    let same = engine.execute(&req).unwrap();
+    assert_eq!((same.stats.cache_hits, same.stats.cache_misses), (1, 0));
+    assert_eq!(hit_key(&same), hit_key(&rebuilt(&rows)));
+
+    // One that makes a new set non-empty — conference names hold a single
+    // workload word, so conference^{keyword,search} was empty — replans.
+    rows.push((
+        "conference",
+        vec![1000.into(), "keyword search venue".into(), 2024.into()],
+    ));
+    ingest("conference", rows.last().unwrap().1.clone());
+    let replanned = engine.execute(&req).unwrap();
+    assert_eq!(
+        (replanned.stats.cache_hits, replanned.stats.cache_misses),
+        (0, 1)
+    );
+    assert_eq!(hit_key(&replanned), hit_key(&rebuilt(&rows)));
+    assert_ne!(hit_key(&replanned), hit_key(&same), "the new tuple ranks");
 }
 
 #[test]

@@ -434,11 +434,15 @@ fn tiny_plan_cache_evicts_and_reports_size() {
     )
     .with_registry(Arc::clone(&reg));
 
+    // One keyword, then two: the mask signatures differ whatever the data
+    // holds. A repeat of the second at another `k` (a result-cache miss)
+    // shares its plan.
+    engine.execute(&SearchRequest::new("data").k(3)).unwrap();
     engine
         .execute(&SearchRequest::new("data query").k(3))
         .unwrap();
     engine
-        .execute(&SearchRequest::new("data search").k(3))
+        .execute(&SearchRequest::new("data query").k(4))
         .unwrap();
 
     assert_eq!(
@@ -447,7 +451,7 @@ fn tiny_plan_cache_evicts_and_reports_size() {
             &[("engine", "relational")]
         ),
         2,
-        "two distinct term sets, two generations"
+        "two distinct mask signatures, two generations"
     );
     assert_eq!(
         reg.counter_value(families::PLAN_CACHE_EVICTIONS, &[("engine", "relational")]),

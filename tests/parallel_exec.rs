@@ -278,3 +278,49 @@ fn engine_results_are_identical_across_worker_configs() {
         }
     }
 }
+
+#[test]
+fn flight_record_and_trace_report_the_effective_worker_count() {
+    use kwdb::obs::{MetricsRegistry, TraceLevel};
+    let db = Arc::new(dblp());
+    let run = |configured: usize| {
+        let reg = Arc::new(MetricsRegistry::new());
+        let engine = RelationalEngine::with_config(
+            Arc::clone(&db),
+            RelationalConfig {
+                intra_query_workers: configured,
+                ..Default::default()
+            },
+        )
+        .with_registry(Arc::clone(&reg));
+        let resp = engine
+            .execute(
+                &SearchRequest::new("data query")
+                    .k(5)
+                    .trace(TraceLevel::Full),
+            )
+            .unwrap();
+        let trace = resp.trace.expect("a traced request");
+        let policy = trace
+            .phases
+            .iter()
+            .flat_map(|p| &p.events)
+            .find(|e| e.message == "worker policy")
+            .expect("a traced query carries the worker policy")
+            .fields
+            .clone();
+        let field = |name: &str| -> f64 {
+            let (_, v) = policy.iter().find(|(k, _)| k == name).expect(name);
+            v.parse().unwrap()
+        };
+        let recorded = reg.flight().dump().records.last().unwrap().workers;
+        assert_eq!(recorded as f64, field("chosen"), "record = policy");
+        (field("cap"), field("chosen"), field("estimated_cost"))
+    };
+    // Auto: this 80-paper plan is far too small to spread, on any host.
+    let (cap, chosen, cost) = run(0);
+    assert!(cap >= 1.0 && cost > 0.0);
+    assert_eq!(chosen, 1.0);
+    // An explicit count is honoured exactly, whatever the plan costs.
+    assert_eq!(run(4), (4.0, 4.0, cost));
+}
