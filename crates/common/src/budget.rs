@@ -206,8 +206,9 @@ pub struct OperatorCounts {
     /// Rows matched by hash-join probes (the build-table hit volume, as
     /// opposed to `join_probes` which counts probe *attempts*).
     pub join_probe_rows: u64,
-    /// Posting-list blocks jumped over undecoded (cursor skip pointers and
-    /// block-max pruning; always zero on the plain layout).
+    /// Posting-list blocks jumped over undecoded. No executor counts these
+    /// any more (always zero); the field stays because the benchmark's
+    /// aggregator reads it.
     pub blocks_skipped: u64,
 }
 

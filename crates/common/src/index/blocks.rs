@@ -1,5 +1,5 @@
 //! Compressed block layout for posting lists: delta-encoded, bit-packed
-//! keys plus per-block skip metadata (last key and a max-impact bound).
+//! keys plus a per-block skip directory (each block's last key).
 //!
 //! A [`BlockList`] stores a sorted posting list as fixed-span blocks of
 //! [`BLOCK_SPAN`] postings. Within a block, each posting's 64-bit sort key
@@ -10,15 +10,10 @@
 //! widths. Every block starts word-aligned so a cursor can jump straight to
 //! it from the [`BlockMeta`] directory.
 //!
-//! The per-block metadata is what makes skipping possible:
-//!
-//! * `last_key` — the largest key in the block. A `seek(k)` gallops over the
-//!   directory and only decodes the one block that can contain `k`; every
-//!   block jumped over is never touched (counted as *skipped*).
-//! * `max_impact` — an upper bound on [`Posting::impact`] over the block.
-//!   Block-max (WAND-style) pruning compares a score bound derived from the
-//!   current blocks' `max_impact` values against a top-k threshold and, when
-//!   the bound cannot beat it, jumps past whole blocks without decoding.
+//! The per-block `last_key` — the largest key in the block — is what makes
+//! skipping possible: a `seek(k)` gallops over the directory and only
+//! decodes the one block that can contain `k`; every block jumped over is
+//! never touched.
 //!
 //! **Invariants** (checked in debug builds, relied on by the kernels):
 //!
@@ -26,11 +21,6 @@
 //!    [`Posting::sort_key`] order).
 //! 2. `meta[b].last_key` equals the key of the last posting of block `b`,
 //!    and is non-decreasing across blocks.
-//! 3. `meta[b].max_impact ≥ Σ impact` over the postings of any key present
-//!    in block `b` (a key's same-key *group* — e.g. one tuple matching in
-//!    several columns — is attributed to every block it touches), so no
-//!    skipped block can contain a key whose accumulated impact beats a
-//!    bound computed from the surviving blocks' maxima.
 
 use super::posting::Posting;
 use std::marker::PhantomData;
@@ -54,9 +44,6 @@ fn bits_needed(v: u64) -> u8 {
 pub struct BlockMeta {
     /// Largest `key64` in the block (= key of its last posting).
     pub last_key: u64,
-    /// Upper bound on the per-key summed [`Posting::impact`] over the
-    /// block (same-key groups straddling a boundary count in both blocks).
-    pub max_impact: u64,
     /// Word index where the block's bit stream begins (blocks are
     /// word-aligned).
     pub word_offset: u32,
@@ -152,37 +139,15 @@ impl<P: Posting> BlockList<P> {
         );
         let mut w = BitWriter::default();
         let mut metas = Vec::with_capacity(entries.len().div_ceil(BLOCK_SPAN));
-        // Per-posting *group* impact: the summed impact of all postings
-        // sharing a key64 (e.g. one tuple matching in several columns).
-        // `max_impact` bounds group totals — not lone postings — so a
-        // block-max score bound stays sound when a caller accumulates a
-        // key's impacts across a same-key run, even one straddling a block
-        // boundary (the group's total is attributed to every block it
-        // touches).
-        let mut group_total = vec![0u64; entries.len()];
-        let mut i = 0;
-        while i < entries.len() {
-            let key = entries[i].key64();
-            let mut j = i;
-            let mut total = 0u64;
-            while j < entries.len() && entries[j].key64() == key {
-                total = total.saturating_add(entries[j].impact());
-                j += 1;
-            }
-            group_total[i..j].fill(total);
-            i = j;
-        }
         let mut base = 0u64; // previous block's last key
-        for (ci, chunk) in entries.chunks(BLOCK_SPAN).enumerate() {
+        for chunk in entries.chunks(BLOCK_SPAN) {
             let mut max_delta = 0u64;
-            let mut max_impact = 0u64;
             let mut extra_max = [0u64; MAX_EXTRA_FIELDS];
             let mut prev = base;
-            for (pi, p) in chunk.iter().enumerate() {
+            for p in chunk {
                 let key = p.key64();
                 debug_assert!(key >= prev, "key64 must be non-decreasing");
                 max_delta = max_delta.max(key - prev);
-                max_impact = max_impact.max(group_total[ci * BLOCK_SPAN + pi]);
                 for (f, m) in extra_max.iter_mut().enumerate().take(P::EXTRA_FIELDS) {
                     *m = (*m).max(p.extra(f));
                 }
@@ -207,7 +172,6 @@ impl<P: Posting> BlockList<P> {
             base = prev;
             metas.push(BlockMeta {
                 last_key: base,
-                max_impact,
                 word_offset,
                 count: chunk.len() as u16,
                 key_bits,
@@ -297,7 +261,6 @@ impl<P: Posting> BlockList<P> {
                 bit: 0,
             },
             cur: None,
-            skipped: 0,
         };
         if !self.metas.is_empty() {
             c.enter_block(0);
@@ -389,8 +352,7 @@ impl<P: Posting + Ord> BlockList<P> {
 
 /// Decode-on-the-fly cursor over a [`BlockList`]: holds a bit-reader into
 /// the current block and never allocates. `seek` gallops over the skip
-/// directory, decoding only the destination block; jumped-over blocks are
-/// counted in [`blocks_skipped`](Self::blocks_skipped).
+/// directory, decoding only the destination block.
 #[derive(Debug, Clone)]
 pub struct BlockCursor<'a, P: Posting> {
     list: &'a BlockList<P>,
@@ -398,7 +360,6 @@ pub struct BlockCursor<'a, P: Posting> {
     idx: usize,
     reader: BitReader<'a>,
     cur: Option<P>,
-    skipped: u64,
 }
 
 impl<'a, P: Posting> BlockCursor<'a, P> {
@@ -445,7 +406,6 @@ impl<'a, P: Posting> BlockCursor<'a, P> {
             // Destination block: first one whose last_key reaches `key`.
             let rel = self.list.metas[self.block + 1..].partition_point(|m| m.last_key < key);
             let target = self.block + 1 + rel;
-            self.skipped += rel as u64;
             if target == self.list.metas.len() {
                 self.cur = None;
                 return None;
@@ -457,25 +417,6 @@ impl<'a, P: Posting> BlockCursor<'a, P> {
             self.advance();
         }
         self.cur
-    }
-
-    /// Max-impact bound of the current block.
-    #[inline]
-    pub fn block_max(&self) -> u64 {
-        self.list.metas[self.block].max_impact
-    }
-
-    /// Last key of the current block — the exclusive skip frontier for
-    /// block-max pruning is `block_last_key() + 1`.
-    #[inline]
-    pub fn block_last_key(&self) -> u64 {
-        self.list.metas[self.block].last_key
-    }
-
-    /// Blocks jumped over without decoding since the cursor was created.
-    #[inline]
-    pub fn blocks_skipped(&self) -> u64 {
-        self.skipped
     }
 }
 
@@ -524,7 +465,7 @@ mod tests {
     use super::*;
     use crate::rng::Rng;
 
-    /// Doc-id-style posting with an impact payload and one extra field.
+    /// Doc-id-style posting with a tf payload as its one extra field.
     #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
     struct Doc {
         id: u64,
@@ -646,43 +587,9 @@ mod tests {
             let meta = bl.meta(b);
             assert_eq!(meta.count as usize, block.len());
             assert_eq!(meta.last_key, block.last().unwrap().id);
-            let max_tf = block.iter().map(|d| d.tf as u64).max().unwrap();
-            assert_eq!(meta.max_impact, max_tf, "block {b} max impact exact");
         }
         assert_eq!(decoded, docs);
         assert!(bl.metas.windows(2).all(|w| w[0].last_key <= w[1].last_key));
-    }
-
-    #[test]
-    fn max_impact_bounds_same_key_group_totals() {
-        // Three postings per key (ids repeat), far more than one block's
-        // worth: every block's max_impact must cover whole group sums, and
-        // a group straddling a block boundary must count in both blocks.
-        let docs: Vec<Doc> = (0..500u64)
-            .flat_map(|k| (0..3u32).map(move |c| Doc { id: k, tf: c + 1 }))
-            .collect();
-        let bl = BlockList::encode(&docs);
-        let mut decoded = Vec::new();
-        for b in 0..bl.num_blocks() {
-            let start = decoded.len();
-            bl.decode_block_into(b, &mut decoded);
-            let block = &decoded[start..];
-            let meta = bl.meta(b);
-            for d in block {
-                let group: u64 = docs
-                    .iter()
-                    .filter(|x| x.id == d.id)
-                    .map(|x| x.tf as u64)
-                    .sum();
-                assert!(
-                    meta.max_impact >= group,
-                    "block {b} max {} < group total {group} for key {}",
-                    meta.max_impact,
-                    d.id
-                );
-            }
-        }
-        assert_eq!(decoded, docs);
     }
 
     #[test]
@@ -707,23 +614,6 @@ mod tests {
             let want = docs.iter().find(|d| d.id >= k).copied();
             assert_eq!(bl.cursor().seek(k), want, "fresh seek {k}");
         }
-    }
-
-    #[test]
-    fn seek_counts_skipped_blocks() {
-        let docs: Vec<Doc> = (0..BLOCK_SPAN as u64 * 10)
-            .map(|i| Doc { id: i, tf: 1 })
-            .collect();
-        let bl = BlockList::encode(&docs);
-        let mut c = bl.cursor();
-        // Jump from block 0 straight into block 5: blocks 1..5 are skipped.
-        c.seek(BLOCK_SPAN as u64 * 5 + 3);
-        assert_eq!(c.blocks_skipped(), 4);
-        // Advancing sequentially decodes every block: no further skips.
-        while c.peek().is_some() {
-            c.advance();
-        }
-        assert_eq!(c.blocks_skipped(), 4);
     }
 
     #[test]
@@ -752,7 +642,7 @@ mod tests {
     #[test]
     fn compresses_dense_keys_well() {
         // Dense u64 keys with small tf: plain = 16 B/posting, blocks ≈
-        // (few delta bits + ~10 tf bits)/posting + 32 B/block metadata.
+        // (few delta bits + ~10 tf bits)/posting + 24 B/block metadata.
         let docs: Vec<Doc> = (0..100_000u64)
             .map(|i| Doc {
                 id: i * 3,

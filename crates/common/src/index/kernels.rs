@@ -1,9 +1,8 @@
 //! Sorted-list kernels shared by every substrate index: intersection
 //! (linear merge vs galloping, chosen by size ratio), the `lm`/`rm` binary
 //! probes of the SLCA/XKSearch family, and the cursor kernels — galloping
-//! cursor intersection, k-way union, and block-max (WAND-style) pruned
-//! intersection — that operate on [`PostingCursor`]s from either physical
-//! layout.
+//! cursor intersection and k-way union — that operate on
+//! [`PostingCursor`]s from either physical layout.
 //!
 //! Slice kernels operate on sorted slices of any `Ord + Copy` element, so
 //! the same code serves relational `RowId`s, XML `NodeId`s, and graph
@@ -16,12 +15,6 @@ use super::posting::{Posting, PostingCursor};
 /// when the larger list is at least this many times the smaller, skipping
 /// through the large list with exponential search beats scanning it.
 pub const GALLOP_RATIO: usize = 8;
-
-/// Relative safety margin applied to floating-point block-max bounds before
-/// comparing against a top-k threshold: a block is skipped only when
-/// `bound * (1 + WAND_BOUND_EPSILON) < threshold`, so accumulated rounding
-/// in the bound can never make pruning unsound.
-pub const WAND_BOUND_EPSILON: f64 = 1e-9;
 
 /// Smallest element of sorted `list` that is `≥ v` — XKSearch's *rm* probe.
 /// `None` if every element precedes `v`.
@@ -252,125 +245,10 @@ pub fn for_each_union_key<P: Posting>(
     }
 }
 
-/// Counters reported by [`wand_intersect`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WandStats {
-    /// Keys emitted (present in every cursor and not pruned).
-    pub emitted: u64,
-    /// Prune events: times the block-bound check skipped past a block
-    /// frontier instead of scoring.
-    pub pruned: u64,
-    /// Blocks jumped over without decoding, summed across cursors
-    /// (includes jumps from ordinary galloping alignment).
-    pub blocks_skipped: u64,
-}
-
-/// Block-max (WAND-style) pruned AND-intersection over posting cursors.
-///
-/// Emits every key `< end_key` present in **all** cursors, in ascending
-/// order, except keys provably useless for a top-k: when the score bound
-/// computed by `block_bound` from the cursors' current per-block max
-/// impacts falls strictly below `threshold()` (with a
-/// [`WAND_BOUND_EPSILON`] safety margin), the kernel jumps every cursor
-/// past the nearest block frontier instead of scoring. For each emitted
-/// key, `emit` receives the per-cursor impact sums (a cursor holding
-/// several postings at the key — multi-column matches — contributes their
-/// impact total).
-///
-/// Soundness: `block_bound` must be an upper bound on the score of any key
-/// inside the current blocks, and a rising `threshold` must only ever
-/// reflect scores of already-emitted candidates (the `SharedTopK`
-/// contract). Then every skipped key scores strictly below the final
-/// threshold and cannot displace a top-k entry even under tie-aware
-/// ordering. On plain-layout cursors `block_max()` is `u64::MAX`, making
-/// the bound effectively infinite for any finite threshold — so the plain
-/// path emits the full intersection and the two layouts return identical
-/// top-k sets.
-pub fn wand_intersect<P: Posting>(
-    cursors: &mut [PostingCursor<'_, P>],
-    end_key: u64,
-    mut block_bound: impl FnMut(&[u64]) -> f64,
-    mut threshold: impl FnMut() -> Option<f64>,
-    mut emit: impl FnMut(u64, &[u64]),
-) -> WandStats {
-    let mut stats = WandStats::default();
-    if cursors.is_empty() {
-        return stats;
-    }
-    let skipped_before: u64 = cursors.iter().map(|c| c.blocks_skipped()).sum();
-    let n = cursors.len();
-    let mut maxes = vec![0u64; n];
-    let mut impacts = vec![0u64; n];
-    'outer: loop {
-        // Pivot: the largest current key. AND semantics — every cursor
-        // must reach it, so any exhausted cursor ends the scan.
-        let mut pivot = 0u64;
-        for c in cursors.iter() {
-            match c.peek() {
-                None => break 'outer,
-                Some(p) => pivot = pivot.max(p.key64()),
-            }
-        }
-        if pivot >= end_key {
-            break;
-        }
-        // Align every cursor to the pivot.
-        let mut aligned = true;
-        for c in cursors.iter_mut() {
-            match c.seek(pivot) {
-                None => break 'outer,
-                Some(p) => aligned &= p.key64() == pivot,
-            }
-        }
-        if !aligned {
-            continue; // some cursor overshot: new, larger pivot next round
-        }
-        // Candidate key in hand: block-max check before scoring.
-        for (m, c) in maxes.iter_mut().zip(cursors.iter()) {
-            *m = c.block_max();
-        }
-        if let Some(t) = threshold() {
-            if block_bound(&maxes) * (1.0 + WAND_BOUND_EPSILON) < t {
-                // Nothing in the intersection of the current blocks can
-                // reach the threshold (the pivot itself included): jump
-                // past the nearest block frontier.
-                let frontier = cursors
-                    .iter()
-                    .filter_map(|c| c.block_last_key())
-                    .min()
-                    .unwrap_or(u64::MAX);
-                let jump = frontier.saturating_add(1).max(pivot + 1);
-                stats.pruned += 1;
-                for c in cursors.iter_mut() {
-                    if c.seek(jump).is_none() {
-                        break 'outer;
-                    }
-                }
-                continue;
-            }
-        }
-        // Emit: drain each cursor's same-key run, summing impacts.
-        for (acc, c) in impacts.iter_mut().zip(cursors.iter_mut()) {
-            *acc = 0;
-            while let Some(p) = c.peek() {
-                if p.key64() != pivot {
-                    break;
-                }
-                *acc += p.impact();
-                c.advance();
-            }
-        }
-        stats.emitted += 1;
-        emit(pivot, &impacts);
-    }
-    stats.blocks_skipped = cursors.iter().map(|c| c.blocks_skipped()).sum::<u64>() - skipped_before;
-    stats
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::posting::{Layout, PostingStore};
+    use crate::index::{Layout, SegmentedIndex};
     use crate::rng::Rng;
     use std::collections::BTreeSet;
 
@@ -526,8 +404,9 @@ mod tests {
         }
     }
 
-    fn store_with(lists: &[&[u32]], layout: Layout) -> PostingStore<N> {
-        let mut st = PostingStore::new();
+    /// One sealed segment holding `lists` as terms `t0`, `t1`, …
+    fn store_with(lists: &[&[u32]], layout: Layout) -> SegmentedIndex<N> {
+        let mut st = SegmentedIndex::new();
         for (i, l) in lists.iter().enumerate() {
             let sym = st.intern(&format!("t{i}"));
             for &v in *l {
@@ -552,8 +431,8 @@ mod tests {
                     let sa = store_with(&[&a], la);
                     let sb = store_with(&[&b], lb);
                     let mut out = Vec::new();
-                    let mut ca = sa.list(sa.sym("t0").unwrap()).cursor();
-                    let mut cb = sb.list(sb.sym("t0").unwrap()).cursor();
+                    let mut ca = sa.postings_str("t0").cursor();
+                    let mut cb = sb.postings_str("t0").cursor();
                     intersect_cursors(&mut ca, &mut cb, &mut out);
                     assert_eq!(out, expect, "layouts {la:?}×{lb:?}");
                 }
@@ -575,7 +454,7 @@ mod tests {
                 let refs: Vec<&[u32]> = lists.iter().map(|l| l.as_slice()).collect();
                 let st = store_with(&refs, layout);
                 let mut cursors: Vec<_> = (0..lists.len())
-                    .map(|i| st.list(st.sym(&format!("t{i}")).unwrap()).cursor())
+                    .map(|i| st.postings_str(&format!("t{i}")).cursor())
                     .collect();
                 let mut got: Vec<(u64, u32)> = Vec::new();
                 for_each_union_key(&mut cursors, |k, m| got.push((k, m)));
@@ -588,184 +467,6 @@ mod tests {
                 }
                 let want: Vec<(u64, u32)> = want.into_iter().collect();
                 assert_eq!(got, want, "{layout:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn wand_without_threshold_emits_full_intersection_on_both_layouts() {
-        let mut rng = Rng::seed_from_u64(13);
-        for layout in [Layout::Plain, Layout::Blocks] {
-            for _ in 0..25 {
-                let lists: Vec<Vec<u32>> = (0..2 + rng.gen_index(3))
-                    .map(|_| {
-                        let len = 200 + rng.gen_index(600);
-                        random_list(&mut rng, len, 400)
-                    })
-                    .collect();
-                let refs: Vec<&[u32]> = lists.iter().map(|l| l.as_slice()).collect();
-                let st = store_with(&refs, layout);
-                let mut cursors: Vec<_> = (0..lists.len())
-                    .map(|i| st.list(st.sym(&format!("t{i}")).unwrap()).cursor())
-                    .collect();
-                let mut got: Vec<u64> = Vec::new();
-                let ws = wand_intersect(
-                    &mut cursors,
-                    u64::MAX,
-                    |_| f64::INFINITY,
-                    || None,
-                    |k, impacts| {
-                        assert!(impacts.iter().all(|&i| i >= 1));
-                        got.push(k);
-                    },
-                );
-                let mut want: Vec<u64> = lists[0]
-                    .iter()
-                    .filter(|v| lists[1..].iter().all(|l| l.binary_search(v).is_ok()))
-                    .map(|&v| v as u64)
-                    .collect();
-                want.dedup();
-                assert_eq!(got, want, "{layout:?}");
-                assert_eq!(ws.emitted as usize, want.len());
-                assert_eq!(ws.pruned, 0);
-            }
-        }
-    }
-
-    #[test]
-    fn wand_respects_end_key_range() {
-        let a: Vec<u32> = (0..1000).collect();
-        let b: Vec<u32> = (0..1000).step_by(3).collect();
-        let st = store_with(&[&a, &b], Layout::Blocks);
-        let mut cursors: Vec<_> = (0..2)
-            .map(|i| st.list(st.sym(&format!("t{i}")).unwrap()).cursor())
-            .collect();
-        cursors.iter_mut().for_each(|c| {
-            c.seek(300);
-        });
-        let mut got = Vec::new();
-        wand_intersect(
-            &mut cursors,
-            600,
-            |_| f64::INFINITY,
-            || None,
-            |k, _| got.push(k),
-        );
-        let want: Vec<u64> = (300..600).filter(|k| k % 3 == 0).collect();
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn wand_pruning_skips_blocks_but_never_loses_a_topk_candidate() {
-        // Impact-bearing posting so block maxima vary.
-        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-        struct D {
-            id: u32,
-            w: u32,
-        }
-        impl Posting for D {
-            type SortKey = u32;
-            const EXTRA_FIELDS: usize = 1;
-            fn sort_key(&self) -> u32 {
-                self.id
-            }
-            fn key64(&self) -> u64 {
-                self.id as u64
-            }
-            fn extra(&self, _i: usize) -> u64 {
-                self.w as u64
-            }
-            fn from_parts(key: u64, extras: &[u64]) -> Self {
-                D {
-                    id: key as u32,
-                    w: extras[0] as u32,
-                }
-            }
-            fn coalesce(&mut self, other: &Self) -> bool {
-                if self.id == other.id {
-                    self.w += other.w;
-                    true
-                } else {
-                    false
-                }
-            }
-            fn occurrences(&self) -> u64 {
-                self.w as u64
-            }
-            fn same_doc(&self, other: &Self) -> bool {
-                self.id == other.id
-            }
-        }
-
-        let mut rng = Rng::seed_from_u64(14);
-        for trial in 0..20 {
-            // Two aligned lists over a shared id universe, spiky weights so
-            // most blocks have low maxima and get skipped.
-            let ids: Vec<u32> = {
-                let mut v = random_list(&mut rng, 4000, 6000);
-                v.dedup();
-                v
-            };
-            let weight = |rng: &mut Rng| {
-                if rng.gen_index(50) == 0 {
-                    1000 + rng.gen_range(0..1000u32)
-                } else {
-                    1 + rng.gen_range(0..5u32)
-                }
-            };
-            let mut st: PostingStore<D> = PostingStore::new();
-            let s0 = st.intern("a");
-            let s1 = st.intern("b");
-            let mut score_of = std::collections::BTreeMap::new();
-            for &id in &ids {
-                let (w0, w1) = (weight(&mut rng), weight(&mut rng));
-                st.add_sym(s0, D { id, w: w0 });
-                st.add_sym(s1, D { id, w: w1 });
-                score_of.insert(id as u64, (w0 + w1) as f64);
-            }
-            st.finalize_layout(Layout::Blocks);
-
-            // Rising threshold fed by a running top-k of emitted scores —
-            // the SharedTopK contract in miniature.
-            let k = 10;
-            let mut top: Vec<f64> = Vec::new();
-            let threshold = std::cell::RefCell::new(None::<f64>);
-            let mut cursors = vec![st.list(s0).cursor(), st.list(s1).cursor()];
-            let mut emitted: Vec<u64> = Vec::new();
-            let ws = wand_intersect(
-                &mut cursors,
-                u64::MAX,
-                |maxes| maxes.iter().map(|&m| m as f64).sum(),
-                || *threshold.borrow(),
-                |key, impacts| {
-                    let s: f64 = impacts.iter().map(|&i| i as f64).sum();
-                    assert_eq!(s, score_of[&key], "emitted impact sums are exact");
-                    emitted.push(key);
-                    top.push(s);
-                    top.sort_by(|a, b| b.partial_cmp(a).unwrap());
-                    top.truncate(k);
-                    if top.len() == k {
-                        *threshold.borrow_mut() = Some(top[k - 1]);
-                    }
-                },
-            );
-
-            // Soundness: every true top-k score is among the emitted keys.
-            let mut all: Vec<(f64, u64)> = score_of.iter().map(|(&id, &s)| (s, id)).collect();
-            all.sort_by(|a, b| b.partial_cmp(a).unwrap());
-            let kth = all[k - 1].0;
-            for &(s, id) in all.iter().take_while(|&&(s, _)| s >= kth) {
-                assert!(
-                    emitted.contains(&id),
-                    "trial {trial}: dropped candidate id {id} score {s} (kth {kth})"
-                );
-            }
-            if trial == 0 {
-                assert!(ws.pruned > 0, "spiky weights should trigger pruning");
-                assert!(
-                    (ws.emitted as usize) < score_of.len(),
-                    "pruning should spare the kernel from scoring every key"
-                );
             }
         }
     }

@@ -10,9 +10,10 @@
 //! * interns each distinct term exactly once into a [`TermDict`]
 //!   ([`Sym`]-keyed, built on [`crate::intern::Interner`]);
 //! * stores postings in dense `Vec`-indexed-by-`Sym` [`PostingList`]s inside
-//!   a [`PostingStore`], sorted by the posting's [`Posting::sort_key`];
+//!   the segments of a [`SegmentedIndex`], sorted by the posting's
+//!   [`Posting::sort_key`];
 //! * computes per-term statistics (document frequency, total term
-//!   frequency) once at [`PostingStore::finalize`];
+//!   frequency) once per segment, when it is sealed;
 //! * provides the merge/intersection kernels ([`kernels`]) — linear merge
 //!   and galloping (exponential-search) intersection chosen by list-size
 //!   ratio — plus the `lm`/`rm` binary probes the SLCA family is built from.
@@ -32,7 +33,6 @@ pub mod segment;
 pub use blocks::{BlockList, BlockMeta, BLOCK_SPAN};
 pub use dict::TermDict;
 pub use posting::{
-    IndexStats, Layout, Posting, PostingCursor, PostingIter, PostingList, PostingStore, Postings,
-    TermStats,
+    IndexStats, Layout, Posting, PostingCursor, PostingIter, PostingList, Postings, TermStats,
 };
 pub use segment::{SegmentCounts, SegmentedIndex, TombstoneSet, MAX_SEGMENTS};

@@ -6,24 +6,21 @@
 //! search algorithm:
 //!
 //! * [`Postings`] — a cheap `Copy` view handed out by lookups
-//!   ([`PostingStore::postings`]), supporting `len`/`iter`/probes;
+//!   ([`SegmentedIndex::postings`](super::SegmentedIndex::postings)),
+//!   supporting `len`/`iter`/probes;
 //! * [`PostingList::iter`] — by-value iteration in sort order;
 //! * [`PostingList::cursor`] — a [`PostingCursor`] with
-//!   `peek`/`advance`/`seek(key)`/`block_max`, the shape the merge kernels
-//!   and WAND-style pruning consume.
+//!   `peek`/`advance`/`seek(key)`, the shape the merge kernels consume.
 //!
 //! Two layouts live behind that API ([`Layout`]): `Plain` sorted `Vec`s,
-//! and delta-encoded bit-packed [`blocks`](super::blocks) with per-block
-//! skip metadata. On the plain layout `block_max()` reports an infinite
-//! bound and `seek` gallops over the slice, so pruning code runs unchanged
-//! (it just never skips) — which is exactly what the cross-layout parity
-//! tests rely on.
+//! and delta-encoded bit-packed [`blocks`](super::blocks) with a per-block
+//! skip directory. `seek` gallops over the slice on the one and over the
+//! directory on the other, and both walk the same postings in the same
+//! order — which is exactly what the cross-layout parity tests rely on.
 
 use super::blocks::{BlockCursor, BlockIter, BlockList};
-use super::dict::TermDict;
 use super::kernels;
 use super::segment::{TombstoneSet, MAX_SEGMENTS};
-use crate::intern::Sym;
 use std::time::Duration;
 
 /// One entry of a posting list. Implemented by each substrate's posting
@@ -64,32 +61,26 @@ pub trait Posting: Copy {
         1
     }
 
-    /// Score-relevant weight of this posting, bounded per block by the
-    /// codec's `max_impact` for block-max pruning. Defaults to
-    /// [`occurrences`](Self::occurrences).
-    fn impact(&self) -> u64 {
-        self.occurrences()
-    }
-
     /// Whether two sort-adjacent postings belong to the same document, for
     /// document-frequency counting.
     fn same_doc(&self, other: &Self) -> bool;
 }
 
-/// Physical layout of the posting lists in a [`PostingStore`].
+/// Physical layout of the sealed posting lists of a
+/// [`SegmentedIndex`](super::SegmentedIndex).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Layout {
     /// Sorted `Vec<P>` — fastest build, `size_of::<P>()` bytes per posting.
     #[default]
     Plain,
-    /// Delta-encoded bit-packed blocks with per-block skip + max-impact
-    /// metadata ([`super::blocks`]). Lists whose encoded form would be
-    /// *larger* than plain (short lists, already-tiny postings) stay plain
-    /// per-list; the store-level layout records the requested policy.
+    /// Delta-encoded bit-packed blocks with a per-block skip directory
+    /// ([`super::blocks`]). Lists whose encoded form would be *larger* than
+    /// plain (short lists, already-tiny postings) stay plain per-list; the
+    /// index-level layout records the requested policy.
     Blocks,
 }
 
-/// Per-term statistics, computed once at [`PostingStore::finalize`].
+/// Per-term statistics, computed once when a segment is sealed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TermStats {
     /// Documents containing the term.
@@ -169,22 +160,6 @@ impl<P> Default for PostingList<P> {
 }
 
 impl<P: Posting> PostingList<P> {
-    /// Append `p`, folding it into the last entry when it is a duplicate
-    /// occurrence at the same position. Build paths that emit postings in
-    /// sort order (pre-order XML traversal, ascending graph node ids,
-    /// table/row/column scans) therefore keep the list sorted and mostly
-    /// coalesced as they go. Appending to a block-encoded list decodes it
-    /// back to plain first (incremental growth is a plain-layout activity).
-    fn push_coalesce(&mut self, p: P) {
-        let entries = self.make_plain();
-        if let Some(last) = entries.last_mut() {
-            if last.coalesce(&p) {
-                return;
-            }
-        }
-        entries.push(p);
-    }
-
     /// Wrap a vec that is not necessarily sorted; callers must
     /// [`finalize`](Self::finalize) before querying (segment merges do).
     pub(crate) fn from_unsorted(entries: Vec<P>) -> Self {
@@ -237,7 +212,7 @@ impl<P: Posting> PostingList<P> {
 
     /// Sort by [`Posting::sort_key`], coalesce duplicates, and compute the
     /// term's stats. Skips the sort when the list is already ordered (the
-    /// common case for in-order builds). Leaves the list plain; the store
+    /// common case for in-order builds). Leaves the list plain; the index
     /// re-applies its layout afterwards.
     pub(crate) fn finalize(&mut self) -> TermStats {
         let entries = self.make_plain();
@@ -512,12 +487,11 @@ impl<P: Posting> Iterator for MultiIter<'_, P> {
 /// with the slice-like conveniences callers actually need (`len`, `iter`,
 /// `cursor`, probes) but no layout commitment.
 ///
-/// A [`PostingStore`] hands out single-list views; a
-/// [`SegmentedIndex`](super::segment::SegmentedIndex) hands out views
+/// A [`SegmentedIndex`](super::segment::SegmentedIndex) hands out views
 /// merging up to [`MAX_SEGMENTS`] document-disjoint sorted lists with
-/// tombstoned keys filtered out. Single-list tombstone-free views take the
-/// exact code paths they always did, so static indexes pay nothing for the
-/// generality.
+/// tombstoned keys filtered out. A single-list tombstone-free view (what a
+/// batch-built index hands out) goes straight to the list's own iterator,
+/// cursor and probes, so static indexes pay nothing for the generality.
 #[derive(Debug)]
 pub struct Postings<'a, P> {
     lists: [Option<&'a PostingList<P>>; MAX_SEGMENTS],
@@ -639,13 +613,6 @@ impl<'a, P: Posting> Postings<'a, P> {
             return l.to_vec();
         }
         self.iter().collect()
-    }
-
-    /// The underlying list, when this is a plain single-list view (one
-    /// segment, no tombstones). Multi-segment views return `None`; go
-    /// through [`iter`](Self::iter) / [`cursor`](Self::cursor) instead.
-    pub fn as_list(&self) -> Option<&'a PostingList<P>> {
-        self.single()
     }
 }
 
@@ -828,13 +795,7 @@ impl<P: Posting + PartialEq> PartialEq<Vec<P>> for Postings<'_, P> {
 }
 
 /// Layout-agnostic cursor over one posting list: `peek`/`advance` for
-/// linear scans, `seek(key)` with galloping for intersections, and the
-/// block-max surface (`block_max`/`block_last_key`) for WAND pruning.
-///
-/// On the plain layout `block_max()` is `u64::MAX` and `block_last_key()`
-/// is the list's final key — an "infinite block" that pruning loops treat
-/// as unskippable unless the whole remainder is provably useless, which
-/// keeps plain-layout results bit-identical to unpruned evaluation.
+/// linear scans, `seek(key)` with galloping for intersections.
 #[derive(Debug, Clone)]
 pub struct PostingCursor<'a, P: Posting> {
     inner: CursorRepr<'a, P>,
@@ -848,16 +809,9 @@ enum CursorRepr<'a, P: Posting> {
 }
 
 /// K-way merged cursor over per-segment cursors, filtering tombstoned
-/// keys. Keeps the full cursor contract:
-///
-/// * `peek`/`advance`/`next` walk the merged sort order;
-/// * `seek(key)` seeks every child (each gallops independently);
-/// * `block_max` is the max over live children — any plain child (the
-///   realtime segment) reports `u64::MAX`, so WAND-style pruning stays
-///   sound and simply stops skipping while uncommitted postings exist;
-/// * `block_last_key` is the min over live children, so a pruning skip of
-///   `seek(block_last_key() + 1)` never jumps past any segment's block
-///   boundary.
+/// keys. Keeps the full cursor contract: `peek`/`advance`/`next` walk the
+/// merged sort order, `seek(key)` seeks every child (each gallops
+/// independently).
 #[derive(Debug, Clone)]
 struct MultiCursor<'a, P: Posting> {
     children: Vec<PostingCursor<'a, P>>,
@@ -966,56 +920,6 @@ impl<P: Posting> PostingCursor<'_, P> {
         }
     }
 
-    /// Upper bound on [`Posting::impact`] over the current block
-    /// (`u64::MAX` on the plain layout: one infinite block). On a merged
-    /// multi-segment cursor: the max over live segments — conservative,
-    /// hence sound for pruning.
-    #[inline]
-    pub fn block_max(&self) -> u64 {
-        match &self.inner {
-            CursorRepr::Plain { .. } => u64::MAX,
-            CursorRepr::Blocks(c) => c.block_max(),
-            CursorRepr::Multi(m) => m
-                .children
-                .iter()
-                .filter(|c| !c.is_exhausted())
-                .map(|c| c.block_max())
-                .max()
-                .unwrap_or(u64::MAX),
-        }
-    }
-
-    /// Last key of the current block — `seek(block_last_key() + 1)` is the
-    /// skip step of block-max pruning. `None` once exhausted. On a merged
-    /// multi-segment cursor: the min over live segments, so a skip never
-    /// jumps past any segment's block boundary.
-    #[inline]
-    pub fn block_last_key(&self) -> Option<u64> {
-        match &self.inner {
-            CursorRepr::Plain { list, pos } => {
-                (*pos < list.len()).then(|| list[list.len() - 1].key64())
-            }
-            CursorRepr::Blocks(c) => c.peek().map(|_| c.block_last_key()),
-            CursorRepr::Multi(m) => {
-                if m.cur.is_none() {
-                    None
-                } else {
-                    m.children.iter().filter_map(|c| c.block_last_key()).min()
-                }
-            }
-        }
-    }
-
-    /// Blocks jumped over without decoding (always 0 on plain).
-    #[inline]
-    pub fn blocks_skipped(&self) -> u64 {
-        match &self.inner {
-            CursorRepr::Plain { .. } => 0,
-            CursorRepr::Blocks(c) => c.blocks_skipped(),
-            CursorRepr::Multi(m) => m.children.iter().map(|c| c.blocks_skipped()).sum(),
-        }
-    }
-
     /// Whether the cursor has run off the end of the list.
     #[inline]
     pub fn is_exhausted(&self) -> bool {
@@ -1023,172 +927,9 @@ impl<P: Posting> PostingCursor<'_, P> {
     }
 }
 
-/// Term dictionary + dense posting lists: the index core all three
-/// substrates store postings in.
-///
-/// Build: [`add`](Self::add) postings (terms are interned, each distinct
-/// term allocated exactly once), then [`finalize`](Self::finalize) to sort,
-/// coalesce, compute per-term [`TermStats`], and apply the configured
-/// [`Layout`]. Indexes grown incrementally *in sort order* (e.g. a graph
-/// appending ascending node ids) remain queryable without finalizing;
-/// their stats are computed on demand.
-///
-/// Query: [`sym`](Self::sym) once per query term, then
-/// [`postings`](Self::postings) / [`list`](Self::list) on the dense id.
-#[derive(Debug, Clone)]
-pub struct PostingStore<P> {
-    dict: TermDict,
-    lists: Vec<PostingList<P>>,
-    stats: Vec<TermStats>,
-    layout: Layout,
-    finalized: bool,
-}
-
-impl<P> Default for PostingStore<P> {
-    fn default() -> Self {
-        PostingStore {
-            dict: TermDict::new(),
-            lists: Vec::new(),
-            stats: Vec::new(),
-            layout: Layout::Plain,
-            finalized: false,
-        }
-    }
-}
-
-impl<P: Posting> PostingStore<P> {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Intern `term` without adding a posting.
-    pub fn intern(&mut self, term: &str) -> Sym {
-        let sym = self.dict.intern(term);
-        if sym.0 as usize >= self.lists.len() {
-            self.lists.push(PostingList::default());
-        }
-        sym
-    }
-
-    /// Add one posting occurrence for `term`.
-    pub fn add(&mut self, term: &str, posting: P) -> Sym {
-        let sym = self.intern(term);
-        self.add_sym(sym, posting);
-        sym
-    }
-
-    /// Add one posting occurrence for an already-interned term. If the
-    /// list was block-encoded it reverts to plain (incremental growth is a
-    /// plain-layout activity; re-apply the layout via
-    /// [`set_layout`](Self::set_layout) / [`finalize`](Self::finalize)).
-    pub fn add_sym(&mut self, sym: Sym, posting: P) {
-        self.finalized = false;
-        self.lists[sym.0 as usize].push_coalesce(posting);
-    }
-
-    /// Sort every list, coalesce duplicate occurrences, compute per-term
-    /// stats, and apply the configured [`Layout`]. Idempotent.
-    pub fn finalize(&mut self) {
-        self.stats = self.lists.iter_mut().map(|l| l.finalize()).collect();
-        if self.layout == Layout::Blocks {
-            for l in &mut self.lists {
-                l.apply_layout(Layout::Blocks);
-            }
-        }
-        self.finalized = true;
-    }
-
-    /// Finalize into an explicit layout (shorthand for
-    /// [`set_layout`](Self::set_layout) + [`finalize`](Self::finalize)).
-    pub fn finalize_layout(&mut self, layout: Layout) {
-        self.layout = layout;
-        self.finalize();
-    }
-
-    /// The configured physical layout.
-    pub fn layout(&self) -> Layout {
-        self.layout
-    }
-
-    /// Switch the physical layout. Re-encodes immediately when the store
-    /// is finalized; otherwise the layout is applied at the next
-    /// [`finalize`](Self::finalize). Contents are unchanged either way.
-    pub fn set_layout(&mut self, layout: Layout) {
-        self.layout = layout;
-        if self.finalized {
-            for l in &mut self.lists {
-                l.apply_layout(layout);
-            }
-        }
-    }
-
-    /// Resolve a query term to its dense id — one dictionary lookup; do it
-    /// once per query term.
-    pub fn sym(&self, term: &str) -> Option<Sym> {
-        self.dict.lookup(term)
-    }
-
-    /// The postings of an interned term, as a layout-agnostic view.
-    pub fn postings(&self, sym: Sym) -> Postings<'_, P> {
-        Postings::from(&self.lists[sym.0 as usize])
-    }
-
-    /// The postings of a term by string (lookup + fetch); the empty view
-    /// if absent.
-    pub fn postings_str(&self, term: &str) -> Postings<'_, P> {
-        self.sym(term)
-            .map(|s| self.postings(s))
-            .unwrap_or_else(Postings::empty)
-    }
-
-    /// A term's posting list with its probe methods.
-    pub fn list(&self, sym: Sym) -> &PostingList<P> {
-        &self.lists[sym.0 as usize]
-    }
-
-    /// Per-term stats: cached when finalized, computed by scanning
-    /// otherwise (valid only if the list was built in sort order).
-    pub fn term_stats(&self, sym: Sym) -> TermStats {
-        if self.finalized {
-            self.stats[sym.0 as usize]
-        } else {
-            self.lists[sym.0 as usize].stats()
-        }
-    }
-
-    pub fn dict(&self) -> &TermDict {
-        &self.dict
-    }
-
-    /// Distinct terms indexed.
-    pub fn term_count(&self) -> usize {
-        self.dict.len()
-    }
-
-    /// Total stored postings.
-    pub fn posting_count(&self) -> usize {
-        self.lists.iter().map(|l| l.len()).sum()
-    }
-
-    /// All indexed terms, in id order.
-    pub fn terms(&self) -> impl Iterator<Item = &str> {
-        self.dict.terms()
-    }
-
-    /// Whole-index size figures (build time unset; owners that measured
-    /// the build fill it in via [`IndexStats::with_build`]).
-    pub fn index_stats(&self) -> IndexStats {
-        IndexStats::new(
-            self.term_count(),
-            self.posting_count(),
-            self.lists.iter().map(|l| l.heap_bytes()).sum(),
-        )
-        .with_blocks(self.lists.iter().map(|l| l.num_blocks()).sum())
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use super::super::SegmentedIndex;
     use super::*;
 
     /// Test posting: (doc, slot, tf) — coalesces on equal (doc, slot).
@@ -1243,15 +984,15 @@ mod tests {
 
     #[test]
     fn build_finalize_query() {
-        let mut st: PostingStore<Occ> = PostingStore::new();
-        st.add("xml", occ(2, 0));
-        st.add("xml", occ(2, 0)); // duplicate → coalesced, tf 2
-        st.add("xml", occ(0, 1)); // out of order → fixed by finalize
-        st.add("db", occ(1, 0));
-        st.finalize();
-        let x = st.sym("xml").unwrap();
+        let mut ix: SegmentedIndex<Occ> = SegmentedIndex::new();
+        ix.add("xml", occ(2, 0));
+        ix.add("xml", occ(2, 0)); // duplicate → coalesced, tf 2
+        ix.add("xml", occ(0, 1)); // out of order → sorted on insert
+        ix.add("db", occ(1, 0));
+        ix.finalize_layout(Layout::Plain);
+        let x = ix.sym("xml").unwrap();
         assert_eq!(
-            st.postings(x),
+            ix.postings(x),
             &[
                 occ(0, 1),
                 Occ {
@@ -1261,34 +1002,34 @@ mod tests {
                 }
             ]
         );
-        assert_eq!(st.term_stats(x), TermStats { df: 2, total_tf: 3 });
-        assert_eq!(st.term_count(), 2);
-        assert_eq!(st.posting_count(), 3);
-        assert!(st.sym("nope").is_none());
-        assert!(st.postings_str("nope").is_empty());
+        assert_eq!(ix.term_stats(x), TermStats { df: 2, total_tf: 3 });
+        assert_eq!(ix.term_count(), 2);
+        assert_eq!(ix.posting_count(), 3);
+        assert!(ix.sym("nope").is_none());
+        assert!(ix.postings_str("nope").is_empty());
     }
 
     #[test]
-    fn unfinalized_in_order_store_is_queryable() {
-        let mut st: PostingStore<Occ> = PostingStore::new();
-        st.add("a", occ(0, 0));
-        st.add("a", occ(1, 0));
-        st.add("a", occ(1, 0));
-        let a = st.sym("a").unwrap();
-        assert_eq!(st.postings(a).len(), 2, "adjacent duplicate coalesced");
-        assert_eq!(st.term_stats(a), TermStats { df: 2, total_tf: 3 });
+    fn unsealed_index_is_queryable() {
+        let mut ix: SegmentedIndex<Occ> = SegmentedIndex::new();
+        ix.add("a", occ(0, 0));
+        ix.add("a", occ(1, 0));
+        ix.add("a", occ(1, 0));
+        let a = ix.sym("a").unwrap();
+        assert_eq!(ix.postings(a).len(), 2, "adjacent duplicate coalesced");
+        assert_eq!(ix.term_stats(a), TermStats { df: 2, total_tf: 3 });
     }
 
     #[test]
     fn finalize_is_idempotent_and_stats_cached() {
-        let mut st: PostingStore<Occ> = PostingStore::new();
-        st.add("t", occ(5, 0));
-        st.add("t", occ(3, 0));
-        st.finalize();
-        let before: Vec<_> = st.postings(st.sym("t").unwrap()).to_vec();
-        st.finalize();
-        assert_eq!(st.postings(st.sym("t").unwrap()), before);
-        let stats = st.index_stats();
+        let mut ix: SegmentedIndex<Occ> = SegmentedIndex::new();
+        ix.add("t", occ(5, 0));
+        ix.add("t", occ(3, 0));
+        ix.finalize_layout(Layout::Plain);
+        let before: Vec<_> = ix.postings(ix.sym("t").unwrap()).to_vec();
+        ix.finalize_layout(Layout::Plain);
+        assert_eq!(ix.postings(ix.sym("t").unwrap()), before);
+        let stats = ix.index_stats();
         assert_eq!(stats.terms, 1);
         assert_eq!(stats.postings, 2);
         assert_eq!(stats.posting_bytes, 2 * std::mem::size_of::<Occ>());
@@ -1318,12 +1059,8 @@ mod tests {
                 self == other
             }
         }
-        let mut st: PostingStore<N> = PostingStore::new();
-        for n in [2, 5, 9] {
-            st.add("k", N(n));
-        }
-        st.finalize();
-        let l = st.list(st.sym("k").unwrap());
+        let mut l = PostingList::from_unsorted(vec![N(2), N(5), N(9)]);
+        l.finalize();
         assert_eq!(l.right_match(N(6)), Some(N(9)));
         assert_eq!(l.left_match(N(6)), Some(N(5)));
         assert!(l.contains(&N(5)) && !l.contains(&N(6)));
@@ -1331,24 +1068,24 @@ mod tests {
 
     #[test]
     fn layout_switch_preserves_contents_and_stats() {
-        let mut st: PostingStore<Occ> = PostingStore::new();
+        let mut ix: SegmentedIndex<Occ> = SegmentedIndex::new();
         for doc in 0..2000u32 {
-            st.add("t", occ(doc, 0));
+            ix.add("t", occ(doc, 0));
             if doc % 3 == 0 {
-                st.add("t", occ(doc, 1));
+                ix.add("t", occ(doc, 1));
             }
         }
-        st.finalize();
-        let sym = st.sym("t").unwrap();
-        let plain: Vec<Occ> = st.postings(sym).to_vec();
-        let plain_stats = st.term_stats(sym);
-        let plain_bytes = st.index_stats().posting_bytes;
+        ix.finalize_layout(Layout::Plain);
+        let sym = ix.sym("t").unwrap();
+        let plain: Vec<Occ> = ix.postings(sym).to_vec();
+        let plain_stats = ix.term_stats(sym);
+        let plain_bytes = ix.index_stats().posting_bytes;
 
-        st.set_layout(Layout::Blocks);
-        assert_eq!(st.layout(), Layout::Blocks);
-        assert_eq!(st.postings(sym).to_vec(), plain, "contents survive encode");
-        assert_eq!(st.term_stats(sym), plain_stats);
-        let stats = st.index_stats();
+        ix.set_layout(Layout::Blocks);
+        assert_eq!(ix.layout(), Layout::Blocks);
+        assert_eq!(ix.postings(sym).to_vec(), plain, "contents survive encode");
+        assert_eq!(ix.term_stats(sym), plain_stats);
+        let stats = ix.index_stats();
         assert!(stats.blocks > 0, "long list actually block-encoded");
         assert!(
             stats.posting_bytes < plain_bytes,
@@ -1356,55 +1093,46 @@ mod tests {
             stats.posting_bytes
         );
 
-        st.set_layout(Layout::Plain);
-        assert_eq!(st.postings(sym).to_vec(), plain, "contents survive decode");
-        assert_eq!(st.index_stats().posting_bytes, plain_bytes);
-        assert_eq!(st.index_stats().blocks, 0);
+        ix.set_layout(Layout::Plain);
+        assert_eq!(ix.postings(sym).to_vec(), plain, "contents survive decode");
+        assert_eq!(ix.index_stats().posting_bytes, plain_bytes);
+        assert_eq!(ix.index_stats().blocks, 0);
     }
 
     #[test]
     fn short_lists_stay_plain_under_blocks_layout() {
-        let mut st: PostingStore<Occ> = PostingStore::new();
-        st.add("rare", occ(7, 0));
-        st.finalize_layout(Layout::Blocks);
-        let sym = st.sym("rare").unwrap();
+        let mut l = PostingList::from_unsorted(vec![occ(7, 0)]);
+        l.finalize();
+        l.apply_layout(Layout::Blocks);
         // a one-entry block would cost more than 16 plain bytes
-        assert_eq!(st.list(sym).layout(), Layout::Plain);
-        assert_eq!(st.postings(sym).to_vec(), vec![occ(7, 0)]);
+        assert_eq!(l.layout(), Layout::Plain);
+        assert_eq!(l.to_vec(), vec![occ(7, 0)]);
     }
 
     #[test]
-    fn add_after_blocks_reverts_list_to_plain_and_refinalize_reencodes() {
-        let mut st: PostingStore<Occ> = PostingStore::new();
-        for doc in 0..1000u32 {
-            st.add("t", occ(doc, 0));
-        }
-        st.finalize_layout(Layout::Blocks);
-        let sym = st.sym("t").unwrap();
-        assert_eq!(st.list(sym).layout(), Layout::Blocks);
-        st.add_sym(sym, occ(1000, 0));
-        assert_eq!(st.list(sym).layout(), Layout::Plain, "growth decodes");
-        assert_eq!(st.postings(sym).len(), 1001);
-        st.finalize();
-        assert_eq!(st.list(sym).layout(), Layout::Blocks, "layout re-applied");
-        assert_eq!(st.postings(sym).len(), 1001);
+    fn insert_into_blocks_reverts_list_to_plain_and_relayout_reencodes() {
+        let mut l = PostingList::from_unsorted((0..1000u32).map(|doc| occ(doc, 0)).collect());
+        l.finalize();
+        l.apply_layout(Layout::Blocks);
+        assert_eq!(l.layout(), Layout::Blocks);
+        l.insert_coalesce(occ(1000, 0));
+        assert_eq!(l.layout(), Layout::Plain, "growth decodes");
+        assert_eq!(l.len(), 1001);
+        l.finalize();
+        l.apply_layout(Layout::Blocks);
+        assert_eq!(l.layout(), Layout::Blocks, "layout re-applied");
+        assert_eq!(l.len(), 1001);
     }
 
     #[test]
-    fn cursor_on_plain_layout_reports_infinite_block() {
-        let mut st: PostingStore<Occ> = PostingStore::new();
-        for doc in [3u32, 9, 12] {
-            st.add("t", occ(doc, 0));
-        }
-        st.finalize();
-        let mut c = st.list(st.sym("t").unwrap()).cursor();
-        assert_eq!(c.block_max(), u64::MAX);
-        assert_eq!(c.block_last_key(), Some(occ(12, 0).key64()));
+    fn cursor_on_plain_layout_seeks_and_exhausts() {
+        let mut l = PostingList::from_unsorted(vec![occ(3, 0), occ(9, 0), occ(12, 0)]);
+        l.finalize();
+        let mut c = l.cursor();
         assert_eq!(c.seek(occ(9, 0).key64()), Some(occ(9, 0)));
-        assert_eq!(c.blocks_skipped(), 0);
         c.advance();
         c.advance();
         assert!(c.is_exhausted());
-        assert_eq!(c.block_last_key(), None);
+        assert_eq!(c.seek(0), None, "a cursor never moves backwards");
     }
 }

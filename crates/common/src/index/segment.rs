@@ -2,14 +2,15 @@
 //! immutable **sealed** segments, searched together behind the ordinary
 //! [`Postings`]/cursor API.
 //!
-//! A [`PostingStore`](super::PostingStore) is build-once: any data change
-//! forces a full rebuild. A [`SegmentedIndex`] instead accumulates new
-//! postings in an uncompressed, always-sorted realtime segment (plain
-//! layout, binary-insertion on out-of-order keys) that is queried alongside
-//! the sealed segments through a k-way merge view — every kernel that
-//! consumes cursors (`intersect_cursors`, `for_each_union_key`,
-//! `wand_intersect`) works across segments unchanged, because the merged
-//! cursor keeps the same `peek`/`advance`/`seek`/`block_max` contract.
+//! A [`SegmentedIndex`] accumulates new postings in an uncompressed,
+//! always-sorted realtime segment (plain layout, binary-insertion on
+//! out-of-order keys) that is queried alongside the sealed segments through
+//! a k-way merge view — every kernel that consumes cursors
+//! (`intersect_cursors`, `for_each_union_key`) works across segments
+//! unchanged, because the merged cursor keeps the same
+//! `peek`/`advance`/`seek` contract. A batch build is the degenerate case:
+//! add everything, then [`finalize_layout`](SegmentedIndex::finalize_layout)
+//! into one sealed segment.
 //!
 //! Lifecycle:
 //!
@@ -110,8 +111,8 @@ struct SealedSegment<P> {
     postings: usize,
 }
 
-/// Term dictionary + generational posting segments: the mutable counterpart
-/// of [`PostingStore`](super::PostingStore), sharing its whole query surface
+/// Term dictionary + generational posting segments — the index core all
+/// three substrates store postings in: the query surface
 /// (`sym`/`postings`/`term_stats`/`index_stats`) plus the mutation verbs
 /// (`add`/`delete_key`/`commit`/`merge`).
 #[derive(Debug, Clone)]
@@ -290,8 +291,8 @@ impl<P: Posting> SegmentedIndex<P> {
     }
 
     /// Seal and fully compact into `layout` — the batch-build epilogue. A
-    /// freshly built index ends as exactly one sealed segment, identical to
-    /// a finalized [`PostingStore`](super::PostingStore).
+    /// freshly built index ends as exactly one sealed segment: every list
+    /// sorted and coalesced, its stats cached.
     pub fn finalize_layout(&mut self, layout: Layout) {
         self.layout = layout;
         self.commit();
@@ -322,8 +323,7 @@ impl<P: Posting> SegmentedIndex<P> {
 
     /// The postings of an interned term: a view merging the term's lists
     /// across every segment, with tombstoned postings filtered out. With
-    /// one segment and no tombstones this is the same single-list view a
-    /// [`PostingStore`](super::PostingStore) hands out.
+    /// one segment and no tombstones this is a single-list view.
     pub fn postings(&self, sym: Sym) -> Postings<'_, P> {
         let i = sym.0 as usize;
         let tomb = (!self.tomb.is_empty()).then_some(&self.tomb);
@@ -420,7 +420,6 @@ impl<P: Posting> SegmentedIndex<P> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::PostingStore;
     use super::*;
 
     /// Test posting mirroring the relational shape: `(doc, slot, tf)`,
@@ -490,24 +489,33 @@ mod tests {
     }
 
     #[test]
-    fn fresh_build_matches_posting_store() {
+    fn fresh_build_matches_sorted_coalesced_model() {
+        // 500 documents, the first 50 occurring twice so coalescing has
+        // work to do.
+        let mut input = doc_stream(500, 7);
+        input.extend_from_within(..50);
+        // The model: sort by key, fold duplicate (doc, slot) occurrences.
+        let mut sorted = input.clone();
+        sorted.sort_by_key(|p| p.sort_key());
+        let mut model: Vec<Occ> = Vec::new();
+        for p in sorted {
+            if !model.last_mut().is_some_and(|last| last.coalesce(&p)) {
+                model.push(p);
+            }
+        }
+        let stats = TermStats {
+            df: 500, // one slot per document in `doc_stream`
+            total_tf: input.len() as u64,
+        };
         for layout in [Layout::Plain, Layout::Blocks] {
             let mut seg: SegmentedIndex<Occ> = SegmentedIndex::new();
-            let mut store: PostingStore<Occ> = PostingStore::new();
-            for p in doc_stream(500, 7) {
-                seg.add("t", p);
-                store.add("t", p);
+            for p in input.iter().rev() {
+                seg.add("t", *p);
             }
             seg.finalize_layout(layout);
-            store.finalize_layout(layout);
-            let (ss, sp) = (seg.sym("t").unwrap(), store.sym("t").unwrap());
-            assert_eq!(seg.postings(ss).to_vec(), store.postings(sp).to_vec());
-            assert_eq!(seg.term_stats(ss), store.term_stats(sp));
-            assert_eq!(
-                seg.index_stats().posting_bytes,
-                store.index_stats().posting_bytes,
-                "one sealed segment stores exactly what a finalized store does"
-            );
+            let sym = seg.sym("t").unwrap();
+            assert_eq!(seg.postings(sym).to_vec(), model);
+            assert_eq!(seg.term_stats(sym), stats);
             assert_eq!(
                 seg.segment_counts(),
                 SegmentCounts {
@@ -634,7 +642,7 @@ mod tests {
     }
 
     #[test]
-    fn cross_segment_cursor_seek_and_block_bounds() {
+    fn cross_segment_cursor_seeks_and_drains_in_order() {
         let mut ix: SegmentedIndex<Occ> = SegmentedIndex::new();
         // sealed block segment: even docs 0..2000
         for d in (0..2000).step_by(2) {
@@ -647,11 +655,6 @@ mod tests {
         }
         let sym = ix.sym("t").unwrap();
         let mut c = ix.postings(sym).cursor();
-        assert_eq!(
-            c.block_max(),
-            u64::MAX,
-            "a plain realtime child makes the merged bound conservative"
-        );
         assert_eq!(c.seek(777).unwrap().doc, 777);
         assert_eq!(c.next().unwrap().doc, 777);
         assert_eq!(c.peek().unwrap().doc, 778);
@@ -662,17 +665,13 @@ mod tests {
             prev = p.doc;
         }
         assert!(c.is_exhausted());
-        assert_eq!(c.block_last_key(), None);
 
-        // after commit both segments are sealed: bounds become finite again
+        // after commit both segments are sealed blocks: same walk
         ix.commit();
-        let c2 = ix.postings(sym).cursor();
-        assert_ne!(
-            c2.block_max(),
-            u64::MAX,
-            "sealed segments expose real bounds"
-        );
-        assert!(c2.block_last_key().is_some());
+        let mut c2 = ix.postings(sym).cursor();
+        assert_eq!(c2.seek(1234).unwrap().doc, 1234);
+        assert_eq!(c2.next().unwrap().doc, 1234);
+        assert_eq!(c2.peek().unwrap().doc, 1235);
     }
 
     #[test]

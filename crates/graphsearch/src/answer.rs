@@ -4,7 +4,9 @@ use kwdb_graph::{DataGraph, NodeId};
 use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// A connecting tree: a root, the tree edges, and for each query keyword the
-/// node that matched it. Cost is the total edge weight (group-Steiner cost).
+/// node that matched it. `cost` is the total edge weight (group-Steiner
+/// cost); `rank_cost` is what the engine that produced the answer ordered it
+/// by.
 #[derive(Debug, Clone)]
 pub struct AnswerTree {
     pub root: NodeId,
@@ -13,6 +15,12 @@ pub struct AnswerTree {
     /// `matches[i]` is the node matching the `i`-th query keyword.
     pub matches: Vec<NodeId>,
     pub cost: f64,
+    /// The cost this answer was ranked by, non-decreasing down a result
+    /// list: `cost` itself for the Steiner engines (DPBF, the SPT
+    /// heuristic), the distinct-root cost `Σᵢ dist(root, Sᵢ)` for BANKS,
+    /// BANKS II and BLINKS — which is at least `cost`, because root-to-match
+    /// paths that share an edge pay for it once in the tree.
+    pub rank_cost: f64,
 }
 
 impl AnswerTree {
@@ -23,6 +31,7 @@ impl AnswerTree {
             edges: Vec::new(),
             matches: vec![node; n_keywords],
             cost: 0.0,
+            rank_cost: 0.0,
         }
     }
 
@@ -182,6 +191,7 @@ mod tests {
             edges: vec![(ids[0], ids[1]), (ids[1], ids[2])],
             matches: vec![ids[0], ids[2]],
             cost: 3.0,
+            rank_cost: 3.0,
         };
         assert!(t.validate(&g, &["alpha", "gamma"]).is_ok());
         assert_eq!(t.size(), 3);
@@ -211,6 +221,7 @@ mod tests {
             edges: vec![],
             matches: vec![ids[0], ids[2]],
             cost: 0.0,
+            rank_cost: 0.0,
         };
         assert!(t.validate(&g, &["alpha", "gamma"]).is_err());
     }
@@ -223,6 +234,7 @@ mod tests {
             edges: vec![(ids[0], ids[1]), (ids[1], ids[2]), (ids[0], ids[2])],
             matches: vec![ids[0], ids[2]],
             cost: 8.0,
+            rank_cost: 8.0,
         };
         assert!(t.validate(&g, &["alpha", "gamma"]).is_err());
     }
@@ -235,6 +247,7 @@ mod tests {
             edges: vec![(ids[0], ids[1])],
             matches: vec![ids[0], ids[1]],
             cost: 9.0,
+            rank_cost: 9.0,
         };
         assert!(t.validate(&g, &["alpha", "beta"]).is_err());
     }
@@ -247,12 +260,14 @@ mod tests {
             edges: vec![(ids[1], ids[2]), (ids[0], ids[1])],
             matches: vec![ids[0], ids[2]],
             cost: 3.0,
+            rank_cost: 3.0,
         };
         let t2 = AnswerTree {
             root: ids[2],
             edges: vec![(ids[0], ids[1]), (ids[1], ids[2])],
             matches: vec![ids[2], ids[0]],
             cost: 3.0,
+            rank_cost: 3.0,
         };
         assert_eq!(t1.signature(), t2.signature());
         assert_eq!(t1.core_signature(), t2.core_signature());

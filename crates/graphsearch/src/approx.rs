@@ -112,6 +112,7 @@ fn tree_from_fields(g: &DataGraph, root: NodeId, fields: &[Field], l: usize) -> 
         edges: tree_edges,
         matches,
         cost,
+        rank_cost: cost,
     })
 }
 

@@ -191,7 +191,7 @@ impl<'g> BanksI<'g> {
     fn build_tree(
         &self,
         root: NodeId,
-        cost: f64,
+        rank_cost: f64,
         groups: &[GroupExpansion],
         l: usize,
     ) -> AnswerTree {
@@ -206,12 +206,12 @@ impl<'g> BanksI<'g> {
         // Union of shortest paths may form a non-tree (shared segments create
         // cycles); prune to a tree by BFS from the root over the edge union.
         let (tree_edges, tree_cost) = prune_to_tree(self.g, root, &edges, &matches);
-        let _ = cost; // distinct-root cost ranks; the tree cost is the real weight
         AnswerTree {
             root,
             edges: tree_edges,
             matches,
             cost: tree_cost,
+            rank_cost,
         }
     }
 }

@@ -170,7 +170,7 @@ impl<'g> BanksII<'g> {
 fn build_tree_from_preds(
     g: &DataGraph,
     root: NodeId,
-    _rank_cost: f64,
+    rank_cost: f64,
     groups: &[Expansion],
 ) -> AnswerTree {
     use crate::answer::norm_edge;
@@ -192,6 +192,7 @@ fn build_tree_from_preds(
         edges: tree_edges,
         matches,
         cost,
+        rank_cost,
     }
 }
 

@@ -163,7 +163,7 @@ impl<'g> Blinks<'g> {
         index: &NodeKeywordIndex,
         syms: &[kwdb_common::intern::Sym],
         root: NodeId,
-        _rank_cost: f64,
+        rank_cost: f64,
     ) -> AnswerTree {
         let mut edges = Vec::new();
         let mut matches = Vec::with_capacity(syms.len());
@@ -186,6 +186,7 @@ impl<'g> Blinks<'g> {
             edges: tree_edges,
             matches,
             cost,
+            rank_cost,
         }
     }
 }

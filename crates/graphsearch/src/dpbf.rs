@@ -108,15 +108,17 @@ impl<'g> Dpbf<'g> {
             }
             popped += 1;
             stats.states_popped += 1;
-            if mask == full {
-                if roots_seen.insert(v) {
-                    let tree = self.reconstruct(v, mask, &parent, keywords.len(), c);
-                    results.push(tree);
-                    if results.len() >= k {
-                        break;
-                    }
+            // A full tree is an answer the first time its root shows up, and
+            // keeps growing either way (it has nothing left to merge with):
+            // re-rooted one edge on, it is the best tree at a neighbour that
+            // merging that neighbour's own partial trees would only reach by
+            // paying for a shared edge twice.
+            if mask == full && roots_seen.insert(v) {
+                let tree = self.reconstruct(v, mask, &parent, keywords.len(), c);
+                results.push(tree);
+                if results.len() >= k {
+                    break;
                 }
-                continue;
             }
             // merge with previously settled disjoint masks at v
             let masks_at_v = settled.entry(v).or_default().clone();
@@ -188,6 +190,7 @@ impl<'g> Dpbf<'g> {
                 .map(|m| m.expect("all keywords covered"))
                 .collect(),
             cost,
+            rank_cost: cost,
         }
     }
 }
@@ -308,6 +311,25 @@ mod tests {
         for t in &res {
             assert!(t.validate(&g, &["k1", "k2", "k3"]).is_ok());
         }
+    }
+
+    #[test]
+    fn a_root_beside_the_best_tree_hangs_off_it_by_one_edge() {
+        // a(k1)—b(k2), a—c: the best tree rooted at c is c—a—b, weight 2.
+        // Merging c's own partial trees (c—a for k1, c—a—b for k2) would
+        // count the edge c—a twice and report 3 for the same two edges.
+        let mut g = DataGraph::new();
+        let a = g.add_node("n", "k1");
+        let b = g.add_node("n", "k2");
+        let c = g.add_node("n", "");
+        g.add_edge(a, b, 1.0);
+        g.add_edge(a, c, 1.0);
+        let res = Dpbf::new(&g).search(&["k1", "k2"], 3);
+        assert_eq!(res.len(), 3);
+        for t in &res {
+            t.validate(&g, &["k1", "k2"]).unwrap();
+        }
+        assert_eq!((res[2].root, res[2].cost), (c, 2.0));
     }
 
     #[test]

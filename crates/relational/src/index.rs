@@ -37,8 +37,8 @@ impl kwdb_common::index::Posting for Posting {
     }
 
     /// `(table, row)` packed into one key. Deliberately column-blind:
-    /// cursors and WAND treat a tuple's occurrences across columns as one
-    /// logical document (they share a key and aggregate their impacts).
+    /// cursors treat a tuple's occurrences across columns as one logical
+    /// document (they share a key, and one tombstone hides them all).
     fn key64(&self) -> u64 {
         tuple_key(self.tuple)
     }
@@ -82,7 +82,7 @@ pub fn tuple_key(tuple: TupleId) -> u64 {
 }
 
 /// Half-open cursor-key range `[lo, hi)` covering every posting of `table`
-/// — the `seek` window for per-table scans and WAND over one table.
+/// — the `seek` window for per-table scans.
 pub fn table_key_range(table: TableId) -> (u64, u64) {
     let lo = (table.0 as u64) << 32;
     (lo, lo + (1u64 << 32))

@@ -12,7 +12,6 @@ pub struct ExecStats {
     joins_executed: AtomicU64,
     rows_output: AtomicU64,
     probe_rows: AtomicU64,
-    blocks_skipped: AtomicU64,
 }
 
 impl ExecStats {
@@ -36,11 +35,6 @@ impl ExecStats {
     pub fn add_probe_rows(&self, n: u64) {
         self.probe_rows.fetch_add(n, Ordering::Relaxed);
     }
-    /// Posting-list blocks jumped over undecoded by cursor seeks and
-    /// block-max pruning.
-    pub fn add_blocks_skipped(&self, n: u64) {
-        self.blocks_skipped.fetch_add(n, Ordering::Relaxed);
-    }
 
     pub fn tuples_scanned(&self) -> u64 {
         self.tuples_scanned.load(Ordering::Relaxed)
@@ -57,9 +51,6 @@ impl ExecStats {
     pub fn probe_rows(&self) -> u64 {
         self.probe_rows.load(Ordering::Relaxed)
     }
-    pub fn blocks_skipped(&self) -> u64 {
-        self.blocks_skipped.load(Ordering::Relaxed)
-    }
 
     /// Reset all counters to zero.
     pub fn reset(&self) {
@@ -68,7 +59,6 @@ impl ExecStats {
         self.joins_executed.store(0, Ordering::Relaxed);
         self.rows_output.store(0, Ordering::Relaxed);
         self.probe_rows.store(0, Ordering::Relaxed);
-        self.blocks_skipped.store(0, Ordering::Relaxed);
     }
 
     /// Snapshot as a plain struct for reporting.
@@ -79,7 +69,6 @@ impl ExecStats {
             joins_executed: self.joins_executed(),
             rows_output: self.rows_output(),
             probe_rows: self.probe_rows(),
-            blocks_skipped: self.blocks_skipped(),
         }
     }
 }
@@ -92,7 +81,6 @@ pub struct StatsSnapshot {
     pub joins_executed: u64,
     pub rows_output: u64,
     pub probe_rows: u64,
-    pub blocks_skipped: u64,
 }
 
 #[cfg(test)]
@@ -108,14 +96,12 @@ mod tests {
         s.add_join();
         s.add_output(7);
         s.add_probe_rows(4);
-        s.add_blocks_skipped(6);
         let snap = s.snapshot();
         assert_eq!(snap.tuples_scanned, 8);
         assert_eq!(snap.join_probes, 2);
         assert_eq!(snap.joins_executed, 1);
         assert_eq!(snap.rows_output, 7);
         assert_eq!(snap.probe_rows, 4);
-        assert_eq!(snap.blocks_skipped, 6);
     }
 
     #[test]

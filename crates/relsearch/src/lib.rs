@@ -15,14 +15,17 @@
 //! 4. [`topk`] — the tutorial's reference top-k strategies over many CNs:
 //!    Naive, Sparse, Single and Global Pipeline (DISCOVER2, VLDB 03) —
 //!    compared by the experiments and used as the serial oracle in tests;
-//!    [`pexec`] — the engine's executor: pooled hash-join CN evaluation
-//!    under one shared top-k bound, on one worker or many;
+//!    [`pexec`] — the engine's executor: Sparse over one bound-ordered CN
+//!    list under one shared top-k bound, on one worker or many, joining
+//!    through the database's key indexes;
 //! 5. [`spark`] — SPARK's non-monotonic virtual-document scoring with the
 //!    Skyline-Sweep and Block-Pipeline algorithms (Luo et al., SIGMOD 07);
 //! 6. [`mesh`] — shared execution across CNs with common subtrees
 //!    (operator mesh, SIGMOD 07; SPARK2 partition graph, TKDE 11);
-//! 7. [`parallel`] — multi-core CN partitioning, sharing-oblivious vs
-//!    sharing-aware vs operator-level (Qin et al., VLDB 10);
+//! 7. [`parallel`] — per-CN join plans and the worker policy the executor
+//!    uses, plus the multi-core CN partitioners — sharing-oblivious vs
+//!    sharing-aware vs operator-level (Qin et al., VLDB 10) — that
+//!    experiment E22 simulates;
 //! 8. [`rdbms_power`] — distinct-core evaluation expressed purely as
 //!    relational operators (Qin et al., SIGMOD 09);
 //! 9. [`dbselect`] — keyword-relationship summaries for routing queries to

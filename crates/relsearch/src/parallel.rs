@@ -14,10 +14,17 @@
 //! * [`execute_data_parallel`] — split one dominant CN's largest tuple set
 //!   across real threads (slide 133's data-level parallelism).
 //!
-//! The engine's executor, [`crate::pexec`], derives one [`JoinPlan`] per CN
-//! per query: its cost seeds the worker queues through
-//! [`partition_sharing_aware`], the summed costs tell [`choose_workers`] how
-//! many workers the query is worth, and the evaluator follows its order.
+//! Those four reproduce the slides (experiment E22 simulates the
+//! partitioners' makespans); none of them is on the serving path. The
+//! sharing-aware partition presumes co-located CNs reuse each other's
+//! sub-expressions, and the engine's evaluator shares nothing between CNs:
+//! it joins through the key indexes the database already has, so there is
+//! no per-CN build to pay once.
+//!
+//! What the engine's executor, [`crate::pexec`], takes from here is the
+//! [`JoinPlan`] it derives per CN per query — the evaluator follows its
+//! order, and the summed costs tell [`choose_workers`] how many workers the
+//! query is worth.
 
 use crate::cn::CandidateNetwork;
 use crate::tupleset::TupleSets;
@@ -113,7 +120,7 @@ fn plan_from(db: &Database, ts: &TupleSets, cn: &CandidateNetwork, root: usize) 
         cost += if cn.nodes[v].mask == 0 {
             card * f.max(1.0)
         } else if e.from_side_is(v) {
-            card + rows(v) // the set is hashed or probed
+            card + rows(v) // the intermediate is hashed, the set probes it
         } else {
             card
         };

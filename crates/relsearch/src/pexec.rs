@@ -1,20 +1,20 @@
 //! The engine's CN executor — the one top-k path `RelationalEngine` runs
 //! for the monotone score model, at every worker count.
 //!
-//! One keyword query's candidate networks are spread over workers that all
-//! prune against a single global top-k bound ([`kwdb_common::SharedTopK`]),
-//! with per-worker queues seeded by the sharing-aware partitioner of
-//! [`crate::parallel`] and drained through atomic cursors so idle workers
-//! steal from loaded ones. With one worker the same loop runs inline on the
-//! calling thread, no spawn. The tutorial's slide-116 strategies in
-//! [`crate::topk`] are the serial references this executor is checked
-//! against, not alternatives the engine chooses between.
+//! This is DISCOVER2's Sparse (tutorial slide 116) with a shared bound: one
+//! keyword query's candidate networks go into **one list**, best upper bound
+//! first, and workers draw from it through one atomic cursor, all pruning
+//! against a single global top-k bound ([`kwdb_common::SharedTopK`]). A CN
+//! is skipped once its bound cannot beat the k-th best. With one worker the
+//! same loop runs inline on the calling thread, no spawn. The tutorial's
+//! slide-116 strategies in [`crate::topk`] are the serial references this
+//! executor is checked against, not alternatives the engine chooses between.
 //!
-//! Each worker evaluates whole CNs with [`evaluate_cn_pooled`], a hash-join
-//! evaluator that caches build-side hash tables per `(table, mask, column)`
-//! inside an [`EvalScratch`] — tuple sets recur across the CNs of one query,
-//! so each worker pays each build at most once — and reuses flat intermediate
-//! buffers instead of allocating row vectors per CN.
+//! Each worker evaluates whole CNs with [`evaluate_cn_pooled`], which joins
+//! through the database's key indexes wherever an edge allows it and reuses
+//! the flat intermediate buffers of an [`EvalScratch`] instead of allocating
+//! row vectors per CN. A single-node CN is a CN like any other: its result
+//! set is the tuple set the query already built.
 //!
 //! # Determinism
 //!
@@ -23,37 +23,30 @@
 //! threshold is a conservative lower bound on the global k-th best, so a
 //! CN is skipped only when `bound < threshold` strictly — it provably
 //! cannot contribute; and (b) `SharedTopK` orders ties by result content,
-//! not arrival. Under a truncating budget the *verdict* is still
-//! deterministic for candidate caps (one ticket is drawn per CN considered,
-//! before the bound check), though which CNs made it in before the cut
-//! depends on timing — same as any anytime algorithm.
+//! not arrival. Under a candidate cap of `c` the position a worker draws
+//! from the list *is* its budget ticket, so the CNs considered are exactly
+//! the `c` best-bound ones — the verdict and the capped answer are the same
+//! at every worker count. A deadline cuts wherever the clock says, as in
+//! any anytime algorithm.
 
 use crate::cn::CandidateNetwork;
 use crate::eval::JoinedResult;
 use crate::facets::{FacetAccum, FacetRequest};
-use crate::parallel::{join_plan, partition_sharing_aware, JoinPlan};
+use crate::parallel::{join_plan, JoinPlan};
 use crate::topk::{CnExecOutcome, RankedResult, TopKQuery};
 use crate::tupleset::TupleSets;
-use kwdb_common::index::kernels;
 use kwdb_common::{Budget, ScratchPool, SharedTopK, TruncationReason, Value};
-use kwdb_rank::tfidf::TfIdf;
-use kwdb_relational::index::table_key_range;
 use kwdb_relational::{Database, ExecStats, RowId, TableId, TupleId};
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Per-worker reusable evaluation state. Checked out of a
-/// [`ScratchPool`] once per query per worker; [`EvalScratch::begin_query`]
-/// resets query-scoped caches while keeping allocated capacity.
+/// Per-worker reusable evaluation buffers, checked out of a [`ScratchPool`]
+/// once per query per worker. Nothing in it outlives one CN's evaluation
+/// but the allocated capacity.
 #[derive(Default)]
 pub struct EvalScratch {
-    /// Build-side hash tables of keyword nodes, keyed by `(table, mask, join
-    /// column)`: join key value → rows of that tuple set. Valid for one
-    /// query (row sets depend on the tuple sets).
-    builds: HashMap<(TableId, u32, usize), HashMap<Value, Vec<RowId>>>,
     /// Flat ping-pong intermediates: `cur` holds the joined prefix as
     /// `stride`-sized chunks of `RowId`s, `next` receives the join output.
     cur: Vec<RowId>,
@@ -65,17 +58,15 @@ impl EvalScratch {
         Self::default()
     }
 
-    /// Drop query-scoped caches (they key on tuple sets) but keep buffer
-    /// capacity for reuse across queries.
+    /// Empty the buffers, keeping their capacity for the next query.
     pub fn begin_query(&mut self) {
-        self.builds.clear();
         self.cur.clear();
         self.next.clear();
     }
 }
 
 /// Evaluate `cn` fully over its default row sets, reusing `scratch`'s
-/// cached hash tables and buffers. Produces the same result *set* as
+/// buffers. Produces the same result *set* as
 /// [`crate::eval::evaluate_cn`] (order may differ; callers rank by
 /// content anyway).
 pub fn evaluate_cn_pooled(
@@ -104,13 +95,18 @@ pub fn evaluate_cn_pooled(
 /// ([`Database::referencing_rows`]) when it is the referencing side — and
 /// keeps those that match no query keyword. A keyword node on the
 /// referenced side is joined the same way, keeping the partner that is in
-/// its tuple set; on the referencing side it is hash-joined against its
-/// tuple set. Both indexes resolve by key *value*, so the result set is the
-/// hash join's.
+/// its tuple set. A keyword node on the referencing side has no index from
+/// the intermediate into its tuple set, so that one edge is a hash join:
+/// the intermediate's parent keys are hashed (a table that lives for this
+/// step only — it depends on this CN's prefix) and the tuple set probes it.
+/// Both indexes resolve by key *value*, so the result set is the hash
+/// join's.
 ///
 /// [`ExecStats`] for an index join: one `join_probes` per lookup, one
 /// `tuples_scanned` per chain row a reverse lookup visits, one `probe_rows`
-/// per match emitted.
+/// per match emitted. For the hash join: one `tuples_scanned` per
+/// intermediate tuple hashed, one `join_probes` per tuple-set row, one
+/// `probe_rows` per match emitted.
 pub fn evaluate_cn_pooled_until(
     db: &Database,
     cn: &CandidateNetwork,
@@ -206,75 +202,31 @@ pub fn evaluate_cn_pooled_until(
                 }
             }
         } else {
-            // A keyword node on the referencing side: hash join against
-            // its tuple set.
-            let node_rows = rows_of(node);
-            let cached_key = (cn.nodes[node].table, cn.nodes[node].mask, node_col);
-            let cached = scratch.builds.contains_key(&cached_key);
-            if cached || node_rows.len() <= ntuples {
-                // Build (or reuse) the hash table on the node side, probe with
-                // the intermediate. Cached builds are free after first use.
-                let build = match scratch.builds.entry(cached_key) {
-                    Entry::Occupied(o) => o.into_mut(),
-                    Entry::Vacant(v) => {
-                        let mut ht: HashMap<Value, Vec<RowId>> =
-                            HashMap::with_capacity(node_rows.len());
-                        for &r in node_rows {
-                            stats.add_scanned(1);
-                            let key = node_table.get(r, node_col);
-                            if !key.is_null() {
-                                ht.entry(key.clone()).or_default().push(r);
-                            }
-                        }
-                        v.insert(ht)
-                    }
-                };
-                for t in 0..ntuples {
-                    if t % 1024 == 1023 && cancel() {
-                        cancelled = true;
-                        break;
-                    }
-                    stats.add_probes(1);
-                    let key = parent_table.get(cur[t * stride + pslot], parent_col);
-                    if key.is_null() {
-                        continue;
-                    }
-                    if let Some(matches) = build.get(key) {
-                        stats.add_probe_rows(matches.len() as u64);
-                        for &r in matches {
-                            next.extend_from_slice(&cur[t * stride..(t + 1) * stride]);
-                            next.push(r);
-                        }
-                    }
+            // A keyword node on the referencing side: hash the
+            // intermediate's parent keys, probe with the node's tuple set.
+            let mut ht: HashMap<&Value, Vec<usize>> = HashMap::with_capacity(ntuples);
+            for t in 0..ntuples {
+                stats.add_scanned(1);
+                let key = parent_table.get(cur[t * stride + pslot], parent_col);
+                if !key.is_null() {
+                    ht.entry(key).or_default().push(t);
                 }
-            } else {
-                // The intermediate is the smaller side: hash its parent keys
-                // (transient — depends on this CN's prefix) and probe with the
-                // node rows.
-                let mut ht: HashMap<&Value, Vec<usize>> = HashMap::with_capacity(ntuples);
-                for t in 0..ntuples {
-                    stats.add_scanned(1);
-                    let key = parent_table.get(cur[t * stride + pslot], parent_col);
-                    if !key.is_null() {
-                        ht.entry(key).or_default().push(t);
-                    }
+            }
+            for (ri, &r) in rows_of(node).iter().enumerate() {
+                if ri % 1024 == 1023 && cancel() {
+                    cancelled = true;
+                    break;
                 }
-                for (ri, &r) in node_rows.iter().enumerate() {
-                    if ri % 1024 == 1023 && cancel() {
-                        cancelled = true;
-                        break;
-                    }
-                    stats.add_probes(1);
-                    let key = node_table.get(r, node_col);
-                    if key.is_null() {
-                        continue;
-                    }
-                    if let Some(tuples) = ht.get(key) {
-                        stats.add_probe_rows(tuples.len() as u64);
-                        for &t in tuples {
-                            next.extend_from_slice(&cur[t * stride..(t + 1) * stride]);
-                            next.push(r);
-                        }
+                stats.add_probes(1);
+                let key = node_table.get(r, node_col);
+                if key.is_null() {
+                    continue;
+                }
+                if let Some(tuples) = ht.get(key) {
+                    stats.add_probe_rows(tuples.len() as u64);
+                    for &t in tuples {
+                        next.extend_from_slice(&cur[t * stride..(t + 1) * stride]);
+                        next.push(r);
                     }
                 }
             }
@@ -305,116 +257,15 @@ pub fn evaluate_cn_pooled_until(
     results
 }
 
-/// Try the block-max WAND fast path for a single-node CN covering the full
-/// keyword mask. Such a CN's result set is exactly the keys present in
-/// *every* keyword's posting list within the table's key range (the exact
-/// subset cannot exceed the full mask), so it can be answered straight off
-/// the posting cursors — no tuple-set materialization, no joins — while
-/// block-max bounds let whole compressed blocks be skipped once the shared
-/// top-k threshold rises.
-///
-/// Returns `false` when the CN does not fit the pattern (caller falls back
-/// to the join evaluator); `true` when the CN was fully handled, including
-/// the provably-empty case of a keyword absent from the index.
-///
-/// Exactness: the single-node score is `Σ_k tf_weight(tf_k) · idf_k` with
-/// `tf_k` the tuple's occurrence total for keyword `k` — and block
-/// `max_impact` bounds per-key *group totals*, so
-/// `Σ_k tf_weight(block_max_k) · idf_k` upper-bounds every candidate in the
-/// current blocks. Pruning is strictly-below-threshold, matching
-/// `SharedTopK::would_accept`'s `score ≥ t` acceptance, so the emitted set
-/// restricted to the final top-k is identical to the unpruned path for any
-/// worker count and either posting layout.
-fn wand_try_single_node<S, D>(
-    q: &TopKQuery<'_, S, D>,
-    j: usize,
-    shared: &SharedTopK<(usize, JoinedResult)>,
-    w: usize,
-    stats: &ExecStats,
-    freq: &FacetRequest<'_>,
-    accum: &mut FacetAccum,
-) -> bool
-where
-    S: AsRef<str>,
-    D: Deref<Target = Database>,
-{
-    let exhaustive = freq.exhaustive();
-    let cn = &q.cns[j];
-    let full = q.ts.full_mask();
-    if cn.nodes.len() != 1 || full == 0 || cn.nodes[0].mask != full {
-        return false;
-    }
-    let table = cn.nodes[0].table;
-    // Tuple sets were built from a fresh index; a stale one here means the
-    // caller mutated mid-query — fall back to the generic executor.
-    let Ok(ix) = q.db.text_index() else {
-        return false;
-    };
-    let mut cursors = Vec::with_capacity(q.keywords.len());
-    let mut idfs = Vec::with_capacity(q.keywords.len());
-    for kw in q.keywords {
-        let kw = kw.as_ref();
-        let Some(sym) = ix.sym(kw) else {
-            return true; // keyword absent from the corpus: CN provably empty
-        };
-        cursors.push(ix.postings_sym(sym).cursor());
-        idfs.push(q.scorer.corpus().idf(kw));
-    }
-    let (lo, hi) = table_key_range(table);
-    for c in &mut cursors {
-        c.seek(lo);
-    }
-    let ws = kernels::wand_intersect(
-        &mut cursors,
-        hi,
-        |maxes| {
-            maxes
-                .iter()
-                .zip(&idfs)
-                .map(|(&m, idf)| TfIdf::tf_weight(m as usize) * idf)
-                .sum()
-        },
-        // Exhaustive (faceted) runs must see every matching tuple, so the
-        // pruning threshold is withheld and no block is ever skipped.
-        || {
-            if exhaustive {
-                None
-            } else {
-                shared.threshold()
-            }
-        },
-        |key, _| {
-            let r = JoinedResult {
-                tuples: vec![TupleId::new(table, RowId(key as u32))],
-            };
-            if !freq.passes(q.db, &r) {
-                return;
-            }
-            if exhaustive {
-                accum.observe(q.db, freq.facets, &r);
-            }
-            let score = q.scorer.monotone_score(&r, q.keywords);
-            shared.push(w, score, (j, r));
-        },
-    );
-    // Every emitted key was read off the posting cursors: that is this
-    // path's scan, so a query answered by WAND alone never reports zero.
-    stats.add_scanned(ws.emitted);
-    stats.add_output(ws.emitted);
-    stats.add_blocks_skipped(ws.blocks_skipped);
-    true
-}
-
 /// Run the parallel CN executor: evaluate `q.cns` on `workers` threads
 /// sharing one top-k bound, under `budget`. Scratch state is checked out of
 /// `pool` (one `EvalScratch` per worker, returned on completion).
 ///
-/// Scheduling: per-worker queues seeded by the sharing-aware partitioner
-/// (bound-descending within a queue), drained via per-queue atomic cursors;
-/// a worker that exhausts its own queue steals from the others in ring
-/// order. Worker checkpoints draw one budget ticket per CN *considered*
-/// (before the bound prune), so a candidate-cap truncation verdict is a
-/// deterministic function of the CN count.
+/// Scheduling: one list of CNs, best upper bound first, drained through one
+/// atomic cursor. The position a worker draws is its budget ticket — one
+/// per CN *considered*, before the bound prune — so under a candidate cap
+/// of `c` the CNs considered are the `c` best-bound ones and the truncation
+/// verdict is a function of the CN count, at every worker count.
 pub fn parallel_topk_budgeted<S, D>(
     q: &TopKQuery<'_, S, D>,
     k: usize,
@@ -435,13 +286,12 @@ where
 /// outcome.
 ///
 /// With facets requested the executor runs *exhaustively*: the per-CN bound
-/// prune, the mid-evaluation cancellation probe, and the WAND block-max
-/// threshold are all disabled, so every CN considered is evaluated to
-/// completion exactly once (each job index is drawn from its queue by one
-/// `fetch_add` winner). Each worker counts into its own [`FacetAccum`] —
-/// piggybacked on the same pooled-`EvalScratch` evaluation pass that feeds
-/// the shared top-k — and the accumulators are merged after the thread scope
-/// drains. Merging is plain addition over a duplicate-free result multiset,
+/// prune and the mid-evaluation cancellation probe are disabled, so every
+/// CN considered is evaluated to completion exactly once (each position of
+/// the list is drawn by one `fetch_add` winner). Each worker counts into its
+/// own [`FacetAccum`] — piggybacked on the same pooled-`EvalScratch`
+/// evaluation pass that feeds the shared top-k — and the accumulators are
+/// merged after the thread scope drains. Merging is plain addition over a duplicate-free result multiset,
 /// so the counts are exact and identical for any worker count. Budget
 /// tickets are still drawn per CN; a truncated run leaves the counts partial
 /// (`facets_exact = truncation.is_none()` at the response layer).
@@ -464,8 +314,7 @@ where
 /// [`parallel_topk_faceted`] with the worker count left to the caller's
 /// policy: every CN's [`JoinPlan`] is derived once, `workers_for` is handed
 /// their summed estimated cost and answers with the number of workers to
-/// run, and the same plans then seed the partitioner and drive the
-/// evaluator.
+/// run, and the same plans then drive the evaluator.
 pub fn parallel_topk_planned<S, D>(
     q: &TopKQuery<'_, S, D>,
     k: usize,
@@ -527,95 +376,66 @@ where
         })
         .collect();
 
-    // Seed per-worker queues sharing-aware (one worker takes everything);
-    // order each queue best-bound first so the global threshold rises as
-    // early as possible.
-    let mut queues: Vec<Vec<usize>> = vec![Vec::new(); workers];
-    if workers == 1 {
-        queues[0].extend(0..n);
-    } else {
-        let costs: Vec<f64> = plans.iter().map(|p| p.cost).collect();
-        let assign = partition_sharing_aware(q.cns, &costs, workers);
-        for (j, &c) in assign.core_of.iter().enumerate() {
-            queues[c % workers].push(j);
-        }
-    }
-    for jobs in &mut queues {
-        jobs.sort_by(|&a, &b| bounds[b].total_cmp(&bounds[a]).then(a.cmp(&b)));
-    }
+    // Best bound first, so the global threshold rises as early as possible
+    // and a candidate cap keeps the most promising CNs.
+    let mut jobs: Vec<usize> = (0..n).collect();
+    jobs.sort_by(|&a, &b| bounds[b].total_cmp(&bounds[a]).then(a.cmp(&b)));
 
     let shared: SharedTopK<(usize, JoinedResult)> = SharedTopK::new(k, workers);
-    let cursors: Vec<AtomicUsize> = (0..workers).map(|_| AtomicUsize::new(0)).collect();
-    let tickets = AtomicU64::new(0);
+    let cursor = AtomicUsize::new(0);
     let evaluated = AtomicU64::new(0);
     let abort = AtomicBool::new(false);
     let truncation: Mutex<Option<TruncationReason>> = Mutex::new(None);
 
     let run_worker = |w: usize| {
         let mut scratch = pool.checkout(EvalScratch::new);
-        scratch.begin_query();
         let mut accum = FacetAccum::new(freq.facets.len());
-        'queues: for qi in 0..workers {
-            let qidx = (w + qi) % workers; // own queue first, then steal
-            let jobs = &queues[qidx];
-            let cursor = &cursors[qidx];
-            loop {
-                if abort.load(Ordering::Acquire) {
-                    break 'queues;
+        while !abort.load(Ordering::Acquire) {
+            let pos = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(&j) = jobs.get(pos) else { break };
+            if let Some(reason) = budget.truncation_at(pos as u64) {
+                let mut tr = truncation.lock().expect("truncation poisoned");
+                // Prefer the deterministic cap verdict if any worker saw it.
+                *tr = match (*tr, reason) {
+                    (Some(TruncationReason::CandidateCapReached), _) => {
+                        Some(TruncationReason::CandidateCapReached)
+                    }
+                    (_, r) => Some(r),
+                };
+                abort.store(true, Ordering::Release);
+                break;
+            }
+            if !exhaustive && !shared.would_accept(bounds[j]) {
+                continue; // strictly below the global k-th best: pruned
+            }
+            // Abandon — mid-evaluation, or mid-way through scoring what it
+            // produced — once another worker raises the threshold past this
+            // CN's bound: everything it could still offer would be
+            // rejected. Faceted runs never abandon — every result still
+            // counts even when it can't be ranked.
+            let outbid = || !exhaustive && !shared.would_accept(bounds[j]);
+            let results = evaluate_cn_pooled_until(
+                q.db,
+                &q.cns[j],
+                &plans[j],
+                q.ts,
+                &mut scratch,
+                stats,
+                &outbid,
+            );
+            evaluated.fetch_add(1, Ordering::Relaxed);
+            for (i, r) in results.into_iter().enumerate() {
+                if i % 256 == 255 && outbid() {
+                    break;
                 }
-                let pos = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(&j) = jobs.get(pos) else { break };
-                let ticket = tickets.fetch_add(1, Ordering::Relaxed);
-                if let Some(reason) = budget.truncation_at(ticket) {
-                    let mut tr = truncation.lock().expect("truncation poisoned");
-                    // Prefer the deterministic cap verdict if any worker saw it.
-                    *tr = match (*tr, reason) {
-                        (Some(TruncationReason::CandidateCapReached), _) => {
-                            Some(TruncationReason::CandidateCapReached)
-                        }
-                        (_, r) => Some(r),
-                    };
-                    abort.store(true, Ordering::Release);
-                    break 'queues;
-                }
-                if !exhaustive && !shared.would_accept(bounds[j]) {
-                    continue; // strictly below the global k-th best: pruned
-                }
-                // Single-node full-mask CNs skip the join machinery and run
-                // straight off the posting cursors with block-max pruning.
-                if wand_try_single_node(q, j, &shared, w, stats, freq, &mut accum) {
-                    evaluated.fetch_add(1, Ordering::Relaxed);
+                if !freq.passes(q.db, &r) {
                     continue;
                 }
-                // Abandon — mid-evaluation, or mid-way through scoring what
-                // it produced — once another worker raises the threshold
-                // past this CN's bound: everything it could still offer
-                // would be rejected. Faceted runs never abandon — every
-                // result still counts even when it can't be ranked.
-                let outbid = || !exhaustive && !shared.would_accept(bounds[j]);
-                let results = evaluate_cn_pooled_until(
-                    q.db,
-                    &q.cns[j],
-                    &plans[j],
-                    q.ts,
-                    &mut scratch,
-                    stats,
-                    &outbid,
-                );
-                evaluated.fetch_add(1, Ordering::Relaxed);
-                for (i, r) in results.into_iter().enumerate() {
-                    if i % 256 == 255 && outbid() {
-                        break;
-                    }
-                    if !freq.passes(q.db, &r) {
-                        continue;
-                    }
-                    if exhaustive {
-                        accum.observe(q.db, freq.facets, &r);
-                    }
-                    let score = q.scorer.monotone_score(&r, q.keywords);
-                    shared.push(w, score, (j, r));
+                if exhaustive {
+                    accum.observe(q.db, freq.facets, &r);
                 }
+                let score = q.scorer.monotone_score(&r, q.keywords);
+                shared.push(w, score, (j, r));
             }
         }
         accum
@@ -721,7 +541,6 @@ mod tests {
         let (ts, cns) = setup(&db, &["widom", "xml"]);
         assert!(!cns.is_empty());
         let mut scratch = EvalScratch::new();
-        scratch.begin_query();
         for cn in &cns {
             let stats = ExecStats::new();
             let mut plain = evaluate_cn(&db, cn, &ts, &stats);
@@ -769,11 +588,11 @@ mod tests {
     }
 
     #[test]
-    fn wand_fast_path_matches_serial_across_layouts_and_workers() {
+    fn single_node_cn_matches_serial_across_layouts_and_workers() {
         use kwdb_common::index::Layout;
         let mut db = db();
-        // A row matching every keyword, so a single-node full-mask CN — the
-        // WAND fast path's target — exists and produces results.
+        // A row matching every keyword, so a single-node full-mask CN
+        // exists and produces results.
         db.insert(
             "paper",
             vec![14.into(), "Widom XML retrospective".into(), 2.into()],
@@ -782,11 +601,15 @@ mod tests {
         for layout in [Layout::Plain, Layout::Blocks] {
             db.build_text_index_with(layout);
             let (ts, cns) = setup(&db, &["widom", "xml"]);
-            assert!(
-                cns.iter()
-                    .any(|cn| cn.nodes.len() == 1 && cn.nodes[0].mask == ts.full_mask()),
-                "expected a single-node full-mask CN"
-            );
+            let one_node = cns
+                .iter()
+                .find(|cn| cn.nodes.len() == 1 && cn.nodes[0].mask == ts.full_mask())
+                .expect("a single-node full-mask CN");
+            let full_set = ts
+                .get(one_node.nodes[0].table, ts.full_mask())
+                .expect("its tuple set")
+                .rows
+                .len() as u64;
             let scorer = ResultScorer::new(&db);
             let keywords = ["widom", "xml"];
             let q = TopKQuery {
@@ -802,14 +625,9 @@ mod tests {
             let mut serial_sets: Vec<_> = serial.iter().map(|r| r.result.tuples.clone()).collect();
             serial_sets.sort();
             for workers in [1, 8] {
-                let out = parallel_topk_budgeted(
-                    &q,
-                    3,
-                    &ExecStats::new(),
-                    &Budget::unlimited(),
-                    workers,
-                    &pool,
-                );
+                let stats = ExecStats::new();
+                let out =
+                    parallel_topk_budgeted(&q, 3, &stats, &Budget::unlimited(), workers, &pool);
                 let scores: Vec<f64> = out.results.iter().map(|r| r.score).collect();
                 assert_eq!(serial_scores, scores, "layout={layout:?} workers={workers}");
                 let mut sets: Vec<_> = out
@@ -819,6 +637,14 @@ mod tests {
                     .collect();
                 sets.sort();
                 assert_eq!(serial_sets, sets, "layout={layout:?} workers={workers}");
+                // Both keywords in one tuple of a size-1 network: the best
+                // bound of the fixture, so this CN is evaluated first and
+                // its tuple set is the least the query can have scanned.
+                assert!(
+                    stats.tuples_scanned() >= full_set && full_set > 0,
+                    "layout={layout:?} workers={workers}: scanned {} < {full_set}",
+                    stats.tuples_scanned()
+                );
             }
         }
     }

@@ -649,13 +649,15 @@ pub enum Hit {
 }
 
 impl Hit {
-    /// A uniform "higher is better" ranking value: the hit's score for
-    /// relational/XML hits, the *negated* tree cost for graph hits (graph
-    /// engines minimize cost).
+    /// A uniform "higher is better" ranking value, non-increasing down a
+    /// response's hits: the hit's score for relational/XML hits, the
+    /// *negated* [`rank_cost`](AnswerTree::rank_cost) for graph hits (graph
+    /// engines minimize the cost they rank by — the tree weight for DPBF,
+    /// the distinct-root cost for BANKS and BLINKS).
     pub fn score(&self) -> f64 {
         match self {
             Hit::Relational(h) => h.score,
-            Hit::Graph(t) => -t.cost,
+            Hit::Graph(t) => -t.rank_cost,
             Hit::Xml(h) => h.score,
         }
     }
@@ -790,8 +792,8 @@ pub struct RelationalConfig {
     pub intra_query_workers: usize,
     /// Physical layout of the full-text posting lists:
     /// [`Layout::Plain`] (sorted arrays) or [`Layout::Blocks`]
-    /// (delta-encoded bit-packed blocks with skip + block-max metadata —
-    /// several-fold smaller, and the WAND fast path can skip whole blocks).
+    /// (delta-encoded bit-packed blocks with a skip directory —
+    /// several-fold smaller).
     /// The returned top-k is identical either way. Applied at engine
     /// construction when the engine is the database's sole owner; a shared
     /// database keeps its current layout (re-encode it yourself via
@@ -1258,7 +1260,6 @@ impl RelationalEngine {
             stats.operators.joins_executed = snap.joins_executed;
             stats.operators.rows_output = snap.rows_output;
             stats.operators.join_probe_rows = snap.probe_rows;
-            stats.operators.blocks_skipped = snap.blocks_skipped;
             stats.cns_evaluated = cns_evaluated;
             stats.cns_pruned = cns_pruned;
             let mut contributing: Vec<usize> = ranked.iter().map(|r| r.cn_index).collect();

@@ -4,6 +4,7 @@
 //! the RDBMS-powered formulation.
 
 use kwdb::datasets::{generate_dblp, DblpConfig};
+use kwdb::engine::{GraphEngine, GraphSemantics, Hit, SearchRequest};
 use kwdb::graph::graph::{from_database, EdgeWeighting};
 use kwdb::graphsearch::{community, BanksI, Dpbf};
 use kwdb::relational::ExecStats;
@@ -133,5 +134,51 @@ fn banks_cost_never_beats_dpbf() {
             (None, None) => {}
             (e, a) => panic!("feasibility mismatch on {query:?}: {e:?} vs {a:?}"),
         }
+    }
+}
+
+/// BANKS and BLINKS order answers by the distinct-root cost, DPBF by the
+/// tree weight; `Hit::score()` reports whichever the engine ranked by, so it
+/// never rises down a ranking, while `cost` stays the weight `validate()`
+/// re-derives from the edges.
+#[test]
+fn graph_hits_are_ranked_by_the_score_they_report() {
+    let db = db();
+    let (g, _) = from_database(&db, EdgeWeighting::LogDegree);
+    let engine = GraphEngine::new(g.clone());
+    // Semantics under which some ranking's tree weights are *not* sorted —
+    // where the two costs can be told apart.
+    let mut weight_disagrees = Vec::new();
+    for query in ["data query", "sigmod search", "vldb xml search"] {
+        let keywords: Vec<&str> = query.split_whitespace().collect();
+        for sem in [
+            GraphSemantics::SteinerExact,
+            GraphSemantics::Banks,
+            GraphSemantics::DistinctRoot,
+        ] {
+            let req = SearchRequest::new(query).k(10).semantics(sem);
+            let trees = engine.execute(&req).unwrap().hits;
+            let scores: Vec<f64> = trees
+                .iter()
+                .map(|t| Hit::Graph(t.clone()).score())
+                .collect();
+            assert!(
+                scores.windows(2).all(|w| w[0] >= w[1]),
+                "{sem:?} {query:?}: scores rise down the ranking: {scores:?}"
+            );
+            for t in &trees {
+                t.validate(&g, &keywords)
+                    .unwrap_or_else(|e| panic!("{sem:?} {query:?}: {e}"));
+                assert!(t.rank_cost + 1e-9 >= t.cost, "{sem:?} {query:?}: {t:?}");
+            }
+            if sem == GraphSemantics::SteinerExact {
+                assert!(trees.iter().all(|t| t.rank_cost == t.cost), "{query:?}");
+            } else if trees.windows(2).any(|w| w[0].cost > w[1].cost) {
+                weight_disagrees.push(sem);
+            }
+        }
+    }
+    for sem in [GraphSemantics::Banks, GraphSemantics::DistinctRoot] {
+        assert!(weight_disagrees.contains(&sem), "{sem:?}: fixture too tame");
     }
 }

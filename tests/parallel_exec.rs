@@ -184,6 +184,61 @@ fn candidate_cap_verdict_is_deterministic_and_bounds_evaluation() {
     }
 }
 
+/// Under a candidate cap the position drawn from the one bound-ordered CN
+/// list is the budget ticket, so the CNs considered are the `c` best-bound
+/// ones whatever the thread timing: the capped *answer*, not only the
+/// verdict, is the same at every worker count. Each `(c, workers)` pair is
+/// repeated so a scheduling race would show within one run.
+#[test]
+fn capped_answers_are_worker_invariant() {
+    let db = dblp();
+    let keywords = ["data", "query"];
+    let (ts, cns) = setup(&db, &keywords);
+    assert!(cns.len() > 8, "want a multi-CN workload");
+    let scorer = ResultScorer::new(&db);
+    let q = TopKQuery {
+        db: &db,
+        ts: &ts,
+        cns: &cns,
+        scorer: &scorer,
+        keywords: &keywords,
+    };
+    let pool: ScratchPool<EvalScratch> = ScratchPool::new();
+    let k = 10;
+    let truth_keys = result_keys(&naive(&q, 100_000, &ExecStats::new()));
+    for c in 1..=cns.len() {
+        let budget = Budget::unlimited().with_max_candidates(c as u64);
+        let run =
+            |workers| parallel_topk_budgeted(&q, k, &ExecStats::new(), &budget, workers, &pool);
+        let one = result_keys(&run(1).results);
+        if c == cns.len() {
+            assert_topk_equivalent(
+                &one,
+                &truth_keys[..k.min(truth_keys.len())],
+                &truth_keys,
+                "uncapped in effect: one worker vs naive",
+            );
+        }
+        for workers in [1, 2, 8] {
+            for round in 0..6 {
+                let out = run(workers);
+                let ctx = format!("c={c} workers={workers} round={round}");
+                assert_eq!(result_keys(&out.results), one, "{ctx}: hits diverge");
+                assert_eq!(
+                    out.truncation,
+                    (c < cns.len()).then_some(TruncationReason::CandidateCapReached),
+                    "{ctx}"
+                );
+                assert_eq!(
+                    out.cns_evaluated + out.cns_pruned,
+                    cns.len() as u64,
+                    "{ctx}"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn expired_deadline_stops_every_worker_at_its_first_checkpoint() {
     let db = dblp();
