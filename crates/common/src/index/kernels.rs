@@ -1,8 +1,8 @@
 //! Sorted-list kernels shared by every substrate index: intersection
 //! (linear merge vs galloping, chosen by size ratio), the `lm`/`rm` binary
-//! probes of the SLCA/XKSearch family, and the cursor kernels — galloping
-//! cursor intersection and k-way union — that operate on
-//! [`PostingCursor`]s from either physical layout.
+//! probes of the SLCA/XKSearch family, and the cursor kernel — galloping
+//! cursor intersection — that operates on [`PostingCursor`]s from either
+//! physical layout.
 //!
 //! Slice kernels operate on sorted slices of any `Ord + Copy` element, so
 //! the same code serves relational `RowId`s, XML `NodeId`s, and graph
@@ -207,44 +207,6 @@ pub fn intersect_cursors<P: Posting + Ord>(
     }
 }
 
-/// k-way sorted union over cursors (≤ 32 of them), driving a callback with
-/// each distinct `key64` in ascending order plus the bitmask of cursors
-/// holding that key. Cursors with several postings at the same key (e.g. a
-/// tuple matching in two columns) are drained past the key, so every key is
-/// visited exactly once. This is the kernel the relational tupleset build
-/// rides on: no hashing, no post-sort.
-pub fn for_each_union_key<P: Posting>(
-    cursors: &mut [PostingCursor<'_, P>],
-    mut visit: impl FnMut(u64, u32),
-) {
-    assert!(cursors.len() <= 32, "union bitmask is u32-wide");
-    loop {
-        let mut key = u64::MAX;
-        let mut live = false;
-        for c in cursors.iter() {
-            if let Some(p) = c.peek() {
-                key = key.min(p.key64());
-                live = true;
-            }
-        }
-        if !live {
-            return;
-        }
-        let mut mask = 0u32;
-        for (i, c) in cursors.iter_mut().enumerate() {
-            let mut hit = false;
-            while c.peek().is_some_and(|p| p.key64() == key) {
-                hit = true;
-                c.advance();
-            }
-            if hit {
-                mask |= 1 << i;
-            }
-        }
-        visit(key, mask);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -436,37 +398,6 @@ mod tests {
                     intersect_cursors(&mut ca, &mut cb, &mut out);
                     assert_eq!(out, expect, "layouts {la:?}×{lb:?}");
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn union_kernel_visits_every_key_with_correct_mask() {
-        let mut rng = Rng::seed_from_u64(12);
-        for layout in [Layout::Plain, Layout::Blocks] {
-            for _ in 0..25 {
-                let lists: Vec<Vec<u32>> = (0..1 + rng.gen_index(5))
-                    .map(|_| {
-                        let len = rng.gen_index(600);
-                        random_list(&mut rng, len, 300)
-                    })
-                    .collect();
-                let refs: Vec<&[u32]> = lists.iter().map(|l| l.as_slice()).collect();
-                let st = store_with(&refs, layout);
-                let mut cursors: Vec<_> = (0..lists.len())
-                    .map(|i| st.postings_str(&format!("t{i}")).cursor())
-                    .collect();
-                let mut got: Vec<(u64, u32)> = Vec::new();
-                for_each_union_key(&mut cursors, |k, m| got.push((k, m)));
-
-                let mut want: std::collections::BTreeMap<u64, u32> = Default::default();
-                for (i, l) in lists.iter().enumerate() {
-                    for &v in l {
-                        *want.entry(v as u64).or_default() |= 1 << i;
-                    }
-                }
-                let want: Vec<(u64, u32)> = want.into_iter().collect();
-                assert_eq!(got, want, "{layout:?}");
             }
         }
     }

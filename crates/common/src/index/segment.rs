@@ -5,12 +5,13 @@
 //! A [`SegmentedIndex`] accumulates new postings in an uncompressed,
 //! always-sorted realtime segment (plain layout, binary-insertion on
 //! out-of-order keys) that is queried alongside the sealed segments through
-//! a k-way merge view — every kernel that consumes cursors
-//! (`intersect_cursors`, `for_each_union_key`) works across segments
-//! unchanged, because the merged cursor keeps the same
-//! `peek`/`advance`/`seek` contract. A batch build is the degenerate case:
-//! add everything, then [`finalize_layout`](SegmentedIndex::finalize_layout)
-//! into one sealed segment.
+//! a k-way merge view — a kernel that consumes cursors
+//! (`intersect_cursors`) or a caller that iterates a view (the relational
+//! tuple-set build) works across segments unchanged, because the merged
+//! cursor and iterator keep the single-list contract. A batch build is the
+//! degenerate case: add everything, then
+//! [`finalize_layout`](SegmentedIndex::finalize_layout) into one sealed
+//! segment.
 //!
 //! Lifecycle:
 //!

@@ -179,7 +179,8 @@ impl FacetAccum {
     }
 
     /// Count one result: every tuple of each facet's table contributes its
-    /// column value once. Null values are skipped.
+    /// column value once. Null values are skipped. A value is cloned into
+    /// the map only the first time it is seen.
     pub fn observe(&mut self, db: &Database, facets: &[ResolvedFacet], r: &JoinedResult) {
         for (fi, f) in facets.iter().enumerate() {
             for t in &r.tuples {
@@ -190,7 +191,12 @@ impl FacetAccum {
                 if v.is_null() {
                     continue;
                 }
-                *self.counters[fi].entry(v.clone()).or_insert(0) += 1;
+                match self.counters[fi].get_mut(v) {
+                    Some(count) => *count += 1,
+                    None => {
+                        self.counters[fi].insert(v.clone(), 1);
+                    }
+                }
             }
         }
     }

@@ -6,7 +6,8 @@
 //! slides 28, 44, 115–117). The pipeline:
 //!
 //! 1. [`tupleset`] — partition each table's keyword-matching rows into
-//!    *tuple sets* `R^K` (rows containing exactly the keyword subset `K`);
+//!    *tuple sets* `R^K` (rows containing exactly the keyword subset `K`),
+//!    each row with the term frequencies its postings carried;
 //! 2. [`cn`] — enumerate *candidate networks* (CNs): schema-level join trees
 //!    over tuple sets that are total and minimal covers of the query,
 //!    breadth-first with canonical-form duplicate elimination
@@ -17,7 +18,10 @@
 //!    compared by the experiments and used as the serial oracle in tests;
 //!    [`pexec`] — the engine's executor: Sparse over one bound-ordered CN
 //!    list under one shared top-k bound, on one worker or many, joining
-//!    through the database's key indexes;
+//!    through the database's key indexes and ranking from [`score`]'s
+//!    per-query [`score::ScoreTable`] — scores computed from the tuple
+//!    sets' frequencies, bit-identical to the text-derived
+//!    [`ResultScorer::tuple_score`] the references use;
 //! 5. [`spark`] — SPARK's non-monotonic virtual-document scoring with the
 //!    Skyline-Sweep and Block-Pipeline algorithms (Luo et al., SIGMOD 07);
 //! 6. [`mesh`] — shared execution across CNs with common subtrees

@@ -10,11 +10,25 @@
 //! slide-116 strategies in [`crate::topk`] are the serial references this
 //! executor is checked against, not alternatives the engine chooses between.
 //!
-//! Each worker evaluates whole CNs with [`evaluate_cn_pooled`], which joins
-//! through the database's key indexes wherever an edge allows it and reuses
-//! the flat intermediate buffers of an [`EvalScratch`] instead of allocating
-//! row vectors per CN. A single-node CN is a CN like any other: its result
-//! set is the tuple set the query already built.
+//! Each worker evaluates whole CNs: the join goes through the database's
+//! key indexes wherever an edge allows it and leaves its output in the flat
+//! buffers of an [`EvalScratch`] instead of allocating row vectors per CN
+//! ([`evaluate_cn_pooled`] is the same join, materialized). A single-node CN
+//! is a CN like any other: its result set is the tuple set the query
+//! already built.
+//!
+//! # Scoring
+//!
+//! Nothing here reads a tuple's text. The query's [`ScoreTable`] holds one
+//! score column per tuple set, computed from the term frequencies the tuple
+//! sets kept from the postings. A CN's upper bound is its keyword nodes'
+//! column maxima over its size; a joined row is scored where it lies in the
+//! scratch buffer — the sum over the CN's nodes, in node order, of the
+//! column entry for a keyword node's row and of 0 for a free node's, over
+//! the size — and becomes a [`JoinedResult`] only if the shared top-k would
+//! accept that score. The value is the text-derived reference's, bit for
+//! bit (see [`crate::score`]); a `debug_assert!` at the scoring site checks
+//! it on every result of every debug run.
 //!
 //! # Determinism
 //!
@@ -33,10 +47,11 @@ use crate::cn::CandidateNetwork;
 use crate::eval::JoinedResult;
 use crate::facets::{FacetAccum, FacetRequest};
 use crate::parallel::{join_plan, JoinPlan};
+use crate::score::ScoreTable;
 use crate::topk::{CnExecOutcome, RankedResult, TopKQuery};
 use crate::tupleset::TupleSets;
 use kwdb_common::{Budget, ScratchPool, SharedTopK, TruncationReason, Value};
-use kwdb_relational::{Database, ExecStats, RowId, TableId, TupleId};
+use kwdb_relational::{Database, ExecStats, RowId, TupleId};
 use std::collections::HashMap;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -80,12 +95,48 @@ pub fn evaluate_cn_pooled(
     evaluate_cn_pooled_until(db, cn, &plan, ts, scratch, stats, &|| false)
 }
 
-/// [`evaluate_cn_pooled`] with a cancellation probe, polled between join
-/// steps and periodically inside probe loops. When `cancel` turns true the
-/// evaluation stops and returns no results — the parallel executor uses
-/// this to abandon a CN the moment the shared top-k bound strictly exceeds
-/// the CN's upper bound (every result it could still produce would be
-/// rejected, so dropping them cannot change the final top-k).
+/// [`evaluate_cn_pooled`] along a given `plan`, with a cancellation probe:
+/// the materializing form of the join the executor scores in place. When
+/// `cancel` turns true the evaluation stops and returns no results.
+pub fn evaluate_cn_pooled_until(
+    db: &Database,
+    cn: &CandidateNetwork,
+    plan: &JoinPlan,
+    ts: &TupleSets,
+    scratch: &mut EvalScratch,
+    stats: &ExecStats,
+    cancel: &dyn Fn() -> bool,
+) -> Vec<JoinedResult> {
+    join_cn(db, cn, plan, ts, scratch, stats, cancel)
+        .map(|chunk| {
+            let mut tuples = Vec::new();
+            fill_tuples(cn, plan, chunk, &mut tuples);
+            JoinedResult { tuples }
+        })
+        .collect()
+}
+
+/// Write the joined row `chunk` (plan order) into `tuples` in the CN's node
+/// order — the alignment [`JoinedResult`] promises.
+fn fill_tuples(cn: &CandidateNetwork, plan: &JoinPlan, chunk: &[RowId], tuples: &mut Vec<TupleId>) {
+    tuples.clear();
+    tuples.resize(chunk.len(), TupleId::new(cn.nodes[0].table, RowId(0)));
+    for (&node, &row) in plan.order.iter().zip(chunk) {
+        tuples[node] = TupleId::new(cn.nodes[node].table, row);
+    }
+}
+
+/// Join `cn` over its default row sets into `scratch` and return the joined
+/// rows where they lie: one chunk of `cn.nodes.len()` row ids per result,
+/// in `plan.order` (not node order). The result *set* is
+/// [`crate::eval::evaluate_cn`]'s.
+///
+/// `cancel` is polled between join steps and periodically inside probe
+/// loops. When it turns true the evaluation stops and returns no rows — the
+/// parallel executor uses this to abandon a CN the moment the shared top-k
+/// bound strictly exceeds the CN's upper bound (every result it could still
+/// produce would be rejected, so dropping them cannot change the final
+/// top-k).
 ///
 /// The join follows `plan`, the CN's [`join_plan`]: from the keyword node
 /// estimated cheapest to start at, most selective neighbour first. A free node
@@ -107,18 +158,18 @@ pub fn evaluate_cn_pooled(
 /// per match emitted. For the hash join: one `tuples_scanned` per
 /// intermediate tuple hashed, one `join_probes` per tuple-set row, one
 /// `probe_rows` per match emitted.
-pub fn evaluate_cn_pooled_until(
+fn join_cn<'s>(
     db: &Database,
     cn: &CandidateNetwork,
     plan: &JoinPlan,
     ts: &TupleSets,
-    scratch: &mut EvalScratch,
+    scratch: &'s mut EvalScratch,
     stats: &ExecStats,
     cancel: &dyn Fn() -> bool,
-) -> Vec<JoinedResult> {
+) -> std::slice::Chunks<'s, RowId> {
     let n = cn.nodes.len();
     if n == 0 {
-        return Vec::new();
+        return [].chunks(1);
     }
     // Rows of a keyword node. (A free root has none: a network without a
     // keyword node covers no keyword and is not a CN.)
@@ -239,22 +290,12 @@ pub fn evaluate_cn_pooled_until(
         stride += 1;
     }
 
-    let results = if !cancelled && stride == n && !cancel() {
-        cur.chunks(stride)
-            .map(|chunk| {
-                let mut tuples = vec![TupleId::new(cn.nodes[0].table, RowId(0)); n];
-                for (s, &node) in order.iter().enumerate() {
-                    tuples[node] = TupleId::new(cn.nodes[node].table, chunk[s]);
-                }
-                JoinedResult { tuples }
-            })
-            .collect()
-    } else {
-        Vec::new() // a join emptied out before all nodes were placed
-    };
+    if cancelled || stride < n || cancel() {
+        cur.clear(); // abandoned, or a join emptied out before all nodes were placed
+    }
     scratch.cur = cur;
     scratch.next = next;
-    results
+    scratch.cur.chunks(n)
 }
 
 /// Run the parallel CN executor: evaluate `q.cns` on `workers` threads
@@ -344,21 +385,9 @@ where
         );
     }
 
-    // Upper bound per CN from per-(table, mask) best tuple scores — computed
-    // once, not per CN, unlike the serial executors' cn_bound.
-    let mut best: HashMap<(TableId, u32), f64> = HashMap::new();
-    for (table, mask) in q.ts.keys() {
-        let b =
-            q.ts.get(table, mask)
-                .map(|s| {
-                    s.rows
-                        .iter()
-                        .map(|&r| q.scorer.tuple_score(TupleId::new(table, r), q.keywords))
-                        .fold(0.0, f64::max)
-                })
-                .unwrap_or(0.0);
-        best.insert((table, mask), b);
-    }
+    // Every tuple set's scores, from the frequencies the sets carry. A CN's
+    // upper bound takes each keyword node's best; free nodes add nothing.
+    let scores = ScoreTable::new(q.ts, q.scorer, q.keywords);
     let bounds: Vec<f64> = q
         .cns
         .iter()
@@ -367,9 +396,8 @@ where
                 .keyword_nodes()
                 .into_iter()
                 .map(|ni| {
-                    best.get(&(cn.nodes[ni].table, cn.nodes[ni].mask))
-                        .copied()
-                        .unwrap_or(0.0)
+                    let column = scores.column(cn.nodes[ni].table, cn.nodes[ni].mask);
+                    column.map_or(0.0, |c| c.best())
                 })
                 .sum();
             sum / cn.size() as f64
@@ -390,6 +418,11 @@ where
     let run_worker = |w: usize| {
         let mut scratch = pool.checkout(EvalScratch::new);
         let mut accum = FacetAccum::new(freq.facets.len());
+        // Refinements and facet counting read a result as tuples: one
+        // buffer, refilled per joined row, allocated anew only for a row
+        // the top-k keeps.
+        let faceted = !freq.is_empty();
+        let mut probe = JoinedResult { tuples: Vec::new() };
         while !abort.load(Ordering::Acquire) {
             let pos = cursor.fetch_add(1, Ordering::Relaxed);
             let Some(&j) = jobs.get(pos) else { break };
@@ -414,28 +447,48 @@ where
             // rejected. Faceted runs never abandon — every result still
             // counts even when it can't be ranked.
             let outbid = || !exhaustive && !shared.would_accept(bounds[j]);
-            let results = evaluate_cn_pooled_until(
-                q.db,
-                &q.cns[j],
-                &plans[j],
-                q.ts,
-                &mut scratch,
-                stats,
-                &outbid,
-            );
+            let (cn, plan) = (&q.cns[j], &plans[j]);
+            let joined = join_cn(q.db, cn, plan, q.ts, &mut scratch, stats, &outbid);
             evaluated.fetch_add(1, Ordering::Relaxed);
-            for (i, r) in results.into_iter().enumerate() {
+            // Per node, in node order: where its row sits in a joined chunk
+            // and, for a keyword node, its tuple set's score column. A free
+            // node has none — its tuples score 0.
+            let columns: Vec<_> = (0..cn.nodes.len())
+                .map(|ni| {
+                    let slot = plan.order.iter().position(|&o| o == ni);
+                    let column = scores.column(cn.nodes[ni].table, cn.nodes[ni].mask);
+                    (slot.expect("the plan places every node"), column)
+                })
+                .collect();
+            for (i, chunk) in joined.enumerate() {
                 if i % 256 == 255 && outbid() {
                     break;
                 }
-                if !freq.passes(q.db, &r) {
-                    continue;
+                if faceted {
+                    fill_tuples(cn, plan, chunk, &mut probe.tuples);
+                    if !freq.passes(q.db, &probe) {
+                        continue;
+                    }
+                    if exhaustive {
+                        accum.observe(q.db, freq.facets, &probe);
+                    }
                 }
-                if exhaustive {
-                    accum.observe(q.db, freq.facets, &r);
+                // The DISCOVER2 score: tuple scores summed in node order
+                // (as the text-derived reference sums them, so the two
+                // agree bitwise) over CN size.
+                let sum: f64 = columns
+                    .iter()
+                    .map(|&(slot, column)| column.map_or(0.0, |c| c.score_of(chunk[slot])))
+                    .sum();
+                let score = sum / chunk.len() as f64;
+                debug_assert_eq!(score.to_bits(), {
+                    fill_tuples(cn, plan, chunk, &mut probe.tuples);
+                    q.scorer.monotone_score(&probe, q.keywords).to_bits()
+                });
+                if shared.would_accept(score) {
+                    fill_tuples(cn, plan, chunk, &mut probe.tuples);
+                    shared.push(w, score, (j, probe.clone()));
                 }
-                let score = q.scorer.monotone_score(&r, q.keywords);
-                shared.push(w, score, (j, r));
             }
         }
         accum

@@ -10,10 +10,31 @@
 //!   damping and length normalization, so combining two strong tuples can
 //!   score *less* than their sum. SPARK's `watf` upper bound (monotone,
 //!   per-tuple) is what Skyline-Sweep and Block-Pipeline prune with.
+//!
+//! # Where the monotone score comes from
+//!
+//! The per-tuple formula `Σ_k tf_weight(tf_k) · idf(k)` (keywords in query
+//! order) is stated once, in [`tfidf_sum`], as a function of the tuple's
+//! term-frequency slice. It has two sources of counts:
+//!
+//! * [`ResultScorer::tuple_score`] counts the keywords in the tuple's
+//!   *text* — the reference the serial [`crate::topk`] strategies, SPARK,
+//!   `timebound` and the parity suites use;
+//! * [`ScoreTable`] takes them from the *tuple sets*, which kept the
+//!   frequencies the postings carried, and looks each keyword's `idf` up
+//!   once per query — one `f64` column per tuple set, which is all the
+//!   engine's executor ([`crate::pexec`]) reads.
+//!
+//! Both feed the same function the same counts, so the two are equal bit
+//! for bit: a keyword outside a row's mask has `tf = 0` on either side and
+//! adds `0.0 · idf = 0.0`. A free tuple matches no keyword, so it scores
+//! exactly `0.0` and needs no column.
 
 use crate::eval::JoinedResult;
+use crate::tupleset::TupleSets;
+use kwdb_rank::tfidf::TfIdf;
 use kwdb_rank::CorpusStats;
-use kwdb_relational::{Database, TupleId};
+use kwdb_relational::{Database, RowId, TableId, TupleId};
 use std::collections::HashMap;
 use std::ops::Deref;
 use std::sync::Arc;
@@ -30,6 +51,15 @@ pub fn corpus_stats(db: &Database) -> CorpusStats {
         }
     }
     stats
+}
+
+/// The monotone per-tuple score `Σ_k tf_weight(tfs[k]) · idf(k)` over the
+/// query keywords in query order — the one statement of the formula.
+pub fn tfidf_sum(tfs: &[u32], idf: impl Fn(usize) -> f64) -> f64 {
+    tfs.iter()
+        .enumerate()
+        .map(|(k, &tf)| TfIdf::tf_weight(tf as usize) * idf(k))
+        .sum()
 }
 
 /// SPARK's length-normalization slope (`s` in pivoted normalization).
@@ -76,18 +106,16 @@ impl<D: Deref<Target = Database>> ResultScorer<D> {
         &self.stats
     }
 
-    /// Monotonic per-tuple score: Σ_k tf·idf of the query keywords.
+    /// Monotonic per-tuple score: [`tfidf_sum`] over the query keywords'
+    /// counts in the tuple's text.
     pub fn tuple_score<S: AsRef<str>>(&self, tid: TupleId, keywords: &[S]) -> f64 {
         let toks = self.db.tuple_tokens(tid);
         let tf = term_freqs(&toks);
-        keywords
+        let tfs: Vec<u32> = keywords
             .iter()
-            .map(|k| {
-                let k = k.as_ref();
-                kwdb_rank::tfidf::TfIdf::tf_weight(tf.get(k).copied().unwrap_or(0))
-                    * self.stats.idf(k)
-            })
-            .sum()
+            .map(|k| tf.get(k.as_ref()).map_or(0, |&n| n as u32))
+            .collect();
+        tfidf_sum(&tfs, |k| self.stats.idf(keywords[k].as_ref()))
     }
 
     /// DISCOVER2 result score: sum of tuple scores over size (smaller
@@ -148,6 +176,99 @@ impl<D: Deref<Target = Database>> ResultScorer<D> {
             })
             .sum();
         a / (1.0 - SLOPE)
+    }
+}
+
+/// The monotone scores of one tuple set's rows, position-aligned with
+/// [`TupleSet::rows`](crate::tupleset::TupleSet::rows).
+#[derive(Debug)]
+pub struct ScoreColumn<'a> {
+    rows: &'a [RowId],
+    scores: Vec<f64>,
+    best: f64,
+}
+
+impl ScoreColumn<'_> {
+    /// Each row's score, in row order.
+    pub fn scores(&self) -> &[f64] {
+        &self.scores
+    }
+
+    /// The score of `row`, which must be in the tuple set.
+    pub fn score_of(&self, row: RowId) -> f64 {
+        let at = self.rows.binary_search(&row);
+        self.scores[at.expect("the row is in this column's tuple set")]
+    }
+
+    /// The column's maximum — what a keyword node over this tuple set
+    /// contributes to a CN's upper bound.
+    pub fn best(&self) -> f64 {
+        self.best
+    }
+}
+
+/// One query's monotone tuple scores, from the index: per tuple set a
+/// [`ScoreColumn`] holding each row's [`tfidf_sum`] over the frequencies the
+/// set kept.
+#[derive(Debug)]
+pub struct ScoreTable<'a> {
+    columns: HashMap<(TableId, u32), ScoreColumn<'a>>,
+}
+
+impl<'a> ScoreTable<'a> {
+    /// Score every row of every tuple set of `ts`, which must have been
+    /// built for `keywords`. One `idf` lookup per keyword; nothing reads the
+    /// tuples' text.
+    pub fn new<S: AsRef<str>, D: Deref<Target = Database>>(
+        ts: &'a TupleSets,
+        scorer: &ResultScorer<D>,
+        keywords: &[S],
+    ) -> Self {
+        let idfs: Vec<f64> = keywords
+            .iter()
+            .map(|k| scorer.stats.idf(k.as_ref()))
+            .collect();
+        // The row's counts spread over all keywords; those outside the
+        // set's mask stay 0 throughout.
+        let mut tfs = vec![0u32; keywords.len()];
+        let mut columns = HashMap::with_capacity(ts.len());
+        for set in ts.sets() {
+            let bits: Vec<usize> = (0..keywords.len())
+                .filter(|&k| set.mask & (1 << k) != 0)
+                .collect();
+            let scores: Vec<f64> = (0..set.rows.len())
+                .map(|i| {
+                    for (&k, &tf) in bits.iter().zip(set.row_tfs(i)) {
+                        tfs[k] = tf;
+                    }
+                    let score = tfidf_sum(&tfs, |k| idfs[k]);
+                    debug_assert_eq!(
+                        score.to_bits(),
+                        scorer
+                            .tuple_score(TupleId::new(set.table, set.rows[i]), keywords)
+                            .to_bits(),
+                        "index-derived score diverged from the text-derived one"
+                    );
+                    score
+                })
+                .collect();
+            for &k in &bits {
+                tfs[k] = 0;
+            }
+            let column = ScoreColumn {
+                rows: &set.rows,
+                best: scores.iter().copied().fold(0.0, f64::max),
+                scores,
+            };
+            columns.insert((set.table, set.mask), column);
+        }
+        ScoreTable { columns }
+    }
+
+    /// The column of tuple set `(table, mask)`; `None` when the set is
+    /// empty — and for the free set (`mask == 0`), whose tuples score 0.
+    pub fn column(&self, table: TableId, mask: u32) -> Option<&ScoreColumn<'a>> {
+        self.columns.get(&(table, mask))
     }
 }
 

@@ -5,18 +5,63 @@
 //! assign each keyword to exactly one node, so a CN's results are total
 //! (cover all keywords) and duplicate-free across CNs (a joining tree of
 //! tuples matches exactly one CN).
+//!
+//! A tuple set also keeps what the index said about *how often* each of its
+//! keywords occurs in each row. The postings that put a row into the set
+//! carry the term frequency, so the set is everything the monotone score
+//! needs ([`crate::score::ScoreTable`]): no executor goes back to the
+//! tuple's text to rank it.
 
-use kwdb_common::index::kernels;
-use kwdb_common::{Result, ShardedCache};
+use kwdb_common::index::Postings;
+use kwdb_common::{KwdbError, Result, ShardedCache};
+use kwdb_relational::index::Posting;
 use kwdb_relational::{Database, RowId, TableId};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// The relational engine's per-term tuple-set cache: materialized sorted
-/// `(table << 32 | row)` key lists, keyed by `(generation, term symbol)`.
-/// The generation in the key is the whole invalidation story — a commit
-/// bumps it, stale entries stop matching, and the LRU sweep reclaims them.
-pub type TermCache = ShardedCache<(u64, u32), Arc<Vec<u64>>>;
+/// Most keywords one query may have: tuple-set masks are `u32` bitmasks.
+pub const MAX_KEYWORDS: usize = 32;
+
+/// One term's materialized match list: the `(table << 32 | row)` key of
+/// every live tuple containing the term, ascending, and beside each key the
+/// term's frequency in that tuple (posting `tf` summed over the tuple's
+/// columns).
+#[derive(Debug, Default)]
+pub struct TermList {
+    keys: Vec<u64>,
+    tfs: Vec<u32>,
+}
+
+impl TermList {
+    /// Decode a term's postings (either layout, any segment mix; tombstoned
+    /// tuples already filtered by the view). Postings arrive in `(table,
+    /// row, column)` order, so one tuple's columns are adjacent.
+    fn from_postings(postings: Postings<'_, Posting>) -> Self {
+        let mut list = TermList::default();
+        for p in postings.iter() {
+            let key = kwdb_relational::index::tuple_key(p.tuple);
+            if list.keys.last() == Some(&key) {
+                *list.tfs.last_mut().expect("one tf per key") += p.tf;
+            } else {
+                list.keys.push(key);
+                list.tfs.push(p.tf);
+            }
+        }
+        list
+    }
+
+    /// Bytes charged to the cache budget: both columns, their two `Vec`
+    /// headers and the `Arc` counts.
+    fn cache_bytes(&self) -> usize {
+        self.keys.len() * 8 + self.tfs.len() * 4 + 64
+    }
+}
+
+/// The relational engine's per-term tuple-set cache: materialized
+/// [`TermList`]s keyed by `(generation, term symbol)`. The generation in
+/// the key is the whole invalidation story — a commit bumps it, stale
+/// entries stop matching, and the LRU sweep reclaims them.
+pub type TermCache = ShardedCache<(u64, u32), Arc<TermList>>;
 
 /// One non-empty tuple set `R^K`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -27,6 +72,18 @@ pub struct TupleSet {
     pub mask: u32,
     /// Matching rows, ascending.
     pub rows: Vec<RowId>,
+    /// Term frequencies, `mask.count_ones()` per row: row `i`'s counts of
+    /// the mask's keywords, lowest keyword index first.
+    pub tfs: Vec<u32>,
+}
+
+impl TupleSet {
+    /// Row `i`'s frequencies of the mask's keywords, lowest keyword index
+    /// first.
+    pub fn row_tfs(&self, i: usize) -> &[u32] {
+        let width = self.mask.count_ones() as usize;
+        &self.tfs[i * width..(i + 1) * width]
+    }
 }
 
 /// All non-empty tuple sets of a query, keyed by `(table, mask)`.
@@ -41,61 +98,23 @@ pub struct TupleSets {
 
 impl TupleSets {
     /// Partition every table's matching rows by exact keyword subset.
-    /// Requires a fresh full-text index on `db`.
+    /// Requires a fresh full-text index on `db`; more than [`MAX_KEYWORDS`]
+    /// keywords is an [`KwdbError::InvalidQuery`].
     ///
-    /// Rides the k-way cursor union kernel: tuple keys `(table, row)` arrive
-    /// in ascending order with the bitmask of matching lists, so the
-    /// per-set and per-table row vectors come out sorted with no hashing
-    /// over postings and no post-sort — and the same code path serves both
-    /// the plain and the block-compressed layout.
+    /// Each keyword's postings are decoded once into a [`TermList`] (the
+    /// same code serves the plain and the block-compressed layout) and the
+    /// lists are merged into the exact-subset partition.
     pub fn build<S: AsRef<str>>(db: &Database, keywords: &[S]) -> Result<Self> {
-        assert!(keywords.len() <= 32, "at most 32 keywords");
-        let ix = db.text_index()?;
-        // One dictionary lookup per keyword up front; absent keywords have
-        // no postings and simply contribute no mask bits.
-        let mut cursors = Vec::with_capacity(keywords.len());
-        let mut bit_of = Vec::with_capacity(keywords.len());
-        for (i, kw) in keywords.iter().enumerate() {
-            let Some(sym) = ix.sym(kw.as_ref()) else {
-                continue;
-            };
-            cursors.push(ix.postings_sym(sym).cursor());
-            bit_of.push(i as u32);
-        }
-        let mut sets: HashMap<(TableId, u32), TupleSet> = HashMap::new();
-        let mut matched: HashMap<TableId, Vec<RowId>> = HashMap::new();
-        kernels::for_each_union_key(&mut cursors, |key, cursor_mask| {
-            let mut mask = 0u32;
-            let mut rest = cursor_mask;
-            while rest != 0 {
-                mask |= 1 << bit_of[rest.trailing_zeros() as usize];
-                rest &= rest - 1;
-            }
-            let table = TableId((key >> 32) as u32);
-            let row = RowId(key as u32);
-            sets.entry((table, mask))
-                .or_insert_with(|| TupleSet {
-                    table,
-                    mask,
-                    rows: Vec::new(),
-                })
-                .rows
-                .push(row);
-            matched.entry(table).or_default().push(row);
-        });
-        Ok(TupleSets {
-            sets,
-            matched,
-            n_keywords: keywords.len(),
+        Self::build_with(db, keywords, |_, postings| {
+            Arc::new(TermList::from_postings(postings))
         })
     }
 
     /// [`TupleSets::build`] through the per-term cache: each keyword's
-    /// sorted tuple-key list is fetched from `cache` (keyed by the
-    /// database's current generation and the term's symbol) or materialized
-    /// from its postings and stored; the exact-subset partition is then a
-    /// k-way merge over the per-term lists. Returns the tuple sets plus
-    /// this query's (hit, miss) counts against the cache.
+    /// [`TermList`] is fetched from `cache` (keyed by the database's
+    /// current generation and the term's symbol) or materialized from its
+    /// postings and stored. Returns the tuple sets plus this query's
+    /// (hit, miss) counts against the cache.
     ///
     /// Equivalent to `build` for any index state — proven by the cache
     /// parity tests — because a list materialized at generation `g` can
@@ -105,78 +124,90 @@ impl TupleSets {
         keywords: &[S],
         cache: &TermCache,
     ) -> Result<(Self, u64, u64)> {
-        assert!(keywords.len() <= 32, "at most 32 keywords");
-        let ix = db.text_index()?;
         let generation = db.generation();
         let (mut hits, mut misses) = (0u64, 0u64);
-        let mut lists: Vec<Arc<Vec<u64>>> = Vec::with_capacity(keywords.len());
-        let mut bit_of = Vec::with_capacity(keywords.len());
-        for (i, kw) in keywords.iter().enumerate() {
-            let Some(sym) = ix.sym(kw.as_ref()) else {
-                continue;
-            };
-            let key = (generation, sym.0);
-            let list = match cache.get(&key) {
-                Some(list) => {
-                    hits += 1;
-                    list
-                }
-                None => {
-                    misses += 1;
-                    let mut keys = Vec::new();
-                    let mut cursors = vec![ix.postings_sym(sym).cursor()];
-                    kernels::for_each_union_key(&mut cursors, |k, _| keys.push(k));
-                    let list = Arc::new(keys);
-                    cache.insert(key, Arc::clone(&list), list.len() * 8 + 48);
-                    list
-                }
-            };
-            lists.push(list);
-            bit_of.push(i as u32);
+        let ts = Self::build_with(db, keywords, |sym, postings| {
+            let key = (generation, sym);
+            if let Some(list) = cache.get(&key) {
+                hits += 1;
+                return list;
+            }
+            misses += 1;
+            let list = Arc::new(TermList::from_postings(postings));
+            cache.insert(key, Arc::clone(&list), list.cache_bytes());
+            list
+        })?;
+        Ok((ts, hits, misses))
+    }
+
+    /// One dictionary lookup per keyword, then `list_of(symbol, postings)`
+    /// for each keyword the dictionary knows; absent keywords have no
+    /// postings and simply contribute no mask bits.
+    fn build_with<S: AsRef<str>>(
+        db: &Database,
+        keywords: &[S],
+        mut list_of: impl FnMut(u32, Postings<'_, Posting>) -> Arc<TermList>,
+    ) -> Result<Self> {
+        if keywords.len() > MAX_KEYWORDS {
+            return Err(KwdbError::InvalidQuery(format!(
+                "{} keywords; a relational query takes at most {MAX_KEYWORDS}",
+                keywords.len()
+            )));
         }
-        // K-way merge over the sorted per-term lists — the same ascending
-        // (key, mask) stream the cursor-union kernel produces in `build`.
+        let ix = db.text_index()?;
+        let mut lists = Vec::with_capacity(keywords.len());
+        for (i, kw) in keywords.iter().enumerate() {
+            if let Some(sym) = ix.sym(kw.as_ref()) {
+                lists.push((i as u32, list_of(sym.0, ix.postings_sym(sym))));
+            }
+        }
+        Ok(Self::partition(&lists, keywords.len()))
+    }
+
+    /// The exact-subset partition: a k-way merge over the keywords' sorted
+    /// [`TermList`]s, each paired with its keyword's bit. Tuple keys
+    /// `(table, row)` come out ascending with the mask of lists holding
+    /// them, so the per-set and per-table row vectors are sorted with no
+    /// post-sort, and a row's frequencies land in keyword order because the
+    /// lists are.
+    fn partition(lists: &[(u32, Arc<TermList>)], n_keywords: usize) -> Self {
         let mut sets: HashMap<(TableId, u32), TupleSet> = HashMap::new();
         let mut matched: HashMap<TableId, Vec<RowId>> = HashMap::new();
         let mut idx = vec![0usize; lists.len()];
+        let mut row_tfs: Vec<u32> = Vec::with_capacity(lists.len());
         loop {
-            let mut min = u64::MAX;
-            for (i, list) in lists.iter().enumerate() {
-                if idx[i] < list.len() {
-                    min = min.min(list[idx[i]]);
-                }
-            }
-            if min == u64::MAX {
-                break;
-            }
+            let min = lists
+                .iter()
+                .zip(&idx)
+                .filter_map(|((_, list), &i)| list.keys.get(i).copied())
+                .min();
+            let Some(min) = min else { break };
             let mut mask = 0u32;
-            for (i, list) in lists.iter().enumerate() {
-                if idx[i] < list.len() && list[idx[i]] == min {
-                    mask |= 1 << bit_of[i];
-                    idx[i] += 1;
+            row_tfs.clear();
+            for ((bit, list), i) in lists.iter().zip(&mut idx) {
+                if list.keys.get(*i) == Some(&min) {
+                    mask |= 1 << bit;
+                    row_tfs.push(list.tfs[*i]);
+                    *i += 1;
                 }
             }
             let table = TableId((min >> 32) as u32);
             let row = RowId(min as u32);
-            sets.entry((table, mask))
-                .or_insert_with(|| TupleSet {
-                    table,
-                    mask,
-                    rows: Vec::new(),
-                })
-                .rows
-                .push(row);
+            let set = sets.entry((table, mask)).or_insert_with(|| TupleSet {
+                table,
+                mask,
+                rows: Vec::new(),
+                tfs: Vec::new(),
+            });
+            set.rows.push(row);
+            set.tfs.extend_from_slice(&row_tfs);
             matched.entry(table).or_default().push(row);
         }
-        Ok((
-            TupleSets {
-                sets,
-                matched,
-                n_keywords: keywords.len(),
-            },
-            hits,
-            misses,
-        ))
+        TupleSets {
+            sets,
+            matched,
+            n_keywords,
+        }
     }
 
     pub fn n_keywords(&self) -> usize {
@@ -185,16 +216,20 @@ impl TupleSets {
 
     /// The full-cover mask `2^l − 1`.
     pub fn full_mask(&self) -> u32 {
-        if self.n_keywords == 0 {
-            0
-        } else {
-            (1u32 << self.n_keywords) - 1
+        match self.n_keywords {
+            0 => 0,
+            n => u32::MAX >> (MAX_KEYWORDS - n),
         }
     }
 
     /// Get a non-empty tuple set.
     pub fn get(&self, table: TableId, mask: u32) -> Option<&TupleSet> {
         self.sets.get(&(table, mask))
+    }
+
+    /// Every non-empty tuple set, in no particular order.
+    pub fn sets(&self) -> impl Iterator<Item = &TupleSet> {
+        self.sets.values()
     }
 
     /// All non-empty `(table, mask)` keys, sorted.
@@ -305,6 +340,9 @@ mod tests {
         // paper 10: {xml} only; paper 11: both
         assert_eq!(ts.get(paper, 0b10).unwrap().rows, vec![RowId(0)]);
         assert_eq!(ts.get(paper, 0b11).unwrap().rows, vec![RowId(1)]);
+        // one count per mask bit per row: "Widom on XML" has each once
+        assert_eq!(ts.get(paper, 0b11).unwrap().tfs, vec![1, 1]);
+        assert_eq!(ts.get(author, 0b01).unwrap().row_tfs(0), [1]);
         assert!(ts.get(paper, 0b01).is_none());
         assert!(ts.covers_all_keywords());
     }

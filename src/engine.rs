@@ -882,7 +882,8 @@ pub struct RelationalEngine {
     /// a cold key compute once.
     result_cache: ResultCache<RelationalHit>,
     /// Generation-keyed per-term tuple-set cache: materialized sorted
-    /// tuple-key lists shared across queries that mention the same term.
+    /// tuple-key lists, each key with the term's frequency in the tuple,
+    /// shared across queries that mention the same term.
     tupleset_cache: TermCache,
 }
 

@@ -198,3 +198,40 @@ fn stats_phases_are_populated() {
     assert!(p.total() == p.parse + p.build + p.plan + p.evaluate + p.facets);
     assert!(resp.stats.candidates_generated > 0);
 }
+
+#[test]
+fn keyword_count_limit_is_an_error_not_a_panic() {
+    // One paper whose title holds 33 distinct words: a query over the first
+    // n of them has one answer, the single-node full-mask network.
+    let words: Vec<String> = (0..33).map(|i| format!("w{i}x")).collect();
+    let mut db = kwdb::relational::Database::new();
+    kwdb::relational::database::dblp_schema(&mut db).unwrap();
+    db.insert("conference", vec![1.into(), "SIGMOD".into(), 2007.into()])
+        .unwrap();
+    db.insert(
+        "paper",
+        vec![10.into(), words.join(" ").as_str().into(), 1.into()],
+    )
+    .unwrap();
+    db.build_text_index();
+    let engine = RelationalEngine::new(db);
+    for n in [31, 32] {
+        let resp = engine
+            .execute(&SearchRequest::new(words[..n].join(" ")).k(5))
+            .unwrap();
+        assert_eq!(resp.hits.len(), 1, "{n} keywords: the paper matches");
+        assert!(!resp.truncated());
+    }
+    let err = engine
+        .execute(&SearchRequest::new(words.join(" ")).k(5))
+        .unwrap_err();
+    assert!(
+        matches!(err, kwdb::common::KwdbError::InvalidQuery(_)),
+        "33 keywords: {err:?}"
+    );
+    // The engine is still serviceable after the refusal.
+    let resp = engine
+        .execute(&SearchRequest::new(words[..2].join(" ")).k(5))
+        .unwrap();
+    assert_eq!(resp.hits.len(), 1);
+}

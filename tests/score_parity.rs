@@ -1,0 +1,305 @@
+//! Integration: the score the executor reads from the index ≡ the score
+//! computed from the tuples' text, bit for bit.
+//!
+//! `relsearch::pexec` ranks from [`ScoreTable`] columns, filled from the
+//! term frequencies the tuple sets kept from the postings;
+//! `ResultScorer::tuple_score` re-tokenizes the tuple and counts. These
+//! tests state that the two are the *same number* — for every row of every
+//! tuple set, and for the engine's top-k against `topk::naive` — across
+//! posting layouts × every state the index passes through (built, ingested
+//! into the realtime segment, committed, merged, a primary key deleted and
+//! ingested again, rebuilt from scratch), through `TupleSets::build` and
+//! `build_cached` alike. The fixture has what makes a frequency more than a
+//! flag: two text columns holding the same term, tuples with tf ≥ 2, a
+//! query that repeats a keyword and one whose keyword no tuple contains.
+
+use kwdb::engine::{RelationalConfig, RelationalEngine, SearchRequest};
+use kwdb::relational::schema::{ColumnType, TableBuilder};
+use kwdb::relational::{Database, ExecStats, Row, TupleId};
+use kwdb::relsearch::cn::{CnGenConfig, CnGenerator, MaskOracle};
+use kwdb::relsearch::pexec::{parallel_topk_budgeted, EvalScratch};
+use kwdb::relsearch::score::ScoreTable;
+use kwdb::relsearch::topk::{naive, TopKQuery};
+use kwdb::relsearch::tupleset::TermCache;
+use kwdb::relsearch::{ResultScorer, TupleSets};
+use kwdb_common::index::Layout;
+use kwdb_common::{Budget, CacheConfig, Rng, ScratchPool};
+
+const WORDS: &[&str] = &[
+    "keyword", "search", "database", "graph", "xml", "ranking", "index", "join", "stream", "query",
+];
+
+/// `n` words from the pool, repeats allowed — how a tuple gets tf ≥ 2.
+fn phrase(rng: &mut Rng, n: usize) -> String {
+    (0..n)
+        .map(|_| WORDS[rng.gen_index(WORDS.len())])
+        .collect::<Vec<_>>()
+        .join(" ")
+}
+
+/// venue(name, blurb) ← article(title, abstract) ← wrote → person(name):
+/// two tables with two text columns each.
+fn schema() -> Database {
+    let mut db = Database::new();
+    db.create_table(
+        TableBuilder::new("venue")
+            .column("vid", ColumnType::Int)
+            .column("name", ColumnType::Text)
+            .column("blurb", ColumnType::Text)
+            .primary_key("vid"),
+    )
+    .unwrap();
+    db.create_table(
+        TableBuilder::new("person")
+            .column("pid", ColumnType::Int)
+            .column("name", ColumnType::Text)
+            .primary_key("pid"),
+    )
+    .unwrap();
+    db.create_table(
+        TableBuilder::new("article")
+            .column("aid", ColumnType::Int)
+            .column("title", ColumnType::Text)
+            .column("abstract", ColumnType::Text)
+            .column("vid", ColumnType::Int)
+            .primary_key("aid")
+            .foreign_key("vid", "venue"),
+    )
+    .unwrap();
+    db.create_table(
+        TableBuilder::new("wrote")
+            .column("wid", ColumnType::Int)
+            .column("pid", ColumnType::Int)
+            .column("aid", ColumnType::Int)
+            .primary_key("wid")
+            .foreign_key("pid", "person")
+            .foreign_key("aid", "article"),
+    )
+    .unwrap();
+    db
+}
+
+const N_VENUES: i64 = 4;
+const N_PEOPLE: i64 = 12;
+
+fn venue(rng: &mut Rng, v: i64) -> (&'static str, Row) {
+    let row = vec![
+        v.into(),
+        format!("venue{v} {}", phrase(rng, 1)).into(),
+        phrase(rng, 3).into(),
+    ];
+    ("venue", row)
+}
+
+fn person(rng: &mut Rng, p: i64) -> (&'static str, Row) {
+    let row = vec![p.into(), format!("person{p} {}", phrase(rng, 1)).into()];
+    ("person", row)
+}
+
+/// An article and one authorship row; FK targets are drawn from the venues
+/// and people every stage already holds.
+fn article(rng: &mut Rng, a: i64) -> [(&'static str, Row); 2] {
+    let article = vec![
+        a.into(),
+        phrase(rng, 3).into(),
+        phrase(rng, 4).into(),
+        (rng.gen_index(N_VENUES as usize) as i64).into(),
+    ];
+    let wrote = vec![
+        a.into(),
+        (rng.gen_index(N_PEOPLE as usize) as i64).into(),
+        a.into(),
+    ];
+    [("article", article), ("wrote", wrote)]
+}
+
+/// The keyword lists every state is checked with. The last two cannot come
+/// out of the engine's parser (it drops repeats) or cannot match (AND
+/// semantics), so they exercise the library surface only.
+fn queries() -> Vec<Vec<&'static str>> {
+    vec![
+        vec!["xml"],
+        vec!["xml", "search"],
+        vec!["graph", "ranking"],
+        vec!["keyword", "database", "join"],
+        vec!["xml", "xml"],
+        vec!["xml", "nosuchterm"],
+    ]
+}
+
+/// Everything the suite claims, on one engine state.
+fn check(engine: &RelationalEngine, cache: &TermCache, what: &str) {
+    let db = engine.database();
+    let scorer = ResultScorer::new(&*db);
+    let pool: ScratchPool<EvalScratch> = ScratchPool::new();
+    for kws in queries() {
+        let ctx = format!("{what}, query {kws:?}");
+        let plain = TupleSets::build(&db, &kws).unwrap();
+        let (cold, _, _) = TupleSets::build_cached(&db, &kws, cache).unwrap();
+        let (warm, hits, misses) = TupleSets::build_cached(&db, &kws, cache).unwrap();
+        let known = kws.iter().filter(|k| **k != "nosuchterm").count() as u64;
+        assert_eq!(
+            (hits, misses),
+            (known, 0),
+            "{ctx}: second build is all hits"
+        );
+
+        for ts in [&plain, &cold, &warm] {
+            assert_eq!(ts.keys(), plain.keys(), "{ctx}");
+            let table = ScoreTable::new(ts, &scorer, &kws);
+            for (t, mask) in ts.keys() {
+                let set = ts.get(t, mask).unwrap();
+                assert_eq!(
+                    set,
+                    plain.get(t, mask).unwrap(),
+                    "{ctx}: build ≡ build_cached"
+                );
+                let column = table.column(t, mask).unwrap().scores();
+                assert_eq!(column.len(), set.rows.len(), "{ctx}");
+                let bits: Vec<usize> = (0..kws.len()).filter(|k| mask & (1 << k) != 0).collect();
+                for (i, &row) in set.rows.iter().enumerate() {
+                    let tid = TupleId::new(t, row);
+                    // The frequencies are the text's …
+                    let toks = db.tuple_tokens(tid);
+                    let counted: Vec<u32> = bits
+                        .iter()
+                        .map(|&k| toks.iter().filter(|tok| *tok == kws[k]).count() as u32)
+                        .collect();
+                    assert_eq!(set.row_tfs(i), counted, "{ctx}: tf of {tid:?}");
+                    // … and so is the score.
+                    assert_eq!(
+                        column[i].to_bits(),
+                        scorer.tuple_score(tid, &kws).to_bits(),
+                        "{ctx}: score of {tid:?}"
+                    );
+                }
+            }
+        }
+
+        // The executor against the exhaustive reference, same CNs.
+        let oracle = MaskOracle::from_tuplesets(&plain);
+        let cfg = RelationalConfig::default();
+        let cns = CnGenerator::new(
+            db.schema_graph(),
+            &oracle,
+            CnGenConfig {
+                max_size: cfg.max_cn_size,
+                dedupe: true,
+                max_cns: cfg.max_cns,
+            },
+        )
+        .generate();
+        let q = TopKQuery {
+            db: &db,
+            ts: &plain,
+            cns: &cns,
+            scorer: &scorer,
+            keywords: &kws,
+        };
+        let want: Vec<u64> = naive(&q, 10, &ExecStats::new())
+            .iter()
+            .map(|r| r.score.to_bits())
+            .collect();
+        for workers in [1, 3] {
+            let out = parallel_topk_budgeted(
+                &q,
+                10,
+                &ExecStats::new(),
+                &Budget::unlimited(),
+                workers,
+                &pool,
+            );
+            let got: Vec<u64> = out.results.iter().map(|r| r.score.to_bits()).collect();
+            assert_eq!(got, want, "{ctx}: executor at {workers} workers vs naive");
+        }
+        let expressible = kws.iter().collect::<std::collections::HashSet<_>>().len() == kws.len();
+        if expressible {
+            let resp = engine
+                .execute(&SearchRequest::new(kws.join(" ")).k(10))
+                .unwrap();
+            let got: Vec<u64> = resp.hits.iter().map(|h| h.score.to_bits()).collect();
+            assert_eq!(got, want, "{ctx}: engine vs naive");
+        }
+    }
+}
+
+fn ingest_all(engine: &RelationalEngine, rows: impl IntoIterator<Item = (&'static str, Row)>) {
+    for (table, row) in rows {
+        engine.ingest_tuple(table, row).unwrap();
+    }
+}
+
+#[test]
+fn index_scores_equal_text_scores_in_every_index_state() {
+    for layout in [Layout::Plain, Layout::Blocks] {
+        let mut rng = Rng::seed_from_u64(0x5c0e);
+        let mut db = schema();
+        let mut base: Vec<(&str, Row)> = Vec::new();
+        base.extend((0..N_VENUES).map(|v| venue(&mut rng, v)));
+        base.extend((0..N_PEOPLE).map(|p| person(&mut rng, p)));
+        base.extend((0..40).flat_map(|a| article(&mut rng, a)));
+        // The same term in both text columns of one tuple, three times over.
+        base.push((
+            "article",
+            vec![
+                900.into(),
+                "xml xml search".into(),
+                "xml ranking".into(),
+                0.into(),
+            ],
+        ));
+        base.push((
+            "venue",
+            vec![900.into(), "xml".into(), "xml graph xml".into()],
+        ));
+        for (table, row) in base {
+            db.insert(table, row).unwrap();
+        }
+        db.build_text_index_with(layout);
+        let cfg = RelationalConfig {
+            posting_layout: layout,
+            ..RelationalConfig::default()
+        };
+        let engine = RelationalEngine::with_config(db, cfg);
+        let cache = TermCache::new(CacheConfig::default());
+        let at = |state: &str| format!("{layout:?}/{state}");
+        check(&engine, &cache, &at("built"));
+
+        ingest_all(&engine, (40..60).flat_map(|a| article(&mut rng, a)));
+        check(&engine, &cache, &at("ingested"));
+
+        engine.commit().unwrap();
+        check(&engine, &cache, &at("committed"));
+
+        ingest_all(&engine, (60..70).flat_map(|a| article(&mut rng, a)));
+        engine.commit().unwrap();
+        engine.merge().unwrap();
+        check(&engine, &cache, &at("merged"));
+
+        // A primary key deleted and ingested again with other text: the new
+        // row's counts, never the tombstoned one's.
+        engine.delete_tuple("article", &900.into()).unwrap();
+        check(&engine, &cache, &at("deleted"));
+        ingest_all(
+            &engine,
+            [(
+                "article",
+                vec![
+                    900.into(),
+                    "search search search".into(),
+                    "xml".into(),
+                    1.into(),
+                ],
+            )],
+        );
+        check(&engine, &cache, &at("re-ingested"));
+
+        let mut rebuilt = (*engine.database()).clone();
+        rebuilt.build_text_index_with(layout);
+        let engine = RelationalEngine::with_config(rebuilt, cfg);
+        // A rebuild renumbers the term dictionary without a new generation:
+        // its lists go under their own cache, as they do in an engine.
+        let cache = TermCache::new(CacheConfig::default());
+        check(&engine, &cache, &at("rebuilt"));
+    }
+}
