@@ -5,7 +5,9 @@ use kwdb_datasets::graphs::{generate_graph, GraphConfig};
 use kwdb_graph::hub::{HubIndex, HubSelection};
 use kwdb_graph::shortest::distance;
 use kwdb_graph::{DataGraph, NodeId};
-use kwdb_graphsearch::{approx, blinks::Blinks, community, ease, BanksI, BanksII, Dpbf};
+use kwdb_graphsearch::{
+    approx, blinks::Blinks, community, ease, BanksI, BanksII, Dpbf, SearchScratch,
+};
 
 /// The slide-30 graph, used by E03.
 fn slide30() -> DataGraph {
@@ -64,9 +66,10 @@ pub fn e05_graph_engines() -> Report {
         let kws = ["kw0", "kw1", "kw2"];
         let dpbf = Dpbf::new(&g);
         let unlimited = kwdb_common::Budget::unlimited();
-        let (exact, _, dpbf_work) = dpbf.search_budgeted(&kws, 1, &unlimited);
+        let mut scratch = SearchScratch::default();
+        let (exact, _, dpbf_work) = dpbf.search_budgeted(&kws, 1, &unlimited, &mut scratch);
         let b1 = BanksI::new(&g);
-        let (r1, _, b1_work) = b1.search_budgeted(&kws, 1, &unlimited);
+        let (r1, _, b1_work) = b1.search_budgeted(&kws, 1, &unlimited, &mut scratch);
         let mut b2 = BanksII::new(&g);
         let r2 = b2.search(&kws, 1);
         rows.push(format!(
@@ -154,9 +157,10 @@ pub fn e20_blinks() -> Report {
     )];
     for k in [1usize, 5, 20] {
         let unlimited = kwdb_common::Budget::unlimited();
-        let (res, _, bl_work) = bl.search_budgeted(&ix, &kws, k, &unlimited);
+        let mut scratch = SearchScratch::default();
+        let (res, _, bl_work) = bl.search_budgeted(&ix, &kws, k, &unlimited, &mut scratch);
         let banks = BanksI::new(&g);
-        let (_, _, banks_work) = banks.search_budgeted(&kws, k, &unlimited);
+        let (_, _, banks_work) = banks.search_budgeted(&kws, k, &unlimited, &mut scratch);
         rows.push(format!(
             "{k:>3} {:>14} {:>14} {:>12}",
             bl_work.sorted_accesses, bl_work.random_accesses, banks_work.nodes_expanded

@@ -8,29 +8,84 @@
 //! * random access `dist(r, k)` — the probe Fagin's TA needs;
 //! * a distance-sorted cursor per keyword — TA's sorted access.
 //!
+//! # Layout
+//!
+//! [`NodeId`] is dense, so a keyword's list is three flat arrays: `dist`
+//! (`f64`) and `origin` (`u32`, the nearest match) indexed by `NodeId.0`,
+//! and `sorted`, the reachable nodes in `(dist, node)` order — 16 bytes per
+//! (node, keyword) on a connected graph, and a random access is two array
+//! reads. Distances stay `f64`: they are sums of edge weights in path order,
+//! and BLINKS ranks by their sum, so a narrower type would change costs and
+//! tie order. `origin` keeps the `(dist, smallest origin id)` tie-break of
+//! [`multi_source`](crate::shortest::multi_source), which the RDBMS-powered
+//! formulation of the same semantics reproduces.
+//!
 //! Keywords are interned into a [`TermDict`], so the TA loop resolves each
 //! query keyword to a [`Sym`] once and then performs its (per candidate ×
 //! keyword) random accesses on dense ids — no string hashing in the loop.
 //!
-//! Building uses one multi-source Dijkstra per keyword (sources = the
-//! keyword's match nodes), optionally distance-capped (the `D` threshold of
-//! the D-reachability indexes, Markowetz et al. ICDE 09).
+//! Building runs one multi-source Dijkstra per keyword (sources = the
+//! keyword's match nodes) on a reused [`Expansion`], optionally
+//! distance-capped (the `D` threshold of the D-reachability indexes,
+//! Markowetz et al. ICDE 09). The lists are independent, so the keywords are
+//! dealt out to `available_parallelism()` threads; the index is the same at
+//! any thread count.
 
 use crate::graph::{DataGraph, NodeId};
-use crate::shortest::multi_source;
+use crate::shortest::Expansion;
 use kwdb_common::index::{IndexStats, TermDict};
 use kwdb_common::intern::Sym;
-use std::collections::HashMap;
+use std::mem::size_of;
 use std::time::Duration;
+
+const NONE: u32 = u32::MAX;
+
+/// One keyword's distances.
+#[derive(Debug, Clone, Default)]
+struct DistanceList {
+    /// Dense by `NodeId.0`; meaningful where `origin` is set.
+    dist: Vec<f64>,
+    /// Dense by `NodeId.0`: nearest match node, [`NONE`] = unreachable.
+    origin: Vec<u32>,
+    /// Reachable nodes by ascending distance (ties by node id).
+    sorted: Vec<NodeId>,
+}
+
+impl DistanceList {
+    fn build(g: &DataGraph, exp: &mut Expansion, keyword: &str, max_dist: Option<f64>) -> Self {
+        exp.nearest(g, g.keyword_nodes(keyword), max_dist);
+        let mut dist = vec![f64::INFINITY; g.node_count()];
+        let mut origin = vec![NONE; g.node_count()];
+        for &n in exp.reached() {
+            dist[n.0 as usize] = exp.dist(n).expect("reached");
+            origin[n.0 as usize] = exp.tag(n).expect("reached");
+        }
+        let mut sorted = exp.reached().to_vec();
+        sorted.sort_unstable_by(|a, b| {
+            dist[a.0 as usize]
+                .total_cmp(&dist[b.0 as usize])
+                .then(a.cmp(b))
+        });
+        DistanceList {
+            dist,
+            origin,
+            sorted,
+        }
+    }
+
+    fn get(&self, node: NodeId) -> Option<(f64, NodeId)> {
+        let i = node.0 as usize;
+        let origin = *self.origin.get(i)?;
+        (origin != NONE).then(|| (self.dist[i], NodeId(origin)))
+    }
+}
 
 /// Distance lists for a set of keywords.
 #[derive(Debug, Clone, Default)]
 pub struct NodeKeywordIndex {
     dict: TermDict,
-    /// Per keyword (dense by `Sym`): node → (distance, nearest match node).
-    dist: Vec<HashMap<NodeId, (f64, NodeId)>>,
-    /// Per keyword: nodes sorted by ascending distance (ties by node id).
-    sorted: Vec<Vec<(NodeId, f64)>>,
+    /// Dense by `Sym`.
+    lists: Vec<DistanceList>,
     build_time: Option<Duration>,
 }
 
@@ -38,32 +93,51 @@ impl NodeKeywordIndex {
     /// Build for the given `keywords` over `g`. `max_dist` caps the index
     /// range (distances beyond it are treated as unreachable).
     pub fn build<S: AsRef<str>>(g: &DataGraph, keywords: &[S], max_dist: Option<f64>) -> Self {
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        Self::build_on(g, keywords, max_dist, threads)
+    }
+
+    /// [`build`](Self::build) on a given number of threads (`build` uses the
+    /// core count). The result does not depend on it.
+    pub fn build_on<S: AsRef<str>>(
+        g: &DataGraph,
+        keywords: &[S],
+        max_dist: Option<f64>,
+        threads: usize,
+    ) -> Self {
         let start = std::time::Instant::now();
-        let mut ix = NodeKeywordIndex::default();
+        let mut dict = TermDict::default();
         for k in keywords {
-            let k = k.as_ref();
-            let sources = g.keyword_nodes(k);
-            let (d, origin) = multi_source(g, sources, max_dist);
-            let mut entry: HashMap<NodeId, (f64, NodeId)> = HashMap::with_capacity(d.len());
-            let mut sorted: Vec<(NodeId, f64)> = Vec::with_capacity(d.len());
-            for (&n, &dd) in &d {
-                entry.insert(n, (dd, origin[&n]));
-                sorted.push((n, dd));
-            }
-            sorted.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-            let sym = ix.dict.intern(k);
-            let slot = sym.0 as usize;
-            if slot < ix.dist.len() {
-                // duplicate keyword in the input: recompute is identical
-                ix.dist[slot] = entry;
-                ix.sorted[slot] = sorted;
-            } else {
-                ix.dist.push(entry);
-                ix.sorted.push(sorted);
-            }
+            dict.intern(k.as_ref()); // a repeated keyword is one list
         }
-        ix.build_time = Some(start.elapsed());
-        ix
+        let terms: Vec<&str> = dict.terms().collect();
+        let build_chunk = |chunk: &[&str]| {
+            let mut exp = Expansion::default();
+            chunk
+                .iter()
+                .map(|k| DistanceList::build(g, &mut exp, k, max_dist))
+                .collect::<Vec<_>>()
+        };
+        let threads = threads.clamp(1, terms.len().max(1));
+        let lists = if threads == 1 {
+            build_chunk(&terms)
+        } else {
+            std::thread::scope(|scope| {
+                let workers: Vec<_> = terms
+                    .chunks(terms.len().div_ceil(threads))
+                    .map(|chunk| scope.spawn(move || build_chunk(chunk)))
+                    .collect();
+                workers
+                    .into_iter()
+                    .flat_map(|w| w.join().expect("index build thread panicked"))
+                    .collect()
+            })
+        };
+        NodeKeywordIndex {
+            dict,
+            lists,
+            build_time: Some(start.elapsed()),
+        }
     }
 
     /// Resolve a keyword to its dense id — one dictionary lookup. Do this
@@ -79,7 +153,7 @@ impl NodeKeywordIndex {
 
     /// [`dist`](Self::dist) for an already-resolved keyword.
     pub fn dist_sym(&self, node: NodeId, sym: Sym) -> Option<f64> {
-        self.dist[sym.0 as usize].get(&node).map(|&(d, _)| d)
+        self.lists[sym.0 as usize].get(node).map(|(d, _)| d)
     }
 
     /// The nearest match node of `keyword` from `node`.
@@ -89,24 +163,25 @@ impl NodeKeywordIndex {
 
     /// [`nearest_match`](Self::nearest_match) for an already-resolved keyword.
     pub fn nearest_match_sym(&self, node: NodeId, sym: Sym) -> Option<NodeId> {
-        self.dist[sym.0 as usize].get(&node).map(|&(_, m)| m)
+        self.lists[sym.0 as usize].get(node).map(|(_, m)| m)
     }
 
-    /// Distance-sorted list `(node, dist)` for `keyword` — TA sorted access.
-    pub fn sorted_list(&self, keyword: &str) -> &[(NodeId, f64)] {
+    /// The nodes that reach `keyword`, nearest first (ties by node id) — TA
+    /// sorted access; read a node's distance with [`dist`](Self::dist).
+    pub fn sorted_list(&self, keyword: &str) -> &[NodeId] {
         self.sym(keyword)
             .map(|s| self.sorted_list_sym(s))
             .unwrap_or(&[])
     }
 
     /// [`sorted_list`](Self::sorted_list) for an already-resolved keyword.
-    pub fn sorted_list_sym(&self, sym: Sym) -> &[(NodeId, f64)] {
-        &self.sorted[sym.0 as usize]
+    pub fn sorted_list_sym(&self, sym: Sym) -> &[NodeId] {
+        &self.lists[sym.0 as usize].sorted
     }
 
-    /// Total stored entries, for index-size reporting.
+    /// Stored distances: reachable (node, keyword) pairs.
     pub fn entry_count(&self) -> usize {
-        self.dist.iter().map(|m| m.len()).sum()
+        self.lists.iter().map(|l| l.sorted.len()).sum()
     }
 
     pub fn keywords(&self) -> impl Iterator<Item = &str> {
@@ -114,15 +189,19 @@ impl NodeKeywordIndex {
     }
 
     /// Whole-index size figures: terms = indexed keywords, postings =
-    /// distance entries, with the build wall-clock.
+    /// [`entry_count`](Self::entry_count), bytes = what the three arrays of
+    /// every list hold, with the build wall-clock.
     pub fn index_stats(&self) -> IndexStats {
-        let postings = self.entry_count();
-        IndexStats::new(
-            self.dict.len(),
-            postings,
-            postings * std::mem::size_of::<(NodeId, (f64, NodeId))>(),
-        )
-        .with_build(self.build_time)
+        let bytes = self
+            .lists
+            .iter()
+            .map(|l| {
+                l.dist.len() * size_of::<f64>()
+                    + l.origin.len() * size_of::<u32>()
+                    + l.sorted.len() * size_of::<NodeId>()
+            })
+            .sum();
+        IndexStats::new(self.dict.len(), self.entry_count(), bytes).with_build(self.build_time)
     }
 }
 
@@ -159,8 +238,10 @@ mod tests {
         let ix = NodeKeywordIndex::build(&g, &["x"], None);
         let list = ix.sorted_list("x");
         assert_eq!(list.len(), 4);
-        assert!(list.windows(2).all(|w| w[0].1 <= w[1].1));
-        assert_eq!(list[0].1, 0.0);
+        assert!(list
+            .windows(2)
+            .all(|w| ix.dist(w[0], "x") <= ix.dist(w[1], "x")));
+        assert_eq!(ix.dist(list[0], "x"), Some(0.0));
     }
 
     #[test]

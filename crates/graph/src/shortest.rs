@@ -1,8 +1,208 @@
-//! Shortest paths: Dijkstra, multi-source Dijkstra, and hop-bounded BFS.
+//! Shortest paths: one dense Dijkstra ([`Expansion`]) that every caller —
+//! [`dijkstra`], [`multi_source`], the node→keyword index build, BANKS'
+//! backward expansions, BLINKS' path search — runs on, plus hop-bounded BFS.
+//!
+//! [`NodeId`] is a dense `u32`, so an expansion's per-node state is an array
+//! indexed by it, not a hash map. The arrays are as long as the graph, but a
+//! run pays for what it reaches: [`Expansion::begin`] resets exactly the
+//! labels the previous run touched. [`dijkstra`] and [`multi_source`] are the
+//! same loop on a fresh `Expansion`, materialized into maps.
 
 use crate::graph::{DataGraph, NodeId};
-use kwdb_common::Score;
+use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+
+const NONE: u32 = u32::MAX;
+
+/// What an expansion knows about one node. Labels order by `(dist, tag)`;
+/// the unreached label is larger than any a run can produce.
+#[derive(Debug, Clone, Copy)]
+struct Label {
+    dist: f64,
+    tag: u32,
+    pred: u32,
+}
+
+const UNREACHED: Label = Label {
+    dist: f64::INFINITY,
+    tag: NONE,
+    pred: NONE,
+};
+
+/// A reusable Dijkstra over dense per-node labels `(dist, tag, pred)`.
+///
+/// A seed's `tag` travels along the paths grown from it and breaks distance
+/// ties (smaller wins): seeding every source with its own id yields
+/// nearest-source semantics with the smallest-origin tie-break of
+/// [`multi_source`]; seeding with one constant makes it plain Dijkstra,
+/// where the first path found at a distance keeps the node.
+///
+/// Callers drive it one settled node at a time ([`pop`](Self::pop) then
+/// [`relax`](Self::relax)) or through [`search`](Self::search) /
+/// [`nearest`](Self::nearest).
+#[derive(Debug, Default)]
+pub struct Expansion {
+    /// Dense by `NodeId.0`; [`UNREACHED`] everywhere outside `touched`.
+    labels: Vec<Label>,
+    touched: Vec<NodeId>,
+    /// Min-queue of [`queue_key`]`(dist, tag, node)`.
+    heap: BinaryHeap<Reverse<u128>>,
+}
+
+/// A best-first queue entry `(cost, a, b)` packed so that integer order is
+/// the tuple's order (one comparison per heap step instead of three). Costs
+/// are sums of non-negative weights from `+0.0`, and on non-negative floats
+/// (`+∞` included) bit order is numeric order.
+pub fn queue_key(cost: f64, a: u32, b: u32) -> u128 {
+    debug_assert!(cost >= 0.0 && cost.is_sign_positive());
+    (cost.to_bits() as u128) << 64 | (a as u128) << 32 | b as u128
+}
+
+/// The `(cost, a, b)` a [`queue_key`] was packed from.
+pub fn unpack_key(key: u128) -> (f64, u32, u32) {
+    (
+        f64::from_bits((key >> 64) as u64),
+        (key >> 32) as u32,
+        key as u32,
+    )
+}
+
+impl Expansion {
+    /// Forget the previous run — only the labels it touched are rewritten —
+    /// and size the arrays for `g`.
+    pub fn begin(&mut self, g: &DataGraph) {
+        for n in self.touched.drain(..) {
+            self.labels[n.0 as usize] = UNREACHED;
+        }
+        self.labels.resize(g.node_count(), UNREACHED);
+        self.heap.clear();
+    }
+
+    /// Make `s` a source at distance 0.
+    pub fn seed(&mut self, s: NodeId, tag: u32) {
+        self.improve(s, 0.0, tag, NONE);
+    }
+
+    fn improve(&mut self, v: NodeId, dist: f64, tag: u32, pred: u32) {
+        let l = &mut self.labels[v.0 as usize];
+        if (dist, tag) < (l.dist, l.tag) {
+            if l.tag == NONE {
+                self.touched.push(v);
+            }
+            *l = Label { dist, tag, pred };
+            self.heap.push(Reverse(queue_key(dist, tag, v.0)));
+        }
+    }
+
+    /// Distance of the queue's head (which may be a superseded entry).
+    pub fn peek(&self) -> Option<f64> {
+        self.heap.peek().map(|&Reverse(key)| unpack_key(key).0)
+    }
+
+    /// Settle the next node: the closest queued one whose entry is current.
+    pub fn pop(&mut self) -> Option<NodeId> {
+        while let Some(Reverse(key)) = self.heap.pop() {
+            let (d, tag, u) = unpack_key(key);
+            let l = self.labels[u as usize];
+            if (d, tag) <= (l.dist, l.tag) {
+                return Some(NodeId(u));
+            }
+        }
+        None
+    }
+
+    /// Offer `u`'s label plus one edge to each neighbour, skipping offers
+    /// beyond `max_dist`. Every Dijkstra over nodes in the workspace's request
+    /// path is this loop.
+    pub fn relax(&mut self, g: &DataGraph, u: NodeId, max_dist: Option<f64>) {
+        let Label { dist, tag, .. } = self.labels[u.0 as usize];
+        for &(v, w) in g.neighbors(u) {
+            let nd = dist + w;
+            if max_dist.is_some_and(|md| nd > md) {
+                continue;
+            }
+            self.improve(v, nd, tag, u.0);
+        }
+    }
+
+    /// Dijkstra from `source`, optionally stopping once `target` is settled
+    /// and/or pruning at `max_dist`. `avoid_expanding` nodes are never
+    /// *expanded* (but can be settled) — the hub index uses this to compute
+    /// hub-avoiding distances.
+    pub fn search(
+        &mut self,
+        g: &DataGraph,
+        source: NodeId,
+        target: Option<NodeId>,
+        max_dist: Option<f64>,
+        avoid_expanding: &dyn Fn(NodeId) -> bool,
+    ) {
+        self.begin(g);
+        self.seed(source, 0);
+        while let Some(u) = self.pop() {
+            if target == Some(u) {
+                break;
+            }
+            if u != source && avoid_expanding(u) {
+                continue;
+            }
+            self.relax(g, u, max_dist);
+        }
+    }
+
+    /// Multi-source Dijkstra to exhaustion, every source tagged with its own
+    /// id: afterwards [`dist`](Self::dist) is the distance to the nearest
+    /// source and [`tag`](Self::tag) that source.
+    pub fn nearest(
+        &mut self,
+        g: &DataGraph,
+        sources: impl IntoIterator<Item = NodeId>,
+        max_dist: Option<f64>,
+    ) {
+        self.begin(g);
+        for s in sources {
+            self.seed(s, s.0);
+        }
+        while let Some(u) = self.pop() {
+            self.relax(g, u, max_dist);
+        }
+    }
+
+    /// Every node this run has labelled, in first-touch order.
+    pub fn reached(&self) -> &[NodeId] {
+        &self.touched
+    }
+
+    fn label(&self, n: NodeId) -> Option<&Label> {
+        self.labels.get(n.0 as usize).filter(|l| l.tag != NONE)
+    }
+
+    /// Best known distance of `n`, `None` if unreached.
+    pub fn dist(&self, n: NodeId) -> Option<f64> {
+        self.label(n).map(|l| l.dist)
+    }
+
+    /// The tag `n`'s label carries, `None` if unreached.
+    pub fn tag(&self, n: NodeId) -> Option<u32> {
+        self.label(n).map(|l| l.tag)
+    }
+
+    /// The node `n`'s label was offered from; `None` for sources and
+    /// unreached nodes.
+    pub fn pred(&self, n: NodeId) -> Option<NodeId> {
+        self.label(n)
+            .filter(|l| l.pred != NONE)
+            .map(|l| NodeId(l.pred))
+    }
+
+    /// The `(node, pred)` steps from `n` back to the source its path starts at.
+    pub fn path(&self, mut n: NodeId) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
+        std::iter::from_fn(move || {
+            let p = self.pred(n)?;
+            Some((std::mem::replace(&mut n, p), p))
+        })
+    }
+}
 
 /// Result of a Dijkstra run: distance and predecessor maps.
 #[derive(Debug, Clone, Default)]
@@ -27,9 +227,7 @@ impl ShortestPaths {
     }
 }
 
-/// Dijkstra from `source`, optionally stopping once `target` is settled
-/// and/or pruning at `max_dist`. `avoid` nodes are never *expanded* (but can
-/// be settled) — the hub index uses this to compute hub-avoiding distances.
+/// [`Expansion::search`] on a fresh expansion, materialized into maps.
 pub fn dijkstra(
     g: &DataGraph,
     source: NodeId,
@@ -37,34 +235,13 @@ pub fn dijkstra(
     max_dist: Option<f64>,
     avoid_expanding: &dyn Fn(NodeId) -> bool,
 ) -> ShortestPaths {
+    let mut exp = Expansion::default();
+    exp.search(g, source, target, max_dist, avoid_expanding);
     let mut out = ShortestPaths::default();
-    let mut heap: BinaryHeap<std::cmp::Reverse<(Score, NodeId)>> = BinaryHeap::new();
-    out.dist.insert(source, 0.0);
-    heap.push(std::cmp::Reverse((Score(0.0), source)));
-    while let Some(std::cmp::Reverse((Score(d), u))) = heap.pop() {
-        if let Some(&best) = out.dist.get(&u) {
-            if d > best {
-                continue; // stale entry
-            }
-        }
-        if target == Some(u) {
-            break;
-        }
-        if u != source && avoid_expanding(u) {
-            continue;
-        }
-        for &(v, w) in g.neighbors(u) {
-            let nd = d + w;
-            if let Some(md) = max_dist {
-                if nd > md {
-                    continue;
-                }
-            }
-            if out.dist.get(&v).is_none_or(|&cur| nd < cur) {
-                out.dist.insert(v, nd);
-                out.pred.insert(v, u);
-                heap.push(std::cmp::Reverse((Score(nd), v)));
-            }
+    for &n in exp.reached() {
+        out.dist.insert(n, exp.labels[n.0 as usize].dist);
+        if let Some(p) = exp.pred(n) {
+            out.pred.insert(n, p);
         }
     }
     out
@@ -77,15 +254,14 @@ pub fn dijkstra_all(g: &DataGraph, source: NodeId) -> ShortestPaths {
 
 /// Shortest distance between two nodes, or `None` if disconnected.
 pub fn distance(g: &DataGraph, a: NodeId, b: NodeId) -> Option<f64> {
-    dijkstra(g, a, Some(b), None, &|_| false)
-        .dist
-        .get(&b)
-        .copied()
+    let mut exp = Expansion::default();
+    exp.search(g, a, Some(b), None, &|_| false);
+    exp.dist(b)
 }
 
 /// Multi-source Dijkstra: distance from every node to the nearest of
-/// `sources`. Returns `(dist, nearest-source)` maps — the node-to-keyword
-/// index is built from this with the keyword's match list as sources.
+/// `sources`. Returns `(dist, nearest-source)` maps; the node-to-keyword
+/// index keeps the same run ([`Expansion::nearest`]) as arrays.
 ///
 /// Ties are broken deterministically: among equidistant sources the one
 /// with the **smallest node id** wins, so independent implementations of
@@ -96,39 +272,14 @@ pub fn multi_source(
     sources: impl IntoIterator<Item = NodeId>,
     max_dist: Option<f64>,
 ) -> (HashMap<NodeId, f64>, HashMap<NodeId, NodeId>) {
-    // Dijkstra over the lexicographic key (dist, origin).
-    let mut best: HashMap<NodeId, (f64, NodeId)> = HashMap::new();
-    let mut heap: BinaryHeap<std::cmp::Reverse<(Score, NodeId, NodeId)>> = BinaryHeap::new();
-    for s in sources {
-        let cand = (0.0, s);
-        if best.get(&s).is_none_or(|&cur| cand < cur) {
-            best.insert(s, cand);
-            heap.push(std::cmp::Reverse((Score(0.0), s, s)));
-        }
-    }
-    while let Some(std::cmp::Reverse((Score(d), org, u))) = heap.pop() {
-        if best.get(&u).is_some_and(|&(bd, bo)| (d, org) > (bd, bo)) {
-            continue;
-        }
-        for &(v, w) in g.neighbors(u) {
-            let nd = d + w;
-            if let Some(md) = max_dist {
-                if nd > md {
-                    continue;
-                }
-            }
-            let cand = (nd, org);
-            if best.get(&v).is_none_or(|&cur| cand < cur) {
-                best.insert(v, cand);
-                heap.push(std::cmp::Reverse((Score(nd), org, v)));
-            }
-        }
-    }
-    let mut dist = HashMap::with_capacity(best.len());
-    let mut origin = HashMap::with_capacity(best.len());
-    for (n, (d, o)) in best {
-        dist.insert(n, d);
-        origin.insert(n, o);
+    let mut exp = Expansion::default();
+    exp.nearest(g, sources, max_dist);
+    let mut dist = HashMap::with_capacity(exp.reached().len());
+    let mut origin = HashMap::with_capacity(exp.reached().len());
+    for &n in exp.reached() {
+        let l = exp.labels[n.0 as usize];
+        dist.insert(n, l.dist);
+        origin.insert(n, NodeId(l.tag));
     }
     (dist, origin)
 }

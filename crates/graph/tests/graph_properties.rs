@@ -108,7 +108,14 @@ fn keyword_index_matches_direct_search() {
         }
         // sorted list is ascending and complete
         let list = ix.sorted_list("kw");
-        assert!(list.windows(2).all(|w| w[0].1 <= w[1].1));
+        assert!(list
+            .windows(2)
+            .all(|w| ix.dist(w[0], "kw") <= ix.dist(w[1], "kw")));
         assert_eq!(list.len(), ix.entry_count());
+        // the reported bytes are the arrays': an f64 and a u32 per node, a
+        // NodeId per reachable node
+        let stats = ix.index_stats();
+        assert_eq!(stats.postings, list.len());
+        assert_eq!(stats.posting_bytes, n * (8 + 4) + list.len() * 4);
     }
 }

@@ -14,85 +14,25 @@
 //! once the k-th best found cost is below every expansion's radius, no better
 //! answer can appear.
 //!
+//! Each group's expansion is a [`kwdb_graph::shortest::Expansion`] — dense
+//! `(dist, pred)` labels by node id — and the set of groups that settled a
+//! node is a bitmask in a dense array; both live in the caller's
+//! [`SearchScratch`] and are reset by what the previous query touched.
+//!
 //! BANKS trees approximate Steiner trees: union-of-shortest-paths is within
 //! a factor of the group count of optimal but not exact — E05 measures the
 //! gap against DPBF.
 
 use crate::answer::{norm_edge, AnswerTree};
-use crate::TraversalStats;
-use kwdb_common::{topk::TopK, Budget, Score, TruncationReason};
+use crate::scratch::first_n;
+use crate::{SearchScratch, TraversalStats};
+use kwdb_common::{topk::TopK, Budget, TruncationReason};
+use kwdb_graph::shortest::Expansion;
 use kwdb_graph::{DataGraph, NodeId};
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 
-/// Incremental multi-source Dijkstra for one keyword group.
-#[derive(Debug)]
-struct GroupExpansion {
-    heap: BinaryHeap<std::cmp::Reverse<(Score, NodeId)>>,
-    dist: HashMap<NodeId, f64>,
-    pred: HashMap<NodeId, NodeId>,
-    /// Distance of the last settled node — the expansion radius.
-    radius: f64,
-}
-
-impl GroupExpansion {
-    fn new(sources: impl IntoIterator<Item = NodeId>) -> Self {
-        let mut heap = BinaryHeap::new();
-        let mut dist = HashMap::new();
-        for s in sources {
-            dist.insert(s, 0.0);
-            heap.push(std::cmp::Reverse((Score(0.0), s)));
-        }
-        GroupExpansion {
-            heap,
-            dist,
-            pred: HashMap::new(),
-            radius: 0.0,
-        }
-    }
-
-    /// Distance of the next node to be settled, if any.
-    fn peek(&self) -> Option<f64> {
-        self.heap.peek().map(|std::cmp::Reverse((Score(d), _))| *d)
-    }
-
-    /// Settle one node; returns it and its distance.
-    fn settle(&mut self, g: &DataGraph) -> Option<(NodeId, f64)> {
-        while let Some(std::cmp::Reverse((Score(d), u))) = self.heap.pop() {
-            if self.dist.get(&u).is_some_and(|&best| d > best) {
-                continue; // stale
-            }
-            self.radius = d;
-            for &(v, w) in g.neighbors(u) {
-                let nd = d + w;
-                if self.dist.get(&v).is_none_or(|&cur| nd < cur) {
-                    self.dist.insert(v, nd);
-                    self.pred.insert(v, u);
-                    self.heap.push(std::cmp::Reverse((Score(nd), v)));
-                }
-            }
-            return Some((u, d));
-        }
-        None
-    }
-
-    /// Shortest-path edges from `n` back to this group's nearest source.
-    fn path_edges(&self, mut n: NodeId) -> Vec<(NodeId, NodeId)> {
-        let mut edges = Vec::new();
-        while let Some(&p) = self.pred.get(&n) {
-            edges.push(norm_edge(n, p));
-            n = p;
-        }
-        edges
-    }
-
-    /// The source that `n`'s shortest path leads to.
-    fn source_of(&self, mut n: NodeId) -> NodeId {
-        while let Some(&p) = self.pred.get(&n) {
-            n = p;
-        }
-        n
-    }
-}
+/// Most keywords one search takes: a node's settled-by set is a `u32` mask.
+pub const MAX_KEYWORDS: usize = 32;
 
 /// The BANKS I engine. Stateless — `search` takes `&self` and the per-query
 /// work counter (nodes settled) comes back in a [`TraversalStats`], so one
@@ -109,46 +49,63 @@ impl<'g> BanksI<'g> {
 
     /// Top-k answers by distinct-root cost, best first.
     pub fn search<S: AsRef<str>>(&self, keywords: &[S], k: usize) -> Vec<AnswerTree> {
-        self.search_budgeted(keywords, k, &Budget::unlimited()).0
+        let mut scratch = SearchScratch::default();
+        self.search_budgeted(keywords, k, &Budget::unlimited(), &mut scratch)
+            .0
     }
 
     /// [`Self::search`] under an execution [`Budget`]: every node settled
     /// counts as one candidate; an exhausted budget returns the (cost-sorted)
     /// answers found so far plus the [`TruncationReason`] that stopped the
     /// expansion. The third element reports this query's expansion work in
-    /// `nodes_expanded`.
+    /// `nodes_expanded`. The expansions live in `scratch`.
+    ///
+    /// # Panics
+    /// On more than [`MAX_KEYWORDS`] keywords.
     pub fn search_budgeted<S: AsRef<str>>(
         &self,
         keywords: &[S],
         k: usize,
         budget: &Budget,
+        scratch: &mut SearchScratch,
     ) -> (Vec<AnswerTree>, Option<TruncationReason>, TraversalStats) {
         let mut stats = TraversalStats::default();
         let l = keywords.len();
+        assert!(
+            l <= MAX_KEYWORDS,
+            "BANKS takes at most {MAX_KEYWORDS} keywords"
+        );
         let mut truncation = None;
         if l == 0 || k == 0 {
             return (Vec::new(), truncation, stats);
         }
-        let mut groups: Vec<GroupExpansion> = Vec::with_capacity(l);
-        for kw in keywords {
+        // One incremental multi-source Dijkstra per keyword group. Every
+        // source carries the same tag, so within a group the first path
+        // found at a distance keeps the node.
+        let SearchScratch {
+            expansions, marks, ..
+        } = scratch;
+        let groups = first_n(expansions, l);
+        for (e, kw) in groups.iter_mut().zip(keywords) {
             let sources = self.g.keyword_nodes(kw.as_ref());
             if sources.is_empty() {
                 return (Vec::new(), truncation, stats);
             }
-            groups.push(GroupExpansion::new(sources));
+            e.begin(self.g);
+            for s in sources {
+                e.seed(s, 0);
+            }
         }
-        // settled_by[node] = bitmask of groups that settled it
-        let mut settled_by: HashMap<NodeId, u32> = HashMap::new();
-        let full: u32 = (1 << l) - 1;
+        // marks[node] = bitmask of groups that settled it
+        marks.begin(self.g);
+        let full = u32::MAX >> (MAX_KEYWORDS - l);
         let mut topk: TopK<NodeId> = TopK::new(k);
-        let mut settled: u64 = 0;
 
         loop {
-            if let Some(reason) = budget.truncation_at(settled) {
+            if let Some(reason) = budget.truncation_at(stats.nodes_expanded as u64) {
                 truncation = Some(reason);
                 break;
             }
-            settled += 1;
             // Equi-distance: settle from the expansion with smallest frontier.
             let next = groups
                 .iter()
@@ -156,14 +113,18 @@ impl<'g> BanksI<'g> {
                 .filter_map(|(i, e)| e.peek().map(|d| (i, d)))
                 .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
             let Some((gi, _)) = next else { break };
-            let Some((node, _)) = groups[gi].settle(self.g) else {
-                break;
+            // A queue holding only superseded entries empties here; the
+            // other groups may still reach nodes this one has settled.
+            let Some(node) = groups[gi].pop() else {
+                continue;
             };
+            groups[gi].relax(self.g, node, None);
             stats.nodes_expanded += 1;
-            let mask = settled_by.entry(node).or_insert(0);
-            *mask |= 1 << gi;
-            if *mask == full {
-                let cost: f64 = groups.iter().map(|e| e.dist[&node]).sum();
+            if (marks.or(node, 1 << gi) | 1 << gi) == full {
+                let cost: f64 = groups
+                    .iter()
+                    .map(|e| e.dist(node).expect("settled by every group"))
+                    .sum();
                 topk.push(-cost, node); // TopK keeps max; negate cost
             }
             // Sound stop: any future connection point costs at least the
@@ -183,23 +144,22 @@ impl<'g> BanksI<'g> {
         let trees = topk
             .into_sorted_vec()
             .into_iter()
-            .map(|(neg_cost, root)| self.build_tree(root, -neg_cost, &groups, l))
+            .map(|(neg_cost, root)| self.build_tree(root, -neg_cost, groups))
             .collect();
         (trees, truncation, stats)
     }
 
-    fn build_tree(
-        &self,
-        root: NodeId,
-        rank_cost: f64,
-        groups: &[GroupExpansion],
-        l: usize,
-    ) -> AnswerTree {
+    /// The union of `root`'s shortest paths back to each group's source.
+    fn build_tree(&self, root: NodeId, rank_cost: f64, groups: &[Expansion]) -> AnswerTree {
         let mut edges = Vec::new();
-        let mut matches = Vec::with_capacity(l);
+        let mut matches = Vec::with_capacity(groups.len());
         for e in groups {
-            edges.extend(e.path_edges(root));
-            matches.push(e.source_of(root));
+            let mut source = root;
+            for (n, pred) in e.path(root) {
+                edges.push(norm_edge(n, pred));
+                source = pred;
+            }
+            matches.push(source);
         }
         edges.sort();
         edges.dedup();
@@ -217,17 +177,9 @@ impl<'g> BanksI<'g> {
 }
 
 /// Restrict an edge union to a BFS tree from `root` that still reaches every
-/// match, and drop branches that lead nowhere useful. Shared with BANKS II.
-pub(crate) fn prune_to_tree_pub(
-    g: &DataGraph,
-    root: NodeId,
-    edges: &[(NodeId, NodeId)],
-    matches: &[NodeId],
-) -> (Vec<(NodeId, NodeId)>, f64) {
-    prune_to_tree(g, root, edges, matches)
-}
-
-fn prune_to_tree(
+/// match, and drop branches that lead nowhere useful. Shared with BANKS II,
+/// BLINKS and the SPT heuristic; its maps hold one answer's handful of edges.
+pub(crate) fn prune_to_tree(
     g: &DataGraph,
     root: NodeId,
     edges: &[(NodeId, NodeId)],
@@ -345,7 +297,12 @@ mod tests {
     fn expansion_work_is_counted() {
         let g = slide30();
         let banks = BanksI::new(&g);
-        let (_, _, stats) = banks.search_budgeted(&["k1", "k2", "k3"], 1, &Budget::unlimited());
+        let (_, _, stats) = banks.search_budgeted(
+            &["k1", "k2", "k3"],
+            1,
+            &Budget::unlimited(),
+            &mut SearchScratch::default(),
+        );
         assert!(stats.nodes_expanded > 0);
     }
 }

@@ -12,14 +12,20 @@
 //! BLINKS partitioning is available as
 //! [`kwdb_graph::blocks::BlockPartition`] and changes index layout, not the
 //! TA logic.
+//!
+//! Both access paths are array reads ([`kwdb_graph::node2kw`]); the set of
+//! roots already scored and the Dijkstra that turns a root into its tree run
+//! on the dense buffers of the caller's [`SearchScratch`].
 
 use crate::answer::{norm_edge, AnswerTree};
-use crate::TraversalStats;
+use crate::banks1::prune_to_tree;
+use crate::scratch::first_n;
+use crate::{SearchScratch, TraversalStats};
+use kwdb_common::intern::Sym;
 use kwdb_common::topk::TopK;
 use kwdb_common::{Budget, TruncationReason};
-use kwdb_graph::shortest::dijkstra;
+use kwdb_graph::shortest::Expansion;
 use kwdb_graph::{DataGraph, NodeId, NodeKeywordIndex};
-use std::collections::HashSet;
 
 /// The BLINKS engine. The index is caller-owned ([`Self::build_index`] /
 /// [`Self::build_full_index`]) so repeated queries over the same graph
@@ -56,7 +62,8 @@ impl<'g> Blinks<'g> {
         keywords: &[S],
         k: usize,
     ) -> Vec<AnswerTree> {
-        self.search_budgeted(index, keywords, k, &Budget::unlimited())
+        let mut scratch = SearchScratch::default();
+        self.search_budgeted(index, keywords, k, &Budget::unlimited(), &mut scratch)
             .0
     }
 
@@ -64,13 +71,15 @@ impl<'g> Blinks<'g> {
     /// counts as one candidate; an exhausted budget returns the (cost-sorted)
     /// answers found so far plus the [`TruncationReason`] that ended the
     /// round-robin. The third element counts this query's sorted/random
-    /// index accesses.
+    /// index accesses. Any number of keywords is fine — nothing here is a
+    /// mask over them.
     pub fn search_budgeted<S: AsRef<str>>(
         &self,
         index: &NodeKeywordIndex,
         keywords: &[S],
         k: usize,
         budget: &Budget,
+        scratch: &mut SearchScratch,
     ) -> (Vec<AnswerTree>, Option<TruncationReason>, TraversalStats) {
         let mut stats = TraversalStats::default();
         let l = keywords.len();
@@ -88,12 +97,21 @@ impl<'g> Blinks<'g> {
         else {
             return (Vec::new(), truncation, stats);
         };
-        let lists: Vec<&[(NodeId, f64)]> = syms.iter().map(|&s| index.sorted_list_sym(s)).collect();
+        let lists: Vec<&[NodeId]> = syms.iter().map(|&s| index.sorted_list_sym(s)).collect();
         if lists.iter().any(|lst| lst.is_empty()) {
             return (Vec::new(), truncation, stats);
         }
+        let dist = |node, sym| index.dist_sym(node, sym).expect("listed node");
         let mut cursors = vec![0usize; l];
-        let mut seen: HashSet<NodeId> = HashSet::new();
+        // Distance at each list's cursor: the last value read, or the head's
+        // while the list is unread (lists are ascending).
+        let mut depth: Vec<f64> = lists
+            .iter()
+            .zip(&syms)
+            .map(|(l, &s)| dist(l[0], s))
+            .collect();
+        let seen = &mut scratch.marks;
+        seen.begin(self.g);
         let mut topk: TopK<NodeId> = TopK::new(k);
 
         'ta: loop {
@@ -103,13 +121,14 @@ impl<'g> Blinks<'g> {
                     truncation = Some(reason);
                     break 'ta;
                 }
-                let Some(&(node, _)) = list.get(cursors[i]) else {
+                let Some(&node) = list.get(cursors[i]) else {
                     continue;
                 };
                 cursors[i] += 1;
+                depth[i] = dist(node, syms[i]);
                 stats.sorted_accesses += 1;
                 any = true;
-                if seen.insert(node) {
+                if seen.or(node, 1) == 0 {
                     // random access: complete the root's score
                     let mut total = 0.0;
                     let mut complete = true;
@@ -129,14 +148,7 @@ impl<'g> Blinks<'g> {
                 }
                 // threshold check after each sorted access
                 if topk.is_full() {
-                    let threshold: f64 = lists
-                        .iter()
-                        .zip(&cursors)
-                        .map(|(lst, &c)| {
-                            // last value read on this list (lists are ascending)
-                            lst.get(c.saturating_sub(1)).map(|&(_, d)| d).unwrap_or(0.0)
-                        })
-                        .sum();
+                    let threshold: f64 = depth.iter().sum();
                     let kth_cost = -topk.threshold().expect("full");
                     if kth_cost <= threshold {
                         break 'ta;
@@ -148,10 +160,11 @@ impl<'g> Blinks<'g> {
             }
         }
 
+        let paths = &mut first_n(&mut scratch.expansions, 1)[0];
         let trees = topk
             .into_sorted_vec()
             .into_iter()
-            .map(|(neg, root)| self.build_tree(index, &syms, root, -neg))
+            .map(|(neg, root)| self.build_tree(index, &syms, root, -neg, paths))
             .collect();
         (trees, truncation, stats)
     }
@@ -161,9 +174,10 @@ impl<'g> Blinks<'g> {
     fn build_tree(
         &self,
         index: &NodeKeywordIndex,
-        syms: &[kwdb_common::intern::Sym],
+        syms: &[Sym],
         root: NodeId,
         rank_cost: f64,
+        paths: &mut Expansion,
     ) -> AnswerTree {
         let mut edges = Vec::new();
         let mut matches = Vec::with_capacity(syms.len());
@@ -171,16 +185,14 @@ impl<'g> Blinks<'g> {
             let m = index.nearest_match_sym(root, sym).expect("complete root");
             matches.push(m);
             if m != root {
-                let sp = dijkstra(self.g, root, Some(m), None, &|_| false);
-                let path = sp.path_to(m).expect("indexed distance implies a path");
-                for w in path.windows(2) {
-                    edges.push(norm_edge(w[0], w[1]));
-                }
+                paths.search(self.g, root, Some(m), None, &|_| false);
+                assert!(paths.dist(m).is_some(), "an indexed distance is a path");
+                edges.extend(paths.path(m).map(|(n, pred)| norm_edge(n, pred)));
             }
         }
         edges.sort();
         edges.dedup();
-        let (tree_edges, cost) = crate::banks1::prune_to_tree_pub(self.g, root, &edges, &matches);
+        let (tree_edges, cost) = prune_to_tree(self.g, root, &edges, &matches);
         AnswerTree {
             root,
             edges: tree_edges,
@@ -264,7 +276,13 @@ mod tests {
         let kws = ["x", "y"];
         let bl = Blinks::new(&g);
         let ix = bl.build_index(&kws);
-        let (res, _, stats) = bl.search_budgeted(&ix, &kws, 1, &Budget::unlimited());
+        let (res, _, stats) = bl.search_budgeted(
+            &ix,
+            &kws,
+            1,
+            &Budget::unlimited(),
+            &mut SearchScratch::default(),
+        );
         assert_eq!(res[0].cost, 0.0);
         assert!(
             stats.sorted_accesses < 20,

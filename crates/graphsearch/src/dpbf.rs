@@ -13,13 +13,28 @@
 //! optimum: the first full-coverage state popped is the top-1 group Steiner
 //! tree. Continuing to pop full states yields the top-k *distinct-root*
 //! trees in cost order. Complexity `O(3^k·n + 2^k·(n log n + m))`; the
-//! keyword count is capped at 16.
+//! keyword count is capped at [`MAX_KEYWORDS`].
+//!
+//! States live in a `StateTable`: an arena of `(mask, cost, parent)`
+//! records, chained per node from a dense `head` array indexed by
+//! `NodeId.0`. A node holds at most `2^k − 1` states and in practice a
+//! handful, so finding `(v, S)` is a short walk from `head[v]` — the same
+//! representation for 2 keywords or 16. The table is part of the caller's
+//! [`SearchScratch`]; a query resets the heads it touched and truncates the
+//! arena.
 
 use crate::answer::{norm_edge, AnswerTree};
-use crate::TraversalStats;
-use kwdb_common::{Budget, Score, TruncationReason};
+use crate::{SearchScratch, TraversalStats};
+use kwdb_common::{Budget, TruncationReason};
+use kwdb_graph::shortest::{queue_key, unpack_key};
 use kwdb_graph::{DataGraph, NodeId};
-use std::collections::{BinaryHeap, HashMap};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+/// Most keywords one search takes (the state space is `2^k` per node).
+pub const MAX_KEYWORDS: usize = 16;
+
+const NONE: u32 = u32::MAX;
 
 /// How a state's tree was derived, for reconstruction.
 #[derive(Debug, Clone, Copy)]
@@ -30,6 +45,77 @@ enum Parent {
     Grow { from: NodeId },
     /// Merge of `(v, m1)` and `(v, m2)`.
     Merge { m1: u32, m2: u32 },
+}
+
+#[derive(Debug, Clone, Copy)]
+struct State {
+    mask: u32,
+    /// The node's next state in the arena, [`NONE`] at the end of the chain.
+    next: u32,
+    cost: f64,
+    parent: Parent,
+    /// Popped at its final cost, so other states at the node may merge with it.
+    settled: bool,
+}
+
+/// DPBF's best-known `(node, mask)` states and the queue over them.
+#[derive(Debug, Default)]
+pub(crate) struct StateTable {
+    /// Dense by `NodeId.0`: the node's newest state, [`NONE`] if it has none.
+    head: Vec<u32>,
+    touched: Vec<NodeId>,
+    states: Vec<State>,
+    /// Min-queue of [`queue_key`]`(cost, node, mask)`.
+    heap: BinaryHeap<Reverse<u128>>,
+}
+
+impl StateTable {
+    fn begin(&mut self, g: &DataGraph) {
+        for n in self.touched.drain(..) {
+            self.head[n.0 as usize] = NONE;
+        }
+        self.head.resize(g.node_count(), NONE);
+        self.states.clear();
+        self.heap.clear();
+    }
+
+    fn find(&self, v: NodeId, mask: u32) -> Option<usize> {
+        let mut i = self.head[v.0 as usize];
+        while i != NONE {
+            let s = &self.states[i as usize];
+            if s.mask == mask {
+                return Some(i as usize);
+            }
+            i = s.next;
+        }
+        None
+    }
+
+    /// Record and queue `(v, mask)` at `cost` if that beats what is known.
+    fn improve(&mut self, v: NodeId, mask: u32, cost: f64, parent: Parent) {
+        match self.find(v, mask) {
+            Some(i) if cost < self.states[i].cost => {
+                self.states[i].cost = cost;
+                self.states[i].parent = parent;
+            }
+            Some(_) => return,
+            None => {
+                let head = &mut self.head[v.0 as usize];
+                if *head == NONE {
+                    self.touched.push(v);
+                }
+                self.states.push(State {
+                    mask,
+                    next: *head,
+                    cost,
+                    parent,
+                    settled: false,
+                });
+                *head = (self.states.len() - 1) as u32;
+            }
+        }
+        self.heap.push(Reverse(queue_key(cost, v.0, mask)));
+    }
 }
 
 /// The DPBF search engine. Stateless — `search` takes `&self` and the
@@ -48,58 +134,60 @@ impl<'g> Dpbf<'g> {
     /// Top-k minimum-cost connecting trees (distinct roots), best first.
     /// Keywords with no matches make the result empty (AND semantics).
     pub fn search<S: AsRef<str>>(&self, keywords: &[S], k: usize) -> Vec<AnswerTree> {
-        self.search_budgeted(keywords, k, &Budget::unlimited()).0
+        let mut scratch = SearchScratch::default();
+        self.search_budgeted(keywords, k, &Budget::unlimited(), &mut scratch)
+            .0
     }
 
     /// [`Self::search`] under an execution [`Budget`]: every DP state popped
     /// counts as one candidate; an exhausted budget returns the (cost-sorted)
     /// full-coverage trees found so far plus the [`TruncationReason`] that
     /// stopped the expansion. The third element reports this query's work in
-    /// `states_popped`.
+    /// `states_popped`. The state table lives in `scratch`.
+    ///
+    /// # Panics
+    /// On more than [`MAX_KEYWORDS`] keywords.
     pub fn search_budgeted<S: AsRef<str>>(
         &self,
         keywords: &[S],
         k: usize,
         budget: &Budget,
+        scratch: &mut SearchScratch,
     ) -> (Vec<AnswerTree>, Option<TruncationReason>, TraversalStats) {
         let mut stats = TraversalStats::default();
         let l = keywords.len();
-        assert!(l <= 16, "DPBF supports at most 16 keywords");
+        assert!(
+            l <= MAX_KEYWORDS,
+            "DPBF takes at most {MAX_KEYWORDS} keywords"
+        );
         let mut truncation = None;
         if l == 0 || k == 0 {
             return (Vec::new(), truncation, stats);
         }
         let full: u32 = (1 << l) - 1;
-        // cost[(v, mask)] and parent pointers
-        let mut cost: HashMap<(NodeId, u32), f64> = HashMap::new();
-        let mut parent: HashMap<(NodeId, u32), Parent> = HashMap::new();
-        let mut heap: BinaryHeap<std::cmp::Reverse<(Score, NodeId, u32)>> = BinaryHeap::new();
-        // Per-node settled masks, for merge transitions.
-        let mut settled: HashMap<NodeId, Vec<u32>> = HashMap::new();
+        let table = &mut scratch.states;
+        table.begin(self.g);
 
         for (i, kw) in keywords.iter().enumerate() {
             let group = self.g.keyword_nodes(kw.as_ref());
             if group.is_empty() {
                 return (Vec::new(), truncation, stats);
             }
+            // A node may match several keywords; each gets its own initial
+            // state (merging will combine them at cost 0).
             for v in group.iter() {
-                let key = (v, 1 << i);
-                // A node may match several keywords; each gets its own
-                // initial state (merging will combine them at cost 0).
-                if cost.get(&key).is_none_or(|&c| c > 0.0) {
-                    cost.insert(key, 0.0);
-                    parent.insert(key, Parent::Leaf);
-                    heap.push(std::cmp::Reverse((Score(0.0), v, 1 << i)));
-                }
+                table.improve(v, 1 << i, 0.0, Parent::Leaf);
             }
         }
 
         let mut results: Vec<AnswerTree> = Vec::new();
-        let mut roots_seen: std::collections::HashSet<NodeId> = std::collections::HashSet::new();
         let mut popped: u64 = 0;
 
-        while let Some(std::cmp::Reverse((Score(c), v, mask))) = heap.pop() {
-            if cost.get(&(v, mask)).is_some_and(|&best| c > best) {
+        while let Some(Reverse(key)) = table.heap.pop() {
+            let (c, v, mask) = unpack_key(key);
+            let v = NodeId(v);
+            let at = table.find(v, mask).expect("queued states are recorded");
+            if c > table.states[at].cost {
                 continue; // stale
             }
             if let Some(reason) = budget.truncation_at(popped) {
@@ -108,41 +196,35 @@ impl<'g> Dpbf<'g> {
             }
             popped += 1;
             stats.states_popped += 1;
-            // A full tree is an answer the first time its root shows up, and
-            // keeps growing either way (it has nothing left to merge with):
-            // re-rooted one edge on, it is the best tree at a neighbour that
-            // merging that neighbour's own partial trees would only reach by
-            // paying for a shared edge twice.
-            if mask == full && roots_seen.insert(v) {
-                let tree = self.reconstruct(v, mask, &parent, keywords.len(), c);
-                results.push(tree);
+            // A full tree is an answer (a state is popped at its final cost
+            // once, so each root shows up once), and keeps growing either
+            // way (it has nothing left to merge with): re-rooted one edge
+            // on, it is the best tree at a neighbour that merging that
+            // neighbour's own partial trees would only reach by paying for a
+            // shared edge twice.
+            if mask == full {
+                results.push(self.reconstruct(v, mask, table, l, c));
                 if results.len() >= k {
                     break;
                 }
             }
             // merge with previously settled disjoint masks at v
-            let masks_at_v = settled.entry(v).or_default().clone();
-            for m2 in masks_at_v {
-                if m2 & mask != 0 {
-                    continue;
-                }
-                let nm = mask | m2;
-                let nc = c + cost[&(v, m2)];
-                if cost.get(&(v, nm)).is_none_or(|&cur| nc < cur) {
-                    cost.insert((v, nm), nc);
-                    parent.insert((v, nm), Parent::Merge { m1: mask, m2 });
-                    heap.push(std::cmp::Reverse((Score(nc), v, nm)));
+            let mut i = table.head[v.0 as usize];
+            while i != NONE {
+                let other = table.states[i as usize];
+                i = other.next;
+                if other.settled && other.mask & mask == 0 {
+                    let parent = Parent::Merge {
+                        m1: mask,
+                        m2: other.mask,
+                    };
+                    table.improve(v, mask | other.mask, c + other.cost, parent);
                 }
             }
-            settled.get_mut(&v).expect("inserted above").push(mask);
+            table.states[at].settled = true;
             // grow over edges
             for &(u, w) in self.g.neighbors(v) {
-                let nc = c + w;
-                if cost.get(&(u, mask)).is_none_or(|&cur| nc < cur) {
-                    cost.insert((u, mask), nc);
-                    parent.insert((u, mask), Parent::Grow { from: v });
-                    heap.push(std::cmp::Reverse((Score(nc), u, mask)));
-                }
+                table.improve(u, mask, c + w, Parent::Grow { from: v });
             }
         }
         (results, truncation, stats)
@@ -153,7 +235,7 @@ impl<'g> Dpbf<'g> {
         &self,
         root: NodeId,
         mask: u32,
-        parent: &HashMap<(NodeId, u32), Parent>,
+        table: &StateTable,
         n_keywords: usize,
         cost: f64,
     ) -> AnswerTree {
@@ -161,7 +243,8 @@ impl<'g> Dpbf<'g> {
         let mut matches: Vec<Option<NodeId>> = vec![None; n_keywords];
         let mut stack = vec![(root, mask)];
         while let Some((v, m)) = stack.pop() {
-            match parent.get(&(v, m)).copied().unwrap_or(Parent::Leaf) {
+            let at = table.find(v, m).expect("parents are recorded states");
+            match table.states[at].parent {
                 Parent::Leaf => {
                     // v matches every keyword in m
                     for (i, slot) in matches.iter_mut().enumerate() {

@@ -30,12 +30,14 @@ pub mod community;
 pub mod dpbf;
 pub mod ease;
 pub mod proximity_search;
+pub mod scratch;
 
 pub use answer::AnswerTree;
 pub use banks1::BanksI;
 pub use banks2::BanksII;
 pub use blinks::Blinks;
 pub use dpbf::Dpbf;
+pub use scratch::SearchScratch;
 
 /// Per-query work counters returned by the budgeted graph engines.
 ///

@@ -8,7 +8,9 @@
 
 use kwdb::datasets::{generate_dblp, DblpConfig};
 use kwdb::graph::graph::{from_database, EdgeWeighting};
-use kwdb::graphsearch::{approx, blinks::Blinks, community, dpbf::Dpbf, ease, BanksI, BanksII};
+use kwdb::graphsearch::{
+    approx, blinks::Blinks, community, dpbf::Dpbf, ease, BanksI, BanksII, SearchScratch,
+};
 
 fn main() {
     let db = generate_dblp(&DblpConfig {
@@ -25,8 +27,10 @@ fn main() {
     let kws = ["abiteboul", "query"];
     println!("query: {kws:?}\n");
 
+    let unlimited = kwdb::common::Budget::unlimited();
+    let mut scratch = SearchScratch::default();
     let dpbf = Dpbf::new(&g);
-    let (exact, _, dpbf_work) = dpbf.search_budgeted(&kws, 3, &kwdb::common::Budget::unlimited());
+    let (exact, _, dpbf_work) = dpbf.search_budgeted(&kws, 3, &unlimited, &mut scratch);
     println!(
         "DPBF (exact group Steiner trees), {} states popped:",
         dpbf_work.states_popped
@@ -36,7 +40,7 @@ fn main() {
     }
 
     let b1 = BanksI::new(&g);
-    let (banks1, _, b1_work) = b1.search_budgeted(&kws, 3, &kwdb::common::Budget::unlimited());
+    let (banks1, _, b1_work) = b1.search_budgeted(&kws, 3, &unlimited, &mut scratch);
     println!(
         "\nBANKS I (backward search), {} nodes expanded:",
         b1_work.nodes_expanded
@@ -57,7 +61,7 @@ fn main() {
 
     let bl = Blinks::new(&g);
     let ix = bl.build_index(&kws);
-    let (blinks, _, bl_work) = bl.search_budgeted(&ix, &kws, 3, &kwdb::common::Budget::unlimited());
+    let (blinks, _, bl_work) = bl.search_budgeted(&ix, &kws, 3, &unlimited, &mut scratch);
     println!(
         "\nBLINKS (distinct root + TA), {} sorted / {} random accesses:",
         bl_work.sorted_accesses, bl_work.random_accesses

@@ -18,7 +18,9 @@
 //!   the query's mask signature (which tuple sets are non-empty), and
 //!   generator configuration.
 //! * [`GraphEngine::execute`] — DPBF / BANKS / BLINKS on a data graph; the
-//!   BLINKS node→keyword index is built once per engine and reused.
+//!   BLINKS node→keyword index is built once per engine and reused, and
+//!   the searches' per-node arrays come from a pool of
+//!   [`SearchScratch`]es, one checked out per computed query.
 //! * [`XmlEngine::execute`] — SLCA with XBridge-style proximity ranking.
 //!
 //! # Threading model
@@ -65,7 +67,7 @@ use kwdb_common::{
 };
 use kwdb_explore::summary::{object_summary, render_summary};
 use kwdb_graph::{DataGraph, NodeId};
-use kwdb_graphsearch::{blinks::Blinks, AnswerTree, BanksI, Dpbf};
+use kwdb_graphsearch::{blinks::Blinks, AnswerTree, BanksI, Dpbf, SearchScratch};
 use kwdb_obs::{
     families, record_facets, record_generation, record_index_stats, record_query, MetricsRegistry,
     QueryRecord, QueryTrace, TraceBuilder, TraceLevel,
@@ -1529,7 +1531,12 @@ pub enum GraphSemantics {
 ///
 /// Owns its graph behind an `Arc`; the underlying BANKS/DPBF/BLINKS
 /// engines are stateless (`&self`, per-query counters returned with the
-/// results), so one `GraphEngine` serves concurrent queries. Graph
+/// results, per-node buffers checked out of a pool), so one `GraphEngine`
+/// serves concurrent queries. A `Banks` request takes at most
+/// [`banks1::MAX_KEYWORDS`](kwdb_graphsearch::banks1::MAX_KEYWORDS) keywords
+/// and a `SteinerExact` one
+/// [`dpbf::MAX_KEYWORDS`](kwdb_graphsearch::dpbf::MAX_KEYWORDS); more is
+/// [`KwdbError::InvalidQuery`](kwdb_common::KwdbError::InvalidQuery). Graph
 /// mutations ([`add_node`](Self::add_node)/[`add_edge`](Self::add_edge))
 /// bump the graph's generation; a cached BLINKS index whose build
 /// generation lags by more than the **staleness bound** is rebuilt on the
@@ -1549,6 +1556,8 @@ pub struct GraphEngine {
     /// Generation-keyed whole-response cache (see
     /// [`RelationalConfig::result_cache`] for the shared semantics).
     result_cache: ResultCache<AnswerTree>,
+    /// Dense per-node search buffers, one checked out per computed query.
+    scratch: ScratchPool<SearchScratch>,
 }
 
 impl GraphEngine {
@@ -1564,6 +1573,7 @@ impl GraphEngine {
             registry: None,
             merges_seen: AtomicU64::new(merges_seen),
             result_cache: ResultCache::new(CacheConfig::default()),
+            scratch: ScratchPool::new(),
         }
     }
 
@@ -1728,11 +1738,25 @@ impl GraphEngine {
                    sw: &mut Stopwatch,
                    tb: &mut TraceBuilder|
          -> Result<Evaluated<AnswerTree>> {
+            let limit = match semantics {
+                GraphSemantics::SteinerExact => kwdb_graphsearch::dpbf::MAX_KEYWORDS,
+                GraphSemantics::Banks => kwdb_graphsearch::banks1::MAX_KEYWORDS,
+                // BLINKS sums per-keyword distances; it keeps no mask.
+                GraphSemantics::DistinctRoot => usize::MAX,
+            };
+            if keywords.len() > limit {
+                return Err(kwdb_common::KwdbError::InvalidQuery(format!(
+                    "{} keywords; a {semantics:?} request takes at most {limit}",
+                    keywords.len()
+                )));
+            }
+            let mut scratch = self.scratch.checkout(SearchScratch::default);
             let (hits, truncation) = match semantics {
                 GraphSemantics::SteinerExact => {
                     tb.phase("evaluate");
                     let dpbf = Dpbf::new(g);
-                    let (r, truncation, work) = dpbf.search_budgeted(keywords, req.k, budget);
+                    let (r, truncation, work) =
+                        dpbf.search_budgeted(keywords, req.k, budget, &mut scratch);
                     stats.operators.tuples_scanned = work.states_popped as u64;
                     tb.event("expansion", || {
                         vec![("states_popped".into(), work.states_popped.to_string())]
@@ -1742,7 +1766,8 @@ impl GraphEngine {
                 GraphSemantics::Banks => {
                     tb.phase("evaluate");
                     let banks = BanksI::new(g);
-                    let (r, truncation, work) = banks.search_budgeted(keywords, req.k, budget);
+                    let (r, truncation, work) =
+                        banks.search_budgeted(keywords, req.k, budget, &mut scratch);
                     stats.operators.tuples_scanned = work.nodes_expanded as u64;
                     tb.event("expansion", || {
                         vec![("nodes_expanded".into(), work.nodes_expanded.to_string())]
@@ -1770,7 +1795,7 @@ impl GraphEngine {
                     stats.phases.build = sw.lap();
                     tb.phase("evaluate");
                     let (r, truncation, work) =
-                        blinks.search_budgeted(&ix, keywords, req.k, budget);
+                        blinks.search_budgeted(&ix, keywords, req.k, budget, &mut scratch);
                     stats.operators.sorted_accesses = work.sorted_accesses as u64;
                     stats.operators.random_accesses = work.random_accesses as u64;
                     tb.event("threshold algorithm", || {
@@ -1914,8 +1939,8 @@ impl XmlEngine {
             });
 
             tb.phase("evaluate");
-            let sizes = tree.subtree_sizes();
-            let avg_depth = tree.avg_leaf_depth();
+            let sizes = index.subtree_sizes();
+            let avg_depth = index.avg_leaf_depth();
             // one dictionary lookup per keyword; scoring below probes these views
             let kw_lists: Vec<_> = keywords.iter().map(|kw| index.nodes(kw)).collect();
             let mut hits: Vec<XmlHit> = Vec::with_capacity(roots.len());

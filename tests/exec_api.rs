@@ -235,3 +235,67 @@ fn keyword_count_limit_is_an_error_not_a_panic() {
         .unwrap();
     assert_eq!(resp.hits.len(), 1);
 }
+
+/// A hub node whose content holds `n` distinct words, with two plain
+/// neighbours: a query over the first `m` words has the hub as its best root.
+fn hub_graph(n: usize) -> (kwdb::graph::DataGraph, Vec<String>, kwdb::graph::NodeId) {
+    let words: Vec<String> = (0..n).map(|i| format!("w{i}x")).collect();
+    let mut g = kwdb::graph::DataGraph::new();
+    let hub = g.add_node("paper", &words.join(" "));
+    let a = g.add_node("author", "alice");
+    let b = g.add_node("author", "bob");
+    g.add_edge(hub, a, 1.0);
+    g.add_edge(hub, b, 2.0);
+    (g, words, hub)
+}
+
+#[test]
+fn graph_keyword_count_limits_are_errors_and_the_limit_itself_answers() {
+    let (g, words, hub) = hub_graph(33);
+    let engine = GraphEngine::new(g);
+    let is_invalid =
+        |r: kwdb::common::Result<_>| matches!(r, Err(kwdb::common::KwdbError::InvalidQuery(_)));
+    let request = |n: usize, sem| SearchRequest::new(words[..n].join(" ")).k(2).semantics(sem);
+
+    // BANKS keeps a u32 of groups per node: 32 keywords fill it exactly.
+    for n in [31, 32] {
+        let resp = engine.execute(&request(n, GraphSemantics::Banks)).unwrap();
+        assert_eq!(resp.hits.len(), 2, "{n} keywords: hub, then alice");
+        assert_eq!((resp.hits[0].root, resp.hits[0].rank_cost), (hub, 0.0));
+        assert_eq!(resp.hits[1].rank_cost, n as f64);
+        for t in &resp.hits {
+            t.validate(&engine.graph(), &words[..n]).unwrap();
+        }
+    }
+    assert!(is_invalid(
+        engine.execute(&request(33, GraphSemantics::Banks))
+    ));
+
+    // BLINKS keeps no mask over the keywords, so it has no limit.
+    for n in [31, 32, 33] {
+        let resp = engine
+            .execute(&request(n, GraphSemantics::DistinctRoot))
+            .unwrap();
+        assert_eq!(resp.hits.len(), 2, "{n} keywords");
+        assert_eq!((resp.hits[0].root, resp.hits[0].rank_cost), (hub, 0.0));
+        assert_eq!(resp.hits[1].rank_cost, n as f64);
+    }
+
+    // DPBF's state space is 2^keywords per node. 16 is accepted — one node
+    // matching all of them is the 3^16-merge worst case, so cap the run —
+    // and 17 is refused before any state is built.
+    let capped = request(16, GraphSemantics::SteinerExact)
+        .budget(Budget::unlimited().with_max_candidates(64));
+    assert!(engine.execute(&capped).unwrap().truncated());
+    let resp = engine
+        .execute(&request(4, GraphSemantics::SteinerExact))
+        .unwrap();
+    assert_eq!((resp.hits[0].root, resp.hits[0].cost), (hub, 0.0));
+    assert!(is_invalid(
+        engine.execute(&request(17, GraphSemantics::SteinerExact))
+    ));
+
+    // The engine is still serviceable after the refusals.
+    let resp = engine.execute(&request(2, GraphSemantics::Banks)).unwrap();
+    assert_eq!(resp.hits[0].root, hub);
+}

@@ -1,0 +1,410 @@
+//! Parity suite for the dense (array-by-`NodeId`) graph engine: the
+//! node→keyword index against a naive fixpoint, BANKS and BLINKS against an
+//! exhaustive distinct-root scan, DPBF against brute force, and — the part
+//! arrays add over hash maps — that a reused [`SearchScratch`] never leaks
+//! one query's state into the next.
+//!
+//! Every comparison is bitwise on `f64`s and runs on seeded random graphs
+//! with disconnected components, zero-weight edges, log-degree (irrational)
+//! weights, nodes matching several keywords, a repeated keyword and an
+//! absent one. CI also runs it in release, where `debug_assert!`s are gone
+//! and these comparisons are the whole check.
+
+use kwdb::common::{Budget, CacheConfig, Rng, TruncationReason};
+use kwdb::engine::{GraphEngine, GraphSemantics, SearchRequest};
+use kwdb::graph::shortest::multi_source;
+use kwdb::graph::{DataGraph, NodeId, NodeKeywordIndex};
+use kwdb::graphsearch::dpbf::brute_force_gst_cost;
+use kwdb::graphsearch::{AnswerTree, BanksI, Blinks, Dpbf, SearchScratch, TraversalStats};
+
+const KEYWORDS: [&str; 4] = ["kw0", "kw1", "kw2", "kw3"];
+
+/// `n` nodes in up to three components that no edge crosses; each keyword
+/// on one to four random nodes (so a node can hold several). `log_degree`
+/// weighs an edge `1 + ln(1 + endpoint degree)` as the tuple-graph view
+/// does; otherwise weights are small integers, a quarter of them zero.
+fn random_graph(rng: &mut Rng, n: usize, log_degree: bool) -> DataGraph {
+    let components = rng.gen_range(1usize..4);
+    let mut content = vec![String::new(); n];
+    for kw in KEYWORDS {
+        for _ in 0..rng.gen_range(1usize..5) {
+            let node = &mut content[rng.gen_index(n)];
+            if !node.contains(kw) {
+                node.push_str(kw);
+                node.push(' ');
+            }
+        }
+    }
+    let mut g = DataGraph::new();
+    let ids: Vec<NodeId> = content.iter().map(|c| g.add_node("n", c)).collect();
+    let mut pairs = Vec::new();
+    for _ in 0..rng.gen_range(n..3 * n) {
+        let (u, v) = (rng.gen_index(n), rng.gen_index(n));
+        if u != v && u % components == v % components {
+            pairs.push((u, v));
+        }
+    }
+    let mut degree = vec![0usize; n];
+    for &(u, v) in &pairs {
+        degree[u] += 1;
+        degree[v] += 1;
+    }
+    for (u, v) in pairs {
+        let w = if log_degree {
+            1.0 + (1.0 + degree[v] as f64).ln()
+        } else {
+            *rng.choose(&[0.0, 1.0, 2.0, 3.0])
+        };
+        g.add_edge(ids[u], ids[v], w);
+    }
+    g
+}
+
+/// `(dist, nearest source)` per node by relaxing every edge until nothing
+/// changes — no queue, no scratch, nothing shared with the code under test.
+fn fixpoint_nearest(
+    g: &DataGraph,
+    sources: &[NodeId],
+    max_dist: Option<f64>,
+) -> Vec<Option<(f64, NodeId)>> {
+    let mut best: Vec<Option<(f64, NodeId)>> = vec![None; g.node_count()];
+    for &s in sources {
+        best[s.0 as usize] = Some((0.0, s));
+    }
+    loop {
+        let mut changed = false;
+        for u in g.iter() {
+            let Some((d, origin)) = best[u.0 as usize] else {
+                continue;
+            };
+            for &(v, w) in g.neighbors(u) {
+                let cand = (d + w, origin);
+                if max_dist.is_some_and(|md| cand.0 > md) {
+                    continue;
+                }
+                if best[v.0 as usize].is_none_or(|cur| cand < cur) {
+                    best[v.0 as usize] = Some(cand);
+                    changed = true;
+                }
+            }
+        }
+        if !changed {
+            return best;
+        }
+    }
+}
+
+fn bits(x: Option<f64>) -> Option<u64> {
+    x.map(f64::to_bits)
+}
+
+#[test]
+fn index_equals_the_fixpoint_reference_at_any_thread_count() {
+    let mut rng = Rng::seed_from_u64(0x17);
+    for round in 0..40 {
+        let n = rng.gen_range(4usize..40);
+        let g = random_graph(&mut rng, n, round % 2 == 0);
+        let max_dist = (round % 3 == 0).then_some(2.5);
+        // a repeated keyword and an absent one ride along
+        let listed = ["kw0", "kw1", "kw0", "kw2", "absent", "kw3"];
+        let ix = NodeKeywordIndex::build_on(&g, &listed, max_dist, 1);
+        let threaded = NodeKeywordIndex::build_on(&g, &listed, max_dist, 3);
+        let auto = NodeKeywordIndex::build(&g, &listed, max_dist);
+        assert_eq!(ix.keywords().count(), 5, "the repeat is one list");
+        let mut entries = 0;
+        for kw in listed {
+            let sources = g.keyword_nodes(kw).to_vec();
+            let want = fixpoint_nearest(&g, &sources, max_dist);
+            let (ms_dist, ms_origin) = multi_source(&g, sources.iter().copied(), max_dist);
+            for n in g.iter() {
+                let w = want[n.0 as usize];
+                let ctx = format!("round {round} {kw} {n:?}");
+                assert_eq!(bits(ix.dist(n, kw)), bits(w.map(|w| w.0)), "{ctx}");
+                assert_eq!(ix.nearest_match(n, kw), w.map(|w| w.1), "{ctx}");
+                assert_eq!(
+                    bits(ms_dist.get(&n).copied()),
+                    bits(w.map(|w| w.0)),
+                    "{ctx}"
+                );
+                assert_eq!(ms_origin.get(&n).copied(), w.map(|w| w.1), "{ctx}");
+                for other in [&threaded, &auto] {
+                    assert_eq!(bits(other.dist(n, kw)), bits(ix.dist(n, kw)), "{ctx}");
+                    assert_eq!(other.nearest_match(n, kw), ix.nearest_match(n, kw));
+                }
+            }
+            let mut order: Vec<(f64, NodeId)> = g
+                .iter()
+                .filter_map(|n| Some((want[n.0 as usize]?.0, n)))
+                .collect();
+            order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            let order: Vec<NodeId> = order.into_iter().map(|(_, n)| n).collect();
+            assert_eq!(ix.sorted_list(kw), order, "round {round} {kw}");
+            assert_eq!(threaded.sorted_list(kw), order);
+            assert_eq!(auto.sorted_list(kw), order);
+            if kw != "kw0" || entries == 0 {
+                entries += order.len(); // count the repeated keyword once
+            }
+        }
+        assert_eq!(ix.entry_count(), entries);
+        assert_eq!(ix.index_stats().postings, entries);
+    }
+}
+
+/// The k smallest `Σᵢ dist(r, Sᵢ)` over every node that reaches all groups,
+/// summed in keyword order as both engines do.
+fn exhaustive_root_costs(g: &DataGraph, keywords: &[&str], k: usize) -> Vec<u64> {
+    let fields: Vec<_> = keywords
+        .iter()
+        .map(|kw| fixpoint_nearest(g, &g.keyword_nodes(kw).to_vec(), None))
+        .collect();
+    let mut costs: Vec<f64> = g
+        .iter()
+        .filter_map(|r| {
+            fields
+                .iter()
+                .try_fold(0.0, |sum, f| Some(sum + f[r.0 as usize]?.0))
+        })
+        .collect();
+    costs.sort_by(f64::total_cmp);
+    costs.truncate(k);
+    costs.into_iter().map(f64::to_bits).collect()
+}
+
+fn rank_bits(trees: &[AnswerTree]) -> Vec<u64> {
+    trees.iter().map(|t| t.rank_cost.to_bits()).collect()
+}
+
+fn queries() -> Vec<Vec<&'static str>> {
+    vec![
+        vec!["kw0", "kw1"],
+        vec!["kw2", "kw0", "kw3"],
+        vec!["kw1", "kw3", "kw1"], // a repeated keyword is two equal groups
+        vec!["kw0", "absent"],
+        vec!["kw3"],
+    ]
+}
+
+#[test]
+fn banks_and_blinks_rank_costs_equal_the_exhaustive_scan() {
+    let mut rng = Rng::seed_from_u64(0x18);
+    let unlimited = Budget::unlimited();
+    // one scratch for the whole test: graphs of different sizes, all engines
+    let mut scratch = SearchScratch::default();
+    for round in 0..40 {
+        let n = rng.gen_range(4usize..40);
+        let g = random_graph(&mut rng, n, round % 2 == 0);
+        let ix = Blinks::new(&g).build_full_index();
+        for kws in queries() {
+            for k in [1, 3, 50] {
+                let want = exhaustive_root_costs(&g, &kws, k);
+                let ctx = format!("round {round} {kws:?} k={k}");
+                let (banks, cut, _) =
+                    BanksI::new(&g).search_budgeted(&kws, k, &unlimited, &mut scratch);
+                assert_eq!(rank_bits(&banks), want, "BANKS {ctx}");
+                assert!(cut.is_none());
+                let (blinks, cut, _) =
+                    Blinks::new(&g).search_budgeted(&ix, &kws, k, &unlimited, &mut scratch);
+                assert_eq!(rank_bits(&blinks), want, "BLINKS {ctx}");
+                assert!(cut.is_none());
+                for t in banks.iter().chain(&blinks) {
+                    t.validate(&g, &kws)
+                        .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                    assert!(t.cost <= t.rank_cost + 1e-9, "shared edges are paid once");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn dpbf_top1_equals_brute_force_and_every_tree_validates() {
+    let mut rng = Rng::seed_from_u64(0x19);
+    let mut scratch = SearchScratch::default();
+    for round in 0..60 {
+        // integer weights: the optimum is the same number however it is summed
+        let n = rng.gen_range(3usize..13);
+        let g = random_graph(&mut rng, n, false);
+        for kws in queries() {
+            let (trees, _, _) =
+                Dpbf::new(&g).search_budgeted(&kws, 4, &Budget::unlimited(), &mut scratch);
+            let ctx = format!("round {round} {kws:?}");
+            assert_eq!(
+                trees.first().map(|t| t.cost.to_bits()),
+                brute_force_gst_cost(&g, &kws).map(f64::to_bits),
+                "{ctx}"
+            );
+            assert!(trees.windows(2).all(|w| w[0].cost <= w[1].cost), "{ctx}");
+            for t in &trees {
+                t.validate(&g, &kws)
+                    .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+            }
+        }
+    }
+}
+
+/// An answer tree with its costs as bit patterns.
+type TreeBits = (NodeId, u64, u64, Vec<(NodeId, NodeId)>, Vec<NodeId>);
+
+fn tree_bits(trees: Vec<AnswerTree>) -> Vec<TreeBits> {
+    let bits = |t: AnswerTree| {
+        let (cost, rank) = (t.cost.to_bits(), t.rank_cost.to_bits());
+        (t.root, cost, rank, t.edges, t.matches)
+    };
+    trees.into_iter().map(bits).collect()
+}
+
+/// Everything observable about one search, bit for bit.
+type Outcome = (Vec<TreeBits>, Option<TruncationReason>, TraversalStats);
+
+fn outcome(
+    (trees, cut, work): (Vec<AnswerTree>, Option<TruncationReason>, TraversalStats),
+) -> Outcome {
+    (tree_bits(trees), cut, work)
+}
+
+/// All three engines on `kws`, capped or not, out of `scratch`.
+fn run_all(
+    g: &DataGraph,
+    ix: &NodeKeywordIndex,
+    kws: &[&str],
+    budget: &Budget,
+    scratch: &mut SearchScratch,
+) -> [Outcome; 3] {
+    [
+        outcome(BanksI::new(g).search_budgeted(kws, 3, budget, scratch)),
+        outcome(Dpbf::new(g).search_budgeted(kws, 3, budget, scratch)),
+        outcome(Blinks::new(g).search_budgeted(ix, kws, 3, budget, scratch)),
+    ]
+}
+
+#[test]
+fn a_reused_scratch_answers_like_a_fresh_one() {
+    let mut rng = Rng::seed_from_u64(0x1a);
+    let mut reused = SearchScratch::default();
+    for round in 0..25 {
+        let n = rng.gen_range(8usize..60);
+        let g = random_graph(&mut rng, n, round % 2 == 0);
+        let ix = Blinks::new(&g).build_full_index();
+        // A, B, A, … with a cap in between: whatever the last query left in
+        // the scratch — full expansions, a cut-short one, an early return on
+        // an absent keyword — the next answers as if it were the first.
+        let capped = Budget::unlimited().with_max_candidates(5);
+        let unlimited = Budget::unlimited();
+        let mut script: Vec<(Vec<&str>, &Budget)> = Vec::new();
+        for kws in queries() {
+            script.push((kws.clone(), &unlimited));
+            script.push((kws, &capped));
+        }
+        script.extend(script.clone().into_iter().rev());
+        for (kws, budget) in script {
+            let fresh = run_all(&g, &ix, &kws, budget, &mut SearchScratch::default());
+            let again = run_all(&g, &ix, &kws, budget, &mut reused);
+            assert_eq!(again, fresh, "round {round} {kws:?} {budget:?}");
+        }
+    }
+}
+
+#[test]
+fn a_candidate_cap_cuts_at_the_same_point_every_time() {
+    let mut rng = Rng::seed_from_u64(0x1b);
+    let g = random_graph(&mut rng, 200, true);
+    let ix = Blinks::new(&g).build_full_index();
+    let mut scratch = SearchScratch::default();
+    let kws = ["kw0", "kw1", "kw2"];
+    for cap in [1, 2, 7, 30, 120] {
+        let budget = Budget::unlimited().with_max_candidates(cap);
+        let first = run_all(&g, &ix, &kws, &budget, &mut scratch);
+        let full = run_all(&g, &ix, &kws, &Budget::unlimited(), &mut scratch);
+        for _ in 0..3 {
+            assert_eq!(run_all(&g, &ix, &kws, &budget, &mut scratch), first);
+        }
+        for ((trees, cut, work), (_, _, full_work)) in first.iter().zip(&full) {
+            // the cap is the verdict exactly when there was more work to do
+            let spent = work.nodes_expanded + work.states_popped + work.sorted_accesses;
+            let needed =
+                full_work.nodes_expanded + full_work.states_popped + full_work.sorted_accesses;
+            assert_eq!(spent as u64, cap.min(needed as u64), "cap {cap}");
+            if (needed as u64) > cap {
+                assert_eq!(
+                    *cut,
+                    Some(TruncationReason::CandidateCapReached),
+                    "cap {cap}"
+                );
+            }
+            assert!(trees
+                .windows(2)
+                .all(|w| f64::from_bits(w[0].2) <= f64::from_bits(w[1].2)));
+        }
+    }
+}
+
+/// What a client sees of a response, bit for bit, work counters included.
+fn response_bits(
+    engine: &GraphEngine,
+    query: &str,
+    sem: GraphSemantics,
+) -> (Vec<TreeBits>, [u64; 3]) {
+    let resp = engine
+        .execute(&SearchRequest::new(query).k(4).semantics(sem))
+        .unwrap();
+    let ops = resp.stats.operators;
+    (
+        tree_bits(resp.hits),
+        [ops.tuples_scanned, ops.sorted_accesses, ops.random_accesses],
+    )
+}
+
+#[test]
+fn pooled_scratch_leaves_no_residue_serially_or_across_threads() {
+    let mut rng = Rng::seed_from_u64(0x1c);
+    let g = random_graph(&mut rng, 400, true);
+    let engine = GraphEngine::new(g).with_result_cache(CacheConfig::disabled());
+    let sems = [
+        GraphSemantics::Banks,
+        GraphSemantics::SteinerExact,
+        GraphSemantics::DistinctRoot,
+    ];
+    let plan: Vec<(&str, GraphSemantics)> = ["kw0 kw1", "kw2 kw3 kw0", "kw1 kw1 kw3", "kw2"]
+        .into_iter()
+        .flat_map(|q| sems.map(|s| (q, s)))
+        .collect();
+    // reference: each request on an engine of its own, so on a fresh scratch
+    let reference: Vec<_> = plan
+        .iter()
+        .map(|&(q, s)| {
+            let fresh = GraphEngine::new(engine.graph()).with_result_cache(CacheConfig::disabled());
+            response_bits(&fresh, q, s)
+        })
+        .collect();
+    // A, B, A on the one engine
+    for i in (0..plan.len())
+        .chain((0..plan.len()).rev())
+        .chain(0..plan.len())
+    {
+        assert_eq!(response_bits(&engine, plan[i].0, plan[i].1), reference[i]);
+    }
+    // two threads at once, walking the plan in opposite directions
+    let barrier = std::sync::Barrier::new(2);
+    std::thread::scope(|scope| {
+        for reversed in [false, true] {
+            let (engine, plan, reference, barrier) = (&engine, &plan, &reference, &barrier);
+            scope.spawn(move || {
+                barrier.wait();
+                for round in 0..6 {
+                    for step in 0..plan.len() {
+                        let i = if reversed {
+                            plan.len() - 1 - step
+                        } else {
+                            step
+                        };
+                        assert_eq!(
+                            response_bits(engine, plan[i].0, plan[i].1),
+                            reference[i],
+                            "round {round} request {i}"
+                        );
+                    }
+                }
+            });
+        }
+    });
+}

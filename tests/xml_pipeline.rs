@@ -111,3 +111,68 @@ fn axioms_hold_for_the_slca_engine_on_generated_data() {
     );
     assert!(check_data_consistency(&engine, &tree, &q, paper, "note", "fresh data").is_satisfied());
 }
+
+/// The engine ranks with the subtree sizes and average leaf depth its index
+/// computed once at build; the hits must be what a fresh walk of the tree
+/// gives, however the engine came by its index.
+#[test]
+fn engine_hits_equal_a_recomputation_from_the_tree() {
+    use kwdb::common::index::Layout;
+    use kwdb::engine::{SearchRequest, XmlEngine};
+    use std::sync::Arc;
+
+    let tree = || generate_bib_xml(&BibConfig::default());
+    let shared = Arc::new((tree(), XmlIndex::build(&tree())));
+    let engines = [
+        ("from_tree", XmlEngine::from_tree(tree())),
+        ("blocks", XmlEngine::from_tree_with(tree(), Layout::Blocks)),
+        ("from_arc", XmlEngine::from_arc(Arc::clone(&shared))),
+    ];
+    for (name, engine) in &engines {
+        let (tree, ix) = &**engine.data();
+        let sizes = tree.subtree_sizes();
+        let avg_depth = tree.avg_leaf_depth();
+        assert_eq!(ix.subtree_sizes(), sizes.as_slice(), "{name}");
+        assert_eq!(ix.avg_leaf_depth().to_bits(), avg_depth.to_bits(), "{name}");
+        for query in [vec!["data", "query"], vec!["xml", "widom"], vec!["paper"]] {
+            let mut want: Vec<(kwdb::xml::NodeId, f64, String)> =
+                slca_brute_force(tree, ix, &query)
+                    .into_iter()
+                    .map(|r| {
+                        let end = kwdb::xml::NodeId(r.0 + sizes[r.0 as usize]);
+                        let paths: Vec<Vec<u64>> = query
+                            .iter()
+                            .filter_map(|kw| {
+                                let m = ix.nodes(kw).right_match(r).filter(|&m| m < end)?;
+                                let mut path = vec![m.0 as u64];
+                                let mut cur = m;
+                                while cur != r {
+                                    cur = tree.parent(cur).unwrap();
+                                    path.push(cur.0 as u64);
+                                }
+                                path.reverse();
+                                Some(path)
+                            })
+                            .collect();
+                        let score = kwdb::rank::proximity::proximity_score(&paths, avg_depth);
+                        (r, score, tree.label_path(r))
+                    })
+                    .collect();
+            want.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+            let resp = engine
+                .execute(&SearchRequest::new(query.join(" ")).k(want.len().max(1)))
+                .unwrap();
+            let got: Vec<_> = resp
+                .hits
+                .iter()
+                .map(|h| (h.root, h.score.to_bits(), h.label_path.clone()))
+                .collect();
+            let want: Vec<_> = want
+                .into_iter()
+                .map(|(r, s, p)| (r, s.to_bits(), p))
+                .collect();
+            assert!(!want.is_empty(), "{name} {query:?}: the query has results");
+            assert_eq!(got, want, "{name} {query:?}");
+        }
+    }
+}
