@@ -11,13 +11,15 @@
 //! around it.
 //!
 //! Expansion is *bidirectional*: a frontier tuple pulls in the tuples it
-//! references ([`Database::fk_neighbors`]) and the tuples referencing it
-//! (a scan per incoming schema edge) — an author's context is its papers
-//! just as a paper's context is its conference. The expansion is
-//! deterministic — seeds in result order, then outgoing-FK order, then
-//! incoming edges in schema order with referencing rows in row order — so
-//! the same hit always summarizes identically regardless of thread or
-//! worker count.
+//! references and the tuples referencing it — an author's context is its
+//! papers just as a paper's context is its conference. Both hops read the
+//! database's FK index ([`Database::referenced_row`],
+//! [`Database::referencing_rows`]): a hop costs what it returns, never a
+//! pass over a table. The expansion is deterministic — seeds in result
+//! order, then outgoing-FK order, then incoming edges in schema order with
+//! referencing rows in row order — so the same hit always summarizes
+//! identically regardless of thread or worker count, and of whether the
+//! rows were bulk-loaded or ingested.
 
 use kwdb_relational::{Database, TupleId};
 use std::collections::{HashSet, VecDeque};
@@ -25,16 +27,19 @@ use std::collections::{HashSet, VecDeque};
 /// Tuples one FK hop from `t`, in either direction, deterministically
 /// ordered: referenced tuples first, then referencing tuples.
 fn fk_both_directions(db: &Database, t: TupleId) -> Vec<TupleId> {
-    let mut out = db.fk_neighbors(t);
-    let table = db.table(t.table);
-    for e in db.schema_graph().edges().iter().filter(|e| e.to == t.table) {
-        let pk = table.get(t.row, e.pk_column);
-        if pk.is_null() {
-            continue;
-        }
-        for rid in db.scan_eq(e.from, e.fk_column, pk) {
-            out.push(TupleId::new(e.from, rid));
-        }
+    let edges = db.schema_graph().edges();
+    let mut out = Vec::new();
+    for (ei, e) in edges.iter().enumerate().filter(|(_, e)| e.from == t.table) {
+        out.extend(db.referenced_row(ei, t.row).map(|r| TupleId::new(e.to, r)));
+    }
+    for (ei, e) in edges.iter().enumerate().filter(|(_, e)| e.to == t.table) {
+        let start = out.len();
+        out.extend(
+            db.referencing_rows(ei, t.row)
+                .map(|r| TupleId::new(e.from, r)),
+        );
+        // A chain reads newest-first once rows were ingested into it.
+        out[start..].sort_unstable();
     }
     out
 }
@@ -43,6 +48,10 @@ fn fk_both_directions(db: &Database, t: TupleId) -> Vec<TupleId> {
 /// (deduplicated, in order) followed by breadth-first FK expansion, cut to
 /// at most `l` tuples. `l == 0` returns the empty summary; `l` smaller than
 /// the seed count truncates the seeds themselves.
+///
+/// Needs what a query needs: a fresh index on `db` (the FK index is built
+/// and maintained with the text index, and a hit's tuples come from one),
+/// and live seeds.
 pub fn object_summary(db: &Database, seeds: &[TupleId], l: usize) -> Vec<TupleId> {
     let mut out: Vec<TupleId> = Vec::with_capacity(l.min(seeds.len() + 8));
     let mut seen: HashSet<TupleId> = HashSet::new();

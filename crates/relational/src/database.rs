@@ -27,7 +27,7 @@ use std::collections::HashMap;
 /// typed
 /// [`KwdbError::IndexStale`] instead of silently missing rows.
 ///
-/// The reverse foreign-key index behind
+/// The foreign-key index behind [`referenced_row`](Self::referenced_row) and
 /// [`referencing_rows`](Self::referencing_rows) lives by the same rule: built
 /// with the text index, maintained by `ingest`, left behind by raw `insert`.
 #[derive(Debug, Default, Clone)]
@@ -36,7 +36,7 @@ pub struct Database {
     by_name: HashMap<String, TableId>,
     schema_graph: SchemaGraph,
     text_index: InvertedIndex,
-    /// One reverse index per schema-graph edge, in edge order.
+    /// One FK index (both directions) per schema-graph edge, in edge order.
     fk_index: Vec<FkIndex>,
     /// Bumped by every data mutation (`insert`/`ingest`/`delete`).
     generation: u64,
@@ -419,10 +419,30 @@ impl Database {
         out
     }
 
+    /// The live row of schema edge `edge`'s referenced (`to`) table that
+    /// `referencing`, a row of its `from` table, points at — one hop of
+    /// [`fk_neighbors`](Self::fk_neighbors) read off the FK index: no value
+    /// is fetched, hashed or compared. By value all the same, exactly
+    /// `lookup_pk` of the row's FK value: a NULL or dangling FK finds
+    /// nothing, nor does one whose target was deleted, and once a deleted
+    /// row's primary key is ingested again its referencing rows find the
+    /// new row.
+    ///
+    /// Reflects the data as of the last
+    /// [`build_text_index`](Self::build_text_index) or
+    /// [`ingest`](Self::ingest), like
+    /// [`referencing_rows`](Self::referencing_rows).
+    pub fn referenced_row(&self, edge: usize, referencing: RowId) -> Option<RowId> {
+        let to = self.table(self.schema_graph.edges()[edge].to);
+        self.fk_index[edge]
+            .target(referencing)
+            .filter(|&r| !to.is_deleted(r))
+    }
+
     /// Live rows of schema edge `edge`'s referencing (`from`) table whose FK
     /// column equals the primary key of `referenced`, a live row of its
     /// `to` table — the reverse direction of
-    /// [`fk_neighbors`](Self::fk_neighbors), read off the reverse-FK index
+    /// [`referenced_row`](Self::referenced_row), read off the same index
     /// without touching any other row. By value, like a hash join over the
     /// same rows: a NULL FK is chained nowhere, and a row that re-uses a
     /// deleted row's primary key has that row's referencing rows.
@@ -444,7 +464,7 @@ impl Database {
 
     /// Rows of `table` whose column `col` equals `value` (sequential scan;
     /// FK joins go through [`crate::join`] with a hash table, or through
-    /// the indexes: [`Table::lookup_pk`] and
+    /// the FK index: [`referenced_row`](Self::referenced_row) and
     /// [`referencing_rows`](Self::referencing_rows)).
     pub fn scan_eq(&self, table: TableId, col: usize, value: &Value) -> Vec<RowId> {
         self.table(table)
@@ -710,15 +730,24 @@ mod tests {
         assert!(db.fk_neighbors(TupleId::new(author, RowId(0))).is_empty());
     }
 
-    /// `referencing_rows` of every live referenced row, against the
-    /// by-value definition: a scan of the referencing table for its key.
-    fn assert_reverse_index_matches_scan(db: &Database) {
+    /// Both directions of the FK index against their by-value definitions:
+    /// `referencing_rows` of every live referenced row is a scan of the
+    /// referencing table for its key, and `referenced_row` of every live
+    /// referencing row is `lookup_pk` of its FK value.
+    fn assert_fk_index_matches_values(db: &Database) {
         for (ei, e) in db.schema_graph().edges().iter().enumerate() {
             for (rid, row) in db.table(e.to).iter() {
                 let mut indexed: Vec<RowId> = db.referencing_rows(ei, rid).collect();
                 indexed.sort();
                 let scanned = db.scan_eq(e.from, e.fk_column, &row[e.pk_column]);
                 assert_eq!(indexed, scanned, "edge {ei}, referenced row {rid:?}");
+            }
+            for (rid, row) in db.table(e.from).iter() {
+                assert_eq!(
+                    db.referenced_row(ei, rid),
+                    db.table(e.to).lookup_pk(&row[e.fk_column]),
+                    "edge {ei}, referencing row {rid:?}"
+                );
             }
         }
     }
@@ -731,43 +760,73 @@ mod tests {
         db.insert("write", vec![102.into(), 1.into(), 77.into()])
             .unwrap(); // dangling FK: paper 77 does not exist yet
         db.build_text_index();
-        assert_reverse_index_matches_scan(&db);
-        let (write, paper) = (db.table_id("write").unwrap(), db.table_id("paper").unwrap());
-        let wp = db
-            .schema_graph()
-            .edges()
-            .iter()
-            .position(|e| e.from == write && e.to == paper)
-            .unwrap();
+        assert_fk_index_matches_values(&db);
+        let write = db.table_id("write").unwrap();
+        let edge_to = |to: &str| {
+            let to = db.table_id(to).unwrap();
+            let edges = db.schema_graph().edges();
+            let found = edges.iter().position(|e| e.from == write && e.to == to);
+            found.unwrap()
+        };
+        let (wa, wp) = (edge_to("author"), edge_to("paper"));
+        let (w100, w101, w102) = (RowId(0), RowId(1), RowId(2));
+        assert_eq!(
+            db.referenced_row(wa, w101),
+            None,
+            "a NULL FK points nowhere"
+        );
+        assert_eq!(db.referenced_row(wp, w102), None, "a dangling FK too");
 
         // the paper the dangling write was waiting for arrives
         let p77 = db
             .ingest("paper", vec![77.into(), "Late".into(), 1.into()])
             .unwrap();
         assert_eq!(db.referencing_rows(wp, p77.row).count(), 1);
-        assert_reverse_index_matches_scan(&db);
+        assert_eq!(db.referenced_row(wp, w102), Some(p77.row));
+        assert_fk_index_matches_values(&db);
 
         // delete a referenced row, then re-ingest its primary key: the
         // referencing rows lose their partner and get it back
         db.ingest("write", vec![103.into(), 2.into(), 10.into()])
             .unwrap();
+        let old_p10 = db.referenced_row(wp, w100).unwrap();
         db.delete("paper", &10.into()).unwrap();
-        assert_reverse_index_matches_scan(&db);
+        assert_eq!(db.referenced_row(wp, w100), None, "the target is dead");
+        assert_fk_index_matches_values(&db);
         let p10 = db
             .ingest("paper", vec![10.into(), "Again".into(), 1.into()])
             .unwrap();
+        assert_ne!(p10.row, old_p10);
         assert_eq!(db.referencing_rows(wp, p10.row).count(), 3);
-        assert_reverse_index_matches_scan(&db);
+        for w in [w100, w101, RowId(3)] {
+            assert_eq!(db.referenced_row(wp, w), Some(p10.row), "re-pointed");
+        }
+        assert_fk_index_matches_values(&db);
+
+        // a second death and rebirth of the same key moves the chain again
+        db.delete("paper", &10.into()).unwrap();
+        assert_fk_index_matches_values(&db);
+        let p10 = db
+            .ingest("paper", vec![10.into(), "Thrice".into(), 1.into()])
+            .unwrap();
+        assert_eq!(db.referenced_row(wp, w100), Some(p10.row));
+        assert_fk_index_matches_values(&db);
 
         // a deleted referencing row drops out of its chain
         db.delete("write", &103.into()).unwrap();
         assert_eq!(db.referencing_rows(wp, p10.row).count(), 2);
-        assert_reverse_index_matches_scan(&db);
+        assert_fk_index_matches_values(&db);
+
+        // sealing and compacting the text index leave the FK index alone
+        db.commit_index();
+        assert_fk_index_matches_values(&db);
+        db.merge_index();
+        assert_fk_index_matches_values(&db);
 
         // and a rebuild from scratch agrees with the maintained index
         let mut rebuilt = db.clone();
         rebuilt.build_text_index();
-        assert_reverse_index_matches_scan(&rebuilt);
+        assert_fk_index_matches_values(&rebuilt);
     }
 
     #[test]
@@ -803,10 +862,10 @@ mod tests {
             .unwrap();
         let widom: Vec<RowId> = db.referencing_rows(edge, RowId(0)).collect();
         assert_eq!(widom, vec![RowId(2), RowId(0)]);
-        assert_reverse_index_matches_scan(&db);
+        assert_fk_index_matches_values(&db);
         let mut rebuilt = db.clone();
         rebuilt.build_text_index();
-        assert_reverse_index_matches_scan(&rebuilt);
+        assert_fk_index_matches_values(&rebuilt);
 
         // A table whose second FK does not resolve leaves no edge behind.
         let edges = db.schema_graph().edges().len();
@@ -821,7 +880,7 @@ mod tests {
             .is_err());
         assert_eq!(db.schema_graph().edges().len(), edges);
         db.build_text_index();
-        assert_reverse_index_matches_scan(&db);
+        assert_fk_index_matches_values(&db);
     }
 
     #[test]

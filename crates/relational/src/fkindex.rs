@@ -1,34 +1,39 @@
-//! Reverse foreign-key index: for one schema edge, the referencing rows of
-//! each referenced row, as intrusive singly linked chains.
+//! Foreign-key index: for one schema edge, every FK resolved to a row id
+//! once — the referenced row of each referencing row, and the referencing
+//! rows of each referenced row as intrusive singly linked chains.
 //!
-//! The forward direction of an FK join is already indexed — a referencing
-//! row's FK value resolves through the referenced table's primary-key index
-//! ([`Table::lookup_pk`]). This is the other direction: given a referenced
-//! row, which rows point at it. Two flat `u32` arrays per edge and nothing
-//! per key value:
+//! Three flat `u32` arrays per edge and nothing per key value:
 //!
+//! * `target[s]` — the referenced row slot that referencing row slot `s`
+//!   points at (the forward direction: what [`Table::lookup_pk`] of its FK
+//!   value would find, without hashing the value);
 //! * `first[r]` — the most recently linked referencing row of referenced
 //!   row slot `r`;
 //! * `next[s]` — the row that follows referencing row slot `s` in its chain.
 //!
-//! That is 4 bytes per referenced row slot plus 4 bytes per referencing row
-//! slot, per edge, whatever the key type.
+//! That is 4 bytes per referenced row slot plus 8 bytes per referencing row
+//! slot, per edge, whatever the key type. `target[s] == r` exactly when `s`
+//! is on `r`'s chain.
 //!
 //! # Joins stay by value
 //!
-//! A chain hangs off a row *slot*, but what it stands for is a primary-key
-//! *value*: every row of the referencing table whose FK column equals that
-//! value. The owner ([`crate::Database`]) keeps the two in step:
+//! A chain hangs off a row *slot*, and a `target` entry names one, but what
+//! they stand for is a primary-key *value*: every row of the referencing
+//! table whose FK column equals that value, and the live row holding it.
+//! The owner ([`crate::Database`]) keeps slots and values in step, in both
+//! directions at once:
 //!
-//! * deleting a referenced row leaves its chain on the dead slot — nothing
-//!   reaches it, because chains are only entered from live rows;
+//! * deleting a referenced row leaves its chain on the dead slot and the
+//!   chain's `target`s pointing at it — nothing enters the chain, because
+//!   chains are only entered from live rows, and the forward reader drops a
+//!   tombstoned target;
 //! * inserting a row whose primary key a dead slot held before
-//!   [`inherit`](FkIndex::inherit)s that slot's chain, so the referencing
-//!   rows get their partner back;
+//!   [`inherit`](FkIndex::inherit)s that slot's chain and re-points every
+//!   `target` along it, so the referencing rows get their partner back;
 //! * a referencing row whose FK value matches no primary key ever seen (a
-//!   dangling reference left by a raw `insert`) waits in `orphans` and is
-//!   [`adopt`](FkIndex::adopt_orphans)ed by the first row that arrives with
-//!   that key.
+//!   dangling reference left by a raw `insert`) has no `target`, waits in
+//!   `orphans` and is [`adopt`](FkIndex::adopt_orphans)ed by the first row
+//!   that arrives with that key. A NULL FK has no `target` and waits nowhere.
 //!
 //! Tombstoned referencing rows stay linked and are skipped by the reader.
 
@@ -38,10 +43,11 @@ use kwdb_common::Value;
 
 const NIL: u32 = u32::MAX;
 
-/// The reverse index of one schema edge. Row arguments are slots of the
-/// edge's `to` table (`referenced`) or `from` table (`referencing`).
+/// The index of one schema edge. Row arguments are slots of the edge's `to`
+/// table (`referenced`) or `from` table (`referencing`).
 #[derive(Debug, Clone)]
 pub(crate) struct FkIndex {
+    target: Vec<u32>,
     first: Vec<u32>,
     next: Vec<u32>,
     /// Referencing rows with a non-NULL FK value no referenced row slot has
@@ -54,6 +60,7 @@ impl FkIndex {
     /// is empty, over a referenced table of `referenced_len` row slots.
     pub(crate) fn for_new_table(referenced_len: usize) -> Self {
         FkIndex {
+            target: Vec::new(),
             first: vec![NIL; referenced_len],
             next: Vec::new(),
             orphans: Vec::new(),
@@ -64,6 +71,7 @@ impl FkIndex {
     pub(crate) fn build(edge: &SchemaEdge, tables: &[Table]) -> Self {
         let from = &tables[edge.from.0 as usize];
         let mut ix = FkIndex {
+            target: vec![NIL; from.len()],
             first: vec![NIL; tables[edge.to.0 as usize].len()],
             next: vec![NIL; from.len()],
             orphans: Vec::new(),
@@ -85,6 +93,7 @@ impl FkIndex {
     /// A row was appended to the referencing table: chain it under the
     /// slot holding its FK value.
     pub(crate) fn push_referencing(&mut self, edge: &SchemaEdge, tables: &[Table], row: RowId) {
+        self.target.push(NIL);
         self.next.push(NIL);
         self.link(edge, tables, row);
     }
@@ -104,12 +113,18 @@ impl FkIndex {
         let head = &mut self.first[referenced.0 as usize];
         self.next[referencing as usize] = *head;
         *head = referencing;
+        self.target[referencing as usize] = referenced.0;
     }
 
     /// Referenced row `new` took over the primary key dead slot `old` held:
-    /// move `old`'s chain under it.
+    /// move `old`'s chain under it and point the chain's rows at it.
     pub(crate) fn inherit(&mut self, old: RowId, new: RowId) {
-        self.first[new.0 as usize] = std::mem::replace(&mut self.first[old.0 as usize], NIL);
+        let mut at = std::mem::replace(&mut self.first[old.0 as usize], NIL);
+        self.first[new.0 as usize] = at;
+        while at != NIL {
+            self.target[at as usize] = new.0;
+            at = self.next[at as usize];
+        }
     }
 
     /// Referenced row `new` arrived with a never-seen primary key `pk`:
@@ -124,6 +139,16 @@ impl FkIndex {
             waiting
         });
         self.orphans = orphans;
+    }
+
+    /// The referenced row slot `referencing` points at, live or tombstoned.
+    /// A NULL or dangling FK, and a slot past the indexed range (the index
+    /// is behind the table), point nowhere.
+    pub(crate) fn target(&self, referencing: RowId) -> Option<RowId> {
+        match self.target.get(referencing.0 as usize) {
+            Some(&slot) if slot != NIL => Some(RowId(slot)),
+            _ => None,
+        }
     }
 
     /// Every referencing row slot chained under `referenced`, tombstoned

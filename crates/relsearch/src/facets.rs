@@ -109,9 +109,29 @@ pub fn resolve_refinements(db: &Database, refs: &[Refinement]) -> Result<Vec<Res
         .collect()
 }
 
+/// Whether `v` displays as exactly `text`, decided while formatting: the
+/// formatter's pieces are matched off the front of `text` as they come, so
+/// nothing is allocated (this runs per tuple per joined row).
+fn renders_as(v: &Value, text: &str) -> bool {
+    use std::fmt::Write;
+    struct Rest<'a>(&'a str);
+    impl Write for Rest<'_> {
+        fn write_str(&mut self, piece: &str) -> std::fmt::Result {
+            self.0 = self.0.strip_prefix(piece).ok_or(std::fmt::Error)?;
+            Ok(())
+        }
+    }
+    let mut rest = Rest(text);
+    write!(rest, "{v}").is_ok() && rest.0.is_empty()
+}
+
 fn value_matches(v: &Value, refinement: &Refinement) -> bool {
     match refinement {
-        Refinement::Term { value, .. } => !v.is_null() && v.to_string() == *value,
+        Refinement::Term { value, .. } => match v {
+            Value::Null => false,
+            Value::Text(s) => s == value,
+            v => renders_as(v, value),
+        },
         Refinement::Range { lo, hi, .. } => v.as_f64().is_some_and(|x| x >= *lo && x < *hi),
     }
 }
@@ -393,6 +413,34 @@ mod tests {
         ));
         // no tuple of the refined table at all ⇒ fails the drill-down
         assert!(!result_passes(&db, &refs, &result(&db, &[("paper", 0)])));
+
+        // a term refinement matches what a value *displays* as, NULL never
+        let term = |value: &str| Refinement::Term {
+            attr: "conference.year".into(),
+            value: value.into(),
+        };
+        let cases: [(Value, &str); 10] = [
+            (2007.into(), "2007"),
+            (2007.into(), "200"),
+            (2007.into(), "20070"),
+            ((-3).into(), "-3"),
+            (Value::Float(2.5), "2.5"),
+            (Value::Float(2.0), "2"),
+            (Value::Bool(true), "true"),
+            ("2007".into(), "2007"),
+            ("".into(), ""),
+            (Value::Null, "NULL"),
+        ];
+        for (v, text) in &cases {
+            assert_eq!(
+                value_matches(v, &term(text)),
+                !v.is_null() && v.to_string() == *text,
+                "{v:?} against {text:?}"
+            );
+        }
+        assert!(value_matches(&cases[0].0, &term("2007")));
+        assert!(!value_matches(&cases[1].0, &term("200")));
+        assert!(!value_matches(&Value::Null, &term("NULL")));
 
         let yr = resolve_refinements(
             &db,

@@ -47,7 +47,7 @@ pub struct JoinPlan {
 /// joined prefix, the one expected to leave the fewest partners per
 /// intermediate tuple goes next — a keyword node behind a primary key
 /// (a filter) before a free node behind one (one partner) before a fan-out
-/// through the reverse-FK index. Which end a join starts from, and which
+/// through the FK index's reverse chains. Which end a join starts from, and which
 /// branch it takes first, decide how far the intermediate swells
 /// (`paper`→`conference`: one row; `conference`→`paper`: hundreds). Free
 /// nodes are never the root — they are joined into through the key indexes,
@@ -69,10 +69,10 @@ pub fn join_plan(db: &Database, ts: &TupleSets, cn: &CandidateNetwork) -> JoinPl
 
 /// Estimated cost of evaluating a CN by its [`join_plan`], in rows touched:
 /// the root tuple set, then per join step the intermediate's probes, what
-/// the step reads — a referencing keyword node's tuple set (hash join), or
-/// a free node's expected fan-out per probe (index join: one row through
-/// the primary key, the referencing table's average chain length through
-/// the reverse-FK index) — and the rows it emits, plus one unit per join.
+/// the step reads — a referencing keyword node's tuple set (which probes
+/// the grouped intermediate), or a free node's expected fan-out per probe
+/// (one row forward along the FK index, the referencing table's average
+/// chain length backward) — and the rows it emits, plus one unit per join.
 /// The expected intermediate size carries forward under uniform-key
 /// assumptions. Pure counting, and never proportional to a table a free
 /// node stands for.
@@ -120,7 +120,7 @@ fn plan_from(db: &Database, ts: &TupleSets, cn: &CandidateNetwork, root: usize) 
         cost += if cn.nodes[v].mask == 0 {
             card * f.max(1.0)
         } else if e.from_side_is(v) {
-            card + rows(v) // the intermediate is hashed, the set probes it
+            card + rows(v) // the intermediate is grouped, the set probes it
         } else {
             card
         };

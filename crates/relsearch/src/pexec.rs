@@ -10,8 +10,9 @@
 //! slide-116 strategies in [`crate::topk`] are the serial references this
 //! executor is checked against, not alternatives the engine chooses between.
 //!
-//! Each worker evaluates whole CNs: the join goes through the database's
-//! key indexes wherever an edge allows it and leaves its output in the flat
+//! Each worker evaluates whole CNs: the join follows the database's FK
+//! index — every foreign key already resolved to a row id, in both
+//! directions — and leaves its output in the flat
 //! buffers of an [`EvalScratch`] instead of allocating row vectors per CN
 //! ([`evaluate_cn_pooled`] is the same join, materialized). A single-node CN
 //! is a CN like any other: its result set is the tuple set the query
@@ -50,23 +51,31 @@ use crate::parallel::{join_plan, JoinPlan};
 use crate::score::ScoreTable;
 use crate::topk::{CnExecOutcome, RankedResult, TopKQuery};
 use crate::tupleset::TupleSets;
-use kwdb_common::{Budget, ScratchPool, SharedTopK, TruncationReason, Value};
+use kwdb_common::{Budget, ScratchPool, SharedTopK, TruncationReason};
 use kwdb_relational::{Database, ExecStats, RowId, TupleId};
-use std::collections::HashMap;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Per-worker reusable evaluation buffers, checked out of a [`ScratchPool`]
-/// once per query per worker. Nothing in it outlives one CN's evaluation
-/// but the allocated capacity.
+/// once per query per worker. Nothing in it outlives one join step but the
+/// allocated capacity — and `group_head`'s length, every entry `NIL`.
 #[derive(Default)]
 pub struct EvalScratch {
     /// Flat ping-pong intermediates: `cur` holds the joined prefix as
     /// `stride`-sized chunks of `RowId`s, `next` receives the join output.
     cur: Vec<RowId>,
     next: Vec<RowId>,
+    /// The intermediate grouped by parent row id, for the one join step
+    /// that probes it: `group_head[row]` is the first intermediate tuple
+    /// whose parent is `row`, `group_next[t]` the tuple after `t` with the
+    /// same parent. `group_head` covers the largest table grouped so far
+    /// and is all `NIL` between steps: a step resets the entries it set.
+    group_head: Vec<u32>,
+    group_next: Vec<u32>,
 }
+
+const NIL: u32 = u32::MAX;
 
 impl EvalScratch {
     pub fn new() -> Self {
@@ -139,25 +148,32 @@ fn fill_tuples(cn: &CandidateNetwork, plan: &JoinPlan, chunk: &[RowId], tuples: 
 /// top-k).
 ///
 /// The join follows `plan`, the CN's [`join_plan`]: from the keyword node
-/// estimated cheapest to start at, most selective neighbour first. A free node
-/// `R^∅` is never scanned or materialized: each intermediate tuple looks
-/// its partners up — through the primary-key index when the free node is
-/// the referenced side of the edge, through the reverse-FK index
-/// ([`Database::referencing_rows`]) when it is the referencing side — and
+/// estimated cheapest to start at, most selective neighbour first. No step
+/// reads a column value: every foreign key was resolved to a row id when
+/// the database's FK index was built or the row ingested, and the join
+/// follows those. A free node `R^∅` is never scanned or materialized: each
+/// intermediate tuple looks its partners up — [`Database::referenced_row`]
+/// when the free node is the referenced side of the edge,
+/// [`Database::referencing_rows`] when it is the referencing side — and
 /// keeps those that match no query keyword. A keyword node on the
 /// referenced side is joined the same way, keeping the partner that is in
 /// its tuple set. A keyword node on the referencing side has no index from
-/// the intermediate into its tuple set, so that one edge is a hash join:
-/// the intermediate's parent keys are hashed (a table that lives for this
-/// step only — it depends on this CN's prefix) and the tuple set probes it.
-/// Both indexes resolve by key *value*, so the result set is the hash
-/// join's.
+/// the intermediate into its tuple set, so on that one edge the tuple set
+/// probes the intermediate: the intermediate is grouped by parent row id
+/// (two pooled `u32` arrays that live for this step only — the grouping
+/// depends on this CN's prefix), and each tuple-set row finds the group of
+/// its `referenced_row`, emitting in tuple-set order, intermediate order
+/// within a group. The FK index resolves by key *value* (see
+/// [`kwdb_relational::Database::referenced_row`]), so the result set is the
+/// by-value hash join's, [`crate::eval::evaluate_cn`]'s.
 ///
-/// [`ExecStats`] for an index join: one `join_probes` per lookup, one
-/// `tuples_scanned` per chain row a reverse lookup visits, one `probe_rows`
-/// per match emitted. For the hash join: one `tuples_scanned` per
-/// intermediate tuple hashed, one `join_probes` per tuple-set row, one
-/// `probe_rows` per match emitted.
+/// [`ExecStats`] for a lookup step: one `join_probes` per intermediate
+/// tuple, one `tuples_scanned` per chain row a reverse lookup visits, one
+/// `probe_rows` per match emitted. For the probing step: one
+/// `tuples_scanned` per intermediate tuple grouped, one `join_probes` per
+/// tuple-set row, one `probe_rows` per match emitted. A step counts into
+/// locals and adds them to the shared counters once, when it ends or is
+/// abandoned; the totals are those of the by-value joins this replaced.
 fn join_cn<'s>(
     db: &Database,
     cn: &CandidateNetwork,
@@ -204,24 +220,16 @@ fn join_cn<'s>(
         }
         let e = &cn.edges[join_via[node].expect("non-root placed via an edge")];
         let parent = if e.a == node { e.b } else { e.a };
-        let se = &db.schema_graph().edges()[e.schema_edge];
-        let (parent_col, node_col) = if e.from_side_is(parent) {
-            (se.fk_column, se.pk_column)
-        } else {
-            (se.pk_column, se.fk_column)
-        };
-        let parent_table = db.table(cn.nodes[parent].table);
-        let node_table = db.table(cn.nodes[node].table);
         let pslot = slot[parent];
         let ntuples = cur.len() / stride;
-        stats.add_join();
         next.clear();
+        let (mut probes, mut scanned) = (0u64, 0u64);
 
         let free = cn.nodes[node].mask == 0;
         if free || e.from_side_is(parent) {
-            // Index nested loop: each intermediate tuple looks its partners
-            // up and keeps those in the node's row set — for a free node
-            // the rows *not* among the table's keyword matches.
+            // Each intermediate tuple looks its partners up and keeps those
+            // in the node's row set — for a free node the rows *not* among
+            // the table's keyword matches.
             let (set, in_set) = if free {
                 (ts.matched_rows(cn.nodes[node].table), false)
             } else {
@@ -232,60 +240,73 @@ fn join_cn<'s>(
                     cancelled = true;
                     break;
                 }
-                stats.add_probes(1);
+                probes += 1;
                 let tuple = &cur[t * stride..(t + 1) * stride];
                 let mut emit = |r: RowId| {
                     if set.binary_search(&r).is_ok() == in_set {
-                        stats.add_probe_rows(1);
                         next.extend_from_slice(tuple);
                         next.push(r);
                     }
                 };
                 if e.from_side_is(parent) {
-                    // (a NULL foreign key finds no primary key)
-                    let key = parent_table.get(tuple[pslot], parent_col);
-                    node_table.lookup_pk(key).into_iter().for_each(emit);
+                    // (a NULL foreign key references no row)
+                    let partner = db.referenced_row(e.schema_edge, tuple[pslot]);
+                    partner.into_iter().for_each(emit);
                 } else {
                     for r in db.referencing_rows(e.schema_edge, tuple[pslot]) {
-                        stats.add_scanned(1);
+                        scanned += 1;
                         emit(r);
                     }
                 }
             }
         } else {
-            // A keyword node on the referencing side: hash the
-            // intermediate's parent keys, probe with the node's tuple set.
-            let mut ht: HashMap<&Value, Vec<usize>> = HashMap::with_capacity(ntuples);
-            for t in 0..ntuples {
-                stats.add_scanned(1);
-                let key = parent_table.get(cur[t * stride + pslot], parent_col);
-                if !key.is_null() {
-                    ht.entry(key).or_default().push(t);
-                }
+            // A keyword node on the referencing side: group the
+            // intermediate by parent row, probe with the node's tuple set.
+            let head = &mut scratch.group_head;
+            let link = &mut scratch.group_next;
+            let parent_len = db.table(cn.nodes[parent].table).len();
+            if head.len() < parent_len {
+                head.resize(parent_len, NIL);
             }
+            assert!(ntuples < NIL as usize, "intermediate outgrew u32 tuple ids");
+            link.clear();
+            link.resize(ntuples, NIL);
+            // Last tuple first, so a group reads in intermediate order.
+            for t in (0..ntuples).rev() {
+                let p = cur[t * stride + pslot].0 as usize;
+                link[t] = std::mem::replace(&mut head[p], t as u32);
+            }
+            scanned += ntuples as u64;
             for (ri, &r) in rows_of(node).iter().enumerate() {
                 if ri % 1024 == 1023 && cancel() {
                     cancelled = true;
                     break;
                 }
-                stats.add_probes(1);
-                let key = node_table.get(r, node_col);
-                if key.is_null() {
+                probes += 1;
+                let Some(p) = db.referenced_row(e.schema_edge, r) else {
                     continue;
-                }
-                if let Some(tuples) = ht.get(key) {
-                    stats.add_probe_rows(tuples.len() as u64);
-                    for &t in tuples {
-                        next.extend_from_slice(&cur[t * stride..(t + 1) * stride]);
-                        next.push(r);
-                    }
+                };
+                let mut t = head[p.0 as usize];
+                while t != NIL {
+                    let at = t as usize * stride;
+                    next.extend_from_slice(&cur[at..at + stride]);
+                    next.push(r);
+                    t = link[t as usize];
                 }
             }
+            for t in 0..ntuples {
+                head[cur[t * stride + pslot].0 as usize] = NIL;
+            }
         }
+        let emitted = (next.len() / (stride + 1)) as u64;
+        stats.add_join();
+        stats.add_probes(probes);
+        stats.add_scanned(scanned);
+        stats.add_probe_rows(emitted);
         if cancelled {
             break;
         }
-        stats.add_output((next.len() / (stride + 1)) as u64);
+        stats.add_output(emitted);
         std::mem::swap(&mut cur, &mut next);
         stride += 1;
     }
@@ -541,6 +562,7 @@ mod tests {
     use crate::eval::evaluate_cn;
     use crate::score::ResultScorer;
     use crate::topk::global_pipeline;
+    use kwdb_common::Value;
     use kwdb_relational::database::dblp_schema;
 
     fn db() -> Database {
@@ -602,6 +624,95 @@ mod tests {
             pooled.sort();
             assert_eq!(plain, pooled, "pooled evaluator diverged on a CN");
         }
+    }
+
+    /// `[tuples_scanned, join_probes, joins_executed, rows_output,
+    /// probe_rows]` of every CN of three queries on the fixture plus a NULL
+    /// `write.aid` and a NULL `paper.cid`, as counted by the by-value joins
+    /// this executor had before it joined by row id (`lookup_pk` per forward
+    /// hop, a `HashMap<&Value, _>` per referencing-side keyword node).
+    const GOLDEN_STATS: &[(&str, [u64; 5])] = &[
+        ("author^{widom}⋈(write⋈(paper^{xml}))", [5, 5, 2, 5, 5]),
+        (
+            "author^{widom}⋈(write⋈(paper⋈(conference⋈(paper^{xml}))))",
+            [6, 9, 4, 6, 6],
+        ),
+        (
+            "author^{widom}⋈(write⋈(paper⋈(cite⋈(paper^{xml}))))",
+            [3, 3, 1, 0, 0],
+        ),
+        (
+            "author^{widom}⋈(write⋈(paper⋈(cite⋈(paper^{xml}))))",
+            [3, 3, 1, 0, 0],
+        ),
+        ("conference^{sigmod}⋈(paper^{xml})", [2, 3, 1, 1, 1]),
+        (
+            "conference^{sigmod}⋈(paper⋈(cite⋈(paper^{xml})))",
+            [3, 3, 1, 0, 0],
+        ),
+        (
+            "conference^{sigmod}⋈(paper⋈(cite⋈(paper^{xml})))",
+            [3, 3, 1, 0, 0],
+        ),
+        (
+            "conference^{vldb}⋈(paper⋈(write⋈(author^{widom})))",
+            [6, 6, 3, 7, 7],
+        ),
+    ];
+
+    #[test]
+    fn join_by_row_id_keeps_the_result_set_and_the_by_value_stats() {
+        let mut db = db();
+        db.insert("write", vec![104.into(), Value::Null, 12.into()])
+            .unwrap();
+        db.insert(
+            "paper",
+            vec![14.into(), "XML without a venue".into(), Value::Null],
+        )
+        .unwrap();
+        db.build_text_index();
+        // (joined node is free, its parent is the referencing side)
+        let mut edge_kinds = std::collections::BTreeSet::new();
+        let mut got: Vec<(String, [u64; 5])> = Vec::new();
+        let mut scratch = EvalScratch::new();
+        for keywords in [["widom", "xml"], ["sigmod", "xml"], ["vldb", "widom"]] {
+            let (ts, cns) = setup(&db, &keywords);
+            for cn in &cns {
+                let plan = join_plan(&db, &ts, cn);
+                for &node in plan.order.iter().skip(1) {
+                    let e = &cn.edges[plan.join_via[node].unwrap()];
+                    let parent = if e.a == node { e.b } else { e.a };
+                    edge_kinds.insert((cn.nodes[node].mask == 0, e.from_side_is(parent)));
+                }
+                let mut reference = evaluate_cn(&db, cn, &ts, &ExecStats::new());
+                let stats = ExecStats::new();
+                let mut pooled = evaluate_cn_pooled(&db, cn, &ts, &mut scratch, &stats);
+                reference.sort();
+                pooled.sort();
+                assert_eq!(reference, pooled, "{}", cn.display(&db, &keywords));
+                let s = stats.snapshot();
+                got.push((
+                    cn.display(&db, &keywords),
+                    [
+                        s.tuples_scanned,
+                        s.join_probes,
+                        s.joins_executed,
+                        s.rows_output,
+                        s.probe_rows,
+                    ],
+                ));
+            }
+        }
+        // a PK-side keyword node, a PK-side free node, a reverse-FK free
+        // node, a referencing-side keyword node
+        for kind in [(false, true), (true, true), (true, false), (false, false)] {
+            assert!(edge_kinds.contains(&kind), "no edge of kind {kind:?}");
+        }
+        let golden: Vec<(String, [u64; 5])> = GOLDEN_STATS
+            .iter()
+            .map(|(cn, s)| (cn.to_string(), *s))
+            .collect();
+        assert_eq!(got, golden, "{got:#?}");
     }
 
     #[test]

@@ -170,11 +170,24 @@ impl TupleSets {
     /// them, so the per-set and per-table row vectors are sorted with no
     /// post-sort, and a row's frequencies land in keyword order because the
     /// lists are.
+    ///
+    /// Ascending keys also mean a table's rows are contiguous: the table's
+    /// `matched` vector and its few `(mask → set)` slots are plain locals
+    /// while its rows stream by, and reach the maps once, when the table
+    /// changes. No row is hashed.
     fn partition(lists: &[(u32, Arc<TermList>)], n_keywords: usize) -> Self {
-        let mut sets: HashMap<(TableId, u32), TupleSet> = HashMap::new();
-        let mut matched: HashMap<TableId, Vec<RowId>> = HashMap::new();
+        let mut out = TupleSets {
+            n_keywords,
+            ..Default::default()
+        };
         let mut idx = vec![0usize; lists.len()];
         let mut row_tfs: Vec<u32> = Vec::with_capacity(lists.len());
+        // The table being streamed: its sets in order of first appearance,
+        // and where the previous row went (runs of one mask are common).
+        let mut table = TableId(0);
+        let mut open: Vec<TupleSet> = Vec::new();
+        let mut matched: Vec<RowId> = Vec::new();
+        let mut at = 0usize;
         loop {
             let min = lists
                 .iter()
@@ -182,6 +195,10 @@ impl TupleSets {
                 .filter_map(|((_, list), &i)| list.keys.get(i).copied())
                 .min();
             let Some(min) = min else { break };
+            if TableId((min >> 32) as u32) != table {
+                out.close_table(table, &mut open, &mut matched);
+                table = TableId((min >> 32) as u32);
+            }
             let mut mask = 0u32;
             row_tfs.clear();
             for ((bit, list), i) in lists.iter().zip(&mut idx) {
@@ -191,23 +208,33 @@ impl TupleSets {
                     *i += 1;
                 }
             }
-            let table = TableId((min >> 32) as u32);
-            let row = RowId(min as u32);
-            let set = sets.entry((table, mask)).or_insert_with(|| TupleSet {
-                table,
-                mask,
-                rows: Vec::new(),
-                tfs: Vec::new(),
-            });
-            set.rows.push(row);
-            set.tfs.extend_from_slice(&row_tfs);
-            matched.entry(table).or_default().push(row);
+            if open.get(at).map(|s| s.mask) != Some(mask) {
+                at = open.iter().position(|s| s.mask == mask).unwrap_or_else(|| {
+                    open.push(TupleSet {
+                        table,
+                        mask,
+                        rows: Vec::new(),
+                        tfs: Vec::new(),
+                    });
+                    open.len() - 1
+                });
+            }
+            open[at].rows.push(RowId(min as u32));
+            open[at].tfs.extend_from_slice(&row_tfs);
+            matched.push(RowId(min as u32));
         }
-        TupleSets {
-            sets,
-            matched,
-            n_keywords,
+        out.close_table(table, &mut open, &mut matched);
+        out
+    }
+
+    /// Move a streamed table's sets and matched rows into the maps.
+    fn close_table(&mut self, table: TableId, open: &mut Vec<TupleSet>, matched: &mut Vec<RowId>) {
+        if matched.is_empty() {
+            return;
         }
+        self.sets
+            .extend(open.drain(..).map(|set| ((table, set.mask), set)));
+        self.matched.insert(table, std::mem::take(matched));
     }
 
     pub fn n_keywords(&self) -> usize {
@@ -434,6 +461,118 @@ mod tests {
         assert_eq!((hits, misses), (0, 1), "new generation must re-materialize");
         let plain = TupleSets::build(&db, &["xml"]).unwrap();
         assert_same_partition(&db, &plain, &fresh);
+    }
+
+    /// The partition by definition: every live row of every table is
+    /// tokenized, the query keywords it holds are its mask and their
+    /// occurrence counts its frequencies, and rows go to their `(table,
+    /// mask)` through a map, one hash per row.
+    #[allow(clippy::type_complexity)]
+    fn naive_partition(
+        db: &Database,
+        keywords: &[&str],
+    ) -> (
+        HashMap<(TableId, u32), (Vec<RowId>, Vec<u32>)>,
+        HashMap<TableId, Vec<RowId>>,
+    ) {
+        let mut sets: HashMap<(TableId, u32), (Vec<RowId>, Vec<u32>)> = HashMap::new();
+        let mut matched: HashMap<TableId, Vec<RowId>> = HashMap::new();
+        for t in db.tables() {
+            for (rid, _) in t.iter() {
+                let tokens = db.tuple_tokens(kwdb_relational::TupleId::new(t.id, rid));
+                let mut mask = 0u32;
+                let mut tfs = Vec::new();
+                for (i, kw) in keywords.iter().enumerate() {
+                    let tf = tokens.iter().filter(|tok| tok == kw).count() as u32;
+                    if tf > 0 {
+                        mask |= 1 << i;
+                        tfs.push(tf);
+                    }
+                }
+                if mask != 0 {
+                    let set = sets.entry((t.id, mask)).or_default();
+                    set.0.push(rid);
+                    set.1.extend(tfs);
+                    matched.entry(t.id).or_default().push(rid);
+                }
+            }
+        }
+        (sets, matched)
+    }
+
+    #[test]
+    fn streamed_partition_equals_the_per_row_hash_partition() {
+        use kwdb_common::Rng;
+        let vocab = ["xml", "data", "query", "widom", "stream", "graph"];
+        let mut rng = Rng::seed_from_u64(0x7ab1e);
+        let text = |rng: &mut Rng| -> String {
+            let n = rng.gen_range(0..6usize);
+            let words: Vec<&str> = (0..n).map(|_| *rng.choose(&vocab)).collect();
+            words.join(" ") // repeats give tf > 1, n = 0 a row matching nothing
+        };
+        let mut db = Database::new();
+        dblp_schema(&mut db).unwrap();
+        for cid in 0..6 {
+            db.insert(
+                "conference",
+                vec![cid.into(), text(&mut rng).into(), 2000.into()],
+            )
+            .unwrap();
+        }
+        for aid in 0..60 {
+            db.insert("author", vec![aid.into(), text(&mut rng).into()])
+                .unwrap();
+        }
+        db.insert("author", vec![60.into(), "xml data query widom".into()])
+            .unwrap(); // matches every keyword of every query below
+        for pid in 0..150 {
+            db.insert(
+                "paper",
+                vec![pid.into(), text(&mut rng).into(), (pid % 6).into()],
+            )
+            .unwrap();
+        }
+        db.build_text_index();
+        // several segments and tombstones on top of the built one
+        for pid in 150..190 {
+            let row = vec![pid.into(), text(&mut rng).into(), (pid % 6).into()];
+            db.ingest("paper", row).unwrap();
+            if pid % 10 == 0 {
+                db.commit_index();
+            }
+        }
+        for pid in (0..190).step_by(7) {
+            db.delete("paper", &pid.into()).unwrap();
+        }
+        let queries: [&[&str]; 6] = [
+            &["xml"],
+            &["absent"],
+            &["xml", "data"],
+            &["widom", "absent", "graph"],
+            &["xml", "data", "query", "widom"],
+            &["stream", "xml", "absent", "stream"],
+        ];
+        for keywords in queries {
+            let ts = TupleSets::build(&db, keywords).unwrap();
+            let (sets, matched) = naive_partition(&db, keywords);
+            let mut keys: Vec<_> = sets.keys().copied().collect();
+            keys.sort();
+            assert_eq!(ts.keys(), keys, "{keywords:?}");
+            assert_eq!(ts.len(), sets.len());
+            for (&(table, mask), (rows, tfs)) in &sets {
+                let set = ts.get(table, mask).unwrap();
+                assert_eq!((set.table, set.mask), (table, mask));
+                assert_eq!(&set.rows, rows, "{keywords:?} {table:?} {mask:b}");
+                assert_eq!(&set.tfs, tfs, "{keywords:?} {table:?} {mask:b}");
+            }
+            for t in db.tables() {
+                let naive = matched.get(&t.id).map_or(&[][..], |v| v);
+                assert_eq!(ts.matched_rows(t.id), naive, "{keywords:?} {:?}", t.id);
+            }
+        }
+        let all = TupleSets::build(&db, queries[4]).unwrap();
+        let author = db.table_id("author").unwrap();
+        assert!(all.get(author, 0b1111).unwrap().rows.contains(&RowId(60)));
     }
 
     use kwdb_relational::RowId;

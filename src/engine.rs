@@ -869,7 +869,7 @@ pub struct RelationalEngine {
     cfg: RelationalConfig,
     cn_cache: RwLock<HashMap<CnCacheKey, Arc<Vec<CandidateNetwork>>>>,
     registry: Option<Arc<MetricsRegistry>>,
-    /// Worker evaluation scratch (hash-table and buffer reuse), shared
+    /// Worker evaluation scratch (join buffer reuse), shared
     /// across queries — workers check out one `EvalScratch` each.
     scratch: ScratchPool<EvalScratch>,
     /// Lazily built query-cleaning model ([`RelationalConfig::clean_queries`])
