@@ -145,7 +145,7 @@ fn analyze(path: &str, top: usize, chrome_out: Option<&str>, metrics_path: Optio
     }
 
     // Per-executor phase breakdown.
-    let mut executors: Vec<(String, String)> = dump
+    let mut executors: Vec<_> = dump
         .records
         .iter()
         .map(|r| (r.engine.clone(), r.algorithm.clone()))
@@ -180,7 +180,7 @@ fn analyze(path: &str, top: usize, chrome_out: Option<&str>, metrics_path: Optio
     // Per-engine generation and segment census: the newest record per
     // engine carries the state the engine last served at; the generation
     // span shows how much mutation the window covered.
-    let mut engines: Vec<&str> = dump.records.iter().map(|r| r.engine.as_str()).collect();
+    let mut engines: Vec<&str> = dump.records.iter().map(|r| &*r.engine).collect();
     engines.sort();
     engines.dedup();
     println!("\n== per-engine generations ==");

@@ -264,7 +264,7 @@ fn check_flight(fpath: &str, snapshot: &Snapshot) {
                 .map(|(_, v)| v.clone())
         };
         let mut failures = 0u32;
-        let mut executors: Vec<(String, String)> = dump
+        let mut executors: Vec<_> = dump
             .records
             .iter()
             .map(|r| (r.engine.clone(), r.algorithm.clone()))
@@ -347,7 +347,7 @@ fn check_flight(fpath: &str, snapshot: &Snapshot) {
         // bypass (disabled, traced, budget-capped) sealed `none`. With
         // zero drops the ring holds all of them, so the per-engine outcome
         // census must equal the counter families exactly.
-        let mut engines: Vec<String> = dump.records.iter().map(|r| r.engine.clone()).collect();
+        let mut engines: Vec<_> = dump.records.iter().map(|r| r.engine.clone()).collect();
         engines.sort();
         engines.dedup();
         let mut rc_failures = 0u32;
@@ -363,7 +363,7 @@ fn check_flight(fpath: &str, snapshot: &Snapshot) {
                     .counters
                     .iter()
                     .filter(|(id, _)| {
-                        id.name == family && label(id, "engine").as_deref() == Some(engine.as_str())
+                        id.name == family && label(id, "engine").as_deref() == Some(&**engine)
                     })
                     .map(|(_, v)| *v)
                     .sum()

@@ -14,7 +14,12 @@
 //! - **Striping.** `shard = hash(key) % stripes`, one `Mutex` per shard, so
 //!   concurrent lookups on different keys rarely contend. Hit/miss/eviction
 //!   counters and the byte/entry totals are process-global atomics read
-//!   without any lock.
+//!   without any lock. A lookup — hit, follower or leader-elect — takes its
+//!   key's shard lock once and no other.
+//! - **Recency.** Each shard threads its entries on an intrusive
+//!   doubly-linked list, least recently used at the head. A touch finds the
+//!   entry's slot through the shard's map (one hash of the key) and moves
+//!   two links; it neither clones the key nor looks it up again.
 //! - **Byte budget.** Every insert carries the caller's byte estimate for
 //!   the value. When the global total exceeds `max_bytes` (or the entry
 //!   count exceeds `max_entries`), shards are probed cyclically starting at
@@ -29,15 +34,17 @@
 //!   share it and count as hits) or "not cacheable" (followers retry, and
 //!   the first retrier becomes the new leader — a truncated or failed
 //!   compute must never be handed to a caller with a different budget).
+//!   A key's flight lives in the key's shard, beside its entry: the leader
+//!   stores its value and retires its flight under one hold of that lock,
+//!   so a caller that finds neither really is first.
 //!
-//! Lock order: a shard mutex and the inflight-table mutex are never held at
-//! the same time as each other across a compute; the compute closure runs
-//! with no cache lock held.
+//! Lock order: no two shard locks are ever held together, and the compute
+//! closure runs with no cache lock held.
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Sizing and enablement knobs for one [`ShardedCache`].
 ///
@@ -87,46 +94,132 @@ pub struct CacheStats {
     pub bytes: usize,
 }
 
-struct Entry<V> {
+/// "No entry" in a shard's recency links.
+const NIL: usize = usize::MAX;
+
+struct Entry<K, V> {
+    key: K,
     value: V,
     bytes: usize,
-    /// Recency stamp: the shard-local tick of the last touch, which is the
-    /// entry's key into the shard's `order` map.
-    tick: u64,
+    /// Neighbours in the shard's recency list: `prev` is the next older
+    /// entry, `next` the next newer one.
+    prev: usize,
+    next: usize,
 }
 
 struct Shard<K, V> {
-    map: HashMap<K, Entry<V>>,
-    /// tick → key, ordered oldest-first: the shard's LRU queue.
-    order: std::collections::BTreeMap<u64, K>,
-    tick: u64,
+    /// key → position in `entries`.
+    slots: HashMap<K, usize>,
+    /// Dense: a removal moves the last entry into the hole.
+    entries: Vec<Entry<K, V>>,
+    /// Least recently used entry — the next victim — and most recently
+    /// used one; [`NIL`] when the shard is empty.
+    oldest: usize,
+    newest: usize,
+    /// Computes in flight for keys that hash to this shard.
+    flights: HashMap<K, Arc<Flight<V>>>,
 }
 
 impl<K: Hash + Eq + Clone, V> Shard<K, V> {
     fn new() -> Self {
         Shard {
-            map: HashMap::new(),
-            order: std::collections::BTreeMap::new(),
-            tick: 0,
+            slots: HashMap::new(),
+            entries: Vec::new(),
+            oldest: NIL,
+            newest: NIL,
+            flights: HashMap::new(),
         }
     }
 
-    fn touch(&mut self, key: &K) -> Option<&Entry<V>> {
-        let tick = self.tick;
-        self.tick += 1;
-        let entry = self.map.get_mut(key)?;
-        self.order.remove(&entry.tick);
-        entry.tick = tick;
-        self.order.insert(tick, key.clone());
-        Some(self.map.get(key).expect("entry just touched"))
+    /// Take entry `i` out of the recency list.
+    fn unlink(&mut self, i: usize) {
+        let (prev, next) = (self.entries[i].prev, self.entries[i].next);
+        match prev {
+            NIL => self.oldest = next,
+            p => self.entries[p].next = next,
+        }
+        match next {
+            NIL => self.newest = prev,
+            n => self.entries[n].prev = prev,
+        }
+    }
+
+    /// Make entry `i` (not on the list) the most recently used.
+    fn link_newest(&mut self, i: usize) {
+        self.entries[i].prev = self.newest;
+        self.entries[i].next = NIL;
+        match self.newest {
+            NIL => self.oldest = i,
+            n => self.entries[n].next = i,
+        }
+        self.newest = i;
+    }
+
+    /// Move entry `i` to the most-recently-used end of the list.
+    fn promote(&mut self, i: usize) {
+        if self.newest != i {
+            self.unlink(i);
+            self.link_newest(i);
+        }
+    }
+
+    /// Look `key` up and mark it most recently used.
+    fn touch(&mut self, key: &K) -> Option<&V> {
+        let i = *self.slots.get(key)?;
+        self.promote(i);
+        Some(&self.entries[i].value)
+    }
+
+    /// Store `value` under `key` as the most recently used entry; returns
+    /// the byte estimate of the entry it replaced, if the key was resident.
+    fn store(&mut self, key: K, value: V, bytes: usize) -> Option<usize> {
+        if let Some(&i) = self.slots.get(&key) {
+            let entry = &mut self.entries[i];
+            entry.value = value;
+            let old = std::mem::replace(&mut entry.bytes, bytes);
+            self.promote(i);
+            return Some(old);
+        }
+        let i = self.entries.len();
+        self.entries.push(Entry {
+            key: key.clone(),
+            value,
+            bytes,
+            prev: NIL,
+            next: NIL,
+        });
+        self.slots.insert(key, i);
+        self.link_newest(i);
+        None
     }
 
     /// Evict this shard's LRU entry; returns its byte estimate.
     fn evict_lru(&mut self) -> Option<usize> {
-        let (&tick, _) = self.order.iter().next()?;
-        let key = self.order.remove(&tick).expect("tick just observed");
-        let entry = self.map.remove(&key).expect("order and map agree");
-        Some(entry.bytes)
+        let victim = self.oldest;
+        if victim == NIL {
+            return None;
+        }
+        self.unlink(victim);
+        self.slots.remove(&self.entries[victim].key);
+        let evicted = self.entries.swap_remove(victim);
+        // The last entry now sits at `victim`: repoint whatever named it by
+        // its old position (its slot, its list neighbours or the list ends).
+        if let Some(moved) = self.entries.get(victim) {
+            let (prev, next) = (moved.prev, moved.next);
+            *self
+                .slots
+                .get_mut(&moved.key)
+                .expect("every entry has a slot") = victim;
+            match prev {
+                NIL => self.oldest = victim,
+                p => self.entries[p].next = victim,
+            }
+            match next {
+                NIL => self.newest = victim,
+                n => self.entries[n].prev = victim,
+            }
+        }
+        Some(evicted.bytes)
     }
 }
 
@@ -149,7 +242,6 @@ pub enum Looked<R, V> {
 /// The lock-striped LRU described in the [module docs](self).
 pub struct ShardedCache<K, V> {
     shards: Vec<Mutex<Shard<K, V>>>,
-    inflight: Mutex<HashMap<K, Arc<Flight<V>>>>,
     cfg: CacheConfig,
     bytes: AtomicUsize,
     entries: AtomicUsize,
@@ -158,12 +250,43 @@ pub struct ShardedCache<K, V> {
     evictions: AtomicU64,
 }
 
+/// Resolves the leader's flight when [`ShardedCache::get_or_compute`]'s
+/// compute returns — or unwinds, in which case nothing was stored and the
+/// followers are told to retry.
+struct Landing<'a, K: Hash + Eq + Clone, V: Clone> {
+    cache: &'a ShardedCache<K, V>,
+    home: usize,
+    key: Option<K>,
+    cacheable: Option<(V, usize)>,
+}
+
+impl<K: Hash + Eq + Clone, V: Clone> Drop for Landing<'_, K, V> {
+    fn drop(&mut self) {
+        let key = self.key.take().expect("a landing is dropped once");
+        let published = self.cacheable.as_ref().map(|(v, _)| v.clone());
+        // Store before retiring the flight, under one hold of the shard
+        // lock: "no value and no flight" then always means "first".
+        let flight = {
+            let mut shard = self.cache.lock(self.home);
+            let flight = shard.flights.remove(&key);
+            if let Some((value, bytes)) = self.cacheable.take() {
+                self.cache.store_locked(&mut shard, key, value, bytes);
+            }
+            flight
+        };
+        self.cache.sweep(self.home);
+        if let Some(f) = flight {
+            *f.done.lock().expect("flight poisoned") = Some(published);
+            f.cv.notify_all();
+        }
+    }
+}
+
 impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
     pub fn new(cfg: CacheConfig) -> Self {
         let stripes = cfg.stripes.max(1);
         ShardedCache {
             shards: (0..stripes).map(|_| Mutex::new(Shard::new())).collect(),
-            inflight: Mutex::new(HashMap::new()),
             cfg,
             bytes: AtomicUsize::new(0),
             entries: AtomicUsize::new(0),
@@ -193,18 +316,17 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
         (h.finish() as usize) % self.shards.len()
     }
 
+    fn lock(&self, shard: usize) -> MutexGuard<'_, Shard<K, V>> {
+        self.shards[shard].lock().expect("cache shard poisoned")
+    }
+
     /// Plain lookup, counting a hit or miss. Disabled caches always miss
     /// (without counting — callers are expected not to consult them).
     pub fn get(&self, key: &K) -> Option<V> {
         if !self.cfg.enabled {
             return None;
         }
-        let shard = &self.shards[self.shard_of(key)];
-        let got = shard
-            .lock()
-            .expect("cache shard poisoned")
-            .touch(key)
-            .map(|e| e.value.clone());
+        let got = self.lock(self.shard_of(key)).touch(key).cloned();
         match &got {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -216,42 +338,38 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
     /// until the global budgets hold again. A value alone exceeding the
     /// whole byte budget is rejected outright.
     pub fn insert(&self, key: K, value: V, value_bytes: usize) {
-        if !self.cfg.enabled || value_bytes > self.cfg.max_bytes {
+        if !self.cfg.enabled {
             return;
         }
         let home = self.shard_of(&key);
-        {
-            let mut shard = self.shards[home].lock().expect("cache shard poisoned");
-            let tick = shard.tick;
-            shard.tick += 1;
-            if let Some(old) = shard.map.insert(
-                key.clone(),
-                Entry {
-                    value,
-                    bytes: value_bytes,
-                    tick,
-                },
-            ) {
-                shard.order.remove(&old.tick);
-                self.bytes.fetch_sub(old.bytes, Ordering::Relaxed);
-                self.entries.fetch_sub(1, Ordering::Relaxed);
-            }
-            shard.order.insert(tick, key);
-            self.bytes.fetch_add(value_bytes, Ordering::Relaxed);
-            self.entries.fetch_add(1, Ordering::Relaxed);
+        self.store_locked(&mut self.lock(home), key, value, value_bytes);
+        self.sweep(home);
+    }
+
+    /// The store half of [`insert`](Self::insert), under the home shard's
+    /// lock: keeps the global byte and entry totals in step.
+    fn store_locked(&self, shard: &mut Shard<K, V>, key: K, value: V, value_bytes: usize) {
+        if value_bytes > self.cfg.max_bytes {
+            return;
         }
-        // Sweep: probe shards cyclically from the inserting one, evicting
-        // each probed shard's LRU, until both global budgets hold. Each
-        // probe drops at most one entry, so the loop terminates once the
-        // cache is empty even under adversarial byte estimates.
+        if let Some(replaced) = shard.store(key, value, value_bytes) {
+            self.bytes.fetch_sub(replaced, Ordering::Relaxed);
+            self.entries.fetch_sub(1, Ordering::Relaxed);
+        }
+        self.bytes.fetch_add(value_bytes, Ordering::Relaxed);
+        self.entries.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Probe shards cyclically from `home`, evicting each probed shard's
+    /// LRU, until both global budgets hold. Each probe drops at most one
+    /// entry, so the loop terminates once the cache is empty even under
+    /// adversarial byte estimates.
+    fn sweep(&self, home: usize) {
         let mut probe = home;
         while self.bytes.load(Ordering::Relaxed) > self.cfg.max_bytes
             || self.entries.load(Ordering::Relaxed) > self.cfg.max_entries
         {
-            let evicted = self.shards[probe]
-                .lock()
-                .expect("cache shard poisoned")
-                .evict_lru();
+            let evicted = self.lock(probe).evict_lru();
             if let Some(freed) = evicted {
                 self.bytes.fetch_sub(freed, Ordering::Relaxed);
                 self.entries.fetch_sub(1, Ordering::Relaxed);
@@ -286,92 +404,54 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
             let (result, _) = compute();
             return Looked::Computed(result);
         }
+        let home = self.shard_of(&key);
         loop {
-            // Cache lookup and flight lookup happen under the inflight
-            // lock, and a leader inserts into the cache *before* removing
-            // its flight — so "no cached value and no flight" can only mean
-            // this caller really is first, never that it raced a leader's
-            // completion. (Lock order inflight → shard; nothing takes them
-            // the other way round.)
+            // One hold of the key's shard lock decides hit, follower or
+            // leader. A leader stores its value and retires its flight under
+            // one hold of the same lock (`Landing`), so finding neither can
+            // only mean this caller is first, never that it raced a
+            // leader's completion.
             let flight = {
-                let mut inflight = self.inflight.lock().expect("inflight table poisoned");
-                let cached = self.shards[self.shard_of(&key)]
-                    .lock()
-                    .expect("cache shard poisoned")
-                    .touch(&key)
-                    .map(|e| e.value.clone());
-                if let Some(v) = cached {
+                let mut shard = self.lock(home);
+                if let Some(v) = shard.touch(&key) {
                     self.hits.fetch_add(1, Ordering::Relaxed);
-                    return Looked::Cached(v);
+                    return Looked::Cached(v.clone());
                 }
-                match inflight.get(&key) {
-                    Some(f) => Some(Arc::clone(f)),
+                match shard.flights.get(&key) {
+                    Some(f) => Arc::clone(f),
                     None => {
                         // Leader-elect: this is the miss that stands.
                         self.misses.fetch_add(1, Ordering::Relaxed);
-                        inflight.insert(
+                        shard.flights.insert(
                             key.clone(),
                             Arc::new(Flight {
                                 done: Mutex::new(None),
                                 cv: Condvar::new(),
                             }),
                         );
-                        None
+                        drop(shard);
+                        let mut landing = Landing {
+                            cache: self,
+                            home,
+                            key: Some(key),
+                            cacheable: None,
+                        };
+                        let (result, cacheable) = compute();
+                        landing.cacheable = cacheable;
+                        return Looked::Computed(result);
                     }
                 }
             };
-            match flight {
-                None => {
-                    // Leader. The guard resolves the flight even if the
-                    // compute panics.
-                    struct Resolve<'a, K: Hash + Eq + Clone, V: Clone> {
-                        cache: &'a ShardedCache<K, V>,
-                        key: K,
-                        outcome: Option<V>,
-                    }
-                    impl<K: Hash + Eq + Clone, V: Clone> Drop for Resolve<'_, K, V> {
-                        fn drop(&mut self) {
-                            let flight = self
-                                .cache
-                                .inflight
-                                .lock()
-                                .expect("inflight table poisoned")
-                                .remove(&self.key);
-                            if let Some(f) = flight {
-                                *f.done.lock().expect("flight poisoned") =
-                                    Some(self.outcome.take());
-                                f.cv.notify_all();
-                            }
-                        }
-                    }
-                    let mut guard = Resolve {
-                        cache: self,
-                        key,
-                        outcome: None,
-                    };
-                    let (result, cacheable) = compute();
-                    if let Some((value, bytes)) = cacheable {
-                        guard.outcome = Some(value.clone());
-                        self.insert(guard.key.clone(), value, bytes);
-                    }
-                    return Looked::Computed(result);
-                }
-                Some(f) => {
-                    let mut done = f.done.lock().expect("flight poisoned");
-                    while done.is_none() {
-                        done = f.cv.wait(done).expect("flight poisoned");
-                    }
-                    match done.as_ref().expect("loop established Some") {
-                        Some(v) => {
-                            self.hits.fetch_add(1, Ordering::Relaxed);
-                            return Looked::Cached(v.clone());
-                        }
-                        // Leader's result wasn't cacheable: retry; this
-                        // caller may become the next leader.
-                        None => continue,
-                    }
-                }
+            let mut done = flight.done.lock().expect("flight poisoned");
+            while done.is_none() {
+                done = flight.cv.wait(done).expect("flight poisoned");
             }
+            if let Some(v) = done.as_ref().expect("loop established Some") {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return Looked::Cached(v.clone());
+            }
+            // Leader's result wasn't cacheable: retry; this caller may
+            // become the next leader.
         }
     }
 }
@@ -580,5 +660,77 @@ mod tests {
             c.insert((1, t), "gen1".into(), 10);
         }
         assert_eq!(c.get(&(0, 1)), None, "stale entry swept by LRU");
+    }
+
+    /// A cached value that reports its key when the cache lets go of it:
+    /// the cache holds the only long-lived `Arc`, so the drop *is* the
+    /// eviction (or the replacement by a later insert of the same key).
+    struct Tracked {
+        key: u64,
+        log: Arc<Mutex<Vec<u64>>>,
+    }
+
+    impl Drop for Tracked {
+        fn drop(&mut self) {
+            self.log.lock().unwrap().push(self.key);
+        }
+    }
+
+    #[test]
+    fn seeded_sequence_evicts_the_golden_keys_in_the_golden_order() {
+        // 10 000 seeded get / insert / get_or_compute calls over 600 keys
+        // against a 4-stripe cache that holds about a sixth of them, by
+        // entries and by bytes. The order in which values leave the cache
+        // is the whole replacement policy — per-shard LRU, cyclic sweep
+        // from the inserting shard — and must not move when the recency
+        // bookkeeping does. Golden values captured from the tick-ordered
+        // `BTreeMap` implementation.
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let c: ShardedCache<u64, Arc<Tracked>> = ShardedCache::new(CacheConfig {
+            enabled: true,
+            max_bytes: 2_000,
+            max_entries: 100,
+            stripes: 4,
+        });
+        let tracked = |key: u64| {
+            Arc::new(Tracked {
+                key,
+                log: Arc::clone(&log),
+            })
+        };
+        let mut rng = crate::Rng::seed_from_u64(0x5eed_cac4e);
+        let mut computed = 0u64;
+        for _ in 0..10_000 {
+            // Skewed keys, so touches reorder entries that are resident.
+            let key = (rng.gen_index(600) * rng.gen_index(600) / 600) as u64;
+            let bytes = 8 + rng.gen_index(40);
+            match rng.gen_index(10) {
+                0..=3 => drop(c.get(&key)),
+                4..=5 => c.insert(key, tracked(key), bytes),
+                _ => {
+                    let cacheable = rng.gen_index(8) != 0;
+                    let looked = c.get_or_compute(key, || {
+                        computed += 1;
+                        ((), cacheable.then(|| (tracked(key), bytes)))
+                    });
+                    drop(looked);
+                }
+            }
+        }
+        let stats = c.stats();
+        let left = log.lock().unwrap().clone();
+        let fnv = left.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &k| {
+            (h ^ k).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!(
+            (stats.hits, stats.misses, stats.evictions, computed),
+            (1791, 6171, 4258, 3140)
+        );
+        assert_eq!((stats.entries, stats.bytes), (78, 1955));
+        assert_eq!((left.len(), fnv), (4706, 12273808141781952430));
+        assert_eq!(
+            left[..12],
+            [27, 90, 434, 260, 40, 27, 28, 317, 0, 92, 137, 203]
+        );
     }
 }

@@ -122,6 +122,11 @@ pub struct SegmentedIndex<P> {
     /// Realtime lists, indexed by `Sym`; always plain and always sorted
     /// (in-order appends are O(1), out-of-order inserts binary-search).
     realtime: Vec<PostingList<P>>,
+    /// How many of `realtime`'s lists hold a posting, kept by the three
+    /// places that change one (`add_sym`, `commit`, `merge`), so that
+    /// [`segment_counts`](Self::segment_counts) — read by every sealed
+    /// query's flight record — does not scan the vocabulary.
+    realtime_lists: usize,
     sealed: Vec<SealedSegment<P>>,
     tomb: TombstoneSet,
     layout: Layout,
@@ -133,6 +138,7 @@ impl<P> Default for SegmentedIndex<P> {
         SegmentedIndex {
             dict: TermDict::new(),
             realtime: Vec::new(),
+            realtime_lists: 0,
             sealed: Vec::new(),
             tomb: TombstoneSet::new(),
             layout: Layout::Plain,
@@ -168,7 +174,9 @@ impl<P: Posting> SegmentedIndex<P> {
         while self.realtime.len() <= sym.0 as usize {
             self.realtime.push(PostingList::default());
         }
-        self.realtime[sym.0 as usize].insert_coalesce(posting);
+        let list = &mut self.realtime[sym.0 as usize];
+        self.realtime_lists += usize::from(list.is_empty());
+        list.insert_coalesce(posting);
     }
 
     /// Tombstone every posting whose [`Posting::key64`] equals `key`, in
@@ -192,7 +200,8 @@ impl<P: Posting> SegmentedIndex<P> {
     /// smallest are folded together until the cap holds. No-op when the
     /// realtime segment is empty.
     pub fn commit(&mut self) -> SegmentCounts {
-        if self.realtime.iter().any(|l| !l.is_empty()) {
+        if self.realtime_lists > 0 {
+            self.realtime_lists = 0;
             let layout = self.layout;
             let tomb = &self.tomb;
             let mut lists = Vec::with_capacity(self.realtime.len());
@@ -243,6 +252,7 @@ impl<P: Posting> SegmentedIndex<P> {
             for l in &mut self.realtime {
                 l.retain(|p| !tomb.contains(p.key64()));
             }
+            self.realtime_lists = self.realtime.iter().filter(|l| !l.is_empty()).count();
         }
         self.merges += 1;
         self.segment_counts()
@@ -394,8 +404,12 @@ impl<P: Posting> SegmentedIndex<P> {
 
     /// Current segment census.
     pub fn segment_counts(&self) -> SegmentCounts {
+        debug_assert_eq!(
+            self.realtime_lists,
+            self.realtime.iter().filter(|l| !l.is_empty()).count()
+        );
         SegmentCounts {
-            realtime: usize::from(self.realtime.iter().any(|l| !l.is_empty())),
+            realtime: usize::from(self.realtime_lists > 0),
             sealed: self.sealed.len(),
         }
     }

@@ -32,6 +32,19 @@ pub use scratch::{Scratch, ScratchPool};
 pub use shared_topk::SharedTopK;
 pub use value::Value;
 
+/// The cores this process may run on
+/// ([`std::thread::available_parallelism`], 1 when it cannot say), asked
+/// once per process. The standard-library call re-reads the scheduler
+/// affinity mask and the cgroup CPU quota files every time — microseconds,
+/// which is most of a result-cache hit — and what it reports is fixed at
+/// process start for everything here that sizes itself by it: the
+/// relational engine's worker cap, the dispatcher's pool, the graph
+/// keyword-index build fan-out.
+pub fn available_cores() -> usize {
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
 /// An ordered `f64` wrapper for use in heaps and sorted maps.
 ///
 /// Scores in keyword search are finite floats; this wrapper defines a total

@@ -28,7 +28,7 @@
 //! keyword's match nodes) on a reused [`Expansion`], optionally
 //! distance-capped (the `D` threshold of the D-reachability indexes,
 //! Markowetz et al. ICDE 09). The lists are independent, so the keywords are
-//! dealt out to `available_parallelism()` threads; the index is the same at
+//! dealt out to [`kwdb_common::available_cores`] threads; the index is the same at
 //! any thread count.
 
 use crate::graph::{DataGraph, NodeId};
@@ -93,8 +93,7 @@ impl NodeKeywordIndex {
     /// Build for the given `keywords` over `g`. `max_dist` caps the index
     /// range (distances beyond it are treated as unreachable).
     pub fn build<S: AsRef<str>>(g: &DataGraph, keywords: &[S], max_dist: Option<f64>) -> Self {
-        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-        Self::build_on(g, keywords, max_dist, threads)
+        Self::build_on(g, keywords, max_dist, kwdb_common::available_cores())
     }
 
     /// [`build`](Self::build) on a given number of threads (`build` uses the

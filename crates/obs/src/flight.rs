@@ -33,6 +33,7 @@ use crate::json::{Json, JsonError};
 use crate::trace::{QueryTrace, TraceLevel};
 use kwdb_common::budget::TruncationReason;
 use kwdb_common::{PhaseTimings, QueryStats};
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -100,8 +101,10 @@ pub fn query_digest(query: &str) -> String {
 pub struct QueryRecord {
     /// Position in the global append order; assigned by the recorder.
     pub seq: u64,
-    pub engine: String,
-    pub algorithm: String,
+    /// Engine and executor labels: `'static` for records an engine seals
+    /// (so sealing copies no string), owned for records parsed from a dump.
+    pub engine: Cow<'static, str>,
+    pub algorithm: Cow<'static, str>,
     /// Redacted query identity (see [`query_digest`]).
     pub digest: String,
     pub k: u64,
@@ -133,8 +136,8 @@ impl QueryRecord {
     /// append time by the registry/recorder).
     #[allow(clippy::too_many_arguments)]
     pub fn new(
-        engine: &str,
-        algorithm: &str,
+        engine: &'static str,
+        algorithm: &'static str,
         query: &str,
         k: usize,
         workers: usize,
@@ -156,8 +159,8 @@ impl QueryRecord {
         let result_cache = fold(stats.result_cache_hits, stats.result_cache_misses);
         QueryRecord {
             seq: 0,
-            engine: engine.to_string(),
-            algorithm: algorithm.to_string(),
+            engine: Cow::Borrowed(engine),
+            algorithm: Cow::Borrowed(algorithm),
             digest: query_digest(query),
             k: k as u64,
             workers: workers as u64,
@@ -384,8 +387,8 @@ impl FlightDump {
             .map(|r| {
                 let mut o = vec![
                     ("seq".into(), Json::Int(r.seq as i128)),
-                    ("engine".into(), Json::Str(r.engine.clone())),
-                    ("algorithm".into(), Json::Str(r.algorithm.clone())),
+                    ("engine".into(), Json::Str(r.engine.to_string())),
+                    ("algorithm".into(), Json::Str(r.algorithm.to_string())),
                     ("digest".into(), Json::Str(r.digest.clone())),
                     ("k".into(), Json::Int(r.k as i128)),
                     ("workers".into(), Json::Int(r.workers as i128)),
@@ -493,8 +496,8 @@ impl FlightDump {
             };
             let rec = QueryRecord {
                 seq: num(r.get("seq"), "seq")?,
-                engine: text(r.get("engine"), "engine")?,
-                algorithm: text(r.get("algorithm"), "algorithm")?,
+                engine: text(r.get("engine"), "engine")?.into(),
+                algorithm: text(r.get("algorithm"), "algorithm")?.into(),
                 digest: text(r.get("digest"), "digest")?,
                 k: num(r.get("k"), "k")?,
                 workers: num(r.get("workers"), "workers")?,
@@ -547,7 +550,7 @@ impl FlightDump {
 mod tests {
     use super::*;
 
-    fn record(engine: &str, evaluate_ns: u64) -> QueryRecord {
+    fn record(engine: &'static str, evaluate_ns: u64) -> QueryRecord {
         let mut stats = QueryStats::new();
         stats.phases.evaluate = Duration::from_nanos(evaluate_ns);
         stats.cache_hits = 1;

@@ -76,8 +76,15 @@ impl Histogram {
     pub fn record(&self, v: u64) {
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
+        // A zero adds nothing and a value below the maximum raises nothing:
+        // skip the locked operation for both (the phases a result-cache hit
+        // never entered record zeros).
+        if v != 0 {
+            self.sum.fetch_add(v, Ordering::Relaxed);
+        }
+        if v > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(v, Ordering::Relaxed);
+        }
     }
 
     /// Record a duration as nanoseconds (saturating at `u64::MAX`).
@@ -115,9 +122,31 @@ impl Histogram {
         }
     }
 
-    /// Quantile `q` in `[0, 1]` of everything recorded so far.
+    /// Quantile `q` in `[0, 1]` of everything recorded so far — what
+    /// [`snapshot`](Self::snapshot)`().quantile(q)` reports, read straight
+    /// off the atomics with no allocation. The walk starts at the bucket of
+    /// the recorded maximum and goes down, so a high quantile of a
+    /// long-tailed latency distribution visits only the tail's buckets.
     pub fn quantile(&self, q: f64) -> u64 {
-        self.snapshot().quantile(q)
+        let count = self.count();
+        if count == 0 {
+            return 0;
+        }
+        let max = self.max.load(Ordering::Relaxed);
+        let rank = ((q.clamp(0.0, 1.0) * count as f64).ceil() as u64).max(1);
+        // The bucket holding the rank-th smallest observation is the first,
+        // coming down from the top, at which more than `count - rank`
+        // observations have been passed.
+        let mut above = 0u64;
+        for i in (0..=bucket_index(max)).rev() {
+            above += self.buckets[i].load(Ordering::Relaxed);
+            if above > count - rank {
+                return bucket_upper(i).min(max);
+            }
+        }
+        // Only reachable while writers race the walk: `count` ran ahead of
+        // the bucket increments it summarizes.
+        0
     }
 }
 
@@ -332,6 +361,33 @@ mod tests {
         assert_eq!(s.quantile(0.90), 10);
         let p99 = s.p99() as f64;
         assert!((p99 - 10_000.0).abs() / 10_000.0 <= 1.0 / 16.0 + 1e-9);
+    }
+
+    #[test]
+    fn atomic_quantile_walk_equals_the_snapshot_quantile() {
+        let qs = [0.0, 0.5, 0.9, 0.99, 1.0];
+        let same = |h: &Histogram, what: &str| {
+            let snap = h.snapshot();
+            for q in qs {
+                assert_eq!(h.quantile(q), snap.quantile(q), "{what}: q={q}");
+            }
+        };
+        let h = Histogram::new();
+        same(&h, "empty");
+        h.record(4_321);
+        same(&h, "single sample");
+        let zero = Histogram::new();
+        zero.record(0);
+        same(&zero, "a single zero");
+        let mut rng = Rng::seed_from_u64(19);
+        for round in 0..20 {
+            let h = Histogram::new();
+            for _ in 0..rng.gen_range(1usize..2_000) {
+                // latencies-like: spread over many octaves, heavy low end
+                h.record(rng.next_u64() >> (24 + rng.gen_index(40) as u32));
+            }
+            same(&h, &format!("seeded round {round}"));
+        }
     }
 
     #[test]

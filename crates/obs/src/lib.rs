@@ -10,8 +10,9 @@
 //! * [`MetricsRegistry`] — a thread-safe table of named, labeled
 //!   [`Counter`]s, [`Gauge`]s, and log-linear [`Histogram`]s with
 //!   p50/p90/p99 extraction. Engines record under `engine × algorithm ×
-//!   phase` labels; recording is atomics-only, so concurrent dispatcher
-//!   workers never serialize on it.
+//!   phase` labels through an [`EngineInstruments`]: every handle a sealed
+//!   query writes to is looked up once and kept, so a seal is atomic adds
+//!   only and concurrent dispatcher workers never serialize on it.
 //! * [`QueryTrace`] — a structured span tree of one query (phases →
 //!   operator events with timestamps, counter deltas, budget verdicts,
 //!   cache outcomes), built through a [`TraceBuilder`] gated by the
@@ -32,11 +33,16 @@
 //!   `trace_event` JSON for one query's span tree).
 //!
 //! ```
-//! use kwdb_obs::{MetricsRegistry, record_query};
+//! use kwdb_obs::{EngineInstruments, MetricsRegistry, QueryRecord};
 //! use kwdb_common::QueryStats;
+//! use std::sync::Arc;
 //!
-//! let reg = MetricsRegistry::new();
-//! record_query(&reg, "relational", "parallel_cn", &QueryStats::new(), None);
+//! let reg = Arc::new(MetricsRegistry::new());
+//! let obs = EngineInstruments::new(Arc::clone(&reg), "relational", &["parallel_cn"]);
+//! let stats = QueryStats::new();
+//! let record =
+//!     QueryRecord::new("relational", "parallel_cn", "data query", 10, 1, &stats, None, false, None);
+//! obs.seal(record, &stats, None);
 //! let prom = kwdb_obs::export::to_prometheus(&reg.snapshot());
 //! assert!(prom.contains("kwdb_queries_total"));
 //! ```
@@ -55,6 +61,8 @@ pub use flight::{
     SlowThreshold,
 };
 pub use hist::{Histogram, HistogramSnapshot};
-pub use record::{families, record_facets, record_generation, record_index_stats, record_query};
+pub use record::{
+    families, record_generation, record_index_stats, EngineInstruments, FacetOutcome,
+};
 pub use registry::{Counter, Gauge, Labels, MetricId, MetricsRegistry, Snapshot};
 pub use trace::{PhaseSpan, QueryTrace, TraceBuilder, TraceEvent, TraceLevel};

@@ -1,19 +1,38 @@
 //! The bridge from per-query [`QueryStats`] records to registry metrics.
 //!
-//! Every engine already returns a `QueryStats` per query; [`record_query`]
-//! folds one into a [`MetricsRegistry`] under `engine × algorithm` labels so
-//! fleet-wide totals, rates, and latency distributions accumulate across
-//! queries and threads. The metric family names are stable — CI checks them
-//! in the exported `BENCH_*.json` — and enumerated in [`families`].
+//! Every engine already returns a `QueryStats` per query;
+//! [`EngineInstruments::seal`] folds one into a [`MetricsRegistry`] under
+//! `engine × algorithm` labels so fleet-wide totals, rates, and latency
+//! distributions accumulate across queries and threads. The metric family
+//! names are stable — CI checks them in the exported `BENCH_*.json` — and
+//! enumerated in [`families`].
+//!
+//! # Handle resolution
+//!
+//! A seal runs on every query, result-cache hits included, so it must cost
+//! what it writes: some thirty relaxed atomic adds. An engine therefore
+//! attaches to a registry through one [`EngineInstruments`], which resolves
+//! each instrument **once, at the moment the string-keyed lookup it
+//! replaces would have created it** — everything an `engine × algorithm`
+//! class records on every seal at the class's first sealed query, a
+//! truncation counter at the first truncation with that reason, the facet
+//! counters at the first faceted query — and keeps the `Arc` handle from
+//! then on. Resolving lazily rather than at
+//! attach time is what keeps a snapshot's label sets what they always were:
+//! an engine that never ran SPARK exports no `algorithm="spark"` series.
 
-use crate::registry::MetricsRegistry;
+use crate::flight::QueryRecord;
+use crate::hist::Histogram;
+use crate::registry::{Counter, MetricsRegistry};
+use crate::trace::TraceLevel;
 use kwdb_common::budget::TruncationReason;
 use kwdb_common::index::IndexStats;
 use kwdb_common::QueryStats;
+use std::sync::{Arc, OnceLock};
 
 /// Stable metric family names: the per-query families recorded by
-/// [`record_query`], the relational plan-cache families, and the dispatcher
-/// families. The bench JSON validator checks these exact strings.
+/// [`EngineInstruments::seal`], the relational plan-cache families, and the
+/// dispatcher families. The bench JSON validator checks these exact strings.
 pub mod families {
     /// Counter: queries executed, by engine × algorithm.
     pub const QUERIES: &str = "kwdb_queries_total";
@@ -170,105 +189,255 @@ pub mod families {
     }
 }
 
-/// Fold one query's stats into the registry under `engine × algorithm`.
-pub fn record_query(
-    reg: &MetricsRegistry,
-    engine: &str,
-    algorithm: &str,
-    stats: &QueryStats,
-    truncation: Option<TruncationReason>,
-) {
-    let ea = [("engine", engine), ("algorithm", algorithm)];
-    reg.counter(families::QUERIES, &ea).inc();
-    reg.histogram(families::QUERY_LATENCY, &ea)
-        .record_duration(stats.phases.total());
-    for (phase, d) in [
-        ("parse", stats.phases.parse),
-        ("build", stats.phases.build),
-        ("plan", stats.phases.plan),
-        ("evaluate", stats.phases.evaluate),
-        ("facets", stats.phases.facets),
-    ] {
-        reg.histogram(
-            families::PHASE_LATENCY,
-            &[
-                ("engine", engine),
-                ("algorithm", algorithm),
-                ("phase", phase),
-            ],
-        )
-        .record_duration(d);
+/// The handles one `engine × algorithm` class of sealed queries records
+/// into — every instrument the class touches on every seal, resolved
+/// together at the class's first seal.
+struct QueryInstruments {
+    queries: Arc<Counter>,
+    latency: Arc<Histogram>,
+    /// parse, build, plan, evaluate, facets.
+    phases: [Arc<Histogram>; 5],
+    /// In [`Self::record`]'s order.
+    operators: [Arc<Counter>; 7],
+    /// generated, pruned.
+    candidates: [Arc<Counter>; 2],
+    cn_evaluated: Arc<Counter>,
+    cn_pruned: Arc<Counter>,
+    join_probe_rows: Arc<Counter>,
+    /// hit, miss — per engine, shared by the engine's classes.
+    plan_cache: [Arc<Counter>; 2],
+    /// hit, miss — per engine. Both exist from the first seal, even at
+    /// zero, so `metrics_check` can require the families before the first
+    /// hit ever lands.
+    result_cache: [Arc<Counter>; 2],
+}
+
+impl QueryInstruments {
+    fn resolve(reg: &MetricsRegistry, engine: &str, algorithm: &str) -> Self {
+        let ea = [("engine", engine), ("algorithm", algorithm)];
+        let with = |key: &'static str, value: &'static str| {
+            [("engine", engine), ("algorithm", algorithm), (key, value)]
+        };
+        let phase = |name| reg.histogram(families::PHASE_LATENCY, &with("phase", name));
+        let op = |name| reg.counter(families::OPERATORS, &with("op", name));
+        QueryInstruments {
+            queries: reg.counter(families::QUERIES, &ea),
+            latency: reg.histogram(families::QUERY_LATENCY, &ea),
+            phases: ["parse", "build", "plan", "evaluate", "facets"].map(phase),
+            operators: [
+                "tuples_scanned",
+                "join_probes",
+                "joins_executed",
+                "rows_output",
+                "sorted_accesses",
+                "random_accesses",
+                "blocks_skipped",
+            ]
+            .map(op),
+            candidates: ["generated", "pruned"]
+                .map(|kind| reg.counter(families::CANDIDATES, &with("kind", kind))),
+            cn_evaluated: reg.counter(families::CN_EVALUATED, &ea),
+            cn_pruned: reg.counter(families::CN_PRUNED, &ea),
+            join_probe_rows: reg.counter(families::JOIN_PROBE_ROWS, &ea),
+            plan_cache: ["hit", "miss"].map(|outcome| {
+                reg.counter(
+                    families::PLAN_CACHE,
+                    &[("engine", engine), ("outcome", outcome)],
+                )
+            }),
+            result_cache: [families::RESULT_CACHE_HITS, families::RESULT_CACHE_MISSES]
+                .map(|family| reg.counter(family, &[("engine", engine)])),
+        }
     }
-    for (op, n) in [
-        ("tuples_scanned", stats.operators.tuples_scanned),
-        ("join_probes", stats.operators.join_probes),
-        ("joins_executed", stats.operators.joins_executed),
-        ("rows_output", stats.operators.rows_output),
-        ("sorted_accesses", stats.operators.sorted_accesses),
-        ("random_accesses", stats.operators.random_accesses),
-        ("blocks_skipped", stats.operators.blocks_skipped),
-    ] {
-        reg.counter(
-            families::OPERATORS,
-            &[("engine", engine), ("algorithm", algorithm), ("op", op)],
-        )
-        .add(n);
-    }
-    for (kind, n) in [
-        ("generated", stats.candidates_generated),
-        ("pruned", stats.candidates_pruned),
-    ] {
-        reg.counter(
-            families::CANDIDATES,
-            &[("engine", engine), ("algorithm", algorithm), ("kind", kind)],
-        )
-        .add(n);
-    }
-    reg.counter(families::CN_EVALUATED, &ea)
-        .add(stats.cns_evaluated);
-    reg.counter(families::CN_PRUNED, &ea).add(stats.cns_pruned);
-    reg.counter(families::JOIN_PROBE_ROWS, &ea)
-        .add(stats.operators.join_probe_rows);
-    for (outcome, n) in [("hit", stats.cache_hits), ("miss", stats.cache_misses)] {
-        reg.counter(
-            families::PLAN_CACHE,
-            &[("engine", engine), ("outcome", outcome)],
-        )
-        .add(n);
-    }
-    // Result-cache consults, same zero-registration pattern: both families
-    // exist in every snapshot that recorded a query, so `metrics_check` can
-    // require them before the first hit ever lands.
-    reg.counter(families::RESULT_CACHE_HITS, &[("engine", engine)])
-        .add(stats.result_cache_hits);
-    reg.counter(families::RESULT_CACHE_MISSES, &[("engine", engine)])
-        .add(stats.result_cache_misses);
-    if let Some(reason) = truncation {
-        reg.counter(
-            families::TRUNCATED,
-            &[
-                ("engine", engine),
-                ("algorithm", algorithm),
-                ("reason", reason.as_str()),
-            ],
-        )
-        .inc();
+
+    /// Fold one query's stats into the class's instruments.
+    fn record(&self, stats: &QueryStats) {
+        self.queries.inc();
+        self.latency.record_duration(stats.phases.total());
+        let p = &stats.phases;
+        for (hist, d) in self
+            .phases
+            .iter()
+            .zip([p.parse, p.build, p.plan, p.evaluate, p.facets])
+        {
+            hist.record_duration(d);
+        }
+        let o = &stats.operators;
+        for (counter, n) in self.operators.iter().zip([
+            o.tuples_scanned,
+            o.join_probes,
+            o.joins_executed,
+            o.rows_output,
+            o.sorted_accesses,
+            o.random_accesses,
+            o.blocks_skipped,
+        ]) {
+            counter.add(n);
+        }
+        self.candidates[0].add(stats.candidates_generated);
+        self.candidates[1].add(stats.candidates_pruned);
+        self.cn_evaluated.add(stats.cns_evaluated);
+        self.cn_pruned.add(stats.cns_pruned);
+        self.join_probe_rows.add(o.join_probe_rows);
+        self.plan_cache[0].add(stats.cache_hits);
+        self.plan_cache[1].add(stats.cache_misses);
+        self.result_cache[0].add(stats.result_cache_hits);
+        self.result_cache[1].add(stats.result_cache_misses);
     }
 }
 
-/// Record one faceted query's outcome: how many facet values the response
-/// carried and whether the counts were exact over the full result multiset.
-/// Engines call this only for requests that actually asked for facets, so
-/// `FACET_QUERIES` counts faceted queries, not all queries.
-pub fn record_facets(reg: &MetricsRegistry, engine: &str, values: u64, exact: bool) {
-    let labels = [("engine", engine)];
-    reg.counter(families::FACET_QUERIES, &labels).inc();
-    reg.counter(families::FACET_VALUES, &labels).add(values);
-    // Register the inexactness counter even at zero, so the family is
-    // always present in snapshots and dashboards can alert on it.
-    let inexact = reg.counter(families::FACET_INEXACT, &labels);
-    if !exact {
-        inexact.inc();
+/// One class's slot in an [`EngineInstruments`]: the per-seal bundle plus
+/// the truncation counters, each resolved at its first use.
+struct QueryClass {
+    algorithm: &'static str,
+    instruments: OnceLock<QueryInstruments>,
+    /// By [`TruncationReason`]: deadline, candidate cap.
+    truncated: [OnceLock<Arc<Counter>>; 2],
+}
+
+/// One faceted query's outcome: how many facet values the response carried
+/// and whether the counts were exact over the full result multiset.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FacetOutcome {
+    /// The sum of `FacetCounts::values.len()` over the response's facets.
+    pub values: u64,
+    pub exact: bool,
+}
+
+/// The facet counters of one engine, resolved at its first faceted query.
+struct FacetInstruments {
+    queries: Arc<Counter>,
+    values: Arc<Counter>,
+    /// Registered even at zero, so the family is always present in
+    /// snapshots and dashboards can alert on it.
+    inexact: Arc<Counter>,
+}
+
+/// One engine's attachment to a [`MetricsRegistry`]: the registry plus the
+/// handle of every instrument the engine's sealed queries record into (see
+/// the [module docs](self) for when each is resolved). With these a seal is
+/// a flight-record append and some thirty relaxed atomic adds — no key is
+/// built, no map is searched and no registry lock is taken.
+pub struct EngineInstruments {
+    registry: Arc<MetricsRegistry>,
+    engine: &'static str,
+    classes: Vec<QueryClass>,
+    facets: OnceLock<FacetInstruments>,
+}
+
+impl EngineInstruments {
+    /// Attach `engine` to `registry`. `algorithms` names every executor
+    /// label the engine can seal a query under; nothing is created in the
+    /// registry until a query is.
+    pub fn new(
+        registry: Arc<MetricsRegistry>,
+        engine: &'static str,
+        algorithms: &[&'static str],
+    ) -> Self {
+        EngineInstruments {
+            registry,
+            engine,
+            classes: algorithms
+                .iter()
+                .map(|&algorithm| QueryClass {
+                    algorithm,
+                    instruments: OnceLock::new(),
+                    truncated: [OnceLock::new(), OnceLock::new()],
+                })
+                .collect(),
+            facets: OnceLock::new(),
+        }
+    }
+
+    /// The registry this engine records into.
+    pub fn registry(&self) -> &Arc<MetricsRegistry> {
+        &self.registry
+    }
+
+    /// The engine label every instrument here carries.
+    pub fn engine(&self) -> &'static str {
+        self.engine
+    }
+
+    fn class(&self, algorithm: &str) -> &QueryClass {
+        self.classes
+            .iter()
+            .find(|c| c.algorithm == algorithm)
+            .unwrap_or_else(|| panic!("{}: undeclared algorithm {algorithm:?}", self.engine))
+    }
+
+    /// The effective trace level for one arriving query of class
+    /// `algorithm` — see [`MetricsRegistry::sample_trace_level`].
+    pub fn sample_trace_level(&self, algorithm: &str, requested: TraceLevel) -> (TraceLevel, bool) {
+        let latency = self.class(algorithm).instruments.get();
+        self.registry
+            .sample_trace_level(latency.map(|q| &*q.latency), requested)
+    }
+
+    /// Seal one query: append `record` to the flight recorder, then fold
+    /// `stats`, the truncation verdict and — for a request that asked for
+    /// facets — the facet outcome into the registry. The flight record goes
+    /// first, so an AutoP99 slow threshold compares this query against the
+    /// traffic recorded *before* it.
+    ///
+    /// ```
+    /// use kwdb_common::QueryStats;
+    /// use kwdb_obs::{families, EngineInstruments, MetricsRegistry, QueryRecord};
+    /// use std::sync::Arc;
+    ///
+    /// let reg = Arc::new(MetricsRegistry::new());
+    /// let obs = EngineInstruments::new(Arc::clone(&reg), "relational", &["parallel_cn"]);
+    /// let stats = QueryStats::new();
+    /// let record = QueryRecord::new(
+    ///     "relational", "parallel_cn", "data query", 10, 1, &stats, None, false, None,
+    /// );
+    /// obs.seal(record, &stats, None);
+    /// let labels = [("engine", "relational"), ("algorithm", "parallel_cn")];
+    /// assert_eq!(reg.counter_value(families::QUERIES, &labels), 1);
+    /// assert_eq!(reg.flight().len(), 1);
+    /// ```
+    pub fn seal(&self, record: QueryRecord, stats: &QueryStats, facets: Option<FacetOutcome>) {
+        let reg = &*self.registry;
+        let class = self.class(&record.algorithm);
+        let instruments = class
+            .instruments
+            .get_or_init(|| QueryInstruments::resolve(reg, self.engine, class.algorithm));
+        let truncation = record.truncation;
+        reg.record_flight(record, &instruments.latency);
+        instruments.record(stats);
+        if let Some(reason) = truncation {
+            let slot = match reason {
+                TruncationReason::DeadlineExceeded => 0,
+                TruncationReason::CandidateCapReached => 1,
+            };
+            class.truncated[slot]
+                .get_or_init(|| {
+                    reg.counter(
+                        families::TRUNCATED,
+                        &[
+                            ("engine", self.engine),
+                            ("algorithm", class.algorithm),
+                            ("reason", reason.as_str()),
+                        ],
+                    )
+                })
+                .inc();
+        }
+        if let Some(outcome) = facets {
+            let f = self.facets.get_or_init(|| {
+                let labels = [("engine", self.engine)];
+                FacetInstruments {
+                    queries: reg.counter(families::FACET_QUERIES, &labels),
+                    values: reg.counter(families::FACET_VALUES, &labels),
+                    inexact: reg.counter(families::FACET_INEXACT, &labels),
+                }
+            });
+            f.queries.inc();
+            f.values.add(outcome.values);
+            if !outcome.exact {
+                f.inexact.inc();
+            }
+        }
     }
 }
 
@@ -344,16 +513,37 @@ mod tests {
         s
     }
 
+    fn seal(
+        obs: &EngineInstruments,
+        algorithm: &'static str,
+        truncation: Option<TruncationReason>,
+        facets: Option<FacetOutcome>,
+    ) {
+        let stats = stats();
+        let record = QueryRecord::new(
+            obs.engine(),
+            algorithm,
+            "data query",
+            5,
+            1,
+            &stats,
+            truncation,
+            false,
+            None,
+        );
+        obs.seal(record, &stats, facets);
+    }
+
     #[test]
-    fn record_query_populates_every_family() {
-        let reg = MetricsRegistry::new();
-        record_query(&reg, "relational", "parallel_cn", &stats(), None);
-        record_query(
-            &reg,
-            "relational",
+    fn seal_populates_every_family() {
+        let reg = Arc::new(MetricsRegistry::new());
+        let obs = EngineInstruments::new(Arc::clone(&reg), "relational", &["parallel_cn", "spark"]);
+        seal(&obs, "parallel_cn", None, None);
+        seal(
+            &obs,
             "parallel_cn",
-            &stats(),
             Some(TruncationReason::DeadlineExceeded),
+            None,
         );
         let ea = [("engine", "relational"), ("algorithm", "parallel_cn")];
         assert_eq!(reg.counter_value(families::QUERIES, &ea), 2);
@@ -389,6 +579,7 @@ mod tests {
         assert_eq!(reg.counter_value(families::CN_EVALUATED, &ea), 18);
         assert_eq!(reg.counter_value(families::CN_PRUNED, &ea), 6);
         assert_eq!(reg.counter_value(families::JOIN_PROBE_ROWS, &ea), 50);
+        assert_eq!(reg.flight().len(), 2, "every seal appends a flight record");
         let snap = reg.snapshot();
         let hist = snap
             .histograms
@@ -404,10 +595,51 @@ mod tests {
     }
 
     #[test]
-    fn record_facets_counts_queries_values_and_inexactness() {
-        let reg = MetricsRegistry::new();
-        record_facets(&reg, "relational", 7, true);
-        record_facets(&reg, "relational", 3, false);
+    fn instruments_appear_when_first_used_not_when_attached() {
+        // The label sets of a snapshot say what ran: a declared class that
+        // sealed nothing, a reason that never truncated and facets nobody
+        // asked for export no series.
+        let reg = Arc::new(MetricsRegistry::new());
+        let obs = EngineInstruments::new(Arc::clone(&reg), "relational", &["parallel_cn", "spark"]);
+        assert_eq!(reg.snapshot(), Default::default());
+        seal(&obs, "parallel_cn", None, None);
+        let snap = reg.snapshot();
+        let mentions = |needle: &str| {
+            snap.counters
+                .iter()
+                .any(|(id, _)| id.labels.iter().any(|(_, v)| v == needle))
+        };
+        assert!(mentions("parallel_cn"));
+        assert!(!mentions("spark"));
+        assert!(!snap.family_names().contains(&families::TRUNCATED));
+        assert!(!snap.family_names().contains(&families::FACET_QUERIES));
+        seal(
+            &obs,
+            "spark",
+            Some(TruncationReason::CandidateCapReached),
+            None,
+        );
+        assert_eq!(
+            reg.counter_value(
+                families::TRUNCATED,
+                &[
+                    ("engine", "relational"),
+                    ("algorithm", "spark"),
+                    ("reason", "candidate_cap")
+                ]
+            ),
+            1
+        );
+    }
+
+    #[test]
+    fn seal_counts_facet_queries_values_and_inexactness() {
+        let reg = Arc::new(MetricsRegistry::new());
+        let obs = EngineInstruments::new(Arc::clone(&reg), "relational", &["parallel_cn"]);
+        let outcome = |values, exact| Some(FacetOutcome { values, exact });
+        seal(&obs, "parallel_cn", None, outcome(7, true));
+        seal(&obs, "parallel_cn", None, outcome(3, false));
+        seal(&obs, "parallel_cn", None, None);
         let labels = [("engine", "relational")];
         assert_eq!(reg.counter_value(families::FACET_QUERIES, &labels), 2);
         assert_eq!(reg.counter_value(families::FACET_VALUES, &labels), 10);

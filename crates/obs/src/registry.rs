@@ -7,9 +7,11 @@
 //! Lookup uses the same double-checked read-mostly locking as the CN plan
 //! cache: the hot path takes a read lock and clones an `Arc` handle;
 //! creation upgrades to the write lock exactly once per instrument.
-//! Recording through a handle is lock-free (atomics only), so engines can
-//! keep handles across queries or re-resolve them per query — either way
-//! concurrent workers never serialize on the registry.
+//! Recording through a handle is lock-free (atomics only). A lookup is not
+//! free — it builds and compares an owned key under the read lock — so the
+//! paths that run per query resolve each handle once and keep it (see
+//! [`crate::record::EngineInstruments`]); string-keyed lookups are for
+//! set-up, mutation and the rare branches.
 
 use crate::flight::{FlightRecorder, QueryRecord, SamplePolicy, SlowThreshold};
 use crate::hist::{Histogram, HistogramSnapshot};
@@ -17,7 +19,7 @@ use crate::record::families;
 use crate::trace::TraceLevel;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
@@ -29,7 +31,11 @@ impl Counter {
     }
 
     pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
+        // Most of what a seal adds is zero (a result-cache hit did no
+        // operator work); a branch is cheaper than a locked add of nothing.
+        if n != 0 {
+            self.0.fetch_add(n, Ordering::Relaxed);
+        }
     }
 
     pub fn get(&self) -> u64 {
@@ -123,6 +129,18 @@ pub struct MetricsRegistry {
     /// Global arrival counter driving 1-in-N trace sampling; deterministic
     /// under serial execution.
     sample_seq: AtomicU64,
+    /// The flight recorder's per-engine self-metrics, resolved at an
+    /// engine's first record. A handful of entries: scanned, not hashed.
+    flight_engines: RwLock<Vec<(String, FlightCounters)>>,
+    /// `kwdb_flightrec_entries`, resolved at the first record.
+    flight_entries: OnceLock<Arc<Gauge>>,
+}
+
+/// One engine's `kwdb_trace_sampled_total` and
+/// `kwdb_flightrec_dropped_total` counters.
+struct FlightCounters {
+    sampled: Arc<Counter>,
+    dropped: Arc<Counter>,
 }
 
 /// Double-checked get-or-create over one of the three family maps.
@@ -181,13 +199,13 @@ impl MetricsRegistry {
     /// [`SlowThreshold::Fixed`] policy — for every query of an
     /// `engine × algorithm` class whose live p99 sits at or above the
     /// threshold, so a currently-slow executor's queries arrive in the
-    /// recorder *with* their span trees. Requests already tracing at or
-    /// above the policy level pass through untouched and don't consume a
-    /// sampling tick.
+    /// recorder *with* their span trees. `latency` is that class's
+    /// end-to-end latency histogram, `None` while the class has sealed
+    /// nothing. Requests already tracing at or above the policy level pass
+    /// through untouched and don't consume a sampling tick.
     pub fn sample_trace_level(
         &self,
-        engine: &str,
-        algorithm: &str,
+        latency: Option<&Histogram>,
         requested: TraceLevel,
     ) -> (TraceLevel, bool) {
         let p = self.sample_policy();
@@ -200,9 +218,9 @@ impl MetricsRegistry {
             promote = n.is_multiple_of(p.sample_every);
         }
         if !promote {
-            if let SlowThreshold::Fixed(d) = p.slow_threshold {
-                let (p99, count) = self.latency_p99(engine, algorithm);
-                promote = count > 0 && p99 >= d.as_nanos().min(u64::MAX as u128) as u64;
+            if let (SlowThreshold::Fixed(d), Some(h)) = (p.slow_threshold, latency) {
+                promote =
+                    h.count() > 0 && h.quantile(0.99) >= d.as_nanos().min(u64::MAX as u128) as u64;
             }
         }
         if promote {
@@ -218,62 +236,63 @@ impl MetricsRegistry {
     /// `kwdb_flightrec_dropped_total` by the overwritten record's engine,
     /// `kwdb_trace_sampled_total`).
     ///
-    /// Call *before* folding this query into the latency histogram
-    /// ([`crate::record_query`]) so an [`SlowThreshold::AutoP99`] threshold
-    /// compares the query against the traffic that preceded it.
-    pub fn record_flight(&self, mut rec: QueryRecord) {
+    /// `latency` is the end-to-end latency histogram of the record's
+    /// `engine × algorithm` class. Call *before* folding this query into it
+    /// so an [`SlowThreshold::AutoP99`] threshold compares the query against
+    /// the traffic that preceded it.
+    pub fn record_flight(&self, mut rec: QueryRecord, latency: &Histogram) {
         let total_ns = rec.total().as_nanos().min(u64::MAX as u128) as u64;
         rec.slow = match self.sample_policy().slow_threshold {
             SlowThreshold::Off => false,
             SlowThreshold::Fixed(d) => total_ns >= d.as_nanos().min(u64::MAX as u128) as u64,
             SlowThreshold::AutoP99 => {
-                let (p99, count) = self.latency_p99(&rec.engine, &rec.algorithm);
-                count >= SamplePolicy::AUTO_MIN_SAMPLES && total_ns > p99
+                latency.count() >= SamplePolicy::AUTO_MIN_SAMPLES
+                    && total_ns > latency.quantile(0.99)
             }
         };
-        let engine = rec.engine.clone();
-        let engine_label = [("engine", engine.as_str())];
-        // Register the sampled counter even at zero so the family is always
-        // present in snapshots; increment only on actual promotions.
-        let sampled = self.counter(families::TRACE_SAMPLED, &engine_label);
-        if rec.sampled {
-            sampled.inc();
-        }
-        // Same zero-registration for drops, so `metrics_check` can require
-        // the family before the ring ever wraps.
-        let dropped = self.counter(families::FLIGHT_DROPPED, &engine_label);
-        if let Some(old) = self.flight.append(rec) {
-            if old.engine == engine {
-                dropped.inc();
-            } else {
-                self.counter(families::FLIGHT_DROPPED, &[("engine", old.engine.as_str())])
-                    .inc();
+        let (engine, sampled) = (rec.engine.clone(), rec.sampled);
+        let displaced = self.flight.append(rec);
+        let own_drop = displaced.as_ref().is_some_and(|old| old.engine == engine);
+        self.with_flight_counters(&engine, |own| {
+            if sampled {
+                own.sampled.inc();
             }
+            if own_drop {
+                own.dropped.inc();
+            }
+        });
+        if let Some(old) = displaced.filter(|_| !own_drop) {
+            self.with_flight_counters(&old.engine, |theirs| theirs.dropped.inc());
         }
-        self.gauge(families::FLIGHT_ENTRIES, &[])
+        self.flight_entries
+            .get_or_init(|| self.gauge(families::FLIGHT_ENTRIES, &[]))
             .set(self.flight.len() as i64);
     }
 
-    /// The live p99 (and observation count) of the `engine × algorithm`
-    /// end-to-end latency histogram, without creating the instrument.
-    fn latency_p99(&self, engine: &str, algorithm: &str) -> (u64, u64) {
-        let key: MetricKey = (
-            families::QUERY_LATENCY.to_string(),
-            Labels::new(&[("engine", engine), ("algorithm", algorithm)]),
-        );
-        match self
-            .inner
-            .read()
-            .expect("metrics registry poisoned")
-            .histograms
-            .get(&key)
+    /// Run `f` on `engine`'s flight self-metrics, creating them at the
+    /// first call for that engine name. Both counters exist from then on,
+    /// even at zero, so the families are present in snapshots before a
+    /// promotion or a ring wrap and `metrics_check` can require them.
+    fn with_flight_counters(&self, engine: &str, f: impl FnOnce(&FlightCounters)) {
+        let find =
+            |known: &[(String, FlightCounters)]| known.iter().position(|(name, _)| name == engine);
         {
-            Some(h) => {
-                let snap = h.snapshot();
-                (snap.p99(), snap.count)
+            let known = self.flight_engines.read().expect("flight table poisoned");
+            if let Some(i) = find(&known) {
+                return f(&known[i].1);
             }
-            None => (0, 0),
         }
+        let mut known = self.flight_engines.write().expect("flight table poisoned");
+        let i = find(&known).unwrap_or_else(|| {
+            let label = [("engine", engine)];
+            let counters = FlightCounters {
+                sampled: self.counter(families::TRACE_SAMPLED, &label),
+                dropped: self.counter(families::FLIGHT_DROPPED, &label),
+            };
+            known.push((engine.to_string(), counters));
+            known.len() - 1
+        });
+        f(&known[i].1)
     }
 
     /// The counter `name{labels}`, created on first use.
@@ -394,6 +413,11 @@ impl Snapshot {
 mod tests {
     use super::*;
 
+    /// Record `rec` against an empty latency histogram.
+    fn record(reg: &MetricsRegistry, rec: QueryRecord) {
+        reg.record_flight(rec, &Histogram::new());
+    }
+
     #[test]
     fn counters_and_gauges_accumulate() {
         let reg = MetricsRegistry::new();
@@ -460,21 +484,17 @@ mod tests {
         let reg = MetricsRegistry::new();
         reg.set_sample_policy(SamplePolicy::every(3));
         let picks: Vec<bool> = (0..9)
-            .map(|_| {
-                reg.sample_trace_level("relational", "parallel_cn", TraceLevel::Off)
-                    .1
-            })
+            .map(|_| reg.sample_trace_level(None, TraceLevel::Off).1)
             .collect();
         assert_eq!(
             picks,
             vec![false, false, true, false, false, true, false, false, true]
         );
         // an already-traced request passes through and consumes no tick
-        let (level, sampled) =
-            reg.sample_trace_level("relational", "parallel_cn", TraceLevel::Full);
+        let (level, sampled) = reg.sample_trace_level(None, TraceLevel::Full);
         assert_eq!(level, TraceLevel::Full);
         assert!(!sampled);
-        let (_, next) = reg.sample_trace_level("relational", "parallel_cn", TraceLevel::Off);
+        let (_, next) = reg.sample_trace_level(None, TraceLevel::Off);
         assert!(!next, "tick 10 of every(3) must not fire");
     }
 
@@ -495,7 +515,7 @@ mod tests {
                 i == 0,
                 None,
             );
-            reg.record_flight(rec);
+            record(&reg, rec);
         }
         assert_eq!(reg.flight().len(), 2);
         assert_eq!(
@@ -507,6 +527,50 @@ mod tests {
             reg.counter_value(families::TRACE_SAMPLED, &[("engine", "relational")]),
             1
         );
+    }
+
+    #[test]
+    fn a_drop_is_counted_against_the_overwritten_records_engine() {
+        let reg = MetricsRegistry::with_flight_capacity(1);
+        let stats = kwdb_common::QueryStats::new();
+        for engine in ["relational", "xml", "xml"] {
+            let rec = QueryRecord::new(engine, "any", "q", 1, 1, &stats, None, false, None);
+            record(&reg, rec);
+        }
+        let dropped = |engine| reg.counter_value(families::FLIGHT_DROPPED, &[("engine", engine)]);
+        assert_eq!((dropped("relational"), dropped("xml")), (1, 1));
+        // a record parsed from a dump (owned labels) finds the same counters
+        let mut rec = QueryRecord::new("", "any", "q", 1, 1, &stats, None, true, None);
+        rec.engine = String::from("xml").into();
+        record(&reg, rec);
+        assert_eq!(dropped("xml"), 2);
+        assert_eq!(
+            reg.counter_value(families::TRACE_SAMPLED, &[("engine", "xml")]),
+            1
+        );
+        assert_eq!(
+            reg.snapshot().counters.len(),
+            4,
+            "two engines, two families"
+        );
+    }
+
+    #[test]
+    fn fixed_threshold_promotes_a_class_whose_live_p99_is_slow() {
+        let reg = MetricsRegistry::new();
+        reg.set_sample_policy(SamplePolicy {
+            sample_every: 0,
+            slow_threshold: SlowThreshold::Fixed(std::time::Duration::from_micros(10)),
+            level: TraceLevel::Phases,
+        });
+        let latency = Histogram::new();
+        let promoted = |h: Option<&Histogram>| reg.sample_trace_level(h, TraceLevel::Off).1;
+        assert!(!promoted(None), "a class that sealed nothing is not slow");
+        assert!(!promoted(Some(&latency)), "nor is an empty histogram");
+        latency.record(500);
+        assert!(!promoted(Some(&latency)));
+        latency.record(20_000);
+        assert!(promoted(Some(&latency)));
     }
 
     #[test]
@@ -522,9 +586,10 @@ mod tests {
         let mut slow = kwdb_common::QueryStats::new();
         slow.phases.evaluate = std::time::Duration::from_micros(20);
         for stats in [&fast, &slow] {
-            reg.record_flight(QueryRecord::new(
-                "xml", "slca", "q", 1, 1, stats, None, false, None,
-            ));
+            record(
+                &reg,
+                QueryRecord::new("xml", "slca", "q", 1, 1, stats, None, false, None),
+            );
         }
         let dump = reg.flight().dump();
         assert_eq!(

@@ -40,10 +40,10 @@ use crate::engine::{
     SearchResponse,
 };
 use kwdb_common::{KwdbError, QueryStats, Result};
-use kwdb_obs::{families, MetricsRegistry};
+use kwdb_obs::{families, Counter, Gauge, Histogram, MetricsRegistry};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// A name → engine registry.
@@ -205,6 +205,74 @@ impl DispatchOutcome {
     }
 }
 
+/// How a batch was executed — the `mode` label of the queue-wait histogram.
+#[derive(Clone, Copy)]
+enum Mode {
+    Serial,
+    Concurrent,
+}
+
+/// The dispatcher's registry handles. Like the engines' (see
+/// [`kwdb_obs::EngineInstruments`]), each is looked up once, the first time
+/// the instrument is written, and kept: a dispatched request then costs
+/// three atomic adds here, not three registry lookups and a formatted
+/// worker label.
+struct DispatchInstruments {
+    registry: Arc<MetricsRegistry>,
+    /// By [`Mode`].
+    queue_wait: [OnceLock<Arc<Histogram>>; 2],
+    /// ok, error.
+    requests: [OnceLock<Arc<Counter>>; 2],
+    /// One slot per worker of the pool.
+    worker_requests: Vec<OnceLock<Arc<Counter>>>,
+    inflight: OnceLock<Arc<Gauge>>,
+}
+
+impl DispatchInstruments {
+    fn new(registry: Arc<MetricsRegistry>, workers: usize) -> Self {
+        DispatchInstruments {
+            registry,
+            queue_wait: Default::default(),
+            requests: Default::default(),
+            worker_requests: (0..workers).map(|_| OnceLock::new()).collect(),
+            inflight: OnceLock::new(),
+        }
+    }
+
+    fn queue_wait(&self, mode: Mode) -> &Histogram {
+        self.queue_wait[mode as usize].get_or_init(|| {
+            let mode = match mode {
+                Mode::Serial => "serial",
+                Mode::Concurrent => "concurrent",
+            };
+            self.registry
+                .histogram(families::DISPATCH_QUEUE_WAIT, &[("mode", mode)])
+        })
+    }
+
+    fn requests(&self, ok: bool) -> &Counter {
+        self.requests[usize::from(!ok)].get_or_init(|| {
+            let outcome = if ok { "ok" } else { "error" };
+            self.registry
+                .counter(families::DISPATCH_REQUESTS, &[("outcome", outcome)])
+        })
+    }
+
+    fn worker_requests(&self, worker: usize) -> &Counter {
+        self.worker_requests[worker].get_or_init(|| {
+            self.registry.counter(
+                families::DISPATCH_WORKER_REQUESTS,
+                &[("worker", &worker.to_string())],
+            )
+        })
+    }
+
+    fn inflight(&self) -> &Gauge {
+        self.inflight
+            .get_or_init(|| self.registry.gauge(families::DISPATCH_INFLIGHT, &[]))
+    }
+}
+
 /// Fans batches of requests out over scoped worker threads.
 ///
 /// With a [`MetricsRegistry`] attached ([`Dispatcher::with_registry`]),
@@ -216,7 +284,7 @@ impl DispatchOutcome {
 pub struct Dispatcher {
     catalog: Catalog,
     workers: usize,
-    registry: Option<Arc<MetricsRegistry>>,
+    obs: Option<DispatchInstruments>,
     /// When `false`, every dispatched request is opted out of the engines'
     /// result caches ([`SearchRequest::caching`]).
     result_caching: bool,
@@ -226,11 +294,7 @@ impl Dispatcher {
     /// A dispatcher over `catalog` with one worker per available CPU
     /// (capped at 8).
     pub fn new(catalog: Catalog) -> Self {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-            .min(8);
-        Self::with_workers(catalog, workers)
+        Self::with_workers(catalog, kwdb_common::available_cores().min(8))
     }
 
     /// A dispatcher with an explicit worker count (clamped to ≥ 1).
@@ -238,7 +302,7 @@ impl Dispatcher {
         Dispatcher {
             catalog,
             workers: workers.max(1),
-            registry: None,
+            obs: None,
             result_caching: true,
         }
     }
@@ -257,7 +321,7 @@ impl Dispatcher {
     /// of the engines' own registries: attach the same `Arc` to both to get
     /// one unified snapshot.
     pub fn with_registry(mut self, registry: Arc<MetricsRegistry>) -> Self {
-        self.registry = Some(registry);
+        self.obs = Some(DispatchInstruments::new(registry, self.workers));
         self
     }
 
@@ -301,7 +365,7 @@ impl Dispatcher {
                 let wait = started.elapsed();
                 let mut resp = self.execute_one(name, req);
                 Self::splice_queue_wait(&mut resp, wait);
-                self.record_request("serial", 0, wait, resp.is_ok());
+                self.record_request(Mode::Serial, 0, wait, resp.is_ok());
                 resp
             })
             .collect();
@@ -338,19 +402,16 @@ impl Dispatcher {
                         break;
                     };
                     let wait = started.elapsed();
-                    let inflight = self
-                        .registry
-                        .as_ref()
-                        .map(|reg| reg.gauge(families::DISPATCH_INFLIGHT, &[]));
-                    if let Some(g) = &inflight {
+                    let inflight = self.obs.as_ref().map(DispatchInstruments::inflight);
+                    if let Some(g) = inflight {
                         g.inc();
                     }
                     let mut resp = self.execute_one(name, req);
-                    if let Some(g) = &inflight {
+                    if let Some(g) = inflight {
                         g.dec();
                     }
                     Self::splice_queue_wait(&mut resp, wait);
-                    self.record_request("concurrent", worker, wait, resp.is_ok());
+                    self.record_request(Mode::Concurrent, worker, wait, resp.is_ok());
                     *slots[i].lock().expect("result slot poisoned") = Some(resp);
                 });
             }
@@ -379,18 +440,11 @@ impl Dispatcher {
     }
 
     /// Fold one dispatched request into the registry, if one is attached.
-    fn record_request(&self, mode: &str, worker: usize, wait: Duration, ok: bool) {
-        let Some(reg) = &self.registry else { return };
-        reg.histogram(families::DISPATCH_QUEUE_WAIT, &[("mode", mode)])
-            .record_duration(wait);
-        reg.counter(
-            families::DISPATCH_REQUESTS,
-            &[("outcome", if ok { "ok" } else { "error" })],
-        )
-        .inc();
-        let w = worker.to_string();
-        reg.counter(families::DISPATCH_WORKER_REQUESTS, &[("worker", &w)])
-            .inc();
+    fn record_request(&self, mode: Mode, worker: usize, wait: Duration, ok: bool) {
+        let Some(obs) = &self.obs else { return };
+        obs.queue_wait(mode).record_duration(wait);
+        obs.requests(ok).inc();
+        obs.worker_requests(worker).inc();
     }
 
     fn outcome(responses: Vec<Result<SearchResponse<Hit>>>) -> DispatchOutcome {

@@ -11,7 +11,10 @@
 //! Engines optionally carry a shared [`MetricsRegistry`]
 //! (`with_registry`): every query then also folds its stats into the
 //! fleet-wide counters and latency histograms under
-//! `engine × algorithm` labels — see [`kwdb_obs`].
+//! `engine × algorithm` labels — see [`kwdb_obs`]. The engine keeps the
+//! handle of every instrument a sealed query writes to
+//! ([`EngineInstruments`]), so recording a query is atomic adds, not
+//! registry lookups.
 //!
 //! * [`RelationalEngine::execute`] — DISCOVER/SPARK candidate-network
 //!   search, with a per-engine CN plan cache keyed by schema fingerprint,
@@ -69,15 +72,17 @@ use kwdb_explore::summary::{object_summary, render_summary};
 use kwdb_graph::{DataGraph, NodeId};
 use kwdb_graphsearch::{blinks::Blinks, AnswerTree, BanksI, Dpbf, SearchScratch};
 use kwdb_obs::{
-    families, record_facets, record_generation, record_index_stats, record_query, MetricsRegistry,
-    QueryRecord, QueryTrace, TraceBuilder, TraceLevel,
+    families, record_generation, record_index_stats, Counter, EngineInstruments, FacetOutcome,
+    Gauge, MetricsRegistry, QueryRecord, QueryTrace, TraceBuilder, TraceLevel,
 };
 use kwdb_qclean::segment::{clean_query, ValuePhraseModel};
 use kwdb_qclean::SpellCorrector;
 use kwdb_rank::CorpusStats;
 use kwdb_relational::{Database, ExecStats, Row, TableId, TupleId};
 use kwdb_relsearch::cn::{CandidateNetwork, CnGenConfig, CnGenerator, MaskOracle};
-use kwdb_relsearch::facets::{resolve_facets, resolve_refinements, FacetAccum, FacetRequest};
+use kwdb_relsearch::facets::{
+    resolve_attr, resolve_facets, resolve_refinements, FacetAccum, FacetRequest,
+};
 use kwdb_relsearch::parallel::choose_workers;
 use kwdb_relsearch::pexec::{parallel_topk_planned, EvalScratch};
 use kwdb_relsearch::spark::skyline_sweep_budgeted;
@@ -88,7 +93,7 @@ use kwdb_xml::{XmlIndex, XmlTree};
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 
 /// A uniform search request accepted by all three engines.
 ///
@@ -315,7 +320,8 @@ impl<H> SearchResponse<H> {
 /// algorithm label it runs under, the data generation and segment census it
 /// sees, and the engine's result cache with its sizing hooks.
 struct QueryFrame<'a, H> {
-    registry: Option<&'a MetricsRegistry>,
+    /// The engine's registry attachment, when it has one.
+    obs: Option<&'a EngineInstruments>,
     cache: &'a ResultCache<H>,
     engine: &'static str,
     algorithm: &'static str,
@@ -323,14 +329,17 @@ struct QueryFrame<'a, H> {
     /// relational engine's worker policy decides it mid-run, after planning.
     workers: Cell<usize>,
     generation: u64,
-    segments: SegmentCounts,
+    /// The segment census the flight record stamps — read at the seal, and
+    /// only when there is a registry to seal into.
+    segments: &'a dyn Fn() -> SegmentCounts,
     /// Posting layout slot of the cache key. Graph and XML index layouts are
     /// fixed at engine construction and the cache is per-engine, so theirs is
     /// the constant [`Layout::Plain`].
     layout: Layout,
     /// Zero counts for every requested facet (relational), nothing
-    /// (graph/XML) — see [`Answer::empty`].
-    empty_facets: &'a dyn Fn() -> Vec<FacetCounts>,
+    /// (graph/XML) — see [`Answer::empty`]. Called by the early returns
+    /// only.
+    empty_facets: &'a dyn Fn() -> Result<Vec<FacetCounts>>,
     /// Per-hit heap estimate for the cache's byte budget.
     hit_bytes: fn(&H) -> usize,
 }
@@ -381,6 +390,22 @@ impl<H> Answer<H> {
 /// `run`, its evaluate body, which fills in `stats` and `trace` and is the
 /// cacheable unit: called directly when the cache does not admit the
 /// request, as the singleflight leader's compute when it does.
+///
+/// # What a hit pays
+///
+/// A request answered from the result cache runs, in order: the trace
+/// sampling decision (one policy read and one atomic tick), `parse_query`
+/// and `clean`, the [`ResultKey`] (the sorted terms and the `Debug`
+/// rendering of any facet specs and refinements), one lookup under one
+/// shard lock, the gauge publish (five atomic loads, three stores), one
+/// clone of the cached [`Answer`], and the seal. It does **not** resolve
+/// facet specs or refinements, read the segment census (unless a
+/// registry is attached — the flight record stamps it), build a trace
+/// label, or reach anything in `run`. Everything an engine computes before
+/// calling here is paid by every hit, so it belongs in `run` unless a hit
+/// reads it: the relational engine checks that every facet and refinement
+/// attribute exists (the typed error precedes sampling and the consult, as
+/// it always has) and takes its state lock; the others nothing.
 fn run_query<H: Clone>(
     frame: &QueryFrame<'_, H>,
     req: &SearchRequest,
@@ -393,7 +418,7 @@ fn run_query<H: Clone>(
     ) -> Result<Evaluated<H>>,
 ) -> Result<SearchResponse<H>> {
     let &QueryFrame {
-        registry,
+        obs,
         cache,
         engine,
         algorithm,
@@ -401,20 +426,26 @@ fn run_query<H: Clone>(
     } = frame;
     let mut stats = QueryStats::new();
     let mut sw = Stopwatch::start();
-    let (level, sampled) = effective_trace(registry, engine, algorithm, req.trace);
-    let mut tb = TraceBuilder::new(level, format!("{engine}/{algorithm} {:?}", req.query));
+    let (level, sampled) = match obs {
+        Some(obs) => obs.sample_trace_level(algorithm, req.trace),
+        None => (req.trace, false),
+    };
+    let mut tb = match level {
+        TraceLevel::Off => TraceBuilder::off(),
+        _ => TraceBuilder::new(level, format!("{engine}/{algorithm} {:?}", req.query)),
+    };
 
     tb.phase("parse");
     let keywords = clean(parse_query(&req.query), &mut tb)?;
     stats.phases.parse = sw.lap();
 
     let (answer, truncation) = if keywords.is_empty() {
-        Answer::empty((frame.empty_facets)(), None)
+        Answer::empty((frame.empty_facets)()?, None)
     } else if let Some(reason) = req.budget.truncation() {
         tb.event("budget verdict", || {
             vec![("truncated".into(), reason.to_string())]
         });
-        Answer::empty((frame.empty_facets)(), Some(reason))
+        Answer::empty((frame.empty_facets)()?, Some(reason))
     } else if !cache.admits(req, level) {
         run(&keywords, &mut stats, &mut sw, &mut tb)?
     } else {
@@ -434,7 +465,7 @@ fn run_query<H: Clone>(
             };
             (result, store)
         });
-        cache.publish(registry, engine);
+        cache.publish(obs);
         match looked {
             Looked::Computed(result) => result?,
             Looked::Cached(answer) => {
@@ -464,32 +495,25 @@ fn finish_response<H>(
     trace: TraceBuilder,
 ) -> SearchResponse<H> {
     let trace = trace.finish();
-    if let Some(reg) = frame.registry {
-        // Flight record first: an AutoP99 slow threshold then compares this
-        // query against the traffic recorded *before* it.
-        reg.record_flight(
-            QueryRecord::new(
-                frame.engine,
-                frame.algorithm,
-                &req.query,
-                req.k,
-                frame.workers.get(),
-                &stats,
-                truncation,
-                sampled,
-                trace.clone(),
-            )
-            .with_generation(
-                frame.generation,
-                frame.segments.realtime,
-                frame.segments.sealed,
-            ),
-        );
-        record_query(reg, frame.engine, frame.algorithm, &stats, truncation);
-        if !answer.facets.is_empty() {
-            let values = answer.facets.iter().map(|f| f.values.len() as u64).sum();
-            record_facets(reg, frame.engine, values, answer.facets_exact);
-        }
+    if let Some(obs) = frame.obs {
+        let segments = (frame.segments)();
+        let record = QueryRecord::new(
+            frame.engine,
+            frame.algorithm,
+            &req.query,
+            req.k,
+            frame.workers.get(),
+            &stats,
+            truncation,
+            sampled,
+            trace.clone(),
+        )
+        .with_generation(frame.generation, segments.realtime, segments.sealed);
+        let facets = (!answer.facets.is_empty()).then(|| FacetOutcome {
+            values: answer.facets.iter().map(|f| f.values.len() as u64).sum(),
+            exact: answer.facets_exact,
+        });
+        obs.seal(record, &stats, facets);
     }
     SearchResponse {
         hits: answer.hits,
@@ -498,21 +522,6 @@ fn finish_response<H>(
         trace,
         facets: answer.facets,
         facets_exact: answer.facets_exact,
-    }
-}
-
-/// The effective trace level for one arriving query: the requested level,
-/// possibly upgraded by the registry's sampling policy. Returns
-/// `(level, sampled)`; engines without a registry never promote.
-fn effective_trace(
-    registry: Option<&MetricsRegistry>,
-    engine: &str,
-    algorithm: &str,
-    requested: TraceLevel,
-) -> (TraceLevel, bool) {
-    match registry {
-        Some(reg) => reg.sample_trace_level(engine, algorithm, requested),
-        None => (requested, false),
     }
 }
 
@@ -554,9 +563,39 @@ impl ResultKey {
             algorithm,
             k: req.k,
             layout,
-            facets: format!("{:?}", req.facets),
-            refinements: format!("{:?}", req.refinements),
+            facets: debug_unless_empty(&req.facets),
+            refinements: debug_unless_empty(&req.refinements),
             summaries: req.summaries,
+        }
+    }
+}
+
+/// The `Debug` rendering of a request's facet specs or refinements for the
+/// cache key; the empty list — every non-exploration request — renders as
+/// the empty string, which allocates nothing.
+fn debug_unless_empty<T: std::fmt::Debug>(items: &[T]) -> String {
+    if items.is_empty() {
+        String::new()
+    } else {
+        format!("{items:?}")
+    }
+}
+
+/// The registry handles a result-cache consult publishes through.
+struct ResultCacheInstruments {
+    entries: Arc<Gauge>,
+    bytes: Arc<Gauge>,
+    evictions: Arc<Counter>,
+}
+
+impl ResultCacheInstruments {
+    fn resolve(obs: &EngineInstruments) -> Self {
+        let reg = obs.registry();
+        let labels = [("engine", obs.engine())];
+        ResultCacheInstruments {
+            entries: reg.gauge(families::RESULT_CACHE_ENTRIES, &labels),
+            bytes: reg.gauge(families::RESULT_CACHE_BYTES, &labels),
+            evictions: reg.counter(families::RESULT_CACHE_EVICTIONS, &labels),
         }
     }
 }
@@ -567,6 +606,8 @@ impl ResultKey {
 struct ResultCache<H> {
     cache: ShardedCache<ResultKey, Arc<Answer<H>>>,
     evictions_seen: AtomicU64,
+    /// Resolved at the first consult with a registry attached.
+    instruments: OnceLock<ResultCacheInstruments>,
 }
 
 impl<H> ResultCache<H> {
@@ -574,6 +615,7 @@ impl<H> ResultCache<H> {
         ResultCache {
             cache: ShardedCache::new(cfg),
             evictions_seen: AtomicU64::new(0),
+            instruments: OnceLock::new(),
         }
     }
 
@@ -595,17 +637,16 @@ impl<H> ResultCache<H> {
 
     /// Push the entries/bytes gauges and the eviction-counter delta after
     /// a consult.
-    fn publish(&self, registry: Option<&MetricsRegistry>, engine: &'static str) {
-        let Some(reg) = registry else { return };
+    fn publish(&self, obs: Option<&EngineInstruments>) {
+        let Some(obs) = obs else { return };
+        let to = self
+            .instruments
+            .get_or_init(|| ResultCacheInstruments::resolve(obs));
         let stats = self.cache.stats();
-        let labels = [("engine", engine)];
-        reg.gauge(families::RESULT_CACHE_ENTRIES, &labels)
-            .set(stats.entries as i64);
-        reg.gauge(families::RESULT_CACHE_BYTES, &labels)
-            .set(stats.bytes as i64);
+        to.entries.set(stats.entries as i64);
+        to.bytes.set(stats.bytes as i64);
         let seen = self.evictions_seen.swap(stats.evictions, Ordering::Relaxed);
-        reg.counter(families::RESULT_CACHE_EVICTIONS, &labels)
-            .add(stats.evictions.saturating_sub(seen));
+        to.evictions.add(stats.evictions.saturating_sub(seen));
     }
 }
 
@@ -868,7 +909,13 @@ pub struct RelationalEngine {
     state: RwLock<EngineState>,
     cfg: RelationalConfig,
     cn_cache: RwLock<HashMap<CnCacheKey, Arc<Vec<CandidateNetwork>>>>,
-    registry: Option<Arc<MetricsRegistry>>,
+    /// See [`resolved_workers`](Self::resolved_workers); fixed at
+    /// construction.
+    worker_cap: usize,
+    obs: Option<EngineInstruments>,
+    /// `kwdb_tupleset_cache_{hits,misses}_total`, resolved at the first
+    /// computed query that reads through the term cache.
+    tupleset_counters: OnceLock<[Arc<Counter>; 2]>,
     /// Worker evaluation scratch (join buffer reuse), shared
     /// across queries — workers check out one `EvalScratch` each.
     scratch: ScratchPool<EvalScratch>,
@@ -914,7 +961,12 @@ impl RelationalEngine {
             state: RwLock::new(EngineState { db, corpus }),
             cfg,
             cn_cache: RwLock::new(HashMap::new()),
-            registry: None,
+            worker_cap: match cfg.intra_query_workers {
+                0 => kwdb_common::available_cores().min(8),
+                pinned => pinned,
+            },
+            obs: None,
+            tupleset_counters: OnceLock::new(),
             scratch: ScratchPool::new(),
             clean: RwLock::new(None),
             merges_seen: AtomicU64::new(merges_seen),
@@ -927,16 +979,11 @@ impl RelationalEngine {
     /// [`RelationalConfig::intra_query_workers`] itself (every query then
     /// runs on exactly that many), else available parallelism capped at 8
     /// (matching the dispatcher's sizing) — the cap under which the auto
-    /// policy ([`choose_workers`]) picks per query.
+    /// policy ([`choose_workers`]) picks per query. Resolved once, when the
+    /// engine is built: asking the operating system costs more than a
+    /// result-cache hit does.
     pub fn resolved_workers(&self) -> usize {
-        if self.cfg.intra_query_workers > 0 {
-            self.cfg.intra_query_workers
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(8)
-        }
+        self.worker_cap
     }
 
     /// Record every query (and plan-cache activity) into `registry`, and
@@ -964,8 +1011,16 @@ impl RelationalEngine {
         registry
             .gauge(families::INTRA_WORKERS, &[("engine", "relational")])
             .set(self.resolved_workers() as i64);
-        self.registry = Some(registry);
+        self.obs = Some(EngineInstruments::new(
+            registry,
+            "relational",
+            &["parallel_cn", "spark"],
+        ));
         self
+    }
+
+    fn registry(&self) -> Option<&MetricsRegistry> {
+        self.obs.as_ref().map(|obs| &**obs.registry())
     }
 
     /// A handle to the database this engine queries — a snapshot of the
@@ -1007,7 +1062,7 @@ impl RelationalEngine {
         let db = Arc::make_mut(&mut st.db);
         let id = db.ingest(table, row)?;
         Arc::make_mut(&mut st.corpus).add_doc(&db.tuple_tokens(id));
-        if let Some(reg) = &self.registry {
+        if let Some(reg) = self.registry() {
             reg.counter(families::INGESTED_TUPLES, &[("engine", "relational")])
                 .inc();
         }
@@ -1069,7 +1124,7 @@ impl RelationalEngine {
             (ix.segment_counts(), ix.merges())
         });
         let seen = self.merges_seen.swap(merges, Ordering::Relaxed);
-        if let Some(reg) = &self.registry {
+        if let Some(reg) = self.registry() {
             record_generation(
                 reg,
                 "relational",
@@ -1095,26 +1150,33 @@ impl RelationalEngine {
         // An explicit worker count is honoured exactly; auto lets the cost
         // of the plan decide, up to this cap, and starts from the calling
         // thread alone.
-        let worker_cap = self.resolved_workers();
+        let worker_cap = self.worker_cap;
         let auto_workers = self.cfg.intra_query_workers == 0;
 
         // Facet and refinement attributes are schema references, not query
-        // keywords: resolve them up front so an unknown `table.column`
-        // fails the request with a typed error instead of silently counting
-        // nothing. Resolution is independent of the keyword set, so
-        // drill-downs reuse the CN plan cache untouched.
-        let facets = resolve_facets(&st.db, &req.facets)?;
-        let refinements = resolve_refinements(&st.db, &req.refinements)?;
-        let freq = FacetRequest {
-            facets: &facets,
-            refinements: &refinements,
+        // keywords: an unknown `table.column` fails the request with a typed
+        // error — before anything is sampled, consulted or sealed — instead
+        // of silently counting nothing. Checking is all a hit needs (two
+        // schema lookups per attribute, no allocation); *resolving* them
+        // clones the specs, so that waits for whoever reads the result: the
+        // evaluate body, or `empty_facets` for the early returns.
+        for attr in (req.facets.iter().map(FacetSpec::attr))
+            .chain(req.refinements.iter().map(Refinement::attr))
+        {
+            resolve_attr(&st.db, attr)?;
+        }
+        let empty_facets = || -> Result<Vec<FacetCounts>> {
+            let facets = resolve_facets(&st.db, &req.facets)?;
+            Ok(FacetAccum::new(facets.len()).finish(&facets))
         };
-        // Zero counts for every requested facet — what an empty result set
-        // faceted over looks like; the early returns hand these back.
-        let zero_counts = || FacetAccum::new(facets.len()).finish(&facets);
+        let segments = || {
+            st.db
+                .text_index()
+                .map_or(SegmentCounts::default(), |ix| ix.segment_counts())
+        };
 
         let frame = QueryFrame {
-            registry: self.registry.as_deref(),
+            obs: self.obs.as_ref(),
             cache: &self.result_cache,
             engine: "relational",
             algorithm: match scoring {
@@ -1123,12 +1185,9 @@ impl RelationalEngine {
             },
             workers: Cell::new(if auto_workers { 1 } else { worker_cap }),
             generation: st.db.generation(),
-            segments: st
-                .db
-                .text_index()
-                .map_or(SegmentCounts::default(), |ix| ix.segment_counts()),
+            segments: &segments,
             layout: self.cfg.posting_layout,
-            empty_facets: &zero_counts,
+            empty_facets: &empty_facets,
             hit_bytes: relational_hit_bytes,
         };
 
@@ -1164,15 +1223,31 @@ impl RelationalEngine {
                    tb: &mut TraceBuilder|
          -> Result<Evaluated<RelationalHit>> {
             tb.phase("build");
+            // Resolution is independent of the keyword set, so drill-downs
+            // reuse the CN plan cache untouched.
+            let facets = resolve_facets(&st.db, &req.facets)?;
+            let refinements = resolve_refinements(&st.db, &req.refinements)?;
+            let freq = FacetRequest {
+                facets: &facets,
+                refinements: &refinements,
+            };
+            // Zero counts for every requested facet — what an empty result
+            // set faceted over looks like.
+            let zero_counts = || FacetAccum::new(facets.len()).finish(&facets);
+
             let ts = if self.cfg.result_cache.enabled {
                 let (ts, ts_hits, ts_misses) =
                     TupleSets::build_cached(&st.db, keywords, &self.tupleset_cache)?;
-                if let Some(reg) = frame.registry {
-                    let labels = [("engine", "relational")];
-                    reg.counter(families::TUPLESET_CACHE_HITS, &labels)
-                        .add(ts_hits);
-                    reg.counter(families::TUPLESET_CACHE_MISSES, &labels)
-                        .add(ts_misses);
+                if let Some(reg) = self.registry() {
+                    let [hits, misses] = self.tupleset_counters.get_or_init(|| {
+                        let labels = [("engine", "relational")];
+                        [
+                            reg.counter(families::TUPLESET_CACHE_HITS, &labels),
+                            reg.counter(families::TUPLESET_CACHE_MISSES, &labels),
+                        ]
+                    });
+                    hits.add(ts_hits);
+                    misses.add(ts_misses);
                 }
                 ts
             } else {
@@ -1408,7 +1483,7 @@ impl RelationalEngine {
             evicted = true;
         }
         cache.insert(key, Arc::clone(&cns));
-        if let Some(reg) = &self.registry {
+        if let Some(reg) = self.registry() {
             let labels = [("engine", "relational")];
             reg.counter(families::PLAN_CACHE_GENERATIONS, &labels).inc();
             if evicted {
@@ -1550,7 +1625,7 @@ pub struct GraphEngine {
     /// How many generations the cached BLINKS index may lag before a
     /// DistinctRoot query rebuilds it. `0` (default) = any change rebuilds.
     staleness_bound: u64,
-    registry: Option<Arc<MetricsRegistry>>,
+    obs: Option<EngineInstruments>,
     /// Cumulative keyword-index merges already published to the registry.
     merges_seen: AtomicU64,
     /// Generation-keyed whole-response cache (see
@@ -1570,7 +1645,7 @@ impl GraphEngine {
             g: RwLock::new(g),
             index: RwLock::new(None),
             staleness_bound: 0,
-            registry: None,
+            obs: None,
             merges_seen: AtomicU64::new(merges_seen),
             result_cache: ResultCache::new(CacheConfig::default()),
             scratch: ScratchPool::new(),
@@ -1623,7 +1698,11 @@ impl GraphEngine {
                 0,
             );
         }
-        self.registry = Some(registry);
+        self.obs = Some(EngineInstruments::new(
+            registry,
+            "graph",
+            &["dpbf", "banks", "blinks"],
+        ));
         self
     }
 
@@ -1669,7 +1748,8 @@ impl GraphEngine {
     fn publish_generation(&self, g: &DataGraph) {
         let merges = g.keyword_index_merges();
         let seen = self.merges_seen.swap(merges, Ordering::Relaxed);
-        if let Some(reg) = &self.registry {
+        if let Some(obs) = &self.obs {
+            let reg = obs.registry();
             let segments = g.keyword_segment_counts();
             record_generation(
                 reg,
@@ -1717,8 +1797,9 @@ impl GraphEngine {
         let g = &*g;
         let budget = &req.budget;
         let semantics = req.semantics.unwrap_or(GraphSemantics::Banks);
+        let segments = || g.keyword_segment_counts();
         let frame = QueryFrame {
-            registry: self.registry.as_deref(),
+            obs: self.obs.as_ref(),
             cache: &self.result_cache,
             engine: "graph",
             algorithm: match semantics {
@@ -1728,9 +1809,9 @@ impl GraphEngine {
             },
             workers: Cell::new(1),
             generation: g.generation(),
-            segments: g.keyword_segment_counts(),
+            segments: &segments,
             layout: Layout::Plain,
-            empty_facets: &Vec::new,
+            empty_facets: &|| Ok(Vec::new()),
             hit_bytes: graph_hit_bytes,
         };
         let run = |keywords: &[String],
@@ -1782,8 +1863,8 @@ impl GraphEngine {
                         stats.cache_hits = 1;
                     } else {
                         stats.cache_misses = 1;
-                        if let Some(reg) = frame.registry {
-                            record_index_stats(reg, "graph_node2kw", &ix.index_stats());
+                        if let Some(obs) = frame.obs {
+                            record_index_stats(obs.registry(), "graph_node2kw", &ix.index_stats());
                         }
                     }
                     tb.event("node-keyword index", || {
@@ -1842,7 +1923,7 @@ pub struct XmlHit {
 /// `Send + Sync` and the index can never outlive or diverge from its tree.
 pub struct XmlEngine {
     data: Arc<(XmlTree, XmlIndex)>,
-    registry: Option<Arc<MetricsRegistry>>,
+    obs: Option<EngineInstruments>,
     /// Whole-response cache (see [`RelationalConfig::result_cache`] for
     /// the shared semantics). The tree is immutable, so entries only ever
     /// age out through the LRU budget — generation is pinned to 0.
@@ -1874,7 +1955,7 @@ impl XmlEngine {
     pub fn from_arc(data: Arc<(XmlTree, XmlIndex)>) -> Self {
         XmlEngine {
             data,
-            registry: None,
+            obs: None,
             result_cache: ResultCache::new(CacheConfig::default()),
         }
     }
@@ -1890,7 +1971,7 @@ impl XmlEngine {
     /// index's build/size figures up front.
     pub fn with_registry(mut self, registry: Arc<MetricsRegistry>) -> Self {
         record_index_stats(&registry, "xml_keyword", &self.data.1.index_stats());
-        self.registry = Some(registry);
+        self.obs = Some(EngineInstruments::new(registry, "xml", &["slca"]));
         self
     }
 
@@ -1903,8 +1984,9 @@ impl XmlEngine {
     pub fn execute(&self, req: &SearchRequest) -> Result<SearchResponse<XmlHit>> {
         let (tree, index) = &*self.data;
         let budget = &req.budget;
+        let segments = || index.segment_counts();
         let frame = QueryFrame {
-            registry: self.registry.as_deref(),
+            obs: self.obs.as_ref(),
             cache: &self.result_cache,
             engine: "xml",
             algorithm: "slca",
@@ -1913,9 +1995,9 @@ impl XmlEngine {
             // census is real (the keyword index is segment-backed like the
             // others).
             generation: 0,
-            segments: index.segment_counts(),
+            segments: &segments,
             layout: Layout::Plain,
-            empty_facets: &Vec::new,
+            empty_facets: &|| Ok(Vec::new()),
             hit_bytes: xml_hit_bytes,
         };
         let run = |keywords: &[String],

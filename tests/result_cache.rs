@@ -151,6 +151,54 @@ fn refinements_and_facets_key_separate_entries() {
     );
 }
 
+#[test]
+fn an_unknown_attribute_is_a_typed_error_even_beside_a_warm_entry() {
+    // A hit resolves no facet spec, but it still checks that the attributes
+    // exist: the same keywords with a facet or refinement the schema does
+    // not have must fail as they would on a cold engine — before anything
+    // is sampled, consulted or sealed — not be answered from a neighbouring
+    // entry or come back with a facet silently dropped.
+    let registry = Arc::new(MetricsRegistry::new());
+    let engine =
+        engine_with(Layout::Plain, 1, CacheConfig::default()).with_registry(Arc::clone(&registry));
+    let warm = faceted("data query");
+    engine.execute(&warm).unwrap();
+    assert_eq!(engine.execute(&warm).unwrap().stats.result_cache_hits, 1);
+    let sealed = registry.flight().appended();
+
+    let bad_facet = warm.clone().facet(FacetSpec::terms("conference.nope", 3));
+    let bad_refinement = warm.clone().refine(kwdb::relsearch::Refinement::Term {
+        attr: "nope.name".into(),
+        value: "VLDB".into(),
+    });
+    let malformed = SearchRequest::new("data query").facet(FacetSpec::terms("conference", 3));
+    for (req, names) in [
+        (&bad_facet, "conference.nope"),
+        (&bad_refinement, "nope"),
+        (&malformed, "table.column"),
+    ] {
+        let err = engine.execute(req).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                kwdb_common::KwdbError::UnknownObject(_) | kwdb_common::KwdbError::InvalidQuery(_)
+            ),
+            "typed error, got {err:?}"
+        );
+        assert!(err.to_string().contains(names), "{err} names {names:?}");
+    }
+    // the empty query takes the early return, not the evaluate body
+    assert!(engine
+        .execute(&SearchRequest::new("").facet(FacetSpec::terms("conference.nope", 3)))
+        .is_err());
+    assert_eq!(
+        registry.flight().appended(),
+        sealed,
+        "a rejected request seals nothing"
+    );
+    assert_eq!(engine.execute(&warm).unwrap().stats.result_cache_hits, 1);
+}
+
 // ---- staleness: mutation is the only invalidation protocol ---------------
 
 #[test]
