@@ -4,7 +4,6 @@
 //! records the outputs next to the paper's claims.
 
 pub mod experiments;
-pub mod harness;
 
 /// One experiment's regenerated "table".
 #[derive(Debug, Clone)]

@@ -74,8 +74,9 @@ impl Default for CacheConfig {
 }
 
 impl CacheConfig {
-    /// A switched-off cache: the determinism suites pin this, mirroring
-    /// how they pin `intra_query_workers = 1`.
+    /// A switched-off cache: the per-engine spelling of "cache off" (one
+    /// request opts out with `SearchRequest::caching(false)`; there is no
+    /// third, fleet-wide switch). Consults are skipped and count nothing.
     pub fn disabled() -> Self {
         CacheConfig {
             enabled: false,

@@ -14,11 +14,8 @@
 //! * [`hub`] — the hub-based distance index of Goldman et al. (VLDB 98):
 //!   `d(x,y) = min(d*(x,y), d*(x,A) + d_H(A,B) + d*(B,y))`;
 //! * [`node2kw`] — node-to-keyword distance lists (the SLINKS/BLINKS index),
-//!   with distance-sorted cursors for threshold-algorithm consumption;
-//! * [`blocks`] — BFS block partitioning with portal nodes, the BLINKS
-//!   bi-level layout.
+//!   with distance-sorted cursors for threshold-algorithm consumption.
 
-pub mod blocks;
 pub mod graph;
 pub mod hub;
 pub mod node2kw;

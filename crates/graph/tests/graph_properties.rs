@@ -1,9 +1,8 @@
 //! Property tests over random graphs: the hub index must always agree with
-//! Dijkstra, block partitions must cover every node exactly once, and the
-//! keyword-distance index must match direct shortest-path computation.
+//! Dijkstra, and the keyword-distance index must match direct shortest-path
+//! computation.
 
 use kwdb_common::Rng;
-use kwdb_graph::blocks::BlockPartition;
 use kwdb_graph::hub::{HubIndex, HubSelection};
 use kwdb_graph::shortest::distance;
 use kwdb_graph::{DataGraph, NodeId, NodeKeywordIndex};
@@ -55,34 +54,6 @@ fn hub_index_always_exact() {
                     "hub index wrong for {a:?}→{b:?}"
                 );
             }
-        }
-    }
-}
-
-#[test]
-fn block_partition_covers_exactly_once() {
-    let mut rng = Rng::seed_from_u64(72);
-    for _ in 0..40 {
-        let n = rng.gen_range(1usize..30);
-        let edges = rand_edges(&mut rng, 0, 40);
-        let blocks = rng.gen_range(1usize..6);
-        let g = build_graph(n, &edges, &[]);
-        let p = BlockPartition::build(&g, blocks);
-        assert_eq!(p.block_of.len(), n);
-        let total: usize = p.blocks.iter().map(|b| b.len()).sum();
-        assert_eq!(total, n);
-        // consistency between the two views
-        for (bi, members) in p.blocks.iter().enumerate() {
-            for m in members {
-                assert_eq!(p.block_of[m], bi);
-            }
-        }
-        // portals really have cross-block edges
-        for &u in &p.portals {
-            assert!(g
-                .neighbors(u)
-                .iter()
-                .any(|&(v, _)| p.block_of[&u] != p.block_of[&v]));
         }
     }
 }

@@ -8,10 +8,9 @@
 //! round-robin the sorted lists, complete each discovered root by random
 //! access, and stop once the k-th best cost is below the threshold
 //! `Σᵢ d̄ᵢ` of current sorted-access depths — every unseen root must cost at
-//! least that. This is the single-level ("SLINKS") layout; the bi-level
-//! BLINKS partitioning is available as
-//! [`kwdb_graph::blocks::BlockPartition`] and changes index layout, not the
-//! TA logic.
+//! least that. This is the single-level ("SLINKS") layout; BLINKS'
+//! bi-level block partitioning would change the index layout, not the TA
+//! logic.
 //!
 //! Both access paths are array reads ([`kwdb_graph::node2kw`]); the set of
 //! roots already scored and the Dijkstra that turns a root into its tree run

@@ -285,9 +285,6 @@ pub struct Dispatcher {
     catalog: Catalog,
     workers: usize,
     obs: Option<DispatchInstruments>,
-    /// When `false`, every dispatched request is opted out of the engines'
-    /// result caches ([`SearchRequest::caching`]).
-    result_caching: bool,
 }
 
 impl Dispatcher {
@@ -303,18 +300,7 @@ impl Dispatcher {
             catalog,
             workers: workers.max(1),
             obs: None,
-            result_caching: true,
         }
-    }
-
-    /// Fleet-wide result-cache switch for dispatched requests: with `false`
-    /// every request is cloned with [`SearchRequest::caching`] off before it
-    /// reaches an engine, so a whole dispatcher can be made cache-free
-    /// (determinism suites, benchmarks) without touching engine configs.
-    /// Default `true`: each engine's own [`kwdb_common::CacheConfig`] rules.
-    pub fn with_result_caching(mut self, on: bool) -> Self {
-        self.result_caching = on;
-        self
     }
 
     /// Record dispatch-level metrics into `registry`. This is independent
@@ -346,15 +332,6 @@ impl Dispatcher {
         self.catalog.commit(name)
     }
 
-    /// Execute one request, honoring the dispatcher's result-cache switch.
-    fn execute_one(&self, name: &str, req: &SearchRequest) -> Result<SearchResponse<Hit>> {
-        if self.result_caching {
-            self.catalog.execute(name, req)
-        } else {
-            self.catalog.execute(name, &req.clone().caching(false))
-        }
-    }
-
     /// Execute the whole batch on the calling thread. The reference
     /// behavior `execute_concurrent` is tested against.
     pub fn execute_serial(&self, batch: &[(String, SearchRequest)]) -> DispatchOutcome {
@@ -363,7 +340,7 @@ impl Dispatcher {
             .iter()
             .map(|(name, req)| {
                 let wait = started.elapsed();
-                let mut resp = self.execute_one(name, req);
+                let mut resp = self.catalog.execute(name, req);
                 Self::splice_queue_wait(&mut resp, wait);
                 self.record_request(Mode::Serial, 0, wait, resp.is_ok());
                 resp
@@ -406,7 +383,7 @@ impl Dispatcher {
                     if let Some(g) = inflight {
                         g.inc();
                     }
-                    let mut resp = self.execute_one(name, req);
+                    let mut resp = self.catalog.execute(name, req);
                     if let Some(g) = inflight {
                         g.dec();
                     }
@@ -652,34 +629,5 @@ mod tests {
         for (x, y) in a.iter().zip(b) {
             assert_eq!(x.score(), y.score());
         }
-    }
-
-    #[test]
-    fn dispatcher_result_caching_switch_opts_every_request_out() {
-        let mut c = Catalog::new();
-        c.register(
-            "dblp",
-            RelationalEngine::new(generate_dblp(&DblpConfig {
-                n_papers: 40,
-                n_authors: 20,
-                ..Default::default()
-            })),
-        );
-        let d = Dispatcher::with_workers(c, 2).with_result_caching(false);
-        let batch = vec![
-            ("dblp".to_string(), SearchRequest::new("data query").k(2)),
-            ("dblp".to_string(), SearchRequest::new("data query").k(2)),
-        ];
-        let out = d.execute_concurrent(&batch);
-        assert!(out.responses.iter().all(|r| r.is_ok()));
-        assert_eq!(
-            (out.totals.result_cache_hits, out.totals.result_cache_misses),
-            (0, 0),
-            "caching off ⇒ the result cache is never consulted"
-        );
-        // Both queries reach the planner: one plan miss and one plan hit,
-        // in either arrival order.
-        assert_eq!(out.totals.cache_misses, 1);
-        assert_eq!(out.totals.cache_hits, 1);
     }
 }

@@ -1,0 +1,366 @@
+//! The query frame: the one pipeline all three engines share.
+//!
+//! An engine fills in a [`QueryFrame`] (its labels, generation, result cache
+//! and sizing hooks) and hands [`run_query`] two closures — `clean` over the
+//! parsed keywords and `run`, its evaluate body. The frame owns everything
+//! else: trace sampling, parsing, the early returns, the result-cache
+//! consult and the seal ([`finish_response`]).
+
+use super::{SearchRequest, SearchResponse};
+use kwdb_common::index::SegmentCounts;
+use kwdb_common::text::parse_query;
+use kwdb_common::{
+    CacheConfig, FacetCounts, Looked, QueryStats, Result, ShardedCache, Stopwatch, TruncationReason,
+};
+use kwdb_obs::{
+    families, Counter, EngineInstruments, FacetOutcome, Gauge, QueryRecord, TraceBuilder,
+    TraceLevel,
+};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
+
+/// Everything the query frame ([`run_query`]) needs to know about one
+/// arriving query that is not in the [`SearchRequest`]: which engine and
+/// algorithm label it runs under, the data generation and segment census it
+/// sees, and the engine's result cache with its sizing hooks.
+pub(super) struct QueryFrame<'a, H> {
+    /// The engine's registry attachment, when it has one.
+    pub(super) obs: Option<&'a EngineInstruments>,
+    pub(super) cache: &'a ResultCache<H>,
+    pub(super) engine: &'static str,
+    pub(super) algorithm: &'static str,
+    /// Threads evaluating this query, as the flight record reports it. The
+    /// relational engine's worker policy decides it mid-run, after planning.
+    pub(super) workers: Cell<usize>,
+    pub(super) generation: u64,
+    /// The segment census the flight record stamps — read at the seal, and
+    /// only when there is a registry to seal into.
+    pub(super) segments: &'a dyn Fn() -> SegmentCounts,
+    /// Zero counts for every requested facet (relational), nothing
+    /// (graph/XML) — see [`Answer::empty`]. Called by the early returns
+    /// only.
+    pub(super) empty_facets: &'a dyn Fn() -> Result<Vec<FacetCounts>>,
+    /// Per-hit heap estimate for the cache's byte budget.
+    pub(super) hit_bytes: fn(&H) -> usize,
+}
+
+/// The data-dependent part of a response — what the result cache stores
+/// and an engine's evaluate body produces. Stats, truncation, and trace are
+/// *per-execution* observations and are never cached: a hit re-stamps fresh
+/// [`QueryStats`] (near-zero phase timings, `result_cache_hits = 1`).
+#[derive(Clone)]
+pub(super) struct Answer<H> {
+    pub(super) hits: Vec<H>,
+    pub(super) facets: Vec<FacetCounts>,
+    pub(super) facets_exact: bool,
+}
+
+/// What an engine's evaluate body hands back to the frame: the answer and
+/// this execution's truncation verdict.
+pub(super) type Evaluated<H> = (Answer<H>, Option<TruncationReason>);
+
+impl<H> Answer<H> {
+    /// Hits from an engine without facet support.
+    pub(super) fn unfaceted(hits: Vec<H>) -> Self {
+        Answer {
+            hits,
+            facets: Vec::new(),
+            facets_exact: true,
+        }
+    }
+
+    /// No hits. `zero_counts` is what an empty result set faceted over
+    /// looks like — exact when the query ran out of matches, not when a
+    /// budget cut it short before anything could be counted.
+    pub(super) fn empty(
+        zero_counts: Vec<FacetCounts>,
+        truncation: Option<TruncationReason>,
+    ) -> Evaluated<H> {
+        let none = Answer {
+            hits: Vec::new(),
+            facets_exact: truncation.is_none() || zero_counts.is_empty(),
+            facets: zero_counts,
+        };
+        (none, truncation)
+    }
+}
+
+/// The one query pipeline all three engines share. It owns trace sampling,
+/// the parse phase, the empty-query and exhausted-budget early returns, the
+/// result-cache consult (admit → key → singleflight compute → store, or hit
+/// re-stamp) and the seal; the engine supplies `clean` (a hook over the
+/// parsed keywords — identity except for relational query cleaning) and
+/// `run`, its evaluate body, which fills in `stats` and `trace` and is the
+/// cacheable unit: called directly when the cache does not admit the
+/// request, as the singleflight leader's compute when it does.
+///
+/// # What a hit pays
+///
+/// A request answered from the result cache runs, in order: the trace
+/// sampling decision (one policy read and one atomic tick), `parse_query`
+/// and `clean`, the [`ResultKey`] (the sorted terms and the `Debug`
+/// rendering of any facet specs and refinements), one lookup under one
+/// shard lock, the gauge publish (five atomic loads, three stores), one
+/// clone of the cached [`Answer`], and the seal. It does **not** resolve
+/// facet specs or refinements, read the segment census (unless a
+/// registry is attached — the flight record stamps it), build a trace
+/// label, or reach anything in `run`. Everything an engine computes before
+/// calling here is paid by every hit, so it belongs in `run` unless a hit
+/// reads it: the relational engine checks that every facet and refinement
+/// attribute exists (the typed error precedes sampling and the consult, as
+/// it always has) and takes its state lock; the others nothing.
+pub(super) fn run_query<H: Clone>(
+    frame: &QueryFrame<'_, H>,
+    req: &SearchRequest,
+    clean: impl FnOnce(Vec<String>, &mut TraceBuilder) -> Result<Vec<String>>,
+    run: impl FnOnce(
+        &[String],
+        &mut QueryStats,
+        &mut Stopwatch,
+        &mut TraceBuilder,
+    ) -> Result<Evaluated<H>>,
+) -> Result<SearchResponse<H>> {
+    let &QueryFrame {
+        obs,
+        cache,
+        engine,
+        algorithm,
+        ..
+    } = frame;
+    let mut stats = QueryStats::new();
+    let mut sw = Stopwatch::start();
+    let (level, sampled) = match obs {
+        Some(obs) => obs.sample_trace_level(algorithm, req.trace),
+        None => (req.trace, false),
+    };
+    let mut tb = match level {
+        TraceLevel::Off => TraceBuilder::off(),
+        _ => TraceBuilder::new(level, format!("{engine}/{algorithm} {:?}", req.query)),
+    };
+
+    tb.phase("parse");
+    let keywords = clean(parse_query(&req.query), &mut tb)?;
+    stats.phases.parse = sw.lap();
+
+    let (answer, truncation) = if keywords.is_empty() {
+        Answer::empty((frame.empty_facets)()?, None)
+    } else if let Some(reason) = req.budget.truncation() {
+        tb.event("budget verdict", || {
+            vec![("truncated".into(), reason.to_string())]
+        });
+        Answer::empty((frame.empty_facets)()?, Some(reason))
+    } else if !cache.admits(req, level) {
+        run(&keywords, &mut stats, &mut sw, &mut tb)?
+    } else {
+        let key = ResultKey::new(frame.generation, &keywords, algorithm, req);
+        let looked = cache.cache.get_or_compute(key, || {
+            stats.result_cache_misses = 1;
+            let result = run(&keywords, &mut stats, &mut sw, &mut tb);
+            let store = match &result {
+                // Only complete answers enter the cache; `admits` already
+                // keeps constrained budgets out, so truncation here is
+                // impossible — this is a belt-and-braces guard.
+                Ok((answer, None)) => Some((
+                    Arc::new(answer.clone()),
+                    cached_bytes(&answer.hits, frame.hit_bytes, &answer.facets),
+                )),
+                _ => None,
+            };
+            (result, store)
+        });
+        cache.publish(obs);
+        match looked {
+            Looked::Computed(result) => result?,
+            Looked::Cached(answer) => {
+                stats.result_cache_hits = 1;
+                ((*answer).clone(), None)
+            }
+        }
+    };
+    Ok(finish_response(
+        frame, req, sampled, answer, stats, truncation, tb,
+    ))
+}
+
+/// Seal a response: fold the stats into the registry (when the engine
+/// carries one), append the query's flight record, and close the trace.
+/// Every path through [`run_query`] — early return, hit, or full pipeline —
+/// ends here, so registry totals always equal the sum of the per-query
+/// `QueryStats` handed back to callers, and the flight recorder sees every
+/// query.
+fn finish_response<H>(
+    frame: &QueryFrame<'_, H>,
+    req: &SearchRequest,
+    sampled: bool,
+    answer: Answer<H>,
+    stats: QueryStats,
+    truncation: Option<TruncationReason>,
+    trace: TraceBuilder,
+) -> SearchResponse<H> {
+    let trace = trace.finish();
+    if let Some(obs) = frame.obs {
+        let segments = (frame.segments)();
+        let record = QueryRecord::new(
+            frame.engine,
+            frame.algorithm,
+            &req.query,
+            req.k,
+            frame.workers.get(),
+            &stats,
+            truncation,
+            sampled,
+            trace.clone(),
+        )
+        .with_generation(frame.generation, segments.realtime, segments.sealed);
+        let facets = (!answer.facets.is_empty()).then(|| FacetOutcome {
+            values: answer.facets.iter().map(|f| f.values.len() as u64).sum(),
+            exact: answer.facets_exact,
+        });
+        obs.seal(record, &stats, facets);
+    }
+    SearchResponse {
+        hits: answer.hits,
+        stats,
+        truncation,
+        trace,
+        facets: answer.facets,
+        facets_exact: answer.facets_exact,
+    }
+}
+
+/// Key of one result-cache entry. The **generation** component makes
+/// mutation the only invalidation protocol: a successful
+/// ingest/delete/commit bumps the engine's generation, stale entries stop
+/// matching, and the byte-budgeted LRU ages them out. `terms` is the
+/// normalized keyword **multiset** (sorted, duplicates kept) *after* query
+/// cleaning, so `"query data"`, `"data query"`, and a misspelling the
+/// cleaner maps onto the same terms all share one entry. Facet specs and
+/// refinements are canonicalized through their `Debug` rendering — they
+/// are plain data enums, so the rendering is total and injective enough
+/// for a cache key. Nothing about the index's physical form is in the key:
+/// a cache belongs to one engine, and an engine serves the posting layout
+/// its data arrived in for as long as it lives.
+#[derive(Clone, PartialEq, Eq, Hash)]
+struct ResultKey {
+    generation: u64,
+    terms: Vec<String>,
+    algorithm: &'static str,
+    k: usize,
+    facets: String,
+    refinements: String,
+    summaries: usize,
+}
+
+impl ResultKey {
+    fn new(
+        generation: u64,
+        keywords: &[String],
+        algorithm: &'static str,
+        req: &SearchRequest,
+    ) -> Self {
+        let mut terms = keywords.to_vec();
+        terms.sort();
+        ResultKey {
+            generation,
+            terms,
+            algorithm,
+            k: req.k,
+            facets: debug_unless_empty(&req.facets),
+            refinements: debug_unless_empty(&req.refinements),
+            summaries: req.summaries,
+        }
+    }
+}
+
+/// The `Debug` rendering of a request's facet specs or refinements for the
+/// cache key; the empty list — every non-exploration request — renders as
+/// the empty string, which allocates nothing.
+fn debug_unless_empty<T: std::fmt::Debug>(items: &[T]) -> String {
+    if items.is_empty() {
+        String::new()
+    } else {
+        format!("{items:?}")
+    }
+}
+
+/// The registry handles a result-cache consult publishes through.
+struct ResultCacheInstruments {
+    entries: Arc<Gauge>,
+    bytes: Arc<Gauge>,
+    evictions: Arc<Counter>,
+}
+
+impl ResultCacheInstruments {
+    fn resolve(obs: &EngineInstruments) -> Self {
+        let reg = obs.registry();
+        let labels = [("engine", obs.engine())];
+        ResultCacheInstruments {
+            entries: reg.gauge(families::RESULT_CACHE_ENTRIES, &labels),
+            bytes: reg.gauge(families::RESULT_CACHE_BYTES, &labels),
+            evictions: reg.counter(families::RESULT_CACHE_EVICTIONS, &labels),
+        }
+    }
+}
+
+/// One engine's result cache: the sharded singleflight LRU plus the
+/// eviction high-water already published to the registry (so the eviction
+/// counter advances by exact deltas under concurrent queries).
+pub(super) struct ResultCache<H> {
+    cache: ShardedCache<ResultKey, Arc<Answer<H>>>,
+    evictions_seen: AtomicU64,
+    /// Resolved at the first consult with a registry attached.
+    instruments: OnceLock<ResultCacheInstruments>,
+}
+
+impl<H> ResultCache<H> {
+    pub(super) fn new(cfg: CacheConfig) -> Self {
+        ResultCache {
+            cache: ShardedCache::new(cfg),
+            evictions_seen: AtomicU64::new(0),
+            instruments: OnceLock::new(),
+        }
+    }
+
+    fn enabled(&self) -> bool {
+        self.cache.config().enabled
+    }
+
+    /// Whether this request may be answered from (and written to) the
+    /// cache. Traced or trace-sampled queries bypass — a cached response
+    /// carries no trace, and serving one would silently drop the
+    /// observability the caller (or the sampling policy) asked for.
+    /// Budget-constrained queries bypass too: a deadline or candidate cap
+    /// makes the response a property of *this* execution's race against
+    /// the clock, not of the data, and a capped request must not be handed
+    /// a complete answer some uncapped twin computed.
+    fn admits(&self, req: &SearchRequest, level: TraceLevel) -> bool {
+        self.enabled() && req.use_cache && level == TraceLevel::Off && req.budget.is_unlimited()
+    }
+
+    /// Push the entries/bytes gauges and the eviction-counter delta after
+    /// a consult.
+    fn publish(&self, obs: Option<&EngineInstruments>) {
+        let Some(obs) = obs else { return };
+        let to = self
+            .instruments
+            .get_or_init(|| ResultCacheInstruments::resolve(obs));
+        let stats = self.cache.stats();
+        to.entries.set(stats.entries as i64);
+        to.bytes.set(stats.bytes as i64);
+        let seen = self.evictions_seen.swap(stats.evictions, Ordering::Relaxed);
+        to.evictions.add(stats.evictions.saturating_sub(seen));
+    }
+}
+
+/// Approximate heap footprint of a cached response, for the cache's byte
+/// budget. Estimates lean high-side: over-counting shrinks the effective
+/// cache, under-counting would overrun the budget.
+fn cached_bytes<H>(hits: &[H], per_hit: impl Fn(&H) -> usize, facets: &[FacetCounts]) -> usize {
+    let hit_bytes: usize = hits.iter().map(per_hit).sum();
+    let facet_bytes: usize = facets
+        .iter()
+        .map(|f| f.values.iter().map(|v| v.value.len() + 24).sum::<usize>() + 48)
+        .sum();
+    hit_bytes + facet_bytes + 96
+}

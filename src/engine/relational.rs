@@ -1,0 +1,824 @@
+//! The relational engine: tuple sets → CN plan (cached by mask signature) →
+//! bound-driven evaluation → facets, summaries and query cleaning, inside
+//! the shared query frame.
+
+use super::frame::{run_query, Answer, Evaluated, QueryFrame, ResultCache};
+use super::{
+    CommitOutcome, DeleteKey, Engine, Hit, IngestRecord, MutableEngine, SearchRequest,
+    SearchResponse,
+};
+use kwdb_common::index::SegmentCounts;
+use kwdb_common::{
+    CacheConfig, FacetCounts, FacetSpec, QueryStats, Result, ScratchPool, Stopwatch, Value,
+};
+use kwdb_explore::summary::{object_summary, render_summary};
+use kwdb_obs::{
+    families, record_generation, record_index_stats, Counter, EngineInstruments, MetricsRegistry,
+    TraceBuilder,
+};
+use kwdb_qclean::segment::{clean_query, ValuePhraseModel};
+use kwdb_qclean::SpellCorrector;
+use kwdb_rank::CorpusStats;
+use kwdb_relational::{Database, ExecStats, Row, TableId, TupleId};
+use kwdb_relsearch::cn::{CandidateNetwork, CnGenConfig, CnGenerator, MaskOracle};
+use kwdb_relsearch::facets::{
+    resolve_attr, resolve_facets, resolve_refinements, FacetAccum, FacetRequest,
+};
+use kwdb_relsearch::parallel::choose_workers;
+use kwdb_relsearch::pexec::{parallel_topk_planned, EvalScratch};
+use kwdb_relsearch::spark::skyline_sweep_budgeted;
+use kwdb_relsearch::topk::{CnExecOutcome, TopKQuery};
+use kwdb_relsearch::tupleset::TermCache;
+use kwdb_relsearch::{corpus_stats, Refinement, ResultScorer, TupleSets};
+use std::cell::Cell;
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock, RwLock};
+
+/// A rendered relational hit.
+#[derive(Debug, Clone)]
+pub struct RelationalHit {
+    pub score: f64,
+    /// The joining tree of tuples, rendered `table(v, …) ⋈ table(v, …)`.
+    pub rendered: String,
+    pub tuples: Vec<kwdb_relational::TupleId>,
+    /// The size-`l` object summary, one rendered tuple per line, when the
+    /// request asked for one ([`SearchRequest::summaries`]); empty
+    /// otherwise.
+    pub summary: Vec<String>,
+}
+
+/// Which scoring model the relational engine ranks a request with
+/// ([`SearchRequest::scoring`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Scoring {
+    /// DISCOVER2's monotone tf·idf-per-tuple model, evaluated by the
+    /// bound-pruned CN executor ([`kwdb_relsearch::pexec`]).
+    #[default]
+    Monotone,
+    /// SPARK's non-monotonic virtual-document model (Skyline-Sweep).
+    Spark,
+}
+
+/// Configuration for the relational pipeline. What is *not* here is decided
+/// elsewhere, once: the posting layout on the database
+/// ([`Database::set_posting_layout`] — the engine serves whatever layout the
+/// index arrives in), the scoring model on the request
+/// ([`SearchRequest::scoring`]).
+#[derive(Debug, Clone, Copy)]
+pub struct RelationalConfig {
+    /// Maximum candidate-network size.
+    pub max_cn_size: usize,
+    /// Safety cap on generated CNs (0 = unlimited).
+    pub max_cns: usize,
+    /// Cap on cached CN plans; inserting past it evicts an arbitrary entry
+    /// (0 = unbounded cache).
+    pub max_cache_entries: usize,
+    /// Workers evaluating one query's candidate networks, all on the same
+    /// executor ([`kwdb_relsearch::pexec`]). `0` = auto: each query gets
+    /// the workers its plan's estimated cost is worth
+    /// ([`kwdb_relsearch::parallel::choose_workers`]) — a small plan runs
+    /// inline on the calling thread — up to available parallelism (capped
+    /// at 8). A non-zero value is honoured exactly; `1` = always inline, no
+    /// spawn. The returned top-k, facet counts, and `algorithm` label are
+    /// identical for every value — the score model is monotone and the
+    /// merge is content-ordered — and a [`kwdb_common::Budget`] candidate cap
+    /// counts CNs considered on every host.
+    pub intra_query_workers: usize,
+    /// Opt-in query cleaning at the term-dictionary boundary: when a parsed
+    /// keyword has no entry in the text index, run the noisy-channel
+    /// spell/segmentation pass ([`kwdb_qclean`]) over the whole query and
+    /// search the cleaned keywords instead. The corrector and phrase model
+    /// are built lazily from the index vocabulary and the full-text column
+    /// values, once per data generation that sees a cleaning query.
+    /// Default `false`: unknown keywords simply match nothing.
+    pub clean_queries: bool,
+    /// The engine's generation-keyed query caches: one [`CacheConfig`]
+    /// sizes both the **result cache** (whole sealed responses, keyed by
+    /// generation + normalized terms + algorithm, `k`, facets, refinements
+    /// and summary size) and the **tuple-set term cache** (per-term sorted
+    /// tuple-key lists). Enabled by default; pass [`CacheConfig::disabled`]
+    /// for fully deterministic per-query counters (determinism suites), or
+    /// opt single requests out with [`SearchRequest::caching`].
+    pub result_cache: CacheConfig,
+}
+
+impl Default for RelationalConfig {
+    fn default() -> Self {
+        RelationalConfig {
+            max_cn_size: 5,
+            max_cns: 2000,
+            max_cache_entries: 256,
+            intra_query_workers: 0,
+            clean_queries: false,
+            result_cache: CacheConfig::default(),
+        }
+    }
+}
+
+/// Key of one CN plan-cache entry — everything CN generation reads and
+/// nothing else: the schema fingerprint, the query's **mask signature**
+/// (the sorted non-empty `(table, mask)` tuple-set keys — masks are
+/// positional, so keyword order is part of it), the keyword count, and the
+/// generator configuration. Neither the keyword strings nor the data
+/// generation appear: queries over different words share a plan when the
+/// same tuple sets are non-empty, and a mutation replans only when it
+/// changes which ones are.
+type CnCacheKey = (u64, Vec<(TableId, u32)>, usize, usize, usize);
+
+/// The query-cleaning model: a spelling corrector over the index
+/// vocabulary plus a phrase model over the full-text column values.
+type CleanModel = (SpellCorrector, ValuePhraseModel);
+
+/// The relational engine's mutable core: the database handle plus the
+/// corpus statistics its scorer derives tf·idf weights from, kept in
+/// lockstep by the mutation path (`add_doc` on ingest, `remove_doc` on
+/// delete). Queries hold the read lock end to end, so a mutation never
+/// swaps state underneath a running query.
+struct EngineState {
+    db: Arc<Database>,
+    corpus: Arc<CorpusStats>,
+}
+
+/// Realtime/sealed segment census of `db`'s text index (zeros when the index
+/// was never built or has gone stale).
+fn segment_census(db: &Database) -> SegmentCounts {
+    db.text_index()
+        .map_or(SegmentCounts::default(), |ix| ix.segment_counts())
+}
+
+/// DISCOVER-style keyword search over a relational database: tuple sets →
+/// candidate networks → bound-driven top-k evaluation.
+///
+/// Owns its database behind an `Arc`, so the engine is `Send + Sync` and
+/// one instance can serve concurrent queries; the CN plan cache is a
+/// read-mostly `RwLock` map, so repeat queries don't serialize.
+pub struct RelationalEngine {
+    /// Generational state: swapped copy-on-write by the mutation path.
+    state: RwLock<EngineState>,
+    cfg: RelationalConfig,
+    cn_cache: RwLock<HashMap<CnCacheKey, Arc<Vec<CandidateNetwork>>>>,
+    /// See [`resolved_workers`](Self::resolved_workers); fixed at
+    /// construction.
+    worker_cap: usize,
+    obs: Option<EngineInstruments>,
+    /// `kwdb_tupleset_cache_{hits,misses}_total`, resolved at the first
+    /// computed query that reads through the term cache.
+    tupleset_counters: OnceLock<[Arc<Counter>; 2]>,
+    /// Worker evaluation scratch (join buffer reuse), shared
+    /// across queries — workers check out one `EvalScratch` each.
+    scratch: ScratchPool<EvalScratch>,
+    /// Lazily built query-cleaning model ([`RelationalConfig::clean_queries`])
+    /// tagged with the generation it was built at; a cleaning query of a
+    /// newer generation rebuilds it.
+    clean: RwLock<Option<(u64, Arc<CleanModel>)>>,
+    /// Cumulative segment merges already published to the registry, so the
+    /// merge counter advances by exact deltas.
+    merges_seen: AtomicU64,
+    /// Generation-keyed whole-response cache with singleflight: repeat
+    /// queries skip build/plan/evaluate entirely, and N threads racing on
+    /// a cold key compute once.
+    result_cache: ResultCache<RelationalHit>,
+    /// Generation-keyed per-term tuple-set cache: materialized sorted
+    /// tuple-key lists, each key with the term's frequency in the tuple,
+    /// shared across queries that mention the same term.
+    tupleset_cache: TermCache,
+}
+
+impl RelationalEngine {
+    /// Build an engine owning `db` (pass a `Database` to move it in, or an
+    /// `Arc<Database>` to share it with other owners).
+    pub fn new(db: impl Into<Arc<Database>>) -> Self {
+        Self::with_config(db, RelationalConfig::default())
+    }
+
+    pub fn with_config(db: impl Into<Arc<Database>>, cfg: RelationalConfig) -> Self {
+        let db = db.into();
+        let merges_seen = db.text_index().map_or(0, |ix| ix.merges());
+        let corpus = Arc::new(corpus_stats(&db));
+        RelationalEngine {
+            state: RwLock::new(EngineState { db, corpus }),
+            cfg,
+            cn_cache: RwLock::new(HashMap::new()),
+            worker_cap: match cfg.intra_query_workers {
+                0 => kwdb_common::available_cores().min(8),
+                pinned => pinned,
+            },
+            obs: None,
+            tupleset_counters: OnceLock::new(),
+            scratch: ScratchPool::new(),
+            clean: RwLock::new(None),
+            merges_seen: AtomicU64::new(merges_seen),
+            result_cache: ResultCache::new(cfg.result_cache),
+            tupleset_cache: TermCache::new(cfg.result_cache),
+        }
+    }
+
+    /// The most workers one query may use: an explicit
+    /// [`RelationalConfig::intra_query_workers`] itself (every query then
+    /// runs on exactly that many), else available parallelism capped at 8
+    /// (matching the dispatcher's sizing) — the cap under which the auto
+    /// policy ([`choose_workers`]) picks per query. Resolved once, when the
+    /// engine is built: asking the operating system costs more than a
+    /// result-cache hit does.
+    pub fn resolved_workers(&self) -> usize {
+        self.worker_cap
+    }
+
+    /// Record every query (and plan-cache activity) into `registry`, and
+    /// publish the text index's build/size figures, the engine generation,
+    /// and the segment census up front.
+    pub fn with_registry(mut self, registry: Arc<MetricsRegistry>) -> Self {
+        {
+            let st = self.state.read().expect("engine state poisoned");
+            if let Ok(ix) = st.db.text_index() {
+                record_index_stats(&registry, "relational_text", &ix.index_stats());
+            }
+            let segments = segment_census(&st.db);
+            record_generation(
+                &registry,
+                "relational",
+                st.db.generation(),
+                segments.realtime,
+                segments.sealed,
+                0,
+            );
+        }
+        registry
+            .gauge(families::INTRA_WORKERS, &[("engine", "relational")])
+            .set(self.resolved_workers() as i64);
+        self.obs = Some(EngineInstruments::new(
+            registry,
+            "relational",
+            &["parallel_cn", "spark"],
+        ));
+        self
+    }
+
+    fn registry(&self) -> Option<&MetricsRegistry> {
+        self.obs.as_ref().map(|obs| &**obs.registry())
+    }
+
+    /// A handle to the database this engine queries — a snapshot of the
+    /// current generation. Mutations after this call copy-on-write, so
+    /// the returned handle keeps observing the state it was taken at.
+    pub fn database(&self) -> Arc<Database> {
+        Arc::clone(&self.state.read().expect("engine state poisoned").db)
+    }
+
+    /// The engine's data generation (bumped by every successful mutation).
+    pub fn generation(&self) -> u64 {
+        self.state
+            .read()
+            .expect("engine state poisoned")
+            .db
+            .generation()
+    }
+
+    /// Realtime/sealed segment census of the text index (zeros when the
+    /// index was never built).
+    pub fn segment_counts(&self) -> SegmentCounts {
+        segment_census(&self.state.read().expect("engine state poisoned").db)
+    }
+
+    /// Ingest one tuple through the incremental path: FK-validate, append
+    /// to the table, index into the realtime segment, and keep the
+    /// scorer's corpus statistics in lockstep — no rebuild, no rescan.
+    /// Requires a fresh index (build once, then ingest); a shared database
+    /// is copy-on-written, so handles returned by
+    /// [`database`](Self::database) before the call keep their snapshot.
+    pub fn ingest_tuple(&self, table: &str, row: Row) -> Result<TupleId> {
+        let mut guard = self.state.write().expect("engine state poisoned");
+        let st = &mut *guard;
+        let db = Arc::make_mut(&mut st.db);
+        let id = db.ingest(table, row)?;
+        Arc::make_mut(&mut st.corpus).add_doc(&db.tuple_tokens(id));
+        if let Some(reg) = self.registry() {
+            reg.counter(families::INGESTED_TUPLES, &[("engine", "relational")])
+                .inc();
+        }
+        self.publish_generation(db);
+        Ok(id)
+    }
+
+    /// Delete the row of `table` whose primary key equals `pk`: tombstone
+    /// the row, drop its postings (realtime removal + sealed-segment
+    /// tombstones), and back its tokens out of the corpus statistics.
+    pub fn delete_tuple(&self, table: &str, pk: &Value) -> Result<TupleId> {
+        let mut guard = self.state.write().expect("engine state poisoned");
+        let st = &mut *guard;
+        let db = Arc::make_mut(&mut st.db);
+        let id = db.delete(table, pk)?;
+        // Row payloads stay in place under the tombstone, so the deleted
+        // tuple's tokens are still readable here.
+        Arc::make_mut(&mut st.corpus).remove_doc(&db.tuple_tokens(id));
+        self.publish_generation(db);
+        Ok(id)
+    }
+
+    /// Seal the realtime segment into an immutable compressed segment
+    /// (folding the two smallest sealed segments when at the cap).
+    pub fn commit(&self) -> Result<CommitOutcome> {
+        let mut guard = self.state.write().expect("engine state poisoned");
+        let st = &mut *guard;
+        let db = Arc::make_mut(&mut st.db);
+        db.text_index()?; // nothing to seal without a fresh index
+        let segments = db.commit_index();
+        let outcome = CommitOutcome {
+            generation: db.generation(),
+            segments,
+        };
+        self.publish_generation(db);
+        Ok(outcome)
+    }
+
+    /// Compact every sealed segment (and any realtime postings) into one,
+    /// dropping tombstoned entries and re-aggregating exact term stats.
+    pub fn merge(&self) -> Result<CommitOutcome> {
+        let mut guard = self.state.write().expect("engine state poisoned");
+        let st = &mut *guard;
+        let db = Arc::make_mut(&mut st.db);
+        db.text_index()?;
+        let segments = db.merge_index();
+        let outcome = CommitOutcome {
+            generation: db.generation(),
+            segments,
+        };
+        self.publish_generation(db);
+        Ok(outcome)
+    }
+
+    /// Push the generation gauge, segment gauges, and merge-counter delta
+    /// after a mutation.
+    fn publish_generation(&self, db: &Database) {
+        let (segments, merges) = db.text_index().map_or((SegmentCounts::default(), 0), |ix| {
+            (ix.segment_counts(), ix.merges())
+        });
+        let seen = self.merges_seen.swap(merges, Ordering::Relaxed);
+        if let Some(reg) = self.registry() {
+            record_generation(
+                reg,
+                "relational",
+                db.generation(),
+                segments.realtime,
+                segments.sealed,
+                merges.saturating_sub(seen),
+            );
+        }
+    }
+
+    /// Execute a [`SearchRequest`]: budgeted, instrumented top-k search,
+    /// with optional facet counting, drill-down refinements, per-hit
+    /// object summaries, and (when configured) query cleaning.
+    pub fn execute(&self, req: &SearchRequest) -> Result<SearchResponse<RelationalHit>> {
+        // Hold the read lock end to end: the whole query sees one
+        // generation; concurrent queries share the lock, only mutations
+        // take it exclusively.
+        let state = self.state.read().expect("engine state poisoned");
+        let st = &*state;
+        let budget = &req.budget;
+        let scoring = req.scoring.unwrap_or_default();
+        // An explicit worker count is honoured exactly; auto lets the cost
+        // of the plan decide, up to this cap, and starts from the calling
+        // thread alone.
+        let worker_cap = self.worker_cap;
+        let auto_workers = self.cfg.intra_query_workers == 0;
+
+        // Facet and refinement attributes are schema references, not query
+        // keywords: an unknown `table.column` fails the request with a typed
+        // error — before anything is sampled, consulted or sealed — instead
+        // of silently counting nothing. Checking is all a hit needs (two
+        // schema lookups per attribute, no allocation); *resolving* them
+        // clones the specs, so that waits for whoever reads the result: the
+        // evaluate body, or `empty_facets` for the early returns.
+        for attr in (req.facets.iter().map(FacetSpec::attr))
+            .chain(req.refinements.iter().map(Refinement::attr))
+        {
+            resolve_attr(&st.db, attr)?;
+        }
+        let empty_facets = || -> Result<Vec<FacetCounts>> {
+            let facets = resolve_facets(&st.db, &req.facets)?;
+            Ok(FacetAccum::new(facets.len()).finish(&facets))
+        };
+        let segments = || segment_census(&st.db);
+
+        let frame = QueryFrame {
+            obs: self.obs.as_ref(),
+            cache: &self.result_cache,
+            engine: "relational",
+            algorithm: match scoring {
+                Scoring::Monotone => "parallel_cn",
+                Scoring::Spark => "spark",
+            },
+            workers: Cell::new(if auto_workers { 1 } else { worker_cap }),
+            generation: st.db.generation(),
+            segments: &segments,
+            empty_facets: &empty_facets,
+            hit_bytes: relational_hit_bytes,
+        };
+
+        let clean = |mut keywords: Vec<String>, tb: &mut TraceBuilder| -> Result<Vec<String>> {
+            if self.cfg.clean_queries && !keywords.is_empty() {
+                let ix = st.db.text_index()?;
+                if keywords.iter().any(|kw| ix.sym(kw).is_none()) {
+                    // At least one keyword misses the term dictionary: run the
+                    // noisy-channel spell + segmentation pass once, over the
+                    // whole query, and search the cleaned tokens instead.
+                    let model = self.clean_model(&st.db);
+                    if let Some(cleaned) = clean_query(&model.0, &model.1, &keywords, 2) {
+                        tb.event("query cleaned", || {
+                            vec![
+                                ("from".into(), keywords.join(" ")),
+                                ("to".into(), cleaned.display()),
+                            ]
+                        });
+                        keywords = cleaned.tokens().iter().map(|s| s.to_string()).collect();
+                    }
+                }
+            }
+            tb.event("keywords", || {
+                vec![("count".into(), keywords.len().to_string())]
+            });
+            Ok(keywords)
+        };
+
+        // Tuple sets, planning, evaluation, facet finalization.
+        let run = |keywords: &[String],
+                   stats: &mut QueryStats,
+                   sw: &mut Stopwatch,
+                   tb: &mut TraceBuilder|
+         -> Result<Evaluated<RelationalHit>> {
+            tb.phase("build");
+            // Resolution is independent of the keyword set, so drill-downs
+            // reuse the CN plan cache untouched.
+            let facets = resolve_facets(&st.db, &req.facets)?;
+            let refinements = resolve_refinements(&st.db, &req.refinements)?;
+            let freq = FacetRequest {
+                facets: &facets,
+                refinements: &refinements,
+            };
+            // Zero counts for every requested facet — what an empty result
+            // set faceted over looks like.
+            let zero_counts = || FacetAccum::new(facets.len()).finish(&facets);
+
+            let ts = if self.cfg.result_cache.enabled {
+                let (ts, ts_hits, ts_misses) =
+                    TupleSets::build_cached(&st.db, keywords, &self.tupleset_cache)?;
+                if let Some(reg) = self.registry() {
+                    let [hits, misses] = self.tupleset_counters.get_or_init(|| {
+                        let labels = [("engine", "relational")];
+                        [
+                            reg.counter(families::TUPLESET_CACHE_HITS, &labels),
+                            reg.counter(families::TUPLESET_CACHE_MISSES, &labels),
+                        ]
+                    });
+                    hits.add(ts_hits);
+                    misses.add(ts_misses);
+                }
+                ts
+            } else {
+                TupleSets::build(&st.db, keywords)?
+            };
+            stats.phases.build = sw.lap();
+            if !ts.covers_all_keywords() {
+                tb.event("tuple sets", || {
+                    vec![("covers_all_keywords".into(), "false".into())]
+                });
+                return Ok(Answer::empty(zero_counts(), None));
+            }
+            if let Some(reason) = budget.truncation() {
+                return Ok(Answer::empty(zero_counts(), Some(reason)));
+            }
+            tb.phase("plan");
+            let cns = self.plan(&st.db, &ts, stats, tb);
+            stats.phases.plan = sw.lap();
+            stats.candidates_generated = cns.len() as u64;
+
+            tb.phase("evaluate");
+            // Per-query scorer over the incrementally maintained corpus stats:
+            // two Arc clones, no corpus rescan.
+            let scorer = ResultScorer::from_stats(Arc::clone(&st.db), Arc::clone(&st.corpus));
+            let q = TopKQuery {
+                db: &st.db,
+                ts: &ts,
+                cns: &cns,
+                scorer: &scorer,
+                keywords,
+            };
+            let exec = ExecStats::new();
+            let (outcome, accum) = match scoring {
+                // One executor at every worker count: a single worker runs
+                // inline on the calling thread, no spawn.
+                Scoring::Monotone => {
+                    let policy = |cost: f64| {
+                        let workers = if auto_workers {
+                            choose_workers(cost, worker_cap)
+                        } else {
+                            worker_cap
+                        };
+                        frame.workers.set(workers);
+                        tb.event("worker policy", || {
+                            vec![
+                                ("cap".into(), worker_cap.to_string()),
+                                ("chosen".into(), workers.to_string()),
+                                ("estimated_cost".into(), format!("{cost:.0}")),
+                            ]
+                        });
+                        workers
+                    };
+                    parallel_topk_planned(&q, req.k, &exec, budget, policy, &self.scratch, &freq)
+                }
+                Scoring::Spark => {
+                    // Skyline-Sweep has no CN-level accounting (0/0) and no
+                    // exhaustive mode: refinements filter the returned hits
+                    // post-hoc and facet counts cover only what came back
+                    // (`facets_exact` stays false for faceted SPARK queries).
+                    let (results, truncation) = skyline_sweep_budgeted(&q, req.k, &exec, budget);
+                    let results: Vec<_> = results
+                        .into_iter()
+                        .filter(|r| freq.passes(&st.db, &r.result))
+                        .collect();
+                    let mut accum = FacetAccum::new(facets.len());
+                    for r in &results {
+                        accum.observe(&st.db, &facets, &r.result);
+                    }
+                    let outcome = CnExecOutcome {
+                        results,
+                        truncation,
+                        cns_evaluated: 0,
+                        cns_pruned: 0,
+                    };
+                    (outcome, accum)
+                }
+            };
+            let CnExecOutcome {
+                results: ranked,
+                truncation,
+                cns_evaluated,
+                cns_pruned,
+            } = outcome;
+            stats.phases.evaluate = sw.lap();
+            let snap = exec.snapshot();
+            stats.operators.tuples_scanned = snap.tuples_scanned;
+            stats.operators.join_probes = snap.join_probes;
+            stats.operators.joins_executed = snap.joins_executed;
+            stats.operators.rows_output = snap.rows_output;
+            stats.operators.join_probe_rows = snap.probe_rows;
+            stats.cns_evaluated = cns_evaluated;
+            stats.cns_pruned = cns_pruned;
+            let mut contributing: Vec<usize> = ranked.iter().map(|r| r.cn_index).collect();
+            contributing.sort_unstable();
+            contributing.dedup();
+            stats.candidates_pruned = stats
+                .candidates_generated
+                .saturating_sub(contributing.len() as u64);
+            tb.event("operators", || {
+                vec![
+                    ("tuples_scanned".into(), snap.tuples_scanned.to_string()),
+                    ("join_probes".into(), snap.join_probes.to_string()),
+                    ("rows_output".into(), snap.rows_output.to_string()),
+                ]
+            });
+            tb.event("budget verdict", || {
+                vec![(
+                    "truncated".into(),
+                    truncation.map_or("no".into(), |r| r.to_string()),
+                )]
+            });
+
+            // Facet finalization + per-hit summaries. Counts are exact when the
+            // executor ran in exhaustive mode to completion: every CN evaluated
+            // fully, so the accumulated multiset is the full result multiset
+            // regardless of worker count or posting layout.
+            tb.phase("facets");
+            let facets_exact =
+                facets.is_empty() || (matches!(scoring, Scoring::Monotone) && truncation.is_none());
+            let facet_counts = accum.finish(&facets);
+            let hits: Vec<RelationalHit> = ranked
+                .into_iter()
+                .map(|r| RelationalHit {
+                    score: r.score,
+                    rendered: r
+                        .result
+                        .tuples
+                        .iter()
+                        .map(|&t| st.db.format_tuple(t))
+                        .collect::<Vec<_>>()
+                        .join(" ⋈ "),
+                    summary: if req.summaries == 0 {
+                        Vec::new()
+                    } else {
+                        render_summary(
+                            &st.db,
+                            &object_summary(&st.db, &r.result.tuples, req.summaries),
+                        )
+                    },
+                    tuples: r.result.tuples,
+                })
+                .collect();
+            if !facets.is_empty() {
+                tb.event("facets", || {
+                    vec![
+                        ("requested".into(), facets.len().to_string()),
+                        (
+                            "values".into(),
+                            facet_counts
+                                .iter()
+                                .map(|f| f.values.len())
+                                .sum::<usize>()
+                                .to_string(),
+                        ),
+                        ("exact".into(), facets_exact.to_string()),
+                    ]
+                });
+            }
+            stats.phases.facets = sw.lap();
+            let answer = Answer {
+                hits,
+                facets: facet_counts,
+                facets_exact,
+            };
+            Ok((answer, truncation))
+        };
+
+        run_query(&frame, req, clean, run)
+    }
+
+    /// Generate (or fetch from the plan cache) the candidate networks for
+    /// this query's mask signature.
+    ///
+    /// Read-mostly locking: the hot path takes the read lock only, so
+    /// concurrent repeat queries never serialize. A miss upgrades to the
+    /// write lock and re-checks before generating, so for N threads racing
+    /// on a cold key exactly one generates (and reports the miss) while the
+    /// rest block briefly and then hit. The cache is bounded by
+    /// `cfg.max_cache_entries`; inserts past it evict an arbitrary entry,
+    /// with size/generation/eviction reported to the registry.
+    fn plan(
+        &self,
+        db: &Database,
+        ts: &TupleSets,
+        stats: &mut QueryStats,
+        tb: &mut TraceBuilder,
+    ) -> Arc<Vec<CandidateNetwork>> {
+        let key: CnCacheKey = (
+            db.schema_fingerprint(),
+            ts.keys(),
+            ts.n_keywords(),
+            self.cfg.max_cn_size,
+            self.cfg.max_cns,
+        );
+        if let Some(cns) = self.cn_cache.read().expect("cn cache poisoned").get(&key) {
+            stats.cache_hits = 1;
+            tb.event("plan cache", || {
+                vec![
+                    ("outcome".into(), "hit".into()),
+                    ("cns".into(), cns.len().to_string()),
+                ]
+            });
+            return Arc::clone(cns);
+        }
+        let mut cache = self.cn_cache.write().expect("cn cache poisoned");
+        if let Some(cns) = cache.get(&key) {
+            // Lost the generation race to another thread: its plan is ours.
+            stats.cache_hits = 1;
+            tb.event("plan cache", || {
+                vec![
+                    ("outcome".into(), "hit".into()),
+                    ("cns".into(), cns.len().to_string()),
+                ]
+            });
+            return Arc::clone(cns);
+        }
+        stats.cache_misses = 1;
+        let oracle = MaskOracle::from_tuplesets(ts);
+        let mut generator = CnGenerator::new(
+            db.schema_graph(),
+            &oracle,
+            CnGenConfig {
+                max_size: self.cfg.max_cn_size,
+                dedupe: true,
+                max_cns: self.cfg.max_cns,
+            },
+        );
+        let cns = Arc::new(generator.generate());
+        let mut evicted = false;
+        if self.cfg.max_cache_entries > 0 && cache.len() >= self.cfg.max_cache_entries {
+            let victim = cache.keys().next().cloned().expect("cache is non-empty");
+            cache.remove(&victim);
+            evicted = true;
+        }
+        cache.insert(key, Arc::clone(&cns));
+        if let Some(reg) = self.registry() {
+            let labels = [("engine", "relational")];
+            reg.counter(families::PLAN_CACHE_GENERATIONS, &labels).inc();
+            if evicted {
+                reg.counter(families::PLAN_CACHE_EVICTIONS, &labels).inc();
+            }
+            reg.gauge(families::PLAN_CACHE_SIZE, &labels)
+                .set(cache.len() as i64);
+        }
+        tb.event("plan cache", || {
+            vec![
+                ("outcome".into(), "miss".into()),
+                ("cns".into(), cns.len().to_string()),
+                ("evicted".into(), evicted.to_string()),
+            ]
+        });
+        cns
+    }
+
+    /// The query-cleaning model for `db`'s generation: a noisy-channel
+    /// [`SpellCorrector`] whose vocabulary is the text index's term
+    /// dictionary (document frequency as the language-model prior) and a
+    /// [`ValuePhraseModel`] over the full-text column values (so
+    /// segmentation recovers multi-token values). Built on the first query
+    /// that needs cleaning and rebuilt on the first such query of a newer
+    /// generation (double-checked under the write lock, so racing queries
+    /// build once) — vocabulary ingested after the build is corrected to.
+    fn clean_model(&self, db: &Database) -> Arc<CleanModel> {
+        let generation = db.generation();
+        let fresh = |slot: &Option<(u64, Arc<CleanModel>)>| {
+            slot.as_ref()
+                .filter(|(built, _)| *built == generation)
+                .map(|(_, model)| Arc::clone(model))
+        };
+        if let Some(model) = fresh(&self.clean.read().expect("clean model poisoned")) {
+            return model;
+        }
+        let mut slot = self.clean.write().expect("clean model poisoned");
+        if let Some(model) = fresh(&slot) {
+            return model;
+        }
+        let ix = db.text_index().expect("caller verified a fresh text index");
+        let vocab: Vec<(String, u64)> = ix
+            .terms()
+            .map(|t| {
+                let df = ix.sym(t).map_or(1, |s| ix.term_stats(s).df);
+                (t.to_string(), df.max(1))
+            })
+            .collect();
+        let mut values: Vec<String> = Vec::new();
+        for table in db.tables() {
+            let text_cols: Vec<usize> = table.schema.text_columns().collect();
+            if text_cols.is_empty() {
+                continue;
+            }
+            for (_, row) in table.iter() {
+                for &c in &text_cols {
+                    let v = &row[c];
+                    if !matches!(v, kwdb_common::Value::Null) {
+                        values.push(v.to_string());
+                    }
+                }
+            }
+        }
+        let model = Arc::new((
+            SpellCorrector::from_vocab(vocab),
+            ValuePhraseModel::from_values(&values),
+        ));
+        *slot = Some((generation, Arc::clone(&model)));
+        model
+    }
+}
+
+impl Engine for RelationalEngine {
+    fn execute(&self, req: &SearchRequest) -> Result<SearchResponse<Hit>> {
+        Ok(RelationalEngine::execute(self, req)?.map(Hit::Relational))
+    }
+}
+
+impl MutableEngine for RelationalEngine {
+    fn ingest(&self, record: IngestRecord) -> Result<()> {
+        match record {
+            IngestRecord::Tuple { table, values } => {
+                self.ingest_tuple(&table, values)?;
+                Ok(())
+            }
+        }
+    }
+
+    fn delete(&self, key: DeleteKey) -> Result<()> {
+        match key {
+            DeleteKey::TuplePk { table, pk } => {
+                self.delete_tuple(&table, &pk)?;
+                Ok(())
+            }
+        }
+    }
+
+    fn commit(&self) -> Result<CommitOutcome> {
+        RelationalEngine::commit(self)
+    }
+
+    fn generation(&self) -> u64 {
+        RelationalEngine::generation(self)
+    }
+}
+
+fn relational_hit_bytes(h: &RelationalHit) -> usize {
+    h.rendered.len()
+        + h.summary.iter().map(|s| s.len() + 24).sum::<usize>()
+        + h.tuples.len() * 8
+        + 64
+}

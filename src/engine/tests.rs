@@ -1,0 +1,235 @@
+use super::*;
+use kwdb_common::CacheConfig;
+use kwdb_datasets::{generate_dblp, DblpConfig};
+use kwdb_graph::NodeId;
+use std::time::Duration;
+
+#[test]
+fn relational_engine_end_to_end() {
+    let db = generate_dblp(&DblpConfig {
+        n_papers: 60,
+        n_authors: 30,
+        ..Default::default()
+    });
+    let engine = RelationalEngine::new(db);
+    let resp = engine
+        .execute(&SearchRequest::new("data query").k(5))
+        .unwrap();
+    assert!(!resp.hits.is_empty());
+    assert!(!resp.truncated());
+    assert!(resp.hits.windows(2).all(|w| w[0].score >= w[1].score));
+    assert!(resp.hits[0].rendered.contains('('));
+    assert!(resp.stats.candidates_generated > 0);
+    assert_eq!(resp.stats.cache_misses, 1);
+    assert!(resp.stats.operators.tuples_scanned > 0);
+}
+
+#[test]
+fn relational_engine_empty_and_unmatched() {
+    let db = generate_dblp(&DblpConfig::default());
+    let engine = RelationalEngine::new(db);
+    let empty = engine.execute(&SearchRequest::new("").k(5)).unwrap();
+    assert!(empty.hits.is_empty() && !empty.truncated());
+    let unmatched = engine
+        .execute(&SearchRequest::new("zzzzqqq data").k(5))
+        .unwrap();
+    assert!(unmatched.hits.is_empty() && !unmatched.truncated());
+}
+
+#[test]
+fn engine_shares_database_arc() {
+    let db = Arc::new(generate_dblp(&DblpConfig {
+        n_papers: 40,
+        n_authors: 20,
+        ..Default::default()
+    }));
+    let engine = RelationalEngine::new(Arc::clone(&db));
+    // the caller keeps full access to the shared database
+    assert_eq!(engine.database().table_count(), db.table_count());
+    let resp = engine
+        .execute(&SearchRequest::new("data query").k(3))
+        .unwrap();
+    assert!(!resp.hits.is_empty());
+}
+
+#[test]
+fn cn_plan_cache_hits_on_repeat() {
+    let db = generate_dblp(&DblpConfig {
+        n_papers: 60,
+        n_authors: 30,
+        ..Default::default()
+    });
+    // Result cache off: this test watches the *plan* cache, and a
+    // repeat query must reach the planner to exercise it.
+    let engine = RelationalEngine::with_config(
+        db,
+        RelationalConfig {
+            result_cache: CacheConfig::disabled(),
+            ..Default::default()
+        },
+    );
+    let req = SearchRequest::new("data query").k(3);
+    let first = engine.execute(&req).unwrap();
+    assert_eq!((first.stats.cache_hits, first.stats.cache_misses), (0, 1));
+    let second = engine.execute(&req).unwrap();
+    assert_eq!((second.stats.cache_hits, second.stats.cache_misses), (1, 0));
+    // keyword order must not defeat the cache
+    let third = engine
+        .execute(&SearchRequest::new("query data").k(3))
+        .unwrap();
+    assert_eq!(third.stats.cache_hits, 1);
+}
+
+#[test]
+fn graph_search_all_semantics() {
+    let g = kwdb_datasets::graphs::generate_graph(&Default::default());
+    // Result cache off: the repeat DistinctRoot query below must reach
+    // the BLINKS index cache to observe its hit counter.
+    let engine = GraphEngine::new(g).with_result_cache(CacheConfig::disabled());
+    let run = |sem| {
+        engine
+            .execute(&SearchRequest::new("kw0 kw1").k(3).semantics(sem))
+            .unwrap()
+    };
+    let exact = run(GraphSemantics::SteinerExact);
+    let banks = run(GraphSemantics::Banks);
+    let droot = run(GraphSemantics::DistinctRoot);
+    assert!(!exact.hits.is_empty());
+    assert!(!banks.hits.is_empty());
+    assert!(!droot.hits.is_empty());
+    assert!(
+        banks.hits[0].cost >= exact.hits[0].cost - 1e-9,
+        "DPBF is optimal"
+    );
+    assert!(droot.hits[0].cost >= exact.hits[0].cost - 1e-9);
+    // second DistinctRoot query reuses the cached index
+    let again = run(GraphSemantics::DistinctRoot);
+    assert_eq!(again.stats.cache_hits, 1);
+}
+
+#[test]
+fn graph_engine_mutation_invalidates_within_staleness_bound() {
+    let g = kwdb_datasets::graphs::generate_graph(&Default::default());
+    // bound 0: rebuild on any change; result cache off so the repeat
+    // query observes the BLINKS index cache, not the response cache
+    let engine = GraphEngine::new(g).with_result_cache(CacheConfig::disabled());
+    let run = |q: &str| {
+        engine
+            .execute(
+                &SearchRequest::new(q)
+                    .k(3)
+                    .semantics(GraphSemantics::DistinctRoot),
+            )
+            .unwrap()
+    };
+    let g0 = engine.generation();
+    run("kw0 kw1");
+    assert_eq!(run("kw0 kw1").stats.cache_hits, 1, "unchanged graph caches");
+
+    let n = engine.add_node("person", "zzznew kw0");
+    let neighbor = NodeId(0);
+    engine.add_edge(n, neighbor, 1.0);
+    assert!(engine.generation() > g0, "mutations bump the generation");
+    let resp = run("zzznew");
+    assert_eq!(
+        resp.stats.cache_misses, 1,
+        "bound 0 rebuilds after mutation"
+    );
+    assert!(!resp.hits.is_empty(), "new node is findable immediately");
+
+    let outcome = engine.commit();
+    assert_eq!(outcome.generation, engine.generation());
+    assert_eq!(outcome.segments.realtime, 0, "commit seals realtime");
+}
+
+#[test]
+fn graph_engine_serves_stale_within_bound() {
+    let g = kwdb_datasets::graphs::generate_graph(&Default::default());
+    let engine = GraphEngine::new(g).with_staleness_bound(1_000);
+    let run = |q: &str| {
+        engine
+            .execute(
+                &SearchRequest::new(q)
+                    .k(3)
+                    .semantics(GraphSemantics::DistinctRoot),
+            )
+            .unwrap()
+    };
+    run("kw0 kw1"); // builds the BLINKS index at the current generation
+    engine.add_node("person", "zzznew kw0");
+    // Within the bound the engine keeps serving the stale index: cheap,
+    // and the brand-new keyword is simply not visible yet.
+    let resp = run("zzznew");
+    assert_eq!(resp.stats.cache_hits, 1, "stale-but-bounded index reused");
+    assert!(resp.hits.is_empty());
+}
+
+#[test]
+fn spark_scoring_mode_works() {
+    let db = generate_dblp(&DblpConfig {
+        n_papers: 60,
+        n_authors: 30,
+        ..Default::default()
+    });
+    let resp = RelationalEngine::new(db)
+        .execute(
+            &SearchRequest::new("data query")
+                .k(5)
+                .scoring(Scoring::Spark),
+        )
+        .unwrap();
+    assert!(!resp.hits.is_empty());
+    assert!(resp.hits.windows(2).all(|w| w[0].score >= w[1].score));
+}
+
+#[test]
+fn xml_search_ranks_small_results_first() {
+    let tree = kwdb_datasets::generate_bib_xml(&Default::default());
+    let resp = XmlEngine::from_tree(tree)
+        .execute(&SearchRequest::new("data query").k(10))
+        .unwrap();
+    if resp.hits.len() >= 2 {
+        assert!(resp.hits[0].score >= resp.hits[1].score);
+    }
+}
+
+#[test]
+fn zero_deadline_truncates_without_panicking() {
+    let db = generate_dblp(&DblpConfig {
+        n_papers: 60,
+        n_authors: 30,
+        ..Default::default()
+    });
+    let engine = RelationalEngine::new(db);
+    let req = SearchRequest::new("data query")
+        .k(5)
+        .budget(Budget::unlimited().with_timeout(Duration::ZERO));
+    let resp = engine.execute(&req).unwrap();
+    assert!(resp.truncated());
+    assert!(resp.hits.windows(2).all(|w| w[0].score >= w[1].score));
+}
+
+#[test]
+fn trait_objects_dispatch_all_engines() {
+    let db = generate_dblp(&DblpConfig {
+        n_papers: 60,
+        n_authors: 30,
+        ..Default::default()
+    });
+    let g = kwdb_datasets::graphs::generate_graph(&Default::default());
+    let tree = kwdb_datasets::generate_bib_xml(&Default::default());
+    let engines: Vec<(&str, Arc<dyn Engine>)> = vec![
+        ("relational", Arc::new(RelationalEngine::new(db))),
+        ("graph", Arc::new(GraphEngine::new(g))),
+        ("xml", Arc::new(XmlEngine::from_tree(tree))),
+    ];
+    for (kind, engine) in engines {
+        let resp = engine
+            .execute(&SearchRequest::new("data query").k(3))
+            .unwrap();
+        for hit in &resp.hits {
+            assert_eq!(hit.kind(), kind);
+            assert!(hit.score().is_finite());
+        }
+    }
+}

@@ -281,11 +281,12 @@ fn mixed_batch(n: usize) -> Vec<(String, SearchRequest)> {
 
 #[test]
 fn concurrent_dispatch_is_identical_to_serial() {
-    // Result caching off fleet-wide: the serial pass would otherwise warm
-    // the result caches and the concurrent pass would measure cache serving
-    // instead of concurrent execution (operator totals would collapse).
-    let dispatcher = Dispatcher::with_workers(catalog(), 8).with_result_caching(false);
-    let batch = mixed_batch(64);
+    // Result caching off on every request: a warm cache would turn the
+    // concurrent pass into cache serving (operator totals would collapse).
+    let dispatcher = Dispatcher::with_workers(catalog(), 8);
+    let batch: Vec<_> = (mixed_batch(64).into_iter())
+        .map(|(name, req)| (name, req.caching(false)))
+        .collect();
 
     let serial = dispatcher.execute_serial(&batch);
     let concurrent = dispatcher.execute_concurrent(&batch);
@@ -341,12 +342,10 @@ fn one_shared_engine_serves_eight_threads_times_fifty_queries() {
     // Both dispatchers share one database but get their own cold engine,
     // so the concurrent run can't coast on the serial run's warm plan cache.
     let db = Arc::new(dblp());
-    // Caching off: every one of the 400 queries must reach the planner for
-    // the plan-cache accounting below to be exhaustive.
     let dispatcher_for = |db: &Arc<kwdb::relational::Database>| {
         let mut c = Catalog::new();
         c.register("dblp", RelationalEngine::new(Arc::clone(db)));
-        Dispatcher::with_workers(c, 8).with_result_caching(false)
+        Dispatcher::with_workers(c, 8)
     };
 
     let queries = [
@@ -356,11 +355,15 @@ fn one_shared_engine_serves_eight_threads_times_fifty_queries() {
         "xml data",
         "search data",
     ];
+    // Caching off: every one of the 400 queries must reach the planner for
+    // the plan-cache accounting below to be exhaustive.
     let batch: Vec<(String, SearchRequest)> = (0..400)
         .map(|i| {
             (
                 "dblp".to_string(),
-                SearchRequest::new(queries[i % queries.len()]).k(1 + i % 6),
+                SearchRequest::new(queries[i % queries.len()])
+                    .k(1 + i % 6)
+                    .caching(false),
             )
         })
         .collect();

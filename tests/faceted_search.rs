@@ -130,8 +130,10 @@ fn facet_counts_are_invariant_and_match_naive_recomputation() {
         resp.facets
     };
 
-    // The same counts for every layout × worker-count combination, at the
-    // normal small k (counts cover the full multiset, not the top-k page).
+    // The same counts (of the full multiset) and the same top-k page for every
+    // layout × worker count, on a database that stays shared with this test: an
+    // engine serves the layout its data arrives in, sole owner or not.
+    let mut pages = Vec::new();
     for layout in [Layout::Plain, Layout::Blocks] {
         let db = dblp(layout);
         for workers in [1usize, 2, 8] {
@@ -139,10 +141,10 @@ fn facet_counts_are_invariant_and_match_naive_recomputation() {
                 Arc::clone(&db),
                 RelationalConfig {
                     intra_query_workers: workers,
-                    posting_layout: layout,
                     ..Default::default()
                 },
             );
+            assert_eq!(engine.database().text_index().unwrap().layout(), layout);
             let resp = engine.execute(&faceted_request()).unwrap();
             assert!(resp.facets_exact, "{layout:?}/{workers} must be exact");
             assert_eq!(
@@ -150,8 +152,11 @@ fn facet_counts_are_invariant_and_match_naive_recomputation() {
                 "{layout:?}/{workers}: facet counts depend on execution strategy"
             );
             assert_eq!(resp.hits.len(), 5);
+            pages.push(format!("{:?}", resp.hits));
         }
     }
+    pages.dedup();
+    assert_eq!(pages.len(), 1, "top-k depends on execution strategy");
 }
 
 #[test]

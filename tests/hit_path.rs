@@ -7,12 +7,9 @@
 //! `Dispatcher::execute_serial` request that was answered from the cache —
 //! all engines and the dispatcher recording into one registry with the
 //! default sampling policy, the deployed shape — and holds them to
-//! `allocations of cloning that response + SLACK`. Timings move with the
-//! host; this count does not, which makes it the gate on the hit path:
-//! before instrument handles a plain hit made 254 allocator calls for an
-//! answer that takes 21 to copy (an owned name and label set per registry
-//! lookup, some thirty-five lookups per request, and a histogram snapshot
-//! per AutoP99 verdict).
+//! `allocations of cloning that response + what the request shape needs +
+//! MARGIN`. Timings move with the host; this count does not, which makes it
+//! the gate on the hit path.
 
 use kwdb::common::{FacetSpec, RangeBucket};
 use kwdb::datasets::{self, generate_dblp, DblpConfig};
@@ -26,14 +23,16 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-/// Allocator calls a hit may make beyond one copy of its response. What is
-/// left is proportional to the request, not the answer: the keywords as
-/// `parse_query` returns them and again, sorted, in the cache key; the key's
-/// `Debug` rendering of facet specs and refinements (a `String` grown
-/// piecewise); the erased hit vector, the response vector and the flight
-/// record's digest. Measured: 13 for a plain two-keyword request, 14 on the
-/// graph and XML engines, 20 with two facets, 24 for a drill-down.
-const SLACK: u64 = 32;
+/// Allocator calls a hit may make beyond one copy of its response and the
+/// `beyond` its request shape needs: the keywords as `parse_query` returns
+/// them and again, sorted, in the cache key; the key's `Debug` rendering of
+/// facet specs and refinements; the erased hit vector, the response vector
+/// and the flight record's digest — the same count in debug and release, on
+/// one core and on many. Two, because the cheapest regressions this gate
+/// stands for cost four each: one string-keyed registry lookup
+/// (`reg.counter(..)`) or one `std::thread::available_parallelism()` call put
+/// back into `engine::run_query`. Both were tried and fail this suite.
+const MARGIN: u64 = 2;
 
 /// Requests issued per shape; the AutoP99 slow threshold starts reading the
 /// latency histogram after 32 of them.
@@ -129,13 +128,15 @@ fn faceted(query: &str) -> SearchRequest {
         ))
 }
 
-/// Issue `req` [`ROUNDS`] times and hold every hit to the bound. Returns
-/// the last hit for the caller to build the next step from.
+/// Issue `req` [`ROUNDS`] times and hold every hit to `beyond` allocator
+/// calls over the copy of its response, plus [`MARGIN`]. Returns the last
+/// hit for the caller to build the next step from.
 fn hold_hits_to_the_bound(
     d: &Dispatcher,
     what: &str,
     engine: &str,
     req: SearchRequest,
+    beyond: u64,
 ) -> SearchResponse<Hit> {
     let batch = [(engine.to_string(), req)];
     let mut last = None;
@@ -150,9 +151,10 @@ fn hold_hits_to_the_bound(
         hits += 1;
         let (copy, copying) = counted(|| resp.clone());
         assert!(
-            allocations <= copying + SLACK,
+            allocations <= copying + beyond + MARGIN,
             "{what}, round {round}: a hit made {allocations} allocator calls; cloning its \
-             response ({} hits, {} facets) makes {copying}, and the bound is that + {SLACK}",
+             response ({} hits, {} facets) makes {copying}, and the bound is that + {beyond} \
+             + {MARGIN}",
             copy.hits.len(),
             copy.facets.len(),
         );
@@ -174,26 +176,23 @@ fn hold_hits_to_the_bound(
 fn a_hit_allocates_its_answer_and_a_small_constant() {
     let d = dispatcher();
     // The four request shapes of an `explore_session` session.
-    hold_hits_to_the_bound(&d, "plain", "dblp", SearchRequest::new("data query").k(10));
-    let step = hold_hits_to_the_bound(&d, "two facets", "dblp", faceted("data query"));
+    let plain = SearchRequest::new("data query").k(10);
+    hold_hits_to_the_bound(&d, "plain", "dblp", plain.clone(), 13);
+    let step = hold_hits_to_the_bound(&d, "two facets", "dblp", faceted("data query"), 20);
     let drill = faceted("data query").refine(Refinement::Term {
         attr: "conference.name".into(),
         value: step.facets[0].values[0].value.clone(),
     });
-    hold_hits_to_the_bound(&d, "drill-down", "dblp", drill.clone());
+    hold_hits_to_the_bound(&d, "drill-down", "dblp", drill.clone(), 24);
     let summarized =
-        hold_hits_to_the_bound(&d, "drill-down + summaries", "dblp", drill.summaries(5));
+        hold_hits_to_the_bound(&d, "drill-down + summaries", "dblp", drill.summaries(5), 24);
     assert!(summarized.hits.iter().all(|h| match h {
         Hit::Relational(h) => !h.summary.is_empty(),
         _ => false,
     }));
-    hold_hits_to_the_bound(
-        &d,
-        "graph",
-        "social",
-        SearchRequest::new("kw0 kw1")
-            .k(5)
-            .semantics(GraphSemantics::Banks),
-    );
-    hold_hits_to_the_bound(&d, "xml", "bib", SearchRequest::new("data query").k(10));
+    let banks = SearchRequest::new("kw0 kw1")
+        .k(5)
+        .semantics(GraphSemantics::Banks);
+    hold_hits_to_the_bound(&d, "graph", "social", banks, 14);
+    hold_hits_to_the_bound(&d, "xml", "bib", plain, 14);
 }

@@ -254,22 +254,16 @@ fn relational_engine_topk_identical_across_layouts_and_workers() {
     let mut baseline: Option<Vec<QueryOutcome>> = None;
     for layout in [Layout::Plain, Layout::Blocks] {
         for workers in [1usize, 8] {
+            let mut db = generate_dblp(&cfg);
+            db.set_posting_layout(layout);
             let engine = RelationalEngine::with_config(
-                generate_dblp(&cfg),
+                db,
                 RelationalConfig {
                     intra_query_workers: workers,
-                    posting_layout: layout,
                     ..Default::default()
                 },
             );
-            assert_eq!(
-                engine
-                    .database()
-                    .text_index()
-                    .expect("index built")
-                    .layout(),
-                layout
-            );
+            assert_eq!(engine.database().text_index().unwrap().layout(), layout);
             let per_query: Vec<QueryOutcome> = queries
                 .iter()
                 .map(|q| {
@@ -319,7 +313,9 @@ fn xml_engine_hits_identical_across_layouts() {
         vec![terms[0].0.clone(), format!("{} {}", terms[0].0, terms[1].0)]
     };
     let run = |layout| {
-        let engine = XmlEngine::from_tree_with(generate_bib_xml(&tree_cfg), layout);
+        let tree = generate_bib_xml(&tree_cfg);
+        let index = XmlIndex::build_with(&tree, layout);
+        let engine = XmlEngine::new(tree, index);
         queries
             .iter()
             .map(|q| {
@@ -345,8 +341,9 @@ fn graph_engine_hits_identical_across_layouts() {
         vec![vocab[0].clone(), format!("{} {}", vocab[0], vocab[1])]
     };
     let run = |layout| {
-        let engine =
-            GraphEngine::new(generate_graph(&GraphConfig::default())).with_posting_layout(layout);
+        let mut g = generate_graph(&GraphConfig::default());
+        g.set_keyword_index_layout(layout);
+        let engine = GraphEngine::new(g);
         assert_eq!(engine.graph().keyword_index_layout(), layout);
         queries
             .iter()

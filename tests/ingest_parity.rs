@@ -105,11 +105,12 @@ fn build_once(rows: &[(&str, Row)]) -> Database {
     db
 }
 
-/// Incremental path: batch-build over the first `n_base` rows, then ingest
-/// the rest through the engine's mutation surface and commit.
+/// Incremental path: batch-build over the first `n_base` rows in `layout`,
+/// then ingest the rest through the engine's mutation surface and commit.
 fn build_incremental(
     rows: &[(&str, Row)],
     n_base: usize,
+    layout: Layout,
     cfg: RelationalConfig,
 ) -> RelationalEngine {
     let mut db = Database::new();
@@ -117,7 +118,7 @@ fn build_incremental(
     for (table, row) in &rows[..n_base] {
         db.insert(table, row.clone()).unwrap();
     }
-    db.build_text_index();
+    db.build_text_index_with(layout);
     let engine = RelationalEngine::with_config(db, cfg);
     for (table, row) in &rows[n_base..] {
         engine
@@ -161,12 +162,13 @@ fn ingest_matches_rebuild_across_layouts_and_workers() {
     for layout in [Layout::Plain, Layout::Blocks] {
         for workers in [1usize, 8] {
             let cfg = RelationalConfig {
-                posting_layout: layout,
                 intra_query_workers: workers,
                 ..Default::default()
             };
-            let ref_engine = RelationalEngine::with_config(reference.clone(), cfg);
-            let inc_engine = build_incremental(&rows, n_base, cfg);
+            let mut reference = reference.clone();
+            reference.set_posting_layout(layout);
+            let ref_engine = RelationalEngine::with_config(reference, cfg);
+            let inc_engine = build_incremental(&rows, n_base, layout, cfg);
             for req in queries() {
                 let a = ref_engine.execute(&req).unwrap();
                 let b = inc_engine.execute(&req).unwrap();
@@ -191,7 +193,7 @@ fn ingest_matches_rebuild_across_layouts_and_workers() {
 fn term_stats_match_rebuild_exactly() {
     let rows = workload(3, 10, 30, 0x57A75);
     let reference = build_once(&rows);
-    let engine = build_incremental(&rows, rows.len() / 3, RelationalConfig::default());
+    let engine = build_incremental(&rows, rows.len() / 3, Layout::Plain, Default::default());
     let db = engine.database();
     let (ref_ix, inc_ix) = (reference.text_index().unwrap(), db.text_index().unwrap());
     assert_eq!(ref_ix.term_count(), inc_ix.term_count());
@@ -328,7 +330,7 @@ fn mask_signature_keys_the_plan_cache() {
         result_cache: kwdb_common::CacheConfig::disabled(),
         ..Default::default()
     };
-    let engine = build_incremental(&rows, rows.len() - 2, cfg);
+    let engine = build_incremental(&rows, rows.len() - 2, Layout::Plain, cfg);
     let req = SearchRequest::new("keyword search").k(5);
     let ingest = |table: &'static str, values: Row| {
         engine
@@ -421,7 +423,7 @@ fn stale_and_unbuilt_indexes_surface_typed_errors() {
 #[test]
 fn commit_reports_generation_and_segments() {
     let rows = workload(2, 6, 10, 0xC0);
-    let engine = build_incremental(&rows, rows.len() - 4, RelationalConfig::default());
+    let engine = build_incremental(&rows, rows.len() - 4, Layout::Plain, Default::default());
     let outcome = engine.commit().unwrap();
     assert_eq!(outcome.generation, MutableEngine::generation(&engine));
     assert_eq!(outcome.segments.realtime, 0, "commit seals realtime");

@@ -256,11 +256,7 @@ fn index_scores_equal_text_scores_in_every_index_state() {
             db.insert(table, row).unwrap();
         }
         db.build_text_index_with(layout);
-        let cfg = RelationalConfig {
-            posting_layout: layout,
-            ..RelationalConfig::default()
-        };
-        let engine = RelationalEngine::with_config(db, cfg);
+        let engine = RelationalEngine::new(db);
         let cache = TermCache::new(CacheConfig::default());
         let at = |state: &str| format!("{layout:?}/{state}");
         check(&engine, &cache, &at("built"));
@@ -296,7 +292,7 @@ fn index_scores_equal_text_scores_in_every_index_state() {
 
         let mut rebuilt = (*engine.database()).clone();
         rebuilt.build_text_index_with(layout);
-        let engine = RelationalEngine::with_config(rebuilt, cfg);
+        let engine = RelationalEngine::new(rebuilt);
         // A rebuild renumbers the term dictionary without a new generation:
         // its lists go under their own cache, as they do in an engine.
         let cache = TermCache::new(CacheConfig::default());

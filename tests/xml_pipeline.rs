@@ -123,9 +123,10 @@ fn engine_hits_equal_a_recomputation_from_the_tree() {
 
     let tree = || generate_bib_xml(&BibConfig::default());
     let shared = Arc::new((tree(), XmlIndex::build(&tree())));
+    let blocks = XmlIndex::build_with(&tree(), Layout::Blocks);
     let engines = [
         ("from_tree", XmlEngine::from_tree(tree())),
-        ("blocks", XmlEngine::from_tree_with(tree(), Layout::Blocks)),
+        ("blocks", XmlEngine::new(tree(), blocks)),
         ("from_arc", XmlEngine::from_arc(Arc::clone(&shared))),
     ];
     for (name, engine) in &engines {
