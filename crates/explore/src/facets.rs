@@ -17,27 +17,9 @@
 //! resulting cost. E15 compares greedy vs fixed attribute order vs a flat
 //! SHOWALL list.
 
-use kwdb_common::{KwdbError, Result};
+use kwdb_common::Result;
 use kwdb_relational::{Database, TupleId};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-
-/// Resolve `"table.column"` against a database schema.
-fn resolve_attr(db: &Database, attr: &str) -> Result<(kwdb_relational::TableId, usize)> {
-    let (tname, cname) = attr.split_once('.').ok_or_else(|| {
-        KwdbError::InvalidQuery(format!(
-            "facet attribute `{attr}` must be of the form table.column"
-        ))
-    })?;
-    let tid = db.table_id(tname)?;
-    let col = db
-        .table(tid)
-        .schema
-        .columns
-        .iter()
-        .position(|c| c.name == cname)
-        .ok_or_else(|| KwdbError::UnknownObject(format!("column `{cname}` of table `{tname}`")))?;
-    Ok((tid, col))
-}
 
 /// A result table: attribute names + rows of values.
 #[derive(Debug, Clone)]
@@ -69,7 +51,7 @@ impl FacetTable {
     ) -> Result<FacetTable> {
         let resolved: Vec<(kwdb_relational::TableId, usize)> = attrs
             .iter()
-            .map(|a| resolve_attr(db, a))
+            .map(|a| db.resolve_attr(a))
             .collect::<Result<_>>()?;
         let rows = results
             .iter()

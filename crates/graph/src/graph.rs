@@ -201,19 +201,9 @@ impl DataGraph {
         self.kw_index.commit()
     }
 
-    /// Compact the keyword index's segments into one.
-    pub fn merge_keyword_index(&mut self) -> SegmentCounts {
-        self.kw_index.merge()
-    }
-
     /// Realtime/sealed segment census of the keyword index.
     pub fn keyword_segment_counts(&self) -> SegmentCounts {
         self.kw_index.segment_counts()
-    }
-
-    /// Cumulative segment merges the keyword index has performed.
-    pub fn keyword_index_merges(&self) -> u64 {
-        self.kw_index.merges()
     }
 
     /// Iterate all node ids.

@@ -256,6 +256,25 @@ impl Database {
         &self.tables[id.0 as usize]
     }
 
+    /// Resolve a `"table.column"` attribute reference — a facet, a
+    /// refinement, a navigation attribute — to `(TableId, column index)`.
+    pub fn resolve_attr(&self, attr: &str) -> Result<(TableId, usize)> {
+        let (tname, cname) = attr.split_once('.').ok_or_else(|| {
+            KwdbError::InvalidQuery(format!(
+                "facet attribute `{attr}` must be of the form table.column"
+            ))
+        })?;
+        let table = self.table_id(tname)?;
+        let col = self
+            .table(table)
+            .schema
+            .columns
+            .iter()
+            .position(|c| c.name == cname)
+            .ok_or_else(|| KwdbError::UnknownObject(format!("{tname}.{cname}")))?;
+        Ok((table, col))
+    }
+
     pub fn table_by_name(&self, name: &str) -> Result<&Table> {
         Ok(self.table(self.table_id(name)?))
     }

@@ -145,6 +145,41 @@ impl CandidateNetwork {
             .expect("tree has a center")
     }
 
+    /// Canonical code of the subtree of `node` away from `parent` (table,
+    /// mask, FK identity and orientation all included): the operator mesh's
+    /// cache key and the partitioners' shareable operator. `each` sees the
+    /// code of every subtree below and including this one.
+    pub fn subtree_code(&self, node: usize, parent: usize, each: &mut dyn FnMut(&str)) -> String {
+        let mut kids: Vec<String> = self
+            .edges
+            .iter()
+            .filter_map(|e| {
+                let child = if e.a == node && e.b != parent {
+                    e.b
+                } else if e.b == node && e.a != parent {
+                    e.a
+                } else {
+                    return None;
+                };
+                Some(format!(
+                    "-{}{}-{}",
+                    e.schema_edge,
+                    if e.from_side_is(child) { ">" } else { "<" },
+                    self.subtree_code(child, node, each)
+                ))
+            })
+            .collect();
+        kids.sort();
+        let code = format!(
+            "{}:{}({})",
+            self.nodes[node].table.0,
+            self.nodes[node].mask,
+            kids.join(",")
+        );
+        each(&code);
+        code
+    }
+
     /// Human-readable rendering, e.g. `author^{widom}⋈write⋈paper^{xml}`.
     pub fn display<S: AsRef<str>>(&self, db: &Database, keywords: &[S]) -> String {
         let node_str = |n: &CnNode| {

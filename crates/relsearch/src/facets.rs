@@ -19,7 +19,7 @@
 //! and keywords — so a refined query hits the CN plan cache.
 
 use crate::eval::JoinedResult;
-use kwdb_common::{FacetCount, FacetCounts, FacetSpec, KwdbError, Result, Value};
+use kwdb_common::{FacetCount, FacetCounts, FacetSpec, Result, Value};
 use kwdb_relational::{Database, TableId};
 use std::collections::HashMap;
 
@@ -32,30 +32,12 @@ pub struct ResolvedFacet {
     pub col: usize,
 }
 
-/// Resolve `"table.column"` to `(TableId, column index)`.
-pub fn resolve_attr(db: &Database, attr: &str) -> Result<(TableId, usize)> {
-    let (tname, cname) = attr.split_once('.').ok_or_else(|| {
-        KwdbError::InvalidQuery(format!(
-            "facet attribute `{attr}` must be of the form table.column"
-        ))
-    })?;
-    let table = db.table_id(tname)?;
-    let col = db
-        .table(table)
-        .schema
-        .columns
-        .iter()
-        .position(|c| c.name == cname)
-        .ok_or_else(|| KwdbError::UnknownObject(format!("{tname}.{cname}")))?;
-    Ok((table, col))
-}
-
 /// Resolve every requested facet, rejecting unknown attributes up front.
 pub fn resolve_facets(db: &Database, specs: &[FacetSpec]) -> Result<Vec<ResolvedFacet>> {
     specs
         .iter()
         .map(|spec| {
-            let (table, col) = resolve_attr(db, spec.attr())?;
+            let (table, col) = db.resolve_attr(spec.attr())?;
             Ok(ResolvedFacet {
                 spec: spec.clone(),
                 table,
@@ -99,7 +81,7 @@ pub struct ResolvedRefinement {
 pub fn resolve_refinements(db: &Database, refs: &[Refinement]) -> Result<Vec<ResolvedRefinement>> {
     refs.iter()
         .map(|r| {
-            let (table, col) = resolve_attr(db, r.attr())?;
+            let (table, col) = db.resolve_attr(r.attr())?;
             Ok(ResolvedRefinement {
                 refinement: r.clone(),
                 table,
@@ -323,10 +305,10 @@ mod tests {
     #[test]
     fn resolve_rejects_unknown_attrs() {
         let db = db();
-        assert!(resolve_attr(&db, "conference.name").is_ok());
-        assert!(resolve_attr(&db, "nope.name").is_err());
-        assert!(resolve_attr(&db, "conference.nope").is_err());
-        assert!(resolve_attr(&db, "noperiod").is_err());
+        assert!(db.resolve_attr("conference.name").is_ok());
+        assert!(db.resolve_attr("nope.name").is_err());
+        assert!(db.resolve_attr("conference.nope").is_err());
+        assert!(db.resolve_attr("noperiod").is_err());
     }
 
     #[test]

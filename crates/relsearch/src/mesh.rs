@@ -114,7 +114,7 @@ fn prune_subtree(
             return false;
         }
     }
-    let key = subtree_code(cn, node, parent);
+    let key = cn.subtree_code(node, parent, &mut |_| {});
     if let Some(rows) = cache.get(&key) {
         mesh.cache_hits += 1;
         pruned[node] = Some(rows.clone());
@@ -148,37 +148,6 @@ fn prune_subtree(
     cache.insert(key, rows.clone());
     pruned[node] = Some(rows.clone());
     !rows.is_empty()
-}
-
-/// Canonical code of the subtree of `node` away from `parent` — the cache
-/// key (table, mask, FK identity and orientation all included).
-fn subtree_code(cn: &CandidateNetwork, node: usize, parent: usize) -> String {
-    let mut kids: Vec<String> = cn
-        .edges
-        .iter()
-        .filter_map(|e| {
-            let (child, _me) = if e.a == node && e.b != parent {
-                (e.b, e.a)
-            } else if e.b == node && e.a != parent {
-                (e.a, e.b)
-            } else {
-                return None;
-            };
-            Some(format!(
-                "-{}{}-{}",
-                e.schema_edge,
-                if e.from_side_is(child) { ">" } else { "<" },
-                subtree_code(cn, child, node)
-            ))
-        })
-        .collect();
-    kids.sort();
-    format!(
-        "{}:{}({})",
-        cn.nodes[node].table.0,
-        cn.nodes[node].mask,
-        kids.join(",")
-    )
 }
 
 #[cfg(test)]
@@ -274,7 +243,7 @@ mod tests {
         // no two different-size CNs share a code
         let mut by_code: HashMap<String, usize> = HashMap::new();
         for cn in &list {
-            let code = subtree_code(cn, 0, usize::MAX);
+            let code = cn.subtree_code(0, usize::MAX, &mut |_| {});
             if let Some(&sz) = by_code.get(&code) {
                 assert_eq!(sz, cn.size(), "same code for different-size CNs");
             }

@@ -10,11 +10,9 @@
 //!   *residual* cost (cost minus work already paid by co-located jobs'
 //!   shared subtrees) minimizes the resulting load (slide 132);
 //! * [`operator_level_makespan`] — schedule distinct subtree *operators* level by
-//!   level across cores (slide 133), the finest granularity;
-//! * [`execute_data_parallel`] — split one dominant CN's largest tuple set
-//!   across real threads (slide 133's data-level parallelism).
+//!   level across cores (slide 133), the finest granularity.
 //!
-//! Those four reproduce the slides (experiment E22 simulates the
+//! Those three reproduce the slides (experiment E22 simulates the
 //! partitioners' makespans); none of them is on the serving path. The
 //! sharing-aware partition presumes co-located CNs reuse each other's
 //! sub-expressions, and the engine's evaluator shares nothing between CNs:
@@ -28,7 +26,7 @@
 
 use crate::cn::CandidateNetwork;
 use crate::tupleset::TupleSets;
-use kwdb_relational::{Database, ExecStats};
+use kwdb_relational::Database;
 use std::collections::{HashMap, HashSet};
 
 /// How [`crate::pexec`] joins one CN: the node placement order (`order[0]`
@@ -168,45 +166,11 @@ pub fn choose_workers(total_cost: f64, cap: usize) -> usize {
 pub fn subtree_codes(cn: &CandidateNetwork) -> HashSet<String> {
     let mut codes = HashSet::new();
     for node in 0..cn.nodes.len() {
-        collect_codes(cn, node, usize::MAX, &mut codes);
+        cn.subtree_code(node, usize::MAX, &mut |code| {
+            codes.insert(code.to_string());
+        });
     }
     codes
-}
-
-fn collect_codes(
-    cn: &CandidateNetwork,
-    node: usize,
-    parent: usize,
-    out: &mut HashSet<String>,
-) -> String {
-    let mut kids: Vec<String> = cn
-        .edges
-        .iter()
-        .filter_map(|e| {
-            let child = if e.a == node && e.b != parent {
-                e.b
-            } else if e.b == node && e.a != parent {
-                e.a
-            } else {
-                return None;
-            };
-            Some(format!(
-                "-{}{}-{}",
-                e.schema_edge,
-                if e.from_side_is(child) { ">" } else { "<" },
-                collect_codes(cn, child, node, out)
-            ))
-        })
-        .collect();
-    kids.sort();
-    let code = format!(
-        "{}:{}({})",
-        cn.nodes[node].table.0,
-        cn.nodes[node].mask,
-        kids.join(",")
-    );
-    out.insert(code.clone());
-    code
 }
 
 /// An assignment of jobs to cores plus its simulated makespan.
@@ -286,11 +250,7 @@ pub fn operator_level_makespan(cns: &[CandidateNetwork], cores: usize) -> f64 {
     // operator → (level, unit cost ~ subtree size)
     let mut ops: HashMap<String, (usize, f64)> = HashMap::new();
     for cn in cns {
-        let mut local = HashSet::new();
-        for node in 0..cn.nodes.len() {
-            collect_codes(cn, node, usize::MAX, &mut local);
-        }
-        for code in local {
+        for code in subtree_codes(cn) {
             let level = code.matches('(').count(); // nesting depth proxy
             let cost = 1.0 + code.matches('-').count() as f64 / 2.0;
             ops.entry(code).or_insert((level, cost));
@@ -307,64 +267,10 @@ pub fn operator_level_makespan(cns: &[CandidateNetwork], cores: usize) -> f64 {
     total
 }
 
-/// Data-level parallelism for extremely skewed workloads (slide 133's last
-/// bullet): when one CN dominates everything, CN-level partitioning cannot
-/// balance it. Split the CN's *largest keyword tuple set* into `cores`
-/// chunks and evaluate the restricted CN per chunk in parallel; chunk
-/// results are disjoint (each result uses exactly one tuple of that set), so
-/// concatenation equals serial evaluation.
-pub fn execute_data_parallel(
-    db: &Database,
-    ts: &TupleSets,
-    cn: &CandidateNetwork,
-    cores: usize,
-    stats: &ExecStats,
-) -> Vec<crate::eval::JoinedResult> {
-    use crate::eval::{default_row_count, default_rows, evaluate_cn_with};
-    let cores = cores.max(1);
-    // pick the largest keyword node to split on (counting only, no clones)
-    let split = cn
-        .keyword_nodes()
-        .into_iter()
-        .max_by_key(|&ni| default_row_count(db, cn, ts, ni));
-    let Some(split_node) = split else {
-        return crate::eval::evaluate_cn(db, cn, ts, stats);
-    };
-    let rows = default_rows(db, cn, ts, split_node);
-    if rows.len() < cores * 2 {
-        return crate::eval::evaluate_cn(db, cn, ts, stats);
-    }
-    let chunk = rows.len().div_ceil(cores);
-    let chunks: Vec<&[kwdb_relational::RowId]> = rows.chunks(chunk).collect();
-    let mut outputs: Vec<Vec<crate::eval::JoinedResult>> =
-        (0..chunks.len()).map(|_| Vec::new()).collect();
-    std::thread::scope(|s| {
-        for (slot, part) in outputs.iter_mut().zip(&chunks) {
-            let part: Vec<kwdb_relational::RowId> = part.to_vec();
-            s.spawn(move || {
-                *slot = evaluate_cn_with(
-                    db,
-                    cn,
-                    &|node| {
-                        if node == split_node {
-                            part.clone()
-                        } else {
-                            default_rows(db, cn, ts, node)
-                        }
-                    },
-                    stats,
-                );
-            });
-        }
-    });
-    outputs.into_iter().flatten().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cn::{CnGenConfig, CnGenerator, MaskOracle};
-    use crate::eval::evaluate_cn;
     use kwdb_relational::database::dblp_schema;
 
     fn db() -> Database {
@@ -441,66 +347,12 @@ mod tests {
     }
 
     #[test]
-    fn data_parallel_matches_serial_results() {
-        let mut db = Database::new();
-        dblp_schema(&mut db).unwrap();
-        db.insert("conference", vec![1.into(), "SIGMOD".into(), 2007.into()])
-            .unwrap();
-        // a skewed workload: many matching authors, one paper
-        for aid in 0..40 {
-            db.insert("author", vec![(aid as i64).into(), "prolific widom".into()])
-                .unwrap();
-        }
-        db.insert("paper", vec![1.into(), "xml".into(), 1.into()])
-            .unwrap();
-        for (wid, aid) in (0..40).enumerate() {
-            db.insert(
-                "write",
-                vec![(wid as i64).into(), (aid as i64).into(), 1.into()],
-            )
-            .unwrap();
-        }
-        db.build_text_index();
-        let ts = TupleSets::build(&db, &["widom", "xml"]).unwrap();
-        let oracle = MaskOracle::from_tuplesets(&ts);
-        let mut g = CnGenerator::new(
-            db.schema_graph(),
-            &oracle,
-            CnGenConfig {
-                max_size: 3,
-                dedupe: true,
-                max_cns: 0,
-            },
-        );
-        let cns = g.generate();
-        let cn = cns.iter().find(|c| c.size() == 3).expect("A–W–P network");
-        let stats = ExecStats::new();
-        let mut serial = evaluate_cn(&db, cn, &ts, &stats);
-        let mut parallel = execute_data_parallel(&db, &ts, cn, 4, &stats);
-        serial.sort_by(|a, b| a.tuples.cmp(&b.tuples));
-        parallel.sort_by(|a, b| a.tuples.cmp(&b.tuples));
-        assert_eq!(serial.len(), 40);
-        assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn data_parallel_small_input_falls_back_to_serial() {
-        let db = db();
-        let (ts, cns) = jobs(&db);
-        let stats = ExecStats::new();
-        for cn in &cns {
-            let a = evaluate_cn(&db, cn, &ts, &stats);
-            let b = execute_data_parallel(&db, &ts, cn, 8, &stats);
-            assert_eq!(a.len(), b.len());
-        }
-    }
-
-    #[test]
     fn auto_runs_a_small_plan_inline_and_spreads_a_large_one() {
         use crate::pexec::{parallel_topk_budgeted, EvalScratch};
         use crate::score::ResultScorer;
         use crate::topk::TopKQuery;
         use kwdb_common::{Budget, ScratchPool};
+        use kwdb_relational::ExecStats;
 
         assert_eq!(choose_workers(0.0, 8), 1);
         assert_eq!(choose_workers(COST_PER_WORKER * 1.9, 8), 1);

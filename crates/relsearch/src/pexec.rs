@@ -1,14 +1,17 @@
-//! The engine's CN executor — the one top-k path `RelationalEngine` runs
-//! for the monotone score model, at every worker count.
+//! The engine's CN executor — the one top-k path `RelationalEngine` runs,
+//! for either score model, at every worker count.
 //!
 //! This is DISCOVER2's Sparse (tutorial slide 116) with a shared bound: one
 //! keyword query's candidate networks go into **one list**, best upper bound
 //! first, and workers draw from it through one atomic cursor, all pruning
 //! against a single global top-k bound ([`kwdb_common::SharedTopK`]). A CN
 //! is skipped once its bound cannot beat the k-th best. With one worker the
-//! same loop runs inline on the calling thread, no spawn. The tutorial's
-//! slide-116 strategies in [`crate::topk`] are the serial references this
-//! executor is checked against, not alternatives the engine chooses between.
+//! same loop runs inline on the calling thread, no spawn. Slide 117 presents
+//! SPARK as the same loop with another bound and another final score, and
+//! that is all [`Scoring`] changes here. The tutorial's slide-116 strategies
+//! in [`crate::topk`] and the slide-117 sweeps in [`crate::spark`] are the
+//! serial references this executor is checked against, not alternatives the
+//! engine chooses between.
 //!
 //! Each worker evaluates whole CNs: the join follows the database's FK
 //! index — every foreign key already resolved to a row id, in both
@@ -20,23 +23,34 @@
 //!
 //! # Scoring
 //!
-//! Nothing here reads a tuple's text. The query's [`ScoreTable`] holds one
-//! score column per tuple set, computed from the term frequencies the tuple
-//! sets kept from the postings. A CN's upper bound is its keyword nodes'
-//! column maxima over its size; a joined row is scored where it lies in the
-//! scratch buffer — the sum over the CN's nodes, in node order, of the
-//! column entry for a keyword node's row and of 0 for a free node's, over
-//! the size — and becomes a [`JoinedResult`] only if the shared top-k would
-//! accept that score. The value is the text-derived reference's, bit for
+//! The query's [`ScoreTable`] holds one column per tuple set, computed from
+//! the term frequencies the tuple sets kept from the postings. A CN's upper
+//! bound is its keyword nodes' column maxima over its size; a joined row is
+//! summed where it lies in the scratch buffer — over the CN's nodes, in node
+//! order, the column entry for a keyword node's row and 0 for a free node's,
+//! over the size.
+//!
+//! Under [`Scoring::Monotone`] nothing reads a tuple's text: that sum *is*
+//! the row's score, and the row becomes a [`JoinedResult`] only if the shared
+//! top-k would accept it. The value is the text-derived reference's, bit for
 //! bit (see [`crate::score`]); a `debug_assert!` at the scoring site checks
 //! it on every result of every debug run.
+//!
+//! Under [`Scoring::Spark`] the columns hold `watf` and the sum is the row's
+//! *upper bound*. A row whose bound the shared top-k would reject is skipped;
+//! one that passes is scored exactly with
+//! [`ResultScorer::spark_score`](crate::score::ResultScorer::spark_score) —
+//! the one place this executor tokenizes tuples — and offered with that
+//! score (debug builds assert `exact ≤ bound`).
 //!
 //! # Determinism
 //!
 //! The executor returns the *exact* top-k of the full result multiset for
-//! any worker count, because (a) the score model is monotone and the shared
-//! threshold is a conservative lower bound on the global k-th best, so a
-//! CN is skipped only when `bound < threshold` strictly — it provably
+//! any worker count, because (a) every bound is monotone — a CN's bound
+//! dominates its rows' and, for SPARK, a row's bound dominates its score —
+//! and the shared threshold is a conservative lower bound on the global
+//! k-th best, so a CN or row is skipped only when `bound < threshold`
+//! strictly — it provably
 //! cannot contribute; and (b) `SharedTopK` orders ties by result content,
 //! not arrival. Under a candidate cap of `c` the position a worker draws
 //! from the list *is* its budget ticket, so the CNs considered are exactly
@@ -48,7 +62,7 @@ use crate::cn::CandidateNetwork;
 use crate::eval::JoinedResult;
 use crate::facets::{FacetAccum, FacetRequest};
 use crate::parallel::{join_plan, JoinPlan};
-use crate::score::ScoreTable;
+use crate::score::{ScoreTable, Scoring};
 use crate::topk::{CnExecOutcome, RankedResult, TopKQuery};
 use crate::tupleset::TupleSets;
 use kwdb_common::{Budget, ScratchPool, SharedTopK, TruncationReason};
@@ -319,8 +333,8 @@ fn join_cn<'s>(
     scratch.cur.chunks(n)
 }
 
-/// Run the parallel CN executor: evaluate `q.cns` on `workers` threads
-/// sharing one top-k bound, under `budget`. Scratch state is checked out of
+/// Run the parallel CN executor under [`Scoring::Monotone`]: evaluate
+/// `q.cns` on `workers` threads sharing one top-k bound, under `budget`. Scratch state is checked out of
 /// `pool` (one `EvalScratch` per worker, returned on completion).
 ///
 /// Scheduling: one list of CNs, best upper bound first, drained through one
@@ -370,16 +384,20 @@ where
     S: AsRef<str> + Sync,
     D: Deref<Target = Database> + Sync,
 {
-    parallel_topk_planned(q, k, stats, budget, |_| workers, pool, freq)
+    let model = Scoring::Monotone;
+    parallel_topk_planned(q, k, model, stats, budget, |_| workers, pool, freq)
 }
 
-/// [`parallel_topk_faceted`] with the worker count left to the caller's
-/// policy: every CN's [`JoinPlan`] is derived once, `workers_for` is handed
-/// their summed estimated cost and answers with the number of workers to
-/// run, and the same plans then drive the evaluator.
+/// [`parallel_topk_faceted`] under either score `model`, with the worker
+/// count left to the caller's policy: every CN's [`JoinPlan`] is derived
+/// once, `workers_for` is handed their summed estimated cost and answers
+/// with the number of workers to run, and the same plans then drive the
+/// evaluator. This is the engine's one entry point.
+#[allow(clippy::too_many_arguments)]
 pub fn parallel_topk_planned<S, D>(
     q: &TopKQuery<'_, S, D>,
     k: usize,
+    model: Scoring,
     stats: &ExecStats,
     budget: &Budget,
     workers_for: impl FnOnce(f64) -> usize,
@@ -406,9 +424,9 @@ where
         );
     }
 
-    // Every tuple set's scores, from the frequencies the sets carry. A CN's
+    // Every tuple set's column, from the frequencies the sets carry. A CN's
     // upper bound takes each keyword node's best; free nodes add nothing.
-    let scores = ScoreTable::new(q.ts, q.scorer, q.keywords);
+    let scores = ScoreTable::new(q.ts, q.scorer, q.keywords, model);
     let bounds: Vec<f64> = q
         .cns
         .iter()
@@ -494,18 +512,29 @@ where
                         accum.observe(q.db, freq.facets, &probe);
                     }
                 }
-                // The DISCOVER2 score: tuple scores summed in node order
-                // (as the text-derived reference sums them, so the two
-                // agree bitwise) over CN size.
+                // Column entries summed in node order (as the text-derived
+                // reference sums them, so the two agree bitwise) over CN
+                // size: the DISCOVER2 score, or the SPARK bound.
                 let sum: f64 = columns
                     .iter()
                     .map(|&(slot, column)| column.map_or(0.0, |c| c.score_of(chunk[slot])))
                     .sum();
-                let score = sum / chunk.len() as f64;
-                debug_assert_eq!(score.to_bits(), {
-                    fill_tuples(cn, plan, chunk, &mut probe.tuples);
-                    q.scorer.monotone_score(&probe, q.keywords).to_bits()
-                });
+                let mut score = sum / chunk.len() as f64;
+                match model {
+                    Scoring::Monotone => debug_assert_eq!(score.to_bits(), {
+                        fill_tuples(cn, plan, chunk, &mut probe.tuples);
+                        q.scorer.monotone_score(&probe, q.keywords).to_bits()
+                    }),
+                    Scoring::Spark => {
+                        if !shared.would_accept(score) {
+                            continue; // even its bound is below the k-th best
+                        }
+                        fill_tuples(cn, plan, chunk, &mut probe.tuples);
+                        let exact = q.scorer.spark_score(&probe, q.keywords);
+                        debug_assert!(exact <= score, "watf bound {score} < score {exact}");
+                        score = exact;
+                    }
+                }
                 if shared.would_accept(score) {
                     fill_tuples(cn, plan, chunk, &mut probe.tuples);
                     shared.push(w, score, (j, probe.clone()));

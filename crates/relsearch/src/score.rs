@@ -1,6 +1,6 @@
 //! Result scoring for relational keyword search.
 //!
-//! Two scoring regimes (tutorial slides 116–117):
+//! Two scoring regimes ([`Scoring`], tutorial slides 116–117):
 //!
 //! * the **monotonic** DISCOVER2 model — a result's score is the sum of its
 //!   tuples' tf·idf scores, normalized by CN size; monotone in per-tuple
@@ -9,21 +9,25 @@
 //!   document* whose term frequencies aggregate before the double-log
 //!   damping and length normalization, so combining two strong tuples can
 //!   score *less* than their sum. SPARK's `watf` upper bound (monotone,
-//!   per-tuple) is what Skyline-Sweep and Block-Pipeline prune with.
+//!   per-tuple) is what the executor, Skyline-Sweep and Block-Pipeline
+//!   prune with.
 //!
-//! # Where the monotone score comes from
+//! # Where the per-tuple numbers come from
 //!
-//! The per-tuple formula `Σ_k tf_weight(tf_k) · idf(k)` (keywords in query
-//! order) is stated once, in [`tfidf_sum`], as a function of the tuple's
-//! term-frequency slice. It has two sources of counts:
+//! Each model has one monotone per-tuple formula over the tuple's
+//! term-frequency slice (keywords in query order), stated once:
+//! [`tfidf_sum`] = `Σ_k tf_weight(tf_k) · idf(k)`, the DISCOVER2 tuple
+//! score, and [`watf_sum`] = `Σ_k double_log_tf(tf_k) · idf(k) / (1 − s)`,
+//! SPARK's bound. Either has two sources of counts:
 //!
-//! * [`ResultScorer::tuple_score`] counts the keywords in the tuple's
-//!   *text* — the reference the serial [`crate::topk`] strategies, SPARK,
-//!   `timebound` and the parity suites use;
+//! * [`ResultScorer::tuple_score`] / [`ResultScorer::watf`] count the
+//!   keywords in the tuple's *text* — the reference the serial
+//!   [`crate::topk`] strategies, the [`crate::spark`] sweeps, `timebound`
+//!   and the parity suites use;
 //! * [`ScoreTable`] takes them from the *tuple sets*, which kept the
 //!   frequencies the postings carried, and looks each keyword's `idf` up
 //!   once per query — one `f64` column per tuple set, which is all the
-//!   engine's executor ([`crate::pexec`]) reads.
+//!   engine's executor ([`crate::pexec`]) reads to order and prune.
 //!
 //! Both feed the same function the same counts, so the two are equal bit
 //! for bit: a keyword outside a row's mask has `tf = 0` on either side and
@@ -53,6 +57,22 @@ pub fn corpus_stats(db: &Database) -> CorpusStats {
     stats
 }
 
+/// Which score model ranks a relational query — the parameter of
+/// [`ScoreTable`] and of the CN executor ([`crate::pexec`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Scoring {
+    /// DISCOVER2's monotone model: a result scores the sum of its tuples'
+    /// [`tfidf_sum`] over its size, so a column entry *is* the tuple's share
+    /// of the score.
+    #[default]
+    Monotone,
+    /// SPARK's non-monotonic virtual-document model
+    /// ([`ResultScorer::spark_score`]): the columns hold [`watf_sum`], a
+    /// joined row's column sum over its size bounds its score from above, and
+    /// only rows whose bound can still enter the top-k are scored exactly.
+    Spark,
+}
+
 /// The monotone per-tuple score `Σ_k tf_weight(tfs[k]) · idf(k)` over the
 /// query keywords in query order — the one statement of the formula.
 pub fn tfidf_sum(tfs: &[u32], idf: impl Fn(usize) -> f64) -> f64 {
@@ -60,6 +80,20 @@ pub fn tfidf_sum(tfs: &[u32], idf: impl Fn(usize) -> f64) -> f64 {
         .enumerate()
         .map(|(k, &tf)| TfIdf::tf_weight(tf as usize) * idf(k))
         .sum()
+}
+
+/// SPARK's monotone per-tuple upper bound `watf` =
+/// `Σ_k double_log_tf(tfs[k]) · idf(k) / (1 − SLOPE)`: for any result `T`,
+/// `spark_score(T) ≤ Σ_{t ∈ T} watf(t) / |T|`. Holds because `double_log_tf`
+/// is subadditive, `norm ≥ 1 − SLOPE`, the completeness factor is `≤ 1` and
+/// the size penalty is exactly `1 / |T|`.
+pub fn watf_sum(tfs: &[u32], idf: impl Fn(usize) -> f64) -> f64 {
+    let a: f64 = tfs
+        .iter()
+        .enumerate()
+        .map(|(k, &tf)| double_log_tf(tf as usize) * idf(k))
+        .sum();
+    a / (1.0 - SLOPE)
 }
 
 /// SPARK's length-normalization slope (`s` in pivoted normalization).
@@ -106,16 +140,21 @@ impl<D: Deref<Target = Database>> ResultScorer<D> {
         &self.stats
     }
 
+    /// The query keywords' counts in the tuple's text, in query order.
+    fn text_tfs<S: AsRef<str>>(&self, tid: TupleId, keywords: &[S]) -> Vec<u32> {
+        let toks = self.db.tuple_tokens(tid);
+        let tf = term_freqs(&toks);
+        keywords
+            .iter()
+            .map(|k| tf.get(k.as_ref()).map_or(0, |&n| n as u32))
+            .collect()
+    }
+
     /// Monotonic per-tuple score: [`tfidf_sum`] over the query keywords'
     /// counts in the tuple's text.
     pub fn tuple_score<S: AsRef<str>>(&self, tid: TupleId, keywords: &[S]) -> f64 {
-        let toks = self.db.tuple_tokens(tid);
-        let tf = term_freqs(&toks);
-        let tfs: Vec<u32> = keywords
-            .iter()
-            .map(|k| tf.get(k.as_ref()).map_or(0, |&n| n as u32))
-            .collect();
-        tfidf_sum(&tfs, |k| self.stats.idf(keywords[k].as_ref()))
+        let idf = |k: usize| self.stats.idf(keywords[k].as_ref());
+        tfidf_sum(&self.text_tfs(tid, keywords), idf)
     }
 
     /// DISCOVER2 result score: sum of tuple scores over size (smaller
@@ -162,24 +201,16 @@ impl<D: Deref<Target = Database>> ResultScorer<D> {
         a / norm * b * c
     }
 
-    /// SPARK's monotone per-tuple upper bound `watf`: for any result `T`,
-    /// `spark_score(T) ≤ Σ_{t ∈ T} watf(t)`. Holds because `double_log_tf`
-    /// is subadditive, `norm ≥ 1 − SLOPE`, and `b, c ≤ 1`.
+    /// SPARK's per-tuple upper bound: [`watf_sum`] over the query keywords'
+    /// counts in the tuple's text.
     pub fn watf<S: AsRef<str>>(&self, tid: TupleId, keywords: &[S]) -> f64 {
-        let toks = self.db.tuple_tokens(tid);
-        let tf = term_freqs(&toks);
-        let a: f64 = keywords
-            .iter()
-            .map(|k| {
-                let k = k.as_ref();
-                double_log_tf(tf.get(k).copied().unwrap_or(0)) * self.stats.idf(k)
-            })
-            .sum();
-        a / (1.0 - SLOPE)
+        let idf = |k: usize| self.stats.idf(keywords[k].as_ref());
+        watf_sum(&self.text_tfs(tid, keywords), idf)
     }
 }
 
-/// The monotone scores of one tuple set's rows, position-aligned with
+/// One tuple set's per-tuple numbers under the query's [`Scoring`] — scores
+/// for `Monotone`, `watf` bounds for `Spark` — position-aligned with
 /// [`TupleSet::rows`](crate::tupleset::TupleSet::rows).
 #[derive(Debug)]
 pub struct ScoreColumn<'a> {
@@ -207,33 +238,61 @@ impl ScoreColumn<'_> {
     }
 }
 
-/// One query's monotone tuple scores, from the index: per tuple set a
-/// [`ScoreColumn`] holding each row's [`tfidf_sum`] over the frequencies the
-/// set kept.
+/// One query's per-tuple numbers, from the index: per tuple set a
+/// [`ScoreColumn`] holding each row's [`tfidf_sum`] (`Monotone`) or
+/// [`watf_sum`] (`Spark`) over the frequencies the set kept.
 #[derive(Debug)]
 pub struct ScoreTable<'a> {
     columns: HashMap<(TableId, u32), ScoreColumn<'a>>,
 }
 
 impl<'a> ScoreTable<'a> {
-    /// Score every row of every tuple set of `ts`, which must have been
-    /// built for `keywords`. One `idf` lookup per keyword; nothing reads the
-    /// tuples' text.
+    /// Fill a column for every tuple set of `ts`, which must have been built
+    /// for `keywords`, with the formula `model` names — picked here, once,
+    /// not per row. One `idf` lookup per keyword; nothing reads the tuples'
+    /// text.
     pub fn new<S: AsRef<str>, D: Deref<Target = Database>>(
         ts: &'a TupleSets,
         scorer: &ResultScorer<D>,
         keywords: &[S],
+        model: Scoring,
     ) -> Self {
         let idfs: Vec<f64> = keywords
             .iter()
             .map(|k| scorer.stats.idf(k.as_ref()))
             .collect();
+        let idf = |k: usize| idfs[k];
+        let n = keywords.len();
+        match model {
+            Scoring::Monotone => Self::fill(
+                ts,
+                n,
+                |tfs| tfidf_sum(tfs, idf),
+                |t| scorer.tuple_score(t, keywords),
+            ),
+            Scoring::Spark => Self::fill(
+                ts,
+                n,
+                |tfs| watf_sum(tfs, idf),
+                |t| scorer.watf(t, keywords),
+            ),
+        }
+    }
+
+    /// `from_tfs` over every row's counts; `from_text` is the same number
+    /// re-derived from the tuple's text, which debug builds hold it to.
+    fn fill(
+        ts: &'a TupleSets,
+        n_keywords: usize,
+        from_tfs: impl Fn(&[u32]) -> f64,
+        from_text: impl Fn(TupleId) -> f64,
+    ) -> Self {
         // The row's counts spread over all keywords; those outside the
         // set's mask stay 0 throughout.
-        let mut tfs = vec![0u32; keywords.len()];
+        let mut tfs = vec![0u32; n_keywords];
         let mut columns = HashMap::with_capacity(ts.len());
         for set in ts.sets() {
-            let bits: Vec<usize> = (0..keywords.len())
+            let bits: Vec<usize> = (0..n_keywords)
                 .filter(|&k| set.mask & (1 << k) != 0)
                 .collect();
             let scores: Vec<f64> = (0..set.rows.len())
@@ -241,12 +300,10 @@ impl<'a> ScoreTable<'a> {
                     for (&k, &tf) in bits.iter().zip(set.row_tfs(i)) {
                         tfs[k] = tf;
                     }
-                    let score = tfidf_sum(&tfs, |k| idfs[k]);
+                    let score = from_tfs(&tfs);
                     debug_assert_eq!(
                         score.to_bits(),
-                        scorer
-                            .tuple_score(TupleId::new(set.table, set.rows[i]), keywords)
-                            .to_bits(),
+                        from_text(TupleId::new(set.table, set.rows[i])).to_bits(),
                         "index-derived score diverged from the text-derived one"
                     );
                     score

@@ -15,10 +15,15 @@
 //!   computed per block combination, trading bound tightness for far fewer
 //!   join invocations.
 //! * [`naive_spark`] — evaluate everything; the correctness baseline.
+//!
+//! These are the tutorial's *reference* strategies: experiment E07 compares
+//! them and the parity suites use [`naive_spark`] as the oracle. The engine
+//! serves `Scoring::Spark` through its one CN executor, [`crate::pexec`],
+//! which prunes with the same `watf` bound per CN and per joined row.
 
 use crate::eval::{default_rows, evaluate_cn, evaluate_cn_with};
-use crate::topk::{RankedResult, TopKQuery};
-use kwdb_common::{topk::TopK, Budget, Score, TruncationReason};
+use crate::topk::{finish, RankedResult, TopKQuery};
+use kwdb_common::{topk::TopK, Score};
 use kwdb_relational::{Database, ExecStats, RowId, TupleId};
 use std::collections::{BinaryHeap, HashSet};
 use std::ops::Deref;
@@ -96,19 +101,7 @@ pub fn skyline_sweep<S: AsRef<str>, D: Deref<Target = Database>>(
     k: usize,
     stats: &ExecStats,
 ) -> Vec<RankedResult> {
-    sweep(q, k, stats, 1, &Budget::unlimited()).0
-}
-
-/// [`skyline_sweep`] under an execution [`Budget`]: every combination popped
-/// from the sweep heap counts as one candidate; an exhausted budget returns
-/// the (score-sorted) best-so-far plus the [`TruncationReason`].
-pub fn skyline_sweep_budgeted<S: AsRef<str>, D: Deref<Target = Database>>(
-    q: &TopKQuery<'_, S, D>,
-    k: usize,
-    stats: &ExecStats,
-    budget: &Budget,
-) -> (Vec<RankedResult>, Option<TruncationReason>) {
-    sweep(q, k, stats, 1, budget)
+    sweep(q, k, stats, 1)
 }
 
 /// Block pipeline: the same sweep with blocks of `block_size` tuples.
@@ -118,19 +111,7 @@ pub fn block_pipeline<S: AsRef<str>, D: Deref<Target = Database>>(
     block_size: usize,
     stats: &ExecStats,
 ) -> Vec<RankedResult> {
-    sweep(q, k, stats, block_size.max(1), &Budget::unlimited()).0
-}
-
-/// [`block_pipeline`] under an execution [`Budget`] (one candidate per block
-/// combination popped).
-pub fn block_pipeline_budgeted<S: AsRef<str>, D: Deref<Target = Database>>(
-    q: &TopKQuery<'_, S, D>,
-    k: usize,
-    block_size: usize,
-    stats: &ExecStats,
-    budget: &Budget,
-) -> (Vec<RankedResult>, Option<TruncationReason>) {
-    sweep(q, k, stats, block_size.max(1), budget)
+    sweep(q, k, stats, block_size.max(1))
 }
 
 fn sweep<S: AsRef<str>, D: Deref<Target = Database>>(
@@ -138,8 +119,7 @@ fn sweep<S: AsRef<str>, D: Deref<Target = Database>>(
     k: usize,
     stats: &ExecStats,
     block: usize,
-    budget: &Budget,
-) -> (Vec<RankedResult>, Option<TruncationReason>) {
+) -> Vec<RankedResult> {
     let lattices: Vec<Lattice> = (0..q.cns.len())
         .filter_map(|ci| Lattice::build(q, ci))
         .collect();
@@ -153,14 +133,7 @@ fn sweep<S: AsRef<str>, D: Deref<Target = Database>>(
         }
     }
     let mut topk = TopK::new(k);
-    let mut popped: u64 = 0;
-    let mut truncation = None;
     while let Some((Score(bound), li, combo)) = heap.pop() {
-        if let Some(reason) = budget.truncation_at(popped) {
-            truncation = Some(reason);
-            break;
-        }
-        popped += 1;
         if let Some(th) = topk.threshold() {
             if bound <= th {
                 break; // no remaining combination can beat the k-th best
@@ -202,23 +175,12 @@ fn sweep<S: AsRef<str>, D: Deref<Target = Database>>(
             }
         }
     }
-    (finish(topk), truncation)
+    finish(topk)
 }
 
 /// First tuple index of each block — where the block's max watf lives.
 fn block_head(combo: &[usize], block: usize) -> Vec<usize> {
     combo.iter().map(|&c| c * block).collect()
-}
-
-fn finish(topk: TopK<(usize, crate::eval::JoinedResult)>) -> Vec<RankedResult> {
-    topk.into_sorted_vec()
-        .into_iter()
-        .map(|(score, (cn_index, result))| RankedResult {
-            cn_index,
-            result,
-            score,
-        })
-        .collect()
 }
 
 #[cfg(test)]

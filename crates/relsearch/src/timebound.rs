@@ -9,9 +9,8 @@
 //! query forms the user can continue with — "easy queries answered, hard
 //! queries handed to the user".
 
-use crate::cn::CandidateNetwork;
 use crate::eval::evaluate_cn;
-use crate::topk::{RankedResult, TopKQuery};
+use crate::topk::{bound_order, finish, RankedResult, TopKQuery};
 use kwdb_common::topk::TopK;
 use kwdb_relational::{Database, ExecStats};
 use std::ops::Deref;
@@ -46,20 +45,12 @@ pub fn partial_search<S: AsRef<str>, D: Deref<Target = Database>>(
     work_budget: u64,
     db: &Database,
 ) -> PartialSearch {
-    // order CNs by bound, as Sparse does
-    let mut order: Vec<(f64, usize)> = q
-        .cns
-        .iter()
-        .enumerate()
-        .map(|(i, cn)| (cn_bound_public(q, cn), i))
-        .collect();
-    order.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-
     let stats = ExecStats::new();
     let mut topk = TopK::new(k);
     let mut residual: Vec<ResidualForm> = Vec::new();
     let mut exhausted = false;
-    for (bound, ci) in order {
+    // CNs by bound, as Sparse orders them
+    for (bound, ci) in bound_order(q) {
         // early termination applies throughout: dominated CNs are *not*
         // residual — they provably cannot contribute
         if let Some(th) = topk.threshold() {
@@ -83,44 +74,10 @@ pub fn partial_search<S: AsRef<str>, D: Deref<Target = Database>>(
         }
     }
     PartialSearch {
-        results: topk
-            .into_sorted_vec()
-            .into_iter()
-            .map(|(score, (cn_index, result))| RankedResult {
-                cn_index,
-                result,
-                score,
-            })
-            .collect(),
+        results: finish(topk),
         complete: residual.is_empty(),
         residual_forms: residual,
     }
-}
-
-/// Re-export of the executor-internal bound for form ranking.
-fn cn_bound_public<S: AsRef<str>, D: Deref<Target = Database>>(
-    q: &TopKQuery<'_, S, D>,
-    cn: &CandidateNetwork,
-) -> f64 {
-    let mut sum = 0.0;
-    for &ni in &cn.keyword_nodes() {
-        let node = cn.nodes[ni];
-        let best = q
-            .ts
-            .get(node.table, node.mask)
-            .map(|s| {
-                s.rows
-                    .iter()
-                    .map(|&r| {
-                        q.scorer
-                            .tuple_score(kwdb_relational::TupleId::new(node.table, r), q.keywords)
-                    })
-                    .fold(0.0, f64::max)
-            })
-            .unwrap_or(0.0);
-        sum += best;
-    }
-    sum / cn.size() as f64
 }
 
 #[cfg(test)]

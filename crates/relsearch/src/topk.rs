@@ -124,7 +124,7 @@ fn cn_bound<S: AsRef<str>, D: Deref<Target = Database>>(
 }
 
 /// CN indices paired with their [`cn_bound`], best bound first.
-fn bound_order<S: AsRef<str>, D: Deref<Target = Database>>(
+pub(crate) fn bound_order<S: AsRef<str>, D: Deref<Target = Database>>(
     q: &TopKQuery<'_, S, D>,
 ) -> Vec<(f64, usize)> {
     let mut order: Vec<(f64, usize)> = q
@@ -344,7 +344,8 @@ pub fn global_pipeline_counted<S: AsRef<str>, D: Deref<Target = Database>>(
     }
 }
 
-fn finish(topk: TopK<(usize, JoinedResult)>) -> Vec<RankedResult> {
+/// A filled top-k heap as ranked results, best first.
+pub(crate) fn finish(topk: TopK<(usize, JoinedResult)>) -> Vec<RankedResult> {
     topk.into_sorted_vec()
         .into_iter()
         .map(|(score, (cn_index, result))| RankedResult {

@@ -1,18 +1,17 @@
-//! The graph engine: DPBF / BANKS / BLINKS over a shared data graph, with
-//! the BLINKS node→keyword index cached by generation, inside the shared
-//! query frame.
+//! The graph engine: DPBF / BANKS / BLINKS over a shared, immutable data
+//! graph, with the BLINKS node→keyword index built once on first use,
+//! inside the shared query frame.
 
 use super::frame::{run_query, Answer, Evaluated, QueryFrame, ResultCache};
-use super::{CommitOutcome, Engine, Hit, SearchRequest, SearchResponse};
+use super::{Engine, Hit, SearchRequest, SearchResponse};
 use kwdb_common::{CacheConfig, QueryStats, Result, ScratchPool, Stopwatch};
-use kwdb_graph::{DataGraph, NodeId};
+use kwdb_graph::{DataGraph, NodeKeywordIndex};
 use kwdb_graphsearch::{blinks::Blinks, AnswerTree, BanksI, Dpbf, SearchScratch};
 use kwdb_obs::{
     record_generation, record_index_stats, EngineInstruments, MetricsRegistry, TraceBuilder,
 };
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock};
 
 /// Graph answer semantics selectable on a [`SearchRequest`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,36 +24,30 @@ pub enum GraphSemantics {
     DistinctRoot,
 }
 
-/// Keyword search on a data graph under the chosen semantics, with the
-/// BLINKS node→keyword index built lazily and invalidated by generation.
+/// Keyword search on a data graph under the chosen semantics.
 ///
-/// Owns its graph behind an `Arc`; the underlying BANKS/DPBF/BLINKS
-/// engines are stateless (`&self`, per-query counters returned with the
-/// results, per-node buffers checked out of a pool), so one `GraphEngine`
-/// serves concurrent queries. A `Banks` request takes at most
+/// Owns its graph behind an `Arc` and never changes it: a graph that has
+/// changed is a new [`DataGraph`] handed to a new engine (mutation is the
+/// relational engine's — see [`MutableEngine`](super::MutableEngine)). The
+/// underlying BANKS/DPBF/BLINKS engines are stateless (`&self`, per-query
+/// counters returned with the results, per-node buffers checked out of a
+/// pool) and the BLINKS node→keyword index is a write-once slot, so one
+/// `GraphEngine` serves concurrent queries without taking a lock. A `Banks`
+/// request takes at most
 /// [`banks1::MAX_KEYWORDS`](kwdb_graphsearch::banks1::MAX_KEYWORDS) keywords
 /// and a `SteinerExact` one
 /// [`dpbf::MAX_KEYWORDS`](kwdb_graphsearch::dpbf::MAX_KEYWORDS); more is
-/// [`KwdbError::InvalidQuery`](kwdb_common::KwdbError::InvalidQuery). Graph
-/// mutations ([`add_node`](Self::add_node)/[`add_edge`](Self::add_edge))
-/// bump the graph's generation; a cached BLINKS index whose build
-/// generation lags by more than the **staleness bound** is rebuilt on the
-/// next DistinctRoot query — within the bound it keeps serving, trading
-/// bounded staleness for rebuild cost.
+/// [`KwdbError::InvalidQuery`](kwdb_common::KwdbError::InvalidQuery).
 pub struct GraphEngine {
-    g: RwLock<Arc<DataGraph>>,
-    /// Full-vocabulary BLINKS index tagged with the graph generation it
-    /// was built at; rebuilt lazily past the staleness bound.
-    index: RwLock<Option<(u64, Arc<kwdb_graph::NodeKeywordIndex>)>>,
-    /// How many generations the cached BLINKS index may lag before a
-    /// DistinctRoot query rebuilds it. `0` (default) = any change rebuilds.
-    staleness_bound: u64,
+    g: Arc<DataGraph>,
+    /// Full-vocabulary BLINKS index, built by the first DistinctRoot query
+    /// (racing first queries build once: the others wait on the slot).
+    index: OnceLock<NodeKeywordIndex>,
     obs: Option<EngineInstruments>,
-    /// Cumulative keyword-index merges already published to the registry.
-    merges_seen: AtomicU64,
-    /// Generation-keyed whole-response cache (see
+    /// Whole-response cache (see
     /// [`RelationalConfig::result_cache`](super::RelationalConfig::result_cache)
-    /// for the shared semantics).
+    /// for the shared semantics). The graph is immutable, so entries only
+    /// ever age out through the LRU budget.
     result_cache: ResultCache<AnswerTree>,
     /// Dense per-node search buffers, one checked out per computed query.
     scratch: ScratchPool<SearchScratch>,
@@ -66,52 +59,35 @@ impl GraphEngine {
     /// the keyword-index layout the graph arrives in
     /// ([`DataGraph::set_keyword_index_layout`]).
     pub fn new(g: impl Into<Arc<DataGraph>>) -> Self {
-        let g = g.into();
-        let merges_seen = g.keyword_index_merges();
         GraphEngine {
-            g: RwLock::new(g),
-            index: RwLock::new(None),
-            staleness_bound: 0,
+            g: g.into(),
+            index: OnceLock::new(),
             obs: None,
-            merges_seen: AtomicU64::new(merges_seen),
             result_cache: ResultCache::new(CacheConfig::default()),
             scratch: ScratchPool::new(),
         }
     }
 
-    /// Reconfigure (or disable, via [`CacheConfig::disabled`]) the
-    /// generation-keyed result cache. On by default; any existing cached
-    /// entries are dropped.
+    /// Reconfigure (or disable, via [`CacheConfig::disabled`]) the result
+    /// cache. On by default; any existing cached entries are dropped.
     pub fn with_result_cache(mut self, cfg: CacheConfig) -> Self {
         self.result_cache = ResultCache::new(cfg);
-        self
-    }
-
-    /// Let DistinctRoot queries keep serving a BLINKS index up to `bound`
-    /// generations stale instead of rebuilding on every graph change —
-    /// answers may miss (or over-include) at most the last `bound`
-    /// mutations' keywords, which is often acceptable while ingesting.
-    pub fn with_staleness_bound(mut self, bound: u64) -> Self {
-        self.staleness_bound = bound;
         self
     }
 
     /// Record every query into `registry`, and publish the graph keyword
     /// index's size figures, generation, and segment census up front.
     pub fn with_registry(mut self, registry: Arc<MetricsRegistry>) -> Self {
-        {
-            let g = self.g.read().expect("graph state poisoned");
-            record_index_stats(&registry, "graph_keyword", &g.keyword_index_stats());
-            let segments = g.keyword_segment_counts();
-            record_generation(
-                &registry,
-                "graph",
-                g.generation(),
-                segments.realtime,
-                segments.sealed,
-                0,
-            );
-        }
+        record_index_stats(&registry, "graph_keyword", &self.g.keyword_index_stats());
+        let segments = self.g.keyword_segment_counts();
+        record_generation(
+            &registry,
+            "graph",
+            self.g.generation(),
+            segments.realtime,
+            segments.sealed,
+            0,
+        );
         self.obs = Some(EngineInstruments::new(
             registry,
             "graph",
@@ -120,95 +96,14 @@ impl GraphEngine {
         self
     }
 
-    /// A handle to the data graph this engine queries — a snapshot of the
-    /// current generation (mutations copy-on-write).
+    /// A handle to the data graph this engine queries.
     pub fn graph(&self) -> Arc<DataGraph> {
-        Arc::clone(&self.g.read().expect("graph state poisoned"))
-    }
-
-    /// The graph's data generation (bumped by every node/edge added).
-    pub fn generation(&self) -> u64 {
-        self.g.read().expect("graph state poisoned").generation()
-    }
-
-    /// Add a node of `kind` with tokenized `content` — indexed into the
-    /// keyword index's realtime segment immediately.
-    pub fn add_node(&self, kind: &str, content: &str) -> NodeId {
-        let mut g = self.g.write().expect("graph state poisoned");
-        let id = Arc::make_mut(&mut g).add_node(kind, content);
-        self.publish_generation(&g);
-        id
-    }
-
-    /// Add an undirected edge of weight `w` between existing nodes.
-    pub fn add_edge(&self, u: NodeId, v: NodeId, w: f64) {
-        let mut g = self.g.write().expect("graph state poisoned");
-        Arc::make_mut(&mut g).add_edge(u, v, w);
-        self.publish_generation(&g);
-    }
-
-    /// Seal the keyword index's realtime segment into a compressed sealed
-    /// segment.
-    pub fn commit(&self) -> CommitOutcome {
-        let mut g = self.g.write().expect("graph state poisoned");
-        let segments = Arc::make_mut(&mut g).commit_keyword_index();
-        self.publish_generation(&g);
-        CommitOutcome {
-            generation: g.generation(),
-            segments,
-        }
-    }
-
-    fn publish_generation(&self, g: &DataGraph) {
-        let merges = g.keyword_index_merges();
-        let seen = self.merges_seen.swap(merges, Ordering::Relaxed);
-        if let Some(obs) = &self.obs {
-            let reg = obs.registry();
-            let segments = g.keyword_segment_counts();
-            record_generation(
-                reg,
-                "graph",
-                g.generation(),
-                segments.realtime,
-                segments.sealed,
-                merges.saturating_sub(seen),
-            );
-        }
-    }
-
-    /// The BLINKS index for the current query: serve the cached one while
-    /// it is within the staleness bound, else rebuild under the write lock
-    /// (double-checked, so racing queries build once). Returns the index
-    /// and whether it was a cache hit.
-    fn blinks_index(
-        &self,
-        g: &DataGraph,
-        blinks: &Blinks<'_>,
-    ) -> (Arc<kwdb_graph::NodeKeywordIndex>, bool) {
-        let generation = g.generation();
-        let fresh_enough = |built: u64| generation.saturating_sub(built) <= self.staleness_bound;
-        if let Some((built, ix)) = self.index.read().expect("blinks cache poisoned").as_ref() {
-            if fresh_enough(*built) {
-                return (Arc::clone(ix), true);
-            }
-        }
-        let mut slot = self.index.write().expect("blinks cache poisoned");
-        if let Some((built, ix)) = slot.as_ref() {
-            if fresh_enough(*built) {
-                return (Arc::clone(ix), true);
-            }
-        }
-        let ix = Arc::new(blinks.build_full_index());
-        *slot = Some((generation, Arc::clone(&ix)));
-        (ix, false)
+        Arc::clone(&self.g)
     }
 
     /// Execute a [`SearchRequest`] under `req.semantics` (default BANKS).
     pub fn execute(&self, req: &SearchRequest) -> Result<SearchResponse<AnswerTree>> {
-        // Snapshot the graph handle; the query runs against one generation
-        // even if a mutation lands mid-flight (copy-on-write).
-        let g = self.graph();
-        let g = &*g;
+        let g = &*self.g;
         let budget = &req.budget;
         let semantics = req.semantics.unwrap_or(GraphSemantics::Banks);
         let segments = || g.keyword_segment_counts();
@@ -271,7 +166,11 @@ impl GraphEngine {
                 GraphSemantics::DistinctRoot => {
                     tb.phase("build");
                     let blinks = Blinks::new(g);
-                    let (ix, prebuilt) = self.blinks_index(g, &blinks);
+                    let mut prebuilt = true;
+                    let ix = self.index.get_or_init(|| {
+                        prebuilt = false;
+                        blinks.build_full_index()
+                    });
                     if prebuilt {
                         stats.cache_hits = 1;
                     } else {
@@ -289,7 +188,7 @@ impl GraphEngine {
                     stats.phases.build = sw.lap();
                     tb.phase("evaluate");
                     let (r, truncation, work) =
-                        blinks.search_budgeted(&ix, keywords, req.k, budget, &mut scratch);
+                        blinks.search_budgeted(ix, keywords, req.k, budget, &mut scratch);
                     stats.operators.sorted_accesses = work.sorted_accesses as u64;
                     stats.operators.random_accesses = work.random_accesses as u64;
                     tb.event("threshold algorithm", || {

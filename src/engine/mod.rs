@@ -9,11 +9,13 @@
 //! cap), and a structured [`QueryTrace`] when the request asked for one.
 //!
 //! * [`RelationalEngine::execute`] — DISCOVER/SPARK candidate-network
-//!   search, with a per-engine CN plan cache keyed by schema fingerprint,
-//!   the query's mask signature (which tuple sets are non-empty), and
-//!   generator configuration (`relational.rs`).
-//! * [`GraphEngine::execute`] — DPBF / BANKS / BLINKS on a data graph; the
-//!   BLINKS node→keyword index is built once per engine and reused, and
+//!   search: one executor, the request's [`Scoring`] model its parameter,
+//!   with a per-engine CN plan cache keyed by schema fingerprint, the
+//!   query's mask signature (which tuple sets are non-empty), and generator
+//!   configuration (`relational.rs`).
+//! * [`GraphEngine::execute`] — DPBF / BANKS / BLINKS on an immutable data
+//!   graph; the BLINKS node→keyword index is built once per engine, on the
+//!   first request that needs it, and
 //!   the searches' per-node arrays come from a pool of
 //!   [`SearchScratch`](kwdb_graphsearch::SearchScratch)es, one checked out
 //!   per computed query (`graph.rs`).
@@ -56,12 +58,15 @@
 //! per-query state (counters, heaps, cursors) lives on the query's own
 //! stack. Shared mutable state is read-mostly and lock-guarded: the
 //! relational engine's generational state (database handle + corpus
-//! statistics), its CN plan cache, and the graph engine's generation-tagged
-//! BLINKS index all live behind `RwLock`s.
+//! statistics) and its CN plan cache live behind `RwLock`s. The graph and
+//! XML engines hold no lock at all: their data never changes under them,
+//! and the graph engine's BLINKS index is a write-once `OnceLock`.
 //!
 //! # Generations and mutation
 //!
-//! Mutable engines implement [`MutableEngine`]: `ingest`/`delete` apply a
+//! Mutation is the relational engine's: [`RelationalEngine`] is the one
+//! [`MutableEngine`], and a graph or a tree that has changed is a new
+//! `DataGraph` / `XmlTree` handed to a new engine. `ingest`/`delete` apply a
 //! change *and* maintain the index incrementally (realtime segment,
 //! tombstones, corpus statistics), `commit` seals the realtime segment into
 //! a compressed sealed segment. Every successful mutation bumps a
@@ -91,7 +96,8 @@ mod tests;
 mod xml;
 
 pub use graph::{GraphEngine, GraphSemantics};
-pub use relational::{RelationalConfig, RelationalEngine, RelationalHit, Scoring};
+pub use kwdb_relsearch::score::Scoring;
+pub use relational::{RelationalConfig, RelationalEngine, RelationalHit};
 pub use xml::{XmlEngine, XmlHit};
 
 use kwdb_common::index::SegmentCounts;
@@ -278,9 +284,8 @@ pub struct SearchResponse<H> {
     /// support, i.e. graph/XML).
     pub facets: Vec<FacetCounts>,
     /// Whether `facets` covers the *full* result multiset exactly. `false`
-    /// when the budget truncated evaluation or the scoring model counts
-    /// only the returned hits (SPARK); vacuously `true` for non-faceted
-    /// queries.
+    /// when the budget truncated evaluation; vacuously `true` for
+    /// non-faceted queries.
     pub facets_exact: bool,
 }
 
@@ -402,6 +407,8 @@ pub struct CommitOutcome {
 /// index: `ingest`/`delete` apply a change *and* maintain the index (no
 /// rebuild), `commit` seals the realtime segment. Every successful
 /// mutation bumps the engine's monotonic [`generation`](Self::generation).
+/// [`RelationalEngine`] implements it; the graph and XML engines serve
+/// immutable data and do not.
 pub trait MutableEngine: Engine {
     /// Ingest one record through the incremental path. Fails with a typed
     /// error when the record's shape doesn't fit this engine, when

@@ -1,10 +1,12 @@
 //! The relational engine: tuple sets → CN plan (cached by mask signature) →
-//! bound-driven evaluation → facets, summaries and query cleaning, inside
-//! the shared query frame.
+//! bound-driven evaluation by the one CN executor
+//! ([`kwdb_relsearch::pexec`], the request's [`Scoring`] model its
+//! parameter) → facets, summaries and query cleaning, inside the shared
+//! query frame.
 
 use super::frame::{run_query, Answer, Evaluated, QueryFrame, ResultCache};
 use super::{
-    CommitOutcome, DeleteKey, Engine, Hit, IngestRecord, MutableEngine, SearchRequest,
+    CommitOutcome, DeleteKey, Engine, Hit, IngestRecord, MutableEngine, Scoring, SearchRequest,
     SearchResponse,
 };
 use kwdb_common::index::SegmentCounts;
@@ -21,12 +23,9 @@ use kwdb_qclean::SpellCorrector;
 use kwdb_rank::CorpusStats;
 use kwdb_relational::{Database, ExecStats, Row, TableId, TupleId};
 use kwdb_relsearch::cn::{CandidateNetwork, CnGenConfig, CnGenerator, MaskOracle};
-use kwdb_relsearch::facets::{
-    resolve_attr, resolve_facets, resolve_refinements, FacetAccum, FacetRequest,
-};
+use kwdb_relsearch::facets::{resolve_facets, resolve_refinements, FacetAccum, FacetRequest};
 use kwdb_relsearch::parallel::choose_workers;
 use kwdb_relsearch::pexec::{parallel_topk_planned, EvalScratch};
-use kwdb_relsearch::spark::skyline_sweep_budgeted;
 use kwdb_relsearch::topk::{CnExecOutcome, TopKQuery};
 use kwdb_relsearch::tupleset::TermCache;
 use kwdb_relsearch::{corpus_stats, Refinement, ResultScorer, TupleSets};
@@ -46,18 +45,6 @@ pub struct RelationalHit {
     /// request asked for one ([`SearchRequest::summaries`]); empty
     /// otherwise.
     pub summary: Vec<String>,
-}
-
-/// Which scoring model the relational engine ranks a request with
-/// ([`SearchRequest::scoring`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Scoring {
-    /// DISCOVER2's monotone tf·idf-per-tuple model, evaluated by the
-    /// bound-pruned CN executor ([`kwdb_relsearch::pexec`]).
-    #[default]
-    Monotone,
-    /// SPARK's non-monotonic virtual-document model (Skyline-Sweep).
-    Spark,
 }
 
 /// Configuration for the relational pipeline. What is *not* here is decided
@@ -81,9 +68,10 @@ pub struct RelationalConfig {
     /// inline on the calling thread — up to available parallelism (capped
     /// at 8). A non-zero value is honoured exactly; `1` = always inline, no
     /// spawn. The returned top-k, facet counts, and `algorithm` label are
-    /// identical for every value — the score model is monotone and the
-    /// merge is content-ordered — and a [`kwdb_common::Budget`] candidate cap
-    /// counts CNs considered on every host.
+    /// identical for every value — the bounds the executor prunes with are
+    /// monotone under either [`Scoring`] model and the merge is
+    /// content-ordered — and a [`kwdb_common::Budget`] candidate cap counts
+    /// CNs considered on every host.
     pub intra_query_workers: usize,
     /// Opt-in query cleaning at the term-dictionary boundary: when a parsed
     /// keyword has no entry in the text index, run the noisy-channel
@@ -394,7 +382,7 @@ impl RelationalEngine {
         for attr in (req.facets.iter().map(FacetSpec::attr))
             .chain(req.refinements.iter().map(Refinement::attr))
         {
-            resolve_attr(&st.db, attr)?;
+            st.db.resolve_attr(attr)?;
         }
         let empty_facets = || -> Result<Vec<FacetCounts>> {
             let facets = resolve_facets(&st.db, &req.facets)?;
@@ -506,51 +494,34 @@ impl RelationalEngine {
                 keywords,
             };
             let exec = ExecStats::new();
-            let (outcome, accum) = match scoring {
-                // One executor at every worker count: a single worker runs
-                // inline on the calling thread, no spawn.
-                Scoring::Monotone => {
-                    let policy = |cost: f64| {
-                        let workers = if auto_workers {
-                            choose_workers(cost, worker_cap)
-                        } else {
-                            worker_cap
-                        };
-                        frame.workers.set(workers);
-                        tb.event("worker policy", || {
-                            vec![
-                                ("cap".into(), worker_cap.to_string()),
-                                ("chosen".into(), workers.to_string()),
-                                ("estimated_cost".into(), format!("{cost:.0}")),
-                            ]
-                        });
-                        workers
-                    };
-                    parallel_topk_planned(&q, req.k, &exec, budget, policy, &self.scratch, &freq)
-                }
-                Scoring::Spark => {
-                    // Skyline-Sweep has no CN-level accounting (0/0) and no
-                    // exhaustive mode: refinements filter the returned hits
-                    // post-hoc and facet counts cover only what came back
-                    // (`facets_exact` stays false for faceted SPARK queries).
-                    let (results, truncation) = skyline_sweep_budgeted(&q, req.k, &exec, budget);
-                    let results: Vec<_> = results
-                        .into_iter()
-                        .filter(|r| freq.passes(&st.db, &r.result))
-                        .collect();
-                    let mut accum = FacetAccum::new(facets.len());
-                    for r in &results {
-                        accum.observe(&st.db, &facets, &r.result);
-                    }
-                    let outcome = CnExecOutcome {
-                        results,
-                        truncation,
-                        cns_evaluated: 0,
-                        cns_pruned: 0,
-                    };
-                    (outcome, accum)
-                }
+            // One executor for either score model at every worker count: a
+            // single worker runs inline on the calling thread, no spawn.
+            let policy = |cost: f64| {
+                let workers = if auto_workers {
+                    choose_workers(cost, worker_cap)
+                } else {
+                    worker_cap
+                };
+                frame.workers.set(workers);
+                tb.event("worker policy", || {
+                    vec![
+                        ("cap".into(), worker_cap.to_string()),
+                        ("chosen".into(), workers.to_string()),
+                        ("estimated_cost".into(), format!("{cost:.0}")),
+                    ]
+                });
+                workers
             };
+            let (outcome, accum) = parallel_topk_planned(
+                &q,
+                req.k,
+                scoring,
+                &exec,
+                budget,
+                policy,
+                &self.scratch,
+                &freq,
+            );
             let CnExecOutcome {
                 results: ranked,
                 truncation,
@@ -591,8 +562,7 @@ impl RelationalEngine {
             // fully, so the accumulated multiset is the full result multiset
             // regardless of worker count or posting layout.
             tb.phase("facets");
-            let facets_exact =
-                facets.is_empty() || (matches!(scoring, Scoring::Monotone) && truncation.is_none());
+            let facets_exact = facets.is_empty() || truncation.is_none();
             let facet_counts = accum.finish(&facets);
             let hits: Vec<RelationalHit> = ranked
                 .into_iter()

@@ -1,7 +1,6 @@
 use super::*;
 use kwdb_common::CacheConfig;
 use kwdb_datasets::{generate_dblp, DblpConfig};
-use kwdb_graph::NodeId;
 use std::time::Duration;
 
 #[test]
@@ -105,63 +104,6 @@ fn graph_search_all_semantics() {
     // second DistinctRoot query reuses the cached index
     let again = run(GraphSemantics::DistinctRoot);
     assert_eq!(again.stats.cache_hits, 1);
-}
-
-#[test]
-fn graph_engine_mutation_invalidates_within_staleness_bound() {
-    let g = kwdb_datasets::graphs::generate_graph(&Default::default());
-    // bound 0: rebuild on any change; result cache off so the repeat
-    // query observes the BLINKS index cache, not the response cache
-    let engine = GraphEngine::new(g).with_result_cache(CacheConfig::disabled());
-    let run = |q: &str| {
-        engine
-            .execute(
-                &SearchRequest::new(q)
-                    .k(3)
-                    .semantics(GraphSemantics::DistinctRoot),
-            )
-            .unwrap()
-    };
-    let g0 = engine.generation();
-    run("kw0 kw1");
-    assert_eq!(run("kw0 kw1").stats.cache_hits, 1, "unchanged graph caches");
-
-    let n = engine.add_node("person", "zzznew kw0");
-    let neighbor = NodeId(0);
-    engine.add_edge(n, neighbor, 1.0);
-    assert!(engine.generation() > g0, "mutations bump the generation");
-    let resp = run("zzznew");
-    assert_eq!(
-        resp.stats.cache_misses, 1,
-        "bound 0 rebuilds after mutation"
-    );
-    assert!(!resp.hits.is_empty(), "new node is findable immediately");
-
-    let outcome = engine.commit();
-    assert_eq!(outcome.generation, engine.generation());
-    assert_eq!(outcome.segments.realtime, 0, "commit seals realtime");
-}
-
-#[test]
-fn graph_engine_serves_stale_within_bound() {
-    let g = kwdb_datasets::graphs::generate_graph(&Default::default());
-    let engine = GraphEngine::new(g).with_staleness_bound(1_000);
-    let run = |q: &str| {
-        engine
-            .execute(
-                &SearchRequest::new(q)
-                    .k(3)
-                    .semantics(GraphSemantics::DistinctRoot),
-            )
-            .unwrap()
-    };
-    run("kw0 kw1"); // builds the BLINKS index at the current generation
-    engine.add_node("person", "zzznew kw0");
-    // Within the bound the engine keeps serving the stale index: cheap,
-    // and the brand-new keyword is simply not visible yet.
-    let resp = run("zzznew");
-    assert_eq!(resp.stats.cache_hits, 1, "stale-but-bounded index reused");
-    assert!(resp.hits.is_empty());
 }
 
 #[test]

@@ -245,20 +245,6 @@ fn ingest_delete_and_commit_invalidate_immediately() {
 }
 
 #[test]
-fn graph_mutation_invalidates_cached_responses() {
-    let engine = GraphEngine::new(datasets::graphs::generate_graph(&Default::default()))
-        .with_staleness_bound(1_000);
-    let req = SearchRequest::new("kw0 kw1").k(3);
-    engine.execute(&req).unwrap();
-    assert_eq!(engine.execute(&req).unwrap().stats.result_cache_hits, 1);
-    engine.add_node("person", "kw0 kw1 fresh");
-    let after = engine.execute(&req).unwrap();
-    // The *result* cache is strictly generation-keyed even though the
-    // BLINKS index may serve stale within its bound.
-    assert_eq!(after.stats.result_cache_misses, 1);
-}
-
-#[test]
 fn xml_engine_caches_repeat_queries() {
     let engine = XmlEngine::from_tree(datasets::generate_bib_xml(&Default::default()));
     let req = SearchRequest::new("data query").k(10);

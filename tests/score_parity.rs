@@ -12,18 +12,22 @@
 //! `build_cached` alike. The fixture has what makes a frequency more than a
 //! flag: two text columns holding the same term, tuples with tf ≥ 2, a
 //! query that repeats a keyword and one whose keyword no tuple contains.
+//! `Scoring::Spark` is the same executor over `watf` columns: the second test
+//! holds it to `spark::naive_spark` and, for what is not ranking, to `Monotone`.
 
-use kwdb::engine::{RelationalConfig, RelationalEngine, SearchRequest};
+use kwdb::datasets::{generate_dblp, DblpConfig};
+use kwdb::engine::{RelationalConfig, RelationalEngine, Scoring, SearchRequest};
 use kwdb::relational::schema::{ColumnType, TableBuilder};
 use kwdb::relational::{Database, ExecStats, Row, TupleId};
 use kwdb::relsearch::cn::{CnGenConfig, CnGenerator, MaskOracle};
 use kwdb::relsearch::pexec::{parallel_topk_budgeted, EvalScratch};
 use kwdb::relsearch::score::ScoreTable;
+use kwdb::relsearch::spark::naive_spark;
 use kwdb::relsearch::topk::{naive, TopKQuery};
 use kwdb::relsearch::tupleset::TermCache;
-use kwdb::relsearch::{ResultScorer, TupleSets};
+use kwdb::relsearch::{CandidateNetwork, Refinement, ResultScorer, TupleSets};
 use kwdb_common::index::Layout;
-use kwdb_common::{Budget, CacheConfig, Rng, ScratchPool};
+use kwdb_common::{Budget, CacheConfig, FacetSpec, Rng, ScratchPool};
 
 const WORDS: &[&str] = &[
     "keyword", "search", "database", "graph", "xml", "ranking", "index", "join", "stream", "query",
@@ -127,6 +131,17 @@ fn queries() -> Vec<Vec<&'static str>> {
     ]
 }
 
+/// The CNs the engine's default configuration plans for `ts`.
+fn engine_cns(db: &Database, ts: &TupleSets) -> Vec<CandidateNetwork> {
+    let cfg = RelationalConfig::default();
+    let gen_cfg = CnGenConfig {
+        max_size: cfg.max_cn_size,
+        dedupe: true,
+        max_cns: cfg.max_cns,
+    };
+    CnGenerator::new(db.schema_graph(), &MaskOracle::from_tuplesets(ts), gen_cfg).generate()
+}
+
 /// Everything the suite claims, on one engine state.
 fn check(engine: &RelationalEngine, cache: &TermCache, what: &str) {
     let db = engine.database();
@@ -146,7 +161,8 @@ fn check(engine: &RelationalEngine, cache: &TermCache, what: &str) {
 
         for ts in [&plain, &cold, &warm] {
             assert_eq!(ts.keys(), plain.keys(), "{ctx}");
-            let table = ScoreTable::new(ts, &scorer, &kws);
+            let table = ScoreTable::new(ts, &scorer, &kws, Scoring::Monotone);
+            let bounds = ScoreTable::new(ts, &scorer, &kws, Scoring::Spark);
             for (t, mask) in ts.keys() {
                 let set = ts.get(t, mask).unwrap();
                 assert_eq!(
@@ -155,6 +171,7 @@ fn check(engine: &RelationalEngine, cache: &TermCache, what: &str) {
                     "{ctx}: build ≡ build_cached"
                 );
                 let column = table.column(t, mask).unwrap().scores();
+                let watf = bounds.column(t, mask).unwrap().scores();
                 assert_eq!(column.len(), set.rows.len(), "{ctx}");
                 let bits: Vec<usize> = (0..kws.len()).filter(|k| mask & (1 << k) != 0).collect();
                 for (i, &row) in set.rows.iter().enumerate() {
@@ -166,29 +183,19 @@ fn check(engine: &RelationalEngine, cache: &TermCache, what: &str) {
                         .map(|&k| toks.iter().filter(|tok| *tok == kws[k]).count() as u32)
                         .collect();
                     assert_eq!(set.row_tfs(i), counted, "{ctx}: tf of {tid:?}");
-                    // … and so is the score.
+                    // … and so are the score and the SPARK bound.
+                    let text = [scorer.tuple_score(tid, &kws), scorer.watf(tid, &kws)];
                     assert_eq!(
-                        column[i].to_bits(),
-                        scorer.tuple_score(tid, &kws).to_bits(),
-                        "{ctx}: score of {tid:?}"
+                        [column[i], watf[i]].map(f64::to_bits),
+                        text.map(f64::to_bits),
+                        "{ctx}: score and watf of {tid:?}"
                     );
                 }
             }
         }
 
         // The executor against the exhaustive reference, same CNs.
-        let oracle = MaskOracle::from_tuplesets(&plain);
-        let cfg = RelationalConfig::default();
-        let cns = CnGenerator::new(
-            db.schema_graph(),
-            &oracle,
-            CnGenConfig {
-                max_size: cfg.max_cn_size,
-                dedupe: true,
-                max_cns: cfg.max_cns,
-            },
-        )
-        .generate();
+        let cns = engine_cns(&db, &plain);
         let q = TopKQuery {
             db: &db,
             ts: &plain,
@@ -297,5 +304,70 @@ fn index_scores_equal_text_scores_in_every_index_state() {
         // its lists go under their own cache, as they do in an engine.
         let cache = TermCache::new(CacheConfig::default());
         check(&engine, &cache, &at("rebuilt"));
+    }
+}
+
+#[test]
+fn spark_ranks_like_naive_spark_and_counts_like_monotone() {
+    const QUERY: &str = "keyword search database";
+    const MODELS: [Scoring; 2] = [Scoring::Monotone, Scoring::Spark];
+    let kws: Vec<&str> = QUERY.split(' ').collect();
+    for layout in [Layout::Plain, Layout::Blocks] {
+        let mut db = generate_dblp(&DblpConfig {
+            n_papers: 400,
+            n_authors: 150,
+            ..Default::default()
+        });
+        db.set_posting_layout(layout);
+        let ts = TupleSets::build(&db, &kws).unwrap();
+        let q = TopKQuery {
+            db: &db,
+            ts: &ts,
+            cns: &engine_cns(&db, &ts),
+            scorer: &ResultScorer::new(&db),
+            keywords: &kws,
+        };
+        let want: Vec<u64> = naive_spark(&q, 20, &ExecStats::new())
+            .iter()
+            .map(|r| r.score.to_bits())
+            .collect();
+        for workers in [1, 2, 8] {
+            let cfg = RelationalConfig {
+                intra_query_workers: workers,
+                result_cache: CacheConfig::disabled(),
+                ..Default::default()
+            };
+            let engine = RelationalEngine::with_config(db.clone(), cfg);
+            let ctx = format!("{layout:?}, {workers} workers");
+            let run = |req: &SearchRequest, model| engine.execute(&req.clone().scoring(model));
+            let both = |req: &SearchRequest| MODELS.map(|m| run(req, m).unwrap());
+            for k in [1, 5, 20] {
+                let resp = run(&SearchRequest::new(QUERY).k(k), Scoring::Spark).unwrap();
+                let got: Vec<u64> = resp.hits.iter().map(|h| h.score.to_bits()).collect();
+                assert_eq!(got, want[..k], "{ctx}: engine vs naive_spark, k = {k}");
+                let s = &resp.stats;
+                let cns = s.cns_evaluated + s.cns_pruned;
+                assert_eq!(cns, s.candidates_generated, "{ctx}");
+                // 2.37 × 10⁹ through the per-combination sweep this replaced.
+                assert!(s.operators.tuples_scanned <= 100_000, "{ctx}");
+            }
+            // Facets, drill-downs, a candidate cap: the executor's, not the model's.
+            let faceted = SearchRequest::new(QUERY)
+                .k(5)
+                .facet(FacetSpec::terms("conference.name", 10));
+            let [monotone, spark] = both(&faceted);
+            assert!(spark.facets_exact, "{ctx}");
+            assert_eq!(spark.facets, monotone.facets, "{ctx}");
+            let [monotone, spark] = both(&faceted.clone().refine(Refinement::Term {
+                attr: "conference.name".into(),
+                value: monotone.facets[0].values[9].value.clone(),
+            }));
+            assert!(!monotone.hits.is_empty(), "{ctx}");
+            assert_eq!(spark.hits.len(), monotone.hits.len(), "{ctx}: drill-down");
+            let cap = Budget::unlimited().with_max_candidates(2);
+            let [monotone, spark] = both(&SearchRequest::new(QUERY).k(5).budget(cap));
+            assert!(monotone.truncated(), "{ctx}");
+            assert_eq!(spark.truncation, monotone.truncation, "{ctx}: cap verdict");
+        }
     }
 }
