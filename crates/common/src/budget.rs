@@ -177,8 +177,8 @@ pub struct PhaseTimings {
     pub plan: Duration,
     /// Top-k evaluation (the main loop).
     pub evaluate: Duration,
-    /// Facet-count finalization (sorting/truncating accumulated
-    /// distributions, rendering values); zero for non-faceted queries.
+    /// The facet count pass and finalization (sorting/truncating the
+    /// distributions), then hit rendering and summaries.
     pub facets: Duration,
 }
 
@@ -226,7 +226,8 @@ pub struct QueryStats {
     /// Candidate networks actually joined during top-k evaluation
     /// (relational engines only; zero elsewhere).
     pub cns_evaluated: u64,
-    /// Candidate networks skipped — bound-pruned or cut by the budget —
+    /// Candidate networks skipped — bound-pruned, cut by the budget, or
+    /// without a node a drill-down refinement could match —
     /// so `cns_evaluated + cns_pruned` equals the CNs generated.
     pub cns_pruned: u64,
     /// Plan-cache hits for this query (1 when the CN set came from cache).

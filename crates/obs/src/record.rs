@@ -162,14 +162,14 @@ pub mod families {
             INDEX_POSTING_BYTES => "Approximate posting payload bytes of an index (label index).",
             INDEX_BLOCKS => "Encoded posting blocks in an index (label index).",
             CN_EVALUATED => "Candidate networks joined during top-k evaluation.",
-            CN_PRUNED => "Candidate networks skipped by bounds or budget.",
+            CN_PRUNED => "Candidate networks skipped by bounds, budget or a refinement none of their results can pass.",
             JOIN_PROBE_ROWS => "Rows matched by hash-join probes.",
             INTRA_WORKERS => {
                 "Most intra-query worker threads one relational query may use (auto picks per query)."
             }
             FACET_QUERIES => "Queries that requested at least one facet.",
             FACET_VALUES => "Facet values emitted across faceted responses.",
-            FACET_INEXACT => "Faceted queries whose counts were inexact.",
+            FACET_INEXACT => "Faceted queries whose counts are inexact: a deadline cut the count pass.",
             FLIGHT_DROPPED => "Flight-recorder entries overwritten by ring wrap, by the overwritten record's engine.",
             FLIGHT_ENTRIES => "Records currently held in the flight recorder ring.",
             TRACE_SAMPLED => "Queries whose trace was promoted by the sampling policy.",

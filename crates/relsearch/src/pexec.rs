@@ -43,6 +43,18 @@
 //! the one place this executor tokenizes tuples — and offered with that
 //! score (debug builds assert `exact ≤ bound`).
 //!
+//! # Refinements and facets
+//!
+//! A drill-down refinement is evaluated as part of the CN, not as a filter
+//! on its output: each CN becomes the disjoint restricted cases of
+//! [`crate::facets::restrictions`], joined one after another under the CN's
+//! one bound and one budget ticket, each node's literals tested on the rows
+//! a join step placed at it; a CN the refinements leave no case of is never
+//! considered. Facet counts are not this module's business:
+//! [`crate::facets::count_facets`] derives them from the CN trees without a
+//! join, so a faceted request goes through this loop — bound order, prune,
+//! abandon — exactly as a plain one does.
+//!
 //! # Determinism
 //!
 //! The executor returns the *exact* top-k of the full result multiset for
@@ -60,7 +72,10 @@
 
 use crate::cn::CandidateNetwork;
 use crate::eval::JoinedResult;
-use crate::facets::{FacetAccum, FacetRequest};
+use crate::facets::{
+    admits, count_facets, restrictions, CountScratch, FacetRequest, FacetTally, ResolvedRefinement,
+    Restriction,
+};
 use crate::parallel::{join_plan, JoinPlan};
 use crate::score::{ScoreTable, Scoring};
 use crate::topk::{CnExecOutcome, RankedResult, TopKQuery};
@@ -73,7 +88,8 @@ use std::sync::Mutex;
 
 /// Per-worker reusable evaluation buffers, checked out of a [`ScratchPool`]
 /// once per query per worker. Nothing in it outlives one join step but the
-/// allocated capacity — and `group_head`'s length, every entry `NIL`.
+/// allocated capacity — and `group_head`'s length, every entry `NIL`, and
+/// `counts`' arrays, every entry 0.
 #[derive(Default)]
 pub struct EvalScratch {
     /// Flat ping-pong intermediates: `cur` holds the joined prefix as
@@ -87,6 +103,8 @@ pub struct EvalScratch {
     /// and is all `NIL` between steps: a step resets the entries it set.
     group_head: Vec<u32>,
     group_next: Vec<u32>,
+    /// [`count_facets`]' message buffers, pooled with the join's.
+    pub counts: CountScratch,
 }
 
 const NIL: u32 = u32::MAX;
@@ -130,13 +148,22 @@ pub fn evaluate_cn_pooled_until(
     stats: &ExecStats,
     cancel: &dyn Fn() -> bool,
 ) -> Vec<JoinedResult> {
-    join_cn(db, cn, plan, ts, scratch, stats, cancel)
-        .map(|chunk| {
-            let mut tuples = Vec::new();
-            fill_tuples(cn, plan, chunk, &mut tuples);
-            JoinedResult { tuples }
-        })
-        .collect()
+    join_cn(
+        db,
+        cn,
+        plan,
+        &Restriction::default(),
+        ts,
+        scratch,
+        stats,
+        cancel,
+    )
+    .map(|chunk| {
+        let mut tuples = Vec::new();
+        fill_tuples(cn, plan, chunk, &mut tuples);
+        JoinedResult { tuples }
+    })
+    .collect()
 }
 
 /// Write the joined row `chunk` (plan order) into `tuples` in the CN's node
@@ -152,7 +179,12 @@ fn fill_tuples(cn: &CandidateNetwork, plan: &JoinPlan, chunk: &[RowId], tuples: 
 /// Join `cn` over its default row sets into `scratch` and return the joined
 /// rows where they lie: one chunk of `cn.nodes.len()` row ids per result,
 /// in `plan.order` (not node order). The result *set* is
-/// [`crate::eval::evaluate_cn`]'s.
+/// [`crate::eval::evaluate_cn`]'s, less the rows `case` rejects: a node's
+/// literals are tested on the rows a step placed at it (the root's rows
+/// included) before the next step reads them — `keep_admitted`, a pass of
+/// its own so that the loops below are an unrefined join's, untouched — and
+/// a refined join never carries a row its refinement would drop from the
+/// output past the step that met it.
 ///
 /// `cancel` is polled between join steps and periodically inside probe
 /// loops. When it turns true the evaluation stops and returns no rows — the
@@ -188,10 +220,12 @@ fn fill_tuples(cn: &CandidateNetwork, plan: &JoinPlan, chunk: &[RowId], tuples: 
 /// tuple-set row, one `probe_rows` per match emitted. A step counts into
 /// locals and adds them to the shared counters once, when it ends or is
 /// abandoned; the totals are those of the by-value joins this replaced.
+#[allow(clippy::too_many_arguments)]
 fn join_cn<'s>(
     db: &Database,
     cn: &CandidateNetwork,
     plan: &JoinPlan,
+    case: &Restriction<'_>,
     ts: &TupleSets,
     scratch: &'s mut EvalScratch,
     stats: &ExecStats,
@@ -221,6 +255,7 @@ fn join_cn<'s>(
     let first_rows = rows_of(order[0]);
     stats.add_scanned(first_rows.len() as u64);
     cur.extend_from_slice(first_rows);
+    keep_admitted(db, cn, case, order[0], &mut cur, 1);
     let mut stride = 1usize;
 
     let mut cancelled = false;
@@ -312,6 +347,7 @@ fn join_cn<'s>(
                 head[cur[t * stride + pslot].0 as usize] = NIL;
             }
         }
+        keep_admitted(db, cn, case, node, &mut next, stride + 1);
         let emitted = (next.len() / (stride + 1)) as u64;
         stats.add_join();
         stats.add_probes(probes);
@@ -331,6 +367,31 @@ fn join_cn<'s>(
     scratch.cur = cur;
     scratch.next = next;
     scratch.cur.chunks(n)
+}
+
+/// Drop from `rows` — joined tuples of `width` row ids, `node`'s row last —
+/// the tuples whose row at `node` the literals `case` puts on it reject.
+/// No literals (every node of an unrefined CN): nothing is read.
+fn keep_admitted(
+    db: &Database,
+    cn: &CandidateNetwork,
+    case: &Restriction<'_>,
+    node: usize,
+    rows: &mut Vec<RowId>,
+    width: usize,
+) {
+    let literals = case.on(node);
+    if literals.is_empty() {
+        return;
+    }
+    let mut kept = 0;
+    for at in (0..rows.len()).step_by(width) {
+        if admits(db, literals, cn.nodes[node].table, rows[at + width - 1]) {
+            rows.copy_within(at..at + width, kept);
+            kept += width;
+        }
+    }
+    rows.truncate(kept);
 }
 
 /// Run the parallel CN executor under [`Scoring::Monotone`]: evaluate
@@ -354,42 +415,41 @@ where
     S: AsRef<str> + Sync,
     D: Deref<Target = Database> + Sync,
 {
-    parallel_topk_faceted(q, k, stats, budget, workers, pool, &FacetRequest::none()).0
+    let model = Scoring::Monotone;
+    parallel_topk_planned(q, k, model, stats, budget, |_| workers, pool, &[])
 }
 
-/// [`parallel_topk_budgeted`] extended with facet accumulation and
-/// drill-down refinement; returns the merged facet counts alongside the
-/// outcome.
-///
-/// With facets requested the executor runs *exhaustively*: the per-CN bound
-/// prune and the mid-evaluation cancellation probe are disabled, so every
-/// CN considered is evaluated to completion exactly once (each position of
-/// the list is drawn by one `fetch_add` winner). Each worker counts into its
-/// own [`FacetAccum`] — piggybacked on the same pooled-`EvalScratch`
-/// evaluation pass that feeds the shared top-k — and the accumulators are
-/// merged after the thread scope drains. Merging is plain addition over a duplicate-free result multiset,
-/// so the counts are exact and identical for any worker count. Budget
-/// tickets are still drawn per CN; a truncated run leaves the counts partial
-/// (`facets_exact = truncation.is_none()` at the response layer).
-pub fn parallel_topk_faceted<S, D>(
-    q: &TopKQuery<'_, S, D>,
+/// A faceted request, whole: [`count_facets`] over `q.cns` on the calling
+/// thread, then [`parallel_topk_budgeted`] with every CN restricted by
+/// `freq.refinements`. Neither waits on the other's output — the counts
+/// cover the full result multiset whatever the top-k loop prunes, skips or
+/// abandons, so they are the same at any worker count.
+pub fn parallel_topk_faceted<'a, S, D>(
+    q: &TopKQuery<'a, S, D>,
     k: usize,
     stats: &ExecStats,
     budget: &Budget,
     workers: usize,
     pool: &ScratchPool<EvalScratch>,
     freq: &FacetRequest<'_>,
-) -> (CnExecOutcome, FacetAccum)
+) -> (CnExecOutcome, FacetTally<'a>)
 where
     S: AsRef<str> + Sync,
     D: Deref<Target = Database> + Sync,
 {
+    let mut scratch = pool.checkout(EvalScratch::new);
+    let tally = count_facets(q.db, q.ts, q.cns, freq, budget, stats, &mut scratch.counts);
+    drop(scratch); // back to the pool, for the executor's first worker
     let model = Scoring::Monotone;
-    parallel_topk_planned(q, k, model, stats, budget, |_| workers, pool, freq)
+    let refinements = freq.refinements;
+    let outcome = parallel_topk_planned(q, k, model, stats, budget, |_| workers, pool, refinements);
+    (outcome, tally)
 }
 
-/// [`parallel_topk_faceted`] under either score `model`, with the worker
-/// count left to the caller's policy: every CN's [`JoinPlan`] is derived
+/// The executor under either score `model`, with the worker count left to
+/// the caller's policy and every CN restricted by `refinements`
+/// ([`restrictions`]; a CN they leave no case of is never considered and
+/// counts as pruned): every CN's [`JoinPlan`] is derived
 /// once, `workers_for` is handed their summed estimated cost and answers
 /// with the number of workers to run, and the same plans then drive the
 /// evaluator. This is the engine's one entry point.
@@ -402,26 +462,22 @@ pub fn parallel_topk_planned<S, D>(
     budget: &Budget,
     workers_for: impl FnOnce(f64) -> usize,
     pool: &ScratchPool<EvalScratch>,
-    freq: &FacetRequest<'_>,
-) -> (CnExecOutcome, FacetAccum)
+    refinements: &[ResolvedRefinement],
+) -> CnExecOutcome
 where
     S: AsRef<str> + Sync,
     D: Deref<Target = Database> + Sync,
 {
-    let exhaustive = freq.exhaustive();
     let n = q.cns.len();
     let plans: Vec<JoinPlan> = q.cns.iter().map(|cn| join_plan(q.db, q.ts, cn)).collect();
     let workers = workers_for(plans.iter().map(|p| p.cost).sum()).max(1);
     if n == 0 {
-        return (
-            CnExecOutcome {
-                results: Vec::new(),
-                truncation: budget.truncation(),
-                cns_evaluated: 0,
-                cns_pruned: 0,
-            },
-            FacetAccum::new(freq.facets.len()),
-        );
+        return CnExecOutcome {
+            results: Vec::new(),
+            truncation: budget.truncation(),
+            cns_evaluated: 0,
+            cns_pruned: 0,
+        };
     }
 
     // Every tuple set's column, from the frequencies the sets carry. A CN's
@@ -443,9 +499,20 @@ where
         })
         .collect();
 
+    // A refined CN is evaluated case by case; unrefined, every CN is its
+    // one unrestricted case.
+    let unrestricted = [Restriction::default()];
+    let cases: Vec<Vec<Restriction<'_>>> = match refinements {
+        [] => Vec::new(),
+        refinements => (q.cns.iter())
+            .map(|cn| restrictions(cn, refinements))
+            .collect(),
+    };
+    let cases_of = |j: usize| cases.get(j).map_or(&unrestricted[..], |c| c);
+
     // Best bound first, so the global threshold rises as early as possible
     // and a candidate cap keeps the most promising CNs.
-    let mut jobs: Vec<usize> = (0..n).collect();
+    let mut jobs: Vec<usize> = (0..n).filter(|&j| !cases_of(j).is_empty()).collect();
     jobs.sort_by(|&a, &b| bounds[b].total_cmp(&bounds[a]).then(a.cmp(&b)));
 
     let shared: SharedTopK<(usize, JoinedResult)> = SharedTopK::new(k, workers);
@@ -456,11 +523,9 @@ where
 
     let run_worker = |w: usize| {
         let mut scratch = pool.checkout(EvalScratch::new);
-        let mut accum = FacetAccum::new(freq.facets.len());
-        // Refinements and facet counting read a result as tuples: one
+        // Scoring by text and the top-k read a result as tuples: one
         // buffer, refilled per joined row, allocated anew only for a row
         // the top-k keeps.
-        let faceted = !freq.is_empty();
         let mut probe = JoinedResult { tuples: Vec::new() };
         while !abort.load(Ordering::Acquire) {
             let pos = cursor.fetch_add(1, Ordering::Relaxed);
@@ -477,17 +542,15 @@ where
                 abort.store(true, Ordering::Release);
                 break;
             }
-            if !exhaustive && !shared.would_accept(bounds[j]) {
+            if !shared.would_accept(bounds[j]) {
                 continue; // strictly below the global k-th best: pruned
             }
             // Abandon — mid-evaluation, or mid-way through scoring what it
             // produced — once another worker raises the threshold past this
             // CN's bound: everything it could still offer would be
-            // rejected. Faceted runs never abandon — every result still
-            // counts even when it can't be ranked.
-            let outbid = || !exhaustive && !shared.would_accept(bounds[j]);
+            // rejected.
+            let outbid = || !shared.would_accept(bounds[j]);
             let (cn, plan) = (&q.cns[j], &plans[j]);
-            let joined = join_cn(q.db, cn, plan, q.ts, &mut scratch, stats, &outbid);
             evaluated.fetch_add(1, Ordering::Relaxed);
             // Per node, in node order: where its row sits in a joined chunk
             // and, for a keyword node, its tuple set's score column. A free
@@ -499,68 +562,53 @@ where
                     (slot.expect("the plan places every node"), column)
                 })
                 .collect();
-            for (i, chunk) in joined.enumerate() {
-                if i % 256 == 255 && outbid() {
-                    break;
-                }
-                if faceted {
-                    fill_tuples(cn, plan, chunk, &mut probe.tuples);
-                    if !freq.passes(q.db, &probe) {
-                        continue;
+            for case in cases_of(j) {
+                let joined = join_cn(q.db, cn, plan, case, q.ts, &mut scratch, stats, &outbid);
+                for (i, chunk) in joined.enumerate() {
+                    if i % 256 == 255 && outbid() {
+                        break;
                     }
-                    if exhaustive {
-                        accum.observe(q.db, freq.facets, &probe);
-                    }
-                }
-                // Column entries summed in node order (as the text-derived
-                // reference sums them, so the two agree bitwise) over CN
-                // size: the DISCOVER2 score, or the SPARK bound.
-                let sum: f64 = columns
-                    .iter()
-                    .map(|&(slot, column)| column.map_or(0.0, |c| c.score_of(chunk[slot])))
-                    .sum();
-                let mut score = sum / chunk.len() as f64;
-                match model {
-                    Scoring::Monotone => debug_assert_eq!(score.to_bits(), {
-                        fill_tuples(cn, plan, chunk, &mut probe.tuples);
-                        q.scorer.monotone_score(&probe, q.keywords).to_bits()
-                    }),
-                    Scoring::Spark => {
-                        if !shared.would_accept(score) {
-                            continue; // even its bound is below the k-th best
+                    // Column entries summed in node order (as the text-derived
+                    // reference sums them, so the two agree bitwise) over CN
+                    // size: the DISCOVER2 score, or the SPARK bound.
+                    let sum: f64 = columns
+                        .iter()
+                        .map(|&(slot, column)| column.map_or(0.0, |c| c.score_of(chunk[slot])))
+                        .sum();
+                    let mut score = sum / chunk.len() as f64;
+                    match model {
+                        Scoring::Monotone => debug_assert_eq!(score.to_bits(), {
+                            fill_tuples(cn, plan, chunk, &mut probe.tuples);
+                            q.scorer.monotone_score(&probe, q.keywords).to_bits()
+                        }),
+                        Scoring::Spark => {
+                            if !shared.would_accept(score) {
+                                continue; // even its bound is below the k-th best
+                            }
+                            fill_tuples(cn, plan, chunk, &mut probe.tuples);
+                            let exact = q.scorer.spark_score(&probe, q.keywords);
+                            debug_assert!(exact <= score, "watf bound {score} < score {exact}");
+                            score = exact;
                         }
-                        fill_tuples(cn, plan, chunk, &mut probe.tuples);
-                        let exact = q.scorer.spark_score(&probe, q.keywords);
-                        debug_assert!(exact <= score, "watf bound {score} < score {exact}");
-                        score = exact;
                     }
-                }
-                if shared.would_accept(score) {
-                    fill_tuples(cn, plan, chunk, &mut probe.tuples);
-                    shared.push(w, score, (j, probe.clone()));
+                    if shared.would_accept(score) {
+                        fill_tuples(cn, plan, chunk, &mut probe.tuples);
+                        shared.push(w, score, (j, probe.clone()));
+                    }
                 }
             }
         }
-        accum
     };
 
-    let mut accum = FacetAccum::new(freq.facets.len());
     if workers == 1 {
-        accum.merge(run_worker(0));
+        run_worker(0);
     } else {
         let run_worker = &run_worker;
-        let worker_accums = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| s.spawn(move || run_worker(w)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
-                .collect::<Vec<_>>()
+        std::thread::scope(|s| {
+            for w in 0..workers {
+                s.spawn(move || run_worker(w));
+            }
         });
-        for a in worker_accums {
-            accum.merge(a);
-        }
     }
 
     let results = shared
@@ -573,15 +621,12 @@ where
         })
         .collect();
     let evaluated = evaluated.load(Ordering::Relaxed);
-    (
-        CnExecOutcome {
-            results,
-            truncation: truncation.into_inner().expect("truncation poisoned"),
-            cns_evaluated: evaluated,
-            cns_pruned: n as u64 - evaluated,
-        },
-        accum,
-    )
+    CnExecOutcome {
+        results,
+        truncation: truncation.into_inner().expect("truncation poisoned"),
+        cns_evaluated: evaluated,
+        cns_pruned: n as u64 - evaluated,
+    }
 }
 
 #[cfg(test)]

@@ -284,8 +284,9 @@ pub struct SearchResponse<H> {
     /// support, i.e. graph/XML).
     pub facets: Vec<FacetCounts>,
     /// Whether `facets` covers the *full* result multiset exactly. `false`
-    /// when the budget truncated evaluation; vacuously `true` for
-    /// non-faceted queries.
+    /// only when a deadline cut the count pass (a candidate cap bounds
+    /// joins, and counting makes none); vacuously `true` for non-faceted
+    /// queries.
     pub facets_exact: bool,
 }
 

@@ -1,8 +1,9 @@
 //! The relational engine: tuple sets → CN plan (cached by mask signature) →
 //! bound-driven evaluation by the one CN executor
-//! ([`kwdb_relsearch::pexec`], the request's [`Scoring`] model its
-//! parameter) → facets, summaries and query cleaning, inside the shared
-//! query frame.
+//! ([`kwdb_relsearch::pexec`], the request's [`Scoring`] model and its
+//! refinements its parameters) → facet counts by count propagation over the
+//! same CNs ([`kwdb_relsearch::facets::count_facets`]), summaries and query
+//! cleaning, inside the shared query frame.
 
 use super::frame::{run_query, Answer, Evaluated, QueryFrame, ResultCache};
 use super::{
@@ -11,7 +12,8 @@ use super::{
 };
 use kwdb_common::index::SegmentCounts;
 use kwdb_common::{
-    CacheConfig, FacetCounts, FacetSpec, QueryStats, Result, ScratchPool, Stopwatch, Value,
+    CacheConfig, FacetCounts, FacetSpec, QueryStats, Result, ScratchPool, Stopwatch,
+    TruncationReason, Value,
 };
 use kwdb_explore::summary::{object_summary, render_summary};
 use kwdb_obs::{
@@ -23,7 +25,9 @@ use kwdb_qclean::SpellCorrector;
 use kwdb_rank::CorpusStats;
 use kwdb_relational::{Database, ExecStats, Row, TableId, TupleId};
 use kwdb_relsearch::cn::{CandidateNetwork, CnGenConfig, CnGenerator, MaskOracle};
-use kwdb_relsearch::facets::{resolve_facets, resolve_refinements, FacetAccum, FacetRequest};
+use kwdb_relsearch::facets::{
+    count_facets, resolve_facets, resolve_refinements, FacetAccum, FacetRequest,
+};
 use kwdb_relsearch::parallel::choose_workers;
 use kwdb_relsearch::pexec::{parallel_topk_planned, EvalScratch};
 use kwdb_relsearch::topk::{CnExecOutcome, TopKQuery};
@@ -512,7 +516,12 @@ impl RelationalEngine {
                 });
                 workers
             };
-            let (outcome, accum) = parallel_topk_planned(
+            let CnExecOutcome {
+                results: ranked,
+                truncation,
+                cns_evaluated,
+                cns_pruned,
+            } = parallel_topk_planned(
                 &q,
                 req.k,
                 scoring,
@@ -520,21 +529,9 @@ impl RelationalEngine {
                 budget,
                 policy,
                 &self.scratch,
-                &freq,
+                &refinements,
             );
-            let CnExecOutcome {
-                results: ranked,
-                truncation,
-                cns_evaluated,
-                cns_pruned,
-            } = outcome;
             stats.phases.evaluate = sw.lap();
-            let snap = exec.snapshot();
-            stats.operators.tuples_scanned = snap.tuples_scanned;
-            stats.operators.join_probes = snap.join_probes;
-            stats.operators.joins_executed = snap.joins_executed;
-            stats.operators.rows_output = snap.rows_output;
-            stats.operators.join_probe_rows = snap.probe_rows;
             stats.cns_evaluated = cns_evaluated;
             stats.cns_pruned = cns_pruned;
             let mut contributing: Vec<usize> = ranked.iter().map(|r| r.cn_index).collect();
@@ -544,6 +541,7 @@ impl RelationalEngine {
                 .candidates_generated
                 .saturating_sub(contributing.len() as u64);
             tb.event("operators", || {
+                let snap = exec.snapshot();
                 vec![
                     ("tuples_scanned".into(), snap.tuples_scanned.to_string()),
                     ("join_probes".into(), snap.join_probes.to_string()),
@@ -557,13 +555,25 @@ impl RelationalEngine {
                 )]
             });
 
-            // Facet finalization + per-hit summaries. Counts are exact when the
-            // executor ran in exhaustive mode to completion: every CN evaluated
-            // fully, so the accumulated multiset is the full result multiset
-            // regardless of worker count or posting layout.
+            // Facet counts of the full result multiset, by count propagation
+            // over every CN — not over what the top-k loop above happened to
+            // join — then per-hit summaries. Linear work, on this thread; only
+            // a deadline leaves the counts inexact, and the response then says
+            // it was cut short.
             tb.phase("facets");
-            let facets_exact = facets.is_empty() || truncation.is_none();
-            let facet_counts = accum.finish(&facets);
+            let mut scratch = self.scratch.checkout(EvalScratch::new);
+            let tally = count_facets(&st.db, &ts, &cns, &freq, budget, &exec, &mut scratch.counts);
+            drop(scratch);
+            let snap = exec.snapshot();
+            stats.operators.tuples_scanned = snap.tuples_scanned;
+            stats.operators.join_probes = snap.join_probes;
+            stats.operators.joins_executed = snap.joins_executed;
+            stats.operators.rows_output = snap.rows_output;
+            stats.operators.join_probe_rows = snap.probe_rows;
+            // (a cut count pass is a deadline gone by: the response says so)
+            let facets_exact = !tally.cut;
+            let truncation = truncation.or(tally.cut.then_some(TruncationReason::DeadlineExceeded));
+            let facet_counts = tally.counts.finish(&facets);
             let hits: Vec<RelationalHit> = ranked
                 .into_iter()
                 .map(|r| RelationalHit {
@@ -587,6 +597,20 @@ impl RelationalEngine {
                 })
                 .collect();
             if !facets.is_empty() {
+                tb.event("facet count", || {
+                    vec![
+                        ("cns_counted".into(), tally.cns_counted.to_string()),
+                        (
+                            "cns_skipped_no_facet_node".into(),
+                            tally.cns_skipped_no_facet_node.to_string(),
+                        ),
+                        (
+                            "cns_dropped_by_refinement".into(),
+                            tally.cns_dropped_by_refinement.to_string(),
+                        ),
+                        ("message_rows".into(), tally.message_rows.to_string()),
+                    ]
+                });
                 tb.event("facets", || {
                     vec![
                         ("requested".into(), facets.len().to_string()),
