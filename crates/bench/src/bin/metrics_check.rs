@@ -115,38 +115,34 @@ fn main() {
         std::process::exit(1);
     }
 
-    // CN accounting: every candidate network a monotone top-k run generates
-    // is either evaluated or pruned — nothing may fall through the counters.
-    // Only the monotone executor does CN-level accounting (SPARK's
-    // skyline-sweep reports 0/0), so the generated total is filtered to
-    // its algorithm label; the CN counters themselves are zero everywhere
-    // else and can be summed whole.
+    // CN accounting: every candidate network a relational query generates,
+    // under whichever algorithm label it ran, is either evaluated or pruned —
+    // nothing may fall through the counters. The CN counters themselves are
+    // zero for the other engines and can be summed whole.
     let cn_accounted = snapshot.counter_total(families::CN_EVALUATED)
         + snapshot.counter_total(families::CN_PRUNED);
-    let has = |id: &kwdb_obs::MetricId, k: &str, vs: &[&str]| {
-        id.labels
-            .iter()
-            .any(|(lk, lv)| lk == k && vs.contains(&lv.as_str()))
+    let has = |id: &kwdb_obs::MetricId, k: &str, v: &str| {
+        id.labels.iter().any(|(lk, lv)| lk == k && lv == v)
     };
     let cn_generated: u64 = snapshot
         .counters
         .iter()
         .filter(|(id, _)| {
             id.name == families::CANDIDATES
-                && has(id, "kind", &["generated"])
-                && has(id, "algorithm", &["parallel_cn"])
+                && has(id, "kind", "generated")
+                && has(id, "engine", "relational")
         })
         .map(|(_, v)| *v)
         .sum();
     if cn_generated == 0 {
         eprintln!(
-            "{path}: no CNs generated by the monotone executor — the CN accounting check is vacuous"
+            "{path}: no CNs generated by the relational engine — the CN accounting check is vacuous"
         );
         std::process::exit(1);
     }
     if cn_accounted != cn_generated {
         eprintln!(
-            "{path}: CN accounting broken: {} + {} = {cn_accounted} but {} (kind=generated, algorithm=parallel_cn) = {cn_generated}",
+            "{path}: CN accounting broken: {} + {} = {cn_accounted} but {} (kind=generated, engine=relational) = {cn_generated}",
             families::CN_EVALUATED,
             families::CN_PRUNED,
             families::CANDIDATES,

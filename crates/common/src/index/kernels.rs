@@ -126,51 +126,6 @@ pub fn intersect_into<T: Ord + Copy>(a: &[T], b: &[T], out: &mut Vec<T>) {
     }
 }
 
-/// Intersection by linear merge, allocating. Hot paths should use
-/// [`intersect_linear_into`].
-pub fn intersect_linear<T: Ord + Copy>(a: &[T], b: &[T]) -> Vec<T> {
-    let mut out = Vec::new();
-    intersect_linear_into(a, b, &mut out);
-    out
-}
-
-/// Intersection by galloping, allocating. Hot paths should use
-/// [`intersect_gallop_into`].
-pub fn intersect_gallop<T: Ord + Copy>(small: &[T], large: &[T]) -> Vec<T> {
-    let mut out = Vec::new();
-    intersect_gallop_into(small, large, &mut out);
-    out
-}
-
-/// Intersect two sorted lists, choosing the kernel by size ratio. Hot
-/// paths with a scratch buffer should use [`intersect_into`].
-pub fn intersect<T: Ord + Copy>(a: &[T], b: &[T]) -> Vec<T> {
-    let mut out = Vec::new();
-    intersect_into(a, b, &mut out);
-    out
-}
-
-/// Intersect any number of sorted lists, smallest first so the running
-/// intersection shrinks as fast as possible. Empty input ⇒ empty output.
-pub fn intersect_many<T: Ord + Copy>(lists: &[&[T]]) -> Vec<T> {
-    if lists.is_empty() {
-        return Vec::new();
-    }
-    let mut order: Vec<&[T]> = lists.to_vec();
-    order.sort_by_key(|l| l.len());
-    let mut acc: Vec<T> = order[0].to_vec();
-    acc.dedup();
-    let mut scratch = Vec::new();
-    for l in &order[1..] {
-        if acc.is_empty() {
-            break;
-        }
-        intersect_into(&acc, l, &mut scratch);
-        std::mem::swap(&mut acc, &mut scratch);
-    }
-    acc
-}
-
 /// Intersect two posting cursors (any layout mix) with mutual galloping
 /// `seek`, appending equal postings to `out` with set semantics. Requires
 /// the postings' `Ord` to agree with `key64` order (monotone), which every
@@ -282,14 +237,18 @@ mod tests {
                     let a = random_list(&mut rng, la, universe);
                     let b = random_list(&mut rng, lb, universe);
                     let expect = naive(&a, &b);
-                    assert_eq!(intersect(&a, &b), expect, "dispatch {la}x{lb} u{universe}");
-                    assert_eq!(intersect_linear(&a, &b), expect, "linear");
+                    let mut out = Vec::new();
+                    intersect_into(&a, &b, &mut out);
+                    assert_eq!(out, expect, "dispatch {la}x{lb} u{universe}");
+                    intersect_linear_into(&a, &b, &mut out);
+                    assert_eq!(out, expect, "linear");
                     let (s, l) = if a.len() <= b.len() {
                         (&a, &b)
                     } else {
                         (&b, &a)
                     };
-                    assert_eq!(intersect_gallop(s, l), expect, "gallop");
+                    intersect_gallop_into(s, l, &mut out);
+                    assert_eq!(out, expect, "gallop");
                 }
             }
         }
@@ -305,40 +264,13 @@ mod tests {
     }
 
     #[test]
-    fn intersect_many_matches_iterated_naive() {
-        let mut rng = Rng::seed_from_u64(10);
-        for _ in 0..50 {
-            let n_lists = 1 + rng.gen_index(4);
-            let lists: Vec<Vec<u32>> = (0..n_lists)
-                .map(|_| {
-                    let len = rng.gen_index(200);
-                    random_list(&mut rng, len, 60)
-                })
-                .collect();
-            let refs: Vec<&[u32]> = lists.iter().map(|l| l.as_slice()).collect();
-            let mut expect: Vec<u32> = {
-                let s: BTreeSet<u32> = lists[0].iter().copied().collect();
-                s.into_iter().collect()
-            };
-            for l in &lists[1..] {
-                expect = naive(&expect, l);
-            }
-            assert_eq!(intersect_many(&refs), expect);
-        }
-        assert!(intersect_many::<u32>(&[]).is_empty());
-    }
-
-    #[test]
     fn duplicate_heavy_output_is_strictly_increasing() {
         let a = [1u32, 1, 1, 2, 2, 3, 9, 9];
         let b = [1u32, 2, 2, 9, 9, 9];
-        for out in [
-            intersect(&a, &b),
-            intersect_linear(&a, &b),
-            intersect_gallop(&a, &b),
-        ] {
+        let mut out = Vec::new();
+        for kernel in [intersect_into, intersect_linear_into, intersect_gallop_into] {
+            kernel(&a, &b, &mut out);
             assert_eq!(out, vec![1, 2, 9]);
-            assert!(out.windows(2).all(|w| w[0] < w[1]));
         }
     }
 

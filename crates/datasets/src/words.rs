@@ -1,6 +1,8 @@
 //! Vocabulary and Zipf sampling for the generators.
 
 use kwdb_common::Rng;
+use std::cell::RefCell;
+use std::collections::BTreeMap;
 
 /// Database-flavoured title vocabulary (ranked roughly by how common the
 /// term is in real venue titles, so Zipf sampling looks natural).
@@ -104,20 +106,29 @@ pub const VENUES: &[&str] = &[
     "sigmod", "vldb", "icde", "edbt", "cikm", "kdd", "www", "sigir", "pods", "cidr",
 ];
 
-/// Sample an index in `0..n` under a Zipf(s≈1) distribution.
+/// Sample an index in `0..n` under a Zipf(s≈1) distribution: inverse CDF
+/// over the harmonic weights `1/1, 1/2, …, 1/n`. The weights' prefix sums are
+/// tabulated once per `n`, by the left-to-right accumulation a scan of them
+/// would perform, so the sample is the first rank whose sum reaches the
+/// target — bit for bit the rank that scan would stop at.
 pub fn zipf(rng: &mut Rng, n: usize) -> usize {
     debug_assert!(n > 0);
-    // inverse-CDF over harmonic weights, computed incrementally
-    let h: f64 = (1..=n).map(|i| 1.0 / i as f64).sum();
-    let target = rng.gen_f64() * h;
-    let mut acc = 0.0;
-    for i in 1..=n {
-        acc += 1.0 / i as f64;
-        if acc >= target {
-            return i - 1;
-        }
+    thread_local! {
+        static PREFIX_SUMS: RefCell<BTreeMap<usize, Vec<f64>>> = const { RefCell::new(BTreeMap::new()) };
     }
-    n - 1
+    PREFIX_SUMS.with_borrow_mut(|tables| {
+        let sums = tables.entry(n).or_insert_with(|| {
+            let mut acc = 0.0;
+            (1..=n)
+                .map(|i| {
+                    acc += 1.0 / i as f64;
+                    acc
+                })
+                .collect()
+        });
+        let target = rng.gen_f64() * sums[n - 1];
+        sums.partition_point(|&acc| acc < target).min(n - 1)
+    })
 }
 
 /// A title of `len` Zipf-sampled distinct-ish words.
@@ -151,6 +162,30 @@ mod tests {
         }
         assert!(counts[0] > counts[4]);
         assert!(counts[0] > 2 * counts[9]);
+    }
+
+    #[test]
+    fn tabulated_zipf_picks_the_rank_a_scan_of_the_weights_stops_at() {
+        // The definition: re-sum the normaliser, then accumulate up to the
+        // target — what `zipf` did per sample before it kept the sums.
+        let by_scan = |rng: &mut Rng, n: usize| {
+            let h: f64 = (1..=n).map(|i| 1.0 / i as f64).sum();
+            let target = rng.gen_f64() * h;
+            let mut acc = 0.0;
+            (1..=n)
+                .position(|i| {
+                    acc += 1.0 / i as f64;
+                    acc >= target
+                })
+                .unwrap_or(n - 1)
+        };
+        for n in [1usize, 2, 10, 40, 333, 2_666, 6_666] {
+            let mut a = Rng::seed_from_u64(n as u64);
+            let mut b = Rng::seed_from_u64(n as u64);
+            for _ in 0..2_000 {
+                assert_eq!(zipf(&mut a, n), by_scan(&mut b, n), "n = {n}");
+            }
+        }
     }
 
     #[test]

@@ -55,8 +55,7 @@ pub struct DataGraph {
     adj: Vec<Vec<(NodeId, f64)>>,
     kinds: Interner,
     /// keyword → sorted node list, segment-backed: appends land in the
-    /// realtime segment (node ids ascend, so lists stay sorted);
-    /// [`commit_keyword_index`](Self::commit_keyword_index) seals them.
+    /// realtime segment (node ids ascend, so lists stay sorted).
     kw_index: SegmentedIndex<NodeId>,
     edge_count: usize,
     /// Bumped by every structural mutation (node or edge added), so
@@ -193,12 +192,6 @@ impl DataGraph {
     /// unset: the graph index grows incrementally with the nodes.
     pub fn keyword_index_stats(&self) -> IndexStats {
         self.kw_index.index_stats()
-    }
-
-    /// Seal the keyword index's realtime segment into an immutable
-    /// compressed segment (folding at the segment cap).
-    pub fn commit_keyword_index(&mut self) -> SegmentCounts {
-        self.kw_index.commit()
     }
 
     /// Realtime/sealed segment census of the keyword index.

@@ -38,6 +38,18 @@ impl Counter {
         }
     }
 
+    /// Advance the counter to `total`, a cumulative count kept elsewhere
+    /// (a cache's evictions): publishing one is idempotent and, because the
+    /// counter never moves backwards, racing publishers may arrive in any
+    /// order.
+    pub fn raise_to(&self, total: u64) {
+        // Most publishes find the total unchanged; as in `add`, a load and a
+        // branch are cheaper than a locked update that changes nothing.
+        if self.0.load(Ordering::Relaxed) < total {
+            self.0.fetch_max(total, Ordering::Relaxed);
+        }
+    }
+
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
@@ -432,6 +444,12 @@ mod tests {
             reg.counter_value("requests_total", &[("engine", "relational")]),
             6
         );
+
+        // publishing a cumulative total is idempotent and never moves back
+        c.raise_to(9);
+        c.raise_to(9);
+        c.raise_to(7);
+        assert_eq!(c.get(), 9);
 
         let g = reg.gauge("inflight", &[]);
         g.inc();

@@ -1,4 +1,6 @@
-//! The database: tables, schema graph, and the full-text index.
+//! The database: tables, schema graph, and the three structures derived
+//! from them — the full-text index, the foreign-key index and the per-tuple
+//! document statistics.
 
 use crate::fkindex::FkIndex;
 use crate::index::{InvertedIndex, Posting};
@@ -7,7 +9,9 @@ use crate::table::{Row, RowId, Table, TupleId};
 use kwdb_common::index::{Layout, SegmentCounts};
 use kwdb_common::text::tokenize;
 use kwdb_common::{KwdbError, Result, Value};
+use kwdb_rank::CorpusStats;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// An in-memory relational database.
 ///
@@ -27,9 +31,13 @@ use std::collections::HashMap;
 /// typed
 /// [`KwdbError::IndexStale`] instead of silently missing rows.
 ///
-/// The foreign-key index behind [`referenced_row`](Self::referenced_row) and
-/// [`referencing_rows`](Self::referencing_rows) lives by the same rule: built
-/// with the text index, maintained by `ingest`, left behind by raw `insert`.
+/// Everything else derived from the rows lives by the same rule — built with
+/// the text index, maintained by `ingest` / `delete`, left behind by raw
+/// `insert`: the foreign-key index behind
+/// [`referenced_row`](Self::referenced_row) and
+/// [`referencing_rows`](Self::referencing_rows), and the document statistics
+/// behind [`corpus`](Self::corpus). The database is their only owner; an
+/// engine over it keeps no copy.
 #[derive(Debug, Default, Clone)]
 pub struct Database {
     tables: Vec<Table>,
@@ -38,6 +46,10 @@ pub struct Database {
     text_index: InvertedIndex,
     /// One FK index (both directions) per schema-graph edge, in edge order.
     fk_index: Vec<FkIndex>,
+    /// Term statistics over the live tuples, one "document" per tuple.
+    /// Behind an `Arc` so a per-query scorer shares them and a
+    /// copy-on-write clone of the database does not copy them.
+    corpus: Arc<CorpusStats>,
     /// Bumped by every data mutation (`insert`/`ingest`/`delete`).
     generation: u64,
     /// Generation the text index reflects; `None` until the first build.
@@ -167,25 +179,21 @@ impl Database {
         }
         let tid = TupleId::new(id, rid);
         let t = &self.tables[id.0 as usize];
-        let text_cols: Vec<usize> = t.schema.text_columns().collect();
-        let mut additions: Vec<(String, Posting)> = Vec::new();
-        for &c in &text_cols {
-            if let Some(text) = t.get(rid, c).as_text() {
+        let mut tokens: Vec<String> = Vec::new();
+        for column in t.schema.text_columns() {
+            if let Some(text) = t.get(rid, column).as_text() {
                 for tok in tokenize(text) {
-                    additions.push((
-                        tok,
-                        Posting {
-                            tuple: tid,
-                            column: c,
-                            tf: 1,
-                        },
-                    ));
+                    let posting = Posting {
+                        tuple: tid,
+                        column,
+                        tf: 1,
+                    };
+                    self.text_index.add(&tok, posting);
+                    tokens.push(tok);
                 }
             }
         }
-        for (tok, p) in additions {
-            self.text_index.add(&tok, p);
-        }
+        Arc::make_mut(&mut self.corpus).add_doc(&tokens);
         self.text_index.set_tuple_count(id, t.live_len());
         Ok(tid)
     }
@@ -208,6 +216,10 @@ impl Database {
         let tid = TupleId::new(id, rid);
         self.text_index.delete_tuple(tid);
         self.text_index.set_tuple_count(id, live);
+        // The payload stays in place under the tombstone, so the tokens the
+        // row was counted with are still readable.
+        let tokens = self.tuple_tokens(tid);
+        Arc::make_mut(&mut self.corpus).remove_doc(&tokens);
         self.generation += 1;
         self.indexed_generation = Some(self.generation);
         Ok(tid)
@@ -357,7 +369,19 @@ impl Database {
             .collect();
         ix.set_build_time(start.elapsed());
         self.text_index = ix;
+        self.corpus = Arc::new(self.scan_corpus());
         self.indexed_generation = Some(self.generation);
+    }
+
+    /// Document statistics of the live tuples, by a scan of all of them.
+    fn scan_corpus(&self) -> CorpusStats {
+        let mut stats = CorpusStats::new();
+        for t in &self.tables {
+            for (rid, _) in t.iter() {
+                stats.add_doc(&self.tuple_tokens(TupleId::new(t.id, rid)));
+            }
+        }
+        stats
     }
 
     /// Re-encode the (already built) text index into `layout`; contents are
@@ -376,6 +400,16 @@ impl Database {
     pub fn text_index(&self) -> Result<&InvertedIndex> {
         self.check_index_fresh()?;
         Ok(&self.text_index)
+    }
+
+    /// Term statistics over every live tuple, one "document" per tuple —
+    /// what a tf·idf scorer weighs keywords with. Equal to a scan of the
+    /// tuples as of the last [`build_text_index`](Self::build_text_index),
+    /// [`ingest`](Self::ingest) or [`delete`](Self::delete), and behind the
+    /// same typed freshness check as [`text_index`](Self::text_index).
+    pub fn corpus(&self) -> Result<&Arc<CorpusStats>> {
+        self.check_index_fresh()?;
+        Ok(&self.corpus)
     }
 
     fn check_index_fresh(&self) -> Result<()> {
@@ -749,11 +783,32 @@ mod tests {
         assert!(db.fk_neighbors(TupleId::new(author, RowId(0))).is_empty());
     }
 
+    /// The maintained document statistics against a fresh scan of the live
+    /// tuples: document and token totals, and every term's two frequencies.
+    fn assert_corpus_matches_scan(db: &Database) {
+        let (kept, scanned) = (db.corpus().unwrap(), db.scan_corpus());
+        assert_eq!(kept.doc_count(), scanned.doc_count());
+        assert_eq!(kept.doc_count(), db.tuple_count());
+        assert_eq!(kept.total_tokens(), scanned.total_tokens());
+        let terms = |stats: &CorpusStats| {
+            let mut terms: Vec<(String, usize, u64)> = stats
+                .terms()
+                .map(|t| (t.to_string(), stats.doc_freq(t), stats.coll_freq(t)))
+                .collect();
+            terms.sort();
+            terms
+        };
+        assert_eq!(terms(kept), terms(&scanned));
+    }
+
     /// Both directions of the FK index against their by-value definitions:
     /// `referencing_rows` of every live referenced row is a scan of the
     /// referencing table for its key, and `referenced_row` of every live
-    /// referencing row is `lookup_pk` of its FK value.
+    /// referencing row is `lookup_pk` of its FK value. The other structure
+    /// the same mutations maintain rides along: the document statistics
+    /// equal a fresh scan.
     fn assert_fk_index_matches_values(db: &Database) {
+        assert_corpus_matches_scan(db);
         for (ei, e) in db.schema_graph().edges().iter().enumerate() {
             for (rid, row) in db.table(e.to).iter() {
                 let mut indexed: Vec<RowId> = db.referencing_rows(ei, rid).collect();
@@ -846,6 +901,16 @@ mod tests {
         let mut rebuilt = db.clone();
         rebuilt.build_text_index();
         assert_fk_index_matches_values(&rebuilt);
+
+        // a raw insert leaves the statistics behind, like the text index
+        let kept = Arc::clone(db.corpus().unwrap());
+        db.insert("author", vec![9.into(), "Raw Insert".into()])
+            .unwrap();
+        assert!(matches!(db.corpus(), Err(KwdbError::IndexStale { .. })));
+        db.build_text_index();
+        assert_eq!(db.corpus().unwrap().doc_count(), kept.doc_count() + 1);
+        assert_eq!(kept.doc_freq("raw"), 0, "a handle keeps what it saw");
+        assert_fk_index_matches_values(&db);
     }
 
     #[test]

@@ -219,12 +219,8 @@ impl InvertedIndex {
     /// Number of distinct tuples (across tables) containing `term`.
     /// `O(1)` on a finalized index — served from the term's cached stats.
     pub fn doc_freq(&self, term: &str) -> usize {
-        self.sym(term).map_or(0, |s| self.doc_freq_sym(s))
-    }
-
-    /// Document frequency for an already-resolved term.
-    pub fn doc_freq_sym(&self, sym: Sym) -> usize {
-        self.store.term_stats(sym).df as usize
+        self.sym(term)
+            .map_or(0, |s| self.store.term_stats(s).df as usize)
     }
 
     /// Per-term stats (document frequency, total term frequency).
@@ -325,7 +321,6 @@ mod tests {
             ix.postings_in_sym(xml, TableId(0)),
             ix.postings_in("xml", TableId(0))
         );
-        assert_eq!(ix.doc_freq_sym(xml), ix.doc_freq("xml"));
         assert!(ix.sym("nothing").is_none());
     }
 

@@ -122,9 +122,9 @@ impl EvalScratch {
 }
 
 /// Evaluate `cn` fully over its default row sets, reusing `scratch`'s
-/// buffers. Produces the same result *set* as
-/// [`crate::eval::evaluate_cn`] (order may differ; callers rank by
-/// content anyway).
+/// buffers: the materializing form of the join the executor scores in
+/// place. Produces the same result *set* as [`crate::eval::evaluate_cn`]
+/// (order may differ; callers rank by content anyway).
 pub fn evaluate_cn_pooled(
     db: &Database,
     cn: &CandidateNetwork,
@@ -133,37 +133,14 @@ pub fn evaluate_cn_pooled(
     stats: &ExecStats,
 ) -> Vec<JoinedResult> {
     let plan = join_plan(db, ts, cn);
-    evaluate_cn_pooled_until(db, cn, &plan, ts, scratch, stats, &|| false)
-}
-
-/// [`evaluate_cn_pooled`] along a given `plan`, with a cancellation probe:
-/// the materializing form of the join the executor scores in place. When
-/// `cancel` turns true the evaluation stops and returns no results.
-pub fn evaluate_cn_pooled_until(
-    db: &Database,
-    cn: &CandidateNetwork,
-    plan: &JoinPlan,
-    ts: &TupleSets,
-    scratch: &mut EvalScratch,
-    stats: &ExecStats,
-    cancel: &dyn Fn() -> bool,
-) -> Vec<JoinedResult> {
-    join_cn(
-        db,
-        cn,
-        plan,
-        &Restriction::default(),
-        ts,
-        scratch,
-        stats,
-        cancel,
-    )
-    .map(|chunk| {
-        let mut tuples = Vec::new();
-        fill_tuples(cn, plan, chunk, &mut tuples);
-        JoinedResult { tuples }
-    })
-    .collect()
+    let unrefined = Restriction::default();
+    join_cn(db, cn, &plan, &unrefined, ts, scratch, stats, &|| false)
+        .map(|chunk| {
+            let mut tuples = Vec::new();
+            fill_tuples(cn, &plan, chunk, &mut tuples);
+            JoinedResult { tuples }
+        })
+        .collect()
 }
 
 /// Write the joined row `chunk` (plan order) into `tuples` in the CN's node

@@ -44,9 +44,10 @@ use std::ops::Deref;
 use std::sync::Arc;
 
 /// Corpus statistics over every live tuple of `db` — one "document" per
-/// tuple. This is the scan [`ResultScorer::new`] performs; the unified
-/// engine calls it once and then keeps the stats in lockstep with the
-/// database incrementally (`add_doc` on ingest, `remove_doc` on delete).
+/// tuple — by a scan of all of them. This is what [`ResultScorer::new`]
+/// performs and the reference for [`Database::corpus`], the statistics the
+/// database maintains through `ingest` / `delete` and the engine scores
+/// with.
 pub fn corpus_stats(db: &Database) -> CorpusStats {
     let mut stats = CorpusStats::new();
     for t in db.tables() {
@@ -120,12 +121,11 @@ impl<D: Deref<Target = Database>> ResultScorer<D> {
         Self::from_stats(db, Arc::new(stats))
     }
 
-    /// Build a scorer from externally maintained corpus statistics — the
-    /// incremental-ingest path: the unified engine keeps one `CorpusStats`
-    /// in lockstep with the database and hands out per-query scorers
-    /// without rescanning. The average document length is derived from the
-    /// stats' totals, matching what [`new`](Self::new) computes over the
-    /// same corpus.
+    /// Build a scorer from statistics already at hand — the engine's path:
+    /// a per-query scorer over [`Database::corpus`] is two `Arc` clones, no
+    /// rescan. The average document length is derived from the stats'
+    /// totals, matching what [`new`](Self::new) computes over the same
+    /// corpus.
     pub fn from_stats(db: D, stats: Arc<CorpusStats>) -> Self {
         let n = stats.doc_count();
         let avg_len = if n == 0 {

@@ -17,7 +17,6 @@ use kwdb_obs::{
     TraceLevel,
 };
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Everything the query frame ([`run_query`]) needs to know about one
@@ -86,6 +85,21 @@ impl<H> Answer<H> {
     }
 }
 
+/// One `name = value` field of a trace event.
+pub(super) fn field(name: &str, value: impl ToString) -> (String, String) {
+    (name.to_string(), value.to_string())
+}
+
+/// The `budget verdict` trace event an evaluation ends with.
+pub(super) fn trace_verdict(tb: &mut TraceBuilder, truncation: Option<TruncationReason>) {
+    tb.event("budget verdict", || {
+        vec![field(
+            "truncated",
+            truncation.map_or("no".into(), |r| r.to_string()),
+        )]
+    });
+}
+
 /// The one query pipeline all three engines share. It owns trace sampling,
 /// the parse phase, the empty-query and exhausted-budget early returns, the
 /// result-cache consult (admit → key → singleflight compute → store, or hit
@@ -101,8 +115,8 @@ impl<H> Answer<H> {
 /// sampling decision (one policy read and one atomic tick), `parse_query`
 /// and `clean`, the [`ResultKey`] (the sorted terms and the `Debug`
 /// rendering of any facet specs and refinements), one lookup under one
-/// shard lock, the gauge publish (five atomic loads, three stores), one
-/// clone of the cached [`Answer`], and the seal. It does **not** resolve
+/// shard lock, the gauge publish (six atomic loads, two stores), one clone of
+/// the cached [`Answer`], and the seal. It does **not** resolve
 /// facet specs or refinements, read the segment census (unless a
 /// registry is attached — the flight record stamps it), build a trace
 /// label, or reach anything in `run`. Everything an engine computes before
@@ -146,9 +160,7 @@ pub(super) fn run_query<H: Clone>(
     let (answer, truncation) = if keywords.is_empty() {
         Answer::empty((frame.empty_facets)()?, None)
     } else if let Some(reason) = req.budget.truncation() {
-        tb.event("budget verdict", || {
-            vec![("truncated".into(), reason.to_string())]
-        });
+        trace_verdict(&mut tb, Some(reason));
         Answer::empty((frame.empty_facets)()?, Some(reason))
     } else if !cache.admits(req, level) {
         run(&keywords, &mut stats, &mut sw, &mut tb)?
@@ -304,11 +316,9 @@ impl ResultCacheInstruments {
 }
 
 /// One engine's result cache: the sharded singleflight LRU plus the
-/// eviction high-water already published to the registry (so the eviction
-/// counter advances by exact deltas under concurrent queries).
+/// registry handles its figures are published through.
 pub(super) struct ResultCache<H> {
     cache: ShardedCache<ResultKey, Arc<Answer<H>>>,
-    evictions_seen: AtomicU64,
     /// Resolved at the first consult with a registry attached.
     instruments: OnceLock<ResultCacheInstruments>,
 }
@@ -317,7 +327,6 @@ impl<H> ResultCache<H> {
     pub(super) fn new(cfg: CacheConfig) -> Self {
         ResultCache {
             cache: ShardedCache::new(cfg),
-            evictions_seen: AtomicU64::new(0),
             instruments: OnceLock::new(),
         }
     }
@@ -338,8 +347,8 @@ impl<H> ResultCache<H> {
         self.enabled() && req.use_cache && level == TraceLevel::Off && req.budget.is_unlimited()
     }
 
-    /// Push the entries/bytes gauges and the eviction-counter delta after
-    /// a consult.
+    /// Push the entries/bytes gauges and the cache's eviction total after a
+    /// consult.
     fn publish(&self, obs: Option<&EngineInstruments>) {
         let Some(obs) = obs else { return };
         let to = self
@@ -348,8 +357,7 @@ impl<H> ResultCache<H> {
         let stats = self.cache.stats();
         to.entries.set(stats.entries as i64);
         to.bytes.set(stats.bytes as i64);
-        let seen = self.evictions_seen.swap(stats.evictions, Ordering::Relaxed);
-        to.evictions.add(stats.evictions.saturating_sub(seen));
+        to.evictions.raise_to(stats.evictions);
     }
 }
 

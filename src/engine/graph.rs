@@ -2,7 +2,7 @@
 //! graph, with the BLINKS node→keyword index built once on first use,
 //! inside the shared query frame.
 
-use super::frame::{run_query, Answer, Evaluated, QueryFrame, ResultCache};
+use super::frame::{field, run_query, trace_verdict, Answer, Evaluated, QueryFrame, ResultCache};
 use super::{Engine, Hit, SearchRequest, SearchResponse};
 use kwdb_common::{CacheConfig, QueryStats, Result, ScratchPool, Stopwatch};
 use kwdb_graph::{DataGraph, NodeKeywordIndex};
@@ -148,7 +148,7 @@ impl GraphEngine {
                         dpbf.search_budgeted(keywords, req.k, budget, &mut scratch);
                     stats.operators.tuples_scanned = work.states_popped as u64;
                     tb.event("expansion", || {
-                        vec![("states_popped".into(), work.states_popped.to_string())]
+                        vec![field("states_popped", work.states_popped)]
                     });
                     (r, truncation)
                 }
@@ -159,7 +159,7 @@ impl GraphEngine {
                         banks.search_budgeted(keywords, req.k, budget, &mut scratch);
                     stats.operators.tuples_scanned = work.nodes_expanded as u64;
                     tb.event("expansion", || {
-                        vec![("nodes_expanded".into(), work.nodes_expanded.to_string())]
+                        vec![field("nodes_expanded", work.nodes_expanded)]
                     });
                     (r, truncation)
                 }
@@ -180,10 +180,7 @@ impl GraphEngine {
                         }
                     }
                     tb.event("node-keyword index", || {
-                        vec![(
-                            "outcome".into(),
-                            if prebuilt { "hit" } else { "miss" }.into(),
-                        )]
+                        vec![field("outcome", if prebuilt { "hit" } else { "miss" })]
                     });
                     stats.phases.build = sw.lap();
                     tb.phase("evaluate");
@@ -193,8 +190,8 @@ impl GraphEngine {
                     stats.operators.random_accesses = work.random_accesses as u64;
                     tb.event("threshold algorithm", || {
                         vec![
-                            ("sorted_accesses".into(), work.sorted_accesses.to_string()),
-                            ("random_accesses".into(), work.random_accesses.to_string()),
+                            field("sorted_accesses", work.sorted_accesses),
+                            field("random_accesses", work.random_accesses),
                         ]
                     });
                     (r, truncation)
@@ -202,12 +199,7 @@ impl GraphEngine {
             };
             stats.phases.evaluate = sw.lap();
             stats.candidates_generated = hits.len() as u64;
-            tb.event("budget verdict", || {
-                vec![(
-                    "truncated".into(),
-                    truncation.map_or("no".into(), |r| r.to_string()),
-                )]
-            });
+            trace_verdict(tb, truncation);
             Ok((Answer::unfaceted(hits), truncation))
         };
         run_query(&frame, req, |keywords, _| Ok(keywords), run)

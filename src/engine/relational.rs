@@ -5,15 +5,15 @@
 //! same CNs ([`kwdb_relsearch::facets::count_facets`]), summaries and query
 //! cleaning, inside the shared query frame.
 
-use super::frame::{run_query, Answer, Evaluated, QueryFrame, ResultCache};
+use super::frame::{field, run_query, trace_verdict, Answer, Evaluated, QueryFrame, ResultCache};
 use super::{
     CommitOutcome, DeleteKey, Engine, Hit, IngestRecord, MutableEngine, Scoring, SearchRequest,
     SearchResponse,
 };
 use kwdb_common::index::SegmentCounts;
 use kwdb_common::{
-    CacheConfig, FacetCounts, FacetSpec, QueryStats, Result, ScratchPool, Stopwatch,
-    TruncationReason, Value,
+    CacheConfig, FacetCounts, FacetSpec, Looked, QueryStats, Result, ScratchPool, ShardedCache,
+    Stopwatch, TruncationReason, Value,
 };
 use kwdb_explore::summary::{object_summary, render_summary};
 use kwdb_obs::{
@@ -22,7 +22,6 @@ use kwdb_obs::{
 };
 use kwdb_qclean::segment::{clean_query, ValuePhraseModel};
 use kwdb_qclean::SpellCorrector;
-use kwdb_rank::CorpusStats;
 use kwdb_relational::{Database, ExecStats, Row, TableId, TupleId};
 use kwdb_relsearch::cn::{CandidateNetwork, CnGenConfig, CnGenerator, MaskOracle};
 use kwdb_relsearch::facets::{
@@ -32,9 +31,8 @@ use kwdb_relsearch::parallel::choose_workers;
 use kwdb_relsearch::pexec::{parallel_topk_planned, EvalScratch};
 use kwdb_relsearch::topk::{CnExecOutcome, TopKQuery};
 use kwdb_relsearch::tupleset::TermCache;
-use kwdb_relsearch::{corpus_stats, Refinement, ResultScorer, TupleSets};
+use kwdb_relsearch::{Refinement, ResultScorer, TupleSets};
 use std::cell::Cell;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
@@ -62,8 +60,8 @@ pub struct RelationalConfig {
     pub max_cn_size: usize,
     /// Safety cap on generated CNs (0 = unlimited).
     pub max_cns: usize,
-    /// Cap on cached CN plans; inserting past it evicts an arbitrary entry
-    /// (0 = unbounded cache).
+    /// Cap on cached CN plans; inserting past it evicts the least recently
+    /// used one (0 = unbounded cache).
     pub max_cache_entries: usize,
     /// Workers evaluating one query's candidate networks, all on the same
     /// executor ([`kwdb_relsearch::pexec`]). `0` = auto: each query gets
@@ -80,9 +78,8 @@ pub struct RelationalConfig {
     /// Opt-in query cleaning at the term-dictionary boundary: when a parsed
     /// keyword has no entry in the text index, run the noisy-channel
     /// spell/segmentation pass ([`kwdb_qclean`]) over the whole query and
-    /// search the cleaned keywords instead. The corrector and phrase model
-    /// are built lazily from the index vocabulary and the full-text column
-    /// values, once per data generation that sees a cleaning query.
+    /// search the cleaned keywords instead. The model is built lazily, once
+    /// per data generation that sees a cleaning query (`clean_model`).
     /// Default `false`: unknown keywords simply match nothing.
     pub clean_queries: bool,
     /// The engine's generation-keyed query caches: one [`CacheConfig`]
@@ -108,28 +105,34 @@ impl Default for RelationalConfig {
     }
 }
 
-/// Key of one CN plan-cache entry — everything CN generation reads and
-/// nothing else: the schema fingerprint, the query's **mask signature**
-/// (the sorted non-empty `(table, mask)` tuple-set keys — masks are
-/// positional, so keyword order is part of it), the keyword count, and the
-/// generator configuration. Neither the keyword strings nor the data
-/// generation appear: queries over different words share a plan when the
-/// same tuple sets are non-empty, and a mutation replans only when it
+/// Key of one CN plan-cache entry — everything CN generation reads that can
+/// differ between two queries of one engine, and nothing else: the schema
+/// fingerprint, the query's **mask signature** (the sorted non-empty
+/// `(table, mask)` tuple-set keys — masks are positional, so keyword order is
+/// part of it) and the keyword count. Neither the keyword strings nor the
+/// data generation appear: queries over different words share a plan when
+/// the same tuple sets are non-empty, and a mutation replans only when it
 /// changes which ones are.
-type CnCacheKey = (u64, Vec<(TableId, u32)>, usize, usize, usize);
+type CnCacheKey = (u64, Vec<(TableId, u32)>, usize);
 
 /// The query-cleaning model: a spelling corrector over the index
 /// vocabulary plus a phrase model over the full-text column values.
 type CleanModel = (SpellCorrector, ValuePhraseModel);
 
-/// The relational engine's mutable core: the database handle plus the
-/// corpus statistics its scorer derives tf·idf weights from, kept in
-/// lockstep by the mutation path (`add_doc` on ingest, `remove_doc` on
-/// delete). Queries hold the read lock end to end, so a mutation never
-/// swaps state underneath a running query.
-struct EngineState {
-    db: Arc<Database>,
-    corpus: Arc<CorpusStats>,
+/// Sizing of the plan cache and the cleaning-model cache: one stripe, so the
+/// LRU order is global; capped by entry count alone (`0` = unbounded); and on
+/// whatever [`RelationalConfig::result_cache`] says — neither holds responses.
+fn entry_capped(max_entries: usize) -> CacheConfig {
+    CacheConfig {
+        enabled: true,
+        max_bytes: usize::MAX,
+        max_entries: if max_entries == 0 {
+            usize::MAX
+        } else {
+            max_entries
+        },
+        stripes: 1,
+    }
 }
 
 /// Realtime/sealed segment census of `db`'s text index (zeros when the index
@@ -143,37 +146,41 @@ fn segment_census(db: &Database) -> SegmentCounts {
 /// candidate networks → bound-driven top-k evaluation.
 ///
 /// Owns its database behind an `Arc`, so the engine is `Send + Sync` and
-/// one instance can serve concurrent queries; the CN plan cache is a
-/// read-mostly `RwLock` map, so repeat queries don't serialize.
+/// one instance can serve concurrent queries. The database is all the state
+/// there is: the text index, the FK index and the corpus statistics the
+/// scorer weighs keywords with are its derived structures, maintained by its
+/// own `ingest` / `delete`. Everything else here is a pool or a cache in one
+/// idiom, a [`ShardedCache`] — responses, plans and the cleaning model read
+/// through `get_or_compute`, so racing misses on one key compute once.
 pub struct RelationalEngine {
-    /// Generational state: swapped copy-on-write by the mutation path.
-    state: RwLock<EngineState>,
+    /// The database, swapped copy-on-write by [`mutate`](Self::mutate).
+    /// Queries hold the read lock end to end, so a mutation never swaps it
+    /// underneath a running query.
+    db: RwLock<Arc<Database>>,
     cfg: RelationalConfig,
-    cn_cache: RwLock<HashMap<CnCacheKey, Arc<Vec<CandidateNetwork>>>>,
-    /// See [`resolved_workers`](Self::resolved_workers); fixed at
-    /// construction.
+    /// CN plans by mask signature, capped at
+    /// [`RelationalConfig::max_cache_entries`].
+    cn_cache: ShardedCache<CnCacheKey, Arc<Vec<CandidateNetwork>>>,
+    /// See [`resolved_workers`](Self::resolved_workers).
     worker_cap: usize,
     obs: Option<EngineInstruments>,
     /// `kwdb_tupleset_cache_{hits,misses}_total`, resolved at the first
     /// computed query that reads through the term cache.
     tupleset_counters: OnceLock<[Arc<Counter>; 2]>,
-    /// Worker evaluation scratch (join buffer reuse), shared
-    /// across queries — workers check out one `EvalScratch` each.
+    /// Join and count buffers, pooled across queries; a worker checks one out.
     scratch: ScratchPool<EvalScratch>,
     /// Lazily built query-cleaning model ([`RelationalConfig::clean_queries`])
-    /// tagged with the generation it was built at; a cleaning query of a
-    /// newer generation rebuilds it.
-    clean: RwLock<Option<(u64, Arc<CleanModel>)>>,
+    /// keyed by the generation it was built at, one entry: a cleaning query
+    /// of a newer generation builds a new model and evicts the old.
+    clean: ShardedCache<u64, Arc<CleanModel>>,
     /// Cumulative segment merges already published to the registry, so the
     /// merge counter advances by exact deltas.
     merges_seen: AtomicU64,
-    /// Generation-keyed whole-response cache with singleflight: repeat
-    /// queries skip build/plan/evaluate entirely, and N threads racing on
-    /// a cold key compute once.
+    /// Whole sealed responses by generation and request shape: a repeat
+    /// query skips build/plan/evaluate entirely.
     result_cache: ResultCache<RelationalHit>,
-    /// Generation-keyed per-term tuple-set cache: materialized sorted
-    /// tuple-key lists, each key with the term's frequency in the tuple,
-    /// shared across queries that mention the same term.
+    /// Per-term sorted tuple-key lists (each key with the term's frequency
+    /// in the tuple) by generation, shared by queries that mention the term.
     tupleset_cache: TermCache,
 }
 
@@ -187,11 +194,10 @@ impl RelationalEngine {
     pub fn with_config(db: impl Into<Arc<Database>>, cfg: RelationalConfig) -> Self {
         let db = db.into();
         let merges_seen = db.text_index().map_or(0, |ix| ix.merges());
-        let corpus = Arc::new(corpus_stats(&db));
         RelationalEngine {
-            state: RwLock::new(EngineState { db, corpus }),
+            db: RwLock::new(db),
             cfg,
-            cn_cache: RwLock::new(HashMap::new()),
+            cn_cache: ShardedCache::new(entry_capped(cfg.max_cache_entries)),
             worker_cap: match cfg.intra_query_workers {
                 0 => kwdb_common::available_cores().min(8),
                 pinned => pinned,
@@ -199,7 +205,7 @@ impl RelationalEngine {
             obs: None,
             tupleset_counters: OnceLock::new(),
             scratch: ScratchPool::new(),
-            clean: RwLock::new(None),
+            clean: ShardedCache::new(entry_capped(1)),
             merges_seen: AtomicU64::new(merges_seen),
             result_cache: ResultCache::new(cfg.result_cache),
             tupleset_cache: TermCache::new(cfg.result_cache),
@@ -209,10 +215,9 @@ impl RelationalEngine {
     /// The most workers one query may use: an explicit
     /// [`RelationalConfig::intra_query_workers`] itself (every query then
     /// runs on exactly that many), else available parallelism capped at 8
-    /// (matching the dispatcher's sizing) — the cap under which the auto
-    /// policy ([`choose_workers`]) picks per query. Resolved once, when the
-    /// engine is built: asking the operating system costs more than a
-    /// result-cache hit does.
+    /// (the dispatcher's sizing), under which [`choose_workers`] picks per
+    /// query. Resolved once, when the engine is built: asking the operating
+    /// system costs more than a result-cache hit does.
     pub fn resolved_workers(&self) -> usize {
         self.worker_cap
     }
@@ -221,20 +226,9 @@ impl RelationalEngine {
     /// publish the text index's build/size figures, the engine generation,
     /// and the segment census up front.
     pub fn with_registry(mut self, registry: Arc<MetricsRegistry>) -> Self {
-        {
-            let st = self.state.read().expect("engine state poisoned");
-            if let Ok(ix) = st.db.text_index() {
-                record_index_stats(&registry, "relational_text", &ix.index_stats());
-            }
-            let segments = segment_census(&st.db);
-            record_generation(
-                &registry,
-                "relational",
-                st.db.generation(),
-                segments.realtime,
-                segments.sealed,
-                0,
-            );
+        let db = self.database();
+        if let Ok(ix) = db.text_index() {
+            record_index_stats(&registry, "relational_text", &ix.index_stats());
         }
         registry
             .gauge(families::INTRA_WORKERS, &[("engine", "relational")])
@@ -244,6 +238,7 @@ impl RelationalEngine {
             "relational",
             &["parallel_cn", "spark"],
         ));
+        self.publish_generation(&db);
         self
     }
 
@@ -255,93 +250,83 @@ impl RelationalEngine {
     /// current generation. Mutations after this call copy-on-write, so
     /// the returned handle keeps observing the state it was taken at.
     pub fn database(&self) -> Arc<Database> {
-        Arc::clone(&self.state.read().expect("engine state poisoned").db)
+        Arc::clone(&self.db.read().expect("engine state poisoned"))
     }
 
     /// The engine's data generation (bumped by every successful mutation).
     pub fn generation(&self) -> u64 {
-        self.state
-            .read()
-            .expect("engine state poisoned")
-            .db
-            .generation()
+        self.db.read().expect("engine state poisoned").generation()
     }
 
     /// Realtime/sealed segment census of the text index (zeros when the
     /// index was never built).
     pub fn segment_counts(&self) -> SegmentCounts {
-        segment_census(&self.state.read().expect("engine state poisoned").db)
+        segment_census(&self.db.read().expect("engine state poisoned"))
     }
 
-    /// Ingest one tuple through the incremental path: FK-validate, append
-    /// to the table, index into the realtime segment, and keep the
-    /// scorer's corpus statistics in lockstep — no rebuild, no rescan.
-    /// Requires a fresh index (build once, then ingest); a shared database
-    /// is copy-on-written, so handles returned by
-    /// [`database`](Self::database) before the call keep their snapshot.
+    /// The one mutation path: take the state lock for writing, un-share the
+    /// database (a shared one is copy-on-written, so handles returned by
+    /// [`database`](Self::database) before the call keep their snapshot),
+    /// apply `verb`, and publish the generation it left. A failed verb
+    /// publishes nothing.
+    fn mutate<T>(&self, verb: impl FnOnce(&mut Database) -> Result<T>) -> Result<T> {
+        let mut shared = self.db.write().expect("engine state poisoned");
+        let db = Arc::make_mut(&mut shared);
+        let done = verb(db)?;
+        self.publish_generation(db);
+        Ok(done)
+    }
+
+    /// Ingest one tuple through the incremental path
+    /// ([`Database::ingest`]): FK-validate, append to the table, index into
+    /// the realtime segment and count into the corpus statistics — no
+    /// rebuild, no rescan. Requires a fresh index (build once, then ingest).
     pub fn ingest_tuple(&self, table: &str, row: Row) -> Result<TupleId> {
-        let mut guard = self.state.write().expect("engine state poisoned");
-        let st = &mut *guard;
-        let db = Arc::make_mut(&mut st.db);
-        let id = db.ingest(table, row)?;
-        Arc::make_mut(&mut st.corpus).add_doc(&db.tuple_tokens(id));
-        if let Some(reg) = self.registry() {
-            reg.counter(families::INGESTED_TUPLES, &[("engine", "relational")])
-                .inc();
-        }
-        self.publish_generation(db);
-        Ok(id)
+        self.mutate(|db| {
+            let id = db.ingest(table, row)?;
+            if let Some(reg) = self.registry() {
+                reg.counter(families::INGESTED_TUPLES, &[("engine", "relational")])
+                    .inc();
+            }
+            Ok(id)
+        })
     }
 
-    /// Delete the row of `table` whose primary key equals `pk`: tombstone
-    /// the row, drop its postings (realtime removal + sealed-segment
-    /// tombstones), and back its tokens out of the corpus statistics.
+    /// Delete the row of `table` whose primary key equals `pk`
+    /// ([`Database::delete`]): tombstone the row, drop its postings
+    /// (realtime removal + sealed-segment tombstones), and back its tokens
+    /// out of the corpus statistics.
     pub fn delete_tuple(&self, table: &str, pk: &Value) -> Result<TupleId> {
-        let mut guard = self.state.write().expect("engine state poisoned");
-        let st = &mut *guard;
-        let db = Arc::make_mut(&mut st.db);
-        let id = db.delete(table, pk)?;
-        // Row payloads stay in place under the tombstone, so the deleted
-        // tuple's tokens are still readable here.
-        Arc::make_mut(&mut st.corpus).remove_doc(&db.tuple_tokens(id));
-        self.publish_generation(db);
-        Ok(id)
+        self.mutate(|db| db.delete(table, pk))
     }
 
     /// Seal the realtime segment into an immutable compressed segment
     /// (folding the two smallest sealed segments when at the cap).
     pub fn commit(&self) -> Result<CommitOutcome> {
-        let mut guard = self.state.write().expect("engine state poisoned");
-        let st = &mut *guard;
-        let db = Arc::make_mut(&mut st.db);
-        db.text_index()?; // nothing to seal without a fresh index
-        let segments = db.commit_index();
-        let outcome = CommitOutcome {
-            generation: db.generation(),
-            segments,
-        };
-        self.publish_generation(db);
-        Ok(outcome)
+        self.restructure(Database::commit_index)
     }
 
     /// Compact every sealed segment (and any realtime postings) into one,
     /// dropping tombstoned entries and re-aggregating exact term stats.
     pub fn merge(&self) -> Result<CommitOutcome> {
-        let mut guard = self.state.write().expect("engine state poisoned");
-        let st = &mut *guard;
-        let db = Arc::make_mut(&mut st.db);
-        db.text_index()?;
-        let segments = db.merge_index();
-        let outcome = CommitOutcome {
-            generation: db.generation(),
-            segments,
-        };
-        self.publish_generation(db);
-        Ok(outcome)
+        self.restructure(Database::merge_index)
     }
 
-    /// Push the generation gauge, segment gauges, and merge-counter delta
-    /// after a mutation.
+    /// `commit` / `merge`: a generation event over a fresh index (there is
+    /// nothing to seal without one).
+    fn restructure(&self, op: fn(&mut Database) -> SegmentCounts) -> Result<CommitOutcome> {
+        self.mutate(|db| {
+            db.text_index()?;
+            let segments = op(db);
+            Ok(CommitOutcome {
+                generation: db.generation(),
+                segments,
+            })
+        })
+    }
+
+    /// Push the generation gauge, segment gauges, and merge-counter delta:
+    /// after a mutation, and (a zero delta) when a registry is attached.
     fn publish_generation(&self, db: &Database) {
         let (segments, merges) = db.text_index().map_or((SegmentCounts::default(), 0), |ix| {
             (ix.segment_counts(), ix.merges())
@@ -363,11 +348,9 @@ impl RelationalEngine {
     /// with optional facet counting, drill-down refinements, per-hit
     /// object summaries, and (when configured) query cleaning.
     pub fn execute(&self, req: &SearchRequest) -> Result<SearchResponse<RelationalHit>> {
-        // Hold the read lock end to end: the whole query sees one
-        // generation; concurrent queries share the lock, only mutations
-        // take it exclusively.
-        let state = self.state.read().expect("engine state poisoned");
-        let st = &*state;
+        // Held to the end: the whole query sees one generation.
+        let shared = self.db.read().expect("engine state poisoned");
+        let db: &Arc<Database> = &shared;
         let budget = &req.budget;
         let scoring = req.scoring.unwrap_or_default();
         // An explicit worker count is honoured exactly; auto lets the cost
@@ -386,13 +369,13 @@ impl RelationalEngine {
         for attr in (req.facets.iter().map(FacetSpec::attr))
             .chain(req.refinements.iter().map(Refinement::attr))
         {
-            st.db.resolve_attr(attr)?;
+            db.resolve_attr(attr)?;
         }
         let empty_facets = || -> Result<Vec<FacetCounts>> {
-            let facets = resolve_facets(&st.db, &req.facets)?;
+            let facets = resolve_facets(db, &req.facets)?;
             Ok(FacetAccum::new(facets.len()).finish(&facets))
         };
-        let segments = || segment_census(&st.db);
+        let segments = || segment_census(db);
 
         let frame = QueryFrame {
             obs: self.obs.as_ref(),
@@ -403,7 +386,7 @@ impl RelationalEngine {
                 Scoring::Spark => "spark",
             },
             workers: Cell::new(if auto_workers { 1 } else { worker_cap }),
-            generation: st.db.generation(),
+            generation: db.generation(),
             segments: &segments,
             empty_facets: &empty_facets,
             hit_bytes: relational_hit_bytes,
@@ -411,26 +394,24 @@ impl RelationalEngine {
 
         let clean = |mut keywords: Vec<String>, tb: &mut TraceBuilder| -> Result<Vec<String>> {
             if self.cfg.clean_queries && !keywords.is_empty() {
-                let ix = st.db.text_index()?;
+                let ix = db.text_index()?;
                 if keywords.iter().any(|kw| ix.sym(kw).is_none()) {
                     // At least one keyword misses the term dictionary: run the
                     // noisy-channel spell + segmentation pass once, over the
                     // whole query, and search the cleaned tokens instead.
-                    let model = self.clean_model(&st.db);
+                    let model = self.clean_model(db);
                     if let Some(cleaned) = clean_query(&model.0, &model.1, &keywords, 2) {
                         tb.event("query cleaned", || {
                             vec![
-                                ("from".into(), keywords.join(" ")),
-                                ("to".into(), cleaned.display()),
+                                field("from", keywords.join(" ")),
+                                field("to", cleaned.display()),
                             ]
                         });
                         keywords = cleaned.tokens().iter().map(|s| s.to_string()).collect();
                     }
                 }
             }
-            tb.event("keywords", || {
-                vec![("count".into(), keywords.len().to_string())]
-            });
+            tb.event("keywords", || vec![field("count", keywords.len())]);
             Ok(keywords)
         };
 
@@ -443,19 +424,16 @@ impl RelationalEngine {
             tb.phase("build");
             // Resolution is independent of the keyword set, so drill-downs
             // reuse the CN plan cache untouched.
-            let facets = resolve_facets(&st.db, &req.facets)?;
-            let refinements = resolve_refinements(&st.db, &req.refinements)?;
+            let facets = resolve_facets(db, &req.facets)?;
+            let refinements = resolve_refinements(db, &req.refinements)?;
             let freq = FacetRequest {
                 facets: &facets,
                 refinements: &refinements,
             };
-            // Zero counts for every requested facet — what an empty result
-            // set faceted over looks like.
-            let zero_counts = || FacetAccum::new(facets.len()).finish(&facets);
 
             let ts = if self.cfg.result_cache.enabled {
                 let (ts, ts_hits, ts_misses) =
-                    TupleSets::build_cached(&st.db, keywords, &self.tupleset_cache)?;
+                    TupleSets::build_cached(db, keywords, &self.tupleset_cache)?;
                 if let Some(reg) = self.registry() {
                     let [hits, misses] = self.tupleset_counters.get_or_init(|| {
                         let labels = [("engine", "relational")];
@@ -469,29 +447,27 @@ impl RelationalEngine {
                 }
                 ts
             } else {
-                TupleSets::build(&st.db, keywords)?
+                TupleSets::build(db, keywords)?
             };
             stats.phases.build = sw.lap();
             if !ts.covers_all_keywords() {
-                tb.event("tuple sets", || {
-                    vec![("covers_all_keywords".into(), "false".into())]
-                });
-                return Ok(Answer::empty(zero_counts(), None));
+                tb.event("tuple sets", || vec![field("covers_all_keywords", false)]);
+                return Ok(Answer::empty(empty_facets()?, None));
             }
             if let Some(reason) = budget.truncation() {
-                return Ok(Answer::empty(zero_counts(), Some(reason)));
+                return Ok(Answer::empty(empty_facets()?, Some(reason)));
             }
             tb.phase("plan");
-            let cns = self.plan(&st.db, &ts, stats, tb);
+            let cns = self.plan(db, &ts, stats, tb);
             stats.phases.plan = sw.lap();
             stats.candidates_generated = cns.len() as u64;
 
             tb.phase("evaluate");
-            // Per-query scorer over the incrementally maintained corpus stats:
+            // Per-query scorer over the statistics the database maintains:
             // two Arc clones, no corpus rescan.
-            let scorer = ResultScorer::from_stats(Arc::clone(&st.db), Arc::clone(&st.corpus));
+            let scorer = ResultScorer::from_stats(Arc::clone(db), Arc::clone(db.corpus()?));
             let q = TopKQuery {
-                db: &st.db,
+                db,
                 ts: &ts,
                 cns: &cns,
                 scorer: &scorer,
@@ -509,9 +485,9 @@ impl RelationalEngine {
                 frame.workers.set(workers);
                 tb.event("worker policy", || {
                     vec![
-                        ("cap".into(), worker_cap.to_string()),
-                        ("chosen".into(), workers.to_string()),
-                        ("estimated_cost".into(), format!("{cost:.0}")),
+                        field("cap", worker_cap),
+                        field("chosen", workers),
+                        field("estimated_cost", format!("{cost:.0}")),
                     ]
                 });
                 workers
@@ -543,17 +519,12 @@ impl RelationalEngine {
             tb.event("operators", || {
                 let snap = exec.snapshot();
                 vec![
-                    ("tuples_scanned".into(), snap.tuples_scanned.to_string()),
-                    ("join_probes".into(), snap.join_probes.to_string()),
-                    ("rows_output".into(), snap.rows_output.to_string()),
+                    field("tuples_scanned", snap.tuples_scanned),
+                    field("join_probes", snap.join_probes),
+                    field("rows_output", snap.rows_output),
                 ]
             });
-            tb.event("budget verdict", || {
-                vec![(
-                    "truncated".into(),
-                    truncation.map_or("no".into(), |r| r.to_string()),
-                )]
-            });
+            trace_verdict(tb, truncation);
 
             // Facet counts of the full result multiset, by count propagation
             // over every CN — not over what the top-k loop above happened to
@@ -562,7 +533,7 @@ impl RelationalEngine {
             // it was cut short.
             tb.phase("facets");
             let mut scratch = self.scratch.checkout(EvalScratch::new);
-            let tally = count_facets(&st.db, &ts, &cns, &freq, budget, &exec, &mut scratch.counts);
+            let tally = count_facets(db, &ts, &cns, &freq, budget, &exec, &mut scratch.counts);
             drop(scratch);
             let snap = exec.snapshot();
             stats.operators.tuples_scanned = snap.tuples_scanned;
@@ -582,16 +553,13 @@ impl RelationalEngine {
                         .result
                         .tuples
                         .iter()
-                        .map(|&t| st.db.format_tuple(t))
+                        .map(|&t| db.format_tuple(t))
                         .collect::<Vec<_>>()
                         .join(" ⋈ "),
                     summary: if req.summaries == 0 {
                         Vec::new()
                     } else {
-                        render_summary(
-                            &st.db,
-                            &object_summary(&st.db, &r.result.tuples, req.summaries),
-                        )
+                        render_summary(db, &object_summary(db, &r.result.tuples, req.summaries))
                     },
                     tuples: r.result.tuples,
                 })
@@ -599,30 +567,20 @@ impl RelationalEngine {
             if !facets.is_empty() {
                 tb.event("facet count", || {
                     vec![
-                        ("cns_counted".into(), tally.cns_counted.to_string()),
-                        (
-                            "cns_skipped_no_facet_node".into(),
-                            tally.cns_skipped_no_facet_node.to_string(),
-                        ),
-                        (
-                            "cns_dropped_by_refinement".into(),
-                            tally.cns_dropped_by_refinement.to_string(),
-                        ),
-                        ("message_rows".into(), tally.message_rows.to_string()),
+                        field("cns_counted", tally.cns_counted),
+                        field("cns_skipped_no_facet_node", tally.cns_skipped_no_facet_node),
+                        field("cns_dropped_by_refinement", tally.cns_dropped_by_refinement),
+                        field("message_rows", tally.message_rows),
                     ]
                 });
                 tb.event("facets", || {
                     vec![
-                        ("requested".into(), facets.len().to_string()),
-                        (
-                            "values".into(),
-                            facet_counts
-                                .iter()
-                                .map(|f| f.values.len())
-                                .sum::<usize>()
-                                .to_string(),
+                        field("requested", facets.len()),
+                        field(
+                            "values",
+                            facet_counts.iter().map(|f| f.values.len()).sum::<usize>(),
                         ),
-                        ("exact".into(), facets_exact.to_string()),
+                        field("exact", facets_exact),
                     ]
                 });
             }
@@ -639,15 +597,10 @@ impl RelationalEngine {
     }
 
     /// Generate (or fetch from the plan cache) the candidate networks for
-    /// this query's mask signature.
-    ///
-    /// Read-mostly locking: the hot path takes the read lock only, so
-    /// concurrent repeat queries never serialize. A miss upgrades to the
-    /// write lock and re-checks before generating, so for N threads racing
-    /// on a cold key exactly one generates (and reports the miss) while the
-    /// rest block briefly and then hit. The cache is bounded by
-    /// `cfg.max_cache_entries`; inserts past it evict an arbitrary entry,
-    /// with size/generation/eviction reported to the registry.
+    /// this query's mask signature. Of N threads racing on a cold key exactly
+    /// one generates (and reports the miss); the rest wait, then hit. Past
+    /// [`RelationalConfig::max_cache_entries`] the least recently used plan
+    /// goes. Size, generations and evictions are reported to the registry.
     fn plan(
         &self,
         db: &Database,
@@ -655,69 +608,50 @@ impl RelationalEngine {
         stats: &mut QueryStats,
         tb: &mut TraceBuilder,
     ) -> Arc<Vec<CandidateNetwork>> {
-        let key: CnCacheKey = (
-            db.schema_fingerprint(),
-            ts.keys(),
-            ts.n_keywords(),
-            self.cfg.max_cn_size,
-            self.cfg.max_cns,
-        );
-        if let Some(cns) = self.cn_cache.read().expect("cn cache poisoned").get(&key) {
+        let key: CnCacheKey = (db.schema_fingerprint(), ts.keys(), ts.n_keywords());
+        let evictions_before = self.cn_cache.stats().evictions;
+        let looked = self.cn_cache.get_or_compute(key, || {
+            let oracle = MaskOracle::from_tuplesets(ts);
+            let mut generator = CnGenerator::new(
+                db.schema_graph(),
+                &oracle,
+                CnGenConfig {
+                    max_size: self.cfg.max_cn_size,
+                    dedupe: true,
+                    max_cns: self.cfg.max_cns,
+                },
+            );
+            let cns = Arc::new(generator.generate());
+            (Arc::clone(&cns), Some((cns, 0)))
+        });
+        let missed = matches!(looked, Looked::Computed(_));
+        let (Looked::Computed(cns) | Looked::Cached(cns)) = looked;
+        // (a leader's plan is stored, and the cap enforced, by now)
+        let cache = self.cn_cache.stats();
+        if !missed {
             stats.cache_hits = 1;
-            tb.event("plan cache", || {
-                vec![
-                    ("outcome".into(), "hit".into()),
-                    ("cns".into(), cns.len().to_string()),
-                ]
-            });
-            return Arc::clone(cns);
-        }
-        let mut cache = self.cn_cache.write().expect("cn cache poisoned");
-        if let Some(cns) = cache.get(&key) {
-            // Lost the generation race to another thread: its plan is ours.
-            stats.cache_hits = 1;
-            tb.event("plan cache", || {
-                vec![
-                    ("outcome".into(), "hit".into()),
-                    ("cns".into(), cns.len().to_string()),
-                ]
-            });
-            return Arc::clone(cns);
-        }
-        stats.cache_misses = 1;
-        let oracle = MaskOracle::from_tuplesets(ts);
-        let mut generator = CnGenerator::new(
-            db.schema_graph(),
-            &oracle,
-            CnGenConfig {
-                max_size: self.cfg.max_cn_size,
-                dedupe: true,
-                max_cns: self.cfg.max_cns,
-            },
-        );
-        let cns = Arc::new(generator.generate());
-        let mut evicted = false;
-        if self.cfg.max_cache_entries > 0 && cache.len() >= self.cfg.max_cache_entries {
-            let victim = cache.keys().next().cloned().expect("cache is non-empty");
-            cache.remove(&victim);
-            evicted = true;
-        }
-        cache.insert(key, Arc::clone(&cns));
-        if let Some(reg) = self.registry() {
-            let labels = [("engine", "relational")];
-            reg.counter(families::PLAN_CACHE_GENERATIONS, &labels).inc();
-            if evicted {
-                reg.counter(families::PLAN_CACHE_EVICTIONS, &labels).inc();
+        } else {
+            stats.cache_misses = 1;
+            if let Some(reg) = self.registry() {
+                let labels = [("engine", "relational")];
+                reg.counter(families::PLAN_CACHE_GENERATIONS, &labels).inc();
+                reg.gauge(families::PLAN_CACHE_SIZE, &labels)
+                    .set(cache.entries as i64);
+                // (the family appears in a snapshot with the first eviction)
+                if cache.evictions > 0 {
+                    reg.counter(families::PLAN_CACHE_EVICTIONS, &labels)
+                        .raise_to(cache.evictions);
+                }
             }
-            reg.gauge(families::PLAN_CACHE_SIZE, &labels)
-                .set(cache.len() as i64);
         }
         tb.event("plan cache", || {
-            vec![
-                ("outcome".into(), "miss".into()),
-                ("cns".into(), cns.len().to_string()),
-                ("evicted".into(), evicted.to_string()),
-            ]
+            let outcome = if missed { "miss" } else { "hit" };
+            let mut fields = vec![field("outcome", outcome), field("cns", cns.len())];
+            if missed {
+                let evicted = cache.evictions > evictions_before;
+                fields.push(field("evicted", evicted));
+            }
+            fields
         });
         cns
     }
@@ -726,52 +660,28 @@ impl RelationalEngine {
     /// [`SpellCorrector`] whose vocabulary is the text index's term
     /// dictionary (document frequency as the language-model prior) and a
     /// [`ValuePhraseModel`] over the full-text column values (so
-    /// segmentation recovers multi-token values). Built on the first query
-    /// that needs cleaning and rebuilt on the first such query of a newer
-    /// generation (double-checked under the write lock, so racing queries
-    /// build once) — vocabulary ingested after the build is corrected to.
+    /// segmentation recovers multi-token values). Built by the first query
+    /// of a generation that needs cleaning (racing queries build once), so
+    /// vocabulary ingested after a build is corrected to.
     fn clean_model(&self, db: &Database) -> Arc<CleanModel> {
-        let generation = db.generation();
-        let fresh = |slot: &Option<(u64, Arc<CleanModel>)>| {
-            slot.as_ref()
-                .filter(|(built, _)| *built == generation)
-                .map(|(_, model)| Arc::clone(model))
-        };
-        if let Some(model) = fresh(&self.clean.read().expect("clean model poisoned")) {
-            return model;
-        }
-        let mut slot = self.clean.write().expect("clean model poisoned");
-        if let Some(model) = fresh(&slot) {
-            return model;
-        }
-        let ix = db.text_index().expect("caller verified a fresh text index");
-        let vocab: Vec<(String, u64)> = ix
-            .terms()
-            .map(|t| {
-                let df = ix.sym(t).map_or(1, |s| ix.term_stats(s).df);
-                (t.to_string(), df.max(1))
-            })
-            .collect();
-        let mut values: Vec<String> = Vec::new();
-        for table in db.tables() {
-            let text_cols: Vec<usize> = table.schema.text_columns().collect();
-            if text_cols.is_empty() {
-                continue;
-            }
-            for (_, row) in table.iter() {
-                for &c in &text_cols {
-                    let v = &row[c];
-                    if !matches!(v, kwdb_common::Value::Null) {
-                        values.push(v.to_string());
-                    }
+        let looked = self.clean.get_or_compute(db.generation(), || {
+            let ix = db.text_index().expect("caller verified a fresh text index");
+            let vocab = ix.terms().map(|t| (t, (ix.doc_freq(t) as u64).max(1)));
+            let mut values: Vec<String> = Vec::new();
+            for table in db.tables() {
+                let text_cols: Vec<usize> = table.schema.text_columns().collect();
+                for (_, row) in table.iter() {
+                    let texts = text_cols.iter().filter(|&&c| !row[c].is_null());
+                    values.extend(texts.map(|&c| row[c].to_string()));
                 }
             }
-        }
-        let model = Arc::new((
-            SpellCorrector::from_vocab(vocab),
-            ValuePhraseModel::from_values(&values),
-        ));
-        *slot = Some((generation, Arc::clone(&model)));
+            let model = Arc::new((
+                SpellCorrector::from_vocab(vocab),
+                ValuePhraseModel::from_values(&values),
+            ));
+            (Arc::clone(&model), Some((model, 0)))
+        });
+        let (Looked::Computed(model) | Looked::Cached(model)) = looked;
         model
     }
 }
@@ -784,21 +694,13 @@ impl Engine for RelationalEngine {
 
 impl MutableEngine for RelationalEngine {
     fn ingest(&self, record: IngestRecord) -> Result<()> {
-        match record {
-            IngestRecord::Tuple { table, values } => {
-                self.ingest_tuple(&table, values)?;
-                Ok(())
-            }
-        }
+        let IngestRecord::Tuple { table, values } = record;
+        self.ingest_tuple(&table, values).map(drop)
     }
 
     fn delete(&self, key: DeleteKey) -> Result<()> {
-        match key {
-            DeleteKey::TuplePk { table, pk } => {
-                self.delete_tuple(&table, &pk)?;
-                Ok(())
-            }
-        }
+        let DeleteKey::TuplePk { table, pk } = key;
+        self.delete_tuple(&table, &pk).map(drop)
     }
 
     fn commit(&self) -> Result<CommitOutcome> {

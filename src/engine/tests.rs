@@ -52,6 +52,31 @@ fn engine_shares_database_arc() {
 }
 
 #[test]
+fn engines_over_one_database_share_its_corpus_statistics() {
+    let db = Arc::new(generate_dblp(&DblpConfig {
+        n_papers: 40,
+        n_authors: 20,
+        ..Default::default()
+    }));
+    let (a, b) = (
+        RelationalEngine::new(Arc::clone(&db)),
+        RelationalEngine::new(Arc::clone(&db)),
+    );
+    let stats = |e: &RelationalEngine| Arc::clone(e.database().corpus().unwrap());
+    assert!(Arc::ptr_eq(&stats(&a), &stats(&b)), "nothing was rescanned");
+    assert!(Arc::ptr_eq(&stats(&a), db.corpus().unwrap()));
+
+    // A mutation through one engine copies on write: that engine scores
+    // with the new statistics, the other and the caller keep theirs.
+    a.ingest_tuple("author", vec![9_000.into(), "Zyx Newcomer".into()])
+        .unwrap();
+    assert!(!Arc::ptr_eq(&stats(&a), &stats(&b)));
+    assert_eq!(stats(&a).doc_count(), stats(&b).doc_count() + 1);
+    assert_eq!(stats(&a).doc_freq("newcomer"), 1);
+    assert!(Arc::ptr_eq(&stats(&b), db.corpus().unwrap()));
+}
+
+#[test]
 fn cn_plan_cache_hits_on_repeat() {
     let db = generate_dblp(&DblpConfig {
         n_papers: 60,

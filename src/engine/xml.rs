@@ -1,7 +1,7 @@
 //! The XML engine: indexed SLCA plus XBridge-style proximity ranking over
 //! an immutable tree, inside the shared query frame.
 
-use super::frame::{run_query, Answer, Evaluated, QueryFrame, ResultCache};
+use super::frame::{field, run_query, trace_verdict, Answer, Evaluated, QueryFrame, ResultCache};
 use super::{Engine, Hit, SearchRequest, SearchResponse};
 use kwdb_common::{CacheConfig, QueryStats, Result, Stopwatch};
 use kwdb_obs::{record_index_stats, EngineInstruments, MetricsRegistry, TraceBuilder};
@@ -108,9 +108,9 @@ impl XmlEngine {
             stats.candidates_generated = roots.len() as u64;
             tb.event("slca", || {
                 vec![
-                    ("roots".into(), roots.len().to_string()),
-                    ("anchors".into(), slca_stats.anchors.to_string()),
-                    ("probes".into(), slca_stats.probes.to_string()),
+                    field("roots", roots.len()),
+                    field("anchors", slca_stats.anchors),
+                    field("probes", slca_stats.probes),
                 ]
             });
 
@@ -158,12 +158,7 @@ impl XmlEngine {
                 .saturating_sub(hits.len().min(req.k) as u64);
             hits.truncate(req.k);
             stats.phases.evaluate = sw.lap();
-            tb.event("budget verdict", || {
-                vec![(
-                    "truncated".into(),
-                    truncation.map_or("no".into(), |r| r.to_string()),
-                )]
-            });
+            trace_verdict(tb, truncation);
             Ok((Answer::unfaceted(hits), truncation))
         };
         run_query(&frame, req, |keywords, _| Ok(keywords), run)
