@@ -150,7 +150,6 @@ pub fn e20_blinks() -> Report {
     });
     let kws = ["kw0", "kw1"];
     let bl = Blinks::new(&g);
-    let ix = bl.build_index(&kws);
     let mut rows = vec![format!(
         "{:>3} {:>14} {:>14} {:>12}",
         "k", "sorted-access", "random-access", "banks-work"
@@ -158,7 +157,7 @@ pub fn e20_blinks() -> Report {
     for k in [1usize, 5, 20] {
         let unlimited = kwdb_common::Budget::unlimited();
         let mut scratch = SearchScratch::default();
-        let (res, _, bl_work) = bl.search_budgeted(&ix, &kws, k, &unlimited, &mut scratch);
+        let (res, _, bl_work) = bl.search_budgeted(&kws, k, &unlimited, &mut scratch);
         let banks = BanksI::new(&g);
         let (_, _, banks_work) = banks.search_budgeted(&kws, k, &unlimited, &mut scratch);
         rows.push(format!(
@@ -188,9 +187,7 @@ pub fn e34_semantics_zoo() -> Report {
     let kws = ["kw0", "kw1"];
     let dpbf = Dpbf::new(&g);
     let steiner = dpbf.search(&kws, 5);
-    let bl = Blinks::new(&g);
-    let ix = bl.build_index(&kws);
-    let droot = bl.search(&ix, &kws, 5);
+    let droot = Blinks::new(&g).search(&kws, 5);
     let cores = community::search(&g, &kws, 4.0, 50);
     let subgraphs = ease::search(&g, &kws, 3, 5);
     let spt = approx::spt_heuristic(&g, &kws);

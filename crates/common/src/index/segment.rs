@@ -542,7 +542,7 @@ mod tests {
     }
 
     #[test]
-    fn ingest_after_commit_equals_build_once() {
+    fn ingest_after_commit_equals_one_batch_build() {
         for layout in [Layout::Plain, Layout::Blocks] {
             let all = doc_stream(800, 13);
             // build-once reference

@@ -223,12 +223,21 @@ pub fn build_greedy(
     rows: Vec<usize>,
     max_depth: usize,
 ) -> NavNode {
-    build_greedy_inner(table, model, rows, &BTreeSet::new(), max_depth)
+    build_greedy_by(
+        table,
+        &|tree| tree.expected_cost(model),
+        rows,
+        &BTreeSet::new(),
+        max_depth,
+    )
 }
 
-fn build_greedy_inner(
+/// The greedy loop under either cost model: price every unused attribute's
+/// one-level tree with `cost`, and split on the cheapest unless just showing
+/// the rows costs no more; then recurse into each value's rows.
+fn build_greedy_by(
     table: &FacetTable,
-    model: &LogModel<'_>,
+    cost: &dyn Fn(&NavNode) -> f64,
     rows: Vec<usize>,
     used: &BTreeSet<String>,
     max_depth: usize,
@@ -236,45 +245,35 @@ fn build_greedy_inner(
     if max_depth == 0 || rows.len() <= 1 {
         return NavNode::Leaf { rows };
     }
-    let mut best: Option<(f64, String)> = None;
-    for attr in &table.attributes {
-        if used.contains(attr) {
-            continue;
-        }
+    let mut best: Option<(f64, NavNode)> = None;
+    for attr in table.attributes.iter().filter(|a| !used.contains(*a)) {
         let candidate = build_fixed(table, std::slice::from_ref(attr), rows.clone());
-        let cost = candidate.expected_cost(model);
-        if best.as_ref().is_none_or(|(bc, _)| cost < *bc) {
-            best = Some((cost, attr.clone()));
+        let c = cost(&candidate);
+        if best.as_ref().is_none_or(|(bc, _)| c < *bc) {
+            best = Some((c, candidate));
         }
     }
-    let Some((_, attr)) = best else {
+    let Some((split_cost, NavNode::Facet { attr, children })) = best else {
         return NavNode::Leaf { rows };
     };
-    // also consider just showing the results here
-    let leaf_cost = rows.len() as f64;
-    let one_level = build_fixed(table, std::slice::from_ref(&attr), rows.clone());
-    if leaf_cost <= one_level.expected_cost(model) {
+    if rows.len() as f64 <= split_cost {
         return NavNode::Leaf { rows };
-    }
-    let ai = table.attr_index(&attr);
-    let mut groups: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-    for r in rows {
-        groups.entry(table.rows[r][ai].clone()).or_default().push(r);
     }
     let mut next_used = used.clone();
     next_used.insert(attr.clone());
-    NavNode::Facet {
-        attr,
-        children: groups
-            .into_iter()
-            .map(|(v, rs)| {
-                (
-                    v,
-                    build_greedy_inner(table, model, rs, &next_used, max_depth - 1),
-                )
-            })
-            .collect(),
-    }
+    let children = children
+        .into_iter()
+        .map(|(v, child)| {
+            let NavNode::Leaf { rows } = child else {
+                unreachable!("a one-level tree has leaf children")
+            };
+            (
+                v,
+                build_greedy_by(table, cost, rows, &next_used, max_depth - 1),
+            )
+        })
+        .collect();
+    NavNode::Facet { attr, children }
 }
 
 /// FACeTOR's variant of the model (Kashyap, Hristidis & Petropoulos,
@@ -371,55 +370,13 @@ pub fn build_greedy_facetor(
     rows: Vec<usize>,
     max_depth: usize,
 ) -> NavNode {
-    build_greedy_facetor_inner(table, model, rows, &BTreeSet::new(), max_depth)
-}
-
-fn build_greedy_facetor_inner(
-    table: &FacetTable,
-    model: &FacetorModel,
-    rows: Vec<usize>,
-    used: &BTreeSet<String>,
-    max_depth: usize,
-) -> NavNode {
-    if max_depth == 0 || rows.len() <= 1 {
-        return NavNode::Leaf { rows };
-    }
-    let mut best: Option<(f64, String)> = None;
-    for attr in &table.attributes {
-        if used.contains(attr) {
-            continue;
-        }
-        let candidate = build_fixed(table, std::slice::from_ref(attr), rows.clone());
-        let cost = model.expected_cost(&candidate);
-        if best.as_ref().is_none_or(|(bc, _)| cost < *bc) {
-            best = Some((cost, attr.clone()));
-        }
-    }
-    let Some((split_cost, attr)) = best else {
-        return NavNode::Leaf { rows };
-    };
-    if rows.len() as f64 <= split_cost {
-        return NavNode::Leaf { rows };
-    }
-    let ai = table.attr_index(&attr);
-    let mut groups: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-    for r in rows {
-        groups.entry(table.rows[r][ai].clone()).or_default().push(r);
-    }
-    let mut next_used = used.clone();
-    next_used.insert(attr.clone());
-    NavNode::Facet {
-        attr,
-        children: groups
-            .into_iter()
-            .map(|(v, rs)| {
-                (
-                    v,
-                    build_greedy_facetor_inner(table, model, rs, &next_used, max_depth - 1),
-                )
-            })
-            .collect(),
-    }
+    build_greedy_by(
+        table,
+        &|tree| model.expected_cost(tree),
+        rows,
+        &BTreeSet::new(),
+        max_depth,
+    )
 }
 
 #[cfg(test)]

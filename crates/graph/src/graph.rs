@@ -1,10 +1,13 @@
 //! Weighted data graphs with keyword content.
 
+use crate::node2kw::DistanceList;
+use crate::shortest::Expansion;
 use kwdb_common::index::{IndexStats, Layout, Postings, SegmentCounts, SegmentedIndex};
 use kwdb_common::intern::{Interner, Sym};
 use kwdb_common::text::tokenize;
 use kwdb_relational::{Database, TupleId};
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// Graph node identifier (dense, insertion order).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -58,10 +61,11 @@ pub struct DataGraph {
     /// realtime segment (node ids ascend, so lists stay sorted).
     kw_index: SegmentedIndex<NodeId>,
     edge_count: usize,
-    /// Bumped by every structural mutation (node or edge added), so
-    /// derived structures (BLINKS node→keyword index, hub distances) can
-    /// invalidate lazily instead of eagerly rebuilding.
-    generation: u64,
+    /// One write-once BLINKS distance list per keyword-dictionary term, by
+    /// `Sym` (see [`distance_list`](Self::distance_list)); the slot array
+    /// itself is sized to the vocabulary on the first read. Every `&mut`
+    /// verb that changes nodes or edges drops it.
+    distances: OnceLock<Box<[OnceLock<DistanceList>]>>,
 }
 
 impl DataGraph {
@@ -83,7 +87,7 @@ impl DataGraph {
         }
         self.nodes.push(NodeData { kind, terms, tuple });
         self.adj.push(Vec::new());
-        self.generation += 1;
+        self.distances.take();
         id
     }
 
@@ -102,21 +106,14 @@ impl DataGraph {
                     .find(|(x, _)| *x == u)
                     .expect("undirected edge symmetric")
                     .1 = w;
-                self.generation += 1;
+                self.distances.take();
             }
             return;
         }
         self.adj[u.0 as usize].push((v, w));
         self.adj[v.0 as usize].push((u, w));
         self.edge_count += 1;
-        self.generation += 1;
-    }
-
-    /// The graph's data generation: bumped by every structural change
-    /// (node added, edge added, edge weight lowered). Derived structures
-    /// cache the generation they were built at and invalidate lazily.
-    pub fn generation(&self) -> u64 {
-        self.generation
+        self.distances.take();
     }
 
     pub fn node_count(&self) -> usize {
@@ -197,6 +194,39 @@ impl DataGraph {
     /// Realtime/sealed segment census of the keyword index.
     pub fn keyword_segment_counts(&self) -> SegmentCounts {
         self.kw_index.segment_counts()
+    }
+
+    /// The BLINKS distance list of keyword `sym` (a [`Sym`] of this graph's
+    /// keyword dictionary, from [`keyword_sym`](Self::keyword_sym)), and
+    /// whether this call built it. The first read of a keyword builds its
+    /// list with one multi-source run on `exp`; racing first reads build it
+    /// once (the others wait), and every later read is a slot load.
+    pub fn distance_list(&self, sym: Sym, exp: &mut Expansion) -> (&DistanceList, bool) {
+        let slots = self.distances.get_or_init(|| {
+            (0..self.kw_index.term_count())
+                .map(|_| OnceLock::new())
+                .collect()
+        });
+        let mut built = false;
+        let list = slots[sym.0 as usize].get_or_init(|| {
+            built = true;
+            DistanceList::build(self, exp, sym)
+        });
+        (list, built)
+    }
+
+    /// Size figures of the distance lists built so far: terms = lists,
+    /// postings = reachable (node, keyword) pairs, bytes = what their arrays
+    /// hold. Build time is unset: lists are built one at a time, on demand.
+    pub fn distance_list_stats(&self) -> IndexStats {
+        let built = self.distances.get().into_iter().flatten();
+        let (mut terms, mut postings, mut bytes) = (0, 0, 0);
+        for list in built.filter_map(OnceLock::get) {
+            terms += 1;
+            postings += list.sorted().len();
+            bytes += list.bytes();
+        }
+        IndexStats::new(terms, postings, bytes)
     }
 
     /// Iterate all node ids.

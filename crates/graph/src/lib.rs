@@ -14,7 +14,8 @@
 //! * [`hub`] — the hub-based distance index of Goldman et al. (VLDB 98):
 //!   `d(x,y) = min(d*(x,y), d*(x,A) + d_H(A,B) + d*(B,y))`;
 //! * [`node2kw`] — node-to-keyword distance lists (the SLINKS/BLINKS index),
-//!   with distance-sorted cursors for threshold-algorithm consumption.
+//!   with distance-sorted cursors for threshold-algorithm consumption; the
+//!   graph builds one per keyword, on first use.
 
 pub mod graph;
 pub mod hub;
@@ -23,4 +24,4 @@ pub mod shortest;
 
 pub use graph::{DataGraph, GraphBuilder, NodeId};
 pub use hub::HubIndex;
-pub use node2kw::NodeKeywordIndex;
+pub use node2kw::DistanceList;

@@ -4,8 +4,8 @@
 
 use kwdb_common::Rng;
 use kwdb_graph::hub::{HubIndex, HubSelection};
-use kwdb_graph::shortest::distance;
-use kwdb_graph::{DataGraph, NodeId, NodeKeywordIndex};
+use kwdb_graph::shortest::{distance, Expansion};
+use kwdb_graph::{DataGraph, NodeId};
 
 fn build_graph(n: usize, edges: &[(u8, u8, u8)], keyword_nodes: &[u8]) -> DataGraph {
     let mut g = DataGraph::new();
@@ -67,7 +67,8 @@ fn keyword_index_matches_direct_search() {
         let n_kw = rng.gen_range(1usize..4);
         let kw_nodes: Vec<u8> = (0..n_kw).map(|_| rng.gen_range(0u8..=255)).collect();
         let g = build_graph(n, &edges, &kw_nodes);
-        let ix = NodeKeywordIndex::build(&g, &["kw"], None);
+        let sym = g.keyword_sym("kw").expect("a keyword node");
+        let (list, _) = g.distance_list(sym, &mut Expansion::default());
         let sources = g.keyword_nodes("kw");
         assert!(!sources.is_empty());
         for node in g.iter() {
@@ -75,18 +76,19 @@ fn keyword_index_matches_direct_search() {
                 .iter()
                 .filter_map(|s| distance(&g, node, s))
                 .fold(None::<f64>, |acc, d| Some(acc.map_or(d, |a| a.min(d))));
-            assert_eq!(ix.dist(node, "kw"), direct, "node {node:?}");
+            assert_eq!(list.dist(node), direct, "node {node:?}");
         }
         // sorted list is ascending and complete
-        let list = ix.sorted_list("kw");
-        assert!(list
+        let sorted = list.sorted();
+        assert!(sorted
             .windows(2)
-            .all(|w| ix.dist(w[0], "kw") <= ix.dist(w[1], "kw")));
-        assert_eq!(list.len(), ix.entry_count());
+            .all(|w| list.dist(w[0]) <= list.dist(w[1])));
+        let reachable = g.iter().filter(|&n| list.dist(n).is_some()).count();
+        assert_eq!(sorted.len(), reachable);
         // the reported bytes are the arrays': an f64 and a u32 per node, a
         // NodeId per reachable node
-        let stats = ix.index_stats();
-        assert_eq!(stats.postings, list.len());
-        assert_eq!(stats.posting_bytes, n * (8 + 4) + list.len() * 4);
+        let stats = g.distance_list_stats();
+        assert_eq!((stats.terms, stats.postings), (1, sorted.len()));
+        assert_eq!(stats.posting_bytes, n * (8 + 4) + sorted.len() * 4);
     }
 }

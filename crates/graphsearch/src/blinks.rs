@@ -1,36 +1,35 @@
-//! BLINKS: distinct-root top-k via a node→keyword index and Fagin's
+//! BLINKS: distinct-root top-k via node→keyword distance lists and Fagin's
 //! threshold algorithm (He et al., SIGMOD 07) — tutorial slide 123.
 //!
 //! Under distinct-root semantics an answer is a root `r` with cost
-//! `Σᵢ dist(r, Sᵢ)`. With the [`NodeKeywordIndex`] giving, per keyword, a
-//! distance-sorted node list (sorted access) and `dist(r, k)` lookups
-//! (random access), top-k roots fall out of the classic TA loop:
-//! round-robin the sorted lists, complete each discovered root by random
-//! access, and stop once the k-th best cost is below the threshold
-//! `Σᵢ d̄ᵢ` of current sorted-access depths — every unseen root must cost at
-//! least that. This is the single-level ("SLINKS") layout; BLINKS'
-//! bi-level block partitioning would change the index layout, not the TA
-//! logic.
+//! `Σᵢ dist(r, Sᵢ)`. With a [`DistanceList`] per keyword giving a
+//! distance-sorted node list (sorted access) and `dist(r)` lookups (random
+//! access), top-k roots fall out of the classic TA loop: round-robin the
+//! sorted lists, complete each discovered root by random access, and stop
+//! once the k-th best cost is below the threshold `Σᵢ d̄ᵢ` of current
+//! sorted-access depths — every unseen root must cost at least that. This is
+//! the single-level ("SLINKS") layout; BLINKS' bi-level block partitioning
+//! would change the index layout, not the TA logic.
 //!
-//! Both access paths are array reads ([`kwdb_graph::node2kw`]); the set of
-//! roots already scored and the Dijkstra that turns a root into its tree run
-//! on the dense buffers of the caller's [`SearchScratch`].
+//! The lists belong to the graph ([`DataGraph::distance_list`]): a query
+//! reads those of its own keywords, building any not yet built, so the index
+//! covers exactly the keywords ever queried. Both access paths are array
+//! reads ([`kwdb_graph::node2kw`]); the list builds, the set of roots already
+//! scored and the Dijkstra that turns a root into its tree run on the dense
+//! buffers of the caller's [`SearchScratch`].
 
 use crate::answer::{norm_edge, AnswerTree};
 use crate::banks1::prune_to_tree;
 use crate::scratch::first_n;
 use crate::{SearchScratch, TraversalStats};
-use kwdb_common::intern::Sym;
 use kwdb_common::topk::TopK;
 use kwdb_common::{Budget, TruncationReason};
 use kwdb_graph::shortest::Expansion;
-use kwdb_graph::{DataGraph, NodeId, NodeKeywordIndex};
+use kwdb_graph::{DataGraph, DistanceList, NodeId};
 
-/// The BLINKS engine. The index is caller-owned ([`Self::build_index`] /
-/// [`Self::build_full_index`]) so repeated queries over the same graph
-/// amortize construction; the engine itself is stateless — `search` takes
-/// `&self` and per-query access counters come back in a [`TraversalStats`],
-/// so one engine can serve many queries, concurrently.
+/// The BLINKS engine. Stateless — `search` takes `&self`, the distance lists
+/// live in the graph and per-query access counters come back in a
+/// [`TraversalStats`] — so one engine can serve many queries, concurrently.
 #[derive(Debug)]
 pub struct Blinks<'g> {
     g: &'g DataGraph,
@@ -41,28 +40,38 @@ impl<'g> Blinks<'g> {
         Blinks { g }
     }
 
-    /// Build the node→keyword index for `keywords` (callers may cache it).
-    pub fn build_index<S: AsRef<str>>(&self, keywords: &[S]) -> NodeKeywordIndex {
-        NodeKeywordIndex::build(self.g, keywords, None)
-    }
-
-    /// Build the index over the graph's *entire* vocabulary, so one index
-    /// serves every query against this graph (what the unified engine
-    /// caches).
-    pub fn build_full_index(&self) -> NodeKeywordIndex {
-        let vocab: Vec<&str> = self.g.vocabulary().collect();
-        NodeKeywordIndex::build(self.g, &vocab, None)
+    /// The distance lists of `keywords`, in order, and how many of them this
+    /// call built (on `scratch`); `None` when a keyword is not in the graph's
+    /// vocabulary — it has no matches, so AND semantics make the answer
+    /// empty — in which case nothing is built. One dictionary lookup per
+    /// keyword; the TA loop then probes the lists only.
+    pub fn distance_lists<S: AsRef<str>>(
+        &self,
+        keywords: &[S],
+        scratch: &mut SearchScratch,
+    ) -> Option<(Vec<&'g DistanceList>, usize)> {
+        let g = self.g;
+        let syms = keywords
+            .iter()
+            .map(|kw| g.keyword_sym(kw.as_ref()))
+            .collect::<Option<Vec<_>>>()?;
+        let exp = &mut first_n(&mut scratch.expansions, 1)[0];
+        let mut built = 0;
+        let lists = syms
+            .into_iter()
+            .map(|sym| {
+                let (list, fresh) = g.distance_list(sym, exp);
+                built += usize::from(fresh);
+                list
+            })
+            .collect();
+        Some((lists, built))
     }
 
     /// Top-k distinct-root answers, best first.
-    pub fn search<S: AsRef<str>>(
-        &self,
-        index: &NodeKeywordIndex,
-        keywords: &[S],
-        k: usize,
-    ) -> Vec<AnswerTree> {
+    pub fn search<S: AsRef<str>>(&self, keywords: &[S], k: usize) -> Vec<AnswerTree> {
         let mut scratch = SearchScratch::default();
-        self.search_budgeted(index, keywords, k, &Budget::unlimited(), &mut scratch)
+        self.search_budgeted(keywords, k, &Budget::unlimited(), &mut scratch)
             .0
     }
 
@@ -74,7 +83,6 @@ impl<'g> Blinks<'g> {
     /// mask over them.
     pub fn search_budgeted<S: AsRef<str>>(
         &self,
-        index: &NodeKeywordIndex,
         keywords: &[S],
         k: usize,
         budget: &Budget,
@@ -86,29 +94,17 @@ impl<'g> Blinks<'g> {
         if l == 0 || k == 0 {
             return (Vec::new(), truncation, stats);
         }
-        // One dictionary lookup per keyword; the TA loop below probes dense
-        // ids only. A keyword absent from the index has no matches, so AND
-        // semantics make the answer empty.
-        let Some(syms) = keywords
-            .iter()
-            .map(|kw| index.sym(kw.as_ref()))
-            .collect::<Option<Vec<_>>>()
-        else {
+        let Some((lists, _)) = self.distance_lists(keywords, scratch) else {
             return (Vec::new(), truncation, stats);
         };
-        let lists: Vec<&[NodeId]> = syms.iter().map(|&s| index.sorted_list_sym(s)).collect();
-        if lists.iter().any(|lst| lst.is_empty()) {
+        if lists.iter().any(|list| list.sorted().is_empty()) {
             return (Vec::new(), truncation, stats);
         }
-        let dist = |node, sym| index.dist_sym(node, sym).expect("listed node");
+        let dist = |list: &DistanceList, node| list.dist(node).expect("listed node");
         let mut cursors = vec![0usize; l];
         // Distance at each list's cursor: the last value read, or the head's
         // while the list is unread (lists are ascending).
-        let mut depth: Vec<f64> = lists
-            .iter()
-            .zip(&syms)
-            .map(|(l, &s)| dist(l[0], s))
-            .collect();
+        let mut depth: Vec<f64> = lists.iter().map(|l| dist(l, l.sorted()[0])).collect();
         let seen = &mut scratch.marks;
         seen.begin(self.g);
         let mut topk: TopK<NodeId> = TopK::new(k);
@@ -120,20 +116,20 @@ impl<'g> Blinks<'g> {
                     truncation = Some(reason);
                     break 'ta;
                 }
-                let Some(&node) = list.get(cursors[i]) else {
+                let Some(&node) = list.sorted().get(cursors[i]) else {
                     continue;
                 };
                 cursors[i] += 1;
-                depth[i] = dist(node, syms[i]);
+                depth[i] = dist(list, node);
                 stats.sorted_accesses += 1;
                 any = true;
                 if seen.or(node, 1) == 0 {
                     // random access: complete the root's score
                     let mut total = 0.0;
                     let mut complete = true;
-                    for &sym in &syms {
+                    for other in &lists {
                         stats.random_accesses += 1;
-                        match index.dist_sym(node, sym) {
+                        match other.dist(node) {
                             Some(d) => total += d,
                             None => {
                                 complete = false;
@@ -163,7 +159,7 @@ impl<'g> Blinks<'g> {
         let trees = topk
             .into_sorted_vec()
             .into_iter()
-            .map(|(neg, root)| self.build_tree(index, &syms, root, -neg, paths))
+            .map(|(neg, root)| self.build_tree(&lists, root, -neg, paths))
             .collect();
         (trees, truncation, stats)
     }
@@ -172,16 +168,15 @@ impl<'g> Blinks<'g> {
     /// nearest match.
     fn build_tree(
         &self,
-        index: &NodeKeywordIndex,
-        syms: &[Sym],
+        lists: &[&DistanceList],
         root: NodeId,
         rank_cost: f64,
         paths: &mut Expansion,
     ) -> AnswerTree {
         let mut edges = Vec::new();
-        let mut matches = Vec::with_capacity(syms.len());
-        for &sym in syms {
-            let m = index.nearest_match_sym(root, sym).expect("complete root");
+        let mut matches = Vec::with_capacity(lists.len());
+        for list in lists {
+            let m = list.nearest_match(root).expect("complete root");
             matches.push(m);
             if m != root {
                 paths.search(self.g, root, Some(m), None, &|_| false);
@@ -227,9 +222,7 @@ mod tests {
     fn top1_matches_best_distinct_root() {
         let g = slide30();
         let kws = ["k1", "k2", "k3"];
-        let bl = Blinks::new(&g);
-        let ix = bl.build_index(&kws);
-        let res = bl.search(&ix, &kws, 1);
+        let res = Blinks::new(&g).search(&kws, 1);
         assert_eq!(res.len(), 1);
         // b is the best distinct root (5 + 2 + 3 = 10)
         assert_eq!(res[0].cost, 10.0);
@@ -241,22 +234,16 @@ mod tests {
         let g = slide30();
         let kws = ["k1", "k2"];
         let bl = Blinks::new(&g);
-        let ix = bl.build_index(&kws);
-        let res = bl.search(&ix, &kws, 3);
-        // exhaustive: score every node by sum of index distances
-        let mut all: Vec<(f64, NodeId)> = g
-            .iter()
-            .filter_map(|n| {
-                let d1 = ix.dist(n, "k1")?;
-                let d2 = ix.dist(n, "k2")?;
-                Some((d1 + d2, n))
-            })
-            .collect();
+        let res = bl.search(&kws, 3);
+        let (lists, built) = bl
+            .distance_lists(&kws, &mut SearchScratch::default())
+            .unwrap();
+        assert_eq!(built, 0, "the search built both lists");
+        // exhaustive: score every node by sum of list distances
+        let cost = |n| Some(lists[0].dist(n)? + lists[1].dist(n)?);
+        let mut all: Vec<(f64, NodeId)> = g.iter().filter_map(|n| Some((cost(n)?, n))).collect();
         all.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
-        let ta_costs: Vec<f64> = res
-            .iter()
-            .map(|t| ix.dist(t.root, "k1").unwrap() + ix.dist(t.root, "k2").unwrap())
-            .collect();
+        let ta_costs: Vec<f64> = res.iter().map(|t| cost(t.root).unwrap()).collect();
         let best: Vec<f64> = all.iter().take(3).map(|&(c, _)| c).collect();
         assert_eq!(ta_costs, best);
     }
@@ -273,10 +260,7 @@ mod tests {
             prev = n;
         }
         let kws = ["x", "y"];
-        let bl = Blinks::new(&g);
-        let ix = bl.build_index(&kws);
-        let (res, _, stats) = bl.search_budgeted(
-            &ix,
+        let (res, _, stats) = Blinks::new(&g).search_budgeted(
             &kws,
             1,
             &Budget::unlimited(),
@@ -295,7 +279,11 @@ mod tests {
         let g = slide30();
         let kws = ["k1", "none"];
         let bl = Blinks::new(&g);
-        let ix = bl.build_index(&kws);
-        assert!(bl.search(&ix, &kws, 2).is_empty());
+        assert!(bl.search(&kws, 2).is_empty());
+        assert_eq!(
+            g.distance_list_stats().terms,
+            0,
+            "an absent keyword builds nothing"
+        );
     }
 }

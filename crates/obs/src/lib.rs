@@ -64,5 +64,5 @@ pub use hist::{Histogram, HistogramSnapshot};
 pub use record::{
     families, record_generation, record_index_stats, EngineInstruments, FacetOutcome,
 };
-pub use registry::{Counter, Gauge, Labels, MetricId, MetricsRegistry, Snapshot};
+pub use registry::{Counter, Gauge, Labels, MetricId, MetricsRegistry, Snapshot, Watermark};
 pub use trace::{PhaseSpan, QueryTrace, TraceBuilder, TraceEvent, TraceLevel};

@@ -23,10 +23,10 @@
 
 use crate::flight::QueryRecord;
 use crate::hist::Histogram;
-use crate::registry::{Counter, MetricsRegistry};
+use crate::registry::{Counter, MetricsRegistry, Watermark};
 use crate::trace::TraceLevel;
 use kwdb_common::budget::TruncationReason;
-use kwdb_common::index::IndexStats;
+use kwdb_common::index::{IndexStats, SegmentCounts};
 use kwdb_common::QueryStats;
 use std::sync::{Arc, OnceLock};
 
@@ -442,34 +442,27 @@ impl EngineInstruments {
 }
 
 /// Publish one mutable engine's generational figures: the generation gauge,
-/// the per-state segment gauges, and the cumulative merge counter (callers
-/// pass the *delta* of merges since they last recorded). Engines call this
-/// once at registry attach time (zero delta) and after every mutation, so
-/// all four families — including the ingest counter, touched here at zero —
-/// are present in snapshots before the first mutation.
+/// the per-state segment gauges, and what the cumulative `merges` total
+/// gained since `published` last saw it. Engines call this once at registry
+/// attach time and after every mutation, so all four families — including
+/// the ingest counter, touched here at zero — are present in snapshots
+/// before the first mutation.
 pub fn record_generation(
     reg: &MetricsRegistry,
     engine: &str,
     generation: u64,
-    realtime: usize,
-    sealed: usize,
-    merge_delta: u64,
+    segments: SegmentCounts,
+    merges: u64,
+    published: &Watermark,
 ) {
     let labels = [("engine", engine)];
     reg.gauge(families::ENGINE_GENERATION, &labels)
         .set(generation as i64);
-    reg.gauge(
-        families::SEGMENTS,
-        &[("engine", engine), ("state", "realtime")],
-    )
-    .set(realtime as i64);
-    reg.gauge(
-        families::SEGMENTS,
-        &[("engine", engine), ("state", "sealed")],
-    )
-    .set(sealed as i64);
-    reg.counter(families::SEGMENT_MERGES, &labels)
-        .add(merge_delta);
+    for (state, count) in [("realtime", segments.realtime), ("sealed", segments.sealed)] {
+        reg.gauge(families::SEGMENTS, &[("engine", engine), ("state", state)])
+            .set(count as i64);
+    }
+    published.publish(merges, &reg.counter(families::SEGMENT_MERGES, &labels));
     let _ = reg.counter(families::INGESTED_TUPLES, &labels);
 }
 

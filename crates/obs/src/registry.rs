@@ -38,20 +38,35 @@ impl Counter {
         }
     }
 
-    /// Advance the counter to `total`, a cumulative count kept elsewhere
-    /// (a cache's evictions): publishing one is idempotent and, because the
-    /// counter never moves backwards, racing publishers may arrive in any
-    /// order.
-    pub fn raise_to(&self, total: u64) {
-        // Most publishes find the total unchanged; as in `add`, a load and a
-        // branch are cheaper than a locked update that changes nothing.
-        if self.0.load(Ordering::Relaxed) < total {
-            self.0.fetch_max(total, Ordering::Relaxed);
-        }
-    }
-
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
+    }
+}
+
+/// The cumulative total one publisher last folded into a shared [`Counter`]
+/// — for counts kept elsewhere (a cache's evictions, an index's merges).
+/// Each publisher owns one and adds only what its own total gained, so
+/// publishers sharing a counter (two engines under one label) sum, and
+/// racing publishes of one total count it once, in any order.
+#[derive(Debug, Default)]
+pub struct Watermark(AtomicU64);
+
+impl Watermark {
+    /// A mark at `total`: what the source counted before is not this
+    /// publisher's to report.
+    pub fn new(total: u64) -> Self {
+        Watermark(AtomicU64::new(total))
+    }
+
+    /// Add to `counter` what `total` gained since the last publish.
+    pub fn publish(&self, total: u64, counter: &Counter) {
+        // Most publishes find the total unchanged; as in `Counter::add`, a
+        // load and a branch are cheaper than a locked update that changes
+        // nothing.
+        if self.0.load(Ordering::Relaxed) < total {
+            let before = self.0.fetch_max(total, Ordering::Relaxed);
+            counter.add(total.saturating_sub(before));
+        }
     }
 }
 
@@ -445,11 +460,14 @@ mod tests {
             6
         );
 
-        // publishing a cumulative total is idempotent and never moves back
-        c.raise_to(9);
-        c.raise_to(9);
-        c.raise_to(7);
-        assert_eq!(c.get(), 9);
+        // Two publishers of cumulative totals on one counter: each adds what
+        // its own total gained, once, and a stale total adds nothing.
+        let (a, b) = (Watermark::default(), Watermark::new(2));
+        a.publish(3, &c);
+        a.publish(3, &c);
+        b.publish(5, &c);
+        a.publish(1, &c);
+        assert_eq!(c.get(), 6 + 3 + 3);
 
         let g = reg.gauge("inflight", &[]);
         g.inc();

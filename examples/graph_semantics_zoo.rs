@@ -60,8 +60,7 @@ fn main() {
     }
 
     let bl = Blinks::new(&g);
-    let ix = bl.build_index(&kws);
-    let (blinks, _, bl_work) = bl.search_budgeted(&ix, &kws, 3, &unlimited, &mut scratch);
+    let (blinks, _, bl_work) = bl.search_budgeted(&kws, 3, &unlimited, &mut scratch);
     println!(
         "\nBLINKS (distinct root + TA), {} sorted / {} random accesses:",
         bl_work.sorted_accesses, bl_work.random_accesses

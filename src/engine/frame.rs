@@ -14,7 +14,7 @@ use kwdb_common::{
 };
 use kwdb_obs::{
     families, Counter, EngineInstruments, FacetOutcome, Gauge, QueryRecord, TraceBuilder,
-    TraceLevel,
+    TraceLevel, Watermark,
 };
 use std::cell::Cell;
 use std::sync::{Arc, OnceLock};
@@ -296,11 +296,13 @@ fn debug_unless_empty<T: std::fmt::Debug>(items: &[T]) -> String {
     }
 }
 
-/// The registry handles a result-cache consult publishes through.
+/// The registry handles a result-cache consult publishes through, and the
+/// eviction total this cache last published.
 struct ResultCacheInstruments {
     entries: Arc<Gauge>,
     bytes: Arc<Gauge>,
     evictions: Arc<Counter>,
+    evictions_published: Watermark,
 }
 
 impl ResultCacheInstruments {
@@ -311,6 +313,7 @@ impl ResultCacheInstruments {
             entries: reg.gauge(families::RESULT_CACHE_ENTRIES, &labels),
             bytes: reg.gauge(families::RESULT_CACHE_BYTES, &labels),
             evictions: reg.counter(families::RESULT_CACHE_EVICTIONS, &labels),
+            evictions_published: Watermark::default(),
         }
     }
 }
@@ -357,7 +360,8 @@ impl<H> ResultCache<H> {
         let stats = self.cache.stats();
         to.entries.set(stats.entries as i64);
         to.bytes.set(stats.bytes as i64);
-        to.evictions.raise_to(stats.evictions);
+        to.evictions_published
+            .publish(stats.evictions, &to.evictions);
     }
 }
 

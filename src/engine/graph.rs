@@ -1,17 +1,15 @@
 //! The graph engine: DPBF / BANKS / BLINKS over a shared, immutable data
-//! graph, with the BLINKS node→keyword index built once on first use,
-//! inside the shared query frame.
+//! graph, inside the shared query frame. BLINKS reads the graph's own
+//! per-keyword distance lists, each built by the first request that needs it.
 
 use super::frame::{field, run_query, trace_verdict, Answer, Evaluated, QueryFrame, ResultCache};
 use super::{Engine, Hit, SearchRequest, SearchResponse};
 use kwdb_common::{CacheConfig, QueryStats, Result, ScratchPool, Stopwatch};
-use kwdb_graph::{DataGraph, NodeKeywordIndex};
+use kwdb_graph::DataGraph;
 use kwdb_graphsearch::{blinks::Blinks, AnswerTree, BanksI, Dpbf, SearchScratch};
-use kwdb_obs::{
-    record_generation, record_index_stats, EngineInstruments, MetricsRegistry, TraceBuilder,
-};
+use kwdb_obs::{record_index_stats, EngineInstruments, MetricsRegistry, TraceBuilder};
 use std::cell::Cell;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Graph answer semantics selectable on a [`SearchRequest`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,8 +29,9 @@ pub enum GraphSemantics {
 /// relational engine's — see [`MutableEngine`](super::MutableEngine)). The
 /// underlying BANKS/DPBF/BLINKS engines are stateless (`&self`, per-query
 /// counters returned with the results, per-node buffers checked out of a
-/// pool) and the BLINKS node→keyword index is a write-once slot, so one
-/// `GraphEngine` serves concurrent queries without taking a lock. A `Banks`
+/// pool) and the BLINKS distance lists are the graph's write-once slots, so
+/// one `GraphEngine` serves concurrent queries without taking a lock, and
+/// engines sharing one `Arc<DataGraph>` share its lists. A `Banks`
 /// request takes at most
 /// [`banks1::MAX_KEYWORDS`](kwdb_graphsearch::banks1::MAX_KEYWORDS) keywords
 /// and a `SteinerExact` one
@@ -40,9 +39,6 @@ pub enum GraphSemantics {
 /// [`KwdbError::InvalidQuery`](kwdb_common::KwdbError::InvalidQuery).
 pub struct GraphEngine {
     g: Arc<DataGraph>,
-    /// Full-vocabulary BLINKS index, built by the first DistinctRoot query
-    /// (racing first queries build once: the others wait on the slot).
-    index: OnceLock<NodeKeywordIndex>,
     obs: Option<EngineInstruments>,
     /// Whole-response cache (see
     /// [`RelationalConfig::result_cache`](super::RelationalConfig::result_cache)
@@ -61,7 +57,6 @@ impl GraphEngine {
     pub fn new(g: impl Into<Arc<DataGraph>>) -> Self {
         GraphEngine {
             g: g.into(),
-            index: OnceLock::new(),
             obs: None,
             result_cache: ResultCache::new(CacheConfig::default()),
             scratch: ScratchPool::new(),
@@ -76,18 +71,9 @@ impl GraphEngine {
     }
 
     /// Record every query into `registry`, and publish the graph keyword
-    /// index's size figures, generation, and segment census up front.
+    /// index's size figures up front.
     pub fn with_registry(mut self, registry: Arc<MetricsRegistry>) -> Self {
         record_index_stats(&registry, "graph_keyword", &self.g.keyword_index_stats());
-        let segments = self.g.keyword_segment_counts();
-        record_generation(
-            &registry,
-            "graph",
-            self.g.generation(),
-            segments.realtime,
-            segments.sealed,
-            0,
-        );
         self.obs = Some(EngineInstruments::new(
             registry,
             "graph",
@@ -117,7 +103,9 @@ impl GraphEngine {
                 GraphSemantics::DistinctRoot => "blinks",
             },
             workers: Cell::new(1),
-            generation: g.generation(),
+            // The graph never changes under the engine: generation 0, as
+            // for XML.
+            generation: 0,
             segments: &segments,
             empty_facets: &|| Ok(Vec::new()),
             hit_bytes: graph_hit_bytes,
@@ -164,28 +152,30 @@ impl GraphEngine {
                     (r, truncation)
                 }
                 GraphSemantics::DistinctRoot => {
+                    // The query's distance lists, built here if this is the
+                    // first request to read one: a miss when it built any.
                     tb.phase("build");
                     let blinks = Blinks::new(g);
-                    let mut prebuilt = true;
-                    let ix = self.index.get_or_init(|| {
-                        prebuilt = false;
-                        blinks.build_full_index()
-                    });
-                    if prebuilt {
+                    let built = blinks
+                        .distance_lists(keywords, &mut scratch)
+                        .map_or(0, |(_, built)| built);
+                    stats.phases.build = sw.lap();
+                    if built == 0 {
                         stats.cache_hits = 1;
                     } else {
                         stats.cache_misses = 1;
                         if let Some(obs) = frame.obs {
-                            record_index_stats(obs.registry(), "graph_node2kw", &ix.index_stats());
+                            let lists =
+                                g.distance_list_stats().with_build(Some(stats.phases.build));
+                            record_index_stats(obs.registry(), "graph_node2kw", &lists);
                         }
                     }
                     tb.event("node-keyword index", || {
-                        vec![field("outcome", if prebuilt { "hit" } else { "miss" })]
+                        vec![field("outcome", if built == 0 { "hit" } else { "miss" })]
                     });
-                    stats.phases.build = sw.lap();
                     tb.phase("evaluate");
                     let (r, truncation, work) =
-                        blinks.search_budgeted(ix, keywords, req.k, budget, &mut scratch);
+                        blinks.search_budgeted(keywords, req.k, budget, &mut scratch);
                     stats.operators.sorted_accesses = work.sorted_accesses as u64;
                     stats.operators.random_accesses = work.random_accesses as u64;
                     tb.event("threshold algorithm", || {

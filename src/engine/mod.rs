@@ -14,8 +14,9 @@
 //!   query's mask signature (which tuple sets are non-empty), and generator
 //!   configuration (`relational.rs`).
 //! * [`GraphEngine::execute`] — DPBF / BANKS / BLINKS on an immutable data
-//!   graph; the BLINKS node→keyword index is built once per engine, on the
-//!   first request that needs it, and
+//!   graph; BLINKS reads the graph's own per-keyword distance lists, each
+//!   built by the first request that queries its keyword (and shared by every
+//!   engine over the same graph), and
 //!   the searches' per-node arrays come from a pool of
 //!   [`SearchScratch`](kwdb_graphsearch::SearchScratch)es, one checked out
 //!   per computed query (`graph.rs`).
@@ -56,11 +57,11 @@
 //! `'static`, `Send + Sync`, and can be stored in a long-lived registry and
 //! queried from many threads at once — `execute` takes `&self` and all
 //! per-query state (counters, heaps, cursors) lives on the query's own
-//! stack. Shared mutable state is read-mostly and lock-guarded: the
-//! relational engine's generational state (database handle + corpus
-//! statistics) and its CN plan cache live behind `RwLock`s. The graph and
-//! XML engines hold no lock at all: their data never changes under them,
-//! and the graph engine's BLINKS index is a write-once `OnceLock`.
+//! stack. The relational engine's one lock is the `RwLock` around its
+//! database handle (the database carries the corpus statistics); its caches
+//! are lock-striped [`ShardedCache`](kwdb_common::ShardedCache)s. The graph
+//! and XML engines hold no lock at all: their data never changes under them,
+//! and a BLINKS distance list is a write-once `OnceLock` slot in the graph.
 //!
 //! # Generations and mutation
 //!

@@ -18,7 +18,7 @@ use kwdb_common::{
 use kwdb_explore::summary::{object_summary, render_summary};
 use kwdb_obs::{
     families, record_generation, record_index_stats, Counter, EngineInstruments, MetricsRegistry,
-    TraceBuilder,
+    TraceBuilder, Watermark,
 };
 use kwdb_qclean::segment::{clean_query, ValuePhraseModel};
 use kwdb_qclean::SpellCorrector;
@@ -33,7 +33,6 @@ use kwdb_relsearch::topk::{CnExecOutcome, TopKQuery};
 use kwdb_relsearch::tupleset::TermCache;
 use kwdb_relsearch::{Refinement, ResultScorer, TupleSets};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
 /// A rendered relational hit.
@@ -161,6 +160,8 @@ pub struct RelationalEngine {
     /// CN plans by mask signature, capped at
     /// [`RelationalConfig::max_cache_entries`].
     cn_cache: ShardedCache<CnCacheKey, Arc<Vec<CandidateNetwork>>>,
+    /// The plan cache's evictions already published to the registry.
+    plan_evictions_published: Watermark,
     /// See [`resolved_workers`](Self::resolved_workers).
     worker_cap: usize,
     obs: Option<EngineInstruments>,
@@ -173,9 +174,9 @@ pub struct RelationalEngine {
     /// keyed by the generation it was built at, one entry: a cleaning query
     /// of a newer generation builds a new model and evicts the old.
     clean: ShardedCache<u64, Arc<CleanModel>>,
-    /// Cumulative segment merges already published to the registry, so the
-    /// merge counter advances by exact deltas.
-    merges_seen: AtomicU64,
+    /// Segment merges already published to the registry (those before the
+    /// engine was built are not its own).
+    merges_published: Watermark,
     /// Whole sealed responses by generation and request shape: a repeat
     /// query skips build/plan/evaluate entirely.
     result_cache: ResultCache<RelationalHit>,
@@ -193,11 +194,12 @@ impl RelationalEngine {
 
     pub fn with_config(db: impl Into<Arc<Database>>, cfg: RelationalConfig) -> Self {
         let db = db.into();
-        let merges_seen = db.text_index().map_or(0, |ix| ix.merges());
+        let merges = db.text_index().map_or(0, |ix| ix.merges());
         RelationalEngine {
             db: RwLock::new(db),
             cfg,
             cn_cache: ShardedCache::new(entry_capped(cfg.max_cache_entries)),
+            plan_evictions_published: Watermark::default(),
             worker_cap: match cfg.intra_query_workers {
                 0 => kwdb_common::available_cores().min(8),
                 pinned => pinned,
@@ -206,7 +208,7 @@ impl RelationalEngine {
             tupleset_counters: OnceLock::new(),
             scratch: ScratchPool::new(),
             clean: ShardedCache::new(entry_capped(1)),
-            merges_seen: AtomicU64::new(merges_seen),
+            merges_published: Watermark::new(merges),
             result_cache: ResultCache::new(cfg.result_cache),
             tupleset_cache: TermCache::new(cfg.result_cache),
         }
@@ -325,23 +327,21 @@ impl RelationalEngine {
         })
     }
 
-    /// Push the generation gauge, segment gauges, and merge-counter delta:
-    /// after a mutation, and (a zero delta) when a registry is attached.
+    /// Push the generation gauge, segment gauges, and merges since the last
+    /// publish: after a mutation, and when a registry is attached.
     fn publish_generation(&self, db: &Database) {
+        let Some(reg) = self.registry() else { return };
         let (segments, merges) = db.text_index().map_or((SegmentCounts::default(), 0), |ix| {
             (ix.segment_counts(), ix.merges())
         });
-        let seen = self.merges_seen.swap(merges, Ordering::Relaxed);
-        if let Some(reg) = self.registry() {
-            record_generation(
-                reg,
-                "relational",
-                db.generation(),
-                segments.realtime,
-                segments.sealed,
-                merges.saturating_sub(seen),
-            );
-        }
+        record_generation(
+            reg,
+            "relational",
+            db.generation(),
+            segments,
+            merges,
+            &self.merges_published,
+        );
     }
 
     /// Execute a [`SearchRequest`]: budgeted, instrumented top-k search,
@@ -639,8 +639,9 @@ impl RelationalEngine {
                     .set(cache.entries as i64);
                 // (the family appears in a snapshot with the first eviction)
                 if cache.evictions > 0 {
-                    reg.counter(families::PLAN_CACHE_EVICTIONS, &labels)
-                        .raise_to(cache.evictions);
+                    let evictions = reg.counter(families::PLAN_CACHE_EVICTIONS, &labels);
+                    self.plan_evictions_published
+                        .publish(cache.evictions, &evictions);
                 }
             }
         }

@@ -105,6 +105,59 @@ fn cn_plan_cache_hits_on_repeat() {
 }
 
 #[test]
+fn engines_sharing_a_label_sum_their_eviction_counts() {
+    // Two engines under `engine="relational"` on one registry, as
+    // `reproduce` attaches `dblp` and `dblp_par`, each with one-entry caches:
+    // every store but an engine's first evicts, and both eviction counters
+    // must read the two engines' sum.
+    let registry = Arc::new(kwdb_obs::MetricsRegistry::new());
+    let db = Arc::new(generate_dblp(&DblpConfig {
+        n_papers: 60,
+        n_authors: 30,
+        ..Default::default()
+    }));
+    let cfg = RelationalConfig {
+        max_cache_entries: 1,
+        intra_query_workers: 1,
+        result_cache: CacheConfig {
+            max_entries: 1,
+            stripes: 1,
+            ..CacheConfig::default()
+        },
+        ..Default::default()
+    };
+    let queries = [
+        "data",
+        "data query",
+        "query",
+        "xml search",
+        "data xml",
+        "search",
+    ];
+    let (mut result_evictions, mut plan_evictions) = (0, 0);
+    for _ in 0..2 {
+        let engine = RelationalEngine::with_config(Arc::clone(&db), cfg)
+            .with_registry(Arc::clone(&registry));
+        let (mut stored, mut planned) = (0, 0);
+        for q in queries {
+            let stats = engine.execute(&SearchRequest::new(q).k(3)).unwrap().stats;
+            stored += stats.result_cache_misses;
+            planned += stats.cache_misses;
+        }
+        assert!(
+            stored > 2 && planned > 2,
+            "each engine evicts from both caches"
+        );
+        result_evictions += stored - 1;
+        plan_evictions += planned - 1;
+    }
+    let read = |family| registry.counter_value(family, &[("engine", "relational")]);
+    use kwdb_obs::families::{PLAN_CACHE_EVICTIONS, RESULT_CACHE_EVICTIONS};
+    assert_eq!(read(RESULT_CACHE_EVICTIONS), result_evictions);
+    assert_eq!(read(PLAN_CACHE_EVICTIONS), plan_evictions);
+}
+
+#[test]
 fn graph_search_all_semantics() {
     let g = kwdb_datasets::graphs::generate_graph(&Default::default());
     // Result cache off: the repeat DistinctRoot query below must reach

@@ -1,5 +1,6 @@
 //! Parity suite for the dense (array-by-`NodeId`) graph engine: the
-//! node→keyword index against a naive fixpoint, BANKS and BLINKS against an
+//! node→keyword distance lists against a naive fixpoint, however they were
+//! filled and after the graph changes, BANKS and BLINKS against an
 //! exhaustive distinct-root scan, DPBF against brute force, and — the part
 //! arrays add over hash maps — that a reused [`SearchScratch`] never leaks
 //! one query's state into the next.
@@ -12,8 +13,8 @@
 
 use kwdb::common::{Budget, CacheConfig, Rng, TruncationReason};
 use kwdb::engine::{GraphEngine, GraphSemantics, SearchRequest};
-use kwdb::graph::shortest::multi_source;
-use kwdb::graph::{DataGraph, NodeId, NodeKeywordIndex};
+use kwdb::graph::shortest::{multi_source, Expansion};
+use kwdb::graph::{DataGraph, DistanceList, NodeId};
 use kwdb::graphsearch::dpbf::brute_force_gst_cost;
 use kwdb::graphsearch::{AnswerTree, BanksI, Blinks, Dpbf, SearchScratch, TraversalStats};
 
@@ -98,6 +99,26 @@ fn bits(x: Option<f64>) -> Option<u64> {
     x.map(f64::to_bits)
 }
 
+/// `kw`'s distance list on `g`, built here on a fresh expansion if no one
+/// has read it yet; `None` for a keyword outside the vocabulary.
+fn list<'g>(g: &'g DataGraph, kw: &str) -> Option<&'g DistanceList> {
+    let sym = g.keyword_sym(kw)?;
+    Some(g.distance_list(sym, &mut Expansion::default()).0)
+}
+
+/// Everything a distance list says, bit for bit: `(dist, nearest match)` per
+/// node and the sorted-access order.
+type ListBits = (Vec<Option<(u64, NodeId)>>, Vec<NodeId>);
+
+fn list_bits(g: &DataGraph, kw: &str) -> Option<ListBits> {
+    let list = list(g, kw)?;
+    let per_node = g
+        .iter()
+        .map(|n| list.get(n).map(|(d, m)| (d.to_bits(), m)))
+        .collect();
+    Some((per_node, list.sorted().to_vec()))
+}
+
 #[test]
 fn index_equals_the_fixpoint_reference_at_any_thread_count() {
     let mut rng = Rng::seed_from_u64(0x17);
@@ -107,47 +128,137 @@ fn index_equals_the_fixpoint_reference_at_any_thread_count() {
         let max_dist = (round % 3 == 0).then_some(2.5);
         // a repeated keyword and an absent one ride along
         let listed = ["kw0", "kw1", "kw0", "kw2", "absent", "kw3"];
-        let ix = NodeKeywordIndex::build_on(&g, &listed, max_dist, 1);
-        let threaded = NodeKeywordIndex::build_on(&g, &listed, max_dist, 3);
-        let auto = NodeKeywordIndex::build(&g, &listed, max_dist);
-        assert_eq!(ix.keywords().count(), 5, "the repeat is one list");
+        // One graph three times over, its lists filled in keyword order, in
+        // reverse, and by two threads racing in opposite directions.
+        let (forward, reverse, raced) = (g.clone(), g.clone(), g);
+        for kw in listed {
+            list(&forward, kw);
+        }
+        for kw in listed.iter().rev() {
+            list(&reverse, kw);
+        }
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for reversed in [false, true] {
+                let (raced, barrier) = (&raced, &barrier);
+                scope.spawn(move || {
+                    barrier.wait();
+                    for i in 0..listed.len() {
+                        list(
+                            raced,
+                            listed[if reversed { listed.len() - 1 - i } else { i }],
+                        );
+                    }
+                });
+            }
+        });
         let mut entries = 0;
         for kw in listed {
-            let sources = g.keyword_nodes(kw).to_vec();
-            let want = fixpoint_nearest(&g, &sources, max_dist);
-            let (ms_dist, ms_origin) = multi_source(&g, sources.iter().copied(), max_dist);
-            for n in g.iter() {
-                let w = want[n.0 as usize];
+            let sources = raced.keyword_nodes(kw).to_vec();
+            let want = fixpoint_nearest(&raced, &sources, None);
+            // `multi_source` keeps its distance cap; the lists have none
+            let capped = fixpoint_nearest(&raced, &sources, max_dist);
+            let (ms_dist, ms_origin) = multi_source(&raced, sources.iter().copied(), max_dist);
+            for n in raced.iter() {
+                let c = capped[n.0 as usize];
                 let ctx = format!("round {round} {kw} {n:?}");
-                assert_eq!(bits(ix.dist(n, kw)), bits(w.map(|w| w.0)), "{ctx}");
-                assert_eq!(ix.nearest_match(n, kw), w.map(|w| w.1), "{ctx}");
                 assert_eq!(
                     bits(ms_dist.get(&n).copied()),
-                    bits(w.map(|w| w.0)),
+                    bits(c.map(|c| c.0)),
                     "{ctx}"
                 );
-                assert_eq!(ms_origin.get(&n).copied(), w.map(|w| w.1), "{ctx}");
-                for other in [&threaded, &auto] {
-                    assert_eq!(bits(other.dist(n, kw)), bits(ix.dist(n, kw)), "{ctx}");
-                    assert_eq!(other.nearest_match(n, kw), ix.nearest_match(n, kw));
-                }
+                assert_eq!(ms_origin.get(&n).copied(), c.map(|c| c.1), "{ctx}");
             }
-            let mut order: Vec<(f64, NodeId)> = g
+            let mut order: Vec<(f64, NodeId)> = raced
                 .iter()
                 .filter_map(|n| Some((want[n.0 as usize]?.0, n)))
                 .collect();
             order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
             let order: Vec<NodeId> = order.into_iter().map(|(_, n)| n).collect();
-            assert_eq!(ix.sorted_list(kw), order, "round {round} {kw}");
-            assert_eq!(threaded.sorted_list(kw), order);
-            assert_eq!(auto.sorted_list(kw), order);
+            let want_bits = (!sources.is_empty()).then(|| {
+                let per_node = want.iter().map(|w| w.map(|(d, m)| (d.to_bits(), m)));
+                (per_node.collect(), order.clone())
+            });
+            for g in [&forward, &reverse, &raced] {
+                assert_eq!(list_bits(g, kw), want_bits, "round {round} {kw}");
+            }
             if kw != "kw0" || entries == 0 {
                 entries += order.len(); // count the repeated keyword once
             }
         }
-        assert_eq!(ix.entry_count(), entries);
-        assert_eq!(ix.index_stats().postings, entries);
+        for g in [&forward, &reverse, &raced] {
+            let stats = g.distance_list_stats();
+            assert_eq!(stats.terms, 4, "the repeat is one list, the absent none");
+            assert_eq!(stats.postings, entries);
+        }
     }
+}
+
+#[test]
+fn a_mutated_clone_rebuilds_its_lists_and_the_original_keeps_its_own() {
+    let mut rng = Rng::seed_from_u64(0x1d);
+    for round in 0..20 {
+        let seed = rng.gen_range(0u64..1 << 32);
+        let fresh = || random_graph(&mut Rng::seed_from_u64(seed), 30, round % 2 == 0);
+        let g = fresh();
+        let before: Vec<_> = KEYWORDS.iter().map(|kw| list_bits(&g, kw)).collect();
+        // A zero-weight shortcut from a `kw0` node to the node farthest from
+        // any `kw0` (lowering the weight if the edge is already there).
+        let kw0 = list(&g, "kw0").expect("every keyword is planted");
+        let source = g.keyword_nodes("kw0").first().expect("a kw0 node");
+        let far = *kw0.sorted().last().expect("the source reaches itself");
+        let mut shortcut = g.clone();
+        shortcut.add_edge(source, far, 0.0);
+        let mut rebuilt = fresh();
+        rebuilt.add_edge(source, far, 0.0);
+        // and a new `kw0` node joined to the far one
+        let mut grown = g.clone();
+        let added = grown.add_node("n", "kw0");
+        grown.add_edge(added, far, 0.0);
+        let mut regrown = fresh();
+        let readded = regrown.add_node("n", "kw0");
+        regrown.add_edge(readded, far, 0.0);
+        for (i, kw) in KEYWORDS.iter().enumerate() {
+            let ctx = format!("round {round} {kw}");
+            assert_eq!(list_bits(&shortcut, kw), list_bits(&rebuilt, kw), "{ctx}");
+            assert_eq!(list_bits(&grown, kw), list_bits(&regrown, kw), "{ctx}");
+            assert_eq!(list_bits(&g, kw), before[i], "{ctx}: the original moved");
+        }
+        if kw0.dist(far) != Some(0.0) {
+            assert_ne!(list_bits(&shortcut, "kw0"), before[0], "round {round}");
+        }
+        assert_ne!(list_bits(&grown, "kw0"), before[0], "round {round}");
+    }
+}
+
+#[test]
+fn engines_sharing_a_graph_share_its_lists() {
+    let mut rng = Rng::seed_from_u64(0x1e);
+    let g = std::sync::Arc::new(random_graph(&mut rng, 100, true));
+    let engine =
+        || GraphEngine::new(std::sync::Arc::clone(&g)).with_result_cache(CacheConfig::disabled());
+    let (a, b) = (engine(), engine());
+    let outcome = |e: &GraphEngine, q: &str| {
+        let req = SearchRequest::new(q)
+            .k(3)
+            .semantics(GraphSemantics::DistinctRoot);
+        let stats = e.execute(&req).unwrap().stats;
+        (stats.cache_hits, stats.cache_misses)
+    };
+    assert_eq!(outcome(&a, "kw0 kw1"), (0, 1), "the first read builds");
+    assert_eq!(
+        outcome(&b, "kw1 kw0"),
+        (1, 0),
+        "the other engine reads them"
+    );
+    assert_eq!(outcome(&b, "kw1 kw2"), (0, 1), "kw2 is new");
+    assert_eq!(outcome(&a, "kw2"), (1, 0));
+    assert_eq!(
+        outcome(&a, "kw3 absent"),
+        (1, 0),
+        "an absent keyword builds nothing"
+    );
+    assert_eq!(g.distance_list_stats().terms, 3);
 }
 
 /// The k smallest `Σᵢ dist(r, Sᵢ)` over every node that reaches all groups,
@@ -193,7 +304,6 @@ fn banks_and_blinks_rank_costs_equal_the_exhaustive_scan() {
     for round in 0..40 {
         let n = rng.gen_range(4usize..40);
         let g = random_graph(&mut rng, n, round % 2 == 0);
-        let ix = Blinks::new(&g).build_full_index();
         for kws in queries() {
             for k in [1, 3, 50] {
                 let want = exhaustive_root_costs(&g, &kws, k);
@@ -203,7 +313,7 @@ fn banks_and_blinks_rank_costs_equal_the_exhaustive_scan() {
                 assert_eq!(rank_bits(&banks), want, "BANKS {ctx}");
                 assert!(cut.is_none());
                 let (blinks, cut, _) =
-                    Blinks::new(&g).search_budgeted(&ix, &kws, k, &unlimited, &mut scratch);
+                    Blinks::new(&g).search_budgeted(&kws, k, &unlimited, &mut scratch);
                 assert_eq!(rank_bits(&blinks), want, "BLINKS {ctx}");
                 assert!(cut.is_none());
                 for t in banks.iter().chain(&blinks) {
@@ -265,7 +375,6 @@ fn outcome(
 /// All three engines on `kws`, capped or not, out of `scratch`.
 fn run_all(
     g: &DataGraph,
-    ix: &NodeKeywordIndex,
     kws: &[&str],
     budget: &Budget,
     scratch: &mut SearchScratch,
@@ -273,7 +382,7 @@ fn run_all(
     [
         outcome(BanksI::new(g).search_budgeted(kws, 3, budget, scratch)),
         outcome(Dpbf::new(g).search_budgeted(kws, 3, budget, scratch)),
-        outcome(Blinks::new(g).search_budgeted(ix, kws, 3, budget, scratch)),
+        outcome(Blinks::new(g).search_budgeted(kws, 3, budget, scratch)),
     ]
 }
 
@@ -284,7 +393,6 @@ fn a_reused_scratch_answers_like_a_fresh_one() {
     for round in 0..25 {
         let n = rng.gen_range(8usize..60);
         let g = random_graph(&mut rng, n, round % 2 == 0);
-        let ix = Blinks::new(&g).build_full_index();
         // A, B, A, … with a cap in between: whatever the last query left in
         // the scratch — full expansions, a cut-short one, an early return on
         // an absent keyword — the next answers as if it were the first.
@@ -297,8 +405,8 @@ fn a_reused_scratch_answers_like_a_fresh_one() {
         }
         script.extend(script.clone().into_iter().rev());
         for (kws, budget) in script {
-            let fresh = run_all(&g, &ix, &kws, budget, &mut SearchScratch::default());
-            let again = run_all(&g, &ix, &kws, budget, &mut reused);
+            let fresh = run_all(&g, &kws, budget, &mut SearchScratch::default());
+            let again = run_all(&g, &kws, budget, &mut reused);
             assert_eq!(again, fresh, "round {round} {kws:?} {budget:?}");
         }
     }
@@ -308,15 +416,14 @@ fn a_reused_scratch_answers_like_a_fresh_one() {
 fn a_candidate_cap_cuts_at_the_same_point_every_time() {
     let mut rng = Rng::seed_from_u64(0x1b);
     let g = random_graph(&mut rng, 200, true);
-    let ix = Blinks::new(&g).build_full_index();
     let mut scratch = SearchScratch::default();
     let kws = ["kw0", "kw1", "kw2"];
     for cap in [1, 2, 7, 30, 120] {
         let budget = Budget::unlimited().with_max_candidates(cap);
-        let first = run_all(&g, &ix, &kws, &budget, &mut scratch);
-        let full = run_all(&g, &ix, &kws, &Budget::unlimited(), &mut scratch);
+        let first = run_all(&g, &kws, &budget, &mut scratch);
+        let full = run_all(&g, &kws, &Budget::unlimited(), &mut scratch);
         for _ in 0..3 {
-            assert_eq!(run_all(&g, &ix, &kws, &budget, &mut scratch), first);
+            assert_eq!(run_all(&g, &kws, &budget, &mut scratch), first);
         }
         for ((trees, cut, work), (_, _, full_work)) in first.iter().zip(&full) {
             // the cap is the verdict exactly when there was more work to do

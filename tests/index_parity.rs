@@ -9,7 +9,7 @@ use kwdb::common::text::{normalize_term, tokenize};
 use kwdb::datasets::graphs::{generate_graph, GraphConfig};
 use kwdb::datasets::{generate_bib_xml, generate_dblp, DblpConfig};
 use kwdb::engine::{GraphEngine, RelationalConfig, RelationalEngine, SearchRequest, XmlEngine};
-use kwdb::graphsearch::blinks::Blinks;
+use kwdb::graph::shortest::{multi_source, Expansion};
 use kwdb::xml::XmlIndex;
 use std::collections::BTreeMap;
 
@@ -167,15 +167,20 @@ fn graph_keyword_index_matches_naive_recomputation() {
 #[test]
 fn node2kw_index_sym_parity_over_full_vocabulary() {
     let g = generate_graph(&GraphConfig::default());
-    let ix = Blinks::new(&g).build_full_index();
+    let mut exp = Expansion::default();
     for kw in g.vocabulary().map(str::to_string).collect::<Vec<_>>() {
-        let sym = ix.sym(&kw).expect("vocabulary term is indexed");
-        assert_eq!(ix.sorted_list(&kw), ix.sorted_list_sym(sym));
+        let sym = g.keyword_sym(&kw).expect("vocabulary term is indexed");
+        let (list, built) = g.distance_list(sym, &mut exp);
+        assert!(built, "no list before its keyword is read");
+        let (dist, origin) = multi_source(&g, g.keyword_nodes(&kw), None);
+        assert_eq!(list.sorted().len(), dist.len(), "{kw}: reachable nodes");
         for n in g.iter() {
-            assert_eq!(ix.dist(n, &kw), ix.dist_sym(n, sym));
-            assert_eq!(ix.nearest_match(n, &kw), ix.nearest_match_sym(n, sym));
+            let want = dist.get(&n).map(|&d| (d.to_bits(), origin[&n]));
+            let got = list.get(n).map(|(d, m)| (d.to_bits(), m));
+            assert_eq!(got, want, "{kw} {n:?}");
         }
     }
+    assert_eq!(g.distance_list_stats().terms, g.vocabulary().count());
 }
 
 #[test]

@@ -95,7 +95,7 @@ fn workload(
 }
 
 /// One-shot reference: insert everything, batch-build the index.
-fn build_once(rows: &[(&str, Row)]) -> Database {
+fn built_in_one_pass(rows: &[(&str, Row)]) -> Database {
     let mut db = Database::new();
     dblp_schema(&mut db).unwrap();
     for (table, row) in rows {
@@ -158,7 +158,7 @@ fn hit_key(
 fn ingest_matches_rebuild_across_layouts_and_workers() {
     let rows = workload(4, 12, 40, 0xDB1);
     let n_base = rows.len() / 2;
-    let reference = build_once(&rows);
+    let reference = built_in_one_pass(&rows);
     for layout in [Layout::Plain, Layout::Blocks] {
         for workers in [1usize, 8] {
             let cfg = RelationalConfig {
@@ -192,7 +192,7 @@ fn ingest_matches_rebuild_across_layouts_and_workers() {
 #[test]
 fn term_stats_match_rebuild_exactly() {
     let rows = workload(3, 10, 30, 0x57A75);
-    let reference = build_once(&rows);
+    let reference = built_in_one_pass(&rows);
     let engine = build_incremental(&rows, rows.len() / 3, Layout::Plain, Default::default());
     let db = engine.database();
     let (ref_ix, inc_ix) = (reference.text_index().unwrap(), db.text_index().unwrap());
@@ -217,12 +217,12 @@ fn delete_then_merge_matches_a_database_never_holding_the_rows() {
     // Reference: a database that never held the last 4 papers (and their
     // write rows — the tail of the workload, which is FK-closed).
     let keep = rows.len() - 8;
-    let reference = build_once(&rows[..keep]);
+    let reference = built_in_one_pass(&rows[..keep]);
     let ref_engine = RelationalEngine::new(reference);
 
     // Incremental: hold everything, then delete those papers through the
     // engine (write rows first: no cascade).
-    let engine = RelationalEngine::new(build_once(&rows));
+    let engine = RelationalEngine::new(built_in_one_pass(&rows));
     for (table, row) in rows[keep..].iter().rev() {
         engine
             .delete(DeleteKey::TuplePk {
@@ -341,7 +341,7 @@ fn mask_signature_keys_the_plan_cache() {
             .unwrap();
     };
     let rebuilt = |rows: &[(&'static str, Row)]| {
-        RelationalEngine::with_config(build_once(rows), cfg)
+        RelationalEngine::with_config(built_in_one_pass(rows), cfg)
             .execute(&req)
             .unwrap()
     };
