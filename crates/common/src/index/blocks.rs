@@ -268,6 +268,25 @@ impl<P: Posting> BlockList<P> {
         c
     }
 
+    /// The last posting `keep` accepts among the first `upto` entries of
+    /// block `b` (decodes that prefix of the block, nothing else).
+    fn last_kept_in_block(&self, b: usize, upto: usize, keep: &impl Fn(&P) -> bool) -> Option<P> {
+        let meta = &self.metas[b];
+        let mut r = BitReader {
+            words: &self.words,
+            bit: meta.word_offset as usize * 64,
+        };
+        let mut prev = self.block_base(b);
+        let mut last = None;
+        for _ in 0..upto {
+            let p = decode_one(&mut r, meta, &mut prev);
+            if keep(&p) {
+                last = Some(p);
+            }
+        }
+        last
+    }
+
     /// Last posting of block `b` (decodes the block).
     fn block_last(&self, b: usize) -> P {
         let meta = &self.metas[b];
@@ -393,6 +412,29 @@ impl<'a, P: Posting> BlockCursor<'a, P> {
             self.enter_block(self.block + 1);
         } else {
             self.cur = None;
+        }
+    }
+
+    /// The last posting before the cursor that `keep` accepts (the list's
+    /// last such posting once exhausted): scans the current block up to the
+    /// cursor, then earlier blocks back to front.
+    pub(crate) fn prev_where(&self, keep: impl Fn(&P) -> bool) -> Option<P> {
+        let list = self.list;
+        let (mut b, mut upto) = match self.cur {
+            Some(_) => (self.block, self.idx),
+            None => (list.metas.len(), 0),
+        };
+        loop {
+            if upto > 0 {
+                if let Some(p) = list.last_kept_in_block(b, upto, &keep) {
+                    return Some(p);
+                }
+            }
+            if b == 0 {
+                return None;
+            }
+            b -= 1;
+            upto = list.metas[b].count as usize;
         }
     }
 

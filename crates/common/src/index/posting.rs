@@ -635,19 +635,20 @@ impl<'a, P: Posting + Ord> Postings<'a, P> {
         None
     }
 
-    /// Largest posting `≤ v` — the *lm* probe.
+    /// Largest posting `≤ v` — the *lm* probe. Across segments: seek past
+    /// every posting `≤ v`, then read the merged cursor's predecessor (the
+    /// largest live one each segment passed).
     pub fn left_match(&self, v: P) -> Option<P> {
         if let Some(l) = self.single() {
             return l.left_match(v);
         }
-        let mut best = None;
-        for p in self.iter() {
-            if p > v {
-                break;
-            }
-            best = Some(p);
+        let mut c = self.cursor();
+        c.seek(v.key64());
+        // key64 may be non-injective: step over v's key group up to v
+        while c.peek().is_some_and(|p| p <= v) {
+            c.advance();
         }
-        best
+        c.prev()
     }
 
     pub fn contains(&self, v: &P) -> bool {
@@ -925,6 +926,35 @@ impl<P: Posting> PostingCursor<'_, P> {
     pub fn is_exhausted(&self) -> bool {
         self.peek().is_none()
     }
+
+    /// The posting just before the cursor: the largest posting it has
+    /// passed (the list's last once exhausted), `None` at the front. After
+    /// `seek(key)` it is the largest posting with `key64 < key` — with
+    /// `peek`, both neighbours of `key` (the *lm*/*rm* pair) from one
+    /// galloping seek. Plain lists read one slot; block lists decode the
+    /// current block up to the cursor; merged views take the largest live
+    /// predecessor over their segments.
+    pub fn prev(&self) -> Option<P> {
+        match &self.inner {
+            CursorRepr::Plain { list, pos } => pos.checked_sub(1).map(|i| list[i]),
+            _ => self.prev_where(&|_: &P| true),
+        }
+    }
+
+    fn prev_where(&self, keep: &dyn Fn(&P) -> bool) -> Option<P> {
+        match &self.inner {
+            CursorRepr::Plain { list, pos } => list[..*pos].iter().rev().copied().find(|p| keep(p)),
+            CursorRepr::Blocks(c) => c.prev_where(keep),
+            CursorRepr::Multi(m) => {
+                let live = |p: &P| keep(p) && !m.tomb.is_some_and(|t| t.contains(p.key64()));
+                // every segment's passed postings precede the merged head
+                m.children
+                    .iter()
+                    .filter_map(|c| c.prev_where(&live))
+                    .max_by_key(|p| p.sort_key())
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1122,6 +1152,92 @@ mod tests {
         l.apply_layout(Layout::Blocks);
         assert_eq!(l.layout(), Layout::Blocks, "layout re-applied");
         assert_eq!(l.len(), 1001);
+    }
+
+    /// Node-id-like posting: key64 is the id itself.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+    struct Id(u32);
+
+    impl Posting for Id {
+        type SortKey = u32;
+        fn sort_key(&self) -> u32 {
+            self.0
+        }
+        fn key64(&self) -> u64 {
+            self.0 as u64
+        }
+        fn from_parts(key: u64, _extras: &[u64]) -> Self {
+            Id(key as u32)
+        }
+        fn coalesce(&mut self, other: &Self) -> bool {
+            self == other
+        }
+        fn same_doc(&self, other: &Self) -> bool {
+            self == other
+        }
+    }
+
+    /// One seeking cursor answers both probes at every key: after
+    /// `seek(v)`, `peek` is `right_match(v)` and `prev` is
+    /// `left_match(v - 1)` — on plain and block lists and on merged views
+    /// with tombstones, whose `left_match` must also equal a linear scan.
+    #[test]
+    fn cursor_prev_and_peek_answer_lm_and_rm_at_every_key() {
+        let mut x = 0x9e37_79b9_u64;
+        let mut next = move |n: u64| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 33) % n
+        };
+        let ids: Vec<Id> = (0..3000u32).filter(|_| next(3) == 0).map(Id).collect();
+        let mut views: Vec<(String, SegmentedIndex<Id>)> = Vec::new();
+        for layout in [Layout::Plain, Layout::Blocks] {
+            let mut ix: SegmentedIndex<Id> = SegmentedIndex::new();
+            for &p in &ids {
+                ix.add("t", p);
+            }
+            ix.finalize_layout(layout);
+            views.push((format!("single {layout:?}"), ix));
+            // the same ids spread over sealed segments and the realtime
+            // one, with tombstones in each
+            let mut ix: SegmentedIndex<Id> = SegmentedIndex::new();
+            ix.finalize_layout(layout);
+            for (i, &p) in ids.iter().enumerate() {
+                ix.add("t", p);
+                if i % 250 == 249 && next(2) == 0 {
+                    ix.commit();
+                }
+            }
+            for &p in &ids {
+                if next(7) == 0 {
+                    ix.delete_key(p.key64());
+                }
+            }
+            assert!(ix.segment_counts().sealed > 1 && !ix.tombstones().is_empty());
+            views.push((format!("segmented {layout:?}"), ix));
+        }
+        for (name, ix) in &views {
+            let view = ix.postings_str("t");
+            let live = view.to_vec();
+            let mut cursor = view.cursor();
+            let mut passed = 0;
+            for v in 0..3100u32 {
+                let rm = cursor.seek(v as u64);
+                assert_eq!(rm, view.right_match(Id(v)), "{name} rm {v}");
+                let lm = if rm == Some(Id(v)) { rm } else { cursor.prev() };
+                assert_eq!(lm, view.left_match(Id(v)), "{name} lm {v}");
+                let below = v.checked_sub(1).and_then(|u| view.left_match(Id(u)));
+                assert_eq!(cursor.prev(), below, "{name} prev {v}");
+                while live.get(passed).is_some_and(|&p| p <= Id(v)) {
+                    passed += 1;
+                }
+                let scan = passed.checked_sub(1).map(|i| live[i]);
+                assert_eq!(view.left_match(Id(v)), scan, "{name} scan {v}");
+            }
+            assert!(cursor.is_exhausted());
+            assert_eq!(cursor.prev(), live.last().copied(), "{name} exhausted");
+        }
     }
 
     #[test]

@@ -179,7 +179,7 @@ pub fn check_data_consistency(
     let (bigger, _) = with_added_leaf(tree, parent, label, text);
     // the new node is parent's last child in the rebuilt tree
     let new_parent = bigger
-        .node_at(tree.dewey(parent))
+        .node_at(&tree.dewey(parent))
         .expect("parent position preserved by append-only rebuild");
     let new_node = *bigger.children(new_parent).last().expect("leaf added");
     for r in engine.search(&bigger, query) {
@@ -301,7 +301,7 @@ mod tests {
         assert_eq!(path, "/conf/paper/keyword");
         // old nodes still resolvable at their Dewey positions
         for n in t.iter() {
-            let m = bigger.node_at(t.dewey(n)).expect("position preserved");
+            let m = bigger.node_at(&t.dewey(n)).expect("position preserved");
             assert_eq!(t.label(n), bigger.label(m));
         }
     }

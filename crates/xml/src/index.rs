@@ -51,11 +51,6 @@ impl kwdb_common::index::Posting for NodeId {
 #[derive(Debug, Clone, Default)]
 pub struct XmlIndex {
     store: SegmentedIndex<NodeId>,
-    /// [`XmlTree::subtree_sizes`] of the indexed tree, kept so that ranking
-    /// a query's results does not walk the whole tree again.
-    subtree_sizes: Vec<u32>,
-    /// [`XmlTree::avg_leaf_depth`] of the indexed tree.
-    avg_leaf_depth: f64,
     build_time: Option<Duration>,
 }
 
@@ -89,8 +84,6 @@ impl XmlIndex {
         store.finalize_layout(layout);
         XmlIndex {
             store,
-            subtree_sizes: tree.subtree_sizes(),
-            avg_leaf_depth: tree.avg_leaf_depth(),
             build_time: Some(start.elapsed()),
         }
     }
@@ -157,19 +150,6 @@ impl XmlIndex {
     /// probe).
     pub fn left_match(list: &[NodeId], v: NodeId) -> Option<NodeId> {
         kernels::left_match(list, v)
-    }
-
-    /// Size of the subtree rooted at each node of the indexed tree, dense by
-    /// node id — computed once at build ([`XmlTree::subtree_sizes`]); node
-    /// `r`'s subtree is the id range `r .. r + sizes[r]`.
-    pub fn subtree_sizes(&self) -> &[u32] {
-        &self.subtree_sizes
-    }
-
-    /// Average leaf depth of the indexed tree, computed once at build
-    /// ([`XmlTree::avg_leaf_depth`]); proximity ranking discounts by it.
-    pub fn avg_leaf_depth(&self) -> f64 {
-        self.avg_leaf_depth
     }
 
     /// All indexed terms, in dictionary id order.

@@ -4,9 +4,10 @@
 //! over a tree store with three essential services, all provided here:
 //!
 //! * an **arena tree** with pre-order node ids and parent/children/depth
-//!   accessors — [`tree::XmlTree`];
-//! * **Dewey ids** supporting O(depth) lowest-common-ancestor and document-
-//!   order comparison — [`dewey::Dewey`];
+//!   accessors, where containment is a pre-order interval test and LCA a
+//!   parent-chain climb — [`tree::XmlTree`];
+//! * **Dewey ids**, derived on demand, for printing and resolving node
+//!   positions across trees — [`dewey::Dewey`];
 //! * **keyword inverted lists** sorted in document order with the binary-
 //!   search probes (`lm`/`rm` in XKSearch's terms) the SLCA algorithms are
 //!   built from — [`index::XmlIndex`];

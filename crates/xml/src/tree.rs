@@ -1,4 +1,10 @@
-//! Arena XML tree with pre-order node ids and Dewey identifiers.
+//! Arena XML tree with pre-order node ids.
+//!
+//! Because ids are assigned in pre-order, the subtree of `n` is exactly the
+//! id interval `[n, n + subtree_size(n))`: containment is two comparisons
+//! against an array computed once at build, and LCA climbs the parent chain.
+//! Dewey identifiers are derived on demand for the callers that print or
+//! resolve positions.
 
 use crate::dewey::Dewey;
 use kwdb_common::intern::{Interner, Sym};
@@ -14,7 +20,6 @@ pub(crate) struct Node {
     pub parent: Option<NodeId>,
     pub children: Vec<NodeId>,
     pub text: Option<String>,
-    pub dewey: Dewey,
     pub depth: u32,
 }
 
@@ -27,6 +32,9 @@ pub(crate) struct Node {
 pub struct XmlTree {
     pub(crate) nodes: Vec<Node>,
     pub(crate) labels: Interner,
+    /// Subtree size of every node, dense by id.
+    sizes: Vec<u32>,
+    avg_leaf_depth: f64,
 }
 
 impl XmlTree {
@@ -67,8 +75,23 @@ impl XmlTree {
         self.nodes[n.0 as usize].text.as_deref()
     }
 
-    pub fn dewey(&self, n: NodeId) -> &Dewey {
-        &self.nodes[n.0 as usize].dewey
+    /// The Dewey id of `n`, built from the parent chain and each node's
+    /// ordinal among its parent's children. O(depth · log fan-out); for
+    /// printing and resolving positions — the search algorithms compare
+    /// pre-order intervals instead.
+    pub fn dewey(&self, n: NodeId) -> Dewey {
+        let mut path = vec![0u32; self.depth(n) as usize];
+        let mut cur = n;
+        for slot in path.iter_mut().rev() {
+            let p = self.parent(cur).expect("depth counts the parent chain");
+            // children are appended in pre-order, so their ids ascend
+            *slot = self
+                .children(p)
+                .binary_search(&cur)
+                .expect("a node is among its parent's children") as u32;
+            cur = p;
+        }
+        Dewey::from_path(path)
     }
 
     pub fn depth(&self, n: NodeId) -> u32 {
@@ -85,15 +108,32 @@ impl XmlTree {
         Some(cur)
     }
 
-    /// Lowest common ancestor of two nodes.
-    pub fn lca(&self, a: NodeId, b: NodeId) -> NodeId {
-        let d = self.dewey(a).lca(self.dewey(b));
-        self.node_at(&d).expect("LCA Dewey always resolves")
+    /// Lowest common ancestor of two nodes: climb from the deeper one to the
+    /// other's depth, then both together. O(depth), no allocation.
+    pub fn lca(&self, mut a: NodeId, mut b: NodeId) -> NodeId {
+        let parent = |n: NodeId| self.parent(n).expect("only the root has no parent");
+        while self.depth(a) > self.depth(b) {
+            a = parent(a);
+        }
+        while self.depth(b) > self.depth(a) {
+            b = parent(b);
+        }
+        while a != b {
+            a = parent(a);
+            b = parent(b);
+        }
+        a
     }
 
-    /// Is `a` an ancestor of `b` (proper)?
+    /// Is `a` an ancestor of `b` (proper)? `b` lies strictly inside `a`'s
+    /// pre-order interval.
     pub fn is_ancestor(&self, a: NodeId, b: NodeId) -> bool {
-        self.dewey(a).is_ancestor_of(self.dewey(b))
+        a < b && b < self.subtree_end(a)
+    }
+
+    /// Is `a` an ancestor of `b` or `b` itself?
+    pub fn is_ancestor_or_self(&self, a: NodeId, b: NodeId) -> bool {
+        a <= b && b < self.subtree_end(a)
     }
 
     /// Pre-order iterator over all node ids.
@@ -117,7 +157,13 @@ impl XmlTree {
 
     /// Number of nodes in the subtree rooted at `n`.
     pub fn subtree_size(&self, n: NodeId) -> usize {
-        self.subtree(n).len()
+        self.sizes[n.0 as usize] as usize
+    }
+
+    /// One past the last node of `n`'s subtree: the subtree is the id range
+    /// `n .. subtree_end(n)`.
+    pub fn subtree_end(&self, n: NodeId) -> NodeId {
+        NodeId(n.0 + self.sizes[n.0 as usize])
     }
 
     /// Root-to-node label path, e.g. `/conf/paper/title`.
@@ -146,32 +192,17 @@ impl XmlTree {
         out
     }
 
-    /// Subtree sizes for every node in one O(n) pass. Because node ids are
-    /// pre-order, the subtree of `n` is exactly the id range
+    /// Subtree size of every node, dense by id, computed at build. Because
+    /// node ids are pre-order, the subtree of `n` is exactly the id range
     /// `[n, n + sizes[n])` — the interval trick the SLCA/ELCA algorithms use.
-    pub fn subtree_sizes(&self) -> Vec<u32> {
-        let mut sizes = vec![1u32; self.nodes.len()];
-        // children have larger ids than parents; accumulate in reverse
-        for i in (0..self.nodes.len()).rev() {
-            if let Some(p) = self.nodes[i].parent {
-                sizes[p.0 as usize] += sizes[i];
-            }
-        }
-        sizes
+    pub fn subtree_sizes(&self) -> &[u32] {
+        &self.sizes
     }
 
-    /// Average leaf depth, used by proximity discounting.
+    /// Average leaf depth, computed at build; proximity ranking discounts
+    /// by it.
     pub fn avg_leaf_depth(&self) -> f64 {
-        let leaves: Vec<u32> = self
-            .iter()
-            .filter(|&n| self.children(n).is_empty())
-            .map(|n| self.depth(n))
-            .collect();
-        if leaves.is_empty() {
-            0.0
-        } else {
-            leaves.iter().map(|&d| d as f64).sum::<f64>() / leaves.len() as f64
-        }
+        self.avg_leaf_depth
     }
 
     /// Serialize back to XML text (for snippets and debugging).
@@ -216,7 +247,6 @@ impl XmlBuilder {
             parent: None,
             children: Vec::new(),
             text: None,
-            dewey: Dewey::root(),
             depth: 0,
         };
         XmlBuilder {
@@ -234,8 +264,6 @@ impl XmlBuilder {
     pub fn open(&mut self, label: &str) -> &mut Self {
         let parent = self.current();
         let sym = self.labels.intern(label);
-        let ord = self.nodes[parent.0 as usize].children.len() as u32;
-        let dewey = self.nodes[parent.0 as usize].dewey.child(ord);
         let depth = self.nodes[parent.0 as usize].depth + 1;
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(Node {
@@ -243,7 +271,6 @@ impl XmlBuilder {
             parent: Some(parent),
             children: Vec::new(),
             text: None,
-            dewey,
             depth,
         });
         self.nodes[parent.0 as usize].children.push(id);
@@ -282,8 +309,27 @@ impl XmlBuilder {
     pub fn build(mut self) -> XmlTree {
         assert_eq!(self.open.len(), 1, "unclosed elements at build()");
         self.open.clear();
+        let nodes = self.nodes;
+        let mut sizes = vec![1u32; nodes.len()];
+        // children have larger ids than parents; accumulate in reverse
+        for i in (0..nodes.len()).rev() {
+            if let Some(p) = nodes[i].parent {
+                sizes[p.0 as usize] += sizes[i];
+            }
+        }
+        let (mut leaves, mut depth_sum) = (0usize, 0.0f64);
+        for n in nodes.iter().filter(|n| n.children.is_empty()) {
+            leaves += 1;
+            depth_sum += n.depth as f64;
+        }
         XmlTree {
-            nodes: self.nodes,
+            avg_leaf_depth: if leaves == 0 {
+                0.0
+            } else {
+                depth_sum / leaves as f64
+            },
+            sizes,
+            nodes,
             labels: self.labels,
         }
     }
@@ -324,7 +370,8 @@ mod tests {
         assert_eq!(t.dewey(paper).components(), &[2]);
         let title = t.children(paper)[0];
         assert_eq!(t.dewey(title).components(), &[2, 0]);
-        assert_eq!(t.node_at(t.dewey(title)), Some(title));
+        assert_eq!(t.node_at(&t.dewey(title)), Some(title));
+        assert_eq!(t.dewey(t.root()), Dewey::root());
         assert_eq!(t.depth(title), 2);
     }
 
@@ -338,6 +385,9 @@ mod tests {
         assert_eq!(t.lca(title, t.children(t.root())[0]), t.root());
         assert!(t.is_ancestor(t.root(), title));
         assert!(!t.is_ancestor(title, t.root()));
+        assert!(!t.is_ancestor(title, title) && t.is_ancestor_or_self(title, title));
+        assert!(!t.is_ancestor(paper, t.children(t.root())[0]));
+        assert!(!t.is_ancestor(title, author));
     }
 
     #[test]
@@ -345,6 +395,8 @@ mod tests {
         let t = sample();
         let paper = t.children(t.root())[2];
         assert_eq!(t.subtree_size(paper), 3);
+        assert_eq!(t.subtree_end(paper), NodeId(paper.0 + 3));
+        assert_eq!(t.subtree_sizes(), &[6, 1, 1, 3, 1, 1]);
         assert_eq!(t.subtree_text(paper), "keyword search Mark");
         assert_eq!(t.subtree(paper).len(), 3);
     }
@@ -373,6 +425,48 @@ mod tests {
         let t = sample();
         // leaves: name(1), year(1), title(2), author(2) → 1.5
         assert!((t.avg_leaf_depth() - 1.5).abs() < 1e-12);
+    }
+
+    /// Interval containment, the parent-chain LCA, the stored sizes and
+    /// the derived Dewey ids agree with Dewey algebra and fresh walks on
+    /// random trees.
+    #[test]
+    fn interval_and_climb_agree_with_dewey_algebra() {
+        let mut rng = kwdb_common::Rng::seed_from_u64(7);
+        for _ in 0..40 {
+            let mut b = XmlTree::builder("r");
+            let mut depth = 0;
+            for _ in 0..rng.gen_range(1usize..60) {
+                for _ in 0..rng.gen_index(3).min(depth) {
+                    b.close();
+                    depth -= 1;
+                }
+                b.open("n");
+                depth += 1;
+            }
+            for _ in 0..depth {
+                b.close();
+            }
+            let t = b.build();
+            let leaves: Vec<f64> = t
+                .iter()
+                .filter(|&n| t.children(n).is_empty())
+                .map(|n| t.depth(n) as f64)
+                .collect();
+            let avg = leaves.iter().sum::<f64>() / leaves.len() as f64;
+            assert_eq!(t.avg_leaf_depth().to_bits(), avg.to_bits());
+            for a in t.iter() {
+                let da = t.dewey(a);
+                assert_eq!(t.subtree_size(a), t.subtree(a).len());
+                assert_eq!(t.node_at(&da), Some(a));
+                for c in t.iter() {
+                    let dc = t.dewey(c);
+                    assert_eq!(t.is_ancestor(a, c), da.is_ancestor_of(&dc));
+                    assert_eq!(t.is_ancestor_or_self(a, c), da.is_ancestor_or_self(&dc));
+                    assert_eq!(t.dewey(t.lca(a, c)), da.lca(&dc));
+                }
+            }
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! per-anchor SLCA candidates are generated first and each is verified with
 //! child-interval probes.
 
-use crate::slca::covering_nodes;
+use crate::slca::{climb, covering_nodes};
 use kwdb_common::index::Postings;
 use kwdb_common::Result;
 use kwdb_xml::{NodeId, XmlIndex, XmlTree};
@@ -36,14 +36,17 @@ pub fn elca<S: AsRef<str>>(
     let Some(lists) = index.lists_for(keywords) else {
         return Ok((Vec::new(), stats));
     };
-    let sizes = tree.subtree_sizes();
     // Candidate generation: each driver anchor's per-anchor SLCA, plus all
     // of its ancestors that gain extra witnesses — per EDBT 08 the candidate
     // set ∪ slca({v}, rest) suffices; anchors from the *smallest* list.
     let (driver, others) = lists.split_first().expect("at least one keyword");
+    let mut neighbours = vec![[None; 2]; others.len()];
     let mut candidates: Vec<NodeId> = Vec::new();
     for v in driver.iter() {
-        candidates.push(per_anchor_slca(tree, v, others));
+        for (list, pair) in others.iter().zip(&mut neighbours) {
+            *pair = [list.left_match(v), list.right_match(v)];
+        }
+        candidates.push(climb(tree, v, &neighbours));
     }
     candidates.sort();
     candidates.dedup();
@@ -56,7 +59,7 @@ pub fn elca<S: AsRef<str>>(
         keywords.iter().map(|k| index.nodes(k.as_ref())).collect();
     let mut out = Vec::new();
     for &v in &candidates {
-        if verify_elca(tree, &sizes, &all_lists, v, &mut stats) {
+        if verify_elca(tree, &all_lists, v, &mut stats) {
             out.push(v);
         }
     }
@@ -79,7 +82,7 @@ pub fn elca_brute_force<S: AsRef<str>>(
         // proper descendant of v that covers all keywords
         let ok = lists.iter().all(|list| {
             list.iter().any(|m| {
-                if !(tree.is_ancestor(v, m) || v == m) {
+                if !tree.is_ancestor_or_self(v, m) {
                     return false;
                 }
                 // walk from m up to v; if any intermediate covers, excluded
@@ -100,35 +103,15 @@ pub fn elca_brute_force<S: AsRef<str>>(
     out
 }
 
-/// Deepest ancestor of `v` covering every other keyword via nearest matches.
-fn per_anchor_slca(tree: &XmlTree, v: NodeId, others: &[Postings<'_, NodeId>]) -> NodeId {
-    let vd = tree.dewey(v);
-    let mut best = vd.depth();
-    for list in others {
-        let l = list.left_match(v);
-        let r = list.right_match(v);
-        let lcp = [l, r]
-            .iter()
-            .flatten()
-            .map(|&u| vd.lca(tree.dewey(u)).depth())
-            .max()
-            .unwrap_or(0);
-        best = best.min(lcp);
-    }
-    let prefix = kwdb_xml::Dewey::from_path(vd.components()[..best].to_vec());
-    tree.node_at(&prefix).expect("prefix resolves")
-}
-
 /// Does `v` have, for every keyword, a witness match not swallowed by a
 /// covering child subtree?
 fn verify_elca(
     tree: &XmlTree,
-    sizes: &[u32],
     all_lists: &[Postings<'_, NodeId>],
     v: NodeId,
     stats: &mut ElcaStats,
 ) -> bool {
-    let span_end = NodeId(v.0 + sizes[v.0 as usize]);
+    let span_end = tree.subtree_end(v);
     all_lists.iter().all(|list| {
         // cursor positioned at the first match ≥ v; witnesses live in
         // [v, span_end)
@@ -144,7 +127,7 @@ fn verify_elca(
             }
             // the child of v on the path to m
             let child = child_toward(tree, v, m);
-            if !covers_all(sizes, all_lists, child, stats) {
+            if !covers_all(tree, all_lists, child, stats) {
                 return true;
             }
         }
@@ -152,22 +135,22 @@ fn verify_elca(
     })
 }
 
-/// The child of `v` that is an ancestor-or-self of descendant `m`.
+/// The child of `v` that is an ancestor-or-self of descendant `m`: the last
+/// child starting at or before `m` (children ascend in pre-order, and their
+/// intervals tile `v`'s).
 fn child_toward(tree: &XmlTree, v: NodeId, m: NodeId) -> NodeId {
-    let vd = tree.dewey(v).depth();
-    let md = tree.dewey(m).components();
-    let ord = md[vd];
-    tree.children(v)[ord as usize]
+    let children = tree.children(v);
+    children[children.partition_point(|&c| c <= m) - 1]
 }
 
 /// Does `c`'s subtree contain a match of every keyword?
 fn covers_all(
-    sizes: &[u32],
+    tree: &XmlTree,
     all_lists: &[Postings<'_, NodeId>],
     c: NodeId,
     stats: &mut ElcaStats,
 ) -> bool {
-    let end = NodeId(c.0 + sizes[c.0 as usize]);
+    let end = tree.subtree_end(c);
     all_lists.iter().all(|list| {
         stats.probes += 1;
         list.right_match(c).is_some_and(|m| m < end)

@@ -6,12 +6,18 @@
 //! the "min redundancy" answer semantics. Three algorithms:
 //!
 //! * [`slca_indexed_lookup_eager`] — drive from the *smallest* match list;
-//!   for each anchor, binary-probe the other lists (`lm`/`rm`), giving
+//!   for each anchor, probe the other lists for its `lm`/`rm` neighbours
+//!   through one galloping cursor per list (anchors ascend, so each seek
+//!   starts where the last one stopped), giving
 //!   `O(k·d·|S_min|·log|S_max|)` — the complexity claim E04 measures;
 //! * [`slca_scan_eager`] — same candidates with linear pointer advances,
 //!   better when `|S_min| ≈ |S_max|` (the crossover E04 sweeps);
 //! * [`multiway_slca`] — anchor skipping (WWW 07): after an SLCA is found,
 //!   anchors inside its subtree are skipped wholesale.
+//!
+//! All three turn an anchor and its neighbours into a candidate the same
+//! way: climb from the anchor until its pre-order interval holds a
+//! neighbour from every other list.
 //!
 //! [`slca_brute_force`] is the test oracle.
 
@@ -24,7 +30,8 @@ use kwdb_xml::{NodeId, XmlIndex, XmlTree};
 pub struct SlcaStats {
     /// Anchors consumed from the driving list.
     pub anchors: usize,
-    /// Binary-search probes (ILE) or pointer advances (scan).
+    /// `lm`/`rm` lookups answered — two per other list per anchor (ILE,
+    /// multiway) — or pointer advances (scan).
     pub probes: usize,
 }
 
@@ -55,6 +62,8 @@ pub fn slca_indexed_budgeted<S: AsRef<str>>(
         return Ok((Vec::new(), stats, truncation));
     };
     let (driver, others) = lists.split_first().expect("at least one keyword");
+    let mut cursors: Vec<_> = others.iter().map(|l| l.cursor()).collect();
+    let mut neighbours = vec![[None; 2]; others.len()];
     let mut candidates: Vec<NodeId> = Vec::new();
     for v in driver.iter() {
         if let Some(reason) = budget.truncation_at(stats.anchors as u64) {
@@ -62,7 +71,15 @@ pub fn slca_indexed_budgeted<S: AsRef<str>>(
             break;
         }
         stats.anchors += 1;
-        candidates.push(anchor_candidate(tree, v, others, &mut stats));
+        for (cursor, pair) in cursors.iter_mut().zip(&mut neighbours) {
+            // one seek answers both lookups: the head is rm, the posting
+            // just passed stands in for lm (when the head is `v` itself, `v`
+            // alone already holds this list's match)
+            stats.probes += 2;
+            let right = cursor.seek(v.0 as u64);
+            *pair = [cursor.prev(), right];
+        }
+        candidates.push(climb(tree, v, &neighbours));
     }
     Ok((antichain(tree, candidates), stats, truncation))
 }
@@ -84,12 +101,11 @@ pub fn slca_scan_eager<S: AsRef<str>>(
         .iter()
         .map(|l| (l.cursor(), None::<NodeId>))
         .collect();
+    let mut neighbours = vec![[None; 2]; others.len()];
     let mut candidates: Vec<NodeId> = Vec::new();
     for v in driver.iter() {
         stats.anchors += 1;
-        let mut best_prefix = usize::MAX;
-        let vd = tree.dewey(v);
-        for (cursor, passed) in cursors.iter_mut() {
+        for ((cursor, passed), pair) in cursors.iter_mut().zip(&mut neighbours) {
             // advance cursor past nodes < v
             while let Some(u) = cursor.peek() {
                 if u >= v {
@@ -99,21 +115,9 @@ pub fn slca_scan_eager<S: AsRef<str>>(
                 cursor.advance();
                 stats.probes += 1;
             }
-            let right = cursor.peek();
-            let left = *passed;
-            let lcp = [left, right]
-                .iter()
-                .flatten()
-                .map(|&u| vd.lca(tree.dewey(u)).depth())
-                .max()
-                .unwrap_or(0);
-            best_prefix = best_prefix.min(lcp);
+            *pair = [*passed, cursor.peek()];
         }
-        if best_prefix == usize::MAX {
-            best_prefix = vd.depth();
-        }
-        let anc = ancestor_at_depth(tree, v, best_prefix);
-        candidates.push(anc);
+        candidates.push(climb(tree, v, &neighbours));
     }
     Ok((antichain(tree, candidates), stats))
 }
@@ -133,6 +137,7 @@ pub fn multiway_slca<S: AsRef<str>>(
         return Ok((Vec::new(), stats));
     };
     let mut cursors: Vec<_> = lists.iter().map(|l| l.cursor()).collect();
+    let mut neighbours = Vec::with_capacity(lists.len());
     let mut candidates: Vec<NodeId> = Vec::new();
     loop {
         // current heads; stop when any list is exhausted
@@ -156,13 +161,12 @@ pub fn multiway_slca<S: AsRef<str>>(
         }
         let (a, aj) = anchor.expect("nonempty lists");
         stats.anchors += 1;
-        let others: Vec<Postings<'_, NodeId>> = lists
-            .iter()
-            .enumerate()
-            .filter(|&(j, _)| j != aj)
-            .map(|(_, l)| *l)
-            .collect();
-        candidates.push(anchor_candidate(tree, a, &others, &mut stats));
+        neighbours.clear();
+        for (_, list) in lists.iter().enumerate().filter(|&(j, _)| j != aj) {
+            stats.probes += 2;
+            neighbours.push([list.left_match(a), list.right_match(a)]);
+        }
+        candidates.push(climb(tree, a, &neighbours));
         // skip_after: advance every list past the anchor
         for cursor in cursors.iter_mut() {
             cursor.seek(a.0 as u64 + 1);
@@ -191,13 +195,12 @@ pub fn covering_nodes<S: AsRef<str>>(
     index: &XmlIndex,
     keywords: &[S],
 ) -> Vec<NodeId> {
-    let sizes = tree.subtree_sizes();
     // One index lookup per keyword, not one per (node, keyword) pair.
     let lists: Vec<Postings<'_, NodeId>> =
         keywords.iter().map(|k| index.nodes(k.as_ref())).collect();
     tree.iter()
         .filter(|&v| {
-            let end = NodeId(v.0 + sizes[v.0 as usize]);
+            let end = tree.subtree_end(v);
             lists
                 .iter()
                 .all(|list| list.right_match(v).is_some_and(|m| m < end))
@@ -205,36 +208,23 @@ pub fn covering_nodes<S: AsRef<str>>(
         .collect()
 }
 
-/// ILE anchor step: the deepest ancestor of `v` whose subtree covers every
-/// other keyword via `v`'s nearest matches.
-fn anchor_candidate(
-    tree: &XmlTree,
-    v: NodeId,
-    others: &[Postings<'_, NodeId>],
-    stats: &mut SlcaStats,
-) -> NodeId {
-    let vd = tree.dewey(v);
-    let mut best_prefix = vd.depth();
-    for list in others {
-        stats.probes += 2;
-        let left = list.left_match(v);
-        let right = list.right_match(v);
-        let lcp = [left, right]
-            .iter()
+/// The SLCA candidate of anchor `v`: its deepest ancestor-or-self whose
+/// pre-order interval holds, for every other list, that list's left or right
+/// neighbour of `v` (`neighbours[j]`: its nearest node before `v` and its
+/// first node at or after `v`). Every list is non-empty, so each pair holds
+/// a node and the root ends the climb at the latest.
+pub(crate) fn climb(tree: &XmlTree, v: NodeId, neighbours: &[[Option<NodeId>; 2]]) -> NodeId {
+    let mut a = v;
+    while !neighbours.iter().all(|pair| {
+        pair.iter()
             .flatten()
-            .map(|&u| vd.lca(tree.dewey(u)).depth())
-            .max()
-            .unwrap_or(0);
-        best_prefix = best_prefix.min(lcp);
+            .any(|&u| tree.is_ancestor_or_self(a, u))
+    }) {
+        a = tree
+            .parent(a)
+            .expect("the root's interval holds every node");
     }
-    ancestor_at_depth(tree, v, best_prefix)
-}
-
-/// The ancestor of `v` at Dewey depth `depth`.
-fn ancestor_at_depth(tree: &XmlTree, v: NodeId, depth: usize) -> NodeId {
-    let d = tree.dewey(v);
-    let prefix = kwdb_xml::Dewey::from_path(d.components()[..depth.min(d.depth())].to_vec());
-    tree.node_at(&prefix).expect("ancestor prefix resolves")
+    a
 }
 
 /// Reduce candidates (any order) to the SLCA antichain: sort in document
@@ -424,6 +414,41 @@ mod tests {
             assert_eq!(&scan, &brute, "scan mismatch");
             assert_eq!(&multi, &brute, "multiway mismatch");
         }
+    }
+
+    /// Every algorithm's candidates come from the one climb helper; all
+    /// three must equal the oracle, and ILE must consume the whole driver
+    /// and answer two lookups per other list per anchor — for two and three
+    /// keywords, a repeated keyword, and a keyword matching every node.
+    #[test]
+    fn climbing_algorithms_equal_brute_force_and_ile_counts_exactly() {
+        let mut rng = Rng::seed_from_u64(54);
+        let queries: [&[&str]; 5] = [
+            &["ka", "kb"],
+            &["kb", "ka", "ka"],
+            &["ka", "kb", "n"],
+            &["n", "kb"],
+            &["kb"],
+        ];
+        let mut nonempty = 0;
+        for _ in 0..200 {
+            let t = random_tree(&rand_structure(&mut rng));
+            let ix = XmlIndex::build(&t);
+            for kws in queries {
+                let brute = slca_brute_force(&t, &ix, kws);
+                let (ile, st) = slca_indexed_lookup_eager(&t, &ix, kws).unwrap();
+                let (scan, _) = slca_scan_eager(&t, &ix, kws).unwrap();
+                let (multi, _) = multiway_slca(&t, &ix, kws).unwrap();
+                assert_eq!(ile, brute, "ILE {kws:?}");
+                assert_eq!(scan, brute, "scan {kws:?}");
+                assert_eq!(multi, brute, "multiway {kws:?}");
+                let driver = ix.lists_for(kws).map_or(0, |l| l[0].len());
+                assert_eq!(st.anchors, driver, "{kws:?}");
+                assert_eq!(st.probes, 2 * (kws.len() - 1) * driver, "{kws:?}");
+                nonempty += usize::from(!brute.is_empty());
+            }
+        }
+        assert!(nonempty > 500, "{nonempty} non-empty answers");
     }
 
     #[test]

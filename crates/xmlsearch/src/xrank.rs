@@ -29,11 +29,10 @@ pub fn elem_rank(tree: &XmlTree) -> Vec<f64> {
 /// reciprocal subtree size (XRank combines both signals).
 pub fn rank_results(tree: &XmlTree, results: &[NodeId]) -> Vec<(NodeId, f64)> {
     let authority = elem_rank(tree);
-    let sizes = tree.subtree_sizes();
     let mut out: Vec<(NodeId, f64)> = results
         .iter()
         .map(|&r| {
-            let score = authority[r.0 as usize] / (1.0 + (sizes[r.0 as usize] as f64).ln());
+            let score = authority[r.0 as usize] / (1.0 + (tree.subtree_size(r) as f64).ln());
             (r, score)
         })
         .collect();

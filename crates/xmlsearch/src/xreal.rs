@@ -80,12 +80,11 @@ pub fn score_instances<S: AsRef<str>>(
     keywords: &[S],
 ) -> Vec<(NodeId, f64)> {
     let n_nodes = tree.len() as f64;
-    let sizes = tree.subtree_sizes();
     let mut out: Vec<(NodeId, f64)> = tree
         .iter()
         .filter(|&n| tree.label_path(n) == type_path)
         .map(|n| {
-            let end = NodeId(n.0 + sizes[n.0 as usize]);
+            let end = tree.subtree_end(n);
             let score: f64 = keywords
                 .iter()
                 .map(|k| {

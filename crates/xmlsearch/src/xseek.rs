@@ -115,7 +115,6 @@ pub fn infer_return<S: AsRef<str>>(
 ) -> Result<Vec<ReturnSpec>> {
     let roles = keyword_roles(tree, index, keywords);
     let (slcas, _) = slca_indexed_lookup_eager(tree, index, keywords)?;
-    let sizes = tree.subtree_sizes();
     let mut out = Vec::with_capacity(slcas.len());
     for &s in &slcas {
         // explicit return: some keyword is a pure label specifier
@@ -126,7 +125,7 @@ pub fn infer_return<S: AsRef<str>>(
         match explicit {
             Some((k, _)) => {
                 let k = k.as_ref();
-                let end = NodeId(s.0 + sizes[s.0 as usize]);
+                let end = tree.subtree_end(s);
                 // the matching label nodes inside this result's subtree
                 let list = index.nodes(k);
                 let mut nodes: Vec<NodeId> = list.collect_between(s, end);
@@ -135,7 +134,7 @@ pub fn infer_return<S: AsRef<str>>(
                     // attribute of the matched entity): take label nodes
                     // under the lowest entity instead
                     let ent = lowest_entity(tree, stats, s);
-                    let e_end = NodeId(ent.0 + sizes[ent.0 as usize]);
+                    let e_end = tree.subtree_end(ent);
                     nodes = list.collect_between(ent, e_end);
                 }
                 out.push(ReturnSpec::Explicit {

@@ -3,16 +3,17 @@
 
 use super::frame::{field, run_query, trace_verdict, Answer, Evaluated, QueryFrame, ResultCache};
 use super::{Engine, Hit, SearchRequest, SearchResponse};
-use kwdb_common::{CacheConfig, QueryStats, Result, Stopwatch};
+use kwdb_common::{Budget, CacheConfig, QueryStats, Result, Stopwatch, TruncationReason};
 use kwdb_obs::{record_index_stats, EngineInstruments, MetricsRegistry, TraceBuilder};
-use kwdb_xml::{XmlIndex, XmlTree};
+use kwdb_rank::proximity::discounted_path_len;
+use kwdb_xml::{NodeId, XmlIndex, XmlTree};
 use std::cell::Cell;
 use std::sync::Arc;
 
 /// A ranked XML hit: a result subtree root.
 #[derive(Debug, Clone)]
 pub struct XmlHit {
-    pub root: kwdb_xml::NodeId,
+    pub root: NodeId,
     pub score: f64,
     pub label_path: String,
 }
@@ -115,49 +116,24 @@ impl XmlEngine {
             });
 
             tb.phase("evaluate");
-            let sizes = index.subtree_sizes();
-            let avg_depth = index.avg_leaf_depth();
-            // one dictionary lookup per keyword; scoring below probes these views
-            let kw_lists: Vec<_> = keywords.iter().map(|kw| index.nodes(kw)).collect();
-            let mut hits: Vec<XmlHit> = Vec::with_capacity(roots.len());
-            for r in roots {
-                if !hits.is_empty() {
-                    if let Some(reason) = budget.truncation_at(hits.len() as u64) {
-                        truncation = Some(reason);
-                        break;
-                    }
-                }
-                // root→match path (node ids) for each keyword's first match
-                // inside the result subtree
-                let end = kwdb_xml::NodeId(r.0 + sizes[r.0 as usize]);
-                let paths: Vec<Vec<u64>> = kw_lists
-                    .iter()
-                    .filter_map(|list| {
-                        let m = list.right_match(r).filter(|&m| m < end)?;
-                        let mut path = vec![m.0 as u64];
-                        let mut cur = m;
-                        while cur != r {
-                            cur = tree.parent(cur).expect("r is an ancestor");
-                            path.push(cur.0 as u64);
-                        }
-                        path.reverse();
-                        Some(path)
-                    })
-                    .collect();
-                hits.push(XmlHit {
-                    score: kwdb_rank::proximity::proximity_score(&paths, avg_depth),
-                    label_path: tree.label_path(r),
-                    root: r,
-                });
-            }
-            // total_cmp: a NaN proximity score must sort deterministically (last),
-            // not panic the engine.
-            hits.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.root.cmp(&b.root)));
+            let scored = score_roots(tree, index, keywords, &roots, budget, &mut truncation);
             stats.candidates_pruned = stats
                 .candidates_generated
-                .saturating_sub(hits.len().min(req.k) as u64);
-            hits.truncate(req.k);
+                .saturating_sub(scored.len().min(req.k) as u64);
+            let scored = top_k(scored, req.k);
             stats.phases.evaluate = sw.lap();
+
+            // only the survivors pay for a label path
+            tb.phase("render");
+            let hits: Vec<XmlHit> = scored
+                .into_iter()
+                .map(|(score, root)| XmlHit {
+                    root,
+                    score,
+                    label_path: tree.label_path(root),
+                })
+                .collect();
+            stats.phases.facets = sw.lap();
             trace_verdict(tb, truncation);
             Ok((Answer::unfaceted(hits), truncation))
         };
@@ -169,6 +145,70 @@ impl Engine for XmlEngine {
     fn execute(&self, req: &SearchRequest) -> Result<SearchResponse<Hit>> {
         Ok(XmlEngine::execute(self, req)?.map(Hit::Xml))
     }
+}
+
+/// XBridge-style proximity of each SLCA root `r` (tutorial slide 160), from
+/// the tree's structure alone. Each keyword's first match `m` in `r`'s
+/// subtree costs `discounted_path_len` of the edges on its path from `r`
+/// that no earlier keyword's path used: `depth(m) − shared`, where `shared`
+/// is the deepest LCA depth of `m` with an earlier keyword's match, or
+/// `depth(r)` for the first. In a tree those are exactly the fresh edges
+/// `kwdb_rank::proximity`'s edge-set reference counts, summed in the same
+/// order — the same bits. `roots` ascend, so one cursor per keyword seeks
+/// each root's first match. A budget that runs out stops scoring and sets
+/// `truncation`; the roots scored so far are returned.
+fn score_roots(
+    tree: &XmlTree,
+    index: &XmlIndex,
+    keywords: &[String],
+    roots: &[NodeId],
+    budget: &Budget,
+    truncation: &mut Option<TruncationReason>,
+) -> Vec<(f64, NodeId)> {
+    let avg_depth = tree.avg_leaf_depth();
+    // one dictionary lookup per keyword
+    let mut cursors: Vec<_> = keywords.iter().map(|kw| index.nodes(kw).cursor()).collect();
+    let mut matches: Vec<NodeId> = Vec::with_capacity(keywords.len());
+    let mut scored = Vec::with_capacity(roots.len());
+    for &r in roots {
+        if !scored.is_empty() {
+            if let Some(reason) = budget.truncation_at(scored.len() as u64) {
+                *truncation = Some(reason);
+                break;
+            }
+        }
+        let end = tree.subtree_end(r);
+        matches.clear();
+        let mut cost = 0.0;
+        for cursor in &mut cursors {
+            let Some(m) = cursor.seek(r.0 as u64).filter(|&m| m < end) else {
+                continue;
+            };
+            let shared = matches
+                .iter()
+                .map(|&p| tree.depth(tree.lca(m, p)))
+                .max()
+                .unwrap_or(tree.depth(r));
+            cost += discounted_path_len((tree.depth(m) - shared) as usize, avg_depth);
+            matches.push(m);
+        }
+        scored.push((1.0 / (1.0 + cost), r));
+    }
+    scored
+}
+
+/// The `k` best `(score, root)` pairs, best first: score descending, then
+/// document order (`total_cmp` sorts a NaN score last instead of panicking).
+fn top_k(mut scored: Vec<(f64, NodeId)>, k: usize) -> Vec<(f64, NodeId)> {
+    let order = |a: &(f64, NodeId), b: &(f64, NodeId)| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1));
+    if k < scored.len() {
+        if k > 0 {
+            scored.select_nth_unstable_by(k - 1, order);
+        }
+        scored.truncate(k);
+    }
+    scored.sort_unstable_by(order);
+    scored
 }
 
 fn xml_hit_bytes(h: &XmlHit) -> usize {
