@@ -80,7 +80,6 @@ fn main() {
         families::CN_EVALUATED,
         families::CN_PRUNED,
         families::JOIN_PROBE_ROWS,
-        families::INTRA_WORKERS,
         families::FACET_QUERIES,
         families::FACET_VALUES,
         families::FACET_INEXACT,
@@ -153,13 +152,32 @@ fn main() {
     // Result-cache sanity: the smoke batch replays its queries, so a
     // snapshot with no hits (or no misses) means the cache was silently
     // disabled — or consulted queries stopped being counted.
-    let rc_hits = snapshot.counter_total(families::RESULT_CACHE_HITS);
-    let rc_misses = snapshot.counter_total(families::RESULT_CACHE_MISSES);
-    if rc_hits == 0 || rc_misses == 0 {
-        eprintln!(
-            "{path}: result cache recorded {rc_hits} hits / {rc_misses} misses — the replayed smoke batch must produce both"
-        );
-        std::process::exit(1);
+    // Per engine: every engine that answered a query saw both.
+    let mut engines: Vec<&str> = snapshot
+        .counters
+        .iter()
+        .filter(|(id, _)| id.name == families::QUERIES)
+        .flat_map(|(id, _)| id.labels.iter())
+        .filter(|(k, _)| k == "engine")
+        .map(|(_, v)| v.as_str())
+        .collect();
+    engines.sort_unstable();
+    engines.dedup();
+    for engine in engines {
+        let count = |family: &str| -> u64 {
+            (snapshot.counters.iter())
+                .filter(|(id, _)| id.name == family && has(id, "engine", engine))
+                .map(|(_, v)| *v)
+                .sum()
+        };
+        let rc_hits = count(families::RESULT_CACHE_HITS);
+        let rc_misses = count(families::RESULT_CACHE_MISSES);
+        if rc_hits == 0 || rc_misses == 0 {
+            eprintln!(
+                "{path}: {engine}'s result cache recorded {rc_hits} hits / {rc_misses} misses — the replayed smoke batch must produce both"
+            );
+            std::process::exit(1);
+        }
     }
 
     // The exporter and parser must agree exactly: re-serialize and re-parse.

@@ -18,9 +18,7 @@
 //! the input to `metrics_check --flight` and `kwdb-doctor`.
 
 use kwdb::dispatch::{Catalog, Dispatcher};
-use kwdb::engine::{
-    GraphEngine, GraphSemantics, RelationalConfig, RelationalEngine, SearchRequest, XmlEngine,
-};
+use kwdb::engine::{GraphEngine, GraphSemantics, RelationalEngine, SearchRequest, XmlEngine};
 use kwdb_datasets::{generate_dblp, DblpConfig};
 use kwdb_obs::{MetricsRegistry, SamplePolicy};
 use std::sync::Arc;
@@ -121,24 +119,6 @@ fn dispatcher_smoke(registry: &Arc<MetricsRegistry>) {
         }))
         .with_registry(Arc::clone(registry)),
     );
-    // A second relational engine pinned to 4 intra-query workers, so the
-    // snapshot carries the `parallel_cn` algorithm label (and its CN
-    // accounting) even when this host resolves the default to one worker.
-    catalog.register(
-        "dblp_par",
-        RelationalEngine::with_config(
-            generate_dblp(&DblpConfig {
-                n_papers: 60,
-                n_authors: 30,
-                ..Default::default()
-            }),
-            RelationalConfig {
-                intra_query_workers: 4,
-                ..Default::default()
-            },
-        )
-        .with_registry(Arc::clone(registry)),
-    );
     catalog.register(
         "social",
         GraphEngine::new(kwdb_datasets::graphs::generate_graph(&Default::default()))
@@ -170,22 +150,15 @@ fn dispatcher_smoke(registry: &Arc<MetricsRegistry>) {
                 .k(3)
                 .budget(kwdb::common::Budget::unlimited().with_max_candidates(1)),
         ),
-        ("dblp_par".into(), SearchRequest::new("data query").k(3)),
-        ("dblp_par".into(), SearchRequest::new("xml data").k(5)),
-        // Faceted queries (serial and parallel) so the exported snapshot
-        // carries the kwdb_facet_* families and a populated facets phase.
+        ("dblp".into(), SearchRequest::new("xml data").k(5)),
+        // A faceted query, so the exported snapshot carries the
+        // kwdb_facet_* families and a populated facets phase.
         (
             "dblp".into(),
             SearchRequest::new("data query")
                 .k(3)
                 .facet(kwdb::common::FacetSpec::terms("conference.name", 5))
                 .summaries(3),
-        ),
-        (
-            "dblp_par".into(),
-            SearchRequest::new("data query")
-                .k(3)
-                .facet(kwdb::common::FacetSpec::terms("conference.name", 5)),
         ),
     ];
     let dispatcher = Dispatcher::with_workers(catalog, 4).with_registry(Arc::clone(registry));
@@ -197,12 +170,12 @@ fn dispatcher_smoke(registry: &Arc<MetricsRegistry>) {
     // Replay the same batch serially three times so the snapshot carries
     // result-cache hits *and* misses for every engine. Under the 1-in-2
     // sampling policy a promoted query bypasses the cache, but promotion
-    // parity flips between consecutive serial passes (9 queries per pass):
+    // parity flips between consecutive serial passes (7 queries per pass):
     // each engine's repeated query consults the cache in the second AND
     // fourth passes, so whichever of those runs first warms the entry and
     // the other hits it — regardless of how the concurrent pass
     // interleaved its ticks. The capped query keeps bypassing, so the
-    // truncation family stays populated, and 36 total records fit the
+    // truncation family stays populated, and 28 total records fit the
     // default flight ring without drops.
     for _ in 0..3 {
         let replay = dispatcher.execute_serial(&batch);

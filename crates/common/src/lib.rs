@@ -17,7 +17,6 @@ pub mod index;
 pub mod intern;
 pub mod rng;
 pub mod scratch;
-pub mod shared_topk;
 pub mod strutil;
 pub mod text;
 pub mod topk;
@@ -29,7 +28,6 @@ pub use error::{KwdbError, Result};
 pub use facet::{FacetCount, FacetCounts, FacetSpec, RangeBucket};
 pub use rng::Rng;
 pub use scratch::{Scratch, ScratchPool};
-pub use shared_topk::SharedTopK;
 pub use value::Value;
 
 /// The cores this process may run on
@@ -37,9 +35,7 @@ pub use value::Value;
 /// once per process. The standard-library call re-reads the scheduler
 /// affinity mask and the cgroup CPU quota files every time — microseconds,
 /// which is most of a result-cache hit — and what it reports is fixed at
-/// process start for everything here that sizes itself by it: the
-/// relational engine's worker cap, the dispatcher's pool, the graph
-/// keyword-index build fan-out.
+/// process start. The dispatcher sizes its pool by it.
 pub fn available_cores() -> usize {
     static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))

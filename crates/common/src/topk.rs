@@ -1,4 +1,8 @@
 //! Bounded top-k collection, used by every ranked search engine in kwdb.
+//!
+//! [`TopK`] breaks score ties by insertion order; [`ContentTopK`] breaks them
+//! by the items themselves, for callers whose answer must not depend on the
+//! order candidates happen to be offered in.
 
 use crate::Score;
 use std::collections::BinaryHeap;
@@ -118,6 +122,72 @@ impl<T> TopK<T> {
     }
 }
 
+/// Keeps the `k` best items under the content order `(score desc, item
+/// asc)`: which of several equally scored items survive depends on the
+/// items, not on when they arrived, so the kept set is a function of the
+/// multiset offered. One sorted `Vec` — `k` is small (tens), so a
+/// binary-searched insert beats heap bookkeeping and keeps eviction order
+/// obvious.
+#[derive(Debug)]
+pub struct ContentTopK<T> {
+    k: usize,
+    /// Best first; `len() <= k`.
+    items: Vec<(f64, T)>,
+}
+
+/// The content order: higher score first, then smaller item.
+fn key_cmp<T: Ord>(a: &(f64, T), b: &(f64, T)) -> std::cmp::Ordering {
+    b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1))
+}
+
+impl<T: Ord> ContentTopK<T> {
+    /// A collector for the best `k` items. `k == 0` accepts nothing.
+    pub fn new(k: usize) -> Self {
+        ContentTopK {
+            k,
+            items: Vec::with_capacity(k.saturating_add(1)),
+        }
+    }
+
+    /// The k-th best score, once `k` items are held: every kept item meets
+    /// or beats it. Prune on **strictly below** only — an item scoring
+    /// exactly the threshold may still enter under the item tie-break.
+    pub fn threshold(&self) -> Option<f64> {
+        let last = self.k.checked_sub(1)?;
+        self.items.get(last).map(|e| e.0)
+    }
+
+    /// Whether `score` could still enter (is not strictly below the
+    /// threshold): callers skip whole candidates on `false` before doing
+    /// any work for them.
+    pub fn would_accept(&self, score: f64) -> bool {
+        self.threshold().is_none_or(|t| score >= t)
+    }
+
+    /// Offer an item. Returns `true` if it was kept (a better item may
+    /// still evict it later).
+    pub fn push(&mut self, score: f64, item: T) -> bool {
+        if !self.would_accept(score) {
+            return false;
+        }
+        let cand = (score, item);
+        let pos = match self.items.binary_search_by(|e| key_cmp(e, &cand)) {
+            Ok(p) | Err(p) => p,
+        };
+        if pos >= self.k {
+            return false; // orders after the k-th best (always, at k = 0)
+        }
+        self.items.insert(pos, cand);
+        self.items.truncate(self.k);
+        true
+    }
+
+    /// The kept items, best first under `(score desc, item asc)`.
+    pub fn into_sorted_vec(self) -> Vec<(f64, T)> {
+        self.items
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,5 +247,61 @@ mod tests {
         tk.push(2.0, 2);
         assert!(!tk.is_full());
         assert_eq!(tk.into_sorted_vec(), vec![(2.0, 2), (1.0, 1)]);
+    }
+
+    #[test]
+    fn content_order_keeps_the_best_k_whatever_the_arrival_order() {
+        let mut tk = ContentTopK::new(3);
+        for (i, s) in [1.0, 9.0, 3.0, 7.0, 5.0, 8.0].iter().enumerate() {
+            tk.push(*s, i as u32);
+        }
+        assert_eq!(tk.into_sorted_vec(), vec![(9.0, 1), (8.0, 5), (7.0, 3)]);
+    }
+
+    #[test]
+    fn content_order_breaks_ties_by_item_not_arrival() {
+        let mut tk = ContentTopK::new(2);
+        tk.push(5.0, 9u32);
+        tk.push(5.0, 2u32);
+        tk.push(5.0, 7u32);
+        assert_eq!(tk.into_sorted_vec(), vec![(5.0, 2), (5.0, 7)]);
+    }
+
+    #[test]
+    fn content_order_boundary_ties_survive_the_threshold() {
+        // The best two of three equal scores are the two smallest items,
+        // even when the largest arrives first.
+        let mut tk = ContentTopK::new(2);
+        tk.push(5.0, 3u32);
+        tk.push(5.0, 1);
+        assert!(tk.would_accept(5.0), "a tie with the threshold may enter");
+        assert!(tk.push(5.0, 2));
+        assert!(!tk.push(5.0, 4), "ties the k-th score, orders after it");
+        assert_eq!(tk.into_sorted_vec(), vec![(5.0, 1), (5.0, 2)]);
+    }
+
+    #[test]
+    fn content_order_threshold_appears_once_full() {
+        let mut tk = ContentTopK::new(2);
+        assert_eq!(tk.threshold(), None);
+        assert!(tk.would_accept(f64::MIN));
+        tk.push(4.0, 1u32);
+        assert_eq!(tk.threshold(), None, "not full yet");
+        tk.push(6.0, 2);
+        assert_eq!(tk.threshold(), Some(4.0));
+        assert!(tk.would_accept(4.0));
+        assert!(!tk.would_accept(3.9));
+        assert!(!tk.push(3.9, 0), "strictly below the threshold");
+        tk.push(5.0, 3);
+        assert_eq!(tk.threshold(), Some(5.0), "rises as better items arrive");
+    }
+
+    #[test]
+    fn content_order_zero_k_accepts_nothing() {
+        let mut tk = ContentTopK::new(0);
+        assert_eq!(tk.threshold(), None);
+        assert!(tk.would_accept(10.0), "no threshold to prune with");
+        assert!(!tk.push(10.0, 1u32));
+        assert!(tk.into_sorted_vec().is_empty());
     }
 }

@@ -5,7 +5,7 @@
 //! they cannot answer "why was *this* query slow" after the response is
 //! gone. The [`FlightRecorder`] keeps that story: every sealed query
 //! appends a compact [`QueryRecord`] — engine, executor label, redacted
-//! query digest, `k`, worker count, per-phase durations, truncation
+//! query digest, `k`, per-phase durations, truncation
 //! reason, plan-cache outcome, and (when one was built) the full
 //! [`QueryTrace`] span tree — into a fixed-capacity ring. Old entries are
 //! overwritten, never reallocated: memory stays bounded no matter how many
@@ -108,8 +108,6 @@ pub struct QueryRecord {
     /// Redacted query identity (see [`query_digest`]).
     pub digest: String,
     pub k: u64,
-    /// Intra-query workers the executor ran with.
-    pub workers: u64,
     /// Per-phase durations from the query's `QueryStats`.
     pub phases: PhaseTimings,
     pub truncation: Option<TruncationReason>,
@@ -140,7 +138,6 @@ impl QueryRecord {
         algorithm: &'static str,
         query: &str,
         k: usize,
-        workers: usize,
         stats: &QueryStats,
         truncation: Option<TruncationReason>,
         sampled: bool,
@@ -163,7 +160,6 @@ impl QueryRecord {
             algorithm: Cow::Borrowed(algorithm),
             digest: query_digest(query),
             k: k as u64,
-            workers: workers as u64,
             phases: stats.phases,
             truncation,
             cache,
@@ -391,7 +387,6 @@ impl FlightDump {
                     ("algorithm".into(), Json::Str(r.algorithm.to_string())),
                     ("digest".into(), Json::Str(r.digest.clone())),
                     ("k".into(), Json::Int(r.k as i128)),
-                    ("workers".into(), Json::Int(r.workers as i128)),
                     ("total_ns".into(), ns(r.total())),
                     (
                         "phases".into(),
@@ -500,7 +495,6 @@ impl FlightDump {
                 algorithm: text(r.get("algorithm"), "algorithm")?.into(),
                 digest: text(r.get("digest"), "digest")?,
                 k: num(r.get("k"), "k")?,
-                workers: num(r.get("workers"), "workers")?,
                 phases,
                 truncation,
                 cache: CacheOutcome::parse(&text(r.get("cache"), "cache")?)
@@ -559,7 +553,6 @@ mod tests {
             "parallel_cn",
             "data query",
             3,
-            1,
             &stats,
             None,
             false,
@@ -610,7 +603,6 @@ mod tests {
             "parallel_cn",
             "xml data",
             5,
-            4,
             &stats,
             Some(TruncationReason::CandidateCapReached),
             true,
@@ -625,8 +617,14 @@ mod tests {
         rec.append(r);
         rec.append(record("xml", 420));
         let dump = rec.dump();
-        let back = FlightDump::from_json(&dump.to_json()).unwrap();
+        let json = dump.to_json();
+        let back = FlightDump::from_json(&json).unwrap();
         assert_eq!(back, dump);
+        // Dumps once carried each record's intra-query worker count; the
+        // reader ignores the key, so they still parse to the same records.
+        let with_workers = json.replace(",\"k\":", ",\"workers\":4,\"k\":");
+        assert_eq!(with_workers.matches("\"workers\":4").count(), 2);
+        assert_eq!(FlightDump::from_json(&with_workers).unwrap(), dump);
         assert!(FlightDump::from_json("{}").is_err());
         assert!(FlightDump::from_json(r#"{"format":"kwdb-flightrec-v1"}"#).is_err());
     }
@@ -636,19 +634,9 @@ mod tests {
         assert_eq!(record("relational", 1).cache, CacheOutcome::Hit);
         let mut stats = QueryStats::new();
         stats.cache_misses = 1;
-        let r = QueryRecord::new("relational", "spark", "q", 1, 1, &stats, None, false, None);
+        let r = QueryRecord::new("relational", "spark", "q", 1, &stats, None, false, None);
         assert_eq!(r.cache, CacheOutcome::Miss);
-        let r2 = QueryRecord::new(
-            "xml",
-            "slca",
-            "q",
-            1,
-            1,
-            &QueryStats::new(),
-            None,
-            false,
-            None,
-        );
+        let r2 = QueryRecord::new("xml", "slca", "q", 1, &QueryStats::new(), None, false, None);
         assert_eq!(r2.cache, CacheOutcome::None);
         assert_eq!(r2.result_cache, CacheOutcome::None);
 
@@ -656,13 +644,13 @@ mod tests {
         // plan cache unconsulted, and vice versa.
         let mut stats = QueryStats::new();
         stats.result_cache_hits = 1;
-        let hit = QueryRecord::new("relational", "spark", "q", 1, 1, &stats, None, false, None);
+        let hit = QueryRecord::new("relational", "spark", "q", 1, &stats, None, false, None);
         assert_eq!(hit.cache, CacheOutcome::None);
         assert_eq!(hit.result_cache, CacheOutcome::Hit);
         let mut stats = QueryStats::new();
         stats.cache_misses = 1;
         stats.result_cache_misses = 1;
-        let miss = QueryRecord::new("relational", "spark", "q", 1, 1, &stats, None, false, None);
+        let miss = QueryRecord::new("relational", "spark", "q", 1, &stats, None, false, None);
         assert_eq!(miss.cache, CacheOutcome::Miss);
         assert_eq!(miss.result_cache, CacheOutcome::Miss);
     }

@@ -41,7 +41,7 @@
 //! let obs = EngineInstruments::new(Arc::clone(&reg), "relational", &["parallel_cn"]);
 //! let stats = QueryStats::new();
 //! let record =
-//!     QueryRecord::new("relational", "parallel_cn", "data query", 10, 1, &stats, None, false, None);
+//!     QueryRecord::new("relational", "parallel_cn", "data query", 10, &stats, None, false, None);
 //! obs.seal(record, &stats, None);
 //! let prom = kwdb_obs::export::to_prometheus(&reg.snapshot());
 //! assert!(prom.contains("kwdb_queries_total"));

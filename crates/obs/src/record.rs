@@ -81,9 +81,6 @@ pub mod families {
     pub const CN_PRUNED: &str = "kwdb_cn_pruned_total";
     /// Counter: rows matched by hash- and index-join probes (probe hit volume).
     pub const JOIN_PROBE_ROWS: &str = "kwdb_join_probe_rows_total";
-    /// Gauge: the most intra-query worker threads one relational query may
-    /// use (the auto policy picks per query; flight records carry what ran).
-    pub const INTRA_WORKERS: &str = "kwdb_intra_query_workers";
     /// Counter: faceted queries executed (queries whose request carried at
     /// least one facet spec), by engine.
     pub const FACET_QUERIES: &str = "kwdb_facet_queries_total";
@@ -164,9 +161,6 @@ pub mod families {
             CN_EVALUATED => "Candidate networks joined during top-k evaluation.",
             CN_PRUNED => "Candidate networks skipped by bounds, budget or a refinement none of their results can pass.",
             JOIN_PROBE_ROWS => "Rows matched by hash-join probes.",
-            INTRA_WORKERS => {
-                "Most intra-query worker threads one relational query may use (auto picks per query)."
-            }
             FACET_QUERIES => "Queries that requested at least one facet.",
             FACET_VALUES => "Facet values emitted across faceted responses.",
             FACET_INEXACT => "Faceted queries whose counts are inexact: a deadline cut the count pass.",
@@ -389,7 +383,7 @@ impl EngineInstruments {
     /// let obs = EngineInstruments::new(Arc::clone(&reg), "relational", &["parallel_cn"]);
     /// let stats = QueryStats::new();
     /// let record = QueryRecord::new(
-    ///     "relational", "parallel_cn", "data query", 10, 1, &stats, None, false, None,
+    ///     "relational", "parallel_cn", "data query", 10, &stats, None, false, None,
     /// );
     /// obs.seal(record, &stats, None);
     /// let labels = [("engine", "relational"), ("algorithm", "parallel_cn")];
@@ -518,7 +512,6 @@ mod tests {
             algorithm,
             "data query",
             5,
-            1,
             &stats,
             truncation,
             false,

@@ -545,7 +545,6 @@ mod tests {
                 "parallel_cn",
                 "data query",
                 3,
-                1,
                 &stats,
                 None,
                 i == 0,
@@ -570,13 +569,13 @@ mod tests {
         let reg = MetricsRegistry::with_flight_capacity(1);
         let stats = kwdb_common::QueryStats::new();
         for engine in ["relational", "xml", "xml"] {
-            let rec = QueryRecord::new(engine, "any", "q", 1, 1, &stats, None, false, None);
+            let rec = QueryRecord::new(engine, "any", "q", 1, &stats, None, false, None);
             record(&reg, rec);
         }
         let dropped = |engine| reg.counter_value(families::FLIGHT_DROPPED, &[("engine", engine)]);
         assert_eq!((dropped("relational"), dropped("xml")), (1, 1));
         // a record parsed from a dump (owned labels) finds the same counters
-        let mut rec = QueryRecord::new("", "any", "q", 1, 1, &stats, None, true, None);
+        let mut rec = QueryRecord::new("", "any", "q", 1, &stats, None, true, None);
         rec.engine = String::from("xml").into();
         record(&reg, rec);
         assert_eq!(dropped("xml"), 2);
@@ -624,7 +623,7 @@ mod tests {
         for stats in [&fast, &slow] {
             record(
                 &reg,
-                QueryRecord::new("xml", "slca", "q", 1, 1, stats, None, false, None),
+                QueryRecord::new("xml", "slca", "q", 1, stats, None, false, None),
             );
         }
         let dump = reg.flight().dump();

@@ -17,7 +17,7 @@
 //!    Naive, Sparse, Single and Global Pipeline (DISCOVER2, VLDB 03) —
 //!    compared by the experiments and used as the serial oracle in tests;
 //!    [`pexec`] — the engine's executor: Sparse over one bound-ordered CN
-//!    list under one shared top-k bound, on one worker or many, joining
+//!    list under one top-k bound, on the calling thread, joining
 //!    through the database's key indexes and ranking from [`score`]'s
 //!    per-query [`score::ScoreTable`] — scores computed from the tuple
 //!    sets' frequencies, bit-identical to the text-derived
@@ -26,8 +26,8 @@
 //!    Skyline-Sweep and Block-Pipeline algorithms (Luo et al., SIGMOD 07);
 //! 6. [`mesh`] — shared execution across CNs with common subtrees
 //!    (operator mesh, SIGMOD 07; SPARK2 partition graph, TKDE 11);
-//! 7. [`parallel`] — per-CN join plans and the worker policy the executor
-//!    uses, plus the multi-core CN partitioners — sharing-oblivious vs
+//! 7. [`parallel`] — the per-CN join plans the executor follows, plus the
+//!    multi-core CN partitioners — sharing-oblivious vs
 //!    sharing-aware vs operator-level (Qin et al., VLDB 10) — that
 //!    experiment E22 simulates;
 //! 8. [`rdbms_power`] — distinct-core evaluation expressed purely as

@@ -20,9 +20,9 @@
 //! no per-CN build to pay once.
 //!
 //! What the engine's executor, [`crate::pexec`], takes from here is the
-//! [`JoinPlan`] it derives per CN per query — the evaluator follows its
-//! order, and the summed costs tell [`choose_workers`] how many workers the
-//! query is worth.
+//! [`JoinPlan`] it derives per CN per query: the evaluator follows its
+//! order, rooted where [`estimate_cost`] is least. The executor itself runs
+//! one query on one thread.
 
 use crate::cn::CandidateNetwork;
 use crate::tupleset::TupleSets;
@@ -134,31 +134,6 @@ fn plan_from(db: &Database, ts: &TupleSets, cn: &CandidateNetwork, root: usize) 
         join_via,
         cost,
     }
-}
-
-/// [`estimate_cost`] units one worker must be handed before a second
-/// thread pays for itself.
-///
-/// Measured on the 100k-tuple DBLP of `benchmark/` (2 cores). The spawn
-/// alone would allow far less: one unit is 10–25 ns of inline evaluation and
-/// a two-thread `std::thread::scope` spawn + join costs 28 µs at the median,
-/// 144 µs at p99, 1.5–3 ms when the host deschedules a thread. But the
-/// estimate cannot see the bound prune: on the benchmark's high-estimate
-/// queries (13 CNs, three common keywords) one worker fills the top-k from
-/// the best-bound CNs and then skips the rest, evaluating 0–0.3 CNs by
-/// joins, where two workers start 0.6–1 more speculatively. With every
-/// other such query forced inline inside one run, two workers were
-/// 1.2–2.3× slower than one for every total below 4 M units and level with
-/// it (1.06–1.09× at the median) above. So a second worker needs 2 × 2²¹ units: it runs
-/// where it has stopped losing, not yet where it was seen to win.
-pub const COST_PER_WORKER: f64 = 2_097_152.0;
-
-/// The worker policy behind `intra_query_workers = 0`: as many workers as
-/// the plan's total [`estimate_cost`] fills with [`COST_PER_WORKER`] each —
-/// so a small plan runs inline on the calling thread — never more than
-/// `cap`, never fewer than one.
-pub fn choose_workers(total_cost: f64, cap: usize) -> usize {
-    ((total_cost / COST_PER_WORKER) as usize).clamp(1, cap.max(1))
 }
 
 /// All distinct subtree codes of a CN (every node, rooted away from each
@@ -344,80 +319,6 @@ mod tests {
         let m4 = operator_level_makespan(&cns, 4);
         assert!(m4 <= m1);
         assert!(m4 > 0.0);
-    }
-
-    #[test]
-    fn auto_runs_a_small_plan_inline_and_spreads_a_large_one() {
-        use crate::pexec::{parallel_topk_budgeted, EvalScratch};
-        use crate::score::ResultScorer;
-        use crate::topk::TopKQuery;
-        use kwdb_common::{Budget, ScratchPool};
-        use kwdb_relational::ExecStats;
-
-        assert_eq!(choose_workers(0.0, 8), 1);
-        assert_eq!(choose_workers(COST_PER_WORKER * 1.9, 8), 1);
-        assert_eq!(choose_workers(COST_PER_WORKER * 2.0, 8), 2);
-        assert_eq!(choose_workers(COST_PER_WORKER * 100.0, 4), 4, "capped");
-        assert_eq!(choose_workers(COST_PER_WORKER * 100.0, 1), 1);
-
-        // The fixture's plan is a handful of rows: one worker.
-        let small = db();
-        let (ts, cns) = jobs(&small);
-        let total = |db: &Database, ts: &TupleSets, cns: &[CandidateNetwork]| -> f64 {
-            cns.iter().map(|cn| estimate_cost(db, ts, cn)).sum()
-        };
-        assert_eq!(choose_workers(total(&small, &ts, &cns), 4), 1);
-
-        // A synthetic plan worth spreading: every author wrote every paper
-        // of one conference and all match, so author–write–paper emits
-        // N × N rows and the network through the conference N times that.
-        const N: i64 = 176;
-        let mut big = Database::new();
-        dblp_schema(&mut big).unwrap();
-        big.insert("conference", vec![1.into(), "SIGMOD".into(), 2007.into()])
-            .unwrap();
-        for i in 0..N {
-            big.insert("author", vec![i.into(), "widom".into()])
-                .unwrap();
-            big.insert("paper", vec![i.into(), "xml".into(), 1.into()])
-                .unwrap();
-        }
-        for w in 0..N * N {
-            big.insert("write", vec![w.into(), (w / N).into(), (w % N).into()])
-                .unwrap();
-        }
-        big.build_text_index();
-        let (ts, cns) = jobs(&big);
-        let cost = total(&big, &ts, &cns);
-        let workers = choose_workers(cost, 4);
-        assert!(workers > 1, "chose {workers} for {cost}");
-
-        // Either way the answer is the same.
-        let scorer = ResultScorer::new(&big);
-        let keywords = ["widom", "xml"];
-        let q = TopKQuery {
-            db: &big,
-            ts: &ts,
-            cns: &cns,
-            scorer: &scorer,
-            keywords: &keywords,
-        };
-        let pool: ScratchPool<EvalScratch> = ScratchPool::new();
-        let run = |workers| {
-            let out = parallel_topk_budgeted(
-                &q,
-                5,
-                &ExecStats::new(),
-                &Budget::unlimited(),
-                workers,
-                &pool,
-            );
-            out.results
-                .iter()
-                .map(|r| (r.score.to_bits(), r.result.clone()))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(run(1), run(workers));
     }
 
     #[test]

@@ -1,19 +1,20 @@
 //! The engine's CN executor — the one top-k path `RelationalEngine` runs,
-//! for either score model, at every worker count.
+//! for either score model.
 //!
-//! This is DISCOVER2's Sparse (tutorial slide 116) with a shared bound: one
+//! This is DISCOVER2's Sparse (tutorial slide 116) under one bound: one
 //! keyword query's candidate networks go into **one list**, best upper bound
-//! first, and workers draw from it through one atomic cursor, all pruning
-//! against a single global top-k bound ([`kwdb_common::SharedTopK`]). A CN
-//! is skipped once its bound cannot beat the k-th best. With one worker the
-//! same loop runs inline on the calling thread, no spawn. Slide 117 presents
-//! SPARK as the same loop with another bound and another final score, and
-//! that is all [`Scoring`] changes here. The tutorial's slide-116 strategies
-//! in [`crate::topk`] and the slide-117 sweeps in [`crate::spark`] are the
+//! first, evaluated in that order on the calling thread against a single
+//! top-k collector ([`kwdb_common::topk::ContentTopK`]). A CN is skipped once
+//! its bound cannot beat the k-th best. Slide 117 presents SPARK as the same
+//! loop with another bound and another final score, and that is all
+//! [`Scoring`] changes here. The tutorial's slide-116 strategies in
+//! [`crate::topk`] and the slide-117 sweeps in [`crate::spark`] are the
 //! serial references this executor is checked against, not alternatives the
-//! engine chooses between.
+//! engine chooses between. One query runs on one thread: concurrency is
+//! across requests, in the dispatcher. (The tutorial's parallel CN
+//! computation, slides 130–133, is simulated in [`crate::parallel`].)
 //!
-//! Each worker evaluates whole CNs: the join follows the database's FK
+//! The executor evaluates whole CNs: the join follows the database's FK
 //! index — every foreign key already resolved to a row id, in both
 //! directions — and leaves its output in the flat
 //! buffers of an [`EvalScratch`] instead of allocating row vectors per CN
@@ -31,13 +32,13 @@
 //! over the size.
 //!
 //! Under [`Scoring::Monotone`] nothing reads a tuple's text: that sum *is*
-//! the row's score, and the row becomes a [`JoinedResult`] only if the shared
+//! the row's score, and the row becomes a [`JoinedResult`] only if the
 //! top-k would accept it. The value is the text-derived reference's, bit for
 //! bit (see [`crate::score`]); a `debug_assert!` at the scoring site checks
 //! it on every result of every debug run.
 //!
 //! Under [`Scoring::Spark`] the columns hold `watf` and the sum is the row's
-//! *upper bound*. A row whose bound the shared top-k would reject is skipped;
+//! *upper bound*. A row whose bound the top-k would reject is skipped;
 //! one that passes is scored exactly with
 //! [`ResultScorer::spark_score`](crate::score::ResultScorer::spark_score) —
 //! the one place this executor tokenizes tuples — and offered with that
@@ -57,18 +58,20 @@
 //!
 //! # Determinism
 //!
-//! The executor returns the *exact* top-k of the full result multiset for
-//! any worker count, because (a) every bound is monotone — a CN's bound
-//! dominates its rows' and, for SPARK, a row's bound dominates its score —
-//! and the shared threshold is a conservative lower bound on the global
-//! k-th best, so a CN or row is skipped only when `bound < threshold`
-//! strictly — it provably
-//! cannot contribute; and (b) `SharedTopK` orders ties by result content,
-//! not arrival. Under a candidate cap of `c` the position a worker draws
-//! from the list *is* its budget ticket, so the CNs considered are exactly
-//! the `c` best-bound ones — the verdict and the capped answer are the same
-//! at every worker count. A deadline cuts wherever the clock says, as in
-//! any anytime algorithm.
+//! The executor returns the *exact* top-k of the full result multiset,
+//! because (a) every bound is monotone — a CN's bound dominates its rows'
+//! and, for SPARK, a row's bound dominates its score — and a CN or row is
+//! skipped only when its bound is strictly below the k-th best held so far,
+//! so it provably cannot contribute; and (b) the collector orders ties by
+//! result content, not arrival. Everything else it reports — hits, score
+//! bits, truncation verdict, `cns_evaluated` / `cns_pruned` and the
+//! operator counters — is a function of the request and the data: the CNs
+//! are visited in one fixed order, and a refined CN whose earlier cases
+//! raised the bound past its own is abandoned at the same join step or
+//! scoring checkpoint on every run. Under a candidate cap of `c` the
+//! position in the list *is* the budget ticket, so the CNs considered are
+//! exactly the `c` best-bound ones. A deadline cuts wherever the clock says,
+//! as in any anytime algorithm.
 
 use crate::cn::CandidateNetwork;
 use crate::eval::JoinedResult;
@@ -80,14 +83,13 @@ use crate::parallel::{join_plan, JoinPlan};
 use crate::score::{ScoreTable, Scoring};
 use crate::topk::{CnExecOutcome, RankedResult, TopKQuery};
 use crate::tupleset::TupleSets;
-use kwdb_common::{Budget, ScratchPool, SharedTopK, TruncationReason};
+use kwdb_common::topk::ContentTopK;
+use kwdb_common::{Budget, ScratchPool};
 use kwdb_relational::{Database, ExecStats, RowId, TupleId};
 use std::ops::Deref;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
 
-/// Per-worker reusable evaluation buffers, checked out of a [`ScratchPool`]
-/// once per query per worker. Nothing in it outlives one join step but the
+/// Reusable evaluation buffers, checked out of a [`ScratchPool`] once per
+/// query (an engine serving concurrent requests keeps one per thread). Nothing in it outlives one join step but the
 /// allocated capacity — and `group_head`'s length, every entry `NIL`, and
 /// `counts`' arrays, every entry 0.
 #[derive(Default)]
@@ -163,12 +165,13 @@ fn fill_tuples(cn: &CandidateNetwork, plan: &JoinPlan, chunk: &[RowId], tuples: 
 /// a refined join never carries a row its refinement would drop from the
 /// output past the step that met it.
 ///
-/// `cancel` is polled between join steps and periodically inside probe
-/// loops. When it turns true the evaluation stops and returns no rows — the
-/// parallel executor uses this to abandon a CN the moment the shared top-k
-/// bound strictly exceeds the CN's upper bound (every result it could still
-/// produce would be rejected, so dropping them cannot change the final
-/// top-k).
+/// `cancel` is polled before each join step and once more at the end. When
+/// it is true the evaluation stops and returns no rows — the executor uses
+/// this to abandon a refined CN's later case once the rows of its earlier
+/// cases have raised the top-k bound strictly past the CN's upper bound
+/// (every result it could still produce would be rejected, so dropping them
+/// cannot change the final top-k). Nothing raises the bound while a step
+/// runs, so a step is never interrupted.
 ///
 /// The join follows `plan`, the CN's [`join_plan`]: from the keyword node
 /// estimated cheapest to start at, most selective neighbour first. No step
@@ -195,8 +198,8 @@ fn fill_tuples(cn: &CandidateNetwork, plan: &JoinPlan, chunk: &[RowId], tuples: 
 /// `probe_rows` per match emitted. For the probing step: one
 /// `tuples_scanned` per intermediate tuple grouped, one `join_probes` per
 /// tuple-set row, one `probe_rows` per match emitted. A step counts into
-/// locals and adds them to the shared counters once, when it ends or is
-/// abandoned; the totals are those of the by-value joins this replaced.
+/// locals and adds them to the counters once, when it ends; the totals are
+/// those of the by-value joins this replaced.
 #[allow(clippy::too_many_arguments)]
 fn join_cn<'s>(
     db: &Database,
@@ -262,10 +265,6 @@ fn join_cn<'s>(
                 (rows_of(node), true)
             };
             for t in 0..ntuples {
-                if t % 1024 == 1023 && cancel() {
-                    cancelled = true;
-                    break;
-                }
                 probes += 1;
                 let tuple = &cur[t * stride..(t + 1) * stride];
                 let mut emit = |r: RowId| {
@@ -303,11 +302,7 @@ fn join_cn<'s>(
                 link[t] = std::mem::replace(&mut head[p], t as u32);
             }
             scanned += ntuples as u64;
-            for (ri, &r) in rows_of(node).iter().enumerate() {
-                if ri % 1024 == 1023 && cancel() {
-                    cancelled = true;
-                    break;
-                }
+            for &r in rows_of(node) {
                 probes += 1;
                 let Some(p) = db.referenced_row(e.schema_edge, r) else {
                     continue;
@@ -330,9 +325,6 @@ fn join_cn<'s>(
         stats.add_probes(probes);
         stats.add_scanned(scanned);
         stats.add_probe_rows(emitted);
-        if cancelled {
-            break;
-        }
         stats.add_output(emitted);
         std::mem::swap(&mut cur, &mut next);
         stride += 1;
@@ -371,83 +363,73 @@ fn keep_admitted(
     rows.truncate(kept);
 }
 
-/// Run the parallel CN executor under [`Scoring::Monotone`]: evaluate
-/// `q.cns` on `workers` threads sharing one top-k bound, under `budget`. Scratch state is checked out of
-/// `pool` (one `EvalScratch` per worker, returned on completion).
+/// Run the executor under [`Scoring::Monotone`] on `q.cns` under `budget`,
+/// on the calling thread, with buffers checked out of `pool`.
 ///
-/// Scheduling: one list of CNs, best upper bound first, drained through one
-/// atomic cursor. The position a worker draws is its budget ticket — one
-/// per CN *considered*, before the bound prune — so under a candidate cap
-/// of `c` the CNs considered are the `c` best-bound ones and the truncation
-/// verdict is a function of the CN count, at every worker count.
+/// Scheduling: one list of CNs, best upper bound first. A CN's position in
+/// it is its budget ticket — one per CN *considered*, before the bound
+/// prune — so under a candidate cap of `c` the CNs considered are the `c`
+/// best-bound ones and the truncation verdict is a function of the CN
+/// count. `workers` is ignored: one query runs on one thread.
 pub fn parallel_topk_budgeted<S, D>(
     q: &TopKQuery<'_, S, D>,
     k: usize,
     stats: &ExecStats,
     budget: &Budget,
-    workers: usize,
+    _workers: usize,
     pool: &ScratchPool<EvalScratch>,
 ) -> CnExecOutcome
 where
-    S: AsRef<str> + Sync,
-    D: Deref<Target = Database> + Sync,
+    S: AsRef<str>,
+    D: Deref<Target = Database>,
 {
-    let model = Scoring::Monotone;
-    parallel_topk_planned(q, k, model, stats, budget, |_| workers, pool, &[])
+    parallel_topk_planned(q, k, Scoring::Monotone, stats, budget, pool, &[])
 }
 
-/// A faceted request, whole: [`count_facets`] over `q.cns` on the calling
-/// thread, then [`parallel_topk_budgeted`] with every CN restricted by
-/// `freq.refinements`. Neither waits on the other's output — the counts
-/// cover the full result multiset whatever the top-k loop prunes, skips or
-/// abandons, so they are the same at any worker count.
+/// A faceted request, whole: [`count_facets`] over `q.cns`, then
+/// [`parallel_topk_budgeted`] with every CN restricted by
+/// `freq.refinements`. Neither reads the other's output — the counts cover
+/// the full result multiset whatever the top-k loop prunes, skips or
+/// abandons. `workers` is ignored, as there.
 pub fn parallel_topk_faceted<'a, S, D>(
     q: &TopKQuery<'a, S, D>,
     k: usize,
     stats: &ExecStats,
     budget: &Budget,
-    workers: usize,
+    _workers: usize,
     pool: &ScratchPool<EvalScratch>,
     freq: &FacetRequest<'_>,
 ) -> (CnExecOutcome, FacetTally<'a>)
 where
-    S: AsRef<str> + Sync,
-    D: Deref<Target = Database> + Sync,
+    S: AsRef<str>,
+    D: Deref<Target = Database>,
 {
     let mut scratch = pool.checkout(EvalScratch::new);
     let tally = count_facets(q.db, q.ts, q.cns, freq, budget, stats, &mut scratch.counts);
-    drop(scratch); // back to the pool, for the executor's first worker
-    let model = Scoring::Monotone;
+    drop(scratch); // back to the pool, for the executor
     let refinements = freq.refinements;
-    let outcome = parallel_topk_planned(q, k, model, stats, budget, |_| workers, pool, refinements);
+    let outcome = parallel_topk_planned(q, k, Scoring::Monotone, stats, budget, pool, refinements);
     (outcome, tally)
 }
 
-/// The executor under either score `model`, with the worker count left to
-/// the caller's policy and every CN restricted by `refinements`
-/// ([`restrictions`]; a CN they leave no case of is never considered and
-/// counts as pruned): every CN's [`JoinPlan`] is derived
-/// once, `workers_for` is handed their summed estimated cost and answers
-/// with the number of workers to run, and the same plans then drive the
-/// evaluator. This is the engine's one entry point.
-#[allow(clippy::too_many_arguments)]
+/// The executor under either score `model`, with every CN restricted by
+/// `refinements` ([`restrictions`]; a CN they leave no case of is never
+/// considered and counts as pruned): every CN's [`JoinPlan`] is derived
+/// once and drives its join. This is the engine's one entry point.
 pub fn parallel_topk_planned<S, D>(
     q: &TopKQuery<'_, S, D>,
     k: usize,
     model: Scoring,
     stats: &ExecStats,
     budget: &Budget,
-    workers_for: impl FnOnce(f64) -> usize,
     pool: &ScratchPool<EvalScratch>,
     refinements: &[ResolvedRefinement],
 ) -> CnExecOutcome
 where
-    S: AsRef<str> + Sync,
-    D: Deref<Target = Database> + Sync,
+    S: AsRef<str>,
+    D: Deref<Target = Database>,
 {
     let n = q.cns.len();
-    let plans: Vec<JoinPlan> = q.cns.iter().map(|cn| join_plan(q.db, q.ts, cn)).collect();
-    let workers = workers_for(plans.iter().map(|p| p.cost).sum()).max(1);
     if n == 0 {
         return CnExecOutcome {
             results: Vec::new(),
@@ -456,6 +438,7 @@ where
             cns_pruned: 0,
         };
     }
+    let plans: Vec<JoinPlan> = q.cns.iter().map(|cn| join_plan(q.db, q.ts, cn)).collect();
 
     // Every tuple set's column, from the frequencies the sets carry. A CN's
     // upper bound takes each keyword node's best; free nodes add nothing.
@@ -487,108 +470,82 @@ where
     };
     let cases_of = |j: usize| cases.get(j).map_or(&unrestricted[..], |c| c);
 
-    // Best bound first, so the global threshold rises as early as possible
-    // and a candidate cap keeps the most promising CNs.
+    // Best bound first, so the threshold rises as early as possible and a
+    // candidate cap keeps the most promising CNs.
     let mut jobs: Vec<usize> = (0..n).filter(|&j| !cases_of(j).is_empty()).collect();
     jobs.sort_by(|&a, &b| bounds[b].total_cmp(&bounds[a]).then(a.cmp(&b)));
 
-    let shared: SharedTopK<(usize, JoinedResult)> = SharedTopK::new(k, workers);
-    let cursor = AtomicUsize::new(0);
-    let evaluated = AtomicU64::new(0);
-    let abort = AtomicBool::new(false);
-    let truncation: Mutex<Option<TruncationReason>> = Mutex::new(None);
-
-    let run_worker = |w: usize| {
-        let mut scratch = pool.checkout(EvalScratch::new);
-        // Scoring by text and the top-k read a result as tuples: one
-        // buffer, refilled per joined row, allocated anew only for a row
-        // the top-k keeps.
-        let mut probe = JoinedResult { tuples: Vec::new() };
-        while !abort.load(Ordering::Acquire) {
-            let pos = cursor.fetch_add(1, Ordering::Relaxed);
-            let Some(&j) = jobs.get(pos) else { break };
-            if let Some(reason) = budget.truncation_at(pos as u64) {
-                let mut tr = truncation.lock().expect("truncation poisoned");
-                // Prefer the deterministic cap verdict if any worker saw it.
-                *tr = match (*tr, reason) {
-                    (Some(TruncationReason::CandidateCapReached), _) => {
-                        Some(TruncationReason::CandidateCapReached)
-                    }
-                    (_, r) => Some(r),
-                };
-                abort.store(true, Ordering::Release);
-                break;
-            }
-            if !shared.would_accept(bounds[j]) {
-                continue; // strictly below the global k-th best: pruned
-            }
-            // Abandon — mid-evaluation, or mid-way through scoring what it
-            // produced — once another worker raises the threshold past this
-            // CN's bound: everything it could still offer would be
-            // rejected.
-            let outbid = || !shared.would_accept(bounds[j]);
-            let (cn, plan) = (&q.cns[j], &plans[j]);
-            evaluated.fetch_add(1, Ordering::Relaxed);
-            // Per node, in node order: where its row sits in a joined chunk
-            // and, for a keyword node, its tuple set's score column. A free
-            // node has none — its tuples score 0.
-            let columns: Vec<_> = (0..cn.nodes.len())
-                .map(|ni| {
-                    let slot = plan.order.iter().position(|&o| o == ni);
-                    let column = scores.column(cn.nodes[ni].table, cn.nodes[ni].mask);
-                    (slot.expect("the plan places every node"), column)
-                })
-                .collect();
-            for case in cases_of(j) {
-                let joined = join_cn(q.db, cn, plan, case, q.ts, &mut scratch, stats, &outbid);
-                for (i, chunk) in joined.enumerate() {
-                    if i % 256 == 255 && outbid() {
-                        break;
-                    }
-                    // Column entries summed in node order (as the text-derived
-                    // reference sums them, so the two agree bitwise) over CN
-                    // size: the DISCOVER2 score, or the SPARK bound.
-                    let sum: f64 = columns
-                        .iter()
-                        .map(|&(slot, column)| column.map_or(0.0, |c| c.score_of(chunk[slot])))
-                        .sum();
-                    let mut score = sum / chunk.len() as f64;
-                    match model {
-                        Scoring::Monotone => debug_assert_eq!(score.to_bits(), {
-                            fill_tuples(cn, plan, chunk, &mut probe.tuples);
-                            q.scorer.monotone_score(&probe, q.keywords).to_bits()
-                        }),
-                        Scoring::Spark => {
-                            if !shared.would_accept(score) {
-                                continue; // even its bound is below the k-th best
-                            }
-                            fill_tuples(cn, plan, chunk, &mut probe.tuples);
-                            let exact = q.scorer.spark_score(&probe, q.keywords);
-                            debug_assert!(exact <= score, "watf bound {score} < score {exact}");
-                            score = exact;
-                        }
-                    }
-                    if shared.would_accept(score) {
+    let mut top: ContentTopK<(usize, JoinedResult)> = ContentTopK::new(k);
+    let mut truncation = None;
+    let mut evaluated = 0u64;
+    let mut scratch = pool.checkout(EvalScratch::new);
+    // Scoring by text and the top-k read a result as tuples: one buffer,
+    // refilled per joined row, allocated anew only for a row the top-k
+    // keeps.
+    let mut probe = JoinedResult { tuples: Vec::new() };
+    for (pos, &j) in jobs.iter().enumerate() {
+        if let Some(reason) = budget.truncation_at(pos as u64) {
+            truncation = Some(reason);
+            break;
+        }
+        if !top.would_accept(bounds[j]) {
+            continue; // strictly below the k-th best: pruned
+        }
+        let (cn, plan) = (&q.cns[j], &plans[j]);
+        evaluated += 1;
+        // Per node, in node order: where its row sits in a joined chunk
+        // and, for a keyword node, its tuple set's score column. A free
+        // node has none — its tuples score 0.
+        let columns: Vec<_> = (0..cn.nodes.len())
+            .map(|ni| {
+                let slot = plan.order.iter().position(|&o| o == ni);
+                let column = scores.column(cn.nodes[ni].table, cn.nodes[ni].mask);
+                (slot.expect("the plan places every node"), column)
+            })
+            .collect();
+        for case in cases_of(j) {
+            // Abandon — before a join step, or mid-way through scoring what
+            // it produced — once this CN's own rows have raised the
+            // threshold past its bound: everything it could still offer
+            // would be rejected.
+            let outbid = || !top.would_accept(bounds[j]);
+            let joined = join_cn(q.db, cn, plan, case, q.ts, &mut scratch, stats, &outbid);
+            for (i, chunk) in joined.enumerate() {
+                if i % 256 == 255 && !top.would_accept(bounds[j]) {
+                    break;
+                }
+                // Column entries summed in node order (as the text-derived
+                // reference sums them, so the two agree bitwise) over CN
+                // size: the DISCOVER2 score, or the SPARK bound.
+                let sum: f64 = columns
+                    .iter()
+                    .map(|&(slot, column)| column.map_or(0.0, |c| c.score_of(chunk[slot])))
+                    .sum();
+                let mut score = sum / chunk.len() as f64;
+                match model {
+                    Scoring::Monotone => debug_assert_eq!(score.to_bits(), {
                         fill_tuples(cn, plan, chunk, &mut probe.tuples);
-                        shared.push(w, score, (j, probe.clone()));
+                        q.scorer.monotone_score(&probe, q.keywords).to_bits()
+                    }),
+                    Scoring::Spark => {
+                        if !top.would_accept(score) {
+                            continue; // even its bound is below the k-th best
+                        }
+                        fill_tuples(cn, plan, chunk, &mut probe.tuples);
+                        let exact = q.scorer.spark_score(&probe, q.keywords);
+                        debug_assert!(exact <= score, "watf bound {score} < score {exact}");
+                        score = exact;
                     }
+                }
+                if top.would_accept(score) {
+                    fill_tuples(cn, plan, chunk, &mut probe.tuples);
+                    top.push(score, (j, probe.clone()));
                 }
             }
         }
-    };
-
-    if workers == 1 {
-        run_worker(0);
-    } else {
-        let run_worker = &run_worker;
-        std::thread::scope(|s| {
-            for w in 0..workers {
-                s.spawn(move || run_worker(w));
-            }
-        });
     }
 
-    let results = shared
+    let results = top
         .into_sorted_vec()
         .into_iter()
         .map(|(score, (cn_index, result))| RankedResult {
@@ -597,10 +554,9 @@ where
             score,
         })
         .collect();
-    let evaluated = evaluated.load(Ordering::Relaxed);
     CnExecOutcome {
         results,
-        truncation: truncation.into_inner().expect("truncation poisoned"),
+        truncation,
         cns_evaluated: evaluated,
         cns_pruned: n as u64 - evaluated,
     }
@@ -613,7 +569,7 @@ mod tests {
     use crate::eval::evaluate_cn;
     use crate::score::ResultScorer;
     use crate::topk::global_pipeline;
-    use kwdb_common::Value;
+    use kwdb_common::{TruncationReason, Value};
     use kwdb_relational::database::dblp_schema;
 
     fn db() -> Database {
@@ -785,20 +741,12 @@ mod tests {
                 .iter()
                 .map(|r| r.score)
                 .collect();
-            for workers in [1, 2, 4] {
-                let out = parallel_topk_budgeted(
-                    &q,
-                    k,
-                    &ExecStats::new(),
-                    &Budget::unlimited(),
-                    workers,
-                    &pool,
-                );
-                let scores: Vec<f64> = out.results.iter().map(|r| r.score).collect();
-                assert_eq!(serial, scores, "k={k} workers={workers}");
-                assert!(out.truncation.is_none());
-                assert_eq!(out.cns_evaluated + out.cns_pruned, cns.len() as u64);
-            }
+            let out =
+                parallel_topk_budgeted(&q, k, &ExecStats::new(), &Budget::unlimited(), 1, &pool);
+            let scores: Vec<f64> = out.results.iter().map(|r| r.score).collect();
+            assert_eq!(serial, scores, "k={k}");
+            assert!(out.truncation.is_none());
+            assert_eq!(out.cns_evaluated + out.cns_pruned, cns.len() as u64);
         }
     }
 
@@ -839,28 +787,25 @@ mod tests {
             let serial_scores: Vec<f64> = serial.iter().map(|r| r.score).collect();
             let mut serial_sets: Vec<_> = serial.iter().map(|r| r.result.tuples.clone()).collect();
             serial_sets.sort();
-            for workers in [1, 8] {
-                let stats = ExecStats::new();
-                let out =
-                    parallel_topk_budgeted(&q, 3, &stats, &Budget::unlimited(), workers, &pool);
-                let scores: Vec<f64> = out.results.iter().map(|r| r.score).collect();
-                assert_eq!(serial_scores, scores, "layout={layout:?} workers={workers}");
-                let mut sets: Vec<_> = out
-                    .results
-                    .iter()
-                    .map(|r| r.result.tuples.clone())
-                    .collect();
-                sets.sort();
-                assert_eq!(serial_sets, sets, "layout={layout:?} workers={workers}");
-                // Both keywords in one tuple of a size-1 network: the best
-                // bound of the fixture, so this CN is evaluated first and
-                // its tuple set is the least the query can have scanned.
-                assert!(
-                    stats.tuples_scanned() >= full_set && full_set > 0,
-                    "layout={layout:?} workers={workers}: scanned {} < {full_set}",
-                    stats.tuples_scanned()
-                );
-            }
+            let stats = ExecStats::new();
+            let out = parallel_topk_budgeted(&q, 3, &stats, &Budget::unlimited(), 1, &pool);
+            let scores: Vec<f64> = out.results.iter().map(|r| r.score).collect();
+            assert_eq!(serial_scores, scores, "layout={layout:?}");
+            let mut sets: Vec<_> = out
+                .results
+                .iter()
+                .map(|r| r.result.tuples.clone())
+                .collect();
+            sets.sort();
+            assert_eq!(serial_sets, sets, "layout={layout:?}");
+            // Both keywords in one tuple of a size-1 network: the best
+            // bound of the fixture, so this CN is evaluated first and
+            // its tuple set is the least the query can have scanned.
+            assert!(
+                stats.tuples_scanned() >= full_set && full_set > 0,
+                "layout={layout:?}: scanned {} < {full_set}",
+                stats.tuples_scanned()
+            );
         }
     }
 
@@ -879,12 +824,9 @@ mod tests {
         };
         let pool = ScratchPool::new();
         let budget = Budget::unlimited().with_timeout(std::time::Duration::ZERO);
-        let out = parallel_topk_budgeted(&q, 5, &ExecStats::new(), &budget, 4, &pool);
+        let out = parallel_topk_budgeted(&q, 5, &ExecStats::new(), &budget, 1, &pool);
         assert_eq!(out.truncation, Some(TruncationReason::DeadlineExceeded));
-        assert_eq!(
-            out.cns_evaluated, 0,
-            "every worker stops at its first checkpoint"
-        );
+        assert_eq!(out.cns_evaluated, 0, "stops at its first checkpoint");
         assert!(out.results.is_empty());
     }
 }

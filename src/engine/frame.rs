@@ -16,7 +16,6 @@ use kwdb_obs::{
     families, Counter, EngineInstruments, FacetOutcome, Gauge, QueryRecord, TraceBuilder,
     TraceLevel, Watermark,
 };
-use std::cell::Cell;
 use std::sync::{Arc, OnceLock};
 
 /// Everything the query frame ([`run_query`]) needs to know about one
@@ -29,9 +28,6 @@ pub(super) struct QueryFrame<'a, H> {
     pub(super) cache: &'a ResultCache<H>,
     pub(super) engine: &'static str,
     pub(super) algorithm: &'static str,
-    /// Threads evaluating this query, as the flight record reports it. The
-    /// relational engine's worker policy decides it mid-run, after planning.
-    pub(super) workers: Cell<usize>,
     pub(super) generation: u64,
     /// The segment census the flight record stamps — read at the seal, and
     /// only when there is a registry to seal into.
@@ -218,7 +214,6 @@ fn finish_response<H>(
             frame.algorithm,
             &req.query,
             req.k,
-            frame.workers.get(),
             &stats,
             truncation,
             sampled,

@@ -8,7 +8,6 @@ use kwdb_common::{CacheConfig, QueryStats, Result, ScratchPool, Stopwatch};
 use kwdb_graph::DataGraph;
 use kwdb_graphsearch::{blinks::Blinks, AnswerTree, BanksI, Dpbf, SearchScratch};
 use kwdb_obs::{record_index_stats, EngineInstruments, MetricsRegistry, TraceBuilder};
-use std::cell::Cell;
 use std::sync::Arc;
 
 /// Graph answer semantics selectable on a [`SearchRequest`].
@@ -102,7 +101,6 @@ impl GraphEngine {
                 GraphSemantics::Banks => "banks",
                 GraphSemantics::DistinctRoot => "blinks",
             },
-            workers: Cell::new(1),
             // The graph never changes under the engine: generation 0, as
             // for XML.
             generation: 0,

@@ -27,12 +27,10 @@ use kwdb_relsearch::cn::{CandidateNetwork, CnGenConfig, CnGenerator, MaskOracle}
 use kwdb_relsearch::facets::{
     count_facets, resolve_facets, resolve_refinements, FacetAccum, FacetRequest,
 };
-use kwdb_relsearch::parallel::choose_workers;
 use kwdb_relsearch::pexec::{parallel_topk_planned, EvalScratch};
 use kwdb_relsearch::topk::{CnExecOutcome, TopKQuery};
 use kwdb_relsearch::tupleset::TermCache;
 use kwdb_relsearch::{Refinement, ResultScorer, TupleSets};
-use std::cell::Cell;
 use std::sync::{Arc, OnceLock, RwLock};
 
 /// A rendered relational hit.
@@ -62,18 +60,6 @@ pub struct RelationalConfig {
     /// Cap on cached CN plans; inserting past it evicts the least recently
     /// used one (0 = unbounded cache).
     pub max_cache_entries: usize,
-    /// Workers evaluating one query's candidate networks, all on the same
-    /// executor ([`kwdb_relsearch::pexec`]). `0` = auto: each query gets
-    /// the workers its plan's estimated cost is worth
-    /// ([`kwdb_relsearch::parallel::choose_workers`]) — a small plan runs
-    /// inline on the calling thread — up to available parallelism (capped
-    /// at 8). A non-zero value is honoured exactly; `1` = always inline, no
-    /// spawn. The returned top-k, facet counts, and `algorithm` label are
-    /// identical for every value — the bounds the executor prunes with are
-    /// monotone under either [`Scoring`] model and the merge is
-    /// content-ordered — and a [`kwdb_common::Budget`] candidate cap counts
-    /// CNs considered on every host.
-    pub intra_query_workers: usize,
     /// Opt-in query cleaning at the term-dictionary boundary: when a parsed
     /// keyword has no entry in the text index, run the noisy-channel
     /// spell/segmentation pass ([`kwdb_qclean`]) over the whole query and
@@ -97,7 +83,6 @@ impl Default for RelationalConfig {
             max_cn_size: 5,
             max_cns: 2000,
             max_cache_entries: 256,
-            intra_query_workers: 0,
             clean_queries: false,
             result_cache: CacheConfig::default(),
         }
@@ -162,13 +147,12 @@ pub struct RelationalEngine {
     cn_cache: ShardedCache<CnCacheKey, Arc<Vec<CandidateNetwork>>>,
     /// The plan cache's evictions already published to the registry.
     plan_evictions_published: Watermark,
-    /// See [`resolved_workers`](Self::resolved_workers).
-    worker_cap: usize,
     obs: Option<EngineInstruments>,
     /// `kwdb_tupleset_cache_{hits,misses}_total`, resolved at the first
     /// computed query that reads through the term cache.
     tupleset_counters: OnceLock<[Arc<Counter>; 2]>,
-    /// Join and count buffers, pooled across queries; a worker checks one out.
+    /// Join and count buffers, pooled across queries: each running query
+    /// checks one out.
     scratch: ScratchPool<EvalScratch>,
     /// Lazily built query-cleaning model ([`RelationalConfig::clean_queries`])
     /// keyed by the generation it was built at, one entry: a cleaning query
@@ -200,10 +184,6 @@ impl RelationalEngine {
             cfg,
             cn_cache: ShardedCache::new(entry_capped(cfg.max_cache_entries)),
             plan_evictions_published: Watermark::default(),
-            worker_cap: match cfg.intra_query_workers {
-                0 => kwdb_common::available_cores().min(8),
-                pinned => pinned,
-            },
             obs: None,
             tupleset_counters: OnceLock::new(),
             scratch: ScratchPool::new(),
@@ -214,14 +194,11 @@ impl RelationalEngine {
         }
     }
 
-    /// The most workers one query may use: an explicit
-    /// [`RelationalConfig::intra_query_workers`] itself (every query then
-    /// runs on exactly that many), else available parallelism capped at 8
-    /// (the dispatcher's sizing), under which [`choose_workers`] picks per
-    /// query. Resolved once, when the engine is built: asking the operating
-    /// system costs more than a result-cache hit does.
+    /// Threads one query runs on: always 1, the thread that calls
+    /// [`execute`](Self::execute). Concurrency is across requests (see
+    /// [`crate::dispatch::Dispatcher`]).
     pub fn resolved_workers(&self) -> usize {
-        self.worker_cap
+        1
     }
 
     /// Record every query (and plan-cache activity) into `registry`, and
@@ -232,9 +209,6 @@ impl RelationalEngine {
         if let Ok(ix) = db.text_index() {
             record_index_stats(&registry, "relational_text", &ix.index_stats());
         }
-        registry
-            .gauge(families::INTRA_WORKERS, &[("engine", "relational")])
-            .set(self.resolved_workers() as i64);
         self.obs = Some(EngineInstruments::new(
             registry,
             "relational",
@@ -271,6 +245,12 @@ impl RelationalEngine {
     /// [`database`](Self::database) before the call keep their snapshot),
     /// apply `verb`, and publish the generation it left. A failed verb
     /// publishes nothing.
+    ///
+    /// When no snapshot is outstanding, `Arc::make_mut` hands `verb` the
+    /// live database itself, not a copy. A verb that panics part-way thus
+    /// leaves a half-applied `Database` behind a poisoned lock, and
+    /// recovering the lock (`PoisonError::into_inner`) would serve it:
+    /// recovery first needs the verb to run on a copy, or an undo step.
     fn mutate<T>(&self, verb: impl FnOnce(&mut Database) -> Result<T>) -> Result<T> {
         let mut shared = self.db.write().expect("engine state poisoned");
         let db = Arc::make_mut(&mut shared);
@@ -353,11 +333,6 @@ impl RelationalEngine {
         let db: &Arc<Database> = &shared;
         let budget = &req.budget;
         let scoring = req.scoring.unwrap_or_default();
-        // An explicit worker count is honoured exactly; auto lets the cost
-        // of the plan decide, up to this cap, and starts from the calling
-        // thread alone.
-        let worker_cap = self.worker_cap;
-        let auto_workers = self.cfg.intra_query_workers == 0;
 
         // Facet and refinement attributes are schema references, not query
         // keywords: an unknown `table.column` fails the request with a typed
@@ -385,7 +360,6 @@ impl RelationalEngine {
                 Scoring::Monotone => "parallel_cn",
                 Scoring::Spark => "spark",
             },
-            workers: Cell::new(if auto_workers { 1 } else { worker_cap }),
             generation: db.generation(),
             segments: &segments,
             empty_facets: &empty_facets,
@@ -474,24 +448,7 @@ impl RelationalEngine {
                 keywords,
             };
             let exec = ExecStats::new();
-            // One executor for either score model at every worker count: a
-            // single worker runs inline on the calling thread, no spawn.
-            let policy = |cost: f64| {
-                let workers = if auto_workers {
-                    choose_workers(cost, worker_cap)
-                } else {
-                    worker_cap
-                };
-                frame.workers.set(workers);
-                tb.event("worker policy", || {
-                    vec![
-                        field("cap", worker_cap),
-                        field("chosen", workers),
-                        field("estimated_cost", format!("{cost:.0}")),
-                    ]
-                });
-                workers
-            };
+            // One executor for either score model, on this thread.
             let CnExecOutcome {
                 results: ranked,
                 truncation,
@@ -503,7 +460,6 @@ impl RelationalEngine {
                 scoring,
                 &exec,
                 budget,
-                policy,
                 &self.scratch,
                 &refinements,
             );

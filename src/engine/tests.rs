@@ -106,8 +106,8 @@ fn cn_plan_cache_hits_on_repeat() {
 
 #[test]
 fn engines_sharing_a_label_sum_their_eviction_counts() {
-    // Two engines under `engine="relational"` on one registry, as
-    // `reproduce` attaches `dblp` and `dblp_par`, each with one-entry caches:
+    // Two engines under `engine="relational"` on one registry, as a catalog
+    // holding two relational databases attaches them, each with one-entry caches:
     // every store but an engine's first evicts, and both eviction counters
     // must read the two engines' sum.
     let registry = Arc::new(kwdb_obs::MetricsRegistry::new());
@@ -118,7 +118,6 @@ fn engines_sharing_a_label_sum_their_eviction_counts() {
     }));
     let cfg = RelationalConfig {
         max_cache_entries: 1,
-        intra_query_workers: 1,
         result_cache: CacheConfig {
             max_entries: 1,
             stripes: 1,

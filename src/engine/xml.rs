@@ -7,7 +7,6 @@ use kwdb_common::{Budget, CacheConfig, QueryStats, Result, Stopwatch, Truncation
 use kwdb_obs::{record_index_stats, EngineInstruments, MetricsRegistry, TraceBuilder};
 use kwdb_rank::proximity::discounted_path_len;
 use kwdb_xml::{NodeId, XmlIndex, XmlTree};
-use std::cell::Cell;
 use std::sync::Arc;
 
 /// A ranked XML hit: a result subtree root.
@@ -86,7 +85,6 @@ impl XmlEngine {
             cache: &self.result_cache,
             engine: "xml",
             algorithm: "slca",
-            workers: Cell::new(1),
             // XML trees are immutable here: generation 0, but the segment
             // census is real (the keyword index is segment-backed like the
             // others).

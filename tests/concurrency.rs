@@ -39,21 +39,7 @@ fn dblp() -> kwdb::relational::Database {
 
 fn catalog() -> Catalog {
     let mut c = Catalog::new();
-    // One intra-query worker: the dispatch-equality test below replays
-    // candidate-capped requests, and which CNs a multi-worker run reaches
-    // before the cap is timing-dependent. Serial execution keeps truncated
-    // hits and operator totals identical between serial and concurrent
-    // dispatch (inter-query concurrency is what this suite exercises).
-    c.register(
-        "dblp",
-        RelationalEngine::with_config(
-            dblp(),
-            RelationalConfig {
-                intra_query_workers: 1,
-                ..Default::default()
-            },
-        ),
-    );
+    c.register("dblp", RelationalEngine::new(dblp()));
     c.register(
         "social",
         GraphEngine::new(datasets::graphs::generate_graph(&Default::default())),

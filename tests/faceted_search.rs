@@ -2,8 +2,8 @@
 //!
 //! Facet counts are a property of the *query*, not of the execution
 //! strategy: the exact-subset tuple-set partition makes the full result
-//! multiset duplicate-free, so the counts must come out identical for any
-//! worker count and either posting layout, and must equal a naive per-hit
+//! multiset duplicate-free, so the counts must come out identical for
+//! either posting layout, and must equal a naive per-hit
 //! recomputation from the returned joining trees. Drill-down refinements
 //! are deliberately outside the CN plan key, so a refined query hits the
 //! plan cache.
@@ -119,13 +119,7 @@ fn facet_counts_are_invariant_and_match_naive_recomputation() {
     // ask for a k far above the result count.
     let all = faceted_request().k(100_000);
     let reference = {
-        let engine = RelationalEngine::with_config(
-            dblp(Layout::Plain),
-            RelationalConfig {
-                intra_query_workers: 1,
-                ..Default::default()
-            },
-        );
+        let engine = RelationalEngine::new(dblp(Layout::Plain));
         let resp = engine.execute(&all).unwrap();
         assert!(resp.facets_exact);
         assert!(!resp.hits.is_empty());
@@ -145,30 +139,22 @@ fn facet_counts_are_invariant_and_match_naive_recomputation() {
         resp.facets
     };
 
-    // The same counts (of the full multiset) and the same top-k page for every
-    // layout × worker count, on a database that stays shared with this test: an
+    // The same counts (of the full multiset) and the same top-k page for
+    // either layout, on a database that stays shared with this test: an
     // engine serves the layout its data arrives in, sole owner or not.
     let mut pages = Vec::new();
     for layout in [Layout::Plain, Layout::Blocks] {
         let db = dblp(layout);
-        for workers in [1usize, 2, 8] {
-            let engine = RelationalEngine::with_config(
-                Arc::clone(&db),
-                RelationalConfig {
-                    intra_query_workers: workers,
-                    ..Default::default()
-                },
-            );
-            assert_eq!(engine.database().text_index().unwrap().layout(), layout);
-            let resp = engine.execute(&faceted_request()).unwrap();
-            assert!(resp.facets_exact, "{layout:?}/{workers} must be exact");
-            assert_eq!(
-                resp.facets, reference,
-                "{layout:?}/{workers}: facet counts depend on execution strategy"
-            );
-            assert_eq!(resp.hits.len(), 5);
-            pages.push(format!("{:?}", resp.hits));
-        }
+        let engine = RelationalEngine::new(Arc::clone(&db));
+        assert_eq!(engine.database().text_index().unwrap().layout(), layout);
+        let resp = engine.execute(&faceted_request()).unwrap();
+        assert!(resp.facets_exact, "{layout:?} must be exact");
+        assert_eq!(
+            resp.facets, reference,
+            "{layout:?}: facet counts depend on execution strategy"
+        );
+        assert_eq!(resp.hits.len(), 5);
+        pages.push(format!("{:?}", resp.hits));
     }
     pages.dedup();
     assert_eq!(pages.len(), 1, "top-k depends on execution strategy");
@@ -280,11 +266,10 @@ fn plan(db: &Database, ts: &TupleSets) -> Vec<CandidateNetwork> {
     CnGenerator::new(db.schema_graph(), &oracle, cfg).generate()
 }
 
-fn engine_with(db: &Arc<Database>, workers: usize) -> RelationalEngine {
+fn uncached_engine(db: &Arc<Database>) -> RelationalEngine {
     RelationalEngine::with_config(
         Arc::clone(db),
         RelationalConfig {
-            intra_query_workers: workers,
             result_cache: CacheConfig::disabled(),
             ..Default::default()
         },
@@ -294,12 +279,12 @@ fn engine_with(db: &Arc<Database>, workers: usize) -> RelationalEngine {
 #[test]
 fn facets_add_no_join_and_a_drill_down_joins_only_what_can_pass() {
     let db = dblp(Layout::Plain);
-    let engine = engine_with(&db, 1);
+    let engine = uncached_engine(&db);
     let plain = engine
         .execute(&SearchRequest::new("data query").k(5))
         .unwrap();
     let faceted = engine.execute(&faceted_request()).unwrap();
-    // The same pruned top-k loop, facets or not: exact, at one worker.
+    // The same pruned top-k loop, facets or not.
     let joins = |r: &SearchResponse<RelationalHit>| {
         let s = &r.stats;
         (
@@ -526,7 +511,7 @@ fn counts_and_refined_hits_equal_the_definition_on_generated_cases() {
                 _ => {}
             }
             let shared = Arc::new(db.clone());
-            let engines = [1, 2, 8].map(|workers| engine_with(&shared, workers));
+            let engine = uncached_engine(&shared);
             for q in 0..13 {
                 // A query, its keywords drawn from where the data is; up to
                 // four redraws for one that has results (some stay empty).
@@ -603,23 +588,17 @@ fn counts_and_refined_hits_equal_the_definition_on_generated_cases() {
                     hits.sort();
                     hits
                 };
-                let mut pages = Vec::new();
-                for engine in &engines {
-                    let resp = engine.execute(&req).unwrap();
-                    assert!(resp.facets_exact && !resp.truncated(), "{ctx}");
-                    assert_eq!(resp.facets, want_counts, "{ctx}: counts");
-                    assert_eq!(tuples_of(&resp), want_hits, "{ctx}: hits");
-                    pages.push(format!("{:?}", resp.hits));
-                }
-                pages.dedup();
-                assert_eq!(pages.len(), 1, "{ctx}: hits depend on the worker count");
-                let spark = engines[1]
+                let resp = engine.execute(&req).unwrap();
+                assert!(resp.facets_exact && !resp.truncated(), "{ctx}");
+                assert_eq!(resp.facets, want_counts, "{ctx}: counts");
+                assert_eq!(tuples_of(&resp), want_hits, "{ctx}: hits");
+                let spark = engine
                     .execute(&req.clone().scoring(Scoring::Spark))
                     .unwrap();
                 assert_eq!(spark.facets, want_counts, "{ctx}: SPARK counts");
                 assert_eq!(tuples_of(&spark), want_hits, "{ctx}: SPARK hits");
                 // The top of a short page is the top of the long one.
-                let page = engines[0].execute(&req.clone().k(3)).unwrap();
+                let page = engine.execute(&req.clone().k(3)).unwrap();
                 assert_eq!(page.facets, want_counts, "{ctx}: counts at k = 3");
             }
         }

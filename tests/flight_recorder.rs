@@ -17,11 +17,9 @@ use kwdb::obs::{families, query_digest, MetricsRegistry, SamplePolicy, TraceLeve
 use std::sync::Arc;
 
 fn dblp_engine(registry: &Arc<MetricsRegistry>) -> RelationalEngine {
-    // One intra-query worker keeps every request bit-for-bit reproducible
-    // (and the algorithm label machine-independent) — same reasoning as
-    // tests/observability.rs. The result cache is pinned off so record
-    // multisets don't depend on arrival order (a capped request and an
-    // uncapped twin share a term set; hit-vs-miss would flip truncation).
+    // The result cache is pinned off so record multisets don't depend on
+    // arrival order (a capped request and an uncapped twin share a term
+    // set; hit-vs-miss would flip truncation).
     RelationalEngine::with_config(
         generate_dblp(&DblpConfig {
             n_papers: 60,
@@ -29,7 +27,6 @@ fn dblp_engine(registry: &Arc<MetricsRegistry>) -> RelationalEngine {
             ..Default::default()
         }),
         RelationalConfig {
-            intra_query_workers: 1,
             result_cache: CacheConfig::disabled(),
             ..Default::default()
         },
@@ -223,7 +220,6 @@ fn serial_and_concurrent_runs_leave_identical_record_multisets() {
             r.algorithm.clone(),
             r.digest.clone(),
             r.k,
-            r.workers,
             r.truncation.map(|t| t.to_string()),
         )
     };

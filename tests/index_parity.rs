@@ -8,7 +8,7 @@ use kwdb::common::index::{kernels, Layout};
 use kwdb::common::text::{normalize_term, tokenize};
 use kwdb::datasets::graphs::{generate_graph, GraphConfig};
 use kwdb::datasets::{generate_bib_xml, generate_dblp, DblpConfig};
-use kwdb::engine::{GraphEngine, RelationalConfig, RelationalEngine, SearchRequest, XmlEngine};
+use kwdb::engine::{GraphEngine, RelationalEngine, SearchRequest, XmlEngine};
 use kwdb::graph::shortest::{multi_source, Expansion};
 use kwdb::xml::XmlIndex;
 use std::collections::BTreeMap;
@@ -254,52 +254,41 @@ fn relational_engine_topk_identical_across_layouts_and_workers() {
     // Per query: ranked score bits plus renderings grouped by tie class
     // (order within a class is free, so each class is sorted).
     type QueryOutcome = (Vec<u64>, Vec<Vec<String>>);
-    // (layout × worker-count) grid; every cell must produce the same
-    // ranked scores and, tie-class aware, the same result sets.
+    // Every layout must produce the same ranked scores and, tie-class
+    // aware, the same result sets.
     let mut baseline: Option<Vec<QueryOutcome>> = None;
     for layout in [Layout::Plain, Layout::Blocks] {
-        for workers in [1usize, 8] {
-            let mut db = generate_dblp(&cfg);
-            db.set_posting_layout(layout);
-            let engine = RelationalEngine::with_config(
-                db,
-                RelationalConfig {
-                    intra_query_workers: workers,
-                    ..Default::default()
-                },
-            );
-            assert_eq!(engine.database().text_index().unwrap().layout(), layout);
-            let per_query: Vec<QueryOutcome> = queries
-                .iter()
-                .map(|q| {
-                    let resp = engine
-                        .execute(&SearchRequest::new(q.clone()).k(10))
-                        .unwrap();
-                    let scores: Vec<u64> = resp.hits.iter().map(|h| h.score.to_bits()).collect();
-                    // group hit renderings by score (tie class), each
-                    // class sorted — order within a tie class is free
-                    let mut classes: Vec<Vec<String>> = Vec::new();
-                    let mut last: Option<u64> = None;
-                    for h in &resp.hits {
-                        if last != Some(h.score.to_bits()) {
-                            classes.push(Vec::new());
-                            last = Some(h.score.to_bits());
-                        }
-                        classes.last_mut().unwrap().push(h.rendered.clone());
+        let mut db = generate_dblp(&cfg);
+        db.set_posting_layout(layout);
+        let engine = RelationalEngine::new(db);
+        assert_eq!(engine.database().text_index().unwrap().layout(), layout);
+        let per_query: Vec<QueryOutcome> = queries
+            .iter()
+            .map(|q| {
+                let resp = engine
+                    .execute(&SearchRequest::new(q.clone()).k(10))
+                    .unwrap();
+                let scores: Vec<u64> = resp.hits.iter().map(|h| h.score.to_bits()).collect();
+                // group hit renderings by score (tie class), each
+                // class sorted — order within a tie class is free
+                let mut classes: Vec<Vec<String>> = Vec::new();
+                let mut last: Option<u64> = None;
+                for h in &resp.hits {
+                    if last != Some(h.score.to_bits()) {
+                        classes.push(Vec::new());
+                        last = Some(h.score.to_bits());
                     }
-                    for c in &mut classes {
-                        c.sort();
-                    }
-                    (scores, classes)
-                })
-                .collect();
-            match &baseline {
-                None => baseline = Some(per_query),
-                Some(b) => assert_eq!(
-                    *b, per_query,
-                    "top-k diverged at layout={layout:?} workers={workers}"
-                ),
-            }
+                    classes.last_mut().unwrap().push(h.rendered.clone());
+                }
+                for c in &mut classes {
+                    c.sort();
+                }
+                (scores, classes)
+            })
+            .collect();
+        match &baseline {
+            None => baseline = Some(per_query),
+            Some(b) => assert_eq!(*b, per_query, "top-k diverged at layout={layout:?}"),
         }
     }
 }

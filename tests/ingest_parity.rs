@@ -6,7 +6,7 @@
 //! build over all N+M rows. These tests state that as a property over a
 //! deterministic pseudo-random DBLP workload and check it for top-k
 //! results, facet distributions, and per-term statistics, across posting
-//! layouts × intra-query worker counts — plus the seal/merge round-trip
+//! posting layouts — plus the seal/merge round-trip
 //! on `SegmentedIndex` alone, tombstone visibility, generation counters,
 //! plan-cache keying by mask signature, and the typed stale-index errors.
 
@@ -160,31 +160,25 @@ fn ingest_matches_rebuild_across_layouts_and_workers() {
     let n_base = rows.len() / 2;
     let reference = built_in_one_pass(&rows);
     for layout in [Layout::Plain, Layout::Blocks] {
-        for workers in [1usize, 8] {
-            let cfg = RelationalConfig {
-                intra_query_workers: workers,
-                ..Default::default()
-            };
-            let mut reference = reference.clone();
-            reference.set_posting_layout(layout);
-            let ref_engine = RelationalEngine::with_config(reference, cfg);
-            let inc_engine = build_incremental(&rows, n_base, layout, cfg);
-            for req in queries() {
-                let a = ref_engine.execute(&req).unwrap();
-                let b = inc_engine.execute(&req).unwrap();
-                assert_eq!(
-                    hit_key(&a),
-                    hit_key(&b),
-                    "top-k parity broke: layout {layout:?}, workers {workers}, query {:?}",
-                    req.query()
-                );
-                assert_eq!(
-                    a.facets,
-                    b.facets,
-                    "facet parity broke: layout {layout:?}, workers {workers}, query {:?}",
-                    req.query()
-                );
-            }
+        let mut reference = reference.clone();
+        reference.set_posting_layout(layout);
+        let ref_engine = RelationalEngine::new(reference);
+        let inc_engine = build_incremental(&rows, n_base, layout, Default::default());
+        for req in queries() {
+            let a = ref_engine.execute(&req).unwrap();
+            let b = inc_engine.execute(&req).unwrap();
+            assert_eq!(
+                hit_key(&a),
+                hit_key(&b),
+                "top-k parity broke: layout {layout:?}, query {:?}",
+                req.query()
+            );
+            assert_eq!(
+                a.facets,
+                b.facets,
+                "facet parity broke: layout {layout:?}, query {:?}",
+                req.query()
+            );
         }
     }
 }

@@ -20,8 +20,8 @@ use kwdb::common::{Budget, FacetSpec, RangeBucket};
 use kwdb::datasets::{self, generate_dblp, DblpConfig};
 use kwdb::dispatch::{Catalog, Dispatcher};
 use kwdb::engine::{
-    DeleteKey, GraphEngine, GraphSemantics, IngestRecord, RelationalConfig, RelationalEngine,
-    Scoring, SearchRequest, XmlEngine,
+    DeleteKey, GraphEngine, GraphSemantics, IngestRecord, RelationalEngine, Scoring, SearchRequest,
+    XmlEngine,
 };
 use kwdb::obs::{FlightDump, MetricsRegistry, SamplePolicy, Snapshot, TraceLevel};
 use kwdb::relsearch::Refinement;
@@ -34,21 +34,13 @@ const FLIGHT_CAPACITY: usize = 48;
 
 fn dispatcher(registry: &Arc<MetricsRegistry>) -> Dispatcher {
     let mut catalog = Catalog::new();
-    // One intra-query worker: the worker gauge, the flight records'
-    // `workers` and the operator counters then read the same on every host.
     catalog.register_mutable(
         "dblp",
-        RelationalEngine::with_config(
-            generate_dblp(&DblpConfig {
-                n_papers: 80,
-                n_authors: 40,
-                ..Default::default()
-            }),
-            RelationalConfig {
-                intra_query_workers: 1,
-                ..Default::default()
-            },
-        )
+        RelationalEngine::new(generate_dblp(&DblpConfig {
+            n_papers: 80,
+            n_authors: 40,
+            ..Default::default()
+        }))
         .with_registry(Arc::clone(registry)),
     );
     catalog.register(
@@ -251,14 +243,13 @@ fn render(snapshot: &Snapshot, dump: &FlightDump) -> String {
     for r in &dump.records {
         writeln!(
             out,
-            "record seq={} {}/{} digest={} k={} workers={} truncation={} cache={} result_cache={} \
+            "record seq={} {}/{} digest={} k={} truncation={} cache={} result_cache={} \
              sampled={} generation={} segments={}/{}",
             r.seq,
             r.engine,
             r.algorithm,
             r.digest,
             r.k,
-            r.workers,
             r.truncation.map_or("none", |t| t.as_str()),
             r.cache.as_str(),
             r.result_cache.as_str(),

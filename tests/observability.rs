@@ -27,14 +27,9 @@ fn dblp() -> kwdb::relational::Database {
 
 /// All three data models, every engine wired to the same registry.
 ///
-/// The relational engine is pinned to one intra-query worker: this suite
-/// compares hits and operator totals between serial and concurrent runs
-/// under *truncating* budgets, where which CNs a parallel run reached
-/// before the cut is timing-dependent. One worker keeps every request
-/// bit-for-bit reproducible (the parallel path's untruncated results are
-/// identical anyway — see tests/parallel_exec.rs). Result caches are
-/// pinned off for the same reason: this suite asserts exact per-query
-/// counter and truncation totals, which must not depend on what an
+/// The relational engine's result cache is pinned off: this suite
+/// compares hits and asserts exact per-query counter and truncation totals
+/// between serial and concurrent runs, which must not depend on what an
 /// earlier request happened to leave in a cache.
 fn catalog(registry: &Arc<MetricsRegistry>) -> Catalog {
     let mut c = Catalog::new();
@@ -43,7 +38,6 @@ fn catalog(registry: &Arc<MetricsRegistry>) -> Catalog {
         RelationalEngine::with_config(
             dblp(),
             RelationalConfig {
-                intra_query_workers: 1,
                 result_cache: CacheConfig::disabled(),
                 ..Default::default()
             },
@@ -390,16 +384,9 @@ fn relational_and_graph_traces_render_phases_and_events() {
 #[test]
 fn candidate_cap_truncation_reports_reason_and_counts_in_registry() {
     let reg = Arc::new(MetricsRegistry::new());
-    // one worker, one CN considered per budget ticket: the cap verdict is
+    // one CN considered per budget ticket: the cap verdict is
     // machine-independent
-    let engine = RelationalEngine::with_config(
-        dblp(),
-        RelationalConfig {
-            intra_query_workers: 1,
-            ..Default::default()
-        },
-    )
-    .with_registry(Arc::clone(&reg));
+    let engine = RelationalEngine::new(dblp()).with_registry(Arc::clone(&reg));
     let resp = engine
         .execute(
             &SearchRequest::new("data query")

@@ -1,22 +1,19 @@
-//! Parity and budget contract of the intra-query parallel CN executor.
+//! Parity and budget contract of the engine's CN executor (`pexec`).
 //!
-//! The parallel executor's headline promise is exactness: for any worker
-//! count it returns the *same* top-k set and scores as the serial
-//! global pipeline, because the shared threshold only ever prunes CNs
-//! whose upper bound is strictly below the global k-th best. These tests
-//! check that promise on seeded DBLP data across worker counts and k,
-//! plus the deterministic budget verdicts (candidate cap, expired
-//! deadline) and the engine-level default path.
+//! The executor's headline promise is exactness: it returns the *same*
+//! top-k set and scores as the serial global pipeline, because its
+//! threshold only ever prunes CNs whose upper bound is strictly below the
+//! k-th best. These tests check that promise on seeded DBLP data across
+//! k, plus the deterministic budget verdicts (candidate cap, expired
+//! deadline).
 
 use kwdb::common::{Budget, ScratchPool, TruncationReason};
 use kwdb::datasets::{generate_dblp, DblpConfig};
-use kwdb::engine::{RelationalConfig, RelationalEngine, SearchRequest};
 use kwdb::relational::{Database, ExecStats};
 use kwdb::relsearch::cn::MaskOracle;
 use kwdb::relsearch::pexec::{parallel_topk_budgeted, EvalScratch};
 use kwdb::relsearch::topk::{global_pipeline, naive, TopKQuery};
 use kwdb::relsearch::{CandidateNetwork, CnGenConfig, CnGenerator, ResultScorer, TupleSets};
-use std::sync::Arc;
 use std::time::Duration;
 
 fn dblp() -> Database {
@@ -119,28 +116,20 @@ fn parallel_matches_global_pipeline_across_worker_counts_and_k() {
                 &truth_keys,
                 &format!("{query} k={k} serial-vs-naive"),
             );
-            for workers in [1, 2, 8] {
-                let out = parallel_topk_budgeted(
-                    &q,
-                    k,
-                    &ExecStats::new(),
-                    &Budget::unlimited(),
-                    workers,
-                    &pool,
-                );
-                assert_topk_equivalent(
-                    &result_keys(&out.results),
-                    &serial_keys,
-                    &truth_keys,
-                    &format!("{query} k={k} workers={workers}"),
-                );
-                assert!(out.truncation.is_none(), "{query} k={k} workers={workers}");
-                assert_eq!(
-                    out.cns_evaluated + out.cns_pruned,
-                    cns.len() as u64,
-                    "{query} k={k} workers={workers}: every CN must be accounted for"
-                );
-            }
+            let out =
+                parallel_topk_budgeted(&q, k, &ExecStats::new(), &Budget::unlimited(), 1, &pool);
+            assert_topk_equivalent(
+                &result_keys(&out.results),
+                &serial_keys,
+                &truth_keys,
+                &format!("{query} k={k}"),
+            );
+            assert!(out.truncation.is_none(), "{query} k={k}");
+            assert_eq!(
+                out.cns_evaluated + out.cns_pruned,
+                cns.len() as u64,
+                "{query} k={k}: every CN must be accounted for"
+            );
         }
     }
 }
@@ -161,34 +150,26 @@ fn candidate_cap_verdict_is_deterministic_and_bounds_evaluation() {
     };
     let pool: ScratchPool<EvalScratch> = ScratchPool::new();
     let budget = Budget::unlimited().with_max_candidates(5);
-    for workers in [1, 2, 8] {
-        let out = parallel_topk_budgeted(&q, 10, &ExecStats::new(), &budget, workers, &pool);
-        // One ticket per CN considered, drawn before the bound check: with
-        // more CNs than the cap, the verdict is always the cap — no matter
-        // how threads interleave.
-        assert_eq!(
-            out.truncation,
-            Some(TruncationReason::CandidateCapReached),
-            "workers={workers}"
-        );
-        assert!(
-            out.cns_evaluated <= 5,
-            "workers={workers}: evaluated {} CNs under a cap of 5",
-            out.cns_evaluated
-        );
-        assert_eq!(out.cns_evaluated + out.cns_pruned, cns.len() as u64);
-        assert!(
-            out.results.windows(2).all(|w| w[0].score >= w[1].score),
-            "workers={workers}: truncated results must stay sorted"
-        );
-    }
+    let out = parallel_topk_budgeted(&q, 10, &ExecStats::new(), &budget, 1, &pool);
+    // One ticket per CN considered, drawn before the bound check: with more
+    // CNs than the cap, the verdict is always the cap.
+    assert_eq!(out.truncation, Some(TruncationReason::CandidateCapReached));
+    assert!(
+        out.cns_evaluated <= 5,
+        "evaluated {} CNs under a cap of 5",
+        out.cns_evaluated
+    );
+    assert_eq!(out.cns_evaluated + out.cns_pruned, cns.len() as u64);
+    assert!(
+        out.results.windows(2).all(|w| w[0].score >= w[1].score),
+        "truncated results must stay sorted"
+    );
 }
 
-/// Under a candidate cap the position drawn from the one bound-ordered CN
-/// list is the budget ticket, so the CNs considered are the `c` best-bound
-/// ones whatever the thread timing: the capped *answer*, not only the
-/// verdict, is the same at every worker count. Each `(c, workers)` pair is
-/// repeated so a scheduling race would show within one run.
+/// Under a candidate cap a CN's position in the one bound-ordered list is
+/// its budget ticket, so the CNs considered are the `c` best-bound ones:
+/// the cap, not the host, decides the answer. At `c` = every CN the answer
+/// is the uncapped one, and the verdict says whether the cap cut anything.
 #[test]
 fn capped_answers_are_worker_invariant() {
     let db = dblp();
@@ -208,34 +189,25 @@ fn capped_answers_are_worker_invariant() {
     let truth_keys = result_keys(&naive(&q, 100_000, &ExecStats::new()));
     for c in 1..=cns.len() {
         let budget = Budget::unlimited().with_max_candidates(c as u64);
-        let run =
-            |workers| parallel_topk_budgeted(&q, k, &ExecStats::new(), &budget, workers, &pool);
-        let one = result_keys(&run(1).results);
+        let out = parallel_topk_budgeted(&q, k, &ExecStats::new(), &budget, 1, &pool);
         if c == cns.len() {
             assert_topk_equivalent(
-                &one,
+                &result_keys(&out.results),
                 &truth_keys[..k.min(truth_keys.len())],
                 &truth_keys,
-                "uncapped in effect: one worker vs naive",
+                "uncapped in effect: executor vs naive",
             );
         }
-        for workers in [1, 2, 8] {
-            for round in 0..6 {
-                let out = run(workers);
-                let ctx = format!("c={c} workers={workers} round={round}");
-                assert_eq!(result_keys(&out.results), one, "{ctx}: hits diverge");
-                assert_eq!(
-                    out.truncation,
-                    (c < cns.len()).then_some(TruncationReason::CandidateCapReached),
-                    "{ctx}"
-                );
-                assert_eq!(
-                    out.cns_evaluated + out.cns_pruned,
-                    cns.len() as u64,
-                    "{ctx}"
-                );
-            }
-        }
+        assert_eq!(
+            out.truncation,
+            (c < cns.len()).then_some(TruncationReason::CandidateCapReached),
+            "c={c}"
+        );
+        assert_eq!(
+            out.cns_evaluated + out.cns_pruned,
+            cns.len() as u64,
+            "c={c}"
+        );
     }
 }
 
@@ -253,129 +225,12 @@ fn expired_deadline_stops_every_worker_at_its_first_checkpoint() {
         keywords: &keywords,
     };
     let pool: ScratchPool<EvalScratch> = ScratchPool::new();
-    // A budget that expired before the executor started: every worker's
-    // first ticket fails the deadline check, so nothing is evaluated —
-    // workers stop within one checkpoint of expiry.
+    // A budget that expired before the executor started: the first ticket
+    // fails the deadline check, so nothing is evaluated.
     let budget = Budget::unlimited().with_timeout(Duration::ZERO);
-    for workers in [1, 4] {
-        let out = parallel_topk_budgeted(&q, 5, &ExecStats::new(), &budget, workers, &pool);
-        assert_eq!(
-            out.truncation,
-            Some(TruncationReason::DeadlineExceeded),
-            "workers={workers}"
-        );
-        assert_eq!(out.cns_evaluated, 0, "workers={workers}");
-        assert!(out.results.is_empty(), "workers={workers}");
-        assert_eq!(out.cns_pruned, cns.len() as u64, "workers={workers}");
-    }
-}
-
-#[test]
-fn engine_results_are_identical_across_worker_configs() {
-    let db = Arc::new(dblp());
-    let engine_with = |workers: usize| {
-        RelationalEngine::with_config(
-            Arc::clone(&db),
-            RelationalConfig {
-                intra_query_workers: workers,
-                ..Default::default()
-            },
-        )
-    };
-    let serial = engine_with(1);
-    let parallel = engine_with(4);
-    assert_eq!(serial.resolved_workers(), 1);
-    assert_eq!(parallel.resolved_workers(), 4);
-    for query in ["data query", "xml search", "xml data", "data"] {
-        let req = SearchRequest::new(query).k(5);
-        let s = serial.execute(&req).unwrap();
-        let p = parallel.execute(&req).unwrap();
-        // Identical score vectors, and identical hits wherever the score
-        // uniquely determines membership. (When several results tie exactly
-        // at the k-th score, which tied results fill the final slots is the
-        // one executor-specific choice — any of them is a correct top-k.)
-        let key = |h: &kwdb::engine::RelationalHit| (h.score.to_bits(), format!("{h:?}"));
-        let (sk, pk): (Vec<_>, Vec<_>) = (
-            s.hits.iter().map(key).collect(),
-            p.hits.iter().map(key).collect(),
-        );
-        let scores = |v: &[(u64, String)]| v.iter().map(|x| x.0).collect::<Vec<_>>();
-        assert_eq!(scores(&sk), scores(&pk), "{query}: score vectors diverge");
-        let boundary = sk.last().map(|x| x.0);
-        let above = |v: &[(u64, String)]| {
-            v.iter()
-                .filter(|x| Some(x.0) != boundary)
-                .cloned()
-                .collect::<std::collections::BTreeSet<_>>()
-        };
-        assert_eq!(
-            above(&sk),
-            above(&pk),
-            "{query}: worker count must not change results"
-        );
-        assert!(s.truncation.is_none() && p.truncation.is_none(), "{query}");
-        // both paths account for every generated CN
-        for resp in [&s, &p] {
-            assert_eq!(
-                resp.stats.cns_evaluated + resp.stats.cns_pruned,
-                resp.stats.candidates_generated,
-                "{query}: evaluated + pruned must equal CNs generated"
-            );
-        }
-        // the parallel path prunes with the same shared bound, so it must
-        // never evaluate a CN the bound provably excludes; both paths do
-        // real join work when there are hits
-        if !s.hits.is_empty() {
-            assert!(
-                s.stats.cns_evaluated > 0 && p.stats.cns_evaluated > 0,
-                "{query}"
-            );
-        }
-    }
-}
-
-#[test]
-fn flight_record_and_trace_report_the_effective_worker_count() {
-    use kwdb::obs::{MetricsRegistry, TraceLevel};
-    let db = Arc::new(dblp());
-    let run = |configured: usize| {
-        let reg = Arc::new(MetricsRegistry::new());
-        let engine = RelationalEngine::with_config(
-            Arc::clone(&db),
-            RelationalConfig {
-                intra_query_workers: configured,
-                ..Default::default()
-            },
-        )
-        .with_registry(Arc::clone(&reg));
-        let resp = engine
-            .execute(
-                &SearchRequest::new("data query")
-                    .k(5)
-                    .trace(TraceLevel::Full),
-            )
-            .unwrap();
-        let trace = resp.trace.expect("a traced request");
-        let policy = trace
-            .phases
-            .iter()
-            .flat_map(|p| &p.events)
-            .find(|e| e.message == "worker policy")
-            .expect("a traced query carries the worker policy")
-            .fields
-            .clone();
-        let field = |name: &str| -> f64 {
-            let (_, v) = policy.iter().find(|(k, _)| k == name).expect(name);
-            v.parse().unwrap()
-        };
-        let recorded = reg.flight().dump().records.last().unwrap().workers;
-        assert_eq!(recorded as f64, field("chosen"), "record = policy");
-        (field("cap"), field("chosen"), field("estimated_cost"))
-    };
-    // Auto: this 80-paper plan is far too small to spread, on any host.
-    let (cap, chosen, cost) = run(0);
-    assert!(cap >= 1.0 && cost > 0.0);
-    assert_eq!(chosen, 1.0);
-    // An explicit count is honoured exactly, whatever the plan costs.
-    assert_eq!(run(4), (4.0, 4.0, cost));
+    let out = parallel_topk_budgeted(&q, 5, &ExecStats::new(), &budget, 1, &pool);
+    assert_eq!(out.truncation, Some(TruncationReason::DeadlineExceeded));
+    assert_eq!(out.cns_evaluated, 0);
+    assert!(out.results.is_empty());
+    assert_eq!(out.cns_pruned, cns.len() as u64);
 }

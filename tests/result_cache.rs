@@ -1,7 +1,7 @@
 //! Contract of the generation-keyed result cache across all three engines.
 //!
 //! The guarantees under test: a cache-on engine returns bit-identical hits
-//! to a cache-off engine for every worker count; a
+//! to a cache-off engine; a
 //! mutation (ingest, delete, commit) makes the next identical query
 //! recompute with zero explicit invalidation; a thundering herd on a cold
 //! key computes exactly once; truncated (budget-constrained) responses
@@ -25,11 +25,10 @@ fn dblp() -> kwdb::relational::Database {
     })
 }
 
-fn engine_with(workers: usize, cache: CacheConfig) -> RelationalEngine {
+fn engine_with(cache: CacheConfig) -> RelationalEngine {
     RelationalEngine::with_config(
         dblp(),
         RelationalConfig {
-            intra_query_workers: workers,
             result_cache: cache,
             ..Default::default()
         },
@@ -53,55 +52,53 @@ fn fingerprint(resp: &kwdb::engine::SearchResponse<kwdb::engine::RelationalHit>)
 
 // ---- parity: cached results are the computed results ---------------------
 
-/// Workers only: the cache knows no posting layout (it is per engine, and an
+/// One layout: the cache knows no posting layout (it is per engine, and an
 /// engine serves the one its data arrived in), so that axis would check nothing
 /// here; `index_parity`, `ingest_parity`, `faceted_search` hold layouts equal.
 #[test]
 fn cache_on_equals_cache_off_across_layouts_and_workers() {
     let queries = ["data query", "xml search data", "query"];
-    for workers in [1, 4] {
-        let cold = engine_with(workers, CacheConfig::disabled());
-        let warm = engine_with(workers, CacheConfig::default());
-        for q in queries {
-            let req = faceted(q);
-            let reference = cold.execute(&req).unwrap();
-            let miss = warm.execute(&req).unwrap();
-            let hit = warm.execute(&req).unwrap();
+    let cold = engine_with(CacheConfig::disabled());
+    let warm = engine_with(CacheConfig::default());
+    for q in queries {
+        let req = faceted(q);
+        let reference = cold.execute(&req).unwrap();
+        let miss = warm.execute(&req).unwrap();
+        let hit = warm.execute(&req).unwrap();
+        assert_eq!(
+            (miss.stats.result_cache_hits, miss.stats.result_cache_misses),
+            (0, 1),
+            "{q:?}: first consult is a miss"
+        );
+        assert_eq!(
+            (hit.stats.result_cache_hits, hit.stats.result_cache_misses),
+            (1, 0),
+            "{q:?}: repeat is a hit"
+        );
+        assert_eq!(
+            (
+                reference.stats.result_cache_hits,
+                reference.stats.result_cache_misses
+            ),
+            (0, 0),
+            "disabled cache reports no consult"
+        );
+        for (label, resp) in [("miss", &miss), ("hit", &hit)] {
             assert_eq!(
-                (miss.stats.result_cache_hits, miss.stats.result_cache_misses),
-                (0, 1),
-                "{workers}w {q:?}: first consult is a miss"
+                fingerprint(resp),
+                fingerprint(&reference),
+                "{q:?}: {label} response must equal cache-off"
             );
-            assert_eq!(
-                (hit.stats.result_cache_hits, hit.stats.result_cache_misses),
-                (1, 0),
-                "{workers}w {q:?}: repeat is a hit"
-            );
-            assert_eq!(
-                (
-                    reference.stats.result_cache_hits,
-                    reference.stats.result_cache_misses
-                ),
-                (0, 0),
-                "disabled cache reports no consult"
-            );
-            for (label, resp) in [("miss", &miss), ("hit", &hit)] {
-                assert_eq!(
-                    fingerprint(resp),
-                    fingerprint(&reference),
-                    "{workers}w {q:?}: {label} response must equal cache-off"
-                );
-                assert_eq!(resp.facets, reference.facets, "{label} facets");
-                assert_eq!(resp.facets_exact, reference.facets_exact);
-                assert!(resp.truncation.is_none());
-            }
+            assert_eq!(resp.facets, reference.facets, "{label} facets");
+            assert_eq!(resp.facets_exact, reference.facets_exact);
+            assert!(resp.truncation.is_none());
         }
     }
 }
 
 #[test]
 fn keyword_order_does_not_defeat_the_cache() {
-    let engine = engine_with(1, CacheConfig::default());
+    let engine = engine_with(CacheConfig::default());
     engine
         .execute(&SearchRequest::new("data query").k(5))
         .unwrap();
@@ -118,7 +115,7 @@ fn keyword_order_does_not_defeat_the_cache() {
 
 #[test]
 fn refinements_and_facets_key_separate_entries() {
-    let engine = engine_with(1, CacheConfig::default());
+    let engine = engine_with(CacheConfig::default());
     let base = faceted("data query");
     let overview = engine.execute(&base).unwrap();
     assert_eq!(overview.stats.result_cache_misses, 1);
@@ -158,7 +155,7 @@ fn an_unknown_attribute_is_a_typed_error_even_beside_a_warm_entry() {
     // is sampled, consulted or sealed — not be answered from a neighbouring
     // entry or come back with a facet silently dropped.
     let registry = Arc::new(MetricsRegistry::new());
-    let engine = engine_with(1, CacheConfig::default()).with_registry(Arc::clone(&registry));
+    let engine = engine_with(CacheConfig::default()).with_registry(Arc::clone(&registry));
     let warm = faceted("data query");
     engine.execute(&warm).unwrap();
     assert_eq!(engine.execute(&warm).unwrap().stats.result_cache_hits, 1);
@@ -263,7 +260,7 @@ fn xml_engine_caches_repeat_queries() {
 
 #[test]
 fn thundering_herd_on_a_cold_key_computes_exactly_once() {
-    let engine = Arc::new(engine_with(1, CacheConfig::default()));
+    let engine = Arc::new(engine_with(CacheConfig::default()));
     let n_threads = 8;
     let barrier = Arc::new(std::sync::Barrier::new(n_threads));
     let responses: Vec<_> = std::thread::scope(|scope| {
@@ -295,7 +292,7 @@ fn thundering_herd_on_a_cold_key_computes_exactly_once() {
 
 #[test]
 fn constrained_budgets_bypass_the_cache_entirely() {
-    let engine = engine_with(1, CacheConfig::default());
+    let engine = engine_with(CacheConfig::default());
     let req = SearchRequest::new("data query").k(5);
     engine.execute(&req).unwrap(); // warm the unlimited-budget entry
 
@@ -341,7 +338,7 @@ fn constrained_budgets_bypass_the_cache_entirely() {
 
 #[test]
 fn traced_requests_bypass_and_keep_their_trace() {
-    let engine = engine_with(1, CacheConfig::default());
+    let engine = engine_with(CacheConfig::default());
     let req = SearchRequest::new("data query").k(5);
     engine.execute(&req).unwrap(); // warm
     let traced = engine
@@ -364,7 +361,7 @@ fn traced_requests_bypass_and_keep_their_trace() {
 
 #[test]
 fn per_request_opt_out_skips_the_cache() {
-    let engine = engine_with(1, CacheConfig::default());
+    let engine = engine_with(CacheConfig::default());
     let req = SearchRequest::new("data query").k(5);
     engine.execute(&req).unwrap(); // warm
     let opted_out = engine.execute(&req.clone().caching(false)).unwrap();
@@ -515,14 +512,11 @@ fn cleaned_queries_share_the_clean_entry_and_track_ingested_vocabulary() {
 fn byte_budget_bounds_the_cache_under_many_distinct_queries() {
     // A deliberately tiny budget: distinct queries must evict rather than
     // grow the cache without bound.
-    let engine = engine_with(
-        1,
-        CacheConfig {
-            max_bytes: 4 << 10,
-            max_entries: 16,
-            ..Default::default()
-        },
-    );
+    let engine = engine_with(CacheConfig {
+        max_bytes: 4 << 10,
+        max_entries: 16,
+        ..Default::default()
+    });
     let queries = ["data", "query", "xml", "search", "data query", "xml data"];
     for round in 0..3 {
         for (i, q) in queries.iter().enumerate() {

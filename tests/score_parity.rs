@@ -207,18 +207,9 @@ fn check(engine: &RelationalEngine, cache: &TermCache, what: &str) {
             .iter()
             .map(|r| r.score.to_bits())
             .collect();
-        for workers in [1, 3] {
-            let out = parallel_topk_budgeted(
-                &q,
-                10,
-                &ExecStats::new(),
-                &Budget::unlimited(),
-                workers,
-                &pool,
-            );
-            let got: Vec<u64> = out.results.iter().map(|r| r.score.to_bits()).collect();
-            assert_eq!(got, want, "{ctx}: executor at {workers} workers vs naive");
-        }
+        let out = parallel_topk_budgeted(&q, 10, &ExecStats::new(), &Budget::unlimited(), 1, &pool);
+        let got: Vec<u64> = out.results.iter().map(|r| r.score.to_bits()).collect();
+        assert_eq!(got, want, "{ctx}: executor vs naive");
         let expressible = kws.iter().collect::<std::collections::HashSet<_>>().len() == kws.len();
         if expressible {
             let resp = engine
@@ -331,43 +322,40 @@ fn spark_ranks_like_naive_spark_and_counts_like_monotone() {
             .iter()
             .map(|r| r.score.to_bits())
             .collect();
-        for workers in [1, 2, 8] {
-            let cfg = RelationalConfig {
-                intra_query_workers: workers,
-                result_cache: CacheConfig::disabled(),
-                ..Default::default()
-            };
-            let engine = RelationalEngine::with_config(db.clone(), cfg);
-            let ctx = format!("{layout:?}, {workers} workers");
-            let run = |req: &SearchRequest, model| engine.execute(&req.clone().scoring(model));
-            let both = |req: &SearchRequest| MODELS.map(|m| run(req, m).unwrap());
-            for k in [1, 5, 20] {
-                let resp = run(&SearchRequest::new(QUERY).k(k), Scoring::Spark).unwrap();
-                let got: Vec<u64> = resp.hits.iter().map(|h| h.score.to_bits()).collect();
-                assert_eq!(got, want[..k], "{ctx}: engine vs naive_spark, k = {k}");
-                let s = &resp.stats;
-                let cns = s.cns_evaluated + s.cns_pruned;
-                assert_eq!(cns, s.candidates_generated, "{ctx}");
-                // 2.37 × 10⁹ through the per-combination sweep this replaced.
-                assert!(s.operators.tuples_scanned <= 100_000, "{ctx}");
-            }
-            // Facets, drill-downs, a candidate cap: the executor's, not the model's.
-            let faceted = SearchRequest::new(QUERY)
-                .k(5)
-                .facet(FacetSpec::terms("conference.name", 10));
-            let [monotone, spark] = both(&faceted);
-            assert!(spark.facets_exact, "{ctx}");
-            assert_eq!(spark.facets, monotone.facets, "{ctx}");
-            let [monotone, spark] = both(&faceted.clone().refine(Refinement::Term {
-                attr: "conference.name".into(),
-                value: monotone.facets[0].values[9].value.clone(),
-            }));
-            assert!(!monotone.hits.is_empty(), "{ctx}");
-            assert_eq!(spark.hits.len(), monotone.hits.len(), "{ctx}: drill-down");
-            let cap = Budget::unlimited().with_max_candidates(2);
-            let [monotone, spark] = both(&SearchRequest::new(QUERY).k(5).budget(cap));
-            assert!(monotone.truncated(), "{ctx}");
-            assert_eq!(spark.truncation, monotone.truncation, "{ctx}: cap verdict");
+        let cfg = RelationalConfig {
+            result_cache: CacheConfig::disabled(),
+            ..Default::default()
+        };
+        let engine = RelationalEngine::with_config(db, cfg);
+        let ctx = format!("{layout:?}");
+        let run = |req: &SearchRequest, model| engine.execute(&req.clone().scoring(model));
+        let both = |req: &SearchRequest| MODELS.map(|m| run(req, m).unwrap());
+        for k in [1, 5, 20] {
+            let resp = run(&SearchRequest::new(QUERY).k(k), Scoring::Spark).unwrap();
+            let got: Vec<u64> = resp.hits.iter().map(|h| h.score.to_bits()).collect();
+            assert_eq!(got, want[..k], "{ctx}: engine vs naive_spark, k = {k}");
+            let s = &resp.stats;
+            let cns = s.cns_evaluated + s.cns_pruned;
+            assert_eq!(cns, s.candidates_generated, "{ctx}");
+            // 2.37 × 10⁹ through the per-combination sweep this replaced.
+            assert!(s.operators.tuples_scanned <= 100_000, "{ctx}");
         }
+        // Facets, drill-downs, a candidate cap: the executor's, not the model's.
+        let faceted = SearchRequest::new(QUERY)
+            .k(5)
+            .facet(FacetSpec::terms("conference.name", 10));
+        let [monotone, spark] = both(&faceted);
+        assert!(spark.facets_exact, "{ctx}");
+        assert_eq!(spark.facets, monotone.facets, "{ctx}");
+        let [monotone, spark] = both(&faceted.clone().refine(Refinement::Term {
+            attr: "conference.name".into(),
+            value: monotone.facets[0].values[9].value.clone(),
+        }));
+        assert!(!monotone.hits.is_empty(), "{ctx}");
+        assert_eq!(spark.hits.len(), monotone.hits.len(), "{ctx}: drill-down");
+        let cap = Budget::unlimited().with_max_candidates(2);
+        let [monotone, spark] = both(&SearchRequest::new(QUERY).k(5).budget(cap));
+        assert!(monotone.truncated(), "{ctx}");
+        assert_eq!(spark.truncation, monotone.truncation, "{ctx}: cap verdict");
     }
 }
