@@ -12,7 +12,9 @@
 //! and these comparisons are the whole check.
 
 use kwdb::common::{Budget, CacheConfig, Rng, TruncationReason};
+use kwdb::datasets::{generate_dblp, DblpConfig};
 use kwdb::engine::{GraphEngine, GraphSemantics, SearchRequest};
+use kwdb::graph::graph::{from_database, EdgeWeighting};
 use kwdb::graph::shortest::{multi_source, Expansion};
 use kwdb::graph::{DataGraph, DistanceList, NodeId};
 use kwdb::graphsearch::dpbf::brute_force_gst_cost;
@@ -514,4 +516,112 @@ fn pooled_scratch_leaves_no_residue_serially_or_across_threads() {
             });
         }
     });
+}
+
+/// FNV-1a over 64-bit words.
+#[derive(Debug)]
+struct Digest(u64);
+
+impl Digest {
+    fn new() -> Self {
+        Digest(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    /// One search: every tree (root, matches, sorted edges, `cost` and
+    /// `rank_cost` bits), the truncation verdict and every work counter.
+    fn search(
+        &mut self,
+        (trees, cut, work): (Vec<AnswerTree>, Option<TruncationReason>, TraversalStats),
+    ) {
+        self.word(trees.len() as u64);
+        for t in trees {
+            self.word(t.root.0 as u64);
+            self.word(t.matches.len() as u64);
+            for m in &t.matches {
+                self.word(m.0 as u64);
+            }
+            let mut edges = t.edges;
+            edges.sort();
+            self.word(edges.len() as u64);
+            for (u, v) in edges {
+                self.word((u.0 as u64) << 32 | v.0 as u64);
+            }
+            self.word(t.cost.to_bits());
+            self.word(t.rank_cost.to_bits());
+        }
+        self.word(match cut {
+            None => 0,
+            Some(TruncationReason::DeadlineExceeded) => 1,
+            Some(TruncationReason::CandidateCapReached) => 2,
+        });
+        for counter in [
+            work.nodes_expanded,
+            work.states_popped,
+            work.sorted_accesses,
+            work.random_accesses,
+        ] {
+            self.word(counter as u64);
+        }
+    }
+}
+
+/// BANKS and BLINKS on `kws` at every `k` and cap, out of one scratch.
+fn digest_searches(
+    digest: &mut Digest,
+    g: &DataGraph,
+    kws: &[&str],
+    ks: &[usize],
+    scratch: &mut SearchScratch,
+) {
+    for &k in ks {
+        for cap in [None, Some(1), Some(6), Some(40)] {
+            let budget = cap.map_or(Budget::unlimited(), |c| {
+                Budget::unlimited().with_max_candidates(c)
+            });
+            digest.search(BanksI::new(g).search_budgeted(kws, k, &budget, scratch));
+            digest.search(Blinks::new(g).search_budgeted(kws, k, &budget, scratch));
+        }
+    }
+}
+
+/// The answers and work counters of BANKS and BLINKS, frozen: any change to
+/// the shortest-path loop both run on must leave every tree, cost bit and
+/// counter where it was. The constant was computed before that loop went
+/// lazy and is never edited.
+#[test]
+fn banks_and_blinks_answers_and_work_equal_the_frozen_digest() {
+    let mut digest = Digest::new();
+    let mut scratch = SearchScratch::default();
+    let mut rng = Rng::seed_from_u64(0x20);
+    for round in 0..30 {
+        let n = rng.gen_range(8usize..80);
+        let g = random_graph(&mut rng, n, round % 2 == 0);
+        for kws in queries() {
+            digest_searches(&mut digest, &g, &kws, &[1, 3, 20], &mut scratch);
+        }
+    }
+    // The tuple graph of a small DBLP database, as the engine serves it:
+    // unit weights, conference hubs, many equal distances.
+    let db = generate_dblp(&DblpConfig {
+        n_conferences: 6,
+        n_authors: 60,
+        n_papers: 150,
+        ..Default::default()
+    });
+    for weighting in [EdgeWeighting::Uniform, EdgeWeighting::LogDegree] {
+        let (g, _) = from_database(&db, weighting);
+        let vocab: Vec<&str> = g.vocabulary().collect();
+        let mut rng = Rng::seed_from_u64(0x21);
+        for q in 0..120 {
+            let kws: Vec<&str> = (0..2 + q % 2).map(|_| *rng.choose(&vocab)).collect();
+            digest_searches(&mut digest, &g, &kws, &[1, 10], &mut scratch);
+        }
+    }
+    assert_eq!(digest.0, 14_585_307_942_293_473_257, "{digest:?}");
 }
