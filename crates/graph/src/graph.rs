@@ -61,6 +61,8 @@ pub struct DataGraph {
     /// realtime segment (node ids ascend, so lists stay sorted).
     kw_index: SegmentedIndex<NodeId>,
     edge_count: usize,
+    /// The smallest edge weight; `None` while there is no edge.
+    min_weight: Option<f64>,
     /// One write-once BLINKS distance list per keyword-dictionary term, by
     /// `Sym` (see [`distance_list`](Self::distance_list)); the slot array
     /// itself is sized to the vocabulary on the first read. Every `&mut`
@@ -98,6 +100,7 @@ impl DataGraph {
         if u == v {
             return;
         }
+        self.min_weight = Some(self.min_weight.map_or(w, |m| m.min(w)));
         if let Some(slot) = self.adj[u.0 as usize].iter_mut().find(|(x, _)| *x == v) {
             if w < slot.1 {
                 slot.1 = w;
@@ -122,6 +125,11 @@ impl DataGraph {
 
     pub fn edge_count(&self) -> usize {
         self.edge_count
+    }
+
+    /// The smallest edge weight, `+∞` for a graph without edges.
+    pub fn min_edge_weight(&self) -> f64 {
+        self.min_weight.unwrap_or(f64::INFINITY)
     }
 
     pub fn neighbors(&self, n: NodeId) -> &[(NodeId, f64)] {
@@ -372,6 +380,26 @@ mod tests {
         assert_eq!(g.edge_count(), 1);
         assert_eq!(g.edge_weight(a, b), Some(2.0));
         assert_eq!(g.edge_weight(b, a), Some(2.0));
+    }
+
+    #[test]
+    fn min_edge_weight_follows_the_cheapest_edge() {
+        let mut g = DataGraph::default();
+        assert_eq!(g.min_edge_weight(), f64::INFINITY, "no edges");
+        let (a, b, c) = (
+            g.add_node("x", ""),
+            g.add_node("x", ""),
+            g.add_node("x", ""),
+        );
+        g.add_edge(a, a, 0.5);
+        assert_eq!(g.min_edge_weight(), f64::INFINITY, "a self-loop is no edge");
+        g.add_edge(a, b, 5.0);
+        g.add_edge(b, c, 3.0);
+        g.add_edge(a, b, 7.0);
+        assert_eq!(g.min_edge_weight(), 3.0);
+        g.add_edge(b, a, 2.0); // lowers the parallel edge
+        assert_eq!(g.min_edge_weight(), 2.0);
+        assert_eq!(DataGraph::new().min_edge_weight(), f64::INFINITY);
     }
 
     #[test]

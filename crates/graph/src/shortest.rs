@@ -7,6 +7,16 @@
 //! run pays for what it reaches: [`Expansion::begin`] resets exactly the
 //! labels the previous run touched. [`dijkstra`] and [`multi_source`] are the
 //! same loop on a fresh `Expansion`, materialized into maps.
+//!
+//! Relaxation is lazy: a settled node waits, in settle order, until the queue
+//! could need its edges. None of its offers is below `dist + w_min` (`w_min`
+//! the graph's smallest edge weight), so [`Expansion::pop`] first relaxes the
+//! waiting nodes with `dist + w_min ≤` the head's distance, [`Expansion::peek`]
+//! those with `<`. Settle order is distance order, so only the front needs the
+//! test; what still waits cannot change the head, so nodes settle (and `peek`
+//! reads) as under eager relaxation; and relaxations run in settle order, so
+//! every label and pred is the eager loop's. A run that stops early leaves its
+//! last settled ring unrelaxed; `w_min = 0` relaxes everything before a pop.
 
 use crate::graph::{DataGraph, NodeId};
 use std::cmp::Reverse;
@@ -37,9 +47,8 @@ const UNREACHED: Label = Label {
 /// [`multi_source`]; seeding with one constant makes it plain Dijkstra,
 /// where the first path found at a distance keeps the node.
 ///
-/// Callers drive it one settled node at a time ([`pop`](Self::pop) then
-/// [`relax`](Self::relax)) or through [`search`](Self::search) /
-/// [`nearest`](Self::nearest).
+/// Callers drive it one settled node at a time ([`pop`](Self::pop)) or
+/// through [`search`](Self::search) / [`nearest`](Self::nearest).
 #[derive(Debug, Default)]
 pub struct Expansion {
     /// Dense by `NodeId.0`; [`UNREACHED`] everywhere outside `touched`.
@@ -47,6 +56,14 @@ pub struct Expansion {
     touched: Vec<NodeId>,
     /// Min-queue of [`queue_key`]`(dist, tag, node)`.
     heap: BinaryHeap<Reverse<u128>>,
+    /// Nodes to expand, in settle order; the first `relaxed` have offered
+    /// their edges, the rest wait.
+    settled: Vec<NodeId>,
+    relaxed: usize,
+    /// Bits of the first waiting node's `dist + w_min`, `u64::MAX` if none.
+    due: u64,
+    w_min: f64,
+    max_dist: f64,
 }
 
 /// A best-first queue entry `(cost, a, b)` packed so that integer order is
@@ -76,6 +93,11 @@ impl Expansion {
         }
         self.labels.resize(g.node_count(), UNREACHED);
         self.heap.clear();
+        self.settled.clear();
+        self.relaxed = 0;
+        self.due = u64::MAX;
+        self.w_min = g.min_edge_weight();
+        self.max_dist = f64::INFINITY;
     }
 
     /// Make `s` a source at distance 0.
@@ -94,35 +116,73 @@ impl Expansion {
         }
     }
 
-    /// Distance of the queue's head (which may be a superseded entry).
-    pub fn peek(&self) -> Option<f64> {
+    /// Bits of the head entry's distance, `u64::MAX` for an empty queue.
+    fn head(&self) -> u64 {
+        self.heap
+            .peek()
+            .map_or(u64::MAX, |&Reverse(key)| (key >> 64) as u64)
+    }
+
+    /// Distance of the queue's head (which may be a superseded entry), after
+    /// relaxing the waiting nodes that could offer less.
+    pub fn peek(&mut self, g: &DataGraph) -> Option<f64> {
+        while self.due < self.head() && self.relax_next(g) {}
         self.heap.peek().map(|&Reverse(key)| unpack_key(key).0)
     }
 
-    /// Settle the next node: the closest queued one whose entry is current.
-    pub fn pop(&mut self) -> Option<NodeId> {
-        while let Some(Reverse(key)) = self.heap.pop() {
+    /// Settle the next node — the closest queued one whose entry is current,
+    /// after relaxing the waiting nodes that could offer as little — and queue
+    /// it for relaxing.
+    pub fn pop(&mut self, g: &DataGraph) -> Option<NodeId> {
+        let u = self.settle(g)?;
+        self.defer(u);
+        Some(u)
+    }
+
+    fn settle(&mut self, g: &DataGraph) -> Option<NodeId> {
+        loop {
+            if self.due <= self.head() && self.relax_next(g) {
+                continue;
+            }
+            let Reverse(key) = self.heap.pop()?;
             let (d, tag, u) = unpack_key(key);
             let l = self.labels[u as usize];
             if (d, tag) <= (l.dist, l.tag) {
                 return Some(NodeId(u));
             }
         }
-        None
     }
 
-    /// Offer `u`'s label plus one edge to each neighbour, skipping offers
-    /// beyond `max_dist`. Every Dijkstra over nodes in the workspace's request
-    /// path is this loop.
-    pub fn relax(&mut self, g: &DataGraph, u: NodeId, max_dist: Option<f64>) {
+    fn defer(&mut self, u: NodeId) {
+        let due = self.labels[u.0 as usize].dist + self.w_min;
+        self.due = self.due.min(due.to_bits()); // only an empty FIFO's moves
+        self.settled.push(u);
+    }
+
+    /// Offer the first waiting node's label plus one edge to each neighbour,
+    /// dropping offers beyond `max_dist`; `false` if none waits. Every
+    /// Dijkstra over nodes in the workspace's request path is this loop.
+    fn relax_next(&mut self, g: &DataGraph) -> bool {
+        let Some(&u) = self.settled.get(self.relaxed) else {
+            return false;
+        };
+        self.relaxed += 1;
         let Label { dist, tag, .. } = self.labels[u.0 as usize];
         for &(v, w) in g.neighbors(u) {
             let nd = dist + w;
-            if max_dist.is_some_and(|md| nd > md) {
-                continue;
+            if nd <= self.max_dist {
+                self.improve(v, nd, tag, u.0);
             }
-            self.improve(v, nd, tag, u.0);
         }
+        self.due = self.settled.get(self.relaxed).map_or(u64::MAX, |n| {
+            (self.labels[n.0 as usize].dist + self.w_min).to_bits()
+        });
+        true
+    }
+
+    /// Settled nodes whose edges this run has relaxed.
+    pub fn relaxed(&self) -> usize {
+        self.relaxed
     }
 
     /// Dijkstra from `source`, optionally stopping once `target` is settled
@@ -138,15 +198,15 @@ impl Expansion {
         avoid_expanding: &dyn Fn(NodeId) -> bool,
     ) {
         self.begin(g);
+        self.max_dist = max_dist.unwrap_or(f64::INFINITY);
         self.seed(source, 0);
-        while let Some(u) = self.pop() {
+        while let Some(u) = self.settle(g) {
             if target == Some(u) {
                 break;
             }
-            if u != source && avoid_expanding(u) {
-                continue;
+            if u == source || !avoid_expanding(u) {
+                self.defer(u);
             }
-            self.relax(g, u, max_dist);
         }
     }
 
@@ -160,12 +220,11 @@ impl Expansion {
         max_dist: Option<f64>,
     ) {
         self.begin(g);
+        self.max_dist = max_dist.unwrap_or(f64::INFINITY);
         for s in sources {
             self.seed(s, s.0);
         }
-        while let Some(u) = self.pop() {
-            self.relax(g, u, max_dist);
-        }
+        while self.pop(g).is_some() {}
     }
 
     /// Every node this run has labelled, in first-touch order.
@@ -227,7 +286,8 @@ impl ShortestPaths {
     }
 }
 
-/// [`Expansion::search`] on a fresh expansion, materialized into maps.
+/// [`Expansion::search`] on a fresh expansion, materialized into maps. With a
+/// `target`, the maps hold fewer tentative labels than an eager loop leaves.
 pub fn dijkstra(
     g: &DataGraph,
     source: NodeId,
@@ -310,6 +370,7 @@ pub fn within_hops(g: &DataGraph, source: NodeId, hops: usize) -> HashMap<NodeId
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kwdb_common::Rng;
 
     /// Path graph a—b—c—d with weights 1, 2, 3 plus a shortcut a—d weight 10.
     fn path_graph() -> (DataGraph, Vec<NodeId>) {
@@ -379,6 +440,139 @@ mod tests {
         // deterministic tie-break picks the smaller node id
         assert_eq!(dist[&ids[2]], 3.0);
         assert_eq!(origin[&ids[2]], ids[0]);
+    }
+
+    /// `n` nodes, random edges weighted by `kind`: 0 = small integers with
+    /// zeros, 1 = small positive integers, 2 = `1 + ln(1 + degree)`.
+    fn random_graph(rng: &mut Rng, n: usize, kind: usize) -> DataGraph {
+        let mut g = DataGraph::new();
+        let ids: Vec<NodeId> = (0..n).map(|_| g.add_node("n", "")).collect();
+        let pairs: Vec<(usize, usize)> = (0..rng.gen_range(n..3 * n))
+            .map(|_| (rng.gen_index(n), rng.gen_index(n)))
+            .collect();
+        let mut degree = vec![0usize; n];
+        for &(u, v) in &pairs {
+            degree[u] += 1;
+            degree[v] += 1;
+        }
+        for (u, v) in pairs {
+            let w = match kind {
+                0 => *rng.choose(&[0.0, 1.0, 2.0, 3.0]),
+                1 => *rng.choose(&[1.0, 2.0, 3.0]),
+                _ => 1.0 + (1.0 + degree[v] as f64).ln(),
+            };
+            g.add_edge(ids[u], ids[v], w);
+        }
+        g
+    }
+
+    /// `(dist, tag)` per node by relaxing every edge until nothing changes.
+    fn fixpoint(g: &DataGraph, seeds: &[(NodeId, u32)]) -> Vec<(f64, u32)> {
+        let mut best = vec![(f64::INFINITY, NONE); g.node_count()];
+        for &(s, tag) in seeds {
+            if (0.0, tag) < best[s.0 as usize] {
+                best[s.0 as usize] = (0.0, tag);
+            }
+        }
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for u in g.iter() {
+                let (d, tag) = best[u.0 as usize];
+                for &(v, w) in g.neighbors(u) {
+                    if (d + w, tag) < best[v.0 as usize] {
+                        best[v.0 as usize] = (d + w, tag);
+                        changed = true;
+                    }
+                }
+            }
+        }
+        best
+    }
+
+    #[test]
+    fn lazy_relaxation_settles_like_eager_relaxation() {
+        let mut rng = Rng::seed_from_u64(0x33);
+        for round in 0..150 {
+            let n = rng.gen_range(2usize..60);
+            let g = random_graph(&mut rng, n, round % 3);
+            let one_tag = round % 2 == 0;
+            let seeds: Vec<(NodeId, u32)> = (0..rng.gen_range(1usize..5))
+                .map(|_| NodeId(rng.gen_index(n) as u32))
+                .map(|s| (s, if one_tag { 0 } else { s.0 }))
+                .collect();
+            let want = fixpoint(&g, &seeds);
+            // the twin relaxes every node as it settles: the eager loop
+            let (mut lazy, mut eager) = (Expansion::default(), Expansion::default());
+            for e in [&mut lazy, &mut eager] {
+                e.begin(&g);
+                for &(s, tag) in &seeds {
+                    e.seed(s, tag);
+                }
+            }
+            let mut last = None;
+            loop {
+                let ctx = format!("round {round}");
+                let peeked = lazy.peek(&g);
+                let bits = |d: Option<f64>| d.map(f64::to_bits);
+                assert_eq!(bits(peeked), bits(eager.peek(&g)), "{ctx}");
+                let head_current = lazy.heap.peek().is_some_and(|&Reverse(key)| {
+                    let (d, tag, u) = unpack_key(key);
+                    let l = lazy.labels[u as usize];
+                    (d, tag) == (l.dist, l.tag)
+                });
+                let popped = lazy.pop(&g);
+                assert_eq!(popped, eager.pop(&g), "{ctx}");
+                while eager.relax_next(&g) {}
+                let Some(u) = popped else {
+                    assert!(!head_current, "{ctx}: a current head pops");
+                    break;
+                };
+                let l = lazy.labels[u.0 as usize];
+                let e = eager.labels[u.0 as usize];
+                let label = |l: Label| (l.dist.to_bits(), l.tag, l.pred);
+                assert_eq!(label(l), label(e), "{ctx}");
+                let peeked = peeked.expect("a pop follows a peek");
+                assert!(l.dist >= peeked, "{ctx}");
+                if head_current {
+                    assert_eq!(l.dist.to_bits(), peeked.to_bits(), "{ctx}");
+                }
+                // Keys pop in order; a zero-weight edge can offer a smaller
+                // node id at the distance and tag being settled.
+                let key = queue_key(l.dist, l.tag, u.0);
+                if g.min_edge_weight() > 0.0 {
+                    assert!(last < Some(key), "{ctx}: pops strictly increase");
+                } else {
+                    assert!(last.map(|k| k >> 32) <= Some(key >> 32), "{ctx}");
+                }
+                last = Some(key);
+                let (d, tag) = want[u.0 as usize];
+                assert_eq!(l.dist.to_bits(), d.to_bits(), "{ctx}");
+                assert_eq!(l.tag, tag, "{ctx}");
+            }
+            assert_eq!(lazy.relaxed(), eager.relaxed(), "drained alike");
+        }
+    }
+
+    #[test]
+    fn search_to_a_target_finds_the_exhaustive_path() {
+        let mut rng = Rng::seed_from_u64(0x34);
+        let (mut to_target, mut exhaustive) = (Expansion::default(), Expansion::default());
+        for round in 0..150 {
+            let n = rng.gen_range(2usize..60);
+            let g = random_graph(&mut rng, n, round % 3);
+            let source = NodeId(rng.gen_index(n) as u32);
+            exhaustive.search(&g, source, None, None, &|_| false);
+            for target in g.iter() {
+                to_target.search(&g, source, Some(target), None, &|_| false);
+                let ctx = format!("round {round} {source:?} → {target:?}");
+                let dist = |e: &Expansion| e.dist(target).map(f64::to_bits);
+                assert_eq!(dist(&to_target), dist(&exhaustive), "{ctx}");
+                let path = |e: &Expansion| e.path(target).collect::<Vec<_>>();
+                assert_eq!(path(&to_target), path(&exhaustive), "{ctx}");
+                assert!(to_target.relaxed() <= exhaustive.relaxed(), "{ctx}");
+            }
+        }
     }
 
     #[test]

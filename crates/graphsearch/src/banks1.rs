@@ -17,7 +17,11 @@
 //! Each group's expansion is a [`kwdb_graph::shortest::Expansion`] — dense
 //! `(dist, pred)` labels by node id — and the set of groups that settled a
 //! node is a bitmask in a dense array; both live in the caller's
-//! [`SearchScratch`] and are reset by what the previous query touched.
+//! [`SearchScratch`] and are reset by what the previous query touched. The
+//! group choice and the stop test read only each group's next distance
+//! (`peek`), and an expansion relaxes a settled node only when that distance
+//! or the next settle needs it: at the stop, the last ring settled has
+//! offered no edges ([`TraversalStats::nodes_relaxed`] ≤ `nodes_expanded`).
 //!
 //! BANKS trees approximate Steiner trees: union-of-shortest-paths is within
 //! a factor of the group count of optimal but not exact — E05 measures the
@@ -106,19 +110,19 @@ impl<'g> BanksI<'g> {
                 truncation = Some(reason);
                 break;
             }
-            // Equi-distance: settle from the expansion with smallest frontier.
+            // Equi-distance: settle from the expansion with smallest frontier
+            // (the first such group on a tie).
             let next = groups
-                .iter()
+                .iter_mut()
                 .enumerate()
-                .filter_map(|(i, e)| e.peek().map(|d| (i, d)))
-                .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
+                .filter_map(|(i, e)| Some((i, e.peek(self.g)?)))
+                .min_by(|a, b| a.1.total_cmp(&b.1));
             let Some((gi, _)) = next else { break };
             // A queue holding only superseded entries empties here; the
             // other groups may still reach nodes this one has settled.
-            let Some(node) = groups[gi].pop() else {
+            let Some(node) = groups[gi].pop(self.g) else {
                 continue;
             };
-            groups[gi].relax(self.g, node, None);
             stats.nodes_expanded += 1;
             if (marks.or(node, 1 << gi) | 1 << gi) == full {
                 let cost: f64 = groups
@@ -132,8 +136,8 @@ impl<'g> BanksI<'g> {
             if topk.is_full() {
                 let kth_cost = -topk.threshold().expect("full");
                 let min_radius = groups
-                    .iter()
-                    .map(|e| e.peek().unwrap_or(f64::INFINITY))
+                    .iter_mut()
+                    .map(|e| e.peek(self.g).unwrap_or(f64::INFINITY))
                     .fold(f64::INFINITY, f64::min);
                 if kth_cost <= min_radius {
                     break;
@@ -141,6 +145,7 @@ impl<'g> BanksI<'g> {
             }
         }
 
+        stats.nodes_relaxed = groups.iter().map(Expansion::relaxed).sum();
         let trees = topk
             .into_sorted_vec()
             .into_iter()

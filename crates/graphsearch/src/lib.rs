@@ -52,6 +52,9 @@ pub use scratch::SearchScratch;
 pub struct TraversalStats {
     /// Nodes settled by backward expansion (BANKS I).
     pub nodes_expanded: usize,
+    /// Settled nodes whose edges the expansions relaxed (BANKS I); the rest
+    /// were settled past the last distance the search had to know.
+    pub nodes_relaxed: usize,
     /// DP states popped from the priority queue (DPBF).
     pub states_popped: usize,
     /// Sorted index accesses (BLINKS TA).

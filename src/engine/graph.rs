@@ -145,7 +145,10 @@ impl GraphEngine {
                         banks.search_budgeted(keywords, req.k, budget, &mut scratch);
                     stats.operators.tuples_scanned = work.nodes_expanded as u64;
                     tb.event("expansion", || {
-                        vec![field("nodes_expanded", work.nodes_expanded)]
+                        vec![
+                            field("nodes_expanded", work.nodes_expanded),
+                            field("nodes_relaxed", work.nodes_relaxed),
+                        ]
                     });
                     (r, truncation)
                 }
