@@ -206,9 +206,8 @@ pub struct OperatorCounts {
     /// Rows matched by hash-join probes (the build-table hit volume, as
     /// opposed to `join_probes` which counts probe *attempts*).
     pub join_probe_rows: u64,
-    /// Posting-list blocks jumped over undecoded. No executor counts these
-    /// any more (always zero); the field stays because the benchmark's
-    /// aggregator reads it.
+    /// Always zero: nothing writes or merges it. Kept only for
+    /// `benchmark/`, deleted by ROADMAP 1(a).
     pub blocks_skipped: u64,
 }
 
@@ -277,7 +276,7 @@ impl QueryStats {
                     sorted_accesses,
                     random_accesses,
                     join_probe_rows,
-                    blocks_skipped,
+                    blocks_skipped: _,
                 },
             candidates_generated,
             candidates_pruned,
@@ -300,7 +299,6 @@ impl QueryStats {
         self.operators.sorted_accesses += sorted_accesses;
         self.operators.random_accesses += random_accesses;
         self.operators.join_probe_rows += join_probe_rows;
-        self.operators.blocks_skipped += blocks_skipped;
         self.candidates_generated += candidates_generated;
         self.candidates_pruned += candidates_pruned;
         self.cns_evaluated += cns_evaluated;
@@ -390,7 +388,7 @@ mod tests {
                 sorted_accesses: 5,
                 random_accesses: 6,
                 join_probe_rows: 7,
-                blocks_skipped: 13,
+                blocks_skipped: 0,
             },
             candidates_generated: 7,
             candidates_pruned: 8,
@@ -407,7 +405,6 @@ mod tests {
         assert_eq!(a.operators.tuples_scanned, 2);
         assert_eq!(a.operators.random_accesses, 12);
         assert_eq!(a.operators.join_probe_rows, 14);
-        assert_eq!(a.operators.blocks_skipped, 26);
         assert_eq!(a.candidates_generated, 14);
         assert_eq!(a.candidates_pruned, 16);
         assert_eq!(a.cns_evaluated, 22);
@@ -449,7 +446,7 @@ mod tests {
                 sorted_accesses: 1,
                 random_accesses: 1,
                 join_probe_rows: 1,
-                blocks_skipped: 1,
+                blocks_skipped: 0,
             },
             candidates_generated: 1,
             candidates_pruned: 1,
@@ -472,7 +469,7 @@ mod tests {
             sorted_accesses,
             random_accesses,
             join_probe_rows,
-            blocks_skipped,
+            blocks_skipped: _,
         } = acc.operators;
         assert_eq!(
             [
@@ -483,7 +480,6 @@ mod tests {
                 sorted_accesses,
                 random_accesses,
                 join_probe_rows,
-                blocks_skipped,
                 acc.candidates_generated,
                 acc.candidates_pruned,
                 acc.cns_evaluated,
@@ -493,7 +489,7 @@ mod tests {
                 acc.result_cache_hits,
                 acc.result_cache_misses,
             ],
-            [1; 16],
+            [1; 15],
             "merge dropped a counter"
         );
     }

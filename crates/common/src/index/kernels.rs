@@ -1,8 +1,8 @@
 //! Sorted-list kernels shared by every substrate index: intersection
 //! (linear merge vs galloping, chosen by size ratio), the `lm`/`rm` binary
 //! probes of the SLCA/XKSearch family, and the cursor kernel — galloping
-//! cursor intersection — that operates on [`PostingCursor`]s from either
-//! physical layout.
+//! cursor intersection — that operates on [`PostingCursor`]s, over one
+//! list or a merged segment view.
 //!
 //! Slice kernels operate on sorted slices of any `Ord + Copy` element, so
 //! the same code serves relational `RowId`s, XML `NodeId`s, and graph
@@ -126,7 +126,7 @@ pub fn intersect_into<T: Ord + Copy>(a: &[T], b: &[T], out: &mut Vec<T>) {
     }
 }
 
-/// Intersect two posting cursors (any layout mix) with mutual galloping
+/// Intersect two posting cursors (any segment mix) with mutual galloping
 /// `seek`, appending equal postings to `out` with set semantics. Requires
 /// the postings' `Ord` to agree with `key64` order (monotone), which every
 /// `Ord` posting in the tree satisfies.
@@ -165,7 +165,7 @@ pub fn intersect_cursors<P: Posting + Ord>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::{Layout, SegmentedIndex};
+    use crate::index::SegmentedIndex;
     use crate::rng::Rng;
     use std::collections::BTreeSet;
 
@@ -287,9 +287,6 @@ mod tests {
         fn key64(&self) -> u64 {
             self.0 as u64
         }
-        fn from_parts(key: u64, _extras: &[u64]) -> Self {
-            N(key as u32)
-        }
         fn coalesce(&mut self, other: &Self) -> bool {
             self == other
         }
@@ -299,7 +296,7 @@ mod tests {
     }
 
     /// One sealed segment holding `lists` as terms `t0`, `t1`, …
-    fn store_with(lists: &[&[u32]], layout: Layout) -> SegmentedIndex<N> {
+    fn store_with(lists: &[&[u32]]) -> SegmentedIndex<N> {
         let mut st = SegmentedIndex::new();
         for (i, l) in lists.iter().enumerate() {
             let sym = st.intern(&format!("t{i}"));
@@ -307,12 +304,12 @@ mod tests {
                 st.add_sym(sym, N(v));
             }
         }
-        st.finalize_layout(layout);
+        st.finalize();
         st
     }
 
     #[test]
-    fn cursor_intersection_matches_slice_kernels_across_layouts() {
+    fn cursor_intersection_matches_slice_kernels() {
         let mut rng = Rng::seed_from_u64(11);
         for _ in 0..40 {
             let la = rng.gen_index(800);
@@ -320,17 +317,16 @@ mod tests {
             let a = random_list(&mut rng, la, 500);
             let b = random_list(&mut rng, lb, 500);
             let expect: Vec<N> = naive(&a, &b).into_iter().map(N).collect();
-            for la in [Layout::Plain, Layout::Blocks] {
-                for lb in [Layout::Plain, Layout::Blocks] {
-                    let sa = store_with(&[&a], la);
-                    let sb = store_with(&[&b], lb);
-                    let mut out = Vec::new();
-                    let mut ca = sa.postings_str("t0").cursor();
-                    let mut cb = sb.postings_str("t0").cursor();
-                    intersect_cursors(&mut ca, &mut cb, &mut out);
-                    assert_eq!(out, expect, "layouts {la:?}×{lb:?}");
-                }
-            }
+            let sa = store_with(&[&a]);
+            let sb = store_with(&[&b]);
+            let mut out = Vec::new();
+            let mut ca = sa.postings_str("t0").cursor();
+            let mut cb = sb.postings_str("t0").cursor();
+            intersect_cursors(&mut ca, &mut cb, &mut out);
+            assert_eq!(out, expect);
+            let mut slice = Vec::new();
+            intersect_into(&a, &b, &mut slice);
+            assert_eq!(out, slice.into_iter().map(N).collect::<Vec<_>>());
         }
     }
 }

@@ -9,9 +9,9 @@
 //!
 //! * interns each distinct term exactly once into a [`TermDict`]
 //!   ([`Sym`]-keyed, built on [`crate::intern::Interner`]);
-//! * stores postings in dense `Vec`-indexed-by-`Sym` [`PostingList`]s inside
-//!   the segments of a [`SegmentedIndex`], sorted by the posting's
-//!   [`Posting::sort_key`];
+//! * stores postings in dense `Vec`-indexed-by-`Sym` [`PostingList`]s — one
+//!   sorted `Vec` each, the only physical format — inside the segments of a
+//!   [`SegmentedIndex`], sorted by the posting's [`Posting::sort_key`];
 //! * computes per-term statistics (document frequency, total term
 //!   frequency) once per segment, when it is sealed;
 //! * provides the merge/intersection kernels ([`kernels`]) — linear merge
@@ -24,15 +24,22 @@
 //!
 //! [`Sym`]: crate::intern::Sym
 
-pub mod blocks;
 pub mod dict;
 pub mod kernels;
 pub mod posting;
 pub mod segment;
 
-pub use blocks::{BlockList, BlockMeta, BLOCK_SPAN};
 pub use dict::TermDict;
 pub use posting::{
-    IndexStats, Layout, Posting, PostingCursor, PostingIter, PostingList, Postings, TermStats,
+    IndexStats, Posting, PostingCursor, PostingIter, PostingList, Postings, TermStats,
 };
 pub use segment::{SegmentCounts, SegmentedIndex, TombstoneSet, MAX_SEGMENTS};
+
+/// Selects nothing: every posting list is a sorted `Vec`. Kept only for
+/// `benchmark/`, deleted by ROADMAP 1(a).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub enum Layout {
+    #[default]
+    Plain,
+    Blocks,
+}

@@ -1,9 +1,9 @@
 //! Generic sorted posting storage with dense `Vec`-indexed-by-`Sym` lookup,
-//! behind a cursor-based access API with a pluggable physical layout.
+//! behind a cursor-based access API.
 //!
-//! Callers read posting lists through three sealed surfaces instead of raw
-//! slices, so the in-memory layout can change without touching a single
-//! search algorithm:
+//! Callers read posting lists through three surfaces instead of raw
+//! slices, so a view can merge segments and filter tombstones without
+//! touching a single search algorithm:
 //!
 //! * [`Postings`] — a cheap `Copy` view handed out by lookups
 //!   ([`SegmentedIndex::postings`](super::SegmentedIndex::postings)),
@@ -12,13 +12,9 @@
 //! * [`PostingList::cursor`] — a [`PostingCursor`] with
 //!   `peek`/`advance`/`seek(key)`, the shape the merge kernels consume.
 //!
-//! Two layouts live behind that API ([`Layout`]): `Plain` sorted `Vec`s,
-//! and delta-encoded bit-packed [`blocks`](super::blocks) with a per-block
-//! skip directory. `seek` gallops over the slice on the one and over the
-//! directory on the other, and both walk the same postings in the same
-//! order — which is exactly what the cross-layout parity tests rely on.
+//! Every list is a sorted `Vec`: `seek` gallops over the slice, and the
+//! probes are the slice [`kernels`]'s binary searches.
 
-use super::blocks::{BlockCursor, BlockIter, BlockList};
 use super::kernels;
 use super::segment::{TombstoneSet, MAX_SEGMENTS};
 use std::time::Duration;
@@ -30,26 +26,13 @@ pub trait Posting: Copy {
     /// order, node-id order, …
     type SortKey: Ord;
 
-    /// Number of payload fields beyond the key that the block codec must
-    /// round-trip (see [`extra`](Self::extra) / [`from_parts`](Self::from_parts)).
-    const EXTRA_FIELDS: usize = 0;
-
     fn sort_key(&self) -> Self::SortKey;
 
     /// A 64-bit monotone image of [`sort_key`](Self::sort_key) order:
     /// `a.sort_key() ≤ b.sort_key() ⟹ a.key64() ≤ b.key64()`. Distinct
     /// postings may share a key (e.g. one tuple's occurrences in two
-    /// columns); cursors and the block codec order and `seek` by this key.
+    /// columns); cursors `seek` and tombstones delete by this key.
     fn key64(&self) -> u64;
-
-    /// The `i`-th payload field (`i < EXTRA_FIELDS`), as stored bits.
-    fn extra(&self, _i: usize) -> u64 {
-        0
-    }
-
-    /// Rebuild a posting from its key and payload fields — the inverse of
-    /// `key64` + `extra`, used when decoding the block layout.
-    fn from_parts(key: u64, extras: &[u64]) -> Self;
 
     /// Fold `other` — an occurrence at the *same* logical position — into
     /// `self` (e.g. accumulate term frequency). Must return `false` without
@@ -64,20 +47,6 @@ pub trait Posting: Copy {
     /// Whether two sort-adjacent postings belong to the same document, for
     /// document-frequency counting.
     fn same_doc(&self, other: &Self) -> bool;
-}
-
-/// Physical layout of the sealed posting lists of a
-/// [`SegmentedIndex`](super::SegmentedIndex).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum Layout {
-    /// Sorted `Vec<P>` — fastest build, `size_of::<P>()` bytes per posting.
-    #[default]
-    Plain,
-    /// Delta-encoded bit-packed blocks with a per-block skip directory
-    /// ([`super::blocks`]). Lists whose encoded form would be *larger* than
-    /// plain (short lists, already-tiny postings) stay plain per-list; the
-    /// index-level layout records the requested policy.
-    Blocks,
 }
 
 /// Per-term statistics, computed once when a segment is sealed.
@@ -100,11 +69,8 @@ pub struct IndexStats {
     pub terms: usize,
     /// Stored postings across all lists.
     pub postings: usize,
-    /// Bytes of posting payload: `postings × size_of::<P>()` for plain
-    /// lists, encoded words + skip metadata for block lists.
+    /// Bytes of posting payload: `postings × size_of::<P>()`.
     pub posting_bytes: usize,
-    /// Encoded blocks across all lists (0 ⇒ fully plain).
-    pub blocks: usize,
     /// Build wall-clock, when the owner measured one (batch builds do;
     /// incrementally grown indexes don't).
     pub build: Option<Duration>,
@@ -116,7 +82,6 @@ impl IndexStats {
             terms,
             postings,
             posting_bytes,
-            blocks: 0,
             build: None,
         }
     }
@@ -127,34 +92,22 @@ impl IndexStats {
         self.build = build;
         self
     }
-
-    pub fn with_blocks(mut self, blocks: usize) -> Self {
-        self.blocks = blocks;
-        self
-    }
 }
 
-/// One term's sorted posting list: plain `Vec` or compressed blocks.
+/// One term's sorted posting list.
 ///
-/// The `lm`/`rm` binary probes and intersections the search algorithms need
-/// are methods here, dispatched per layout (plain probes delegate to the
-/// shared [`kernels`], block probes to the skip directory), so every
-/// substrate probes lists the same way on either layout.
+/// The `lm`/`rm` binary probes the search algorithms need are methods
+/// here, delegating to the shared slice [`kernels`], so every substrate
+/// probes lists the same way.
 #[derive(Debug, Clone)]
 pub struct PostingList<P> {
-    repr: Repr<P>,
-}
-
-#[derive(Debug, Clone)]
-enum Repr<P> {
-    Plain(Vec<P>),
-    Blocks(BlockList<P>),
+    entries: Vec<P>,
 }
 
 impl<P> Default for PostingList<P> {
     fn default() -> Self {
         PostingList {
-            repr: Repr::Plain(Vec::new()),
+            entries: Vec::new(),
         }
     }
 }
@@ -163,9 +116,7 @@ impl<P: Posting> PostingList<P> {
     /// Wrap a vec that is not necessarily sorted; callers must
     /// [`finalize`](Self::finalize) before querying (segment merges do).
     pub(crate) fn from_unsorted(entries: Vec<P>) -> Self {
-        PostingList {
-            repr: Repr::Plain(entries),
-        }
+        PostingList { entries }
     }
 
     /// Insert `p` preserving sort order: the append/coalesce fast path when
@@ -173,7 +124,7 @@ impl<P: Posting> PostingList<P> {
     /// ingest emit ascending keys), a binary-search insertion otherwise
     /// (interleaved-table ingest into a realtime segment).
     pub(crate) fn insert_coalesce(&mut self, p: P) {
-        let entries = self.make_plain();
+        let entries = &mut self.entries;
         if entries
             .last()
             .is_none_or(|last| last.sort_key() <= p.sort_key())
@@ -194,28 +145,16 @@ impl<P: Posting> PostingList<P> {
     }
 
     /// Drop postings failing the predicate (the tombstone purge of segment
-    /// commit/merge). Decodes block lists to plain.
+    /// commit/merge).
     pub(crate) fn retain(&mut self, f: impl FnMut(&P) -> bool) {
-        self.make_plain().retain(f);
-    }
-
-    /// Decode to plain if needed and return the backing vec.
-    fn make_plain(&mut self) -> &mut Vec<P> {
-        if let Repr::Blocks(bl) = &self.repr {
-            self.repr = Repr::Plain(bl.to_vec());
-        }
-        match &mut self.repr {
-            Repr::Plain(v) => v,
-            Repr::Blocks(_) => unreachable!(),
-        }
+        self.entries.retain(f);
     }
 
     /// Sort by [`Posting::sort_key`], coalesce duplicates, and compute the
     /// term's stats. Skips the sort when the list is already ordered (the
-    /// common case for in-order builds). Leaves the list plain; the index
-    /// re-applies its layout afterwards.
+    /// common case for in-order builds).
     pub(crate) fn finalize(&mut self) -> TermStats {
-        let entries = self.make_plain();
+        let entries = &mut self.entries;
         let sorted = entries
             .windows(2)
             .all(|w| w[0].sort_key() <= w[1].sort_key());
@@ -250,149 +189,65 @@ impl<P: Posting> PostingList<P> {
         stats
     }
 
-    /// Re-encode this (sorted) list to `layout`. Going to `Blocks` keeps
-    /// the list plain when the encoded form would not be smaller, so tiny
-    /// lists never pay metadata overhead.
-    pub(crate) fn apply_layout(&mut self, layout: Layout) {
-        match layout {
-            Layout::Plain => {
-                self.make_plain();
-            }
-            Layout::Blocks => {
-                if let Repr::Plain(v) = &self.repr {
-                    if v.is_empty() {
-                        return;
-                    }
-                    let bl = BlockList::encode(v);
-                    if bl.heap_bytes() < v.len() * std::mem::size_of::<P>() {
-                        self.repr = Repr::Blocks(bl);
-                    }
-                }
-            }
-        }
-    }
-
-    /// The layout this particular list is stored in.
-    pub fn layout(&self) -> Layout {
-        match &self.repr {
-            Repr::Plain(_) => Layout::Plain,
-            Repr::Blocks(_) => Layout::Blocks,
-        }
-    }
-
-    /// By-value iteration in sort order, on either layout.
+    /// By-value iteration in sort order.
     pub fn iter(&self) -> PostingIter<'_, P> {
         PostingIter {
-            inner: match &self.repr {
-                Repr::Plain(v) => IterRepr::Plain(v.iter()),
-                Repr::Blocks(bl) => IterRepr::Blocks(BlockIter::new(bl)),
-            },
+            inner: IterRepr::Slice(self.entries.iter()),
         }
     }
 
     /// A cursor positioned at the first posting.
     pub fn cursor(&self) -> PostingCursor<'_, P> {
         PostingCursor {
-            inner: match &self.repr {
-                Repr::Plain(v) => CursorRepr::Plain { list: v, pos: 0 },
-                Repr::Blocks(bl) => CursorRepr::Blocks(bl.cursor()),
+            inner: CursorRepr::Slice {
+                list: &self.entries,
+                pos: 0,
             },
         }
     }
 
-    /// Decode/copy the list into a fresh `Vec`.
+    /// Copy the list into a fresh `Vec`.
     pub fn to_vec(&self) -> Vec<P> {
-        match &self.repr {
-            Repr::Plain(v) => v.clone(),
-            Repr::Blocks(bl) => bl.to_vec(),
-        }
+        self.entries.clone()
     }
 
-    /// Heap bytes held by the posting payload in its current layout.
+    /// Heap bytes held by the posting payload.
     pub fn heap_bytes(&self) -> usize {
-        match &self.repr {
-            Repr::Plain(v) => v.len() * std::mem::size_of::<P>(),
-            Repr::Blocks(bl) => bl.heap_bytes(),
-        }
-    }
-
-    /// Encoded blocks (0 when plain).
-    pub fn num_blocks(&self) -> usize {
-        match &self.repr {
-            Repr::Plain(_) => 0,
-            Repr::Blocks(bl) => bl.num_blocks(),
-        }
+        self.entries.len() * std::mem::size_of::<P>()
     }
 
     pub fn len(&self) -> usize {
-        match &self.repr {
-            Repr::Plain(v) => v.len(),
-            Repr::Blocks(bl) => bl.len(),
-        }
+        self.entries.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.entries.is_empty()
     }
 
     /// The first posting, if any.
     pub fn first(&self) -> Option<P> {
-        self.iter().next()
+        self.entries.first().copied()
     }
 }
 
 impl<P: Posting + Ord> PostingList<P> {
     /// Smallest posting `≥ v` — the *rm* probe.
     pub fn right_match(&self, v: P) -> Option<P> {
-        match &self.repr {
-            Repr::Plain(entries) => kernels::right_match(entries, v),
-            Repr::Blocks(bl) => bl.right_match(v),
-        }
+        kernels::right_match(&self.entries, v)
     }
 
     /// Largest posting `≤ v` — the *lm* probe.
     pub fn left_match(&self, v: P) -> Option<P> {
-        match &self.repr {
-            Repr::Plain(entries) => kernels::left_match(entries, v),
-            Repr::Blocks(bl) => bl.left_match(v),
-        }
+        kernels::left_match(&self.entries, v)
     }
 
     /// Binary-search membership probe.
     pub fn contains(&self, v: &P) -> bool {
-        match &self.repr {
-            Repr::Plain(entries) => kernels::contains(entries, v),
-            Repr::Blocks(bl) => bl.contains(v),
-        }
-    }
-
-    /// Intersect with another sorted list into a caller-provided buffer
-    /// (cleared first), choosing the kernel by size ratio and layout:
-    /// plain×plain dispatches to the slice kernels, any block operand goes
-    /// through a galloping cursor merge. Set semantics: strictly
-    /// increasing output.
-    pub fn intersect_into(&self, other: &Self, out: &mut Vec<P>) {
-        match (&self.repr, &other.repr) {
-            (Repr::Plain(a), Repr::Plain(b)) => kernels::intersect_into(a, b, out),
-            _ => {
-                out.clear();
-                let mut a = self.cursor();
-                let mut b = other.cursor();
-                kernels::intersect_cursors(&mut a, &mut b, out);
-            }
-        }
-    }
-
-    /// Intersect with another sorted list into a fresh `Vec`. Hot paths
-    /// with a scratch buffer should call [`intersect_into`](Self::intersect_into).
-    pub fn intersect(&self, other: &Self) -> Vec<P> {
-        let mut out = Vec::new();
-        self.intersect_into(other, &mut out);
-        out
+        kernels::contains(&self.entries, v)
     }
 }
 
-/// By-value iterator over a [`PostingList`] on either layout.
+/// By-value iterator over a [`PostingList`] or a merged [`Postings`] view.
 #[derive(Debug, Clone)]
 pub struct PostingIter<'a, P: Posting> {
     inner: IterRepr<'a, P>,
@@ -400,8 +255,7 @@ pub struct PostingIter<'a, P: Posting> {
 
 #[derive(Debug, Clone)]
 enum IterRepr<'a, P: Posting> {
-    Plain(std::slice::Iter<'a, P>),
-    Blocks(BlockIter<'a, P>),
+    Slice(std::slice::Iter<'a, P>),
     Multi(Box<MultiIter<'a, P>>),
 }
 
@@ -411,16 +265,14 @@ impl<P: Posting> Iterator for PostingIter<'_, P> {
     #[inline]
     fn next(&mut self) -> Option<P> {
         match &mut self.inner {
-            IterRepr::Plain(it) => it.next().copied(),
-            IterRepr::Blocks(it) => it.next(),
+            IterRepr::Slice(it) => it.next().copied(),
             IterRepr::Multi(it) => it.next(),
         }
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
         match &self.inner {
-            IterRepr::Plain(it) => it.size_hint(),
-            IterRepr::Blocks(it) => it.size_hint(),
+            IterRepr::Slice(it) => it.size_hint(),
             IterRepr::Multi(it) => it.size_hint(),
         }
     }
@@ -485,7 +337,7 @@ impl<P: Posting> Iterator for MultiIter<'_, P> {
 /// The read view lookups hand out: a cheap `Copy` handle on a term's
 /// posting lists — one per live segment, plus the index's tombstone set —
 /// with the slice-like conveniences callers actually need (`len`, `iter`,
-/// `cursor`, probes) but no layout commitment.
+/// `cursor`, probes).
 ///
 /// A [`SegmentedIndex`](super::segment::SegmentedIndex) hands out views
 /// merging up to [`MAX_SEGMENTS`] document-disjoint sorted lists with
@@ -582,7 +434,7 @@ impl<'a, P: Posting> Postings<'a, P> {
         }
         if self.n == 0 {
             return PostingIter {
-                inner: IterRepr::Plain([].iter()),
+                inner: IterRepr::Slice([].iter()),
             };
         }
         PostingIter {
@@ -596,7 +448,7 @@ impl<'a, P: Posting> Postings<'a, P> {
         }
         if self.n == 0 {
             return PostingCursor {
-                inner: CursorRepr::Plain { list: &[], pos: 0 },
+                inner: CursorRepr::Slice { list: &[], pos: 0 },
             };
         }
         PostingCursor {
@@ -795,7 +647,7 @@ impl<P: Posting + PartialEq> PartialEq<Vec<P>> for Postings<'_, P> {
     }
 }
 
-/// Layout-agnostic cursor over one posting list: `peek`/`advance` for
+/// Cursor over one posting list or a merged view: `peek`/`advance` for
 /// linear scans, `seek(key)` with galloping for intersections.
 #[derive(Debug, Clone)]
 pub struct PostingCursor<'a, P: Posting> {
@@ -804,8 +656,7 @@ pub struct PostingCursor<'a, P: Posting> {
 
 #[derive(Debug, Clone)]
 enum CursorRepr<'a, P: Posting> {
-    Plain { list: &'a [P], pos: usize },
-    Blocks(BlockCursor<'a, P>),
+    Slice { list: &'a [P], pos: usize },
     Multi(Box<MultiCursor<'a, P>>),
 }
 
@@ -864,8 +715,7 @@ impl<P: Posting> PostingCursor<'_, P> {
     #[inline]
     pub fn peek(&self) -> Option<P> {
         match &self.inner {
-            CursorRepr::Plain { list, pos } => list.get(*pos).copied(),
-            CursorRepr::Blocks(c) => c.peek(),
+            CursorRepr::Slice { list, pos } => list.get(*pos).copied(),
             CursorRepr::Multi(m) => m.cur.map(|(_, p)| p),
         }
     }
@@ -874,12 +724,11 @@ impl<P: Posting> PostingCursor<'_, P> {
     #[inline]
     pub fn advance(&mut self) {
         match &mut self.inner {
-            CursorRepr::Plain { list, pos } => {
+            CursorRepr::Slice { list, pos } => {
                 if *pos < list.len() {
                     *pos += 1;
                 }
             }
-            CursorRepr::Blocks(c) => c.advance(),
             CursorRepr::Multi(m) => {
                 if let Some((i, _)) = m.cur {
                     m.children[i].advance();
@@ -901,16 +750,14 @@ impl<P: Posting> PostingCursor<'_, P> {
     }
 
     /// Position the cursor at the first posting with `key64() ≥ key` and
-    /// return it. Gallops: `O(log d)` in the distance on plain lists, a
-    /// skip-directory jump plus one in-block scan on the block layout.
-    /// Never moves backwards.
+    /// return it. Gallops: `O(log d)` in the distance. Never moves
+    /// backwards.
     pub fn seek(&mut self, key: u64) -> Option<P> {
         match &mut self.inner {
-            CursorRepr::Plain { list, pos } => {
+            CursorRepr::Slice { list, pos } => {
                 *pos = kernels::gallop_by(list, *pos, |p| p.key64() >= key);
                 list.get(*pos).copied()
             }
-            CursorRepr::Blocks(c) => c.seek(key),
             CursorRepr::Multi(m) => {
                 for c in &mut m.children {
                     c.seek(key);
@@ -931,20 +778,18 @@ impl<P: Posting> PostingCursor<'_, P> {
     /// passed (the list's last once exhausted), `None` at the front. After
     /// `seek(key)` it is the largest posting with `key64 < key` — with
     /// `peek`, both neighbours of `key` (the *lm*/*rm* pair) from one
-    /// galloping seek. Plain lists read one slot; block lists decode the
-    /// current block up to the cursor; merged views take the largest live
-    /// predecessor over their segments.
+    /// galloping seek. A single list reads one slot; merged views take the
+    /// largest live predecessor over their segments.
     pub fn prev(&self) -> Option<P> {
         match &self.inner {
-            CursorRepr::Plain { list, pos } => pos.checked_sub(1).map(|i| list[i]),
+            CursorRepr::Slice { list, pos } => pos.checked_sub(1).map(|i| list[i]),
             _ => self.prev_where(&|_: &P| true),
         }
     }
 
     fn prev_where(&self, keep: &dyn Fn(&P) -> bool) -> Option<P> {
         match &self.inner {
-            CursorRepr::Plain { list, pos } => list[..*pos].iter().rev().copied().find(|p| keep(p)),
-            CursorRepr::Blocks(c) => c.prev_where(keep),
+            CursorRepr::Slice { list, pos } => list[..*pos].iter().rev().copied().find(|p| keep(p)),
             CursorRepr::Multi(m) => {
                 let live = |p: &P| keep(p) && !m.tomb.is_some_and(|t| t.contains(p.key64()));
                 // every segment's passed postings precede the merged head
@@ -972,25 +817,11 @@ mod tests {
 
     impl Posting for Occ {
         type SortKey = (u32, u32);
-        const EXTRA_FIELDS: usize = 2;
         fn sort_key(&self) -> (u32, u32) {
             (self.doc, self.slot)
         }
         fn key64(&self) -> u64 {
             ((self.doc as u64) << 32) | self.slot as u64
-        }
-        fn extra(&self, i: usize) -> u64 {
-            match i {
-                0 => self.slot as u64,
-                _ => self.tf as u64,
-            }
-        }
-        fn from_parts(key: u64, extras: &[u64]) -> Self {
-            Occ {
-                doc: (key >> 32) as u32,
-                slot: extras[0] as u32,
-                tf: extras[1] as u32,
-            }
         }
         fn coalesce(&mut self, other: &Self) -> bool {
             if self.doc == other.doc && self.slot == other.slot {
@@ -1019,7 +850,7 @@ mod tests {
         ix.add("xml", occ(2, 0)); // duplicate → coalesced, tf 2
         ix.add("xml", occ(0, 1)); // out of order → sorted on insert
         ix.add("db", occ(1, 0));
-        ix.finalize_layout(Layout::Plain);
+        ix.finalize();
         let x = ix.sym("xml").unwrap();
         assert_eq!(
             ix.postings(x),
@@ -1055,15 +886,14 @@ mod tests {
         let mut ix: SegmentedIndex<Occ> = SegmentedIndex::new();
         ix.add("t", occ(5, 0));
         ix.add("t", occ(3, 0));
-        ix.finalize_layout(Layout::Plain);
+        ix.finalize();
         let before: Vec<_> = ix.postings(ix.sym("t").unwrap()).to_vec();
-        ix.finalize_layout(Layout::Plain);
+        ix.finalize();
         assert_eq!(ix.postings(ix.sym("t").unwrap()), before);
         let stats = ix.index_stats();
         assert_eq!(stats.terms, 1);
         assert_eq!(stats.postings, 2);
         assert_eq!(stats.posting_bytes, 2 * std::mem::size_of::<Occ>());
-        assert_eq!(stats.blocks, 0, "plain layout stores no blocks");
     }
 
     #[test]
@@ -1079,9 +909,6 @@ mod tests {
             fn key64(&self) -> u64 {
                 self.0 as u64
             }
-            fn from_parts(key: u64, _extras: &[u64]) -> Self {
-                N(key as u32)
-            }
             fn coalesce(&mut self, other: &Self) -> bool {
                 self == other
             }
@@ -1096,64 +923,6 @@ mod tests {
         assert!(l.contains(&N(5)) && !l.contains(&N(6)));
     }
 
-    #[test]
-    fn layout_switch_preserves_contents_and_stats() {
-        let mut ix: SegmentedIndex<Occ> = SegmentedIndex::new();
-        for doc in 0..2000u32 {
-            ix.add("t", occ(doc, 0));
-            if doc % 3 == 0 {
-                ix.add("t", occ(doc, 1));
-            }
-        }
-        ix.finalize_layout(Layout::Plain);
-        let sym = ix.sym("t").unwrap();
-        let plain: Vec<Occ> = ix.postings(sym).to_vec();
-        let plain_stats = ix.term_stats(sym);
-        let plain_bytes = ix.index_stats().posting_bytes;
-
-        ix.set_layout(Layout::Blocks);
-        assert_eq!(ix.layout(), Layout::Blocks);
-        assert_eq!(ix.postings(sym).to_vec(), plain, "contents survive encode");
-        assert_eq!(ix.term_stats(sym), plain_stats);
-        let stats = ix.index_stats();
-        assert!(stats.blocks > 0, "long list actually block-encoded");
-        assert!(
-            stats.posting_bytes < plain_bytes,
-            "blocks {} !< plain {plain_bytes}",
-            stats.posting_bytes
-        );
-
-        ix.set_layout(Layout::Plain);
-        assert_eq!(ix.postings(sym).to_vec(), plain, "contents survive decode");
-        assert_eq!(ix.index_stats().posting_bytes, plain_bytes);
-        assert_eq!(ix.index_stats().blocks, 0);
-    }
-
-    #[test]
-    fn short_lists_stay_plain_under_blocks_layout() {
-        let mut l = PostingList::from_unsorted(vec![occ(7, 0)]);
-        l.finalize();
-        l.apply_layout(Layout::Blocks);
-        // a one-entry block would cost more than 16 plain bytes
-        assert_eq!(l.layout(), Layout::Plain);
-        assert_eq!(l.to_vec(), vec![occ(7, 0)]);
-    }
-
-    #[test]
-    fn insert_into_blocks_reverts_list_to_plain_and_relayout_reencodes() {
-        let mut l = PostingList::from_unsorted((0..1000u32).map(|doc| occ(doc, 0)).collect());
-        l.finalize();
-        l.apply_layout(Layout::Blocks);
-        assert_eq!(l.layout(), Layout::Blocks);
-        l.insert_coalesce(occ(1000, 0));
-        assert_eq!(l.layout(), Layout::Plain, "growth decodes");
-        assert_eq!(l.len(), 1001);
-        l.finalize();
-        l.apply_layout(Layout::Blocks);
-        assert_eq!(l.layout(), Layout::Blocks, "layout re-applied");
-        assert_eq!(l.len(), 1001);
-    }
-
     /// Node-id-like posting: key64 is the id itself.
     #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
     struct Id(u32);
@@ -1166,9 +935,6 @@ mod tests {
         fn key64(&self) -> u64 {
             self.0 as u64
         }
-        fn from_parts(key: u64, _extras: &[u64]) -> Self {
-            Id(key as u32)
-        }
         fn coalesce(&mut self, other: &Self) -> bool {
             self == other
         }
@@ -1179,8 +945,8 @@ mod tests {
 
     /// One seeking cursor answers both probes at every key: after
     /// `seek(v)`, `peek` is `right_match(v)` and `prev` is
-    /// `left_match(v - 1)` — on plain and block lists and on merged views
-    /// with tombstones, whose `left_match` must also equal a linear scan.
+    /// `left_match(v - 1)` — on a single list and on merged views with
+    /// tombstones, whose `left_match` must also equal a linear scan.
     #[test]
     fn cursor_prev_and_peek_answer_lm_and_rm_at_every_key() {
         let mut x = 0x9e37_79b9_u64;
@@ -1191,33 +957,27 @@ mod tests {
             (x >> 33) % n
         };
         let ids: Vec<Id> = (0..3000u32).filter(|_| next(3) == 0).map(Id).collect();
-        let mut views: Vec<(String, SegmentedIndex<Id>)> = Vec::new();
-        for layout in [Layout::Plain, Layout::Blocks] {
-            let mut ix: SegmentedIndex<Id> = SegmentedIndex::new();
-            for &p in &ids {
-                ix.add("t", p);
-            }
-            ix.finalize_layout(layout);
-            views.push((format!("single {layout:?}"), ix));
-            // the same ids spread over sealed segments and the realtime
-            // one, with tombstones in each
-            let mut ix: SegmentedIndex<Id> = SegmentedIndex::new();
-            ix.finalize_layout(layout);
-            for (i, &p) in ids.iter().enumerate() {
-                ix.add("t", p);
-                if i % 250 == 249 && next(2) == 0 {
-                    ix.commit();
-                }
-            }
-            for &p in &ids {
-                if next(7) == 0 {
-                    ix.delete_key(p.key64());
-                }
-            }
-            assert!(ix.segment_counts().sealed > 1 && !ix.tombstones().is_empty());
-            views.push((format!("segmented {layout:?}"), ix));
+        let mut single: SegmentedIndex<Id> = SegmentedIndex::new();
+        for &p in &ids {
+            single.add("t", p);
         }
-        for (name, ix) in &views {
+        single.finalize();
+        // the same ids spread over sealed segments and the realtime one,
+        // with tombstones in each
+        let mut segmented: SegmentedIndex<Id> = SegmentedIndex::new();
+        for (i, &p) in ids.iter().enumerate() {
+            segmented.add("t", p);
+            if i % 250 == 249 && next(2) == 0 {
+                segmented.commit();
+            }
+        }
+        for &p in &ids {
+            if next(7) == 0 {
+                segmented.delete_key(p.key64());
+            }
+        }
+        assert!(segmented.segment_counts().sealed > 1 && !segmented.tombstones().is_empty());
+        for (name, ix) in [("single", &single), ("segmented", &segmented)] {
             let view = ix.postings_str("t");
             let live = view.to_vec();
             let mut cursor = view.cursor();
@@ -1241,7 +1001,7 @@ mod tests {
     }
 
     #[test]
-    fn cursor_on_plain_layout_seeks_and_exhausts() {
+    fn cursor_seeks_and_exhausts() {
         let mut l = PostingList::from_unsorted(vec![occ(3, 0), occ(9, 0), occ(12, 0)]);
         l.finalize();
         let mut c = l.cursor();

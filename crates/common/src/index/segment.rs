@@ -2,16 +2,14 @@
 //! immutable **sealed** segments, searched together behind the ordinary
 //! [`Postings`]/cursor API.
 //!
-//! A [`SegmentedIndex`] accumulates new postings in an uncompressed,
-//! always-sorted realtime segment (plain layout, binary-insertion on
-//! out-of-order keys) that is queried alongside the sealed segments through
-//! a k-way merge view — a kernel that consumes cursors
-//! (`intersect_cursors`) or a caller that iterates a view (the relational
-//! tuple-set build) works across segments unchanged, because the merged
-//! cursor and iterator keep the single-list contract. A batch build is the
-//! degenerate case: add everything, then
-//! [`finalize_layout`](SegmentedIndex::finalize_layout) into one sealed
-//! segment.
+//! A [`SegmentedIndex`] accumulates new postings in an always-sorted
+//! realtime segment (binary insertion on out-of-order keys) that is queried
+//! alongside the sealed segments through a k-way merge view — a kernel that
+//! consumes cursors (`intersect_cursors`) or a caller that iterates a view
+//! (the relational tuple-set build) works across segments unchanged, because
+//! the merged cursor and iterator keep the single-list contract. A batch
+//! build is the degenerate case: add everything, then
+//! [`finalize`](SegmentedIndex::finalize) into one sealed segment.
 //!
 //! Lifecycle:
 //!
@@ -20,10 +18,9 @@
 //!   cursors and iterators filter tombstoned postings immediately, in every
 //!   segment;
 //! * [`commit`](SegmentedIndex::commit) seals the realtime segment into an
-//!   immutable segment in the store's layout (tombstoned postings are
-//!   dropped at seal time), folding the two smallest sealed segments
-//!   together whenever sealing would exceed [`MAX_SEGMENTS`]`- 1` sealed
-//!   segments;
+//!   immutable segment (tombstoned postings are dropped at seal time),
+//!   folding the two smallest sealed segments together whenever sealing
+//!   would exceed [`MAX_SEGMENTS`]`- 1` sealed segments;
 //! * [`merge`](SegmentedIndex::merge) is the full compaction: all sealed
 //!   segments become one, tombstoned postings are purged everywhere
 //!   (including the realtime segment), the tombstone set is cleared, and
@@ -36,7 +33,7 @@
 //! invisible to cursors but still counted in sealed-segment stats).
 
 use super::dict::TermDict;
-use super::posting::{IndexStats, Layout, Posting, PostingList, Postings, TermStats};
+use super::posting::{IndexStats, Posting, PostingList, Postings, TermStats};
 use crate::intern::Sym;
 use std::collections::HashSet;
 
@@ -119,8 +116,8 @@ struct SealedSegment<P> {
 #[derive(Debug, Clone)]
 pub struct SegmentedIndex<P> {
     dict: TermDict,
-    /// Realtime lists, indexed by `Sym`; always plain and always sorted
-    /// (in-order appends are O(1), out-of-order inserts binary-search).
+    /// Realtime lists, indexed by `Sym`; always sorted (in-order appends
+    /// are O(1), out-of-order inserts binary-search).
     realtime: Vec<PostingList<P>>,
     /// How many of `realtime`'s lists hold a posting, kept by the three
     /// places that change one (`add_sym`, `commit`, `merge`), so that
@@ -129,7 +126,6 @@ pub struct SegmentedIndex<P> {
     realtime_lists: usize,
     sealed: Vec<SealedSegment<P>>,
     tomb: TombstoneSet,
-    layout: Layout,
     merges: u64,
 }
 
@@ -141,7 +137,6 @@ impl<P> Default for SegmentedIndex<P> {
             realtime_lists: 0,
             sealed: Vec::new(),
             tomb: TombstoneSet::new(),
-            layout: Layout::Plain,
             merges: 0,
         }
     }
@@ -193,16 +188,15 @@ impl<P: Posting> SegmentedIndex<P> {
         &self.tomb
     }
 
-    /// Seal the realtime segment into an immutable segment in the store's
-    /// [`Layout`]; tombstoned postings are dropped at seal time (their
-    /// tombstones stay, covering older sealed segments). When sealing would
-    /// leave more than [`MAX_SEGMENTS`]` - 1` sealed segments, the two
-    /// smallest are folded together until the cap holds. No-op when the
-    /// realtime segment is empty.
+    /// Seal the realtime segment into an immutable segment; tombstoned
+    /// postings are dropped at seal time (their tombstones stay, covering
+    /// older sealed segments). When sealing would leave more than
+    /// [`MAX_SEGMENTS`]` - 1` sealed segments, the two smallest are folded
+    /// together until the cap holds. No-op when the realtime segment is
+    /// empty.
     pub fn commit(&mut self) -> SegmentCounts {
         if self.realtime_lists > 0 {
             self.realtime_lists = 0;
-            let layout = self.layout;
             let tomb = &self.tomb;
             let mut lists = Vec::with_capacity(self.realtime.len());
             let mut stats = Vec::with_capacity(self.realtime.len());
@@ -213,7 +207,6 @@ impl<P: Posting> SegmentedIndex<P> {
                     sealed.retain(|p| !tomb.contains(p.key64()));
                 }
                 let st = sealed.finalize();
-                sealed.apply_layout(layout);
                 postings += sealed.len();
                 stats.push(st);
                 lists.push(sealed);
@@ -289,7 +282,6 @@ impl<P: Posting> SegmentedIndex<P> {
             }
             let mut merged = PostingList::from_unsorted(all);
             let st = merged.finalize();
-            merged.apply_layout(self.layout);
             postings += merged.len();
             stats.push(st);
             lists.push(merged);
@@ -301,30 +293,12 @@ impl<P: Posting> SegmentedIndex<P> {
         }
     }
 
-    /// Seal and fully compact into `layout` — the batch-build epilogue. A
-    /// freshly built index ends as exactly one sealed segment: every list
-    /// sorted and coalesced, its stats cached.
-    pub fn finalize_layout(&mut self, layout: Layout) {
-        self.layout = layout;
+    /// Seal and fully compact — the batch-build epilogue. A freshly built
+    /// index ends as exactly one sealed segment: every list sorted and
+    /// coalesced, its stats cached.
+    pub fn finalize(&mut self) {
         self.commit();
         self.merge();
-    }
-
-    /// The configured physical layout (sealed segments only; the realtime
-    /// segment is always plain).
-    pub fn layout(&self) -> Layout {
-        self.layout
-    }
-
-    /// Switch the layout, re-encoding sealed segments in place. Contents
-    /// are unchanged.
-    pub fn set_layout(&mut self, layout: Layout) {
-        self.layout = layout;
-        for seg in &mut self.sealed {
-            for l in &mut seg.lists {
-                l.apply_layout(layout);
-            }
-        }
     }
 
     /// Resolve a query term to its dense id — once per query term.
@@ -423,13 +397,7 @@ impl<P: Posting> SegmentedIndex<P> {
             .chain(&self.realtime)
             .map(|l| l.heap_bytes())
             .sum();
-        let blocks = self
-            .sealed
-            .iter()
-            .flat_map(|s| &s.lists)
-            .map(|l| l.num_blocks())
-            .sum();
-        IndexStats::new(self.term_count(), self.posting_count(), bytes).with_blocks(blocks)
+        IndexStats::new(self.term_count(), self.posting_count(), bytes)
     }
 }
 
@@ -449,25 +417,11 @@ mod tests {
 
     impl Posting for Occ {
         type SortKey = (u32, u32);
-        const EXTRA_FIELDS: usize = 2;
         fn sort_key(&self) -> (u32, u32) {
             (self.doc, self.slot)
         }
         fn key64(&self) -> u64 {
             self.doc as u64
-        }
-        fn extra(&self, i: usize) -> u64 {
-            match i {
-                0 => self.slot as u64,
-                _ => self.tf as u64,
-            }
-        }
-        fn from_parts(key: u64, extras: &[u64]) -> Self {
-            Occ {
-                doc: key as u32,
-                slot: extras[0] as u32,
-                tf: extras[1] as u32,
-            }
         }
         fn coalesce(&mut self, other: &Self) -> bool {
             if self.doc == other.doc && self.slot == other.slot {
@@ -522,66 +476,62 @@ mod tests {
             df: 500, // one slot per document in `doc_stream`
             total_tf: input.len() as u64,
         };
-        for layout in [Layout::Plain, Layout::Blocks] {
-            let mut seg: SegmentedIndex<Occ> = SegmentedIndex::new();
-            for p in input.iter().rev() {
-                seg.add("t", *p);
-            }
-            seg.finalize_layout(layout);
-            let sym = seg.sym("t").unwrap();
-            assert_eq!(seg.postings(sym).to_vec(), model);
-            assert_eq!(seg.term_stats(sym), stats);
-            assert_eq!(
-                seg.segment_counts(),
-                SegmentCounts {
-                    realtime: 0,
-                    sealed: 1
-                }
-            );
+        let mut seg: SegmentedIndex<Occ> = SegmentedIndex::new();
+        for p in input.iter().rev() {
+            seg.add("t", *p);
         }
+        seg.finalize();
+        let sym = seg.sym("t").unwrap();
+        assert_eq!(seg.postings(sym).to_vec(), model);
+        assert_eq!(seg.term_stats(sym), stats);
+        assert_eq!(
+            seg.segment_counts(),
+            SegmentCounts {
+                realtime: 0,
+                sealed: 1
+            }
+        );
     }
 
     #[test]
     fn ingest_after_commit_equals_one_batch_build() {
-        for layout in [Layout::Plain, Layout::Blocks] {
-            let all = doc_stream(800, 13);
-            // build-once reference
-            let mut once: SegmentedIndex<Occ> = SegmentedIndex::new();
-            for p in &all {
-                once.add("t", *p);
-            }
-            once.finalize_layout(layout);
-
-            // build N, ingest M (out of order), commit
-            let mut inc: SegmentedIndex<Occ> = SegmentedIndex::new();
-            for p in &all[..500] {
-                inc.add("t", *p);
-            }
-            inc.finalize_layout(layout);
-            let mut tail: Vec<Occ> = all[500..].to_vec();
-            tail.reverse(); // realtime must re-sort via binary insertion
-            for p in tail {
-                inc.add("t", p);
-            }
-            let sym = inc.sym("t").unwrap();
-            let pre_commit = inc.postings(sym).to_vec();
-            inc.commit();
-
-            let o = once.sym("t").unwrap();
-            assert_eq!(inc.postings(sym).to_vec(), once.postings(o).to_vec());
-            assert_eq!(
-                pre_commit,
-                once.postings(o).to_vec(),
-                "realtime already visible"
-            );
-            assert_eq!(inc.term_stats(sym), once.term_stats(o));
-            assert_eq!(inc.posting_count(), once.posting_count());
-            assert_eq!(inc.segment_counts().sealed, 2);
-            inc.merge();
-            assert_eq!(inc.segment_counts().sealed, 1);
-            assert_eq!(inc.postings(sym).to_vec(), once.postings(o).to_vec());
-            assert_eq!(inc.term_stats(sym), once.term_stats(o));
+        let all = doc_stream(800, 13);
+        // build-once reference
+        let mut once: SegmentedIndex<Occ> = SegmentedIndex::new();
+        for p in &all {
+            once.add("t", *p);
         }
+        once.finalize();
+
+        // build N, ingest M (out of order), commit
+        let mut inc: SegmentedIndex<Occ> = SegmentedIndex::new();
+        for p in &all[..500] {
+            inc.add("t", *p);
+        }
+        inc.finalize();
+        let mut tail: Vec<Occ> = all[500..].to_vec();
+        tail.reverse(); // realtime must re-sort via binary insertion
+        for p in tail {
+            inc.add("t", p);
+        }
+        let sym = inc.sym("t").unwrap();
+        let pre_commit = inc.postings(sym).to_vec();
+        inc.commit();
+
+        let o = once.sym("t").unwrap();
+        assert_eq!(inc.postings(sym).to_vec(), once.postings(o).to_vec());
+        assert_eq!(
+            pre_commit,
+            once.postings(o).to_vec(),
+            "realtime already visible"
+        );
+        assert_eq!(inc.term_stats(sym), once.term_stats(o));
+        assert_eq!(inc.posting_count(), once.posting_count());
+        assert_eq!(inc.segment_counts().sealed, 2);
+        inc.merge();
+        assert_eq!(inc.segment_counts().sealed, 1);
+        assert_eq!(inc.postings(sym).to_vec(), once.postings(o).to_vec());
+        assert_eq!(inc.term_stats(sym), once.term_stats(o));
     }
 
     #[test]
@@ -590,7 +540,7 @@ mod tests {
         for p in doc_stream(300, 3) {
             ix.add("t", p);
         }
-        ix.finalize_layout(Layout::Blocks);
+        ix.finalize();
         for doc in 300..320 {
             ix.add("t", occ(doc, 0));
         }
@@ -659,12 +609,12 @@ mod tests {
     #[test]
     fn cross_segment_cursor_seeks_and_drains_in_order() {
         let mut ix: SegmentedIndex<Occ> = SegmentedIndex::new();
-        // sealed block segment: even docs 0..2000
+        // sealed segment: even docs 0..2000
         for d in (0..2000).step_by(2) {
             ix.add("t", occ(d, 0));
         }
-        ix.finalize_layout(Layout::Blocks);
-        // realtime plain segment: odd docs
+        ix.finalize();
+        // realtime segment: odd docs
         for d in (1..2000).step_by(2) {
             ix.add("t", occ(d, 0));
         }
@@ -681,7 +631,7 @@ mod tests {
         }
         assert!(c.is_exhausted());
 
-        // after commit both segments are sealed blocks: same walk
+        // after commit both segments are sealed: same walk
         ix.commit();
         let mut c2 = ix.postings(sym).cursor();
         assert_eq!(c2.seek(1234).unwrap().doc, 1234);

@@ -2,7 +2,7 @@
 
 use crate::node2kw::DistanceList;
 use crate::shortest::Expansion;
-use kwdb_common::index::{IndexStats, Layout, Postings, SegmentCounts, SegmentedIndex};
+use kwdb_common::index::{IndexStats, Postings, SegmentCounts, SegmentedIndex};
 use kwdb_common::intern::{Interner, Sym};
 use kwdb_common::text::tokenize;
 use kwdb_relational::{Database, TupleId};
@@ -23,10 +23,6 @@ impl kwdb_common::index::Posting for NodeId {
 
     fn key64(&self) -> u64 {
         self.0 as u64
-    }
-
-    fn from_parts(key: u64, _extras: &[u64]) -> Self {
-        NodeId(key as u32)
     }
 
     fn coalesce(&mut self, other: &Self) -> bool {
@@ -178,19 +174,6 @@ impl DataGraph {
     /// Does node `n` contain `term`?
     pub fn node_has_term(&self, n: NodeId, term: &str) -> bool {
         self.keyword_nodes(term).contains(&n)
-    }
-
-    /// The keyword index's physical layout.
-    pub fn keyword_index_layout(&self) -> Layout {
-        self.kw_index.layout()
-    }
-
-    /// Re-encode the keyword index into `layout`. The graph index grows
-    /// incrementally (nodes append in ascending id order without a
-    /// finalize), so compression is opt-in once the graph is fully built;
-    /// later `add_node` calls decode the touched lists back to plain.
-    pub fn set_keyword_index_layout(&mut self, layout: Layout) {
-        self.kw_index.finalize_layout(layout);
     }
 
     /// Keyword-index size figures (terms, postings, bytes). Build time is

@@ -71,9 +71,6 @@ pub mod families {
     pub const INDEX_POSTINGS: &str = "kwdb_index_postings";
     /// Gauge: approximate posting payload bytes of an index (label `index`).
     pub const INDEX_POSTING_BYTES: &str = "kwdb_index_posting_bytes";
-    /// Gauge: encoded posting blocks in an index (label `index`; zero on
-    /// the plain layout).
-    pub const INDEX_BLOCKS: &str = "kwdb_index_blocks";
     /// Counter: candidate networks actually joined during top-k evaluation.
     pub const CN_EVALUATED: &str = "kwdb_cn_evaluated_total";
     /// Counter: candidate networks skipped (bound-pruned or budget-cut);
@@ -157,7 +154,6 @@ pub mod families {
             INDEX_TERMS => "Distinct terms in an index (label index).",
             INDEX_POSTINGS => "Stored postings in an index (label index).",
             INDEX_POSTING_BYTES => "Approximate posting payload bytes of an index (label index).",
-            INDEX_BLOCKS => "Encoded posting blocks in an index (label index).",
             CN_EVALUATED => "Candidate networks joined during top-k evaluation.",
             CN_PRUNED => "Candidate networks skipped by bounds, budget or a refinement none of their results can pass.",
             JOIN_PROBE_ROWS => "Rows matched by hash-join probes.",
@@ -192,7 +188,7 @@ struct QueryInstruments {
     /// parse, build, plan, evaluate, facets.
     phases: [Arc<Histogram>; 5],
     /// In [`Self::record`]'s order.
-    operators: [Arc<Counter>; 7],
+    operators: [Arc<Counter>; 6],
     /// generated, pruned.
     candidates: [Arc<Counter>; 2],
     cn_evaluated: Arc<Counter>,
@@ -225,7 +221,6 @@ impl QueryInstruments {
                 "rows_output",
                 "sorted_accesses",
                 "random_accesses",
-                "blocks_skipped",
             ]
             .map(op),
             candidates: ["generated", "pruned"]
@@ -264,7 +259,6 @@ impl QueryInstruments {
             o.rows_output,
             o.sorted_accesses,
             o.random_accesses,
-            o.blocks_skipped,
         ]) {
             counter.add(n);
         }
@@ -472,8 +466,6 @@ pub fn record_index_stats(reg: &MetricsRegistry, index: &str, stats: &IndexStats
         .set(stats.postings as i64);
     reg.gauge(families::INDEX_POSTING_BYTES, &labels)
         .set(stats.posting_bytes as i64);
-    reg.gauge(families::INDEX_BLOCKS, &labels)
-        .set(stats.blocks as i64);
     if let Some(build) = stats.build {
         reg.histogram(families::INDEX_BUILD, &labels)
             .record_duration(build);

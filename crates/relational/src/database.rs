@@ -225,14 +225,14 @@ impl Database {
         Ok(tid)
     }
 
-    /// Seal the index's realtime segment into an immutable compressed
-    /// segment (see [`kwdb_common::index::SegmentedIndex::commit`]).
+    /// Seal the index's realtime segment into an immutable segment (see
+    /// [`kwdb_common::index::SegmentedIndex::commit`]).
     ///
     /// Sealing restructures the physical index, so on a fresh index it
     /// counts as a generation event like any other mutation: anything
     /// keyed on the generation (result cache, tuple-set cache) recomputes
-    /// over the sealed layout rather than serving a response built against
-    /// the pre-seal segments.
+    /// over the sealed segments rather than serving a response built
+    /// against the pre-seal ones.
     pub fn commit_index(&mut self) -> SegmentCounts {
         self.bump_sealed_generation();
         self.text_index.commit()
@@ -331,15 +331,8 @@ impl Database {
     /// (Re)build the full-text inverted index over all text columns,
     /// recording the build wall-clock in the index's stats.
     pub fn build_text_index(&mut self) {
-        self.build_text_index_with(Layout::default());
-    }
-
-    /// [`build_text_index`](Self::build_text_index) with an explicit posting
-    /// layout for the rebuilt index.
-    pub fn build_text_index_with(&mut self, layout: Layout) {
         let start = std::time::Instant::now();
         let mut ix = InvertedIndex::new();
-        ix.set_layout(layout);
         for t in &self.tables {
             ix.set_tuple_count(t.id, t.live_len());
             let text_cols: Vec<usize> = t.schema.text_columns().collect();
@@ -384,14 +377,9 @@ impl Database {
         stats
     }
 
-    /// Re-encode the (already built) text index into `layout`; contents are
-    /// unchanged. No-op on a stale index — pick the layout at the next
-    /// [`build_text_index_with`](Self::build_text_index_with) instead.
-    pub fn set_posting_layout(&mut self, layout: Layout) {
-        if self.is_index_fresh() {
-            self.text_index.set_layout(layout);
-        }
-    }
+    /// A no-op: every posting list is a sorted `Vec`. Kept only for
+    /// `benchmark/`, deleted by ROADMAP 1(a).
+    pub fn set_posting_layout(&mut self, _: Layout) {}
 
     /// The full-text index, or a typed error when it does not reflect the
     /// current data: [`KwdbError::IndexNotBuilt`] before the first

@@ -3,15 +3,14 @@
 //! Storage lives in the shared [`kwdb_common::index`] core: terms are
 //! interned into a dense-`Sym` dictionary (each distinct term allocated
 //! exactly once, however many occurrences the build sees) and postings sit
-//! in per-term sorted lists behind the layout-agnostic [`Postings`] /
-//! cursor API (plain `Vec`s or compressed blocks, per [`Layout`]). Query
+//! in per-term sorted `Vec`s behind the [`Postings`] / cursor API. Query
 //! paths resolve each keyword to a [`Sym`] once via [`InvertedIndex::sym`]
 //! and then fetch views by dense id; the string-keyed methods remain as
 //! conveniences that do exactly one dictionary lookup.
 
 use crate::schema::TableId;
 use crate::table::{RowId, TupleId};
-use kwdb_common::index::{IndexStats, Layout, Postings, SegmentCounts, SegmentedIndex, TermStats};
+use kwdb_common::index::{IndexStats, Postings, SegmentCounts, SegmentedIndex, TermStats};
 use kwdb_common::intern::Sym;
 use std::collections::HashMap;
 use std::time::Duration;
@@ -29,9 +28,6 @@ pub struct Posting {
 impl kwdb_common::index::Posting for Posting {
     type SortKey = (TableId, RowId, usize);
 
-    /// Payload round-tripped by the block codec: column, then tf.
-    const EXTRA_FIELDS: usize = 2;
-
     fn sort_key(&self) -> Self::SortKey {
         (self.tuple.table, self.tuple.row, self.column)
     }
@@ -41,21 +37,6 @@ impl kwdb_common::index::Posting for Posting {
     /// document (they share a key, and one tombstone hides them all).
     fn key64(&self) -> u64 {
         tuple_key(self.tuple)
-    }
-
-    fn extra(&self, i: usize) -> u64 {
-        match i {
-            0 => self.column as u64,
-            _ => self.tf as u64,
-        }
-    }
-
-    fn from_parts(key: u64, extras: &[u64]) -> Self {
-        Posting {
-            tuple: TupleId::new(TableId((key >> 32) as u32), RowId(key as u32)),
-            column: extras[0] as usize,
-            tf: extras[1] as u32,
-        }
     }
 
     fn coalesce(&mut self, other: &Self) -> bool {
@@ -124,10 +105,9 @@ impl InvertedIndex {
         self.build_time = Some(d);
     }
 
-    /// Seal + compact the batch build into one segment in the configured
-    /// layout.
+    /// Seal + compact the batch build into one segment.
     pub(crate) fn finalize(&mut self) {
-        self.store.finalize_layout(self.store.layout());
+        self.store.finalize();
     }
 
     /// Tombstone every posting of `tuple`, in every segment. Returns `false`
@@ -154,16 +134,6 @@ impl InvertedIndex {
     /// Completed segment-merge operations over this index's lifetime.
     pub fn merges(&self) -> u64 {
         self.store.merges()
-    }
-
-    /// The configured physical layout.
-    pub fn layout(&self) -> Layout {
-        self.store.layout()
-    }
-
-    /// Re-encode the posting lists into `layout` (contents unchanged).
-    pub fn set_layout(&mut self, layout: Layout) {
-        self.store.set_layout(layout);
     }
 
     /// Resolve a query term to its dense id — one dictionary lookup. Do this
@@ -341,26 +311,5 @@ mod tests {
         let stats = ix.term_stats(xml);
         assert_eq!(stats.df, 3);
         assert_eq!(stats.total_tf, 4); // tf=2 posting plus two tf=1 postings
-    }
-
-    #[test]
-    fn layout_switch_preserves_query_results() {
-        let mut ix = InvertedIndex::new();
-        for row in 0..2000u32 {
-            ix.add("dense", t(0, row, 0));
-            ix.add("dense", t(1, row / 2, 1));
-        }
-        ix.finalize();
-        let plain = ix.postings("dense").to_vec();
-        let plain_in: Vec<_> = ix.postings_in("dense", TableId(1));
-        let plain_bytes = ix.index_stats().posting_bytes;
-
-        ix.set_layout(Layout::Blocks);
-        assert_eq!(ix.layout(), Layout::Blocks);
-        assert_eq!(ix.postings("dense").to_vec(), plain);
-        assert_eq!(ix.postings_in("dense", TableId(1)), plain_in);
-        assert_eq!(ix.rows_in("dense", TableId(1)).len(), 1000);
-        assert!(ix.index_stats().posting_bytes < plain_bytes);
-        assert!(ix.index_stats().blocks > 0);
     }
 }

@@ -751,8 +751,7 @@ mod tests {
     }
 
     #[test]
-    fn single_node_cn_matches_serial_across_layouts_and_workers() {
-        use kwdb_common::index::Layout;
+    fn single_node_cn_matches_serial() {
         let mut db = db();
         // A row matching every keyword, so a single-node full-mask CN
         // exists and produces results.
@@ -761,52 +760,50 @@ mod tests {
             vec![14.into(), "Widom XML retrospective".into(), 2.into()],
         )
         .unwrap();
-        for layout in [Layout::Plain, Layout::Blocks] {
-            db.build_text_index_with(layout);
-            let (ts, cns) = setup(&db, &["widom", "xml"]);
-            let one_node = cns
-                .iter()
-                .find(|cn| cn.nodes.len() == 1 && cn.nodes[0].mask == ts.full_mask())
-                .expect("a single-node full-mask CN");
-            let full_set = ts
-                .get(one_node.nodes[0].table, ts.full_mask())
-                .expect("its tuple set")
-                .rows
-                .len() as u64;
-            let scorer = ResultScorer::new(&db);
-            let keywords = ["widom", "xml"];
-            let q = TopKQuery {
-                db: &db,
-                ts: &ts,
-                cns: &cns,
-                scorer: &scorer,
-                keywords: &keywords,
-            };
-            let pool = ScratchPool::new();
-            let serial = global_pipeline(&q, 3, &ExecStats::new());
-            let serial_scores: Vec<f64> = serial.iter().map(|r| r.score).collect();
-            let mut serial_sets: Vec<_> = serial.iter().map(|r| r.result.tuples.clone()).collect();
-            serial_sets.sort();
-            let stats = ExecStats::new();
-            let out = parallel_topk_budgeted(&q, 3, &stats, &Budget::unlimited(), 1, &pool);
-            let scores: Vec<f64> = out.results.iter().map(|r| r.score).collect();
-            assert_eq!(serial_scores, scores, "layout={layout:?}");
-            let mut sets: Vec<_> = out
-                .results
-                .iter()
-                .map(|r| r.result.tuples.clone())
-                .collect();
-            sets.sort();
-            assert_eq!(serial_sets, sets, "layout={layout:?}");
-            // Both keywords in one tuple of a size-1 network: the best
-            // bound of the fixture, so this CN is evaluated first and
-            // its tuple set is the least the query can have scanned.
-            assert!(
-                stats.tuples_scanned() >= full_set && full_set > 0,
-                "layout={layout:?}: scanned {} < {full_set}",
-                stats.tuples_scanned()
-            );
-        }
+        db.build_text_index();
+        let (ts, cns) = setup(&db, &["widom", "xml"]);
+        let one_node = cns
+            .iter()
+            .find(|cn| cn.nodes.len() == 1 && cn.nodes[0].mask == ts.full_mask())
+            .expect("a single-node full-mask CN");
+        let full_set = ts
+            .get(one_node.nodes[0].table, ts.full_mask())
+            .expect("its tuple set")
+            .rows
+            .len() as u64;
+        let scorer = ResultScorer::new(&db);
+        let keywords = ["widom", "xml"];
+        let q = TopKQuery {
+            db: &db,
+            ts: &ts,
+            cns: &cns,
+            scorer: &scorer,
+            keywords: &keywords,
+        };
+        let pool = ScratchPool::new();
+        let serial = global_pipeline(&q, 3, &ExecStats::new());
+        let serial_scores: Vec<f64> = serial.iter().map(|r| r.score).collect();
+        let mut serial_sets: Vec<_> = serial.iter().map(|r| r.result.tuples.clone()).collect();
+        serial_sets.sort();
+        let stats = ExecStats::new();
+        let out = parallel_topk_budgeted(&q, 3, &stats, &Budget::unlimited(), 1, &pool);
+        let scores: Vec<f64> = out.results.iter().map(|r| r.score).collect();
+        assert_eq!(serial_scores, scores);
+        let mut sets: Vec<_> = out
+            .results
+            .iter()
+            .map(|r| r.result.tuples.clone())
+            .collect();
+        sets.sort();
+        assert_eq!(serial_sets, sets);
+        // Both keywords in one tuple of a size-1 network: the best
+        // bound of the fixture, so this CN is evaluated first and
+        // its tuple set is the least the query can have scanned.
+        assert!(
+            stats.tuples_scanned() >= full_set && full_set > 0,
+            "scanned {} < {full_set}",
+            stats.tuples_scanned()
+        );
     }
 
     #[test]

@@ -33,8 +33,8 @@ pub struct TermList {
 }
 
 impl TermList {
-    /// Decode a term's postings (either layout, any segment mix; tombstoned
-    /// tuples already filtered by the view). Postings arrive in `(table,
+    /// Read a term's postings (any segment mix; tombstoned tuples already
+    /// filtered by the view). Postings arrive in `(table,
     /// row, column)` order, so one tuple's columns are adjacent.
     fn from_postings(postings: Postings<'_, Posting>) -> Self {
         let mut list = TermList::default();
@@ -101,8 +101,7 @@ impl TupleSets {
     /// Requires a fresh full-text index on `db`; more than [`MAX_KEYWORDS`]
     /// keywords is an [`KwdbError::InvalidQuery`].
     ///
-    /// Each keyword's postings are decoded once into a [`TermList`] (the
-    /// same code serves the plain and the block-compressed layout) and the
+    /// Each keyword's postings are read once into a [`TermList`] and the
     /// lists are merged into the exact-subset partition.
     pub fn build<S: AsRef<str>>(db: &Database, keywords: &[S]) -> Result<Self> {
         Self::build_with(db, keywords, |_, postings| {

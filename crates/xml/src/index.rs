@@ -3,21 +3,19 @@
 //! For each keyword the index stores the document-ordered list of nodes whose
 //! *direct* text contains it. Because [`NodeId`] order equals
 //! document order, the `lm`/`rm` probes the SLCA family needs are plain
-//! binary searches — served by the shared [`kwdb_common::index`] kernels on
-//! the plain layout and by the block skip directory on the compressed one.
+//! binary searches, served by the shared [`kwdb_common::index`] kernels.
 //!
 //! Storage lives in a [`SegmentedIndex`] keyed by the term dictionary: every
 //! label and token is normalized through [`normalize_term`] and interned
 //! once, and query paths resolve each keyword to a [`Sym`] a single time
-//! via [`XmlIndex::sym`]. Lists are handed out as layout-agnostic
-//! [`Postings`] views supporting iteration, cursors, and the probes. The
-//! batch build seals and compacts into exactly one immutable segment
-//! (`finalize_layout`), so the segment census reported by
-//! [`XmlIndex::segment_counts`] is `{realtime: 0, sealed: 1}` for any
-//! non-empty document.
+//! via [`XmlIndex::sym`]. Lists are handed out as [`Postings`] views
+//! supporting iteration, cursors, and the probes. The batch build seals and
+//! compacts into exactly one immutable segment (`finalize`), so the segment
+//! census reported by [`XmlIndex::segment_counts`] is
+//! `{realtime: 0, sealed: 1}` for any non-empty document.
 
 use crate::tree::{NodeId, XmlTree};
-use kwdb_common::index::{kernels, IndexStats, Layout, Postings, SegmentCounts, SegmentedIndex};
+use kwdb_common::index::{kernels, IndexStats, Postings, SegmentCounts, SegmentedIndex};
 use kwdb_common::intern::Sym;
 use kwdb_common::text::{normalize_term, tokenize};
 use std::time::Duration;
@@ -32,10 +30,6 @@ impl kwdb_common::index::Posting for NodeId {
 
     fn key64(&self) -> u64 {
         self.0 as u64
-    }
-
-    fn from_parts(key: u64, _extras: &[u64]) -> Self {
-        NodeId(key as u32)
     }
 
     fn coalesce(&mut self, other: &Self) -> bool {
@@ -60,11 +54,6 @@ impl XmlIndex {
     /// can match structure terms like `paper` — the tutorial's
     /// Q = {keyword, Mark} relies on label matches.
     pub fn build(tree: &XmlTree) -> Self {
-        Self::build_with(tree, Layout::default())
-    }
-
-    /// Build with an explicit posting-list [`Layout`].
-    pub fn build_with(tree: &XmlTree, layout: Layout) -> Self {
         let start = std::time::Instant::now();
         let mut store: SegmentedIndex<NodeId> = SegmentedIndex::new();
         for n in tree.iter() {
@@ -80,22 +69,12 @@ impl XmlIndex {
         }
         // Pre-order iteration emits nodes in document order, so every list is
         // already sorted and deduplicated; finalize seals + compacts into a
-        // single immutable segment in the requested layout.
-        store.finalize_layout(layout);
+        // single immutable segment.
+        store.finalize();
         XmlIndex {
             store,
             build_time: Some(start.elapsed()),
         }
-    }
-
-    /// The configured physical layout.
-    pub fn layout(&self) -> Layout {
-        self.store.layout()
-    }
-
-    /// Re-encode the posting lists into `layout` (contents unchanged).
-    pub fn set_layout(&mut self, layout: Layout) {
-        self.store.set_layout(layout);
     }
 
     /// Resolve a query term to its dense id — one dictionary lookup. Do this
@@ -261,17 +240,5 @@ mod tests {
         assert!(stats.build.is_some(), "batch build is timed");
         let segs = ix.segment_counts();
         assert_eq!((segs.realtime, segs.sealed), (0, 1), "batch build compacts");
-    }
-
-    #[test]
-    fn block_layout_answers_identically() {
-        let t = tree();
-        let plain = XmlIndex::build(&t);
-        let blocks = XmlIndex::build_with(&t, Layout::Blocks);
-        assert_eq!(blocks.layout(), Layout::Blocks);
-        for term in plain.terms() {
-            assert_eq!(blocks.nodes(term).to_vec(), plain.nodes(term).to_vec());
-            assert_eq!(blocks.freq(term), plain.freq(term));
-        }
     }
 }

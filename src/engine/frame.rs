@@ -246,8 +246,8 @@ fn finish_response<H>(
 /// refinements are canonicalized through their `Debug` rendering — they
 /// are plain data enums, so the rendering is total and injective enough
 /// for a cache key. Nothing about the index's physical form is in the key:
-/// a cache belongs to one engine, and an engine serves the posting layout
-/// its data arrived in for as long as it lives.
+/// a cache belongs to one engine, and an engine serves the index its data
+/// arrived with for as long as it lives.
 #[derive(Clone, PartialEq, Eq, Hash)]
 struct ResultKey {
     generation: u64,

@@ -51,8 +51,7 @@ pub struct GraphEngine {
 impl GraphEngine {
     /// Build an engine owning `g` (pass a `DataGraph` to move it in, or an
     /// `Arc<DataGraph>` to share it with other owners). The engine serves
-    /// the keyword-index layout the graph arrives in
-    /// ([`DataGraph::set_keyword_index_layout`]).
+    /// the keyword index the graph arrives with.
     pub fn new(g: impl Into<Arc<DataGraph>>) -> Self {
         GraphEngine {
             g: g.into(),

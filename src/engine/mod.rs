@@ -29,15 +29,12 @@
 //!
 //! # One spelling per decision
 //!
-//! An engine **serves the data it is given**. The posting layout is a
-//! property of the index that arrives inside the `Database` / `DataGraph` /
-//! `XmlIndex` (set it there: `Database::set_posting_layout`,
-//! `DataGraph::set_keyword_index_layout`, `XmlIndex::build_with`); no engine
-//! re-encodes its data and the result cache does not know a layout. The
-//! relational scoring model and the graph semantics are per-request
-//! ([`SearchRequest::scoring`], [`SearchRequest::semantics`]). A result cache
-//! is switched off per engine with
-//! [`CacheConfig::disabled`](kwdb_common::CacheConfig::disabled) or per
+//! An engine **serves the data it is given**: the index arrives inside the
+//! `Database` / `DataGraph` / `XmlIndex`, every posting list in it is a
+//! sorted `Vec`, and no engine re-encodes its data. The relational scoring
+//! model and the graph semantics are per-request ([`SearchRequest::scoring`],
+//! [`SearchRequest::semantics`]). A result cache is switched off per engine
+//! with [`CacheConfig::disabled`](kwdb_common::CacheConfig::disabled) or per
 //! request with [`SearchRequest::caching`].
 //!
 //! # Observability

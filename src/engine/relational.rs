@@ -47,10 +47,9 @@ pub struct RelationalHit {
 }
 
 /// Configuration for the relational pipeline. What is *not* here is decided
-/// elsewhere, once: the posting layout on the database
-/// ([`Database::set_posting_layout`] — the engine serves whatever layout the
-/// index arrives in), the scoring model on the request
-/// ([`SearchRequest::scoring`]).
+/// elsewhere, once: the text index by the database
+/// ([`Database::build_text_index`] — the engine serves the index it is
+/// handed), the scoring model on the request ([`SearchRequest::scoring`]).
 #[derive(Debug, Clone, Copy)]
 pub struct RelationalConfig {
     /// Maximum candidate-network size.

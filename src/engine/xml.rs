@@ -33,14 +33,13 @@ pub struct XmlEngine {
 }
 
 impl XmlEngine {
-    /// Build an engine owning `tree` and its prebuilt `index` — in whatever
-    /// posting layout the index was built with ([`XmlIndex::build_with`]).
+    /// Build an engine owning `tree` and its prebuilt `index`
+    /// ([`XmlIndex::build`]).
     pub fn new(tree: XmlTree, index: XmlIndex) -> Self {
         Self::from_arc(Arc::new((tree, index)))
     }
 
-    /// Build an engine from `tree` alone, constructing the index here in the
-    /// default layout.
+    /// Build an engine from `tree` alone, constructing the index here.
     pub fn from_tree(tree: XmlTree) -> Self {
         let index = XmlIndex::build(&tree);
         Self::new(tree, index)

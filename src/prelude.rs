@@ -3,7 +3,7 @@
 //! Re-exports the request/response surface, the three unified engines with
 //! their typed hits and per-model knobs, the dispatcher, the execution
 //! budget, and the observability handles — everything a typical caller
-//! touches, nothing layout- or algorithm-internal.
+//! touches, nothing index- or algorithm-internal.
 //!
 //! ```
 //! use kwdb::prelude::*;
@@ -12,7 +12,7 @@
 //! kwdb::relational::database::dblp_schema(&mut db).unwrap();
 //! db.insert("conference", vec![1.into(), "SIGMOD".into(), 2007.into()])
 //!     .unwrap();
-//! db.build_text_index_with(Layout::Blocks);
+//! db.build_text_index();
 //! let engine = RelationalEngine::new(db);
 //! let resp = engine.execute(&SearchRequest::new("sigmod").k(3)).unwrap();
 //! assert!(!resp.truncated());
@@ -23,7 +23,7 @@ pub use crate::engine::{
     Engine, GraphEngine, GraphSemantics, Hit, RelationalConfig, RelationalEngine, RelationalHit,
     Scoring, SearchRequest, SearchResponse, XmlEngine, XmlHit,
 };
-pub use kwdb_common::index::{IndexStats, Layout};
+pub use kwdb_common::index::IndexStats;
 pub use kwdb_common::{
     Budget, FacetCount, FacetCounts, FacetSpec, KwdbError, QueryStats, RangeBucket, Result,
     TruncationReason,

@@ -3,8 +3,8 @@
 //! Facet counts are a property of the *query*, not of the execution
 //! strategy: the exact-subset tuple-set partition makes the full result
 //! multiset duplicate-free, so the counts must come out identical for
-//! either posting layout, and must equal a naive per-hit
-//! recomputation from the returned joining trees. Drill-down refinements
+//! any page size, and must equal a naive per-hit recomputation from the
+//! returned joining trees. Drill-down refinements
 //! are deliberately outside the CN plan key, so a refined query hits the
 //! plan cache.
 //!
@@ -28,14 +28,12 @@ use kwdb::relsearch::TupleSets;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-fn dblp(layout: Layout) -> Arc<kwdb::relational::Database> {
-    let mut db = generate_dblp(&DblpConfig {
+fn dblp() -> Arc<kwdb::relational::Database> {
+    Arc::new(generate_dblp(&DblpConfig {
         n_papers: 60,
         n_authors: 30,
         ..Default::default()
-    });
-    db.set_posting_layout(layout);
-    Arc::new(db)
+    }))
 }
 
 fn faceted_request() -> SearchRequest {
@@ -119,7 +117,7 @@ fn facet_counts_are_invariant_and_match_naive_recomputation() {
     // ask for a k far above the result count.
     let all = faceted_request().k(100_000);
     let reference = {
-        let engine = RelationalEngine::new(dblp(Layout::Plain));
+        let engine = RelationalEngine::new(dblp());
         let resp = engine.execute(&all).unwrap();
         assert!(resp.facets_exact);
         assert!(!resp.hits.is_empty());
@@ -139,30 +137,23 @@ fn facet_counts_are_invariant_and_match_naive_recomputation() {
         resp.facets
     };
 
-    // The same counts (of the full multiset) and the same top-k page for
-    // either layout, on a database that stays shared with this test: an
-    // engine serves the layout its data arrives in, sole owner or not.
-    let mut pages = Vec::new();
-    for layout in [Layout::Plain, Layout::Blocks] {
-        let db = dblp(layout);
-        let engine = RelationalEngine::new(Arc::clone(&db));
-        assert_eq!(engine.database().text_index().unwrap().layout(), layout);
-        let resp = engine.execute(&faceted_request()).unwrap();
-        assert!(resp.facets_exact, "{layout:?} must be exact");
-        assert_eq!(
-            resp.facets, reference,
-            "{layout:?}: facet counts depend on execution strategy"
-        );
-        assert_eq!(resp.hits.len(), 5);
-        pages.push(format!("{:?}", resp.hits));
-    }
-    pages.dedup();
-    assert_eq!(pages.len(), 1, "top-k depends on execution strategy");
+    // The same counts (of the full multiset) for a top-5 page, on a
+    // database that stays shared with this test: an engine serves the
+    // index its data arrives with, sole owner or not.
+    let db = dblp();
+    let engine = RelationalEngine::new(Arc::clone(&db));
+    let resp = engine.execute(&faceted_request()).unwrap();
+    assert!(resp.facets_exact, "a top-5 page must be exact");
+    assert_eq!(
+        resp.facets, reference,
+        "facet counts depend on execution strategy"
+    );
+    assert_eq!(resp.hits.len(), 5);
 }
 
 #[test]
 fn truncated_terms_facet_is_a_prefix_of_the_full_distribution() {
-    let engine = RelationalEngine::new(dblp(Layout::Plain));
+    let engine = RelationalEngine::new(dblp());
     let full = engine
         .execute(&SearchRequest::new("data query").facet(FacetSpec::terms("conference.name", 1000)))
         .unwrap();
@@ -175,7 +166,7 @@ fn truncated_terms_facet_is_a_prefix_of_the_full_distribution() {
 
 #[test]
 fn drill_down_refinement_reuses_the_cached_plan() {
-    let engine = RelationalEngine::new(dblp(Layout::Plain));
+    let engine = RelationalEngine::new(dblp());
     let base = faceted_request();
     let first = engine.execute(&base).unwrap();
     assert_eq!(
@@ -235,7 +226,7 @@ fn drill_down_refinement_reuses_the_cached_plan() {
 
 #[test]
 fn summaries_attach_rendered_context_to_hits() {
-    let engine = RelationalEngine::new(dblp(Layout::Plain));
+    let engine = RelationalEngine::new(dblp());
     let plain = engine
         .execute(&SearchRequest::new("data query").k(3))
         .unwrap();
@@ -278,7 +269,7 @@ fn uncached_engine(db: &Arc<Database>) -> RelationalEngine {
 
 #[test]
 fn facets_add_no_join_and_a_drill_down_joins_only_what_can_pass() {
-    let db = dblp(Layout::Plain);
+    let db = dblp();
     let engine = uncached_engine(&db);
     let plain = engine
         .execute(&SearchRequest::new("data query").k(5))

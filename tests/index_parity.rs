@@ -4,11 +4,10 @@
 //! posting list must equal a naive from-scratch recomputation over the raw
 //! substrate — term dictionary, sort order, coalescing, and stats included.
 
-use kwdb::common::index::{kernels, Layout};
+use kwdb::common::index::kernels;
 use kwdb::common::text::{normalize_term, tokenize};
 use kwdb::datasets::graphs::{generate_graph, GraphConfig};
 use kwdb::datasets::{generate_bib_xml, generate_dblp, DblpConfig};
-use kwdb::engine::{GraphEngine, RelationalEngine, SearchRequest, XmlEngine};
 use kwdb::graph::shortest::{multi_source, Expansion};
 use kwdb::xml::XmlIndex;
 use std::collections::BTreeMap;
@@ -181,173 +180,6 @@ fn node2kw_index_sym_parity_over_full_vocabulary() {
         }
     }
     assert_eq!(g.distance_list_stats().terms, g.vocabulary().count());
-}
-
-#[test]
-fn relational_layouts_store_identical_postings_in_less_space() {
-    let db = generate_dblp(&DblpConfig {
-        n_papers: 150,
-        n_authors: 80,
-        ..Default::default()
-    });
-    let mut blocks_db = generate_dblp(&DblpConfig {
-        n_papers: 150,
-        n_authors: 80,
-        ..Default::default()
-    });
-    blocks_db.set_posting_layout(Layout::Blocks);
-    let plain = db.text_index().expect("index built");
-    let blocks = blocks_db.text_index().expect("index built");
-    assert_eq!(plain.layout(), Layout::Plain);
-    assert_eq!(blocks.layout(), Layout::Blocks);
-
-    assert_eq!(plain.term_count(), blocks.term_count());
-    for term in plain.terms().map(str::to_string).collect::<Vec<_>>() {
-        assert_eq!(
-            plain.postings(&term).to_vec(),
-            blocks.postings(&term).to_vec(),
-            "decoded postings differ for {term:?}"
-        );
-        assert_eq!(plain.doc_freq(&term), blocks.doc_freq(&term));
-    }
-    let (ps, bs) = (plain.index_stats(), blocks.index_stats());
-    assert_eq!(ps.postings, bs.postings);
-    // The per-list fallback keeps short lists plain, so blocks can never
-    // cost more — and on a corpus this size they must cost at most half.
-    assert!(
-        bs.posting_bytes * 2 <= ps.posting_bytes,
-        "blocks {} > 0.5x plain {}",
-        bs.posting_bytes,
-        ps.posting_bytes
-    );
-    assert!(bs.blocks > 0, "block layout stores block metadata");
-}
-
-/// The three query top keywords of the generated corpus, by descending
-/// document frequency — guaranteed-non-empty queries with real overlap.
-fn top_terms(db: &kwdb::relational::Database) -> Vec<String> {
-    let ix = db.text_index().expect("index built");
-    let mut terms: Vec<(String, usize)> = ix
-        .terms()
-        .map(|t| (t.to_string(), ix.doc_freq(t)))
-        .collect();
-    terms.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    terms.into_iter().take(3).map(|(t, _)| t).collect()
-}
-
-#[test]
-fn relational_engine_topk_identical_across_layouts_and_workers() {
-    let cfg = DblpConfig {
-        n_papers: 150,
-        n_authors: 80,
-        ..Default::default()
-    };
-    let queries = {
-        let db = generate_dblp(&cfg);
-        let t = top_terms(&db);
-        vec![
-            t[0].clone(),
-            format!("{} {}", t[0], t[1]),
-            format!("{} {} {}", t[0], t[1], t[2]),
-        ]
-    };
-    // Per query: ranked score bits plus renderings grouped by tie class
-    // (order within a class is free, so each class is sorted).
-    type QueryOutcome = (Vec<u64>, Vec<Vec<String>>);
-    // Every layout must produce the same ranked scores and, tie-class
-    // aware, the same result sets.
-    let mut baseline: Option<Vec<QueryOutcome>> = None;
-    for layout in [Layout::Plain, Layout::Blocks] {
-        let mut db = generate_dblp(&cfg);
-        db.set_posting_layout(layout);
-        let engine = RelationalEngine::new(db);
-        assert_eq!(engine.database().text_index().unwrap().layout(), layout);
-        let per_query: Vec<QueryOutcome> = queries
-            .iter()
-            .map(|q| {
-                let resp = engine
-                    .execute(&SearchRequest::new(q.clone()).k(10))
-                    .unwrap();
-                let scores: Vec<u64> = resp.hits.iter().map(|h| h.score.to_bits()).collect();
-                // group hit renderings by score (tie class), each
-                // class sorted — order within a tie class is free
-                let mut classes: Vec<Vec<String>> = Vec::new();
-                let mut last: Option<u64> = None;
-                for h in &resp.hits {
-                    if last != Some(h.score.to_bits()) {
-                        classes.push(Vec::new());
-                        last = Some(h.score.to_bits());
-                    }
-                    classes.last_mut().unwrap().push(h.rendered.clone());
-                }
-                for c in &mut classes {
-                    c.sort();
-                }
-                (scores, classes)
-            })
-            .collect();
-        match &baseline {
-            None => baseline = Some(per_query),
-            Some(b) => assert_eq!(*b, per_query, "top-k diverged at layout={layout:?}"),
-        }
-    }
-}
-
-#[test]
-fn xml_engine_hits_identical_across_layouts() {
-    let tree_cfg = Default::default();
-    let queries = {
-        let tree = generate_bib_xml(&tree_cfg);
-        let ix = XmlIndex::build(&tree);
-        let mut terms: Vec<(String, usize)> = ix
-            .terms()
-            .map(|t| (t.to_string(), ix.nodes(t).len()))
-            .collect();
-        terms.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        vec![terms[0].0.clone(), format!("{} {}", terms[0].0, terms[1].0)]
-    };
-    let run = |layout| {
-        let tree = generate_bib_xml(&tree_cfg);
-        let index = XmlIndex::build_with(&tree, layout);
-        let engine = XmlEngine::new(tree, index);
-        queries
-            .iter()
-            .map(|q| {
-                let resp = engine
-                    .execute(&SearchRequest::new(q.clone()).k(10))
-                    .unwrap();
-                resp.hits
-                    .iter()
-                    .map(|h| (h.root, h.score.to_bits(), h.label_path.clone()))
-                    .collect::<Vec<_>>()
-            })
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(run(Layout::Plain), run(Layout::Blocks));
-}
-
-#[test]
-fn graph_engine_hits_identical_across_layouts() {
-    let queries = {
-        let g = generate_graph(&GraphConfig::default());
-        let mut vocab: Vec<String> = g.vocabulary().map(str::to_string).collect();
-        vocab.sort();
-        vec![vocab[0].clone(), format!("{} {}", vocab[0], vocab[1])]
-    };
-    let run = |layout| {
-        let mut g = generate_graph(&GraphConfig::default());
-        g.set_keyword_index_layout(layout);
-        let engine = GraphEngine::new(g);
-        assert_eq!(engine.graph().keyword_index_layout(), layout);
-        queries
-            .iter()
-            .map(|q| {
-                let resp = engine.execute(&SearchRequest::new(q.clone()).k(5)).unwrap();
-                format!("{:?}", resp.hits)
-            })
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(run(Layout::Plain), run(Layout::Blocks));
 }
 
 #[test]

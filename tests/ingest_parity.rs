@@ -5,8 +5,8 @@
 //! engine and `commit` — answers every query exactly like a one-shot
 //! build over all N+M rows. These tests state that as a property over a
 //! deterministic pseudo-random DBLP workload and check it for top-k
-//! results, facet distributions, and per-term statistics, across posting
-//! posting layouts — plus the seal/merge round-trip
+//! results, facet distributions, and per-term statistics — plus the
+//! seal/merge round-trip
 //! on `SegmentedIndex` alone, tombstone visibility, generation counters,
 //! plan-cache keying by mask signature, and the typed stale-index errors.
 
@@ -15,7 +15,7 @@ use kwdb::engine::{
 };
 use kwdb::relational::database::dblp_schema;
 use kwdb::relational::{Database, Row};
-use kwdb_common::index::{Layout, SegmentedIndex};
+use kwdb_common::index::SegmentedIndex;
 use kwdb_common::{FacetSpec, KwdbError, Rng, Value};
 use kwdb_graph::NodeId;
 use std::collections::{BTreeMap, BTreeSet};
@@ -105,12 +105,11 @@ fn built_in_one_pass(rows: &[(&str, Row)]) -> Database {
     db
 }
 
-/// Incremental path: batch-build over the first `n_base` rows in `layout`,
-/// then ingest the rest through the engine's mutation surface and commit.
+/// Incremental path: batch-build over the first `n_base` rows, then ingest
+/// the rest through the engine's mutation surface and commit.
 fn build_incremental(
     rows: &[(&str, Row)],
     n_base: usize,
-    layout: Layout,
     cfg: RelationalConfig,
 ) -> RelationalEngine {
     let mut db = Database::new();
@@ -118,7 +117,7 @@ fn build_incremental(
     for (table, row) in &rows[..n_base] {
         db.insert(table, row.clone()).unwrap();
     }
-    db.build_text_index_with(layout);
+    db.build_text_index();
     let engine = RelationalEngine::with_config(db, cfg);
     for (table, row) in &rows[n_base..] {
         engine
@@ -158,28 +157,23 @@ fn hit_key(
 fn ingest_matches_rebuild_across_layouts_and_workers() {
     let rows = workload(4, 12, 40, 0xDB1);
     let n_base = rows.len() / 2;
-    let reference = built_in_one_pass(&rows);
-    for layout in [Layout::Plain, Layout::Blocks] {
-        let mut reference = reference.clone();
-        reference.set_posting_layout(layout);
-        let ref_engine = RelationalEngine::new(reference);
-        let inc_engine = build_incremental(&rows, n_base, layout, Default::default());
-        for req in queries() {
-            let a = ref_engine.execute(&req).unwrap();
-            let b = inc_engine.execute(&req).unwrap();
-            assert_eq!(
-                hit_key(&a),
-                hit_key(&b),
-                "top-k parity broke: layout {layout:?}, query {:?}",
-                req.query()
-            );
-            assert_eq!(
-                a.facets,
-                b.facets,
-                "facet parity broke: layout {layout:?}, query {:?}",
-                req.query()
-            );
-        }
+    let ref_engine = RelationalEngine::new(built_in_one_pass(&rows));
+    let inc_engine = build_incremental(&rows, n_base, Default::default());
+    for req in queries() {
+        let a = ref_engine.execute(&req).unwrap();
+        let b = inc_engine.execute(&req).unwrap();
+        assert_eq!(
+            hit_key(&a),
+            hit_key(&b),
+            "top-k parity broke: query {:?}",
+            req.query()
+        );
+        assert_eq!(
+            a.facets,
+            b.facets,
+            "facet parity broke: query {:?}",
+            req.query()
+        );
     }
 }
 
@@ -187,7 +181,7 @@ fn ingest_matches_rebuild_across_layouts_and_workers() {
 fn term_stats_match_rebuild_exactly() {
     let rows = workload(3, 10, 30, 0x57A75);
     let reference = built_in_one_pass(&rows);
-    let engine = build_incremental(&rows, rows.len() / 3, Layout::Plain, Default::default());
+    let engine = build_incremental(&rows, rows.len() / 3, Default::default());
     let db = engine.database();
     let (ref_ix, inc_ix) = (reference.text_index().unwrap(), db.text_index().unwrap());
     assert_eq!(ref_ix.term_count(), inc_ix.term_count());
@@ -324,7 +318,7 @@ fn mask_signature_keys_the_plan_cache() {
         result_cache: kwdb_common::CacheConfig::disabled(),
         ..Default::default()
     };
-    let engine = build_incremental(&rows, rows.len() - 2, Layout::Plain, cfg);
+    let engine = build_incremental(&rows, rows.len() - 2, cfg);
     let req = SearchRequest::new("keyword search").k(5);
     let ingest = |table: &'static str, values: Row| {
         engine
@@ -417,7 +411,7 @@ fn stale_and_unbuilt_indexes_surface_typed_errors() {
 #[test]
 fn commit_reports_generation_and_segments() {
     let rows = workload(2, 6, 10, 0xC0);
-    let engine = build_incremental(&rows, rows.len() - 4, Layout::Plain, Default::default());
+    let engine = build_incremental(&rows, rows.len() - 4, Default::default());
     let outcome = engine.commit().unwrap();
     assert_eq!(outcome.generation, MutableEngine::generation(&engine));
     assert_eq!(outcome.segments.realtime, 0, "commit seals realtime");

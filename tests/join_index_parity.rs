@@ -8,14 +8,13 @@
 //! partner — ingests, 5 % deletes, a delete followed by a re-ingest of the
 //! same primary key, NULL foreign keys, and a dangling foreign key left by
 //! a raw `insert` — the two must return the same result set on **every**
-//! generated CN, for both posting layouts, before and after `commit` and
-//! `merge`. The FK index itself is checked against by-value models —
-//! `scan_eq` for the referencing rows of a row, `lookup_pk` for the row a
-//! referencing row points at — maintained and rebuilt, and once more on a
-//! table created after the build. `explore::object_summary`, which walks
+//! generated CN, before and after `commit` and `merge`. The FK index
+//! itself is checked against by-value models — `scan_eq` for the
+//! referencing rows of a row, `lookup_pk` for the row a referencing row
+//! points at — maintained and rebuilt, and once more on a table created
+//! after the build. `explore::object_summary`, which walks
 //! the same index, is checked against its by-value, scanning definition.
 
-use kwdb::common::index::Layout;
 use kwdb::common::Value;
 use kwdb::datasets::{generate_dblp, DblpConfig};
 use kwdb::explore::object_summary;
@@ -32,7 +31,7 @@ const N_AUTHORS: i64 = 50;
 const LATE_PAPER: i64 = 9_000;
 
 /// The seeded database after every kind of mutation, index fresh.
-fn mutated(layout: Layout) -> Database {
+fn mutated() -> Database {
     let mut db = generate_dblp(&DblpConfig {
         n_papers: N_PAPERS as usize,
         n_authors: N_AUTHORS as usize,
@@ -40,7 +39,7 @@ fn mutated(layout: Layout) -> Database {
         ..Default::default()
     });
     // Raw inserts: NULL foreign keys, and references to a paper that is not
-    // there. They join nothing. The rebuild picks the layout.
+    // there. They join nothing.
     db.insert("write", vec![8_000.into(), Value::Null, 3.into()])
         .unwrap();
     db.insert(
@@ -52,7 +51,7 @@ fn mutated(layout: Layout) -> Database {
         .unwrap();
     db.insert("cite", vec![8_003.into(), LATE_PAPER.into(), 2.into()])
         .unwrap();
-    db.build_text_index_with(layout);
+    db.build_text_index();
 
     // Ingests, each reachable from older rows in both cite orientations.
     for i in 0..20 {
@@ -214,26 +213,23 @@ fn assert_evaluators_agree(db: &Database, what: &str) {
 
 #[test]
 fn index_joins_match_hash_joins_through_every_mutation() {
-    for layout in [Layout::Plain, Layout::Blocks] {
-        let mut db = mutated(layout);
-        for stage in ["ingested", "committed", "merged", "rebuilt"] {
-            match stage {
-                "committed" => drop(db.commit_index()),
-                "merged" => drop(db.merge_index()),
-                // built once over the same rows: the same index and answers
-                "rebuilt" => db.build_text_index_with(layout),
-                _ => {}
-            }
-            let what = format!("{layout:?}/{stage}");
-            assert_fk_index_matches_values(&db, &what);
-            assert_evaluators_agree(&db, &what);
+    let mut db = mutated();
+    for stage in ["ingested", "committed", "merged", "rebuilt"] {
+        match stage {
+            "committed" => drop(db.commit_index()),
+            "merged" => drop(db.merge_index()),
+            // built once over the same rows: the same index and answers
+            "rebuilt" => db.build_text_index(),
+            _ => {}
         }
+        assert_fk_index_matches_values(&db, stage);
+        assert_evaluators_agree(&db, stage);
     }
 }
 
 #[test]
 fn the_mutations_move_join_partners_as_values_say() {
-    let db = mutated(Layout::Plain);
+    let db = mutated();
     let (write, cite, paper, author) = (
         db.table_id("write").unwrap(),
         db.table_id("cite").unwrap(),
@@ -332,7 +328,7 @@ fn object_summary_by_value(db: &Database, seeds: &[TupleId], l: usize) -> Vec<Tu
 fn object_summaries_read_the_index_in_the_order_a_scan_would() {
     // Ingested rows sit at the head of their chains, so the index hands
     // referencing rows back newest first; the summary promises row order.
-    let db = mutated(Layout::Plain);
+    let db = mutated();
     let mut unsorted_chains = 0;
     for (ei, e) in db.schema_graph().edges().iter().enumerate() {
         for (rid, _) in db.table(e.to).iter() {
@@ -383,7 +379,7 @@ fn object_summaries_read_the_index_in_the_order_a_scan_would() {
 #[test]
 fn a_table_created_after_the_build_is_indexed_in_both_directions() {
     use kwdb::relational::{ColumnType, TableBuilder};
-    let mut db = mutated(Layout::Plain);
+    let mut db = mutated();
     db.create_table(
         TableBuilder::new("note")
             .column("nid", ColumnType::Int)

@@ -52,9 +52,9 @@ fn fingerprint(resp: &kwdb::engine::SearchResponse<kwdb::engine::RelationalHit>)
 
 // ---- parity: cached results are the computed results ---------------------
 
-/// One layout: the cache knows no posting layout (it is per engine, and an
-/// engine serves the one its data arrived in), so that axis would check nothing
-/// here; `index_parity`, `ingest_parity`, `faceted_search` hold layouts equal.
+/// Every posting list is a sorted `Vec` and a relational query runs on one
+/// thread, so the name's layout and worker axes have nothing left to vary:
+/// the cache is checked against the computed answer on one engine.
 #[test]
 fn cache_on_equals_cache_off_across_layouts_and_workers() {
     let queries = ["data query", "xml search data", "query"];

@@ -5,8 +5,8 @@
 //! term frequencies the tuple sets kept from the postings;
 //! `ResultScorer::tuple_score` re-tokenizes the tuple and counts. These
 //! tests state that the two are the *same number* — for every row of every
-//! tuple set, and for the engine's top-k against `topk::naive` — across
-//! posting layouts × every state the index passes through (built, ingested
+//! tuple set, and for the engine's top-k against `topk::naive` — in every
+//! state the index passes through (built, ingested
 //! into the realtime segment, committed, merged, a primary key deleted and
 //! ingested again, rebuilt from scratch), through `TupleSets::build` and
 //! `build_cached` alike. The fixture has what makes a frequency more than a
@@ -26,7 +26,6 @@ use kwdb::relsearch::spark::naive_spark;
 use kwdb::relsearch::topk::{naive, TopKQuery};
 use kwdb::relsearch::tupleset::TermCache;
 use kwdb::relsearch::{CandidateNetwork, Refinement, ResultScorer, TupleSets};
-use kwdb_common::index::Layout;
 use kwdb_common::{Budget, CacheConfig, FacetSpec, Rng, ScratchPool};
 
 const WORDS: &[&str] = &[
@@ -229,73 +228,70 @@ fn ingest_all(engine: &RelationalEngine, rows: impl IntoIterator<Item = (&'stati
 
 #[test]
 fn index_scores_equal_text_scores_in_every_index_state() {
-    for layout in [Layout::Plain, Layout::Blocks] {
-        let mut rng = Rng::seed_from_u64(0x5c0e);
-        let mut db = schema();
-        let mut base: Vec<(&str, Row)> = Vec::new();
-        base.extend((0..N_VENUES).map(|v| venue(&mut rng, v)));
-        base.extend((0..N_PEOPLE).map(|p| person(&mut rng, p)));
-        base.extend((0..40).flat_map(|a| article(&mut rng, a)));
-        // The same term in both text columns of one tuple, three times over.
-        base.push((
+    let mut rng = Rng::seed_from_u64(0x5c0e);
+    let mut db = schema();
+    let mut base: Vec<(&str, Row)> = Vec::new();
+    base.extend((0..N_VENUES).map(|v| venue(&mut rng, v)));
+    base.extend((0..N_PEOPLE).map(|p| person(&mut rng, p)));
+    base.extend((0..40).flat_map(|a| article(&mut rng, a)));
+    // The same term in both text columns of one tuple, three times over.
+    base.push((
+        "article",
+        vec![
+            900.into(),
+            "xml xml search".into(),
+            "xml ranking".into(),
+            0.into(),
+        ],
+    ));
+    base.push((
+        "venue",
+        vec![900.into(), "xml".into(), "xml graph xml".into()],
+    ));
+    for (table, row) in base {
+        db.insert(table, row).unwrap();
+    }
+    db.build_text_index();
+    let engine = RelationalEngine::new(db);
+    let cache = TermCache::new(CacheConfig::default());
+    check(&engine, &cache, "built");
+
+    ingest_all(&engine, (40..60).flat_map(|a| article(&mut rng, a)));
+    check(&engine, &cache, "ingested");
+
+    engine.commit().unwrap();
+    check(&engine, &cache, "committed");
+
+    ingest_all(&engine, (60..70).flat_map(|a| article(&mut rng, a)));
+    engine.commit().unwrap();
+    engine.merge().unwrap();
+    check(&engine, &cache, "merged");
+
+    // A primary key deleted and ingested again with other text: the new
+    // row's counts, never the tombstoned one's.
+    engine.delete_tuple("article", &900.into()).unwrap();
+    check(&engine, &cache, "deleted");
+    ingest_all(
+        &engine,
+        [(
             "article",
             vec![
                 900.into(),
-                "xml xml search".into(),
-                "xml ranking".into(),
-                0.into(),
+                "search search search".into(),
+                "xml".into(),
+                1.into(),
             ],
-        ));
-        base.push((
-            "venue",
-            vec![900.into(), "xml".into(), "xml graph xml".into()],
-        ));
-        for (table, row) in base {
-            db.insert(table, row).unwrap();
-        }
-        db.build_text_index_with(layout);
-        let engine = RelationalEngine::new(db);
-        let cache = TermCache::new(CacheConfig::default());
-        let at = |state: &str| format!("{layout:?}/{state}");
-        check(&engine, &cache, &at("built"));
+        )],
+    );
+    check(&engine, &cache, "re-ingested");
 
-        ingest_all(&engine, (40..60).flat_map(|a| article(&mut rng, a)));
-        check(&engine, &cache, &at("ingested"));
-
-        engine.commit().unwrap();
-        check(&engine, &cache, &at("committed"));
-
-        ingest_all(&engine, (60..70).flat_map(|a| article(&mut rng, a)));
-        engine.commit().unwrap();
-        engine.merge().unwrap();
-        check(&engine, &cache, &at("merged"));
-
-        // A primary key deleted and ingested again with other text: the new
-        // row's counts, never the tombstoned one's.
-        engine.delete_tuple("article", &900.into()).unwrap();
-        check(&engine, &cache, &at("deleted"));
-        ingest_all(
-            &engine,
-            [(
-                "article",
-                vec![
-                    900.into(),
-                    "search search search".into(),
-                    "xml".into(),
-                    1.into(),
-                ],
-            )],
-        );
-        check(&engine, &cache, &at("re-ingested"));
-
-        let mut rebuilt = (*engine.database()).clone();
-        rebuilt.build_text_index_with(layout);
-        let engine = RelationalEngine::new(rebuilt);
-        // A rebuild renumbers the term dictionary without a new generation:
-        // its lists go under their own cache, as they do in an engine.
-        let cache = TermCache::new(CacheConfig::default());
-        check(&engine, &cache, &at("rebuilt"));
-    }
+    let mut rebuilt = (*engine.database()).clone();
+    rebuilt.build_text_index();
+    let engine = RelationalEngine::new(rebuilt);
+    // A rebuild renumbers the term dictionary without a new generation:
+    // its lists go under their own cache, as they do in an engine.
+    let cache = TermCache::new(CacheConfig::default());
+    check(&engine, &cache, "rebuilt");
 }
 
 #[test]
@@ -303,59 +299,55 @@ fn spark_ranks_like_naive_spark_and_counts_like_monotone() {
     const QUERY: &str = "keyword search database";
     const MODELS: [Scoring; 2] = [Scoring::Monotone, Scoring::Spark];
     let kws: Vec<&str> = QUERY.split(' ').collect();
-    for layout in [Layout::Plain, Layout::Blocks] {
-        let mut db = generate_dblp(&DblpConfig {
-            n_papers: 400,
-            n_authors: 150,
-            ..Default::default()
-        });
-        db.set_posting_layout(layout);
-        let ts = TupleSets::build(&db, &kws).unwrap();
-        let q = TopKQuery {
-            db: &db,
-            ts: &ts,
-            cns: &engine_cns(&db, &ts),
-            scorer: &ResultScorer::new(&db),
-            keywords: &kws,
-        };
-        let want: Vec<u64> = naive_spark(&q, 20, &ExecStats::new())
-            .iter()
-            .map(|r| r.score.to_bits())
-            .collect();
-        let cfg = RelationalConfig {
-            result_cache: CacheConfig::disabled(),
-            ..Default::default()
-        };
-        let engine = RelationalEngine::with_config(db, cfg);
-        let ctx = format!("{layout:?}");
-        let run = |req: &SearchRequest, model| engine.execute(&req.clone().scoring(model));
-        let both = |req: &SearchRequest| MODELS.map(|m| run(req, m).unwrap());
-        for k in [1, 5, 20] {
-            let resp = run(&SearchRequest::new(QUERY).k(k), Scoring::Spark).unwrap();
-            let got: Vec<u64> = resp.hits.iter().map(|h| h.score.to_bits()).collect();
-            assert_eq!(got, want[..k], "{ctx}: engine vs naive_spark, k = {k}");
-            let s = &resp.stats;
-            let cns = s.cns_evaluated + s.cns_pruned;
-            assert_eq!(cns, s.candidates_generated, "{ctx}");
-            // 2.37 × 10⁹ through the per-combination sweep this replaced.
-            assert!(s.operators.tuples_scanned <= 100_000, "{ctx}");
-        }
-        // Facets, drill-downs, a candidate cap: the executor's, not the model's.
-        let faceted = SearchRequest::new(QUERY)
-            .k(5)
-            .facet(FacetSpec::terms("conference.name", 10));
-        let [monotone, spark] = both(&faceted);
-        assert!(spark.facets_exact, "{ctx}");
-        assert_eq!(spark.facets, monotone.facets, "{ctx}");
-        let [monotone, spark] = both(&faceted.clone().refine(Refinement::Term {
-            attr: "conference.name".into(),
-            value: monotone.facets[0].values[9].value.clone(),
-        }));
-        assert!(!monotone.hits.is_empty(), "{ctx}");
-        assert_eq!(spark.hits.len(), monotone.hits.len(), "{ctx}: drill-down");
-        let cap = Budget::unlimited().with_max_candidates(2);
-        let [monotone, spark] = both(&SearchRequest::new(QUERY).k(5).budget(cap));
-        assert!(monotone.truncated(), "{ctx}");
-        assert_eq!(spark.truncation, monotone.truncation, "{ctx}: cap verdict");
+    let db = generate_dblp(&DblpConfig {
+        n_papers: 400,
+        n_authors: 150,
+        ..Default::default()
+    });
+    let ts = TupleSets::build(&db, &kws).unwrap();
+    let q = TopKQuery {
+        db: &db,
+        ts: &ts,
+        cns: &engine_cns(&db, &ts),
+        scorer: &ResultScorer::new(&db),
+        keywords: &kws,
+    };
+    let want: Vec<u64> = naive_spark(&q, 20, &ExecStats::new())
+        .iter()
+        .map(|r| r.score.to_bits())
+        .collect();
+    let cfg = RelationalConfig {
+        result_cache: CacheConfig::disabled(),
+        ..Default::default()
+    };
+    let engine = RelationalEngine::with_config(db, cfg);
+    let run = |req: &SearchRequest, model| engine.execute(&req.clone().scoring(model));
+    let both = |req: &SearchRequest| MODELS.map(|m| run(req, m).unwrap());
+    for k in [1, 5, 20] {
+        let resp = run(&SearchRequest::new(QUERY).k(k), Scoring::Spark).unwrap();
+        let got: Vec<u64> = resp.hits.iter().map(|h| h.score.to_bits()).collect();
+        assert_eq!(got, want[..k], "engine vs naive_spark, k = {k}");
+        let s = &resp.stats;
+        let cns = s.cns_evaluated + s.cns_pruned;
+        assert_eq!(cns, s.candidates_generated);
+        // 2.37 × 10⁹ through the per-combination sweep this replaced.
+        assert!(s.operators.tuples_scanned <= 100_000);
     }
+    // Facets, drill-downs, a candidate cap: the executor's, not the model's.
+    let faceted = SearchRequest::new(QUERY)
+        .k(5)
+        .facet(FacetSpec::terms("conference.name", 10));
+    let [monotone, spark] = both(&faceted);
+    assert!(spark.facets_exact);
+    assert_eq!(spark.facets, monotone.facets);
+    let [monotone, spark] = both(&faceted.clone().refine(Refinement::Term {
+        attr: "conference.name".into(),
+        value: monotone.facets[0].values[9].value.clone(),
+    }));
+    assert!(!monotone.hits.is_empty());
+    assert_eq!(spark.hits.len(), monotone.hits.len(), "drill-down");
+    let cap = Budget::unlimited().with_max_candidates(2);
+    let [monotone, spark] = both(&SearchRequest::new(QUERY).k(5).budget(cap));
+    assert!(monotone.truncated());
+    assert_eq!(spark.truncation, monotone.truncation, "cap verdict");
 }

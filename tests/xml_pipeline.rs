@@ -121,16 +121,14 @@ fn axioms_hold_for_the_slca_engine_on_generated_data() {
 /// paths that meet below the root, and `k` below the number of roots.
 #[test]
 fn engine_hits_equal_a_recomputation_from_the_tree() {
-    use kwdb::common::index::Layout;
     use kwdb::engine::{SearchRequest, XmlEngine};
     use std::sync::Arc;
 
     let tree = || generate_bib_xml(&BibConfig::default());
     let shared = Arc::new((tree(), XmlIndex::build(&tree())));
-    let blocks = XmlIndex::build_with(&tree(), Layout::Blocks);
     let engines = [
         ("from_tree", XmlEngine::from_tree(tree())),
-        ("blocks", XmlEngine::new(tree(), blocks)),
+        ("new", XmlEngine::new(tree(), XmlIndex::build(&tree()))),
         ("from_arc", XmlEngine::from_arc(Arc::clone(&shared))),
     ];
     for (name, engine) in &engines {
