@@ -177,16 +177,15 @@ fn analyze(path: &str, top: usize, chrome_out: Option<&str>, metrics_path: Optio
         );
     }
 
-    // Per-engine generation and segment census: the newest record per
-    // engine carries the state the engine last served at; the generation
-    // span shows how much mutation the window covered.
+    // Per-engine generations: the generation span from the oldest to the
+    // newest record shows how much mutation the window covered.
     let mut engines: Vec<&str> = dump.records.iter().map(|r| &*r.engine).collect();
     engines.sort();
     engines.dedup();
     println!("\n== per-engine generations ==");
     println!(
-        "{:<14}  {:>10}  {:>10}  {:>9}  {:>7}",
-        "engine", "gen(first)", "gen(last)", "realtime", "sealed"
+        "{:<14}  {:>10}  {:>10}",
+        "engine", "gen(first)", "gen(last)"
     );
     for engine in &engines {
         let mut recs: Vec<&QueryRecord> = dump
@@ -197,8 +196,8 @@ fn analyze(path: &str, top: usize, chrome_out: Option<&str>, metrics_path: Optio
         recs.sort_by_key(|r| r.seq);
         let (first, last) = (recs[0], recs[recs.len() - 1]);
         println!(
-            "{:<14}  {:>10}  {:>10}  {:>9}  {:>7}",
-            engine, first.generation, last.generation, last.segments_realtime, last.segments_sealed
+            "{:<14}  {:>10}  {:>10}",
+            engine, first.generation, last.generation
         );
     }
 

@@ -87,8 +87,6 @@ fn main() {
         families::FLIGHT_ENTRIES,
         families::TRACE_SAMPLED,
         families::ENGINE_GENERATION,
-        families::SEGMENTS,
-        families::SEGMENT_MERGES,
         families::INGESTED_TUPLES,
         families::RESULT_CACHE_HITS,
         families::RESULT_CACHE_MISSES,

@@ -1,8 +1,7 @@
 //! Sorted-list kernels shared by every substrate index: intersection
 //! (linear merge vs galloping, chosen by size ratio), the `lm`/`rm` binary
 //! probes of the SLCA/XKSearch family, and the cursor kernel — galloping
-//! cursor intersection — that operates on [`PostingCursor`]s, over one
-//! list or a merged segment view.
+//! cursor intersection — that operates on [`PostingCursor`]s.
 //!
 //! Slice kernels operate on sorted slices of any `Ord + Copy` element, so
 //! the same code serves relational `RowId`s, XML `NodeId`s, and graph
@@ -126,7 +125,7 @@ pub fn intersect_into<T: Ord + Copy>(a: &[T], b: &[T], out: &mut Vec<T>) {
     }
 }
 
-/// Intersect two posting cursors (any segment mix) with mutual galloping
+/// Intersect two posting cursors with mutual galloping
 /// `seek`, appending equal postings to `out` with set semantics. Requires
 /// the postings' `Ord` to agree with `key64` order (monotone), which every
 /// `Ord` posting in the tree satisfies.
@@ -165,7 +164,7 @@ pub fn intersect_cursors<P: Posting + Ord>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::SegmentedIndex;
+    use crate::index::TermIndex;
     use crate::rng::Rng;
     use std::collections::BTreeSet;
 
@@ -295,16 +294,14 @@ mod tests {
         }
     }
 
-    /// One sealed segment holding `lists` as terms `t0`, `t1`, …
-    fn store_with(lists: &[&[u32]]) -> SegmentedIndex<N> {
-        let mut st = SegmentedIndex::new();
+    /// An index holding `lists` as terms `t0`, `t1`, …
+    fn store_with(lists: &[&[u32]]) -> TermIndex<N> {
+        let mut st = TermIndex::new();
         for (i, l) in lists.iter().enumerate() {
-            let sym = st.intern(&format!("t{i}"));
             for &v in *l {
-                st.add_sym(sym, N(v));
+                st.add(&format!("t{i}"), N(v));
             }
         }
-        st.finalize();
         st
     }
 

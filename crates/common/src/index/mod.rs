@@ -9,11 +9,11 @@
 //!
 //! * interns each distinct term exactly once into a [`TermDict`]
 //!   ([`Sym`]-keyed, built on [`crate::intern::Interner`]);
-//! * stores postings in dense `Vec`-indexed-by-`Sym` [`PostingList`]s — one
-//!   sorted `Vec` each, the only physical format — inside the segments of a
-//!   [`SegmentedIndex`], sorted by the posting's [`Posting::sort_key`];
+//! * stores one [`PostingList`] per term in a [`TermIndex`], indexed by
+//!   `Sym`: a `Vec` sorted by the posting's [`Posting::sort_key`], the only
+//!   physical format, which adds and removals edit in place;
 //! * computes per-term statistics (document frequency, total term
-//!   frequency) once per segment, when it is sealed;
+//!   frequency) from the list when asked — exact at all times;
 //! * provides the merge/intersection kernels ([`kernels`]) — linear merge
 //!   and galloping (exponential-search) intersection chosen by list-size
 //!   ratio — plus the `lm`/`rm` binary probes the SLCA family is built from.
@@ -27,13 +27,13 @@
 pub mod dict;
 pub mod kernels;
 pub mod posting;
-pub mod segment;
+pub mod term_index;
 
 pub use dict::TermDict;
 pub use posting::{
     IndexStats, Posting, PostingCursor, PostingIter, PostingList, Postings, TermStats,
 };
-pub use segment::{SegmentCounts, SegmentedIndex, TombstoneSet, MAX_SEGMENTS};
+pub use term_index::TermIndex;
 
 /// Selects nothing: every posting list is a sorted `Vec`. Kept only for
 /// `benchmark/`, deleted by ROADMAP 1(a).

@@ -1,22 +1,19 @@
-//! Generic sorted posting storage with dense `Vec`-indexed-by-`Sym` lookup,
-//! behind a cursor-based access API.
+//! Generic sorted posting storage behind a cursor-based access API.
 //!
-//! Callers read posting lists through three surfaces instead of raw
-//! slices, so a view can merge segments and filter tombstones without
-//! touching a single search algorithm:
+//! A term's postings live in one [`PostingList`]: a `Vec` kept sorted by
+//! [`Posting::sort_key`] and coalesced as postings are added and removed.
+//! Callers read it through two surfaces:
 //!
-//! * [`Postings`] — a cheap `Copy` view handed out by lookups
-//!   ([`SegmentedIndex::postings`](super::SegmentedIndex::postings)),
+//! * [`Postings`] — a `Copy` view over the list's slice handed out by
+//!   lookups ([`TermIndex::postings`](super::TermIndex::postings)),
 //!   supporting `len`/`iter`/probes;
-//! * [`PostingList::iter`] — by-value iteration in sort order;
-//! * [`PostingList::cursor`] — a [`PostingCursor`] with
+//! * [`Postings::cursor`] — a [`PostingCursor`] with
 //!   `peek`/`advance`/`seek(key)`, the shape the merge kernels consume.
 //!
-//! Every list is a sorted `Vec`: `seek` gallops over the slice, and the
-//! probes are the slice [`kernels`]'s binary searches.
+//! `seek` gallops over the slice, and the probes are the slice
+//! [`kernels`]'s binary searches.
 
 use super::kernels;
-use super::segment::{TombstoneSet, MAX_SEGMENTS};
 use std::time::Duration;
 
 /// One entry of a posting list. Implemented by each substrate's posting
@@ -31,7 +28,9 @@ pub trait Posting: Copy {
     /// A 64-bit monotone image of [`sort_key`](Self::sort_key) order:
     /// `a.sort_key() ≤ b.sort_key() ⟹ a.key64() ≤ b.key64()`. Distinct
     /// postings may share a key (e.g. one tuple's occurrences in two
-    /// columns); cursors `seek` and tombstones delete by this key.
+    /// columns); cursors `seek` and
+    /// [`TermIndex::remove_key`](super::TermIndex::remove_key) removes by
+    /// this key.
     fn key64(&self) -> u64;
 
     /// Fold `other` — an occurrence at the *same* logical position — into
@@ -49,7 +48,7 @@ pub trait Posting: Copy {
     fn same_doc(&self, other: &Self) -> bool;
 }
 
-/// Per-term statistics, computed once when a segment is sealed.
+/// Per-term statistics, computed from the term's list when asked.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TermStats {
     /// Documents containing the term.
@@ -94,11 +93,8 @@ impl IndexStats {
     }
 }
 
-/// One term's sorted posting list.
-///
-/// The `lm`/`rm` binary probes the search algorithms need are methods
-/// here, delegating to the shared slice [`kernels`], so every substrate
-/// probes lists the same way.
+/// One term's posting list: a `Vec` sorted by [`Posting::sort_key`] with
+/// coalesced duplicates, edited in place by adds and removals.
 #[derive(Debug, Clone)]
 pub struct PostingList<P> {
     entries: Vec<P>,
@@ -113,16 +109,9 @@ impl<P> Default for PostingList<P> {
 }
 
 impl<P: Posting> PostingList<P> {
-    /// Wrap a vec that is not necessarily sorted; callers must
-    /// [`finalize`](Self::finalize) before querying (segment merges do).
-    pub(crate) fn from_unsorted(entries: Vec<P>) -> Self {
-        PostingList { entries }
-    }
-
     /// Insert `p` preserving sort order: the append/coalesce fast path when
-    /// `p` is in order (the common case — batch builds and single-table
-    /// ingest emit ascending keys), a binary-search insertion otherwise
-    /// (interleaved-table ingest into a realtime segment).
+    /// `p` is in order (the common case — batch builds and ingest into the
+    /// last table emit ascending keys), a binary-search insertion otherwise.
     pub(crate) fn insert_coalesce(&mut self, p: P) {
         let entries = &mut self.entries;
         if entries
@@ -144,44 +133,30 @@ impl<P: Posting> PostingList<P> {
         entries.insert(i, p);
     }
 
-    /// Drop postings failing the predicate (the tombstone purge of segment
-    /// commit/merge).
-    pub(crate) fn retain(&mut self, f: impl FnMut(&P) -> bool) {
-        self.entries.retain(f);
+    /// Remove every posting whose [`Posting::key64`] equals `key` — one
+    /// binary search to the first, one `drain` — and return how many.
+    pub(crate) fn remove_key(&mut self, key: u64) -> usize {
+        let lo = self.entries.partition_point(|p| p.key64() < key);
+        let n = self.entries[lo..]
+            .iter()
+            .take_while(|p| p.key64() == key)
+            .count();
+        self.entries.drain(lo..lo + n);
+        n
     }
 
-    /// Sort by [`Posting::sort_key`], coalesce duplicates, and compute the
-    /// term's stats. Skips the sort when the list is already ordered (the
-    /// common case for in-order builds).
-    pub(crate) fn finalize(&mut self) -> TermStats {
-        let entries = &mut self.entries;
-        let sorted = entries
-            .windows(2)
-            .all(|w| w[0].sort_key() <= w[1].sort_key());
-        if !sorted {
-            entries.sort_by_key(|p| p.sort_key());
-        }
-        let mut merged: Vec<P> = Vec::with_capacity(entries.len());
-        for p in entries.drain(..) {
-            if let Some(last) = merged.last_mut() {
-                if last.coalesce(&p) {
-                    continue;
-                }
-            }
-            merged.push(p);
-        }
-        merged.shrink_to_fit();
-        *entries = merged;
-        self.stats()
+    /// Release the slack a growing `Vec` keeps.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.entries.shrink_to_fit();
     }
 
-    /// Compute stats by scanning the (sorted) list.
-    pub(crate) fn stats(&self) -> TermStats {
+    /// The term's statistics, by one scan of the list.
+    pub fn stats(&self) -> TermStats {
         let mut stats = TermStats::default();
-        let mut prev: Option<P> = None;
-        for p in self.iter() {
+        let mut prev: Option<&P> = None;
+        for p in &self.entries {
             stats.total_tf += p.occurrences();
-            if !prev.is_some_and(|q| q.same_doc(&p)) {
+            if !prev.is_some_and(|q| q.same_doc(p)) {
                 stats.df += 1;
             }
             prev = Some(p);
@@ -189,26 +164,11 @@ impl<P: Posting> PostingList<P> {
         stats
     }
 
-    /// By-value iteration in sort order.
-    pub fn iter(&self) -> PostingIter<'_, P> {
-        PostingIter {
-            inner: IterRepr::Slice(self.entries.iter()),
+    /// The read view over the list.
+    pub fn postings(&self) -> Postings<'_, P> {
+        Postings {
+            list: &self.entries,
         }
-    }
-
-    /// A cursor positioned at the first posting.
-    pub fn cursor(&self) -> PostingCursor<'_, P> {
-        PostingCursor {
-            inner: CursorRepr::Slice {
-                list: &self.entries,
-                pos: 0,
-            },
-        }
-    }
-
-    /// Copy the list into a fresh `Vec`.
-    pub fn to_vec(&self) -> Vec<P> {
-        self.entries.clone()
     }
 
     /// Heap bytes held by the posting payload.
@@ -223,132 +183,17 @@ impl<P: Posting> PostingList<P> {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-
-    /// The first posting, if any.
-    pub fn first(&self) -> Option<P> {
-        self.entries.first().copied()
-    }
 }
 
-impl<P: Posting + Ord> PostingList<P> {
-    /// Smallest posting `≥ v` — the *rm* probe.
-    pub fn right_match(&self, v: P) -> Option<P> {
-        kernels::right_match(&self.entries, v)
-    }
+/// By-value iterator over a [`Postings`] view, in sort order.
+pub type PostingIter<'a, P> = std::iter::Copied<std::slice::Iter<'a, P>>;
 
-    /// Largest posting `≤ v` — the *lm* probe.
-    pub fn left_match(&self, v: P) -> Option<P> {
-        kernels::left_match(&self.entries, v)
-    }
-
-    /// Binary-search membership probe.
-    pub fn contains(&self, v: &P) -> bool {
-        kernels::contains(&self.entries, v)
-    }
-}
-
-/// By-value iterator over a [`PostingList`] or a merged [`Postings`] view.
-#[derive(Debug, Clone)]
-pub struct PostingIter<'a, P: Posting> {
-    inner: IterRepr<'a, P>,
-}
-
-#[derive(Debug, Clone)]
-enum IterRepr<'a, P: Posting> {
-    Slice(std::slice::Iter<'a, P>),
-    Multi(Box<MultiIter<'a, P>>),
-}
-
-impl<P: Posting> Iterator for PostingIter<'_, P> {
-    type Item = P;
-
-    #[inline]
-    fn next(&mut self) -> Option<P> {
-        match &mut self.inner {
-            IterRepr::Slice(it) => it.next().copied(),
-            IterRepr::Multi(it) => it.next(),
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match &self.inner {
-            IterRepr::Slice(it) => it.size_hint(),
-            IterRepr::Multi(it) => it.size_hint(),
-        }
-    }
-}
-
-impl<P: Posting> ExactSizeIterator for PostingIter<'_, P> {}
-
-/// K-way merge over per-segment posting iterators, filtering tombstoned
-/// keys. Segments are document-disjoint, so a linear min-scan over ≤
-/// [`MAX_SEGMENTS`] heads needs no cross-segment coalescing; the exact
-/// remaining count (for `ExactSizeIterator`) is taken from the view up
-/// front.
-#[derive(Debug, Clone)]
-struct MultiIter<'a, P: Posting> {
-    children: Vec<PostingIter<'a, P>>,
-    heads: Vec<Option<P>>,
-    tomb: Option<&'a TombstoneSet>,
-    remaining: usize,
-}
-
-impl<'a, P: Posting> MultiIter<'a, P> {
-    fn new(view: &Postings<'a, P>) -> Self {
-        let mut children: Vec<PostingIter<'a, P>> = view.children().map(|l| l.iter()).collect();
-        let tomb = view.tomb;
-        let heads = children.iter_mut().map(|c| Self::pull(c, tomb)).collect();
-        MultiIter {
-            children,
-            heads,
-            tomb,
-            remaining: view.len(),
-        }
-    }
-
-    /// Next non-tombstoned posting of one child.
-    fn pull(child: &mut PostingIter<'a, P>, tomb: Option<&TombstoneSet>) -> Option<P> {
-        child.find(|p| !tomb.is_some_and(|t| t.contains(p.key64())))
-    }
-}
-
-impl<P: Posting> Iterator for MultiIter<'_, P> {
-    type Item = P;
-
-    fn next(&mut self) -> Option<P> {
-        let mut best: Option<(usize, P)> = None;
-        for (i, h) in self.heads.iter().enumerate() {
-            let Some(p) = *h else { continue };
-            if best.is_none_or(|(_, b)| p.sort_key() < b.sort_key()) {
-                best = Some((i, p));
-            }
-        }
-        let (i, p) = best?;
-        self.heads[i] = Self::pull(&mut self.children[i], self.tomb);
-        self.remaining -= 1;
-        Some(p)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining, Some(self.remaining))
-    }
-}
-
-/// The read view lookups hand out: a cheap `Copy` handle on a term's
-/// posting lists — one per live segment, plus the index's tombstone set —
-/// with the slice-like conveniences callers actually need (`len`, `iter`,
+/// The read view lookups hand out: a `Copy` handle on one term's sorted
+/// posting slice, with the conveniences callers need (`len`, `iter`,
 /// `cursor`, probes).
-///
-/// A [`SegmentedIndex`](super::segment::SegmentedIndex) hands out views
-/// merging up to [`MAX_SEGMENTS`] document-disjoint sorted lists with
-/// tombstoned keys filtered out. A single-list tombstone-free view (what a
-/// batch-built index hands out) goes straight to the list's own iterator,
-/// cursor and probes, so static indexes pay nothing for the generality.
 #[derive(Debug)]
 pub struct Postings<'a, P> {
-    lists: [Option<&'a PostingList<P>>; MAX_SEGMENTS],
-    n: u8,
-    tomb: Option<&'a TombstoneSet>,
+    list: &'a [P],
 }
 
 impl<P> Clone for Postings<'_, P> {
@@ -362,234 +207,74 @@ impl<P> Copy for Postings<'_, P> {}
 impl<'a, P: Posting> Postings<'a, P> {
     /// The empty view (absent term).
     pub fn empty() -> Self {
-        Postings {
-            lists: [None; MAX_SEGMENTS],
-            n: 0,
-            tomb: None,
-        }
+        Postings { list: &[] }
     }
 
-    /// A view over up to [`MAX_SEGMENTS`] document-disjoint sorted lists,
-    /// filtering postings whose [`Posting::key64`] is tombstoned. Empty
-    /// lists are skipped.
-    pub(crate) fn from_segments<I>(segments: I, tomb: Option<&'a TombstoneSet>) -> Self
-    where
-        I: IntoIterator<Item = &'a PostingList<P>>,
-    {
-        let mut v = Postings {
-            lists: [None; MAX_SEGMENTS],
-            n: 0,
-            tomb: tomb.filter(|t| !t.is_empty()),
-        };
-        for l in segments {
-            if l.is_empty() {
-                continue;
-            }
-            assert!(
-                (v.n as usize) < MAX_SEGMENTS,
-                "posting view over more than MAX_SEGMENTS segments"
-            );
-            v.lists[v.n as usize] = Some(l);
-            v.n += 1;
-        }
-        v
-    }
-
-    /// The sole backing list when this is a plain single-list view (one
-    /// segment, no tombstones) — the fast path every method dispatches on.
-    fn single(&self) -> Option<&'a PostingList<P>> {
-        if self.n == 1 && self.tomb.is_none() {
-            self.lists[0]
-        } else {
-            None
-        }
-    }
-
-    /// The populated segment lists.
-    fn children(&self) -> impl Iterator<Item = &'a PostingList<P>> + '_ {
-        self.lists[..self.n as usize]
-            .iter()
-            .map(|l| l.expect("populated segment slot"))
-    }
-
-    /// Live postings in the view (tombstoned postings excluded, which makes
-    /// this O(n) while tombstones are outstanding).
     pub fn len(&self) -> usize {
-        match self.tomb {
-            None => self.children().map(|l| l.len()).sum(),
-            Some(t) => self
-                .children()
-                .map(|l| l.iter().filter(|p| !t.contains(p.key64())).count())
-                .sum(),
-        }
+        self.list.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.list.is_empty()
     }
 
     pub fn iter(&self) -> PostingIter<'a, P> {
-        if let Some(l) = self.single() {
-            return l.iter();
-        }
-        if self.n == 0 {
-            return PostingIter {
-                inner: IterRepr::Slice([].iter()),
-            };
-        }
-        PostingIter {
-            inner: IterRepr::Multi(Box::new(MultiIter::new(self))),
-        }
+        self.list.iter().copied()
     }
 
+    /// A cursor positioned at the first posting.
     pub fn cursor(&self) -> PostingCursor<'a, P> {
-        if let Some(l) = self.single() {
-            return l.cursor();
-        }
-        if self.n == 0 {
-            return PostingCursor {
-                inner: CursorRepr::Slice { list: &[], pos: 0 },
-            };
-        }
         PostingCursor {
-            inner: CursorRepr::Multi(Box::new(MultiCursor::new(self))),
+            list: self.list,
+            pos: 0,
         }
     }
 
     pub fn first(&self) -> Option<P> {
-        self.iter().next()
+        self.list.first().copied()
     }
 
     pub fn to_vec(&self) -> Vec<P> {
-        if let Some(l) = self.single() {
-            return l.to_vec();
-        }
-        self.iter().collect()
+        self.list.to_vec()
     }
 }
 
 impl<'a, P: Posting + Ord> Postings<'a, P> {
     /// Smallest posting `≥ v` — the *rm* probe.
     pub fn right_match(&self, v: P) -> Option<P> {
-        if let Some(l) = self.single() {
-            return l.right_match(v);
-        }
-        let mut c = self.cursor();
-        c.seek(v.key64());
-        // key64 may be non-injective: postings sharing v's key can still
-        // order below it, so scan the key group forward.
-        while let Some(p) = c.peek() {
-            if p >= v {
-                return Some(p);
-            }
-            c.advance();
-        }
-        None
+        kernels::right_match(self.list, v)
     }
 
-    /// Largest posting `≤ v` — the *lm* probe. Across segments: seek past
-    /// every posting `≤ v`, then read the merged cursor's predecessor (the
-    /// largest live one each segment passed).
+    /// Largest posting `≤ v` — the *lm* probe.
     pub fn left_match(&self, v: P) -> Option<P> {
-        if let Some(l) = self.single() {
-            return l.left_match(v);
-        }
-        let mut c = self.cursor();
-        c.seek(v.key64());
-        // key64 may be non-injective: step over v's key group up to v
-        while c.peek().is_some_and(|p| p <= v) {
-            c.advance();
-        }
-        c.prev()
+        kernels::left_match(self.list, v)
     }
 
+    /// Binary-search membership probe.
     pub fn contains(&self, v: &P) -> bool {
-        if let Some(l) = self.single() {
-            return l.contains(v);
-        }
-        let mut c = self.cursor();
-        c.seek(v.key64());
-        while let Some(p) = c.peek() {
-            if p == *v {
-                return true;
-            }
-            if p > *v {
-                return false;
-            }
-            c.advance();
-        }
-        false
+        kernels::contains(self.list, v)
+    }
+
+    /// The postings in the half-open range `[lo, hi)`.
+    fn between(&self, lo: P, hi: P) -> &'a [P] {
+        let from = &self.list[self.list.partition_point(|p| *p < lo)..];
+        &from[..from.partition_point(|p| *p < hi)]
     }
 
     /// Number of postings in the half-open range `[lo, hi)`.
     pub fn count_between(&self, lo: P, hi: P) -> usize {
-        let mut c = self.cursor();
-        c.seek(lo.key64());
-        let mut n = 0usize;
-        while let Some(p) = c.next() {
-            if p >= hi {
-                break;
-            }
-            if p >= lo {
-                n += 1;
-            }
-        }
-        n
+        self.between(lo, hi).len()
     }
 
-    /// Postings in the half-open range `[lo, hi)`, decoded in order.
+    /// Postings in the half-open range `[lo, hi)`, in order.
     pub fn collect_between(&self, lo: P, hi: P) -> Vec<P> {
-        let mut c = self.cursor();
-        c.seek(lo.key64());
-        let mut out = Vec::new();
-        while let Some(p) = c.next() {
-            if p >= hi {
-                break;
-            }
-            if p >= lo {
-                out.push(p);
-            }
-        }
-        out
+        self.between(lo, hi).to_vec()
     }
 
     /// Intersect with a sorted slice into a caller-provided buffer
-    /// (cleared first): galloping cursor-vs-slice merge, set semantics.
+    /// (cleared first), set semantics.
     pub fn intersect_sorted_into(&self, other: &[P], out: &mut Vec<P>) {
-        out.clear();
-        if self.is_empty() {
-            return;
-        }
-        let mut c = self.cursor();
-        let mut j = 0usize;
-        while let Some(x) = c.peek() {
-            j = kernels::gallop_by(other, j, |y| *y >= x);
-            let Some(&y) = other.get(j) else { break };
-            if y == x {
-                if out.last() != Some(&x) {
-                    out.push(x);
-                }
-                c.advance();
-            } else {
-                // y > x: jump the cursor forward to y's key neighborhood.
-                c.seek(y.key64());
-                while c.peek().is_some_and(|p| p < y) {
-                    c.advance();
-                }
-            }
-        }
-    }
-}
-
-impl<'a, P: Posting> From<&'a PostingList<P>> for Postings<'a, P> {
-    fn from(list: &'a PostingList<P>) -> Self {
-        let mut lists = [None; MAX_SEGMENTS];
-        lists[0] = Some(list);
-        Postings {
-            lists,
-            n: 1,
-            tomb: None,
-        }
+        kernels::intersect_into(self.list, other, out);
     }
 }
 
@@ -611,130 +296,62 @@ impl<'a, P: Posting> IntoIterator for &Postings<'a, P> {
     }
 }
 
-impl<P: Posting + PartialEq> PartialEq for Postings<'_, P> {
+impl<P: PartialEq> PartialEq for Postings<'_, P> {
     fn eq(&self, other: &Self) -> bool {
-        self.len() == other.len() && self.iter().eq(other.iter())
+        self.list == other.list
     }
 }
 
-impl<P: Posting + PartialEq> PartialEq<[P]> for Postings<'_, P> {
+impl<P: PartialEq> PartialEq<[P]> for Postings<'_, P> {
     fn eq(&self, other: &[P]) -> bool {
-        self.len() == other.len() && self.iter().eq(other.iter().copied())
+        self.list == other
     }
 }
 
-impl<P: Posting + PartialEq> PartialEq<&[P]> for Postings<'_, P> {
+impl<P: PartialEq> PartialEq<&[P]> for Postings<'_, P> {
     fn eq(&self, other: &&[P]) -> bool {
-        self == *other
+        self.list == *other
     }
 }
 
-impl<P: Posting + PartialEq, const N: usize> PartialEq<[P; N]> for Postings<'_, P> {
+impl<P: PartialEq, const N: usize> PartialEq<[P; N]> for Postings<'_, P> {
     fn eq(&self, other: &[P; N]) -> bool {
-        self == other.as_slice()
+        self.list == other.as_slice()
     }
 }
 
-impl<P: Posting + PartialEq, const N: usize> PartialEq<&[P; N]> for Postings<'_, P> {
+impl<P: PartialEq, const N: usize> PartialEq<&[P; N]> for Postings<'_, P> {
     fn eq(&self, other: &&[P; N]) -> bool {
-        self == other.as_slice()
+        self.list == other.as_slice()
     }
 }
 
-impl<P: Posting + PartialEq> PartialEq<Vec<P>> for Postings<'_, P> {
+impl<P: PartialEq> PartialEq<Vec<P>> for Postings<'_, P> {
     fn eq(&self, other: &Vec<P>) -> bool {
-        self == other.as_slice()
+        self.list == other.as_slice()
     }
 }
 
-/// Cursor over one posting list or a merged view: `peek`/`advance` for
-/// linear scans, `seek(key)` with galloping for intersections.
+/// Cursor over one posting list: `peek`/`advance` for linear scans,
+/// `seek(key)` with galloping for intersections.
 #[derive(Debug, Clone)]
-pub struct PostingCursor<'a, P: Posting> {
-    inner: CursorRepr<'a, P>,
-}
-
-#[derive(Debug, Clone)]
-enum CursorRepr<'a, P: Posting> {
-    Slice { list: &'a [P], pos: usize },
-    Multi(Box<MultiCursor<'a, P>>),
-}
-
-/// K-way merged cursor over per-segment cursors, filtering tombstoned
-/// keys. Keeps the full cursor contract: `peek`/`advance`/`next` walk the
-/// merged sort order, `seek(key)` seeks every child (each gallops
-/// independently).
-#[derive(Debug, Clone)]
-struct MultiCursor<'a, P: Posting> {
-    children: Vec<PostingCursor<'a, P>>,
-    tomb: Option<&'a TombstoneSet>,
-    /// Cached `(child index, posting)` of the current minimum; the child's
-    /// own cursor still has the posting under its head (it is consumed on
-    /// `advance`).
-    cur: Option<(usize, P)>,
-}
-
-impl<'a, P: Posting> MultiCursor<'a, P> {
-    fn new(view: &Postings<'a, P>) -> Self {
-        let mut c = MultiCursor {
-            children: view.children().map(|l| l.cursor()).collect(),
-            tomb: view.tomb,
-            cur: None,
-        };
-        c.normalize();
-        c
-    }
-
-    /// Re-derive the current minimum across children, advancing past
-    /// tombstoned keys.
-    fn normalize(&mut self) {
-        loop {
-            let mut best: Option<(usize, P)> = None;
-            for (i, c) in self.children.iter().enumerate() {
-                let Some(p) = c.peek() else { continue };
-                if best.is_none_or(|(_, b)| p.sort_key() < b.sort_key()) {
-                    best = Some((i, p));
-                }
-            }
-            let Some((i, p)) = best else {
-                self.cur = None;
-                return;
-            };
-            if self.tomb.is_some_and(|t| t.contains(p.key64())) {
-                self.children[i].advance();
-                continue;
-            }
-            self.cur = Some((i, p));
-            return;
-        }
-    }
+pub struct PostingCursor<'a, P> {
+    list: &'a [P],
+    pos: usize,
 }
 
 impl<P: Posting> PostingCursor<'_, P> {
     /// The posting under the cursor (`None` once exhausted).
     #[inline]
     pub fn peek(&self) -> Option<P> {
-        match &self.inner {
-            CursorRepr::Slice { list, pos } => list.get(*pos).copied(),
-            CursorRepr::Multi(m) => m.cur.map(|(_, p)| p),
-        }
+        self.list.get(self.pos).copied()
     }
 
     /// Step to the next posting.
     #[inline]
     pub fn advance(&mut self) {
-        match &mut self.inner {
-            CursorRepr::Slice { list, pos } => {
-                if *pos < list.len() {
-                    *pos += 1;
-                }
-            }
-            CursorRepr::Multi(m) => {
-                if let Some((i, _)) = m.cur {
-                    m.children[i].advance();
-                    m.normalize();
-                }
-            }
+        if self.pos < self.list.len() {
+            self.pos += 1;
         }
     }
 
@@ -753,19 +370,8 @@ impl<P: Posting> PostingCursor<'_, P> {
     /// return it. Gallops: `O(log d)` in the distance. Never moves
     /// backwards.
     pub fn seek(&mut self, key: u64) -> Option<P> {
-        match &mut self.inner {
-            CursorRepr::Slice { list, pos } => {
-                *pos = kernels::gallop_by(list, *pos, |p| p.key64() >= key);
-                list.get(*pos).copied()
-            }
-            CursorRepr::Multi(m) => {
-                for c in &mut m.children {
-                    c.seek(key);
-                }
-                m.normalize();
-                m.cur.map(|(_, p)| p)
-            }
-        }
+        self.pos = kernels::gallop_by(self.list, self.pos, |p| p.key64() >= key);
+        self.peek()
     }
 
     /// Whether the cursor has run off the end of the list.
@@ -778,150 +384,16 @@ impl<P: Posting> PostingCursor<'_, P> {
     /// passed (the list's last once exhausted), `None` at the front. After
     /// `seek(key)` it is the largest posting with `key64 < key` — with
     /// `peek`, both neighbours of `key` (the *lm*/*rm* pair) from one
-    /// galloping seek. A single list reads one slot; merged views take the
-    /// largest live predecessor over their segments.
+    /// galloping seek.
     pub fn prev(&self) -> Option<P> {
-        match &self.inner {
-            CursorRepr::Slice { list, pos } => pos.checked_sub(1).map(|i| list[i]),
-            _ => self.prev_where(&|_: &P| true),
-        }
-    }
-
-    fn prev_where(&self, keep: &dyn Fn(&P) -> bool) -> Option<P> {
-        match &self.inner {
-            CursorRepr::Slice { list, pos } => list[..*pos].iter().rev().copied().find(|p| keep(p)),
-            CursorRepr::Multi(m) => {
-                let live = |p: &P| keep(p) && !m.tomb.is_some_and(|t| t.contains(p.key64()));
-                // every segment's passed postings precede the merged head
-                m.children
-                    .iter()
-                    .filter_map(|c| c.prev_where(&live))
-                    .max_by_key(|p| p.sort_key())
-            }
-        }
+        self.pos.checked_sub(1).map(|i| self.list[i])
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::SegmentedIndex;
+    use super::super::TermIndex;
     use super::*;
-
-    /// Test posting: (doc, slot, tf) — coalesces on equal (doc, slot).
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    struct Occ {
-        doc: u32,
-        slot: u32,
-        tf: u32,
-    }
-
-    impl Posting for Occ {
-        type SortKey = (u32, u32);
-        fn sort_key(&self) -> (u32, u32) {
-            (self.doc, self.slot)
-        }
-        fn key64(&self) -> u64 {
-            ((self.doc as u64) << 32) | self.slot as u64
-        }
-        fn coalesce(&mut self, other: &Self) -> bool {
-            if self.doc == other.doc && self.slot == other.slot {
-                self.tf += other.tf;
-                true
-            } else {
-                false
-            }
-        }
-        fn occurrences(&self) -> u64 {
-            self.tf as u64
-        }
-        fn same_doc(&self, other: &Self) -> bool {
-            self.doc == other.doc
-        }
-    }
-
-    fn occ(doc: u32, slot: u32) -> Occ {
-        Occ { doc, slot, tf: 1 }
-    }
-
-    #[test]
-    fn build_finalize_query() {
-        let mut ix: SegmentedIndex<Occ> = SegmentedIndex::new();
-        ix.add("xml", occ(2, 0));
-        ix.add("xml", occ(2, 0)); // duplicate → coalesced, tf 2
-        ix.add("xml", occ(0, 1)); // out of order → sorted on insert
-        ix.add("db", occ(1, 0));
-        ix.finalize();
-        let x = ix.sym("xml").unwrap();
-        assert_eq!(
-            ix.postings(x),
-            &[
-                occ(0, 1),
-                Occ {
-                    doc: 2,
-                    slot: 0,
-                    tf: 2
-                }
-            ]
-        );
-        assert_eq!(ix.term_stats(x), TermStats { df: 2, total_tf: 3 });
-        assert_eq!(ix.term_count(), 2);
-        assert_eq!(ix.posting_count(), 3);
-        assert!(ix.sym("nope").is_none());
-        assert!(ix.postings_str("nope").is_empty());
-    }
-
-    #[test]
-    fn unsealed_index_is_queryable() {
-        let mut ix: SegmentedIndex<Occ> = SegmentedIndex::new();
-        ix.add("a", occ(0, 0));
-        ix.add("a", occ(1, 0));
-        ix.add("a", occ(1, 0));
-        let a = ix.sym("a").unwrap();
-        assert_eq!(ix.postings(a).len(), 2, "adjacent duplicate coalesced");
-        assert_eq!(ix.term_stats(a), TermStats { df: 2, total_tf: 3 });
-    }
-
-    #[test]
-    fn finalize_is_idempotent_and_stats_cached() {
-        let mut ix: SegmentedIndex<Occ> = SegmentedIndex::new();
-        ix.add("t", occ(5, 0));
-        ix.add("t", occ(3, 0));
-        ix.finalize();
-        let before: Vec<_> = ix.postings(ix.sym("t").unwrap()).to_vec();
-        ix.finalize();
-        assert_eq!(ix.postings(ix.sym("t").unwrap()), before);
-        let stats = ix.index_stats();
-        assert_eq!(stats.terms, 1);
-        assert_eq!(stats.postings, 2);
-        assert_eq!(stats.posting_bytes, 2 * std::mem::size_of::<Occ>());
-    }
-
-    #[test]
-    fn list_probes_work_on_ord_postings() {
-        // NodeId-like posting: plain u32 wrapper
-        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-        struct N(u32);
-        impl Posting for N {
-            type SortKey = u32;
-            fn sort_key(&self) -> u32 {
-                self.0
-            }
-            fn key64(&self) -> u64 {
-                self.0 as u64
-            }
-            fn coalesce(&mut self, other: &Self) -> bool {
-                self == other
-            }
-            fn same_doc(&self, other: &Self) -> bool {
-                self == other
-            }
-        }
-        let mut l = PostingList::from_unsorted(vec![N(2), N(5), N(9)]);
-        l.finalize();
-        assert_eq!(l.right_match(N(6)), Some(N(9)));
-        assert_eq!(l.left_match(N(6)), Some(N(5)));
-        assert!(l.contains(&N(5)) && !l.contains(&N(6)));
-    }
 
     /// Node-id-like posting: key64 is the id itself.
     #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -943,10 +415,32 @@ mod tests {
         }
     }
 
+    fn list(ids: &[u32]) -> PostingList<Id> {
+        let mut l = PostingList::default();
+        for &i in ids {
+            l.insert_coalesce(Id(i));
+        }
+        l
+    }
+
+    #[test]
+    fn list_probes_work_on_ord_postings() {
+        let l = list(&[9, 2, 5, 5]);
+        let view = l.postings();
+        assert_eq!(view, [Id(2), Id(5), Id(9)], "sorted, deduplicated");
+        assert_eq!(view.right_match(Id(6)), Some(Id(9)));
+        assert_eq!(view.left_match(Id(6)), Some(Id(5)));
+        assert!(view.contains(&Id(5)) && !view.contains(&Id(6)));
+        assert_eq!(view.count_between(Id(2), Id(9)), 2);
+        assert_eq!(view.collect_between(Id(3), Id(10)), vec![Id(5), Id(9)]);
+        let mut out = vec![Id(0)];
+        view.intersect_sorted_into(&[Id(1), Id(5), Id(9)], &mut out);
+        assert_eq!(out, vec![Id(5), Id(9)]);
+    }
+
     /// One seeking cursor answers both probes at every key: after
     /// `seek(v)`, `peek` is `right_match(v)` and `prev` is
-    /// `left_match(v - 1)` — on a single list and on merged views with
-    /// tombstones, whose `left_match` must also equal a linear scan.
+    /// `left_match(v - 1)`, and `left_match` equals a linear scan.
     #[test]
     fn cursor_prev_and_peek_answer_lm_and_rm_at_every_key() {
         let mut x = 0x9e37_79b9_u64;
@@ -956,59 +450,49 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             (x >> 33) % n
         };
-        let ids: Vec<Id> = (0..3000u32).filter(|_| next(3) == 0).map(Id).collect();
-        let mut single: SegmentedIndex<Id> = SegmentedIndex::new();
-        for &p in &ids {
-            single.add("t", p);
+        let mut ix: TermIndex<Id> = TermIndex::new();
+        for i in (0..3000u32).filter(|_| next(3) == 0) {
+            ix.add("t", Id(i));
         }
-        single.finalize();
-        // the same ids spread over sealed segments and the realtime one,
-        // with tombstones in each
-        let mut segmented: SegmentedIndex<Id> = SegmentedIndex::new();
-        for (i, &p) in ids.iter().enumerate() {
-            segmented.add("t", p);
-            if i % 250 == 249 && next(2) == 0 {
-                segmented.commit();
+        let view = ix.postings_str("t");
+        let live = view.to_vec();
+        let mut cursor = view.cursor();
+        let mut passed = 0;
+        for v in 0..3100u32 {
+            let rm = cursor.seek(v as u64);
+            assert_eq!(rm, view.right_match(Id(v)), "rm {v}");
+            let lm = if rm == Some(Id(v)) { rm } else { cursor.prev() };
+            assert_eq!(lm, view.left_match(Id(v)), "lm {v}");
+            let below = v.checked_sub(1).and_then(|u| view.left_match(Id(u)));
+            assert_eq!(cursor.prev(), below, "prev {v}");
+            while live.get(passed).is_some_and(|&p| p <= Id(v)) {
+                passed += 1;
             }
+            let scan = passed.checked_sub(1).map(|i| live[i]);
+            assert_eq!(view.left_match(Id(v)), scan, "scan {v}");
         }
-        for &p in &ids {
-            if next(7) == 0 {
-                segmented.delete_key(p.key64());
-            }
-        }
-        assert!(segmented.segment_counts().sealed > 1 && !segmented.tombstones().is_empty());
-        for (name, ix) in [("single", &single), ("segmented", &segmented)] {
-            let view = ix.postings_str("t");
-            let live = view.to_vec();
-            let mut cursor = view.cursor();
-            let mut passed = 0;
-            for v in 0..3100u32 {
-                let rm = cursor.seek(v as u64);
-                assert_eq!(rm, view.right_match(Id(v)), "{name} rm {v}");
-                let lm = if rm == Some(Id(v)) { rm } else { cursor.prev() };
-                assert_eq!(lm, view.left_match(Id(v)), "{name} lm {v}");
-                let below = v.checked_sub(1).and_then(|u| view.left_match(Id(u)));
-                assert_eq!(cursor.prev(), below, "{name} prev {v}");
-                while live.get(passed).is_some_and(|&p| p <= Id(v)) {
-                    passed += 1;
-                }
-                let scan = passed.checked_sub(1).map(|i| live[i]);
-                assert_eq!(view.left_match(Id(v)), scan, "{name} scan {v}");
-            }
-            assert!(cursor.is_exhausted());
-            assert_eq!(cursor.prev(), live.last().copied(), "{name} exhausted");
-        }
+        assert!(cursor.is_exhausted());
+        assert_eq!(cursor.prev(), live.last().copied(), "exhausted");
     }
 
     #[test]
     fn cursor_seeks_and_exhausts() {
-        let mut l = PostingList::from_unsorted(vec![occ(3, 0), occ(9, 0), occ(12, 0)]);
-        l.finalize();
-        let mut c = l.cursor();
-        assert_eq!(c.seek(occ(9, 0).key64()), Some(occ(9, 0)));
+        let l = list(&[3, 9, 12]);
+        let mut c = l.postings().cursor();
+        assert_eq!(c.seek(9), Some(Id(9)));
         c.advance();
         c.advance();
         assert!(c.is_exhausted());
         assert_eq!(c.seek(0), None, "a cursor never moves backwards");
+    }
+
+    #[test]
+    fn remove_key_drains_one_key_and_nothing_else() {
+        let mut l = list(&[1, 4, 7]);
+        assert_eq!(l.remove_key(4), 1);
+        assert_eq!(l.remove_key(4), 0, "already gone");
+        assert_eq!(l.remove_key(99), 0);
+        assert_eq!(l.postings(), [Id(1), Id(7)]);
+        assert_eq!(l.stats(), TermStats { df: 2, total_tf: 2 });
     }
 }

@@ -2,7 +2,7 @@
 
 use crate::node2kw::DistanceList;
 use crate::shortest::Expansion;
-use kwdb_common::index::{IndexStats, Postings, SegmentCounts, SegmentedIndex};
+use kwdb_common::index::{IndexStats, Postings, TermIndex};
 use kwdb_common::intern::{Interner, Sym};
 use kwdb_common::text::tokenize;
 use kwdb_relational::{Database, TupleId};
@@ -53,9 +53,9 @@ pub struct DataGraph {
     nodes: Vec<NodeData>,
     adj: Vec<Vec<(NodeId, f64)>>,
     kinds: Interner,
-    /// keyword → sorted node list, segment-backed: appends land in the
-    /// realtime segment (node ids ascend, so lists stay sorted).
-    kw_index: SegmentedIndex<NodeId>,
+    /// keyword → sorted node list (node ids ascend, so every add is a push
+    /// at the end of its list).
+    kw_index: TermIndex<NodeId>,
     edge_count: usize,
     /// The smallest edge weight; `None` while there is no edge.
     min_weight: Option<f64>,
@@ -180,11 +180,6 @@ impl DataGraph {
     /// unset: the graph index grows incrementally with the nodes.
     pub fn keyword_index_stats(&self) -> IndexStats {
         self.kw_index.index_stats()
-    }
-
-    /// Realtime/sealed segment census of the keyword index.
-    pub fn keyword_segment_counts(&self) -> SegmentCounts {
-        self.kw_index.segment_counts()
     }
 
     /// The BLINKS distance list of keyword `sym` (a [`Sym`] of this graph's

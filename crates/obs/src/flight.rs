@@ -122,10 +122,6 @@ pub struct QueryRecord {
     /// The engine's data generation this query executed against (0 for
     /// engines without mutation support).
     pub generation: u64,
-    /// Realtime segments in the engine's index at execution time.
-    pub segments_realtime: u64,
-    /// Sealed (immutable, compressed) segments at execution time.
-    pub segments_sealed: u64,
     pub trace: Option<QueryTrace>,
 }
 
@@ -167,18 +163,14 @@ impl QueryRecord {
             sampled,
             slow: false,
             generation: 0,
-            segments_realtime: 0,
-            segments_sealed: 0,
             trace,
         }
     }
 
-    /// Stamp the engine's data generation and segment census at execution
-    /// time — `kwdb-doctor` reports these per engine from a dump.
-    pub fn with_generation(mut self, generation: u64, realtime: usize, sealed: usize) -> Self {
+    /// Stamp the engine's data generation at execution time —
+    /// `kwdb-doctor` reports it per engine from a dump.
+    pub fn with_generation(mut self, generation: u64) -> Self {
         self.generation = generation;
-        self.segments_realtime = realtime as u64;
-        self.segments_sealed = sealed as u64;
         self
     }
 
@@ -413,13 +405,6 @@ impl FlightDump {
                     ("sampled".into(), Json::Bool(r.sampled)),
                     ("slow".into(), Json::Bool(r.slow)),
                     ("generation".into(), Json::Int(r.generation as i128)),
-                    (
-                        "segments".into(),
-                        Json::Obj(vec![
-                            ("realtime".into(), Json::Int(r.segments_realtime as i128)),
-                            ("sealed".into(), Json::Int(r.segments_sealed as i128)),
-                        ]),
-                    ),
                 ];
                 o.push((
                     "trace".into(),
@@ -510,19 +495,8 @@ impl FlightDump {
                 },
                 sampled: matches!(r.get("sampled"), Some(Json::Bool(true))),
                 slow: matches!(r.get("slow"), Some(Json::Bool(true))),
-                // Generation fields default to 0 so pre-generational dumps
-                // still parse.
+                // Defaults to 0 so pre-generational dumps still parse.
                 generation: r.get("generation").and_then(Json::as_u64).unwrap_or(0),
-                segments_realtime: r
-                    .get("segments")
-                    .and_then(|s| s.get("realtime"))
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0),
-                segments_sealed: r
-                    .get("segments")
-                    .and_then(|s| s.get("sealed"))
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0),
                 trace,
             };
             // total_ns is derived; verify it matches the phases it claims
@@ -612,7 +586,7 @@ mod tests {
                 phases: vec![],
             }),
         )
-        .with_generation(7, 1, 3);
+        .with_generation(7);
         r.slow = true;
         rec.append(r);
         rec.append(record("xml", 420));
@@ -627,6 +601,28 @@ mod tests {
         assert_eq!(FlightDump::from_json(&with_workers).unwrap(), dump);
         assert!(FlightDump::from_json("{}").is_err());
         assert!(FlightDump::from_json(r#"{"format":"kwdb-flightrec-v1"}"#).is_err());
+    }
+
+    /// Dumps once carried each record's index segment census; the reader
+    /// ignores the key, so they still parse to the same records.
+    #[test]
+    fn dumps_with_a_segment_census_still_parse() {
+        let rec = FlightRecorder::with_capacity(4);
+        rec.append(record("relational", 7).with_generation(3));
+        rec.append(record("xml", 9));
+        let dump = rec.dump();
+        let json = dump.to_json();
+        let old = json
+            .replace(
+                "\"generation\":3,",
+                "\"generation\":3,\"segments\":{\"realtime\":1,\"sealed\":3},",
+            )
+            .replace(
+                "\"generation\":0,",
+                "\"generation\":0,\"segments\":{\"realtime\":0,\"sealed\":1},",
+            );
+        assert_eq!(old.matches("\"segments\":").count(), 2);
+        assert_eq!(FlightDump::from_json(&old).unwrap(), dump);
     }
 
     #[test]

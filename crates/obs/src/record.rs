@@ -23,10 +23,10 @@
 
 use crate::flight::QueryRecord;
 use crate::hist::Histogram;
-use crate::registry::{Counter, MetricsRegistry, Watermark};
+use crate::registry::{Counter, MetricsRegistry};
 use crate::trace::TraceLevel;
 use kwdb_common::budget::TruncationReason;
-use kwdb_common::index::{IndexStats, SegmentCounts};
+use kwdb_common::index::IndexStats;
 use kwdb_common::QueryStats;
 use std::sync::{Arc, OnceLock};
 
@@ -102,12 +102,6 @@ pub mod families {
     /// Gauge: a mutable engine's data generation — bumped by every
     /// successful mutation (label `engine`).
     pub const ENGINE_GENERATION: &str = "kwdb_engine_generation";
-    /// Gauge: index segments by lifecycle state (labels `engine`,
-    /// `state` = realtime|sealed).
-    pub const SEGMENTS: &str = "kwdb_segments";
-    /// Counter: segment merges — commit-cap folds plus explicit
-    /// compactions (label `engine`).
-    pub const SEGMENT_MERGES: &str = "kwdb_segment_merges_total";
     /// Counter: tuples ingested through the incremental path (label
     /// `engine`).
     pub const INGESTED_TUPLES: &str = "kwdb_ingested_tuples_total";
@@ -164,8 +158,6 @@ pub mod families {
             FLIGHT_ENTRIES => "Records currently held in the flight recorder ring.",
             TRACE_SAMPLED => "Queries whose trace was promoted by the sampling policy.",
             ENGINE_GENERATION => "A mutable engine's data generation (bumped per mutation).",
-            SEGMENTS => "Index segments by lifecycle state (label state).",
-            SEGMENT_MERGES => "Segment merges: commit-cap folds plus explicit compactions.",
             INGESTED_TUPLES => "Tuples ingested through the incremental path.",
             RESULT_CACHE_HITS => "Queries answered entirely from the result cache.",
             RESULT_CACHE_MISSES => "Queries that consulted the result cache and computed.",
@@ -429,28 +421,14 @@ impl EngineInstruments {
     }
 }
 
-/// Publish one mutable engine's generational figures: the generation gauge,
-/// the per-state segment gauges, and what the cumulative `merges` total
-/// gained since `published` last saw it. Engines call this once at registry
-/// attach time and after every mutation, so all four families — including
-/// the ingest counter, touched here at zero — are present in snapshots
-/// before the first mutation.
-pub fn record_generation(
-    reg: &MetricsRegistry,
-    engine: &str,
-    generation: u64,
-    segments: SegmentCounts,
-    merges: u64,
-    published: &Watermark,
-) {
+/// Publish one mutable engine's generation gauge. Engines call this once at
+/// registry attach time and after every mutation, so both families —
+/// including the ingest counter, touched here at zero — are present in
+/// snapshots before the first mutation.
+pub fn record_generation(reg: &MetricsRegistry, engine: &str, generation: u64) {
     let labels = [("engine", engine)];
     reg.gauge(families::ENGINE_GENERATION, &labels)
         .set(generation as i64);
-    for (state, count) in [("realtime", segments.realtime), ("sealed", segments.sealed)] {
-        reg.gauge(families::SEGMENTS, &[("engine", engine), ("state", state)])
-            .set(count as i64);
-    }
-    published.publish(merges, &reg.counter(families::SEGMENT_MERGES, &labels));
     let _ = reg.counter(families::INGESTED_TUPLES, &labels);
 }
 

@@ -44,7 +44,7 @@ impl Counter {
 }
 
 /// The cumulative total one publisher last folded into a shared [`Counter`]
-/// — for counts kept elsewhere (a cache's evictions, an index's merges).
+/// — for counts kept elsewhere (a cache's evictions).
 /// Each publisher owns one and adds only what its own total gained, so
 /// publishers sharing a counter (two engines under one label) sum, and
 /// racing publishes of one total count it once, in any order.

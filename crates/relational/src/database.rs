@@ -6,7 +6,7 @@ use crate::fkindex::FkIndex;
 use crate::index::{InvertedIndex, Posting};
 use crate::schema::{SchemaEdge, SchemaGraph, TableBuilder, TableId};
 use crate::table::{Row, RowId, Table, TupleId};
-use kwdb_common::index::{Layout, SegmentCounts};
+use kwdb_common::index::Layout;
 use kwdb_common::text::tokenize;
 use kwdb_common::{KwdbError, Result, Value};
 use kwdb_rank::CorpusStats;
@@ -24,12 +24,11 @@ use std::sync::Arc;
 /// Every mutation bumps a monotonically increasing **generation counter**;
 /// `indexed_generation` records the generation the text index reflects.
 /// [`ingest`](Self::ingest) and [`delete`](Self::delete) maintain the index
-/// incrementally (realtime segment + tombstones), so they advance both
-/// counters together. Raw [`insert`](Self::insert) does **not** touch the
-/// index, leaving it behind until the next
+/// incrementally (each edits the touched posting lists in place), so they
+/// advance both counters together. Raw [`insert`](Self::insert) does
+/// **not** touch the index, leaving it behind until the next
 /// [`build_text_index`](Self::build_text_index) — queries in between get a
-/// typed
-/// [`KwdbError::IndexStale`] instead of silently missing rows.
+/// typed [`KwdbError::IndexStale`] instead of silently missing rows.
 ///
 /// Everything else derived from the rows lives by the same rule — built with
 /// the text index, maintained by `ingest` / `delete`, left behind by raw
@@ -118,8 +117,8 @@ impl Database {
     }
 
     /// Insert a row **and** index it incrementally: the tuple's text tokens
-    /// land in the index's realtime segment, visible to queries immediately
-    /// (no rebuild, no [`commit_index`](Self::commit_index) needed).
+    /// land in their posting lists, visible to queries immediately (no
+    /// rebuild, no [`commit_index`](Self::commit_index) needed).
     ///
     /// Unlike [`insert`](Self::insert), `ingest` validates foreign keys: a
     /// non-NULL FK value must resolve to an existing (live) referenced row.
@@ -199,9 +198,8 @@ impl Database {
     }
 
     /// Delete the row of `table` whose primary key equals `pk`: tombstones
-    /// the row slot and every index posting of the tuple. Effective on all
-    /// query paths immediately; the storage is reclaimed by the next
-    /// [`merge_index`](Self::merge_index). Requires a fresh index, like
+    /// the row slot and removes every index posting of the tuple, so it is
+    /// gone from all query paths on return. Requires a fresh index, like
     /// [`ingest`](Self::ingest). No cascade: referencing rows keep their FK
     /// value and simply lose the join partner.
     pub fn delete(&mut self, table: &str, pk: &Value) -> Result<TupleId> {
@@ -214,47 +212,34 @@ impl Database {
         t.delete(rid);
         let live = t.live_len();
         let tid = TupleId::new(id, rid);
-        self.text_index.delete_tuple(tid);
-        self.text_index.set_tuple_count(id, live);
-        // The payload stays in place under the tombstone, so the tokens the
-        // row was counted with are still readable.
+        // The payload stays in place under the row tombstone, so the tokens
+        // the row was indexed and counted with are still readable.
         let tokens = self.tuple_tokens(tid);
+        self.text_index.delete_tuple(tid, &tokens);
+        self.text_index.set_tuple_count(id, live);
         Arc::make_mut(&mut self.corpus).remove_doc(&tokens);
         self.generation += 1;
         self.indexed_generation = Some(self.generation);
         Ok(tid)
     }
 
-    /// Seal the index's realtime segment into an immutable segment (see
-    /// [`kwdb_common::index::SegmentedIndex::commit`]).
-    ///
-    /// Sealing restructures the physical index, so on a fresh index it
-    /// counts as a generation event like any other mutation: anything
-    /// keyed on the generation (result cache, tuple-set cache) recomputes
-    /// over the sealed segments rather than serving a response built
-    /// against the pre-seal ones.
-    pub fn commit_index(&mut self) -> SegmentCounts {
-        self.bump_sealed_generation();
-        self.text_index.commit()
-    }
-
-    /// Fully compact the index: one sealed segment, tombstones purged,
-    /// exact stats (see [`kwdb_common::index::SegmentedIndex::merge`]).
-    /// A generation event, like [`commit_index`](Self::commit_index).
-    pub fn merge_index(&mut self) -> SegmentCounts {
-        self.bump_sealed_generation();
-        self.text_index.merge()
-    }
-
-    /// Generation bump for seal/compact operations. Only meaningful when
-    /// the index is fresh — a stale database stays stale (the gap between
-    /// `generation` and `indexed_generation` is preserved) so sealing can
-    /// never mask a missing rebuild.
-    fn bump_sealed_generation(&mut self) {
+    /// A generation event and nothing else: the index needs no sealing
+    /// (`ingest` and `delete` edit it in place), but a commit still bumps
+    /// the generation, so anything keyed on it (result cache, tuple-set
+    /// cache) recomputes. Only on a fresh index — a stale database stays
+    /// stale (the gap between `generation` and `indexed_generation` is
+    /// preserved) so a commit can never mask a missing rebuild.
+    pub fn commit_index(&mut self) {
         if self.is_index_fresh() {
             self.generation += 1;
             self.indexed_generation = Some(self.generation);
         }
+    }
+
+    /// [`commit_index`](Self::commit_index) under its old compaction name.
+    /// Kept only for `benchmark/`, deleted by ROADMAP 1(a).
+    pub fn merge_index(&mut self) {
+        self.commit_index();
     }
 
     pub fn table_id(&self, name: &str) -> Result<TableId> {
@@ -353,7 +338,7 @@ impl Database {
                 }
             }
         }
-        ix.finalize();
+        ix.shrink_to_fit();
         self.fk_index = self
             .schema_graph
             .edges()
@@ -695,7 +680,6 @@ mod tests {
         let ix = db.text_index().unwrap();
         assert_eq!(ix.postings("turing").len(), 1, "visible without commit");
         assert_eq!(ix.postings("turing").to_vec()[0].tuple, t0);
-        assert_eq!(ix.segment_counts().realtime, 1);
 
         // dangling FK rejected, and nothing was inserted or indexed
         let before = db.tuple_count();
@@ -714,22 +698,24 @@ mod tests {
             .unwrap();
         assert_eq!(db.text_index().unwrap().postings("turing").len(), 2);
 
-        // commit seals realtime; results unchanged
-        let counts = db.commit_index();
-        assert_eq!(counts.realtime, 0);
+        // commit is a generation event only; results unchanged
+        let generation = db.generation();
+        db.commit_index();
+        assert_eq!(db.generation(), generation + 1);
         assert_eq!(db.text_index().unwrap().postings("turing").len(), 2);
     }
 
     #[test]
-    fn delete_tombstones_row_and_postings() {
+    fn delete_removes_row_and_postings() {
         let mut db = small_db();
         let author = db.table_id("author").unwrap();
         let tid = db.delete("author", &2.into()).unwrap();
         assert_eq!(tid, TupleId::new(author, RowId(1)));
         assert!(db.is_index_fresh());
         let ix = db.text_index().unwrap();
-        assert!(ix.postings("john").is_empty(), "postings hidden at once");
+        assert!(ix.postings("john").is_empty(), "postings gone at once");
         assert!(ix.rows_in("smith", author).is_empty());
+        assert_eq!(ix.index_stats().postings, 6, "the two postings are freed");
         assert_eq!(db.tuple_count(), 4);
         assert!(db.scan_eq(author, 0, &2.into()).is_empty());
         // unknown pk is a typed error
@@ -737,10 +723,12 @@ mod tests {
             db.delete("author", &99.into()),
             Err(KwdbError::UnknownObject(_))
         ));
-        // merge purges tombstones without changing results
-        db.merge_index();
-        assert!(db.text_index().unwrap().postings("john").is_empty());
         assert_eq!(db.text_index().unwrap().doc_freq("widom"), 1);
+        assert_eq!(
+            db.text_index().unwrap().doc_freq("john"),
+            0,
+            "exact at once"
+        );
     }
 
     #[test]
@@ -879,10 +867,8 @@ mod tests {
         assert_eq!(db.referencing_rows(wp, p10.row).count(), 2);
         assert_fk_index_matches_values(&db);
 
-        // sealing and compacting the text index leave the FK index alone
+        // a commit leaves the FK index alone
         db.commit_index();
-        assert_fk_index_matches_values(&db);
-        db.merge_index();
         assert_fk_index_matches_values(&db);
 
         // and a rebuild from scratch agrees with the maintained index

@@ -10,7 +10,7 @@
 
 use crate::schema::TableId;
 use crate::table::{RowId, TupleId};
-use kwdb_common::index::{IndexStats, Postings, SegmentCounts, SegmentedIndex, TermStats};
+use kwdb_common::index::{IndexStats, Postings, TermIndex, TermStats};
 use kwdb_common::intern::Sym;
 use std::collections::HashMap;
 use std::time::Duration;
@@ -34,7 +34,7 @@ impl kwdb_common::index::Posting for Posting {
 
     /// `(table, row)` packed into one key. Deliberately column-blind:
     /// cursors treat a tuple's occurrences across columns as one logical
-    /// document (they share a key, and one tombstone hides them all).
+    /// document (they share a key, and one `remove_key` drops them all).
     fn key64(&self) -> u64 {
         tuple_key(self.tuple)
     }
@@ -75,14 +75,13 @@ pub fn table_key_range(table: TableId) -> (u64, u64) {
 /// are contiguous ("query tuple sets" in DISCOVER terms) and reachable by
 /// a single cursor `seek` into [`table_key_range`].
 ///
-/// Storage is a generational [`SegmentedIndex`]: a batch build seals into a
-/// single compacted segment (identical to the old build-once store), while
-/// an `add` after a build lands in the realtime segment and
-/// `delete_tuple` tombstones — both visible to every
-/// query immediately, no rebuild required.
+/// Storage is one [`TermIndex`]: one sorted list per term, which an `add`
+/// after a build (a push at the end for the newest rows) and
+/// `delete_tuple` edit in place — visible to every query immediately, no
+/// rebuild required.
 #[derive(Debug, Clone, Default)]
 pub struct InvertedIndex {
-    store: SegmentedIndex<Posting>,
+    store: TermIndex<Posting>,
     /// Documents (tuples) per table, for IDF computation by callers.
     tuple_counts: HashMap<TableId, usize>,
     build_time: Option<Duration>,
@@ -105,35 +104,18 @@ impl InvertedIndex {
         self.build_time = Some(d);
     }
 
-    /// Seal + compact the batch build into one segment.
-    pub(crate) fn finalize(&mut self) {
-        self.store.finalize();
+    /// Release the lists' growth slack — the batch-build epilogue.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.store.shrink_to_fit();
     }
 
-    /// Tombstone every posting of `tuple`, in every segment. Returns `false`
-    /// when the tuple was already dead.
-    pub(crate) fn delete_tuple(&mut self, tuple: TupleId) -> bool {
-        self.store.delete_key(tuple_key(tuple))
-    }
-
-    /// Seal the realtime segment (see [`SegmentedIndex::commit`]).
-    pub(crate) fn commit(&mut self) -> SegmentCounts {
-        self.store.commit()
-    }
-
-    /// Full compaction (see [`SegmentedIndex::merge`]).
-    pub(crate) fn merge(&mut self) -> SegmentCounts {
-        self.store.merge()
-    }
-
-    /// Current segment census (realtime/sealed).
-    pub fn segment_counts(&self) -> SegmentCounts {
-        self.store.segment_counts()
-    }
-
-    /// Completed segment-merge operations over this index's lifetime.
-    pub fn merges(&self) -> u64 {
-        self.store.merges()
+    /// Remove every posting of `tuple` from the lists of `tokens` (the
+    /// tuple's text tokens; repeats are harmless).
+    pub(crate) fn delete_tuple(&mut self, tuple: TupleId, tokens: &[String]) {
+        let key = tuple_key(tuple);
+        for tok in tokens {
+            self.store.remove_key(tok, key);
+        }
     }
 
     /// Resolve a query term to its dense id — one dictionary lookup. Do this
@@ -186,8 +168,8 @@ impl InvertedIndex {
         rows
     }
 
-    /// Number of distinct tuples (across tables) containing `term`.
-    /// `O(1)` on a finalized index — served from the term's cached stats.
+    /// Number of distinct tuples (across tables) containing `term`, by one
+    /// scan of its list.
     pub fn doc_freq(&self, term: &str) -> usize {
         self.sym(term)
             .map_or(0, |s| self.store.term_stats(s).df as usize)
@@ -238,7 +220,6 @@ mod tests {
         ix.add("xml", t(1, 3, 0));
         ix.add("xml", t(0, 2, 1));
         ix.add("graph", t(1, 3, 0));
-        ix.finalize();
         ix
     }
 

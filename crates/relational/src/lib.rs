@@ -46,8 +46,8 @@
 //! // Incremental ingest: indexed immediately, no rebuild needed.
 //! db.ingest("author", vec![2.into(), "Alan Turing".into()]).unwrap();
 //! assert_eq!(db.text_index().unwrap().postings("turing").len(), 1);
-//! db.commit_index(); // seal the realtime segment
-//! assert_eq!(db.text_index().unwrap().postings("turing").len(), 1);
+//! db.delete("author", &2.into()).unwrap();
+//! assert!(db.text_index().unwrap().postings("turing").is_empty());
 //! ```
 
 pub mod database;

@@ -33,9 +33,9 @@ pub struct TermList {
 }
 
 impl TermList {
-    /// Read a term's postings (any segment mix; tombstoned tuples already
-    /// filtered by the view). Postings arrive in `(table,
-    /// row, column)` order, so one tuple's columns are adjacent.
+    /// Read a term's postings (deleted tuples' postings are already gone
+    /// from the list). Postings arrive in `(table, row, column)` order, so
+    /// one tuple's columns are adjacent.
     fn from_postings(postings: Postings<'_, Posting>) -> Self {
         let mut list = TermList::default();
         for p in postings.iter() {
@@ -59,8 +59,9 @@ impl TermList {
 
 /// The relational engine's per-term tuple-set cache: materialized
 /// [`TermList`]s keyed by `(generation, term symbol)`. The generation in
-/// the key is the whole invalidation story — a commit bumps it, stale
-/// entries stop matching, and the LRU sweep reclaims them.
+/// the key is the whole invalidation story — every mutation (ingest,
+/// delete, commit) bumps it, stale entries stop matching, and the LRU sweep
+/// reclaims them.
 pub type TermCache = ShardedCache<(u64, u32), Arc<TermList>>;
 
 /// One non-empty tuple set `R^K`.
@@ -532,13 +533,10 @@ mod tests {
             .unwrap();
         }
         db.build_text_index();
-        // several segments and tombstones on top of the built one
+        // ingests and deletes on top of the built index
         for pid in 150..190 {
             let row = vec![pid.into(), text(&mut rng).into(), (pid % 6).into()];
             db.ingest("paper", row).unwrap();
-            if pid % 10 == 0 {
-                db.commit_index();
-            }
         }
         for pid in (0..190).step_by(7) {
             db.delete("paper", &pid.into()).unwrap();

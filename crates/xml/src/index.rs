@@ -5,17 +5,15 @@
 //! document order, the `lm`/`rm` probes the SLCA family needs are plain
 //! binary searches, served by the shared [`kwdb_common::index`] kernels.
 //!
-//! Storage lives in a [`SegmentedIndex`] keyed by the term dictionary: every
+//! Storage lives in a [`TermIndex`] keyed by the term dictionary: every
 //! label and token is normalized through [`normalize_term`] and interned
 //! once, and query paths resolve each keyword to a [`Sym`] a single time
 //! via [`XmlIndex::sym`]. Lists are handed out as [`Postings`] views
-//! supporting iteration, cursors, and the probes. The batch build seals and
-//! compacts into exactly one immutable segment (`finalize`), so the segment
-//! census reported by [`XmlIndex::segment_counts`] is
-//! `{realtime: 0, sealed: 1}` for any non-empty document.
+//! supporting iteration, cursors, and the probes. The index is built once
+//! and never changes: a changed tree is a new index.
 
 use crate::tree::{NodeId, XmlTree};
-use kwdb_common::index::{kernels, IndexStats, Postings, SegmentCounts, SegmentedIndex};
+use kwdb_common::index::{kernels, IndexStats, Postings, TermIndex};
 use kwdb_common::intern::Sym;
 use kwdb_common::text::{normalize_term, tokenize};
 use std::time::Duration;
@@ -44,7 +42,7 @@ impl kwdb_common::index::Posting for NodeId {
 /// Inverted index: keyword → sorted node list.
 #[derive(Debug, Clone, Default)]
 pub struct XmlIndex {
-    store: SegmentedIndex<NodeId>,
+    store: TermIndex<NodeId>,
     build_time: Option<Duration>,
 }
 
@@ -55,7 +53,7 @@ impl XmlIndex {
     /// Q = {keyword, Mark} relies on label matches.
     pub fn build(tree: &XmlTree) -> Self {
         let start = std::time::Instant::now();
-        let mut store: SegmentedIndex<NodeId> = SegmentedIndex::new();
+        let mut store: TermIndex<NodeId> = TermIndex::new();
         for n in tree.iter() {
             let label = normalize_term(tree.label(n));
             if !label.is_empty() {
@@ -67,10 +65,9 @@ impl XmlIndex {
                 }
             }
         }
-        // Pre-order iteration emits nodes in document order, so every list is
-        // already sorted and deduplicated; finalize seals + compacts into a
-        // single immutable segment.
-        store.finalize();
+        // Pre-order iteration emits nodes in document order, so every add is
+        // a push (or a coalesce) at the end of its list.
+        store.shrink_to_fit();
         XmlIndex {
             store,
             build_time: Some(start.elapsed()),
@@ -139,12 +136,6 @@ impl XmlIndex {
     /// Whole-index size figures, including the build wall-clock.
     pub fn index_stats(&self) -> IndexStats {
         self.store.index_stats().with_build(self.build_time)
-    }
-
-    /// Realtime/sealed segment census. A batch-built index is fully
-    /// compacted: one sealed segment, nothing in realtime.
-    pub fn segment_counts(&self) -> SegmentCounts {
-        self.store.segment_counts()
     }
 }
 
@@ -238,7 +229,5 @@ mod tests {
             stats.postings * std::mem::size_of::<NodeId>()
         );
         assert!(stats.build.is_some(), "batch build is timed");
-        let segs = ix.segment_counts();
-        assert_eq!((segs.realtime, segs.sealed), (0, 1), "batch build compacts");
     }
 }

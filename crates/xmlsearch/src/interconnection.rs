@@ -60,8 +60,7 @@ pub fn search<S: AsRef<str>>(
     let Some(lists) = index.lists_for(keywords) else {
         return Ok(Vec::new());
     };
-    // The mixed-radix enumeration needs random access into every list, so
-    // decode the (possibly block-compressed) views once up front.
+    // The mixed-radix enumeration indexes into every list by position.
     let lists: Vec<Vec<NodeId>> = lists.iter().map(|l| l.to_vec()).collect();
     let mut out = Vec::new();
     let mut combo = vec![0usize; lists.len()];

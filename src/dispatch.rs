@@ -113,17 +113,17 @@ impl Catalog {
         }
     }
 
-    /// Ingest one record into the named engine's realtime segment.
+    /// Ingest one record into the named engine.
     pub fn ingest(&self, name: &str, record: IngestRecord) -> Result<()> {
         self.mutable_engine(name)?.ingest(record)
     }
 
-    /// Tombstone one document in the named engine.
+    /// Delete one document from the named engine.
     pub fn delete(&self, name: &str, key: DeleteKey) -> Result<()> {
         self.mutable_engine(name)?.delete(key)
     }
 
-    /// Seal the named engine's realtime segment into an immutable one.
+    /// Commit the named engine: a generation event.
     pub fn commit(&self, name: &str) -> Result<CommitOutcome> {
         self.mutable_engine(name)?.commit()
     }
@@ -322,12 +322,12 @@ impl Dispatcher {
         self.catalog.ingest(name, record)
     }
 
-    /// Tombstone one document in the named engine.
+    /// Delete one document from the named engine.
     pub fn delete(&self, name: &str, key: DeleteKey) -> Result<()> {
         self.catalog.delete(name, key)
     }
 
-    /// Seal the named engine's realtime segment.
+    /// Commit the named engine (see [`Catalog::commit`]).
     pub fn commit(&self, name: &str) -> Result<CommitOutcome> {
         self.catalog.commit(name)
     }
@@ -570,7 +570,7 @@ mod tests {
         let out = d.execute_concurrent(&[("live".to_string(), SearchRequest::new("widom").k(3))]);
         assert_eq!(out.responses[0].as_ref().unwrap().hits.len(), 1);
         let outcome = d.commit("live").unwrap();
-        assert_eq!(outcome.segments.realtime, 0);
+        assert_eq!(outcome.generation, 2, "the ingest, then the commit");
 
         // Typed errors: read-only engine vs unknown name.
         let ro = d

@@ -7,7 +7,6 @@
 //! consult and the seal ([`finish_response`]).
 
 use super::{SearchRequest, SearchResponse};
-use kwdb_common::index::SegmentCounts;
 use kwdb_common::text::parse_query;
 use kwdb_common::{
     CacheConfig, FacetCounts, Looked, QueryStats, Result, ShardedCache, Stopwatch, TruncationReason,
@@ -20,8 +19,8 @@ use std::sync::{Arc, OnceLock};
 
 /// Everything the query frame ([`run_query`]) needs to know about one
 /// arriving query that is not in the [`SearchRequest`]: which engine and
-/// algorithm label it runs under, the data generation and segment census it
-/// sees, and the engine's result cache with its sizing hooks.
+/// algorithm label it runs under, the data generation it sees, and the
+/// engine's result cache with its sizing hooks.
 pub(super) struct QueryFrame<'a, H> {
     /// The engine's registry attachment, when it has one.
     pub(super) obs: Option<&'a EngineInstruments>,
@@ -29,9 +28,6 @@ pub(super) struct QueryFrame<'a, H> {
     pub(super) engine: &'static str,
     pub(super) algorithm: &'static str,
     pub(super) generation: u64,
-    /// The segment census the flight record stamps — read at the seal, and
-    /// only when there is a registry to seal into.
-    pub(super) segments: &'a dyn Fn() -> SegmentCounts,
     /// Zero counts for every requested facet (relational), nothing
     /// (graph/XML) — see [`Answer::empty`]. Called by the early returns
     /// only.
@@ -113,10 +109,9 @@ pub(super) fn trace_verdict(tb: &mut TraceBuilder, truncation: Option<Truncation
 /// rendering of any facet specs and refinements), one lookup under one
 /// shard lock, the gauge publish (six atomic loads, two stores), one clone of
 /// the cached [`Answer`], and the seal. It does **not** resolve
-/// facet specs or refinements, read the segment census (unless a
-/// registry is attached — the flight record stamps it), build a trace
-/// label, or reach anything in `run`. Everything an engine computes before
-/// calling here is paid by every hit, so it belongs in `run` unless a hit
+/// facet specs or refinements, build a trace label, or reach anything in
+/// `run`. Everything an engine computes before calling here is paid by
+/// every hit, so it belongs in `run` unless a hit
 /// reads it: the relational engine checks that every facet and refinement
 /// attribute exists (the typed error precedes sampling and the consult, as
 /// it always has) and takes its state lock; the others nothing.
@@ -208,7 +203,6 @@ fn finish_response<H>(
 ) -> SearchResponse<H> {
     let trace = trace.finish();
     if let Some(obs) = frame.obs {
-        let segments = (frame.segments)();
         let record = QueryRecord::new(
             frame.engine,
             frame.algorithm,
@@ -219,7 +213,7 @@ fn finish_response<H>(
             sampled,
             trace.clone(),
         )
-        .with_generation(frame.generation, segments.realtime, segments.sealed);
+        .with_generation(frame.generation);
         let facets = (!answer.facets.is_empty()).then(|| FacetOutcome {
             values: answer.facets.iter().map(|f| f.values.len() as u64).sum(),
             exact: answer.facets_exact,

@@ -90,7 +90,6 @@ impl GraphEngine {
         let g = &*self.g;
         let budget = &req.budget;
         let semantics = req.semantics.unwrap_or(GraphSemantics::Banks);
-        let segments = || g.keyword_segment_counts();
         let frame = QueryFrame {
             obs: self.obs.as_ref(),
             cache: &self.result_cache,
@@ -103,7 +102,6 @@ impl GraphEngine {
             // The graph never changes under the engine: generation 0, as
             // for XML.
             generation: 0,
-            segments: &segments,
             empty_facets: &|| Ok(Vec::new()),
             hit_bytes: graph_hit_bytes,
         };

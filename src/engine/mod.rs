@@ -65,9 +65,9 @@
 //! Mutation is the relational engine's: [`RelationalEngine`] is the one
 //! [`MutableEngine`], and a graph or a tree that has changed is a new
 //! `DataGraph` / `XmlTree` handed to a new engine. `ingest`/`delete` apply a
-//! change *and* maintain the index incrementally (realtime segment,
-//! tombstones, corpus statistics), `commit` seals the realtime segment into
-//! a compressed sealed segment. Every successful mutation bumps a
+//! change *and* maintain the index incrementally (each edits the touched
+//! posting lists in place and the corpus statistics), and `commit` is a
+//! generation event with no index work. Every successful mutation bumps a
 //! monotonic **generation counter** which keys the result and tuple-set
 //! caches and stamps the flight-recorder records, so cached answers and
 //! diagnostics can never silently describe an older database. (The CN plan
@@ -95,10 +95,9 @@ mod xml;
 
 pub use graph::{GraphEngine, GraphSemantics};
 pub use kwdb_relsearch::score::Scoring;
-pub use relational::{RelationalConfig, RelationalEngine, RelationalHit};
+pub use relational::{RelationalConfig, RelationalEngine, RelationalHit, SegmentCounts};
 pub use xml::{XmlEngine, XmlHit};
 
-use kwdb_common::index::SegmentCounts;
 use kwdb_common::{Budget, FacetCounts, FacetSpec, QueryStats, Result, TruncationReason, Value};
 use kwdb_graphsearch::AnswerTree;
 use kwdb_obs::{QueryTrace, TraceLevel};
@@ -392,20 +391,17 @@ pub enum DeleteKey {
     TuplePk { table: String, pk: Value },
 }
 
-/// Report of a [`MutableEngine::commit`]: the engine's generation after the
-/// seal and the index's segment census.
+/// Report of a [`MutableEngine::commit`]: the engine's generation after it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CommitOutcome {
     /// The engine's data generation at commit time.
     pub generation: u64,
-    /// Realtime/sealed segment counts after the seal.
-    pub segments: SegmentCounts,
 }
 
-/// An engine that supports incremental mutation over its generational
-/// index: `ingest`/`delete` apply a change *and* maintain the index (no
-/// rebuild), `commit` seals the realtime segment. Every successful
-/// mutation bumps the engine's monotonic [`generation`](Self::generation).
+/// An engine that supports incremental mutation: `ingest`/`delete` apply a
+/// change *and* maintain the index (no rebuild), `commit` is a generation
+/// event. Every successful mutation bumps the engine's monotonic
+/// [`generation`](Self::generation).
 /// [`RelationalEngine`] implements it; the graph and XML engines serve
 /// immutable data and do not.
 pub trait MutableEngine: Engine {
@@ -418,7 +414,7 @@ pub trait MutableEngine: Engine {
     /// Delete by key: tombstone the data and drop it from the index.
     fn delete(&self, key: DeleteKey) -> Result<()>;
 
-    /// Seal the realtime segment into an immutable compressed segment.
+    /// Bump the generation: every generation-keyed cache entry goes stale.
     fn commit(&self) -> Result<CommitOutcome>;
 
     /// The monotonic data generation: bumped by every successful mutation.

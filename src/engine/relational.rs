@@ -10,7 +10,6 @@ use super::{
     CommitOutcome, DeleteKey, Engine, Hit, IngestRecord, MutableEngine, Scoring, SearchRequest,
     SearchResponse,
 };
-use kwdb_common::index::SegmentCounts;
 use kwdb_common::{
     CacheConfig, FacetCounts, FacetSpec, Looked, QueryStats, Result, ScratchPool, ShardedCache,
     Stopwatch, TruncationReason, Value,
@@ -118,11 +117,12 @@ fn entry_capped(max_entries: usize) -> CacheConfig {
     }
 }
 
-/// Realtime/sealed segment census of `db`'s text index (zeros when the index
-/// was never built or has gone stale).
-fn segment_census(db: &Database) -> SegmentCounts {
-    db.text_index()
-        .map_or(SegmentCounts::default(), |ix| ix.segment_counts())
+/// What [`RelationalEngine::segment_counts`] returns. Kept only for
+/// `benchmark/`, deleted by ROADMAP 1(a).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SegmentCounts {
+    pub realtime: usize,
+    pub sealed: usize,
 }
 
 /// DISCOVER-style keyword search over a relational database: tuple sets →
@@ -157,9 +157,6 @@ pub struct RelationalEngine {
     /// keyed by the generation it was built at, one entry: a cleaning query
     /// of a newer generation builds a new model and evicts the old.
     clean: ShardedCache<u64, Arc<CleanModel>>,
-    /// Segment merges already published to the registry (those before the
-    /// engine was built are not its own).
-    merges_published: Watermark,
     /// Whole sealed responses by generation and request shape: a repeat
     /// query skips build/plan/evaluate entirely.
     result_cache: ResultCache<RelationalHit>,
@@ -176,10 +173,8 @@ impl RelationalEngine {
     }
 
     pub fn with_config(db: impl Into<Arc<Database>>, cfg: RelationalConfig) -> Self {
-        let db = db.into();
-        let merges = db.text_index().map_or(0, |ix| ix.merges());
         RelationalEngine {
-            db: RwLock::new(db),
+            db: RwLock::new(db.into()),
             cfg,
             cn_cache: ShardedCache::new(entry_capped(cfg.max_cache_entries)),
             plan_evictions_published: Watermark::default(),
@@ -187,7 +182,6 @@ impl RelationalEngine {
             tupleset_counters: OnceLock::new(),
             scratch: ScratchPool::new(),
             clean: ShardedCache::new(entry_capped(1)),
-            merges_published: Watermark::new(merges),
             result_cache: ResultCache::new(cfg.result_cache),
             tupleset_cache: TermCache::new(cfg.result_cache),
         }
@@ -201,8 +195,8 @@ impl RelationalEngine {
     }
 
     /// Record every query (and plan-cache activity) into `registry`, and
-    /// publish the text index's build/size figures, the engine generation,
-    /// and the segment census up front.
+    /// publish the text index's build/size figures and the engine
+    /// generation up front.
     pub fn with_registry(mut self, registry: Arc<MetricsRegistry>) -> Self {
         let db = self.database();
         if let Ok(ix) = db.text_index() {
@@ -233,10 +227,19 @@ impl RelationalEngine {
         self.db.read().expect("engine state poisoned").generation()
     }
 
-    /// Realtime/sealed segment census of the text index (zeros when the
-    /// index was never built).
+    /// `{ realtime: 0, sealed: 1 }` once the text index is built (and
+    /// fresh), zeros before. Kept only for `benchmark/`, deleted by ROADMAP
+    /// 1(a).
     pub fn segment_counts(&self) -> SegmentCounts {
-        segment_census(&self.db.read().expect("engine state poisoned"))
+        let built = self
+            .db
+            .read()
+            .expect("engine state poisoned")
+            .is_index_fresh();
+        SegmentCounts {
+            realtime: 0,
+            sealed: usize::from(built),
+        }
     }
 
     /// The one mutation path: take the state lock for writing, un-share the
@@ -259,8 +262,8 @@ impl RelationalEngine {
     }
 
     /// Ingest one tuple through the incremental path
-    /// ([`Database::ingest`]): FK-validate, append to the table, index into
-    /// the realtime segment and count into the corpus statistics — no
+    /// ([`Database::ingest`]): FK-validate, append to the table, add its
+    /// postings to their lists and count it into the corpus statistics — no
     /// rebuild, no rescan. Requires a fresh index (build once, then ingest).
     pub fn ingest_tuple(&self, table: &str, row: Row) -> Result<TupleId> {
         self.mutate(|db| {
@@ -274,53 +277,37 @@ impl RelationalEngine {
     }
 
     /// Delete the row of `table` whose primary key equals `pk`
-    /// ([`Database::delete`]): tombstone the row, drop its postings
-    /// (realtime removal + sealed-segment tombstones), and back its tokens
-    /// out of the corpus statistics.
+    /// ([`Database::delete`]): tombstone the row, remove its postings from
+    /// their lists, and back its tokens out of the corpus statistics.
     pub fn delete_tuple(&self, table: &str, pk: &Value) -> Result<TupleId> {
         self.mutate(|db| db.delete(table, pk))
     }
 
-    /// Seal the realtime segment into an immutable compressed segment
-    /// (folding the two smallest sealed segments when at the cap).
+    /// A generation event over a fresh index ([`Database::commit_index`]):
+    /// the index needs no sealing, but the bump invalidates every
+    /// generation-keyed cache entry.
     pub fn commit(&self) -> Result<CommitOutcome> {
-        self.restructure(Database::commit_index)
-    }
-
-    /// Compact every sealed segment (and any realtime postings) into one,
-    /// dropping tombstoned entries and re-aggregating exact term stats.
-    pub fn merge(&self) -> Result<CommitOutcome> {
-        self.restructure(Database::merge_index)
-    }
-
-    /// `commit` / `merge`: a generation event over a fresh index (there is
-    /// nothing to seal without one).
-    fn restructure(&self, op: fn(&mut Database) -> SegmentCounts) -> Result<CommitOutcome> {
         self.mutate(|db| {
             db.text_index()?;
-            let segments = op(db);
+            db.commit_index();
             Ok(CommitOutcome {
                 generation: db.generation(),
-                segments,
             })
         })
     }
 
-    /// Push the generation gauge, segment gauges, and merges since the last
-    /// publish: after a mutation, and when a registry is attached.
+    /// [`commit`](Self::commit) under its old compaction name. Kept only for
+    /// `benchmark/`, deleted by ROADMAP 1(a).
+    pub fn merge(&self) -> Result<CommitOutcome> {
+        self.commit()
+    }
+
+    /// Push the generation gauge: after a mutation, and when a registry is
+    /// attached.
     fn publish_generation(&self, db: &Database) {
-        let Some(reg) = self.registry() else { return };
-        let (segments, merges) = db.text_index().map_or((SegmentCounts::default(), 0), |ix| {
-            (ix.segment_counts(), ix.merges())
-        });
-        record_generation(
-            reg,
-            "relational",
-            db.generation(),
-            segments,
-            merges,
-            &self.merges_published,
-        );
+        if let Some(reg) = self.registry() {
+            record_generation(reg, "relational", db.generation());
+        }
     }
 
     /// Execute a [`SearchRequest`]: budgeted, instrumented top-k search,
@@ -349,8 +336,6 @@ impl RelationalEngine {
             let facets = resolve_facets(db, &req.facets)?;
             Ok(FacetAccum::new(facets.len()).finish(&facets))
         };
-        let segments = || segment_census(db);
-
         let frame = QueryFrame {
             obs: self.obs.as_ref(),
             cache: &self.result_cache,
@@ -360,7 +345,6 @@ impl RelationalEngine {
                 Scoring::Spark => "spark",
             },
             generation: db.generation(),
-            segments: &segments,
             empty_facets: &empty_facets,
             hit_bytes: relational_hit_bytes,
         };

@@ -78,17 +78,13 @@ impl XmlEngine {
     pub fn execute(&self, req: &SearchRequest) -> Result<SearchResponse<XmlHit>> {
         let (tree, index) = &*self.data;
         let budget = &req.budget;
-        let segments = || index.segment_counts();
         let frame = QueryFrame {
             obs: self.obs.as_ref(),
             cache: &self.result_cache,
             engine: "xml",
             algorithm: "slca",
-            // XML trees are immutable here: generation 0, but the segment
-            // census is real (the keyword index is segment-backed like the
-            // others).
+            // XML trees are immutable here: generation 0.
             generation: 0,
-            segments: &segments,
             empty_facets: &|| Ok(Vec::new()),
             hit_bytes: xml_hit_bytes,
         };

@@ -1,24 +1,23 @@
 //! Integration: incremental ingest ≡ batch rebuild.
 //!
-//! The generational architecture's core promise is that the *incremental*
-//! path — build an index over N rows, then `ingest` M more through the
-//! engine and `commit` — answers every query exactly like a one-shot
-//! build over all N+M rows. These tests state that as a property over a
-//! deterministic pseudo-random DBLP workload and check it for top-k
-//! results, facet distributions, and per-term statistics — plus the
-//! seal/merge round-trip
-//! on `SegmentedIndex` alone, tombstone visibility, generation counters,
+//! The incremental path's core promise is that building an index over N
+//! rows, then `ingest`ing M more and `delete`ing some through the engine,
+//! answers every query exactly like a one-shot build over the rows that
+//! are left. These tests state that as a property over a deterministic
+//! pseudo-random DBLP workload and check it for top-k results, facet
+//! distributions, posting lists and exact per-term statistics — plus an
+//! add/remove round trip on `TermIndex` alone, generation counters,
 //! plan-cache keying by mask signature, and the typed stale-index errors.
 
 use kwdb::engine::{
     DeleteKey, IngestRecord, MutableEngine, RelationalConfig, RelationalEngine, SearchRequest,
 };
 use kwdb::relational::database::dblp_schema;
-use kwdb::relational::{Database, Row};
-use kwdb_common::index::SegmentedIndex;
+use kwdb::relational::index::{tuple_key, Posting};
+use kwdb::relational::{Database, Row, RowId, TableId, TupleId};
+use kwdb_common::index::{TermIndex, TermStats};
 use kwdb_common::{FacetSpec, KwdbError, Rng, Value};
-use kwdb_graph::NodeId;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Deterministic workload: every row the test DB will ever hold, in
 /// insertion order. FK targets always precede their referrers, so any
@@ -154,7 +153,7 @@ fn hit_key(
 }
 
 #[test]
-fn ingest_matches_rebuild_across_layouts_and_workers() {
+fn ingest_matches_rebuild() {
     let rows = workload(4, 12, 40, 0xDB1);
     let n_base = rows.len() / 2;
     let ref_engine = RelationalEngine::new(built_in_one_pass(&rows));
@@ -177,30 +176,68 @@ fn ingest_matches_rebuild_across_layouts_and_workers() {
     }
 }
 
+/// A term's postings as `(table, primary key, column, tf)`: row ids differ
+/// between a database that deleted rows and one that never held them,
+/// primary keys do not.
+fn keyed(db: &Database, term: &str) -> Vec<(u32, String, usize, u32)> {
+    let ix = db.text_index().unwrap();
+    ix.postings(term)
+        .iter()
+        .map(|p| {
+            let t = db.table(p.tuple.table);
+            let pk = t.schema.primary_key.unwrap();
+            let key = t.get(p.tuple.row, pk).to_string();
+            (p.tuple.table.0, key, p.column, p.tf)
+        })
+        .collect()
+}
+
 #[test]
 fn term_stats_match_rebuild_exactly() {
     let rows = workload(3, 10, 30, 0x57A75);
-    let reference = built_in_one_pass(&rows);
+    // Every fifth row goes, from the batch-built base and the ingested
+    // tail alike: postings are removed from the middle of their lists.
+    let gone = |i: usize| i % 5 == 2;
+    let kept: Vec<(&str, Row)> = (rows.iter().enumerate())
+        .filter(|&(i, _)| !gone(i))
+        .map(|(_, r)| r.clone())
+        .collect();
+    let reference = built_in_one_pass(&kept);
     let engine = build_incremental(&rows, rows.len() / 3, Default::default());
+    for (_, (table, row)) in rows.iter().enumerate().filter(|&(i, _)| gone(i)) {
+        engine
+            .delete(DeleteKey::TuplePk {
+                table: table.to_string(),
+                pk: row[0].clone(),
+            })
+            .unwrap();
+    }
     let db = engine.database();
     let (ref_ix, inc_ix) = (reference.text_index().unwrap(), db.text_index().unwrap());
-    assert_eq!(ref_ix.term_count(), inc_ix.term_count());
-    for term in ref_ix.terms() {
-        let (a, b) = (
-            ref_ix.term_stats(ref_ix.sym(term).unwrap()),
-            inc_ix.term_stats(inc_ix.sym(term).unwrap()),
-        );
+    assert_eq!(
+        ref_ix.index_stats().postings,
+        inc_ix.index_stats().postings,
+        "deleted postings are gone, not hidden"
+    );
+    // A term whose every posting was deleted stays in the dictionary with
+    // an empty list; the reference never saw it.
+    assert!(ref_ix.terms().all(|t| inc_ix.sym(t).is_some()));
+    for term in inc_ix.terms() {
+        let a = ref_ix
+            .sym(term)
+            .map_or(TermStats::default(), |s| ref_ix.term_stats(s));
+        let b = inc_ix.term_stats(inc_ix.sym(term).unwrap());
         assert_eq!(a, b, "TermStats diverged for {term:?}");
         assert_eq!(
-            ref_ix.postings(term).to_vec(),
-            inc_ix.postings(term).to_vec(),
+            keyed(&reference, term),
+            keyed(&db, term),
             "posting lists diverged for {term:?}"
         );
     }
 }
 
 #[test]
-fn delete_then_merge_matches_a_database_never_holding_the_rows() {
+fn deletes_match_a_database_never_holding_the_rows() {
     let rows = workload(3, 10, 24, 0xDE1);
     // Reference: a database that never held the last 4 papers (and their
     // write rows — the tail of the workload, which is FK-closed).
@@ -222,92 +259,63 @@ fn delete_then_merge_matches_a_database_never_holding_the_rows() {
     for req in queries() {
         let a = ref_engine.execute(&req).unwrap();
         let b = engine.execute(&req).unwrap();
-        assert_eq!(hit_key(&a), hit_key(&b), "tombstones leaked into results");
-        assert_eq!(a.facets, b.facets, "tombstones leaked into facet counts");
+        assert_eq!(hit_key(&a), hit_key(&b), "deleted rows leaked into results");
+        assert_eq!(a.facets, b.facets, "deleted rows leaked into facet counts");
     }
-    // Merge compaction purges tombstones without changing any answer.
-    engine.merge().unwrap();
-    for req in queries() {
-        assert_eq!(
-            hit_key(&ref_engine.execute(&req).unwrap()),
-            hit_key(&engine.execute(&req).unwrap()),
-            "merge changed results"
-        );
-    }
-    let segs = engine.segment_counts();
-    assert!(segs.sealed <= 1, "merge leaves at most one sealed segment");
 }
 
 #[test]
-fn segmented_index_seal_merge_round_trip() {
-    // Property check on the index core alone: pseudo-random adds, deletes,
-    // commits, merges — the visible postings always equal the model.
+fn term_index_add_remove_round_trip() {
+    // Property check on the index core alone: pseudo-random adds (repeats
+    // coalesce) and document removals against a sorted-coalesced model,
+    // every list and its exact stats checked after every step.
+    type Model = BTreeMap<String, BTreeMap<(u32, u32, usize), u32>>;
     let mut rng = Rng::seed_from_u64(0x5E9);
-    let mut ix: SegmentedIndex<NodeId> = SegmentedIndex::new();
-    let mut model: BTreeMap<String, BTreeSet<u32>> = BTreeMap::new();
-    let mut dead: BTreeSet<u32> = BTreeSet::new();
-    let check = |ix: &SegmentedIndex<NodeId>,
-                 model: &BTreeMap<String, BTreeSet<u32>>,
-                 dead: &BTreeSet<u32>| {
-        for (term, ids) in model {
-            let want: Vec<NodeId> = ids
-                .iter()
-                .filter(|id| !dead.contains(id))
-                .map(|&id| NodeId(id))
-                .collect();
-            assert_eq!(ix.postings_str(term).to_vec(), want, "term {term:?}");
-        }
+    let mut ix: TermIndex<Posting> = TermIndex::new();
+    let mut model: Model = BTreeMap::new();
+    let posting = |(table, row, column): (u32, u32, usize), tf| Posting {
+        tuple: TupleId::new(TableId(table), RowId(row)),
+        column,
+        tf,
     };
-    for round in 0..200u32 {
+    let check = |ix: &TermIndex<Posting>, model: &Model| {
+        for (term, occs) in model {
+            let want: Vec<Posting> = occs.iter().map(|(&k, &tf)| posting(k, tf)).collect();
+            let sym = ix.sym(term).unwrap();
+            assert_eq!(ix.postings(sym), want, "term {term:?}");
+            let mut docs: Vec<(u32, u32)> = occs.keys().map(|&(t, r, _)| (t, r)).collect();
+            docs.dedup();
+            let stats = TermStats {
+                df: docs.len() as u64,
+                total_tf: occs.values().map(|&tf| tf as u64).sum(),
+            };
+            assert_eq!(ix.term_stats(sym), stats, "stats of {term:?}");
+        }
+        let stored: usize = model.values().map(BTreeMap::len).sum();
+        assert_eq!(ix.posting_count(), stored);
+    };
+    let mut removed_total = 0;
+    for _ in 0..400 {
         let term = format!("t{}", rng.gen_index(12));
-        let id = rng.gen_index(64) as u32;
-        // The engines' contract: a (term, key) pair is added at most once
-        // while live (tuple ids / node ids are never reused), and a
-        // tombstoned key is never resurrected before the purging merge.
-        if !dead.contains(&id) && !model.get(&term).is_some_and(|ids| ids.contains(&id)) {
-            ix.add(&term, NodeId(id));
-            model.entry(term).or_default().insert(id);
-        }
-        if rng.gen_bool(0.15) {
-            let victim = rng.gen_index(64) as u32;
-            ix.delete_key(victim as u64);
-            dead.insert(victim);
-        }
-        if rng.gen_bool(0.2) {
-            ix.commit();
-        }
-        if rng.gen_bool(0.05) {
-            let before = ix.merges();
-            ix.merge();
-            assert!(ix.merges() >= before, "merge counter is monotonic");
-            assert!(ix.segment_counts().sealed <= 1, "merge fully compacts");
-            assert!(ix.tombstones().is_empty(), "merge clears tombstones");
-            // Deleted keys are physically gone; resurrect them in the model.
-            for (term, ids) in &mut model {
-                ids.retain(|id| !dead.contains(id));
-                let _ = term;
-            }
-            dead.clear();
-        }
-        if round % 10 == 0 {
-            check(&ix, &model, &dead);
-        }
-    }
-    check(&ix, &model, &dead);
-    // After a final merge, per-term stats are exact again.
-    ix.merge();
-    for (term, ids) in &model {
-        let live = ids.iter().filter(|id| !dead.contains(id)).count() as u64;
-        if let Some(sym) = ix.sym(term) {
-            assert_eq!(
-                ix.term_stats(sym).df,
-                live,
-                "df exact after merge: {term:?}"
-            );
+        let doc = (rng.gen_index(3) as u32, rng.gen_index(12) as u32);
+        if rng.gen_bool(0.25) {
+            let tuple = TupleId::new(TableId(doc.0), RowId(doc.1));
+            let removed = ix.remove_key(&term, tuple_key(tuple));
+            let gone = model.get_mut(&term).map_or(0, |occs| {
+                let before = occs.len();
+                occs.retain(|&(t, r, _), _| (t, r) != doc);
+                before - occs.len()
+            });
+            assert_eq!(removed, gone, "removed count");
+            removed_total += removed;
         } else {
-            assert_eq!(live, 0);
+            let key = (doc.0, doc.1, rng.gen_index(2));
+            ix.add(&term, posting(key, 1));
+            *model.entry(term).or_default().entry(key).or_default() += 1;
         }
+        check(&ix, &model);
     }
+    assert!(removed_total > 10, "the removals hit: {removed_total}");
 }
 
 #[test]
@@ -409,14 +417,25 @@ fn stale_and_unbuilt_indexes_surface_typed_errors() {
 }
 
 #[test]
-fn commit_reports_generation_and_segments() {
+fn commit_bumps_the_generation_and_changes_no_answer() {
     let rows = workload(2, 6, 10, 0xC0);
     let engine = build_incremental(&rows, rows.len() - 4, Default::default());
+    let before: Vec<_> = queries()
+        .iter()
+        .map(|req| hit_key(&engine.execute(req).unwrap()))
+        .collect();
+    let g0 = MutableEngine::generation(&engine);
     let outcome = engine.commit().unwrap();
+    assert_eq!(outcome.generation, g0 + 1, "commit is a generation event");
     assert_eq!(outcome.generation, MutableEngine::generation(&engine));
-    assert_eq!(outcome.segments.realtime, 0, "commit seals realtime");
-    assert!(outcome.segments.sealed >= 1);
-    assert_eq!(engine.segment_counts(), outcome.segments);
+    for (req, want) in queries().iter().zip(&before) {
+        let after = engine.execute(req).unwrap();
+        assert_eq!(
+            after.stats.result_cache_hits, 0,
+            "the bump re-keys the cache"
+        );
+        assert_eq!(&hit_key(&after), want, "commit changed {:?}", req.query());
+    }
     // Deleting an unknown pk is a typed per-row error, not state damage.
     let err = engine
         .delete(DeleteKey::TuplePk {

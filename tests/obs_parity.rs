@@ -244,7 +244,7 @@ fn render(snapshot: &Snapshot, dump: &FlightDump) -> String {
         writeln!(
             out,
             "record seq={} {}/{} digest={} k={} truncation={} cache={} result_cache={} \
-             sampled={} generation={} segments={}/{}",
+             sampled={} generation={}",
             r.seq,
             r.engine,
             r.algorithm,
@@ -255,8 +255,6 @@ fn render(snapshot: &Snapshot, dump: &FlightDump) -> String {
             r.result_cache.as_str(),
             r.sampled,
             r.generation,
-            r.segments_realtime,
-            r.segments_sealed,
         )
         .unwrap();
         if let Some(trace) = &r.trace {

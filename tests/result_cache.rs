@@ -52,11 +52,9 @@ fn fingerprint(resp: &kwdb::engine::SearchResponse<kwdb::engine::RelationalHit>)
 
 // ---- parity: cached results are the computed results ---------------------
 
-/// Every posting list is a sorted `Vec` and a relational query runs on one
-/// thread, so the name's layout and worker axes have nothing left to vary:
-/// the cache is checked against the computed answer on one engine.
+/// The cache is checked against the computed answer on one engine.
 #[test]
-fn cache_on_equals_cache_off_across_layouts_and_workers() {
+fn cache_on_equals_cache_off() {
     let queries = ["data query", "xml search data", "query"];
     let cold = engine_with(CacheConfig::disabled());
     let warm = engine_with(CacheConfig::default());
@@ -224,15 +222,14 @@ fn ingest_delete_and_commit_invalidate_immediately() {
     );
     assert_eq!(after_ingest.hits.len(), 2, "new row visible immediately");
 
-    // Commit bumps the generation too: sealing must never serve a
-    // response computed over the pre-seal index.
+    // Commit bumps the generation too, so it re-keys every entry.
     engine.execute(&req).unwrap(); // warm the post-ingest entry
     MutableEngine::commit(&engine).unwrap();
     let after_commit = engine.execute(&req).unwrap();
     assert_eq!(after_commit.stats.result_cache_misses, 1);
     assert_eq!(after_commit.hits.len(), 2);
 
-    // Delete: the tombstoned row disappears from the very next query.
+    // Delete: the deleted row disappears from the very next query.
     engine
         .delete_tuple("author", &kwdb::common::Value::from(2))
         .unwrap();
