@@ -1,7 +1,6 @@
 //! Weighted data graphs with keyword content.
 
 use crate::node2kw::DistanceList;
-use crate::shortest::Expansion;
 use kwdb_common::index::{IndexStats, Postings, TermIndex};
 use kwdb_common::intern::{Interner, Sym};
 use kwdb_common::text::tokenize;
@@ -185,9 +184,9 @@ impl DataGraph {
     /// The BLINKS distance list of keyword `sym` (a [`Sym`] of this graph's
     /// keyword dictionary, from [`keyword_sym`](Self::keyword_sym)), and
     /// whether this call built it. The first read of a keyword builds its
-    /// list with one multi-source run on `exp`; racing first reads build it
+    /// list in one pass from its match nodes; racing first reads build it
     /// once (the others wait), and every later read is a slot load.
-    pub fn distance_list(&self, sym: Sym, exp: &mut Expansion) -> (&DistanceList, bool) {
+    pub fn distance_list(&self, sym: Sym) -> (&DistanceList, bool) {
         let slots = self.distances.get_or_init(|| {
             (0..self.kw_index.term_count())
                 .map(|_| OnceLock::new())
@@ -196,7 +195,7 @@ impl DataGraph {
         let mut built = false;
         let list = slots[sym.0 as usize].get_or_init(|| {
             built = true;
-            DistanceList::build(self, exp, sym)
+            DistanceList::build(self, sym)
         });
         (list, built)
     }

@@ -14,8 +14,9 @@
 //! * [`hub`] — the hub-based distance index of Goldman et al. (VLDB 98):
 //!   `d(x,y) = min(d*(x,y), d*(x,A) + d_H(A,B) + d*(B,y))`;
 //! * [`node2kw`] — node-to-keyword distance lists (the SLINKS/BLINKS index),
-//!   with distance-sorted cursors for threshold-algorithm consumption; the
-//!   graph builds one per keyword, on first use.
+//!   with distance-sorted cursors for threshold-algorithm consumption and a
+//!   next-hop link per node for answer paths; the graph builds one per
+//!   keyword, on first use.
 
 pub mod graph;
 pub mod hub;

@@ -6,33 +6,49 @@
 //! keyword instead of `O(|V|²)`. Two access paths are provided:
 //!
 //! * random access `dist(r)` — the probe Fagin's TA needs;
-//! * the distance-sorted node list — TA's sorted access.
+//! * the distance-sorted node list — TA's sorted access;
+//!
+//! and a third, for the answer trees: [`DistanceList::path`] walks a node's
+//! shortest path to its nearest match.
 //!
 //! # Layout
 //!
-//! [`NodeId`] is dense, so a keyword's list is three flat arrays: `dist`
-//! (`f64`) and `origin` (`u32`, the nearest match) indexed by `NodeId.0`,
-//! and `sorted`, the reachable nodes in `(dist, node)` order — 16 bytes per
-//! (node, keyword) on a connected graph, and a random access is two array
-//! reads. Distances stay `f64`: they are sums of edge weights in path order,
-//! and BLINKS ranks by their sum, so a narrower type would change costs and
-//! tie order. `origin` keeps the `(dist, smallest origin id)` tie-break of
+//! [`NodeId`] is dense, so a keyword's list is four flat arrays: `dist`
+//! (`f64`), `origin` (`u32`, the nearest match) and `next` (`u32`, the
+//! neighbour one edge closer to it) indexed by `NodeId.0`, and `sorted`, the
+//! reachable nodes in `(dist, node)` order — 20 bytes per (node, keyword) on
+//! a connected graph, and a random access is two array reads. Distances stay
+//! `f64`: they are sums of edge weights in path order, and BLINKS ranks by
+//! their sum, so a narrower type would change costs and tie order. `origin`
+//! keeps the `(dist, smallest origin id)` tie-break of
 //! [`multi_source`](crate::shortest::multi_source), which the RDBMS-powered
 //! formulation of the same semantics reproduces.
+//!
+//! # Build
+//!
+//! One multi-source pass from the keyword's match nodes that settles whole
+//! distance classes — every node at one distance — in `(dist, node)` order.
+//! Waiting nodes sit in buckets keyed by the bits of their distance; a
+//! node's `origin` and `next` are those of the tight neighbour (`dist(u) +
+//! w(u, v) == dist(v)`) with the smallest origin, offered by an earlier
+//! class while the node waits; nodes of one class joined by an edge too
+//! light to change the distance (weight zero) settle together, spreading
+//! the smallest origin to a fixpoint. `sorted` is the settle order, so
+//! nothing is sorted afterwards, and a node is queued again only when its
+//! distance drops, never for a tie.
 //!
 //! # Lifetime
 //!
 //! The lists belong to the graph: [`DataGraph::distance_list`] keeps one
 //! write-once slot per term of the graph's own keyword dictionary, keyed by
-//! its [`Sym`], and fills a slot with one multi-source Dijkstra (sources =
-//! the keyword's match nodes) on the caller's [`Expansion`] the first time
-//! anyone reads it. So the work grows
-//! with the keywords queried, not with the vocabulary, and `add_node` /
-//! `add_edge` — the graph's only `&mut` verbs — drop every slot.
+//! its [`Sym`], and fills a slot with one build the first time anyone reads
+//! it. So the work grows with the keywords queried, not with the
+//! vocabulary, and `add_node` / `add_edge` — the graph's only `&mut` verbs —
+//! drop every slot.
 
 use crate::graph::{DataGraph, NodeId};
-use crate::shortest::Expansion;
 use kwdb_common::intern::Sym;
+use std::collections::BTreeMap;
 use std::mem::size_of;
 
 const NONE: u32 = u32::MAX;
@@ -44,29 +60,95 @@ pub struct DistanceList {
     dist: Vec<f64>,
     /// Dense by `NodeId.0`: nearest match node, [`NONE`] = unreachable.
     origin: Vec<u32>,
+    /// Dense by `NodeId.0`: the neighbour one tight edge closer to `origin`
+    /// (`dist(n) == dist(next) + w(n, next)` and the same `origin`),
+    /// [`NONE`] at the match itself and where unreachable.
+    next: Vec<u32>,
     /// Reachable nodes by ascending distance (ties by node id).
     sorted: Vec<NodeId>,
 }
 
 impl DistanceList {
-    /// One multi-source run on `exp` from the nodes matching `sym`.
-    pub(crate) fn build(g: &DataGraph, exp: &mut Expansion, sym: Sym) -> Self {
-        exp.nearest(g, g.keyword_nodes_sym(sym), None);
-        let mut dist = vec![f64::INFINITY; g.node_count()];
-        let mut origin = vec![NONE; g.node_count()];
-        for &n in exp.reached() {
-            dist[n.0 as usize] = exp.dist(n).expect("reached");
-            origin[n.0 as usize] = exp.tag(n).expect("reached");
+    /// The list of the nodes matching `sym`, in one pass (see the module's
+    /// *Build*).
+    pub(crate) fn build(g: &DataGraph, sym: Sym) -> Self {
+        let n = g.node_count();
+        let mut dist = vec![f64::INFINITY; n];
+        let mut origin = vec![NONE; n];
+        let mut next = vec![NONE; n];
+        let mut sorted = Vec::new();
+        // Waiting nodes by the bits of their distance (non-negative, so bit
+        // order is numeric order); a node may also wait in a bucket it has
+        // since left, where its distance no longer matches.
+        let mut buckets: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
+        let mut spare: Vec<Vec<u32>> = Vec::new();
+        let sources = buckets.entry(0.0f64.to_bits()).or_default();
+        for s in g.keyword_nodes_sym(sym) {
+            dist[s.0 as usize] = 0.0;
+            origin[s.0 as usize] = s.0;
+            sources.push(s.0);
         }
-        let mut sorted = exp.reached().to_vec();
-        sorted.sort_unstable_by(|a, b| {
-            dist[a.0 as usize]
-                .total_cmp(&dist[b.0 as usize])
-                .then(a.cmp(b))
-        });
+        let w_min = g.min_edge_weight();
+        let mut work = Vec::new();
+        while let Some((bits, mut bucket)) = buckets.pop_first() {
+            let d = f64::from_bits(bits);
+            // The class at `d`: the bucket's current members, in node order.
+            let class = sorted.len();
+            sorted.extend(
+                bucket
+                    .drain(..)
+                    .filter(|&v| dist[v as usize] == d)
+                    .map(NodeId),
+            );
+            spare.push(bucket);
+            sorted[class..].sort_unstable();
+            if d + w_min == d {
+                // Edges that add nothing at `d` join nodes of one class: grow
+                // it along them and spread the smallest origin to a fixpoint.
+                work.extend(sorted[class..].iter().map(|u| u.0));
+                while let Some(u) = work.pop() {
+                    for &(v, w) in g.neighbors(NodeId(u)) {
+                        let vi = v.0 as usize;
+                        if d + w != d || dist[vi] < d {
+                            continue;
+                        }
+                        if dist[vi] > d {
+                            dist[vi] = d;
+                            sorted.push(v);
+                        } else if origin[u as usize] >= origin[vi] {
+                            continue;
+                        }
+                        origin[vi] = origin[u as usize];
+                        next[vi] = u;
+                        work.push(v.0);
+                    }
+                }
+                sorted[class..].sort_unstable();
+            }
+            // Offer the settled class to its waiting neighbours: a shorter
+            // distance queues the node, a tie only lowers its origin.
+            for &u in &sorted[class..] {
+                let from = origin[u.0 as usize];
+                for &(v, w) in g.neighbors(u) {
+                    let (vi, nd) = (v.0 as usize, d + w);
+                    if nd < dist[vi] {
+                        dist[vi] = nd;
+                        buckets
+                            .entry(nd.to_bits())
+                            .or_insert_with(|| spare.pop().unwrap_or_default())
+                            .push(v.0);
+                    } else if nd != dist[vi] || nd == d || from >= origin[vi] {
+                        continue;
+                    }
+                    origin[vi] = from;
+                    next[vi] = u.0;
+                }
+            }
+        }
         DistanceList {
             dist,
             origin,
+            next,
             sorted,
         }
     }
@@ -95,10 +177,20 @@ impl DistanceList {
         &self.sorted
     }
 
-    /// What the three arrays hold.
+    /// The `(node, next)` steps of a shortest path from `node` to its
+    /// nearest match, each across one edge; none from a match itself or from
+    /// a node that reaches no match.
+    pub fn path(&self, mut node: NodeId) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
+        std::iter::from_fn(move || {
+            let next = *self.next.get(node.0 as usize).filter(|&&n| n != NONE)?;
+            Some((std::mem::replace(&mut node, NodeId(next)), NodeId(next)))
+        })
+    }
+
+    /// What the four arrays hold.
     pub(crate) fn bytes(&self) -> usize {
         self.dist.len() * size_of::<f64>()
-            + self.origin.len() * size_of::<u32>()
+            + (self.origin.len() + self.next.len()) * size_of::<u32>()
             + self.sorted.len() * size_of::<NodeId>()
     }
 }
@@ -122,7 +214,7 @@ mod tests {
 
     fn list<'g>(g: &'g DataGraph, kw: &str) -> &'g DistanceList {
         let sym = g.keyword_sym(kw).expect("indexed keyword");
-        g.distance_list(sym, &mut Expansion::default()).0
+        g.distance_list(sym).0
     }
 
     #[test]
@@ -159,12 +251,11 @@ mod tests {
     fn a_list_is_built_once_and_counted_in_the_stats() {
         let (g, _) = line();
         let x = g.keyword_sym("x").unwrap();
-        let mut exp = Expansion::default();
         assert_eq!(g.distance_list_stats().terms, 0, "nothing built up front");
-        assert!(g.distance_list(x, &mut exp).1, "the first read builds");
-        assert!(!g.distance_list(x, &mut exp).1, "the second reads the slot");
+        assert!(g.distance_list(x).1, "the first read builds");
+        assert!(!g.distance_list(x).1, "the second reads the slot");
         let stats = g.distance_list_stats();
         assert_eq!((stats.terms, stats.postings), (1, 4));
-        assert_eq!(stats.posting_bytes, 4 * 16);
+        assert_eq!(stats.posting_bytes, 4 * 20);
     }
 }

@@ -1,6 +1,8 @@
 //! Shortest paths: one dense Dijkstra ([`Expansion`]) that every caller —
-//! [`dijkstra`], [`multi_source`], the node→keyword index build, BANKS'
-//! backward expansions, BLINKS' path search — runs on, plus hop-bounded BFS.
+//! [`dijkstra`] (and the hub index through it), [`multi_source`], BANKS'
+//! backward expansions — runs on, plus hop-bounded BFS. The node→keyword
+//! distance lists are built by a pass of their own ([`crate::node2kw`]);
+//! [`multi_source`] is the reference they are tested against.
 //!
 //! [`NodeId`] is a dense `u32`, so an expansion's per-node state is an array
 //! indexed by it, not a hash map. The arrays are as long as the graph, but a
@@ -48,7 +50,7 @@ const UNREACHED: Label = Label {
 /// where the first path found at a distance keeps the node.
 ///
 /// Callers drive it one settled node at a time ([`pop`](Self::pop)) or
-/// through [`search`](Self::search) / [`nearest`](Self::nearest).
+/// through [`search`](Self::search) / [`multi_source`].
 #[derive(Debug, Default)]
 pub struct Expansion {
     /// Dense by `NodeId.0`; [`UNREACHED`] everywhere outside `touched`.
@@ -210,23 +212,6 @@ impl Expansion {
         }
     }
 
-    /// Multi-source Dijkstra to exhaustion, every source tagged with its own
-    /// id: afterwards [`dist`](Self::dist) is the distance to the nearest
-    /// source and [`tag`](Self::tag) that source.
-    pub fn nearest(
-        &mut self,
-        g: &DataGraph,
-        sources: impl IntoIterator<Item = NodeId>,
-        max_dist: Option<f64>,
-    ) {
-        self.begin(g);
-        self.max_dist = max_dist.unwrap_or(f64::INFINITY);
-        for s in sources {
-            self.seed(s, s.0);
-        }
-        while self.pop(g).is_some() {}
-    }
-
     /// Every node this run has labelled, in first-touch order.
     pub fn reached(&self) -> &[NodeId] {
         &self.touched
@@ -239,11 +224,6 @@ impl Expansion {
     /// Best known distance of `n`, `None` if unreached.
     pub fn dist(&self, n: NodeId) -> Option<f64> {
         self.label(n).map(|l| l.dist)
-    }
-
-    /// The tag `n`'s label carries, `None` if unreached.
-    pub fn tag(&self, n: NodeId) -> Option<u32> {
-        self.label(n).map(|l| l.tag)
     }
 
     /// The node `n`'s label was offered from; `None` for sources and
@@ -319,9 +299,11 @@ pub fn distance(g: &DataGraph, a: NodeId, b: NodeId) -> Option<f64> {
     exp.dist(b)
 }
 
-/// Multi-source Dijkstra: distance from every node to the nearest of
-/// `sources`. Returns `(dist, nearest-source)` maps; the node-to-keyword
-/// index keeps the same run ([`Expansion::nearest`]) as arrays.
+/// Multi-source Dijkstra to exhaustion, every source tagged with its own
+/// id: distance from every node to the nearest of `sources`. Returns
+/// `(dist, nearest-source)` maps; the node→keyword lists
+/// ([`crate::node2kw`]) hold the same pairs as arrays, from a pass of their
+/// own.
 ///
 /// Ties are broken deterministically: among equidistant sources the one
 /// with the **smallest node id** wins, so independent implementations of
@@ -333,7 +315,12 @@ pub fn multi_source(
     max_dist: Option<f64>,
 ) -> (HashMap<NodeId, f64>, HashMap<NodeId, NodeId>) {
     let mut exp = Expansion::default();
-    exp.nearest(g, sources, max_dist);
+    exp.begin(g);
+    exp.max_dist = max_dist.unwrap_or(f64::INFINITY);
+    for s in sources {
+        exp.seed(s, s.0);
+    }
+    while exp.pop(g).is_some() {}
     let mut dist = HashMap::with_capacity(exp.reached().len());
     let mut origin = HashMap::with_capacity(exp.reached().len());
     for &n in exp.reached() {

@@ -4,7 +4,7 @@
 
 use kwdb_common::Rng;
 use kwdb_graph::hub::{HubIndex, HubSelection};
-use kwdb_graph::shortest::{distance, Expansion};
+use kwdb_graph::shortest::distance;
 use kwdb_graph::{DataGraph, NodeId};
 
 fn build_graph(n: usize, edges: &[(u8, u8, u8)], keyword_nodes: &[u8]) -> DataGraph {
@@ -68,7 +68,7 @@ fn keyword_index_matches_direct_search() {
         let kw_nodes: Vec<u8> = (0..n_kw).map(|_| rng.gen_range(0u8..=255)).collect();
         let g = build_graph(n, &edges, &kw_nodes);
         let sym = g.keyword_sym("kw").expect("a keyword node");
-        let (list, _) = g.distance_list(sym, &mut Expansion::default());
+        let (list, _) = g.distance_list(sym);
         let sources = g.keyword_nodes("kw");
         assert!(!sources.is_empty());
         for node in g.iter() {
@@ -85,10 +85,10 @@ fn keyword_index_matches_direct_search() {
             .all(|w| list.dist(w[0]) <= list.dist(w[1])));
         let reachable = g.iter().filter(|&n| list.dist(n).is_some()).count();
         assert_eq!(sorted.len(), reachable);
-        // the reported bytes are the arrays': an f64 and a u32 per node, a
-        // NodeId per reachable node
+        // the reported bytes are the arrays': an f64 and two u32s per node,
+        // a NodeId per reachable node
         let stats = g.distance_list_stats();
         assert_eq!((stats.terms, stats.postings), (1, sorted.len()));
-        assert_eq!(stats.posting_bytes, n * (8 + 4) + sorted.len() * 4);
+        assert_eq!(stats.posting_bytes, n * (8 + 4 + 4) + sorted.len() * 4);
     }
 }

@@ -26,6 +26,11 @@
 //! BANKS trees approximate Steiner trees: union-of-shortest-paths is within
 //! a factor of the group count of optimal but not exact — E05 measures the
 //! gap against DPBF.
+//!
+//! The unified engine answers BANKS' distinct-root semantics from BLINKS'
+//! distance lists ([`crate::blinks`]), which rank roots by the same cost;
+//! this expansion is the reference those answers' `rank_cost` bits are held
+//! to.
 
 use crate::answer::{norm_edge, AnswerTree};
 use crate::scratch::first_n;

@@ -14,17 +14,19 @@
 //! The lists belong to the graph ([`DataGraph::distance_list`]): a query
 //! reads those of its own keywords, building any not yet built, so the index
 //! covers exactly the keywords ever queried. Both access paths are array
-//! reads ([`kwdb_graph::node2kw`]); the list builds, the set of roots already
-//! scored and the Dijkstra that turns a root into its tree run on the dense
-//! buffers of the caller's [`SearchScratch`].
+//! reads ([`kwdb_graph::node2kw`]), and so is an answer's tree: each list
+//! holds, per node, the neighbour one edge closer to its nearest match, so a
+//! root's path to each match is a walk down those links. The set of roots
+//! already scored lives in the caller's [`SearchScratch`].
+//!
+//! BANKS I (backward expansion, [`crate::banks1`]) ranks roots by the same
+//! cost; the unified engine serves both semantics from here.
 
 use crate::answer::{norm_edge, AnswerTree};
 use crate::banks1::prune_to_tree;
-use crate::scratch::first_n;
 use crate::{SearchScratch, TraversalStats};
 use kwdb_common::topk::TopK;
 use kwdb_common::{Budget, TruncationReason};
-use kwdb_graph::shortest::Expansion;
 use kwdb_graph::{DataGraph, DistanceList, NodeId};
 
 /// The BLINKS engine. Stateless — `search` takes `&self`, the distance lists
@@ -41,26 +43,24 @@ impl<'g> Blinks<'g> {
     }
 
     /// The distance lists of `keywords`, in order, and how many of them this
-    /// call built (on `scratch`); `None` when a keyword is not in the graph's
-    /// vocabulary — it has no matches, so AND semantics make the answer
-    /// empty — in which case nothing is built. One dictionary lookup per
-    /// keyword; the TA loop then probes the lists only.
+    /// call built; `None` when a keyword is not in the graph's vocabulary —
+    /// it has no matches, so AND semantics make the answer empty — in which
+    /// case nothing is built. One dictionary lookup per keyword; the TA loop
+    /// then probes the lists only.
     pub fn distance_lists<S: AsRef<str>>(
         &self,
         keywords: &[S],
-        scratch: &mut SearchScratch,
     ) -> Option<(Vec<&'g DistanceList>, usize)> {
         let g = self.g;
         let syms = keywords
             .iter()
             .map(|kw| g.keyword_sym(kw.as_ref()))
             .collect::<Option<Vec<_>>>()?;
-        let exp = &mut first_n(&mut scratch.expansions, 1)[0];
         let mut built = 0;
         let lists = syms
             .into_iter()
             .map(|sym| {
-                let (list, fresh) = g.distance_list(sym, exp);
+                let (list, fresh) = g.distance_list(sym);
                 built += usize::from(fresh);
                 list
             })
@@ -94,7 +94,7 @@ impl<'g> Blinks<'g> {
         if l == 0 || k == 0 {
             return (Vec::new(), truncation, stats);
         }
-        let Some((lists, _)) = self.distance_lists(keywords, scratch) else {
+        let Some((lists, _)) = self.distance_lists(keywords) else {
             return (Vec::new(), truncation, stats);
         };
         if lists.iter().any(|list| list.sorted().is_empty()) {
@@ -155,34 +155,22 @@ impl<'g> Blinks<'g> {
             }
         }
 
-        let paths = &mut first_n(&mut scratch.expansions, 1)[0];
         let trees = topk
             .into_sorted_vec()
             .into_iter()
-            .map(|(neg, root)| self.build_tree(&lists, root, -neg, paths))
+            .map(|(neg, root)| self.build_tree(&lists, root, -neg))
             .collect();
         (trees, truncation, stats)
     }
 
     /// Materialize a root's answer tree: shortest paths to each keyword's
-    /// nearest match.
-    fn build_tree(
-        &self,
-        lists: &[&DistanceList],
-        root: NodeId,
-        rank_cost: f64,
-        paths: &mut Expansion,
-    ) -> AnswerTree {
+    /// nearest match, read off the lists.
+    fn build_tree(&self, lists: &[&DistanceList], root: NodeId, rank_cost: f64) -> AnswerTree {
         let mut edges = Vec::new();
         let mut matches = Vec::with_capacity(lists.len());
         for list in lists {
-            let m = list.nearest_match(root).expect("complete root");
-            matches.push(m);
-            if m != root {
-                paths.search(self.g, root, Some(m), None, &|_| false);
-                assert!(paths.dist(m).is_some(), "an indexed distance is a path");
-                edges.extend(paths.path(m).map(|(n, pred)| norm_edge(n, pred)));
-            }
+            matches.push(list.nearest_match(root).expect("complete root"));
+            edges.extend(list.path(root).map(|(n, next)| norm_edge(n, next)));
         }
         edges.sort();
         edges.dedup();
@@ -235,9 +223,7 @@ mod tests {
         let kws = ["k1", "k2"];
         let bl = Blinks::new(&g);
         let res = bl.search(&kws, 3);
-        let (lists, built) = bl
-            .distance_lists(&kws, &mut SearchScratch::default())
-            .unwrap();
+        let (lists, built) = bl.distance_lists(&kws).unwrap();
         assert_eq!(built, 0, "the search built both lists");
         // exhaustive: score every node by sum of list distances
         let cost = |n| Some(lists[0].dist(n)? + lists[1].dist(n)?);

@@ -15,8 +15,7 @@ use kwdb_graph::{DataGraph, NodeId};
 /// grows to the graph on first use.
 #[derive(Debug, Default)]
 pub struct SearchScratch {
-    /// BANKS: one backward expansion per keyword. BLINKS: `[0]` finds the
-    /// root→match paths of an answer.
+    /// BANKS: one backward expansion per keyword.
     pub(crate) expansions: Vec<Expansion>,
     /// BANKS: the groups that settled a node. BLINKS: roots already scored.
     pub(crate) marks: NodeMarks,

@@ -34,6 +34,10 @@ pub(super) struct QueryFrame<'a, H> {
     pub(super) empty_facets: &'a dyn Fn() -> Result<Vec<FacetCounts>>,
     /// Per-hit heap estimate for the cache's byte budget.
     pub(super) hit_bytes: fn(&H) -> usize,
+    /// Whether the hits depend on the keywords' order (a graph answer lists
+    /// one match per keyword, in order): the result-cache key then keeps
+    /// that order instead of sorting it away.
+    pub(super) keyword_order: bool,
 }
 
 /// The data-dependent part of a response — what the result cache stores
@@ -105,8 +109,9 @@ pub(super) fn trace_verdict(tb: &mut TraceBuilder, truncation: Option<Truncation
 ///
 /// A request answered from the result cache runs, in order: the trace
 /// sampling decision (one policy read and one atomic tick), `parse_query`
-/// and `clean`, the [`ResultKey`] (the sorted terms and the `Debug`
-/// rendering of any facet specs and refinements), one lookup under one
+/// and `clean`, the [`ResultKey`] (the terms — sorted unless the hits
+/// follow keyword order — and the `Debug` rendering of any facet specs and
+/// refinements), one lookup under one
 /// shard lock, the gauge publish (six atomic loads, two stores), one clone of
 /// the cached [`Answer`], and the seal. It does **not** resolve
 /// facet specs or refinements, build a trace label, or reach anything in
@@ -156,7 +161,7 @@ pub(super) fn run_query<H: Clone>(
     } else if !cache.admits(req, level) {
         run(&keywords, &mut stats, &mut sw, &mut tb)?
     } else {
-        let key = ResultKey::new(frame.generation, &keywords, algorithm, req);
+        let key = ResultKey::new(frame, &keywords, req);
         let looked = cache.cache.get_or_compute(key, || {
             stats.result_cache_misses = 1;
             let result = run(&keywords, &mut stats, &mut sw, &mut tb);
@@ -236,7 +241,9 @@ fn finish_response<H>(
 /// matching, and the byte-budgeted LRU ages them out. `terms` is the
 /// normalized keyword **multiset** (sorted, duplicates kept) *after* query
 /// cleaning, so `"query data"`, `"data query"`, and a misspelling the
-/// cleaner maps onto the same terms all share one entry. Facet specs and
+/// cleaner maps onto the same terms all share one entry — unless the
+/// frame's hits follow keyword order ([`QueryFrame::keyword_order`]), when
+/// `terms` is the sequence as parsed. Facet specs and
 /// refinements are canonicalized through their `Debug` rendering — they
 /// are plain data enums, so the rendering is total and injective enough
 /// for a cache key. Nothing about the index's physical form is in the key:
@@ -254,18 +261,15 @@ struct ResultKey {
 }
 
 impl ResultKey {
-    fn new(
-        generation: u64,
-        keywords: &[String],
-        algorithm: &'static str,
-        req: &SearchRequest,
-    ) -> Self {
+    fn new<H>(frame: &QueryFrame<'_, H>, keywords: &[String], req: &SearchRequest) -> Self {
         let mut terms = keywords.to_vec();
-        terms.sort();
+        if !frame.keyword_order {
+            terms.sort();
+        }
         ResultKey {
-            generation,
+            generation: frame.generation,
             terms,
-            algorithm,
+            algorithm: frame.algorithm,
             k: req.k,
             facets: debug_unless_empty(&req.facets),
             refinements: debug_unless_empty(&req.refinements),

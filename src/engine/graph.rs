@@ -1,12 +1,16 @@
-//! The graph engine: DPBF / BANKS / BLINKS over a shared, immutable data
-//! graph, inside the shared query frame. BLINKS reads the graph's own
-//! per-keyword distance lists, each built by the first request that needs it.
+//! The graph engine: exact group Steiner trees (DPBF) and distinct-root
+//! answers over a shared, immutable data graph, inside the shared query
+//! frame. BANKS I and BLINKS rank a root by the same cost, `Σᵢ dist(root,
+//! Sᵢ)`, so one evaluator serves both: BLINKS over the graph's own
+//! per-keyword distance lists, each built by the first request that needs
+//! it. BANKS' backward expansion stays in `kwdb_graphsearch` as the
+//! reference the parity tests hold the lists to.
 
 use super::frame::{field, run_query, trace_verdict, Answer, Evaluated, QueryFrame, ResultCache};
 use super::{Engine, Hit, SearchRequest, SearchResponse};
 use kwdb_common::{CacheConfig, QueryStats, Result, ScratchPool, Stopwatch};
 use kwdb_graph::DataGraph;
-use kwdb_graphsearch::{blinks::Blinks, AnswerTree, BanksI, Dpbf, SearchScratch};
+use kwdb_graphsearch::{blinks::Blinks, AnswerTree, Dpbf, SearchScratch};
 use kwdb_obs::{record_index_stats, EngineInstruments, MetricsRegistry, TraceBuilder};
 use std::sync::Arc;
 
@@ -15,7 +19,9 @@ use std::sync::Arc;
 pub enum GraphSemantics {
     /// Exact group Steiner trees (DPBF).
     SteinerExact,
-    /// BANKS backward search (distinct-root, approximate Steiner).
+    /// BANKS' distinct-root answers: an alias of
+    /// [`DistinctRoot`](Self::DistinctRoot), which ranks roots by the same
+    /// cost; a `Banks` request returns exactly what a `DistinctRoot` one does.
     Banks,
     /// BLINKS: distinct-root via the node→keyword index and TA.
     DistinctRoot,
@@ -30,12 +36,11 @@ pub enum GraphSemantics {
 /// counters returned with the results, per-node buffers checked out of a
 /// pool) and the BLINKS distance lists are the graph's write-once slots, so
 /// one `GraphEngine` serves concurrent queries without taking a lock, and
-/// engines sharing one `Arc<DataGraph>` share its lists. A `Banks`
+/// engines sharing one `Arc<DataGraph>` share its lists. A `SteinerExact`
 /// request takes at most
-/// [`banks1::MAX_KEYWORDS`](kwdb_graphsearch::banks1::MAX_KEYWORDS) keywords
-/// and a `SteinerExact` one
-/// [`dpbf::MAX_KEYWORDS`](kwdb_graphsearch::dpbf::MAX_KEYWORDS); more is
-/// [`KwdbError::InvalidQuery`](kwdb_common::KwdbError::InvalidQuery).
+/// [`dpbf::MAX_KEYWORDS`](kwdb_graphsearch::dpbf::MAX_KEYWORDS) keywords;
+/// more is [`KwdbError::InvalidQuery`](kwdb_common::KwdbError::InvalidQuery).
+/// A distinct-root request takes any number.
 pub struct GraphEngine {
     g: Arc<DataGraph>,
     obs: Option<EngineInstruments>,
@@ -75,7 +80,7 @@ impl GraphEngine {
         self.obs = Some(EngineInstruments::new(
             registry,
             "graph",
-            &["dpbf", "banks", "blinks"],
+            &["dpbf", "blinks"],
         ));
         self
     }
@@ -85,105 +90,82 @@ impl GraphEngine {
         Arc::clone(&self.g)
     }
 
-    /// Execute a [`SearchRequest`] under `req.semantics` (default BANKS).
+    /// Execute a [`SearchRequest`] under `req.semantics` (default
+    /// distinct-root).
     pub fn execute(&self, req: &SearchRequest) -> Result<SearchResponse<AnswerTree>> {
         let g = &*self.g;
         let budget = &req.budget;
-        let semantics = req.semantics.unwrap_or(GraphSemantics::Banks);
+        let steiner = req.semantics == Some(GraphSemantics::SteinerExact);
         let frame = QueryFrame {
             obs: self.obs.as_ref(),
             cache: &self.result_cache,
             engine: "graph",
-            algorithm: match semantics {
-                GraphSemantics::SteinerExact => "dpbf",
-                GraphSemantics::Banks => "banks",
-                GraphSemantics::DistinctRoot => "blinks",
-            },
+            algorithm: if steiner { "dpbf" } else { "blinks" },
             // The graph never changes under the engine: generation 0, as
             // for XML.
             generation: 0,
             empty_facets: &|| Ok(Vec::new()),
             hit_bytes: graph_hit_bytes,
+            keyword_order: true,
         };
         let run = |keywords: &[String],
                    stats: &mut QueryStats,
                    sw: &mut Stopwatch,
                    tb: &mut TraceBuilder|
          -> Result<Evaluated<AnswerTree>> {
-            let limit = match semantics {
-                GraphSemantics::SteinerExact => kwdb_graphsearch::dpbf::MAX_KEYWORDS,
-                GraphSemantics::Banks => kwdb_graphsearch::banks1::MAX_KEYWORDS,
-                // BLINKS sums per-keyword distances; it keeps no mask.
-                GraphSemantics::DistinctRoot => usize::MAX,
-            };
-            if keywords.len() > limit {
+            // DPBF keeps a keyword subset per state; BLINKS sums per-keyword
+            // distances and keeps no mask.
+            let limit = kwdb_graphsearch::dpbf::MAX_KEYWORDS;
+            if steiner && keywords.len() > limit {
                 return Err(kwdb_common::KwdbError::InvalidQuery(format!(
-                    "{} keywords; a {semantics:?} request takes at most {limit}",
+                    "{} keywords; a SteinerExact request takes at most {limit}",
                     keywords.len()
                 )));
             }
             let mut scratch = self.scratch.checkout(SearchScratch::default);
-            let (hits, truncation) = match semantics {
-                GraphSemantics::SteinerExact => {
-                    tb.phase("evaluate");
-                    let dpbf = Dpbf::new(g);
-                    let (r, truncation, work) =
-                        dpbf.search_budgeted(keywords, req.k, budget, &mut scratch);
-                    stats.operators.tuples_scanned = work.states_popped as u64;
-                    tb.event("expansion", || {
-                        vec![field("states_popped", work.states_popped)]
-                    });
-                    (r, truncation)
-                }
-                GraphSemantics::Banks => {
-                    tb.phase("evaluate");
-                    let banks = BanksI::new(g);
-                    let (r, truncation, work) =
-                        banks.search_budgeted(keywords, req.k, budget, &mut scratch);
-                    stats.operators.tuples_scanned = work.nodes_expanded as u64;
-                    tb.event("expansion", || {
-                        vec![
-                            field("nodes_expanded", work.nodes_expanded),
-                            field("nodes_relaxed", work.nodes_relaxed),
-                        ]
-                    });
-                    (r, truncation)
-                }
-                GraphSemantics::DistinctRoot => {
-                    // The query's distance lists, built here if this is the
-                    // first request to read one: a miss when it built any.
-                    tb.phase("build");
-                    let blinks = Blinks::new(g);
-                    let built = blinks
-                        .distance_lists(keywords, &mut scratch)
-                        .map_or(0, |(_, built)| built);
-                    stats.phases.build = sw.lap();
-                    if built == 0 {
-                        stats.cache_hits = 1;
-                    } else {
-                        stats.cache_misses = 1;
-                        if let Some(obs) = frame.obs {
-                            let lists =
-                                g.distance_list_stats().with_build(Some(stats.phases.build));
-                            record_index_stats(obs.registry(), "graph_node2kw", &lists);
-                        }
+            let (hits, truncation) = if steiner {
+                tb.phase("evaluate");
+                let dpbf = Dpbf::new(g);
+                let (r, truncation, work) =
+                    dpbf.search_budgeted(keywords, req.k, budget, &mut scratch);
+                stats.operators.tuples_scanned = work.states_popped as u64;
+                tb.event("expansion", || {
+                    vec![field("states_popped", work.states_popped)]
+                });
+                (r, truncation)
+            } else {
+                // The query's distance lists, built here if this is the
+                // first request to read one: a miss when it built any.
+                tb.phase("build");
+                let blinks = Blinks::new(g);
+                let built = blinks
+                    .distance_lists(keywords)
+                    .map_or(0, |(_, built)| built);
+                stats.phases.build = sw.lap();
+                if built == 0 {
+                    stats.cache_hits = 1;
+                } else {
+                    stats.cache_misses = 1;
+                    if let Some(obs) = frame.obs {
+                        let lists = g.distance_list_stats().with_build(Some(stats.phases.build));
+                        record_index_stats(obs.registry(), "graph_node2kw", &lists);
                     }
-                    tb.event("node-keyword index", || {
-                        vec![field("outcome", if built == 0 { "hit" } else { "miss" })]
-                    });
-                    tb.phase("evaluate");
-                    let (r, truncation, work) =
-                        blinks.search_budgeted(keywords, req.k, budget, &mut scratch);
-                    stats.operators.sorted_accesses = work.sorted_accesses as u64;
-                    stats.operators.random_accesses = work.random_accesses as u64;
-                    tb.event("threshold algorithm", || {
-                        vec![
-                            field("sorted_accesses", work.sorted_accesses),
-                            field("random_accesses", work.random_accesses),
-                        ]
-                    });
-                    (r, truncation)
                 }
+                tb.event("node-keyword index", || {
+                    vec![field("outcome", if built == 0 { "hit" } else { "miss" })]
+                });
+                tb.phase("evaluate");
+                let (r, truncation, work) =
+                    blinks.search_budgeted(keywords, req.k, budget, &mut scratch);
+                stats.operators.sorted_accesses = work.sorted_accesses as u64;
+                stats.operators.random_accesses = work.random_accesses as u64;
+                tb.event("threshold algorithm", || {
+                    vec![
+                        field("sorted_accesses", work.sorted_accesses),
+                        field("random_accesses", work.random_accesses),
+                    ]
+                });
+                (r, truncation)
             };
             stats.phases.evaluate = sw.lap();
             stats.candidates_generated = hits.len() as u64;

@@ -13,8 +13,9 @@
 //!   with a per-engine CN plan cache keyed by schema fingerprint, the
 //!   query's mask signature (which tuple sets are non-empty), and generator
 //!   configuration (`relational.rs`).
-//! * [`GraphEngine::execute`] — DPBF / BANKS / BLINKS on an immutable data
-//!   graph; BLINKS reads the graph's own per-keyword distance lists, each
+//! * [`GraphEngine::execute`] — DPBF and distinct-root answers (BANKS and
+//!   BLINKS, one evaluator) on an immutable data graph; the distinct-root
+//!   evaluator reads the graph's own per-keyword distance lists, each
 //!   built by the first request that queries its keyword (and shared by every
 //!   engine over the same graph), and
 //!   the searches' per-node arrays come from a pool of
@@ -170,7 +171,8 @@ impl SearchRequest {
         self
     }
 
-    /// The graph answer semantics (default: [`GraphSemantics::Banks`]).
+    /// The graph answer semantics (default: [`GraphSemantics::Banks`], an
+    /// alias of [`GraphSemantics::DistinctRoot`]).
     pub fn semantics(mut self, semantics: GraphSemantics) -> Self {
         self.semantics = Some(semantics);
         self

@@ -347,6 +347,7 @@ impl RelationalEngine {
             generation: db.generation(),
             empty_facets: &empty_facets,
             hit_bytes: relational_hit_bytes,
+            keyword_order: false,
         };
 
         let clean = |mut keywords: Vec<String>, tb: &mut TraceBuilder| -> Result<Vec<String>> {

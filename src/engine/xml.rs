@@ -87,6 +87,7 @@ impl XmlEngine {
             generation: 0,
             empty_facets: &|| Ok(Vec::new()),
             hit_bytes: xml_hit_bytes,
+            keyword_order: false,
         };
         let run = |keywords: &[String],
                    stats: &mut QueryStats,

@@ -193,14 +193,19 @@ fn blinks_stats_match_pre_refactor_values() {
     let costs: Vec<f64> = resp.hits.iter().map(|t| t.cost).collect();
     assert_eq!(costs, vec![5.0, 5.0, 5.0]);
 
+    // `Banks` is served by the same evaluator: the same accesses, counted
+    // when the request computes rather than hitting `DistinctRoot`'s entry.
     let banks = engine
         .execute(
             &SearchRequest::new("kw0 kw1")
                 .k(3)
-                .semantics(GraphSemantics::Banks),
+                .semantics(GraphSemantics::Banks)
+                .caching(false),
         )
         .unwrap();
-    assert_eq!(banks.stats.operators.tuples_scanned, 172);
+    assert_eq!(banks.stats.operators.sorted_accesses, 58);
+    assert_eq!(banks.stats.operators.random_accesses, 116);
+    assert_eq!(banks.stats.operators.tuples_scanned, 0);
     let dpbf = engine
         .execute(
             &SearchRequest::new("kw0 kw1")

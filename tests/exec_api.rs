@@ -257,28 +257,18 @@ fn graph_keyword_count_limits_are_errors_and_the_limit_itself_answers() {
         |r: kwdb::common::Result<_>| matches!(r, Err(kwdb::common::KwdbError::InvalidQuery(_)));
     let request = |n: usize, sem| SearchRequest::new(words[..n].join(" ")).k(2).semantics(sem);
 
-    // BANKS keeps a u32 of groups per node: 32 keywords fill it exactly.
-    for n in [31, 32] {
-        let resp = engine.execute(&request(n, GraphSemantics::Banks)).unwrap();
-        assert_eq!(resp.hits.len(), 2, "{n} keywords: hub, then alice");
-        assert_eq!((resp.hits[0].root, resp.hits[0].rank_cost), (hub, 0.0));
-        assert_eq!(resp.hits[1].rank_cost, n as f64);
-        for t in &resp.hits {
-            t.validate(&engine.graph(), &words[..n]).unwrap();
-        }
-    }
-    assert!(is_invalid(
-        engine.execute(&request(33, GraphSemantics::Banks))
-    ));
-
-    // BLINKS keeps no mask over the keywords, so it has no limit.
+    // Distinct-root requests — `Banks` is an alias of `DistinctRoot` — keep
+    // no mask over the keywords, so they have no limit.
     for n in [31, 32, 33] {
-        let resp = engine
-            .execute(&request(n, GraphSemantics::DistinctRoot))
-            .unwrap();
-        assert_eq!(resp.hits.len(), 2, "{n} keywords");
-        assert_eq!((resp.hits[0].root, resp.hits[0].rank_cost), (hub, 0.0));
-        assert_eq!(resp.hits[1].rank_cost, n as f64);
+        for sem in [GraphSemantics::Banks, GraphSemantics::DistinctRoot] {
+            let resp = engine.execute(&request(n, sem)).unwrap();
+            assert_eq!(resp.hits.len(), 2, "{n} keywords: hub, then alice");
+            assert_eq!((resp.hits[0].root, resp.hits[0].rank_cost), (hub, 0.0));
+            assert_eq!(resp.hits[1].rank_cost, n as f64);
+            for t in &resp.hits {
+                t.validate(&engine.graph(), &words[..n]).unwrap();
+            }
+        }
     }
 
     // DPBF's state space is 2^keywords per node. 16 is accepted — one node

@@ -8,7 +8,7 @@ use kwdb::common::index::kernels;
 use kwdb::common::text::{normalize_term, tokenize};
 use kwdb::datasets::graphs::{generate_graph, GraphConfig};
 use kwdb::datasets::{generate_bib_xml, generate_dblp, DblpConfig};
-use kwdb::graph::shortest::{multi_source, Expansion};
+use kwdb::graph::shortest::multi_source;
 use kwdb::xml::XmlIndex;
 use std::collections::BTreeMap;
 
@@ -166,10 +166,9 @@ fn graph_keyword_index_matches_naive_recomputation() {
 #[test]
 fn node2kw_index_sym_parity_over_full_vocabulary() {
     let g = generate_graph(&GraphConfig::default());
-    let mut exp = Expansion::default();
     for kw in g.vocabulary().map(str::to_string).collect::<Vec<_>>() {
         let sym = g.keyword_sym(&kw).expect("vocabulary term is indexed");
-        let (list, built) = g.distance_list(sym, &mut exp);
+        let (list, built) = g.distance_list(sym);
         assert!(built, "no list before its keyword is read");
         let (dist, origin) = multi_source(&g, g.keyword_nodes(&kw), None);
         assert_eq!(list.sorted().len(), dist.len(), "{kw}: reachable nodes");

@@ -11,8 +11,8 @@
 use kwdb::common::{Budget, CacheConfig, FacetSpec};
 use kwdb::datasets::{self, generate_dblp, DblpConfig};
 use kwdb::engine::{
-    Engine, GraphEngine, IngestRecord, MutableEngine, RelationalConfig, RelationalEngine,
-    SearchRequest, XmlEngine,
+    Engine, GraphEngine, GraphSemantics, IngestRecord, MutableEngine, RelationalConfig,
+    RelationalEngine, SearchRequest, XmlEngine,
 };
 use kwdb::obs::{families, MetricsRegistry, TraceLevel};
 use std::sync::Arc;
@@ -109,6 +109,48 @@ fn keyword_order_does_not_defeat_the_cache() {
         .execute(&SearchRequest::new("data query").k(3))
         .unwrap();
     assert_eq!(other_k.stats.result_cache_misses, 1);
+}
+
+/// A graph answer lists one match per keyword in the request's order (and
+/// sums its distances in that order), so a reordered request is an entry of
+/// its own: under every semantics, with the cache on or off, `"kw1 kw0"`
+/// after `"kw0 kw1"` answers for its own order, and a repeat of it hits.
+#[test]
+fn graph_answers_follow_their_own_keyword_order() {
+    let g = Arc::new(datasets::graphs::generate_graph(&Default::default()));
+    let bits = |hits: &[kwdb::graphsearch::AnswerTree]| {
+        let tree = |t: &kwdb::graphsearch::AnswerTree| {
+            let (cost, rank) = (t.cost.to_bits(), t.rank_cost.to_bits());
+            (t.root, t.matches.clone(), t.edges.clone(), cost, rank)
+        };
+        hits.iter().map(tree).collect::<Vec<_>>()
+    };
+    for semantics in [
+        GraphSemantics::Banks,
+        GraphSemantics::SteinerExact,
+        GraphSemantics::DistinctRoot,
+    ] {
+        let mut answers = Vec::new();
+        for cache in [CacheConfig::default(), CacheConfig::disabled()] {
+            let engine = GraphEngine::new(Arc::clone(&g)).with_result_cache(cache);
+            let run = |q: &str| {
+                let req = SearchRequest::new(q).k(3).semantics(semantics);
+                engine.execute(&req).unwrap()
+            };
+            let (first, second, again) = (run("kw0 kw1"), run("kw1 kw0"), run("kw1 kw0"));
+            assert!(!second.hits.is_empty(), "{semantics:?}");
+            for t in &second.hits {
+                t.validate(&g, &["kw1", "kw0"])
+                    .unwrap_or_else(|e| panic!("{semantics:?}: {e}"));
+            }
+            assert_eq!(second.stats.result_cache_hits, 0, "{semantics:?}");
+            let enabled = cache.enabled as u64;
+            assert_eq!(again.stats.result_cache_hits, enabled, "{semantics:?}");
+            assert_eq!(bits(&again.hits), bits(&second.hits), "{semantics:?}");
+            answers.push((bits(&first.hits), bits(&second.hits)));
+        }
+        assert_eq!(answers[0], answers[1], "{semantics:?}: cache on = off");
+    }
 }
 
 #[test]
