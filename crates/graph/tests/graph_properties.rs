@@ -85,10 +85,13 @@ fn keyword_index_matches_direct_search() {
             .all(|w| list.dist(w[0]) <= list.dist(w[1])));
         let reachable = g.iter().filter(|&n| list.dist(n).is_some()).count();
         assert_eq!(sorted.len(), reachable);
-        // the reported bytes are the arrays': an f64 and two u32s per node,
-        // a NodeId per reachable node
+        // the reported bytes are the arrays': three u32s per node, a NodeId
+        // per reachable node, an f64 per distinct distance
         let stats = g.distance_list_stats();
         assert_eq!((stats.terms, stats.postings), (1, sorted.len()));
-        assert_eq!(stats.posting_bytes, n * (8 + 4 + 4) + sorted.len() * 4);
+        assert_eq!(
+            stats.posting_bytes,
+            n * (4 + 4 + 4) + sorted.len() * 4 + list.levels().len() * 8
+        );
     }
 }

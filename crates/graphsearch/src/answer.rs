@@ -168,6 +168,58 @@ pub fn norm_edge(u: NodeId, v: NodeId) -> (NodeId, NodeId) {
     }
 }
 
+/// Restrict an edge union to a BFS tree from `root` that still reaches every
+/// match, and drop branches that lead nowhere useful; returns the tree's
+/// edges, sorted, and its cost summed in that order. A node's neighbours are
+/// visited in `edges` order. The union is one answer's handful of
+/// root→match paths, so linear scans over it beat building maps.
+pub(crate) fn prune_to_tree(
+    g: &DataGraph,
+    root: NodeId,
+    edges: &[(NodeId, NodeId)],
+    matches: &[NodeId],
+) -> (Vec<(NodeId, NodeId)>, f64) {
+    // BFS from root: `order[i]`'s parent is `order[parent[i]]`.
+    let mut order = vec![root];
+    let mut parent = vec![0];
+    let mut qi = 0;
+    while qi < order.len() {
+        let u = order[qi];
+        for &(a, b) in edges {
+            let v = match (a == u, b == u) {
+                (true, _) => b,
+                (_, true) => a,
+                _ => continue,
+            };
+            if !order.contains(&v) {
+                order.push(v);
+                parent.push(qi);
+            }
+        }
+        qi += 1;
+    }
+    // Keep only edges on root→match paths, each once: a walk stops where
+    // an earlier match's walk already went.
+    let mut kept = vec![false; order.len()];
+    let mut out = Vec::new();
+    for m in matches {
+        let Some(mut i) = order.iter().position(|n| n == m) else {
+            continue;
+        };
+        while i != 0 && !kept[i] {
+            kept[i] = true;
+            out.push(norm_edge(order[i], order[parent[i]]));
+            i = parent[i];
+        }
+    }
+    out.sort();
+    let cost = out
+        .iter()
+        .map(|&(u, v)| g.edge_weight(u, v).expect("edge from union exists"))
+        .sum();
+    (out, cost)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -106,7 +106,7 @@ fn tree_from_fields(g: &DataGraph, root: NodeId, fields: &[Field], l: usize) -> 
     }
     edges.sort();
     edges.dedup();
-    let (tree_edges, cost) = crate::banks1::prune_to_tree(g, root, &edges, &matches);
+    let (tree_edges, cost) = crate::answer::prune_to_tree(g, root, &edges, &matches);
     Some(AnswerTree {
         root,
         edges: tree_edges,

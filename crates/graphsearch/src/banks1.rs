@@ -32,13 +32,12 @@
 //! this expansion is the reference those answers' `rank_cost` bits are held
 //! to.
 
-use crate::answer::{norm_edge, AnswerTree};
+use crate::answer::{norm_edge, prune_to_tree, AnswerTree};
 use crate::scratch::first_n;
 use crate::{SearchScratch, TraversalStats};
 use kwdb_common::{topk::TopK, Budget, TruncationReason};
 use kwdb_graph::shortest::Expansion;
 use kwdb_graph::{DataGraph, NodeId};
-use std::collections::HashMap;
 
 /// Most keywords one search takes: a node's settled-by set is a `u32` mask.
 pub const MAX_KEYWORDS: usize = 32;
@@ -184,54 +183,6 @@ impl<'g> BanksI<'g> {
             rank_cost,
         }
     }
-}
-
-/// Restrict an edge union to a BFS tree from `root` that still reaches every
-/// match, and drop branches that lead nowhere useful. Shared with BANKS II,
-/// BLINKS and the SPT heuristic; its maps hold one answer's handful of edges.
-pub(crate) fn prune_to_tree(
-    g: &DataGraph,
-    root: NodeId,
-    edges: &[(NodeId, NodeId)],
-    matches: &[NodeId],
-) -> (Vec<(NodeId, NodeId)>, f64) {
-    let mut adj: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
-    for &(u, v) in edges {
-        adj.entry(u).or_default().push(v);
-        adj.entry(v).or_default().push(u);
-    }
-    // BFS tree from root.
-    let mut parent: HashMap<NodeId, NodeId> = HashMap::new();
-    let mut order = vec![root];
-    let mut seen: std::collections::HashSet<NodeId> = std::collections::HashSet::new();
-    seen.insert(root);
-    let mut qi = 0;
-    while qi < order.len() {
-        let u = order[qi];
-        qi += 1;
-        for &v in adj.get(&u).into_iter().flatten() {
-            if seen.insert(v) {
-                parent.insert(v, u);
-                order.push(v);
-            }
-        }
-    }
-    // Keep only edges on root→match paths.
-    let mut keep: std::collections::HashSet<(NodeId, NodeId)> = std::collections::HashSet::new();
-    for &m in matches {
-        let mut cur = m;
-        while let Some(&p) = parent.get(&cur) {
-            keep.insert(norm_edge(cur, p));
-            cur = p;
-        }
-    }
-    let mut out: Vec<(NodeId, NodeId)> = keep.into_iter().collect();
-    out.sort();
-    let cost = out
-        .iter()
-        .map(|&(u, v)| g.edge_weight(u, v).expect("edge from union exists"))
-        .sum();
-    (out, cost)
 }
 
 #[cfg(test)]

@@ -186,7 +186,7 @@ fn build_tree_from_preds(
     }
     edges.sort();
     edges.dedup();
-    let (tree_edges, cost) = crate::banks1::prune_to_tree(g, root, &edges, &matches);
+    let (tree_edges, cost) = crate::answer::prune_to_tree(g, root, &edges, &matches);
     AnswerTree {
         root,
         edges: tree_edges,

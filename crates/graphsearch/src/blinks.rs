@@ -14,16 +14,19 @@
 //! The lists belong to the graph ([`DataGraph::distance_list`]): a query
 //! reads those of its own keywords, building any not yet built, so the index
 //! covers exactly the keywords ever queried. Both access paths are array
-//! reads ([`kwdb_graph::node2kw`]), and so is an answer's tree: each list
-//! holds, per node, the neighbour one edge closer to its nearest match, so a
-//! root's path to each match is a walk down those links. The set of roots
-//! already scored lives in the caller's [`SearchScratch`].
+//! reads ([`kwdb_graph::node2kw`]): a list keeps each node's distance
+//! *class*, a `u32` indexing the list's distinct distances, so a sorted
+//! access reads the next node and its class and a random access one class
+//! per list. An answer's tree is array reads too: each list holds, per node,
+//! the neighbour one edge closer to its nearest match, so a root's path to
+//! each match is a walk down those links, pruned to a tree by
+//! `answer::prune_to_tree`. The set of roots already scored lives in the
+//! caller's [`SearchScratch`].
 //!
-//! BANKS I (backward expansion, [`crate::banks1`]) ranks roots by the same
-//! cost; the unified engine serves both semantics from here.
+//! BANKS I (backward expansion, [`BanksI`](crate::BanksI)) ranks roots by
+//! the same cost; the unified engine serves both semantics from here.
 
-use crate::answer::{norm_edge, AnswerTree};
-use crate::banks1::prune_to_tree;
+use crate::answer::{norm_edge, prune_to_tree, AnswerTree};
 use crate::{SearchScratch, TraversalStats};
 use kwdb_common::topk::TopK;
 use kwdb_common::{Budget, TruncationReason};
@@ -88,23 +91,29 @@ impl<'g> Blinks<'g> {
         budget: &Budget,
         scratch: &mut SearchScratch,
     ) -> (Vec<AnswerTree>, Option<TruncationReason>, TraversalStats) {
+        let (lists, _) = self.distance_lists(keywords).unwrap_or_default();
+        self.search_lists(&lists, k, budget, scratch)
+    }
+
+    /// [`Self::search_budgeted`] over the query's lists as
+    /// [`Self::distance_lists`] resolved them, one per keyword in order; no
+    /// lists (no keywords, or one outside the vocabulary) answer nothing.
+    pub fn search_lists(
+        &self,
+        lists: &[&DistanceList],
+        k: usize,
+        budget: &Budget,
+        scratch: &mut SearchScratch,
+    ) -> (Vec<AnswerTree>, Option<TruncationReason>, TraversalStats) {
         let mut stats = TraversalStats::default();
-        let l = keywords.len();
         let mut truncation = None;
-        if l == 0 || k == 0 {
+        if lists.is_empty() || k == 0 || lists.iter().any(|list| list.sorted().is_empty()) {
             return (Vec::new(), truncation, stats);
         }
-        let Some((lists, _)) = self.distance_lists(keywords) else {
-            return (Vec::new(), truncation, stats);
-        };
-        if lists.iter().any(|list| list.sorted().is_empty()) {
-            return (Vec::new(), truncation, stats);
-        }
-        let dist = |list: &DistanceList, node| list.dist(node).expect("listed node");
-        let mut cursors = vec![0usize; l];
+        let mut cursors = vec![0usize; lists.len()];
         // Distance at each list's cursor: the last value read, or the head's
-        // while the list is unread (lists are ascending).
-        let mut depth: Vec<f64> = lists.iter().map(|l| dist(l, l.sorted()[0])).collect();
+        // (class 0) while the list is unread (lists are ascending).
+        let mut depth: Vec<f64> = lists.iter().map(|l| l.levels()[0]).collect();
         let seen = &mut scratch.marks;
         seen.begin(self.g);
         let mut topk: TopK<NodeId> = TopK::new(k);
@@ -120,22 +129,21 @@ impl<'g> Blinks<'g> {
                     continue;
                 };
                 cursors[i] += 1;
-                depth[i] = dist(list, node);
+                depth[i] = list.levels()[list.class(node) as usize];
                 stats.sorted_accesses += 1;
                 any = true;
                 if seen.or(node, 1) == 0 {
                     // random access: complete the root's score
                     let mut total = 0.0;
                     let mut complete = true;
-                    for other in &lists {
+                    for other in lists {
                         stats.random_accesses += 1;
-                        match other.dist(node) {
-                            Some(d) => total += d,
-                            None => {
-                                complete = false;
-                                break;
-                            }
+                        let class = other.class(node);
+                        if class == DistanceList::UNREACHABLE {
+                            complete = false;
+                            break;
                         }
+                        total += other.levels()[class as usize];
                     }
                     if complete {
                         topk.push(-total, node);
@@ -158,7 +166,7 @@ impl<'g> Blinks<'g> {
         let trees = topk
             .into_sorted_vec()
             .into_iter()
-            .map(|(neg, root)| self.build_tree(&lists, root, -neg))
+            .map(|(neg, root)| self.build_tree(lists, root, -neg))
             .collect();
         (trees, truncation, stats)
     }

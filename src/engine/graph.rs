@@ -138,9 +138,7 @@ impl GraphEngine {
                 // first request to read one: a miss when it built any.
                 tb.phase("build");
                 let blinks = Blinks::new(g);
-                let built = blinks
-                    .distance_lists(keywords)
-                    .map_or(0, |(_, built)| built);
+                let (lists, built) = blinks.distance_lists(keywords).unwrap_or_default();
                 stats.phases.build = sw.lap();
                 if built == 0 {
                     stats.cache_hits = 1;
@@ -156,7 +154,7 @@ impl GraphEngine {
                 });
                 tb.phase("evaluate");
                 let (r, truncation, work) =
-                    blinks.search_budgeted(keywords, req.k, budget, &mut scratch);
+                    blinks.search_lists(&lists, req.k, budget, &mut scratch);
                 stats.operators.sorted_accesses = work.sorted_accesses as u64;
                 stats.operators.random_accesses = work.random_accesses as u64;
                 tb.event("threshold algorithm", || {

@@ -1,7 +1,7 @@
 //! Parity suite for the dense (array-by-`NodeId`) graph engine: the
 //! node→keyword distance lists against a naive fixpoint, however they were
-//! filled and after the graph changes, and their `next` walks against the
-//! distances; BANKS and BLINKS against an exhaustive distinct-root scan, the
+//! filled and after the graph changes, their `next` walks and their
+//! distance classes against the distances; BANKS and BLINKS against an exhaustive distinct-root scan, the
 //! engine's `Banks` requests against its `DistinctRoot` ones and BANKS I,
 //! DPBF against brute force, and — the part
 //! arrays add over hash maps — that a reused [`SearchScratch`] never leaks
@@ -228,6 +228,47 @@ fn next_links_walk_each_node_to_its_nearest_match_over_tight_edges() {
                 }
                 assert_eq!(at, m, "{ctx}: the walk ends at the nearest match");
                 assert_eq!(list.dist(m), Some(0.0), "{ctx}");
+            }
+        }
+    }
+}
+
+/// A list keeps class ids into `levels`, not distances: the levels ascend
+/// strictly, a node has a class exactly when it reaches a match, its level
+/// is its distance bit for bit, and along the sorted access order the class
+/// starts at 0, never falls, and steps up by exactly one at each new
+/// distance, ending on the last level.
+#[test]
+fn distance_classes_number_the_distinct_distances_in_order() {
+    let mut rng = Rng::seed_from_u64(0x24);
+    for round in 0..60 {
+        let n = rng.gen_range(4usize..60);
+        let g = random_graph(&mut rng, n, round % 2 == 0);
+        for kw in KEYWORDS {
+            let list = list(&g, kw).expect("every keyword is planted");
+            let levels = list.levels();
+            let ctx = format!("round {round} {kw}");
+            assert!(levels.windows(2).all(|w| w[0] < w[1]), "{ctx}: {levels:?}");
+            for node in g.iter() {
+                let class = list.class(node);
+                let unreachable = class == DistanceList::UNREACHABLE;
+                assert_eq!(unreachable, list.get(node).is_none(), "{ctx} {node:?}");
+                if let Some(d) = list.dist(node) {
+                    let level = levels[class as usize];
+                    assert_eq!(level.to_bits(), d.to_bits(), "{ctx} {node:?}");
+                }
+            }
+            let sorted = list.sorted();
+            let classes: Vec<u32> = sorted.iter().map(|&n| list.class(n)).collect();
+            assert_eq!(classes.first(), Some(&0), "{ctx}");
+            assert_eq!(
+                classes.last().map(|&c| c as usize + 1),
+                Some(levels.len()),
+                "{ctx}"
+            );
+            for (w, c) in sorted.windows(2).zip(classes.windows(2)) {
+                let step = u32::from(list.dist(w[0]) != list.dist(w[1]));
+                assert_eq!(c[1], c[0] + step, "{ctx}: {:?}→{:?}", w[0], w[1]);
             }
         }
     }
