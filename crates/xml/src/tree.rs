@@ -3,7 +3,9 @@
 //! Because ids are assigned in pre-order, the subtree of `n` is exactly the
 //! id interval `[n, n + subtree_size(n))`: containment is two comparisons
 //! against an array computed once at build, and LCA climbs the parent chain.
-//! Dewey identifiers are derived on demand for the callers that print or
+//! Parent, depth and subtree size live in dense `u32` arrays indexed by id,
+//! apart from the node records, so a climb step reads 8 bytes. Dewey
+//! identifiers are derived on demand for the callers that print or
 //! resolve positions.
 
 use crate::dewey::Dewey;
@@ -17,11 +19,12 @@ pub struct NodeId(pub u32);
 #[derive(Debug, Clone)]
 pub(crate) struct Node {
     pub label: Sym,
-    pub parent: Option<NodeId>,
     pub children: Vec<NodeId>,
     pub text: Option<String>,
-    pub depth: u32,
 }
+
+/// `parent` entry of the root, which has none.
+const NO_PARENT: u32 = u32::MAX;
 
 /// An XML document as an arena of element nodes.
 ///
@@ -32,7 +35,10 @@ pub(crate) struct Node {
 pub struct XmlTree {
     pub(crate) nodes: Vec<Node>,
     pub(crate) labels: Interner,
-    /// Subtree size of every node, dense by id.
+    /// The structure, dense by id: parent ([`NO_PARENT`] for the root),
+    /// depth (0 for the root) and subtree size.
+    parent: Vec<u32>,
+    depth: Vec<u32>,
     sizes: Vec<u32>,
     avg_leaf_depth: f64,
 }
@@ -64,7 +70,8 @@ impl XmlTree {
     }
 
     pub fn parent(&self, n: NodeId) -> Option<NodeId> {
-        self.nodes[n.0 as usize].parent
+        let p = self.parent[n.0 as usize];
+        (p != NO_PARENT).then_some(NodeId(p))
     }
 
     pub fn children(&self, n: NodeId) -> &[NodeId] {
@@ -95,7 +102,7 @@ impl XmlTree {
     }
 
     pub fn depth(&self, n: NodeId) -> u32 {
-        self.nodes[n.0 as usize].depth
+        self.depth[n.0 as usize]
     }
 
     /// Resolve a Dewey id back to the node carrying it, or `None` if no such
@@ -108,19 +115,13 @@ impl XmlTree {
         Some(cur)
     }
 
-    /// Lowest common ancestor of two nodes: climb from the deeper one to the
-    /// other's depth, then both together. O(depth), no allocation.
-    pub fn lca(&self, mut a: NodeId, mut b: NodeId) -> NodeId {
-        let parent = |n: NodeId| self.parent(n).expect("only the root has no parent");
-        while self.depth(a) > self.depth(b) {
-            a = parent(a);
-        }
-        while self.depth(b) > self.depth(a) {
-            b = parent(b);
-        }
-        while a != b {
-            a = parent(a);
-            b = parent(b);
+    /// Lowest common ancestor of two nodes: climb from `a` until its
+    /// pre-order interval holds `b`. O(depth), no allocation.
+    pub fn lca(&self, mut a: NodeId, b: NodeId) -> NodeId {
+        while !self.is_ancestor_or_self(a, b) {
+            a = self
+                .parent(a)
+                .expect("the root's interval holds every node");
         }
         a
     }
@@ -141,18 +142,10 @@ impl XmlTree {
         (0..self.nodes.len() as u32).map(NodeId)
     }
 
-    /// Nodes in the subtree rooted at `n` (including `n`), document order.
+    /// Nodes in the subtree rooted at `n` (including `n`), document order:
+    /// the id interval `n .. subtree_end(n)`.
     pub fn subtree(&self, n: NodeId) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        let mut stack = vec![n];
-        while let Some(x) = stack.pop() {
-            out.push(x);
-            // push children reversed so pop yields document order
-            for &c in self.children(x).iter().rev() {
-                stack.push(c);
-            }
-        }
-        out
+        (n.0..self.subtree_end(n).0).map(NodeId).collect()
     }
 
     /// Number of nodes in the subtree rooted at `n`.
@@ -166,16 +159,17 @@ impl XmlTree {
         NodeId(n.0 + self.sizes[n.0 as usize])
     }
 
-    /// Root-to-node label path, e.g. `/conf/paper/title`.
+    /// Root-to-node label path, e.g. `/conf/paper/title`: one walk up the
+    /// parent chain sizes the buffer, a second fills it from the back.
     pub fn label_path(&self, n: NodeId) -> String {
-        let mut parts = Vec::new();
-        let mut cur = Some(n);
-        while let Some(x) = cur {
-            parts.push(self.label(x));
-            cur = self.parent(x);
+        let chain = || std::iter::successors(Some(n), |&x| self.parent(x));
+        let mut end: usize = chain().map(|x| 1 + self.label(x).len()).sum();
+        let mut path = vec![b'/'; end];
+        for label in chain().map(|x| self.label(x).as_bytes()) {
+            path[end - label.len()..end].copy_from_slice(label);
+            end -= 1 + label.len();
         }
-        parts.reverse();
-        format!("/{}", parts.join("/"))
+        String::from_utf8(path).expect("labels are UTF-8")
     }
 
     /// All text in the subtree of `n`, concatenated in document order.
@@ -234,6 +228,8 @@ impl XmlTree {
 pub struct XmlBuilder {
     nodes: Vec<Node>,
     labels: Interner,
+    parent: Vec<u32>,
+    depth: Vec<u32>,
     /// Stack of open elements.
     open: Vec<NodeId>,
 }
@@ -244,14 +240,14 @@ impl XmlBuilder {
         let sym = labels.intern(root_label);
         let root = Node {
             label: sym,
-            parent: None,
             children: Vec::new(),
             text: None,
-            depth: 0,
         };
         XmlBuilder {
             nodes: vec![root],
             labels,
+            parent: vec![NO_PARENT],
+            depth: vec![0],
             open: vec![NodeId(0)],
         }
     }
@@ -264,15 +260,14 @@ impl XmlBuilder {
     pub fn open(&mut self, label: &str) -> &mut Self {
         let parent = self.current();
         let sym = self.labels.intern(label);
-        let depth = self.nodes[parent.0 as usize].depth + 1;
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(Node {
             label: sym,
-            parent: Some(parent),
             children: Vec::new(),
             text: None,
-            depth,
         });
+        self.parent.push(parent.0);
+        self.depth.push(self.open.len() as u32);
         self.nodes[parent.0 as usize].children.push(id);
         self.open.push(id);
         self
@@ -309,18 +304,20 @@ impl XmlBuilder {
     pub fn build(mut self) -> XmlTree {
         assert_eq!(self.open.len(), 1, "unclosed elements at build()");
         self.open.clear();
-        let nodes = self.nodes;
+        let (nodes, parent, depth) = (self.nodes, self.parent, self.depth);
         let mut sizes = vec![1u32; nodes.len()];
         // children have larger ids than parents; accumulate in reverse
-        for i in (0..nodes.len()).rev() {
-            if let Some(p) = nodes[i].parent {
-                sizes[p.0 as usize] += sizes[i];
-            }
+        for i in (1..nodes.len()).rev() {
+            sizes[parent[i] as usize] += sizes[i];
         }
         let (mut leaves, mut depth_sum) = (0usize, 0.0f64);
-        for n in nodes.iter().filter(|n| n.children.is_empty()) {
+        for (_, &d) in nodes
+            .iter()
+            .zip(&depth)
+            .filter(|(n, _)| n.children.is_empty())
+        {
             leaves += 1;
-            depth_sum += n.depth as f64;
+            depth_sum += d as f64;
         }
         XmlTree {
             avg_leaf_depth: if leaves == 0 {
@@ -328,6 +325,8 @@ impl XmlBuilder {
             } else {
                 depth_sum / leaves as f64
             },
+            parent,
+            depth,
             sizes,
             nodes,
             labels: self.labels,
@@ -427,17 +426,32 @@ mod tests {
         assert!((t.avg_leaf_depth() - 1.5).abs() < 1e-12);
     }
 
-    /// Interval containment, the parent-chain LCA, the stored sizes and
-    /// the derived Dewey ids agree with Dewey algebra and fresh walks on
-    /// random trees.
+    /// Subtree size by a fresh walk over the children lists.
+    fn walk_size(t: &XmlTree, n: NodeId) -> usize {
+        1 + t
+            .children(n)
+            .iter()
+            .map(|&c| walk_size(t, c))
+            .sum::<usize>()
+    }
+
+    /// Interval containment, the parent-chain LCA, the structure arrays
+    /// (parent, depth, sizes) and the derived Dewey ids agree with Dewey
+    /// algebra and fresh walks on random trees, bushy and chain-like.
     #[test]
     fn interval_and_climb_agree_with_dewey_algebra() {
         let mut rng = kwdb_common::Rng::seed_from_u64(7);
-        for _ in 0..40 {
+        for round in 0..40 {
             let mut b = XmlTree::builder("r");
             let mut depth = 0;
             for _ in 0..rng.gen_range(1usize..60) {
-                for _ in 0..rng.gen_index(3).min(depth) {
+                // odd rounds close an element only one open in eight
+                let pops = if round % 2 == 0 || rng.gen_index(8) == 0 {
+                    rng.gen_index(3)
+                } else {
+                    0
+                };
+                for _ in 0..pops.min(depth) {
                     b.close();
                     depth -= 1;
                 }
@@ -455,9 +469,15 @@ mod tests {
                 .collect();
             let avg = leaves.iter().sum::<f64>() / leaves.len() as f64;
             assert_eq!(t.avg_leaf_depth().to_bits(), avg.to_bits());
+            assert_eq!((t.parent(t.root()), t.depth(t.root())), (None, 0));
             for a in t.iter() {
+                for &c in t.children(a) {
+                    assert_eq!(t.parent(c), Some(a));
+                    assert_eq!(t.depth(c), t.depth(a) + 1);
+                }
                 let da = t.dewey(a);
-                assert_eq!(t.subtree_size(a), t.subtree(a).len());
+                assert_eq!(t.subtree_size(a), walk_size(&t, a));
+                assert_eq!(t.subtree_sizes()[a.0 as usize] as usize, walk_size(&t, a));
                 assert_eq!(t.node_at(&da), Some(a));
                 for c in t.iter() {
                     let dc = t.dewey(c);

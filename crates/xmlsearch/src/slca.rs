@@ -17,7 +17,11 @@
 //!
 //! All three turn an anchor and its neighbours into a candidate the same
 //! way: climb from the anchor until its pre-order interval holds a
-//! neighbour from every other list.
+//! neighbour from every other list. And all three fold each candidate into
+//! the answer as it is produced, with one shared antichain step
+//! (`fold_candidate`): anchors ascend and a candidate is an ancestor-or-self
+//! of its anchor, so only the last root kept can be comparable with it. The
+//! answer comes out in document order, with no sort and no second pass.
 //!
 //! [`slca_brute_force`] is the test oracle.
 
@@ -64,7 +68,7 @@ pub fn slca_indexed_budgeted<S: AsRef<str>>(
     let (driver, others) = lists.split_first().expect("at least one keyword");
     let mut cursors: Vec<_> = others.iter().map(|l| l.cursor()).collect();
     let mut neighbours = vec![[None; 2]; others.len()];
-    let mut candidates: Vec<NodeId> = Vec::new();
+    let mut roots: Vec<NodeId> = Vec::new();
     for v in driver.iter() {
         if let Some(reason) = budget.truncation_at(stats.anchors as u64) {
             truncation = Some(reason);
@@ -79,9 +83,9 @@ pub fn slca_indexed_budgeted<S: AsRef<str>>(
             let right = cursor.seek(v.0 as u64);
             *pair = [cursor.prev(), right];
         }
-        candidates.push(climb(tree, v, &neighbours));
+        fold_candidate(tree, &mut roots, climb(tree, v, &neighbours));
     }
-    Ok((antichain(tree, candidates), stats, truncation))
+    Ok((roots, stats, truncation))
 }
 
 /// Scan-Eager SLCA: identical candidates via monotone pointer advances.
@@ -102,7 +106,7 @@ pub fn slca_scan_eager<S: AsRef<str>>(
         .map(|l| (l.cursor(), None::<NodeId>))
         .collect();
     let mut neighbours = vec![[None; 2]; others.len()];
-    let mut candidates: Vec<NodeId> = Vec::new();
+    let mut roots: Vec<NodeId> = Vec::new();
     for v in driver.iter() {
         stats.anchors += 1;
         for ((cursor, passed), pair) in cursors.iter_mut().zip(&mut neighbours) {
@@ -117,9 +121,9 @@ pub fn slca_scan_eager<S: AsRef<str>>(
             }
             *pair = [*passed, cursor.peek()];
         }
-        candidates.push(climb(tree, v, &neighbours));
+        fold_candidate(tree, &mut roots, climb(tree, v, &neighbours));
     }
-    Ok((antichain(tree, candidates), stats))
+    Ok((roots, stats))
 }
 
 /// Multiway-SLCA (Sun et al.'s BMS): each round anchors on the *maximum*
@@ -138,7 +142,7 @@ pub fn multiway_slca<S: AsRef<str>>(
     };
     let mut cursors: Vec<_> = lists.iter().map(|l| l.cursor()).collect();
     let mut neighbours = Vec::with_capacity(lists.len());
-    let mut candidates: Vec<NodeId> = Vec::new();
+    let mut roots: Vec<NodeId> = Vec::new();
     loop {
         // current heads; stop when any list is exhausted
         let mut anchor: Option<(NodeId, usize)> = None;
@@ -166,13 +170,13 @@ pub fn multiway_slca<S: AsRef<str>>(
             stats.probes += 2;
             neighbours.push([list.left_match(a), list.right_match(a)]);
         }
-        candidates.push(climb(tree, a, &neighbours));
+        fold_candidate(tree, &mut roots, climb(tree, a, &neighbours));
         // skip_after: advance every list past the anchor
         for cursor in cursors.iter_mut() {
             cursor.seek(a.0 as u64 + 1);
         }
     }
-    Ok((antichain(tree, candidates), stats))
+    Ok((roots, stats))
 }
 
 /// Brute-force oracle: O(n · k · matches).
@@ -227,24 +231,19 @@ pub(crate) fn climb(tree: &XmlTree, v: NodeId, neighbours: &[[Option<NodeId>; 2]
     a
 }
 
-/// Reduce candidates (any order) to the SLCA antichain: sort in document
-/// order, dedupe, and drop any node that is an ancestor of its successor.
-fn antichain(tree: &XmlTree, mut candidates: Vec<NodeId>) -> Vec<NodeId> {
-    candidates.sort();
-    candidates.dedup();
-    let mut out: Vec<NodeId> = Vec::with_capacity(candidates.len());
-    for c in candidates {
-        // pop ancestors of c (they are not smallest)
-        while let Some(&last) = out.last() {
-            if tree.is_ancestor(last, c) {
-                out.pop();
-            } else {
-                break;
-            }
-        }
-        out.push(c);
+/// Fold candidate `c` into `roots`, the SLCA antichain of the candidates
+/// before it, in document order. `c` is an ancestor-or-self of an anchor
+/// after every earlier anchor, so it is at or above the last root (not
+/// smallest: drop it), strictly below it (the last root is not smallest:
+/// replace it), or after its whole subtree (push it). An earlier root ends
+/// before the last root starts, and `c` holds an anchor past that start, so
+/// an earlier root can only be comparable with a `c` that is dropped.
+fn fold_candidate(tree: &XmlTree, roots: &mut Vec<NodeId>, c: NodeId) {
+    match roots.last_mut() {
+        Some(last) if tree.is_ancestor_or_self(c, *last) => {}
+        Some(last) if tree.is_ancestor(*last, c) => *last = c,
+        _ => roots.push(c),
     }
-    out
 }
 
 #[cfg(test)]
@@ -397,6 +396,91 @@ mod tests {
         (0..len)
             .map(|_| (rng.gen_index(3), rng.gen_range(0u8..4)))
             .collect()
+    }
+
+    /// A deep, chain-like tree: an element is closed before the next opens
+    /// only one time in eight, so candidates nest.
+    fn chain_structure(rng: &mut Rng) -> Vec<(usize, u8)> {
+        let len = rng.gen_range(1usize..80);
+        (0..len)
+            .map(|_| {
+                let pops = if rng.gen_index(8) == 0 {
+                    rng.gen_index(4)
+                } else {
+                    0
+                };
+                (pops, rng.gen_range(0u8..4))
+            })
+            .collect()
+    }
+
+    /// The SLCA antichain of `candidates` in any order, by sorting: sort,
+    /// dedupe, and pop every kept node that is an ancestor of the next.
+    fn antichain_by_sort(tree: &XmlTree, mut candidates: Vec<NodeId>) -> Vec<NodeId> {
+        candidates.sort();
+        candidates.dedup();
+        let mut out: Vec<NodeId> = Vec::new();
+        for c in candidates {
+            while out.last().is_some_and(|&last| tree.is_ancestor(last, c)) {
+                out.pop();
+            }
+            out.push(c);
+        }
+        out
+    }
+
+    /// A candidate cap of `c` makes ILE return exactly the antichain of the
+    /// climb candidates of the first `c` driver anchors, with the cap as
+    /// verdict exactly when anchors were left over — on bushy and deep
+    /// chain-like trees, where later candidates land above, below and after
+    /// earlier ones.
+    #[test]
+    fn budgeted_prefix_is_the_antichain_of_the_first_candidates() {
+        let mut rng = Rng::seed_from_u64(55);
+        let queries: [&[&str]; 4] = [&["ka", "kb"], &["kb", "ka", "n"], &["n", "kb"], &["ka"]];
+        let (mut above, mut below) = (0, 0);
+        for round in 0..200 {
+            let t = random_tree(&if round % 2 == 0 {
+                rand_structure(&mut rng)
+            } else {
+                chain_structure(&mut rng)
+            });
+            let ix = XmlIndex::build(&t);
+            for kws in queries {
+                let Some(lists) = ix.lists_for(kws) else {
+                    continue;
+                };
+                let (driver, others) = lists.split_first().unwrap();
+                let candidates: Vec<NodeId> = driver
+                    .iter()
+                    .map(|v| {
+                        let neighbours: Vec<_> = others
+                            .iter()
+                            .map(|l| [l.left_match(v), l.right_match(v)])
+                            .collect();
+                        climb(&t, v, &neighbours)
+                    })
+                    .collect();
+                for (i, &a) in candidates.iter().enumerate() {
+                    for &b in &candidates[i + 1..] {
+                        above += usize::from(t.is_ancestor(b, a));
+                        below += usize::from(t.is_ancestor(a, b));
+                    }
+                }
+                for cap in 1..=driver.len() {
+                    let budget = Budget::unlimited().with_max_candidates(cap as u64);
+                    let (roots, st, verdict) =
+                        slca_indexed_budgeted(&t, &ix, kws, &budget).unwrap();
+                    let expected = antichain_by_sort(&t, candidates[..cap].to_vec());
+                    assert_eq!(roots, expected, "{kws:?} cap {cap}");
+                    assert_eq!(st.anchors, cap, "{kws:?} cap {cap}");
+                    let capped =
+                        (cap < driver.len()).then_some(TruncationReason::CandidateCapReached);
+                    assert_eq!(verdict, capped, "{kws:?} cap {cap}");
+                }
+            }
+        }
+        assert!(above > 100 && below > 100, "{above} above, {below} below");
     }
 
     #[test]
