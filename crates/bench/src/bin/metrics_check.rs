@@ -93,8 +93,6 @@ fn main() {
         families::RESULT_CACHE_EVICTIONS,
         families::RESULT_CACHE_ENTRIES,
         families::RESULT_CACHE_BYTES,
-        families::TUPLESET_CACHE_HITS,
-        families::TUPLESET_CACHE_MISSES,
         "kwdb_experiment_latency_ns",
     ];
     let missing: Vec<&str> = required

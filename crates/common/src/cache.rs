@@ -1,11 +1,10 @@
 //! A lock-striped, byte-budgeted sharded LRU cache with a singleflight
 //! layer.
 //!
-//! This is the substrate for both inter-query caches the engines run on:
-//! the per-engine *result cache* (sealed responses keyed by generation +
-//! normalized query shape) and the relational *tupleset cache* (per-term
-//! tuple-key lists keyed by generation + term symbol). Invalidation is by
-//! construction — every key embeds the engine's data generation, so a
+//! This is the substrate for the inter-query caches the engines run on,
+//! chief among them the per-engine *result cache* (sealed responses keyed
+//! by generation + normalized query shape). Invalidation is by
+//! construction — the key embeds the engine's data generation, so a
 //! mutation makes old entries unreachable and the LRU sweep reclaims them;
 //! nothing ever calls an explicit `invalidate`.
 //!

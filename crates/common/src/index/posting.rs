@@ -19,18 +19,16 @@ use std::time::Duration;
 /// One entry of a posting list. Implemented by each substrate's posting
 /// type (relational tuple occurrence, XML node, graph node).
 pub trait Posting: Copy {
-    /// Total order of the list: document order, `(table, row, column)`
-    /// order, node-id order, …
+    /// Total order of the list: document order, `(table, row)` order,
+    /// node-id order, …
     type SortKey: Ord;
 
     fn sort_key(&self) -> Self::SortKey;
 
     /// A 64-bit monotone image of [`sort_key`](Self::sort_key) order:
-    /// `a.sort_key() ≤ b.sort_key() ⟹ a.key64() ≤ b.key64()`. Distinct
-    /// postings may share a key (e.g. one tuple's occurrences in two
-    /// columns); cursors `seek` and
-    /// [`TermIndex::remove_key`](super::TermIndex::remove_key) removes by
-    /// this key.
+    /// `a.sort_key() ≤ b.sort_key() ⟹ a.key64() ≤ b.key64()`. Cursors
+    /// `seek` and [`TermIndex::remove_key`](super::TermIndex::remove_key)
+    /// removes by this key.
     fn key64(&self) -> u64;
 
     /// Fold `other` — an occurrence at the *same* logical position — into
@@ -236,6 +234,11 @@ impl<'a, P: Posting> Postings<'a, P> {
 
     pub fn to_vec(&self) -> Vec<P> {
         self.list.to_vec()
+    }
+
+    /// The postings themselves, in sort order.
+    pub fn as_slice(&self) -> &'a [P] {
+        self.list
     }
 }
 

@@ -10,24 +10,25 @@
 //! * the distance-sorted node list — TA's sorted access;
 //!
 //! and a third, for the answer trees: [`DistanceList::path`] walks a node's
-//! shortest path to its nearest match.
+//! shortest path to its nearest match, which is where the walk ends.
 //!
 //! # Layout
 //!
 //! [`NodeId`] is dense, so a keyword's list is flat arrays indexed by
-//! `NodeId.0`: `class` (`u32`, the node's distance class), `origin` (`u32`,
-//! the nearest match) and `next` (`u32`, the neighbour one edge closer to
-//! it); beside them `levels`, the distinct distances in ascending order, so
-//! a node's distance is `levels[class]`, and `sorted`, the reachable nodes
-//! in `(dist, node)` order. That is 16 bytes per (node, keyword) on a
-//! connected graph plus 8 per distinct distance — a handful under uniform
-//! weights, so `levels` stays in L1 — and a random access reads one 4-byte
-//! array. Distances stay `f64`: they are sums of edge weights in path order,
-//! and BLINKS ranks by their sum, so a narrower type would change costs and
-//! tie order; a class only names one. `origin` keeps the `(dist, smallest
-//! origin id)` tie-break of
-//! [`multi_source`](crate::shortest::multi_source), which the RDBMS-powered
-//! formulation of the same semantics reproduces.
+//! `NodeId.0`: `class` (`u32`, the node's distance class) and `next`
+//! (`u32`, the neighbour one edge closer to the nearest match); beside them
+//! `levels`, the distinct distances in ascending order, so a node's distance
+//! is `levels[class]`, and `sorted`, the reachable nodes in `(dist, node)`
+//! order. That is 12 bytes per (node, keyword) on a connected graph plus 8
+//! per distinct distance — a handful under uniform weights, so `levels`
+//! stays in L1 — and a random access reads one 4-byte array. Distances stay
+//! `f64`: they are sums of edge weights in path order, and BLINKS ranks by
+//! their sum, so a narrower type would change costs and tie order; a class
+//! only names one. The nearest match is not stored: it is the end of the
+//! `next` walk, which the build points at the match of the `(dist,
+//! smallest origin id)` tie-break of
+//! [`multi_source`](crate::shortest::multi_source), the one the
+//! RDBMS-powered formulation of the same semantics reproduces.
 //!
 //! # Build
 //!
@@ -41,8 +42,8 @@
 //! the smallest origin to a fixpoint. `sorted` is the settle order, so
 //! nothing is sorted afterwards, and a node is queued again only when its
 //! distance drops, never for a tie. Each settled class takes the next class
-//! id and appends its distance to `levels`; the per-node distances are a
-//! temporary of the pass.
+//! id and appends its distance to `levels`; the per-node distances and
+//! origins are temporaries of the pass.
 //!
 //! # Lifetime
 //!
@@ -68,11 +69,9 @@ pub struct DistanceList {
     class: Vec<u32>,
     /// The distinct distances, ascending.
     levels: Vec<f64>,
-    /// Dense by `NodeId.0`: nearest match node, [`NONE`] = unreachable.
-    origin: Vec<u32>,
-    /// Dense by `NodeId.0`: the neighbour one tight edge closer to `origin`
-    /// (`dist(n) == dist(next) + w(n, next)` and the same `origin`),
-    /// [`NONE`] at the match itself and where unreachable.
+    /// Dense by `NodeId.0`: the neighbour one tight edge closer to the
+    /// nearest match (`dist(n) == dist(next) + w(n, next)` and the same
+    /// nearest match), [`NONE`] at the match itself and where unreachable.
     next: Vec<u32>,
     /// Reachable nodes by ascending distance (ties by node id).
     sorted: Vec<NodeId>,
@@ -171,28 +170,22 @@ impl DistanceList {
         DistanceList {
             class,
             levels,
-            origin,
             next,
             sorted,
         }
     }
 
-    /// Distance from `node` to the nearest match and that match; `None` when
-    /// no match is reachable.
-    pub fn get(&self, node: NodeId) -> Option<(f64, NodeId)> {
-        let i = node.0 as usize;
-        let class = *self.class.get(i)?;
-        (class != Self::UNREACHABLE).then(|| (self.levels[class as usize], NodeId(self.origin[i])))
-    }
-
-    /// Distance from `node` to the nearest match.
+    /// Distance from `node` to the nearest match; `None` when no match is
+    /// reachable.
     pub fn dist(&self, node: NodeId) -> Option<f64> {
-        self.get(node).map(|(d, _)| d)
+        let class = self.class(node);
+        (class != Self::UNREACHABLE).then(|| self.levels[class as usize])
     }
 
-    /// The nearest match from `node`.
+    /// The nearest match from `node`: where its [`path`](Self::path) ends.
     pub fn nearest_match(&self, node: NodeId) -> Option<NodeId> {
-        self.get(node).map(|(_, m)| m)
+        self.dist(node)?;
+        Some(self.path(node).last().map_or(node, |(_, next)| next))
     }
 
     /// The nodes that reach a match, nearest first (ties by node id) — TA
@@ -229,10 +222,10 @@ impl DistanceList {
         })
     }
 
-    /// What the five arrays hold.
+    /// What the four arrays hold.
     pub(crate) fn bytes(&self) -> usize {
         self.levels.len() * size_of::<f64>()
-            + (self.class.len() + self.origin.len() + self.next.len()) * size_of::<u32>()
+            + (self.class.len() + self.next.len()) * size_of::<u32>()
             + self.sorted.len() * size_of::<NodeId>()
     }
 }
@@ -298,7 +291,7 @@ mod tests {
         assert!(!g.distance_list(x).1, "the second reads the slot");
         let stats = g.distance_list_stats();
         assert_eq!((stats.terms, stats.postings), (1, 4));
-        // three u32s and a NodeId per node, an f64 per distance 0‥3
-        assert_eq!(stats.posting_bytes, 4 * 16 + 4 * 8);
+        // two u32s and a NodeId per node, an f64 per distance 0‥3
+        assert_eq!(stats.posting_bytes, 4 * 12 + 4 * 8);
     }
 }

@@ -172,13 +172,18 @@ impl<'g> Blinks<'g> {
     }
 
     /// Materialize a root's answer tree: shortest paths to each keyword's
-    /// nearest match, read off the lists.
+    /// nearest match, read off the lists. `root` is complete, so every walk
+    /// ends at a match.
     fn build_tree(&self, lists: &[&DistanceList], root: NodeId, rank_cost: f64) -> AnswerTree {
         let mut edges = Vec::new();
         let mut matches = Vec::with_capacity(lists.len());
         for list in lists {
-            matches.push(list.nearest_match(root).expect("complete root"));
-            edges.extend(list.path(root).map(|(n, next)| norm_edge(n, next)));
+            let mut at = root;
+            edges.extend(list.path(root).map(|(n, next)| {
+                at = next;
+                norm_edge(n, next)
+            }));
+            matches.push(at);
         }
         edges.sort();
         edges.dedup();

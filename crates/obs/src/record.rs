@@ -118,15 +118,15 @@ pub mod families {
     pub const RESULT_CACHE_ENTRIES: &str = "kwdb_result_cache_entries";
     /// Gauge: estimated bytes held by the result cache (label `engine`).
     pub const RESULT_CACHE_BYTES: &str = "kwdb_result_cache_bytes";
-    /// Counter: relational tupleset-cache hits — per-term tuple-set
-    /// materializations reused across queries (label `engine`).
+    /// Never emitted: there is no tuple-set cache. Kept only for
+    /// `benchmark/`, deleted by ROADMAP 1(a).
     pub const TUPLESET_CACHE_HITS: &str = "kwdb_tupleset_cache_hits_total";
-    /// Counter: relational tupleset-cache misses — terms whose tuple sets
-    /// had to be scanned from postings (label `engine`).
+    /// Never emitted: there is no tuple-set cache. Kept only for
+    /// `benchmark/`, deleted by ROADMAP 1(a).
     pub const TUPLESET_CACHE_MISSES: &str = "kwdb_tupleset_cache_misses_total";
 
     /// The `# HELP` text for a family, used by the Prometheus exporter.
-    /// Every stable family above has an entry; `None` for foreign names
+    /// Every emitted family above has an entry; `None` for foreign names
     /// (bench-local families pass through without a HELP line).
     pub fn help(family: &str) -> Option<&'static str> {
         Some(match family {
@@ -164,8 +164,6 @@ pub mod families {
             RESULT_CACHE_EVICTIONS => "Result-cache entries evicted by the byte/entry budget.",
             RESULT_CACHE_ENTRIES => "Live result-cache entries.",
             RESULT_CACHE_BYTES => "Estimated bytes held by the result cache.",
-            TUPLESET_CACHE_HITS => "Per-term tuple sets reused from the tupleset cache.",
-            TUPLESET_CACHE_MISSES => "Terms whose tuple sets were scanned from postings.",
             _ => return None,
         })
     }

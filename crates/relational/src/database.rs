@@ -182,12 +182,7 @@ impl Database {
         for column in t.schema.text_columns() {
             if let Some(text) = t.get(rid, column).as_text() {
                 for tok in tokenize(text) {
-                    let posting = Posting {
-                        tuple: tid,
-                        column,
-                        tf: 1,
-                    };
-                    self.text_index.add(&tok, posting);
+                    self.text_index.add(&tok, Posting { tuple: tid, tf: 1 });
                     tokens.push(tok);
                 }
             }
@@ -325,14 +320,8 @@ impl Database {
                 for &c in &text_cols {
                     if let Some(text) = row[c].as_text() {
                         for tok in tokenize(text) {
-                            ix.add(
-                                &tok,
-                                Posting {
-                                    tuple: TupleId::new(t.id, rid),
-                                    column: c,
-                                    tf: 1,
-                                },
-                            );
+                            let tuple = TupleId::new(t.id, rid);
+                            ix.add(&tok, Posting { tuple, tf: 1 });
                         }
                     }
                 }

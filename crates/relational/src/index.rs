@@ -15,32 +15,29 @@ use kwdb_common::intern::Sym;
 use std::collections::HashMap;
 use std::time::Duration;
 
-/// One posting: a keyword occurrence in a tuple's column.
+/// One posting: a keyword's occurrences in one tuple, over all of the
+/// tuple's text columns — the unit a tuple set `R^K` is made of.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Posting {
     pub tuple: TupleId,
-    /// Column where the keyword occurred.
-    pub column: usize,
-    /// Occurrences of the keyword within that column value.
+    /// Occurrences of the keyword in the tuple's text columns together.
     pub tf: u32,
 }
 
 impl kwdb_common::index::Posting for Posting {
-    type SortKey = (TableId, RowId, usize);
+    type SortKey = (TableId, RowId);
 
     fn sort_key(&self) -> Self::SortKey {
-        (self.tuple.table, self.tuple.row, self.column)
+        (self.tuple.table, self.tuple.row)
     }
 
-    /// `(table, row)` packed into one key. Deliberately column-blind:
-    /// cursors treat a tuple's occurrences across columns as one logical
-    /// document (they share a key, and one `remove_key` drops them all).
+    /// `(table, row)` packed into one key.
     fn key64(&self) -> u64 {
         tuple_key(self.tuple)
     }
 
     fn coalesce(&mut self, other: &Self) -> bool {
-        if self.tuple == other.tuple && self.column == other.column {
+        if self.tuple == other.tuple {
             self.tf += other.tf;
             true
         } else {
@@ -71,8 +68,8 @@ pub fn table_key_range(table: TableId) -> (u64, u64) {
 
 /// Inverted index: keyword → postings, with a per-table view.
 ///
-/// Postings are stored sorted by `(table, row, column)` so per-table runs
-/// are contiguous ("query tuple sets" in DISCOVER terms) and reachable by
+/// Postings are `(table, row, tf)`, one per tuple holding the keyword,
+/// stored sorted by `(table, row)` so per-table runs are contiguous ("query tuple sets" in DISCOVER terms) and reachable by
 /// a single cursor `seek` into [`table_key_range`].
 ///
 /// Storage is one [`TermIndex`]: one sorted list per term, which an `add`
@@ -157,15 +154,10 @@ impl InvertedIndex {
         out
     }
 
-    /// Distinct rows of `table` containing `term` (sorted, deduplicated).
+    /// Rows of `table` containing `term`, ascending.
     pub fn rows_in(&self, term: &str, table: TableId) -> Vec<RowId> {
-        let mut rows: Vec<RowId> = self
-            .postings_in(term, table)
-            .iter()
-            .map(|p| p.tuple.row)
-            .collect();
-        rows.dedup();
-        rows
+        let postings = self.postings_in(term, table);
+        postings.iter().map(|p| p.tuple.row).collect()
     }
 
     /// Number of distinct tuples (across tables) containing `term`, by one
@@ -205,21 +197,20 @@ impl InvertedIndex {
 mod tests {
     use super::*;
 
-    fn t(table: u32, row: u32, col: usize) -> Posting {
+    fn t(table: u32, row: u32) -> Posting {
         Posting {
             tuple: TupleId::new(TableId(table), RowId(row)),
-            column: col,
             tf: 1,
         }
     }
 
     fn index() -> InvertedIndex {
         let mut ix = InvertedIndex::new();
-        ix.add("xml", t(0, 0, 1));
-        ix.add("xml", t(0, 0, 1)); // duplicate occurrence, merges to tf=2
-        ix.add("xml", t(1, 3, 0));
-        ix.add("xml", t(0, 2, 1));
-        ix.add("graph", t(1, 3, 0));
+        ix.add("xml", t(0, 0));
+        ix.add("xml", t(0, 0)); // a second occurrence (any column), tf=2
+        ix.add("xml", t(1, 3));
+        ix.add("xml", t(0, 2));
+        ix.add("graph", t(1, 3));
         ix
     }
 
@@ -229,9 +220,12 @@ mod tests {
         let ps = ix.postings("xml").to_vec();
         assert_eq!(ps.len(), 3);
         assert_eq!(ps[0].tf, 2);
-        assert!(ps
-            .windows(2)
-            .all(|w| (w[0].tuple.table, w[0].tuple.row) <= (w[1].tuple.table, w[1].tuple.row)));
+        assert!(ps.windows(2).all(|w| w[0].tuple < w[1].tuple));
+    }
+
+    #[test]
+    fn a_posting_is_a_tuple_and_a_count() {
+        assert_eq!(std::mem::size_of::<Posting>(), 12);
     }
 
     #[test]
@@ -243,7 +237,7 @@ mod tests {
     }
 
     #[test]
-    fn rows_in_dedups() {
+    fn rows_in_lists_matching_rows() {
         let ix = index();
         assert_eq!(ix.rows_in("xml", TableId(0)), vec![RowId(0), RowId(2)]);
     }
@@ -281,7 +275,7 @@ mod tests {
         let stats = ix.index_stats();
         assert_eq!(stats.terms, 2);
         assert_eq!(stats.postings, 4);
-        assert_eq!(stats.posting_bytes, 4 * std::mem::size_of::<Posting>());
+        assert_eq!(stats.posting_bytes, 4 * 12);
         assert!(stats.build.is_none(), "unit-built index is untimed");
     }
 

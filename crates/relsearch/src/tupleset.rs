@@ -12,57 +12,25 @@
 //! needs ([`crate::score::ScoreTable`]): no executor goes back to the
 //! tuple's text to rank it.
 
-use kwdb_common::index::Postings;
-use kwdb_common::{KwdbError, Result, ShardedCache};
-use kwdb_relational::index::Posting;
+use kwdb_common::{CacheConfig, KwdbError, Result};
+use kwdb_relational::index::{tuple_key, Posting};
 use kwdb_relational::{Database, RowId, TableId};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Most keywords one query may have: tuple-set masks are `u32` bitmasks.
 pub const MAX_KEYWORDS: usize = 32;
 
-/// One term's materialized match list: the `(table << 32 | row)` key of
-/// every live tuple containing the term, ascending, and beside each key the
-/// term's frequency in that tuple (posting `tf` summed over the tuple's
-/// columns).
-#[derive(Debug, Default)]
-pub struct TermList {
-    keys: Vec<u64>,
-    tfs: Vec<u32>,
-}
+/// Holds nothing: tuple sets are built from the index's postings directly.
+/// Kept only for `benchmark/`, deleted by ROADMAP 1(a).
+#[derive(Debug)]
+pub struct TermCache;
 
-impl TermList {
-    /// Read a term's postings (deleted tuples' postings are already gone
-    /// from the list). Postings arrive in `(table, row, column)` order, so
-    /// one tuple's columns are adjacent.
-    fn from_postings(postings: Postings<'_, Posting>) -> Self {
-        let mut list = TermList::default();
-        for p in postings.iter() {
-            let key = kwdb_relational::index::tuple_key(p.tuple);
-            if list.keys.last() == Some(&key) {
-                *list.tfs.last_mut().expect("one tf per key") += p.tf;
-            } else {
-                list.keys.push(key);
-                list.tfs.push(p.tf);
-            }
-        }
-        list
-    }
-
-    /// Bytes charged to the cache budget: both columns, their two `Vec`
-    /// headers and the `Arc` counts.
-    fn cache_bytes(&self) -> usize {
-        self.keys.len() * 8 + self.tfs.len() * 4 + 64
+impl TermCache {
+    /// Kept only for `benchmark/`, deleted by ROADMAP 1(a).
+    pub fn new(_: CacheConfig) -> Self {
+        TermCache
     }
 }
-
-/// The relational engine's per-term tuple-set cache: materialized
-/// [`TermList`]s keyed by `(generation, term symbol)`. The generation in
-/// the key is the whole invalidation story — every mutation (ingest,
-/// delete, commit) bumps it, stale entries stop matching, and the LRU sweep
-/// reclaims them.
-pub type TermCache = ShardedCache<(u64, u32), Arc<TermList>>;
 
 /// One non-empty tuple set `R^K`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -102,52 +70,10 @@ impl TupleSets {
     /// Requires a fresh full-text index on `db`; more than [`MAX_KEYWORDS`]
     /// keywords is an [`KwdbError::InvalidQuery`].
     ///
-    /// Each keyword's postings are read once into a [`TermList`] and the
-    /// lists are merged into the exact-subset partition.
+    /// One dictionary lookup per keyword, then one merge over the keywords'
+    /// posting lists; absent keywords have no postings and simply contribute
+    /// no mask bits.
     pub fn build<S: AsRef<str>>(db: &Database, keywords: &[S]) -> Result<Self> {
-        Self::build_with(db, keywords, |_, postings| {
-            Arc::new(TermList::from_postings(postings))
-        })
-    }
-
-    /// [`TupleSets::build`] through the per-term cache: each keyword's
-    /// [`TermList`] is fetched from `cache` (keyed by the database's
-    /// current generation and the term's symbol) or materialized from its
-    /// postings and stored. Returns the tuple sets plus this query's
-    /// (hit, miss) counts against the cache.
-    ///
-    /// Equivalent to `build` for any index state — proven by the cache
-    /// parity tests — because a list materialized at generation `g` can
-    /// only be observed while the index is still at `g`.
-    pub fn build_cached<S: AsRef<str>>(
-        db: &Database,
-        keywords: &[S],
-        cache: &TermCache,
-    ) -> Result<(Self, u64, u64)> {
-        let generation = db.generation();
-        let (mut hits, mut misses) = (0u64, 0u64);
-        let ts = Self::build_with(db, keywords, |sym, postings| {
-            let key = (generation, sym);
-            if let Some(list) = cache.get(&key) {
-                hits += 1;
-                return list;
-            }
-            misses += 1;
-            let list = Arc::new(TermList::from_postings(postings));
-            cache.insert(key, Arc::clone(&list), list.cache_bytes());
-            list
-        })?;
-        Ok((ts, hits, misses))
-    }
-
-    /// One dictionary lookup per keyword, then `list_of(symbol, postings)`
-    /// for each keyword the dictionary knows; absent keywords have no
-    /// postings and simply contribute no mask bits.
-    fn build_with<S: AsRef<str>>(
-        db: &Database,
-        keywords: &[S],
-        mut list_of: impl FnMut(u32, Postings<'_, Posting>) -> Arc<TermList>,
-    ) -> Result<Self> {
         if keywords.len() > MAX_KEYWORDS {
             return Err(KwdbError::InvalidQuery(format!(
                 "{} keywords; a relational query takes at most {MAX_KEYWORDS}",
@@ -155,27 +81,35 @@ impl TupleSets {
             )));
         }
         let ix = db.text_index()?;
-        let mut lists = Vec::with_capacity(keywords.len());
-        for (i, kw) in keywords.iter().enumerate() {
-            if let Some(sym) = ix.sym(kw.as_ref()) {
-                lists.push((i as u32, list_of(sym.0, ix.postings_sym(sym))));
-            }
-        }
+        let lists: Vec<(u32, &[Posting])> = (keywords.iter().enumerate())
+            .filter_map(|(i, kw)| Some((i as u32, ix.sym(kw.as_ref())?)))
+            .map(|(bit, sym)| (bit, ix.postings_sym(sym).as_slice()))
+            .collect();
         Ok(Self::partition(&lists, keywords.len()))
     }
 
-    /// The exact-subset partition: a k-way merge over the keywords' sorted
-    /// [`TermList`]s, each paired with its keyword's bit. Tuple keys
-    /// `(table, row)` come out ascending with the mask of lists holding
-    /// them, so the per-set and per-table row vectors are sorted with no
-    /// post-sort, and a row's frequencies land in keyword order because the
-    /// lists are.
+    /// [`TupleSets::build`], with 0 cache hits and 0 misses. Kept only for
+    /// `benchmark/`, deleted by ROADMAP 1(a).
+    pub fn build_cached<S: AsRef<str>>(
+        db: &Database,
+        keywords: &[S],
+        _: &TermCache,
+    ) -> Result<(Self, u64, u64)> {
+        Ok((Self::build(db, keywords)?, 0, 0))
+    }
+
+    /// The exact-subset partition: a k-way merge over the keywords' posting
+    /// lists, each paired with its keyword's bit. A list holds one posting
+    /// per tuple, in `(table, row)` order, so tuples come out ascending with
+    /// the mask of lists holding them: the per-set and per-table row vectors
+    /// are sorted with no post-sort, and a row's frequencies land in keyword
+    /// order because the lists are.
     ///
     /// Ascending keys also mean a table's rows are contiguous: the table's
     /// `matched` vector and its few `(mask → set)` slots are plain locals
     /// while its rows stream by, and reach the maps once, when the table
     /// changes. No row is hashed.
-    fn partition(lists: &[(u32, Arc<TermList>)], n_keywords: usize) -> Self {
+    fn partition(lists: &[(u32, &[Posting])], n_keywords: usize) -> Self {
         let mut out = TupleSets {
             n_keywords,
             ..Default::default()
@@ -188,11 +122,12 @@ impl TupleSets {
         let mut open: Vec<TupleSet> = Vec::new();
         let mut matched: Vec<RowId> = Vec::new();
         let mut at = 0usize;
+        let key = |list: &[Posting], i: usize| list.get(i).map(|p| tuple_key(p.tuple));
         loop {
             let min = lists
                 .iter()
                 .zip(&idx)
-                .filter_map(|((_, list), &i)| list.keys.get(i).copied())
+                .filter_map(|(&(_, list), &i)| key(list, i))
                 .min();
             let Some(min) = min else { break };
             if TableId((min >> 32) as u32) != table {
@@ -201,10 +136,10 @@ impl TupleSets {
             }
             let mut mask = 0u32;
             row_tfs.clear();
-            for ((bit, list), i) in lists.iter().zip(&mut idx) {
-                if list.keys.get(*i) == Some(&min) {
+            for (&(bit, list), i) in lists.iter().zip(&mut idx) {
+                if key(list, *i) == Some(min) {
                     mask |= 1 << bit;
-                    row_tfs.push(list.tfs[*i]);
+                    row_tfs.push(list[*i].tf);
                     *i += 1;
                 }
             }
@@ -412,57 +347,6 @@ mod tests {
         assert!(ts.covers_all_keywords());
     }
 
-    fn assert_same_partition(db: &Database, a: &TupleSets, b: &TupleSets) {
-        assert_eq!(a.n_keywords(), b.n_keywords());
-        assert_eq!(a.covers_all_keywords(), b.covers_all_keywords());
-        for table in ["conference", "author", "paper", "write"] {
-            let t = db.table_id(table).unwrap();
-            assert_eq!(a.masks_for(t), b.masks_for(t), "masks for {table}");
-            for mask in a.masks_for(t) {
-                assert_eq!(
-                    a.get(t, mask).unwrap().rows,
-                    b.get(t, mask).unwrap().rows,
-                    "rows for {table} mask {mask:b}"
-                );
-            }
-            assert_eq!(a.free_rows(db, t), b.free_rows(db, t), "free rows {table}");
-        }
-    }
-
-    #[test]
-    fn cached_build_matches_uncached_and_hits_on_repeat() {
-        let db = db();
-        let cache = TermCache::new(kwdb_common::CacheConfig::default());
-        let plain = TupleSets::build(&db, &["widom", "xml"]).unwrap();
-        let (cached, hits, misses) =
-            TupleSets::build_cached(&db, &["widom", "xml"], &cache).unwrap();
-        assert_eq!((hits, misses), (0, 2));
-        assert_same_partition(&db, &plain, &cached);
-        let (again, hits, misses) =
-            TupleSets::build_cached(&db, &["widom", "xml"], &cache).unwrap();
-        assert_eq!((hits, misses), (2, 0));
-        assert_same_partition(&db, &plain, &again);
-        // A query with an unknown term never touches the cache for it.
-        let (_, hits, misses) =
-            TupleSets::build_cached(&db, &["widom", "nonexistent"], &cache).unwrap();
-        assert_eq!((hits, misses), (1, 0));
-    }
-
-    #[test]
-    fn generation_bump_invalidates_cached_terms() {
-        let mut db = db();
-        let cache = TermCache::new(kwdb_common::CacheConfig::default());
-        let (_, _, misses) = TupleSets::build_cached(&db, &["xml"], &cache).unwrap();
-        assert_eq!(misses, 1);
-        db.insert("paper", vec![12.into(), "XML twig joins".into(), 1.into()])
-            .unwrap();
-        db.build_text_index();
-        let (fresh, hits, misses) = TupleSets::build_cached(&db, &["xml"], &cache).unwrap();
-        assert_eq!((hits, misses), (0, 1), "new generation must re-materialize");
-        let plain = TupleSets::build(&db, &["xml"]).unwrap();
-        assert_same_partition(&db, &plain, &fresh);
-    }
-
     /// The partition by definition: every live row of every table is
     /// tokenized, the query keywords it holds are its mask and their
     /// occurrence counts its frequencies, and rows go to their `(table,
@@ -532,14 +416,48 @@ mod tests {
             )
             .unwrap();
         }
+        // A table with three text columns: a keyword's postings there sum
+        // its occurrences over all of them.
+        db.create_table(
+            TableBuilder::new("product")
+                .column("id", ColumnType::Int)
+                .column("name", ColumnType::Text)
+                .column("brand", ColumnType::Text)
+                .column("price", ColumnType::Int)
+                .column("description", ColumnType::Text)
+                .primary_key("id"),
+        )
+        .unwrap();
+        let product = |id: i64, rng: &mut Rng| -> Vec<kwdb_common::Value> {
+            let texts = [text(rng), text(rng), text(rng)];
+            let [name, brand, description] = texts.map(Into::into);
+            vec![id.into(), name, brand, 100.into(), description]
+        };
+        for id in 0..40 {
+            db.insert("product", product(id, &mut rng)).unwrap();
+        }
+        let in_three_columns = vec![
+            40.into(),
+            "xml stream".into(),
+            "xml".into(),
+            100.into(),
+            "stream xml data".into(),
+        ];
+        db.insert("product", in_three_columns).unwrap();
         db.build_text_index();
         // ingests and deletes on top of the built index
         for pid in 150..190 {
             let row = vec![pid.into(), text(&mut rng).into(), (pid % 6).into()];
             db.ingest("paper", row).unwrap();
         }
+        for id in 41..60 {
+            db.ingest("product", product(id, &mut rng)).unwrap();
+        }
         for pid in (0..190).step_by(7) {
             db.delete("paper", &pid.into()).unwrap();
+        }
+        for id in (3..60).step_by(5) {
+            db.delete("product", &id.into()).unwrap();
         }
         let queries: [&[&str]; 6] = [
             &["xml"],
@@ -570,7 +488,12 @@ mod tests {
         let all = TupleSets::build(&db, queries[4]).unwrap();
         let author = db.table_id("author").unwrap();
         assert!(all.get(author, 0b1111).unwrap().rows.contains(&RowId(60)));
+        let product = db.table_id("product").unwrap();
+        let xml = TupleSets::build(&db, &["xml"]).unwrap();
+        let set = xml.get(product, 0b1).unwrap();
+        let at = set.rows.binary_search(&RowId(40)).unwrap();
+        assert_eq!(set.row_tfs(at), [3], "one posting, tf summed over columns");
     }
 
-    use kwdb_relational::RowId;
+    use kwdb_relational::{ColumnType, RowId, TableBuilder};
 }

@@ -69,8 +69,8 @@
 //! change *and* maintain the index incrementally (each edits the touched
 //! posting lists in place and the corpus statistics), and `commit` is a
 //! generation event with no index work. Every successful mutation bumps a
-//! monotonic **generation counter** which keys the result and tuple-set
-//! caches and stamps the flight-recorder records, so cached answers and
+//! monotonic **generation counter** which keys the result cache and
+//! stamps the flight-recorder records, so cached answers and
 //! diagnostics can never silently describe an older database. (The CN plan
 //! cache needs no generation: a plan depends on the data only through which
 //! tuple sets are non-empty, and that is its key.) A query holds the engine

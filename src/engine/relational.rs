@@ -16,7 +16,7 @@ use kwdb_common::{
 };
 use kwdb_explore::summary::{object_summary, render_summary};
 use kwdb_obs::{
-    families, record_generation, record_index_stats, Counter, EngineInstruments, MetricsRegistry,
+    families, record_generation, record_index_stats, EngineInstruments, MetricsRegistry,
     TraceBuilder, Watermark,
 };
 use kwdb_qclean::segment::{clean_query, ValuePhraseModel};
@@ -28,9 +28,8 @@ use kwdb_relsearch::facets::{
 };
 use kwdb_relsearch::pexec::{parallel_topk_planned, EvalScratch};
 use kwdb_relsearch::topk::{CnExecOutcome, TopKQuery};
-use kwdb_relsearch::tupleset::TermCache;
 use kwdb_relsearch::{Refinement, ResultScorer, TupleSets};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, RwLock};
 
 /// A rendered relational hit.
 #[derive(Debug, Clone)]
@@ -65,13 +64,12 @@ pub struct RelationalConfig {
     /// per data generation that sees a cleaning query (`clean_model`).
     /// Default `false`: unknown keywords simply match nothing.
     pub clean_queries: bool,
-    /// The engine's generation-keyed query caches: one [`CacheConfig`]
-    /// sizes both the **result cache** (whole sealed responses, keyed by
-    /// generation + normalized terms + algorithm, `k`, facets, refinements
-    /// and summary size) and the **tuple-set term cache** (per-term sorted
-    /// tuple-key lists). Enabled by default; pass [`CacheConfig::disabled`]
-    /// for fully deterministic per-query counters (determinism suites), or
-    /// opt single requests out with [`SearchRequest::caching`].
+    /// The **result cache**: whole sealed responses, keyed by generation +
+    /// normalized terms + algorithm, `k`, facets, refinements and summary
+    /// size. Enabled by default; pass [`CacheConfig::disabled`] for fully
+    /// deterministic per-query counters (determinism suites), or opt single
+    /// requests out with [`SearchRequest::caching`]. Tuple sets are built
+    /// from the index on every computed query, whatever this says.
     pub result_cache: CacheConfig,
 }
 
@@ -147,9 +145,6 @@ pub struct RelationalEngine {
     /// The plan cache's evictions already published to the registry.
     plan_evictions_published: Watermark,
     obs: Option<EngineInstruments>,
-    /// `kwdb_tupleset_cache_{hits,misses}_total`, resolved at the first
-    /// computed query that reads through the term cache.
-    tupleset_counters: OnceLock<[Arc<Counter>; 2]>,
     /// Join and count buffers, pooled across queries: each running query
     /// checks one out.
     scratch: ScratchPool<EvalScratch>,
@@ -160,9 +155,6 @@ pub struct RelationalEngine {
     /// Whole sealed responses by generation and request shape: a repeat
     /// query skips build/plan/evaluate entirely.
     result_cache: ResultCache<RelationalHit>,
-    /// Per-term sorted tuple-key lists (each key with the term's frequency
-    /// in the tuple) by generation, shared by queries that mention the term.
-    tupleset_cache: TermCache,
 }
 
 impl RelationalEngine {
@@ -179,11 +171,9 @@ impl RelationalEngine {
             cn_cache: ShardedCache::new(entry_capped(cfg.max_cache_entries)),
             plan_evictions_published: Watermark::default(),
             obs: None,
-            tupleset_counters: OnceLock::new(),
             scratch: ScratchPool::new(),
             clean: ShardedCache::new(entry_capped(1)),
             result_cache: ResultCache::new(cfg.result_cache),
-            tupleset_cache: TermCache::new(cfg.result_cache),
         }
     }
 
@@ -389,24 +379,7 @@ impl RelationalEngine {
                 refinements: &refinements,
             };
 
-            let ts = if self.cfg.result_cache.enabled {
-                let (ts, ts_hits, ts_misses) =
-                    TupleSets::build_cached(db, keywords, &self.tupleset_cache)?;
-                if let Some(reg) = self.registry() {
-                    let [hits, misses] = self.tupleset_counters.get_or_init(|| {
-                        let labels = [("engine", "relational")];
-                        [
-                            reg.counter(families::TUPLESET_CACHE_HITS, &labels),
-                            reg.counter(families::TUPLESET_CACHE_MISSES, &labels),
-                        ]
-                    });
-                    hits.add(ts_hits);
-                    misses.add(ts_misses);
-                }
-                ts
-            } else {
-                TupleSets::build(db, keywords)?
-            };
+            let ts = TupleSets::build(db, keywords)?;
             stats.phases.build = sw.lap();
             if !ts.covers_all_keywords() {
                 tb.event("tuple sets", || vec![field("covers_all_keywords", false)]);

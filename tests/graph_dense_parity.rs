@@ -119,7 +119,7 @@ fn list_bits(g: &DataGraph, kw: &str) -> Option<ListBits> {
     let list = list(g, kw)?;
     let per_node = g
         .iter()
-        .map(|n| list.get(n).map(|(d, m)| (d.to_bits(), m)))
+        .map(|n| Some((list.dist(n)?.to_bits(), list.nearest_match(n)?)))
         .collect();
     Some((per_node, list.sorted().to_vec()))
 }
@@ -252,7 +252,8 @@ fn distance_classes_number_the_distinct_distances_in_order() {
             for node in g.iter() {
                 let class = list.class(node);
                 let unreachable = class == DistanceList::UNREACHABLE;
-                assert_eq!(unreachable, list.get(node).is_none(), "{ctx} {node:?}");
+                assert_eq!(unreachable, list.dist(node).is_none(), "{ctx} {node:?}");
+                assert_eq!(unreachable, list.nearest_match(node).is_none(), "{ctx}");
                 if let Some(d) = list.dist(node) {
                     let level = levels[class as usize];
                     assert_eq!(level.to_bits(), d.to_bits(), "{ctx} {node:?}");

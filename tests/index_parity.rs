@@ -21,8 +21,9 @@ fn relational_index_matches_naive_recomputation() {
     });
     let ix = db.text_index().expect("index built");
 
-    // Naive reference: term → tuple/column → tf, straight off the tables.
-    type Key = (kwdb::relational::TableId, kwdb::relational::RowId, usize);
+    // Naive reference: term → tuple → tf over all its text columns,
+    // straight off the tables.
+    type Key = (kwdb::relational::TableId, kwdb::relational::RowId);
     let mut reference: BTreeMap<String, BTreeMap<Key, u32>> = BTreeMap::new();
     for t in db.tables() {
         let text_cols: Vec<usize> = t.schema.text_columns().collect();
@@ -33,7 +34,7 @@ fn relational_index_matches_naive_recomputation() {
                         *reference
                             .entry(tok)
                             .or_default()
-                            .entry((t.id, rid, c))
+                            .entry((t.id, rid))
                             .or_insert(0) += 1;
                     }
                 }
@@ -48,18 +49,13 @@ fn relational_index_matches_naive_recomputation() {
         assert_eq!(postings, ix.postings_sym(sym), "string vs Sym parity");
         let got: Vec<(Key, u32)> = postings
             .iter()
-            .map(|p| ((p.tuple.table, p.tuple.row, p.column), p.tf))
+            .map(|p| ((p.tuple.table, p.tuple.row), p.tf))
             .collect();
         let want: Vec<(Key, u32)> = occs.iter().map(|(&k, &tf)| (k, tf)).collect();
         assert_eq!(got, want, "postings for {term:?} (sorted + coalesced)");
 
-        // df = distinct tuples; total_tf = total occurrences
-        let distinct_tuples = occs
-            .keys()
-            .map(|&(t, r, _)| (t, r))
-            .collect::<std::collections::BTreeSet<_>>()
-            .len();
-        assert_eq!(ix.doc_freq(term), distinct_tuples, "df for {term:?}");
+        // df = tuples = postings; total_tf = total occurrences
+        assert_eq!(ix.doc_freq(term), occs.len(), "df for {term:?}");
         assert_eq!(
             ix.term_stats(sym).total_tf,
             occs.values().map(|&tf| tf as u64).sum::<u64>(),
@@ -174,7 +170,9 @@ fn node2kw_index_sym_parity_over_full_vocabulary() {
         assert_eq!(list.sorted().len(), dist.len(), "{kw}: reachable nodes");
         for n in g.iter() {
             let want = dist.get(&n).map(|&d| (d.to_bits(), origin[&n]));
-            let got = list.get(n).map(|(d, m)| (d.to_bits(), m));
+            let got = list
+                .dist(n)
+                .map(|d| (d.to_bits(), list.nearest_match(n).unwrap()));
             assert_eq!(got, want, "{kw} {n:?}");
         }
     }

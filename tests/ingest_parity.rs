@@ -14,6 +14,7 @@ use kwdb::engine::{
 };
 use kwdb::relational::database::dblp_schema;
 use kwdb::relational::index::{tuple_key, Posting};
+use kwdb::relational::schema::{ColumnType, TableBuilder};
 use kwdb::relational::{Database, Row, RowId, TableId, TupleId};
 use kwdb_common::index::{TermIndex, TermStats};
 use kwdb_common::{FacetSpec, KwdbError, Rng, Value};
@@ -176,10 +177,10 @@ fn ingest_matches_rebuild() {
     }
 }
 
-/// A term's postings as `(table, primary key, column, tf)`: row ids differ
-/// between a database that deleted rows and one that never held them,
-/// primary keys do not.
-fn keyed(db: &Database, term: &str) -> Vec<(u32, String, usize, u32)> {
+/// A term's postings as `(table, primary key, tf)`: row ids differ between
+/// a database that deleted rows and one that never held them, primary keys
+/// do not.
+fn keyed(db: &Database, term: &str) -> Vec<(u32, String, u32)> {
     let ix = db.text_index().unwrap();
     ix.postings(term)
         .iter()
@@ -187,7 +188,7 @@ fn keyed(db: &Database, term: &str) -> Vec<(u32, String, usize, u32)> {
             let t = db.table(p.tuple.table);
             let pk = t.schema.primary_key.unwrap();
             let key = t.get(p.tuple.row, pk).to_string();
-            (p.tuple.table.0, key, p.column, p.tf)
+            (p.tuple.table.0, key, p.tf)
         })
         .collect()
 }
@@ -236,6 +237,88 @@ fn term_stats_match_rebuild_exactly() {
     }
 }
 
+/// One posting per tuple: a term in several text columns of one tuple is a
+/// single posting whose `tf` sums the columns, the same after a batch build
+/// and after `ingest`.
+#[test]
+fn a_term_in_several_columns_is_one_posting_with_the_summed_tf() {
+    const WORDS: &[&str] = &["ibm", "thinkpad", "laptop", "business", "apple"];
+    let mut rng = Rng::seed_from_u64(0xC015);
+    let text = |rng: &mut Rng| {
+        let words: Vec<&str> = (0..rng.gen_index(4)).map(|_| *rng.choose(WORDS)).collect();
+        words.join(" ")
+    };
+    let mut rows: Vec<Row> = (0..40)
+        .map(|id| {
+            let (name, brand, description) = (text(&mut rng), text(&mut rng), text(&mut rng));
+            vec![
+                id.into(),
+                name.into(),
+                brand.into(),
+                500.into(),
+                description.into(),
+            ]
+        })
+        .collect();
+    rows.push(vec![
+        40.into(),
+        "ibm thinkpad".into(),
+        "ibm".into(),
+        900.into(),
+        "ibm business laptop".into(),
+    ]);
+    let products = |rows: &[Row]| {
+        let mut db = Database::new();
+        db.create_table(
+            TableBuilder::new("product")
+                .column("id", ColumnType::Int)
+                .column("name", ColumnType::Text)
+                .column("brand", ColumnType::Text)
+                .column("price", ColumnType::Int)
+                .column("description", ColumnType::Text)
+                .primary_key("id"),
+        )
+        .unwrap();
+        for row in rows {
+            db.insert("product", row.clone()).unwrap();
+        }
+        db.build_text_index();
+        db
+    };
+    let batch = products(&rows);
+    let mut ingested = products(&rows[..20]);
+    for row in &rows[20..] {
+        ingested.ingest("product", row.clone()).unwrap();
+    }
+    let ix = batch.text_index().unwrap();
+    for term in WORDS {
+        let postings = ix.postings(term);
+        assert_eq!(postings, ingested.text_index().unwrap().postings(term));
+        assert!(
+            postings
+                .iter()
+                .zip(postings.iter().skip(1))
+                .all(|(a, b)| a.tuple < b.tuple),
+            "{term}: one posting per tuple"
+        );
+        for p in postings {
+            let tf = batch
+                .tuple_tokens(p.tuple)
+                .iter()
+                .filter(|t| t == term)
+                .count();
+            assert_eq!(p.tf as usize, tf, "{term} in {:?}", p.tuple);
+        }
+    }
+    let last = TupleId::new(TableId(0), RowId(40));
+    let ibm: Vec<Posting> = ix
+        .postings("ibm")
+        .iter()
+        .filter(|p| p.tuple == last)
+        .collect();
+    assert_eq!(ibm, [Posting { tuple: last, tf: 3 }]);
+}
+
 #[test]
 fn deletes_match_a_database_never_holding_the_rows() {
     let rows = workload(3, 10, 24, 0xDE1);
@@ -269,13 +352,12 @@ fn term_index_add_remove_round_trip() {
     // Property check on the index core alone: pseudo-random adds (repeats
     // coalesce) and document removals against a sorted-coalesced model,
     // every list and its exact stats checked after every step.
-    type Model = BTreeMap<String, BTreeMap<(u32, u32, usize), u32>>;
+    type Model = BTreeMap<String, BTreeMap<(u32, u32), u32>>;
     let mut rng = Rng::seed_from_u64(0x5E9);
     let mut ix: TermIndex<Posting> = TermIndex::new();
     let mut model: Model = BTreeMap::new();
-    let posting = |(table, row, column): (u32, u32, usize), tf| Posting {
+    let posting = |(table, row): (u32, u32), tf| Posting {
         tuple: TupleId::new(TableId(table), RowId(row)),
-        column,
         tf,
     };
     let check = |ix: &TermIndex<Posting>, model: &Model| {
@@ -283,10 +365,8 @@ fn term_index_add_remove_round_trip() {
             let want: Vec<Posting> = occs.iter().map(|(&k, &tf)| posting(k, tf)).collect();
             let sym = ix.sym(term).unwrap();
             assert_eq!(ix.postings(sym), want, "term {term:?}");
-            let mut docs: Vec<(u32, u32)> = occs.keys().map(|&(t, r, _)| (t, r)).collect();
-            docs.dedup();
             let stats = TermStats {
-                df: docs.len() as u64,
+                df: occs.len() as u64,
                 total_tf: occs.values().map(|&tf| tf as u64).sum(),
             };
             assert_eq!(ix.term_stats(sym), stats, "stats of {term:?}");
@@ -303,15 +383,14 @@ fn term_index_add_remove_round_trip() {
             let removed = ix.remove_key(&term, tuple_key(tuple));
             let gone = model.get_mut(&term).map_or(0, |occs| {
                 let before = occs.len();
-                occs.retain(|&(t, r, _), _| (t, r) != doc);
+                occs.retain(|&key, _| key != doc);
                 before - occs.len()
             });
             assert_eq!(removed, gone, "removed count");
             removed_total += removed;
         } else {
-            let key = (doc.0, doc.1, rng.gen_index(2));
-            ix.add(&term, posting(key, 1));
-            *model.entry(term).or_default().entry(key).or_default() += 1;
+            ix.add(&term, posting(doc, 1));
+            *model.entry(term).or_default().entry(doc).or_default() += 1;
         }
         check(&ix, &model);
     }

@@ -7,9 +7,8 @@
 //! tests state that the two are the *same number* — for every row of every
 //! tuple set, and for the engine's top-k against `topk::naive` — in every
 //! state the index passes through (built, ingested into, committed, a
-//! primary key deleted and ingested again, rebuilt from scratch), through
-//! `TupleSets::build` and
-//! `build_cached` alike. The fixture has what makes a frequency more than a
+//! primary key deleted and ingested again, rebuilt from scratch). The
+//! fixture has what makes a frequency more than a
 //! flag: two text columns holding the same term, tuples with tf ≥ 2, a
 //! query that repeats a keyword and one whose keyword no tuple contains.
 //! `Scoring::Spark` is the same executor over `watf` columns: the second test
@@ -24,7 +23,6 @@ use kwdb::relsearch::pexec::{parallel_topk_budgeted, EvalScratch};
 use kwdb::relsearch::score::ScoreTable;
 use kwdb::relsearch::spark::naive_spark;
 use kwdb::relsearch::topk::{naive, TopKQuery};
-use kwdb::relsearch::tupleset::TermCache;
 use kwdb::relsearch::{CandidateNetwork, Refinement, ResultScorer, TupleSets};
 use kwdb_common::{Budget, CacheConfig, FacetSpec, Rng, ScratchPool};
 
@@ -142,62 +140,45 @@ fn engine_cns(db: &Database, ts: &TupleSets) -> Vec<CandidateNetwork> {
 }
 
 /// Everything the suite claims, on one engine state.
-fn check(engine: &RelationalEngine, cache: &TermCache, what: &str) {
+fn check(engine: &RelationalEngine, what: &str) {
     let db = engine.database();
     let scorer = ResultScorer::new(&*db);
     let pool: ScratchPool<EvalScratch> = ScratchPool::new();
     for kws in queries() {
         let ctx = format!("{what}, query {kws:?}");
-        let plain = TupleSets::build(&db, &kws).unwrap();
-        let (cold, _, _) = TupleSets::build_cached(&db, &kws, cache).unwrap();
-        let (warm, hits, misses) = TupleSets::build_cached(&db, &kws, cache).unwrap();
-        let known = kws.iter().filter(|k| **k != "nosuchterm").count() as u64;
-        assert_eq!(
-            (hits, misses),
-            (known, 0),
-            "{ctx}: second build is all hits"
-        );
-
-        for ts in [&plain, &cold, &warm] {
-            assert_eq!(ts.keys(), plain.keys(), "{ctx}");
-            let table = ScoreTable::new(ts, &scorer, &kws, Scoring::Monotone);
-            let bounds = ScoreTable::new(ts, &scorer, &kws, Scoring::Spark);
-            for (t, mask) in ts.keys() {
-                let set = ts.get(t, mask).unwrap();
+        let ts = TupleSets::build(&db, &kws).unwrap();
+        let table = ScoreTable::new(&ts, &scorer, &kws, Scoring::Monotone);
+        let bounds = ScoreTable::new(&ts, &scorer, &kws, Scoring::Spark);
+        for (t, mask) in ts.keys() {
+            let set = ts.get(t, mask).unwrap();
+            let column = table.column(t, mask).unwrap().scores();
+            let watf = bounds.column(t, mask).unwrap().scores();
+            assert_eq!(column.len(), set.rows.len(), "{ctx}");
+            let bits: Vec<usize> = (0..kws.len()).filter(|k| mask & (1 << k) != 0).collect();
+            for (i, &row) in set.rows.iter().enumerate() {
+                let tid = TupleId::new(t, row);
+                // The frequencies are the text's …
+                let toks = db.tuple_tokens(tid);
+                let counted: Vec<u32> = bits
+                    .iter()
+                    .map(|&k| toks.iter().filter(|tok| *tok == kws[k]).count() as u32)
+                    .collect();
+                assert_eq!(set.row_tfs(i), counted, "{ctx}: tf of {tid:?}");
+                // … and so are the score and the SPARK bound.
+                let text = [scorer.tuple_score(tid, &kws), scorer.watf(tid, &kws)];
                 assert_eq!(
-                    set,
-                    plain.get(t, mask).unwrap(),
-                    "{ctx}: build ≡ build_cached"
+                    [column[i], watf[i]].map(f64::to_bits),
+                    text.map(f64::to_bits),
+                    "{ctx}: score and watf of {tid:?}"
                 );
-                let column = table.column(t, mask).unwrap().scores();
-                let watf = bounds.column(t, mask).unwrap().scores();
-                assert_eq!(column.len(), set.rows.len(), "{ctx}");
-                let bits: Vec<usize> = (0..kws.len()).filter(|k| mask & (1 << k) != 0).collect();
-                for (i, &row) in set.rows.iter().enumerate() {
-                    let tid = TupleId::new(t, row);
-                    // The frequencies are the text's …
-                    let toks = db.tuple_tokens(tid);
-                    let counted: Vec<u32> = bits
-                        .iter()
-                        .map(|&k| toks.iter().filter(|tok| *tok == kws[k]).count() as u32)
-                        .collect();
-                    assert_eq!(set.row_tfs(i), counted, "{ctx}: tf of {tid:?}");
-                    // … and so are the score and the SPARK bound.
-                    let text = [scorer.tuple_score(tid, &kws), scorer.watf(tid, &kws)];
-                    assert_eq!(
-                        [column[i], watf[i]].map(f64::to_bits),
-                        text.map(f64::to_bits),
-                        "{ctx}: score and watf of {tid:?}"
-                    );
-                }
             }
         }
 
         // The executor against the exhaustive reference, same CNs.
-        let cns = engine_cns(&db, &plain);
+        let cns = engine_cns(&db, &ts);
         let q = TopKQuery {
             db: &db,
-            ts: &plain,
+            ts: &ts,
             cns: &cns,
             scorer: &scorer,
             keywords: &kws,
@@ -253,22 +234,21 @@ fn index_scores_equal_text_scores_in_every_index_state() {
     }
     db.build_text_index();
     let engine = RelationalEngine::new(db);
-    let cache = TermCache::new(CacheConfig::default());
-    check(&engine, &cache, "built");
+    check(&engine, "built");
 
     ingest_all(&engine, (40..60).flat_map(|a| article(&mut rng, a)));
-    check(&engine, &cache, "ingested");
+    check(&engine, "ingested");
 
     engine.commit().unwrap();
-    check(&engine, &cache, "committed");
+    check(&engine, "committed");
 
     ingest_all(&engine, (60..70).flat_map(|a| article(&mut rng, a)));
-    check(&engine, &cache, "ingested after a commit");
+    check(&engine, "ingested after a commit");
 
     // A primary key deleted and ingested again with other text: the new
     // row's counts, never the deleted one's.
     engine.delete_tuple("article", &900.into()).unwrap();
-    check(&engine, &cache, "deleted");
+    check(&engine, "deleted");
     ingest_all(
         &engine,
         [(
@@ -281,15 +261,12 @@ fn index_scores_equal_text_scores_in_every_index_state() {
             ],
         )],
     );
-    check(&engine, &cache, "re-ingested");
+    check(&engine, "re-ingested");
 
     let mut rebuilt = (*engine.database()).clone();
     rebuilt.build_text_index();
     let engine = RelationalEngine::new(rebuilt);
-    // A rebuild renumbers the term dictionary without a new generation:
-    // its lists go under their own cache, as they do in an engine.
-    let cache = TermCache::new(CacheConfig::default());
-    check(&engine, &cache, "rebuilt");
+    check(&engine, "rebuilt");
 }
 
 #[test]
