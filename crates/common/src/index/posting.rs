@@ -27,8 +27,8 @@ pub trait Posting: Copy {
 
     /// A 64-bit monotone image of [`sort_key`](Self::sort_key) order:
     /// `a.sort_key() ≤ b.sort_key() ⟹ a.key64() ≤ b.key64()`. Cursors
-    /// `seek` and [`TermIndex::remove_key`](super::TermIndex::remove_key)
-    /// removes by this key.
+    /// `seek` by this key, and
+    /// [`TermIndex::remove_key`](super::TermIndex::remove_key) removes by it.
     fn key64(&self) -> u64;
 
     /// Fold `other` — an occurrence at the *same* logical position — into

@@ -317,10 +317,10 @@ impl Database {
             ix.set_tuple_count(t.id, t.live_len());
             let text_cols: Vec<usize> = t.schema.text_columns().collect();
             for (rid, row) in t.iter() {
+                let tuple = TupleId::new(t.id, rid);
                 for &c in &text_cols {
                     if let Some(text) = row[c].as_text() {
                         for tok in tokenize(text) {
-                            let tuple = TupleId::new(t.id, rid);
                             ix.add(&tok, Posting { tuple, tf: 1 });
                         }
                     }

@@ -69,8 +69,9 @@ pub fn table_key_range(table: TableId) -> (u64, u64) {
 /// Inverted index: keyword → postings, with a per-table view.
 ///
 /// Postings are `(table, row, tf)`, one per tuple holding the keyword,
-/// stored sorted by `(table, row)` so per-table runs are contiguous ("query tuple sets" in DISCOVER terms) and reachable by
-/// a single cursor `seek` into [`table_key_range`].
+/// stored sorted by `(table, row)` so per-table runs are contiguous ("query
+/// tuple sets" in DISCOVER terms) and reachable by a single cursor `seek`
+/// into [`table_key_range`].
 ///
 /// Storage is one [`TermIndex`]: one sorted list per term, which an `add`
 /// after a build (a push at the end for the newest rows) and
