@@ -45,7 +45,9 @@ impl<T> ScratchPool<T> {
 }
 
 /// RAII guard over a checked-out pool value; derefs to `T` and returns the
-/// value to its pool on drop.
+/// value to its pool on drop — unless the thread is panicking: a value
+/// dropped mid-unwind may hold half-done state a later checkout would
+/// inherit, so it is dropped with the guard instead.
 pub struct Scratch<'a, T> {
     pool: &'a ScratchPool<T>,
     item: Option<T>,
@@ -66,6 +68,9 @@ impl<T> DerefMut for Scratch<'_, T> {
 
 impl<T> Drop for Scratch<'_, T> {
     fn drop(&mut self) {
+        if std::thread::panicking() {
+            return;
+        }
         if let Some(item) = self.item.take() {
             self.pool.free.lock().expect("pool poisoned").push(item);
         }
@@ -89,6 +94,19 @@ mod tests {
         // the reused buffer keeps its contents — callers clear what they need
         let s = pool.checkout(|| panic!("must reuse, not init"));
         assert_eq!(*s, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn a_checkout_dropped_by_a_panic_is_not_pooled() {
+        let pool: ScratchPool<Vec<u32>> = ScratchPool::new();
+        let idle = pool.idle();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut s = pool.checkout(Vec::new);
+            s.push(7); // half-done work
+            panic!("mid-step");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(pool.idle(), idle, "the dirty value was pooled");
     }
 
     #[test]

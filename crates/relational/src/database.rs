@@ -491,9 +491,25 @@ impl Database {
 
     /// Render a tuple for display: `table(v1, v2, …)`.
     pub fn format_tuple(&self, tid: TupleId) -> String {
+        let mut out = String::new();
+        self.write_tuple(&mut out, tid);
+        out
+    }
+
+    /// Append [`format_tuple`](Self::format_tuple)'s rendering of `tid` to
+    /// `out`.
+    pub fn write_tuple(&self, out: &mut String, tid: TupleId) {
+        use std::fmt::Write;
         let t = self.table(tid.table);
-        let vals: Vec<String> = t.row(tid.row).iter().map(|v| v.to_string()).collect();
-        format!("{}({})", t.schema.name, vals.join(", "))
+        out.push_str(&t.schema.name);
+        out.push('(');
+        for (i, v) in t.row(tid.row).iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            let _ = write!(out, "{v}"); // (writing to a String cannot fail)
+        }
+        out.push(')');
     }
 }
 
@@ -954,5 +970,22 @@ mod tests {
             db.format_tuple(TupleId::new(author, RowId(0))),
             "author(1, Jennifer Widom)"
         );
+        // `write_tuple` appends the bytes `table(` + the values joined by
+        // ", " + `)`, for any value, NULL included.
+        let mut db = small_db();
+        db.insert("paper", vec![11.into(), "a, (b)".into(), Value::Null])
+            .unwrap();
+        let mut out = String::from("…");
+        for t in db.tables() {
+            for (rid, row) in t.iter() {
+                let values: Vec<String> = row.iter().map(|v| v.to_string()).collect();
+                let want = format!("{}({})", t.schema.name, values.join(", "));
+                let tid = TupleId::new(t.id, rid);
+                assert_eq!(db.format_tuple(tid), want);
+                out.truncate("…".len());
+                db.write_tuple(&mut out, tid);
+                assert_eq!(out, format!("…{want}"));
+            }
+        }
     }
 }

@@ -34,6 +34,7 @@
 
 use crate::cn::{CandidateNetwork, CnEdge};
 use crate::eval::JoinedResult;
+use crate::pexec::{position, EvalScratch, RowMap, NIL};
 use crate::tupleset::TupleSets;
 use kwdb_common::{Budget, FacetCount, FacetCounts, FacetSpec, Result, Value};
 use kwdb_relational::{Database, ExecStats, RowId, TableId};
@@ -343,9 +344,9 @@ impl Message {
     }
 }
 
-/// The count pass's pooled buffers (one lives in every
-/// [`EvalScratch`](crate::pexec::EvalScratch)): dense `u64`-per-row arrays,
-/// one per tree level in flight, every entry 0 between uses.
+/// The count pass's pooled buffers (one lives in every [`EvalScratch`]):
+/// dense `u64`-per-row arrays, one per tree level in flight, every entry 0
+/// between uses.
 #[derive(Debug, Default)]
 pub struct CountScratch {
     free: Vec<Message>,
@@ -397,9 +398,10 @@ pub struct FacetTally<'a> {
 /// multiplies its children's messages over its own rows, and each row left
 /// adds its count to the row's total for `v`'s table. A keyword node's own
 /// rows are its tuple set; a free node's are the rows its first message
-/// reached that match no query keyword — never its table. All of it follows
-/// the FK index, as the join does. After the last CN every row with a total
-/// hands it to its column value, once, for each facet on its table.
+/// reached that match no query keyword (`NIL` in the query's row map, the
+/// join's free-node test) — never its table. All of it follows the FK
+/// index, as the join does. After the last CN every row with a total hands
+/// it to its column value, once, for each facet on its table.
 ///
 /// [`ExecStats`]: one `join_probes` per message row sent, one
 /// `tuples_scanned` per FK chain row visited; no output rows — there are
@@ -412,7 +414,7 @@ pub fn count_facets<'a>(
     freq: &FacetRequest<'_>,
     budget: &Budget,
     stats: &ExecStats,
-    scratch: &mut CountScratch,
+    scratch: &mut EvalScratch,
 ) -> FacetTally<'a> {
     let tally = FacetTally {
         counts: FacetAccum::new(freq.facets.len()),
@@ -421,12 +423,14 @@ pub fn count_facets<'a>(
     if freq.facets.is_empty() {
         return tally;
     }
+    scratch.rows.fill(db, ts);
     let mut pass = CountPass {
         db,
         ts,
+        rows: &scratch.rows,
         budget,
         stats,
-        scratch,
+        scratch: &mut scratch.counts,
         tally,
     };
     // Counts gather per facet *table*, `row → results holding the row at a
@@ -479,7 +483,9 @@ pub fn count_facets<'a>(
         }
         pass.scratch.give(total);
     }
-    pass.tally
+    let tally = pass.tally;
+    scratch.rows.reset(ts);
+    tally
 }
 
 /// [`count_facets`]' state across CNs: what it reads, what it charges, its
@@ -487,6 +493,8 @@ pub fn count_facets<'a>(
 struct CountPass<'a, 'd> {
     db: &'d Database,
     ts: &'a TupleSets,
+    /// The query's row map, filled.
+    rows: &'a RowMap,
     budget: &'a Budget,
     stats: &'a ExecStats,
     scratch: &'a mut CountScratch,
@@ -534,9 +542,9 @@ impl CountPass<'_, '_> {
                     own
                 }
                 None => {
-                    let matched = ts.matched_rows(node.table);
+                    let map = self.rows.of(node.table);
                     sent.scale(|row| {
-                        let free = matched.binary_search(&row).is_err();
+                        let free = position(map, row) == NIL;
                         (free && admits(db, literals, node.table, row)).then_some(1)
                     });
                     sent
@@ -779,7 +787,7 @@ mod tests {
                 term("conference.name", "SIGMOD"),
             ],
         ];
-        let mut scratch = CountScratch::default();
+        let mut scratch = EvalScratch::new();
         let (mut two_conference_cns, mut split_cases) = (0, 0);
         for keywords in [
             ["widom", "xml"],
@@ -834,7 +842,13 @@ mod tests {
                 assert_eq!(sorted, cns.len() as u64);
                 assert_eq!(stats.rows_output() + stats.joins_executed(), 0);
                 let zeroed = |m: &Message| m.rows.is_empty() && m.count.iter().all(|&c| c == 0);
-                assert!(scratch.free.iter().all(zeroed), "a message left residue");
+                assert!(
+                    scratch.counts.free.iter().all(zeroed),
+                    "a message left residue"
+                );
+                let clear =
+                    |t: &kwdb_relational::Table| scratch.rows.of(t.id).iter().all(|&p| p == NIL);
+                assert!(db.tables().all(clear), "the row map left residue");
 
                 let late = Budget::unlimited().with_timeout(std::time::Duration::ZERO);
                 let tally = count_facets(&db, &ts, &cns, &freq, &late, &stats, &mut scratch);

@@ -24,18 +24,21 @@
 //!
 //! # Scoring
 //!
-//! The query's [`ScoreTable`] holds one column per tuple set, computed from
-//! the term frequencies the tuple sets kept from the postings. A CN's upper
-//! bound is its keyword nodes' column maxima over its size; a joined row is
-//! summed where it lies in the scratch buffer — over the CN's nodes, in node
-//! order, the column entry for a keyword node's row and 0 for a free node's,
-//! over the size.
+//! The query's [`ScoreTable`] holds one column per tuple set over the term
+//! frequencies the tuple sets kept from the postings: each column's exact
+//! maximum, found when the table is built, and each row's entry, computed
+//! the first time it is read. A CN's upper bound is its keyword nodes'
+//! column maxima over its size; a joined row is summed where it lies in the
+//! scratch buffer — over the CN's nodes, in node order, the column entry at
+//! a keyword node's row position (the [`EvalScratch`]'s row map gives it)
+//! and 0 for a free node's, over the size. So only rows a join reached are
+//! scored, and each once.
 //!
 //! Under [`Scoring::Monotone`] nothing reads a tuple's text: that sum *is*
 //! the row's score, and the row becomes a [`JoinedResult`] only if the
 //! top-k would accept it. The value is the text-derived reference's, bit for
-//! bit (see [`crate::score`]); a `debug_assert!` at the scoring site checks
-//! it on every result of every debug run.
+//! bit (see [`crate::score`]); debug builds assert it where a column entry
+//! is first computed and, for the sum, on every scored row.
 //!
 //! Under [`Scoring::Spark`] the columns hold `watf` and the sum is the row's
 //! *upper bound*. A row whose bound the top-k would reject is skipped;
@@ -85,15 +88,25 @@ use crate::topk::{CnExecOutcome, RankedResult, TopKQuery};
 use crate::tupleset::TupleSets;
 use kwdb_common::topk::ContentTopK;
 use kwdb_common::{Budget, ScratchPool};
-use kwdb_relational::{Database, ExecStats, RowId, TupleId};
+use kwdb_relational::{Database, ExecStats, RowId, TableId, TupleId};
 use std::ops::Deref;
 
 /// Reusable evaluation buffers, checked out of a [`ScratchPool`] once per
-/// query (an engine serving concurrent requests keeps one per thread). Nothing in it outlives one join step but the
-/// allocated capacity — and `group_head`'s length, every entry `NIL`, and
+/// query (an engine serving concurrent requests keeps one per thread).
+/// Nothing in it outlives one evaluation but the allocated capacity — and
+/// the lengths of `group_head` and the row map, every entry `NIL`, and
 /// `counts`' arrays, every entry 0.
 #[derive(Default)]
 pub struct EvalScratch {
+    join: JoinBuffers,
+    pub(crate) rows: RowMap,
+    /// [`count_facets`]' message buffers, pooled with the join's.
+    pub(crate) counts: CountScratch,
+}
+
+/// The join's own buffers.
+#[derive(Default)]
+struct JoinBuffers {
     /// Flat ping-pong intermediates: `cur` holds the joined prefix as
     /// `stride`-sized chunks of `RowId`s, `next` receives the join output.
     cur: Vec<RowId>,
@@ -105,21 +118,65 @@ pub struct EvalScratch {
     /// and is all `NIL` between steps: a step resets the entries it set.
     group_head: Vec<u32>,
     group_next: Vec<u32>,
-    /// [`count_facets`]' message buffers, pooled with the join's.
-    pub counts: CountScratch,
 }
 
-const NIL: u32 = u32::MAX;
+pub(crate) const NIL: u32 = u32::MAX;
+
+/// Where a query's keyword-matched rows sit in its tuple sets: per table,
+/// one `u32` per row slot, holding the row's position in the one tuple set
+/// that contains it (the sets are an exact-subset partition), `NIL` for a
+/// row no query keyword matches (and for every row of a table no query has
+/// matched yet: its map is empty). Filled from the tuple sets when an
+/// evaluation starts; when it ends only the entries it set are reset, so
+/// the map is all `NIL` between queries and keeps its length (the
+/// `group_head` idiom).
+#[derive(Default)]
+pub(crate) struct RowMap {
+    tables: Vec<Vec<u32>>,
+}
+
+impl RowMap {
+    pub(crate) fn fill(&mut self, db: &Database, ts: &TupleSets) {
+        for set in ts.sets() {
+            let t = set.table.0 as usize;
+            if self.tables.len() <= t {
+                self.tables.resize_with(t + 1, Vec::new);
+            }
+            let map = &mut self.tables[t];
+            let len = db.table(set.table).len();
+            if map.len() < len {
+                map.resize(len, NIL);
+            }
+            for (at, r) in set.rows.iter().enumerate() {
+                map[r.0 as usize] = at as u32;
+            }
+        }
+    }
+
+    pub(crate) fn reset(&mut self, ts: &TupleSets) {
+        for set in ts.sets() {
+            let map = &mut self.tables[set.table.0 as usize];
+            for r in &set.rows {
+                map[r.0 as usize] = NIL;
+            }
+        }
+    }
+
+    /// `table`'s map: index it with [`position`].
+    pub(crate) fn of(&self, table: TableId) -> &[u32] {
+        self.tables.get(table.0 as usize).map_or(&[], |m| m)
+    }
+}
+
+/// Where `row` sits in its tuple set, by `map` (a [`RowMap`] table's), or
+/// `NIL` when no query keyword matches it.
+pub(crate) fn position(map: &[u32], row: RowId) -> u32 {
+    map.get(row.0 as usize).copied().unwrap_or(NIL)
+}
 
 impl EvalScratch {
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Empty the buffers, keeping their capacity for the next query.
-    pub fn begin_query(&mut self) {
-        self.cur.clear();
-        self.next.clear();
     }
 }
 
@@ -136,13 +193,17 @@ pub fn evaluate_cn_pooled(
 ) -> Vec<JoinedResult> {
     let plan = join_plan(db, ts, cn);
     let unrefined = Restriction::default();
-    join_cn(db, cn, &plan, &unrefined, ts, scratch, stats, &|| false)
+    scratch.rows.fill(db, ts);
+    let EvalScratch { join, rows, .. } = scratch;
+    let results = join_cn(db, cn, &plan, &unrefined, ts, rows, join, stats, &|| false)
         .map(|chunk| {
             let mut tuples = Vec::new();
             fill_tuples(cn, &plan, chunk, &mut tuples);
             JoinedResult { tuples }
         })
-        .collect()
+        .collect();
+    rows.reset(ts);
+    results
 }
 
 /// Write the joined row `chunk` (plan order) into `tuples` in the CN's node
@@ -155,7 +216,7 @@ fn fill_tuples(cn: &CandidateNetwork, plan: &JoinPlan, chunk: &[RowId], tuples: 
     }
 }
 
-/// Join `cn` over its default row sets into `scratch` and return the joined
+/// Join `cn` over its default row sets into `join` and return the joined
 /// rows where they lie: one chunk of `cn.nodes.len()` row ids per result,
 /// in `plan.order` (not node order). The result *set* is
 /// [`crate::eval::evaluate_cn`]'s, less the rows `case` rejects: a node's
@@ -181,15 +242,17 @@ fn fill_tuples(cn: &CandidateNetwork, plan: &JoinPlan, chunk: &[RowId], tuples: 
 /// intermediate tuple looks its partners up — [`Database::referenced_row`]
 /// when the free node is the referenced side of the edge,
 /// [`Database::referencing_rows`] when it is the referencing side — and
-/// keeps those that match no query keyword. A keyword node on the
-/// referenced side is joined the same way, keeping the partner that is in
-/// its tuple set. A keyword node on the referencing side has no index from
-/// the intermediate into its tuple set, so on that one edge the tuple set
-/// probes the intermediate: the intermediate is grouped by parent row id
-/// (two pooled `u32` arrays that live for this step only — the grouping
-/// depends on this CN's prefix), and each tuple-set row finds the group of
-/// its `referenced_row`, emitting in tuple-set order, intermediate order
-/// within a group. The FK index resolves by key *value* (see
+/// keeps those that match no query keyword — `NIL` in `rows`, the query's
+/// [`RowMap`]. A keyword node on the referenced side is joined the same
+/// way, keeping the partner that is in its tuple set: the one found there
+/// at the position the map gives it (`set[map[r]] == r`). Either test is
+/// one load and one compare; no lookup searches a set. A keyword node on
+/// the referencing side has no index from the intermediate into its tuple
+/// set, so on that one edge the tuple set probes the intermediate: the
+/// intermediate is grouped by parent row id (two pooled `u32` arrays that
+/// live for this step only — the grouping depends on this CN's prefix), and
+/// each tuple-set row finds the group of its `referenced_row`, emitting in
+/// tuple-set order, intermediate order within a group. The FK index resolves by key *value* (see
 /// [`kwdb_relational::Database::referenced_row`]), so the result set is the
 /// by-value hash join's, [`crate::eval::evaluate_cn`]'s.
 ///
@@ -207,7 +270,8 @@ fn join_cn<'s>(
     plan: &JoinPlan,
     case: &Restriction<'_>,
     ts: &TupleSets,
-    scratch: &'s mut EvalScratch,
+    rows: &RowMap,
+    scratch: &'s mut JoinBuffers,
     stats: &ExecStats,
     cancel: &dyn Fn() -> bool,
 ) -> std::slice::Chunks<'s, RowId> {
@@ -257,18 +321,20 @@ fn join_cn<'s>(
         let free = cn.nodes[node].mask == 0;
         if free || e.from_side_is(parent) {
             // Each intermediate tuple looks its partners up and keeps those
-            // in the node's row set — for a free node the rows *not* among
-            // the table's keyword matches.
-            let (set, in_set) = if free {
-                (ts.matched_rows(cn.nodes[node].table), false)
-            } else {
-                (rows_of(node), true)
-            };
+            // in the node's row set — for a free node the rows the map has
+            // in no tuple set.
+            let (set, map) = (rows_of(node), rows.of(cn.nodes[node].table));
             for t in 0..ntuples {
                 probes += 1;
                 let tuple = &cur[t * stride..(t + 1) * stride];
                 let mut emit = |r: RowId| {
-                    if set.binary_search(&r).is_ok() == in_set {
+                    let at = position(map, r);
+                    let kept = if free {
+                        at == NIL
+                    } else {
+                        set.get(at as usize) == Some(&r)
+                    };
+                    if kept {
                         next.extend_from_slice(tuple);
                         next.push(r);
                     }
@@ -405,7 +471,7 @@ where
     D: Deref<Target = Database>,
 {
     let mut scratch = pool.checkout(EvalScratch::new);
-    let tally = count_facets(q.db, q.ts, q.cns, freq, budget, stats, &mut scratch.counts);
+    let tally = count_facets(q.db, q.ts, q.cns, freq, budget, stats, &mut scratch);
     drop(scratch); // back to the pool, for the executor
     let refinements = freq.refinements;
     let outcome = parallel_topk_planned(q, k, Scoring::Monotone, stats, budget, pool, refinements);
@@ -414,8 +480,9 @@ where
 
 /// The executor under either score `model`, with every CN restricted by
 /// `refinements` ([`restrictions`]; a CN they leave no case of is never
-/// considered and counts as pruned): every CN's [`JoinPlan`] is derived
-/// once and drives its join. This is the engine's one entry point.
+/// considered and counts as pruned): a CN the bound does not prune gets
+/// its [`JoinPlan`], which drives its join. This is the engine's one entry
+/// point.
 pub fn parallel_topk_planned<S, D>(
     q: &TopKQuery<'_, S, D>,
     k: usize,
@@ -438,8 +505,6 @@ where
             cns_pruned: 0,
         };
     }
-    let plans: Vec<JoinPlan> = q.cns.iter().map(|cn| join_plan(q.db, q.ts, cn)).collect();
-
     // Every tuple set's column, from the frequencies the sets carry. A CN's
     // upper bound takes each keyword node's best; free nodes add nothing.
     let scores = ScoreTable::new(q.ts, q.scorer, q.keywords, model);
@@ -483,6 +548,8 @@ where
     // refilled per joined row, allocated anew only for a row the top-k
     // keeps.
     let mut probe = JoinedResult { tuples: Vec::new() };
+    let EvalScratch { join, rows, .. } = &mut *scratch;
+    rows.fill(q.db, q.ts);
     for (pos, &j) in jobs.iter().enumerate() {
         if let Some(reason) = budget.truncation_at(pos as u64) {
             truncation = Some(reason);
@@ -491,15 +558,18 @@ where
         if !top.would_accept(bounds[j]) {
             continue; // strictly below the k-th best: pruned
         }
-        let (cn, plan) = (&q.cns[j], &plans[j]);
+        let cn = &q.cns[j];
+        let plan = join_plan(q.db, q.ts, cn);
         evaluated += 1;
         // Per node, in node order: where its row sits in a joined chunk
-        // and, for a keyword node, its tuple set's score column. A free
-        // node has none — its tuples score 0.
+        // and, for a keyword node, its tuple set's score column and its
+        // table's row map. A free node has none — its tuples score 0.
         let columns: Vec<_> = (0..cn.nodes.len())
             .map(|ni| {
+                let node = cn.nodes[ni];
                 let slot = plan.order.iter().position(|&o| o == ni);
-                let column = scores.column(cn.nodes[ni].table, cn.nodes[ni].mask);
+                let column = scores.column(node.table, node.mask);
+                let column = column.map(|c| (c, rows.of(node.table)));
                 (slot.expect("the plan places every node"), column)
             })
             .collect();
@@ -509,41 +579,45 @@ where
             // threshold past its bound: everything it could still offer
             // would be rejected.
             let outbid = || !top.would_accept(bounds[j]);
-            let joined = join_cn(q.db, cn, plan, case, q.ts, &mut scratch, stats, &outbid);
+            let joined = join_cn(q.db, cn, &plan, case, q.ts, rows, join, stats, &outbid);
             for (i, chunk) in joined.enumerate() {
                 if i % 256 == 255 && !top.would_accept(bounds[j]) {
                     break;
                 }
-                // Column entries summed in node order (as the text-derived
-                // reference sums them, so the two agree bitwise) over CN
-                // size: the DISCOVER2 score, or the SPARK bound.
+                // Column entries read at the rows' positions and summed
+                // in node order (as the text-derived reference sums them,
+                // so the two agree bitwise) over CN size: the DISCOVER2
+                // score, or the SPARK bound.
                 let sum: f64 = columns
                     .iter()
-                    .map(|&(slot, column)| column.map_or(0.0, |c| c.score_of(chunk[slot])))
+                    .map(|&(slot, column)| {
+                        column.map_or(0.0, |(c, map)| c.score(position(map, chunk[slot]) as usize))
+                    })
                     .sum();
                 let mut score = sum / chunk.len() as f64;
                 match model {
                     Scoring::Monotone => debug_assert_eq!(score.to_bits(), {
-                        fill_tuples(cn, plan, chunk, &mut probe.tuples);
+                        fill_tuples(cn, &plan, chunk, &mut probe.tuples);
                         q.scorer.monotone_score(&probe, q.keywords).to_bits()
                     }),
                     Scoring::Spark => {
                         if !top.would_accept(score) {
                             continue; // even its bound is below the k-th best
                         }
-                        fill_tuples(cn, plan, chunk, &mut probe.tuples);
+                        fill_tuples(cn, &plan, chunk, &mut probe.tuples);
                         let exact = q.scorer.spark_score(&probe, q.keywords);
                         debug_assert!(exact <= score, "watf bound {score} < score {exact}");
                         score = exact;
                     }
                 }
                 if top.would_accept(score) {
-                    fill_tuples(cn, plan, chunk, &mut probe.tuples);
+                    fill_tuples(cn, &plan, chunk, &mut probe.tuples);
                     top.push(score, (j, probe.clone()));
                 }
             }
         }
     }
+    rows.reset(q.ts);
 
     let results = top
         .into_sorted_vec()

@@ -26,8 +26,12 @@
 //!   and the parity suites use;
 //! * [`ScoreTable`] takes them from the *tuple sets*, which kept the
 //!   frequencies the postings carried, and looks each keyword's `idf` up
-//!   once per query — one `f64` column per tuple set, which is all the
-//!   engine's executor ([`crate::pexec`]) reads to order and prune.
+//!   once per query — one column per tuple set, which is all the engine's
+//!   executor ([`crate::pexec`]) reads to order and prune. A column knows
+//!   its exact maximum from the start (the formulas are monotone in every
+//!   count, so most rows need not be scored to find it) and computes a
+//!   row's entry the first time the executor reads it, by the row's
+//!   position in the set.
 //!
 //! Both feed the same function the same counts, so the two are equal bit
 //! for bit: a keyword outside a row's mask has `tf = 0` on either side and
@@ -35,10 +39,11 @@
 //! exactly `0.0` and needs no column.
 
 use crate::eval::JoinedResult;
-use crate::tupleset::TupleSets;
+use crate::tupleset::{TupleSet, TupleSets, MAX_KEYWORDS};
 use kwdb_rank::tfidf::TfIdf;
 use kwdb_rank::CorpusStats;
-use kwdb_relational::{Database, RowId, TableId, TupleId};
+use kwdb_relational::{Database, TableId, TupleId};
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::ops::Deref;
 use std::sync::Arc;
@@ -209,123 +214,153 @@ impl<D: Deref<Target = Database>> ResultScorer<D> {
     }
 }
 
-/// One tuple set's per-tuple numbers under the query's [`Scoring`] — scores
-/// for `Monotone`, `watf` bounds for `Spark` — position-aligned with
-/// [`TupleSet::rows`](crate::tupleset::TupleSet::rows).
-#[derive(Debug)]
-pub struct ScoreColumn<'a> {
-    rows: &'a [RowId],
-    scores: Vec<f64>,
-    best: f64,
+/// One tuple set's column of per-tuple numbers under the query's
+/// [`Scoring`] — scores for `Monotone`, `watf` bounds for `Spark` — read by
+/// a row's position in [`TupleSet::rows`]. A view into its [`ScoreTable`].
+#[derive(Clone, Copy)]
+pub struct ScoreColumn<'t> {
+    table: &'t ScoreTable<'t>,
+    column: &'t Column<'t>,
 }
 
 impl ScoreColumn<'_> {
-    /// Each row's score, in row order.
-    pub fn scores(&self) -> &[f64] {
-        &self.scores
+    /// The number of the row at position `at` of the tuple set, computed the
+    /// first time it is read.
+    pub fn score(&self, at: usize) -> f64 {
+        self.table.read(self.column, at)
     }
 
-    /// The score of `row`, which must be in the tuple set.
-    pub fn score_of(&self, row: RowId) -> f64 {
-        let at = self.rows.binary_search(&row);
-        self.scores[at.expect("the row is in this column's tuple set")]
-    }
-
-    /// The column's maximum — what a keyword node over this tuple set
+    /// The column's exact maximum — what a keyword node over this tuple set
     /// contributes to a CN's upper bound.
     pub fn best(&self) -> f64 {
-        self.best
+        self.column.best
     }
+}
+
+/// A column's tuple set, its maximum and the entries read so far (`NaN`
+/// until then: no entry is `NaN`).
+struct Column<'a> {
+    set: &'a TupleSet,
+    scores: Box<[Cell<f64>]>,
+    best: f64,
 }
 
 /// One query's per-tuple numbers, from the index: per tuple set a
-/// [`ScoreColumn`] holding each row's [`tfidf_sum`] (`Monotone`) or
-/// [`watf_sum`] (`Spark`) over the frequencies the set kept.
-#[derive(Debug)]
+/// [`ScoreColumn`] of each row's [`tfidf_sum`] (`Monotone`) or [`watf_sum`]
+/// (`Spark`) over the frequencies the set kept. Building the table finds
+/// each column's exact maximum; a row's entry is computed once, the first
+/// time it is read, so a query pays for the rows its joins reach, not for
+/// every row of every set.
 pub struct ScoreTable<'a> {
-    columns: HashMap<(TableId, u32), ScoreColumn<'a>>,
+    columns: HashMap<(TableId, u32), Column<'a>>,
+    model: Scoring,
+    idfs: Vec<f64>,
+    /// The same number re-derived from the tuple's text, which debug builds
+    /// hold every computed entry to.
+    text: Box<dyn Fn(TupleId) -> f64 + 'a>,
 }
 
 impl<'a> ScoreTable<'a> {
-    /// Fill a column for every tuple set of `ts`, which must have been built
-    /// for `keywords`, with the formula `model` names — picked here, once,
-    /// not per row. One `idf` lookup per keyword; nothing reads the tuples'
-    /// text.
+    /// A column for every tuple set of `ts`, which must have been built for
+    /// `keywords`, under the formula `model` names. One `idf` lookup per
+    /// keyword; nothing reads the tuples' text.
+    ///
+    /// A column's maximum is exact without computing every entry: both
+    /// formulas are monotone in each keyword's count (`tf_weight` and
+    /// `double_log_tf` never fall as `tf` grows, every `idf` is positive and
+    /// rounding is monotone), so a row whose counts are each at most those of
+    /// the best row so far cannot beat it and is skipped. In a one-keyword
+    /// set one row is computed: the first holding the largest count.
     pub fn new<S: AsRef<str>, D: Deref<Target = Database>>(
         ts: &'a TupleSets,
-        scorer: &ResultScorer<D>,
-        keywords: &[S],
+        scorer: &'a ResultScorer<D>,
+        keywords: &'a [S],
         model: Scoring,
     ) -> Self {
-        let idfs: Vec<f64> = keywords
-            .iter()
+        let idfs = (keywords.iter())
             .map(|k| scorer.stats.idf(k.as_ref()))
             .collect();
-        let idf = |k: usize| idfs[k];
-        let n = keywords.len();
-        match model {
-            Scoring::Monotone => Self::fill(
-                ts,
-                n,
-                |tfs| tfidf_sum(tfs, idf),
-                |t| scorer.tuple_score(t, keywords),
-            ),
-            Scoring::Spark => Self::fill(
-                ts,
-                n,
-                |tfs| watf_sum(tfs, idf),
-                |t| scorer.watf(t, keywords),
-            ),
+        let text: Box<dyn Fn(TupleId) -> f64 + 'a> = match model {
+            Scoring::Monotone => Box::new(|t| scorer.tuple_score(t, keywords)),
+            Scoring::Spark => Box::new(|t| scorer.watf(t, keywords)),
+        };
+        let mut table = ScoreTable {
+            columns: HashMap::with_capacity(ts.len()),
+            model,
+            idfs,
+            text,
+        };
+        for set in ts.sets() {
+            let mut column = Column {
+                set,
+                scores: vec![Cell::new(f64::NAN); set.rows.len()].into(),
+                best: 0.0,
+            };
+            column.best = table.best(&column);
+            table.columns.insert((set.table, set.mask), column);
         }
+        table
     }
 
-    /// `from_tfs` over every row's counts; `from_text` is the same number
-    /// re-derived from the tuple's text, which debug builds hold it to.
-    fn fill(
-        ts: &'a TupleSets,
-        n_keywords: usize,
-        from_tfs: impl Fn(&[u32]) -> f64,
-        from_text: impl Fn(TupleId) -> f64,
-    ) -> Self {
-        // The row's counts spread over all keywords; those outside the
-        // set's mask stay 0 throughout.
-        let mut tfs = vec![0u32; n_keywords];
-        let mut columns = HashMap::with_capacity(ts.len());
-        for set in ts.sets() {
-            let bits: Vec<usize> = (0..n_keywords)
-                .filter(|&k| set.mask & (1 << k) != 0)
-                .collect();
-            let scores: Vec<f64> = (0..set.rows.len())
-                .map(|i| {
-                    for (&k, &tf) in bits.iter().zip(set.row_tfs(i)) {
-                        tfs[k] = tf;
-                    }
-                    let score = from_tfs(&tfs);
-                    debug_assert_eq!(
-                        score.to_bits(),
-                        from_text(TupleId::new(set.table, set.rows[i])).to_bits(),
-                        "index-derived score diverged from the text-derived one"
-                    );
-                    score
-                })
-                .collect();
-            for &k in &bits {
-                tfs[k] = 0;
-            }
-            let column = ScoreColumn {
-                rows: &set.rows,
-                best: scores.iter().copied().fold(0.0, f64::max),
-                scores,
-            };
-            columns.insert((set.table, set.mask), column);
+    /// The largest entry of `column`, computing only rows that could be it.
+    fn best(&self, column: &Column<'_>) -> f64 {
+        let set = column.set;
+        if set.mask.count_ones() == 1 {
+            // One count per row: any row holding the largest count scores
+            // the maximum.
+            let max = set.tfs.iter().max();
+            let at = max.and_then(|max| set.tfs.iter().position(|tf| tf == max));
+            return at.map_or(0.0, |at| self.read(column, at));
         }
-        ScoreTable { columns }
+        let (mut best, mut top) = (0.0, None);
+        for at in 0..set.rows.len() {
+            let tfs = set.row_tfs(at);
+            let dominated =
+                top.is_some_and(|t| tfs.iter().zip(set.row_tfs(t)).all(|(a, b)| a <= b));
+            if !dominated && self.read(column, at) > best {
+                (best, top) = (self.read(column, at), Some(at));
+            }
+        }
+        best
+    }
+
+    /// Entry `at` of `column`: the cached value, or the formula over the
+    /// row's counts spread over all keywords (those outside the set's mask
+    /// count 0), cached.
+    fn read(&self, column: &Column<'_>, at: usize) -> f64 {
+        let cached = column.scores[at].get();
+        if !cached.is_nan() {
+            return cached;
+        }
+        let set = column.set;
+        let n = self.idfs.len();
+        let mut tfs = [0u32; MAX_KEYWORDS];
+        let bits = (0..n).filter(|&k| set.mask & (1 << k) != 0);
+        for (k, &tf) in bits.zip(set.row_tfs(at)) {
+            tfs[k] = tf;
+        }
+        let idf = |k: usize| self.idfs[k];
+        let score = match self.model {
+            Scoring::Monotone => tfidf_sum(&tfs[..n], idf),
+            Scoring::Spark => watf_sum(&tfs[..n], idf),
+        };
+        debug_assert_eq!(
+            score.to_bits(),
+            (self.text)(TupleId::new(set.table, set.rows[at])).to_bits(),
+            "index-derived score diverged from the text-derived one"
+        );
+        column.scores[at].set(score);
+        score
     }
 
     /// The column of tuple set `(table, mask)`; `None` when the set is
     /// empty — and for the free set (`mask == 0`), whose tuples score 0.
-    pub fn column(&self, table: TableId, mask: u32) -> Option<&ScoreColumn<'a>> {
-        self.columns.get(&(table, mask))
+    pub fn column(&self, table: TableId, mask: u32) -> Option<ScoreColumn<'_>> {
+        let column = self.columns.get(&(table, mask))?;
+        Some(ScoreColumn {
+            table: self,
+            column,
+        })
     }
 }
 

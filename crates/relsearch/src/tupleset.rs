@@ -59,9 +59,6 @@ impl TupleSet {
 #[derive(Debug, Clone, Default)]
 pub struct TupleSets {
     sets: HashMap<(TableId, u32), TupleSet>,
-    /// Per table: rows matching *any* query keyword (sorted) — the
-    /// complement of the free set `R^∅`.
-    matched: HashMap<TableId, Vec<RowId>>,
     n_keywords: usize,
 }
 
@@ -106,9 +103,8 @@ impl TupleSets {
     /// order because the lists are.
     ///
     /// Ascending keys also mean a table's rows are contiguous: the table's
-    /// `matched` vector and its few `(mask → set)` slots are plain locals
-    /// while its rows stream by, and reach the maps once, when the table
-    /// changes. No row is hashed.
+    /// few `(mask → set)` slots are plain locals while its rows stream by,
+    /// and reach the map once, when the table changes. No row is hashed.
     fn partition(lists: &[(u32, &[Posting])], n_keywords: usize) -> Self {
         let mut out = TupleSets {
             n_keywords,
@@ -120,7 +116,6 @@ impl TupleSets {
         // and where the previous row went (runs of one mask are common).
         let mut table = TableId(0);
         let mut open: Vec<TupleSet> = Vec::new();
-        let mut matched: Vec<RowId> = Vec::new();
         let mut at = 0usize;
         let key = |list: &[Posting], i: usize| list.get(i).map(|p| tuple_key(p.tuple));
         loop {
@@ -131,7 +126,7 @@ impl TupleSets {
                 .min();
             let Some(min) = min else { break };
             if TableId((min >> 32) as u32) != table {
-                out.close_table(table, &mut open, &mut matched);
+                out.close_table(table, &mut open);
                 table = TableId((min >> 32) as u32);
             }
             let mut mask = 0u32;
@@ -156,20 +151,15 @@ impl TupleSets {
             }
             open[at].rows.push(RowId(min as u32));
             open[at].tfs.extend_from_slice(&row_tfs);
-            matched.push(RowId(min as u32));
         }
-        out.close_table(table, &mut open, &mut matched);
+        out.close_table(table, &mut open);
         out
     }
 
-    /// Move a streamed table's sets and matched rows into the maps.
-    fn close_table(&mut self, table: TableId, open: &mut Vec<TupleSet>, matched: &mut Vec<RowId>) {
-        if matched.is_empty() {
-            return;
-        }
+    /// Move a streamed table's sets into the map.
+    fn close_table(&mut self, table: TableId, open: &mut Vec<TupleSet>) {
         self.sets
             .extend(open.drain(..).map(|set| ((table, set.mask), set)));
-        self.matched.insert(table, std::mem::take(matched));
     }
 
     pub fn n_keywords(&self) -> usize {
@@ -217,32 +207,27 @@ impl TupleSets {
     /// Using the exact partition keeps joining trees duplicate-free across
     /// CNs — every tree's node masks are its tuples' exact keyword sets.
     pub fn free_rows(&self, db: &Database, table: TableId) -> Vec<RowId> {
-        let t = db.table(table);
-        let matched = self.matched_rows(table);
-        let mut mi = 0;
-        let mut out = Vec::with_capacity(t.live_len() - matched.len());
+        let mut matched: Vec<RowId> = (self.sets.values())
+            .filter(|s| s.table == table)
+            .flat_map(|s| s.rows.iter().copied())
+            .collect();
+        matched.sort_unstable();
         // Live rows only: the table iterator skips tombstoned slots, and
-        // matched rows (from the index union) are always live.
-        for (rid, _) in t.iter() {
-            if mi < matched.len() && matched[mi] == rid {
-                mi += 1;
-            } else {
-                out.push(rid);
-            }
-        }
-        out
-    }
-
-    /// Rows of `table` matching any query keyword, ascending: a live row is
-    /// in the free set `R^∅` exactly when a binary search here misses it.
-    pub fn matched_rows(&self, table: TableId) -> &[RowId] {
-        self.matched.get(&table).map_or(&[], |v| v.as_slice())
+        // matched rows (from the index) are always live.
+        (db.table(table).iter())
+            .map(|(rid, _)| rid)
+            .filter(|rid| matched.binary_search(rid).is_err())
+            .collect()
     }
 
     /// Size of the free set `R^∅` without materializing it — for cost
     /// estimation and scheduling, which only need counts.
     pub fn free_row_count(&self, db: &Database, table: TableId) -> usize {
-        db.table(table).live_len() - self.matched_rows(table).len()
+        let matched: usize = (self.sets.values())
+            .filter(|s| s.table == table)
+            .map(|s| s.rows.len())
+            .sum();
+        db.table(table).live_len() - matched
     }
 
     /// Every keyword must match somewhere for AND semantics to be satisfiable.
@@ -482,7 +467,11 @@ mod tests {
             }
             for t in db.tables() {
                 let naive = matched.get(&t.id).map_or(&[][..], |v| v);
-                assert_eq!(ts.matched_rows(t.id), naive, "{keywords:?} {:?}", t.id);
+                let free: Vec<RowId> = (t.iter().map(|(rid, _)| rid))
+                    .filter(|rid| !naive.contains(rid))
+                    .collect();
+                assert_eq!(ts.free_rows(&db, t.id), free, "{keywords:?} {:?}", t.id);
+                assert_eq!(ts.free_row_count(&db, t.id), free.len());
             }
         }
         let all = TupleSets::build(&db, queries[4]).unwrap();

@@ -446,7 +446,7 @@ impl RelationalEngine {
             // it was cut short.
             tb.phase("facets");
             let mut scratch = self.scratch.checkout(EvalScratch::new);
-            let tally = count_facets(db, &ts, &cns, &freq, budget, &exec, &mut scratch.counts);
+            let tally = count_facets(db, &ts, &cns, &freq, budget, &exec, &mut scratch);
             drop(scratch);
             let snap = exec.snapshot();
             stats.operators.tuples_scanned = snap.tuples_scanned;
@@ -462,13 +462,7 @@ impl RelationalEngine {
                 .into_iter()
                 .map(|r| RelationalHit {
                     score: r.score,
-                    rendered: r
-                        .result
-                        .tuples
-                        .iter()
-                        .map(|&t| db.format_tuple(t))
-                        .collect::<Vec<_>>()
-                        .join(" ⋈ "),
+                    rendered: render(db, &r.result.tuples),
                     summary: if req.summaries == 0 {
                         Vec::new()
                     } else {
@@ -631,4 +625,16 @@ fn relational_hit_bytes(h: &RelationalHit) -> usize {
         + h.summary.iter().map(|s| s.len() + 24).sum::<usize>()
         + h.tuples.len() * 8
         + 64
+}
+
+/// A hit's tuples, rendered and joined by ` ⋈ ` into one buffer.
+fn render(db: &Database, tuples: &[TupleId]) -> String {
+    let mut out = String::new();
+    for (i, &t) in tuples.iter().enumerate() {
+        if i > 0 {
+            out.push_str(" ⋈ ");
+        }
+        db.write_tuple(&mut out, t);
+    }
+    out
 }

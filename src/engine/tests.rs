@@ -18,6 +18,11 @@ fn relational_engine_end_to_end() {
     assert!(!resp.truncated());
     assert!(resp.hits.windows(2).all(|w| w[0].score >= w[1].score));
     assert!(resp.hits[0].rendered.contains('('));
+    let db = engine.database();
+    for hit in &resp.hits {
+        let tuples: Vec<String> = hit.tuples.iter().map(|&t| db.format_tuple(t)).collect();
+        assert_eq!(hit.rendered, tuples.join(" ⋈ "));
+    }
     assert!(resp.stats.candidates_generated > 0);
     assert_eq!(resp.stats.cache_misses, 1);
     assert!(resp.stats.operators.tuples_scanned > 0);

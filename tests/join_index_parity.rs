@@ -160,7 +160,6 @@ fn compare_evaluators(db: &Database, what: &str) -> (BTreeSet<(usize, bool)>, BT
         let cns = CnGenerator::new(db.schema_graph(), &oracle, CnGenConfig::default()).generate();
         assert!(!cns.is_empty(), "{what}: {keywords:?} generates no CN");
         let mut scratch = EvalScratch::new();
-        scratch.begin_query();
         for cn in &cns {
             let stats = ExecStats::new();
             let mut plain = evaluate_cn(db, cn, &ts, &stats);

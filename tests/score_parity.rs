@@ -1,7 +1,7 @@
 //! Integration: the score the executor reads from the index ≡ the score
 //! computed from the tuples' text, bit for bit.
 //!
-//! `relsearch::pexec` ranks from [`ScoreTable`] columns, filled from the
+//! `relsearch::pexec` ranks from [`ScoreTable`] columns, computed from the
 //! term frequencies the tuple sets kept from the postings;
 //! `ResultScorer::tuple_score` re-tokenizes the tuple and counts. These
 //! tests state that the two are the *same number* — for every row of every
@@ -151,10 +151,10 @@ fn check(engine: &RelationalEngine, what: &str) {
         let bounds = ScoreTable::new(&ts, &scorer, &kws, Scoring::Spark);
         for (t, mask) in ts.keys() {
             let set = ts.get(t, mask).unwrap();
-            let column = table.column(t, mask).unwrap().scores();
-            let watf = bounds.column(t, mask).unwrap().scores();
-            assert_eq!(column.len(), set.rows.len(), "{ctx}");
+            let column = table.column(t, mask).unwrap();
+            let watf = bounds.column(t, mask).unwrap();
             let bits: Vec<usize> = (0..kws.len()).filter(|k| mask & (1 << k) != 0).collect();
+            let mut best = [0.0f64; 2];
             for (i, &row) in set.rows.iter().enumerate() {
                 let tid = TupleId::new(t, row);
                 // The frequencies are the text's …
@@ -167,11 +167,17 @@ fn check(engine: &RelationalEngine, what: &str) {
                 // … and so are the score and the SPARK bound.
                 let text = [scorer.tuple_score(tid, &kws), scorer.watf(tid, &kws)];
                 assert_eq!(
-                    [column[i], watf[i]].map(f64::to_bits),
+                    [column.score(i), watf.score(i)].map(f64::to_bits),
                     text.map(f64::to_bits),
                     "{ctx}: score and watf of {tid:?}"
                 );
+                best = [best[0].max(text[0]), best[1].max(text[1])];
             }
+            assert_eq!(
+                [column.best(), watf.best()].map(f64::to_bits),
+                best.map(f64::to_bits),
+                "{ctx}: the maxima of {t:?} {mask:b}"
+            );
         }
 
         // The executor against the exhaustive reference, same CNs.
