@@ -37,32 +37,6 @@ impl CorpusStats {
         }
     }
 
-    /// Un-account one document given the same token list it was added with
-    /// (incremental maintenance under deletes). Zeroed terms are dropped
-    /// from the maps so the vocabulary shrinks back exactly.
-    pub fn remove_doc<S: AsRef<str>>(&mut self, tokens: &[S]) {
-        self.doc_count = self.doc_count.saturating_sub(1);
-        let mut seen = HashSet::new();
-        for t in tokens {
-            let t = t.as_ref();
-            if let Some(cf) = self.coll_freq.get_mut(t) {
-                *cf -= 1;
-                if *cf == 0 {
-                    self.coll_freq.remove(t);
-                }
-            }
-            self.total_tokens = self.total_tokens.saturating_sub(1);
-            if seen.insert(t) {
-                if let Some(df) = self.doc_freq.get_mut(t) {
-                    *df -= 1;
-                    if *df == 0 {
-                        self.doc_freq.remove(t);
-                    }
-                }
-            }
-        }
-    }
-
     /// Number of documents indexed.
     pub fn doc_count(&self) -> usize {
         self.doc_count
@@ -96,15 +70,27 @@ impl CorpusStats {
     /// contributes (weight 1) instead of vanishing — XBridge's `ief` has the
     /// same property.
     pub fn idf(&self, term: &str) -> f64 {
-        let n = self.doc_count as f64;
-        let df = self.doc_freq(term) as f64;
-        ((n + 1.0) / (df + 1.0)).ln() + 1.0
+        idf(self.doc_count, self.doc_freq(term))
     }
 
     /// Vocabulary iterator (terms with nonzero document frequency).
     pub fn terms(&self) -> impl Iterator<Item = &str> {
         self.doc_freq.keys().map(|s| s.as_str())
     }
+}
+
+/// Smoothed inverse document frequency of a term held by `df` of `docs`
+/// documents: `ln((N+1)/(df+1)) + 1` — the one statement of the formula,
+/// whatever counted the documents.
+pub fn idf(docs: usize, df: usize) -> f64 {
+    ((docs as f64 + 1.0) / (df as f64 + 1.0)).ln() + 1.0
+}
+
+/// Average length of `docs` documents holding `tokens` tokens in all, at
+/// least 1 (so 1 for an empty corpus) — what pivoted length normalization
+/// divides by.
+pub fn avg_doc_len(docs: usize, tokens: u64) -> f64 {
+    (tokens as f64 / docs.max(1) as f64).max(1.0)
 }
 
 /// TF·IDF scorer over a [`CorpusStats`].
@@ -204,21 +190,6 @@ mod tests {
         assert!(hit > partial);
         assert!(partial > miss);
         assert_eq!(miss, 0.0);
-    }
-
-    #[test]
-    fn remove_doc_inverts_add_doc() {
-        let mut s = corpus();
-        s.add_doc(&["xml", "extra", "extra"]);
-        s.remove_doc(&["xml", "extra", "extra"]);
-        let fresh = corpus();
-        assert_eq!(s.doc_count(), fresh.doc_count());
-        assert_eq!(s.doc_freq("xml"), fresh.doc_freq("xml"));
-        assert_eq!(s.coll_freq("xml"), fresh.coll_freq("xml"));
-        assert_eq!(s.doc_freq("extra"), 0);
-        assert_eq!(s.coll_freq("extra"), 0);
-        assert_eq!(s.total_tokens(), fresh.total_tokens());
-        assert_eq!(s.terms().count(), fresh.terms().count(), "vocab shrinks");
     }
 
     #[test]

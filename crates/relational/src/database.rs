@@ -1,6 +1,6 @@
-//! The database: tables, schema graph, and the three structures derived
-//! from them — the full-text index, the foreign-key index and the per-tuple
-//! document statistics.
+//! The database: tables, schema graph, and the two structures derived from
+//! them — the full-text index (which is also the term statistics a scorer
+//! reads) and the foreign-key index.
 
 use crate::fkindex::FkIndex;
 use crate::index::{InvertedIndex, Posting};
@@ -9,9 +9,7 @@ use crate::table::{Row, RowId, Table, TupleId};
 use kwdb_common::index::Layout;
 use kwdb_common::text::tokenize;
 use kwdb_common::{KwdbError, Result, Value};
-use kwdb_rank::CorpusStats;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// An in-memory relational database.
 ///
@@ -30,13 +28,13 @@ use std::sync::Arc;
 /// [`build_text_index`](Self::build_text_index) — queries in between get a
 /// typed [`KwdbError::IndexStale`] instead of silently missing rows.
 ///
-/// Everything else derived from the rows lives by the same rule — built with
-/// the text index, maintained by `ingest` / `delete`, left behind by raw
+/// The other structure derived from the rows lives by the same rule — built
+/// with the text index, maintained by `ingest` / `delete`, left behind by raw
 /// `insert`: the foreign-key index behind
 /// [`referenced_row`](Self::referenced_row) and
-/// [`referencing_rows`](Self::referencing_rows), and the document statistics
-/// behind [`corpus`](Self::corpus). The database is their only owner; an
-/// engine over it keeps no copy.
+/// [`referencing_rows`](Self::referencing_rows). The text index is also the
+/// term statistics a scorer reads. The database is the only owner of both;
+/// an engine over it keeps no copy.
 #[derive(Debug, Default, Clone)]
 pub struct Database {
     tables: Vec<Table>,
@@ -45,10 +43,6 @@ pub struct Database {
     text_index: InvertedIndex,
     /// One FK index (both directions) per schema-graph edge, in edge order.
     fk_index: Vec<FkIndex>,
-    /// Term statistics over the live tuples, one "document" per tuple.
-    /// Behind an `Arc` so a per-query scorer shares them and a
-    /// copy-on-write clone of the database does not copy them.
-    corpus: Arc<CorpusStats>,
     /// Bumped by every data mutation (`insert`/`ingest`/`delete`).
     generation: u64,
     /// Generation the text index reflects; `None` until the first build.
@@ -178,16 +172,13 @@ impl Database {
         }
         let tid = TupleId::new(id, rid);
         let t = &self.tables[id.0 as usize];
-        let mut tokens: Vec<String> = Vec::new();
         for column in t.schema.text_columns() {
             if let Some(text) = t.get(rid, column).as_text() {
                 for tok in tokenize(text) {
                     self.text_index.add(&tok, Posting { tuple: tid, tf: 1 });
-                    tokens.push(tok);
                 }
             }
         }
-        Arc::make_mut(&mut self.corpus).add_doc(&tokens);
         self.text_index.set_tuple_count(id, t.live_len());
         Ok(tid)
     }
@@ -208,11 +199,10 @@ impl Database {
         let live = t.live_len();
         let tid = TupleId::new(id, rid);
         // The payload stays in place under the row tombstone, so the tokens
-        // the row was indexed and counted with are still readable.
+        // the row was indexed with are still readable.
         let tokens = self.tuple_tokens(tid);
         self.text_index.delete_tuple(tid, &tokens);
         self.text_index.set_tuple_count(id, live);
-        Arc::make_mut(&mut self.corpus).remove_doc(&tokens);
         self.generation += 1;
         self.indexed_generation = Some(self.generation);
         Ok(tid)
@@ -336,19 +326,7 @@ impl Database {
             .collect();
         ix.set_build_time(start.elapsed());
         self.text_index = ix;
-        self.corpus = Arc::new(self.scan_corpus());
         self.indexed_generation = Some(self.generation);
-    }
-
-    /// Document statistics of the live tuples, by a scan of all of them.
-    fn scan_corpus(&self) -> CorpusStats {
-        let mut stats = CorpusStats::new();
-        for t in &self.tables {
-            for (rid, _) in t.iter() {
-                stats.add_doc(&self.tuple_tokens(TupleId::new(t.id, rid)));
-            }
-        }
-        stats
     }
 
     /// A no-op: every posting list is a sorted `Vec`. Kept only for
@@ -362,16 +340,6 @@ impl Database {
     pub fn text_index(&self) -> Result<&InvertedIndex> {
         self.check_index_fresh()?;
         Ok(&self.text_index)
-    }
-
-    /// Term statistics over every live tuple, one "document" per tuple —
-    /// what a tf·idf scorer weighs keywords with. Equal to a scan of the
-    /// tuples as of the last [`build_text_index`](Self::build_text_index),
-    /// [`ingest`](Self::ingest) or [`delete`](Self::delete), and behind the
-    /// same typed freshness check as [`text_index`](Self::text_index).
-    pub fn corpus(&self) -> Result<&Arc<CorpusStats>> {
-        self.check_index_fresh()?;
-        Ok(&self.corpus)
     }
 
     fn check_index_fresh(&self) -> Result<()> {
@@ -764,32 +732,40 @@ mod tests {
         assert!(db.fk_neighbors(TupleId::new(author, RowId(0))).is_empty());
     }
 
-    /// The maintained document statistics against a fresh scan of the live
-    /// tuples: document and token totals, and every term's two frequencies.
-    fn assert_corpus_matches_scan(db: &Database) {
-        let (kept, scanned) = (db.corpus().unwrap(), db.scan_corpus());
-        assert_eq!(kept.doc_count(), scanned.doc_count());
-        assert_eq!(kept.doc_count(), db.tuple_count());
-        assert_eq!(kept.total_tokens(), scanned.total_tokens());
-        let terms = |stats: &CorpusStats| {
-            let mut terms: Vec<(String, usize, u64)> = stats
-                .terms()
-                .map(|t| (t.to_string(), stats.doc_freq(t), stats.coll_freq(t)))
-                .collect();
-            terms.sort();
-            terms
-        };
-        assert_eq!(terms(kept), terms(&scanned));
+    /// The index's term statistics against a scan of every live tuple's
+    /// `tuple_tokens`: the document count, the token total and every term's
+    /// document frequency (a term no live tuple holds any more has none).
+    fn assert_index_counts_match_scan(db: &Database) {
+        let ix = db.text_index().unwrap();
+        let (mut docs, mut tokens) = (0, 0);
+        let mut df: HashMap<String, usize> = HashMap::new();
+        for t in db.tables() {
+            for (rid, _) in t.iter() {
+                let toks = db.tuple_tokens(TupleId::new(t.id, rid));
+                docs += 1;
+                tokens += toks.len() as u64;
+                let distinct: std::collections::HashSet<String> = toks.into_iter().collect();
+                for tok in distinct {
+                    *df.entry(tok).or_default() += 1;
+                }
+            }
+        }
+        assert_eq!((ix.doc_count(), ix.total_tokens()), (docs, tokens));
+        for term in ix.terms() {
+            let want = df.get(term).copied().unwrap_or(0);
+            assert_eq!(ix.doc_freq(term), want, "df of {term:?}");
+        }
+        assert!(df.keys().all(|term| ix.sym(term).is_some()));
     }
 
     /// Both directions of the FK index against their by-value definitions:
     /// `referencing_rows` of every live referenced row is a scan of the
     /// referencing table for its key, and `referenced_row` of every live
-    /// referencing row is `lookup_pk` of its FK value. The other structure
-    /// the same mutations maintain rides along: the document statistics
-    /// equal a fresh scan.
+    /// referencing row is `lookup_pk` of its FK value. The text index's term
+    /// counts, which the same mutations maintain, ride along: they equal a
+    /// scan.
     fn assert_fk_index_matches_values(db: &Database) {
-        assert_corpus_matches_scan(db);
+        assert_index_counts_match_scan(db);
         for (ei, e) in db.schema_graph().edges().iter().enumerate() {
             for (rid, row) in db.table(e.to).iter() {
                 let mut indexed: Vec<RowId> = db.referencing_rows(ei, rid).collect();
@@ -881,14 +857,17 @@ mod tests {
         rebuilt.build_text_index();
         assert_fk_index_matches_values(&rebuilt);
 
-        // a raw insert leaves the statistics behind, like the text index
-        let kept = Arc::clone(db.corpus().unwrap());
+        // a raw insert leaves the counts behind with the index; a rebuild
+        // counts the new row
+        let kept = db.clone();
         db.insert("author", vec![9.into(), "Raw Insert".into()])
             .unwrap();
-        assert!(matches!(db.corpus(), Err(KwdbError::IndexStale { .. })));
+        assert!(matches!(db.text_index(), Err(KwdbError::IndexStale { .. })));
         db.build_text_index();
-        assert_eq!(db.corpus().unwrap().doc_count(), kept.doc_count() + 1);
-        assert_eq!(kept.doc_freq("raw"), 0, "a handle keeps what it saw");
+        let (ix, old) = (db.text_index().unwrap(), kept.text_index().unwrap());
+        assert_eq!(ix.doc_count(), old.doc_count() + 1);
+        assert_eq!(ix.total_tokens(), old.total_tokens() + 2);
+        assert_eq!(old.doc_freq("raw"), 0, "a clone keeps what it saw");
         assert_fk_index_matches_values(&db);
     }
 

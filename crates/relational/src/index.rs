@@ -76,12 +76,15 @@ pub fn table_key_range(table: TableId) -> (u64, u64) {
 /// Storage is one [`TermIndex`]: one sorted list per term, which an `add`
 /// after a build (a push at the end for the newest rows) and
 /// `delete_tuple` edit in place — visible to every query immediately, no
-/// rebuild required.
+/// rebuild required. The index is also the term statistics tf·idf weighs
+/// keywords with, one "document" per tuple.
 #[derive(Debug, Clone, Default)]
 pub struct InvertedIndex {
     store: TermIndex<Posting>,
-    /// Documents (tuples) per table, for IDF computation by callers.
+    /// Documents (live tuples) per table.
     tuple_counts: HashMap<TableId, usize>,
+    /// Tokens in the live tuples' text columns: one per `add`.
+    total_tokens: u64,
     build_time: Option<Duration>,
 }
 
@@ -92,6 +95,7 @@ impl InvertedIndex {
 
     pub(crate) fn add(&mut self, term: &str, posting: Posting) {
         self.store.add(term, posting);
+        self.total_tokens += 1;
     }
 
     pub(crate) fn set_tuple_count(&mut self, table: TableId, n: usize) {
@@ -107,13 +111,14 @@ impl InvertedIndex {
         self.store.shrink_to_fit();
     }
 
-    /// Remove every posting of `tuple` from the lists of `tokens` (the
-    /// tuple's text tokens; repeats are harmless).
+    /// Remove every posting of `tuple` from the lists of `tokens` — all of
+    /// the tuple's text tokens, repeats included, as they were added.
     pub(crate) fn delete_tuple(&mut self, tuple: TupleId, tokens: &[String]) {
         let key = tuple_key(tuple);
         for tok in tokens {
             self.store.remove_key(tok, key);
         }
+        self.total_tokens -= tokens.len() as u64;
     }
 
     /// Resolve a query term to its dense id — one dictionary lookup. Do this
@@ -161,11 +166,10 @@ impl InvertedIndex {
         postings.iter().map(|p| p.tuple.row).collect()
     }
 
-    /// Number of distinct tuples (across tables) containing `term`, by one
-    /// scan of its list.
+    /// Number of distinct tuples (across tables) containing `term`: the
+    /// length of its list, one posting per tuple.
     pub fn doc_freq(&self, term: &str) -> usize {
-        self.sym(term)
-            .map_or(0, |s| self.store.term_stats(s).df as usize)
+        self.postings(term).len()
     }
 
     /// Per-term stats (document frequency, total term frequency).
@@ -176,6 +180,16 @@ impl InvertedIndex {
     /// Number of tuples indexed in `table`.
     pub fn tuple_count(&self, table: TableId) -> usize {
         self.tuple_counts.get(&table).copied().unwrap_or(0)
+    }
+
+    /// Number of tuples indexed, over all tables.
+    pub fn doc_count(&self) -> usize {
+        self.tuple_counts.values().sum()
+    }
+
+    /// Tokens in the text columns of every indexed tuple.
+    pub fn total_tokens(&self) -> u64 {
+        self.total_tokens
     }
 
     /// All indexed terms, in dictionary id order.
@@ -249,6 +263,11 @@ mod tests {
         assert_eq!(ix.doc_freq("xml"), 3);
         assert_eq!(ix.doc_freq("graph"), 1);
         assert_eq!(ix.doc_freq("nope"), 0);
+        assert_eq!(ix.total_tokens(), 5, "one per add");
+        let mut ix = ix;
+        ix.delete_tuple(t(1, 3).tuple, &["xml".into(), "graph".into()]);
+        assert_eq!((ix.doc_freq("xml"), ix.doc_freq("graph")), (2, 0));
+        assert_eq!(ix.total_tokens(), 3);
     }
 
     #[test]

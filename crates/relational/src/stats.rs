@@ -1,17 +1,17 @@
 //! Execution statistics — the cost metrics the tutorial's efficiency section
 //! compares engines on (tuples scanned, join probes, results produced).
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// Shared, thread-safe operator counters. The parallel CN executor updates
-/// these from worker threads, so they are atomics rather than `Cell`s.
+/// Operator counters of one query, which runs on one thread: the operators
+/// it calls add to them through a shared reference.
 #[derive(Debug, Default)]
 pub struct ExecStats {
-    tuples_scanned: AtomicU64,
-    join_probes: AtomicU64,
-    joins_executed: AtomicU64,
-    rows_output: AtomicU64,
-    probe_rows: AtomicU64,
+    tuples_scanned: Cell<u64>,
+    join_probes: Cell<u64>,
+    joins_executed: Cell<u64>,
+    rows_output: Cell<u64>,
+    probe_rows: Cell<u64>,
 }
 
 impl ExecStats {
@@ -20,45 +20,36 @@ impl ExecStats {
     }
 
     pub fn add_scanned(&self, n: u64) {
-        self.tuples_scanned.fetch_add(n, Ordering::Relaxed);
+        self.tuples_scanned.set(self.tuples_scanned.get() + n);
     }
     pub fn add_probes(&self, n: u64) {
-        self.join_probes.fetch_add(n, Ordering::Relaxed);
+        self.join_probes.set(self.join_probes.get() + n);
     }
     pub fn add_join(&self) {
-        self.joins_executed.fetch_add(1, Ordering::Relaxed);
+        self.joins_executed.set(self.joins_executed.get() + 1);
     }
     pub fn add_output(&self, n: u64) {
-        self.rows_output.fetch_add(n, Ordering::Relaxed);
+        self.rows_output.set(self.rows_output.get() + n);
     }
     /// Rows matched by hash-join probes (probe *hits*, not attempts).
     pub fn add_probe_rows(&self, n: u64) {
-        self.probe_rows.fetch_add(n, Ordering::Relaxed);
+        self.probe_rows.set(self.probe_rows.get() + n);
     }
 
     pub fn tuples_scanned(&self) -> u64 {
-        self.tuples_scanned.load(Ordering::Relaxed)
+        self.tuples_scanned.get()
     }
     pub fn join_probes(&self) -> u64 {
-        self.join_probes.load(Ordering::Relaxed)
+        self.join_probes.get()
     }
     pub fn joins_executed(&self) -> u64 {
-        self.joins_executed.load(Ordering::Relaxed)
+        self.joins_executed.get()
     }
     pub fn rows_output(&self) -> u64 {
-        self.rows_output.load(Ordering::Relaxed)
+        self.rows_output.get()
     }
     pub fn probe_rows(&self) -> u64 {
-        self.probe_rows.load(Ordering::Relaxed)
-    }
-
-    /// Reset all counters to zero.
-    pub fn reset(&self) {
-        self.tuples_scanned.store(0, Ordering::Relaxed);
-        self.join_probes.store(0, Ordering::Relaxed);
-        self.joins_executed.store(0, Ordering::Relaxed);
-        self.rows_output.store(0, Ordering::Relaxed);
-        self.probe_rows.store(0, Ordering::Relaxed);
+        self.probe_rows.get()
     }
 
     /// Snapshot as a plain struct for reporting.
@@ -102,13 +93,5 @@ mod tests {
         assert_eq!(snap.joins_executed, 1);
         assert_eq!(snap.rows_output, 7);
         assert_eq!(snap.probe_rows, 4);
-    }
-
-    #[test]
-    fn reset_zeroes() {
-        let s = ExecStats::new();
-        s.add_scanned(5);
-        s.reset();
-        assert_eq!(s.snapshot(), StatsSnapshot::default());
     }
 }

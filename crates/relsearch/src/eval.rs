@@ -8,8 +8,8 @@ use kwdb_relational::{Database, ExecStats, RowId, TupleId};
 /// One result of a CN: a joining tree of tuples, aligned with the CN's
 /// node order (`tuples[i]` instantiates `cn.nodes[i]`).
 ///
-/// `Ord` gives results a content-based total order, which the parallel
-/// executor uses to break score ties deterministically across threads.
+/// `Ord` gives results a content-based total order, which the executor
+/// uses to break score ties deterministically.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct JoinedResult {
     pub tuples: Vec<TupleId>,

@@ -40,7 +40,8 @@
 
 use crate::eval::JoinedResult;
 use crate::tupleset::{TupleSet, TupleSets, MAX_KEYWORDS};
-use kwdb_rank::tfidf::TfIdf;
+use kwdb_common::Result;
+use kwdb_rank::tfidf::{avg_doc_len, idf, TfIdf};
 use kwdb_rank::CorpusStats;
 use kwdb_relational::{Database, TableId, TupleId};
 use std::cell::Cell;
@@ -50,9 +51,8 @@ use std::sync::Arc;
 
 /// Corpus statistics over every live tuple of `db` — one "document" per
 /// tuple — by a scan of all of them. This is what [`ResultScorer::new`]
-/// performs and the reference for [`Database::corpus`], the statistics the
-/// database maintains through `ingest` / `delete` and the engine scores
-/// with.
+/// performs, and the reference for the counts the text index keeps, which
+/// the engine scores with ([`ResultScorer::from_index`]).
 pub fn corpus_stats(db: &Database) -> CorpusStats {
     let mut stats = CorpusStats::new();
     for t in db.tables() {
@@ -105,44 +105,70 @@ pub fn watf_sum(tfs: &[u32], idf: impl Fn(usize) -> f64) -> f64 {
 /// SPARK's length-normalization slope (`s` in pivoted normalization).
 const SLOPE: f64 = 0.2;
 
-/// Shared scorer: corpus statistics over all database tuples.
+/// Shared scorer: term statistics over all database tuples, one "document"
+/// per tuple.
 ///
 /// Generic over how the database is held: `ResultScorer::new(&db)` borrows
 /// (the zero-copy path used by the per-crate pipelines, benches, and tests),
-/// while `ResultScorer::new(Arc::clone(&db))` owns a handle — that is what
-/// lets the unified `RelationalEngine` be `'static` and `Send + Sync` for
-/// shared concurrent use.
+/// while `ResultScorer::from_index(Arc::clone(&db))` owns a handle — that is
+/// what lets the unified `RelationalEngine` be `'static` and `Send + Sync`
+/// for shared concurrent use.
 #[derive(Debug)]
 pub struct ResultScorer<D: Deref<Target = Database> = std::sync::Arc<Database>> {
     db: D,
-    stats: Arc<CorpusStats>,
+    /// Term statistics by a scan ([`corpus_stats`]), or `None` for the
+    /// database's text index, where a term's document frequency is the
+    /// length of its posting list.
+    stats: Option<Arc<CorpusStats>>,
     avg_len: f64,
 }
 
 impl<D: Deref<Target = Database>> ResultScorer<D> {
-    /// Build corpus statistics over every tuple (one "document" per tuple).
+    /// Scan every tuple for its term statistics.
     pub fn new(db: D) -> Self {
         let stats = corpus_stats(&db);
         Self::from_stats(db, Arc::new(stats))
     }
 
-    /// Build a scorer from statistics already at hand — the engine's path:
-    /// a per-query scorer over [`Database::corpus`] is two `Arc` clones, no
-    /// rescan. The average document length is derived from the stats'
-    /// totals, matching what [`new`](Self::new) computes over the same
-    /// corpus.
+    /// A scorer over statistics already at hand, such as one
+    /// [`corpus_stats`] scan shared by many scorers.
     pub fn from_stats(db: D, stats: Arc<CorpusStats>) -> Self {
-        let n = stats.doc_count();
-        let avg_len = if n == 0 {
-            1.0
-        } else {
-            (stats.total_tokens() as f64 / n as f64).max(1.0)
-        };
-        ResultScorer { db, stats, avg_len }
+        let avg_len = avg_doc_len(stats.doc_count(), stats.total_tokens());
+        ResultScorer {
+            db,
+            stats: Some(stats),
+            avg_len,
+        }
     }
 
-    pub fn corpus(&self) -> &CorpusStats {
-        &self.stats
+    /// A scorer over the counts the database's text index keeps — the
+    /// engine's per-query path, which reads no tuple. Fails with the typed
+    /// error of [`Database::text_index`] when the index is not fresh.
+    pub fn from_index(db: D) -> Result<Self> {
+        let ix = db.text_index()?;
+        let avg_len = avg_doc_len(ix.doc_count(), ix.total_tokens());
+        Ok(ResultScorer {
+            db,
+            stats: None,
+            avg_len,
+        })
+    }
+
+    /// The smoothed inverse document frequency of `term`: [`idf`] of the
+    /// same two counts whichever the source, so both give the same bits.
+    pub fn idf(&self, term: &str) -> f64 {
+        match &self.stats {
+            Some(stats) => stats.idf(term),
+            None => {
+                let ix = self.db.text_index().expect("fresh when built");
+                idf(ix.doc_count(), ix.doc_freq(term))
+            }
+        }
+    }
+
+    /// The average document (tuple) length, in tokens, at least 1.
+    pub fn avg_len(&self) -> f64 {
+        self.avg_len
     }
 
     /// The query keywords' counts in the tuple's text, in query order.
@@ -158,7 +184,7 @@ impl<D: Deref<Target = Database>> ResultScorer<D> {
     /// Monotonic per-tuple score: [`tfidf_sum`] over the query keywords'
     /// counts in the tuple's text.
     pub fn tuple_score<S: AsRef<str>>(&self, tid: TupleId, keywords: &[S]) -> f64 {
-        let idf = |k: usize| self.stats.idf(keywords[k].as_ref());
+        let idf = |k: usize| self.idf(keywords[k].as_ref());
         tfidf_sum(&self.text_tfs(tid, keywords), idf)
     }
 
@@ -192,7 +218,7 @@ impl<D: Deref<Target = Database>> ResultScorer<D> {
             .iter()
             .map(|k| {
                 let k = k.as_ref();
-                double_log_tf(tf.get(k).copied().unwrap_or(0)) * self.stats.idf(k)
+                double_log_tf(tf.get(k).copied().unwrap_or(0)) * self.idf(k)
             })
             .sum();
         // completeness: fraction of keywords present (1.0 for valid results)
@@ -209,7 +235,7 @@ impl<D: Deref<Target = Database>> ResultScorer<D> {
     /// SPARK's per-tuple upper bound: [`watf_sum`] over the query keywords'
     /// counts in the tuple's text.
     pub fn watf<S: AsRef<str>>(&self, tid: TupleId, keywords: &[S]) -> f64 {
-        let idf = |k: usize| self.stats.idf(keywords[k].as_ref());
+        let idf = |k: usize| self.idf(keywords[k].as_ref());
         watf_sum(&self.text_tfs(tid, keywords), idf)
     }
 }
@@ -277,9 +303,7 @@ impl<'a> ScoreTable<'a> {
         keywords: &'a [S],
         model: Scoring,
     ) -> Self {
-        let idfs = (keywords.iter())
-            .map(|k| scorer.stats.idf(k.as_ref()))
-            .collect();
+        let idfs = (keywords.iter()).map(|k| scorer.idf(k.as_ref())).collect();
         let text: Box<dyn Fn(TupleId) -> f64 + 'a> = match model {
             Scoring::Monotone => Box::new(|t| scorer.tuple_score(t, keywords)),
             Scoring::Spark => Box::new(|t| scorer.watf(t, keywords)),

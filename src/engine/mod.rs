@@ -56,8 +56,9 @@
 //! queried from many threads at once — `execute` takes `&self` and all
 //! per-query state (counters, heaps, cursors) lives on the query's own
 //! stack. The relational engine's one lock is the `RwLock` around its
-//! database handle (the database carries the corpus statistics); its caches
-//! are lock-striped [`ShardedCache`](kwdb_common::ShardedCache)s. The graph
+//! database handle (the database carries the text index its scorers weigh
+//! keywords with); its caches are lock-striped
+//! [`ShardedCache`](kwdb_common::ShardedCache)s. The graph
 //! and XML engines hold no lock at all: their data never changes under them,
 //! and a BLINKS distance list is a write-once `OnceLock` slot in the graph.
 //!
@@ -67,7 +68,7 @@
 //! [`MutableEngine`], and a graph or a tree that has changed is a new
 //! `DataGraph` / `XmlTree` handed to a new engine. `ingest`/`delete` apply a
 //! change *and* maintain the index incrementally (each edits the touched
-//! posting lists in place and the corpus statistics), and `commit` is a
+//! posting lists and their counts in place), and `commit` is a
 //! generation event with no index work. Every successful mutation bumps a
 //! monotonic **generation counter** which keys the result cache and
 //! stamps the flight-recorder records, so cached answers and

@@ -128,9 +128,10 @@ pub struct SegmentCounts {
 ///
 /// Owns its database behind an `Arc`, so the engine is `Send + Sync` and
 /// one instance can serve concurrent queries. The database is all the state
-/// there is: the text index, the FK index and the corpus statistics the
-/// scorer weighs keywords with are its derived structures, maintained by its
-/// own `ingest` / `delete`. Everything else here is a pool or a cache in one
+/// there is: the text index and the FK index are its derived structures,
+/// maintained by its own `ingest` / `delete`, and each query's scorer reads
+/// its keyword weights off the text index's counts
+/// ([`ResultScorer::from_index`]). Everything else here is a pool or a cache in one
 /// idiom, a [`ShardedCache`] — responses, plans and the cleaning model read
 /// through `get_or_compute`, so racing misses on one key compute once.
 pub struct RelationalEngine {
@@ -253,7 +254,7 @@ impl RelationalEngine {
 
     /// Ingest one tuple through the incremental path
     /// ([`Database::ingest`]): FK-validate, append to the table, add its
-    /// postings to their lists and count it into the corpus statistics — no
+    /// postings to their lists and count it into the index's totals — no
     /// rebuild, no rescan. Requires a fresh index (build once, then ingest).
     pub fn ingest_tuple(&self, table: &str, row: Row) -> Result<TupleId> {
         self.mutate(|db| {
@@ -268,7 +269,7 @@ impl RelationalEngine {
 
     /// Delete the row of `table` whose primary key equals `pk`
     /// ([`Database::delete`]): tombstone the row, remove its postings from
-    /// their lists, and back its tokens out of the corpus statistics.
+    /// their lists, and back its tokens out of the index's totals.
     pub fn delete_tuple(&self, table: &str, pk: &Value) -> Result<TupleId> {
         self.mutate(|db| db.delete(table, pk))
     }
@@ -394,9 +395,9 @@ impl RelationalEngine {
             stats.candidates_generated = cns.len() as u64;
 
             tb.phase("evaluate");
-            // Per-query scorer over the statistics the database maintains:
-            // two Arc clones, no corpus rescan.
-            let scorer = ResultScorer::from_stats(Arc::clone(db), Arc::clone(db.corpus()?));
+            // Per-query scorer over the text index's own counts: one Arc
+            // clone, no tuple read.
+            let scorer = ResultScorer::from_index(Arc::clone(db))?;
             let q = TopKQuery {
                 db,
                 ts: &ts,

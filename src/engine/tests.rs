@@ -58,6 +58,8 @@ fn engine_shares_database_arc() {
 
 #[test]
 fn engines_over_one_database_share_its_corpus_statistics() {
+    use kwdb_common::KwdbError;
+    use kwdb_relsearch::ResultScorer;
     let db = Arc::new(generate_dblp(&DblpConfig {
         n_papers: 40,
         n_authors: 20,
@@ -67,18 +69,44 @@ fn engines_over_one_database_share_its_corpus_statistics() {
         RelationalEngine::new(Arc::clone(&db)),
         RelationalEngine::new(Arc::clone(&db)),
     );
-    let stats = |e: &RelationalEngine| Arc::clone(e.database().corpus().unwrap());
-    assert!(Arc::ptr_eq(&stats(&a), &stats(&b)), "nothing was rescanned");
-    assert!(Arc::ptr_eq(&stats(&a), db.corpus().unwrap()));
+    // A per-query scorer reads the index's counts, not the tuples: over a
+    // row the index has not seen it is the index's typed error, and a
+    // term's weight is the formula over the index's two numbers.
+    let mut stale = (*db).clone();
+    stale
+        .insert("author", vec![9_001.into(), "Raw Row".into()])
+        .unwrap();
+    assert!(matches!(
+        ResultScorer::from_index(&stale),
+        Err(KwdbError::IndexStale { .. })
+    ));
+    let ix = db.text_index().unwrap();
+    let per_query = ResultScorer::from_index(&*db).unwrap();
+    for term in ix.terms() {
+        let want = kwdb_rank::tfidf::idf(ix.doc_count(), ix.postings(term).len());
+        assert_eq!(per_query.idf(term).to_bits(), want.to_bits(), "{term}");
+    }
 
-    // A mutation through one engine copies on write: that engine scores
-    // with the new statistics, the other and the caller keep theirs.
+    // Every term's idf and the average length, as bits: the same for both
+    // engines and equal to a scan's.
+    let mut terms: Vec<String> = ix.terms().map(str::to_string).collect();
+    terms.extend(["newcomer".to_string(), "nosuchterm".to_string()]);
+    let bits = |s: &ResultScorer| -> Vec<u64> {
+        let idfs = terms.iter().map(|t| s.idf(t).to_bits());
+        idfs.chain([s.avg_len().to_bits()]).collect()
+    };
+    let of = |e: &RelationalEngine| bits(&ResultScorer::from_index(e.database()).unwrap());
+    let scanned = bits(&ResultScorer::new(Arc::clone(&db)));
+    assert_eq!(of(&a), of(&b));
+    assert_eq!(of(&a), scanned);
+
+    // A mutation through one engine copies on write: that engine weighs
+    // with the new counts, the other keeps the old.
     a.ingest_tuple("author", vec![9_000.into(), "Zyx Newcomer".into()])
         .unwrap();
-    assert!(!Arc::ptr_eq(&stats(&a), &stats(&b)));
-    assert_eq!(stats(&a).doc_count(), stats(&b).doc_count() + 1);
-    assert_eq!(stats(&a).doc_freq("newcomer"), 1);
-    assert!(Arc::ptr_eq(&stats(&b), db.corpus().unwrap()));
+    assert_ne!(of(&a), of(&b));
+    assert_eq!(of(&a), bits(&ResultScorer::new(a.database())));
+    assert_eq!(of(&b), scanned);
 }
 
 #[test]

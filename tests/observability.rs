@@ -12,10 +12,13 @@ use kwdb::common::{Budget, CacheConfig, TruncationReason};
 use kwdb::datasets::{self, generate_dblp, DblpConfig};
 use kwdb::dispatch::{Catalog, Dispatcher};
 use kwdb::engine::{
-    GraphEngine, GraphSemantics, RelationalConfig, RelationalEngine, SearchRequest, XmlEngine,
+    GraphEngine, GraphSemantics, Hit, RelationalConfig, RelationalEngine, SearchRequest,
+    SearchResponse, XmlEngine,
 };
 use kwdb::obs::{export, families, MetricsRegistry, TraceLevel};
-use std::sync::Arc;
+use kwdb::Engine;
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
 fn dblp() -> kwdb::relational::Database {
     generate_dblp(&DblpConfig {
@@ -57,6 +60,53 @@ fn catalog(registry: &Arc<MetricsRegistry>) -> Catalog {
             .with_registry(Arc::clone(registry)),
     );
     c
+}
+
+/// How many requests a [`Gated`] engine has started, shared by every engine
+/// of one catalog.
+#[derive(Default)]
+struct Gate {
+    started: Mutex<usize>,
+    second: Condvar,
+}
+
+/// An engine that delegates every call, except that it holds the first
+/// request its gate sees until a second one has started. The worker holding
+/// the first cannot take the second, so a concurrent batch is served by at
+/// least two workers however fast a query is. The hold is bounded: should
+/// no second request ever start, the first goes on after the timeout and the
+/// spread assertion fails instead of the test hanging.
+struct Gated {
+    inner: Arc<dyn Engine>,
+    gate: Arc<Gate>,
+}
+
+impl Engine for Gated {
+    fn execute(&self, req: &SearchRequest) -> kwdb::Result<SearchResponse<Hit>> {
+        let gate = &self.gate;
+        let mut started = gate.started.lock().unwrap();
+        *started += 1;
+        if *started == 1 {
+            let timeout = Duration::from_secs(30);
+            drop(gate.second.wait_timeout_while(started, timeout, |n| *n < 2));
+        } else {
+            drop(started);
+            gate.second.notify_all();
+        }
+        self.inner.execute(req)
+    }
+}
+
+/// `catalog` with every engine behind one [`Gate`].
+fn gated(catalog: Catalog) -> Catalog {
+    let gate = Arc::new(Gate::default());
+    let mut out = Catalog::new();
+    for name in catalog.names() {
+        let inner = Arc::clone(catalog.get(name).unwrap());
+        let gate = Arc::clone(&gate);
+        out.register(name, Arc::new(Gated { inner, gate }) as Arc<dyn Engine>);
+    }
+    out
 }
 
 /// ≥100 mixed requests cycling engines, semantics, k, and candidate-cap
@@ -123,7 +173,7 @@ fn concurrent_registry_totals_equal_per_query_stat_sums_and_match_serial() {
         .execute_serial(&batch);
 
     let reg_conc = Arc::new(MetricsRegistry::new());
-    let concurrent = Dispatcher::with_workers(catalog(&reg_conc), 8)
+    let concurrent = Dispatcher::with_workers(gated(catalog(&reg_conc)), 8)
         .with_registry(Arc::clone(&reg_conc))
         .execute_concurrent(&batch);
 

@@ -275,6 +275,65 @@ fn index_scores_equal_text_scores_in_every_index_state() {
     check(&engine, "rebuilt");
 }
 
+/// The engine's per-query scorer weighs keywords with the text index's own
+/// counts: after every step of a seeded mix of ingests, deletes and
+/// re-ingests of deleted keys, each term's idf and the average tuple length
+/// are the bits a scan of the tuples gives.
+#[test]
+fn index_counts_weigh_like_a_scan_through_ingests_and_deletes() {
+    let mut rng = Rng::seed_from_u64(0x1df);
+    let mut db = schema();
+    let venues = (0..N_VENUES)
+        .map(|v| venue(&mut rng, v))
+        .collect::<Vec<_>>();
+    let people = (0..N_PEOPLE)
+        .map(|p| person(&mut rng, p))
+        .collect::<Vec<_>>();
+    for (table, row) in venues.into_iter().chain(people) {
+        db.insert(table, row).unwrap();
+    }
+    db.build_text_index();
+    let (mut live, mut dead, mut reborn) = (Vec::new(), Vec::new(), 0);
+    for step in 0..150i64 {
+        if live.is_empty() || rng.gen_index(3) > 0 {
+            let a = match dead.len() {
+                n if n > 0 && rng.gen_index(2) == 0 => {
+                    reborn += 1;
+                    dead.swap_remove(rng.gen_index(n))
+                }
+                _ => step,
+            };
+            for (table, row) in article(&mut rng, a) {
+                db.ingest(table, row).unwrap();
+            }
+            live.push(a);
+        } else {
+            let a = live.swap_remove(rng.gen_index(live.len()));
+            db.delete("wrote", &a.into()).unwrap();
+            db.delete("article", &a.into()).unwrap();
+            dead.push(a);
+        }
+        let (per_query, scan) = (
+            ResultScorer::from_index(&db).unwrap(),
+            ResultScorer::new(&db),
+        );
+        let ix = db.text_index().unwrap();
+        for term in ix.terms().chain(["nosuchterm"]) {
+            assert_eq!(
+                per_query.idf(term).to_bits(),
+                scan.idf(term).to_bits(),
+                "step {step}: idf of {term:?}"
+            );
+        }
+        assert_eq!(
+            per_query.avg_len().to_bits(),
+            scan.avg_len().to_bits(),
+            "step {step}: average length"
+        );
+    }
+    assert!(reborn > 0 && !dead.is_empty() && !live.is_empty());
+}
+
 #[test]
 fn spark_ranks_like_naive_spark_and_counts_like_monotone() {
     const QUERY: &str = "keyword search database";
