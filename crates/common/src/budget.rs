@@ -50,12 +50,6 @@ impl Budget {
         self
     }
 
-    /// Constrain by an absolute deadline.
-    pub fn with_deadline(mut self, deadline: Instant) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
     /// Constrain the number of candidates considered.
     pub fn with_max_candidates(mut self, n: u64) -> Self {
         self.max_candidates = Some(n);
@@ -70,11 +64,6 @@ impl Budget {
     /// True if `candidates` exceeds the candidate cap.
     pub fn candidates_exceeded(&self, candidates: u64) -> bool {
         self.max_candidates.is_some_and(|m| candidates >= m)
-    }
-
-    /// True if any constraint is violated given `candidates` consumed.
-    pub fn exhausted_at(&self, candidates: u64) -> bool {
-        self.candidates_exceeded(candidates) || self.deadline_exceeded()
     }
 
     /// True if the deadline alone is violated (candidate-free check for
@@ -341,7 +330,6 @@ mod tests {
     fn unlimited_budget_never_exhausts() {
         let b = Budget::unlimited();
         assert!(!b.exhausted());
-        assert!(!b.exhausted_at(u64::MAX - 1));
         assert!(b.is_unlimited());
         assert_eq!(b.remaining(), None);
     }
@@ -350,16 +338,15 @@ mod tests {
     fn zero_timeout_exhausts_immediately() {
         let b = Budget::unlimited().with_timeout(Duration::ZERO);
         assert!(b.exhausted());
-        assert!(b.exhausted_at(0));
         assert_eq!(b.remaining(), Some(Duration::ZERO));
     }
 
     #[test]
     fn candidate_cap_checks_count() {
         let b = Budget::unlimited().with_max_candidates(10);
-        assert!(!b.exhausted_at(9));
-        assert!(b.exhausted_at(10));
-        assert!(b.exhausted_at(11));
+        assert!(!b.candidates_exceeded(9));
+        assert!(b.candidates_exceeded(10));
+        assert!(b.candidates_exceeded(11));
         assert!(!b.exhausted(), "no deadline set");
     }
 

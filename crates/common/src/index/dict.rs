@@ -30,14 +30,6 @@ impl TermDict {
         self.interner.get(term)
     }
 
-    /// Resolve each query term to its id; absent terms yield `None`.
-    ///
-    /// This is the "one dictionary lookup per query term" entry point:
-    /// call it once up front, then drive the whole query off the `Sym`s.
-    pub fn lookup_all<S: AsRef<str>>(&self, terms: &[S]) -> Vec<Option<Sym>> {
-        terms.iter().map(|t| self.lookup(t.as_ref())).collect()
-    }
-
     /// The string form of an interned term. Panics on a foreign `Sym`.
     pub fn resolve(&self, sym: Sym) -> &str {
         self.interner.resolve(sym)
@@ -76,16 +68,5 @@ mod tests {
         assert_eq!(d.lookup("missing"), None);
         assert_eq!(d.resolve(a), "xml");
         assert_eq!(d.len(), 1);
-    }
-
-    #[test]
-    fn lookup_all_preserves_order_and_absence() {
-        let mut d = TermDict::new();
-        let x = d.intern("x");
-        let y = d.intern("y");
-        assert_eq!(
-            d.lookup_all(&["y", "zzz", "x"]),
-            vec![Some(y), None, Some(x)]
-        );
     }
 }

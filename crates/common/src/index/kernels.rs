@@ -289,9 +289,6 @@ mod tests {
         fn coalesce(&mut self, other: &Self) -> bool {
             self == other
         }
-        fn same_doc(&self, other: &Self) -> bool {
-            self == other
-        }
     }
 
     /// An index holding `lists` as terms `t0`, `t1`, …

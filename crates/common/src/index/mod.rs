@@ -12,8 +12,6 @@
 //! * stores one [`PostingList`] per term in a [`TermIndex`], indexed by
 //!   `Sym`: a `Vec` sorted by the posting's [`Posting::sort_key`], the only
 //!   physical format, which adds and removals edit in place;
-//! * computes per-term statistics (document frequency, total term
-//!   frequency) from the list when asked — exact at all times;
 //! * provides the merge/intersection kernels ([`kernels`]) — linear merge
 //!   and galloping (exponential-search) intersection chosen by list-size
 //!   ratio — plus the `lm`/`rm` binary probes the SLCA family is built from.
@@ -30,9 +28,7 @@ pub mod posting;
 pub mod term_index;
 
 pub use dict::TermDict;
-pub use posting::{
-    IndexStats, Posting, PostingCursor, PostingIter, PostingList, Postings, TermStats,
-};
+pub use posting::{IndexStats, Posting, PostingCursor, PostingIter, PostingList, Postings};
 pub use term_index::TermIndex;
 
 /// Selects nothing: every posting list is a sorted `Vec`. Kept only for

@@ -35,24 +35,6 @@ pub trait Posting: Copy {
     /// `self` (e.g. accumulate term frequency). Must return `false` without
     /// mutating `self` when `other` is a distinct posting.
     fn coalesce(&mut self, other: &Self) -> bool;
-
-    /// Term-occurrence count carried by this posting (its tf contribution).
-    fn occurrences(&self) -> u64 {
-        1
-    }
-
-    /// Whether two sort-adjacent postings belong to the same document, for
-    /// document-frequency counting.
-    fn same_doc(&self, other: &Self) -> bool;
-}
-
-/// Per-term statistics, computed from the term's list when asked.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TermStats {
-    /// Documents containing the term.
-    pub df: u64,
-    /// Total occurrences of the term across all documents.
-    pub total_tf: u64,
 }
 
 /// Whole-index size figures, for observability gauges and bench reports.
@@ -146,20 +128,6 @@ impl<P: Posting> PostingList<P> {
     /// Release the slack a growing `Vec` keeps.
     pub(crate) fn shrink_to_fit(&mut self) {
         self.entries.shrink_to_fit();
-    }
-
-    /// The term's statistics, by one scan of the list.
-    pub fn stats(&self) -> TermStats {
-        let mut stats = TermStats::default();
-        let mut prev: Option<&P> = None;
-        for p in &self.entries {
-            stats.total_tf += p.occurrences();
-            if !prev.is_some_and(|q| q.same_doc(p)) {
-                stats.df += 1;
-            }
-            prev = Some(p);
-        }
-        stats
     }
 
     /// The read view over the list.
@@ -377,12 +345,6 @@ impl<P: Posting> PostingCursor<'_, P> {
         self.peek()
     }
 
-    /// Whether the cursor has run off the end of the list.
-    #[inline]
-    pub fn is_exhausted(&self) -> bool {
-        self.peek().is_none()
-    }
-
     /// The posting just before the cursor: the largest posting it has
     /// passed (the list's last once exhausted), `None` at the front. After
     /// `seek(key)` it is the largest posting with `key64 < key` — with
@@ -411,9 +373,6 @@ mod tests {
             self.0 as u64
         }
         fn coalesce(&mut self, other: &Self) -> bool {
-            self == other
-        }
-        fn same_doc(&self, other: &Self) -> bool {
             self == other
         }
     }
@@ -474,7 +433,6 @@ mod tests {
             let scan = passed.checked_sub(1).map(|i| live[i]);
             assert_eq!(view.left_match(Id(v)), scan, "scan {v}");
         }
-        assert!(cursor.is_exhausted());
         assert_eq!(cursor.prev(), live.last().copied(), "exhausted");
     }
 
@@ -485,7 +443,7 @@ mod tests {
         assert_eq!(c.seek(9), Some(Id(9)));
         c.advance();
         c.advance();
-        assert!(c.is_exhausted());
+        assert_eq!(c.peek(), None);
         assert_eq!(c.seek(0), None, "a cursor never moves backwards");
     }
 
@@ -496,6 +454,5 @@ mod tests {
         assert_eq!(l.remove_key(4), 0, "already gone");
         assert_eq!(l.remove_key(99), 0);
         assert_eq!(l.postings(), [Id(1), Id(7)]);
-        assert_eq!(l.stats(), TermStats { df: 2, total_tf: 2 });
     }
 }

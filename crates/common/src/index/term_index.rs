@@ -1,7 +1,7 @@
 //! The term index: a [`TermDict`] plus one sorted [`PostingList`] per term.
 
 use super::dict::TermDict;
-use super::posting::{IndexStats, Posting, PostingList, Postings, TermStats};
+use super::posting::{IndexStats, Posting, PostingList, Postings};
 use crate::intern::Sym;
 
 /// Term dictionary + one posting list per [`Sym`] — the index core all three
@@ -10,8 +10,7 @@ use crate::intern::Sym;
 /// [`add`](Self::add) keeps each list sorted and coalesced as it goes (an
 /// in-order posting is a push at the end) and
 /// [`remove_key`](Self::remove_key) drains one document's postings from one
-/// list, so a read sees exactly the postings added and not removed, and
-/// [`term_stats`](Self::term_stats) is exact at all times.
+/// list, so a read sees exactly the postings added and not removed.
 #[derive(Debug, Clone)]
 pub struct TermIndex<P> {
     dict: TermDict,
@@ -73,13 +72,6 @@ impl<P: Posting> TermIndex<P> {
             .map_or_else(Postings::empty, |s| self.postings(s))
     }
 
-    /// Per-term stats, by one scan of the term's list.
-    pub fn term_stats(&self, sym: Sym) -> TermStats {
-        self.lists
-            .get(sym.0 as usize)
-            .map_or_else(TermStats::default, PostingList::stats)
-    }
-
     /// Distinct terms indexed.
     pub fn term_count(&self) -> usize {
         self.dict.len()
@@ -132,12 +124,6 @@ mod tests {
                 false
             }
         }
-        fn occurrences(&self) -> u64 {
-            self.tf as u64
-        }
-        fn same_doc(&self, other: &Self) -> bool {
-            self.doc == other.doc
-        }
     }
 
     fn occ(doc: u32, slot: u32) -> Occ {
@@ -173,17 +159,12 @@ mod tests {
                 model.push(p);
             }
         }
-        let stats = TermStats {
-            df: 500, // one slot per document in `doc_stream`
-            total_tf: input.len() as u64,
-        };
         let mut ix: TermIndex<Occ> = TermIndex::new();
         for p in input.iter().rev() {
             ix.add("t", *p);
         }
         let sym = ix.sym("t").unwrap();
         assert_eq!(ix.postings(sym).to_vec(), model);
-        assert_eq!(ix.term_stats(sym), stats);
         ix.shrink_to_fit();
         assert_eq!(ix.postings(sym).to_vec(), model);
     }
@@ -197,7 +178,6 @@ mod tests {
         ix.add("db", occ(1, 0));
         let x = ix.sym("xml").unwrap();
         assert_eq!(ix.postings(x), [occ(0, 1), Occ { tf: 2, ..occ(2, 0) }]);
-        assert_eq!(ix.term_stats(x), TermStats { df: 2, total_tf: 3 });
         assert_eq!(ix.term_count(), 2);
         assert_eq!(ix.posting_count(), 3);
         let stats = ix.index_stats();
@@ -219,8 +199,50 @@ mod tests {
         ix.add("t", occ(4, 0));
         assert_eq!(ix.remove_key("t", 4), 1);
         let s = ix.sym("t").expect("a term outlives its postings");
-        assert_eq!(ix.term_stats(s), TermStats::default());
         assert_eq!(ix.postings(s).len(), 0);
         assert_eq!(ix.postings(Sym(9)).len(), 0, "foreign sym");
+    }
+
+    /// Seeded adds (repeats coalesce) and document removals against a
+    /// sorted, coalesced model: every list's slice and the posting count are
+    /// checked after every step.
+    #[test]
+    fn add_remove_round_trip() {
+        type Model =
+            std::collections::BTreeMap<String, std::collections::BTreeMap<(u32, u32), u32>>;
+        let mut rng = crate::Rng::seed_from_u64(0x5E9);
+        let mut ix: TermIndex<Occ> = TermIndex::new();
+        let mut model: Model = Model::new();
+        let mut removed_total = 0;
+        for _ in 0..400 {
+            let term = format!("t{}", rng.gen_index(12));
+            let (doc, slot) = (rng.gen_index(12) as u32, rng.gen_index(3) as u32);
+            if rng.gen_bool(0.25) {
+                let removed = ix.remove_key(&term, doc as u64);
+                let gone = model.get_mut(&term).map_or(0, |occs| {
+                    let before = occs.len();
+                    occs.retain(|&(d, _), _| d != doc);
+                    before - occs.len()
+                });
+                assert_eq!(removed, gone, "removed count");
+                removed_total += removed;
+            } else {
+                ix.add(&term, occ(doc, slot));
+                *model
+                    .entry(term)
+                    .or_default()
+                    .entry((doc, slot))
+                    .or_default() += 1;
+            }
+            for (term, occs) in &model {
+                let want: Vec<Occ> = (occs.iter())
+                    .map(|(&(doc, slot), &tf)| Occ { doc, slot, tf })
+                    .collect();
+                assert_eq!(ix.postings_str(term).as_slice(), want, "term {term:?}");
+            }
+            let stored: usize = model.values().map(|occs| occs.len()).sum();
+            assert_eq!(ix.posting_count(), stored);
+        }
+        assert!(removed_total > 10, "the removals hit: {removed_total}");
     }
 }

@@ -61,19 +61,6 @@ pub fn damerau_levenshtein(a: &str, b: &str) -> usize {
     d[n][m]
 }
 
-/// Bounded edit-distance check: returns `Some(d)` iff
-/// `levenshtein(a,b) = d ≤ max`, bailing out early otherwise. Used on the hot
-/// path of confusion-set construction where most vocabulary words are far.
-pub fn levenshtein_within(a: &str, b: &str, max: usize) -> Option<usize> {
-    let la = a.chars().count();
-    let lb = b.chars().count();
-    if la.abs_diff(lb) > max {
-        return None;
-    }
-    let d = levenshtein(a, b);
-    (d <= max).then_some(d)
-}
-
 /// Length (in chars) of the longest common prefix of `a` and `b`.
 pub fn common_prefix_len(a: &str, b: &str) -> usize {
     a.chars().zip(b.chars()).take_while(|(x, y)| x == y).count()
@@ -103,14 +90,6 @@ mod tests {
         assert_eq!(damerau_levenshtein("ipda", "ipad"), 1);
         assert_eq!(damerau_levenshtein("abc", "abc"), 0);
         assert_eq!(damerau_levenshtein("", "ab"), 2);
-    }
-
-    #[test]
-    fn within_bound() {
-        assert_eq!(levenshtein_within("ipd", "ipad", 1), Some(1));
-        assert_eq!(levenshtein_within("ipd", "ipad", 2), Some(1));
-        assert_eq!(levenshtein_within("ipd", "thinkpad", 2), None);
-        assert_eq!(levenshtein_within("a", "abcd", 2), None); // length filter
     }
 
     #[test]

@@ -87,13 +87,6 @@ impl Value {
             _ => None,
         }
     }
-
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
 }
 
 impl PartialEq for Value {
@@ -229,7 +222,6 @@ mod tests {
         assert_eq!(Value::Int(3).as_f64(), Some(3.0));
         assert_eq!(Value::Float(2.5).as_f64(), Some(2.5));
         assert_eq!(Value::from("ab").as_text(), Some("ab"));
-        assert_eq!(Value::Bool(true).as_bool(), Some(true));
         assert!(Value::Null.is_null());
         assert_eq!(Value::Null.value_type(), None);
         assert_eq!(Value::Int(1).value_type(), Some(ValueType::Int));

@@ -250,22 +250,6 @@ pub struct ShortestPaths {
     pub pred: HashMap<NodeId, NodeId>,
 }
 
-impl ShortestPaths {
-    /// Reconstruct the path from the source to `target` (inclusive), or
-    /// `None` if unreachable.
-    pub fn path_to(&self, target: NodeId) -> Option<Vec<NodeId>> {
-        self.dist.get(&target)?;
-        let mut path = vec![target];
-        let mut cur = target;
-        while let Some(&p) = self.pred.get(&cur) {
-            path.push(p);
-            cur = p;
-        }
-        path.reverse();
-        Some(path)
-    }
-}
-
 /// [`Expansion::search`] on a fresh expansion, materialized into maps. With a
 /// `target`, the maps hold fewer tentative labels than an eager loop leaves.
 pub fn dijkstra(
@@ -378,24 +362,11 @@ mod tests {
     }
 
     #[test]
-    fn path_reconstruction() {
-        let (g, ids) = path_graph();
-        let sp = dijkstra_all(&g, ids[0]);
-        assert_eq!(
-            sp.path_to(ids[3]).unwrap(),
-            vec![ids[0], ids[1], ids[2], ids[3]]
-        );
-        assert_eq!(sp.path_to(ids[0]).unwrap(), vec![ids[0]]);
-    }
-
-    #[test]
     fn disconnected_is_none() {
         let mut g = DataGraph::new();
         let a = g.add_node("n", "");
         let b = g.add_node("n", "");
         assert_eq!(distance(&g, a, b), None);
-        let sp = dijkstra_all(&g, a);
-        assert!(sp.path_to(b).is_none());
     }
 
     #[test]

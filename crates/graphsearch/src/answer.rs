@@ -63,15 +63,6 @@ impl AnswerTree {
         e
     }
 
-    /// Signature of the keyword-match combination — the *distinct core* of
-    /// the answer (Qin et al., ICDE 09).
-    pub fn core_signature(&self) -> Vec<NodeId> {
-        let mut m = self.matches.clone();
-        m.sort();
-        m.dedup();
-        m
-    }
-
     /// Validate against the graph and query: every edge exists, the edge set
     /// is a tree containing root and all matches, match `i` contains keyword
     /// `i`, and `cost` equals the sum of edge weights.
@@ -322,6 +313,5 @@ mod tests {
             rank_cost: 3.0,
         };
         assert_eq!(t1.signature(), t2.signature());
-        assert_eq!(t1.core_signature(), t2.core_signature());
     }
 }

@@ -12,7 +12,7 @@ use crate::answer::{norm_edge, AnswerTree};
 use kwdb_common::index::Postings;
 use kwdb_graph::shortest::multi_source;
 use kwdb_graph::{DataGraph, NodeId};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Approximate top-1 group Steiner tree. Returns `None` when some keyword
 /// has no match or the groups are disconnected.
@@ -121,20 +121,6 @@ fn tree_from_fields(g: &DataGraph, root: NodeId, fields: &[Field], l: usize) -> 
 /// OPT connects root's group to every other group).
 pub fn approximation_factor(n_keywords: usize) -> f64 {
     n_keywords as f64
-}
-
-/// Total distinct edge weight of a set of trees (diagnostics).
-pub fn union_weight(g: &DataGraph, trees: &[AnswerTree]) -> f64 {
-    let mut seen: HashSet<(NodeId, NodeId)> = HashSet::new();
-    let mut total = 0.0;
-    for t in trees {
-        for &(u, v) in &t.edges {
-            if seen.insert((u, v)) {
-                total += g.edge_weight(u, v).unwrap_or(0.0);
-            }
-        }
-    }
-    total
 }
 
 #[cfg(test)]

@@ -60,10 +60,6 @@ impl SpellCorrector {
         *self.vocab.entry(word).or_insert(0) += freq;
     }
 
-    pub fn vocab_size(&self) -> usize {
-        self.vocab.len()
-    }
-
     /// Is `word` a known database token?
     pub fn contains(&self, word: &str) -> bool {
         self.vocab.contains_key(word)

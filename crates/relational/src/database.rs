@@ -15,7 +15,8 @@ use std::collections::HashMap;
 ///
 /// Construction order matters only for foreign keys: a referenced table must
 /// exist (with a primary key) before the referencing table is created, so the
-/// FK can be resolved into a [`SchemaGraph`] edge eagerly.
+/// FK can be resolved into a [`SchemaGraph`] edge eagerly. A table may also
+/// reference its own primary key.
 ///
 /// # Generations
 ///
@@ -66,20 +67,18 @@ impl Database {
         }
         let id = TableId(self.tables.len() as u32);
         // Resolve every FK before touching any state: a table that fails
-        // to resolve leaves no edge behind.
+        // to resolve leaves no edge behind. A foreign key into the table
+        // itself references its own primary key.
         let mut edges = Vec::with_capacity(schema.foreign_keys.len());
         for fk in &schema.foreign_keys {
-            let ref_id = self
-                .by_name
-                .get(&fk.ref_table)
-                .copied()
-                .ok_or_else(|| KwdbError::UnknownObject(fk.ref_table.clone()))?;
-            let pk_column = self.tables[ref_id.0 as usize]
-                .schema
-                .primary_key
-                .ok_or_else(|| {
-                    KwdbError::Schema(format!("FK target {} has no primary key", fk.ref_table))
-                })?;
+            let (ref_id, ref_pk) = match self.by_name.get(&fk.ref_table) {
+                Some(&t) => (t, self.tables[t.0 as usize].schema.primary_key),
+                None if fk.ref_table == schema.name => (id, schema.primary_key),
+                None => return Err(KwdbError::UnknownObject(fk.ref_table.clone())),
+            };
+            let pk_column = ref_pk.ok_or_else(|| {
+                KwdbError::Schema(format!("FK target {} has no primary key", fk.ref_table))
+            })?;
             edges.push(SchemaEdge {
                 from: id,
                 to: ref_id,
@@ -90,7 +89,7 @@ impl Database {
         for edge in edges {
             // The new table is empty; the referenced one may already have
             // rows (and a built index that `ingest` goes on maintaining).
-            let referenced_len = self.tables[edge.to.0 as usize].len();
+            let referenced_len = self.tables.get(edge.to.0 as usize).map_or(0, Table::len);
             self.fk_index.push(FkIndex::for_new_table(referenced_len));
             self.schema_graph.add_edge(edge);
         }
@@ -363,11 +362,6 @@ impl Database {
         self.generation
     }
 
-    /// Generation the text index reflects; `None` until the first build.
-    pub fn indexed_generation(&self) -> Option<u64> {
-        self.indexed_generation
-    }
-
     /// All tokens of a tuple's indexed text columns, for scoring.
     pub fn tuple_tokens(&self, tid: TupleId) -> Vec<String> {
         let t = self.table(tid.table);
@@ -443,18 +437,6 @@ impl Database {
         self.fk_index[edge]
             .chain(referenced)
             .filter(|&r| !from.is_deleted(r))
-    }
-
-    /// Rows of `table` whose column `col` equals `value` (sequential scan;
-    /// FK joins go through [`crate::join`] with a hash table, or through
-    /// the FK index: [`referenced_row`](Self::referenced_row) and
-    /// [`referencing_rows`](Self::referencing_rows)).
-    pub fn scan_eq(&self, table: TableId, col: usize, value: &Value) -> Vec<RowId> {
-        self.table(table)
-            .iter()
-            .filter(|(_, row)| &row[col] == value)
-            .map(|(rid, _)| rid)
-            .collect()
     }
 
     /// Render a tuple for display: `table(v1, v2, …)`.
@@ -591,6 +573,32 @@ mod tests {
     }
 
     #[test]
+    fn a_foreign_key_may_reference_its_own_table() {
+        let mut db = Database::new();
+        let node = db
+            .create_table(
+                TableBuilder::new("node")
+                    .column("id", ColumnType::Int)
+                    .column("parent", ColumnType::Int)
+                    .primary_key("id")
+                    .foreign_key("parent", "node"),
+            )
+            .unwrap();
+        let e = db.schema_graph().edges()[0];
+        assert_eq!((e.from, e.to, e.fk_column, e.pk_column), (node, node, 1, 0));
+        db.insert("node", vec![2.into(), 1.into()]).unwrap(); // waits for 1
+        db.build_text_index();
+        let root = db.ingest("node", vec![1.into(), Value::Null]).unwrap();
+        let leaf = db.ingest("node", vec![3.into(), 1.into()]).unwrap();
+        assert_eq!(db.referenced_row(0, RowId(0)), Some(root.row), "adopted");
+        assert_eq!(db.referenced_row(0, leaf.row), Some(root.row));
+        assert_eq!(db.referenced_row(0, root.row), None, "a NULL parent");
+        let children: Vec<RowId> = db.referencing_rows(0, root.row).collect();
+        assert_eq!(children.len(), 2);
+        assert_fk_index_matches_values(&db);
+    }
+
+    #[test]
     fn schema_graph_built_from_fks() {
         let db = small_db();
         // paper→conference, write→author, write→paper, cite→paper ×2 = 5 edges
@@ -607,7 +615,8 @@ mod tests {
         assert_eq!(ix.postings("widom").len(), 1);
         assert_eq!(ix.postings("xml").len(), 1);
         let author = db.table_id("author").unwrap();
-        assert_eq!(ix.rows_in("john", author), vec![RowId(1)]);
+        let john: Vec<TupleId> = ix.postings("john").iter().map(|p| p.tuple).collect();
+        assert_eq!(john, vec![TupleId::new(author, RowId(1))]);
     }
 
     #[test]
@@ -687,10 +696,10 @@ mod tests {
         assert!(db.is_index_fresh());
         let ix = db.text_index().unwrap();
         assert!(ix.postings("john").is_empty(), "postings gone at once");
-        assert!(ix.rows_in("smith", author).is_empty());
+        assert!(ix.postings("smith").is_empty());
         assert_eq!(ix.index_stats().postings, 6, "the two postings are freed");
         assert_eq!(db.tuple_count(), 4);
-        assert!(db.scan_eq(author, 0, &2.into()).is_empty());
+        assert!(db.table(author).lookup_pk(&2.into()).is_none());
         // unknown pk is a typed error
         assert!(matches!(
             db.delete("author", &99.into()),
@@ -709,17 +718,17 @@ mod tests {
         let mut db = Database::new();
         dblp_schema(&mut db).unwrap();
         assert_eq!(db.generation(), 0);
-        assert_eq!(db.indexed_generation(), None);
+        assert!(!db.is_index_fresh());
         db.insert("author", vec![1.into(), "A".into()]).unwrap();
         assert_eq!(db.generation(), 1);
         db.build_text_index();
-        assert_eq!(db.indexed_generation(), Some(1));
+        assert!(db.is_index_fresh());
         db.ingest("author", vec![2.into(), "B".into()]).unwrap();
         assert_eq!(db.generation(), 2);
-        assert_eq!(db.indexed_generation(), Some(2));
+        assert!(db.is_index_fresh());
         db.delete("author", &1.into()).unwrap();
         assert_eq!(db.generation(), 3);
-        assert_eq!(db.indexed_generation(), Some(3));
+        assert!(db.is_index_fresh());
     }
 
     #[test]
@@ -770,7 +779,10 @@ mod tests {
             for (rid, row) in db.table(e.to).iter() {
                 let mut indexed: Vec<RowId> = db.referencing_rows(ei, rid).collect();
                 indexed.sort();
-                let scanned = db.scan_eq(e.from, e.fk_column, &row[e.pk_column]);
+                let scanned: Vec<RowId> = (db.table(e.from).iter())
+                    .filter(|(_, r)| r[e.fk_column] == row[e.pk_column])
+                    .map(|(rid, _)| rid)
+                    .collect();
                 assert_eq!(indexed, scanned, "edge {ei}, referenced row {rid:?}");
             }
             for (rid, row) in db.table(e.from).iter() {
@@ -923,14 +935,6 @@ mod tests {
         assert_eq!(db.schema_graph().edges().len(), edges);
         db.build_text_index();
         assert_fk_index_matches_values(&db);
-    }
-
-    #[test]
-    fn scan_eq_finds_rows() {
-        let db = small_db();
-        let paper = db.table_id("paper").unwrap();
-        assert_eq!(db.scan_eq(paper, 2, &1.into()), vec![RowId(0)]);
-        assert!(db.scan_eq(paper, 2, &99.into()).is_empty());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use crate::schema::TableId;
 use crate::table::{RowId, TupleId};
-use kwdb_common::index::{IndexStats, Postings, TermIndex, TermStats};
+use kwdb_common::index::{IndexStats, Postings, TermIndex};
 use kwdb_common::intern::Sym;
 use std::collections::HashMap;
 use std::time::Duration;
@@ -44,14 +44,6 @@ impl kwdb_common::index::Posting for Posting {
             false
         }
     }
-
-    fn occurrences(&self) -> u64 {
-        self.tf as u64
-    }
-
-    fn same_doc(&self, other: &Self) -> bool {
-        self.tuple == other.tuple
-    }
 }
 
 /// The cursor key ([`kwdb_common::index::Posting::key64`]) of a tuple.
@@ -59,19 +51,11 @@ pub fn tuple_key(tuple: TupleId) -> u64 {
     ((tuple.table.0 as u64) << 32) | tuple.row.0 as u64
 }
 
-/// Half-open cursor-key range `[lo, hi)` covering every posting of `table`
-/// — the `seek` window for per-table scans.
-pub fn table_key_range(table: TableId) -> (u64, u64) {
-    let lo = (table.0 as u64) << 32;
-    (lo, lo + (1u64 << 32))
-}
-
-/// Inverted index: keyword → postings, with a per-table view.
+/// Inverted index: keyword → postings.
 ///
 /// Postings are `(table, row, tf)`, one per tuple holding the keyword,
 /// stored sorted by `(table, row)` so per-table runs are contiguous ("query
-/// tuple sets" in DISCOVER terms) and reachable by a single cursor `seek`
-/// into [`table_key_range`].
+/// tuple sets" in DISCOVER terms), merged by one pass over the lists.
 ///
 /// Storage is one [`TermIndex`]: one sorted list per term, which an `add`
 /// after a build (a push at the end for the newest rows) and
@@ -137,44 +121,10 @@ impl InvertedIndex {
         self.store.postings(sym)
     }
 
-    /// Postings for `term` within one table (decoded into a fresh `Vec`).
-    pub fn postings_in(&self, term: &str, table: TableId) -> Vec<Posting> {
-        self.sym(term)
-            .map_or_else(Vec::new, |s| self.postings_in_sym(s, table))
-    }
-
-    /// Postings for an already-resolved term within one table: one cursor
-    /// `seek` to the table's key range, then a bounded scan.
-    pub fn postings_in_sym(&self, sym: Sym, table: TableId) -> Vec<Posting> {
-        let (lo, hi) = table_key_range(table);
-        let mut cursor = self.store.postings(sym).cursor();
-        let mut out = Vec::new();
-        cursor.seek(lo);
-        while let Some(p) = cursor.peek() {
-            if kwdb_common::index::Posting::key64(&p) >= hi {
-                break;
-            }
-            out.push(p);
-            cursor.advance();
-        }
-        out
-    }
-
-    /// Rows of `table` containing `term`, ascending.
-    pub fn rows_in(&self, term: &str, table: TableId) -> Vec<RowId> {
-        let postings = self.postings_in(term, table);
-        postings.iter().map(|p| p.tuple.row).collect()
-    }
-
     /// Number of distinct tuples (across tables) containing `term`: the
     /// length of its list, one posting per tuple.
     pub fn doc_freq(&self, term: &str) -> usize {
         self.postings(term).len()
-    }
-
-    /// Per-term stats (document frequency, total term frequency).
-    pub fn term_stats(&self, sym: Sym) -> TermStats {
-        self.store.term_stats(sym)
     }
 
     /// Number of tuples indexed in `table`.
@@ -195,10 +145,6 @@ impl InvertedIndex {
     /// All indexed terms, in dictionary id order.
     pub fn terms(&self) -> impl Iterator<Item = &str> {
         self.store.terms()
-    }
-
-    pub fn term_count(&self) -> usize {
-        self.store.term_count()
     }
 
     /// Whole-index size figures, with the build wall-clock when the owner
@@ -244,20 +190,6 @@ mod tests {
     }
 
     #[test]
-    fn per_table_slice() {
-        let ix = index();
-        assert_eq!(ix.postings_in("xml", TableId(0)).len(), 2);
-        assert_eq!(ix.postings_in("xml", TableId(1)).len(), 1);
-        assert_eq!(ix.postings_in("xml", TableId(9)).len(), 0);
-    }
-
-    #[test]
-    fn rows_in_lists_matching_rows() {
-        let ix = index();
-        assert_eq!(ix.rows_in("xml", TableId(0)), vec![RowId(0), RowId(2)]);
-    }
-
-    #[test]
     fn doc_freq_counts_tuples() {
         let ix = index();
         assert_eq!(ix.doc_freq("xml"), 3);
@@ -274,7 +206,6 @@ mod tests {
     fn missing_term_is_empty() {
         let ix = index();
         assert!(ix.postings("nothing").is_empty());
-        assert!(ix.rows_in("nothing", TableId(0)).is_empty());
     }
 
     #[test]
@@ -282,10 +213,6 @@ mod tests {
         let ix = index();
         let xml = ix.sym("xml").expect("indexed term resolves");
         assert_eq!(ix.postings_sym(xml), ix.postings("xml"));
-        assert_eq!(
-            ix.postings_in_sym(xml, TableId(0)),
-            ix.postings_in("xml", TableId(0))
-        );
         assert!(ix.sym("nothing").is_none());
     }
 
@@ -297,14 +224,5 @@ mod tests {
         assert_eq!(stats.postings, 4);
         assert_eq!(stats.posting_bytes, 4 * 12);
         assert!(stats.build.is_none(), "unit-built index is untimed");
-    }
-
-    #[test]
-    fn term_stats_track_tf_and_df() {
-        let ix = index();
-        let xml = ix.sym("xml").unwrap();
-        let stats = ix.term_stats(xml);
-        assert_eq!(stats.df, 3);
-        assert_eq!(stats.total_tf, 4); // tf=2 posting plus two tf=1 postings
     }
 }

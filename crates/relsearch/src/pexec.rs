@@ -17,8 +17,7 @@
 //! The executor evaluates whole CNs: the join follows the database's FK
 //! index — every foreign key already resolved to a row id, in both
 //! directions — and leaves its output in the flat
-//! buffers of an [`EvalScratch`] instead of allocating row vectors per CN
-//! ([`evaluate_cn_pooled`] is the same join, materialized). A single-node CN
+//! buffers of an [`EvalScratch`] instead of allocating row vectors per CN. A single-node CN
 //! is a CN like any other: its result set is the tuple set the query
 //! already built.
 //!
@@ -178,32 +177,6 @@ impl EvalScratch {
     pub fn new() -> Self {
         Self::default()
     }
-}
-
-/// Evaluate `cn` fully over its default row sets, reusing `scratch`'s
-/// buffers: the materializing form of the join the executor scores in
-/// place. Produces the same result *set* as [`crate::eval::evaluate_cn`]
-/// (order may differ; callers rank by content anyway).
-pub fn evaluate_cn_pooled(
-    db: &Database,
-    cn: &CandidateNetwork,
-    ts: &TupleSets,
-    scratch: &mut EvalScratch,
-    stats: &ExecStats,
-) -> Vec<JoinedResult> {
-    let plan = join_plan(db, ts, cn);
-    let unrefined = Restriction::default();
-    scratch.rows.fill(db, ts);
-    let EvalScratch { join, rows, .. } = scratch;
-    let results = join_cn(db, cn, &plan, &unrefined, ts, rows, join, stats, &|| false)
-        .map(|chunk| {
-            let mut tuples = Vec::new();
-            fill_tuples(cn, &plan, chunk, &mut tuples);
-            JoinedResult { tuples }
-        })
-        .collect();
-    rows.reset(ts);
-    results
 }
 
 /// Write the joined row `chunk` (plan order) into `tuples` in the CN's node
@@ -676,6 +649,30 @@ mod tests {
         db
     }
 
+    /// Evaluate `cn` fully over its default row sets: the join the
+    /// executor scores in place, materialized.
+    fn materialize(
+        db: &Database,
+        cn: &CandidateNetwork,
+        ts: &TupleSets,
+        scratch: &mut EvalScratch,
+        stats: &ExecStats,
+    ) -> Vec<JoinedResult> {
+        let plan = join_plan(db, ts, cn);
+        let unrefined = Restriction::default();
+        scratch.rows.fill(db, ts);
+        let EvalScratch { join, rows, .. } = scratch;
+        let results = join_cn(db, cn, &plan, &unrefined, ts, rows, join, stats, &|| false)
+            .map(|chunk| {
+                let mut tuples = Vec::new();
+                fill_tuples(cn, &plan, chunk, &mut tuples);
+                JoinedResult { tuples }
+            })
+            .collect();
+        rows.reset(ts);
+        results
+    }
+
     fn setup(db: &Database, keywords: &[&str]) -> (TupleSets, Vec<CandidateNetwork>) {
         let ts = TupleSets::build(db, keywords).unwrap();
         let oracle = MaskOracle::from_tuplesets(&ts);
@@ -700,7 +697,7 @@ mod tests {
         for cn in &cns {
             let stats = ExecStats::new();
             let mut plain = evaluate_cn(&db, cn, &ts, &stats);
-            let mut pooled = evaluate_cn_pooled(&db, cn, &ts, &mut scratch, &stats);
+            let mut pooled = materialize(&db, cn, &ts, &mut scratch, &stats);
             plain.sort();
             pooled.sort();
             assert_eq!(plain, pooled, "pooled evaluator diverged on a CN");
@@ -767,7 +764,7 @@ mod tests {
                 }
                 let mut reference = evaluate_cn(&db, cn, &ts, &ExecStats::new());
                 let stats = ExecStats::new();
-                let mut pooled = evaluate_cn_pooled(&db, cn, &ts, &mut scratch, &stats);
+                let mut pooled = materialize(&db, cn, &ts, &mut scratch, &stats);
                 reference.sort();
                 pooled.sort();
                 assert_eq!(reference, pooled, "{}", cn.display(&db, &keywords));

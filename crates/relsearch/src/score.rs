@@ -23,7 +23,7 @@
 //! * [`ResultScorer::tuple_score`] / [`ResultScorer::watf`] count the
 //!   keywords in the tuple's *text* — the reference the serial
 //!   [`crate::topk`] strategies, the [`crate::spark`] sweeps, `timebound`
-//!   and the parity suites use;
+//!   and the differential tests use;
 //! * [`ScoreTable`] takes them from the *tuple sets*, which kept the
 //!   frequencies the postings carried, and looks each keyword's `idf` up
 //!   once per query — one column per tuple set, which is all the engine's

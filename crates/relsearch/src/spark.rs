@@ -17,7 +17,7 @@
 //! * [`naive_spark`] — evaluate everything; the correctness baseline.
 //!
 //! These are the tutorial's *reference* strategies: experiment E07 compares
-//! them and the parity suites use [`naive_spark`] as the oracle. The engine
+//! them and the sweeps are tested against [`naive_spark`]. The engine
 //! serves `Scoring::Spark` through its one CN executor, [`crate::pexec`],
 //! which prunes with the same `watf` bound per CN and per joined row.
 

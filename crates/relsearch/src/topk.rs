@@ -2,8 +2,9 @@
 //! (Hristidis et al., VLDB 03), tutorial slide 116.
 //!
 //! These are the tutorial's *reference* strategies: experiments E06/E07
-//! compare them, and the parity suites use them as the serial oracle for
-//! the engine's executor, [`crate::pexec`]. No serving path runs them.
+//! compare them, and `tests/relational_pipeline.rs` holds them and the
+//! engine's executor, [`crate::pexec`], to one another. No serving path
+//! runs them.
 //!
 //! All four executors return the same top-k (the scoring function is the
 //! monotone DISCOVER2 model from [`crate::score`]); they differ in how much

@@ -191,18 +191,6 @@ impl TupleSets {
         k
     }
 
-    /// Non-empty masks available for `table`, sorted.
-    pub fn masks_for(&self, table: TableId) -> Vec<u32> {
-        let mut m: Vec<u32> = self
-            .sets
-            .keys()
-            .filter(|(t, _)| *t == table)
-            .map(|(_, m)| *m)
-            .collect();
-        m.sort();
-        m
-    }
-
     /// The free set `R^∅`: rows of `table` containing *no* query keyword.
     /// Using the exact partition keeps joining trees duplicate-free across
     /// CNs — every tree's node masks are its tuples' exact keyword sets.
@@ -292,14 +280,6 @@ mod tests {
         assert_eq!(ts.get(author, 0b01).unwrap().row_tfs(0), [1]);
         assert!(ts.get(paper, 0b01).is_none());
         assert!(ts.covers_all_keywords());
-    }
-
-    #[test]
-    fn masks_for_table_sorted() {
-        let db = db();
-        let ts = TupleSets::build(&db, &["widom", "xml"]).unwrap();
-        let paper = db.table_id("paper").unwrap();
-        assert_eq!(ts.masks_for(paper), vec![0b10, 0b11]);
     }
 
     #[test]

@@ -33,10 +33,6 @@ impl kwdb_common::index::Posting for NodeId {
     fn coalesce(&mut self, other: &Self) -> bool {
         self == other
     }
-
-    fn same_doc(&self, other: &Self) -> bool {
-        self == other
-    }
 }
 
 /// Inverted index: keyword → sorted node list.

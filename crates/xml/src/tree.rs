@@ -65,10 +65,6 @@ impl XmlTree {
         self.labels.resolve(self.nodes[n.0 as usize].label)
     }
 
-    pub fn label_sym(&self, n: NodeId) -> Sym {
-        self.nodes[n.0 as usize].label
-    }
-
     pub fn parent(&self, n: NodeId) -> Option<NodeId> {
         let p = self.parent[n.0 as usize];
         (p != NO_PARENT).then_some(NodeId(p))

@@ -92,11 +92,6 @@ impl Catalog {
         self.engines.get(name)
     }
 
-    /// Look up an engine's mutation surface by name.
-    pub fn get_mutable(&self, name: &str) -> Option<&Arc<dyn MutableEngine>> {
-        self.mutable.get(name)
-    }
-
     /// Resolve `name` to its mutation surface, with typed errors: a name
     /// absent from the whole catalog is [`KwdbError::UnknownObject`]; a name
     /// registered read-only is [`KwdbError::ReadOnly`].
@@ -588,12 +583,7 @@ mod tests {
             KwdbError::UnknownObject(_)
         ));
 
-        // The mutable handle is the same engine the read path serves.
         assert!(d.catalog().get("live").is_some());
-        assert_eq!(
-            d.catalog().get_mutable("live").unwrap().generation(),
-            outcome.generation
-        );
     }
 
     #[test]

@@ -225,14 +225,6 @@ impl SearchRequest {
         self.k
     }
 
-    pub fn budget_value(&self) -> &Budget {
-        &self.budget
-    }
-
-    pub fn trace_level(&self) -> TraceLevel {
-        self.trace
-    }
-
     pub fn facet_specs(&self) -> &[FacetSpec] {
         &self.facets
     }
@@ -254,18 +246,12 @@ impl SearchRequest {
         self.use_cache = on;
         self
     }
-
-    /// Whether this request participates in the engines' result caches.
-    pub fn caching_enabled(&self) -> bool {
-        self.use_cache
-    }
 }
 
 /// The uniform response: ranked hits plus the execution record.
 ///
-/// `#[non_exhaustive]`: construct one via an engine's `execute` (or
-/// [`SearchResponse::from_hits`] in tests/adapters) so response fields can
-/// grow without breaking downstream code.
+/// `#[non_exhaustive]`: construct one via an engine's `execute` so response
+/// fields can grow without breaking downstream code.
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct SearchResponse<H> {
@@ -291,20 +277,6 @@ pub struct SearchResponse<H> {
 }
 
 impl<H> SearchResponse<H> {
-    /// A bare completed response: `hits` with default stats, no truncation,
-    /// no trace, no facets — for tests and adapters that wrap non-kwdb
-    /// sources.
-    pub fn from_hits(hits: Vec<H>) -> Self {
-        SearchResponse {
-            hits,
-            stats: QueryStats::new(),
-            truncation: None,
-            trace: None,
-            facets: Vec::new(),
-            facets_exact: true,
-        }
-    }
-
     /// `true` when the budget was exhausted and `hits` is best-so-far.
     pub fn truncated(&self) -> bool {
         self.truncation.is_some()

@@ -360,6 +360,9 @@ impl RelationalEngine {
                     }
                 }
             }
+            // The answer is a function of the keyword set: masks, CN order
+            // and score sums all follow keyword order, so fix one.
+            keywords.sort_unstable();
             tb.event("keywords", || vec![field("count", keywords.len())]);
             Ok(keywords)
         };

@@ -3,9 +3,14 @@
 //! three engines; repeated queries must hit the CN plan cache; empty and
 //! unmatched queries must come back empty through the new API.
 
-use kwdb::common::Budget;
+use kwdb::common::{Budget, ScratchPool, TruncationReason};
 use kwdb::datasets::{self, generate_dblp, DblpConfig};
 use kwdb::engine::{GraphEngine, GraphSemantics, RelationalEngine, SearchRequest, XmlEngine};
+use kwdb::relational::ExecStats;
+use kwdb::relsearch::cn::{CnGenConfig, CnGenerator, MaskOracle};
+use kwdb::relsearch::pexec::{parallel_topk_budgeted, EvalScratch};
+use kwdb::relsearch::topk::TopKQuery;
+use kwdb::relsearch::{ResultScorer, TupleSets};
 use kwdb::xml::XmlIndex;
 use std::time::Duration;
 
@@ -130,8 +135,9 @@ fn repeated_query_hits_cn_cache_and_is_faster_to_plan() {
 #[test]
 fn swapped_keywords_do_not_reuse_a_plan_with_swapped_masks() {
     // CN masks are positional: bit i is keyword i. "rakesh" matches only
-    // author names and "crowdsourcing" only paper titles, so the two
-    // orders have different mask signatures and need different plans.
+    // author names and "crowdsourcing" only paper titles, so a plan cached
+    // for one order would swap the masks of the other; the engine sorts the
+    // keywords, so both orders plan (and answer) as one.
     let db = std::sync::Arc::new(generate_dblp(&DblpConfig {
         n_papers: 200,
         n_authors: 60,
@@ -288,4 +294,30 @@ fn graph_keyword_count_limits_are_errors_and_the_limit_itself_answers() {
     // The engine is still serviceable after the refusals.
     let resp = engine.execute(&request(2, GraphSemantics::Banks)).unwrap();
     assert_eq!(resp.hits[0].root, hub);
+}
+
+#[test]
+fn expired_deadline_stops_the_executor_at_its_first_checkpoint() {
+    let db = dblp();
+    let keywords = ["data", "query"];
+    let ts = TupleSets::build(&db, &keywords).unwrap();
+    let oracle = MaskOracle::from_tuplesets(&ts);
+    let cns = CnGenerator::new(db.schema_graph(), &oracle, CnGenConfig::default()).generate();
+    let scorer = ResultScorer::new(&db);
+    let q = TopKQuery {
+        db: &db,
+        ts: &ts,
+        cns: &cns,
+        scorer: &scorer,
+        keywords: &keywords,
+    };
+    let pool: ScratchPool<EvalScratch> = ScratchPool::new();
+    // A budget that expired before the executor started: the first ticket
+    // fails the deadline check, so nothing is evaluated.
+    let budget = Budget::unlimited().with_timeout(Duration::ZERO);
+    let out = parallel_topk_budgeted(&q, 5, &ExecStats::new(), &budget, 1, &pool);
+    assert_eq!(out.truncation, Some(TruncationReason::DeadlineExceeded));
+    assert_eq!(out.cns_evaluated, 0);
+    assert!(out.results.is_empty());
+    assert_eq!(out.cns_pruned, cns.len() as u64);
 }

@@ -10,20 +10,17 @@
 //!
 //! The counts come from a count-propagation pass over the CN trees and a
 //! drill-down restricts the CNs it joins; neither enumerates the results
-//! it is about. What holds them to the definition is a generated
-//! differential test against the definition itself — every CN joined in
-//! full by `eval::evaluate_cn`, filtered by `result_passes`, counted row by
-//! row by `FacetAccum::observe` — plus exact work counters: facets add no
-//! join, a drill-down joins only CNs that can pass it.
+//! it is about. What holds them to the definition is the generated
+//! differential harness in `relational_lattice.rs` (every CN joined in full
+//! by `eval::evaluate_cn`, filtered by `result_passes`, counted row by row
+//! by `FacetAccum::observe`); this suite adds exact work counters: facets
+//! add no join, a drill-down joins only CNs that can pass it.
 
-use kwdb::common::text::parse_query;
-use kwdb::common::{CacheConfig, Rng, Value};
+use kwdb::common::CacheConfig;
 use kwdb::datasets::{generate_dblp, DblpConfig};
 use kwdb::prelude::*;
-use kwdb::relational::{Database, ExecStats, TupleId};
+use kwdb::relational::Database;
 use kwdb::relsearch::cn::{CandidateNetwork, CnGenConfig, CnGenerator, MaskOracle};
-use kwdb::relsearch::eval::evaluate_cn;
-use kwdb::relsearch::facets::{resolve_facets, resolve_refinements, result_passes, FacetAccum};
 use kwdb::relsearch::TupleSets;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -394,212 +391,4 @@ fn two_conference_nodes_split_a_drill_down_into_disjoint_cases() {
     assert_eq!(counts(&engine.execute(&both).unwrap()), (4, [4, 4], [7, 1]));
     let none = base.refine(decade(1990.0));
     assert_eq!(counts(&engine.execute(&none).unwrap()), (0, [0, 0], [0, 0]));
-}
-
-/// The definition, executed: every CN joined in full, every result that
-/// passes every refinement counted tuple by tuple.
-fn by_definition(
-    db: &Database,
-    query: &str,
-    specs: &[FacetSpec],
-    refinements: &[Refinement],
-) -> (Vec<Vec<TupleId>>, Vec<FacetCounts>) {
-    let facets = resolve_facets(db, specs).unwrap();
-    let refinements = resolve_refinements(db, refinements).unwrap();
-    let ts = TupleSets::build(db, &parse_query(query)).unwrap();
-    let mut results = Vec::new();
-    if ts.covers_all_keywords() {
-        for cn in plan(db, &ts) {
-            let joined = evaluate_cn(db, &cn, &ts, &ExecStats::new());
-            results.extend(
-                joined
-                    .into_iter()
-                    .filter(|r| result_passes(db, &refinements, r)),
-            );
-        }
-    }
-    let mut counts = FacetAccum::new(facets.len());
-    for r in &results {
-        counts.observe(db, &facets, r);
-    }
-    let mut results: Vec<_> = results.into_iter().map(|r| r.tuples).collect();
-    results.sort();
-    (results, counts.finish(&facets))
-}
-
-/// A token of a random live tuple of `table`: keywords come from where the
-/// data is, so title words, name parts and venues all occur.
-fn random_token(db: &Database, table: &str, rng: &mut Rng) -> String {
-    let t = db.table_by_name(table).unwrap();
-    let rows: Vec<_> = t.iter().map(|(rid, _)| rid).collect();
-    let tuple = TupleId::new(db.table_id(table).unwrap(), *rng.choose(&rows));
-    rng.choose(&db.tuple_tokens(tuple)).clone()
-}
-
-#[test]
-fn counts_and_refined_hits_equal_the_definition_on_generated_cases() {
-    let specs = [
-        FacetSpec::terms("conference.name", 1000),
-        FacetSpec::range(
-            "conference.year",
-            (1990..2030)
-                .step_by(10)
-                .map(|y| RangeBucket::new(format!("{y}s"), y as f64, (y + 10) as f64))
-                .collect(),
-        ),
-        // a table that occurs at two nodes of one CN (author–write–paper–write–author)
-        FacetSpec::terms("author.name", 1000),
-        // a table whose keyword nodes sit on the referencing side of a join
-        FacetSpec::terms("paper.title", 1000),
-    ];
-    let mut rng = Rng::seed_from_u64(0xfa_ce75);
-    let (mut cases, mut results_seen, mut refined_nonempty, mut author_refined) = (0, 0, 0, 0);
-    let mut split = 0;
-    for seed in 0..4u64 {
-        let n_papers = rng.gen_range(40..=110usize);
-        let mut db = generate_dblp(&DblpConfig {
-            n_conferences: rng.gen_range(3..=14usize),
-            n_authors: rng.gen_range(12..=40usize),
-            n_papers,
-            seed: 0xd1ff + seed,
-            ..Default::default()
-        });
-        // Every state a join partner can be in: as built; ingested (with a
-        // NULL foreign key); deleted (the conference of some papers: their
-        // foreign key dangles); the same key re-ingested (they join again).
-        for state in 0..4 {
-            match state {
-                1 => {
-                    let (aid, pid) = (9_000.into(), 9_000.into());
-                    db.ingest("author", vec![aid, "data query".into()]).unwrap();
-                    let title = "keyword data search query".into();
-                    db.ingest("paper", vec![pid, title, Value::Null]).unwrap();
-                    db.ingest("paper", vec![9_001.into(), "xml data".into(), 0.into()])
-                        .unwrap();
-                    for (wid, aid, pid) in
-                        [(9_000, 9_000.into(), 9_000), (9_001, Value::Null, 9_001)]
-                    {
-                        db.ingest("write", vec![wid.into(), aid, pid.into()])
-                            .unwrap();
-                    }
-                    db.ingest("cite", vec![9_000.into(), 9_000.into(), 1.into()])
-                        .unwrap();
-                }
-                2 => {
-                    db.delete("conference", &0.into()).unwrap();
-                    db.delete("paper", &2.into()).unwrap();
-                    db.delete("author", &1.into()).unwrap();
-                }
-                3 => {
-                    db.ingest(
-                        "conference",
-                        vec![0.into(), "SIGMOD data".into(), 2021.into()],
-                    )
-                    .unwrap();
-                    db.ingest("author", vec![1.into(), "query reborn".into()])
-                        .unwrap();
-                }
-                _ => {}
-            }
-            let shared = Arc::new(db.clone());
-            let engine = uncached_engine(&shared);
-            for q in 0..13 {
-                // A query, its keywords drawn from where the data is; up to
-                // four redraws for one that has results (some stay empty).
-                let n_keywords = 2 + q % 2;
-                let (mut query, mut unrefined) = (String::new(), Vec::new());
-                for _ in 0..5 {
-                    let mut tables = ["paper", "paper", "author", "author", "conference"];
-                    rng.shuffle(&mut tables);
-                    let mut terms: Vec<String> = tables[..n_keywords]
-                        .iter()
-                        .map(|table| random_token(&db, table, &mut rng))
-                        .collect();
-                    terms.sort();
-                    terms.dedup();
-                    query = terms.join(" ");
-                    let (results, counts) = by_definition(&db, &query, &specs, &[]);
-                    unrefined = counts;
-                    if !results.is_empty() {
-                        break;
-                    }
-                }
-                // 0–2 refinements, on values the unrefined answer shows.
-                let mut refinements = Vec::new();
-                for _ in 0..rng.gen_range(0..=2usize) {
-                    let f = rng.gen_index(specs.len());
-                    let shown: Vec<_> =
-                        unrefined[f].values.iter().filter(|v| v.count > 0).collect();
-                    if shown.is_empty() {
-                        continue;
-                    }
-                    let shown = *rng.choose(&shown);
-                    refinements.push(match &specs[f] {
-                        FacetSpec::Terms { attr, .. } => Refinement::Term {
-                            attr: attr.clone(),
-                            value: shown.value.clone(),
-                        },
-                        FacetSpec::Range { attr, buckets } => {
-                            let b = buckets.iter().find(|b| b.label == shown.value).unwrap();
-                            Refinement::Range {
-                                attr: attr.clone(),
-                                lo: b.lo,
-                                hi: b.hi,
-                            }
-                        }
-                    });
-                }
-                let (want_hits, want_counts) = by_definition(&db, &query, &specs, &refinements);
-                cases += 1;
-                let ts = TupleSets::build(&db, &parse_query(&query)).unwrap();
-                let splits = |cn: &CandidateNetwork| {
-                    refinements.iter().any(|r| {
-                        let (table, _) = db.resolve_attr(r.attr()).unwrap();
-                        cn.nodes.iter().filter(|n| n.table == table).count() >= 2
-                    })
-                };
-                split += usize::from(!want_hits.is_empty() && plan(&db, &ts).iter().any(splits));
-                results_seen += want_hits.len();
-                refined_nonempty += usize::from(!refinements.is_empty() && !want_hits.is_empty());
-                author_refined += usize::from(
-                    refinements.iter().any(|r| r.attr() == "author.name") && !want_hits.is_empty(),
-                );
-
-                let mut req = SearchRequest::new(query.as_str()).k(1_000_000);
-                for spec in &specs {
-                    req = req.facet(spec.clone());
-                }
-                for refinement in &refinements {
-                    req = req.refine(refinement.clone());
-                }
-                let ctx =
-                    format!("seed {seed} state {state}: {query:?} refined by {refinements:?}");
-                let tuples_of = |resp: &SearchResponse<RelationalHit>| {
-                    let mut hits: Vec<_> = resp.hits.iter().map(|h| h.tuples.clone()).collect();
-                    hits.sort();
-                    hits
-                };
-                let resp = engine.execute(&req).unwrap();
-                assert!(resp.facets_exact && !resp.truncated(), "{ctx}");
-                assert_eq!(resp.facets, want_counts, "{ctx}: counts");
-                assert_eq!(tuples_of(&resp), want_hits, "{ctx}: hits");
-                let spark = engine
-                    .execute(&req.clone().scoring(Scoring::Spark))
-                    .unwrap();
-                assert_eq!(spark.facets, want_counts, "{ctx}: SPARK counts");
-                assert_eq!(tuples_of(&spark), want_hits, "{ctx}: SPARK hits");
-                // The top of a short page is the top of the long one.
-                let page = engine.execute(&req.clone().k(3)).unwrap();
-                assert_eq!(page.facets, want_counts, "{ctx}: counts at k = 3");
-            }
-        }
-    }
-    assert!(cases >= 200, "{cases} cases");
-    // The cases must reach what they are for.
-    eprintln!(
-        "{cases} cases, {results_seen} results, {refined_nonempty} refined with results, \
-         {author_refined} of them on author.name, {split} with a CN split into cases"
-    );
-    assert!(results_seen > 10 * cases);
-    assert!(refined_nonempty > cases / 4 && author_refined > 10 && split > 10);
 }

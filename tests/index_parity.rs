@@ -3,6 +3,8 @@
 //! exactly what the string convenience path returns, and (b) every stored
 //! posting list must equal a naive from-scratch recomputation over the raw
 //! substrate — term dictionary, sort order, coalescing, and stats included.
+//! The relational index is held to its token scan by
+//! `relational_lattice.rs`, after every mutation of its script.
 
 use kwdb::common::index::kernels;
 use kwdb::common::text::{normalize_term, tokenize};
@@ -11,76 +13,6 @@ use kwdb::datasets::{generate_bib_xml, generate_dblp, DblpConfig};
 use kwdb::graph::shortest::multi_source;
 use kwdb::xml::XmlIndex;
 use std::collections::BTreeMap;
-
-#[test]
-fn relational_index_matches_naive_recomputation() {
-    let db = generate_dblp(&DblpConfig {
-        n_papers: 120,
-        n_authors: 60,
-        ..Default::default()
-    });
-    let ix = db.text_index().expect("index built");
-
-    // Naive reference: term → tuple → tf over all its text columns,
-    // straight off the tables.
-    type Key = (kwdb::relational::TableId, kwdb::relational::RowId);
-    let mut reference: BTreeMap<String, BTreeMap<Key, u32>> = BTreeMap::new();
-    for t in db.tables() {
-        let text_cols: Vec<usize> = t.schema.text_columns().collect();
-        for (rid, row) in t.iter() {
-            for &c in &text_cols {
-                if let Some(text) = row[c].as_text() {
-                    for tok in tokenize(text) {
-                        *reference
-                            .entry(tok)
-                            .or_default()
-                            .entry((t.id, rid))
-                            .or_insert(0) += 1;
-                    }
-                }
-            }
-        }
-    }
-
-    assert_eq!(ix.term_count(), reference.len(), "same vocabulary size");
-    for (term, occs) in &reference {
-        let sym = ix.sym(term).expect("reference term is indexed");
-        let postings = ix.postings(term);
-        assert_eq!(postings, ix.postings_sym(sym), "string vs Sym parity");
-        let got: Vec<(Key, u32)> = postings
-            .iter()
-            .map(|p| ((p.tuple.table, p.tuple.row), p.tf))
-            .collect();
-        let want: Vec<(Key, u32)> = occs.iter().map(|(&k, &tf)| (k, tf)).collect();
-        assert_eq!(got, want, "postings for {term:?} (sorted + coalesced)");
-
-        // df = tuples = postings; total_tf = total occurrences
-        assert_eq!(ix.doc_freq(term), occs.len(), "df for {term:?}");
-        assert_eq!(
-            ix.term_stats(sym).total_tf,
-            occs.values().map(|&tf| tf as u64).sum::<u64>(),
-            "total tf for {term:?}"
-        );
-    }
-}
-
-#[test]
-fn relational_per_table_slices_match_full_lists() {
-    let db = generate_dblp(&DblpConfig::default());
-    let ix = db.text_index().expect("index built");
-    for term in ix.terms().map(str::to_string).collect::<Vec<_>>() {
-        let all = ix.postings(&term);
-        let tables: std::collections::BTreeSet<_> = all.iter().map(|p| p.tuple.table).collect();
-        let mut reassembled = Vec::new();
-        for &t in &tables {
-            let slice = ix.postings_in(&term, t);
-            assert!(slice.iter().all(|p| p.tuple.table == t));
-            assert_eq!(slice, ix.postings_in_sym(ix.sym(&term).unwrap(), t));
-            reassembled.extend(slice);
-        }
-        assert_eq!(all, reassembled, "table slices partition {term:?}");
-    }
-}
 
 #[test]
 fn xml_index_matches_naive_recomputation() {

@@ -111,6 +111,33 @@ fn keyword_order_does_not_defeat_the_cache() {
     assert_eq!(other_k.stats.result_cache_misses, 1);
 }
 
+/// A relational answer is a function of the keyword set: every order of a
+/// three-keyword request answers with the same trees and score bits, cache
+/// off, and cache on where the first order asked fills the entry the others
+/// are served.
+#[test]
+fn a_reordered_relational_request_answers_bit_for_bit_alike() {
+    let bits = |resp: &kwdb::engine::SearchResponse<kwdb::engine::RelationalHit>| {
+        let hit = |h: &kwdb::engine::RelationalHit| (h.score.to_bits(), h.tuples.clone());
+        resp.hits.iter().map(hit).collect::<Vec<_>>()
+    };
+    let orders = ["data query xml", "xml query data", "query xml data"];
+    let mut answers = Vec::new();
+    for cache in [CacheConfig::disabled(), CacheConfig::default()] {
+        let engine = engine_with(cache);
+        for q in orders {
+            let resp = engine.execute(&SearchRequest::new(q).k(10)).unwrap();
+            answers.push((q, resp.stats.result_cache_hits, bits(&resp)));
+        }
+    }
+    assert!(!answers[0].2.is_empty());
+    for (q, _, answer) in &answers {
+        assert!(*answer == answers[0].2, "{q:?} answers otherwise");
+    }
+    let hits: Vec<u64> = answers.iter().map(|a| a.1).collect();
+    assert_eq!(hits, [0, 0, 0, 0, 1, 1], "one cache entry for every order");
+}
+
 /// A graph answer lists one match per keyword in the request's order (and
 /// sums its distances in that order), so a reordered request is an entry of
 /// its own: under every semantics, with the cache on or off, `"kw1 kw0"`
