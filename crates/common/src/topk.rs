@@ -7,6 +7,10 @@
 use crate::Score;
 use std::collections::BinaryHeap;
 
+/// The most items a collector makes room for before any arrives: the `k` of
+/// a request bounds the answer, not an allocation.
+const PREALLOCATED: usize = 64;
+
 /// Keeps the `k` items with the highest scores seen so far.
 ///
 /// Internally a min-heap of size ≤ k over `(score, seq)`; ties on score are
@@ -47,11 +51,14 @@ impl<T> Ord for Slot<T> {
 
 impl<T> TopK<T> {
     /// Create a collector for the best `k` items. `k == 0` accepts nothing.
+    /// Room for at most `PREALLOCATED` (64) items is made up front; past
+    /// that the heap grows as items arrive, so any `k` (up to `usize::MAX`, "all
+    /// of them") costs what is kept.
     pub fn new(k: usize) -> Self {
         TopK {
             k,
             seq: 0,
-            heap: BinaryHeap::with_capacity(k.saturating_add(1)),
+            heap: BinaryHeap::with_capacity(k.min(PREALLOCATED) + 1),
         }
     }
 
@@ -135,17 +142,14 @@ pub struct ContentTopK<T> {
     items: Vec<(f64, T)>,
 }
 
-/// The content order: higher score first, then smaller item.
-fn key_cmp<T: Ord>(a: &(f64, T), b: &(f64, T)) -> std::cmp::Ordering {
-    b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1))
-}
-
 impl<T: Ord> ContentTopK<T> {
-    /// A collector for the best `k` items. `k == 0` accepts nothing.
+    /// A collector for the best `k` items. `k == 0` accepts nothing. As
+    /// with [`TopK::new`], room for at most `PREALLOCATED` items is made up
+    /// front.
     pub fn new(k: usize) -> Self {
         ContentTopK {
             k,
-            items: Vec::with_capacity(k.saturating_add(1)),
+            items: Vec::with_capacity(k.min(PREALLOCATED) + 1),
         }
     }
 
@@ -167,19 +171,38 @@ impl<T: Ord> ContentTopK<T> {
     /// Offer an item. Returns `true` if it was kept (a better item may
     /// still evict it later).
     pub fn push(&mut self, score: f64, item: T) -> bool {
-        if !self.would_accept(score) {
+        let Some(pos) = self.place(score, &item) else {
             return false;
-        }
-        let cand = (score, item);
-        let pos = match self.items.binary_search_by(|e| key_cmp(e, &cand)) {
-            Ok(p) | Err(p) => p,
         };
-        if pos >= self.k {
-            return false; // orders after the k-th best (always, at k = 0)
-        }
-        self.items.insert(pos, cand);
+        self.items.insert(pos, (score, item));
         self.items.truncate(self.k);
         true
+    }
+
+    /// [`push`](Self::push) an item held by reference, cloning it only if
+    /// it is kept: an item that ties the k-th best score and orders after
+    /// it under content costs a comparison, not a copy.
+    pub fn push_cloned(&mut self, score: f64, item: &T) -> bool
+    where
+        T: Clone,
+    {
+        let Some(pos) = self.place(score, item) else {
+            return false;
+        };
+        self.items.insert(pos, (score, item.clone()));
+        self.items.truncate(self.k);
+        true
+    }
+
+    /// Where `(score, item)` would go under the content order (higher
+    /// score first, then smaller item), if it would be kept.
+    fn place(&self, score: f64, item: &T) -> Option<usize> {
+        if !self.would_accept(score) {
+            return None;
+        }
+        let order = |e: &(f64, T)| score.total_cmp(&e.0).then_with(|| e.1.cmp(item));
+        let (Ok(pos) | Err(pos)) = self.items.binary_search_by(order);
+        (pos < self.k).then_some(pos) // not after the k-th best (never, at k = 0)
     }
 
     /// The kept items, best first under `(score desc, item asc)`.
@@ -294,6 +317,36 @@ mod tests {
         assert!(!tk.push(3.9, 0), "strictly below the threshold");
         tk.push(5.0, 3);
         assert_eq!(tk.threshold(), Some(5.0), "rises as better items arrive");
+    }
+
+    #[test]
+    fn push_cloned_keeps_what_push_keeps() {
+        let offers = [
+            (5.0, 3u32),
+            (5.0, 1),
+            (7.0, 9),
+            (5.0, 2),
+            (5.0, 4),
+            (6.0, 0),
+        ];
+        let (mut owned, mut cloned) = (ContentTopK::new(3), ContentTopK::new(3));
+        for (s, v) in offers {
+            assert_eq!(owned.push(s, v), cloned.push_cloned(s, &v), "{s} {v}");
+        }
+        assert_eq!(owned.into_sorted_vec(), cloned.into_sorted_vec());
+    }
+
+    #[test]
+    fn unbounded_k_sizes_nothing_by_k() {
+        let mut tk = TopK::new(usize::MAX);
+        let mut ctk = ContentTopK::new(usize::MAX);
+        assert_eq!(ctk.threshold(), None);
+        for i in 0..5u32 {
+            assert!(tk.push(f64::from(i), i));
+            assert!(ctk.push(f64::from(i), i));
+        }
+        assert_eq!(tk.into_sorted_vec().len(), 5);
+        assert_eq!(ctk.into_sorted_vec()[0], (4.0, 4));
     }
 
     #[test]

@@ -457,10 +457,30 @@ impl Database {
             if i > 0 {
                 out.push_str(", ");
             }
-            let _ = write!(out, "{v}"); // (writing to a String cannot fail)
+            match v {
+                Value::Text(s) => out.push_str(s),
+                Value::Int(i) => push_int(out, *i),
+                // (writing to a String cannot fail)
+                v => drop(write!(out, "{v}")),
+            }
         }
         out.push(')');
     }
+}
+
+/// Append `i` in decimal, as its `Display` would, without a formatter.
+fn push_int(out: &mut String, i: i64) {
+    if i < 0 {
+        out.push('-');
+    }
+    push_digits(out, i.unsigned_abs());
+}
+
+fn push_digits(out: &mut String, u: u64) {
+    if u >= 10 {
+        push_digits(out, u / 10);
+    }
+    out.push(char::from(b'0' + (u % 10) as u8));
 }
 
 /// Convenience: the classic DBLP-style schema used in the tutorial's examples
@@ -969,6 +989,25 @@ mod tests {
                 db.write_tuple(&mut out, tid);
                 assert_eq!(out, format!("…{want}"));
             }
+        }
+    }
+
+    #[test]
+    fn ints_render_as_display_renders_them() {
+        for i in [
+            0,
+            7,
+            -7,
+            10,
+            -10,
+            1_000_000,
+            i64::MAX,
+            i64::MIN,
+            i64::MIN + 1,
+        ] {
+            let mut out = String::from("x");
+            push_int(&mut out, i);
+            assert_eq!(out, format!("x{i}"));
         }
     }
 }

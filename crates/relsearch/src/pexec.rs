@@ -19,7 +19,11 @@
 //! directions — and leaves its output in the flat
 //! buffers of an [`EvalScratch`] instead of allocating row vectors per CN. A single-node CN
 //! is a CN like any other: its result set is the tuple set the query
-//! already built.
+//! already built. A step that places a keyword node on the referenced side
+//! of its edge has at most one partner per tuple; when its parent was
+//! placed by the step just before it, it runs inside that step, as a test
+//! on each row that step emits, so a row it drops is never copied into the
+//! next intermediate (`join_cn`).
 //!
 //! # Scoring
 //!
@@ -78,13 +82,13 @@
 use crate::cn::CandidateNetwork;
 use crate::eval::JoinedResult;
 use crate::facets::{
-    admits, count_facets, restrictions, CountScratch, FacetRequest, FacetTally, ResolvedRefinement,
-    Restriction,
+    admits, count_facets, restrictions, CountScratch, FacetRequest, FacetTally, Literal,
+    ResolvedRefinement, Restriction,
 };
 use crate::parallel::{join_plan, JoinPlan};
 use crate::score::{ScoreTable, Scoring};
 use crate::topk::{CnExecOutcome, RankedResult, TopKQuery};
-use crate::tupleset::TupleSets;
+use crate::tupleset::{MaskMap, TupleSets};
 use kwdb_common::topk::ContentTopK;
 use kwdb_common::{Budget, ScratchPool};
 use kwdb_relational::{Database, ExecStats, RowId, TableId, TupleId};
@@ -94,13 +98,15 @@ use std::ops::Deref;
 /// query (an engine serving concurrent requests keeps one per thread).
 /// Nothing in it outlives one evaluation but the allocated capacity — and
 /// the lengths of `group_head` and the row map, every entry `NIL`, and
-/// `counts`' arrays, every entry 0.
+/// `counts`' arrays and the tuple-set build's mask array, every entry 0.
 #[derive(Default)]
 pub struct EvalScratch {
     join: JoinBuffers,
     pub(crate) rows: RowMap,
     /// [`count_facets`]' message buffers, pooled with the join's.
     pub(crate) counts: CountScratch,
+    /// [`TupleSets::build_with`]'s mask array and buffers.
+    pub(crate) masks: MaskMap,
 }
 
 /// The join's own buffers.
@@ -120,6 +126,9 @@ struct JoinBuffers {
 }
 
 pub(crate) const NIL: u32 = u32::MAX;
+
+/// Most forward steps folded into one step: longer runs fold in pieces.
+const FOLD_MAX: usize = 4;
 
 /// Where a query's keyword-matched rows sit in its tuple sets: per table,
 /// one `u32` per row slot, holding the row's position in the one tuple set
@@ -193,19 +202,19 @@ fn fill_tuples(cn: &CandidateNetwork, plan: &JoinPlan, chunk: &[RowId], tuples: 
 /// rows where they lie: one chunk of `cn.nodes.len()` row ids per result,
 /// in `plan.order` (not node order). The result *set* is
 /// [`crate::eval::evaluate_cn`]'s, less the rows `case` rejects: a node's
-/// literals are tested on the rows a step placed at it (the root's rows
-/// included) before the next step reads them — `keep_admitted`, a pass of
-/// its own so that the loops below are an unrefined join's, untouched — and
-/// a refined join never carries a row its refinement would drop from the
-/// output past the step that met it.
+/// literals are tested on each row a step places at it (the root's rows
+/// included), so a refined join never carries a row its refinement would
+/// drop from the output past the step that met it.
 ///
-/// `cancel` is polled before each join step and once more at the end. When
-/// it is true the evaluation stops and returns no rows — the executor uses
-/// this to abandon a refined CN's later case once the rows of its earlier
-/// cases have raised the top-k bound strictly past the CN's upper bound
-/// (every result it could still produce would be rejected, so dropping them
-/// cannot change the final top-k). Nothing raises the bound while a step
-/// runs, so a step is never interrupted.
+/// `cancel` is polled before each step that runs a loop of its own, and once
+/// more at the end. When it is true the evaluation stops and returns no
+/// rows — the executor uses this to abandon a refined CN's later case once
+/// the rows of its earlier cases have raised the top-k bound strictly past
+/// the CN's upper bound (every result it could still produce would be
+/// rejected, so dropping them cannot change the final top-k). Nothing
+/// raises the bound while the join runs, so its answer is the same at every
+/// poll: no step is interrupted, and a step folded into another (below)
+/// would have passed the poll it skips.
 ///
 /// The join follows `plan`, the CN's [`join_plan`]: from the keyword node
 /// estimated cheapest to start at, most selective neighbour first. No step
@@ -229,13 +238,23 @@ fn fill_tuples(cn: &CandidateNetwork, plan: &JoinPlan, chunk: &[RowId], tuples: 
 /// [`kwdb_relational::Database::referenced_row`]), so the result set is the
 /// by-value hash join's, [`crate::eval::evaluate_cn`]'s.
 ///
-/// [`ExecStats`] for a lookup step: one `join_probes` per intermediate
-/// tuple, one `tuples_scanned` per chain row a reverse lookup visits, one
-/// `probe_rows` per match emitted. For the probing step: one
-/// `tuples_scanned` per intermediate tuple grouped, one `join_probes` per
-/// tuple-set row, one `probe_rows` per match emitted. A step counts into
-/// locals and adds them to the counters once, when it ends; the totals are
-/// those of the by-value joins this replaced.
+/// A *forward* step places the referenced side of its edge, so a tuple has
+/// at most one partner there. The forward steps to keyword nodes that
+/// directly follow a step, each off the node placed just before it, are
+/// folded into it ([`Step::folds_after`]): each row it would emit looks up
+/// its chain of partners at once and reaches `next` only if all of them
+/// are kept. A row one of them drops is never copied; the chunks come out
+/// in the separate steps' order.
+///
+/// [`ExecStats`] per step, folded or not, as the step alone would count:
+/// for a lookup step, one `join_probes` per tuple it takes in, one
+/// `tuples_scanned` per chain row a reverse lookup visits, one `probe_rows`
+/// per match it keeps; for the probing step, one `tuples_scanned` per
+/// intermediate tuple grouped, one `join_probes` per tuple-set row, one
+/// `probe_rows` per match kept. A step counts into its [`Step`] and adds
+/// to the counters when its host step ends, and only if it took a tuple
+/// in — a separate step after an empty one would not have run. The totals
+/// are those of the by-value joins this replaced.
 #[allow(clippy::too_many_arguments)]
 fn join_cn<'s>(
     db: &Database,
@@ -265,18 +284,51 @@ fn join_cn<'s>(
     for (s, &node) in order.iter().enumerate() {
         slot[node] = s;
     }
+    let mut steps: Vec<Step> = (order.iter().skip(1))
+        .map(|&node| {
+            let edge = &cn.edges[join_via[node].expect("non-root placed via an edge")];
+            let parent = if edge.a == node { edge.b } else { edge.a };
+            Step {
+                node,
+                parent,
+                pslot: slot[parent],
+                edge: edge.schema_edge,
+                forward: edge.from_side_is(parent),
+                free: cn.nodes[node].mask == 0,
+                table: cn.nodes[node].table,
+                set: rows_of(node),
+                map: rows.of(cn.nodes[node].table),
+                literals: case.on(node),
+                probes: 0,
+                scanned: 0,
+                kept: 0,
+            }
+        })
+        .collect();
 
-    let mut cur = std::mem::take(&mut scratch.cur);
-    let mut next = std::mem::take(&mut scratch.next);
+    let JoinBuffers {
+        cur,
+        next,
+        group_head: head,
+        group_next: link,
+    } = scratch;
     cur.clear();
     let first_rows = rows_of(order[0]);
     stats.add_scanned(first_rows.len() as u64);
-    cur.extend_from_slice(first_rows);
-    keep_admitted(db, cn, case, order[0], &mut cur, 1);
+    let (root, literals) = (cn.nodes[order[0]].table, case.on(order[0]));
+    match literals {
+        [] => cur.extend_from_slice(first_rows),
+        _ => cur.extend(
+            first_rows
+                .iter()
+                .filter(|&&r| admits(db, literals, root, r)),
+        ),
+    }
     let mut stride = 1usize;
 
     let mut cancelled = false;
-    for &node in order.iter().skip(1) {
+    let mut at = 0;
+    while at < steps.len() {
         if cur.is_empty() {
             break;
         }
@@ -284,51 +336,52 @@ fn join_cn<'s>(
             cancelled = true;
             break;
         }
-        let e = &cn.edges[join_via[node].expect("non-root placed via an edge")];
-        let parent = if e.a == node { e.b } else { e.a };
-        let pslot = slot[parent];
+        let folded = (steps[at + 1..].iter().zip(&steps[at..]))
+            .take_while(|(step, before)| step.folds_after(before))
+            .take(FOLD_MAX)
+            .count();
+        let (host, fold) = steps[at..=at + folded].split_first_mut().expect("a step");
         let ntuples = cur.len() / stride;
         next.clear();
-        let (mut probes, mut scanned) = (0u64, 0u64);
+        // A row the host keeps goes on — with the rows the folded steps
+        // reach from it — only if every folded step kept one.
+        let mut chain = [RowId(0); FOLD_MAX];
+        let mut emit = |tuple: &[RowId], r: RowId, fold: &mut [Step]| {
+            if follow(db, r, fold, &mut chain) {
+                next.extend_from_slice(tuple);
+                next.push(r);
+                chain[..fold.len()].iter().for_each(|&p| next.push(p));
+            }
+        };
 
-        let free = cn.nodes[node].mask == 0;
-        if free || e.from_side_is(parent) {
+        if host.free || host.forward {
             // Each intermediate tuple looks its partners up and keeps those
             // in the node's row set — for a free node the rows the map has
             // in no tuple set.
-            let (set, map) = (rows_of(node), rows.of(cn.nodes[node].table));
-            for t in 0..ntuples {
-                probes += 1;
-                let tuple = &cur[t * stride..(t + 1) * stride];
-                let mut emit = |r: RowId| {
-                    let at = position(map, r);
-                    let kept = if free {
-                        at == NIL
-                    } else {
-                        set.get(at as usize) == Some(&r)
-                    };
-                    if kept {
-                        next.extend_from_slice(tuple);
-                        next.push(r);
-                    }
-                };
-                if e.from_side_is(parent) {
+            for tuple in cur.chunks_exact(stride) {
+                host.probes += 1;
+                let parent = tuple[host.pslot];
+                if host.forward {
                     // (a NULL foreign key references no row)
-                    let partner = db.referenced_row(e.schema_edge, tuple[pslot]);
-                    partner.into_iter().for_each(emit);
+                    let partner = db.referenced_row(host.edge, parent);
+                    if let Some(r) = partner.filter(|&r| host.keeps(db, r)) {
+                        host.kept += 1;
+                        emit(tuple, r, fold);
+                    }
                 } else {
-                    for r in db.referencing_rows(e.schema_edge, tuple[pslot]) {
-                        scanned += 1;
-                        emit(r);
+                    for r in db.referencing_rows(host.edge, parent) {
+                        host.scanned += 1;
+                        if host.keeps(db, r) {
+                            host.kept += 1;
+                            emit(tuple, r, fold);
+                        }
                     }
                 }
             }
         } else {
             // A keyword node on the referencing side: group the
             // intermediate by parent row, probe with the node's tuple set.
-            let head = &mut scratch.group_head;
-            let link = &mut scratch.group_next;
-            let parent_len = db.table(cn.nodes[parent].table).len();
+            let parent_len = db.table(cn.nodes[host.parent].table).len();
             if head.len() < parent_len {
                 head.resize(parent_len, NIL);
             }
@@ -337,69 +390,107 @@ fn join_cn<'s>(
             link.resize(ntuples, NIL);
             // Last tuple first, so a group reads in intermediate order.
             for t in (0..ntuples).rev() {
-                let p = cur[t * stride + pslot].0 as usize;
+                let p = cur[t * stride + host.pslot].0 as usize;
                 link[t] = std::mem::replace(&mut head[p], t as u32);
             }
-            scanned += ntuples as u64;
-            for &r in rows_of(node) {
-                probes += 1;
-                let Some(p) = db.referenced_row(e.schema_edge, r) else {
+            host.scanned += ntuples as u64;
+            for &r in host.set {
+                host.probes += 1;
+                let Some(p) = db.referenced_row(host.edge, r) else {
                     continue;
                 };
                 let mut t = head[p.0 as usize];
+                if t == NIL || !admits(db, host.literals, host.table, r) {
+                    continue;
+                }
                 while t != NIL {
                     let at = t as usize * stride;
-                    next.extend_from_slice(&cur[at..at + stride]);
-                    next.push(r);
+                    host.kept += 1;
+                    emit(&cur[at..at + stride], r, fold);
                     t = link[t as usize];
                 }
             }
             for t in 0..ntuples {
-                head[cur[t * stride + pslot].0 as usize] = NIL;
+                head[cur[t * stride + host.pslot].0 as usize] = NIL;
             }
         }
-        keep_admitted(db, cn, case, node, &mut next, stride + 1);
-        let emitted = (next.len() / (stride + 1)) as u64;
-        stats.add_join();
-        stats.add_probes(probes);
-        stats.add_scanned(scanned);
-        stats.add_probe_rows(emitted);
-        stats.add_output(emitted);
-        std::mem::swap(&mut cur, &mut next);
-        stride += 1;
+        // (each row a step keeps is one tuple the next folded step takes in)
+        let mut probes = host.kept;
+        for step in fold.iter_mut() {
+            (step.probes, probes) = (probes, step.kept);
+        }
+        for step in std::iter::once(host).chain(fold).filter(|s| s.probes > 0) {
+            stats.add_join();
+            stats.add_probes(step.probes);
+            stats.add_scanned(step.scanned);
+            stats.add_probe_rows(step.kept);
+            stats.add_output(step.kept);
+        }
+        std::mem::swap(cur, next);
+        stride += 1 + folded;
+        at += 1 + folded;
     }
 
     if cancelled || stride < n || cancel() {
         cur.clear(); // abandoned, or a join emptied out before all nodes were placed
     }
-    scratch.cur = cur;
-    scratch.next = next;
     scratch.cur.chunks(n)
 }
 
-/// Drop from `rows` — joined tuples of `width` row ids, `node`'s row last —
-/// the tuples whose row at `node` the literals `case` puts on it reject.
-/// No literals (every node of an unrefined CN): nothing is read.
-fn keep_admitted(
-    db: &Database,
-    cn: &CandidateNetwork,
-    case: &Restriction<'_>,
-    node: usize,
-    rows: &mut Vec<RowId>,
-    width: usize,
-) {
-    let literals = case.on(node);
-    if literals.is_empty() {
-        return;
-    }
-    let mut kept = 0;
-    for at in (0..rows.len()).step_by(width) {
-        if admits(db, literals, cn.nodes[node].table, rows[at + width - 1]) {
-            rows.copy_within(at..at + width, kept);
-            kept += width;
+/// Run the forward steps `fold` from `r`, each off the row the one before
+/// reached, into `chain`: whether every step kept a row.
+fn follow(db: &Database, r: RowId, fold: &mut [Step], chain: &mut [RowId; FOLD_MAX]) -> bool {
+    let mut prev = r;
+    for (step, row) in fold.iter_mut().zip(chain) {
+        match db.referenced_row(step.edge, prev) {
+            Some(p) if step.keeps(db, p) => (step.kept, *row, prev) = (step.kept + 1, p, p),
+            _ => return false,
         }
     }
-    rows.truncate(kept);
+    true
+}
+
+/// One join step of a CN: `node` placed through schema edge `edge` off
+/// `parent`, which sits at `pslot` of the intermediate; `forward` when
+/// `node` is the edge's referenced side. The counts are the step's own.
+struct Step<'a> {
+    node: usize,
+    parent: usize,
+    pslot: usize,
+    edge: usize,
+    forward: bool,
+    free: bool,
+    table: TableId,
+    /// The node's tuple set (none for a free node) and its table's row map.
+    set: &'a [RowId],
+    map: &'a [u32],
+    literals: &'a [Literal<'a>],
+    probes: u64,
+    scanned: u64,
+    kept: u64,
+}
+
+impl Step<'_> {
+    /// Whether this step runs inside `before`, the step just before it: a
+    /// forward step to a keyword node, off the node `before` placed. (A
+    /// forward step to a free node keeps nearly every row it takes in —
+    /// few referenced rows match a keyword — so folding it saves next to
+    /// no copying, and it slowed the heaviest joins.)
+    fn folds_after(&self, before: &Step) -> bool {
+        self.forward && !self.free && self.parent == before.node
+    }
+
+    /// Whether a row the step reaches belongs at its node: in its tuple
+    /// set (a free node: in none) and admitted by its literals.
+    fn keeps(&self, db: &Database, r: RowId) -> bool {
+        let at = position(self.map, r);
+        let member = if self.free {
+            at == NIL
+        } else {
+            self.set.get(at as usize) == Some(&r)
+        };
+        member && (self.literals.is_empty() || admits(db, self.literals, self.table, r))
+    }
 }
 
 /// Run the executor under [`Scoring::Monotone`] on `q.cns` under `budget`,
@@ -518,9 +609,8 @@ where
     let mut evaluated = 0u64;
     let mut scratch = pool.checkout(EvalScratch::new);
     // Scoring by text and the top-k read a result as tuples: one buffer,
-    // refilled per joined row, allocated anew only for a row the top-k
-    // keeps.
-    let mut probe = JoinedResult { tuples: Vec::new() };
+    // refilled per joined row, cloned only for a row the top-k keeps.
+    let mut probe = (0, JoinedResult { tuples: Vec::new() });
     let EvalScratch { join, rows, .. } = &mut *scratch;
     rows.fill(q.db, q.ts);
     for (pos, &j) in jobs.iter().enumerate() {
@@ -534,6 +624,7 @@ where
         let cn = &q.cns[j];
         let plan = join_plan(q.db, q.ts, cn);
         evaluated += 1;
+        probe.0 = j;
         // Per node, in node order: where its row sits in a joined chunk
         // and, for a keyword node, its tuple set's score column and its
         // table's row map. A free node has none — its tuples score 0.
@@ -570,22 +661,22 @@ where
                 let mut score = sum / chunk.len() as f64;
                 match model {
                     Scoring::Monotone => debug_assert_eq!(score.to_bits(), {
-                        fill_tuples(cn, &plan, chunk, &mut probe.tuples);
-                        q.scorer.monotone_score(&probe, q.keywords).to_bits()
+                        fill_tuples(cn, &plan, chunk, &mut probe.1.tuples);
+                        q.scorer.monotone_score(&probe.1, q.keywords).to_bits()
                     }),
                     Scoring::Spark => {
                         if !top.would_accept(score) {
                             continue; // even its bound is below the k-th best
                         }
-                        fill_tuples(cn, &plan, chunk, &mut probe.tuples);
-                        let exact = q.scorer.spark_score(&probe, q.keywords);
+                        fill_tuples(cn, &plan, chunk, &mut probe.1.tuples);
+                        let exact = q.scorer.spark_score(&probe.1, q.keywords);
                         debug_assert!(exact <= score, "watf bound {score} < score {exact}");
                         score = exact;
                     }
                 }
                 if top.would_accept(score) {
-                    fill_tuples(cn, &plan, chunk, &mut probe.tuples);
-                    top.push(score, (j, probe.clone()));
+                    fill_tuples(cn, &plan, chunk, &mut probe.1.tuples);
+                    top.push_cloned(score, &probe);
                 }
             }
         }
@@ -658,11 +749,22 @@ mod tests {
         scratch: &mut EvalScratch,
         stats: &ExecStats,
     ) -> Vec<JoinedResult> {
+        materialize_case(db, cn, &Restriction::default(), ts, scratch, stats)
+    }
+
+    /// [`materialize`] restricted to `case`.
+    fn materialize_case(
+        db: &Database,
+        cn: &CandidateNetwork,
+        case: &Restriction<'_>,
+        ts: &TupleSets,
+        scratch: &mut EvalScratch,
+        stats: &ExecStats,
+    ) -> Vec<JoinedResult> {
         let plan = join_plan(db, ts, cn);
-        let unrefined = Restriction::default();
         scratch.rows.fill(db, ts);
         let EvalScratch { join, rows, .. } = scratch;
-        let results = join_cn(db, cn, &plan, &unrefined, ts, rows, join, stats, &|| false)
+        let results = join_cn(db, cn, &plan, case, ts, rows, join, stats, &|| false)
             .map(|chunk| {
                 let mut tuples = Vec::new();
                 fill_tuples(cn, &plan, chunk, &mut tuples);
@@ -791,6 +893,173 @@ mod tests {
             .map(|(cn, s)| (cn.to_string(), *s))
             .collect();
         assert_eq!(got, golden, "{got:#?}");
+    }
+
+    /// `[tuples_scanned, join_probes, joins_executed, rows_output,
+    /// probe_rows]` of every (CN, case) of the two fixtures below, as
+    /// counted by the join before it folded forward steps into the step
+    /// before them.
+    const GOLDEN_FOLD_STATS: &[[u64; 5]] = &[
+        [6, 6, 2, 6, 6],
+        [6, 6, 4, 5, 5],
+        [4, 3, 2, 1, 1],
+        [9, 9, 4, 9, 9],
+        [2, 2, 1, 0, 0],
+        [2, 2, 1, 0, 0],
+        [2, 2, 1, 1, 1],
+        [2, 2, 1, 1, 1],
+        [2, 2, 1, 0, 0],
+        [2, 2, 1, 0, 0],
+        [2, 2, 1, 0, 0],
+        [2, 2, 1, 0, 0],
+        [2, 2, 1, 0, 0],
+        [2, 2, 1, 0, 0],
+        [1, 0, 0, 0, 0],
+        [6, 6, 3, 7, 7],
+        [2, 12, 2, 6, 6],
+        [2, 13, 2, 8, 8],
+        [7, 1, 1, 0, 0],
+        [7, 1, 1, 0, 0],
+        [7, 1, 1, 0, 0],
+        [7, 1, 1, 0, 0],
+        [7, 1, 1, 0, 0],
+        [7, 1, 1, 0, 0],
+    ];
+
+    /// Join every CN of `queries` on `db` under each case `refinements`
+    /// make of it and unrestricted, hold the result set to
+    /// [`evaluate_cn`]'s, and return each join's stats, with how many
+    /// steps folded into a lookup step and into a probing step, and how
+    /// many of those carried literals.
+    fn fold_stats(
+        db: &Database,
+        refinements: &[ResolvedRefinement],
+        queries: &[&[&str]],
+    ) -> (Vec<[u64; 5]>, [usize; 3]) {
+        let (mut got, mut folds) = (Vec::new(), [0; 3]);
+        let mut scratch = EvalScratch::new();
+        for keywords in queries {
+            let (ts, cns) = setup(db, keywords);
+            for cn in &cns {
+                let plan = join_plan(db, &ts, cn);
+                let mut cases = restrictions(cn, refinements);
+                cases.push(Restriction::default());
+                for case in &cases {
+                    // (a forward step to a keyword node, off the node the
+                    // step before placed)
+                    for w in plan.order.windows(2).skip(1) {
+                        let edge = |v: usize| &cn.edges[plan.join_via[v].unwrap()];
+                        let (e, before) = (edge(w[1]), edge(w[0]));
+                        let parent = if e.a == w[1] { e.b } else { e.a };
+                        let keyword = cn.nodes[w[1]].mask != 0;
+                        if parent == w[0] && e.from_side_is(parent) && keyword {
+                            let probing = cn.nodes[w[0]].mask != 0 && before.from_side_is(w[0]);
+                            folds[probing as usize] += 1;
+                            folds[2] += !case.on(w[1]).is_empty() as usize;
+                        }
+                    }
+                    let stats = ExecStats::new();
+                    let mut pooled = materialize_case(db, cn, case, &ts, &mut scratch, &stats);
+                    let mut reference: Vec<JoinedResult> =
+                        evaluate_cn(db, cn, &ts, &ExecStats::new())
+                            .into_iter()
+                            .filter(|r| {
+                                (r.tuples.iter().enumerate())
+                                    .all(|(ni, t)| admits(db, case.on(ni), t.table, t.row))
+                            })
+                            .collect();
+                    reference.sort();
+                    pooled.sort();
+                    assert_eq!(reference, pooled, "{}", cn.display(db, keywords));
+                    let s = stats.snapshot();
+                    got.push([
+                        s.tuples_scanned,
+                        s.join_probes,
+                        s.joins_executed,
+                        s.rows_output,
+                        s.probe_rows,
+                    ]);
+                }
+            }
+        }
+        (got, folds)
+    }
+
+    #[test]
+    fn folded_forward_steps_keep_the_result_set_and_the_unfolded_stats() {
+        use crate::facets::{resolve_refinements, Refinement};
+        use kwdb_relational::{ColumnType, TableBuilder};
+        let mut db = db();
+        db.insert("write", vec![104.into(), Value::Null, 12.into()])
+            .unwrap(); // a NULL forward FK
+        db.insert("write", vec![105.into(), 99.into(), 10.into()])
+            .unwrap(); // a dangling one: no author 99
+        db.insert("paper", vec![14.into(), "XML to go".into(), 2.into()])
+            .unwrap();
+        db.build_text_index();
+        // A tombstone inside author 1's chain of writes, and a deleted
+        // keyword row.
+        db.ingest("write", vec![106.into(), 1.into(), 13.into()])
+            .unwrap();
+        db.ingest("write", vec![107.into(), 1.into(), 11.into()])
+            .unwrap();
+        db.delete("write", &106.into()).unwrap();
+        db.delete("paper", &14.into()).unwrap();
+        // Literals on every paper and every conference node: the nodes
+        // forward steps place.
+        let range = |attr: &str, lo, hi| Refinement::Range {
+            attr: attr.into(),
+            lo,
+            hi,
+        };
+        let year = Refinement::Term {
+            attr: "conference.year".into(),
+            value: "2007".into(),
+        };
+        let refinements = [range("paper.pid", 10.0, 13.0), year];
+        let refinements = resolve_refinements(&db, &refinements).unwrap();
+        let queries: [&[&str]; 3] = [&["widom", "xml"], &["sigmod", "xml"], &["vldb", "widom"]];
+        let (mut got, dblp) = fold_stats(&db, &refinements, &queries);
+
+        // A keyword table that references two others: joined from `a`, it
+        // is probed, and the forward step to `c` folds into the probing.
+        let mut db = Database::new();
+        let text_table = |name| {
+            TableBuilder::new(name)
+                .column("id", ColumnType::Int)
+                .column("text", ColumnType::Text)
+                .primary_key("id")
+        };
+        db.create_table(text_table("a")).unwrap();
+        db.create_table(text_table("c")).unwrap();
+        let b = text_table("b")
+            .column("a", ColumnType::Int)
+            .column("c", ColumnType::Int)
+            .foreign_key("a", "a")
+            .foreign_key("c", "c");
+        db.create_table(b).unwrap();
+        db.insert("a", vec![1.into(), "ax".into()]).unwrap();
+        db.insert("a", vec![2.into(), "plain".into()]).unwrap();
+        for (id, text) in [(1, "cz"), (2, "cz"), (3, "plain"), (4, "cz")] {
+            db.insert("c", vec![id.into(), text.into()]).unwrap();
+        }
+        let bs = [(1, 1), (1, 2), (1, 3), (2, 1), (1, 99), (1, 4), (1, 2)];
+        for (id, (a, c)) in (10..).zip(bs) {
+            db.insert("b", vec![id.into(), "by".into(), a.into(), c.into()])
+                .unwrap();
+        }
+        db.insert("b", vec![20.into(), "by".into(), 1.into(), Value::Null])
+            .unwrap();
+        db.build_text_index();
+        db.delete("b", &16.into()).unwrap();
+        db.delete("c", &4.into()).unwrap();
+        let refinements = [range("c.id", 1.0, 2.0), range("b.id", 10.0, 20.0)];
+        let refinements = resolve_refinements(&db, &refinements).unwrap();
+        let (chain, probing) = fold_stats(&db, &refinements, &[&["ax", "by", "cz"]]);
+        got.extend(chain);
+        assert!(dblp[0] > 0 && dblp[2] > 0, "{dblp:?}");
+        assert!(probing[1] > 0 && probing[2] > 0, "{probing:?}");
+        assert_eq!(got, GOLDEN_FOLD_STATS, "{got:?}");
     }
 
     #[test]

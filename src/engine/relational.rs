@@ -383,7 +383,8 @@ impl RelationalEngine {
                 refinements: &refinements,
             };
 
-            let ts = TupleSets::build(db, keywords)?;
+            let ts =
+                TupleSets::build_with(db, keywords, &mut self.scratch.checkout(EvalScratch::new))?;
             stats.phases.build = sw.lap();
             if !ts.covers_all_keywords() {
                 tb.event("tuple sets", || vec![field("covers_all_keywords", false)]);

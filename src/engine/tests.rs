@@ -43,6 +43,24 @@ fn relational_engine_empty_and_unmatched() {
 }
 
 #[test]
+fn unbounded_k_returns_every_hit_without_sizing_anything_by_k() {
+    let db = generate_dblp(&DblpConfig {
+        n_papers: 20,
+        n_authors: 10,
+        ..Default::default()
+    });
+    let engine = RelationalEngine::new(db);
+    let all = |k| {
+        let req = SearchRequest::new("data").k(k).caching(false);
+        engine.execute(&req).unwrap()
+    };
+    let (unbounded, bounded) = (all(usize::MAX), all(1_000_000));
+    assert!(!bounded.hits.is_empty());
+    assert_eq!(hit_key(&unbounded), hit_key(&bounded));
+    assert!(!unbounded.truncated());
+}
+
+#[test]
 fn engine_shares_database_arc() {
     let db = Arc::new(generate_dblp(&DblpConfig {
         n_papers: 40,
