@@ -56,6 +56,13 @@ impl Budget {
         self
     }
 
+    /// The absolute deadline, if one is set: what a loop that reads the
+    /// clock only every so many iterations holds, paying one branch per
+    /// iteration when there is none.
+    pub fn deadline(&self) -> Option<Instant> {
+        self.deadline
+    }
+
     /// True if the deadline has passed (cheap: one `Instant::now()`).
     pub fn deadline_exceeded(&self) -> bool {
         self.deadline.is_some_and(|d| Instant::now() >= d)

@@ -195,12 +195,19 @@ impl<T: Ord> ContentTopK<T> {
     }
 
     /// Where `(score, item)` would go under the content order (higher
-    /// score first, then smaller item), if it would be kept.
+    /// score first, then smaller item), if it would be kept. Once `k` items
+    /// are held, an offer that orders strictly after the k-th is rejected
+    /// by that one comparison, before any search: the usual case, since a
+    /// CN's rows tie at the k-th score and order after it by content.
     fn place(&self, score: f64, item: &T) -> Option<usize> {
         if !self.would_accept(score) {
             return None;
         }
         let order = |e: &(f64, T)| score.total_cmp(&e.0).then_with(|| e.1.cmp(item));
+        let kth = self.k.checked_sub(1).and_then(|last| self.items.get(last));
+        if kth.is_some_and(|e| order(e).is_lt()) {
+            return None;
+        }
         let (Ok(pos) | Err(pos)) = self.items.binary_search_by(order);
         (pos < self.k).then_some(pos) // not after the k-th best (never, at k = 0)
     }
@@ -334,6 +341,43 @@ mod tests {
             assert_eq!(owned.push(s, v), cloned.push_cloned(s, &v), "{s} {v}");
         }
         assert_eq!(owned.into_sorted_vec(), cloned.into_sorted_vec());
+    }
+
+    /// Placement by the threshold test and the binary search alone, with no
+    /// k-th-entry reject: what `push` and `push_cloned` must keep.
+    fn place_by_search(items: &[(f64, u32)], k: usize, score: f64, item: u32) -> Option<usize> {
+        let full = k.checked_sub(1).and_then(|last| items.get(last));
+        if full.is_some_and(|e| score < e.0) {
+            return None;
+        }
+        let order = |e: &(f64, u32)| score.total_cmp(&e.0).then_with(|| e.1.cmp(&item));
+        let (Ok(pos) | Err(pos)) = items.binary_search_by(order);
+        (pos < k).then_some(pos)
+    }
+
+    #[test]
+    fn the_fast_reject_keeps_what_the_search_kept() {
+        let mut rng = crate::Rng::seed_from_u64(46);
+        for k in [0, 1, 2, 3, 5, 10, 64] {
+            for _ in 0..40 {
+                let (mut owned, mut cloned) = (ContentTopK::new(k), ContentTopK::new(k));
+                let mut reference: Vec<(f64, u32)> = Vec::new();
+                for _ in 0..300 {
+                    // Few distinct scores and items: heavy ties, and
+                    // duplicates of whole offers.
+                    let score = rng.gen_index(4) as f64 * 0.5;
+                    let item = rng.gen_index(6) as u32;
+                    let kept = place_by_search(&reference, k, score, item).map(|pos| {
+                        reference.insert(pos, (score, item));
+                        reference.truncate(k);
+                    });
+                    assert_eq!(owned.push(score, item), kept.is_some(), "k {k}");
+                    assert_eq!(cloned.push_cloned(score, &item), kept.is_some(), "k {k}");
+                    assert_eq!(owned.items, reference, "k {k}");
+                    assert_eq!(cloned.items, reference, "k {k}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -90,9 +90,10 @@ use crate::score::{ScoreTable, Scoring};
 use crate::topk::{CnExecOutcome, RankedResult, TopKQuery};
 use crate::tupleset::{MaskMap, TupleSets};
 use kwdb_common::topk::ContentTopK;
-use kwdb_common::{Budget, ScratchPool};
+use kwdb_common::{Budget, ScratchPool, TruncationReason};
 use kwdb_relational::{Database, ExecStats, RowId, TableId, TupleId};
 use std::ops::Deref;
+use std::time::Instant;
 
 /// Reusable evaluation buffers, checked out of a [`ScratchPool`] once per
 /// query (an engine serving concurrent requests keeps one per thread).
@@ -213,8 +214,15 @@ fn fill_tuples(cn: &CandidateNetwork, plan: &JoinPlan, chunk: &[RowId], tuples: 
 /// the CN's upper bound (every result it could still produce would be
 /// rejected, so dropping them cannot change the final top-k). Nothing
 /// raises the bound while the join runs, so its answer is the same at every
-/// poll: no step is interrupted, and a step folded into another (below)
-/// would have passed the poll it skips.
+/// poll: no step is interrupted for it, and a step folded into another
+/// (below) would have passed the poll it skips.
+///
+/// `deadline` is read once every [`POLL_ROWS`] rows the steps scan or emit;
+/// with none, that poll is one branch per row. Once it has passed the join
+/// stops where it is — a grouping step still resets its arrays — and
+/// returns `None`: the executor keeps the top-k it holds and marks the
+/// answer truncated. So a join overruns a deadline by at most one poll
+/// quantum of rows.
 ///
 /// The join follows `plan`, the CN's [`join_plan`]: from the keyword node
 /// estimated cheapest to start at, most selective neighbour first. No step
@@ -266,10 +274,11 @@ fn join_cn<'s>(
     scratch: &'s mut JoinBuffers,
     stats: &ExecStats,
     cancel: &dyn Fn() -> bool,
-) -> std::slice::Chunks<'s, RowId> {
+    deadline: Option<Instant>,
+) -> Option<std::slice::Chunks<'s, RowId>> {
     let n = cn.nodes.len();
     if n == 0 {
-        return [].chunks(1);
+        return Some([].chunks(1));
     }
     // Rows of a keyword node. (A free root has none: a network without a
     // keyword node covers no keyword and is not a CN.)
@@ -326,6 +335,11 @@ fn join_cn<'s>(
     }
     let mut stride = 1usize;
 
+    let mut clock = Clock {
+        deadline,
+        rows: 0,
+        late: false,
+    };
     let mut cancelled = false;
     let mut at = 0;
     while at < steps.len() {
@@ -358,7 +372,10 @@ fn join_cn<'s>(
             // Each intermediate tuple looks its partners up and keeps those
             // in the node's row set — for a free node the rows the map has
             // in no tuple set.
-            for tuple in cur.chunks_exact(stride) {
+            'scan: for tuple in cur.chunks_exact(stride) {
+                if clock.tick() {
+                    break;
+                }
                 host.probes += 1;
                 let parent = tuple[host.pslot];
                 if host.forward {
@@ -370,6 +387,9 @@ fn join_cn<'s>(
                     }
                 } else {
                     for r in db.referencing_rows(host.edge, parent) {
+                        if clock.tick() {
+                            break 'scan;
+                        }
                         host.scanned += 1;
                         if host.keeps(db, r) {
                             host.kept += 1;
@@ -394,7 +414,10 @@ fn join_cn<'s>(
                 link[t] = std::mem::replace(&mut head[p], t as u32);
             }
             host.scanned += ntuples as u64;
-            for &r in host.set {
+            'probe: for &r in host.set {
+                if clock.tick() {
+                    break;
+                }
                 host.probes += 1;
                 let Some(p) = db.referenced_row(host.edge, r) else {
                     continue;
@@ -404,6 +427,9 @@ fn join_cn<'s>(
                     continue;
                 }
                 while t != NIL {
+                    if clock.tick() {
+                        break 'probe;
+                    }
                     let at = t as usize * stride;
                     host.kept += 1;
                     emit(&cur[at..at + stride], r, fold);
@@ -426,6 +452,9 @@ fn join_cn<'s>(
             stats.add_probe_rows(step.kept);
             stats.add_output(step.kept);
         }
+        if clock.late {
+            return None;
+        }
         std::mem::swap(cur, next);
         stride += 1 + folded;
         at += 1 + folded;
@@ -434,7 +463,32 @@ fn join_cn<'s>(
     if cancelled || stride < n || cancel() {
         cur.clear(); // abandoned, or a join emptied out before all nodes were placed
     }
-    scratch.cur.chunks(n)
+    Some(scratch.cur.chunks(n))
+}
+
+/// Rows a join step scans or emits between two reads of the clock: a power
+/// of two, so the poll is a mask test.
+const POLL_ROWS: u32 = 4096;
+
+/// A join's deadline poll ([`join_cn`]), counting rows across its steps.
+struct Clock {
+    deadline: Option<Instant>,
+    rows: u32,
+    late: bool,
+}
+
+impl Clock {
+    /// Count one row, and read the clock on every [`POLL_ROWS`]-th: whether
+    /// the deadline has passed. Without a deadline, one branch.
+    #[inline]
+    fn tick(&mut self) -> bool {
+        let Some(deadline) = self.deadline else {
+            return false;
+        };
+        self.rows = self.rows.wrapping_add(1);
+        self.late = self.rows.is_multiple_of(POLL_ROWS) && Instant::now() >= deadline;
+        self.late
+    }
 }
 
 /// Run the forward steps `fold` from `r`, each off the row the one before
@@ -613,7 +667,8 @@ where
     let mut probe = (0, JoinedResult { tuples: Vec::new() });
     let EvalScratch { join, rows, .. } = &mut *scratch;
     rows.fill(q.db, q.ts);
-    for (pos, &j) in jobs.iter().enumerate() {
+    let deadline = budget.deadline();
+    'cns: for (pos, &j) in jobs.iter().enumerate() {
         if let Some(reason) = budget.truncation_at(pos as u64) {
             truncation = Some(reason);
             break;
@@ -643,10 +698,25 @@ where
             // threshold past its bound: everything it could still offer
             // would be rejected.
             let outbid = || !top.would_accept(bounds[j]);
-            let joined = join_cn(q.db, cn, &plan, case, q.ts, rows, join, stats, &outbid);
+            let joined = join_cn(
+                q.db, cn, &plan, case, q.ts, rows, join, stats, &outbid, deadline,
+            );
+            // A deadline that passed mid-join, or mid-way through scoring
+            // its rows, cuts the query as one between CNs does: the top-k
+            // held so far is the answer.
+            let Some(joined) = joined else {
+                truncation = Some(TruncationReason::DeadlineExceeded);
+                break 'cns;
+            };
             for (i, chunk) in joined.enumerate() {
-                if i % 256 == 255 && !top.would_accept(bounds[j]) {
-                    break;
+                if i % 256 == 255 {
+                    if !top.would_accept(bounds[j]) {
+                        break;
+                    }
+                    if let Some(reason) = budget.truncation() {
+                        truncation = Some(reason);
+                        break 'cns;
+                    }
                 }
                 // Column entries read at the rows' positions and summed
                 // in node order (as the text-derived reference sums them,
@@ -764,7 +834,8 @@ mod tests {
         let plan = join_plan(db, ts, cn);
         scratch.rows.fill(db, ts);
         let EvalScratch { join, rows, .. } = scratch;
-        let results = join_cn(db, cn, &plan, case, ts, rows, join, stats, &|| false)
+        let results = join_cn(db, cn, &plan, case, ts, rows, join, stats, &|| false, None)
+            .expect("no deadline")
             .map(|chunk| {
                 let mut tuples = Vec::new();
                 fill_tuples(cn, &plan, chunk, &mut tuples);

@@ -9,12 +9,15 @@
 use super::{SearchRequest, SearchResponse};
 use kwdb_common::text::parse_query;
 use kwdb_common::{
-    CacheConfig, FacetCounts, Looked, QueryStats, Result, ShardedCache, Stopwatch, TruncationReason,
+    CacheConfig, FacetCounts, FacetSpec, Looked, QueryStats, RangeBucket, Result, ShardedCache,
+    Stopwatch, TruncationReason,
 };
 use kwdb_obs::{
     families, Counter, EngineInstruments, FacetOutcome, Gauge, QueryRecord, TraceBuilder,
     TraceLevel, Watermark,
 };
+use kwdb_relsearch::Refinement;
+use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::{Arc, OnceLock};
 
 /// Everything the query frame ([`run_query`]) needs to know about one
@@ -109,17 +112,19 @@ pub(super) fn trace_verdict(tb: &mut TraceBuilder, truncation: Option<Truncation
 ///
 /// A request answered from the result cache runs, in order: the trace
 /// sampling decision (one policy read and one atomic tick), `parse_query`
-/// and `clean`, the [`ResultKey`] (the terms — sorted unless the hits
-/// follow keyword order — and the `Debug` rendering of any facet specs and
-/// refinements), one lookup under one
-/// shard lock, the gauge publish (six atomic loads, two stores), one clone of
-/// the cached [`Answer`], and the seal. It does **not** resolve
-/// facet specs or refinements, build a trace label, or reach anything in
+/// and `clean`, the [`ResultKey`] (the request's fields written into one
+/// buffer sized up front and hashed once: one allocation whatever facets
+/// and refinements the request carries, and one more for the term
+/// references when unsorted terms are sorted), one lookup under one shard
+/// lock (two `u64` hash writes and one byte compare), the gauge publish
+/// (six atomic loads, two stores), one clone of the cached [`Answer`], and
+/// the seal. It does **not** resolve facet specs or refinements, render
+/// any request field as text, build a trace label, or reach anything in
 /// `run`. Everything an engine computes before calling here is paid by
-/// every hit, so it belongs in `run` unless a hit
-/// reads it: the relational engine checks that every facet and refinement
-/// attribute exists (the typed error precedes sampling and the consult, as
-/// it always has) and takes its state lock; the others nothing.
+/// every hit, so it belongs in `run` unless a hit reads it: the relational
+/// engine checks that every facet and refinement attribute exists (the
+/// typed error precedes sampling and the consult, as it always has) and
+/// takes its state lock; the others nothing.
 pub(super) fn run_query<H: Clone>(
     frame: &QueryFrame<'_, H>,
     req: &SearchRequest,
@@ -235,57 +240,158 @@ fn finish_response<H>(
     }
 }
 
-/// Key of one result-cache entry. The **generation** component makes
-/// mutation the only invalidation protocol: a successful
-/// ingest/delete/commit bumps the engine's generation, stale entries stop
-/// matching, and the byte-budgeted LRU ages them out. `terms` is the
-/// normalized keyword **multiset** (sorted, duplicates kept) *after* query
-/// cleaning, so `"query data"`, `"data query"`, and a misspelling the
-/// cleaner maps onto the same terms all share one entry — unless the
-/// frame's hits follow keyword order ([`QueryFrame::keyword_order`]), when
-/// `terms` is the sequence as parsed. Facet specs and
-/// refinements are canonicalized through their `Debug` rendering — they
-/// are plain data enums, so the rendering is total and injective enough
-/// for a cache key. Nothing about the index's physical form is in the key:
-/// a cache belongs to one engine, and an engine serves the index its data
-/// arrived with for as long as it lives.
-#[derive(Clone, PartialEq, Eq, Hash)]
+/// Key of one result-cache entry: every request field an answer depends
+/// on, written into one byte string, and the string's hash, taken once.
+/// `Hash` writes that hash and `Eq` compares it, then the bytes, so the key
+/// is exact and a consult hashes one `u64` per probe. In order: the
+/// **generation** (a mutation bumps it, so stale entries stop matching and
+/// the LRU ages them out: there is no invalidation protocol), the algorithm
+/// label, `k`, the summary size, the keywords after query cleaning as a
+/// **multiset** (sorted — so `"query data"`, `"data query"` and a
+/// misspelling the cleaner maps onto the same terms share one entry —
+/// unless the frame's hits follow keyword order,
+/// [`QueryFrame::keyword_order`]), then the facet specs and refinements.
+/// Lists carry their counts, strings their lengths, variants a tag and
+/// floats their bits, so a key reads back as exactly one request. Nothing
+/// about the index's physical form is in it: a cache belongs to one engine,
+/// which serves the index its data arrived with for as long as it lives.
+#[derive(Clone)]
 struct ResultKey {
-    generation: u64,
-    terms: Vec<String>,
-    algorithm: &'static str,
-    k: usize,
-    facets: String,
-    refinements: String,
-    summaries: usize,
+    hash: u64,
+    bytes: Box<[u8]>,
 }
 
 impl ResultKey {
     fn new<H>(frame: &QueryFrame<'_, H>, keywords: &[String], req: &SearchRequest) -> Self {
-        let mut terms = keywords.to_vec();
-        if !frame.keyword_order {
-            terms.sort();
-        }
+        // Sorted by reference, and only when the parsed order is not
+        // already sorted (the relational `clean` sorts).
+        let sorted = (!frame.keyword_order && !keywords.is_sorted()).then(|| {
+            let mut terms: Vec<&String> = keywords.iter().collect();
+            terms.sort_unstable();
+            terms
+        });
+        let sorted = sorted.as_deref();
+        // Measured, then written into a buffer of exactly that size.
+        let mut len = 0usize;
+        write_key(&mut len, frame, req, keywords, sorted);
+        let mut bytes = Vec::with_capacity(len);
+        write_key(&mut bytes, frame, req, keywords, sorted);
+        debug_assert_eq!(bytes.len(), len);
+        let mut hasher = DefaultHasher::new();
+        hasher.write(&bytes);
         ResultKey {
-            generation: frame.generation,
-            terms,
-            algorithm: frame.algorithm,
-            k: req.k,
-            facets: debug_unless_empty(&req.facets),
-            refinements: debug_unless_empty(&req.refinements),
-            summaries: req.summaries,
+            hash: hasher.finish(),
+            bytes: bytes.into_boxed_slice(),
         }
     }
 }
 
-/// The `Debug` rendering of a request's facet specs or refinements for the
-/// cache key; the empty list — every non-exploration request — renders as
-/// the empty string, which allocates nothing.
-fn debug_unless_empty<T: std::fmt::Debug>(items: &[T]) -> String {
-    if items.is_empty() {
-        String::new()
-    } else {
-        format!("{items:?}")
+impl PartialEq for ResultKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.hash == other.hash && self.bytes == other.bytes
+    }
+}
+
+impl Eq for ResultKey {}
+
+impl Hash for ResultKey {
+    fn hash<S: Hasher>(&self, state: &mut S) {
+        state.write_u64(self.hash);
+    }
+}
+
+/// Where [`ResultKey::new`] writes: a byte count (`usize`), then the
+/// buffer it sizes (`Vec<u8>`).
+trait KeyWriter {
+    fn bytes(&mut self, bytes: &[u8]);
+
+    fn int(&mut self, n: u64) {
+        self.bytes(&n.to_le_bytes());
+    }
+
+    fn str(&mut self, s: &str) {
+        self.int(s.len() as u64);
+        self.bytes(s.as_bytes());
+    }
+}
+
+impl KeyWriter for usize {
+    fn bytes(&mut self, bytes: &[u8]) {
+        *self += bytes.len();
+    }
+}
+
+impl KeyWriter for Vec<u8> {
+    fn bytes(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+/// The fields of [`ResultKey`], in its order; the terms are `sorted` when
+/// that is given, else `keywords` as parsed.
+fn write_key<H>(
+    out: &mut impl KeyWriter,
+    frame: &QueryFrame<'_, H>,
+    req: &SearchRequest,
+    keywords: &[String],
+    sorted: Option<&[&String]>,
+) {
+    out.int(frame.generation);
+    out.str(frame.algorithm);
+    out.int(req.k as u64);
+    out.int(req.summaries as u64);
+    out.int(keywords.len() as u64);
+    match sorted {
+        Some(terms) => terms.iter().for_each(|t| out.str(t)),
+        None => keywords.iter().for_each(|t| out.str(t)),
+    }
+    out.int(req.facets.len() as u64);
+    for spec in &req.facets {
+        write_facet(out, spec);
+    }
+    out.int(req.refinements.len() as u64);
+    for refinement in &req.refinements {
+        write_refinement(out, refinement);
+    }
+}
+
+// The two encoders name every field (no `..`), so a field added to a spec
+// or a refinement fails to compile here until the key holds it. Each
+// variant writes its tag byte first.
+
+fn write_facet(out: &mut impl KeyWriter, spec: &FacetSpec) {
+    match spec {
+        FacetSpec::Terms { attr, top_n } => {
+            out.bytes(&[0]);
+            out.str(attr);
+            out.int(*top_n as u64);
+        }
+        FacetSpec::Range { attr, buckets } => {
+            out.bytes(&[1]);
+            out.str(attr);
+            out.int(buckets.len() as u64);
+            for RangeBucket { label, lo, hi } in buckets {
+                out.str(label);
+                out.int(lo.to_bits());
+                out.int(hi.to_bits());
+            }
+        }
+    }
+}
+
+fn write_refinement(out: &mut impl KeyWriter, refinement: &Refinement) {
+    match refinement {
+        Refinement::Term { attr, value } => {
+            out.bytes(&[0]);
+            out.str(attr);
+            out.str(value);
+        }
+        Refinement::Range { attr, lo, hi } => {
+            out.bytes(&[1]);
+            out.str(attr);
+            out.int(lo.to_bits());
+            out.int(hi.to_bits());
+        }
     }
 }
 

@@ -8,13 +8,14 @@
 //! never enter or consult the cache; and per-query stats label every
 //! response with the consult outcome.
 
-use kwdb::common::{Budget, CacheConfig, FacetSpec};
+use kwdb::common::{Budget, CacheConfig, FacetSpec, RangeBucket};
 use kwdb::datasets::{self, generate_dblp, DblpConfig};
 use kwdb::engine::{
     Engine, GraphEngine, GraphSemantics, IngestRecord, MutableEngine, RelationalConfig,
     RelationalEngine, SearchRequest, XmlEngine,
 };
 use kwdb::obs::{families, MetricsRegistry, TraceLevel};
+use kwdb::relsearch::Refinement;
 use std::sync::Arc;
 
 fn dblp() -> kwdb::relational::Database {
@@ -212,6 +213,160 @@ fn refinements_and_facets_key_separate_entries() {
         plain.stats.result_cache_misses, 1,
         "dropping the facet list keys a third entry"
     );
+}
+
+/// The `(hits, misses)` a request's result-cache consult reported.
+type Consult<'a> = &'a dyn Fn(&SearchRequest) -> (u64, u64);
+
+/// `a` and `b` key entries of their own: after `a`, `b` is a miss, and each
+/// is a hit when repeated.
+fn assert_apart(what: &str, consult: Consult<'_>, a: &SearchRequest, b: &SearchRequest) {
+    consult(a);
+    assert_eq!(consult(b), (0, 1), "{what}: the second request is a miss");
+    assert_eq!(consult(a), (1, 0), "{what}: the first is still cached");
+    assert_eq!(consult(b), (1, 0), "{what}: and so is the second");
+}
+
+/// The key is exact: requests that differ in any field the answer depends
+/// on never share an entry, even where a key written without variant tags,
+/// string lengths or float bits would run them together.
+#[test]
+fn requests_that_differ_anywhere_key_apart() {
+    let relational = engine_with(CacheConfig::default());
+    let rel: Consult<'_> = &|req| {
+        let stats = relational.execute(req).unwrap().stats;
+        (stats.result_cache_hits, stats.result_cache_misses)
+    };
+    let terms = || FacetSpec::terms("conference.name", 5);
+    let range = |lo: f64| FacetSpec::range("conference.year", vec![RangeBucket::new("b", lo, 3e3)]);
+    let base = || SearchRequest::new("data query").k(5);
+    assert_apart(
+        "facets in swapped order",
+        rel,
+        &base().facet(terms()).facet(range(0.0)),
+        &base().facet(range(0.0)).facet(terms()),
+    );
+    assert_apart(
+        "a bucket bound of 0.0 against -0.0",
+        rel,
+        &base().facet(range(0.0)),
+        &base().facet(range(-0.0)),
+    );
+    assert_apart(
+        "a terms facet against a range facet on one attribute",
+        rel,
+        &base().facet(FacetSpec::terms("conference.year", 0)),
+        &base().facet(FacetSpec::range("conference.year", Vec::new())),
+    );
+    assert_apart(
+        "a term refinement against a range refinement",
+        rel,
+        &base().refine(Refinement::Term {
+            attr: "conference.year".into(),
+            value: "2000".into(),
+        }),
+        &base().refine(Refinement::Range {
+            attr: "conference.year".into(),
+            lo: 2000.0,
+            hi: 2001.0,
+        }),
+    );
+    let labels = |a: &str, b: &str| {
+        let buckets = vec![RangeBucket::new(a, 0.0, 1.0), RangeBucket::new(b, 0.0, 1.0)];
+        base().facet(FacetSpec::range("conference.year", buckets))
+    };
+    assert_apart(
+        "labels split apart",
+        rel,
+        &labels("ab", "c"),
+        &labels("a", "bc"),
+    );
+
+    // The XML engine answers no facets or refinements but keys them, so the
+    // attribute names need not exist.
+    let xml_engine = XmlEngine::from_tree(datasets::generate_bib_xml(&Default::default()));
+    let xml: Consult<'_> = &|req| {
+        let stats = xml_engine.execute(req).unwrap().stats;
+        (stats.result_cache_hits, stats.result_cache_misses)
+    };
+    let refined = |attr: &str, value: &str| {
+        SearchRequest::new("data query").refine(Refinement::Term {
+            attr: attr.into(),
+            value: value.into(),
+        })
+    };
+    let attr_value = "an attribute and its value split apart";
+    assert_apart(attr_value, xml, &refined("ab", "c"), &refined("a", "bc"));
+    let attrs = |a: &str, b: &str| {
+        SearchRequest::new("data query")
+            .facet(FacetSpec::terms(a, 1))
+            .facet(FacetSpec::terms(b, 1))
+    };
+    assert_apart(
+        "attributes split apart",
+        xml,
+        &attrs("ab", "c"),
+        &attrs("a", "bc"),
+    );
+    assert_apart(
+        "the keywords {data, query} against {dataquery}",
+        xml,
+        &SearchRequest::new("data query"),
+        &SearchRequest::new("dataquery"),
+    );
+
+    let graph_engine = GraphEngine::new(datasets::graphs::generate_graph(&Default::default()));
+    let graph: Consult<'_> = &|req| {
+        let stats = graph_engine.execute(req).unwrap().stats;
+        (stats.result_cache_hits, stats.result_cache_misses)
+    };
+    assert_apart(
+        "graph keywords in reversed order",
+        graph,
+        &SearchRequest::new("kw0 kw1").k(3),
+        &SearchRequest::new("kw1 kw0").k(3),
+    );
+}
+
+/// Two requests built apart that ask the same thing share one entry, on
+/// every engine: the key holds what a request says, not where it lives.
+#[test]
+fn identical_requests_built_apart_share_one_entry() {
+    let faceted_drill_down = || {
+        let decades = (1990..2020)
+            .step_by(10)
+            .map(|y| RangeBucket::new(format!("{y}s"), y as f64, (y + 10) as f64));
+        SearchRequest::new("data query")
+            .k(5)
+            .summaries(3)
+            .facet(FacetSpec::terms("conference.name", 10))
+            .facet(FacetSpec::range("conference.year", decades.collect()))
+            .refine(Refinement::Range {
+                attr: "conference.year".into(),
+                lo: 1990.0,
+                hi: 2030.0,
+            })
+    };
+    let relational = engine_with(CacheConfig::default());
+    let xml_engine = XmlEngine::from_tree(datasets::generate_bib_xml(&Default::default()));
+    let graph_engine = GraphEngine::new(datasets::graphs::generate_graph(&Default::default()));
+    let rel = |req: SearchRequest| relational.execute(&req).unwrap().stats;
+    let xml = |req: SearchRequest| xml_engine.execute(&req).unwrap().stats;
+    let graph = |req: SearchRequest| graph_engine.execute(&req).unwrap().stats;
+    let graph_request = || SearchRequest::new("kw1 kw0").k(3);
+    let twice = [
+        (
+            "relational",
+            rel(faceted_drill_down()),
+            rel(faceted_drill_down()),
+        ),
+        ("xml", xml(faceted_drill_down()), xml(faceted_drill_down())),
+        ("graph", graph(graph_request()), graph(graph_request())),
+    ];
+    for (engine, first, second) in twice {
+        assert_eq!(first.result_cache_misses, 1, "{engine}");
+        assert_eq!(second.result_cache_hits, 1, "{engine}: the twin is a hit");
+    }
 }
 
 #[test]
