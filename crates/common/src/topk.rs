@@ -181,7 +181,10 @@ impl<T: Ord> ContentTopK<T> {
 
     /// [`push`](Self::push) an item held by reference, cloning it only if
     /// it is kept: an item that ties the k-th best score and orders after
-    /// it under content costs a comparison, not a copy.
+    /// it under content costs a comparison, not a copy. Once `k` items are
+    /// held, the evicted k-th entry is reused for the newcomer
+    /// ([`Clone::clone_from`]), so an item type that reuses its buffers
+    /// there costs no allocation per kept item.
     pub fn push_cloned(&mut self, score: f64, item: &T) -> bool
     where
         T: Clone,
@@ -189,8 +192,15 @@ impl<T: Ord> ContentTopK<T> {
         let Some(pos) = self.place(score, item) else {
             return false;
         };
-        self.items.insert(pos, (score, item.clone()));
-        self.items.truncate(self.k);
+        let entry = if self.items.len() == self.k {
+            // (full, so `k ≥ 1`: the k-th entry leaves and is refilled)
+            let (_, mut evicted) = self.items.pop().expect("k items held");
+            evicted.clone_from(item);
+            (score, evicted)
+        } else {
+            (score, item.clone())
+        };
+        self.items.insert(pos, entry);
         true
     }
 
@@ -341,6 +351,22 @@ mod tests {
             assert_eq!(owned.push(s, v), cloned.push_cloned(s, &v), "{s} {v}");
         }
         assert_eq!(owned.into_sorted_vec(), cloned.into_sorted_vec());
+    }
+
+    #[test]
+    fn push_cloned_refills_the_evicted_entry() {
+        let mut top = ContentTopK::new(2);
+        top.push_cloned(1.0, &vec![1u32, 2, 3]);
+        top.push_cloned(2.0, &vec![4, 5, 6]);
+        let evicted = top.items[1].1.as_ptr();
+        assert!(top.push_cloned(3.0, &vec![7, 8, 9]));
+        assert_eq!(
+            top.items[0].1.as_ptr(),
+            evicted,
+            "the evicted buffer holds it"
+        );
+        let kept = [(3.0, vec![7, 8, 9]), (2.0, vec![4, 5, 6])];
+        assert_eq!(top.into_sorted_vec(), kept);
     }
 
     /// Placement by the threshold test and the binary search alone, with no

@@ -2,7 +2,7 @@
 //! them — the full-text index (which is also the term statistics a scorer
 //! reads) and the foreign-key index.
 
-use crate::fkindex::FkIndex;
+use crate::fkindex::{FkEdge, FkIndex};
 use crate::index::{InvertedIndex, Posting};
 use crate::schema::{SchemaEdge, SchemaGraph, TableBuilder, TableId};
 use crate::table::{Row, RowId, Table, TupleId};
@@ -410,10 +410,7 @@ impl Database {
     /// [`ingest`](Self::ingest), like
     /// [`referencing_rows`](Self::referencing_rows).
     pub fn referenced_row(&self, edge: usize, referencing: RowId) -> Option<RowId> {
-        let to = self.table(self.schema_graph.edges()[edge].to);
-        self.fk_index[edge]
-            .target(referencing)
-            .filter(|&r| !to.is_deleted(r))
+        self.fk_edge(edge).referenced(referencing)
     }
 
     /// Live rows of schema edge `edge`'s referencing (`from`) table whose FK
@@ -433,10 +430,16 @@ impl Database {
         edge: usize,
         referenced: RowId,
     ) -> impl Iterator<Item = RowId> + '_ {
-        let from = self.table(self.schema_graph.edges()[edge].from);
-        self.fk_index[edge]
-            .chain(referenced)
-            .filter(|&r| !from.is_deleted(r))
+        self.fk_edge(edge).referencing(referenced)
+    }
+
+    /// Schema edge `edge`'s FK index with both its tables' tombstones, for a
+    /// caller that follows the edge from many rows:
+    /// [`referenced_row`](Self::referenced_row) and
+    /// [`referencing_rows`](Self::referencing_rows) are one call on it.
+    pub fn fk_edge(&self, edge: usize) -> FkEdge<'_> {
+        let e = &self.schema_graph.edges()[edge];
+        self.fk_index[edge].view(self.table(e.from), self.table(e.to))
     }
 
     /// Render a tuple for display: `table(v1, v2, …)`.
@@ -466,6 +469,45 @@ impl Database {
         }
         out.push(')');
     }
+
+    /// The bytes [`write_tuple`](Self::write_tuple) appends for `tid`,
+    /// counted without writing them, so a caller rendering several tuples
+    /// sizes its buffer once: the table name, the parentheses and
+    /// separators, each text's length and each integer's digits; only a
+    /// value of another type is formatted, into a counter.
+    pub fn tuple_len(&self, tid: TupleId) -> usize {
+        use std::fmt::Write;
+        struct Count(usize);
+        impl Write for Count {
+            fn write_str(&mut self, s: &str) -> std::fmt::Result {
+                self.0 += s.len();
+                Ok(())
+            }
+        }
+        let t = self.table(tid.table);
+        let row = t.row(tid.row);
+        let values: usize = (row.iter())
+            .map(|v| match v {
+                Value::Text(s) => s.len(),
+                Value::Int(i) => int_len(*i),
+                v => {
+                    let mut n = Count(0);
+                    let _ = write!(n, "{v}"); // (counting cannot fail)
+                    n.0
+                }
+            })
+            .sum();
+        t.schema.name.len() + 2 + values + 2 * row.len().saturating_sub(1)
+    }
+}
+
+/// The length of `i` in decimal, sign included.
+fn int_len(i: i64) -> usize {
+    let digits = i
+        .unsigned_abs()
+        .checked_ilog10()
+        .map_or(1, |d| d as usize + 1);
+    digits + (i < 0) as usize
 }
 
 /// Append `i` in decimal, as its `Display` would, without a formatter.
@@ -993,6 +1035,32 @@ mod tests {
     }
 
     #[test]
+    fn tuple_len_counts_what_write_tuple_writes() {
+        let mut db = small_db();
+        db.insert("paper", vec![11.into(), "a, (b) ⋈".into(), Value::Null])
+            .unwrap();
+        db.insert("paper", vec![(-12).into(), "".into(), 1.into()])
+            .unwrap();
+        let measure = TableBuilder::new("measure")
+            .column("x", crate::schema::ColumnType::Float)
+            .column("on", crate::schema::ColumnType::Bool);
+        db.create_table(measure).unwrap();
+        for (x, on) in [(2.5, true), (-0.125, false), (1e21, true)] {
+            db.insert("measure", vec![Value::Float(x), Value::Bool(on)])
+                .unwrap();
+        }
+        let mut tuples = 0;
+        for t in db.tables() {
+            for (rid, _) in t.iter() {
+                let tid = TupleId::new(t.id, rid);
+                assert_eq!(db.tuple_len(tid), db.format_tuple(tid).len(), "{tid:?}");
+                tuples += 1;
+            }
+        }
+        assert!(tuples > 8);
+    }
+
+    #[test]
     fn ints_render_as_display_renders_them() {
         for i in [
             0,
@@ -1008,6 +1076,7 @@ mod tests {
             let mut out = String::from("x");
             push_int(&mut out, i);
             assert_eq!(out, format!("x{i}"));
+            assert_eq!(int_len(i), out.len() - 1);
         }
     }
 }

@@ -38,7 +38,7 @@
 //! Tombstoned referencing rows stay linked and are skipped by the reader.
 
 use crate::schema::SchemaEdge;
-use crate::table::{RowId, Table};
+use crate::table::{bit_set, RowId, Table};
 use kwdb_common::Value;
 
 const NIL: u32 = u32::MAX;
@@ -141,29 +141,67 @@ impl FkIndex {
         self.orphans = orphans;
     }
 
-    /// The referenced row slot `referencing` points at, live or tombstoned.
-    /// A NULL or dangling FK, and a slot past the indexed range (the index
-    /// is behind the table), point nowhere.
-    pub(crate) fn target(&self, referencing: RowId) -> Option<RowId> {
+    /// This index read together with the tombstones of `from`, its edge's
+    /// referencing table, and `to`, its referenced one.
+    pub(crate) fn view<'a>(&'a self, from: &'a Table, to: &'a Table) -> FkEdge<'a> {
+        FkEdge {
+            target: &self.target,
+            first: &self.first,
+            next: &self.next,
+            from_dead: from.tombstones(),
+            to_dead: to.tombstones(),
+        }
+    }
+}
+
+/// One schema edge's FK index with both tables' tombstone words, resolved
+/// once ([`crate::Database::fk_edge`]): following the edge from a row is a
+/// few array reads, with no lookup through the database, its tables or its
+/// edge list. A join step holds one for as long as it runs. By value, like
+/// [`crate::Database::referenced_row`] and
+/// [`crate::Database::referencing_rows`], which read through it.
+#[derive(Debug, Clone, Copy)]
+pub struct FkEdge<'a> {
+    target: &'a [u32],
+    first: &'a [u32],
+    next: &'a [u32],
+    /// Tombstone words of the referencing (`from`) and referenced (`to`)
+    /// tables.
+    from_dead: &'a [u64],
+    to_dead: &'a [u64],
+}
+
+impl<'a> FkEdge<'a> {
+    /// The live referenced row `referencing` points at. A NULL or dangling
+    /// FK, a tombstoned target, and a slot past the indexed range (the
+    /// index is behind the table) point nowhere.
+    #[inline]
+    pub fn referenced(&self, referencing: RowId) -> Option<RowId> {
         match self.target.get(referencing.0 as usize) {
-            Some(&slot) if slot != NIL => Some(RowId(slot)),
+            Some(&slot) if slot != NIL && !bit_set(self.to_dead, slot as usize) => {
+                Some(RowId(slot))
+            }
             _ => None,
         }
     }
 
-    /// Every referencing row slot chained under `referenced`, tombstoned
-    /// ones included. A slot past the indexed range (the index is behind
-    /// the table) has no chain.
-    pub(crate) fn chain(&self, referenced: RowId) -> impl Iterator<Item = RowId> + '_ {
+    /// The live referencing rows chained under `referenced`, in chain
+    /// order; tombstoned ones are skipped. A slot past the indexed range
+    /// has no chain.
+    #[inline]
+    pub fn referencing(&self, referenced: RowId) -> impl Iterator<Item = RowId> + 'a {
+        let (next, dead) = (self.next, self.from_dead);
         let mut at = self
             .first
             .get(referenced.0 as usize)
             .copied()
             .unwrap_or(NIL);
-        std::iter::from_fn(move || {
+        std::iter::from_fn(move || loop {
             let row = at;
-            at = *self.next.get(row as usize)?; // NIL is out of range
-            Some(RowId(row))
+            at = *next.get(row as usize)?; // NIL is out of range
+            if !bit_set(dead, row as usize) {
+                return Some(RowId(row));
+            }
         })
     }
 }

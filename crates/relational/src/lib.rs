@@ -59,6 +59,7 @@ pub mod stats;
 pub mod table;
 
 pub use database::Database;
+pub use fkindex::FkEdge;
 pub use index::InvertedIndex;
 pub use schema::{
     ColumnDef, ColumnType, ForeignKey, SchemaGraph, TableBuilder, TableId, TableSchema,

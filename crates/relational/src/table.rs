@@ -135,6 +135,12 @@ impl Table {
         bit_set(&self.deleted, id.0 as usize)
     }
 
+    /// The tombstone bitmap, one bit per row slot, as far as any slot has
+    /// been deleted.
+    pub(crate) fn tombstones(&self) -> &[u64] {
+        &self.deleted
+    }
+
     pub fn row(&self, id: RowId) -> &Row {
         &self.rows[id.0 as usize]
     }
@@ -178,7 +184,7 @@ impl Table {
     }
 }
 
-fn bit_set(bitmap: &[u64], i: usize) -> bool {
+pub(crate) fn bit_set(bitmap: &[u64], i: usize) -> bool {
     bitmap
         .get(i / 64)
         .is_some_and(|w| w & (1u64 << (i % 64)) != 0)

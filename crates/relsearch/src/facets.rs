@@ -34,10 +34,10 @@
 
 use crate::cn::{CandidateNetwork, CnEdge};
 use crate::eval::JoinedResult;
-use crate::pexec::{position, EvalScratch, RowMap, NIL};
-use crate::tupleset::TupleSets;
+use crate::pexec::EvalScratch;
+use crate::tupleset::{position, RowSlots, TupleSets, NIL};
 use kwdb_common::{Budget, FacetCount, FacetCounts, FacetSpec, Result, Value};
-use kwdb_relational::{Database, ExecStats, RowId, TableId};
+use kwdb_relational::{Database, ExecStats, RowId, Table, TableId};
 use std::borrow::Cow;
 use std::collections::HashMap;
 
@@ -158,9 +158,9 @@ pub(crate) struct Literal<'a> {
 }
 
 /// Whether `row` of `table` satisfies every one of a node's `literals`.
-pub(crate) fn admits(db: &Database, literals: &[Literal<'_>], table: TableId, row: RowId) -> bool {
+pub(crate) fn admits(table: &Table, literals: &[Literal<'_>], row: RowId) -> bool {
     literals.iter().all(|l| {
-        let v = db.table(table).get(row, l.refinement.col);
+        let v = table.get(row, l.refinement.col);
         value_matches(v, &l.refinement.refinement) == l.wanted
     })
 }
@@ -398,10 +398,16 @@ pub struct FacetTally<'a> {
 /// multiplies its children's messages over its own rows, and each row left
 /// adds its count to the row's total for `v`'s table. A keyword node's own
 /// rows are its tuple set; a free node's are the rows its first message
-/// reached that match no query keyword (`NIL` in the query's row map, the
-/// join's free-node test) — never its table. All of it follows the FK
-/// index, as the join does. After the last CN every row with a total hands
-/// it to its column value, once, for each facet on its table.
+/// reached that match no query keyword (unmatched in the query's row array,
+/// the join's free-node test) — never its table. All of it follows the FK
+/// index, as the join does, each message through the one [`FkEdge`] it
+/// resolves. After the last CN every row with a total hands it to its
+/// column value, once, for each facet on its table.
+///
+/// `scratch` holds `ts`'s row positions: its build wrote them
+/// ([`TupleSets::build_with`]), and the query releases them.
+///
+/// [`FkEdge`]: kwdb_relational::FkEdge
 ///
 /// [`ExecStats`]: one `join_probes` per message row sent, one
 /// `tuples_scanned` per FK chain row visited; no output rows — there are
@@ -423,7 +429,10 @@ pub fn count_facets<'a>(
     if freq.facets.is_empty() {
         return tally;
     }
-    scratch.rows.fill(db, ts);
+    debug_assert!(
+        scratch.rows.holds(ts),
+        "the scratch holds the sets' positions"
+    );
     let mut pass = CountPass {
         db,
         ts,
@@ -483,9 +492,7 @@ pub fn count_facets<'a>(
         }
         pass.scratch.give(total);
     }
-    let tally = pass.tally;
-    scratch.rows.reset(ts);
-    tally
+    pass.tally
 }
 
 /// [`count_facets`]' state across CNs: what it reads, what it charges, its
@@ -493,8 +500,8 @@ pub fn count_facets<'a>(
 struct CountPass<'a, 'd> {
     db: &'d Database,
     ts: &'a TupleSets,
-    /// The query's row map, filled.
-    rows: &'a RowMap,
+    /// The query's row array, holding the sets' positions.
+    rows: &'a RowSlots,
     budget: &'a Budget,
     stats: &'a ExecStats,
     scratch: &'a mut CountScratch,
@@ -515,14 +522,15 @@ impl CountPass<'_, '_> {
         let (db, ts) = (self.db, self.ts);
         let node = cn.nodes[v];
         let literals = case.on(v);
-        let len = db.table(node.table).len();
+        let table = db.table(node.table);
+        let len = table.len();
         // A keyword node's own rows: its tuple set. A free node has none
         // until a child's message names the rows it reached.
         let mut own = (node.mask != 0).then(|| {
             let mut own = self.scratch.take(len);
             let set = ts.get(node.table, node.mask);
             for &row in set.map_or(&[][..], |s| &s.rows) {
-                if admits(db, literals, node.table, row) {
+                if admits(table, literals, row) {
                     own.add(row, 1);
                 }
             }
@@ -545,7 +553,7 @@ impl CountPass<'_, '_> {
                     let map = self.rows.of(node.table);
                     sent.scale(|row| {
                         let free = position(map, row) == NIL;
-                        (free && admits(db, literals, node.table, row)).then_some(1)
+                        (free && admits(table, literals, row)).then_some(1)
                     });
                     sent
                 }
@@ -563,6 +571,7 @@ impl CountPass<'_, '_> {
     /// referenced side every referencing row takes its count.
     fn send(&mut self, below: Message, e: &CnEdge, child: usize, parent_len: usize) -> Message {
         let mut sent = self.scratch.take(parent_len);
+        let edge = self.db.fk_edge(e.schema_edge);
         let mut chain_rows = 0;
         for (i, &row) in below.rows.iter().enumerate() {
             if i % 1024 == 1023 && self.budget.deadline_exceeded() {
@@ -572,11 +581,11 @@ impl CountPass<'_, '_> {
             let n = below.count[row.0 as usize];
             if e.from_side_is(child) {
                 // (a NULL foreign key references no row)
-                if let Some(parent) = self.db.referenced_row(e.schema_edge, row) {
+                if let Some(parent) = edge.referenced(row) {
                     sent.add(parent, n);
                 }
             } else {
-                for parent in self.db.referencing_rows(e.schema_edge, row) {
+                for parent in edge.referencing(row) {
                     chain_rows += 1;
                     sent.add(parent, n);
                 }
@@ -799,7 +808,7 @@ mod tests {
             // above 1 copied down an FK chain
             ["serge", "xml"],
         ] {
-            let ts = TupleSets::build(&db, &keywords).unwrap();
+            let ts = TupleSets::build_with(&db, &keywords, &mut scratch).unwrap();
             let oracle = MaskOracle::from_tuplesets(&ts);
             let cfg = CnGenConfig {
                 max_size: 5,
@@ -846,14 +855,14 @@ mod tests {
                     scratch.counts.free.iter().all(zeroed),
                     "a message left residue"
                 );
-                let clear =
-                    |t: &kwdb_relational::Table| scratch.rows.of(t.id).iter().all(|&p| p == NIL);
-                assert!(db.tables().all(clear), "the row map left residue");
+                assert!(scratch.rows.holds(&ts), "the pass moved a position");
 
                 let late = Budget::unlimited().with_timeout(std::time::Duration::ZERO);
                 let tally = count_facets(&db, &ts, &cns, &freq, &late, &stats, &mut scratch);
                 assert!(tally.cut && tally.cns_counted == 0);
             }
+            scratch.release(&ts);
+            assert!(scratch.unmatched());
         }
         assert!(two_conference_cns > 0 && split_cases > 0);
     }

@@ -16,8 +16,9 @@
 //!
 //! The executor evaluates whole CNs: the join follows the database's FK
 //! index — every foreign key already resolved to a row id, in both
-//! directions — and leaves its output in the flat
-//! buffers of an [`EvalScratch`] instead of allocating row vectors per CN. A single-node CN
+//! directions, each step holding its edge's arrays ([`FkEdge`]) — and
+//! leaves its output in the flat buffers of an [`EvalScratch`] instead of
+//! allocating row vectors per CN. A single-node CN
 //! is a CN like any other: its result set is the tuple set the query
 //! already built. A step that places a keyword node on the referenced side
 //! of its edge has at most one partner per tuple; when its parent was
@@ -27,21 +28,22 @@
 //!
 //! # Scoring
 //!
-//! The query's [`ScoreTable`] holds one column per tuple set over the term
-//! frequencies the tuple sets kept from the postings: each column's exact
-//! maximum, found when the table is built, and each row's entry, computed
-//! the first time it is read. A CN's upper bound is its keyword nodes'
-//! column maxima over its size; a joined row is summed where it lies in the
-//! scratch buffer — over the CN's nodes, in node order, the column entry at
-//! a keyword node's row position (the [`EvalScratch`]'s row map gives it)
-//! and 0 for a free node's, over the size. So only rows a join reached are
-//! scored, and each once.
+//! The query's [`ScoreTable`] holds each keyword's weight per small term
+//! frequency and one column per tuple set over the frequencies the tuple
+//! sets kept from the postings: each column's exact maximum, found when the
+//! table is built, and each row's entry, its weights summed where it is
+//! read. A CN's upper bound is its keyword nodes' column maxima over its
+//! size; a joined row is summed where it lies in the scratch buffer — over
+//! the CN's keyword nodes, in node order, the column entry at the node's
+//! row position (the [`EvalScratch`]'s row array, written by the tuple-set
+//! build, gives it), over the size; a free node's tuple scores 0. So only
+//! rows a join reached are scored.
 //!
 //! Under [`Scoring::Monotone`] nothing reads a tuple's text: that sum *is*
 //! the row's score, and the row becomes a [`JoinedResult`] only if the
 //! top-k would accept it. The value is the text-derived reference's, bit for
-//! bit (see [`crate::score`]); debug builds assert it where a column entry
-//! is first computed and, for the sum, on every scored row.
+//! bit (see [`crate::score`]); debug builds assert it on every column entry
+//! read and, for the sum, on every scored row.
 //!
 //! Under [`Scoring::Spark`] the columns hold `watf` and the sum is the row's
 //! *upper bound*. A row whose bound the top-k would reject is skipped;
@@ -88,26 +90,27 @@ use crate::facets::{
 use crate::parallel::{join_plan, JoinPlan};
 use crate::score::{ScoreTable, Scoring};
 use crate::topk::{CnExecOutcome, RankedResult, TopKQuery};
-use crate::tupleset::{MaskMap, TupleSets};
+use crate::tupleset::{position, RowSlots, TupleSets, NIL};
 use kwdb_common::topk::ContentTopK;
 use kwdb_common::{Budget, ScratchPool, TruncationReason};
-use kwdb_relational::{Database, ExecStats, RowId, TableId, TupleId};
+use kwdb_relational::{Database, ExecStats, FkEdge, RowId, Table, TupleId};
 use std::ops::Deref;
 use std::time::Instant;
 
-/// Reusable evaluation buffers, checked out of a [`ScratchPool`] once per
-/// query (an engine serving concurrent requests keeps one per thread).
-/// Nothing in it outlives one evaluation but the allocated capacity — and
-/// the lengths of `group_head` and the row map, every entry `NIL`, and
-/// `counts`' arrays and the tuple-set build's mask array, every entry 0.
+/// Reusable query buffers, checked out of a [`ScratchPool`] once per query
+/// (an engine serving concurrent requests keeps one per thread) and passed
+/// through the tuple-set build, the facet count and the executor. Nothing
+/// in it outlives one query but the allocated capacity — and the lengths of
+/// `group_head`, every entry `NIL`, and of `counts`' arrays and the row
+/// array, every entry 0 (unmatched).
 #[derive(Default)]
 pub struct EvalScratch {
     join: JoinBuffers,
-    pub(crate) rows: RowMap,
+    /// The row array: each matched row's position in its tuple set, from
+    /// [`TupleSets::build_with`] to [`EvalScratch::release`].
+    pub(crate) rows: RowSlots,
     /// [`count_facets`]' message buffers, pooled with the join's.
     pub(crate) counts: CountScratch,
-    /// [`TupleSets::build_with`]'s mask array and buffers.
-    pub(crate) masks: MaskMap,
 }
 
 /// The join's own buffers.
@@ -126,62 +129,8 @@ struct JoinBuffers {
     group_next: Vec<u32>,
 }
 
-pub(crate) const NIL: u32 = u32::MAX;
-
 /// Most forward steps folded into one step: longer runs fold in pieces.
 const FOLD_MAX: usize = 4;
-
-/// Where a query's keyword-matched rows sit in its tuple sets: per table,
-/// one `u32` per row slot, holding the row's position in the one tuple set
-/// that contains it (the sets are an exact-subset partition), `NIL` for a
-/// row no query keyword matches (and for every row of a table no query has
-/// matched yet: its map is empty). Filled from the tuple sets when an
-/// evaluation starts; when it ends only the entries it set are reset, so
-/// the map is all `NIL` between queries and keeps its length (the
-/// `group_head` idiom).
-#[derive(Default)]
-pub(crate) struct RowMap {
-    tables: Vec<Vec<u32>>,
-}
-
-impl RowMap {
-    pub(crate) fn fill(&mut self, db: &Database, ts: &TupleSets) {
-        for set in ts.sets() {
-            let t = set.table.0 as usize;
-            if self.tables.len() <= t {
-                self.tables.resize_with(t + 1, Vec::new);
-            }
-            let map = &mut self.tables[t];
-            let len = db.table(set.table).len();
-            if map.len() < len {
-                map.resize(len, NIL);
-            }
-            for (at, r) in set.rows.iter().enumerate() {
-                map[r.0 as usize] = at as u32;
-            }
-        }
-    }
-
-    pub(crate) fn reset(&mut self, ts: &TupleSets) {
-        for set in ts.sets() {
-            let map = &mut self.tables[set.table.0 as usize];
-            for r in &set.rows {
-                map[r.0 as usize] = NIL;
-            }
-        }
-    }
-
-    /// `table`'s map: index it with [`position`].
-    pub(crate) fn of(&self, table: TableId) -> &[u32] {
-        self.tables.get(table.0 as usize).map_or(&[], |m| m)
-    }
-}
-
-/// Where `row` sits in its tuple set, by `map` (a [`RowMap`] table's), or
-/// `NIL` when no query keyword matches it.
-pub(crate) fn position(map: &[u32], row: RowId) -> u32 {
-    map.get(row.0 as usize).copied().unwrap_or(NIL)
-}
 
 impl EvalScratch {
     pub fn new() -> Self {
@@ -228,23 +177,25 @@ fn fill_tuples(cn: &CandidateNetwork, plan: &JoinPlan, chunk: &[RowId], tuples: 
 /// estimated cheapest to start at, most selective neighbour first. No step
 /// reads a column value: every foreign key was resolved to a row id when
 /// the database's FK index was built or the row ingested, and the join
-/// follows those. A free node `R^∅` is never scanned or materialized: each
-/// intermediate tuple looks its partners up — [`Database::referenced_row`]
-/// when the free node is the referenced side of the edge,
-/// [`Database::referencing_rows`] when it is the referencing side — and
-/// keeps those that match no query keyword — `NIL` in `rows`, the query's
-/// [`RowMap`]. A keyword node on the referenced side is joined the same
+/// follows those, each step through the one [`FkEdge`] it resolved when the
+/// join began. A free node `R^∅` is never scanned or materialized: each
+/// intermediate tuple looks its partners up — [`FkEdge::referenced`] when
+/// the free node is the referenced side of the edge,
+/// [`FkEdge::referencing`] when it is the referencing side — and keeps
+/// those that match no query keyword — unmatched in `rows`, the query's
+/// row array. A keyword node on the referenced side is joined the same
 /// way, keeping the partner that is in its tuple set: the one found there
-/// at the position the map gives it (`set[map[r]] == r`). Either test is
-/// one load and one compare; no lookup searches a set. A keyword node on
+/// at the position the array gives it (`set[position(r)] == r`). Either
+/// test is one load and one compare; no lookup searches a set. A keyword node on
 /// the referencing side has no index from the intermediate into its tuple
 /// set, so on that one edge the tuple set probes the intermediate: the
 /// intermediate is grouped by parent row id (two pooled `u32` arrays that
 /// live for this step only — the grouping depends on this CN's prefix), and
-/// each tuple-set row finds the group of its `referenced_row`, emitting in
-/// tuple-set order, intermediate order within a group. The FK index resolves by key *value* (see
-/// [`kwdb_relational::Database::referenced_row`]), so the result set is the
-/// by-value hash join's, [`crate::eval::evaluate_cn`]'s.
+/// each tuple-set row finds the group of the row it references, emitting
+/// in tuple-set order, intermediate order within a group. The FK index
+/// resolves by key *value* (see [`kwdb_relational::Database::referenced_row`]),
+/// so the result set is the by-value hash join's,
+/// [`crate::eval::evaluate_cn`]'s.
 ///
 /// A *forward* step places the referenced side of its edge, so a tuple has
 /// at most one partner there. The forward steps to keyword nodes that
@@ -270,7 +221,7 @@ fn join_cn<'s>(
     plan: &JoinPlan,
     case: &Restriction<'_>,
     ts: &TupleSets,
-    rows: &RowMap,
+    rows: &RowSlots,
     scratch: &'s mut JoinBuffers,
     stats: &ExecStats,
     cancel: &dyn Fn() -> bool,
@@ -301,10 +252,10 @@ fn join_cn<'s>(
                 node,
                 parent,
                 pslot: slot[parent],
-                edge: edge.schema_edge,
+                edge: db.fk_edge(edge.schema_edge),
                 forward: edge.from_side_is(parent),
                 free: cn.nodes[node].mask == 0,
-                table: cn.nodes[node].table,
+                table: db.table(cn.nodes[node].table),
                 set: rows_of(node),
                 map: rows.of(cn.nodes[node].table),
                 literals: case.on(node),
@@ -321,17 +272,19 @@ fn join_cn<'s>(
         group_head: head,
         group_next: link,
     } = scratch;
+    // The root's rows go into the smaller buffer: the first step's output,
+    // usually the largest intermediate, then fills the one a join as large
+    // has grown before (the two swap at every step).
+    if cur.capacity() > next.capacity() {
+        std::mem::swap(cur, next);
+    }
     cur.clear();
     let first_rows = rows_of(order[0]);
     stats.add_scanned(first_rows.len() as u64);
-    let (root, literals) = (cn.nodes[order[0]].table, case.on(order[0]));
+    let (root, literals) = (db.table(cn.nodes[order[0]].table), case.on(order[0]));
     match literals {
         [] => cur.extend_from_slice(first_rows),
-        _ => cur.extend(
-            first_rows
-                .iter()
-                .filter(|&&r| admits(db, literals, root, r)),
-        ),
+        _ => cur.extend(first_rows.iter().filter(|&&r| admits(root, literals, r))),
     }
     let mut stride = 1usize;
 
@@ -361,7 +314,7 @@ fn join_cn<'s>(
         // reach from it — only if every folded step kept one.
         let mut chain = [RowId(0); FOLD_MAX];
         let mut emit = |tuple: &[RowId], r: RowId, fold: &mut [Step]| {
-            if follow(db, r, fold, &mut chain) {
+            if follow(r, fold, &mut chain) {
                 next.extend_from_slice(tuple);
                 next.push(r);
                 chain[..fold.len()].iter().for_each(|&p| next.push(p));
@@ -380,18 +333,18 @@ fn join_cn<'s>(
                 let parent = tuple[host.pslot];
                 if host.forward {
                     // (a NULL foreign key references no row)
-                    let partner = db.referenced_row(host.edge, parent);
-                    if let Some(r) = partner.filter(|&r| host.keeps(db, r)) {
+                    let partner = host.edge.referenced(parent);
+                    if let Some(r) = partner.filter(|&r| host.keeps(r)) {
                         host.kept += 1;
                         emit(tuple, r, fold);
                     }
                 } else {
-                    for r in db.referencing_rows(host.edge, parent) {
+                    for r in host.edge.referencing(parent) {
                         if clock.tick() {
                             break 'scan;
                         }
                         host.scanned += 1;
-                        if host.keeps(db, r) {
+                        if host.keeps(r) {
                             host.kept += 1;
                             emit(tuple, r, fold);
                         }
@@ -419,11 +372,11 @@ fn join_cn<'s>(
                     break;
                 }
                 host.probes += 1;
-                let Some(p) = db.referenced_row(host.edge, r) else {
+                let Some(p) = host.edge.referenced(r) else {
                     continue;
                 };
                 let mut t = head[p.0 as usize];
-                if t == NIL || !admits(db, host.literals, host.table, r) {
+                if t == NIL || !admits(host.table, host.literals, r) {
                     continue;
                 }
                 while t != NIL {
@@ -493,11 +446,11 @@ impl Clock {
 
 /// Run the forward steps `fold` from `r`, each off the row the one before
 /// reached, into `chain`: whether every step kept a row.
-fn follow(db: &Database, r: RowId, fold: &mut [Step], chain: &mut [RowId; FOLD_MAX]) -> bool {
+fn follow(r: RowId, fold: &mut [Step], chain: &mut [RowId; FOLD_MAX]) -> bool {
     let mut prev = r;
     for (step, row) in fold.iter_mut().zip(chain) {
-        match db.referenced_row(step.edge, prev) {
-            Some(p) if step.keeps(db, p) => (step.kept, *row, prev) = (step.kept + 1, p, p),
+        match step.edge.referenced(prev) {
+            Some(p) if step.keeps(p) => (step.kept, *row, prev) = (step.kept + 1, p, p),
             _ => return false,
         }
     }
@@ -511,11 +464,13 @@ struct Step<'a> {
     node: usize,
     parent: usize,
     pslot: usize,
-    edge: usize,
+    edge: FkEdge<'a>,
     forward: bool,
     free: bool,
-    table: TableId,
-    /// The node's tuple set (none for a free node) and its table's row map.
+    /// The node's table, for its literals.
+    table: &'a Table,
+    /// The node's tuple set (none for a free node) and its table's entries
+    /// of the row array.
     set: &'a [RowId],
     map: &'a [u32],
     literals: &'a [Literal<'a>],
@@ -536,14 +491,15 @@ impl Step<'_> {
 
     /// Whether a row the step reaches belongs at its node: in its tuple
     /// set (a free node: in none) and admitted by its literals.
-    fn keeps(&self, db: &Database, r: RowId) -> bool {
+    #[inline]
+    fn keeps(&self, r: RowId) -> bool {
         let at = position(self.map, r);
         let member = if self.free {
             at == NIL
         } else {
             self.set.get(at as usize) == Some(&r)
         };
-        member && (self.literals.is_empty() || admits(db, self.literals, self.table, r))
+        member && (self.literals.is_empty() || admits(self.table, self.literals, r))
     }
 }
 
@@ -588,19 +544,17 @@ where
     S: AsRef<str>,
     D: Deref<Target = Database>,
 {
-    let mut scratch = pool.checkout(EvalScratch::new);
-    let tally = count_facets(q.db, q.ts, q.cns, freq, budget, stats, &mut scratch);
-    drop(scratch); // back to the pool, for the executor
-    let refinements = freq.refinements;
-    let outcome = parallel_topk_planned(q, k, Scoring::Monotone, stats, budget, pool, refinements);
-    (outcome, tally)
+    placed(pool, q.ts, |scratch| {
+        let tally = count_facets(q.db, q.ts, q.cns, freq, budget, stats, scratch);
+        let refinements = freq.refinements;
+        let model = Scoring::Monotone;
+        let outcome = evaluate(q, k, model, stats, budget, scratch, refinements);
+        (outcome, tally)
+    })
 }
 
-/// The executor under either score `model`, with every CN restricted by
-/// `refinements` ([`restrictions`]; a CN they leave no case of is never
-/// considered and counts as pruned): a CN the bound does not prune gets
-/// its [`JoinPlan`], which drives its join. This is the engine's one entry
-/// point.
+/// [`evaluate`] on a scratch checked out of `pool`, for tuple sets built
+/// elsewhere.
 pub fn parallel_topk_planned<S, D>(
     q: &TopKQuery<'_, S, D>,
     k: usize,
@@ -614,6 +568,71 @@ where
     S: AsRef<str>,
     D: Deref<Target = Database>,
 {
+    placed(pool, q.ts, |scratch| {
+        evaluate(q, k, model, stats, budget, scratch, refinements)
+    })
+}
+
+/// Run `f` on a scratch checked out of `pool` that holds the row positions
+/// of `ts`, sets built on another scratch, and release them after.
+fn placed<T>(
+    pool: &ScratchPool<EvalScratch>,
+    ts: &TupleSets,
+    f: impl FnOnce(&mut EvalScratch) -> T,
+) -> T {
+    let mut scratch = pool.checkout(EvalScratch::new);
+    scratch.rows.place(ts);
+    let out = f(&mut scratch);
+    scratch.release(ts);
+    out
+}
+
+/// A joined row as the top-k holds it, ordered by CN and then tuples (the
+/// content tie-break). Cloned into an evicted entry, it reuses that
+/// entry's tuple buffer.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+struct Found {
+    cn: usize,
+    result: JoinedResult,
+}
+
+impl Clone for Found {
+    fn clone(&self) -> Self {
+        Found {
+            cn: self.cn,
+            result: self.result.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.cn = source.cn;
+        self.result.tuples.clone_from(&source.result.tuples);
+    }
+}
+
+/// The executor under either score `model`, with every CN restricted by
+/// `refinements` ([`restrictions`]; a CN they leave no case of is never
+/// considered and counts as pruned): a CN the bound does not prune gets
+/// its [`JoinPlan`], which drives its join. This is the engine's one entry
+/// point: `scratch` is the one its query checked out, and holds the
+/// positions `q.ts`'s build wrote ([`TupleSets::build_with`]).
+pub fn evaluate<S, D>(
+    q: &TopKQuery<'_, S, D>,
+    k: usize,
+    model: Scoring,
+    stats: &ExecStats,
+    budget: &Budget,
+    scratch: &mut EvalScratch,
+    refinements: &[ResolvedRefinement],
+) -> CnExecOutcome
+where
+    S: AsRef<str>,
+    D: Deref<Target = Database>,
+{
+    debug_assert!(
+        scratch.rows.holds(q.ts),
+        "the scratch holds the sets' positions"
+    );
     let n = q.cns.len();
     if n == 0 {
         return CnExecOutcome {
@@ -658,16 +677,21 @@ where
     let mut jobs: Vec<usize> = (0..n).filter(|&j| !cases_of(j).is_empty()).collect();
     jobs.sort_by(|&a, &b| bounds[b].total_cmp(&bounds[a]).then(a.cmp(&b)));
 
-    let mut top: ContentTopK<(usize, JoinedResult)> = ContentTopK::new(k);
+    let mut top: ContentTopK<Found> = ContentTopK::new(k);
     let mut truncation = None;
     let mut evaluated = 0u64;
-    let mut scratch = pool.checkout(EvalScratch::new);
     // Scoring by text and the top-k read a result as tuples: one buffer,
-    // refilled per joined row, cloned only for a row the top-k keeps.
-    let mut probe = (0, JoinedResult { tuples: Vec::new() });
-    let EvalScratch { join, rows, .. } = &mut *scratch;
-    rows.fill(q.db, q.ts);
+    // refilled per joined row, copied only into an entry the top-k keeps.
+    let mut probe = Found {
+        cn: 0,
+        result: JoinedResult { tuples: Vec::new() },
+    };
+    let EvalScratch { join, rows, .. } = scratch;
     let deadline = budget.deadline();
+    // Per keyword node of the CN in hand, in node order: where its row sits
+    // in a joined chunk, its tuple set's score column and its table's
+    // entries of the row array.
+    let mut columns = Vec::new();
     'cns: for (pos, &j) in jobs.iter().enumerate() {
         if let Some(reason) = budget.truncation_at(pos as u64) {
             truncation = Some(reason);
@@ -679,19 +703,18 @@ where
         let cn = &q.cns[j];
         let plan = join_plan(q.db, q.ts, cn);
         evaluated += 1;
-        probe.0 = j;
-        // Per node, in node order: where its row sits in a joined chunk
-        // and, for a keyword node, its tuple set's score column and its
-        // table's row map. A free node has none — its tuples score 0.
-        let columns: Vec<_> = (0..cn.nodes.len())
-            .map(|ni| {
-                let node = cn.nodes[ni];
-                let slot = plan.order.iter().position(|&o| o == ni);
-                let column = scores.column(node.table, node.mask);
-                let column = column.map(|c| (c, rows.of(node.table)));
-                (slot.expect("the plan places every node"), column)
-            })
-            .collect();
+        probe.cn = j;
+        columns.clear();
+        columns.extend((0..cn.nodes.len()).filter_map(|ni| {
+            let node = cn.nodes[ni];
+            let slot = plan.order.iter().position(|&o| o == ni);
+            let column = scores.column(node.table, node.mask)?;
+            Some((
+                slot.expect("the plan places every node"),
+                column,
+                rows.of(node.table),
+            ))
+        }));
         for case in cases_of(j) {
             // Abandon — before a join step, or mid-way through scoring what
             // it produced — once this CN's own rows have raised the
@@ -719,45 +742,42 @@ where
                     }
                 }
                 // Column entries read at the rows' positions and summed
-                // in node order (as the text-derived reference sums them,
-                // so the two agree bitwise) over CN size: the DISCOVER2
-                // score, or the SPARK bound.
-                let sum: f64 = columns
-                    .iter()
-                    .map(|&(slot, column)| {
-                        column.map_or(0.0, |(c, map)| c.score(position(map, chunk[slot]) as usize))
-                    })
+                // in node order over CN size: the DISCOVER2 score, or the
+                // SPARK bound. The text-derived reference also adds a free
+                // node's `+0.0`, which changes no sum that holds a keyword
+                // node's positive entry, so the two agree bitwise.
+                let sum: f64 = (columns.iter())
+                    .map(|&(slot, column, map)| column.score(position(map, chunk[slot]) as usize))
                     .sum();
                 let mut score = sum / chunk.len() as f64;
                 match model {
                     Scoring::Monotone => debug_assert_eq!(score.to_bits(), {
-                        fill_tuples(cn, &plan, chunk, &mut probe.1.tuples);
-                        q.scorer.monotone_score(&probe.1, q.keywords).to_bits()
+                        fill_tuples(cn, &plan, chunk, &mut probe.result.tuples);
+                        q.scorer.monotone_score(&probe.result, q.keywords).to_bits()
                     }),
                     Scoring::Spark => {
                         if !top.would_accept(score) {
                             continue; // even its bound is below the k-th best
                         }
-                        fill_tuples(cn, &plan, chunk, &mut probe.1.tuples);
-                        let exact = q.scorer.spark_score(&probe.1, q.keywords);
+                        fill_tuples(cn, &plan, chunk, &mut probe.result.tuples);
+                        let exact = q.scorer.spark_score(&probe.result, q.keywords);
                         debug_assert!(exact <= score, "watf bound {score} < score {exact}");
                         score = exact;
                     }
                 }
                 if top.would_accept(score) {
-                    fill_tuples(cn, &plan, chunk, &mut probe.1.tuples);
+                    fill_tuples(cn, &plan, chunk, &mut probe.result.tuples);
                     top.push_cloned(score, &probe);
                 }
             }
         }
     }
-    rows.reset(q.ts);
 
     let results = top
         .into_sorted_vec()
         .into_iter()
-        .map(|(score, (cn_index, result))| RankedResult {
-            cn_index,
+        .map(|(score, Found { cn, result })| RankedResult {
+            cn_index: cn,
             result,
             score,
         })
@@ -832,7 +852,7 @@ mod tests {
         stats: &ExecStats,
     ) -> Vec<JoinedResult> {
         let plan = join_plan(db, ts, cn);
-        scratch.rows.fill(db, ts);
+        scratch.rows.place(ts);
         let EvalScratch { join, rows, .. } = scratch;
         let results = join_cn(db, cn, &plan, case, ts, rows, join, stats, &|| false, None)
             .expect("no deadline")
@@ -842,7 +862,7 @@ mod tests {
                 JoinedResult { tuples }
             })
             .collect();
-        rows.reset(ts);
+        scratch.release(ts);
         results
     }
 
@@ -1036,7 +1056,7 @@ mod tests {
                             .into_iter()
                             .filter(|r| {
                                 (r.tuples.iter().enumerate())
-                                    .all(|(ni, t)| admits(db, case.on(ni), t.table, t.row))
+                                    .all(|(ni, t)| admits(db.table(t.table), case.on(ni), t.row))
                             })
                             .collect();
                     reference.sort();

@@ -26,25 +26,25 @@
 //!   and the differential tests use;
 //! * [`ScoreTable`] takes them from the *tuple sets*, which kept the
 //!   frequencies the postings carried, and looks each keyword's `idf` up
-//!   once per query — one column per tuple set, which is all the engine's
-//!   executor ([`crate::pexec`]) reads to order and prune. A column knows
-//!   its exact maximum from the start (the formulas are monotone in every
-//!   count, so most rows need not be scored to find it) and computes a
-//!   row's entry the first time the executor reads it, by the row's
-//!   position in the set.
+//!   once per query — a weight per keyword and small count, and one column
+//!   per tuple set, which is all the engine's executor ([`crate::pexec`])
+//!   reads to order and prune. A column knows its exact maximum from the
+//!   start (the formulas are monotone in every count, so most rows need
+//!   not be scored to find it) and sums a row's weights where the executor
+//!   reads them, by the row's position in the set.
 //!
-//! Both feed the same function the same counts, so the two are equal bit
-//! for bit: a keyword outside a row's mask has `tf = 0` on either side and
-//! adds `0.0 · idf = 0.0`. A free tuple matches no keyword, so it scores
+//! Both form the same products and add them in the same order, so the two
+//! are equal bit for bit: a keyword outside a row's mask has `tf = 0` and
+//! adds `0.0 · idf = +0.0` on the text side, which leaves the sum as it
+//! was (see [`ScoreTable`]). A free tuple matches no keyword, so it scores
 //! exactly `0.0` and needs no column.
 
 use crate::eval::JoinedResult;
-use crate::tupleset::{TupleSet, TupleSets, MAX_KEYWORDS};
+use crate::tupleset::{TupleSet, TupleSets};
 use kwdb_common::Result;
 use kwdb_rank::tfidf::{avg_doc_len, idf, TfIdf};
 use kwdb_rank::CorpusStats;
 use kwdb_relational::{Database, TableId, TupleId};
-use std::cell::Cell;
 use std::collections::HashMap;
 use std::ops::Deref;
 use std::sync::Arc;
@@ -80,11 +80,11 @@ pub enum Scoring {
 }
 
 /// The monotone per-tuple score `Σ_k tf_weight(tfs[k]) · idf(k)` over the
-/// query keywords in query order — the one statement of the formula.
+/// query keywords in query order — the one statement of the formula (its
+/// product is `term_weight`'s, which [`ScoreTable`] tabulates).
 pub fn tfidf_sum(tfs: &[u32], idf: impl Fn(usize) -> f64) -> f64 {
-    tfs.iter()
-        .enumerate()
-        .map(|(k, &tf)| TfIdf::tf_weight(tf as usize) * idf(k))
+    (tfs.iter().enumerate())
+        .map(|(k, &tf)| term_weight(Scoring::Monotone, tf, idf(k)))
         .sum()
 }
 
@@ -94,12 +94,20 @@ pub fn tfidf_sum(tfs: &[u32], idf: impl Fn(usize) -> f64) -> f64 {
 /// is subadditive, `norm ≥ 1 − SLOPE`, the completeness factor is `≤ 1` and
 /// the size penalty is exactly `1 / |T|`.
 pub fn watf_sum(tfs: &[u32], idf: impl Fn(usize) -> f64) -> f64 {
-    let a: f64 = tfs
-        .iter()
-        .enumerate()
-        .map(|(k, &tf)| double_log_tf(tf as usize) * idf(k))
+    let a: f64 = (tfs.iter().enumerate())
+        .map(|(k, &tf)| term_weight(Scoring::Spark, tf, idf(k)))
         .sum();
     a / (1.0 - SLOPE)
+}
+
+/// One keyword's term in `model`'s per-tuple sum at count `tf`:
+/// `tf_weight(tf) · idf` ([`tfidf_sum`]) or `double_log_tf(tf) · idf`
+/// ([`watf_sum`]).
+fn term_weight(model: Scoring, tf: u32, idf: f64) -> f64 {
+    match model {
+        Scoring::Monotone => TfIdf::tf_weight(tf as usize) * idf,
+        Scoring::Spark => double_log_tf(tf as usize) * idf,
+    }
 }
 
 /// SPARK's length-normalization slope (`s` in pivoted normalization).
@@ -246,43 +254,62 @@ impl<D: Deref<Target = Database>> ResultScorer<D> {
 #[derive(Clone, Copy)]
 pub struct ScoreColumn<'t> {
     table: &'t ScoreTable<'t>,
-    column: &'t Column<'t>,
+    set: &'t TupleSet,
+    /// A one-keyword set's counts and that keyword's weights by count: a
+    /// row's entry is one load from each.
+    single: Option<(&'t [u32], &'t [f64])>,
+    best: f64,
 }
 
 impl ScoreColumn<'_> {
-    /// The number of the row at position `at` of the tuple set, computed the
-    /// first time it is read.
+    /// The number of the row at position `at` of the tuple set: its
+    /// keywords' weights, summed.
+    #[inline]
     pub fn score(&self, at: usize) -> f64 {
-        self.table.read(self.column, at)
+        self.table.entry(self.set, self.single, at)
     }
 
     /// The column's exact maximum — what a keyword node over this tuple set
     /// contributes to a CN's upper bound.
     pub fn best(&self) -> f64 {
-        self.column.best
+        self.best
     }
 }
 
-/// A column's tuple set, its maximum and the entries read so far (`NaN`
-/// until then: no entry is `NaN`).
+/// A column's tuple set and its maximum.
 struct Column<'a> {
     set: &'a TupleSet,
-    scores: Box<[Cell<f64>]>,
     best: f64,
 }
 
+/// Counts below this read a keyword's weight from the [`ScoreTable`]; a
+/// larger one (rare in text) is weighted by the formula.
+const TF_TABLE: usize = 8;
+
 /// One query's per-tuple numbers, from the index: per tuple set a
 /// [`ScoreColumn`] of each row's [`tfidf_sum`] (`Monotone`) or [`watf_sum`]
-/// (`Spark`) over the frequencies the set kept. Building the table finds
-/// each column's exact maximum; a row's entry is computed once, the first
-/// time it is read, so a query pays for the rows its joins reach, not for
-/// every row of every set.
+/// (`Spark`) over the frequencies the set kept.
+///
+/// The table holds each keyword's term weight — `tf_weight(tf) · idf` or
+/// `double_log_tf(tf) · idf` — for every count below 8 (`TF_TABLE`), and each
+/// column's exact maximum. A row's entry is its keywords' weights summed
+/// over its set's mask bits in keyword order (over `1 − s` for `Spark`):
+/// the products the formula forms, added in the order it adds them. The
+/// formula also adds `0.0 · idf = +0.0` for each keyword outside the mask,
+/// and adding `+0.0` changes no sum but `−0.0` — which only the empty
+/// sum's start can be, and every set's mask has a bit — so the two agree
+/// bit for bit. A query computes nothing per row ahead of the joins and
+/// caches nothing: an entry is a few loads and adds, made where a join
+/// reads it.
 pub struct ScoreTable<'a> {
     columns: HashMap<(TableId, u32), Column<'a>>,
     model: Scoring,
     idfs: Vec<f64>,
+    /// `weights[k * TF_TABLE + tf]`: keyword `k`'s term weight at count
+    /// `tf`.
+    weights: Vec<f64>,
     /// The same number re-derived from the tuple's text, which debug builds
-    /// hold every computed entry to.
+    /// hold every entry read to.
     text: Box<dyn Fn(TupleId) -> f64 + 'a>,
 }
 
@@ -303,7 +330,10 @@ impl<'a> ScoreTable<'a> {
         keywords: &'a [S],
         model: Scoring,
     ) -> Self {
-        let idfs = (keywords.iter()).map(|k| scorer.idf(k.as_ref())).collect();
+        let idfs: Vec<f64> = (keywords.iter()).map(|k| scorer.idf(k.as_ref())).collect();
+        let weights = (idfs.iter())
+            .flat_map(|&idf| (0..TF_TABLE as u32).map(move |tf| term_weight(model, tf, idf)))
+            .collect();
         let text: Box<dyn Fn(TupleId) -> f64 + 'a> = match model {
             Scoring::Monotone => Box::new(|t| scorer.tuple_score(t, keywords)),
             Scoring::Spark => Box::new(|t| scorer.watf(t, keywords)),
@@ -312,78 +342,97 @@ impl<'a> ScoreTable<'a> {
             columns: HashMap::with_capacity(ts.len()),
             model,
             idfs,
+            weights,
             text,
         };
         for set in ts.sets() {
-            let mut column = Column {
-                set,
-                scores: vec![Cell::new(f64::NAN); set.rows.len()].into(),
-                best: 0.0,
-            };
-            column.best = table.best(&column);
-            table.columns.insert((set.table, set.mask), column);
+            let best = table.best(set, table.single(set));
+            table
+                .columns
+                .insert((set.table, set.mask), Column { set, best });
         }
         table
     }
 
-    /// The largest entry of `column`, computing only rows that could be it.
-    fn best(&self, column: &Column<'_>) -> f64 {
-        let set = column.set;
+    /// The largest entry of `set`'s column, computing only rows that could
+    /// be it.
+    fn best(&self, set: &TupleSet, single: Option<(&[u32], &[f64])>) -> f64 {
         if set.mask.count_ones() == 1 {
             // One count per row: any row holding the largest count scores
             // the maximum.
             let max = set.tfs.iter().max();
             let at = max.and_then(|max| set.tfs.iter().position(|tf| tf == max));
-            return at.map_or(0.0, |at| self.read(column, at));
+            return at.map_or(0.0, |at| self.entry(set, single, at));
         }
         let (mut best, mut top) = (0.0, None);
         for at in 0..set.rows.len() {
             let tfs = set.row_tfs(at);
             let dominated =
                 top.is_some_and(|t| tfs.iter().zip(set.row_tfs(t)).all(|(a, b)| a <= b));
-            if !dominated && self.read(column, at) > best {
-                (best, top) = (self.read(column, at), Some(at));
+            if !dominated && self.entry(set, single, at) > best {
+                (best, top) = (self.entry(set, single, at), Some(at));
             }
         }
         best
     }
 
-    /// Entry `at` of `column`: the cached value, or the formula over the
-    /// row's counts spread over all keywords (those outside the set's mask
-    /// count 0), cached.
-    fn read(&self, column: &Column<'_>, at: usize) -> f64 {
-        let cached = column.scores[at].get();
-        if !cached.is_nan() {
-            return cached;
-        }
-        let set = column.set;
-        let n = self.idfs.len();
-        let mut tfs = [0u32; MAX_KEYWORDS];
-        let bits = (0..n).filter(|&k| set.mask & (1 << k) != 0);
-        for (k, &tf) in bits.zip(set.row_tfs(at)) {
-            tfs[k] = tf;
-        }
-        let idf = |k: usize| self.idfs[k];
+    /// A one-keyword set's counts and its keyword's weights, for
+    /// [`ScoreTable::entry`]'s short path.
+    fn single<'s>(&'s self, set: &'s TupleSet) -> Option<(&'s [u32], &'s [f64])> {
+        let k = set.mask.trailing_zeros() as usize;
+        let weights = &self.weights[k * TF_TABLE..(k + 1) * TF_TABLE];
+        set.mask
+            .is_power_of_two()
+            .then_some((&set.tfs[..], weights))
+    }
+
+    /// Entry `at` of `set`'s column: the weights of the row's counts,
+    /// summed in keyword order. With `single` (a one-keyword set) and a
+    /// count in the table, the sum is that one weight (`−0.0 + w = w`).
+    #[inline]
+    fn entry(&self, set: &TupleSet, single: Option<(&[u32], &[f64])>, at: usize) -> f64 {
+        let one = single.and_then(|(tfs, weights)| weights.get(tfs[at] as usize));
+        let sum = match one {
+            Some(&weight) => weight,
+            None => self.sum(set, at),
+        };
         let score = match self.model {
-            Scoring::Monotone => tfidf_sum(&tfs[..n], idf),
-            Scoring::Spark => watf_sum(&tfs[..n], idf),
+            Scoring::Monotone => sum,
+            Scoring::Spark => sum / (1.0 - SLOPE),
         };
         debug_assert_eq!(
             score.to_bits(),
             (self.text)(TupleId::new(set.table, set.rows[at])).to_bits(),
             "index-derived score diverged from the text-derived one"
         );
-        column.scores[at].set(score);
         score
+    }
+
+    /// The weights of row `at`'s counts, summed over `set`'s mask bits in
+    /// keyword order.
+    fn sum(&self, set: &TupleSet, at: usize) -> f64 {
+        let mut bits = set.mask;
+        (set.row_tfs(at).iter())
+            .map(|&tf| {
+                let k = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                match tf as usize {
+                    tf if tf < TF_TABLE => self.weights[k * TF_TABLE + tf],
+                    _ => term_weight(self.model, tf, self.idfs[k]),
+                }
+            })
+            .sum()
     }
 
     /// The column of tuple set `(table, mask)`; `None` when the set is
     /// empty — and for the free set (`mask == 0`), whose tuples score 0.
     pub fn column(&self, table: TableId, mask: u32) -> Option<ScoreColumn<'_>> {
-        let column = self.columns.get(&(table, mask))?;
+        let Column { set, best } = self.columns.get(&(table, mask))?;
         Some(ScoreColumn {
             table: self,
-            column,
+            set,
+            single: self.single(set),
+            best: *best,
         })
     }
 }

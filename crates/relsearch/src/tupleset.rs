@@ -15,8 +15,10 @@
 //! The build reads each keyword's posting list twice and merges none: the
 //! lists OR their keyword bits into a per-table array of row masks, then
 //! each list emits the rows whose lowest bit is its own — in list order, so
-//! ascending — and the last list to read an entry sets it back to 0. No
-//! step branches on a posting's mask (`TupleSets::partition`).
+//! ascending — and the last list to read an entry leaves the row's position
+//! in its set there, for the executor to find the row by until the query
+//! ends ([`EvalScratch::release`]). No step branches on a posting's mask
+//! (`TupleSets::partition`).
 
 use crate::pexec::EvalScratch;
 use kwdb_common::index::kernels::gallop_by;
@@ -28,35 +30,91 @@ use std::collections::HashMap;
 /// Most keywords one query may have: tuple-set masks are `u32` bitmasks.
 pub const MAX_KEYWORDS: usize = 32;
 
-/// The partition's pooled buffers, part of an [`EvalScratch`]: per table,
-/// one `u32` per row slot up to the last row a build has matched there (all
-/// 0 between builds), and one posting run's compaction buffers.
+/// A query's one row array and the build's buffers, part of an
+/// [`EvalScratch`]. Per table, one `u32` per row slot up to the last row a
+/// build has matched there: 0 for a row no query keyword matches — every
+/// entry, between queries — the row's keyword mask while the build runs,
+/// and after it the row's position in its tuple set plus 1. Then one
+/// posting run's compaction buffers.
 #[derive(Default)]
-pub(crate) struct MaskMap {
+pub(crate) struct RowSlots {
     tables: Vec<Vec<u32>>,
     rows: Vec<RowId>,
     tfs: Vec<u32>,
     shared: Vec<(RowId, u32)>,
 }
 
+/// Where `row` sits in its tuple set, by `map` (a [`RowSlots`] table's
+/// entries after a build), or [`NIL`] when no query keyword matches it.
+#[inline]
+pub(crate) fn position(map: &[u32], row: RowId) -> u32 {
+    map.get(row.0 as usize).map_or(NIL, |&e| e.wrapping_sub(1))
+}
+
+/// [`position`] of a row no query keyword matches.
+pub(crate) const NIL: u32 = u32::MAX;
+
 /// A posting list's runs of one table each.
 fn runs(list: &[Posting]) -> impl Iterator<Item = &[Posting]> {
     list.chunk_by(|a, b| a.tuple.table == b.tuple.table)
 }
 
-impl MaskMap {
-    /// The entries of `run`'s table, grown to cover its rows.
-    fn table(&mut self, run: &[Posting]) -> &mut [u32] {
-        let (first, last) = (run[0].tuple, run[run.len() - 1].tuple);
-        let t = first.table.0 as usize;
+impl RowSlots {
+    /// The entries of `table`, grown to cover `last`.
+    fn table(&mut self, table: TableId, last: RowId) -> &mut [u32] {
+        let t = table.0 as usize;
         if self.tables.len() <= t {
             self.tables.resize_with(t + 1, Vec::new);
         }
         let map = &mut self.tables[t];
-        if map.len() <= last.row.0 as usize {
-            map.resize(last.row.0 as usize + 1, 0);
+        if map.len() <= last.0 as usize {
+            map.resize(last.0 as usize + 1, 0);
         }
         map
+    }
+
+    /// `table`'s entries: index them with [`position`].
+    pub(crate) fn of(&self, table: TableId) -> &[u32] {
+        self.tables.get(table.0 as usize).map_or(&[], |m| m)
+    }
+
+    /// Write every row's position in its set of `ts`, as `ts`'s build would
+    /// have, for sets built on another scratch.
+    pub(crate) fn place(&mut self, ts: &TupleSets) {
+        for set in ts.sets() {
+            let Some(&last) = set.rows.last() else {
+                continue;
+            };
+            let map = self.table(set.table, last);
+            for (at, r) in set.rows.iter().enumerate() {
+                map[r.0 as usize] = at as u32 + 1;
+            }
+        }
+    }
+
+    /// Whether every row of `ts` has its position in its set here.
+    pub(crate) fn holds(&self, ts: &TupleSets) -> bool {
+        (ts.sets()).all(|set| {
+            let map = self.of(set.table);
+            (set.rows.iter().enumerate()).all(|(at, &r)| position(map, r) == at as u32)
+        })
+    }
+}
+
+impl EvalScratch {
+    /// End the query whose tuple sets `ts` were built on (or placed in) this
+    /// scratch: mark their rows unmatched, as every way a query ends must
+    /// before the scratch returns to its pool.
+    pub fn release(&mut self, ts: &TupleSets) {
+        for set in ts.sets() {
+            let map = &mut self.rows.tables[set.table.0 as usize];
+            set.rows.iter().for_each(|r| map[r.0 as usize] = 0);
+        }
+    }
+
+    /// Whether no row is marked matched: true of a scratch between queries.
+    pub fn unmatched(&self) -> bool {
+        self.rows.tables.iter().flatten().all(|&e| e == 0)
     }
 }
 
@@ -116,8 +174,11 @@ impl TupleSets {
         Self::build_with(db, keywords, &mut EvalScratch::new())
     }
 
-    /// [`TupleSets::build`] on `scratch`'s mask array, which it leaves all
-    /// 0 as it found it.
+    /// [`TupleSets::build`] on `scratch`'s row array, which must be
+    /// unmatched ([`EvalScratch::unmatched`]) and is left holding every
+    /// matched row's position in its set: the executor and the facet count
+    /// read the sets through it, and the query hands the scratch back
+    /// through [`EvalScratch::release`].
     pub fn build_with<S: AsRef<str>>(
         db: &Database,
         keywords: &[S],
@@ -134,7 +195,7 @@ impl TupleSets {
             .filter_map(|(i, kw)| Some((i as u32, ix.sym(kw.as_ref())?)))
             .map(|(bit, sym)| (bit, ix.postings_sym(sym).as_slice()))
             .collect();
-        Ok(Self::partition(&lists, keywords.len(), &mut scratch.masks))
+        Ok(Self::partition(&lists, keywords.len(), &mut scratch.rows))
     }
 
     /// [`TupleSets::build`], with 0 cache hits and 0 misses. Kept only for
@@ -151,8 +212,8 @@ impl TupleSets {
     /// paired with its keyword's bit, in two passes over the postings. A
     /// list holds one posting per tuple, in `(table, row)` order.
     ///
-    /// 1. Each list ORs its bit into its rows' entries of `masks` (per
-    ///    table, one `u32` per row slot, all 0 between builds), so every
+    /// 1. Each list ORs its bit into its rows' entries of `slots` (per
+    ///    table, one `u32` per row slot, all 0 between queries), so every
     ///    entry ends up holding its row's mask.
     /// 2. Each list, highest bit first, reads its rows' masks run by table
     ///    run and emits the rows whose lowest bit is its own. Each posting
@@ -162,14 +223,14 @@ impl TupleSets {
     ///    other the rows matching more, which then read their other
     ///    keywords' counts from those lists by galloping cursors (their keys
     ///    ascend) and go to a set per mask. The lowest bit's list is the last
-    ///    to read an entry, so it writes it back to 0; the array needs no
-    ///    reset pass.
+    ///    to read an entry, so it writes there the row's position in the set
+    ///    it goes to, plus 1: no pass fills a second array.
     ///
     /// Every set's rows come from one list, so they arrive ascending, with
     /// no post-sort, and a row's frequencies in keyword order because the
     /// lists are. Only a row matching several keywords is hashed, to find
     /// its set.
-    fn partition(lists: &[(u32, &[Posting])], n_keywords: usize, masks: &mut MaskMap) -> Self {
+    fn partition(lists: &[(u32, &[Posting])], n_keywords: usize, slots: &mut RowSlots) -> Self {
         let mut out = TupleSets {
             n_keywords,
             ..Default::default()
@@ -177,16 +238,16 @@ impl TupleSets {
         let row = |p: &Posting| p.tuple.row.0 as usize;
         for &(bit, list) in lists {
             for run in runs(list) {
-                let map = masks.table(run);
+                let map = slots.table(run[0].tuple.table, run[run.len() - 1].tuple.row);
                 run.iter().for_each(|p| map[row(p)] |= 1 << bit);
             }
         }
-        let MaskMap {
+        let RowSlots {
             tables,
             rows,
             tfs,
             shared,
-        } = masks;
+        } = slots;
         for &(bit, list) in lists.iter().rev() {
             let mut cursors = vec![0; lists.len()];
             for run in runs(list) {
@@ -199,8 +260,10 @@ impl TupleSets {
                 for p in run {
                     let mask = map[row(p)];
                     let lowest = mask.trailing_zeros() == bit;
-                    // (the lowest bit's list reads the entry last)
-                    map[row(p)] = mask * !lowest as u32;
+                    // (the lowest bit's list reads the entry last and leaves
+                    // the row's position: in this set for a row matching
+                    // this keyword alone, in its own set below for the rest)
+                    map[row(p)] = if lowest { alone as u32 + 1 } else { mask };
                     (rows[alone], tfs[alone]) = (p.tuple.row, p.tf);
                     alone += (mask == 1 << bit) as usize;
                     shared[more] = (p.tuple.row, mask);
@@ -228,6 +291,7 @@ impl TupleSets {
                         });
                     let set = (out.sets.entry((table, mask)))
                         .or_insert_with(|| set(mask, vec![], vec![]));
+                    map[r.0 as usize] = set.rows.len() as u32 + 1;
                     set.tfs.extend(row_tfs);
                     set.rows.push(r);
                 }
@@ -529,11 +593,18 @@ mod tests {
         let mut scratch = EvalScratch::new();
         for keywords in queries {
             let ts = TupleSets::build(&db, keywords).unwrap();
+            assert!(scratch.unmatched(), "{keywords:?}");
             let pooled = TupleSets::build_with(&db, keywords, &mut scratch).unwrap();
             assert_eq!(pooled.keys(), ts.keys(), "{keywords:?}");
             assert!(ts.sets().all(|s| pooled.get(s.table, s.mask) == Some(s)));
-            let masks = &scratch.masks.tables;
-            assert!(masks.iter().flatten().all(|&m| m == 0), "{keywords:?}");
+            // The build leaves each matched row's position in its set, and
+            // every other entry unmatched ...
+            assert!(scratch.rows.holds(&pooled), "{keywords:?}");
+            let marked = scratch.rows.tables.iter().flatten().filter(|&&e| e != 0);
+            assert_eq!(marked.count(), pooled.sets().map(|s| s.rows.len()).sum());
+            // ... until the query ends: then all are unmatched again.
+            scratch.release(&pooled);
+            assert!(scratch.unmatched(), "{keywords:?}");
             let (sets, matched) = naive_partition(&db, keywords);
             let mut keys: Vec<_> = sets.keys().copied().collect();
             keys.sort();

@@ -11,8 +11,8 @@ use super::{
     SearchResponse,
 };
 use kwdb_common::{
-    CacheConfig, FacetCounts, FacetSpec, Looked, QueryStats, Result, ScratchPool, ShardedCache,
-    Stopwatch, TruncationReason, Value,
+    CacheConfig, FacetCounts, FacetSpec, Looked, QueryStats, Result, Scratch, ScratchPool,
+    ShardedCache, Stopwatch, TruncationReason, Value,
 };
 use kwdb_explore::summary::{object_summary, render_summary};
 use kwdb_obs::{
@@ -26,7 +26,7 @@ use kwdb_relsearch::cn::{CandidateNetwork, CnGenConfig, CnGenerator, MaskOracle}
 use kwdb_relsearch::facets::{
     count_facets, resolve_facets, resolve_refinements, FacetAccum, FacetRequest,
 };
-use kwdb_relsearch::pexec::{parallel_topk_planned, EvalScratch};
+use kwdb_relsearch::pexec::{evaluate, EvalScratch};
 use kwdb_relsearch::topk::{CnExecOutcome, TopKQuery};
 use kwdb_relsearch::{Refinement, ResultScorer, TupleSets};
 use std::sync::{Arc, RwLock};
@@ -148,7 +148,7 @@ pub struct RelationalEngine {
     obs: Option<EngineInstruments>,
     /// Join and count buffers, pooled across queries: each running query
     /// checks one out.
-    scratch: ScratchPool<EvalScratch>,
+    pub(super) scratch: ScratchPool<EvalScratch>,
     /// Lazily built query-cleaning model ([`RelationalConfig::clean_queries`])
     /// keyed by the generation it was built at, one entry: a cleaning query
     /// of a newer generation builds a new model and evicts the old.
@@ -383,8 +383,17 @@ impl RelationalEngine {
                 refinements: &refinements,
             };
 
-            let ts =
-                TupleSets::build_with(db, keywords, &mut self.scratch.checkout(EvalScratch::new))?;
+            // One scratch for the whole query: the build leaves each matched
+            // row's position in its row array, and the executor and the
+            // facet count find rows by it.
+            let mut scratch = self.scratch.checkout(EvalScratch::new);
+            debug_assert!(
+                scratch.unmatched(),
+                "a pooled scratch holds no query's rows"
+            );
+            let ts = TupleSets::build_with(db, keywords, &mut scratch)?;
+            let mut query = Query { scratch, ts };
+            let (ts, scratch) = (&query.ts, &mut *query.scratch);
             stats.phases.build = sw.lap();
             if !ts.covers_all_keywords() {
                 tb.event("tuple sets", || vec![field("covers_all_keywords", false)]);
@@ -394,7 +403,7 @@ impl RelationalEngine {
                 return Ok(Answer::empty(empty_facets()?, Some(reason)));
             }
             tb.phase("plan");
-            let cns = self.plan(db, &ts, stats, tb);
+            let cns = self.plan(db, ts, stats, tb);
             stats.phases.plan = sw.lap();
             stats.candidates_generated = cns.len() as u64;
 
@@ -404,7 +413,7 @@ impl RelationalEngine {
             let scorer = ResultScorer::from_index(Arc::clone(db))?;
             let q = TopKQuery {
                 db,
-                ts: &ts,
+                ts,
                 cns: &cns,
                 scorer: &scorer,
                 keywords,
@@ -416,15 +425,7 @@ impl RelationalEngine {
                 truncation,
                 cns_evaluated,
                 cns_pruned,
-            } = parallel_topk_planned(
-                &q,
-                req.k,
-                scoring,
-                &exec,
-                budget,
-                &self.scratch,
-                &refinements,
-            );
+            } = evaluate(&q, req.k, scoring, &exec, budget, scratch, &refinements);
             stats.phases.evaluate = sw.lap();
             stats.cns_evaluated = cns_evaluated;
             stats.cns_pruned = cns_pruned;
@@ -450,9 +451,7 @@ impl RelationalEngine {
             // a deadline leaves the counts inexact, and the response then says
             // it was cut short.
             tb.phase("facets");
-            let mut scratch = self.scratch.checkout(EvalScratch::new);
-            let tally = count_facets(db, &ts, &cns, &freq, budget, &exec, &mut scratch);
-            drop(scratch);
+            let tally = count_facets(db, ts, &cns, &freq, budget, &exec, scratch);
             let snap = exec.snapshot();
             stats.operators.tuples_scanned = snap.tuples_scanned;
             stats.operators.join_probes = snap.join_probes;
@@ -625,6 +624,20 @@ impl MutableEngine for RelationalEngine {
     }
 }
 
+/// A computed query's scratch and the tuple sets built on it. Dropping it
+/// releases the sets' rows, so the scratch returns to its pool with every
+/// row unmatched however the query ends.
+struct Query<'p> {
+    scratch: Scratch<'p, EvalScratch>,
+    ts: TupleSets,
+}
+
+impl Drop for Query<'_> {
+    fn drop(&mut self) {
+        self.scratch.release(&self.ts);
+    }
+}
+
 fn relational_hit_bytes(h: &RelationalHit) -> usize {
     h.rendered.len()
         + h.summary.iter().map(|s| s.len() + 24).sum::<usize>()
@@ -632,14 +645,19 @@ fn relational_hit_bytes(h: &RelationalHit) -> usize {
         + 64
 }
 
-/// A hit's tuples, rendered and joined by ` ⋈ ` into one buffer.
+/// A hit's tuples, rendered and joined by ` ⋈ ` into one buffer, measured
+/// first ([`Database::tuple_len`]) so it is allocated once at its size.
 fn render(db: &Database, tuples: &[TupleId]) -> String {
-    let mut out = String::new();
+    const JOIN: &str = " ⋈ ";
+    let len = (tuples.iter().map(|&t| db.tuple_len(t))).sum::<usize>()
+        + JOIN.len() * tuples.len().saturating_sub(1);
+    let mut out = String::with_capacity(len);
     for (i, &t) in tuples.iter().enumerate() {
         if i > 0 {
-            out.push_str(" ⋈ ");
+            out.push_str(JOIN);
         }
         db.write_tuple(&mut out, t);
     }
+    debug_assert_eq!(out.len(), len, "measured as written");
     out
 }

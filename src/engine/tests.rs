@@ -2,7 +2,8 @@ use super::*;
 use kwdb_common::{CacheConfig, KwdbError};
 use kwdb_datasets::{generate_dblp, DblpConfig};
 use kwdb_relational::database::dblp_schema;
-use kwdb_relational::Database;
+use kwdb_relational::{Database, RowId};
+use kwdb_relsearch::pexec::EvalScratch;
 use std::time::Duration;
 
 #[test]
@@ -444,4 +445,114 @@ fn commit_bumps_the_generation_and_changes_no_answer() {
     .unwrap_err();
     assert!(matches!(err, KwdbError::UnknownObject(_)));
     assert_eq!(outcome.generation, MutableEngine::generation(&engine));
+}
+
+/// The DBLP shape of the benchmark's cold top-k workload, at 4 000 papers.
+fn benchmark_dblp() -> Database {
+    generate_dblp(&DblpConfig {
+        n_conferences: 40,
+        n_authors: 1_333,
+        n_papers: 4_000,
+        authors_per_paper: 2.2,
+        citations_per_paper: 1.5,
+        seed: 0xdb19,
+    })
+}
+
+/// A computed query writes each matched row's position into its pooled
+/// scratch's one row array and must leave every entry unmatched again
+/// however it ends, or the next query's build reads stale entries as
+/// keyword masks. One engine, so one pool and one scratch, runs every way a
+/// query can end, interleaved with plain queries, and the pooled array is
+/// checked after each; every plain answer equals a fresh engine's.
+#[test]
+fn the_row_array_is_unmatched_after_every_way_a_query_ends() {
+    let db = Arc::new(benchmark_dblp());
+    let uncached = RelationalConfig {
+        result_cache: CacheConfig::disabled(),
+        ..Default::default()
+    };
+    let engine = RelationalEngine::with_config(Arc::clone(&db), uncached);
+    let unmatched = |what: &str| {
+        assert_eq!(engine.scratch.idle(), 1, "{what}: one pooled scratch");
+        let scratch = engine.scratch.checkout(EvalScratch::new);
+        assert!(scratch.unmatched(), "{what} left rows matched");
+    };
+    let key = |resp: &SearchResponse<RelationalHit>| -> Vec<(u64, String)> {
+        (resp.hits.iter())
+            .map(|h| (h.score.to_bits(), h.rendered.clone()))
+            .collect()
+    };
+    let plain = |text: &str| {
+        let req = SearchRequest::new(text).k(10);
+        let resp = engine.execute(&req).unwrap();
+        let fresh = RelationalEngine::with_config(Arc::clone(&db), uncached);
+        assert_eq!(key(&resp), key(&fresh.execute(&req).unwrap()), "{text}");
+        assert!(!resp.hits.is_empty() && !resp.truncated(), "{text}");
+        unmatched(text);
+    };
+    let within = |d: Duration| Budget::unlimited().with_timeout(d);
+
+    plain("data query");
+    // A keyword the index does not hold: the sets built for the other one
+    // do not cover the query.
+    let absent = engine.execute(&SearchRequest::new("zzzzqqq data")).unwrap();
+    assert!(absent.hits.is_empty() && absent.stats.candidates_generated == 0);
+    unmatched("an absent keyword");
+    plain("widom xml");
+    // Six first names: every keyword matches, but no author holds two, so
+    // no tree of at most five tuples covers them all.
+    let names = "jennifer serge michael david hector rakesh";
+    let no_cn = engine.execute(&SearchRequest::new(names)).unwrap();
+    assert!(no_cn.hits.is_empty() && !no_cn.truncated());
+    assert_eq!(no_cn.stats.candidates_generated, 0);
+    unmatched("no CN");
+    plain("stream index");
+    // A candidate cap below the CN count.
+    let capped = SearchRequest::new("graph ranking")
+        .k(10)
+        .budget(Budget::unlimited().with_max_candidates(2));
+    let capped = engine.execute(&capped).unwrap();
+    assert!(capped.stats.candidates_generated > 2);
+    assert_eq!(
+        capped.truncation,
+        Some(TruncationReason::CandidateCapReached)
+    );
+    unmatched("a candidate cap");
+    plain("jennifer data");
+    // A deadline that passes inside a join: these three title words join
+    // for about 70 ms in a release build. The first request plans them.
+    let late = |text| {
+        SearchRequest::new(text)
+            .k(10)
+            .budget(within(Duration::from_millis(10)))
+    };
+    engine.execute(&late("mining system keyword")).unwrap();
+    unmatched("a deadline");
+    let cut = engine.execute(&late("mining system keyword")).unwrap();
+    assert_eq!(cut.truncation, Some(TruncationReason::DeadlineExceeded));
+    assert!(cut.stats.cns_evaluated > 0 && cut.stats.operators.rows_output > 0);
+    unmatched("a deadline inside a join");
+    plain("xml keyword");
+    // A faceted, refined request, and the same under SPARK's scoring.
+    let faceted = SearchRequest::new("data query")
+        .k(10)
+        .facet(FacetSpec::terms("conference.name", 5))
+        .facet(FacetSpec::terms("author.name", 5))
+        .refine(Refinement::Term {
+            attr: "conference.name".into(),
+            value: db.table_by_name("conference").unwrap().row(RowId(0))[1].to_string(),
+        });
+    let refined = engine.execute(&faceted).unwrap();
+    assert!(refined.facets_exact && !refined.facets[0].values.is_empty());
+    unmatched("a faceted, refined request");
+    engine.execute(&faceted.scoring(Scoring::Spark)).unwrap();
+    unmatched("a SPARK request");
+    plain("data query");
+    // A deadline already gone by when the sets are built.
+    engine
+        .execute(&late("data query").budget(within(Duration::ZERO)))
+        .unwrap();
+    unmatched("an expired deadline");
+    plain("widom xml");
 }
