@@ -15,8 +15,9 @@
 //!   same tuple.
 //!
 //! Generation is breadth-first over partial trees with canonical-form (AHU)
-//! duplicate elimination; the `dedupe` switch exists so E02 can measure what
-//! the canonical check saves.
+//! duplicate elimination. E02 measures what the canonical check saves by
+//! reading [`CnGenerator::duplicates_pruned`]; every caller sets
+//! [`CnGenConfig::dedupe`], so nothing switches the check off.
 
 use crate::tupleset::TupleSets;
 use kwdb_relational::{Database, SchemaGraph, TableId};
@@ -326,7 +327,9 @@ impl MaskOracle {
 pub struct CnGenConfig {
     /// Maximum CN size (node count) — `Tmax` in the literature.
     pub max_size: usize,
-    /// Canonical-form duplicate elimination (the ablation switch).
+    /// Canonical-form duplicate elimination. Every caller sets it `true`:
+    /// an inert name, deleted by ROADMAP 1(a) (`benchmark/` builds the
+    /// literal).
     pub dedupe: bool,
     /// Safety cap on produced CNs (0 = unlimited).
     pub max_cns: usize,

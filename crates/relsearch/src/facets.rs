@@ -35,7 +35,7 @@
 use crate::cn::{CandidateNetwork, CnEdge};
 use crate::eval::JoinedResult;
 use crate::pexec::EvalScratch;
-use crate::tupleset::{position, RowSlots, TupleSets, NIL};
+use crate::tupleset::{position, TupleSets, NIL};
 use kwdb_common::{Budget, FacetCount, FacetCounts, FacetSpec, Result, Value};
 use kwdb_relational::{Database, ExecStats, RowId, Table, TableId};
 use std::borrow::Cow;
@@ -398,14 +398,11 @@ pub struct FacetTally<'a> {
 /// multiplies its children's messages over its own rows, and each row left
 /// adds its count to the row's total for `v`'s table. A keyword node's own
 /// rows are its tuple set; a free node's are the rows its first message
-/// reached that match no query keyword (unmatched in the query's row array,
-/// the join's free-node test) — never its table. All of it follows the FK
-/// index, as the join does, each message through the one [`FkEdge`] it
-/// resolves. After the last CN every row with a total hands it to its
+/// reached that match no query keyword (unmatched in the row array `ts`
+/// keeps, the join's free-node test) — never its table. All of it follows
+/// the FK index, as the join does, each message through the one [`FkEdge`]
+/// it resolves. After the last CN every row with a total hands it to its
 /// column value, once, for each facet on its table.
-///
-/// `scratch` holds `ts`'s row positions: its build wrote them
-/// ([`TupleSets::build_with`]), and the query releases them.
 ///
 /// [`FkEdge`]: kwdb_relational::FkEdge
 ///
@@ -429,14 +426,9 @@ pub fn count_facets<'a>(
     if freq.facets.is_empty() {
         return tally;
     }
-    debug_assert!(
-        scratch.rows.holds(ts),
-        "the scratch holds the sets' positions"
-    );
     let mut pass = CountPass {
         db,
         ts,
-        rows: &scratch.rows,
         budget,
         stats,
         scratch: &mut scratch.counts,
@@ -500,8 +492,6 @@ pub fn count_facets<'a>(
 struct CountPass<'a, 'd> {
     db: &'d Database,
     ts: &'a TupleSets,
-    /// The query's row array, holding the sets' positions.
-    rows: &'a RowSlots,
     budget: &'a Budget,
     stats: &'a ExecStats,
     scratch: &'a mut CountScratch,
@@ -550,7 +540,7 @@ impl CountPass<'_, '_> {
                     own
                 }
                 None => {
-                    let map = self.rows.of(node.table);
+                    let map = ts.positions(node.table);
                     sent.scale(|row| {
                         let free = position(map, row) == NIL;
                         (free && admits(table, literals, row)).then_some(1)
@@ -855,14 +845,13 @@ mod tests {
                     scratch.counts.free.iter().all(zeroed),
                     "a message left residue"
                 );
-                assert!(scratch.rows.holds(&ts), "the pass moved a position");
 
                 let late = Budget::unlimited().with_timeout(std::time::Duration::ZERO);
                 let tally = count_facets(&db, &ts, &cns, &freq, &late, &stats, &mut scratch);
                 assert!(tally.cut && tally.cns_counted == 0);
             }
-            scratch.release(&ts);
-            assert!(scratch.unmatched());
+            ts.recycle(&mut scratch);
+            assert!(scratch.unmatched_rows().is_some_and(|n| n > 0));
         }
         assert!(two_conference_cns > 0 && split_cases > 0);
     }

@@ -31,11 +31,13 @@ use std::collections::{HashMap, HashSet};
 
 /// How [`crate::pexec`] joins one CN: the node placement order (`order[0]`
 /// is the root, a keyword node) and, per node, the CN edge that attaches it
-/// to an already placed node (`None` for the root).
+/// to an already placed node (`None` for the root) and its position in
+/// `order`, which is its row's in a joined chunk.
 #[derive(Debug)]
 pub struct JoinPlan {
     pub order: Vec<usize>,
     pub join_via: Vec<Option<usize>>,
+    pub slot: Vec<usize>,
     /// Estimated rows touched — see [`estimate_cost`].
     pub cost: f64,
 }
@@ -55,6 +57,7 @@ pub fn join_plan(db: &Database, ts: &TupleSets, cn: &CandidateNetwork) -> JoinPl
         return JoinPlan {
             order: Vec::new(),
             join_via: Vec::new(),
+            slot: Vec::new(),
             cost: 0.0,
         };
     }
@@ -99,6 +102,7 @@ fn plan_from(db: &Database, ts: &TupleSets, cn: &CandidateNetwork, root: usize) 
     };
     let mut order = vec![root];
     let mut join_via = vec![None; n];
+    let mut slot = vec![0; n];
     let mut placed = vec![false; n];
     placed[root] = true;
     let mut card = rows(root);
@@ -126,12 +130,14 @@ fn plan_from(db: &Database, ts: &TupleSets, cn: &CandidateNetwork, root: usize) 
         cost += card; // rows the step emits
         placed[v] = true;
         join_via[v] = Some(ei);
+        slot[v] = order.len();
         order.push(v);
     }
     debug_assert_eq!(order.len(), n, "CN must be connected");
     JoinPlan {
         order,
         join_via,
+        slot,
         cost,
     }
 }

@@ -35,8 +35,8 @@
 //! read. A CN's upper bound is its keyword nodes' column maxima over its
 //! size; a joined row is summed where it lies in the scratch buffer — over
 //! the CN's keyword nodes, in node order, the column entry at the node's
-//! row position (the [`EvalScratch`]'s row array, written by the tuple-set
-//! build, gives it), over the size; a free node's tuple scores 0. So only
+//! row position (the row array the tuple-set build wrote and the sets
+//! keep gives it), over the size; a free node's tuple scores 0. So only
 //! rows a join reached are scored.
 //!
 //! Under [`Scoring::Monotone`] nothing reads a tuple's text: that sum *is*
@@ -90,7 +90,7 @@ use crate::facets::{
 use crate::parallel::{join_plan, JoinPlan};
 use crate::score::{ScoreTable, Scoring};
 use crate::topk::{CnExecOutcome, RankedResult, TopKQuery};
-use crate::tupleset::{position, RowSlots, TupleSets, NIL};
+use crate::tupleset::{position, BuildBuffers, TupleSets, NIL};
 use kwdb_common::topk::ContentTopK;
 use kwdb_common::{Budget, ScratchPool, TruncationReason};
 use kwdb_relational::{Database, ExecStats, FkEdge, RowId, Table, TupleId};
@@ -101,14 +101,15 @@ use std::time::Instant;
 /// (an engine serving concurrent requests keeps one per thread) and passed
 /// through the tuple-set build, the facet count and the executor. Nothing
 /// in it outlives one query but the allocated capacity — and the lengths of
-/// `group_head`, every entry `NIL`, and of `counts`' arrays and the row
-/// array, every entry 0 (unmatched).
+/// `group_head`, every entry `NIL`, and of `counts`' arrays and the pooled
+/// row array, every entry 0 (unmatched).
 #[derive(Default)]
 pub struct EvalScratch {
     join: JoinBuffers,
-    /// The row array: each matched row's position in its tuple set, from
-    /// [`TupleSets::build_with`] to [`EvalScratch::release`].
-    pub(crate) rows: RowSlots,
+    /// The tuple-set build's: the row array between queries
+    /// ([`TupleSets::build_with`] takes it, [`TupleSets::recycle`] hands it
+    /// back) and its compaction buffers.
+    pub(crate) build: BuildBuffers,
     /// [`count_facets`]' message buffers, pooled with the join's.
     pub(crate) counts: CountScratch,
 }
@@ -182,11 +183,12 @@ fn fill_tuples(cn: &CandidateNetwork, plan: &JoinPlan, chunk: &[RowId], tuples: 
 /// intermediate tuple looks its partners up — [`FkEdge::referenced`] when
 /// the free node is the referenced side of the edge,
 /// [`FkEdge::referencing`] when it is the referencing side — and keeps
-/// those that match no query keyword — unmatched in `rows`, the query's
-/// row array. A keyword node on the referenced side is joined the same
-/// way, keeping the partner that is in its tuple set: the one found there
-/// at the position the array gives it (`set[position(r)] == r`). Either
-/// test is one load and one compare; no lookup searches a set. A keyword node on
+/// those that match no query keyword — unmatched in the row array `ts`
+/// keeps ([`TupleSets::positions`]). A keyword node on the referenced side
+/// is joined the same way, keeping the partner that is in its tuple set:
+/// the one found there at the position the array gives it
+/// (`set[position(r)] == r`). Either test is one load and one compare; no
+/// lookup searches a set. A keyword node on
 /// the referencing side has no index from the intermediate into its tuple
 /// set, so on that one edge the tuple set probes the intermediate: the
 /// intermediate is grouped by parent row id (two pooled `u32` arrays that
@@ -221,7 +223,6 @@ fn join_cn<'s>(
     plan: &JoinPlan,
     case: &Restriction<'_>,
     ts: &TupleSets,
-    rows: &RowSlots,
     scratch: &'s mut JoinBuffers,
     stats: &ExecStats,
     cancel: &dyn Fn() -> bool,
@@ -238,12 +239,11 @@ fn join_cn<'s>(
         ts.get(node.table, node.mask).map_or(&[], |s| &s.rows)
     };
     let JoinPlan {
-        order, join_via, ..
+        order,
+        join_via,
+        slot,
+        ..
     } = plan;
-    let mut slot = vec![0usize; n];
-    for (s, &node) in order.iter().enumerate() {
-        slot[node] = s;
-    }
     let mut steps: Vec<Step> = (order.iter().skip(1))
         .map(|&node| {
             let edge = &cn.edges[join_via[node].expect("non-root placed via an edge")];
@@ -257,7 +257,7 @@ fn join_cn<'s>(
                 free: cn.nodes[node].mask == 0,
                 table: db.table(cn.nodes[node].table),
                 set: rows_of(node),
-                map: rows.of(cn.nodes[node].table),
+                map: ts.positions(cn.nodes[node].table),
                 literals: case.on(node),
                 probes: 0,
                 scanned: 0,
@@ -503,14 +503,9 @@ impl Step<'_> {
     }
 }
 
-/// Run the executor under [`Scoring::Monotone`] on `q.cns` under `budget`,
-/// on the calling thread, with buffers checked out of `pool`.
-///
-/// Scheduling: one list of CNs, best upper bound first. A CN's position in
-/// it is its budget ticket — one per CN *considered*, before the bound
-/// prune — so under a candidate cap of `c` the CNs considered are the `c`
-/// best-bound ones and the truncation verdict is a function of the CN
-/// count. `workers` is ignored: one query runs on one thread.
+/// [`evaluate`] under [`Scoring::Monotone`] on a scratch checked out of
+/// `pool`; `workers` is ignored. Kept only for `benchmark/`, deleted by
+/// ROADMAP 1(a).
 pub fn parallel_topk_budgeted<S, D>(
     q: &TopKQuery<'_, S, D>,
     k: usize,
@@ -523,14 +518,13 @@ where
     S: AsRef<str>,
     D: Deref<Target = Database>,
 {
-    parallel_topk_planned(q, k, Scoring::Monotone, stats, budget, pool, &[])
+    let scratch = &mut pool.checkout(EvalScratch::new);
+    evaluate(q, k, Scoring::Monotone, stats, budget, scratch, &[])
 }
 
-/// A faceted request, whole: [`count_facets`] over `q.cns`, then
-/// [`parallel_topk_budgeted`] with every CN restricted by
-/// `freq.refinements`. Neither reads the other's output — the counts cover
-/// the full result multiset whatever the top-k loop prunes, skips or
-/// abandons. `workers` is ignored, as there.
+/// [`count_facets`], then [`parallel_topk_budgeted`] restricted by
+/// `freq.refinements`, on one scratch checked out of `pool`. Kept only for
+/// `benchmark/`, deleted by ROADMAP 1(a).
 pub fn parallel_topk_faceted<'a, S, D>(
     q: &TopKQuery<'a, S, D>,
     k: usize,
@@ -544,47 +538,11 @@ where
     S: AsRef<str>,
     D: Deref<Target = Database>,
 {
-    placed(pool, q.ts, |scratch| {
-        let tally = count_facets(q.db, q.ts, q.cns, freq, budget, stats, scratch);
-        let refinements = freq.refinements;
-        let model = Scoring::Monotone;
-        let outcome = evaluate(q, k, model, stats, budget, scratch, refinements);
-        (outcome, tally)
-    })
-}
-
-/// [`evaluate`] on a scratch checked out of `pool`, for tuple sets built
-/// elsewhere.
-pub fn parallel_topk_planned<S, D>(
-    q: &TopKQuery<'_, S, D>,
-    k: usize,
-    model: Scoring,
-    stats: &ExecStats,
-    budget: &Budget,
-    pool: &ScratchPool<EvalScratch>,
-    refinements: &[ResolvedRefinement],
-) -> CnExecOutcome
-where
-    S: AsRef<str>,
-    D: Deref<Target = Database>,
-{
-    placed(pool, q.ts, |scratch| {
-        evaluate(q, k, model, stats, budget, scratch, refinements)
-    })
-}
-
-/// Run `f` on a scratch checked out of `pool` that holds the row positions
-/// of `ts`, sets built on another scratch, and release them after.
-fn placed<T>(
-    pool: &ScratchPool<EvalScratch>,
-    ts: &TupleSets,
-    f: impl FnOnce(&mut EvalScratch) -> T,
-) -> T {
-    let mut scratch = pool.checkout(EvalScratch::new);
-    scratch.rows.place(ts);
-    let out = f(&mut scratch);
-    scratch.release(ts);
-    out
+    let scratch = &mut pool.checkout(EvalScratch::new);
+    let tally = count_facets(q.db, q.ts, q.cns, freq, budget, stats, scratch);
+    let model = Scoring::Monotone;
+    let outcome = evaluate(q, k, model, stats, budget, scratch, freq.refinements);
+    (outcome, tally)
 }
 
 /// A joined row as the top-k holds it, ordered by CN and then tuples (the
@@ -613,9 +571,9 @@ impl Clone for Found {
 /// The executor under either score `model`, with every CN restricted by
 /// `refinements` ([`restrictions`]; a CN they leave no case of is never
 /// considered and counts as pruned): a CN the bound does not prune gets
-/// its [`JoinPlan`], which drives its join. This is the engine's one entry
-/// point: `scratch` is the one its query checked out, and holds the
-/// positions `q.ts`'s build wrote ([`TupleSets::build_with`]).
+/// its [`JoinPlan`], which drives its join. This is the executor's one
+/// entry point; it finds rows by the positions `q.ts`'s build wrote, and
+/// joins in `scratch`'s buffers.
 pub fn evaluate<S, D>(
     q: &TopKQuery<'_, S, D>,
     k: usize,
@@ -629,10 +587,6 @@ where
     S: AsRef<str>,
     D: Deref<Target = Database>,
 {
-    debug_assert!(
-        scratch.rows.holds(q.ts),
-        "the scratch holds the sets' positions"
-    );
     let n = q.cns.len();
     if n == 0 {
         return CnExecOutcome {
@@ -649,13 +603,9 @@ where
         .cns
         .iter()
         .map(|cn| {
-            let sum: f64 = cn
-                .keyword_nodes()
-                .into_iter()
-                .map(|ni| {
-                    let column = scores.column(cn.nodes[ni].table, cn.nodes[ni].mask);
-                    column.map_or(0.0, |c| c.best())
-                })
+            let sum: f64 = (cn.nodes.iter().filter(|node| node.mask != 0))
+                .filter_map(|node| scores.column(node.table, node.mask))
+                .map(|column| column.best())
                 .sum();
             sum / cn.size() as f64
         })
@@ -686,7 +636,7 @@ where
         cn: 0,
         result: JoinedResult { tuples: Vec::new() },
     };
-    let EvalScratch { join, rows, .. } = scratch;
+    let join = &mut scratch.join;
     let deadline = budget.deadline();
     // Per keyword node of the CN in hand, in node order: where its row sits
     // in a joined chunk, its tuple set's score column and its table's
@@ -705,25 +655,19 @@ where
         evaluated += 1;
         probe.cn = j;
         columns.clear();
-        columns.extend((0..cn.nodes.len()).filter_map(|ni| {
-            let node = cn.nodes[ni];
-            let slot = plan.order.iter().position(|&o| o == ni);
-            let column = scores.column(node.table, node.mask)?;
-            Some((
-                slot.expect("the plan places every node"),
-                column,
-                rows.of(node.table),
-            ))
-        }));
+        columns.extend(
+            (cn.nodes.iter().zip(&plan.slot)).filter_map(|(node, &slot)| {
+                let column = scores.column(node.table, node.mask)?;
+                Some((slot, column, q.ts.positions(node.table)))
+            }),
+        );
         for case in cases_of(j) {
             // Abandon — before a join step, or mid-way through scoring what
             // it produced — once this CN's own rows have raised the
             // threshold past its bound: everything it could still offer
             // would be rejected.
             let outbid = || !top.would_accept(bounds[j]);
-            let joined = join_cn(
-                q.db, cn, &plan, case, q.ts, rows, join, stats, &outbid, deadline,
-            );
+            let joined = join_cn(q.db, cn, &plan, case, q.ts, join, stats, &outbid, deadline);
             // A deadline that passed mid-join, or mid-way through scoring
             // its rows, cuts the query as one between CNs does: the top-k
             // held so far is the answer.
@@ -797,7 +741,7 @@ mod tests {
     use crate::eval::evaluate_cn;
     use crate::score::ResultScorer;
     use crate::topk::global_pipeline;
-    use kwdb_common::{TruncationReason, Value};
+    use kwdb_common::Value;
     use kwdb_relational::database::dblp_schema;
 
     fn db() -> Database {
@@ -852,18 +796,15 @@ mod tests {
         stats: &ExecStats,
     ) -> Vec<JoinedResult> {
         let plan = join_plan(db, ts, cn);
-        scratch.rows.place(ts);
-        let EvalScratch { join, rows, .. } = scratch;
-        let results = join_cn(db, cn, &plan, case, ts, rows, join, stats, &|| false, None)
+        let join = &mut scratch.join;
+        join_cn(db, cn, &plan, case, ts, join, stats, &|| false, None)
             .expect("no deadline")
             .map(|chunk| {
                 let mut tuples = Vec::new();
                 fill_tuples(cn, &plan, chunk, &mut tuples);
                 JoinedResult { tuples }
             })
-            .collect();
-        scratch.release(ts);
-        results
+            .collect()
     }
 
     fn setup(db: &Database, keywords: &[&str]) -> (TupleSets, Vec<CandidateNetwork>) {
@@ -1166,14 +1107,14 @@ mod tests {
             scorer: &scorer,
             keywords: &keywords,
         };
-        let pool = ScratchPool::new();
+        let (mut scratch, budget) = (EvalScratch::new(), Budget::unlimited());
         for k in [1, 3, 10] {
             let serial: Vec<f64> = global_pipeline(&q, k, &ExecStats::new())
                 .iter()
                 .map(|r| r.score)
                 .collect();
-            let out =
-                parallel_topk_budgeted(&q, k, &ExecStats::new(), &Budget::unlimited(), 1, &pool);
+            let stats = ExecStats::new();
+            let out = evaluate(&q, k, Scoring::Monotone, &stats, &budget, &mut scratch, &[]);
             let scores: Vec<f64> = out.results.iter().map(|r| r.score).collect();
             assert_eq!(serial, scores, "k={k}");
             assert!(out.truncation.is_none());
@@ -1211,13 +1152,13 @@ mod tests {
             scorer: &scorer,
             keywords: &keywords,
         };
-        let pool = ScratchPool::new();
         let serial = global_pipeline(&q, 3, &ExecStats::new());
         let serial_scores: Vec<f64> = serial.iter().map(|r| r.score).collect();
         let mut serial_sets: Vec<_> = serial.iter().map(|r| r.result.tuples.clone()).collect();
         serial_sets.sort();
         let stats = ExecStats::new();
-        let out = parallel_topk_budgeted(&q, 3, &stats, &Budget::unlimited(), 1, &pool);
+        let (mut scratch, budget) = (EvalScratch::new(), Budget::unlimited());
+        let out = evaluate(&q, 3, Scoring::Monotone, &stats, &budget, &mut scratch, &[]);
         let scores: Vec<f64> = out.results.iter().map(|r| r.score).collect();
         assert_eq!(serial_scores, scores);
         let mut sets: Vec<_> = out
@@ -1235,26 +1176,5 @@ mod tests {
             "scanned {} < {full_set}",
             stats.tuples_scanned()
         );
-    }
-
-    #[test]
-    fn expired_deadline_stops_before_any_evaluation() {
-        let db = db();
-        let (ts, cns) = setup(&db, &["widom", "xml"]);
-        let scorer = ResultScorer::new(&db);
-        let keywords = ["widom", "xml"];
-        let q = TopKQuery {
-            db: &db,
-            ts: &ts,
-            cns: &cns,
-            scorer: &scorer,
-            keywords: &keywords,
-        };
-        let pool = ScratchPool::new();
-        let budget = Budget::unlimited().with_timeout(std::time::Duration::ZERO);
-        let out = parallel_topk_budgeted(&q, 5, &ExecStats::new(), &budget, 1, &pool);
-        assert_eq!(out.truncation, Some(TruncationReason::DeadlineExceeded));
-        assert_eq!(out.cns_evaluated, 0, "stops at its first checkpoint");
-        assert!(out.results.is_empty());
     }
 }

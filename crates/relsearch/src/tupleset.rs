@@ -16,8 +16,9 @@
 //! lists OR their keyword bits into a per-table array of row masks, then
 //! each list emits the rows whose lowest bit is its own — in list order, so
 //! ascending — and the last list to read an entry leaves the row's position
-//! in its set there, for the executor to find the row by until the query
-//! ends ([`EvalScratch::release`]). No step branches on a posting's mask
+//! in its set there. The sets keep that array: the executor and the facet
+//! count find a row by it, and [`TupleSets::recycle`] hands it back zeroed
+//! for the next build. No step branches on a posting's mask
 //! (`TupleSets::partition`).
 
 use crate::pexec::EvalScratch;
@@ -30,22 +31,30 @@ use std::collections::HashMap;
 /// Most keywords one query may have: tuple-set masks are `u32` bitmasks.
 pub const MAX_KEYWORDS: usize = 32;
 
-/// A query's one row array and the build's buffers, part of an
-/// [`EvalScratch`]. Per table, one `u32` per row slot up to the last row a
-/// build has matched there: 0 for a row no query keyword matches — every
-/// entry, between queries — the row's keyword mask while the build runs,
-/// and after it the row's position in its tuple set plus 1. Then one
-/// posting run's compaction buffers.
-#[derive(Default)]
-pub(crate) struct RowSlots {
+/// A query's row array: per table, one `u32` per row slot up to the last
+/// row a build has matched there — 0 for a row no query keyword matches,
+/// the row's keyword mask while the build runs, and after it the row's
+/// position in its tuple set plus 1.
+#[derive(Debug, Clone, Default)]
+struct RowSlots {
     tables: Vec<Vec<u32>>,
+}
+
+/// The build's pooled buffers, part of an [`EvalScratch`]: the row array
+/// between queries, every entry 0 — [`TupleSets::build_with`] takes it,
+/// [`TupleSets::recycle`] hands it back — and one posting run's compaction
+/// buffers.
+#[derive(Default)]
+pub(crate) struct BuildBuffers {
+    slots: RowSlots,
     rows: Vec<RowId>,
     tfs: Vec<u32>,
     shared: Vec<(RowId, u32)>,
 }
 
-/// Where `row` sits in its tuple set, by `map` (a [`RowSlots`] table's
-/// entries after a build), or [`NIL`] when no query keyword matches it.
+/// Where `row` sits in its tuple set, by `map` (a table's entries of the
+/// row array, [`TupleSets::positions`]), or [`NIL`] when no query keyword
+/// matches it.
 #[inline]
 pub(crate) fn position(map: &[u32], row: RowId) -> u32 {
     map.get(row.0 as usize).map_or(NIL, |&e| e.wrapping_sub(1))
@@ -72,49 +81,18 @@ impl RowSlots {
         }
         map
     }
-
-    /// `table`'s entries: index them with [`position`].
-    pub(crate) fn of(&self, table: TableId) -> &[u32] {
-        self.tables.get(table.0 as usize).map_or(&[], |m| m)
-    }
-
-    /// Write every row's position in its set of `ts`, as `ts`'s build would
-    /// have, for sets built on another scratch.
-    pub(crate) fn place(&mut self, ts: &TupleSets) {
-        for set in ts.sets() {
-            let Some(&last) = set.rows.last() else {
-                continue;
-            };
-            let map = self.table(set.table, last);
-            for (at, r) in set.rows.iter().enumerate() {
-                map[r.0 as usize] = at as u32 + 1;
-            }
-        }
-    }
-
-    /// Whether every row of `ts` has its position in its set here.
-    pub(crate) fn holds(&self, ts: &TupleSets) -> bool {
-        (ts.sets()).all(|set| {
-            let map = self.of(set.table);
-            (set.rows.iter().enumerate()).all(|(at, &r)| position(map, r) == at as u32)
-        })
-    }
 }
 
 impl EvalScratch {
-    /// End the query whose tuple sets `ts` were built on (or placed in) this
-    /// scratch: mark their rows unmatched, as every way a query ends must
-    /// before the scratch returns to its pool.
-    pub fn release(&mut self, ts: &TupleSets) {
-        for set in ts.sets() {
-            let map = &mut self.rows.tables[set.table.0 as usize];
-            set.rows.iter().for_each(|r| map[r.0 as usize] = 0);
-        }
-    }
-
-    /// Whether no row is marked matched: true of a scratch between queries.
-    pub fn unmatched(&self) -> bool {
-        self.rows.tables.iter().flatten().all(|&e| e == 0)
+    /// The row-array entries this scratch holds for the next build, if
+    /// every one is unmatched (`None` if one is not). 0 after a query whose
+    /// sets were dropped without [`TupleSets::recycle`]: the next build
+    /// starts fresh arrays.
+    pub fn unmatched_rows(&self) -> Option<usize> {
+        let tables = &self.build.slots.tables;
+        (tables.iter().flatten())
+            .all(|&e| e == 0)
+            .then(|| tables.iter().map(Vec::len).sum())
     }
 }
 
@@ -153,11 +131,13 @@ impl TupleSet {
     }
 }
 
-/// All non-empty tuple sets of a query, keyed by `(table, mask)`.
+/// All non-empty tuple sets of a query, keyed by `(table, mask)`, and the
+/// row array their build wrote.
 #[derive(Debug, Clone, Default)]
 pub struct TupleSets {
     sets: HashMap<(TableId, u32), TupleSet>,
     n_keywords: usize,
+    slots: RowSlots,
 }
 
 impl TupleSets {
@@ -167,18 +147,16 @@ impl TupleSets {
     ///
     /// One dictionary lookup per keyword, then the partition over
     /// the keywords' posting lists; absent keywords have no postings and
-    /// simply contribute no mask bits. Its mask array is a fresh one: a
+    /// simply contribute no mask bits. Its row array is a fresh one: a
     /// caller that builds many queries' sets passes a pooled one to
     /// [`TupleSets::build_with`].
     pub fn build<S: AsRef<str>>(db: &Database, keywords: &[S]) -> Result<Self> {
         Self::build_with(db, keywords, &mut EvalScratch::new())
     }
 
-    /// [`TupleSets::build`] on `scratch`'s row array, which must be
-    /// unmatched ([`EvalScratch::unmatched`]) and is left holding every
-    /// matched row's position in its set: the executor and the facet count
-    /// read the sets through it, and the query hands the scratch back
-    /// through [`EvalScratch::release`].
+    /// [`TupleSets::build`] on the row array and buffers `scratch` pools.
+    /// The sets take the array, holding every matched row's position in
+    /// its set, until [`TupleSets::recycle`] hands it back.
     pub fn build_with<S: AsRef<str>>(
         db: &Database,
         keywords: &[S],
@@ -195,7 +173,19 @@ impl TupleSets {
             .filter_map(|(i, kw)| Some((i as u32, ix.sym(kw.as_ref())?)))
             .map(|(bit, sym)| (bit, ix.postings_sym(sym).as_slice()))
             .collect();
-        Ok(Self::partition(&lists, keywords.len(), &mut scratch.rows))
+        debug_assert!(scratch.unmatched_rows().is_some(), "a pooled row array");
+        Ok(Self::partition(&lists, keywords.len(), &mut scratch.build))
+    }
+
+    /// End the query: mark the sets' rows unmatched and hand the row array
+    /// to `scratch`, for its next build. Sets dropped without this cost
+    /// that build a fresh array, never a dirty one.
+    pub fn recycle(mut self, scratch: &mut EvalScratch) {
+        for set in self.sets.values() {
+            let map = &mut self.slots.tables[set.table.0 as usize];
+            set.rows.iter().for_each(|r| map[r.0 as usize] = 0);
+        }
+        scratch.build.slots = self.slots;
     }
 
     /// [`TupleSets::build`], with 0 cache hits and 0 misses. Kept only for
@@ -212,8 +202,8 @@ impl TupleSets {
     /// paired with its keyword's bit, in two passes over the postings. A
     /// list holds one posting per tuple, in `(table, row)` order.
     ///
-    /// 1. Each list ORs its bit into its rows' entries of `slots` (per
-    ///    table, one `u32` per row slot, all 0 between queries), so every
+    /// 1. Each list ORs its bit into its rows' entries of `buf`'s row array
+    ///    (per table, one `u32` per row slot, all 0 on entry), so every
     ///    entry ends up holding its row's mask.
     /// 2. Each list, highest bit first, reads its rows' masks run by table
     ///    run and emits the rows whose lowest bit is its own. Each posting
@@ -229,12 +219,9 @@ impl TupleSets {
     /// Every set's rows come from one list, so they arrive ascending, with
     /// no post-sort, and a row's frequencies in keyword order because the
     /// lists are. Only a row matching several keywords is hashed, to find
-    /// its set.
-    fn partition(lists: &[(u32, &[Posting])], n_keywords: usize, slots: &mut RowSlots) -> Self {
-        let mut out = TupleSets {
-            n_keywords,
-            ..Default::default()
-        };
+    /// its set. The sets take the row array.
+    fn partition(lists: &[(u32, &[Posting])], n_keywords: usize, buf: &mut BuildBuffers) -> Self {
+        let mut slots = std::mem::take(&mut buf.slots);
         let row = |p: &Posting| p.tuple.row.0 as usize;
         for &(bit, list) in lists {
             for run in runs(list) {
@@ -242,17 +229,19 @@ impl TupleSets {
                 run.iter().for_each(|p| map[row(p)] |= 1 << bit);
             }
         }
-        let RowSlots {
-            tables,
-            rows,
-            tfs,
-            shared,
-        } = slots;
+        let mut out = TupleSets {
+            n_keywords,
+            slots,
+            ..Default::default()
+        };
+        let BuildBuffers {
+            rows, tfs, shared, ..
+        } = buf;
         for &(bit, list) in lists.iter().rev() {
             let mut cursors = vec![0; lists.len()];
             for run in runs(list) {
                 let table = run[0].tuple.table;
-                let map = &mut tables[table.0 as usize];
+                let map = &mut out.slots.tables[table.0 as usize];
                 rows.resize(run.len(), RowId(0));
                 tfs.resize(run.len(), 0);
                 shared.resize(run.len(), (RowId(0), 0));
@@ -302,6 +291,11 @@ impl TupleSets {
 
     pub fn n_keywords(&self) -> usize {
         self.n_keywords
+    }
+
+    /// `table`'s entries of the row array: index them with [`position`].
+    pub(crate) fn positions(&self, table: TableId) -> &[u32] {
+        self.slots.tables.get(table.0 as usize).map_or(&[], |m| m)
     }
 
     /// The full-cover mask `2^l − 1`.
@@ -593,18 +587,25 @@ mod tests {
         let mut scratch = EvalScratch::new();
         for keywords in queries {
             let ts = TupleSets::build(&db, keywords).unwrap();
-            assert!(scratch.unmatched(), "{keywords:?}");
             let pooled = TupleSets::build_with(&db, keywords, &mut scratch).unwrap();
             assert_eq!(pooled.keys(), ts.keys(), "{keywords:?}");
             assert!(ts.sets().all(|s| pooled.get(s.table, s.mask) == Some(s)));
-            // The build leaves each matched row's position in its set, and
-            // every other entry unmatched ...
-            assert!(scratch.rows.holds(&pooled), "{keywords:?}");
-            let marked = scratch.rows.tables.iter().flatten().filter(|&&e| e != 0);
-            assert_eq!(marked.count(), pooled.sets().map(|s| s.rows.len()).sum());
-            // ... until the query ends: then all are unmatched again.
-            scratch.release(&pooled);
-            assert!(scratch.unmatched(), "{keywords:?}");
+            // Either build leaves each matched row's position in its set,
+            // and every other entry unmatched ...
+            for sets in [&ts, &pooled] {
+                let placed = |s: &TupleSet| {
+                    let map = sets.positions(s.table);
+                    (s.rows.iter().enumerate()).all(|(at, &r)| position(map, r) == at as u32)
+                };
+                assert!(sets.sets().all(placed), "{keywords:?}");
+                let marked = sets.slots.tables.iter().flatten().filter(|&&e| e != 0);
+                assert_eq!(marked.count(), sets.sets().map(|s| s.rows.len()).sum());
+            }
+            // ... until the query ends: then the scratch holds the array
+            // again, every entry unmatched.
+            let entries: usize = pooled.slots.tables.iter().map(Vec::len).sum();
+            pooled.recycle(&mut scratch);
+            assert_eq!(scratch.unmatched_rows(), Some(entries), "{keywords:?}");
             let (sets, matched) = naive_partition(&db, keywords);
             let mut keys: Vec<_> = sets.keys().copied().collect();
             keys.sort();

@@ -4,8 +4,9 @@
 //! PageRank adapted to element trees: authority flows from parents to
 //! children (containment is an endorsement), from children back to parents
 //! (an element aggregates its content's importance), with the two directions
-//! weighted differently. ELCA answers are ranked by the authority of their
-//! result roots combined with keyword proximity.
+//! weighted differently. XRank ranks ELCA answers by the authority of their
+//! result roots combined with keyword proximity ([`rank_results`]); only
+//! this module's tests call it.
 
 use kwdb_rank::pagerank::{PageRank, PageRankConfig};
 use kwdb_xml::{NodeId, XmlTree};

@@ -11,8 +11,8 @@ use super::{
     SearchResponse,
 };
 use kwdb_common::{
-    CacheConfig, FacetCounts, FacetSpec, Looked, QueryStats, Result, Scratch, ScratchPool,
-    ShardedCache, Stopwatch, TruncationReason, Value,
+    CacheConfig, FacetCounts, FacetSpec, Looked, QueryStats, Result, ScratchPool, ShardedCache,
+    Stopwatch, TruncationReason, Value,
 };
 use kwdb_explore::summary::{object_summary, render_summary};
 use kwdb_obs::{
@@ -383,27 +383,24 @@ impl RelationalEngine {
                 refinements: &refinements,
             };
 
-            // One scratch for the whole query: the build leaves each matched
-            // row's position in its row array, and the executor and the
-            // facet count find rows by it.
-            let mut scratch = self.scratch.checkout(EvalScratch::new);
-            debug_assert!(
-                scratch.unmatched(),
-                "a pooled scratch holds no query's rows"
-            );
-            let ts = TupleSets::build_with(db, keywords, &mut scratch)?;
-            let mut query = Query { scratch, ts };
-            let (ts, scratch) = (&query.ts, &mut *query.scratch);
+            // One scratch for the whole query: the sets take its row array,
+            // where the build leaves each matched row's position, and the
+            // executor and the facet count find rows by it. Every `Ok` exit
+            // recycles the sets, handing the array back zeroed.
+            let scratch = &mut self.scratch.checkout(EvalScratch::new);
+            let ts = TupleSets::build_with(db, keywords, scratch)?;
             stats.phases.build = sw.lap();
             if !ts.covers_all_keywords() {
                 tb.event("tuple sets", || vec![field("covers_all_keywords", false)]);
+                ts.recycle(scratch);
                 return Ok(Answer::empty(empty_facets()?, None));
             }
             if let Some(reason) = budget.truncation() {
+                ts.recycle(scratch);
                 return Ok(Answer::empty(empty_facets()?, Some(reason)));
             }
             tb.phase("plan");
-            let cns = self.plan(db, ts, stats, tb);
+            let cns = self.plan(db, &ts, stats, tb);
             stats.phases.plan = sw.lap();
             stats.candidates_generated = cns.len() as u64;
 
@@ -413,7 +410,7 @@ impl RelationalEngine {
             let scorer = ResultScorer::from_index(Arc::clone(db))?;
             let q = TopKQuery {
                 db,
-                ts,
+                ts: &ts,
                 cns: &cns,
                 scorer: &scorer,
                 keywords,
@@ -451,7 +448,8 @@ impl RelationalEngine {
             // a deadline leaves the counts inexact, and the response then says
             // it was cut short.
             tb.phase("facets");
-            let tally = count_facets(db, ts, &cns, &freq, budget, &exec, scratch);
+            let tally = count_facets(db, &ts, &cns, &freq, budget, &exec, scratch);
+            ts.recycle(scratch);
             let snap = exec.snapshot();
             stats.operators.tuples_scanned = snap.tuples_scanned;
             stats.operators.join_probes = snap.join_probes;
@@ -621,20 +619,6 @@ impl MutableEngine for RelationalEngine {
 
     fn generation(&self) -> u64 {
         RelationalEngine::generation(self)
-    }
-}
-
-/// A computed query's scratch and the tuple sets built on it. Dropping it
-/// releases the sets' rows, so the scratch returns to its pool with every
-/// row unmatched however the query ends.
-struct Query<'p> {
-    scratch: Scratch<'p, EvalScratch>,
-    ts: TupleSets,
-}
-
-impl Drop for Query<'_> {
-    fn drop(&mut self) {
-        self.scratch.release(&self.ts);
     }
 }
 

@@ -459,12 +459,14 @@ fn benchmark_dblp() -> Database {
     })
 }
 
-/// A computed query writes each matched row's position into its pooled
-/// scratch's one row array and must leave every entry unmatched again
-/// however it ends, or the next query's build reads stale entries as
-/// keyword masks. One engine, so one pool and one scratch, runs every way a
-/// query can end, interleaved with plain queries, and the pooled array is
-/// checked after each; every plain answer equals a fresh engine's.
+/// A computed query's tuple sets take its pooled scratch's row array, write
+/// each matched row's position there, and must hand it back with every
+/// entry unmatched however the query ends, or the next query's build reads
+/// stale entries as keyword masks. One engine, so one pool and one scratch,
+/// runs every way a query can end, interleaved with plain queries, and the
+/// pooled array is checked after each: unmatched, and — every query here
+/// matches rows and ends `Ok` — the recycled array, never a lost one (it
+/// only grows). Every plain answer equals a fresh engine's.
 #[test]
 fn the_row_array_is_unmatched_after_every_way_a_query_ends() {
     let db = Arc::new(benchmark_dblp());
@@ -473,10 +475,14 @@ fn the_row_array_is_unmatched_after_every_way_a_query_ends() {
         ..Default::default()
     };
     let engine = RelationalEngine::with_config(Arc::clone(&db), uncached);
+    let pooled = std::cell::Cell::new(0);
     let unmatched = |what: &str| {
         assert_eq!(engine.scratch.idle(), 1, "{what}: one pooled scratch");
         let scratch = engine.scratch.checkout(EvalScratch::new);
-        assert!(scratch.unmatched(), "{what} left rows matched");
+        let entries = scratch.unmatched_rows();
+        let entries = entries.unwrap_or_else(|| panic!("{what} left rows matched"));
+        assert!(entries >= pooled.get().max(1), "{what} lost the row array");
+        pooled.set(entries);
     };
     let key = |resp: &SearchResponse<RelationalHit>| -> Vec<(u64, String)> {
         (resp.hits.iter())

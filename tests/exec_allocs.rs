@@ -11,11 +11,12 @@
 //! that the top-k takes in every one, and holds the two counts to within
 //! [`SLACK`] of each other.
 
-use kwdb::common::{Budget, ScratchPool, Value};
+use kwdb::common::{Budget, Value};
 use kwdb::relational::database::dblp_schema;
 use kwdb::relational::{Database, ExecStats, TupleId};
 use kwdb::relsearch::cn::{CnGenConfig, CnGenerator, MaskOracle};
-use kwdb::relsearch::pexec::{parallel_topk_budgeted, EvalScratch};
+use kwdb::relsearch::pexec::{evaluate, EvalScratch};
+use kwdb::relsearch::score::Scoring;
 use kwdb::relsearch::topk::TopKQuery;
 use kwdb::relsearch::{ResultScorer, TupleSets};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -127,9 +128,9 @@ fn executor_call(db: &Database, keywords: [&str; 2]) -> (u64, u64, u64, Answer) 
         scorer: &scorer,
         keywords: &keywords,
     };
-    let pool: ScratchPool<EvalScratch> = ScratchPool::new();
-    let run =
-        |stats: &ExecStats| parallel_topk_budgeted(&q, 10, stats, &Budget::unlimited(), 1, &pool);
+    let (mut scratch, budget) = (EvalScratch::new(), Budget::unlimited());
+    let mut run =
+        |stats: &ExecStats| evaluate(&q, 10, Scoring::Monotone, stats, &budget, &mut scratch, &[]);
     let warm = run(&ExecStats::new());
     let stats = ExecStats::new();
     let (out, allocations) = counted(|| run(&stats));

@@ -4,7 +4,7 @@
 //! stated bound; repeated queries must hit the CN plan cache; empty and
 //! unmatched queries must come back empty through the new API.
 
-use kwdb::common::{Budget, CacheConfig, ScratchPool, TruncationReason};
+use kwdb::common::{Budget, CacheConfig, TruncationReason};
 use kwdb::datasets::{self, generate_dblp, BibConfig, DblpConfig};
 use kwdb::engine::{
     GraphEngine, GraphSemantics, RelationalConfig, RelationalEngine, SearchRequest, XmlEngine,
@@ -12,7 +12,8 @@ use kwdb::engine::{
 use kwdb::graph::graph::{from_database, EdgeWeighting};
 use kwdb::relational::ExecStats;
 use kwdb::relsearch::cn::{CnGenConfig, CnGenerator, MaskOracle};
-use kwdb::relsearch::pexec::{parallel_topk_budgeted, EvalScratch};
+use kwdb::relsearch::pexec::{evaluate, EvalScratch};
+use kwdb::relsearch::score::Scoring;
 use kwdb::relsearch::topk::TopKQuery;
 use kwdb::relsearch::{ResultScorer, TupleSets};
 use kwdb::xml::XmlIndex;
@@ -316,11 +317,11 @@ fn expired_deadline_stops_the_executor_at_its_first_checkpoint() {
         scorer: &scorer,
         keywords: &keywords,
     };
-    let pool: ScratchPool<EvalScratch> = ScratchPool::new();
     // A budget that expired before the executor started: the first ticket
     // fails the deadline check, so nothing is evaluated.
     let budget = Budget::unlimited().with_timeout(Duration::ZERO);
-    let out = parallel_topk_budgeted(&q, 5, &ExecStats::new(), &budget, 1, &pool);
+    let (stats, scratch) = (ExecStats::new(), &mut EvalScratch::new());
+    let out = evaluate(&q, 5, Scoring::Monotone, &stats, &budget, scratch, &[]);
     assert_eq!(out.truncation, Some(TruncationReason::DeadlineExceeded));
     assert_eq!(out.cns_evaluated, 0);
     assert!(out.results.is_empty());

@@ -13,8 +13,8 @@
 //! `doc_count` and `total_tokens` to a token scan of the live tuples, both
 //! directions of the FK index to by-value partners, each tuple set's score
 //! column maximum to its rows' text scores, and the executor's join of
-//! every CN (`parallel_topk_planned` on a one-CN slice, unbounded `k`, one
-//! pooled scratch throughout) to `evaluate_cn`.
+//! every CN (`evaluate` on a one-CN slice, unbounded `k`, one pooled
+//! scratch throughout) to `evaluate_cn`.
 //!
 //! The data comes from one seeded generator of small random schemas: a
 //! table with several text columns and a foreign key into itself, NULL and
@@ -40,7 +40,7 @@ use kwdb::relational::schema::{ColumnType, TableBuilder};
 use kwdb::relational::{Database, ExecStats, Row, RowId, TupleId};
 use kwdb::relsearch::cn::{CandidateNetwork, CnGenConfig, CnGenerator, MaskOracle};
 use kwdb::relsearch::facets::{resolve_facets, resolve_refinements, result_passes};
-use kwdb::relsearch::pexec::{parallel_topk_planned, EvalScratch};
+use kwdb::relsearch::pexec::{evaluate, EvalScratch};
 use kwdb::relsearch::score::ScoreTable;
 use kwdb::relsearch::topk::TopKQuery;
 use kwdb::relsearch::{evaluate_cn, FacetAccum, JoinedResult, Refinement, ResultScorer, TupleSets};
@@ -498,13 +498,13 @@ fn define(
                 keywords: &keywords,
             };
             let budget = Budget::unlimited();
-            let out = parallel_topk_planned(
+            let out = evaluate(
                 &q,
                 UNBOUNDED,
                 Scoring::Monotone,
                 &ExecStats::new(),
                 &budget,
-                pool,
+                &mut pool.checkout(EvalScratch::new),
                 &[],
             );
             let mut joined: Vec<JoinedResult> = out.results.into_iter().map(|r| r.result).collect();

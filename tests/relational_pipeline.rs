@@ -2,16 +2,20 @@
 //! DBLP data — tuple sets → CNs → executors → sharing → parallelism agree
 //! with each other.
 
-use kwdb::common::{Budget, ScratchPool};
+use kwdb::common::{Budget, FacetSpec};
 use kwdb::datasets::{dblp::sample_queries, generate_dblp, DblpConfig};
 use kwdb::relational::ExecStats;
 use kwdb::relsearch::cn::{CnGenConfig, CnGenerator, MaskOracle};
 use kwdb::relsearch::eval::evaluate_cn;
+use kwdb::relsearch::facets::{count_facets, resolve_facets, resolve_refinements};
 use kwdb::relsearch::mesh::evaluate_shared;
-use kwdb::relsearch::pexec::parallel_topk_budgeted;
+use kwdb::relsearch::pexec::{evaluate, EvalScratch};
+use kwdb::relsearch::score::Scoring;
 use kwdb::relsearch::spark::{naive_spark, skyline_sweep};
 use kwdb::relsearch::topk::{global_pipeline, naive, sparse, TopKQuery};
-use kwdb::relsearch::{CandidateNetwork, ResultScorer, TupleSets};
+use kwdb::relsearch::{
+    CandidateNetwork, FacetRequest, Refinement, ResolvedRefinement, ResultScorer, TupleSets,
+};
 
 fn setup(
     db: &kwdb::relational::Database,
@@ -56,6 +60,85 @@ fn executors_agree_across_many_generated_queries() {
         assert_eq!(a, b, "sparse != naive for {query:?}");
         assert_eq!(a, c, "pipeline != naive for {query:?}");
     }
+}
+
+/// Tuple sets answer alike wherever their row array came from: a fresh one
+/// (`TupleSets::build`), the one a pooled scratch got back from the query
+/// before it (`build_with` after `recycle`), or a fresh one again after the
+/// query before dropped its sets without `recycle`. Each seeded query — the
+/// last one also refined by its own most frequent venue — goes through
+/// `count_facets` and `evaluate` on both sets, and the hits, score bits,
+/// work counters and facet counts must agree.
+#[test]
+fn sets_built_anywhere_answer_alike() {
+    let db = generate_dblp(&DblpConfig {
+        n_authors: 80,
+        n_papers: 240,
+        ..Default::default()
+    });
+    let scorer = ResultScorer::new(&db);
+    let specs = [
+        FacetSpec::terms("conference.name", 20),
+        FacetSpec::terms("author.name", 20),
+    ];
+    let facets = resolve_facets(&db, &specs).unwrap();
+    let mut pooled = EvalScratch::new();
+    let queries = sample_queries(&db, 12, 2, 0x5e75);
+    let mut answered = 0;
+    for (i, query) in queries.iter().enumerate() {
+        let (fresh, cns) = setup(&db, query);
+        let reused = TupleSets::build_with(&db, query, &mut pooled).unwrap();
+        assert_eq!(fresh.keys(), reused.keys(), "{query:?}");
+        let model = [Scoring::Monotone, Scoring::Spark][i % 2];
+        let run = |ts: &TupleSets, scratch: &mut EvalScratch, refinements| {
+            let q = TopKQuery {
+                db: &db,
+                ts,
+                cns: &cns,
+                scorer: &scorer,
+                keywords: query,
+            };
+            let (stats, budget) = (ExecStats::new(), Budget::unlimited());
+            let freq = FacetRequest {
+                facets: &facets,
+                refinements,
+            };
+            let tally = count_facets(&db, ts, &cns, &freq, &budget, &stats, scratch);
+            let out = evaluate(&q, 10, model, &stats, &budget, scratch, refinements);
+            let hits: Vec<_> = (out.results.iter())
+                .map(|r| (r.cn_index, r.score.to_bits(), r.result.tuples.clone()))
+                .collect();
+            let counted = (tally.cns_counted, tally.message_rows);
+            let work = (out.cns_evaluated, out.cns_pruned, stats.snapshot());
+            let answer = (hits, out.truncation, tally.counts.finish(&facets));
+            (answer, work, counted)
+        };
+        let plain: &[ResolvedRefinement] = &[];
+        let want = run(&fresh, &mut EvalScratch::new(), plain);
+        assert_eq!(run(&reused, &mut pooled, plain), want, "{query:?}");
+        answered += !want.0 .0.is_empty() as usize;
+        if i + 1 == queries.len() {
+            // Refined by the venue the most results hold.
+            let venue = &want.0 .2[0].values[0].value;
+            let refine = [Refinement::Term {
+                attr: "conference.name".into(),
+                value: venue.clone(),
+            }];
+            let refined = &resolve_refinements(&db, &refine).unwrap()[..];
+            let want = run(&fresh, &mut EvalScratch::new(), refined);
+            assert!(!want.0 .0.is_empty(), "{query:?} in {venue}");
+            assert_eq!(run(&reused, &mut pooled, refined), want, "{query:?}");
+        }
+        // Every third query drops its sets: the next build starts afresh.
+        if i % 3 == 1 {
+            drop(reused);
+            assert_eq!(pooled.unmatched_rows(), Some(0));
+        } else {
+            reused.recycle(&mut pooled);
+            assert!(pooled.unmatched_rows().is_some_and(|n| n > 0));
+        }
+    }
+    assert!(answered >= 8, "{answered} of 12 queries answered");
 }
 
 #[test]
@@ -120,13 +203,14 @@ fn mesh_and_parallel_match_independent_evaluation() {
         keywords: &query,
     };
     let total: usize = independent.iter().sum();
-    let out = parallel_topk_budgeted(
+    let out = evaluate(
         &q,
         total + 1,
+        Scoring::Monotone,
         &s,
         &Budget::unlimited(),
-        4,
-        &ScratchPool::new(),
+        &mut EvalScratch::new(),
+        &[],
     );
     let mut par_counts = vec![0usize; cns.len()];
     for r in &out.results {
