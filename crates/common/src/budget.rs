@@ -84,11 +84,6 @@ impl Budget {
         self.deadline.is_none() && self.max_candidates.is_none()
     }
 
-    /// The candidate cap, if any.
-    pub fn max_candidates(&self) -> Option<u64> {
-        self.max_candidates
-    }
-
     /// Remaining wall-clock time, if a deadline is set.
     pub fn remaining(&self) -> Option<Duration> {
         self.deadline

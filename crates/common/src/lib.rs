@@ -3,8 +3,8 @@
 //! This crate deliberately has no dependency on any of the search or storage
 //! crates: it holds the vocabulary types everything else speaks —
 //! [`Value`] for typed cell contents, the
-//! [tokenizer](text::tokenize) every full-text index uses, bounded
-//! [top-k heaps](topk::TopK), string-edit distances for query cleaning, a
+//! [tokenizer](text::tokenize) every full-text index uses, the bounded
+//! [top-k collector](topk::TopK), string-edit distances for query cleaning, a
 //! string [interner](intern::Interner), and the shared
 //! [term-dictionary + posting-list index core](index) every substrate's
 //! inverted index is built on.

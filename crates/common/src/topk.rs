@@ -1,153 +1,34 @@
 //! Bounded top-k collection, used by every ranked search engine in kwdb.
 //!
-//! [`TopK`] breaks score ties by insertion order; [`ContentTopK`] breaks them
-//! by the items themselves, for callers whose answer must not depend on the
-//! order candidates happen to be offered in.
-
-use crate::Score;
-use std::collections::BinaryHeap;
+//! [`TopK`] breaks score ties by the items themselves, so a caller states
+//! its tie rule in its item type: the relational executor and references
+//! push `(cn, result)`, so ties go by content and the kept set is a function
+//! of the multiset offered; the graph searches push `(arrival, root)`, with
+//! `arrival` a per-search counter, so ties go by insertion order.
 
 /// The most items a collector makes room for before any arrives: the `k` of
 /// a request bounds the answer, not an allocation.
 const PREALLOCATED: usize = 64;
 
-/// Keeps the `k` items with the highest scores seen so far.
-///
-/// Internally a min-heap of size ≤ k over `(score, seq)`; ties on score are
-/// broken by insertion order so results are deterministic. `O(log k)` per
-/// insertion.
-/// Heap entry: min-heap via `Reverse` on `(Score, Reverse(seq))` — the
-/// smallest score (and among equals, the most recently inserted) is evicted
-/// first, so earlier insertions win ties.
-type Entry<T> = std::cmp::Reverse<(Score, std::cmp::Reverse<u64>, Slot<T>)>;
-
-#[derive(Debug)]
-pub struct TopK<T> {
-    k: usize,
-    seq: u64,
-    heap: BinaryHeap<Entry<T>>,
-}
-
-/// Wrapper that opts an arbitrary payload out of comparison.
-#[derive(Debug)]
-struct Slot<T>(T);
-
-impl<T> PartialEq for Slot<T> {
-    fn eq(&self, _: &Self) -> bool {
-        true
-    }
-}
-impl<T> Eq for Slot<T> {}
-impl<T> PartialOrd for Slot<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for Slot<T> {
-    fn cmp(&self, _: &Self) -> std::cmp::Ordering {
-        std::cmp::Ordering::Equal
-    }
-}
-
-impl<T> TopK<T> {
-    /// Create a collector for the best `k` items. `k == 0` accepts nothing.
-    /// Room for at most `PREALLOCATED` (64) items is made up front; past
-    /// that the heap grows as items arrive, so any `k` (up to `usize::MAX`, "all
-    /// of them") costs what is kept.
-    pub fn new(k: usize) -> Self {
-        TopK {
-            k,
-            seq: 0,
-            heap: BinaryHeap::with_capacity(k.min(PREALLOCATED) + 1),
-        }
-    }
-
-    /// Offer an item; it is kept iff it beats the current k-th best.
-    /// Returns `true` if the item was retained.
-    pub fn push(&mut self, score: f64, item: T) -> bool {
-        if self.k == 0 {
-            return false;
-        }
-        let seq = self.seq;
-        self.seq += 1;
-        if self.heap.len() < self.k {
-            self.heap.push(std::cmp::Reverse((
-                Score(score),
-                std::cmp::Reverse(seq),
-                Slot(item),
-            )));
-            return true;
-        }
-        // Full: only admit if strictly better than the current minimum
-        // (equal scores keep the earlier item).
-        let min = &self.heap.peek().unwrap().0;
-        if Score(score) > min.0 {
-            self.heap.push(std::cmp::Reverse((
-                Score(score),
-                std::cmp::Reverse(seq),
-                Slot(item),
-            )));
-            self.heap.pop();
-            true
-        } else {
-            false
-        }
-    }
-
-    /// The k-th best score, i.e. the score a new item must beat to enter.
-    /// `None` while fewer than `k` items are held.
-    pub fn threshold(&self) -> Option<f64> {
-        if self.heap.len() < self.k {
-            None
-        } else {
-            self.heap.peek().map(|r| r.0 .0 .0)
-        }
-    }
-
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// True once `k` items are held.
-    pub fn is_full(&self) -> bool {
-        self.heap.len() >= self.k
-    }
-
-    /// Drain into a `Vec<(score, item)>` sorted best-first.
-    pub fn into_sorted_vec(self) -> Vec<(f64, T)> {
-        let mut v: Vec<_> = self
-            .heap
-            .into_iter()
-            .map(|std::cmp::Reverse((s, std::cmp::Reverse(seq), Slot(t)))| (s, seq, t))
-            .collect();
-        v.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        v.into_iter().map(|(s, _, t)| (s.0, t)).collect()
-    }
-}
-
-/// Keeps the `k` best items under the content order `(score desc, item
-/// asc)`: which of several equally scored items survive depends on the
-/// items, not on when they arrived, so the kept set is a function of the
-/// multiset offered. One sorted `Vec` — `k` is small (tens), so a
+/// Keeps the `k` best items under the order `(score desc, item asc)`: of
+/// several equally scored items the smallest survive, so the kept set is a
+/// function of the multiset offered. One sorted `Vec` — `k` is small (tens), so a
 /// binary-searched insert beats heap bookkeeping and keeps eviction order
 /// obvious.
 #[derive(Debug)]
-pub struct ContentTopK<T> {
+pub struct TopK<T> {
     k: usize,
     /// Best first; `len() <= k`.
     items: Vec<(f64, T)>,
 }
 
-impl<T: Ord> ContentTopK<T> {
-    /// A collector for the best `k` items. `k == 0` accepts nothing. As
-    /// with [`TopK::new`], room for at most `PREALLOCATED` items is made up
-    /// front.
+impl<T: Ord> TopK<T> {
+    /// A collector for the best `k` items. `k == 0` accepts nothing. Room
+    /// for at most `PREALLOCATED` (64) items is made up front; past that
+    /// the `Vec` grows as items arrive, so any `k` (up to `usize::MAX`,
+    /// "all of them") costs what is kept.
     pub fn new(k: usize) -> Self {
-        ContentTopK {
+        TopK {
             k,
             items: Vec::with_capacity(k.min(PREALLOCATED) + 1),
         }
@@ -238,45 +119,52 @@ mod tests {
         for (s, v) in [(1.0, "a"), (5.0, "b"), (3.0, "c"), (4.0, "d"), (2.0, "e")] {
             tk.push(s, v);
         }
-        let out = tk.into_sorted_vec();
-        assert_eq!(out, vec![(5.0, "b"), (4.0, "d"), (3.0, "c")]);
+        assert_eq!(
+            tk.into_sorted_vec(),
+            vec![(5.0, "b"), (4.0, "d"), (3.0, "c")]
+        );
+        // Whatever the arrival order.
+        let mut tk = TopK::new(3);
+        for (i, s) in [1.0, 9.0, 3.0, 7.0, 5.0, 8.0].iter().enumerate() {
+            tk.push(*s, i as u32);
+        }
+        assert_eq!(tk.into_sorted_vec(), vec![(9.0, 1), (8.0, 5), (7.0, 3)]);
     }
 
-    #[test]
-    fn threshold_tracks_kth_best() {
-        let mut tk = TopK::new(2);
-        assert_eq!(tk.threshold(), None);
-        tk.push(1.0, ());
-        assert_eq!(tk.threshold(), None);
-        tk.push(3.0, ());
-        assert_eq!(tk.threshold(), Some(1.0));
-        tk.push(2.0, ());
-        assert_eq!(tk.threshold(), Some(2.0));
-    }
-
+    /// `(arrival, item)` items, as the graph searches push them: ties go by
+    /// insertion order, whatever the items.
     #[test]
     fn ties_keep_earlier_item() {
         let mut tk = TopK::new(1);
-        assert!(tk.push(1.0, "first"));
-        assert!(!tk.push(1.0, "second"));
-        assert_eq!(tk.into_sorted_vec(), vec![(1.0, "first")]);
+        assert!(tk.push(1.0, (0, "z")));
+        assert!(
+            !tk.push(1.0, (1, "a")),
+            "a later tie, though a smaller item"
+        );
+        assert_eq!(tk.into_sorted_vec(), vec![(1.0, (0, "z"))]);
     }
 
     #[test]
     fn equal_scores_order_by_insertion() {
         let mut tk = TopK::new(3);
-        tk.push(2.0, "a");
-        tk.push(2.0, "b");
-        tk.push(2.0, "c");
-        let out: Vec<&str> = tk.into_sorted_vec().into_iter().map(|(_, v)| v).collect();
-        assert_eq!(out, vec!["a", "b", "c"]);
+        for (arrival, v) in ["c", "a", "b", "d"].into_iter().enumerate() {
+            tk.push(2.0, (arrival, v));
+        }
+        let out: Vec<&str> = tk
+            .into_sorted_vec()
+            .into_iter()
+            .map(|(_, (_, v))| v)
+            .collect();
+        assert_eq!(out, vec!["c", "a", "b"]);
     }
 
     #[test]
     fn zero_k_accepts_nothing() {
         let mut tk = TopK::new(0);
+        assert_eq!(tk.threshold(), None);
+        assert!(tk.would_accept(10.0), "no threshold to prune with");
         assert!(!tk.push(10.0, "x"));
-        assert!(tk.is_empty());
+        assert!(!tk.push_cloned(10.0, &"y"));
         assert!(tk.into_sorted_vec().is_empty());
     }
 
@@ -285,22 +173,13 @@ mod tests {
         let mut tk = TopK::new(10);
         tk.push(1.0, 1);
         tk.push(2.0, 2);
-        assert!(!tk.is_full());
+        assert_eq!(tk.threshold(), None, "not full");
         assert_eq!(tk.into_sorted_vec(), vec![(2.0, 2), (1.0, 1)]);
     }
 
     #[test]
-    fn content_order_keeps_the_best_k_whatever_the_arrival_order() {
-        let mut tk = ContentTopK::new(3);
-        for (i, s) in [1.0, 9.0, 3.0, 7.0, 5.0, 8.0].iter().enumerate() {
-            tk.push(*s, i as u32);
-        }
-        assert_eq!(tk.into_sorted_vec(), vec![(9.0, 1), (8.0, 5), (7.0, 3)]);
-    }
-
-    #[test]
     fn content_order_breaks_ties_by_item_not_arrival() {
-        let mut tk = ContentTopK::new(2);
+        let mut tk = TopK::new(2);
         tk.push(5.0, 9u32);
         tk.push(5.0, 2u32);
         tk.push(5.0, 7u32);
@@ -311,7 +190,7 @@ mod tests {
     fn content_order_boundary_ties_survive_the_threshold() {
         // The best two of three equal scores are the two smallest items,
         // even when the largest arrives first.
-        let mut tk = ContentTopK::new(2);
+        let mut tk = TopK::new(2);
         tk.push(5.0, 3u32);
         tk.push(5.0, 1);
         assert!(tk.would_accept(5.0), "a tie with the threshold may enter");
@@ -322,7 +201,7 @@ mod tests {
 
     #[test]
     fn content_order_threshold_appears_once_full() {
-        let mut tk = ContentTopK::new(2);
+        let mut tk = TopK::new(2);
         assert_eq!(tk.threshold(), None);
         assert!(tk.would_accept(f64::MIN));
         tk.push(4.0, 1u32);
@@ -346,7 +225,7 @@ mod tests {
             (5.0, 4),
             (6.0, 0),
         ];
-        let (mut owned, mut cloned) = (ContentTopK::new(3), ContentTopK::new(3));
+        let (mut owned, mut cloned) = (TopK::new(3), TopK::new(3));
         for (s, v) in offers {
             assert_eq!(owned.push(s, v), cloned.push_cloned(s, &v), "{s} {v}");
         }
@@ -355,7 +234,7 @@ mod tests {
 
     #[test]
     fn push_cloned_refills_the_evicted_entry() {
-        let mut top = ContentTopK::new(2);
+        let mut top = TopK::new(2);
         top.push_cloned(1.0, &vec![1u32, 2, 3]);
         top.push_cloned(2.0, &vec![4, 5, 6]);
         let evicted = top.items[1].1.as_ptr();
@@ -386,7 +265,7 @@ mod tests {
         let mut rng = crate::Rng::seed_from_u64(46);
         for k in [0, 1, 2, 3, 5, 10, 64] {
             for _ in 0..40 {
-                let (mut owned, mut cloned) = (ContentTopK::new(k), ContentTopK::new(k));
+                let (mut owned, mut cloned) = (TopK::new(k), TopK::new(k));
                 let mut reference: Vec<(f64, u32)> = Vec::new();
                 for _ in 0..300 {
                     // Few distinct scores and items: heavy ties, and
@@ -409,22 +288,11 @@ mod tests {
     #[test]
     fn unbounded_k_sizes_nothing_by_k() {
         let mut tk = TopK::new(usize::MAX);
-        let mut ctk = ContentTopK::new(usize::MAX);
-        assert_eq!(ctk.threshold(), None);
+        assert_eq!(tk.threshold(), None);
         for i in 0..5u32 {
             assert!(tk.push(f64::from(i), i));
-            assert!(ctk.push(f64::from(i), i));
         }
-        assert_eq!(tk.into_sorted_vec().len(), 5);
-        assert_eq!(ctk.into_sorted_vec()[0], (4.0, 4));
-    }
-
-    #[test]
-    fn content_order_zero_k_accepts_nothing() {
-        let mut tk = ContentTopK::new(0);
-        assert_eq!(tk.threshold(), None);
-        assert!(tk.would_accept(10.0), "no threshold to prune with");
-        assert!(!tk.push(10.0, 1u32));
-        assert!(tk.into_sorted_vec().is_empty());
+        let kept = tk.into_sorted_vec();
+        assert_eq!((kept.len(), kept[0]), (5, (4.0, 4)));
     }
 }

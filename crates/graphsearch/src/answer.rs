@@ -159,12 +159,61 @@ pub fn norm_edge(u: NodeId, v: NodeId) -> (NodeId, NodeId) {
     }
 }
 
+/// The distinct-root answer at `root`: one walk per keyword, in keyword
+/// order, from `root` toward that keyword's match as `(node, next)` steps
+/// (an empty walk: `root` matches). The answer matches each walk's end; its
+/// edges are the union of the walks, pruned to a tree (shared segments can
+/// close cycles), and `cost` sums the kept edges. `rank_cost` is what the
+/// search ranked `root` by.
+pub(crate) fn tree_from_walks<W>(
+    g: &DataGraph,
+    root: NodeId,
+    rank_cost: f64,
+    walks: impl IntoIterator<Item = W>,
+) -> AnswerTree
+where
+    W: IntoIterator<Item = (NodeId, NodeId)>,
+{
+    let mut edges = Vec::new();
+    let mut matches = Vec::new();
+    for walk in walks {
+        let mut end = root;
+        edges.extend(walk.into_iter().map(|(n, next)| {
+            end = next;
+            norm_edge(n, next)
+        }));
+        matches.push(end);
+    }
+    edges.sort();
+    edges.dedup();
+    let (edges, cost) = prune_to_tree(g, root, &edges, &matches);
+    AnswerTree {
+        root,
+        edges,
+        matches,
+        cost,
+        rank_cost,
+    }
+}
+
+/// The walk from `n` down a predecessor map, for [`tree_from_walks`]: it
+/// ends at the first node with no predecessor.
+pub(crate) fn pred_walk(
+    pred: &HashMap<NodeId, NodeId>,
+    mut n: NodeId,
+) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
+    std::iter::from_fn(move || {
+        let p = *pred.get(&n)?;
+        Some((std::mem::replace(&mut n, p), p))
+    })
+}
+
 /// Restrict an edge union to a BFS tree from `root` that still reaches every
 /// match, and drop branches that lead nowhere useful; returns the tree's
 /// edges, sorted, and its cost summed in that order. A node's neighbours are
 /// visited in `edges` order. The union is one answer's handful of
 /// root→match paths, so linear scans over it beat building maps.
-pub(crate) fn prune_to_tree(
+fn prune_to_tree(
     g: &DataGraph,
     root: NodeId,
     edges: &[(NodeId, NodeId)],
@@ -293,6 +342,51 @@ mod tests {
             rank_cost: 9.0,
         };
         assert!(t.validate(&g, &["alpha", "beta"]).is_err());
+    }
+
+    /// Four keywords at root `r`: `r` itself matches the first (an empty
+    /// walk), two walks share `r–x`, and the walk `r→y→m2` closes the
+    /// cycle `r–x–y–r` with `r→x→y→m1`.
+    #[test]
+    fn tree_from_walks_prunes_the_union_to_a_tree() {
+        let mut g = DataGraph::new();
+        let [r, x, y, m1, m2, m3] =
+            ["k0", "", "", "k1", "k3", "k2"].map(|text| g.add_node("n", text));
+        let weighted = [
+            (r, x, 1.0),
+            (x, y, 2.0),
+            (y, m1, 1.0),
+            (r, y, 4.0),
+            (y, m2, 3.0),
+            (x, m3, 1.0),
+        ];
+        for (u, v, w) in weighted {
+            g.add_edge(u, v, w);
+        }
+        let to_m3: HashMap<NodeId, NodeId> = [(r, x), (x, m3)].into();
+        let walks = [
+            vec![],
+            vec![(r, x), (x, y), (y, m1)],
+            pred_walk(&to_m3, r).collect(),
+            vec![(r, y), (y, m2)],
+        ];
+        let t = tree_from_walks(&g, r, 7.5, walks);
+        t.validate(&g, &["k0", "k1", "k2", "k3"]).unwrap();
+        assert_eq!(t.matches, [r, m1, m3, m2], "each walk's end");
+        assert!(
+            t.edges.windows(2).all(|w| w[0] < w[1]),
+            "sorted, no repeats"
+        );
+        // BFS from r reaches y over r–y first, so x–y is the edge cut.
+        let kept = [(r, x), (r, y), (x, m3), (y, m1), (y, m2)].map(|(u, v)| norm_edge(u, v));
+        assert_eq!(t.edges, kept);
+        let sum: f64 = t
+            .edges
+            .iter()
+            .map(|&(u, v)| g.edge_weight(u, v).unwrap())
+            .sum();
+        assert_eq!((t.cost, sum), (10.0, 10.0));
+        assert_eq!(t.rank_cost, 7.5, "as the search ranked the root");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! pass then repeatedly tries to re-root at every tree node, which is the
 //! essence of STAR's iterative path replacement.
 
-use crate::answer::{norm_edge, AnswerTree};
+use crate::answer::{pred_walk, tree_from_walks, AnswerTree};
 use kwdb_common::index::Postings;
 use kwdb_graph::shortest::multi_source;
 use kwdb_graph::{DataGraph, NodeId};
@@ -38,7 +38,7 @@ pub fn spt_heuristic<S: AsRef<str>>(g: &DataGraph, keywords: &[S]) -> Option<Ans
 
     let mut best: Option<AnswerTree> = None;
     let try_root = |root: NodeId, best: &mut Option<AnswerTree>| {
-        if let Some(t) = tree_from_fields(g, root, &fields, l) {
+        if let Some(t) = tree_from_fields(g, root, &fields) {
             if best.as_ref().is_none_or(|b| t.cost < b.cost) {
                 *best = Some(t);
             }
@@ -54,7 +54,7 @@ pub fn spt_heuristic<S: AsRef<str>>(g: &DataGraph, keywords: &[S]) -> Option<Ans
         improved = false;
         let Some(cur) = best.clone() else { break };
         for n in cur.nodes() {
-            if let Some(t) = tree_from_fields(g, n, &fields, l) {
+            if let Some(t) = tree_from_fields(g, n, &fields) {
                 if t.cost + 1e-12 < best.as_ref().unwrap().cost {
                     best = Some(t);
                     improved = true;
@@ -92,28 +92,17 @@ fn multi_source_with_pred(g: &DataGraph, sources: Postings<'_, NodeId>) -> Field
     Field { dist, pred }
 }
 
-fn tree_from_fields(g: &DataGraph, root: NodeId, fields: &[Field], l: usize) -> Option<AnswerTree> {
-    let mut edges = Vec::new();
-    let mut matches = Vec::with_capacity(l);
-    for f in fields {
-        f.dist.get(&root)?;
-        let mut n = root;
-        while let Some(&p) = f.pred.get(&n) {
-            edges.push(norm_edge(n, p));
-            n = p;
-        }
-        matches.push(n); // a source (dist 0) of this group
+/// The union of `root`'s shortest paths to each group's nearest source,
+/// pruned to a tree and ranked by its own cost; `None` when some group does
+/// not reach `root`.
+fn tree_from_fields(g: &DataGraph, root: NodeId, fields: &[Field]) -> Option<AnswerTree> {
+    if fields.iter().any(|f| !f.dist.contains_key(&root)) {
+        return None;
     }
-    edges.sort();
-    edges.dedup();
-    let (tree_edges, cost) = crate::answer::prune_to_tree(g, root, &edges, &matches);
-    Some(AnswerTree {
-        root,
-        edges: tree_edges,
-        matches,
-        cost,
-        rank_cost: cost,
-    })
+    let walks = fields.iter().map(|f| pred_walk(&f.pred, root));
+    let mut tree = tree_from_walks(g, root, 0.0, walks);
+    tree.rank_cost = tree.cost;
+    Some(tree)
 }
 
 /// Known approximation guarantee of the SPT heuristic with root restricted

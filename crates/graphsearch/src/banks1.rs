@@ -32,12 +32,12 @@
 //! this expansion is the reference those answers' `rank_cost` bits are held
 //! to.
 
-use crate::answer::{norm_edge, prune_to_tree, AnswerTree};
+use crate::answer::{tree_from_walks, AnswerTree};
 use crate::scratch::first_n;
 use crate::{SearchScratch, TraversalStats};
 use kwdb_common::{topk::TopK, Budget, TruncationReason};
 use kwdb_graph::shortest::Expansion;
-use kwdb_graph::{DataGraph, NodeId};
+use kwdb_graph::DataGraph;
 
 /// Most keywords one search takes: a node's settled-by set is a `u32` mask.
 pub const MAX_KEYWORDS: usize = 32;
@@ -107,7 +107,8 @@ impl<'g> BanksI<'g> {
         // marks[node] = bitmask of groups that settled it
         marks.begin(self.g);
         let full = u32::MAX >> (MAX_KEYWORDS - l);
-        let mut topk: TopK<NodeId> = TopK::new(k);
+        // Ties go by arrival: the settle count stamps each push.
+        let mut topk = TopK::new(k);
 
         loop {
             if let Some(reason) = budget.truncation_at(stats.nodes_expanded as u64) {
@@ -133,17 +134,16 @@ impl<'g> BanksI<'g> {
                     .iter()
                     .map(|e| e.dist(node).expect("settled by every group"))
                     .sum();
-                topk.push(-cost, node); // TopK keeps max; negate cost
+                topk.push(-cost, (stats.nodes_expanded, node)); // TopK keeps max; negate cost
             }
             // Sound stop: any future connection point costs at least the
             // smallest current radius.
-            if topk.is_full() {
-                let kth_cost = -topk.threshold().expect("full");
+            if let Some(th) = topk.threshold() {
                 let min_radius = groups
                     .iter_mut()
                     .map(|e| e.peek(self.g).unwrap_or(f64::INFINITY))
                     .fold(f64::INFINITY, f64::min);
-                if kth_cost <= min_radius {
+                if -th <= min_radius {
                     break;
                 }
             }
@@ -153,41 +153,20 @@ impl<'g> BanksI<'g> {
         let trees = topk
             .into_sorted_vec()
             .into_iter()
-            .map(|(neg_cost, root)| self.build_tree(root, -neg_cost, groups))
+            .map(|(neg_cost, (_, root))| {
+                // The union of `root`'s shortest paths back to each group's
+                // source.
+                tree_from_walks(self.g, root, -neg_cost, groups.iter().map(|e| e.path(root)))
+            })
             .collect();
         (trees, truncation, stats)
-    }
-
-    /// The union of `root`'s shortest paths back to each group's source.
-    fn build_tree(&self, root: NodeId, rank_cost: f64, groups: &[Expansion]) -> AnswerTree {
-        let mut edges = Vec::new();
-        let mut matches = Vec::with_capacity(groups.len());
-        for e in groups {
-            let mut source = root;
-            for (n, pred) in e.path(root) {
-                edges.push(norm_edge(n, pred));
-                source = pred;
-            }
-            matches.push(source);
-        }
-        edges.sort();
-        edges.dedup();
-        // Union of shortest paths may form a non-tree (shared segments create
-        // cycles); prune to a tree by BFS from the root over the edge union.
-        let (tree_edges, tree_cost) = prune_to_tree(self.g, root, &edges, &matches);
-        AnswerTree {
-            root,
-            edges: tree_edges,
-            matches,
-            cost: tree_cost,
-            rank_cost,
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kwdb_graph::NodeId;
 
     fn slide30() -> DataGraph {
         let mut g = DataGraph::new();

@@ -19,7 +19,7 @@
 //! on the same sound radius bound as BANKS I when possible, else on a work
 //! budget; E05 measures both engines' expanded-node counts.
 
-use crate::answer::AnswerTree;
+use crate::answer::{pred_walk, tree_from_walks, AnswerTree};
 use kwdb_common::{topk::TopK, Score};
 use kwdb_graph::{DataGraph, NodeId};
 use std::collections::{BinaryHeap, HashMap};
@@ -88,7 +88,8 @@ impl<'g> BanksII<'g> {
         }
         let full: u32 = (1 << l) - 1;
         let mut settled_by: HashMap<NodeId, u32> = HashMap::new();
-        let mut topk: TopK<NodeId> = TopK::new(k);
+        // Ties go by arrival: the settle count stamps each push.
+        let mut topk = TopK::new(k);
         let mut work = 0usize;
 
         loop {
@@ -128,7 +129,7 @@ impl<'g> BanksII<'g> {
             let boost = mask.count_ones();
             if *mask == full {
                 let cost: f64 = groups.iter().map(|e| e.dist[&node]).sum();
-                topk.push(-cost, node);
+                topk.push(-cost, (work, node));
             }
             // Relax neighbors for group gi.
             for &(v, w) in self.g.neighbors(node) {
@@ -147,52 +148,25 @@ impl<'g> BanksII<'g> {
             }
             // Stop: sound radius bound (using per-group max settled distance)
             // or work budget.
-            if topk.is_full() {
-                let kth_cost = -topk.threshold().expect("full");
+            if let Some(th) = topk.threshold() {
                 let min_radius = groups
                     .iter()
                     .map(|e| e.radius)
                     .fold(f64::INFINITY, f64::min);
-                if kth_cost <= min_radius || work >= self.work_budget {
+                if -th <= min_radius || work >= self.work_budget {
                     break;
                 }
             }
         }
 
-        // Reuse BANKS I's tree construction by replaying preds.
+        // The answer trees replay each group's preds back to its source.
         topk.into_sorted_vec()
             .into_iter()
-            .map(|(neg_cost, root)| build_tree_from_preds(self.g, root, -neg_cost, &groups))
+            .map(|(neg_cost, (_, root))| {
+                let walks = groups.iter().map(|e| pred_walk(&e.pred, root));
+                tree_from_walks(self.g, root, -neg_cost, walks)
+            })
             .collect()
-    }
-}
-
-fn build_tree_from_preds(
-    g: &DataGraph,
-    root: NodeId,
-    rank_cost: f64,
-    groups: &[Expansion],
-) -> AnswerTree {
-    use crate::answer::norm_edge;
-    let mut edges = Vec::new();
-    let mut matches = Vec::with_capacity(groups.len());
-    for e in groups {
-        let mut n = root;
-        while let Some(&p) = e.pred.get(&n) {
-            edges.push(norm_edge(n, p));
-            n = p;
-        }
-        matches.push(n);
-    }
-    edges.sort();
-    edges.dedup();
-    let (tree_edges, cost) = crate::answer::prune_to_tree(g, root, &edges, &matches);
-    AnswerTree {
-        root,
-        edges: tree_edges,
-        matches,
-        cost,
-        rank_cost,
     }
 }
 

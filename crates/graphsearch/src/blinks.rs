@@ -19,18 +19,18 @@
 //! access reads the next node and its class and a random access one class
 //! per list. An answer's tree is array reads too: each list holds, per node,
 //! the neighbour one edge closer to its nearest match, so a root's path to
-//! each match is a walk down those links, pruned to a tree by
-//! `answer::prune_to_tree`. The set of roots already scored lives in the
+//! each match is a walk down those links, and `answer::tree_from_walks`
+//! prunes their union to a tree. The set of roots already scored lives in the
 //! caller's [`SearchScratch`].
 //!
 //! BANKS I (backward expansion, [`BanksI`](crate::BanksI)) ranks roots by
 //! the same cost; the unified engine serves both semantics from here.
 
-use crate::answer::{norm_edge, prune_to_tree, AnswerTree};
+use crate::answer::{tree_from_walks, AnswerTree};
 use crate::{SearchScratch, TraversalStats};
 use kwdb_common::topk::TopK;
 use kwdb_common::{Budget, TruncationReason};
-use kwdb_graph::{DataGraph, DistanceList, NodeId};
+use kwdb_graph::{DataGraph, DistanceList};
 
 /// The BLINKS engine. Stateless — `search` takes `&self`, the distance lists
 /// live in the graph and per-query access counters come back in a
@@ -116,7 +116,8 @@ impl<'g> Blinks<'g> {
         let mut depth: Vec<f64> = lists.iter().map(|l| l.levels()[0]).collect();
         let seen = &mut scratch.marks;
         seen.begin(self.g);
-        let mut topk: TopK<NodeId> = TopK::new(k);
+        // Ties go by arrival: the sorted-access count stamps each push.
+        let mut topk = TopK::new(k);
 
         'ta: loop {
             let mut any = false;
@@ -146,14 +147,12 @@ impl<'g> Blinks<'g> {
                         total += other.levels()[class as usize];
                     }
                     if complete {
-                        topk.push(-total, node);
+                        topk.push(-total, (stats.sorted_accesses, node));
                     }
                 }
                 // threshold check after each sorted access
-                if topk.is_full() {
-                    let threshold: f64 = depth.iter().sum();
-                    let kth_cost = -topk.threshold().expect("full");
-                    if kth_cost <= threshold {
+                if let Some(kth) = topk.threshold() {
+                    if -kth <= depth.iter().sum::<f64>() {
                         break 'ta;
                     }
                 }
@@ -163,44 +162,24 @@ impl<'g> Blinks<'g> {
             }
         }
 
+        // A root's tree: its shortest paths to each keyword's nearest match,
+        // walked down the lists. Every kept root is complete, so every walk
+        // ends at a match.
         let trees = topk
             .into_sorted_vec()
             .into_iter()
-            .map(|(neg, root)| self.build_tree(lists, root, -neg))
+            .map(|(neg, (_, root))| {
+                tree_from_walks(self.g, root, -neg, lists.iter().map(|l| l.path(root)))
+            })
             .collect();
         (trees, truncation, stats)
-    }
-
-    /// Materialize a root's answer tree: shortest paths to each keyword's
-    /// nearest match, read off the lists. `root` is complete, so every walk
-    /// ends at a match.
-    fn build_tree(&self, lists: &[&DistanceList], root: NodeId, rank_cost: f64) -> AnswerTree {
-        let mut edges = Vec::new();
-        let mut matches = Vec::with_capacity(lists.len());
-        for list in lists {
-            let mut at = root;
-            edges.extend(list.path(root).map(|(n, next)| {
-                at = next;
-                norm_edge(n, next)
-            }));
-            matches.push(at);
-        }
-        edges.sort();
-        edges.dedup();
-        let (tree_edges, cost) = prune_to_tree(self.g, root, &edges, &matches);
-        AnswerTree {
-            root,
-            edges: tree_edges,
-            matches,
-            cost,
-            rank_cost,
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kwdb_graph::NodeId;
 
     fn slide30() -> DataGraph {
         let mut g = DataGraph::new();

@@ -4,7 +4,7 @@
 //! This is DISCOVER2's Sparse (tutorial slide 116) under one bound: one
 //! keyword query's candidate networks go into **one list**, best upper bound
 //! first, evaluated in that order on the calling thread against a single
-//! top-k collector ([`kwdb_common::topk::ContentTopK`]). A CN is skipped once
+//! top-k collector ([`kwdb_common::topk::TopK`]). A CN is skipped once
 //! its bound cannot beat the k-th best. Slide 117 presents SPARK as the same
 //! loop with another bound and another final score, and that is all
 //! [`Scoring`] changes here. The tutorial's slide-116 strategies in
@@ -91,7 +91,7 @@ use crate::parallel::{join_plan, JoinPlan};
 use crate::score::{ScoreTable, Scoring};
 use crate::topk::{CnExecOutcome, RankedResult, TopKQuery};
 use crate::tupleset::{position, BuildBuffers, TupleSets, NIL};
-use kwdb_common::topk::ContentTopK;
+use kwdb_common::topk::TopK;
 use kwdb_common::{Budget, ScratchPool, TruncationReason};
 use kwdb_relational::{Database, ExecStats, FkEdge, RowId, Table, TupleId};
 use std::ops::Deref;
@@ -627,7 +627,7 @@ where
     let mut jobs: Vec<usize> = (0..n).filter(|&j| !cases_of(j).is_empty()).collect();
     jobs.sort_by(|&a, &b| bounds[b].total_cmp(&bounds[a]).then(a.cmp(&b)));
 
-    let mut top: ContentTopK<Found> = ContentTopK::new(k);
+    let mut top: TopK<Found> = TopK::new(k);
     let mut truncation = None;
     let mut evaluated = 0u64;
     // Scoring by text and the top-k read a result as tuples: one buffer,

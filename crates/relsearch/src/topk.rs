@@ -22,6 +22,9 @@
 //!   joining it against the already-consumed prefixes of the CN's other
 //!   nodes. Every tuple combination is evaluated at most once, and execution
 //!   stops as soon as no CN's bound can beat the k-th best.
+//!
+//! Each pushes `(cn, result)` into one [`TopK`], so score ties order by
+//! CN and then tuples, as the executor's do.
 
 use crate::cn::CandidateNetwork;
 use crate::eval::{default_rows, evaluate_cn, evaluate_cn_with, JoinedResult};
@@ -345,7 +348,7 @@ pub fn global_pipeline_counted<S: AsRef<str>, D: Deref<Target = Database>>(
     }
 }
 
-/// A filled top-k heap as ranked results, best first.
+/// A filled top-k collector as ranked results, best first.
 pub(crate) fn finish(topk: TopK<(usize, JoinedResult)>) -> Vec<RankedResult> {
     topk.into_sorted_vec()
         .into_iter()

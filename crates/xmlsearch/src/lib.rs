@@ -7,9 +7,7 @@
 //! * [`slca`] — Smallest LCAs via Indexed-Lookup-Eager and Scan-Eager
 //!   (Xu & Papakonstantinou, SIGMOD 05), plus Multiway-SLCA (WWW 07);
 //! * [`elca`](mod@crate::elca) — Exclusive LCAs via the Index-Stack candidate + verify scheme
-//!   (EDBT 08 / XRank SIGMOD 03), returned in document order; [`xrank`]'s
-//!   ElemRank authority ranking is implemented beside it, but no
-//!   experiment, integration test or engine path ranks ELCA results by it;
+//!   (EDBT 08 / XRank SIGMOD 03), returned in document order;
 //! * [`interconnection`] — XSEarch's interconnection semantics: matches
 //!   related iff their connecting path has no repeated labels
 //!   (Cohen et al., VLDB 03; slide 34);
@@ -32,7 +30,6 @@ pub mod ntc;
 pub mod slca;
 pub mod snippet;
 pub mod xpath_infer;
-pub mod xrank;
 pub mod xreal;
 pub mod xseek;
 

@@ -12,7 +12,7 @@ use kwdb::relsearch::mesh::evaluate_shared;
 use kwdb::relsearch::pexec::{evaluate, EvalScratch};
 use kwdb::relsearch::score::Scoring;
 use kwdb::relsearch::spark::{naive_spark, skyline_sweep};
-use kwdb::relsearch::topk::{global_pipeline, naive, sparse, TopKQuery};
+use kwdb::relsearch::topk::{global_pipeline, naive, sparse, RankedResult, TopKQuery};
 use kwdb::relsearch::{
     CandidateNetwork, FacetRequest, Refinement, ResolvedRefinement, ResultScorer, TupleSets,
 };
@@ -36,6 +36,13 @@ fn setup(
     (ts, cns)
 }
 
+/// The references against the engine's executor, and against one another.
+/// `naive` and `naive_spark` rank every joined row under the executor's tie
+/// rule (score, then CN, then tuples), so for every k they return its hits
+/// exactly — CN index, tuples and score bits — under each model. `sparse`
+/// and the global pipeline stop once a bound only ties the k-th best
+/// (`bound <= th`) and may keep another tied k-th row, so they are held to
+/// `naive`'s scores.
 #[test]
 fn executors_agree_across_many_generated_queries() {
     let db = generate_dblp(&DblpConfig {
@@ -44,6 +51,12 @@ fn executors_agree_across_many_generated_queries() {
         ..Default::default()
     });
     let scorer = ResultScorer::new(&db);
+    let mut scratch = EvalScratch::new();
+    let hits = |results: &[RankedResult]| -> Vec<_> {
+        (results.iter())
+            .map(|r| (r.cn_index, r.result.tuples.clone(), r.score.to_bits()))
+            .collect()
+    };
     for query in sample_queries(&db, 6, 2, 99) {
         let (ts, cns) = setup(&db, &query);
         let q = TopKQuery {
@@ -54,6 +67,18 @@ fn executors_agree_across_many_generated_queries() {
             keywords: &query,
         };
         let s = ExecStats::new();
+        for k in 1..=12 {
+            let references = [
+                (Scoring::Monotone, naive(&q, k, &s)),
+                (Scoring::Spark, naive_spark(&q, k, &s)),
+            ];
+            for (model, reference) in references {
+                let budget = Budget::unlimited();
+                let out = evaluate(&q, k, model, &s, &budget, &mut scratch, &[]);
+                let want = hits(&reference);
+                assert_eq!(hits(&out.results), want, "{model:?} k {k} {query:?}");
+            }
+        }
         let a: Vec<f64> = naive(&q, 5, &s).iter().map(|r| r.score).collect();
         let b: Vec<f64> = sparse(&q, 5, &s).iter().map(|r| r.score).collect();
         let c: Vec<f64> = global_pipeline(&q, 5, &s).iter().map(|r| r.score).collect();
