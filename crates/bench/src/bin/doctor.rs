@@ -19,6 +19,7 @@
 //! sampled or slow queries — a full span tree, so tail-latency forensics
 //! needs no access to the process that served the queries.
 
+use kwdb_common::Phase;
 use kwdb_obs::{chrome, FlightDump, MetricId, QueryRecord, Snapshot};
 use std::time::Duration;
 
@@ -84,16 +85,20 @@ fn ms(d: Duration) -> String {
 
 /// The phase that dominated one record's latency.
 fn dominant_phase(r: &QueryRecord) -> (&'static str, Duration) {
-    [
-        ("parse", r.phases.parse),
-        ("build", r.phases.build),
-        ("plan", r.phases.plan),
-        ("evaluate", r.phases.evaluate),
-        ("facets", r.phases.facets),
-    ]
-    .into_iter()
-    .max_by_key(|(_, d)| *d)
-    .unwrap_or(("parse", Duration::ZERO))
+    let top = (Phase::ALL.into_iter())
+        .max_by_key(|&p| r.phases[p])
+        .unwrap_or(Phase::Parse);
+    (top.name(), r.phases[top])
+}
+
+/// One row of the phase breakdown: the executor, `n`, one cell per
+/// [`Phase`] and the total.
+fn breakdown_row(executor: &str, n: &str, phases: [String; 5], total: &str) -> String {
+    let mut row = format!("{executor:<24}  {n:>5}");
+    for cell in phases.iter().map(String::as_str).chain([total]) {
+        row.push_str(&format!("  {cell:>12}"));
+    }
+    row
 }
 
 fn analyze(path: &str, top: usize, chrome_out: Option<&str>, metrics_path: Option<&str>) {
@@ -153,27 +158,20 @@ fn analyze(path: &str, top: usize, chrome_out: Option<&str>, metrics_path: Optio
     executors.sort();
     executors.dedup();
     println!("\n== per-executor phase breakdown ==");
-    println!(
-        "{:<24}  {:>5}  {:>12}  {:>12}  {:>12}  {:>12}  {:>12}  {:>12}",
-        "executor", "n", "parse", "build", "plan", "evaluate", "facets", "total"
-    );
+    let names = Phase::ALL.map(|p| p.name().to_string());
+    println!("{}", breakdown_row("executor", "n", names, "total"));
     for (engine, algorithm) in &executors {
         let recs: Vec<&QueryRecord> = dump
             .records
             .iter()
             .filter(|r| &r.engine == engine && &r.algorithm == algorithm)
             .collect();
-        let sum = |f: fn(&QueryRecord) -> Duration| -> Duration { recs.iter().map(|r| f(r)).sum() };
+        let phases = Phase::ALL.map(|p| ms(recs.iter().map(|r| r.phases[p]).sum()));
+        let total = ms(recs.iter().map(|r| r.total()).sum());
+        let executor = format!("{engine}/{algorithm}");
         println!(
-            "{:<24}  {:>5}  {:>12}  {:>12}  {:>12}  {:>12}  {:>12}  {:>12}",
-            format!("{engine}/{algorithm}"),
-            recs.len(),
-            ms(sum(|r| r.phases.parse)),
-            ms(sum(|r| r.phases.build)),
-            ms(sum(|r| r.phases.plan)),
-            ms(sum(|r| r.phases.evaluate)),
-            ms(sum(|r| r.phases.facets)),
-            ms(sum(|r| r.total())),
+            "{}",
+            breakdown_row(&executor, &recs.len().to_string(), phases, &total)
         );
     }
 

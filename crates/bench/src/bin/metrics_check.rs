@@ -20,6 +20,7 @@
 //! histogram sums (both sides track exact nanosecond sums, so any skew
 //! means a query was sealed without reaching one of the two sinks).
 
+use kwdb_common::Phase;
 use kwdb_obs::{families, FlightDump, Snapshot};
 
 fn main() {
@@ -310,20 +311,9 @@ fn check_flight(fpath: &str, snapshot: &Snapshot) {
                 );
                 failures += 1;
             }
-            for phase in ["parse", "build", "plan", "evaluate", "facets"] {
-                let rec_phase: u128 = recs
-                    .iter()
-                    .map(|r| {
-                        match phase {
-                            "parse" => r.phases.parse,
-                            "build" => r.phases.build,
-                            "plan" => r.phases.plan,
-                            "evaluate" => r.phases.evaluate,
-                            _ => r.phases.facets,
-                        }
-                        .as_nanos()
-                    })
-                    .sum();
+            for phase in Phase::ALL {
+                let rec_phase: u128 = recs.iter().map(|r| r.phases[phase].as_nanos()).sum();
+                let phase = phase.name();
                 let ph = snapshot.histograms.iter().find(|(id, _)| {
                     id.name == families::PHASE_LATENCY
                         && label(id, "engine").as_deref() == Some(engine)

@@ -15,6 +15,7 @@
 //! and pruned counts, and plan-cache hit/miss counters. Every search through
 //! the unified API returns one instead of dropping it on the floor.
 
+use std::ops::{Index, IndexMut};
 use std::time::{Duration, Instant};
 
 /// A per-query execution budget.
@@ -152,10 +153,46 @@ impl std::fmt::Display for TruncationReason {
     }
 }
 
-/// Wall-clock timings of the pipeline phases every engine shares.
+/// One timed phase of a query, in pipeline order: the one list every
+/// record of a query's phases derives from — [`PhaseTimings`]' slots, trace
+/// spans, the registry's `phase` labels, the flight dump's keys and the
+/// doctor's columns.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Phase {
+    Parse,
+    Build,
+    Plan,
+    Evaluate,
+    Facets,
+}
+
+impl Phase {
+    /// Every phase, in pipeline order.
+    pub const ALL: [Phase; 5] = [
+        Phase::Parse,
+        Phase::Build,
+        Phase::Plan,
+        Phase::Evaluate,
+        Phase::Facets,
+    ];
+
+    /// The phase's name wherever it is written out.
+    pub fn name(self) -> &'static str {
+        match self {
+            Phase::Parse => "parse",
+            Phase::Build => "build",
+            Phase::Plan => "plan",
+            Phase::Evaluate => "evaluate",
+            Phase::Facets => "facets",
+        }
+    }
+}
+
+/// Wall-clock timings of the pipeline phases every engine shares, one slot
+/// per [`Phase`] (`timings[Phase::Build]` is `timings.build`).
 ///
 /// Phases a given engine does not have (XML has no CN generation) stay at
-/// zero. `candidates` covers "build the per-keyword material" — tuple sets
+/// zero. `build` covers "build the per-keyword material" — tuple sets
 /// for relational, the node→keyword index for BLINKS, inverted-list lookups
 /// for XML.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -177,6 +214,32 @@ impl PhaseTimings {
     /// Sum over all phases.
     pub fn total(&self) -> Duration {
         self.parse + self.build + self.plan + self.evaluate + self.facets
+    }
+}
+
+impl Index<Phase> for PhaseTimings {
+    type Output = Duration;
+
+    fn index(&self, phase: Phase) -> &Duration {
+        match phase {
+            Phase::Parse => &self.parse,
+            Phase::Build => &self.build,
+            Phase::Plan => &self.plan,
+            Phase::Evaluate => &self.evaluate,
+            Phase::Facets => &self.facets,
+        }
+    }
+}
+
+impl IndexMut<Phase> for PhaseTimings {
+    fn index_mut(&mut self, phase: Phase) -> &mut Duration {
+        match phase {
+            Phase::Parse => &mut self.parse,
+            Phase::Build => &mut self.build,
+            Phase::Plan => &mut self.plan,
+            Phase::Evaluate => &mut self.evaluate,
+            Phase::Facets => &mut self.facets,
+        }
     }
 }
 
@@ -301,8 +364,10 @@ impl QueryStats {
     }
 }
 
-/// A tiny stopwatch for phase timing: `lap()` returns the time since the
-/// previous lap (or construction) and restarts.
+/// A tiny stopwatch: `lap()` returns the time since the previous lap (or
+/// construction) and restarts. Engines time a query's phases with its
+/// trace builder (`kwdb_obs::TraceBuilder`), not with this; it stays for
+/// `benchmark/`'s harness.
 #[derive(Debug)]
 pub struct Stopwatch {
     last: Instant,
@@ -525,5 +590,26 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(t.total(), a + b);
+    }
+
+    #[test]
+    fn phases_index_their_own_slot_in_pipeline_order() {
+        let mut t = PhaseTimings::default();
+        for (i, p) in Phase::ALL.into_iter().enumerate() {
+            t[p] = Duration::from_nanos(1 << i);
+        }
+        assert_eq!(
+            (t.parse, t.build, t.plan, t.evaluate, t.facets),
+            (
+                Duration::from_nanos(1),
+                Duration::from_nanos(2),
+                Duration::from_nanos(4),
+                Duration::from_nanos(8),
+                Duration::from_nanos(16),
+            )
+        );
+        assert!(Phase::ALL.is_sorted());
+        let names = Phase::ALL.map(Phase::name);
+        assert_eq!(names, ["parse", "build", "plan", "evaluate", "facets"]);
     }
 }

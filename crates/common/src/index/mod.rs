@@ -7,8 +7,8 @@
 //! own `HashMap<String, Vec<…>>`, re-hashing raw strings on every probe and
 //! cloning every term during build. The shared core instead:
 //!
-//! * interns each distinct term exactly once into a [`TermDict`]
-//!   ([`Sym`]-keyed, built on [`crate::intern::Interner`]);
+//! * interns each distinct term exactly once, to a dense [`Sym`] id
+//!   ([`crate::intern::Interner`]);
 //! * stores one [`PostingList`] per term in a [`TermIndex`], indexed by
 //!   `Sym`: a `Vec` sorted by the posting's [`Posting::sort_key`], the only
 //!   physical format, which adds and removals edit in place;
@@ -22,12 +22,10 @@
 //!
 //! [`Sym`]: crate::intern::Sym
 
-pub mod dict;
 pub mod kernels;
 pub mod posting;
 pub mod term_index;
 
-pub use dict::TermDict;
 pub use posting::{IndexStats, Posting, PostingCursor, PostingIter, PostingList, Postings};
 pub use term_index::TermIndex;
 

@@ -1,8 +1,8 @@
-//! The term index: a [`TermDict`] plus one sorted [`PostingList`] per term.
+//! The term index: an [`Interner`] of terms plus one sorted [`PostingList`]
+//! per term.
 
-use super::dict::TermDict;
 use super::posting::{IndexStats, Posting, PostingList, Postings};
-use crate::intern::Sym;
+use crate::intern::{Interner, Sym};
 
 /// Term dictionary + one posting list per [`Sym`] — the index core all three
 /// substrates store postings in.
@@ -13,7 +13,8 @@ use crate::intern::Sym;
 /// list, so a read sees exactly the postings added and not removed.
 #[derive(Debug, Clone)]
 pub struct TermIndex<P> {
-    dict: TermDict,
+    /// Each distinct term interned once, to a dense [`Sym`].
+    dict: Interner,
     /// Indexed by `Sym`: one list per dictionary term.
     lists: Vec<PostingList<P>>,
 }
@@ -21,7 +22,7 @@ pub struct TermIndex<P> {
 impl<P> Default for TermIndex<P> {
     fn default() -> Self {
         TermIndex {
-            dict: TermDict::new(),
+            dict: Interner::new(),
             lists: Vec::new(),
         }
     }
@@ -56,7 +57,7 @@ impl<P: Posting> TermIndex<P> {
 
     /// Resolve a query term to its dense id — once per query term.
     pub fn sym(&self, term: &str) -> Option<Sym> {
-        self.dict.lookup(term)
+        self.dict.get(term)
     }
 
     /// The postings of an interned term.
@@ -84,7 +85,7 @@ impl<P: Posting> TermIndex<P> {
 
     /// All indexed terms, in id order.
     pub fn terms(&self) -> impl Iterator<Item = &str> {
-        self.dict.terms()
+        self.dict.iter().map(|(_, term)| term)
     }
 
     /// Whole-index size figures.

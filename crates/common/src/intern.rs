@@ -1,7 +1,8 @@
 //! A simple string interner.
 //!
-//! The XML substrate interns element labels and the graph substrate interns
-//! node kinds; both need cheap `Copy` ids with O(1) both-way lookup.
+//! The term index ([`crate::index::TermIndex`]) interns its terms, the XML
+//! substrate element labels and the graph substrate node kinds; all need
+//! cheap `Copy` ids with O(1) both-way lookup.
 
 use std::collections::HashMap;
 

@@ -22,7 +22,9 @@ pub mod text;
 pub mod topk;
 pub mod value;
 
-pub use budget::{Budget, OperatorCounts, PhaseTimings, QueryStats, Stopwatch, TruncationReason};
+pub use budget::{
+    Budget, OperatorCounts, Phase, PhaseTimings, QueryStats, Stopwatch, TruncationReason,
+};
 pub use cache::{CacheConfig, CacheStats, Looked, ShardedCache};
 pub use error::{KwdbError, Result};
 pub use facet::{FacetCount, FacetCounts, FacetSpec, RangeBucket};

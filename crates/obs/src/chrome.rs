@@ -100,14 +100,16 @@ pub fn to_chrome_trace(trace: &QueryTrace) -> String {
 mod tests {
     use super::*;
     use crate::trace::{TraceBuilder, TraceLevel};
+    use kwdb_common::Phase;
 
     #[test]
     fn export_parses_and_nests_phases_inside_the_root() {
-        let mut tb = TraceBuilder::new(TraceLevel::Full, "relational/parallel_cn \"q\"");
-        tb.phase("parse");
-        tb.phase("evaluate");
+        let mut tb = TraceBuilder::start();
+        tb.record(TraceLevel::Full, || "relational/parallel_cn \"q\"".into());
+        tb.phase(Phase::Parse);
+        tb.phase(Phase::Evaluate);
         tb.event("budget verdict", || vec![("truncated".into(), "no".into())]);
-        let trace = tb.finish().unwrap();
+        let trace = tb.finish().1.unwrap();
 
         let doc = Json::parse(&to_chrome_trace(&trace)).unwrap();
         let events = doc.get("traceEvents").unwrap().as_arr().unwrap();

@@ -19,20 +19,19 @@
 //! can never clobber the latest query — it becomes the dropped one.
 //!
 //! The [`SamplePolicy`] decides which queries get their traces upgraded
-//! without the caller asking (1-in-N sampling, plus class-level promotion
-//! while an executor's live p99 sits above a fixed threshold) and which
-//! records are flagged slow at seal time (fixed threshold, or
-//! auto-tracking the live p99 from the latency histogram). The policy
-//! lives on the registry; engines consult it once per query.
+//! without the caller asking: a 1-in-N arrival counter. At seal time a
+//! record is flagged slow when it exceeds the live p99 of its class's
+//! latency histogram. The policy lives on the registry; engines consult it
+//! once per query.
 //!
 //! [`FlightDump`] serializes the ring as `kwdb-flightrec-v1` JSON (exact
 //! integers for all nanosecond fields) and parses it back — the format
 //! `kwdb-doctor` reads offline.
 
 use crate::json::{Json, JsonError};
-use crate::trace::{QueryTrace, TraceLevel};
+use crate::trace::QueryTrace;
 use kwdb_common::budget::TruncationReason;
-use kwdb_common::{PhaseTimings, QueryStats};
+use kwdb_common::{Phase, PhaseTimings, QueryStats};
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -117,7 +116,8 @@ pub struct QueryRecord {
     pub result_cache: CacheOutcome,
     /// Whether the trace was policy-promoted rather than caller-requested.
     pub sampled: bool,
-    /// Whether the query met the slow threshold at seal time.
+    /// Whether the query exceeded its class's live p99 at seal time (see
+    /// [`SamplePolicy`]).
     pub slow: bool,
     /// The engine's data generation this query executed against (0 for
     /// engines without mutation support).
@@ -181,71 +181,37 @@ impl QueryRecord {
     }
 }
 
-/// When a query counts as slow for the flight recorder's slow flag (and,
-/// for [`SlowThreshold::Fixed`], when an executor's queries get promoted to
-/// traced while its live p99 sits at or above the threshold).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SlowThreshold {
-    /// Never flag queries slow.
-    Off,
-    /// Flag queries whose end-to-end latency reaches the given duration.
-    Fixed(Duration),
-    /// Auto-track the live p99 of the query's `engine × algorithm` latency
-    /// histogram: a query is slow when it exceeds the p99 of the traffic
-    /// recorded before it (ignored until the histogram holds
-    /// [`SamplePolicy::AUTO_MIN_SAMPLES`] observations, so a cold engine
-    /// doesn't flag its warm-up).
-    AutoP99,
-}
-
-/// How the registry upgrades traces and flags slow queries without callers
-/// opting in per request.
+/// How the registry upgrades traces without callers opting in per request:
+/// every `sample_every`th query, across the whole registry in arrival
+/// order, is promoted to a [`Full`](crate::TraceLevel::Full) trace (`0`
+/// disables). Requests already tracing at `Full` are left alone and don't
+/// consume a tick.
+///
+/// The slow flag takes no setting: a record is slow when its total exceeds
+/// the live p99 of its `engine × algorithm` class over the traffic sealed
+/// before it, once the class holds
+/// [`AUTO_MIN_SAMPLES`](Self::AUTO_MIN_SAMPLES) observations (so a cold
+/// engine doesn't flag its warm-up).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SamplePolicy {
-    /// Promote every Nth query (across the whole registry, in arrival
-    /// order) to `level`; `0` disables count-based sampling.
     pub sample_every: u64,
-    /// The slow-query criterion (see [`SlowThreshold`]).
-    pub slow_threshold: SlowThreshold,
-    /// The trace level promoted queries get. Requests already at or above
-    /// it are left alone (and don't consume a sampling tick).
-    pub level: TraceLevel,
 }
 
 impl SamplePolicy {
     /// Observations an `engine × algorithm` latency histogram must hold
-    /// before [`SlowThreshold::AutoP99`] starts flagging queries.
+    /// before its queries can be flagged slow.
     pub const AUTO_MIN_SAMPLES: u64 = 32;
-
-    /// No promotion and no slow flagging — flight records still accumulate,
-    /// but only carry traces callers asked for.
-    pub fn off() -> Self {
-        SamplePolicy {
-            sample_every: 0,
-            slow_threshold: SlowThreshold::Off,
-            level: TraceLevel::Off,
-        }
-    }
 
     /// Promote every `n`th query to a full trace (`n = 0` disables).
     pub fn every(n: u64) -> Self {
-        SamplePolicy {
-            sample_every: n,
-            level: TraceLevel::Full,
-            ..Default::default()
-        }
+        SamplePolicy { sample_every: n }
     }
 }
 
 impl Default for SamplePolicy {
-    /// The always-on default: 1-in-128 full traces, slow queries flagged
-    /// against the live p99.
+    /// The always-on default: 1-in-128 full traces.
     fn default() -> Self {
-        SamplePolicy {
-            sample_every: 128,
-            slow_threshold: SlowThreshold::AutoP99,
-            level: TraceLevel::Full,
-        }
+        SamplePolicy::every(128)
     }
 }
 
@@ -382,13 +348,11 @@ impl FlightDump {
                     ("total_ns".into(), ns(r.total())),
                     (
                         "phases".into(),
-                        Json::Obj(vec![
-                            ("parse".into(), ns(r.phases.parse)),
-                            ("build".into(), ns(r.phases.build)),
-                            ("plan".into(), ns(r.phases.plan)),
-                            ("evaluate".into(), ns(r.phases.evaluate)),
-                            ("facets".into(), ns(r.phases.facets)),
-                        ]),
+                        Json::Obj(
+                            Phase::ALL
+                                .map(|p| (p.name().into(), ns(r.phases[p])))
+                                .into(),
+                        ),
                     ),
                     (
                         "truncation".into(),
@@ -454,14 +418,11 @@ impl FlightDump {
             let p = r
                 .get("phases")
                 .ok_or_else(|| bad("record missing \"phases\""))?;
-            let pns = |what: &str| num(p.get(what), what).map(Duration::from_nanos);
-            let phases = PhaseTimings {
-                parse: pns("parse")?,
-                build: pns("build")?,
-                plan: pns("plan")?,
-                evaluate: pns("evaluate")?,
-                facets: pns("facets")?,
-            };
+            let mut phases = PhaseTimings::default();
+            for phase in Phase::ALL {
+                let name = phase.name();
+                phases[phase] = Duration::from_nanos(num(p.get(name), name)?);
+            }
             let truncation = match r.get("truncation") {
                 Some(Json::Null) | None => None,
                 Some(v) => Some(

@@ -15,17 +15,19 @@
 //!   only and concurrent dispatcher workers never serialize on it.
 //! * [`QueryTrace`] — a structured span tree of one query (phases →
 //!   operator events with timestamps, counter deltas, budget verdicts,
-//!   cache outcomes), built through a [`TraceBuilder`] gated by the
-//!   [`TraceLevel`] knob on a request, rendered as an `EXPLAIN
-//!   ANALYZE`-style text tree or JSON.
+//!   cache outcomes), built through a [`TraceBuilder`] — the query's one
+//!   clock, which also fills its per-phase timings — at the [`TraceLevel`]
+//!   a request asks for, rendered as an `EXPLAIN ANALYZE`-style text tree
+//!   or JSON.
 //! * [`FlightRecorder`] — a bounded, lock-striped ring of the last N
 //!   queries, always on once a registry is attached: every sealed query
 //!   appends a compact [`QueryRecord`] (engine, executor, redacted digest,
 //!   per-phase durations, truncation/cache outcome, and the trace when one
-//!   exists). A [`SamplePolicy`] on the registry upgrades selected queries
-//!   to traced without the caller asking (1-in-N plus slow-query
-//!   promotion), so tail-latency forensics works after the fact — dump
-//!   with [`FlightDump::to_json`] and analyze offline with `kwdb-doctor`.
+//!   exists). A [`SamplePolicy`] on the registry upgrades 1 query in N to
+//!   a full trace without the caller asking, and a record above its
+//!   class's live p99 is flagged slow, so tail-latency forensics works
+//!   after the fact — dump with [`FlightDump::to_json`] and analyze
+//!   offline with `kwdb-doctor`.
 //! * Exporters — [`export::to_prometheus`] (text exposition format with
 //!   `# HELP`/`# TYPE` headers), [`export::to_json`]/[`export::from_json`]
 //!   (an exact round-trip the bench harness uses to emit `BENCH_*.json`
@@ -58,7 +60,6 @@ pub mod trace;
 
 pub use flight::{
     query_digest, CacheOutcome, FlightDump, FlightRecorder, QueryRecord, SamplePolicy,
-    SlowThreshold,
 };
 pub use hist::{Histogram, HistogramSnapshot};
 pub use record::{

@@ -24,10 +24,9 @@
 use crate::flight::QueryRecord;
 use crate::hist::Histogram;
 use crate::registry::{Counter, MetricsRegistry};
-use crate::trace::TraceLevel;
 use kwdb_common::budget::TruncationReason;
 use kwdb_common::index::IndexStats;
-use kwdb_common::QueryStats;
+use kwdb_common::{Phase, QueryStats};
 use std::sync::{Arc, OnceLock};
 
 /// Stable metric family names: the per-query families recorded by
@@ -175,7 +174,7 @@ pub mod families {
 struct QueryInstruments {
     queries: Arc<Counter>,
     latency: Arc<Histogram>,
-    /// parse, build, plan, evaluate, facets.
+    /// By [`Phase`], in [`Phase::ALL`] order.
     phases: [Arc<Histogram>; 5],
     /// In [`Self::record`]'s order.
     operators: [Arc<Counter>; 6],
@@ -203,7 +202,7 @@ impl QueryInstruments {
         QueryInstruments {
             queries: reg.counter(families::QUERIES, &ea),
             latency: reg.histogram(families::QUERY_LATENCY, &ea),
-            phases: ["parse", "build", "plan", "evaluate", "facets"].map(phase),
+            phases: Phase::ALL.map(|p| phase(p.name())),
             operators: [
                 "tuples_scanned",
                 "join_probes",
@@ -233,13 +232,8 @@ impl QueryInstruments {
     fn record(&self, stats: &QueryStats) {
         self.queries.inc();
         self.latency.record_duration(stats.phases.total());
-        let p = &stats.phases;
-        for (hist, d) in self
-            .phases
-            .iter()
-            .zip([p.parse, p.build, p.plan, p.evaluate, p.facets])
-        {
-            hist.record_duration(d);
+        for (hist, phase) in self.phases.iter().zip(Phase::ALL) {
+            hist.record_duration(stats.phases[phase]);
         }
         let o = &stats.operators;
         for (counter, n) in self.operators.iter().zip([
@@ -344,19 +338,11 @@ impl EngineInstruments {
             .unwrap_or_else(|| panic!("{}: undeclared algorithm {algorithm:?}", self.engine))
     }
 
-    /// The effective trace level for one arriving query of class
-    /// `algorithm` — see [`MetricsRegistry::sample_trace_level`].
-    pub fn sample_trace_level(&self, algorithm: &str, requested: TraceLevel) -> (TraceLevel, bool) {
-        let latency = self.class(algorithm).instruments.get();
-        self.registry
-            .sample_trace_level(latency.map(|q| &*q.latency), requested)
-    }
-
     /// Seal one query: append `record` to the flight recorder, then fold
     /// `stats`, the truncation verdict and — for a request that asked for
     /// facets — the facet outcome into the registry. The flight record goes
-    /// first, so an AutoP99 slow threshold compares this query against the
-    /// traffic recorded *before* it.
+    /// first, so the slow flag compares this query against the traffic
+    /// recorded *before* it.
     ///
     /// ```
     /// use kwdb_common::QueryStats;

@@ -13,7 +13,7 @@
 //! [`crate::record::EngineInstruments`]); string-keyed lookups are for
 //! set-up, mutation and the rare branches.
 
-use crate::flight::{FlightRecorder, QueryRecord, SamplePolicy, SlowThreshold};
+use crate::flight::{FlightRecorder, QueryRecord, SamplePolicy};
 use crate::hist::{Histogram, HistogramSnapshot};
 use crate::record::families;
 use crate::trace::TraceLevel;
@@ -148,11 +148,11 @@ struct Families {
 /// The thread-safe registry of all metric instruments — plus the query
 /// [`FlightRecorder`] and its [`SamplePolicy`], so flight recording is
 /// always on wherever a registry is attached (no per-engine plumbing).
-#[derive(Default)]
 pub struct MetricsRegistry {
     inner: RwLock<Families>,
     flight: FlightRecorder,
-    policy: RwLock<SamplePolicy>,
+    /// [`SamplePolicy::sample_every`].
+    sample_every: AtomicU64,
     /// Global arrival counter driving 1-in-N trace sampling; deterministic
     /// under serial execution.
     sample_seq: AtomicU64,
@@ -161,6 +161,19 @@ pub struct MetricsRegistry {
     flight_engines: RwLock<Vec<(String, FlightCounters)>>,
     /// `kwdb_flightrec_entries`, resolved at the first record.
     flight_entries: OnceLock<Arc<Gauge>>,
+}
+
+impl Default for MetricsRegistry {
+    fn default() -> Self {
+        MetricsRegistry {
+            inner: RwLock::default(),
+            flight: FlightRecorder::default(),
+            sample_every: AtomicU64::new(SamplePolicy::default().sample_every),
+            sample_seq: AtomicU64::new(0),
+            flight_engines: RwLock::default(),
+            flight_entries: OnceLock::new(),
+        }
+    }
 }
 
 /// One engine's `kwdb_trace_sampled_total` and
@@ -207,76 +220,50 @@ impl MetricsRegistry {
         &self.flight
     }
 
-    /// The current trace sampling / slow-query policy.
+    /// The current trace sampling policy.
     pub fn sample_policy(&self) -> SamplePolicy {
-        *self.policy.read().expect("sample policy poisoned")
+        SamplePolicy::every(self.sample_every.load(Ordering::Relaxed))
     }
 
-    /// Replace the trace sampling / slow-query policy.
+    /// Replace the trace sampling policy.
     pub fn set_sample_policy(&self, policy: SamplePolicy) {
-        *self.policy.write().expect("sample policy poisoned") = policy;
+        self.sample_every
+            .store(policy.sample_every, Ordering::Relaxed);
     }
 
     /// Decide the effective trace level for one arriving query: the
-    /// caller's `requested` level, possibly upgraded to the policy's level.
-    /// Returns `(level, sampled)` where `sampled` marks a policy promotion
-    /// (counted into `kwdb_trace_sampled_total` at seal time).
-    ///
-    /// Promotion fires on the 1-in-N arrival counter, or — with a
-    /// [`SlowThreshold::Fixed`] policy — for every query of an
-    /// `engine × algorithm` class whose live p99 sits at or above the
-    /// threshold, so a currently-slow executor's queries arrive in the
-    /// recorder *with* their span trees. `latency` is that class's
-    /// end-to-end latency histogram, `None` while the class has sealed
-    /// nothing. Requests already tracing at or above the policy level pass
-    /// through untouched and don't consume a sampling tick.
-    pub fn sample_trace_level(
-        &self,
-        latency: Option<&Histogram>,
-        requested: TraceLevel,
-    ) -> (TraceLevel, bool) {
-        let p = self.sample_policy();
-        if p.level == TraceLevel::Off || requested >= p.level {
+    /// caller's `requested` level, or [`TraceLevel::Full`] when the
+    /// policy's 1-in-N arrival counter fires. Returns `(level, sampled)`
+    /// where `sampled` marks a promotion (counted into
+    /// `kwdb_trace_sampled_total` at seal time). Requests already tracing
+    /// at `Full` pass through untouched and don't consume a tick.
+    pub fn sample_trace_level(&self, requested: TraceLevel) -> (TraceLevel, bool) {
+        let every = self.sample_every.load(Ordering::Relaxed);
+        if every == 0 || requested >= TraceLevel::Full {
             return (requested, false);
         }
-        let mut promote = false;
-        if p.sample_every > 0 {
-            let n = self.sample_seq.fetch_add(1, Ordering::Relaxed) + 1;
-            promote = n.is_multiple_of(p.sample_every);
-        }
-        if !promote {
-            if let (SlowThreshold::Fixed(d), Some(h)) = (p.slow_threshold, latency) {
-                promote =
-                    h.count() > 0 && h.quantile(0.99) >= d.as_nanos().min(u64::MAX as u128) as u64;
-            }
-        }
-        if promote {
-            (p.level, true)
+        let n = self.sample_seq.fetch_add(1, Ordering::Relaxed) + 1;
+        if n.is_multiple_of(every) {
+            (TraceLevel::Full, true)
         } else {
             (requested, false)
         }
     }
 
     /// Seal-time flight recording: decide the record's slow flag against
-    /// the policy, append it to the ring, and keep the recorder's
+    /// its class's live p99, append it to the ring, and keep the recorder's
     /// self-metrics current (`kwdb_flightrec_entries`,
     /// `kwdb_flightrec_dropped_total` by the overwritten record's engine,
     /// `kwdb_trace_sampled_total`).
     ///
     /// `latency` is the end-to-end latency histogram of the record's
     /// `engine × algorithm` class. Call *before* folding this query into it
-    /// so an [`SlowThreshold::AutoP99`] threshold compares the query against
-    /// the traffic that preceded it.
+    /// so the slow flag compares the query against the traffic that
+    /// preceded it (see [`SamplePolicy`]).
     pub fn record_flight(&self, mut rec: QueryRecord, latency: &Histogram) {
         let total_ns = rec.total().as_nanos().min(u64::MAX as u128) as u64;
-        rec.slow = match self.sample_policy().slow_threshold {
-            SlowThreshold::Off => false,
-            SlowThreshold::Fixed(d) => total_ns >= d.as_nanos().min(u64::MAX as u128) as u64,
-            SlowThreshold::AutoP99 => {
-                latency.count() >= SamplePolicy::AUTO_MIN_SAMPLES
-                    && total_ns > latency.quantile(0.99)
-            }
-        };
+        rec.slow =
+            latency.count() >= SamplePolicy::AUTO_MIN_SAMPLES && total_ns > latency.quantile(0.99);
         let (engine, sampled) = (rec.engine.clone(), rec.sampled);
         let displaced = self.flight.append(rec);
         let own_drop = displaced.as_ref().is_some_and(|old| old.engine == engine);
@@ -520,18 +507,30 @@ mod tests {
         let reg = MetricsRegistry::new();
         reg.set_sample_policy(SamplePolicy::every(3));
         let picks: Vec<bool> = (0..9)
-            .map(|_| reg.sample_trace_level(None, TraceLevel::Off).1)
+            .map(|_| reg.sample_trace_level(TraceLevel::Off).1)
             .collect();
         assert_eq!(
             picks,
             vec![false, false, true, false, false, true, false, false, true]
         );
         // an already-traced request passes through and consumes no tick
-        let (level, sampled) = reg.sample_trace_level(None, TraceLevel::Full);
+        let (level, sampled) = reg.sample_trace_level(TraceLevel::Full);
         assert_eq!(level, TraceLevel::Full);
         assert!(!sampled);
-        let (_, next) = reg.sample_trace_level(None, TraceLevel::Off);
+        let (_, next) = reg.sample_trace_level(TraceLevel::Off);
         assert!(!next, "tick 10 of every(3) must not fire");
+        // a promotion is always to a full trace
+        reg.sample_trace_level(TraceLevel::Off);
+        assert_eq!(
+            reg.sample_trace_level(TraceLevel::Phases),
+            (TraceLevel::Full, true)
+        );
+        reg.set_sample_policy(SamplePolicy::every(0));
+        assert!((0..9).all(|_| !reg.sample_trace_level(TraceLevel::Off).1));
+        assert_eq!(
+            MetricsRegistry::new().sample_policy(),
+            SamplePolicy::every(128)
+        );
     }
 
     #[test]
@@ -590,47 +589,37 @@ mod tests {
         );
     }
 
+    /// The slow flag: a record is slow when its total exceeds the live p99
+    /// of its class over the traffic sealed before it, and never while the
+    /// class holds fewer than `AUTO_MIN_SAMPLES` observations.
     #[test]
-    fn fixed_threshold_promotes_a_class_whose_live_p99_is_slow() {
+    fn slow_flag_tracks_the_live_p99_of_the_traffic_sealed_before() {
         let reg = MetricsRegistry::new();
-        reg.set_sample_policy(SamplePolicy {
-            sample_every: 0,
-            slow_threshold: SlowThreshold::Fixed(std::time::Duration::from_micros(10)),
-            level: TraceLevel::Phases,
-        });
         let latency = Histogram::new();
-        let promoted = |h: Option<&Histogram>| reg.sample_trace_level(h, TraceLevel::Off).1;
-        assert!(!promoted(None), "a class that sealed nothing is not slow");
-        assert!(!promoted(Some(&latency)), "nor is an empty histogram");
-        latency.record(500);
-        assert!(!promoted(Some(&latency)));
-        latency.record(20_000);
-        assert!(promoted(Some(&latency)));
-    }
-
-    #[test]
-    fn fixed_threshold_flags_slow_queries() {
-        let reg = MetricsRegistry::new();
-        reg.set_sample_policy(SamplePolicy {
-            sample_every: 0,
-            slow_threshold: SlowThreshold::Fixed(std::time::Duration::from_micros(10)),
-            level: TraceLevel::Off,
-        });
-        let mut fast = kwdb_common::QueryStats::new();
-        fast.phases.evaluate = std::time::Duration::from_nanos(500);
-        let mut slow = kwdb_common::QueryStats::new();
-        slow.phases.evaluate = std::time::Duration::from_micros(20);
-        for stats in [&fast, &slow] {
-            record(
-                &reg,
-                QueryRecord::new("xml", "slca", "q", 1, stats, None, false, None),
-            );
+        // As `EngineInstruments::seal` does: the flight record first, then
+        // the class histogram.
+        let seal = |total_ns: u64| {
+            let mut stats = kwdb_common::QueryStats::new();
+            stats.phases.evaluate = std::time::Duration::from_nanos(total_ns);
+            let rec = QueryRecord::new("xml", "slca", "q", 1, &stats, None, false, None);
+            reg.record_flight(rec, &latency);
+            latency.record(total_ns);
+            reg.flight()
+                .dump()
+                .records
+                .last()
+                .expect("just sealed")
+                .slow
+        };
+        // Each warm-up record is slower than all before it; none is flagged.
+        for total_ns in 1_000..1_000 + SamplePolicy::AUTO_MIN_SAMPLES {
+            assert!(!seal(total_ns), "{total_ns} ns flagged during warm-up");
         }
-        let dump = reg.flight().dump();
-        assert_eq!(
-            dump.records.iter().map(|r| r.slow).collect::<Vec<_>>(),
-            vec![false, true]
-        );
+        // Under 100 observations the p99 is the slowest one seen.
+        assert_eq!(latency.quantile(0.99), 1_031);
+        assert!(!seal(1_031), "at the p99 is not slow");
+        assert!(seal(1_032), "above the p99 is slow");
+        assert!(!seal(500), "below the p99 is not slow");
     }
 
     #[test]

@@ -2,14 +2,15 @@
 //! execution.
 //!
 //! A [`QueryTrace`] is a span tree — the query root, one span per pipeline
-//! phase (parse → build → plan → evaluate), and inside each span the
-//! operator events that matter for diagnosis: plan-cache outcomes, budget
-//! verdicts, counter deltas. Engines build it through a [`TraceBuilder`]
-//! attached to the request's [`TraceLevel`] knob:
+//! [`Phase`] the query ran (parse → build → plan → evaluate → facets), and
+//! inside each span the operator events that matter for diagnosis:
+//! plan-cache outcomes, budget verdicts, counter deltas. Engines build it
+//! through a [`TraceBuilder`], the query's one clock, which records at the
+//! request's [`TraceLevel`]:
 //!
-//! * [`TraceLevel::Off`] (the default) — the builder is a no-op holding no
-//!   allocation; every call is a branch on a `None` and event closures are
-//!   never invoked, so tracing costs nothing unless asked for.
+//! * [`TraceLevel::Off`] (the default) — the builder only keeps the
+//!   phase timings: it allocates nothing and event closures are never
+//!   invoked, so tracing costs nothing unless asked for.
 //! * [`TraceLevel::Phases`] — phase spans with wall-clock timings.
 //! * [`TraceLevel::Full`] — phases plus operator events and counter deltas.
 //!
@@ -17,6 +18,7 @@
 //! [`QueryTrace::to_json`] for tooling.
 
 use crate::json::{Json, JsonError};
+use kwdb_common::{Phase, PhaseTimings};
 use std::time::{Duration, Instant};
 
 /// How much tracing a request wants.
@@ -266,93 +268,138 @@ fn fmt_duration(d: Duration) -> String {
     }
 }
 
-struct BuilderInner {
+/// What a recording builder keeps besides the clock.
+struct Recording {
     level: TraceLevel,
     label: String,
-    start: Instant,
     phases: Vec<PhaseSpan>,
-    /// Name and start offset of the currently open phase.
-    open: Option<(String, Duration)>,
-    open_events: Vec<TraceEvent>,
+    /// Events of the open phase.
+    events: Vec<TraceEvent>,
 }
 
-/// Incrementally builds a [`QueryTrace`] along an engine's linear pipeline.
+/// The query's clock, and the builder of its [`QueryTrace`].
 ///
-/// Constructed with [`TraceLevel::Off`] it holds nothing and does nothing —
-/// the `Option` is `None`, every method is one branch.
-pub struct TraceBuilder(Option<BuilderInner>);
+/// One clock times every phase: [`phase`](Self::phase) opens a [`Phase`],
+/// and the next `phase` or [`stop`](Self::stop) takes one lap and writes
+/// that one `Duration` into the phase's [`PhaseTimings`] slot and, when
+/// recording, into its span — so a span and its slot agree bit for bit. A
+/// phase opened while nothing is open starts at the last lap, not at the
+/// call: the time since the clock stopped belongs to the phase that
+/// follows, and the spans are contiguous from zero to the trace's total.
+/// Each phase opens at most once, in [`Phase::ALL`] order.
+///
+/// Not recording ([`TraceLevel::Off`], the default) the builder allocates
+/// nothing and an event is one branch; its closure never runs.
+pub struct TraceBuilder {
+    start: Instant,
+    /// Offset of the last lap from `start`.
+    mark: Duration,
+    open: Option<Phase>,
+    /// The phase opened last, open or not.
+    last: Option<Phase>,
+    timings: PhaseTimings,
+    recording: Option<Recording>,
+}
 
 impl TraceBuilder {
-    pub fn new(level: TraceLevel, label: impl Into<String>) -> Self {
-        match level {
-            TraceLevel::Off => TraceBuilder(None),
-            _ => TraceBuilder(Some(BuilderInner {
-                level,
-                label: label.into(),
-                start: Instant::now(),
-                phases: Vec::new(),
-                open: None,
-                open_events: Vec::new(),
-            })),
+    /// Start the clock, with no phase open and nothing recorded.
+    pub fn start() -> Self {
+        TraceBuilder {
+            start: Instant::now(),
+            mark: Duration::ZERO,
+            open: None,
+            last: None,
+            timings: PhaseTimings::default(),
+            recording: None,
         }
     }
 
-    /// A disabled builder (same as `new(TraceLevel::Off, ..)`).
-    pub fn off() -> Self {
-        TraceBuilder(None)
+    /// Record the trace at `level` from here on, labelled by what `label`
+    /// returns; at [`TraceLevel::Off`] nothing is recorded and `label` is
+    /// not called. Spans closed from now on are recorded whole, events only
+    /// from now on.
+    pub fn record(&mut self, level: TraceLevel, label: impl FnOnce() -> String) {
+        if level != TraceLevel::Off {
+            self.recording = Some(Recording {
+                level,
+                label: label(),
+                phases: Vec::new(),
+                events: Vec::new(),
+            });
+        }
     }
 
-    /// Whether anything is being recorded at all.
-    pub fn enabled(&self) -> bool {
-        self.0.is_some()
+    /// Close the open phase, if any, and open `phase`.
+    pub fn phase(&mut self, phase: Phase) {
+        debug_assert!(
+            self.last.is_none_or(|last| last < phase),
+            "{phase:?} opened after {:?}",
+            self.last
+        );
+        self.stop();
+        self.open = Some(phase);
+        self.last = Some(phase);
     }
 
-    /// Close the open phase (if any) and open a new one named `name`.
-    pub fn phase(&mut self, name: &str) {
-        let Some(inner) = &mut self.0 else { return };
-        let now = inner.start.elapsed();
-        Self::close_open(inner, now);
-        inner.open = Some((name.to_string(), now));
+    /// Close the open phase, if any: one lap. With nothing open it reads
+    /// no clock.
+    pub fn stop(&mut self) {
+        let Some(phase) = self.open.take() else {
+            return;
+        };
+        let now = self.start.elapsed();
+        let duration = now.saturating_sub(self.mark);
+        self.timings[phase] = duration;
+        if let Some(r) = &mut self.recording {
+            r.phases.push(PhaseSpan {
+                name: phase.name().to_string(),
+                start: self.mark,
+                duration,
+                events: std::mem::take(&mut r.events),
+            });
+        }
+        self.mark = now;
     }
 
-    /// Record an event in the open phase. `fields` is only invoked at
+    /// The phases closed so far.
+    pub fn timings(&self) -> &PhaseTimings {
+        &self.timings
+    }
+
+    /// Record an event in the open phase (between phases: in the next one,
+    /// or after the last one closed, in that). `fields` is only invoked at
     /// [`TraceLevel::Full`], so building the payload costs nothing below it.
     pub fn event<F>(&mut self, message: &str, fields: F)
     where
         F: FnOnce() -> Vec<(String, String)>,
     {
-        let Some(inner) = &mut self.0 else { return };
-        if inner.level < TraceLevel::Full {
+        let Some(r) = &mut self.recording else { return };
+        if r.level < TraceLevel::Full {
             return;
         }
-        inner.open_events.push(TraceEvent {
-            at: inner.start.elapsed(),
+        r.events.push(TraceEvent {
+            at: self.start.elapsed(),
             message: message.to_string(),
             fields: fields(),
         });
     }
 
-    /// Close the open phase and produce the trace (`None` when disabled).
-    pub fn finish(mut self) -> Option<QueryTrace> {
-        let mut inner = self.0.take()?;
-        let now = inner.start.elapsed();
-        Self::close_open(&mut inner, now);
-        Some(QueryTrace {
-            label: inner.label,
-            total: now,
-            phases: inner.phases,
-        })
-    }
-
-    fn close_open(inner: &mut BuilderInner, now: Duration) {
-        if let Some((name, started)) = inner.open.take() {
-            inner.phases.push(PhaseSpan {
-                name,
-                start: started,
-                duration: now.saturating_sub(started),
-                events: std::mem::take(&mut inner.open_events),
-            });
-        }
+    /// Stop the clock and hand back the phase timings and the trace (`None`
+    /// when not recording), whose total is the last lap: the phase sum.
+    /// Events recorded after the last phase closed join its span.
+    pub fn finish(mut self) -> (PhaseTimings, Option<QueryTrace>) {
+        self.stop();
+        let trace = self.recording.map(|mut r| {
+            if let Some(last) = r.phases.last_mut() {
+                last.events.append(&mut r.events);
+            }
+            QueryTrace {
+                label: r.label,
+                total: self.mark,
+                phases: r.phases,
+            }
+        });
+        (self.timings, trace)
     }
 }
 
@@ -360,31 +407,41 @@ impl TraceBuilder {
 mod tests {
     use super::*;
 
+    fn recording(level: TraceLevel, label: &str) -> TraceBuilder {
+        let mut tb = TraceBuilder::start();
+        tb.record(level, || label.to_string());
+        tb
+    }
+
     #[test]
-    fn off_builder_produces_nothing() {
-        let mut tb = TraceBuilder::new(TraceLevel::Off, "x");
-        assert!(!tb.enabled());
-        tb.phase("parse");
+    fn off_builder_times_phases_and_records_nothing() {
+        let mut tb = TraceBuilder::start();
+        tb.phase(Phase::Parse);
         let mut called = false;
         tb.event("should not run", || {
             called = true;
             vec![]
         });
-        assert!(!called, "event closure must not run when disabled");
-        assert!(tb.finish().is_none());
+        tb.phase(Phase::Evaluate);
+        std::thread::sleep(Duration::from_millis(1));
+        let (timings, trace) = tb.finish();
+        assert!(!called, "event closure must not run when not recording");
+        assert!(trace.is_none());
+        assert!(timings.evaluate >= Duration::from_millis(1));
+        assert_eq!(timings.build, Duration::ZERO, "a phase never opened");
     }
 
     #[test]
     fn phases_level_skips_events() {
-        let mut tb = TraceBuilder::new(TraceLevel::Phases, "g: q");
-        tb.phase("parse");
+        let mut tb = recording(TraceLevel::Phases, "g: q");
+        tb.phase(Phase::Parse);
         let mut called = false;
         tb.event("skipped", || {
             called = true;
             vec![]
         });
-        tb.phase("evaluate");
-        let trace = tb.finish().unwrap();
+        tb.phase(Phase::Evaluate);
+        let trace = tb.finish().1.unwrap();
         assert!(!called);
         assert_eq!(trace.phases.len(), 2);
         assert!(trace.phases.iter().all(|p| p.events.is_empty()));
@@ -394,18 +451,18 @@ mod tests {
 
     #[test]
     fn full_trace_renders_text_and_json() {
-        let mut tb = TraceBuilder::new(TraceLevel::Full, "relational: \"data query\"");
-        tb.phase("parse");
-        tb.phase("plan");
+        let mut tb = recording(TraceLevel::Full, "relational: \"data query\"");
+        tb.phase(Phase::Parse);
+        tb.phase(Phase::Plan);
         tb.event("plan cache", || {
             vec![
                 ("outcome".into(), "miss".into()),
                 ("cns".into(), "42".into()),
             ]
         });
-        tb.phase("evaluate");
+        tb.phase(Phase::Evaluate);
         tb.event("budget verdict", || vec![("truncated".into(), "no".into())]);
-        let trace = tb.finish().unwrap();
+        let trace = tb.finish().1.unwrap();
 
         let text = trace.render_text();
         assert!(text.starts_with("Query relational"));
@@ -461,22 +518,22 @@ mod tests {
 
     #[test]
     fn small_trace_round_trips_through_json() {
-        let mut tb = TraceBuilder::new(TraceLevel::Full, "xml/slca \"q\"");
-        tb.phase("parse");
-        tb.phase("evaluate");
+        let mut tb = recording(TraceLevel::Full, "xml/slca \"q\"");
+        tb.phase(Phase::Parse);
+        tb.phase(Phase::Evaluate);
         tb.event("slca", || vec![("roots".into(), "4".into())]);
-        let trace = tb.finish().unwrap();
+        let trace = tb.finish().1.unwrap();
         assert_eq!(QueryTrace::from_json(&trace.to_json()).unwrap(), trace);
         assert!(QueryTrace::from_json("{\"label\":\"x\"}").is_err());
     }
 
     #[test]
     fn prepend_span_shifts_phases_and_grows_total() {
-        let mut tb = TraceBuilder::new(TraceLevel::Full, "x");
-        tb.phase("parse");
+        let mut tb = recording(TraceLevel::Full, "x");
+        tb.phase(Phase::Parse);
         tb.event("keywords", Vec::new);
-        tb.phase("evaluate");
-        let mut trace = tb.finish().unwrap();
+        tb.phase(Phase::Evaluate);
+        let mut trace = tb.finish().1.unwrap();
         let orig = trace.clone();
         let wait = Duration::from_micros(250);
         trace.prepend_span("queue_wait", wait);
@@ -494,16 +551,38 @@ mod tests {
         }
     }
 
+    /// One clock: each span's duration is its phase's slot, bit for bit; a
+    /// phase opened after a stop starts at that stop, so the spans tile
+    /// the trace from zero to its total, and the total is the phase sum.
     #[test]
-    fn spans_nest_inside_total() {
-        let mut tb = TraceBuilder::new(TraceLevel::Phases, "x");
-        tb.phase("a");
+    fn spans_are_the_phase_timings_and_tile_the_total() {
+        let mut tb = recording(TraceLevel::Phases, "x");
+        tb.phase(Phase::Parse);
         std::thread::sleep(Duration::from_millis(2));
-        tb.phase("b");
-        let t = tb.finish().unwrap();
-        assert!(t.phases[0].duration >= Duration::from_millis(1));
-        let end0 = t.phases[0].start + t.phases[0].duration;
-        assert!(end0 <= t.total + Duration::from_micros(1));
-        assert!(t.phases[1].start >= t.phases[0].start);
+        tb.stop();
+        // the gap between a stop and the next phase is that phase's
+        std::thread::sleep(Duration::from_millis(2));
+        tb.phase(Phase::Build);
+        tb.phase(Phase::Evaluate);
+        let (timings, trace) = tb.finish();
+        let t = trace.unwrap();
+        assert!(t.phases[0].duration >= Duration::from_millis(2));
+        assert!(t.phases[1].duration >= Duration::from_millis(2));
+        let mut end = Duration::ZERO;
+        for (span, phase) in t
+            .phases
+            .iter()
+            .zip([Phase::Parse, Phase::Build, Phase::Evaluate])
+        {
+            assert_eq!(span.name, phase.name());
+            assert_eq!(span.duration, timings[phase]);
+            assert_eq!(
+                span.start, end,
+                "{} starts where the last lap ended",
+                span.name
+            );
+            end = span.start + span.duration;
+        }
+        assert_eq!((t.total, t.total), (end, timings.total()));
     }
 }

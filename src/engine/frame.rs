@@ -3,14 +3,14 @@
 //! An engine fills in a [`QueryFrame`] (its labels, generation, result cache
 //! and sizing hooks) and hands [`run_query`] two closures — `clean` over the
 //! parsed keywords and `run`, its evaluate body. The frame owns everything
-//! else: trace sampling, parsing, the early returns, the result-cache
-//! consult and the seal ([`finish_response`]).
+//! else: the query's clock, trace sampling, parsing, the early returns, the
+//! result-cache consult and the seal ([`finish_response`]).
 
 use super::{SearchRequest, SearchResponse};
 use kwdb_common::text::parse_query;
 use kwdb_common::{
-    CacheConfig, FacetCounts, FacetSpec, Looked, QueryStats, RangeBucket, Result, ShardedCache,
-    Stopwatch, TruncationReason,
+    CacheConfig, FacetCounts, FacetSpec, Looked, Phase, QueryStats, RangeBucket, Result,
+    ShardedCache, TruncationReason,
 };
 use kwdb_obs::{
     families, Counter, EngineInstruments, FacetOutcome, Gauge, QueryRecord, TraceBuilder,
@@ -99,19 +99,27 @@ pub(super) fn trace_verdict(tb: &mut TraceBuilder, truncation: Option<Truncation
     });
 }
 
-/// The one query pipeline all three engines share. It owns trace sampling,
-/// the parse phase, the empty-query and exhausted-budget early returns, the
-/// result-cache consult (admit → key → singleflight compute → store, or hit
-/// re-stamp) and the seal; the engine supplies `clean` (a hook over the
-/// parsed keywords — identity except for relational query cleaning) and
-/// `run`, its evaluate body, which fills in `stats` and `trace` and is the
-/// cacheable unit: called directly when the cache does not admit the
-/// request, as the singleflight leader's compute when it does.
+/// The one query pipeline all three engines share. It owns the query's
+/// clock ([`TraceBuilder`]), trace sampling, the parse phase, the
+/// empty-query and exhausted-budget early returns, the result-cache consult
+/// (admit → key → singleflight compute → store, or hit re-stamp) and the
+/// seal; the engine supplies `clean` (a hook over the parsed keywords —
+/// identity except for relational query cleaning) and `run`, its evaluate
+/// body, which fills in `stats`, opens its phases on the clock
+/// (`tb.phase(Phase::Build)`, …) and is the cacheable unit: called directly
+/// when the cache does not admit the request, as the singleflight leader's
+/// compute when it does.
+///
+/// The clock starts before the sampling decision with the parse phase
+/// open and stops after `clean`, and again right after `run` returns. A
+/// stopped clock's next phase starts where it stopped, so the key, the
+/// consult and whatever `run` does before its first phase are that
+/// phase's time; nothing after the last stop is in the phase sum.
 ///
 /// # What a hit pays
 ///
 /// A request answered from the result cache runs, in order: the trace
-/// sampling decision (one policy read and one atomic tick), `parse_query`
+/// sampling decision (one atomic load and one atomic tick), `parse_query`
 /// and `clean`, the [`ResultKey`] (the request's fields written into one
 /// buffer sized up front and hashed once: one allocation whatever facets
 /// and refinements the request carries, and one more for the term
@@ -129,12 +137,7 @@ pub(super) fn run_query<H: Clone>(
     frame: &QueryFrame<'_, H>,
     req: &SearchRequest,
     clean: impl FnOnce(Vec<String>, &mut TraceBuilder) -> Result<Vec<String>>,
-    run: impl FnOnce(
-        &[String],
-        &mut QueryStats,
-        &mut Stopwatch,
-        &mut TraceBuilder,
-    ) -> Result<Evaluated<H>>,
+    run: impl FnOnce(&[String], &mut QueryStats, &mut TraceBuilder) -> Result<Evaluated<H>>,
 ) -> Result<SearchResponse<H>> {
     let &QueryFrame {
         obs,
@@ -144,32 +147,33 @@ pub(super) fn run_query<H: Clone>(
         ..
     } = frame;
     let mut stats = QueryStats::new();
-    let mut sw = Stopwatch::start();
+    let mut tb = TraceBuilder::start();
+    tb.phase(Phase::Parse);
     let (level, sampled) = match obs {
-        Some(obs) => obs.sample_trace_level(algorithm, req.trace),
+        Some(obs) => obs.registry().sample_trace_level(req.trace),
         None => (req.trace, false),
     };
-    let mut tb = match level {
-        TraceLevel::Off => TraceBuilder::off(),
-        _ => TraceBuilder::new(level, format!("{engine}/{algorithm} {:?}", req.query)),
-    };
-
-    tb.phase("parse");
+    tb.record(level, || format!("{engine}/{algorithm} {:?}", req.query));
     let keywords = clean(parse_query(&req.query), &mut tb)?;
-    stats.phases.parse = sw.lap();
+    tb.stop();
 
+    let run = |stats: &mut QueryStats, tb: &mut TraceBuilder| {
+        let result = run(&keywords, stats, tb);
+        tb.stop();
+        result
+    };
     let (answer, truncation) = if keywords.is_empty() {
         Answer::empty((frame.empty_facets)()?, None)
     } else if let Some(reason) = req.budget.truncation() {
         trace_verdict(&mut tb, Some(reason));
         Answer::empty((frame.empty_facets)()?, Some(reason))
     } else if !cache.admits(req, level) {
-        run(&keywords, &mut stats, &mut sw, &mut tb)?
+        run(&mut stats, &mut tb)?
     } else {
         let key = ResultKey::new(frame, &keywords, req);
         let looked = cache.cache.get_or_compute(key, || {
             stats.result_cache_misses = 1;
-            let result = run(&keywords, &mut stats, &mut sw, &mut tb);
+            let result = run(&mut stats, &mut tb);
             let store = match &result {
                 // Only complete answers enter the cache; `admits` already
                 // keeps constrained budgets out, so truncation here is
@@ -207,11 +211,12 @@ fn finish_response<H>(
     req: &SearchRequest,
     sampled: bool,
     answer: Answer<H>,
-    stats: QueryStats,
+    mut stats: QueryStats,
     truncation: Option<TruncationReason>,
-    trace: TraceBuilder,
+    clock: TraceBuilder,
 ) -> SearchResponse<H> {
-    let trace = trace.finish();
+    let trace;
+    (stats.phases, trace) = clock.finish();
     if let Some(obs) = frame.obs {
         let record = QueryRecord::new(
             frame.engine,

@@ -8,7 +8,7 @@
 
 use super::frame::{field, run_query, trace_verdict, Answer, Evaluated, QueryFrame, ResultCache};
 use super::{Engine, Hit, SearchRequest, SearchResponse};
-use kwdb_common::{CacheConfig, QueryStats, Result, ScratchPool, Stopwatch};
+use kwdb_common::{CacheConfig, Phase, QueryStats, Result, ScratchPool};
 use kwdb_graph::DataGraph;
 use kwdb_graphsearch::{blinks::Blinks, AnswerTree, Dpbf, SearchScratch};
 use kwdb_obs::{record_index_stats, EngineInstruments, MetricsRegistry, TraceBuilder};
@@ -110,7 +110,6 @@ impl GraphEngine {
         };
         let run = |keywords: &[String],
                    stats: &mut QueryStats,
-                   sw: &mut Stopwatch,
                    tb: &mut TraceBuilder|
          -> Result<Evaluated<AnswerTree>> {
             // DPBF keeps a keyword subset per state; BLINKS sums per-keyword
@@ -124,7 +123,7 @@ impl GraphEngine {
             }
             let mut scratch = self.scratch.checkout(SearchScratch::default);
             let (hits, truncation) = if steiner {
-                tb.phase("evaluate");
+                tb.phase(Phase::Evaluate);
                 let dpbf = Dpbf::new(g);
                 let (r, truncation, work) =
                     dpbf.search_budgeted(keywords, req.k, budget, &mut scratch);
@@ -136,23 +135,23 @@ impl GraphEngine {
             } else {
                 // The query's distance lists, built here if this is the
                 // first request to read one: a miss when it built any.
-                tb.phase("build");
+                tb.phase(Phase::Build);
                 let blinks = Blinks::new(g);
                 let (lists, built) = blinks.distance_lists(keywords).unwrap_or_default();
-                stats.phases.build = sw.lap();
+                tb.event("node-keyword index", || {
+                    vec![field("outcome", if built == 0 { "hit" } else { "miss" })]
+                });
+                tb.phase(Phase::Evaluate);
                 if built == 0 {
                     stats.cache_hits = 1;
                 } else {
                     stats.cache_misses = 1;
                     if let Some(obs) = frame.obs {
-                        let lists = g.distance_list_stats().with_build(Some(stats.phases.build));
+                        let build = tb.timings().build;
+                        let lists = g.distance_list_stats().with_build(Some(build));
                         record_index_stats(obs.registry(), "graph_node2kw", &lists);
                     }
                 }
-                tb.event("node-keyword index", || {
-                    vec![field("outcome", if built == 0 { "hit" } else { "miss" })]
-                });
-                tb.phase("evaluate");
                 let (r, truncation, work) =
                     blinks.search_lists(&lists, req.k, budget, &mut scratch);
                 stats.operators.sorted_accesses = work.sorted_accesses as u64;
@@ -165,7 +164,6 @@ impl GraphEngine {
                 });
                 (r, truncation)
             };
-            stats.phases.evaluate = sw.lap();
             stats.candidates_generated = hits.len() as u64;
             trace_verdict(tb, truncation);
             Ok((Answer::unfaceted(hits), truncation))

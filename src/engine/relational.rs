@@ -11,8 +11,8 @@ use super::{
     SearchResponse,
 };
 use kwdb_common::{
-    CacheConfig, FacetCounts, FacetSpec, Looked, QueryStats, Result, ScratchPool, ShardedCache,
-    Stopwatch, TruncationReason, Value,
+    CacheConfig, FacetCounts, FacetSpec, Looked, Phase, QueryStats, Result, ScratchPool,
+    ShardedCache, TruncationReason, Value,
 };
 use kwdb_explore::summary::{object_summary, render_summary};
 use kwdb_obs::{
@@ -370,10 +370,9 @@ impl RelationalEngine {
         // Tuple sets, planning, evaluation, facet finalization.
         let run = |keywords: &[String],
                    stats: &mut QueryStats,
-                   sw: &mut Stopwatch,
                    tb: &mut TraceBuilder|
          -> Result<Evaluated<RelationalHit>> {
-            tb.phase("build");
+            tb.phase(Phase::Build);
             // Resolution is independent of the keyword set, so drill-downs
             // reuse the CN plan cache untouched.
             let facets = resolve_facets(db, &req.facets)?;
@@ -389,7 +388,6 @@ impl RelationalEngine {
             // recycles the sets, handing the array back zeroed.
             let scratch = &mut self.scratch.checkout(EvalScratch::new);
             let ts = TupleSets::build_with(db, keywords, scratch)?;
-            stats.phases.build = sw.lap();
             if !ts.covers_all_keywords() {
                 tb.event("tuple sets", || vec![field("covers_all_keywords", false)]);
                 ts.recycle(scratch);
@@ -399,12 +397,10 @@ impl RelationalEngine {
                 ts.recycle(scratch);
                 return Ok(Answer::empty(empty_facets()?, Some(reason)));
             }
-            tb.phase("plan");
+            tb.phase(Phase::Plan);
             let cns = self.plan(db, &ts, stats, tb);
-            stats.phases.plan = sw.lap();
+            tb.phase(Phase::Evaluate);
             stats.candidates_generated = cns.len() as u64;
-
-            tb.phase("evaluate");
             // Per-query scorer over the text index's own counts: one Arc
             // clone, no tuple read.
             let scorer = ResultScorer::from_index(Arc::clone(db))?;
@@ -423,15 +419,6 @@ impl RelationalEngine {
                 cns_evaluated,
                 cns_pruned,
             } = evaluate(&q, req.k, scoring, &exec, budget, scratch, &refinements);
-            stats.phases.evaluate = sw.lap();
-            stats.cns_evaluated = cns_evaluated;
-            stats.cns_pruned = cns_pruned;
-            let mut contributing: Vec<usize> = ranked.iter().map(|r| r.cn_index).collect();
-            contributing.sort_unstable();
-            contributing.dedup();
-            stats.candidates_pruned = stats
-                .candidates_generated
-                .saturating_sub(contributing.len() as u64);
             tb.event("operators", || {
                 let snap = exec.snapshot();
                 vec![
@@ -447,7 +434,15 @@ impl RelationalEngine {
             // join — then per-hit summaries. Linear work, on this thread; only
             // a deadline leaves the counts inexact, and the response then says
             // it was cut short.
-            tb.phase("facets");
+            tb.phase(Phase::Facets);
+            stats.cns_evaluated = cns_evaluated;
+            stats.cns_pruned = cns_pruned;
+            let mut contributing: Vec<usize> = ranked.iter().map(|r| r.cn_index).collect();
+            contributing.sort_unstable();
+            contributing.dedup();
+            stats.candidates_pruned = stats
+                .candidates_generated
+                .saturating_sub(contributing.len() as u64);
             let tally = count_facets(db, &ts, &cns, &freq, budget, &exec, scratch);
             ts.recycle(scratch);
             let snap = exec.snapshot();
@@ -482,7 +477,7 @@ impl RelationalEngine {
                         field("message_rows", tally.message_rows),
                     ]
                 });
-                tb.event("facets", || {
+                tb.event(Phase::Facets.name(), || {
                     vec![
                         field("requested", facets.len()),
                         field(
@@ -493,7 +488,6 @@ impl RelationalEngine {
                     ]
                 });
             }
-            stats.phases.facets = sw.lap();
             let answer = Answer {
                 hits,
                 facets: facet_counts,

@@ -3,7 +3,8 @@
 
 use super::frame::{field, run_query, trace_verdict, Answer, Evaluated, QueryFrame, ResultCache};
 use super::{Engine, Hit, SearchRequest, SearchResponse};
-use kwdb_common::{Budget, CacheConfig, QueryStats, Result, Stopwatch, TruncationReason};
+use kwdb_common::topk::TopK;
+use kwdb_common::{Budget, CacheConfig, Phase, QueryStats, Result, TruncationReason};
 use kwdb_obs::{record_index_stats, EngineInstruments, MetricsRegistry, TraceBuilder};
 use kwdb_rank::proximity::discounted_path_len;
 use kwdb_xml::{NodeId, XmlIndex, XmlTree};
@@ -91,13 +92,11 @@ impl XmlEngine {
         };
         let run = |keywords: &[String],
                    stats: &mut QueryStats,
-                   sw: &mut Stopwatch,
                    tb: &mut TraceBuilder|
          -> Result<Evaluated<XmlHit>> {
-            tb.phase("build");
+            tb.phase(Phase::Build);
             let (roots, slca_stats, mut truncation) =
                 kwdb_xmlsearch::slca_indexed_budgeted(tree, index, keywords, budget)?;
-            stats.phases.build = sw.lap();
             stats.operators.sorted_accesses = slca_stats.anchors as u64;
             stats.operators.random_accesses = slca_stats.probes as u64;
             stats.candidates_generated = roots.len() as u64;
@@ -109,17 +108,25 @@ impl XmlEngine {
                 ]
             });
 
-            tb.phase("evaluate");
-            let scored = score_roots(tree, index, keywords, &roots, budget, &mut truncation);
+            tb.phase(Phase::Evaluate);
+            let mut best = TopK::new(req.k);
+            let scored = score_roots(
+                tree,
+                index,
+                keywords,
+                &roots,
+                budget,
+                &mut truncation,
+                &mut best,
+            );
             stats.candidates_pruned = stats
                 .candidates_generated
-                .saturating_sub(scored.len().min(req.k) as u64);
-            let scored = top_k(scored, req.k);
-            stats.phases.evaluate = sw.lap();
+                .saturating_sub(scored.min(req.k) as u64);
 
             // only the survivors pay for a label path
-            tb.phase("render");
-            let hits: Vec<XmlHit> = scored
+            tb.phase(Phase::Facets);
+            let hits: Vec<XmlHit> = best
+                .into_sorted_vec()
                 .into_iter()
                 .map(|(score, root)| XmlHit {
                     root,
@@ -127,7 +134,6 @@ impl XmlEngine {
                     label_path: tree.label_path(root),
                 })
                 .collect();
-            stats.phases.facets = sw.lap();
             trace_verdict(tb, truncation);
             Ok((Answer::unfaceted(hits), truncation))
         };
@@ -149,8 +155,10 @@ impl Engine for XmlEngine {
 /// `depth(r)` for the first. In a tree those are exactly the fresh edges
 /// `kwdb_rank::proximity`'s edge-set reference counts, summed in the same
 /// order — the same bits. `roots` ascend, so one cursor per keyword seeks
-/// each root's first match. A budget that runs out stops scoring and sets
-/// `truncation`; the roots scored so far are returned.
+/// each root's first match. Each scored root is offered to `best`, which
+/// keeps the `k` best under `(score desc, root asc)`. A budget that runs
+/// out stops scoring and sets `truncation`; returns how many roots were
+/// scored.
 fn score_roots(
     tree: &XmlTree,
     index: &XmlIndex,
@@ -158,15 +166,16 @@ fn score_roots(
     roots: &[NodeId],
     budget: &Budget,
     truncation: &mut Option<TruncationReason>,
-) -> Vec<(f64, NodeId)> {
+    best: &mut TopK<NodeId>,
+) -> usize {
     let avg_depth = tree.avg_leaf_depth();
     // one dictionary lookup per keyword
     let mut cursors: Vec<_> = keywords.iter().map(|kw| index.nodes(kw).cursor()).collect();
     let mut matches: Vec<NodeId> = Vec::with_capacity(keywords.len());
-    let mut scored = Vec::with_capacity(roots.len());
+    let mut scored = 0;
     for &r in roots {
-        if !scored.is_empty() {
-            if let Some(reason) = budget.truncation_at(scored.len() as u64) {
+        if scored > 0 {
+            if let Some(reason) = budget.truncation_at(scored as u64) {
                 *truncation = Some(reason);
                 break;
             }
@@ -186,22 +195,9 @@ fn score_roots(
             cost += discounted_path_len((tree.depth(m) - shared) as usize, avg_depth);
             matches.push(m);
         }
-        scored.push((1.0 / (1.0 + cost), r));
+        best.push(1.0 / (1.0 + cost), r);
+        scored += 1;
     }
-    scored
-}
-
-/// The `k` best `(score, root)` pairs, best first: score descending, then
-/// document order (`total_cmp` sorts a NaN score last instead of panicking).
-fn top_k(mut scored: Vec<(f64, NodeId)>, k: usize) -> Vec<(f64, NodeId)> {
-    let order = |a: &(f64, NodeId), b: &(f64, NodeId)| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1));
-    if k < scored.len() {
-        if k > 0 {
-            scored.select_nth_unstable_by(k - 1, order);
-        }
-        scored.truncate(k);
-    }
-    scored.sort_unstable_by(order);
     scored
 }
 

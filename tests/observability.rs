@@ -8,11 +8,11 @@
 //! asked for, and truncation must carry its reason into both the response
 //! and the `kwdb_queries_truncated_total` counter.
 
-use kwdb::common::{Budget, CacheConfig, TruncationReason};
+use kwdb::common::{Budget, CacheConfig, FacetSpec, Phase, TruncationReason};
 use kwdb::datasets::{self, generate_dblp, DblpConfig};
 use kwdb::dispatch::{Catalog, Dispatcher};
 use kwdb::engine::{
-    GraphEngine, GraphSemantics, Hit, RelationalConfig, RelationalEngine, SearchRequest,
+    GraphEngine, GraphSemantics, Hit, RelationalConfig, RelationalEngine, Scoring, SearchRequest,
     SearchResponse, XmlEngine,
 };
 use kwdb::obs::{export, families, MetricsRegistry, TraceLevel};
@@ -429,6 +429,66 @@ fn relational_and_graph_traces_render_phases_and_events() {
         text.contains("evaluate"),
         "graph trace missing evaluate:\n{text}"
     );
+}
+
+/// One clock times a query: for a traced request on every engine path, the
+/// spans are the phases the path ran, in [`Phase`] order, each span's
+/// duration is that phase's `stats.phases` slot bit for bit, and the trace
+/// total is the phase sum.
+#[test]
+fn trace_spans_are_the_stats_phase_timings_on_every_engine_path() {
+    use Phase::{Build, Evaluate, Facets, Parse, Plan};
+    fn check<H>(path: &str, resp: SearchResponse<H>, expected: &[Phase]) {
+        let trace = resp.trace.expect("a traced request carries its trace");
+        let names: Vec<&str> = trace.phases.iter().map(|s| s.name.as_str()).collect();
+        let want: Vec<&str> = expected.iter().map(|p| p.name()).collect();
+        assert_eq!(names, want, "{path}: span names");
+        let mut spans = Duration::ZERO;
+        for (span, &phase) in trace.phases.iter().zip(expected) {
+            assert_eq!(
+                span.duration, resp.stats.phases[phase],
+                "{path}: the {} span and its stats slot",
+                span.name
+            );
+            spans += span.duration;
+        }
+        let stats_total = resp.stats.phases.total();
+        assert_eq!(spans, stats_total, "{path}: every timed phase has a span");
+        assert_eq!(trace.total, stats_total, "{path}: the trace total");
+    }
+    let traced = |q: &str| SearchRequest::new(q).k(3).trace(TraceLevel::Full);
+
+    let rel = RelationalEngine::new(dblp());
+    let full = [Parse, Build, Plan, Evaluate, Facets];
+    check(
+        "relational",
+        rel.execute(&traced("data query")).unwrap(),
+        &full,
+    );
+    let faceted = traced("data query").facet(FacetSpec::terms("conference.name", 10));
+    check("relational faceted", rel.execute(&faceted).unwrap(), &full);
+    let uncovered = rel.execute(&traced("data zqxwvy")).unwrap();
+    assert!(uncovered.hits.is_empty());
+    check("relational uncovered keyword", uncovered, &[Parse, Build]);
+    let spark = traced("data query").scoring(Scoring::Spark);
+    check("relational spark", rel.execute(&spark).unwrap(), &full);
+
+    let graph = GraphEngine::new(datasets::graphs::generate_graph(&Default::default()));
+    for (semantics, expected) in [
+        (GraphSemantics::SteinerExact, &[Parse, Evaluate][..]),
+        (GraphSemantics::DistinctRoot, &[Parse, Build, Evaluate][..]),
+    ] {
+        let req = traced("kw0 kw1").semantics(semantics);
+        check(
+            &format!("graph {semantics:?}"),
+            graph.execute(&req).unwrap(),
+            expected,
+        );
+    }
+
+    let xml = XmlEngine::from_tree(datasets::generate_bib_xml(&Default::default()));
+    let resp = xml.execute(&traced("data query")).unwrap();
+    check("xml", resp, &[Parse, Build, Evaluate, Facets]);
 }
 
 #[test]
