@@ -286,7 +286,8 @@ struct Recording {
 /// phase opened while nothing is open starts at the last lap, not at the
 /// call: the time since the clock stopped belongs to the phase that
 /// follows, and the spans are contiguous from zero to the trace's total.
-/// Each phase opens at most once, in [`Phase::ALL`] order.
+/// A caller opens each phase at most once, in [`Phase::ALL`] order; the
+/// builder does not check it.
 ///
 /// Not recording ([`TraceLevel::Off`], the default) the builder allocates
 /// nothing and an event is one branch; its closure never runs.
@@ -295,8 +296,6 @@ pub struct TraceBuilder {
     /// Offset of the last lap from `start`.
     mark: Duration,
     open: Option<Phase>,
-    /// The phase opened last, open or not.
-    last: Option<Phase>,
     timings: PhaseTimings,
     recording: Option<Recording>,
 }
@@ -308,7 +307,6 @@ impl TraceBuilder {
             start: Instant::now(),
             mark: Duration::ZERO,
             open: None,
-            last: None,
             timings: PhaseTimings::default(),
             recording: None,
         }
@@ -331,14 +329,8 @@ impl TraceBuilder {
 
     /// Close the open phase, if any, and open `phase`.
     pub fn phase(&mut self, phase: Phase) {
-        debug_assert!(
-            self.last.is_none_or(|last| last < phase),
-            "{phase:?} opened after {:?}",
-            self.last
-        );
         self.stop();
         self.open = Some(phase);
-        self.last = Some(phase);
     }
 
     /// Close the open phase, if any: one lap. With nothing open it reads

@@ -477,7 +477,7 @@ impl RelationalEngine {
                         field("message_rows", tally.message_rows),
                     ]
                 });
-                tb.event(Phase::Facets.name(), || {
+                tb.event("facets", || {
                     vec![
                         field("requested", facets.len()),
                         field(
